@@ -6,7 +6,7 @@ GO ?= go
 # bench-baseline needs pipefail so a panicking benchmark fails the target.
 SHELL := /bin/bash
 
-.PHONY: build test race cover cover-gate chaos-soak crash-soak bench bench-baseline fmt fmt-check vet ci
+.PHONY: build test race cover cover-gate chaos-soak crash-soak fuzz-smoke bench bench-baseline fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,13 @@ crash-soak:
 	$(GO) test -race -count=1 -run \
 		'TestCrashRecoverySoak|TestCrashRecoveryDeleteSoak|TestCrashRecoveryOverwriteSoak|TestGracefulShutdownSIGTERM|TestSiteGracefulShutdownSIGTERM' .
 
+# Ten seconds of coverage-guided fuzzing of the result encoders against
+# the struct-and-encoding/json oracle in results_test.go: the JSON must
+# unmarshal to the same value, the CSV read back to the same records,
+# the TSV bytes be equal. The seed corpus alone runs inside `test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
+
 # One iteration per benchmark: a compile-and-run smoke, not a measurement.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -146,4 +153,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build cover cover-gate chaos-soak crash-soak bench
+ci: fmt-check vet build cover cover-gate chaos-soak crash-soak fuzz-smoke bench

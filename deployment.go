@@ -88,17 +88,24 @@ func (dep *Deployment) decodeResult(q *sparql.Graph, b *match.Bindings, stats *e
 			UnreachableSites: append([]int(nil), stats.UnreachableSites...),
 		},
 	}
-	d := dep.db.graph.Dict
+	// One read-locked fetch of the per-ID renderings, one flat cell array
+	// and one header array: allocations do not grow with the row count.
+	text := dep.db.graph.Dict.Rendered()
+	cells := 0
 	for _, row := range b.Rows {
-		out := make([]string, len(row))
+		cells += len(row)
+	}
+	flat := make([]string, cells)
+	res.Rows = make([][]string, len(b.Rows))
+	for r, row := range b.Rows {
+		out := flat[:len(row):len(row)]
+		flat = flat[len(row):]
 		for i, id := range row {
-			if id == rdf.NoID {
-				out[i] = ""
-				continue
+			if id != rdf.NoID {
+				out[i] = text[id]
 			}
-			out[i] = d.Decode(id).String()
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows[r] = out
 	}
 	if len(q.OrderBy) > 0 {
 		applyOrderBy(res, q.OrderBy)

@@ -39,6 +39,11 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	format, err := resultFormat(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	query, err := readQuery(w, r)
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -77,7 +82,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.writeResult(w, r, res)
+	s.writeResult(w, format, res)
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -355,24 +360,40 @@ func readQuery(w http.ResponseWriter, r *http.Request) (string, error) {
 	return string(body), nil
 }
 
-// writeResult renders the result in the format chosen by ?format= or the
-// Accept header: json (default), csv or tsv. Degraded-mode results are
-// flagged in a header too, so the non-JSON formats can signal
+// resultFormat picks the response format: ?format= (json, csv or tsv;
+// anything else is the client's mistake) wins, then the first media type
+// in the Accept list this server produces — parameters such as q-values
+// are ignored — and JSON when neither names one.
+func resultFormat(r *http.Request) (string, error) {
+	switch format := r.URL.Query().Get("format"); format {
+	case "json", "csv", "tsv":
+		return format, nil
+	case "":
+	default:
+		return "", fmt.Errorf("unknown format %q (want json, csv or tsv)", format)
+	}
+	for _, part := range strings.Split(strings.Join(r.Header.Values("Accept"), ","), ",") {
+		media, _, _ := strings.Cut(part, ";")
+		switch strings.ToLower(strings.TrimSpace(media)) {
+		case "application/sparql-results+json", "application/json", "*/*":
+			return "json", nil
+		case "text/csv":
+			return "csv", nil
+		case "text/tab-separated-values":
+			return "tsv", nil
+		}
+	}
+	return "json", nil
+}
+
+// writeResult renders the result as json, csv or tsv. Degraded-mode
+// results are flagged in a header too, so the non-JSON formats can signal
 // incompleteness. Write failures (the client disconnecting mid-body)
 // land in the response_write_errors metric — the 200 status is already
 // on the wire.
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, res *Result) {
+func (s *Server) writeResult(w http.ResponseWriter, format string, res *Result) {
 	if res.Stats.Partial {
 		w.Header().Set("X-Partial-Results", "true")
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		switch r.Header.Get("Accept") {
-		case "text/csv":
-			format = "csv"
-		case "text/tab-separated-values":
-			format = "tsv"
-		}
 	}
 	switch format {
 	case "csv":

@@ -10,10 +10,10 @@ package rdffrag
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -216,28 +216,47 @@ func TestUpdateBodyTooLarge413(t *testing.T) {
 	}
 }
 
-// failingWriter fails every body write after headers, like a client that
+// cutResponse is a ResponseWriter whose connection dies after
+// cutWriter.limit body bytes — with the zero limit, like a client that
 // disconnected between the status line and the response body.
-type failingWriter struct{ h http.Header }
+type cutResponse struct {
+	h http.Header
+	cutWriter
+}
 
-func (w *failingWriter) Header() http.Header        { return w.h }
-func (w *failingWriter) Write([]byte) (int, error)  { return 0, errors.New("client gone") }
-func (w *failingWriter) WriteHeader(statusCode int) {}
+func (w *cutResponse) Header() http.Header        { return w.h }
+func (w *cutResponse) WriteHeader(statusCode int) {}
 
 // TestResponseWriteErrorsCounted: a response body that fails to write
 // cannot change the already-sent status, so it must surface in the
-// response_write_errors metric instead of being discarded.
+// response_write_errors metric instead of being discarded — once per
+// response, however many chunks a multi-megabyte answer had left, and
+// without another Write reaching the dead connection.
 func TestResponseWriteErrorsCounted(t *testing.T) {
-	dep := deploySoak(t, 3, 30)
+	dep := deploySoak(t, 3, 400)
 	srv := dep.StartServer(ServerConfig{Workers: 2})
 	defer srv.Close()
 
-	for _, target := range []string{"/query?q=" + strings.ReplaceAll("SELECT ?x ?n WHERE { ?x <name> ?n . }", " ", "%20"), "/metrics"} {
+	target := func(q string) string { return "/query?q=" + url.QueryEscape(q) }
+	for _, target := range []string{target("SELECT ?x ?n WHERE { ?x <name> ?n . }"), "/metrics"} {
 		req := httptest.NewRequest(http.MethodGet, target, nil)
-		srv.Handler().ServeHTTP(&failingWriter{h: make(http.Header)}, req)
+		srv.Handler().ServeHTTP(&cutResponse{h: make(http.Header)}, req)
 	}
 
+	// 5 interests x 80 x 80 people sharing one: ~7 MB of JSON.
+	pairs := target("SELECT ?x ?n ?y ?m WHERE { ?x <interest> ?i . ?y <interest> ?i . ?x <name> ?n . ?y <name> ?m . }")
 	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, pairs, nil))
+	if rec.Body.Len() < 2<<20 {
+		t.Fatalf("pairs answer is %d bytes, want multi-megabyte", rec.Body.Len())
+	}
+	cut := &cutResponse{h: make(http.Header), cutWriter: cutWriter{limit: 1 << 20}}
+	srv.Handler().ServeHTTP(cut, httptest.NewRequest(http.MethodGet, pairs, nil))
+	if !cut.failed || cut.lateCalls != 0 {
+		t.Fatalf("writer failed=%v after %d writes, %d more followed; want the failure to end the response", cut.failed, cut.calls, cut.lateCalls)
+	}
+
+	rec = httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	var m struct {
 		ResponseWriteErrors uint64 `json:"response_write_errors"`
@@ -245,8 +264,51 @@ func TestResponseWriteErrorsCounted(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
 		t.Fatalf("metrics decode: %v (body %.200s)", err, rec.Body)
 	}
-	if m.ResponseWriteErrors != 2 {
-		t.Fatalf("response_write_errors = %d, want 2 (query body + metrics body)", m.ResponseWriteErrors)
+	if m.ResponseWriteErrors != 3 {
+		t.Fatalf("response_write_errors = %d, want 3 (query body + metrics body + cut multi-megabyte body)", m.ResponseWriteErrors)
+	}
+}
+
+// TestResultFormatNegotiation: ?format= wins and must name a format;
+// otherwise the first supported media type of the Accept list decides,
+// parameters ignored; JSON is the default.
+func TestResultFormatNegotiation(t *testing.T) {
+	dep := deploySoak(t, 2, 20)
+	srv := dep.StartServer(ServerConfig{Workers: 1})
+	defer srv.Close()
+	q := "q=" + url.QueryEscape("SELECT ?x ?n WHERE { ?x <name> ?n . }")
+	const jsonType = "application/sparql-results+json"
+	for _, tc := range []struct {
+		name, params string
+		accept       []string
+		contentType  string
+	}{
+		{name: "default", contentType: jsonType},
+		{name: "format json", params: "&format=json", accept: []string{"text/csv"}, contentType: jsonType},
+		{name: "format csv", params: "&format=csv", contentType: "text/csv"},
+		{name: "format tsv beats Accept", params: "&format=tsv", accept: []string{"text/csv"}, contentType: "text/tab-separated-values"},
+		{name: "exact Accept", accept: []string{"text/csv"}, contentType: "text/csv"},
+		{name: "list with wildcard fallback", accept: []string{"text/csv, */*;q=0.1"}, contentType: "text/csv"},
+		{name: "parameters and case", accept: []string{"Text/Tab-Separated-Values; charset=utf-8;q=0.9, application/json"}, contentType: "text/tab-separated-values"},
+		{name: "unsupported types skipped", accept: []string{"text/html,application/xhtml+xml, text/csv;q=0.5"}, contentType: "text/csv"},
+		{name: "wildcard first", accept: []string{"*/*, text/csv"}, contentType: jsonType},
+		{name: "second header line", accept: []string{"text/html", "text/tab-separated-values"}, contentType: "text/tab-separated-values"},
+		{name: "nothing supported", accept: []string{"image/png"}, contentType: jsonType},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/query?"+q+tc.params, nil)
+		for _, a := range tc.accept {
+			req.Header.Add("Accept", a)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != tc.contentType {
+			t.Errorf("%s: status %d Content-Type %q, want 200 %q", tc.name, rec.Code, rec.Header().Get("Content-Type"), tc.contentType)
+		}
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?"+q+"&format=xml", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("unknown ?format=: status %d, want 400 (body %q)", rec.Code, rec.Body)
 	}
 }
 

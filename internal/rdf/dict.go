@@ -17,6 +17,9 @@ type Dict struct {
 	mu    sync.RWMutex
 	byKey map[string]ID
 	terms []Term
+	// text[id] is terms[id].String(), rendered once when the term is
+	// interned so result decoding never concatenates per cell.
+	text []string
 
 	// Prefix-fingerprint cache: the dictionary is append-only, so the
 	// fingerprint of terms[0:n] never changes once computed. fpN/fpHash
@@ -51,6 +54,7 @@ func (d *Dict) Encode(t Term) ID {
 	id = ID(len(d.terms))
 	d.byKey[key] = id
 	d.terms = append(d.terms, t)
+	d.text = append(d.text, t.String())
 	return id
 }
 
@@ -69,6 +73,16 @@ func (d *Dict) Decode(id ID) Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.terms[id]
+}
+
+// Rendered returns the N-Triples form (Term.String) of every term
+// interned so far, indexed by ID. The dictionary is append-only, so the
+// returned prefix never changes and may be read without further locking:
+// a caller decoding many IDs pays for the read lock once, not per term.
+func (d *Dict) Rendered() []string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.text
 }
 
 // Len reports the number of interned terms.

@@ -188,7 +188,7 @@ func TestNTriplesErrors(t *testing.T) {
 
 func TestEscapeLiteralProperty(t *testing.T) {
 	f := func(s string) bool {
-		return unescapeLiteral(escapeLiteral(s)) == s
+		return UnescapeLiteral(escapeLiteral(s)) == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -86,7 +86,7 @@ func parseNTTerm(s string) (Term, string, error) {
 		if i >= len(s) {
 			return Term{}, "", fmt.Errorf("unterminated literal")
 		}
-		lex := unescapeLiteral(s[1:i])
+		lex := UnescapeLiteral(s[1:i])
 		rest := s[i+1:]
 		// Fold datatype / language tag into the lexical form so round
 		// trips stay lossless enough for matching purposes.

@@ -117,7 +117,9 @@ func escapeLiteral(s string) string {
 	return b.String()
 }
 
-func unescapeLiteral(s string) string {
+// UnescapeLiteral reverses the N-Triples literal escapes Term.String
+// writes (\" \\ \n \r \t); any other backslash sequence is kept as is.
+func UnescapeLiteral(s string) string {
 	if !strings.Contains(s, `\`) {
 		return s
 	}

@@ -297,7 +297,7 @@ func (p *turtleParser) literal() (Term, error) {
 	if i >= len(p.src) {
 		return Term{}, fmt.Errorf("unterminated literal")
 	}
-	lex := unescapeLiteral(p.src[p.pos+1 : i])
+	lex := UnescapeLiteral(p.src[p.pos+1 : i])
 	p.pos = i + 1
 	p.skipLiteralSuffix()
 	return NewLiteral(lex), nil

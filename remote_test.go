@@ -183,8 +183,15 @@ func TestPartialResultsDegradation(t *testing.T) {
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	if !strings.Contains(buf.String(), `"partial": true`) {
-		t.Errorf("JSON result does not flag partial: %s", buf.String())
+	var doc struct {
+		Partial          bool  `json:"partial"`
+		UnreachableSites []int `json:"unreachableSites"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
+		t.Fatalf("JSON result does not parse: %v: %s", err, buf.String())
+	}
+	if !doc.Partial || len(doc.UnreachableSites) != len(res.Stats.UnreachableSites) {
+		t.Errorf("JSON result does not flag partial with its sites: %s", buf.String())
 	}
 	if m := srv.Metrics(); m.PartialResults == 0 {
 		t.Error("PartialResults counter did not advance")

@@ -2,9 +2,15 @@ package rdffrag
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"rdffrag/internal/rdf"
 )
 
 func sampleResult() *Result {
@@ -148,5 +154,286 @@ ex:b ex:name "B" .
 	}
 	if len(res.Rows) != 1 || res.Rows[0][1] != `"B"` {
 		t.Errorf("rows = %v", res.Rows)
+	}
+}
+
+// The encoders WriteJSON/WriteCSV/WriteTSV replaced — a struct per
+// document and a map per row through encoding/json, encoding/csv, and
+// fmt+strings.Join — kept here only as the oracle the append encoders
+// are compared against.
+
+type oracleDoc struct {
+	Head struct {
+		Vars []string `json:"vars"`
+	} `json:"head"`
+	Results struct {
+		Bindings []map[string]oracleTerm `json:"bindings"`
+	} `json:"results"`
+	Partial          bool  `json:"partial,omitempty"`
+	UnreachableSites []int `json:"unreachableSites,omitempty"`
+}
+
+type oracleTerm struct {
+	Type  string `json:"type"`
+	Value string `json:"value"`
+}
+
+func oracleClassify(s string) (oracleTerm, bool) {
+	switch {
+	case s == "":
+		return oracleTerm{}, false
+	case strings.HasPrefix(s, "<") && strings.HasSuffix(s, ">"):
+		return oracleTerm{Type: "uri", Value: s[1 : len(s)-1]}, true
+	case strings.HasPrefix(s, `"`) && strings.HasSuffix(s, `"`) && len(s) >= 2:
+		unquote := strings.NewReplacer(`\"`, `"`, `\\`, `\`, `\n`, "\n", `\t`, "\t", `\r`, "\r")
+		return oracleTerm{Type: "literal", Value: unquote.Replace(s[1 : len(s)-1])}, true
+	case strings.HasPrefix(s, "_:"):
+		return oracleTerm{Type: "bnode", Value: s[2:]}, true
+	default:
+		return oracleTerm{Type: "literal", Value: s}, true
+	}
+}
+
+func oracleJSON(t testing.TB, r *Result) []byte {
+	var out oracleDoc
+	out.Head.Vars = r.Vars
+	out.Partial, out.UnreachableSites = r.Stats.Partial, r.Stats.UnreachableSites
+	out.Results.Bindings = make([]map[string]oracleTerm, 0, len(r.Rows))
+	for _, row := range r.Rows {
+		b := make(map[string]oracleTerm, len(r.Vars))
+		for i, v := range r.Vars {
+			if i >= len(row) {
+				continue
+			}
+			if term, ok := oracleClassify(row[i]); ok {
+				b[v] = term
+			}
+		}
+		out.Results.Bindings = append(out.Results.Bindings, b)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
+		t.Fatalf("oracle JSON: %v", err)
+	}
+	return buf.Bytes()
+}
+
+func oracleCSV(t testing.TB, r *Result) []byte {
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	recs := [][]string{r.Vars}
+	for _, row := range r.Rows {
+		rec := make([]string, len(r.Vars))
+		for i := range r.Vars {
+			if i < len(row) {
+				term, _ := oracleClassify(row[i])
+				rec[i] = term.Value
+			}
+		}
+		recs = append(recs, rec)
+	}
+	if err := cw.WriteAll(recs); err != nil {
+		t.Fatalf("oracle CSV: %v", err)
+	}
+	return buf.Bytes()
+}
+
+func oracleTSV(r *Result) []byte {
+	var buf bytes.Buffer
+	header := make([]string, len(r.Vars))
+	for i, v := range r.Vars {
+		header[i] = "?" + v
+	}
+	fmt.Fprintln(&buf, strings.Join(header, "\t"))
+	for _, row := range r.Rows {
+		fmt.Fprintln(&buf, strings.Join(row, "\t"))
+	}
+	return buf.Bytes()
+}
+
+// checkAgainstOracle is the property the differential test and the fuzz
+// target share: the JSON documents unmarshal to the same value, the CSV
+// reads back through encoding/csv to the same records, the TSV bytes are
+// equal.
+func checkAgainstOracle(t testing.TB, r *Result) {
+	t.Helper()
+	var got bytes.Buffer
+	if err := r.WriteJSON(&got); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	var gotDoc, wantDoc any
+	if err := json.Unmarshal(got.Bytes(), &gotDoc); err != nil {
+		t.Fatalf("WriteJSON wrote invalid JSON: %v\n%q", err, got.Bytes())
+	}
+	if err := json.Unmarshal(oracleJSON(t, r), &wantDoc); err != nil {
+		t.Fatalf("oracle wrote invalid JSON: %v", err)
+	}
+	if !reflect.DeepEqual(gotDoc, wantDoc) {
+		t.Fatalf("JSON differs from the oracle for %+v\n got %q\nwant %v", r, got.Bytes(), wantDoc)
+	}
+
+	got.Reset()
+	if err := r.WriteCSV(&got); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	readBack := func(b []byte) [][]string {
+		cr := csv.NewReader(bytes.NewReader(b))
+		cr.FieldsPerRecord = -1
+		recs, err := cr.ReadAll()
+		if err != nil {
+			t.Fatalf("CSV does not read back: %v\n%q", err, b)
+		}
+		return recs
+	}
+	if want := oracleCSV(t, r); !reflect.DeepEqual(readBack(got.Bytes()), readBack(want)) {
+		t.Fatalf("CSV records differ from the oracle for %+v\n got %q\nwant %q", r, got.Bytes(), want)
+	}
+
+	got.Reset()
+	if err := r.WriteTSV(&got); err != nil {
+		t.Fatalf("WriteTSV: %v", err)
+	}
+	if want := oracleTSV(r); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("TSV differs from the oracle for %+v\n got %q\nwant %q", r, got.Bytes(), want)
+	}
+}
+
+// nastyCells are the building blocks of generated results: every term
+// kind, unbound, and the bytes each format must escape or pass through.
+var nastyCells = []string{
+	"", "<http://ex/a>", "<>", "_:b0", `"plain"`, `""`, `"`, "bare word", " leading space",
+	`"quote \" backslash \\ newline \n return \r tab \t"`, `"unknown \x escape"`, `"trailing\"`,
+	"\"raw\nnewline,comma\"", "\"crlf\r\nline\"", "\"\x00\x01\x1f\x7f\"", "\"bad utf8 \xff\xc0 \xe2\x82\"",
+	`"<html>&amp;</html>"`, "\"   é 日本\"", `\.`, `"\."`, "<http://ex/with\"quote>", "\t", "\"\ttab first\"",
+}
+
+// TestEncodersMatchOracle: over hand-picked edge cases and generated
+// results the append encoders agree with the encoders they replaced.
+func TestEncodersMatchOracle(t *testing.T) {
+	cases := []*Result{
+		sampleResult(),
+		{Vars: []string{}},
+		{Vars: []string{}, Rows: [][]string{{}, {"<a>"}}},
+		{Vars: []string{"x"}},
+		{Vars: []string{"x"}, Rows: [][]string{{""}, {}, {"<a>", "<extra>"}}},
+		{Vars: []string{"a", "b", "c"}, Rows: [][]string{{"<a>"}, {"", "", `"c"`}, {"", `"b"`}}},
+		{Vars: []string{"x"}, Stats: QueryStats{Partial: true}},
+		{Vars: []string{"x"}, Rows: [][]string{{"_:b"}}, Stats: QueryStats{Partial: true, UnreachableSites: []int{0, 3, 12}}},
+		{Vars: []string{`q"uote`, "new\nline", "é"}, Rows: [][]string{{"<a>", "<b>", "<c>"}}},
+	}
+	rng := rand.New(rand.NewSource(14))
+	for n := 0; n < 300; n++ {
+		r := &Result{Vars: make([]string, rng.Intn(5))}
+		for i := range r.Vars {
+			r.Vars[i] = fmt.Sprintf("v%d", i)
+		}
+		r.Rows = make([][]string, rng.Intn(8))
+		for i := range r.Rows {
+			r.Rows[i] = make([]string, rng.Intn(len(r.Vars)+2))
+			for j := range r.Rows[i] {
+				r.Rows[i][j] = nastyCells[rng.Intn(len(nastyCells))]
+			}
+		}
+		if r.Stats.Partial = rng.Intn(4) == 0; r.Stats.Partial {
+			r.Stats.UnreachableSites = rng.Perm(rng.Intn(4))
+		}
+		cases = append(cases, r)
+	}
+	// Enough rows to cross several chunk boundaries.
+	big := &Result{Vars: []string{"s", "o"}}
+	for i := 0; i < 5000; i++ {
+		big.Rows = append(big.Rows, []string{fmt.Sprintf("<http://ex/subject/%d>", i), nastyCells[i%len(nastyCells)]})
+	}
+	cases = append(cases, big)
+	for _, r := range cases {
+		checkAgainstOracle(t, r)
+	}
+}
+
+// resultFromFuzz cuts fuzz bytes into a Result: lines are rows, '|'
+// separates cells, the first line names the variables. Variable names are
+// made valid UTF-8 — two distinct invalid names would collapse into one
+// JSON key — while cells keep every byte.
+func resultFromFuzz(data []byte, partial bool) *Result {
+	lines := strings.Split(string(data), "\n")
+	r := &Result{Vars: []string{}}
+	if lines[0] != "" {
+		r.Vars = strings.Split(strings.ToValidUTF8(lines[0], "?"), "|")
+	}
+	for _, line := range lines[1:] {
+		r.Rows = append(r.Rows, strings.Split(line, "|"))
+	}
+	if partial {
+		r.Stats = QueryStats{Partial: true, UnreachableSites: []int{len(data) % 7}}
+	}
+	return r
+}
+
+func FuzzWriteJSON(f *testing.F) {
+	f.Add([]byte("x|n\n<http://ex/a>|\"Aristotle\"\n_:b0|\n"), false)
+	f.Add([]byte("\n\n<a>"), true)
+	f.Add([]byte("v\n"+strings.Join(nastyCells, "\nx|")), true)
+	f.Add([]byte("a|a|b\n<1>|<2>\n|\"\\\"\n\"\xff\\u0041\"|\x00"), false)
+	f.Fuzz(func(t *testing.T, data []byte, partial bool) {
+		checkAgainstOracle(t, resultFromFuzz(data, partial))
+	})
+}
+
+// TestWriteJSONWireFormat pins what the README promises beyond the
+// oracle's "same value": compact, one binding per line, keys in
+// projection order, and "vars" an array even when Vars is nil.
+func TestWriteJSONWireFormat(t *testing.T) {
+	r := &Result{
+		Vars:  []string{"z", "a"},
+		Rows:  [][]string{{"<http://ex/1>", `"one"`}, {"", "_:b"}},
+		Stats: QueryStats{Partial: true, UnreachableSites: []int{2, 5}},
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	want := `{"head":{"vars":["z","a"]},"results":{"bindings":[
+{"z":{"type":"uri","value":"http://ex/1"},"a":{"type":"literal","value":"one"}},
+{"a":{"type":"bnode","value":"b"}}
+]},"partial":true,"unreachableSites":[2,5]}
+`
+	if buf.String() != want {
+		t.Errorf("wire format:\n got %s\nwant %s", buf.String(), want)
+	}
+	buf.Reset()
+	if err := (&Result{}).WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	if want := "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[\n]}}\n"; buf.String() != want {
+		t.Errorf("empty result = %q, want %q", buf.String(), want)
+	}
+}
+
+// TestTermStringClassifyRoundTrip: the N-Triples rendering the
+// dictionary keeps per ID and the serializers' reading of it are
+// inverses, for every character Term.String escapes.
+func TestTermStringClassifyRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		term rdf.Term
+		typ  string
+	}{
+		{rdf.NewIRI("http://ex/a"), "uri"},
+		{rdf.NewBlank("b0"), "bnode"},
+		{rdf.NewLiteral("plain"), "literal"},
+		{rdf.NewLiteral(""), "literal"},
+		{rdf.NewLiteral(`quote " inside`), "literal"},
+		{rdf.NewLiteral(`back \ slash`), "literal"},
+		{rdf.NewLiteral("new\nline"), "literal"},
+		{rdf.NewLiteral("carriage\rreturn"), "literal"},
+		{rdf.NewLiteral("tab\tstop"), "literal"},
+		{rdf.NewLiteral(`\n is not a newline, \" not a quote`), "literal"},
+		{rdf.NewLiteral("all \" \\ \n \r \t at once\\"), "literal"},
+	} {
+		typ, value, ok := classifyTerm(tc.term.String())
+		if !ok || typ != tc.typ || value != tc.term.Value {
+			t.Errorf("classifyTerm(%q) = %q, %q, %v; want %q, %q", tc.term.String(), typ, value, ok, tc.typ, tc.term.Value)
+		}
 	}
 }
