@@ -37,7 +37,7 @@ func serveMain(args []string) {
 		workers  = fs.Int("workers", 8, "concurrent query executions")
 		queue    = fs.Int("queue", 128, "admission queue depth (full queue → 503)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-query execution deadline (0 disables)")
-		cache    = fs.Int("cache", 256, "plan cache capacity in entries (negative disables)")
+		cache    = fs.Int("cache", 256, "plan cache capacity in query shapes (negative disables)")
 		parallel = fs.Int("parallel", 0, "intra-query worker budget, divided among in-flight queries (0 = GOMAXPROCS, negative = sequential matching)")
 		joinPart = fs.Int("join-partitions", 0, "control-site join partitions per stage (0 = derived from each query's parallelism grant, negative = sequential join)")
 		ttl      = fs.Duration("ttl", 0, "default time-to-live for inserted triples; the sweeper deletes them through the durable update path when it elapses (0 = permanent; per-request X-TTL overrides)")

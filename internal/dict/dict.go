@@ -38,8 +38,8 @@ type Entry struct {
 type Dictionary struct {
 	entries []*Entry
 	byCode  map[string][]*Entry
-	// patterns holds the distinct selected patterns by code.
-	patterns map[string]*mining.Pattern
+	// patterns holds the distinct selected patterns, sorted by code.
+	patterns []*mining.Pattern
 	// coldStats holds per-predicate triple counts of the cold graph for
 	// cold subquery estimation, frozen at Build time; coldGraph and
 	// coldBuildTriples let estimation rescale them to the graph's current
@@ -62,7 +62,6 @@ type Dictionary struct {
 func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []*sparql.Graph) *Dictionary {
 	d := &Dictionary{
 		byCode:           make(map[string][]*Entry),
-		patterns:         make(map[string]*mining.Pattern),
 		coldPredCount:    make(map[rdf.ID]int),
 		constSelectivity: 10,
 	}
@@ -89,9 +88,12 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 			}
 		}
 		d.entries = append(d.entries, e)
+		if len(d.byCode[f.Pattern.Code]) == 0 {
+			d.patterns = append(d.patterns, f.Pattern)
+		}
 		d.byCode[f.Pattern.Code] = append(d.byCode[f.Pattern.Code], e)
-		d.patterns[f.Pattern.Code] = f.Pattern
 	}
+	sort.Slice(d.patterns, func(i, j int) bool { return d.patterns[i].Code < d.patterns[j].Code })
 	if fr.Cold != nil {
 		csn := fr.Cold.Graph.Snapshot()
 		d.coldTriples = csn.NumTriples()
@@ -123,19 +125,9 @@ func liveRatio(g *rdf.Graph, buildSize int) float64 {
 // Entries returns all dictionary entries.
 func (d *Dictionary) Entries() []*Entry { return d.entries }
 
-// Patterns returns the distinct selected patterns sorted by code.
-func (d *Dictionary) Patterns() []*mining.Pattern {
-	codes := make([]string, 0, len(d.patterns))
-	for c := range d.patterns {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	ps := make([]*mining.Pattern, len(codes))
-	for i, c := range codes {
-		ps[i] = d.patterns[c]
-	}
-	return ps
-}
+// Patterns returns the distinct selected patterns sorted by code. The
+// slice is the dictionary's own, built once in Build; do not modify it.
+func (d *Dictionary) Patterns() []*mining.Pattern { return d.patterns }
 
 // Lookup retrieves the entries for a pattern code (the DFS-code hash-table
 // probe of Section 7.1).
@@ -171,27 +163,72 @@ func (d *Dictionary) RelevantEntries(sub *sparql.Graph) []*Entry {
 // multiplicative cost model of Algorithm 3 stays meaningful, and a false
 // flag if the subquery maps to no pattern.
 func (d *Dictionary) EstimateCard(sub *sparql.Graph) (int, bool) {
-	entries := d.LookupGraph(sub)
-	if len(entries) == 0 {
+	cs, ok := d.CardShape(sub)
+	if !ok {
 		return 0, false
 	}
-	// Single triple pattern with a constant endpoint: use per-predicate
-	// distinct counts for a sharper estimate than the generic divisor.
+	return cs.Estimate(func(i int) bool { return cs.Entries[i].Fragment.RelevantTo(sub) }), true
+}
+
+// CardShape is what EstimateCard takes from a subquery's structure —
+// everything but the values of its constants — so a planner that sees
+// many subqueries of one shape resolves it once and pays only Estimate
+// per query.
+type CardShape struct {
+	// Code is the canonical code of the generalized subquery.
+	Code string
+	// Entries are the dictionary entries of that code's pattern.
+	Entries []*Entry
+
+	d *Dictionary
+	// consts is the number of constant vertices.
+	consts int
+	// boundEdge marks a single triple pattern with a constant endpoint,
+	// estimated from per-predicate distinct counts.
+	boundEdge      bool
+	pred           rdf.ID
+	sBound, oBound bool
+}
+
+// CardShape canonicalizes sub (the DFS-code hash-table probe of Section
+// 7.1) and reports false if it maps to no selected pattern.
+func (d *Dictionary) CardShape(sub *sparql.Graph) (CardShape, bool) {
+	cs := CardShape{d: d, Code: mining.CanonicalCode(sub.Generalize())}
+	cs.Entries = d.byCode[cs.Code]
+	if len(cs.Entries) == 0 {
+		return cs, false
+	}
+	for _, v := range sub.Verts {
+		if !v.IsVar() {
+			cs.consts++
+		}
+	}
 	if d.hotStats != nil && len(sub.Edges) == 1 && !sub.Edges[0].IsPredVar() {
 		e := sub.Edges[0]
-		sBound := !sub.Verts[e.From].IsVar()
-		oBound := !sub.Verts[e.To].IsVar()
-		if sBound || oBound {
-			if est := d.hotStats.EstimateTriplePattern(e.Pred, sBound, oBound); est > 0 {
-				return est, true
-			}
-			return 1, true
+		cs.pred = e.Pred
+		cs.sBound = !sub.Verts[e.From].IsVar()
+		cs.oBound = !sub.Verts[e.To].IsVar()
+		cs.boundEdge = cs.sBound || cs.oBound
+	}
+	return cs, true
+}
+
+// Estimate computes the estimate from the statistics as they stand now;
+// relevant reports whether fragment Entries[i] is relevant to the
+// subquery's constants (Fragment.RelevantTo).
+func (cs *CardShape) Estimate(relevant func(i int) bool) int {
+	// Single triple pattern with a constant endpoint: use per-predicate
+	// distinct counts for a sharper estimate than the generic divisor.
+	if cs.boundEdge {
+		if est := cs.d.hotStats.EstimateTriplePattern(cs.pred, cs.sBound, cs.oBound); est > 0 {
+			return est
 		}
+		return 1
 	}
 	total := 0
 	constrained := false
-	for _, e := range entries {
-		if e.Fragment.RelevantTo(sub) {
+	for i, e := range cs.Entries {
+		if relevant(i) {
 			// Scale the Build-time cardinality by the fragment's live
 			// growth (or shrinkage) so estimates follow live updates.
 			total += int(float64(e.Cardinality) * liveRatio(e.Fragment.Graph, e.Size))
@@ -202,23 +239,17 @@ func (d *Dictionary) EstimateCard(sub *sparql.Graph) (int, bool) {
 	}
 	// Horizontal relevance already accounts for minterm constants; apply
 	// the generic constant selectivity only when it did not.
-	nConst := 0
-	for _, v := range sub.Verts {
-		if !v.IsVar() {
-			nConst++
-		}
-	}
-	if nConst > 0 && !constrained {
+	if cs.consts > 0 && !constrained {
 		div := 1
-		for i := 0; i < nConst; i++ {
-			div *= d.constSelectivity
+		for i := 0; i < cs.consts; i++ {
+			div *= cs.d.constSelectivity
 		}
 		total /= div
 	}
 	if total < 1 {
 		total = 1
 	}
-	return total, true
+	return total
 }
 
 // EstimateColdCard estimates card(q) for an all-cold subquery from the

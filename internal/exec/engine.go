@@ -142,18 +142,18 @@ func (e *Engine) SetNaiveDecomposition(naive bool) { e.dec.Naive = naive }
 // new cut there after each update batch and pins one per query.
 func (e *Engine) Views() *rdf.ViewSource { return e.Cluster.Views() }
 
-// Prepared is a query's cached execution plan: the chosen decomposition
-// (Algorithm 3) and join order (Algorithm 4). A Prepared is immutable
-// after Prepare and may be reused concurrently for any query whose graph
-// is structurally identical (same edges, constants and variable names) —
-// the plan cache in internal/serve relies on this.
+// Prepared is one query's execution plan: the chosen decomposition
+// (Algorithm 3) and join order (Algorithm 4), bound to the query's own
+// constants and variable names. It may be executed any number of times,
+// concurrently, for that query; what is shared between queries of one
+// structure is the decompose.Shape it was bound from, not the Prepared.
 type Prepared struct {
 	Dcp  *decompose.Decomposition
 	Plan *plan.Plan
 	// Parallelism, when non-zero, overrides the engine's intra-query
-	// worker budget for executions of this Prepared. Cached Prepareds
-	// leave it 0; the server stamps a per-execution copy so one cached
-	// plan can run at different budgets under different load.
+	// worker budget for executions of this Prepared. Prepare leaves it
+	// 0; the server stamps it per execution so queries run at different
+	// budgets under different load.
 	Parallelism int
 	// JoinPartitions, when non-zero, overrides the engine's per-stage
 	// join partition count for executions of this Prepared, the same way
@@ -161,8 +161,8 @@ type Prepared struct {
 	JoinPartitions int
 	// View, when non-nil, is the pinned read view every site evaluation
 	// of this execution reads from — the MVCC replacement for the old
-	// per-query data lock. Cached Prepareds leave it nil; the server
-	// stamps a per-execution copy with the view acquired at admission.
+	// per-query data lock. Prepare leaves it nil; the server stamps the
+	// view acquired at admission.
 	// A nil View makes each site evaluation fall back to a
 	// per-graph-consistent snapshot of the current state (fine for
 	// offline callers with no concurrent writer).
@@ -171,7 +171,26 @@ type Prepared struct {
 
 // Prepare decomposes and optimizes q without executing it.
 func (e *Engine) Prepare(q *sparql.Graph) (*Prepared, error) {
-	dcp, err := e.dec.Decompose(q)
+	s, err := e.Shape(q)
+	if err != nil {
+		return nil, err
+	}
+	return e.Bind(s, q)
+}
+
+// Shape computes the part of Prepare that depends on q's structure alone
+// — the costly part, and the one worth caching: every query that differs
+// from q only in constant values and variable names can be bound from
+// the same Shape.
+func (e *Engine) Shape(q *sparql.Graph) (*decompose.Shape, error) {
+	return e.dec.Shape(q)
+}
+
+// Bind finishes Prepare for q, a query of s's structure: the cheapest
+// decomposition under q's constants and the current statistics, and the
+// join order over it.
+func (e *Engine) Bind(s *decompose.Shape, q *sparql.Graph) (*Prepared, error) {
+	dcp, err := s.Bind(q)
 	if err != nil {
 		return nil, err
 	}
@@ -201,14 +220,11 @@ func (e *Engine) QueryCtx(ctx context.Context, q *sparql.Graph) (*match.Bindings
 // chosen decomposition (Algorithm 3), the join order (Algorithm 4), and
 // the fragments/sites each subquery would touch.
 func (e *Engine) Explain(q *sparql.Graph) (*Explanation, error) {
-	dcp, err := e.dec.Decompose(q)
+	prep, err := e.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := plan.Optimize(dcp)
-	if err != nil {
-		return nil, err
-	}
+	dcp, pl := prep.Dcp, prep.Plan
 	ex := &Explanation{
 		DecompositionCost: dcp.Cost,
 		PlanCost:          pl.Cost,
@@ -240,7 +256,7 @@ func (e *Engine) Explain(q *sparql.Graph) (*Explanation, error) {
 				})
 			}
 		default:
-			for _, entry := range e.Dict.RelevantEntries(sq.Graph) {
+			for _, entry := range sq.Relevant {
 				step.Fragments = append(step.Fragments, ExplainFragment{
 					ID:   entry.Fragment.ID,
 					Site: entry.Site,
@@ -280,7 +296,10 @@ type ExplainFragment struct {
 
 // routeSubquery maps a subquery to the fragment IDs it must read at each
 // site (site -> fragment IDs). An empty map means the subquery has no
-// relevant fragments and yields no rows.
+// relevant fragments and yields no rows. Which fragments a pattern
+// subquery's constants leave relevant was decided when it was bound; a
+// subquery that skipped that step is refused, since routing it nowhere
+// would pass for an empty answer.
 func (e *Engine) routeSubquery(sq *decompose.Subquery) (map[int][]int, error) {
 	bySite := make(map[int][]int)
 	switch {
@@ -295,7 +314,10 @@ func (e *Engine) routeSubquery(sq *decompose.Subquery) (map[int][]int, error) {
 			bySite[s] = append(bySite[s], f.ID)
 		}
 	default:
-		for _, entry := range e.Dict.RelevantEntries(sq.Graph) {
+		if sq.Relevant == nil {
+			return nil, fmt.Errorf("exec: pattern subquery %s carries no relevant fragments: it was not bound by decompose", sq.Graph)
+		}
+		for _, entry := range sq.Relevant {
 			s := entry.Site
 			if s < 0 {
 				return nil, fmt.Errorf("exec: fragment %d unallocated", entry.Fragment.ID)

@@ -19,17 +19,26 @@ func (f *Fragment) RelevantTo(q *sparql.Graph) bool {
 		return sparql.Embeds(f.Pattern.Graph, q)
 	}
 	for _, emb := range sparql.FindEmbeddings(f.Pattern.Graph, q, 0) {
-		if f.mintermCompatible(q, emb) {
+		if f.MintermCompatible(q, emb.VertexMap) {
 			return true
 		}
 	}
 	return false
 }
 
-func (f *Fragment) mintermCompatible(q *sparql.Graph, emb sparql.Embedding) bool {
+// MintermCompatible is RelevantTo's check of one embedding: vertexMap
+// sends each vertex of the fragment's pattern to a vertex of q, and q's
+// constants at the constrained positions must not contradict the
+// minterm. Where an embedding lies depends on q's structure alone, so a
+// caller that plans many queries of one shape enumerates the maps once
+// and runs only this check per query. A fragment without a minterm is
+// compatible with every embedding.
+func (f *Fragment) MintermCompatible(q *sparql.Graph, vertexMap []int) bool {
+	if f.Minterm == nil {
+		return true
+	}
 	for _, c := range f.Minterm.Constraints {
-		qv := emb.VertexMap[c.Vertex]
-		vert := q.Verts[qv]
+		vert := q.Verts[vertexMap[c.Vertex]]
 		if vert.IsVar() {
 			continue // unbound: every fragment of the split may hold matches
 		}

@@ -2,7 +2,11 @@ package match
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
@@ -16,34 +20,68 @@ func batchGraph(n int) *rdf.Graph {
 	return g
 }
 
+// TestFindBatchesCoversAllMatches checks the batching contract. The
+// sequence of batch sizes is fixed only when one goroutine enumerates
+// (Parallelism 1, or Deterministic's morsel-order merge); under default
+// options each worker flushes its own partial batch, so only the bounds
+// hold: no batch over size, sizes summing to the match count, and the
+// same matches as Find.
 func TestFindBatchesCoversAllMatches(t *testing.T) {
 	g := batchGraph(25)
 	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
+	want := map[string]bool{}
+	for _, m := range Find(q, g.Snapshot(), Options{}) {
+		want[fmt.Sprint(m.Vertex)] = true
+	}
+	if len(want) != 25 {
+		t.Fatalf("Find found %d distinct matches, want 25", len(want))
+	}
 
-	want := Find(q, g.Snapshot(), Options{})
-
-	var got []Match
-	sizes := []int{}
-	FindBatches(q, g.Snapshot(), Options{}, 7, func(ms []Match) bool {
-		got = append(got, append([]Match(nil), ms...)...)
-		sizes = append(sizes, len(ms))
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("batched found %d matches, Find found %d", len(got), len(want))
+	const size = 7
+	cases := []struct {
+		name  string
+		opts  Options
+		sizes []int // nil: scheduling-dependent
+	}{
+		{"sequential", Options{Parallelism: 1}, []int{7, 7, 7, 4}},
+		{"deterministic", Options{Parallelism: 4, Deterministic: true}, []int{7, 7, 7, 4}},
+		{"default", Options{}, nil},
+		{"streaming", Options{Parallelism: 4}, nil},
 	}
-	// 25 matches at size 7 → batches of 7,7,7,4.
-	if len(sizes) != 4 || sizes[0] != 7 || sizes[3] != 4 {
-		t.Errorf("batch sizes = %v, want [7 7 7 4]", sizes)
-	}
-	seen := map[string]bool{}
-	for _, m := range want {
-		seen[fmt.Sprint(m.Vertex)] = true
-	}
-	for _, m := range got {
-		if !seen[fmt.Sprint(m.Vertex)] {
-			t.Errorf("batched match %v not found by Find", m.Vertex)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := map[string]bool{}
+			var sizes []int
+			total := 0
+			FindBatches(q, g.Snapshot(), tc.opts, size, func(ms []Match) bool {
+				for _, m := range ms {
+					got[fmt.Sprint(m.Vertex)] = true
+				}
+				sizes = append(sizes, len(ms))
+				total += len(ms)
+				return true
+			})
+			for _, n := range sizes {
+				if n < 1 || n > size {
+					t.Errorf("batch sizes = %v: every batch must hold 1..%d matches", sizes, size)
+					break
+				}
+			}
+			if total != len(want) {
+				t.Errorf("batch sizes %v sum to %d, Find found %d", sizes, total, len(want))
+			}
+			if tc.sizes != nil && fmt.Sprint(sizes) != fmt.Sprint(tc.sizes) {
+				t.Errorf("batch sizes = %v, want %v", sizes, tc.sizes)
+			}
+			if len(got) != len(want) {
+				t.Errorf("batched found %d distinct matches, Find found %d", len(got), len(want))
+			}
+			for k := range got {
+				if !want[k] {
+					t.Errorf("batched match %s not found by Find", k)
+				}
+			}
+		})
 	}
 }
 
@@ -70,5 +108,66 @@ func TestFindBatchesDefaultSize(t *testing.T) {
 	})
 	if n != 10 {
 		t.Errorf("default batch size streamed %d matches, want 10", n)
+	}
+}
+
+// TestFindBatchesSmallAnswerAllocatesNoBatch guards the per-evaluation
+// batch buffer: with a warm pool, a 9-match query must not pay for a
+// size-capacity batch (256 × 56 B = 14 KB) — what it allocates is its
+// nine matches and the searcher.
+func TestFindBatchesSmallAnswerAllocatesNoBatch(t *testing.T) {
+	g := batchGraph(9)
+	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
+	sn := g.Snapshot()
+	defer sn.Close()
+	const size = 256
+	run := func() {
+		n := 0
+		FindBatches(q, sn, Options{Parallelism: 1}, size, func(ms []Match) bool {
+			n += len(ms)
+			return true
+		})
+		if n != 9 {
+			t.Fatalf("found %d matches, want 9", n)
+		}
+	}
+	// No collection may empty the pool between the warm-up and the
+	// measured runs. The race detector makes the pool drop a share of
+	// what is put back, so the guard is on the typical run, not on all.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run()
+	perRun := make([]uint64, 51)
+	var before, after runtime.MemStats
+	for i := range perRun {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		perRun[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(perRun)
+	median := perRun[len(perRun)/2]
+	if batch := uint64(size * unsafe.Sizeof(Match{})); median >= batch/2 {
+		t.Errorf("a 9-match FindBatches typically allocates %d B; a %d B batch is not being recycled", median, batch)
+	}
+}
+
+// TestFindBatchesPooledBatchHoldsNoMatch: a batch goes back to the pool
+// zeroed, so the pool keeps no caller's rows alive.
+func TestFindBatchesPooledBatchHoldsNoMatch(t *testing.T) {
+	g := batchGraph(25)
+	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
+	for _, opts := range []Options{{Parallelism: 1}, {Parallelism: 4}, {Parallelism: 4, Deterministic: true}} {
+		var handed [][]Match
+		FindBatches(q, g.Snapshot(), opts, 7, func(ms []Match) bool {
+			handed = append(handed, ms[:cap(ms)])
+			return true
+		})
+		for _, ms := range handed {
+			for i, m := range ms {
+				if m.Vertex != nil || m.Triples != nil || m.Pred != nil {
+					t.Fatalf("opts %+v: slot %d of a released batch still holds %v", opts, i, m)
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ package match
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"rdffrag/internal/rdf"
@@ -153,23 +154,62 @@ func FindBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn fu
 		}
 		return
 	}
-	batch := make([]Match, 0, size)
+	b := getBatch(size)
+	defer b.release()
 	flush := func() bool {
-		if len(batch) == 0 {
+		if len(b.ms) == 0 {
 			return true
 		}
-		ok := fn(batch)
-		batch = batch[:0]
-		return ok
+		return fn(b.take())
 	}
 	forEachOrdered(q, g, opts, order, func(m *Match) bool {
-		batch = append(batch, m.clone())
-		if len(batch) == size {
+		b.ms = append(b.ms, m.clone())
+		if len(b.ms) == size {
 			return flush()
 		}
 		return true
 	})
 	flush()
+}
+
+// batchBuf is a recycled FindBatches batch. A batch is size Matches of
+// 56 bytes — 14 KB at the default size — and most fragment evaluations
+// fill a handful of its slots, so allocating one per evaluation was the
+// largest single cost of a selective query. FindBatches' contract (the
+// slice is only the callee's for the duration of the callback) is what
+// makes recycling safe.
+type batchBuf struct {
+	ms []Match
+	// filled is how many leading slots have held a Match since the
+	// buffer left the pool, beyond the len(ms) in use now.
+	filled int
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
+
+// getBatch returns an empty batch of capacity at least size.
+func getBatch(size int) *batchBuf {
+	b := batchPool.Get().(*batchBuf)
+	if cap(b.ms) < size {
+		b.ms = make([]Match, 0, size)
+	}
+	return b
+}
+
+// take hands out the filled batch and empties the buffer for the next.
+func (b *batchBuf) take() []Match {
+	ms := b.ms
+	b.filled = max(b.filled, len(ms))
+	b.ms = ms[:0]
+	return ms
+}
+
+// release returns the buffer to the pool with every slot it used zeroed,
+// so a pooled buffer keeps no Match — and no caller's rows — alive.
+func (b *batchBuf) release() {
+	clear(b.ms[:max(b.filled, len(b.ms))])
+	b.ms, b.filled = b.ms[:0], 0
+	batchPool.Put(b)
 }
 
 // Count returns the number of matches, stopping at opts.Limit if set.

@@ -526,21 +526,20 @@ func (r *parallelRun) findBatchesStreaming(size int, fn func([]Match) bool) {
 		return true
 	}
 	r.run(func(int) workerHooks {
-		batch := make([]Match, 0, size)
+		b := getBatch(size)
 		return workerHooks{
 			onMatch: func(_ int, m *Match) bool {
-				batch = append(batch, m.clone())
-				if len(batch) == size {
-					ok := deliver(batch)
-					batch = batch[:0]
-					return ok
+				b.ms = append(b.ms, m.clone())
+				if len(b.ms) == size {
+					return deliver(b.take())
 				}
 				return true
 			},
 			finish: func() {
-				if len(batch) > 0 && !r.stop.Load() {
-					deliver(batch)
+				if len(b.ms) > 0 && !r.stop.Load() {
+					deliver(b.take())
 				}
+				b.release()
 			},
 		}
 	})
@@ -558,19 +557,17 @@ func (r *parallelRun) findBatchesOrdered(size int, fn func([]Match) bool) {
 			return true
 		}}
 	})
-	batch := make([]Match, 0, size)
+	batch := getBatch(size)
+	defer batch.release()
 	for _, b := range buckets {
 		for _, m := range b {
-			batch = append(batch, m)
-			if len(batch) == size {
-				if !fn(batch) {
-					return
-				}
-				batch = batch[:0]
+			batch.ms = append(batch.ms, m)
+			if len(batch.ms) == size && !fn(batch.take()) {
+				return
 			}
 		}
 	}
-	if len(batch) > 0 {
-		fn(batch)
+	if len(batch.ms) > 0 {
+		fn(batch.take())
 	}
 }

@@ -2,55 +2,56 @@ package serve
 
 import (
 	"container/list"
-	"sort"
-	"strconv"
-	"strings"
+	"encoding/binary"
 	"sync"
 
-	"rdffrag/internal/exec"
+	"rdffrag/internal/decompose"
 	"rdffrag/internal/sparql"
 )
 
-// canonKey canonicalizes a query's WHERE structure into a cache key: the
-// edge list rendered with variable names and constant term IDs, sorted so
-// that textual reorderings of the same pattern share a key. Variable
-// names are kept verbatim — a prepared plan embeds the subquery graphs,
-// so alpha-renamed queries must not share an entry. Projection, ORDER BY
-// and LIMIT are deliberately excluded: a Prepared covers only
-// decomposition and join order, which depend on the pattern alone.
-func canonKey(q *sparql.Graph) string {
-	edges := make([]string, 0, len(q.Edges))
-	var b strings.Builder
-	for _, e := range q.Edges {
-		b.Reset()
-		writeVert(&b, q, e.From)
-		b.WriteByte('-')
-		if e.IsPredVar() {
-			b.WriteByte('?')
-			b.WriteString(e.PredVar)
+// appendShapeKey appends the cache key of q's shape to dst: the edge
+// list over parse-order vertex numbers with its predicate IDs, and which
+// vertices are constants — exactly what a decompose.Shape is a function
+// of. Constant values and variable names are left out, so every instance
+// of a query template shares an entry; a predicate variable is written as
+// the number of the first edge that carries it. Projection, ORDER BY
+// and LIMIT are excluded too: they play no part in planning. A textual
+// reordering of the same pattern numbers its vertices differently and
+// gets an entry of its own, which costs one more miss and nothing on a
+// hit — merging them would put a graph canonicalisation on every lookup.
+// With dst backed by a stack array the key costs no allocation.
+func appendShapeKey(dst []byte, q *sparql.Graph) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(q.Verts)))
+	for _, v := range q.Verts {
+		if v.IsVar() {
+			dst = append(dst, 'v')
 		} else {
-			b.WriteString(strconv.FormatInt(int64(e.Pred), 10))
+			dst = append(dst, 'c')
 		}
-		b.WriteByte('-')
-		writeVert(&b, q, e.To)
-		edges = append(edges, b.String())
 	}
-	sort.Strings(edges)
-	return strings.Join(edges, "|")
+	for i, e := range q.Edges {
+		dst = binary.AppendUvarint(dst, uint64(e.From))
+		dst = binary.AppendUvarint(dst, uint64(e.To))
+		if !e.IsPredVar() {
+			dst = append(dst, 'p')
+			dst = binary.AppendUvarint(dst, uint64(e.Pred))
+			continue
+		}
+		first := i
+		for j, w := range q.Edges[:i] {
+			if w.PredVar == e.PredVar {
+				first = j
+				break
+			}
+		}
+		dst = append(dst, '?')
+		dst = binary.AppendUvarint(dst, uint64(first))
+	}
+	return dst
 }
 
-func writeVert(b *strings.Builder, q *sparql.Graph, i int) {
-	v := q.Verts[i]
-	if v.IsVar() {
-		b.WriteByte('?')
-		b.WriteString(v.Var)
-		return
-	}
-	b.WriteString(strconv.FormatInt(int64(v.Term), 10))
-}
-
-// planCache is a small mutex-guarded LRU of prepared plans. Entries are
-// immutable (exec.Prepared is read-only after Prepare), so hits can be
+// planCache is a small mutex-guarded LRU of query shapes. Entries are
+// immutable (a decompose.Shape is read-only once built), so hits can be
 // shared across concurrent workers without copying.
 type planCache struct {
 	mu  sync.Mutex
@@ -60,8 +61,8 @@ type planCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	prep *exec.Prepared
+	key   string
+	shape *decompose.Shape
 }
 
 // newPlanCache returns nil when capacity < 0 (caching disabled).
@@ -75,26 +76,27 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, ll: list.New(), idx: make(map[string]*list.Element)}
 }
 
-func (c *planCache) get(key string) (*exec.Prepared, bool) {
+// get looks a key up without copying it.
+func (c *planCache) get(key []byte) (*decompose.Shape, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.idx[key]
+	el, ok := c.idx[string(key)]
 	if !ok {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).prep, true
+	return el.Value.(*cacheEntry).shape, true
 }
 
-func (c *planCache) put(key string, prep *exec.Prepared) {
+func (c *planCache) put(key string, shape *decompose.Shape) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.idx[key]; ok {
-		el.Value.(*cacheEntry).prep = prep
+		el.Value.(*cacheEntry).shape = shape
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.idx[key] = c.ll.PushFront(&cacheEntry{key: key, prep: prep})
+	c.idx[key] = c.ll.PushFront(&cacheEntry{key: key, shape: shape})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)

@@ -1,11 +1,12 @@
 // Package serve is the concurrent query-serving layer over the
 // distributed engine: a bounded admission queue feeding a worker pool
 // that executes many queries at once against the shared deployed cluster,
-// with per-query timeouts/cancellation, an LRU plan cache keyed on
-// canonicalized query structure (the workload-aware complement of the
-// paper's FAP mining — hot query shapes skip Algorithms 3 and 4
-// entirely), and server-side metrics (QPS, latency percentiles, queue
-// depth, cache hit rate).
+// with per-query timeouts/cancellation, an LRU plan cache keyed on the
+// query's constant-free shape (the workload-aware complement of the
+// paper's FAP mining — every instance of a hot shape skips the
+// pattern-matching half of Algorithm 3 and only picks among its
+// candidates for the constants in hand), and server-side metrics (QPS,
+// latency percentiles, queue depth, cache hit rate).
 //
 // Reads and writes never block each other: each query pins an immutable
 // MVCC read view (rdf.ViewSource) at admission and executes lock-free
@@ -51,8 +52,8 @@ type Config struct {
 	// Timeout is the per-query execution deadline; 0 disables it. A
 	// caller context with an earlier deadline still wins.
 	Timeout time.Duration
-	// PlanCacheSize is the LRU plan cache capacity in entries (default
-	// 128; negative disables caching).
+	// PlanCacheSize is the LRU plan cache capacity in query shapes
+	// (default 128; negative disables caching).
 	PlanCacheSize int
 	// Parallelism is the machine-wide intra-query worker budget (default
 	// GOMAXPROCS; negative forces sequential matching). Each query's
@@ -182,7 +183,8 @@ func (c Config) withDefaults() Config {
 type Response struct {
 	Bindings *match.Bindings
 	Stats    *exec.QueryStats
-	// CacheHit reports whether the plan came from the plan cache.
+	// CacheHit reports whether the query's shape came from the plan
+	// cache.
 	CacheHit bool
 	// Latency is the server-side execution time (queue wait included).
 	Latency time.Duration
@@ -352,16 +354,15 @@ func (s *Server) execute(req *request) outcome {
 		s.met.failed.Add(1)
 		return outcome{err: err}
 	}
-	// Stamp a per-execution copy of the (possibly cached, shared)
-	// Prepared with this query's slice of the parallelism budget and the
-	// server's join-partition override (0 lets the engine derive the
-	// partition count from the grant).
-	run := *prep
-	run.Parallelism = s.effectiveParallelism()
-	run.JoinPartitions = s.cfg.JoinPartitions
-	run.View = view
-	s.met.parallelism(run.Parallelism)
-	b, stats, err := s.engine.QueryPrepared(ctx, req.q, &run)
+	// Stamp the Prepared (this query's own: only the shape behind it is
+	// cached and shared) with this query's slice of the parallelism
+	// budget and the server's join-partition override (0 lets the engine
+	// derive the partition count from the grant).
+	prep.Parallelism = s.effectiveParallelism()
+	prep.JoinPartitions = s.cfg.JoinPartitions
+	prep.View = view
+	s.met.parallelism(prep.Parallelism)
+	b, stats, err := s.engine.QueryPrepared(ctx, req.q, prep)
 	lat := time.Since(req.enqueued)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -548,24 +549,30 @@ func (s *Server) effectiveParallelism() int {
 	return eff
 }
 
-// plan resolves a query's execution plan through the LRU cache.
+// plan resolves a query's execution plan: the shape of its
+// decompositions through the LRU cache, then the choice among them and
+// the join order for this query's constants and today's statistics. The
+// flag reports a shape hit.
 func (s *Server) plan(q *sparql.Graph) (*exec.Prepared, bool, error) {
 	if s.cache == nil {
 		prep, err := s.engine.Prepare(q)
 		return prep, false, err
 	}
-	key := canonKey(q)
-	if prep, ok := s.cache.get(key); ok {
+	var buf [128]byte
+	key := appendShapeKey(buf[:0], q)
+	shape, hit := s.cache.get(key)
+	if hit {
 		s.met.cacheHits.Add(1)
-		return prep, true, nil
+	} else {
+		s.met.cacheMisses.Add(1)
+		var err error
+		if shape, err = s.engine.Shape(q); err != nil {
+			return nil, false, err
+		}
+		s.cache.put(string(key), shape)
 	}
-	s.met.cacheMisses.Add(1)
-	prep, err := s.engine.Prepare(q)
-	if err != nil {
-		return nil, false, err
-	}
-	s.cache.put(key, prep)
-	return prep, false, nil
+	prep, err := s.engine.Bind(shape, q)
+	return prep, hit, err
 }
 
 // Metrics returns a snapshot of the server's counters and latency

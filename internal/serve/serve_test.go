@@ -216,47 +216,98 @@ func TestOverload(t *testing.T) {
 	}
 }
 
-// TestPlanCache checks that repeated and reordered-but-identical patterns
-// hit the cache while structurally new ones miss.
+// TestPlanCache checks what the cache keys on: a query's shape. Fresh
+// constants and renamed variables hit the entry their first instance
+// made and are answered under their own constants and names; the same
+// pattern written in another triple order numbers its vertices
+// differently and gets an entry of its own — with the same rows.
 func TestPlanCache(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	srv := serve.New(engine, serve.Config{Workers: 1})
 	defer srv.Close()
 
-	a := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`)
-	// Same pattern, triple order swapped: must share a plan.
-	b := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <mainInterest> ?i . ?x <name> ?n . }`)
-	// Alpha-renamed: must NOT share a plan (output vars differ).
-	c := sparql.MustParse(env.G.Dict, `SELECT ?a WHERE { ?a <name> ?m . ?a <mainInterest> ?j . }`)
+	texts := []string{
+		`SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Person3> . }`, // miss
+		`SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Person5> . }`, // other constant: hit
+		`SELECT ?a WHERE { ?a <name> ?m . ?a <influencedBy> <Person3> . }`, // renamed: hit
+		`SELECT ?x WHERE { ?x <influencedBy> <Person3> . ?x <name> ?n . }`, // reordered: miss
+		`SELECT ?x WHERE { ?x <influencedBy> <Person5> . ?x <name> ?n . }`, // hit on the reordered entry
+	}
+	wantHit := []bool{false, true, true, false, true}
+	var resps []*serve.Response
+	for i, text := range texts {
+		q := sparql.MustParse(env.G.Dict, text)
+		resp, err := srv.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("Query(%s): %v", text, err)
+		}
+		if resp.CacheHit != wantHit[i] {
+			t.Errorf("query %d: CacheHit = %v, want %v", i, resp.CacheHit, wantHit[i])
+		}
+		want, _, err := engine.Query(q)
+		if err != nil {
+			t.Fatalf("engine.Query(%s): %v", text, err)
+		}
+		if !sameBindings(resp.Bindings, want) {
+			t.Errorf("query %d served wrong rows from a shared shape", i)
+		}
+		resps = append(resps, resp)
+	}
+	if m := srv.Metrics(); m.CacheHits != 3 || m.CacheMisses != 2 {
+		t.Errorf("CacheHits/Misses = %d/%d, want 3/2", m.CacheHits, m.CacheMisses)
+	}
+	if len(resps[0].Bindings.Rows) == 0 || sameBindings(resps[0].Bindings, resps[1].Bindings) {
+		t.Errorf("Person3 and Person5 instances must each get their own non-trivial answer")
+	}
+	if got := resps[2].Bindings.Vars; len(got) != 1 || got[0] != "a" {
+		t.Errorf("renamed query's projection vars = %v, want [a]", got)
+	}
+	if !sameBindings(resps[0].Bindings, resps[3].Bindings) {
+		t.Errorf("reordered text returned different rows")
+	}
+}
 
-	for _, q := range []*sparql.Graph{a, a, b, c} {
-		if _, err := srv.Query(context.Background(), q); err != nil {
-			t.Fatalf("Query: %v", err)
+// TestNearbyShapesNeverMisbind sends structurally close queries through
+// one cache, twice each and interleaved: whichever shape a query hits, it
+// must come back with the rows the uncached engine gives it.
+func TestNearbyShapesNeverMisbind(t *testing.T) {
+	engine, env := newEngine(t, cluster.Delay{})
+	srv := serve.New(engine, serve.Config{Workers: 1})
+	defer srv.Close()
+	texts := []string{
+		`SELECT * WHERE { ?x <influencedBy> <Person3> . }`,
+		`SELECT * WHERE { <Person3> <influencedBy> ?x . }`,
+		`SELECT * WHERE { <Person0> <influencedBy> ?x . }`,
+		`SELECT * WHERE { ?x <influencedBy> ?y . }`,
+		`SELECT * WHERE { <Person0> <influencedBy> ?x . ?y <influencedBy> <Person0> . }`, // one constant, two positions
+		`SELECT * WHERE { <Person0> <influencedBy> ?x . ?y <influencedBy> <Person3> . }`, // two constants
+		`SELECT * WHERE { <Person2> <influencedBy> ?x . ?y <influencedBy> <Person5> . }`,
+		`SELECT * WHERE { ?x ?p <Person3> . }`, // predicate variable
+		`SELECT * WHERE { ?x ?p <Person3> . ?x <name> ?n . }`,
+		`SELECT * WHERE { ?x <viaf> ?v . }`,                // cold only
+		`SELECT * WHERE { ?x <name> ?n . ?x <viaf> ?v . }`, // hot and cold
+		`SELECT * WHERE { ?x <name> ?n . ?x <influencedBy> <Person3> . ?x <viaf> ?v . }`,
+		`SELECT * WHERE { ?x <name> ?n . ?x <influencedBy> <NobodyTheGraphKnows> . }`, // constant no triple carries
+		`SELECT * WHERE { ?x <name> ?n . ?x <influencedBy> <Person3> . }`,
+	}
+	for round := 0; round < 2; round++ {
+		for _, text := range texts {
+			q := sparql.MustParse(env.G.Dict, text)
+			resp, err := srv.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("Query(%s): %v", text, err)
+			}
+			want, _, err := engine.Query(q)
+			if err != nil {
+				t.Fatalf("engine.Query(%s): %v", text, err)
+			}
+			if !sameBindings(resp.Bindings, want) {
+				t.Errorf("round %d: %s served %d rows (hit=%v), engine %d", round, text, len(resp.Bindings.Rows), resp.CacheHit, len(want.Rows))
+			}
 		}
 	}
-	m := srv.Metrics()
-	if m.CacheHits != 2 { // second a, and b
-		t.Errorf("CacheHits = %d, want 2", m.CacheHits)
-	}
-	if m.CacheMisses != 2 { // first a, and c
-		t.Errorf("CacheMisses = %d, want 2", m.CacheMisses)
-	}
-
-	// The cached plan for a must still answer c correctly (no
-	// cross-contamination).
-	respC, err := srv.Query(context.Background(), c)
-	if err != nil {
-		t.Fatalf("Query(c): %v", err)
-	}
-	wantC, _, err := engine.Query(c)
-	if err != nil {
-		t.Fatalf("engine.Query(c): %v", err)
-	}
-	if !sameBindings(respC.Bindings, wantC) {
-		t.Errorf("alpha-renamed query served wrong rows")
-	}
-	if respC.Bindings.Vars[0] != "a" {
-		t.Errorf("projection vars = %v, want [a]", respC.Bindings.Vars)
+	if m := srv.Metrics(); m.CacheHits == 0 || m.CacheMisses >= uint64(2*len(texts)) {
+		t.Errorf("CacheHits/Misses = %d/%d: the cache took no part", m.CacheHits, m.CacheMisses)
 	}
 }
 
@@ -280,10 +331,15 @@ func TestLRUEviction(t *testing.T) {
 	srv := serve.New(engine, serve.Config{Workers: 2, PlanCacheSize: 2})
 	defer srv.Close()
 
-	// Rotate through 4 distinct constants so each is its own plan entry.
+	// Rotate through 4 distinct shapes so each is its own cache entry.
+	shapes := []string{
+		`SELECT ?x WHERE { ?x <mainInterest> <Interest1> . }`,
+		`SELECT ?x WHERE { ?x <mainInterest> ?i . }`,
+		`SELECT ?x WHERE { ?x <name> ?n . }`,
+		`SELECT ?x WHERE { ?x <placeOfDeath> ?c . }`,
+	}
 	for r := 0; r < 3; r++ {
-		for i := 0; i < 4; i++ {
-			qs := fmt.Sprintf(`SELECT ?x WHERE { ?x <mainInterest> <Interest%d> . }`, i)
+		for i, qs := range shapes {
 			q := sparql.MustParse(env.G.Dict, qs)
 			resp, err := srv.Query(context.Background(), q)
 			if err != nil {

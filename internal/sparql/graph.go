@@ -6,6 +6,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -147,10 +148,34 @@ func (g *Graph) Predicates() []rdf.ID {
 // Vertex identity (variable names, constants) is preserved; isolated
 // vertices are dropped.
 func (g *Graph) EdgeSubgraph(edgeIdx []int) *Graph {
-	sub := NewGraph()
-	for _, ei := range edgeIdx {
+	// g's vertices are already distinct, so numbering them by first use
+	// keeps their identity without interning each by key again; the key
+	// index is rebuilt on demand (AddVertex) for the few callers that
+	// go on extending the subgraph.
+	var buf [32]int
+	remap := buf[:]
+	if len(g.Verts) > len(buf) {
+		remap = make([]int, len(g.Verts))
+	}
+	remap = remap[:len(g.Verts)]
+	for i := range remap {
+		remap[i] = -1
+	}
+	sub := &Graph{
+		Verts: make([]Vertex, 0, min(len(g.Verts), 2*len(edgeIdx))),
+		Edges: make([]Edge, len(edgeIdx)),
+	}
+	vert := func(v int) int {
+		if remap[v] < 0 {
+			remap[v] = len(sub.Verts)
+			sub.Verts = append(sub.Verts, g.Verts[v])
+		}
+		return remap[v]
+	}
+	for i, ei := range edgeIdx {
 		e := g.Edges[ei]
-		sub.AddTriplePattern(g.Verts[e.From], Edge{Pred: e.Pred, PredVar: e.PredVar}, g.Verts[e.To])
+		from := vert(e.From) // subject numbered before object, as AddTriplePattern does
+		sub.Edges[i] = Edge{From: from, To: vert(e.To), Pred: e.Pred, PredVar: e.PredVar}
 	}
 	return sub
 }
@@ -305,9 +330,12 @@ func (g *Graph) Generalize() *Graph {
 			return v
 		}
 		n, ok := names[i]
-		if !ok {
+		for !ok {
 			n = fmt.Sprintf("g%d", fresh)
 			fresh++
+			// A name the query already uses would merge the constant's
+			// vertex into that variable's.
+			ok = !slices.ContainsFunc(g.Verts, func(u Vertex) bool { return u.Var == n })
 			names[i] = n
 		}
 		return Vertex{Var: n}

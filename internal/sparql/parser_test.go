@@ -141,6 +141,23 @@ func TestGeneralize(t *testing.T) {
 	}
 }
 
+// TestGeneralizeKeepsVerticesApart: the fresh variable standing in for a
+// constant must not take a name the query already uses, or the two
+// vertices merge and the generalized graph is another shape.
+func TestGeneralizeKeepsVerticesApart(t *testing.T) {
+	d := rdf.NewDict()
+	q := MustParse(d, `SELECT * WHERE { ?g0 <knows> <Plato> . ?g1 <knows> ?g0 . <Plato> <name> ?g2 . }`)
+	g := q.Generalize()
+	if len(g.Verts) != len(q.Verts) || len(g.Edges) != len(q.Edges) {
+		t.Fatalf("generalized to %d vertices / %d edges, want %d / %d", len(g.Verts), len(g.Edges), len(q.Verts), len(q.Edges))
+	}
+	for i, e := range g.Edges {
+		if e.From != q.Edges[i].From || e.To != q.Edges[i].To {
+			t.Errorf("edge %d joins %d→%d, want %d→%d", i, e.From, e.To, q.Edges[i].From, q.Edges[i].To)
+		}
+	}
+}
+
 func TestConnectedComponents(t *testing.T) {
 	d := rdf.NewDict()
 	q := MustParse(d, `SELECT * WHERE { ?x <p> ?y . ?a <q> ?b . ?y <r> ?z . }`)

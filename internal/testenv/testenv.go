@@ -14,6 +14,7 @@ import (
 	"rdffrag/internal/mining"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
+	"rdffrag/internal/watdiv"
 )
 
 // Env bundles one fully-built deployment.
@@ -87,11 +88,31 @@ type Options struct {
 	StorageMul int // multiples of the hot graph size; 0 = 4
 }
 
-// Build assembles the full pipeline.
+// Build assembles the full pipeline over the philosopher graph.
 func Build(o Options) (*Env, error) {
 	if o.Persons == 0 {
 		o.Persons = 40
 	}
+	g := Graph(o.Persons)
+	return BuildFrom(g, Workload(g.Dict), o)
+}
+
+// WatDiv assembles the pipeline over a generated WatDiv-like data set of
+// about the given number of triples, mined from a workload that
+// instantiates each of the 20 benchmark templates 20 times — so every
+// template's properties are hot and its shape is a selected pattern's.
+func WatDiv(triples int, horizontal bool) (*Env, *watdiv.Dataset, error) {
+	ds := watdiv.Generate(watdiv.Options{Triples: triples, Seed: 1})
+	workload, err := ds.GenerateWorkload(400, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	env, err := BuildFrom(ds.Graph, workload, Options{Theta: 4, MinSup: 4, StorageMul: 3, Horizontal: horizontal})
+	return env, ds, err
+}
+
+// BuildFrom assembles the full pipeline over a given graph and workload.
+func BuildFrom(g *rdf.Graph, workload []*sparql.Graph, o Options) (*Env, error) {
 	if o.Theta == 0 {
 		o.Theta = 3
 	}
@@ -104,8 +125,7 @@ func Build(o Options) (*Env, error) {
 	if o.StorageMul == 0 {
 		o.StorageMul = 4
 	}
-	env := &Env{G: Graph(o.Persons)}
-	env.Workload = Workload(env.G.Dict)
+	env := &Env{G: g, Workload: workload}
 	env.HC = fragment.SplitHotCold(env.G, env.Workload, o.Theta)
 	patterns := (&mining.Miner{MinSup: o.MinSup}).Mine(env.Workload)
 	sel, err := (&fap.Selector{StorageCapacity: o.StorageMul * env.HC.Hot.NumTriples()}).

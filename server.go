@@ -21,7 +21,8 @@ type ServerConfig struct {
 	QueueDepth int
 	// Timeout is the per-query execution deadline (0 = none).
 	Timeout time.Duration
-	// PlanCacheSize is the LRU plan cache capacity (negative disables).
+	// PlanCacheSize is the LRU plan cache capacity in query shapes
+	// (negative disables).
 	PlanCacheSize int
 	// Parallelism is the machine-wide intra-query worker budget, divided
 	// among concurrently executing queries (0 = GOMAXPROCS, negative
@@ -61,7 +62,7 @@ var ErrServerClosed = serve.ErrClosed
 
 // Server answers queries concurrently over one deployment: a worker pool
 // behind a bounded admission queue, with per-query cancellation and a
-// plan cache keyed on canonicalized query structure.
+// plan cache keyed on the query's constant-free shape.
 type Server struct {
 	dep     *Deployment
 	inner   *serve.Server
