@@ -78,12 +78,17 @@ crash-soak:
 	$(GO) test -race -count=1 -run \
 		'TestCrashRecoverySoak|TestCrashRecoveryDeleteSoak|TestCrashRecoveryOverwriteSoak|TestGracefulShutdownSIGTERM|TestSiteGracefulShutdownSIGTERM' .
 
-# Ten seconds of coverage-guided fuzzing of the result encoders against
-# the struct-and-encoding/json oracle in results_test.go: the JSON must
+# Ten seconds of coverage-guided fuzzing each of the two hand-written
+# codecs against encoding/json. The result encoders, against the
+# struct-and-encoding/json oracle in results_test.go: the JSON must
 # unmarshal to the same value, the CSV read back to the same records,
-# the TSV bytes be equal. The seed corpus alone runs inside `test`.
+# the TSV bytes be equal. The batch-frame row decoder, against
+# encoding/json into a [][]rdf.ID: never accept what it rejects, decode
+# to the identical value otherwise. The seed corpora alone run inside
+# `test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzWireRows$$' -fuzztime=10s ./internal/transport
 
 # One iteration per benchmark: a compile-and-run smoke, not a measurement.
 bench:

@@ -51,21 +51,31 @@ const maxPackedCols = 4
 // padding cannot introduce false matches.
 type packedKey [maxPackedCols]rdf.ID
 
+// chain is the list of row numbers stored under one join key, in
+// insertion order: head and tail index joinTable.next, n is its length.
+type chain struct{ head, tail, n int32 }
+
 // joinTable indexes row numbers by their shared-column join key. Keys are
 // packed value arrays — no per-row string materialization — unless the
-// join is wider than maxPackedCols columns.
+// join is wider than maxPackedCols columns. Rows under one key are
+// threaded through the one flat next table (next[i] is the row after row
+// i), so a key costs its map entry and a row four bytes, never a slice of
+// its own. Walk a chain c with
+//
+//	for i, k := c.head, c.n; k > 0; i, k = t.next[i], k-1
 type joinTable struct {
 	cols   []colPair
-	packed map[packedKey][]int32
-	str    map[string][]int32
+	packed map[packedKey]chain
+	str    map[string]chain
+	next   []int32
 }
 
 func newJoinTable(cols []colPair, sizeHint int) *joinTable {
-	t := &joinTable{cols: cols}
+	t := &joinTable{cols: cols, next: make([]int32, sizeHint)}
 	if len(cols) <= maxPackedCols {
-		t.packed = make(map[packedKey][]int32, sizeHint)
+		t.packed = make(map[packedKey]chain, sizeHint)
 	} else {
-		t.str = make(map[string][]int32, sizeHint)
+		t.str = make(map[string]chain, sizeHint)
 	}
 	return t
 }
@@ -99,20 +109,33 @@ func stringKey(row []rdf.ID, cols []colPair, left bool) string {
 	return string(b)
 }
 
-// add records row idx under its join key; left names row's side.
+// add records row idx at the end of its join key's chain; left names
+// row's side. Row numbers only ever grow.
 func (t *joinTable) add(row []rdf.ID, left bool, idx int32) {
+	// Not append(next, make(...)...): under -race that allocates per call.
+	for int(idx) >= len(t.next) {
+		t.next = append(t.next, 0)
+	}
 	if t.packed != nil {
 		k := packKey(row, t.cols, left)
-		t.packed[k] = append(t.packed[k], idx)
+		t.packed[k] = t.link(t.packed[k], idx)
 	} else {
 		k := stringKey(row, t.cols, left)
-		t.str[k] = append(t.str[k], idx)
+		t.str[k] = t.link(t.str[k], idx)
 	}
 }
 
-// lookup returns the row indexes whose key matches row (from the side
-// named by left).
-func (t *joinTable) lookup(row []rdf.ID, left bool) []int32 {
+func (t *joinTable) link(c chain, idx int32) chain {
+	if c.n == 0 {
+		return chain{head: idx, tail: idx, n: 1}
+	}
+	t.next[c.tail] = idx
+	return chain{head: c.head, tail: idx, n: c.n + 1}
+}
+
+// lookup returns the chain of rows whose key matches row (from the side
+// named by left); the zero chain when there is none.
+func (t *joinTable) lookup(row []rdf.ID, left bool) chain {
 	if t.packed != nil {
 		return t.packed[packKey(row, t.cols, left)]
 	}
@@ -125,12 +148,15 @@ func (t *joinTable) lookup(row []rdf.ID, left bool) []int32 {
 // appending to one cannot stomp its neighbour. Rows are handed off to
 // consumers and the arena only ever starts fresh chunks — it is never
 // reset — so handed-off rows stay valid for as long as the consumer keeps
-// them.
+// them. A chunk is as large as the caller said it expects to carve, or
+// twice the previous chunk, up to rowArenaChunk: a stage that emits three
+// rows pays for three.
 type rowArena struct {
-	buf []rdf.ID
+	buf    []rdf.ID
+	expect int // IDs the caller is about to carve: the next chunk's floor
 }
 
-// rowArenaChunk is the chunk size in IDs (16 KiB chunks).
+// rowArenaChunk caps a chunk's size in IDs (16 KiB chunks).
 const rowArenaChunk = 4096
 
 // presizedArena returns an arena whose first chunk holds exactly rows
@@ -145,11 +171,8 @@ func (a *rowArena) alloc(n int) []rdf.ID {
 		return nil
 	}
 	if len(a.buf)+n > cap(a.buf) {
-		size := rowArenaChunk
-		if n > size {
-			size = n
-		}
-		a.buf = make([]rdf.ID, 0, size)
+		size := min(max(a.expect, 2*cap(a.buf)), rowArenaChunk)
+		a.buf = make([]rdf.ID, 0, max(size, n))
 	}
 	off := len(a.buf)
 	a.buf = a.buf[:off+n]

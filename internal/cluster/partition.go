@@ -1,7 +1,7 @@
 package cluster
 
-// Partitioned parallel control-site join. The symmetric hash join of
-// stream.go is one goroutine per join stage, so join-heavy queries
+// Partitioned parallel control-site join. The symmetric hash join
+// (symJoiner below) is one goroutine per join stage, so join-heavy queries
 // bottleneck at the control site exactly where the paper's
 // partial-evaluation-and-assembly design concentrates work. The operators
 // here remove that ceiling the way the morsel fan-out (internal/match)
@@ -33,6 +33,7 @@ package cluster
 
 import (
 	"context"
+	"math/bits"
 	"sync"
 
 	"rdffrag/internal/match"
@@ -220,7 +221,7 @@ func joinOrdered(j *joinGeom, lrows [][]rdf.ID, lidx []int32, rrows [][]rdf.ID, 
 	total := 0
 	for _, lr := range lrows {
 		if j.lKeyable(lr) {
-			total += len(tab.lookup(lr, true))
+			total += int(tab.lookup(lr, true).n)
 		}
 	}
 	if total == 0 {
@@ -235,7 +236,8 @@ func joinOrdered(j *joinGeom, lrows [][]rdf.ID, lidx []int32, rrows [][]rdf.ID, 
 		if !j.lKeyable(lr) {
 			continue
 		}
-		for _, ri := range tab.lookup(lr, true) {
+		c := tab.lookup(lr, true)
+		for ri, k := c.head, c.n; k > 0; ri, k = tab.next[ri], k-1 {
 			res.rows = append(res.rows, mergeRows(arena, j, lr, rrows[ri]))
 			if needLi {
 				res.li = append(res.li, liOf(i))
@@ -427,6 +429,45 @@ func routeStream(ctx context.Context, j *joinGeom, in <-chan *match.Bindings, ch
 	}
 }
 
+// rowStore is an append-only list of rows that never copies on growth:
+// chunk c holds rowStoreFirst<<c rows, so row i lives in the chunk named
+// by the bit length of i+rowStoreFirst.
+type rowStore struct {
+	chunks [][][]rdf.ID
+	n      int32
+}
+
+// rowStoreFirst is the first chunk's size in rows, a power of two.
+const rowStoreFirst = 4
+
+// slot returns the chunk and offset of row i.
+func (s *rowStore) slot(i int32) (c int, off uint32) {
+	u := uint32(i) + rowStoreFirst
+	c = bits.Len32(u) - bits.Len32(rowStoreFirst)
+	return c, u ^ rowStoreFirst<<c
+}
+
+func (s *rowStore) at(i int32) []rdf.ID {
+	c, off := s.slot(i)
+	return s.chunks[c][off]
+}
+
+func (s *rowStore) push(row []rdf.ID) {
+	c, off := s.slot(s.n)
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([][]rdf.ID, rowStoreFirst<<c))
+	}
+	s.chunks[c][off] = row
+	s.n++
+}
+
+// symSide is one input of the symmetric join: its rows seen so far and
+// the table indexing them.
+type symSide struct {
+	tab  *joinTable
+	rows rowStore
+}
+
 // symJoiner is the symmetric (pipelined) hash-join core shared by the
 // single-partition path and the per-partition workers: each arriving row
 // is inserted into its side's table and probed against the other side's
@@ -436,37 +477,50 @@ func routeStream(ctx context.Context, j *joinGeom, in <-chan *match.Bindings, ch
 // that survive across batches, so emitting N rows costs ~N/chunk
 // allocations instead of N.
 type symJoiner struct {
-	j                   *joinGeom
-	leftTab, rightTab   *joinTable
-	leftRows, rightRows [][]rdf.ID
-	arena               rowArena
+	j           *joinGeom
+	left, right symSide
+	arena       rowArena
+	hits        []chain // per row of the batch being probed; reused
 }
 
 func newSymJoiner(j *joinGeom) *symJoiner {
-	return &symJoiner{j: j, leftTab: newJoinTable(j.shared, 0), rightTab: newJoinTable(j.shared, 0)}
+	return &symJoiner{j: j, left: symSide{tab: newJoinTable(j.shared, 0)}, right: symSide{tab: newJoinTable(j.shared, 0)}}
 }
 
-// probeLeft inserts a batch of left rows and returns their merged matches
-// against the right rows seen so far; probeRight is its mirror image.
-func (s *symJoiner) probeLeft(batch [][]rdf.ID) [][]rdf.ID {
-	var found [][]rdf.ID
-	for _, lr := range batch {
-		s.leftTab.add(lr, true, int32(len(s.leftRows)))
-		s.leftRows = append(s.leftRows, lr)
-		for _, ri := range s.rightTab.lookup(lr, true) {
-			found = append(found, mergeRows(&s.arena, s.j, lr, s.rightRows[ri]))
-		}
+// probe inserts a batch of rows into its side (left names it) and returns
+// their merged matches against the other side's rows seen so far. The
+// first pass stores the rows and counts the matches, so the output slice
+// and the arena chunk behind it are sized once, exactly.
+func (s *symJoiner) probe(batch [][]rdf.ID, left bool) [][]rdf.ID {
+	own, other := &s.right, &s.left
+	if left {
+		own, other = other, own
 	}
-	return found
-}
-
-func (s *symJoiner) probeRight(batch [][]rdf.ID) [][]rdf.ID {
-	var found [][]rdf.ID
-	for _, rr := range batch {
-		s.rightTab.add(rr, false, int32(len(s.rightRows)))
-		s.rightRows = append(s.rightRows, rr)
-		for _, li := range s.leftTab.lookup(rr, false) {
-			found = append(found, mergeRows(&s.arena, s.j, s.leftRows[li], rr))
+	if cap(s.hits) < len(batch) {
+		s.hits = make([]chain, 0, len(batch))
+	}
+	s.hits = s.hits[:0]
+	total := 0
+	for _, row := range batch {
+		own.tab.add(row, left, own.rows.n)
+		own.rows.push(row)
+		c := other.tab.lookup(row, left)
+		s.hits = append(s.hits, c)
+		total += int(c.n)
+	}
+	if total == 0 {
+		return nil
+	}
+	found := make([][]rdf.ID, 0, total)
+	s.arena.expect = total * s.j.width
+	for i, row := range batch {
+		c := s.hits[i]
+		for o, k := c.head, c.n; k > 0; o, k = other.tab.next[o], k-1 {
+			lr, rr := row, other.rows.at(o)
+			if !left {
+				lr, rr = rr, lr
+			}
+			found = append(found, mergeRows(&s.arena, s.j, lr, rr))
 		}
 	}
 	return found
@@ -517,7 +571,7 @@ func runSymLoop[B any](ctx context.Context, j *joinGeom, left, right <-chan B, o
 				left = nil
 				continue
 			}
-			if !emitRows(ctx, out, j.outVars, s.probeLeft(rows(b, true))) {
+			if !emitRows(ctx, out, j.outVars, s.probe(rows(b, true), true)) {
 				return
 			}
 		case b, ok := <-right:
@@ -525,7 +579,7 @@ func runSymLoop[B any](ctx context.Context, j *joinGeom, left, right <-chan B, o
 				right = nil
 				continue
 			}
-			if !emitRows(ctx, out, j.outVars, s.probeRight(rows(b, false))) {
+			if !emitRows(ctx, out, j.outVars, s.probe(rows(b, false), false)) {
 				return
 			}
 		case <-ctx.Done():

@@ -33,10 +33,13 @@ func TestPartitionRouteProbeZeroAllocs(t *testing.T) {
 }
 
 // TestPartitionedJoinSteadyStateAllocs guards the amortized whole-join
-// cost: with the counting pass presizing the output and rows carved from
-// chunked arenas, a partitioned batch join stays far below one allocation
+// cost: with the counting pass presizing the output, rows carved from
+// chunked arenas and keys chained through one flat table instead of a
+// slice each, a partitioned batch join stays far below one allocation
 // per probed row — the budget is per-partition setup (tables, arenas,
-// presized slices), not per-row work.
+// presized slices, routing buffers), not per-row work. It measures 237
+// allocations for 4000 probed rows (0.059 each; 0.20 with a slice per
+// key); the ceiling is that plus 20%.
 func TestPartitionedJoinSteadyStateAllocs(t *testing.T) {
 	l := benchTable(4000, []string{"x", "y"})
 	r := benchTable(4000, []string{"y", "z"})
@@ -49,7 +52,7 @@ func TestPartitionedJoinSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	perRow := allocs / float64(len(l.Rows))
-	if perRow > 0.25 {
-		t.Errorf("partitioned join allocates %.2f per probed row (%.0f total), want < 0.25", perRow, allocs)
+	if perRow > 0.071 {
+		t.Errorf("partitioned join allocates %.3f per probed row (%.0f total), want <= 0.071", perRow, allocs)
 	}
 }

@@ -74,59 +74,59 @@ func nestedLoopOracle(left, right *match.Bindings) *match.Bindings {
 	return out
 }
 
+// joinLayouts are the variable layouts the corpus draws from.
+var joinLayouts = [][2][]string{
+	{{"x", "y"}, {"y", "z"}},
+	{{"a", "b", "c"}, {"c", "a", "d"}},
+	{{"x", "y"}, {"x", "y"}},
+	{{"x", "y"}, {"z", "w"}}, // Cartesian
+	// Five shared columns: wider than maxPackedCols, exercising the
+	// string-fallback keys and their partition routing.
+	{{"a", "b", "c", "d", "e", "l0"}, {"e", "d", "c", "b", "a", "r0"}},
+}
+
 // genJoinCase draws one randomized join instance: a variable layout, two
 // tables with a chosen key distribution, optionally an empty side and
 // optionally ragged rows.
 func genJoinCase(rng *rand.Rand) (left, right *match.Bindings) {
-	var lv, rv []string
-	switch rng.Intn(5) {
-	case 0:
-		lv, rv = []string{"x", "y"}, []string{"y", "z"}
-	case 1:
-		lv, rv = []string{"a", "b", "c"}, []string{"c", "a", "d"}
-	case 2:
-		lv, rv = []string{"x", "y"}, []string{"x", "y"}
-	case 3:
-		lv, rv = []string{"x", "y"}, []string{"z", "w"} // Cartesian
-	case 4:
-		// Five shared columns: wider than maxPackedCols, exercising the
-		// string-fallback keys and their partition routing.
-		lv = []string{"a", "b", "c", "d", "e", "l0"}
-		rv = []string{"e", "d", "c", "b", "a", "r0"}
-	}
+	layout := joinLayouts[rng.Intn(len(joinLayouts))]
 	draw := func(vars []string) *match.Bindings {
-		b := &match.Bindings{Vars: vars}
 		n := rng.Intn(50)
 		if rng.Intn(8) == 0 {
 			n = 0 // empty side
 		}
-		skew := rng.Intn(3)
-		ragged := rng.Intn(4) == 0
-		for i := 0; i < n; i++ {
-			row := make([]rdf.ID, len(vars))
-			for j := range row {
-				switch skew {
-				case 0:
-					row[j] = rdf.ID(rng.Intn(6))
-				case 1:
-					// Heavy skew: ~80% of values collapse onto one key.
-					if rng.Intn(5) > 0 {
-						row[j] = 1
-					} else {
-						row[j] = rdf.ID(rng.Intn(8))
-					}
-				default:
-					row[j] = rdf.ID(rng.Intn(512)) // near-unique
-				}
-			}
-			if ragged && rng.Intn(8) == 0 {
-				row = row[:rng.Intn(len(row))]
-			}
-			b.Rows = append(b.Rows, row)
-		}
-		return b
+		return genJoinTable(rng, vars, n, rng.Intn(3), rng.Intn(4) == 0)
 	}
-	return draw(lv), draw(rv)
+	return draw(layout[0]), draw(layout[1])
+}
+
+// genJoinTable draws n rows over vars: skew 0 is uniform over six values,
+// 1 collapses ~80% of values onto one key, anything else is near-unique;
+// ragged cuts about one row in eight short.
+func genJoinTable(rng *rand.Rand, vars []string, n, skew int, ragged bool) *match.Bindings {
+	b := &match.Bindings{Vars: vars}
+	for i := 0; i < n; i++ {
+		row := make([]rdf.ID, len(vars))
+		for j := range row {
+			switch skew {
+			case 0:
+				row[j] = rdf.ID(rng.Intn(6))
+			case 1:
+				if rng.Intn(5) > 0 {
+					row[j] = 1
+				} else {
+					row[j] = rdf.ID(rng.Intn(8))
+				}
+			default:
+				row[j] = rdf.ID(rng.Intn(512))
+			}
+		}
+		if ragged && rng.Intn(8) == 0 {
+			row = row[:rng.Intn(len(row))]
+		}
+		b.Rows = append(b.Rows, row)
+	}
+	return b
 }
 
 func rowsExactEqual(a, b [][]rdf.ID) bool {
@@ -167,51 +167,82 @@ func TestPartitionedJoinEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		left, right := genJoinCase(rng)
-		want := nestedLoopOracle(left, right)
-
-		// Batch operators: byte-identical to the oracle at every P.
-		if got := HashJoin(left, right); !slices.Equal(got.Vars, want.Vars) || !rowsExactEqual(got.Rows, want.Rows) {
-			t.Logf("seed %d: HashJoin diverged from oracle (%d rows vs %d)", seed, len(got.Rows), len(want.Rows))
+		if !checkJoinAgainstOracle(t, rng, left, right, partitionCounts) {
+			t.Logf("seed %d", seed)
 			return false
-		}
-		for _, p := range partitionCounts[1:] {
-			if got := HashJoinOpts(left, right, JoinOptions{Partitions: p}); !rowsExactEqual(got.Rows, want.Rows) {
-				t.Logf("seed %d: HashJoinOpts(P=%d) diverged from oracle", seed, p)
-				return false
-			}
-		}
-
-		// Deterministic stream: byte-identical at every P regardless of
-		// batch boundaries and input interleaving.
-		for _, p := range partitionCounts {
-			got := runJoinStream(t, rng, left, right, JoinOptions{Partitions: p, Deterministic: true})
-			if !slices.Equal(got.Vars, want.Vars) || !rowsExactEqual(got.Rows, want.Rows) {
-				t.Logf("seed %d: deterministic JoinStreamOpts(P=%d) diverged from oracle", seed, p)
-				return false
-			}
-		}
-
-		// Streaming mode (and the legacy sequential JoinStream): same
-		// row multiset, order unconstrained.
-		wm := multiset(want)
-		for _, p := range partitionCounts {
-			got := runJoinStream(t, rng, left, right, JoinOptions{Partitions: p})
-			gm := multiset(got)
-			if len(gm) != len(wm) {
-				t.Logf("seed %d: streaming JoinStreamOpts(P=%d): %d distinct rows, want %d", seed, p, len(gm), len(wm))
-				return false
-			}
-			for k, v := range wm {
-				if gm[k] != v {
-					t.Logf("seed %d: streaming JoinStreamOpts(P=%d): row %s count %d, want %d", seed, p, k, gm[k], v)
-					return false
-				}
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkJoinAgainstOracle runs one join instance through the ordered
+// operators (exact rows, exact order) and the streaming ones (same row
+// multiset) at the given partition counts.
+func checkJoinAgainstOracle(t *testing.T, rng *rand.Rand, left, right *match.Bindings, partitionCounts []int) bool {
+	t.Helper()
+	want := nestedLoopOracle(left, right)
+	if got := HashJoin(left, right); !slices.Equal(got.Vars, want.Vars) || !rowsExactEqual(got.Rows, want.Rows) {
+		t.Logf("HashJoin diverged from oracle (%d rows vs %d)", len(got.Rows), len(want.Rows))
+		return false
+	}
+	wm := multiset(want)
+	for _, p := range partitionCounts {
+		if got := HashJoinOpts(left, right, JoinOptions{Partitions: p}); !rowsExactEqual(got.Rows, want.Rows) {
+			t.Logf("HashJoinOpts(P=%d) diverged from oracle", p)
+			return false
+		}
+		// Deterministic stream: byte-identical regardless of batch
+		// boundaries and input interleaving.
+		got := runJoinStream(t, rng, left, right, JoinOptions{Partitions: p, Deterministic: true})
+		if !slices.Equal(got.Vars, want.Vars) || !rowsExactEqual(got.Rows, want.Rows) {
+			t.Logf("deterministic JoinStreamOpts(P=%d) diverged from oracle", p)
+			return false
+		}
+		// Streaming mode (P=1 is the legacy sequential JoinStream): same
+		// row multiset, order unconstrained.
+		gm := multiset(runJoinStream(t, rng, left, right, JoinOptions{Partitions: p}))
+		if len(gm) != len(wm) {
+			t.Logf("streaming JoinStreamOpts(P=%d): %d distinct rows, want %d", p, len(gm), len(wm))
+			return false
+		}
+		for k, v := range wm {
+			if gm[k] != v {
+				t.Logf("streaming JoinStreamOpts(P=%d): row %s count %d, want %d", p, k, gm[k], v)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestJoinAcrossChunkBoundaries drives table sizes that end on, one past
+// and well past the boundaries of the symmetric join's chunked row store
+// and of the chain table's next array through every layout — Cartesian,
+// string-key fallback and ragged rows included — against the oracle.
+func TestJoinAcrossChunkBoundaries(t *testing.T) {
+	sizes := []int{rowStoreFirst, rowStoreFirst + 1, 3 * rowStoreFirst, 3*rowStoreFirst + 1, 16, 17, 33, 4097}
+	rng := rand.New(rand.NewSource(17))
+	for li, layout := range joinLayouts {
+		for _, n := range sizes {
+			nr := n
+			if li == 3 && n > 64 {
+				nr = 3 // Cartesian: keep the product small
+			}
+			for _, ragged := range []bool{false, true} {
+				if n > 64 && (!ragged || li == 1 || li == 2) {
+					continue // the big case once per key kind is enough under -race
+				}
+				// Near-unique keys keep the big cases' outputs near their inputs.
+				left := genJoinTable(rng, layout[0], n, 2, ragged)
+				right := genJoinTable(rng, layout[1], nr, 2, ragged)
+				if !checkJoinAgainstOracle(t, rng, left, right, []int{1, 3}) {
+					t.Errorf("layout %d, %d x %d rows, ragged=%v: diverged from the nested-loop oracle", li, n, nr, ragged)
+				}
+			}
+		}
 	}
 }
 

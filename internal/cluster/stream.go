@@ -2,13 +2,13 @@ package cluster
 
 // Streaming site RPC and the pipelined control-site join. Instead of the
 // materialize-then-ship round trip of Eval, EvalStream lets a site push
-// binding batches to the control site as the local matcher finds them, and
-// JoinStream consumes such batch streams with a symmetric (pipelined) hash
-// join: whichever input is ready first builds its hash table incrementally
-// while probing the other side's table, so join work overlaps with
-// subquery evaluation and shipping. Query latency becomes the longest
-// chain through the pipeline rather than the sum of barrier-separated
-// phases.
+// binding batches to the control site as the local matcher projects them
+// (match.FindBindings), and JoinStream consumes such batch streams with a
+// symmetric (pipelined) hash join — symJoiner in partition.go: whichever
+// input is ready first builds its hash table incrementally while probing
+// the other side's table, so join work overlaps with subquery evaluation
+// and shipping. Query latency becomes the longest chain through the
+// pipeline rather than the sum of barrier-separated phases.
 
 import (
 	"context"
@@ -25,9 +25,11 @@ import (
 // quickly.
 const DefaultBatchSize = 256
 
-// BatchSink receives one shipped batch of bindings. Fragments evaluate in
-// parallel, so the sink must be safe for concurrent use. Returning an
-// error stops the stream.
+// BatchSink receives one shipped batch of bindings. The batch — its Rows
+// slice and the rows in it — belongs to the receiver from then on: the
+// sender keeps no reference, so the sink may reorder, overwrite or retain
+// it. Fragments evaluate in parallel, so the sink must be safe for
+// concurrent use. Returning an error stops the stream.
 type BatchSink func(*match.Bindings) error
 
 // EvalStream evaluates a subquery at a site like Eval, but ships binding
@@ -91,12 +93,11 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 				return
 			}
 			defer func() { <-s.sem }()
-			match.FindBatches(req.Query, req.View.Snap(g), match.Options{VertexFilter: req.Filter, Parallelism: perFragment, Deterministic: req.Deterministic}, batchSize, func(ms []match.Match) bool {
+			match.FindBindings(req.Query, req.View.Snap(g), match.Options{VertexFilter: req.Filter, Parallelism: perFragment, Deterministic: req.Deterministic}, batchSize, func(b *match.Bindings) bool {
 				if err := ctx.Err(); err != nil {
 					fail(err)
 					return false
 				}
-				b := match.ToBindings(req.Query, ms)
 				b.Dedup()
 				respBytes := len(b.Rows) * len(b.Vars) * 4
 				c.Net.Messages.Add(1)

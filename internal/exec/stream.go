@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -201,61 +202,83 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 	return out, stats, nil
 }
 
-// consume drains the final join stream, applying projection, incremental
-// deduplication and LIMIT push-down: once Limit distinct rows survive
-// projection the whole pipeline is cancelled instead of materializing the
-// rest. Rows are returned sorted (Dedup order), matching the engine's
-// historical deterministic output.
+// consume drains the final join stream into the result: projected,
+// distinct and sorted (Dedup order), the engine's historical
+// deterministic output. Without a pushed-down LIMIT it keeps the incoming
+// batches — they are its own, see cluster.BatchSink — sizes the result
+// once from their total and lets the final sort drop duplicates as
+// neighbours. With one, distinct rows must be counted as they arrive:
+// once Limit of them survive projection the whole pipeline is cancelled
+// instead of materializing the rest.
 func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *sparql.Graph, in <-chan *match.Bindings, inVars []string) *match.Bindings {
 	// Resolve the projection once, against the full joined layout.
-	proj := make([]int, 0, len(q.Select))
+	var fewCols [8]int // a projection this narrow stays on the stack
+	proj := fewCols[:0]
 	keptVars := inVars
 	if len(q.Select) > 0 {
-		pos := make(map[string]int, len(inVars))
-		for i, v := range inVars {
-			pos[v] = i
-		}
-		kept := make([]string, 0, len(q.Select))
+		keptVars = make([]string, 0, len(q.Select))
 		for _, v := range q.Select {
-			if i, ok := pos[v]; ok {
+			if i := slices.Index(inVars, v); i >= 0 {
 				proj = append(proj, i)
-				kept = append(kept, v)
+				keptVars = append(keptVars, v)
 			}
 		}
-		keptVars = kept
 	}
 	// ORDER BY is applied by the caller on decoded terms; stopping early
 	// would change which rows survive, so only push the limit down for
 	// unordered queries.
-	limit := 0
+	var seen *rowSet // non-nil when q.Limit is pushed down
 	if q.Limit > 0 && len(q.OrderBy) == 0 {
-		limit = q.Limit
+		seen = newRowSet(len(keptVars))
 	}
 
 	out := &match.Bindings{Vars: keptVars}
-	seen := newRowSet(len(keptVars))
+	// Most results arrive in a few batches; the list stays on the stack.
+	var few [64][][]rdf.ID
+	batches, total := few[:0], 0
 	for b := range in {
-		for _, row := range b.Rows {
-			r := row
-			if len(q.Select) > 0 {
-				r = make([]rdf.ID, len(proj))
-				for i, j := range proj {
-					r[i] = row[j]
-				}
-			}
+		rows := b.Rows
+		if len(q.Select) > 0 {
+			projectRows(rows, proj)
+		}
+		if seen == nil {
+			batches, total = append(batches, rows), total+len(rows)
+			continue
+		}
+		for _, r := range rows {
 			if !seen.insert(r) {
 				continue
 			}
 			out.Rows = append(out.Rows, r)
-			if limit > 0 && len(out.Rows) >= limit {
+			if len(out.Rows) >= q.Limit {
 				cancel() // stop producers and join stages
-				sortRows(out)
+				out.Dedup()
 				return out
 			}
 		}
 	}
-	sortRows(out)
+	if total > 0 {
+		out.Rows = make([][]rdf.ID, 0, total)
+		for _, rows := range batches {
+			out.Rows = append(out.Rows, rows...)
+		}
+	}
+	out.Dedup()
 	return out
+}
+
+// projectRows replaces every row by its projection onto the columns
+// proj, carved from one backing array for the whole batch.
+func projectRows(rows [][]rdf.ID, proj []int) {
+	w := len(proj)
+	flat := make([]rdf.ID, len(rows)*w)
+	for i, row := range rows {
+		r := flat[i*w : (i+1)*w : (i+1)*w]
+		for k, j := range proj {
+			r[k] = row[j]
+		}
+		rows[i] = r
+	}
 }
 
 // countPartitionableStages walks the join order and counts the stages a
@@ -317,20 +340,6 @@ func (s *rowSet) insert(r []rdf.ID) bool {
 	}
 	s.str[k] = struct{}{}
 	return true
-}
-
-// sortRows orders rows lexicographically, the order Dedup historically
-// produced; rows are already distinct.
-func sortRows(b *match.Bindings) {
-	sort.Slice(b.Rows, func(i, j int) bool {
-		ri, rj := b.Rows[i], b.Rows[j]
-		for k := range ri {
-			if ri[k] != rj[k] {
-				return ri[k] < rj[k]
-			}
-		}
-		return false
-	})
 }
 
 // evalSubqueryStream routes one subquery to the sites holding its

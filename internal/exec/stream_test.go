@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -170,4 +172,48 @@ func rowString(r []rdf.ID) string {
 		s += fmt.Sprintf("%d|", id)
 	}
 	return s
+}
+
+// TestSmallAnswerTotalAlloc pins what a three-row answer with one join
+// stage allocates end to end. Nothing on the row path may pay for a
+// fixed-size chunk up front: selective workloads are made of such
+// queries, and one 16 KiB arena chunk (the streaming join's first, until
+// it was sized from the batch's counted output) was two thirds of the
+// 25 904 B this query used to cost. It measures 8 864 B; the ceiling is
+// that plus 20%. The median of many runs, because pooled buffers come
+// and go with the collector.
+func TestSmallAnswerTotalAlloc(t *testing.T) {
+	env, err := testenv.Build(testenv.Options{Persons: 12})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	e, err := exec.New(cluster.New(4, 2), env.Dict, env.Frag, env.Alloc, env.HC)
+	if err != nil {
+		t.Fatalf("exec.New: %v", err)
+	}
+	q := sparql.MustParse(env.G.Dict, `SELECT ?x ?n ?v WHERE { ?x <name> ?n . ?x <viaf> ?v . }`)
+	prep, err := e.Prepare(q)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	prep.Parallelism = 1 // the worker budget must not depend on the host
+	run := func() {
+		got, stats, err := e.QueryPrepared(context.Background(), q, prep)
+		if err != nil || len(got.Rows) != 3 || stats.Subqueries != 2 {
+			t.Fatalf("QueryPrepared: %d rows from %d subqueries, err %v; want 3 rows from 2", len(got.Rows), stats.Subqueries, err)
+		}
+	}
+	run()
+	perRun := make([]uint64, 101)
+	var before, after runtime.MemStats
+	for i := range perRun {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		perRun[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(perRun)
+	if median := perRun[len(perRun)/2]; median > 10700 {
+		t.Errorf("a 3-row, one-join query typically allocates %d B, want <= 10700", median)
+	}
 }

@@ -39,15 +39,17 @@ type Options struct {
 	// search may use: the root edge's candidate run is split into
 	// morsels and fanned out to a worker pool, each worker owning a
 	// private searcher. 0 means GOMAXPROCS; 1 (or a root run too small
-	// to split) forces the sequential path. Find, Count, MatchedGraph
-	// and FindBatches honour it; ForEach is always sequential because
-	// its callback contract (one reused Match) is inherently serial.
+	// to split) forces the sequential path. Find, Count, MatchedGraph,
+	// FindBatches and FindBindings honour it; ForEach is always
+	// sequential because its callback contract (one reused Match) is
+	// inherently serial.
 	// Limit > 0 also forces the sequential path, preserving the exact
 	// "first Limit matches in enumeration order" semantics.
 	Parallelism int
-	// Deterministic makes a parallel FindBatches deliver batches in the
-	// sequential enumeration order (a stable morsel-order merge), at the
-	// cost of materializing all matches before the first callback.
+	// Deterministic makes a parallel FindBatches or FindBindings deliver
+	// batches in the sequential enumeration order (a stable morsel-order
+	// merge), at the cost of materializing all matches before the first
+	// callback.
 	// Without it batches stream as workers fill them, in no particular
 	// order. Find is always deterministic: its parallel output is
 	// exactly the sequential output.
@@ -129,12 +131,51 @@ func Find(q *sparql.Graph, g *rdf.Snapshot, opts Options) []Match {
 
 // FindBatches enumerates matches in batches of up to size matches each,
 // invoking fn as soon as a batch fills (the last batch may be smaller).
-// The batch slice is reused between calls; copy what you keep — the
-// Matches themselves are deep copies and safe to retain. fn returning
-// false stops the enumeration early. It powers streaming subquery
-// evaluation: sites ship bindings to the control-site join as they are
-// found instead of materializing the full result first.
+// The batch and the Matches in it — deep copies — belong to fn. fn
+// returning false stops the enumeration early. Query evaluation streams
+// through FindBindings, which runs the same search without keeping a
+// Match; FindBatches remains for callers that want whole matches, matched
+// triples included.
 func FindBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn func([]Match) bool) {
+	findBatched(q, g, opts, size, func(int) func(*Match) Match { return (*Match).clone }, fn)
+}
+
+// batcher groups what keep makes of each match into batches of up to size.
+// A batch's slice grows geometrically from 4 to size — most fragment
+// evaluations fill a handful of slots, and a full-size slice per
+// evaluation was once the largest single cost of a selective query — and
+// a batch, once taken, belongs to whoever receives it.
+type batcher[T any] struct {
+	keep  func(*Match) T
+	size  int
+	batch []T
+	last  int // capacity the previous batch reached
+}
+
+// add keeps m in the batch and reports whether the batch is full.
+func (b *batcher[T]) add(m *Match) bool {
+	if len(b.batch) == cap(b.batch) {
+		b.batch = append(make([]T, 0, min(max(4, 2*cap(b.batch), b.last), b.size)), b.batch...)
+	}
+	b.batch = append(b.batch, b.keep(m))
+	return len(b.batch) == b.size
+}
+
+// take hands out the batch filled so far and starts the next.
+func (b *batcher[T]) take() []T {
+	out := b.batch
+	b.batch, b.last = nil, cap(out)
+	return out
+}
+
+// findBatched is the search-and-batch skeleton behind FindBatches and
+// FindBindings: newKeep makes, once per enumerating goroutine and given
+// the batch size in force, the function that turns the searcher's reused
+// Match into what the batch keeps. A parallel run delivers batches to fn one at a time — in the
+// sequential enumeration order with opts.Deterministic (a stable
+// morsel-order merge, after materializing everything), otherwise as each
+// worker fills its own, in claiming order.
+func findBatched[T any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, newKeep func(size int) func(*Match) T, fn func([]T) bool) {
 	if size <= 0 {
 		size = 256
 	}
@@ -142,74 +183,57 @@ func FindBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn fu
 		return
 	}
 	order := edgeOrder(q, g)
-	if r := planParallel(q, g, opts, order); r != nil {
-		// Parallel fan-out: fn is still invoked serially (under a lock),
-		// so callers keep their single-caller view of the stream. With
-		// opts.Deterministic the batches additionally arrive in the
-		// sequential enumeration order.
-		if opts.Deterministic {
-			r.findBatchesOrdered(size, fn)
-		} else {
-			r.findBatchesStreaming(size, fn)
+	r := planParallel(q, g, opts, order)
+	switch {
+	case r == nil:
+		b := batcher[T]{keep: newKeep(size), size: size}
+		forEachOrdered(q, g, opts, order, func(m *Match) bool {
+			return !b.add(m) || fn(b.take())
+		})
+		if len(b.batch) > 0 {
+			fn(b.take())
 		}
-		return
-	}
-	b := getBatch(size)
-	defer b.release()
-	flush := func() bool {
-		if len(b.ms) == 0 {
-			return true
+	case opts.Deterministic:
+		buckets := make([][]T, r.numMorsels)
+		r.run(func(int) workerHooks {
+			keep := newKeep(size)
+			return workerHooks{onMatch: func(morsel int, m *Match) bool {
+				buckets[morsel] = append(buckets[morsel], keep(m))
+				return true
+			}}
+		})
+		for all := slices.Concat(buckets...); len(all) > 0; {
+			n := min(size, len(all))
+			if !fn(all[:n:n]) {
+				return
+			}
+			all = all[n:]
 		}
-		return fn(b.take())
-	}
-	forEachOrdered(q, g, opts, order, func(m *Match) bool {
-		b.ms = append(b.ms, m.clone())
-		if len(b.ms) == size {
-			return flush()
+	default:
+		var (
+			mu      sync.Mutex
+			stopped bool
+		)
+		deliver := func(batch []T) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			stopped = stopped || !fn(batch)
+			return !stopped
 		}
-		return true
-	})
-	flush()
-}
-
-// batchBuf is a recycled FindBatches batch. A batch is size Matches of
-// 56 bytes — 14 KB at the default size — and most fragment evaluations
-// fill a handful of its slots, so allocating one per evaluation was the
-// largest single cost of a selective query. FindBatches' contract (the
-// slice is only the callee's for the duration of the callback) is what
-// makes recycling safe.
-type batchBuf struct {
-	ms []Match
-	// filled is how many leading slots have held a Match since the
-	// buffer left the pool, beyond the len(ms) in use now.
-	filled int
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
-
-// getBatch returns an empty batch of capacity at least size.
-func getBatch(size int) *batchBuf {
-	b := batchPool.Get().(*batchBuf)
-	if cap(b.ms) < size {
-		b.ms = make([]Match, 0, size)
+		r.run(func(int) workerHooks {
+			b := batcher[T]{keep: newKeep(size), size: size}
+			return workerHooks{
+				onMatch: func(_ int, m *Match) bool {
+					return !b.add(m) || deliver(b.take())
+				},
+				finish: func() {
+					if len(b.batch) > 0 && !r.stop.Load() {
+						deliver(b.take())
+					}
+				},
+			}
+		})
 	}
-	return b
-}
-
-// take hands out the filled batch and empties the buffer for the next.
-func (b *batchBuf) take() []Match {
-	ms := b.ms
-	b.filled = max(b.filled, len(ms))
-	b.ms = ms[:0]
-	return ms
-}
-
-// release returns the buffer to the pool with every slot it used zeroed,
-// so a pooled buffer keeps no Match — and no caller's rows — alive.
-func (b *batchBuf) release() {
-	clear(b.ms[:max(b.filled, len(b.ms))])
-	b.ms, b.filled = b.ms[:0], 0
-	batchPool.Put(b)
 }
 
 // Count returns the number of matches, stopping at opts.Limit if set.
@@ -761,35 +785,16 @@ type Bindings struct {
 }
 
 // ToBindings projects matches onto the query's variables (vertex variables
-// plus variable predicates), in sorted variable order.
+// plus variable predicates), in sorted variable order. The rows share one
+// backing array.
 func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
-	vars := q.Vars()
-	vpos := make(map[string]int, len(vars))
-	for i, v := range vars {
-		vpos[v] = i
-	}
-	// Map each var to a vertex index (first occurrence) or pred var.
-	vertOf := make(map[string]int)
-	for i, v := range q.Verts {
-		if v.IsVar() {
-			if _, ok := vertOf[v.Var]; !ok {
-				vertOf[v.Var] = i
-			}
-		}
-	}
-	b := &Bindings{Vars: vars, Rows: make([][]rdf.ID, 0, len(ms))}
-	for _, m := range ms {
-		row := make([]rdf.ID, len(vars))
-		for _, v := range vars {
-			if vi, ok := vertOf[v]; ok {
-				row[vpos[v]] = m.Vertex[vi]
-			} else if p, ok := m.Pred[v]; ok {
-				row[vpos[v]] = p
-			} else {
-				row[vpos[v]] = rdf.NoID
-			}
-		}
-		b.Rows = append(b.Rows, row)
+	p := newProjector(q)
+	w := len(p.vars)
+	b := &Bindings{Vars: p.vars, Rows: make([][]rdf.ID, len(ms))}
+	flat := make([]rdf.ID, len(ms)*w)
+	for i := range ms {
+		b.Rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+		p.project(&ms[i], b.Rows[i])
 	}
 	return b
 }

@@ -17,8 +17,9 @@ package match
 // order, and within a morsel a worker searches in exactly the sequential
 // order, so per-morsel result buckets concatenated in morsel order
 // reproduce the sequential output byte for byte. Find and MatchedGraph
-// always merge that way; FindBatches does when Options.Deterministic is
-// set and otherwise streams batches as workers fill them.
+// always merge that way; FindBatches and FindBindings do when
+// Options.Deterministic is set and otherwise stream batches as workers
+// fill them (findBatched in matcher.go).
 
 import (
 	"runtime"
@@ -499,75 +500,4 @@ func (r *parallelRun) matchedGraph() *rdf.Graph {
 		}
 	}
 	return sub
-}
-
-// findBatchesStreaming is the parallel FindBatches body without the
-// determinism knob: each worker fills a private batch and hands it to fn
-// under a lock as soon as it is full, so batches flow while the search is
-// still running. Batch contents follow morsel claiming order, which is
-// nondeterministic across runs.
-func (r *parallelRun) findBatchesStreaming(size int, fn func([]Match) bool) {
-	var (
-		mu      sync.Mutex
-		stopped bool
-	)
-	// deliver hands one batch to fn, serialized; it reports whether the
-	// enumeration should continue.
-	deliver := func(batch []Match) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
-			return false
-		}
-		if !fn(batch) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	r.run(func(int) workerHooks {
-		b := getBatch(size)
-		return workerHooks{
-			onMatch: func(_ int, m *Match) bool {
-				b.ms = append(b.ms, m.clone())
-				if len(b.ms) == size {
-					return deliver(b.take())
-				}
-				return true
-			},
-			finish: func() {
-				if len(b.ms) > 0 && !r.stop.Load() {
-					deliver(b.take())
-				}
-				b.release()
-			},
-		}
-	})
-}
-
-// findBatchesOrdered is the deterministic parallel FindBatches body:
-// matches materialize into per-morsel buckets first, then carve into
-// batches in morsel order — the same batch sequence the sequential path
-// produces.
-func (r *parallelRun) findBatchesOrdered(size int, fn func([]Match) bool) {
-	buckets := make([][]Match, r.numMorsels)
-	r.run(func(int) workerHooks {
-		return workerHooks{onMatch: func(morsel int, m *Match) bool {
-			buckets[morsel] = append(buckets[morsel], m.clone())
-			return true
-		}}
-	})
-	batch := getBatch(size)
-	defer batch.release()
-	for _, b := range buckets {
-		for _, m := range b {
-			batch.ms = append(batch.ms, m)
-			if len(batch.ms) == size && !fn(batch.take()) {
-				return
-			}
-		}
-	}
-	if len(batch.ms) > 0 {
-		fn(batch.take())
-	}
 }

@@ -22,6 +22,7 @@ package transport
 // post-load interning divergence is harmless.
 
 import (
+	"errors"
 	"fmt"
 
 	"rdffrag/internal/cluster"
@@ -81,17 +82,89 @@ type evalWire struct {
 // the stream, "b" carries a batch, "done" closes it, "err" reports a
 // server-side failure (Retry says whether it is worth retrying).
 type frame struct {
-	K       string     `json:"k"`
-	Epoch   uint64     `json:"epoch,omitempty"`   // hdr
-	Skip    int        `json:"skip,omitempty"`    // hdr: batches skipped for resume
-	DictLen int        `json:"dictLen,omitempty"` // hdr: shared dictionary prefix length
-	DictFP  uint64     `json:"dictFp,omitempty"`  // hdr: server fingerprint of that prefix
-	Seq     int        `json:"seq"`               // b
-	Vars    []string   `json:"vars,omitempty"`    // b
-	Rows    [][]rdf.ID `json:"rows,omitempty"`    // b
-	Count   int        `json:"count,omitempty"`   // done: total batches in sequence
-	Msg     string     `json:"msg,omitempty"`     // err
-	Retry   bool       `json:"retry,omitempty"`   // err
+	K       string   `json:"k"`
+	Epoch   uint64   `json:"epoch,omitempty"`   // hdr
+	Skip    int      `json:"skip,omitempty"`    // hdr: batches skipped for resume
+	DictLen int      `json:"dictLen,omitempty"` // hdr: shared dictionary prefix length
+	DictFP  uint64   `json:"dictFp,omitempty"`  // hdr: server fingerprint of that prefix
+	Seq     int      `json:"seq"`               // b
+	Vars    []string `json:"vars,omitempty"`    // b
+	Rows    wireRows `json:"rows,omitempty"`    // b
+	Count   int      `json:"count,omitempty"`   // done: total batches in sequence
+	Msg     string   `json:"msg,omitempty"`     // err
+	Retry   bool     `json:"retry,omitempty"`   // err
+}
+
+// wireRows is the rows of a batch frame. It encodes as the [][]rdf.ID it
+// is; decoding is by hand, because encoding/json grows every row and the
+// row list by reflection: one pass counts rows and IDs, a second carves
+// every row from one []rdf.ID and one header slice. It accepts only what
+// encoding/json accepts into a [][]rdf.ID — and of that only what
+// json.Marshal of one can emit, plus whitespace: null or an array of
+// rows, a row null or an array of decimal integers below 2^32 — and
+// yields the same value.
+type wireRows [][]rdf.ID
+
+var errWireRows = errors.New("transport: rows: not an array of arrays of uint32")
+
+func (r *wireRows) UnmarshalJSON(data []byte) error {
+	nRows, nIDs := 0, 0
+	for i, c := range data {
+		switch {
+		case c == '[' || c == 'n':
+			nRows++ // one too many for the outer array: harmless
+		case c >= '0' && c <= '9' && (i == 0 || data[i-1] < '0' || data[i-1] > '9'):
+			nIDs++
+		}
+	}
+	// depth counts the arrays open around the cursor; st says what may
+	// come next: a value (after ','), a value or ']' (after '['), or
+	// ',' or ']' (after a value).
+	const (
+		value = iota
+		valueOrClose
+		afterValue
+	)
+	rows, ids := make([][]rdf.ID, 0, nRows), make([]rdf.ID, 0, nIDs)
+	depth, st, start, null := 0, value, 0, false
+	for i := 0; i < len(data); i++ {
+		switch c := data[i]; {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+		case c == '[' && st != afterValue && depth < 2:
+			depth, st, start = depth+1, valueOrClose, len(ids)
+		case c == ']' && st != value && depth > 0:
+			if depth == 2 {
+				rows = append(rows, ids[start:len(ids):len(ids)])
+			}
+			depth, st = depth-1, afterValue
+		case c == ',' && st == afterValue && depth > 0:
+			st = value
+		case c == 'n' && st != afterValue && depth < 2 && len(data)-i >= 4 && string(data[i:i+4]) == "null":
+			if null = depth == 0; !null {
+				rows = append(rows, nil)
+			}
+			i, st = i+3, afterValue
+		case c >= '0' && c <= '9' && st != afterValue && depth == 2:
+			v, first := uint64(0), i
+			for ; i < len(data) && data[i] >= '0' && data[i] <= '9' && v < 1<<32; i++ {
+				v = v*10 + uint64(data[i]-'0')
+			}
+			if v >= 1<<32 || (data[first] == '0' && i > first+1) {
+				return errWireRows // out of range, or a leading zero
+			}
+			ids = append(ids, rdf.ID(v))
+			i, st = i-1, afterValue
+		default:
+			return errWireRows
+		}
+	}
+	if depth != 0 || st != afterValue {
+		return errWireRows
+	}
+	if *r = rows; null {
+		*r = nil
+	}
+	return nil
 }
 
 // encodeQuery flattens a parsed query graph for the wire, decoding
