@@ -33,17 +33,25 @@ cover:
 # landing coverage, minus a small slack for scheduler-dependent
 # hedge-race branches (measured 82.7%), and internal/wal (the
 # write-ahead log the durability guarantee hangs on) at the floor the
-# durability PR committed to (landed at ~93%).
+# durability PR committed to (landed at ~93%). The three packages that
+# are the paper's offline pipeline — internal/fap (Algorithm 1),
+# internal/mining (Section 4's pattern mining) and internal/fragment
+# (Definitions 5-12) — sit at what they measured when the pipeline moved
+# to matched edge sets (fap 100.0, mining 96.5, fragment 96.4), minus a
+# point of slack.
 COVER_FLOOR_CLUSTER ?= 81.9
 COVER_FLOOR_RDF ?= 92.0
 COVER_FLOOR_MATCH ?= 88.3
 COVER_FLOOR_SERVE ?= 88.0
 COVER_FLOOR_TRANSPORT ?= 82.0
 COVER_FLOOR_WAL ?= 85.0
+COVER_FLOOR_FAP ?= 99.0
+COVER_FLOOR_MINING ?= 95.5
+COVER_FLOOR_FRAGMENT ?= 95.4
 cover-gate:
 	@test -f coverage.out || { echo "coverage.out missing; run 'make cover' first" >&2; exit 1; }
 	@status=0; \
-	for spec in "cluster=$(COVER_FLOOR_CLUSTER)" "rdf=$(COVER_FLOOR_RDF)" "match=$(COVER_FLOOR_MATCH)" "serve=$(COVER_FLOOR_SERVE)" "transport=$(COVER_FLOOR_TRANSPORT)" "wal=$(COVER_FLOOR_WAL)"; do \
+	for spec in "cluster=$(COVER_FLOOR_CLUSTER)" "rdf=$(COVER_FLOOR_RDF)" "match=$(COVER_FLOOR_MATCH)" "serve=$(COVER_FLOOR_SERVE)" "transport=$(COVER_FLOOR_TRANSPORT)" "wal=$(COVER_FLOOR_WAL)" "fap=$(COVER_FLOOR_FAP)" "mining=$(COVER_FLOOR_MINING)" "fragment=$(COVER_FLOOR_FRAGMENT)"; do \
 		pkg=$${spec%%=*}; floor=$${spec##*=}; \
 		{ head -1 coverage.out; grep "rdffrag/internal/$$pkg/" coverage.out; } > .cover_gate.out; \
 		pct=$$($(GO) tool cover -func=.cover_gate.out | awk '/^total:/ { sub("%","",$$3); print $$3 }'); \

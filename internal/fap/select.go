@@ -3,6 +3,13 @@
 // workload benefit (Definitions 8–9) under a storage constraint. The
 // problem is NP-hard (Theorem 1); this greedy selection carries the
 // min{1/max|E(p)|, ½(1−1/e)} guarantee of Theorem 2.
+//
+// Selection needs each candidate's fragment size |E(⟦p⟧G)| and nothing
+// else of its matches, so a candidate is matched once, into an
+// rdf.EdgeSet — one bit per triple of the hot graph — and sized by the
+// set's bit count. The sets of the patterns that end up selected stay on
+// the Selection: they are the fragments' contents, and the fragmenters
+// build from them instead of matching again.
 package fap
 
 import (
@@ -27,9 +34,29 @@ type Selection struct {
 	Benefit int
 	// TotalSize is Σ |E(⟦p⟧G)| over the selected patterns, in edges.
 	TotalSize int
-	// FragSize maps pattern code -> |E(⟦p⟧G)|.
+	// FragSize maps pattern code -> |E(⟦p⟧G)|, for every pattern Select
+	// sized, selected or not.
 	FragSize map[string]int
+
+	// edges holds, per selected pattern's code, the matched edge set
+	// Select sized it by: the fragmenters' input, until they release it.
+	edges map[string]*rdf.EdgeSet
 }
+
+// MatchedEdges returns E(⟦p⟧G) over hot, a read view of the hot graph:
+// the set Select left for p if it was taken over the same cut of that
+// graph, a fresh match otherwise.
+func (s *Selection) MatchedEdges(p *mining.Pattern, hot *rdf.Snapshot) *rdf.EdgeSet {
+	if es := s.edges[p.Code]; es != nil && es.Of(hot) {
+		return es
+	}
+	return match.MatchedEdges(p.Graph, hot, match.Options{})
+}
+
+// ReleaseEdges drops the edge sets Select left on the selection. The
+// fragmenters call it once fragments exist, so that a deployment holding
+// its Selection holds no per-pattern bitmaps.
+func (s *Selection) ReleaseEdges() { s.edges = nil }
 
 // Selector configures the selection.
 type Selector struct {
@@ -57,14 +84,16 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 	hsn := hot.Snapshot()
 	defer hsn.Close()
 
+	// A pattern is matched once, into an edge set; its size is the set's
+	// bit count.
 	sel := &Selection{FragSize: make(map[string]int)}
+	edges := make(map[string]*rdf.EdgeSet)
 	fragSize := func(p *mining.Pattern) int {
-		if sz, ok := sel.FragSize[p.Code]; ok {
-			return sz
+		if _, ok := edges[p.Code]; !ok {
+			edges[p.Code] = match.MatchedEdges(p.Graph, hsn, match.Options{})
+			sel.FragSize[p.Code] = edges[p.Code].Len()
 		}
-		sz := match.MatchedGraph(p.Graph, hsn, match.Options{}).NumTriples()
-		sel.FragSize[p.Code] = sz
-		return sz
+		return sel.FragSize[p.Code]
 	}
 
 	// use(Q, p) matrix over unique queries, weighted by multiplicity.
@@ -218,5 +247,9 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 		sel.Benefit = benefitP2
 	}
 	sel.TotalSize = totalSize
+	sel.edges = make(map[string]*rdf.EdgeSet, len(sel.Patterns))
+	for _, p := range sel.Patterns {
+		sel.edges[p.Code] = edges[p.Code]
+	}
 	return sel, nil
 }

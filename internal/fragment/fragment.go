@@ -2,6 +2,13 @@
 // graph split, vertical fragmentation from frequent access patterns
 // (Definition 10), and horizontal fragmentation from structural minterm
 // predicates (Definitions 11–12).
+//
+// Every graph built here — hot, cold, each fragment — is built frozen by
+// rdf.NewFrozen from a list of distinct triples. A pattern's fragment is
+// the matched edge set fap.Select sized the pattern by, listed in
+// (S, P, O) order (which its CSR build then need not sort); only a
+// minterm's fragment is matched here, under the minterm's vertex filter,
+// into an edge set of its own.
 package fragment
 
 import (

@@ -49,21 +49,20 @@ func Horizontal(sel *fap.Selection, workload []*sparql.Graph, hc *HotCold, opts 
 	fr := &Fragmentation{Kind: HorizontalKind, Hot: hc.Hot}
 	hsn := hc.Hot.Snapshot()
 	defer hsn.Close()
-	id := 0
+	defer sel.ReleaseEdges()
 	for _, p := range sel.Patterns {
 		preds := harvestSimplePreds(p, workload, maxPreds, minSupport)
 		minterms := enumerateMinterms(p, preds)
 		if len(minterms) == 0 {
-			// No constants in the workload for this pattern: one fragment.
-			g := match.MatchedGraph(p.Graph, hsn, match.Options{})
+			// No constants in the workload for this pattern: one fragment,
+			// of the edges selection matched it into.
+			g := rdf.NewFrozen(hc.Hot.Dict, sel.MatchedEdges(p, hsn).Triples())
 			if g.NumTriples() == 0 && p.Size() > 1 {
 				continue
 			}
-			g.Freeze()
 			fr.Fragments = append(fr.Fragments, &Fragment{
-				ID: id, Kind: HorizontalKind, Pattern: p, Graph: g,
+				ID: len(fr.Fragments), Kind: HorizontalKind, Pattern: p, Graph: g,
 			})
-			id++
 			continue
 		}
 		for _, mt := range minterms {
@@ -71,14 +70,12 @@ func Horizontal(sel *fap.Selection, workload []*sparql.Graph, hc *HotCold, opts 
 			if g.NumTriples() == 0 {
 				continue
 			}
-			g.Freeze()
 			fr.Fragments = append(fr.Fragments, &Fragment{
-				ID: id, Kind: HorizontalKind, Pattern: p, Minterm: mt, Graph: g,
+				ID: len(fr.Fragments), Kind: HorizontalKind, Pattern: p, Minterm: mt, Graph: g,
 			})
-			id++
 		}
 	}
-	fr.Cold = &Fragment{ID: id, Kind: ColdKind, Graph: coldGraph(hc)}
+	fr.Cold = &Fragment{ID: len(fr.Fragments), Kind: ColdKind, Graph: coldGraph(hc)}
 	return fr
 }
 
@@ -112,14 +109,18 @@ func harvestSimplePreds(p *mining.Pattern, workload []*sparql.Graph, maxPreds, m
 			preds = append(preds, simplePred{vertex: k.vertex, value: k.value, count: c})
 		}
 	}
+	// Ties in count are broken by what every process agrees on whatever
+	// its copy of the pattern graph numbers its vertices: the constant,
+	// then the vertex's position in the pattern's canonical code.
+	pos := mining.CanonicalOrder(p.Graph)
 	sort.Slice(preds, func(i, j int) bool {
 		if preds[i].count != preds[j].count {
 			return preds[i].count > preds[j].count
 		}
-		if preds[i].vertex != preds[j].vertex {
-			return preds[i].vertex < preds[j].vertex
+		if preds[i].value != preds[j].value {
+			return preds[i].value < preds[j].value
 		}
-		return preds[i].value < preds[j].value
+		return pos[preds[i].vertex] < pos[preds[j].vertex]
 	})
 	if len(preds) > maxPreds {
 		preds = preds[:maxPreds]

@@ -42,24 +42,29 @@ func SplitHotCold(g *rdf.Graph, workload []*sparql.Graph, theta int) *HotCold {
 			freq[p] = true
 		}
 	}
-	hc := &HotCold{
-		Hot:         rdf.NewGraph(g.Dict),
-		Cold:        rdf.NewGraph(g.Dict),
+	// Built frozen: pattern selection and fragment construction match
+	// against Hot heavily, and Cold is served to sites as-is.
+	all := g.Triples()
+	nHot := 0
+	for _, t := range all {
+		if freq[t.P] {
+			nHot++
+		}
+	}
+	hot, cold := make([]rdf.Triple, 0, nHot), make([]rdf.Triple, 0, len(all)-nHot)
+	for _, t := range all {
+		if freq[t.P] {
+			hot = append(hot, t)
+		} else {
+			cold = append(cold, t)
+		}
+	}
+	return &HotCold{
+		Hot:         rdf.NewFrozen(g.Dict, hot),
+		Cold:        rdf.NewFrozen(g.Dict, cold),
 		FreqProps:   freq,
 		PropQueries: counts,
 	}
-	for _, t := range g.Triples() {
-		if freq[t.P] {
-			hc.Hot.Add(t)
-		} else {
-			hc.Cold.Add(t)
-		}
-	}
-	// Freeze both halves: pattern selection and fragment construction
-	// match against Hot heavily, and Cold is served to sites as-is.
-	hc.Hot.Freeze()
-	hc.Cold.Freeze()
-	return hc
 }
 
 // IsHotQueryEdge reports whether a query edge touches only frequent

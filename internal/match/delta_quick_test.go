@@ -201,7 +201,7 @@ func TestParallelDeltaByteIdentical(t *testing.T) {
 		mg := MatchedGraph(q, g.Snapshot(), Options{Parallelism: 4})
 		sg := MatchedGraph(q, g.Snapshot(), Options{Parallelism: 1})
 		if !reflect.DeepEqual(mg.Triples(), sg.Triples()) {
-			t.Fatalf("%s: parallel MatchedGraph insertion order diverged", qs)
+			t.Fatalf("%s: parallel MatchedGraph diverged", qs)
 		}
 	}
 }
@@ -210,7 +210,7 @@ func TestParallelDeltaByteIdentical(t *testing.T) {
 // insert and tombstone runs all carved along the same boundary keys)
 // returns exactly the sequential enumeration when the visible window
 // carries deletes — byte-identical Find, equal Count, identical
-// MatchedGraph insertion order — at several worker counts.
+// MatchedGraph triple sequence — at several worker counts.
 func TestParallelTombstoneByteIdentical(t *testing.T) {
 	g := tombHubGraph(2048, 8, 300)
 	if g.DeltaTombstones() == 0 {
@@ -237,7 +237,7 @@ func TestParallelTombstoneByteIdentical(t *testing.T) {
 		mg := MatchedGraph(q, g.Snapshot(), Options{Parallelism: 4})
 		sg := MatchedGraph(q, g.Snapshot(), Options{Parallelism: 1})
 		if !reflect.DeepEqual(mg.Triples(), sg.Triples()) {
-			t.Fatalf("%s: parallel MatchedGraph insertion order diverged over tombstones", qs)
+			t.Fatalf("%s: parallel MatchedGraph diverged over tombstones", qs)
 		}
 		// No deleted edge may leak into any match.
 		sn := g.Snapshot()

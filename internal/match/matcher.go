@@ -39,7 +39,7 @@ type Options struct {
 	// search may use: the root edge's candidate run is split into
 	// morsels and fanned out to a worker pool, each worker owning a
 	// private searcher. 0 means GOMAXPROCS; 1 (or a root run too small
-	// to split) forces the sequential path. Find, Count, MatchedGraph,
+	// to split) forces the sequential path. Find, Count, MatchedEdges,
 	// FindBatches and FindBindings honour it; ForEach is always
 	// sequential because its callback contract (one reused Match) is
 	// inherently serial.
@@ -256,27 +256,61 @@ func Count(q *sparql.Graph, g *rdf.Snapshot, opts Options) int {
 	return n
 }
 
-// MatchedGraph returns the subgraph of g induced by all matches of q: the
-// union of matched triples (Definition 10's vertical fragment content).
-// The parallel path collects matched triples per morsel and merges the
-// buckets in morsel order, so the result graph's insertion order equals
-// the sequential one.
-func MatchedGraph(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Graph {
+// MatchedEdges returns the set of triples of g that some match of q uses:
+// the edges of Definition 10's fragment for q, or with opts.VertexFilter
+// those of one minterm's (Definition 12). Nothing is kept per match — each
+// enumerating goroutine sets bits in a set of its own, and the sets are
+// ORed — so the cost beyond the search is |E(g)|/64 words per worker.
+func MatchedEdges(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.EdgeSet {
+	set := g.NewEdgeSet()
 	if len(q.Edges) == 0 {
-		return rdf.NewGraph(g.Dict())
+		return set
 	}
 	order := edgeOrder(q, g)
-	if r := planParallel(q, g, opts, order); r != nil {
-		return r.matchedGraph()
+	r := planParallel(q, g, opts, order)
+	if r == nil {
+		forEachOrdered(q, g, opts, order, edgeMarker(set, len(q.Edges)))
+		return set
 	}
-	sub := rdf.NewGraph(g.Dict())
-	forEachOrdered(q, g, opts, order, func(m *Match) bool {
-		for _, t := range m.Triples {
-			sub.Add(t)
+	var mu sync.Mutex
+	r.run(func(int) workerHooks {
+		own := g.NewEdgeSet()
+		mark := edgeMarker(own, len(q.Edges))
+		return workerHooks{
+			onMatch: func(_ int, m *Match) bool { return mark(m) },
+			finish: func() {
+				mu.Lock()
+				set.Union(own)
+				mu.Unlock()
+			},
+		}
+	})
+	return set
+}
+
+// edgeMarker returns the per-match step of MatchedEdges. Consecutive
+// matches share the triples of the edges searched first, so an edge whose
+// triple is the previous match's is not looked up again.
+func edgeMarker(set *rdf.EdgeSet, edges int) func(*Match) bool {
+	last := make([]rdf.Triple, edges)
+	for i := range last {
+		last[i] = rdf.Triple{S: rdf.NoID, P: rdf.NoID, O: rdf.NoID}
+	}
+	return func(m *Match) bool {
+		for i, t := range m.Triples {
+			if t != last[i] {
+				last[i] = t
+				set.Add(t)
+			}
 		}
 		return true
-	})
-	return sub
+	}
+}
+
+// MatchedGraph returns the subgraph of g induced by all matches of q, as
+// a frozen graph of its own: MatchedEdges' triples in (S, P, O) order.
+func MatchedGraph(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Graph {
+	return rdf.NewFrozen(g.Dict(), MatchedEdges(q, g, opts).Triples())
 }
 
 type searcher struct {

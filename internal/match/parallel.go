@@ -16,10 +16,11 @@ package match
 // Determinism: morsels partition the root candidates in enumeration
 // order, and within a morsel a worker searches in exactly the sequential
 // order, so per-morsel result buckets concatenated in morsel order
-// reproduce the sequential output byte for byte. Find and MatchedGraph
-// always merge that way; FindBatches and FindBindings do when
-// Options.Deterministic is set and otherwise stream batches as workers
-// fill them (findBatched in matcher.go).
+// reproduce the sequential output byte for byte. Find always merges that
+// way; FindBatches and FindBindings do when Options.Deterministic is set
+// and otherwise stream batches as workers fill them (findBatched in
+// matcher.go). Count and MatchedEdges produce a number and a set, which
+// have no order to keep.
 
 import (
 	"runtime"
@@ -480,24 +481,4 @@ func (r *parallelRun) count() int {
 		}
 	})
 	return int(total.Load())
-}
-
-// matchedGraph is the parallel MatchedGraph body: matched triples collect
-// in per-morsel buckets and merge into the subgraph in morsel order, so
-// the result's insertion order matches the sequential build.
-func (r *parallelRun) matchedGraph() *rdf.Graph {
-	buckets := make([][]rdf.Triple, r.numMorsels)
-	r.run(func(int) workerHooks {
-		return workerHooks{onMatch: func(morsel int, m *Match) bool {
-			buckets[morsel] = append(buckets[morsel], m.Triples...)
-			return true
-		}}
-	})
-	sub := rdf.NewGraph(r.g.Dict())
-	for _, b := range buckets {
-		for _, t := range b {
-			sub.Add(t)
-		}
-	}
-	return sub
 }

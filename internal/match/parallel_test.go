@@ -77,7 +77,7 @@ func matchesEqual(t *testing.T, a, b []Match) bool {
 // TestParallelCountAndMatchedGraphQuick: Count and MatchedGraph route
 // through the same morsel fan-out and must agree with their sequential
 // selves — Count exactly, MatchedGraph as an identical triple sequence
-// (the morsel-order merge preserves insertion order).
+// (an edge set lists its triples in (S, P, O) order whoever set the bits).
 func TestParallelCountAndMatchedGraphQuick(t *testing.T) {
 	f := func(dataSeed, querySeed int64) bool {
 		g := randomData(dataSeed, 300)

@@ -59,10 +59,20 @@ func CanonicalCode(g *sparql.Graph) string {
 	return strings.Join(parts, ";")
 }
 
+// CanonicalOrder returns, for each vertex of g, its DFS id in g's
+// canonical code: a position that does not depend on how g happens to
+// number its vertices, except among vertices an automorphism of g swaps.
+func CanonicalOrder(g *sparql.Graph) []int {
+	c := &canonizer{g: g}
+	c.run()
+	return c.bestIDs
+}
+
 type canonizer struct {
-	g    *sparql.Graph
-	best []codeTuple
-	has  bool
+	g       *sparql.Graph
+	best    []codeTuple
+	bestIDs []int // ids when best was found
+	has     bool
 
 	ids  []int // vertex -> dfs id, -1 unmapped
 	used []bool
@@ -102,6 +112,7 @@ func (c *canonizer) extend(depth, nextID int) {
 	if depth == len(c.g.Edges) {
 		if !c.has || codeLess(c.cur, c.best) {
 			c.best = append(c.best[:0], c.cur...)
+			c.bestIDs = append(c.bestIDs[:0], c.ids...)
 			c.has = true
 		}
 		return

@@ -1,6 +1,8 @@
 package mining
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"rdffrag/internal/sparql"
@@ -95,7 +97,6 @@ func (m *Miner) Mine(workload []*sparql.Graph) []*Pattern {
 	}
 
 	seen := make(map[string]*Pattern)
-	var frontier []*Pattern
 
 	// Level 1: single-edge patterns present in the workload.
 	level1 := make(map[string]*sparql.Graph)
@@ -108,14 +109,23 @@ func (m *Miner) Mine(workload []*sparql.Graph) []*Pattern {
 			}
 		}
 	}
-	for code, g := range level1 {
-		sup := support(g, uniq)
-		if sup >= minSup {
-			p := &Pattern{Graph: g, Code: code, Support: sup}
-			seen[code] = p
-			frontier = append(frontier, p)
+	// keepFrequent turns one level's candidates into the next frontier, in
+	// code order: the frontier's order decides which of a code's isomorphic
+	// candidate graphs the next level meets first and keeps, and with it
+	// the vertex numbering that minterm constraints are written in — which
+	// every process mining the same workload must agree on.
+	keepFrequent := func(level map[string]*sparql.Graph) []*Pattern {
+		var next []*Pattern
+		for _, code := range slices.Sorted(maps.Keys(level)) {
+			if sup := support(level[code], uniq); sup >= minSup {
+				p := &Pattern{Graph: level[code], Code: code, Support: sup}
+				seen[code] = p
+				next = append(next, p)
+			}
 		}
+		return next
 	}
+	frontier := keepFrequent(level1)
 
 	// Pattern growth: extend each frequent pattern by one adjacent query
 	// edge wherever it embeds, dedupe via canonical codes, keep frequent.
@@ -152,15 +162,7 @@ func (m *Miner) Mine(workload []*sparql.Graph) []*Pattern {
 				}
 			}
 		}
-		frontier = frontier[:0]
-		for code, g := range candidates {
-			sup := support(g, uniq)
-			if sup >= minSup {
-				p := &Pattern{Graph: g, Code: code, Support: sup}
-				seen[code] = p
-				frontier = append(frontier, p)
-			}
-		}
+		frontier = keepFrequent(candidates)
 	}
 
 	out := make([]*Pattern, 0, len(seen))

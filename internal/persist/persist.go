@@ -11,6 +11,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"rdffrag/internal/allocation"
 	"rdffrag/internal/fragment"
@@ -140,6 +141,7 @@ func Save(w io.Writer, st *State) error {
 	for p := range st.HC.FreqProps {
 		snap.FreqProps = append(snap.FreqProps, uint32(p))
 	}
+	slices.Sort(snap.FreqProps) // equal states encode to equal bytes
 
 	patIdx := make(map[string]int)
 	addPattern := func(p *mining.Pattern) int {
@@ -209,28 +211,25 @@ func Load(r io.Reader) (*State, error) {
 		return nil, fmt.Errorf("persist: dictionary fingerprint mismatch (snapshot %016x, rebuilt %016x): snapshot is corrupt or from a different deployment", snap.DictFP, fp)
 	}
 
-	graph := rdf.NewGraph(dict)
-	decodeTriples(graph, snap.GraphTriples)
-
+	all := decodeTriples(snap.GraphTriples)
 	freq := make(map[rdf.ID]bool, len(snap.FreqProps))
 	for _, p := range snap.FreqProps {
 		freq[rdf.ID(p)] = true
 	}
-	hc := &fragment.HotCold{
-		Hot:       rdf.NewGraph(dict),
-		Cold:      rdf.NewGraph(dict),
-		FreqProps: freq,
-	}
-	for _, t := range graph.Triples() {
+	var hot, cold []rdf.Triple
+	for _, t := range all {
 		if freq[t.P] {
-			hc.Hot.Add(t)
+			hot = append(hot, t)
 		} else {
-			hc.Cold.Add(t)
+			cold = append(cold, t)
 		}
 	}
-	graph.Freeze()
-	hc.Hot.Freeze()
-	hc.Cold.Freeze()
+	graph := rdf.NewFrozen(dict, all)
+	hc := &fragment.HotCold{
+		Hot:       rdf.NewFrozen(dict, hot),
+		Cold:      rdf.NewFrozen(dict, cold),
+		FreqProps: freq,
+	}
 
 	patterns := make([]*mining.Pattern, len(snap.Patterns))
 	for i, pd := range snap.Patterns {
@@ -254,9 +253,7 @@ func Load(r io.Reader) (*State, error) {
 		ColdSite: -1,
 	}
 	for _, fd := range snap.Fragments {
-		g := rdf.NewGraph(dict)
-		decodeTriples(g, fd.Triples)
-		g.Freeze()
+		g := rdf.NewFrozen(dict, decodeTriples(fd.Triples))
 		f := &fragment.Fragment{
 			ID:    fd.ID,
 			Kind:  fragment.Kind(fd.Kind),
@@ -282,9 +279,7 @@ func Load(r io.Reader) (*State, error) {
 		alloc.SiteOf[fd.ID] = fd.Site
 	}
 	if len(snap.Cold.Triples) > 0 || snap.Cold.ID != 0 {
-		g := rdf.NewGraph(dict)
-		decodeTriples(g, snap.Cold.Triples)
-		g.Freeze()
+		g := rdf.NewFrozen(dict, decodeTriples(snap.Cold.Triples))
 		fr.Cold = &fragment.Fragment{ID: snap.Cold.ID, Kind: fragment.ColdKind, Graph: g}
 		if g.NumTriples() > 0 {
 			if snap.Cold.Site < 0 || snap.Cold.Site >= snap.Sites {
@@ -307,8 +302,10 @@ func encodeTriples(ts []rdf.Triple) [][3]uint32 {
 	return out
 }
 
-func decodeTriples(g *rdf.Graph, ts [][3]uint32) {
-	for _, t := range ts {
-		g.Add(rdf.Triple{S: rdf.ID(t[0]), P: rdf.ID(t[1]), O: rdf.ID(t[2])})
+func decodeTriples(ts [][3]uint32) []rdf.Triple {
+	out := make([]rdf.Triple, len(ts))
+	for i, t := range ts {
+		out[i] = rdf.Triple{S: rdf.ID(t[0]), P: rdf.ID(t[1]), O: rdf.ID(t[2])}
 	}
+	return out
 }

@@ -77,6 +77,33 @@ func TestRoundTripStructure(t *testing.T) {
 // updates into its delta overlays snapshots completely — Save compacts
 // the deltas first (the frozen survivors keep serving pure-CSR reads)
 // and Load reproduces every delta triple.
+// TestSaveLoadSaveByteStable: a loaded state is the saved state — graphs
+// rebuilt by NewFrozen from the stored lists keep their order, so saving
+// it again writes the same bytes.
+func TestSaveLoadSaveByteStable(t *testing.T) {
+	for _, horizontal := range []bool{false, true} {
+		var first, second bytes.Buffer
+		if err := Save(&first, buildState(t, horizontal)); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		loaded, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		for _, g := range []*rdf.Graph{loaded.Graph, loaded.HC.Hot, loaded.HC.Cold, loaded.Frag.Cold.Graph, loaded.Frag.Fragments[0].Graph} {
+			if !g.Frozen() || g.DeltaLen() != 0 {
+				t.Errorf("horizontal=%v: a loaded graph is not a clean frozen one", horizontal)
+			}
+		}
+		if err := Save(&second, loaded); err != nil {
+			t.Fatalf("second Save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("horizontal=%v: save → load → save changed the snapshot (%d vs %d bytes)", horizontal, first.Len(), second.Len())
+		}
+	}
+}
+
 func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 	st := buildState(t, false)
 	st.Graph.Freeze()

@@ -11,6 +11,9 @@ import "slices"
 // sorted by (P, S, O), replacing the byPred map. All lookups return
 // subslices of the arenas: zero allocations on the match/join hot path.
 //
+// A triple's ordinal is its position in the out arena, i.e. in the
+// (S, P, O) order of the whole index; EdgeSet keeps one bit per ordinal.
+//
 // The index is immutable; Graph.Add on a frozen graph accumulates in the
 // mutable delta side-index (delta.go) instead, and Compact rebuilds this
 // index with the delta folded in.
@@ -28,54 +31,53 @@ type csrIndex struct {
 	verts []ID // distinct vertices (subjects ∪ objects), ascending
 }
 
-// buildCSR compiles the triple list. One scratch slice is sorted three
-// ways to derive the arenas, so peak extra memory is ~one triple copy.
+// buildCSR compiles a list of distinct triples. The list is sorted once,
+// to (S, P, O) — not even that when it arrives sorted, as a matched edge
+// set's triples do — which is the out arena. The other two arenas are two
+// stable counting passes over the offset tables: grouping the (S, P, O)
+// list by P leaves each predicate's run in (S, O) order, the predicate
+// arena; grouping that by O leaves each object's run in (P, S) order, the
+// in arena. order is only read.
 func buildCSR(order []Triple) *csrIndex {
 	n := 0
 	for _, t := range order {
-		if int(t.S) >= n {
-			n = int(t.S) + 1
-		}
-		if int(t.P) >= n {
-			n = int(t.P) + 1
-		}
-		if int(t.O) >= n {
-			n = int(t.O) + 1
-		}
+		n = max(n, int(t.S)+1, int(t.P)+1, int(t.O)+1)
 	}
 	c := &csrIndex{
-		n:       n,
-		outOff:  make([]uint32, n+1),
-		inOff:   make([]uint32, n+1),
-		predOff: make([]uint32, n+1),
+		n:         n,
+		outOff:    make([]uint32, n+1),
+		inOff:     make([]uint32, n+1),
+		predOff:   make([]uint32, n+1),
+		outArena:  make([]HalfEdge, len(order)),
+		inArena:   make([]HalfEdge, len(order)),
+		predArena: make([]Triple, len(order)),
 	}
-	scratch := append([]Triple(nil), order...)
-
-	// Out-adjacency: sort by (S, P, O), group by subject.
-	slices.SortFunc(scratch, func(a, b Triple) int { return cmp3(a.S, b.S, a.P, b.P, a.O, b.O) })
-	c.outArena = make([]HalfEdge, len(scratch))
-	for i, t := range scratch {
+	spo := order
+	if !slices.IsSortedFunc(spo, CompareSPO) {
+		spo = slices.Clone(order)
+		slices.SortFunc(spo, CompareSPO)
+	}
+	for i, t := range spo {
 		c.outArena[i] = HalfEdge{P: t.P, Other: t.O}
 		c.outOff[t.S+1]++
-	}
-	prefixSum(c.outOff)
-
-	// In-adjacency: sort by (O, P, S), group by object.
-	slices.SortFunc(scratch, func(a, b Triple) int { return cmp3(a.O, b.O, a.P, b.P, a.S, b.S) })
-	c.inArena = make([]HalfEdge, len(scratch))
-	for i, t := range scratch {
-		c.inArena[i] = HalfEdge{P: t.P, Other: t.S}
+		c.predOff[t.P+1]++
 		c.inOff[t.O+1]++
 	}
+	prefixSum(c.outOff)
+	prefixSum(c.predOff)
 	prefixSum(c.inOff)
 
-	// Predicate arena: sort by (P, S, O); the sorted scratch is the arena.
-	slices.SortFunc(scratch, func(a, b Triple) int { return cmp3(a.P, b.P, a.S, b.S, a.O, b.O) })
-	c.predArena = scratch
-	for _, t := range scratch {
-		c.predOff[t.P+1]++
+	next := make([]uint32, n) // where each group's next entry goes
+	copy(next, c.predOff)
+	for _, t := range spo {
+		c.predArena[next[t.P]] = t
+		next[t.P]++
 	}
-	prefixSum(c.predOff)
+	copy(next, c.inOff)
+	for _, t := range c.predArena {
+		c.inArena[next[t.O]] = HalfEdge{P: t.P, Other: t.S}
+		next[t.O]++
+	}
 
 	for v := 0; v < n; v++ {
 		if c.outOff[v+1] > c.outOff[v] || c.inOff[v+1] > c.inOff[v] {
@@ -88,14 +90,16 @@ func buildCSR(order []Triple) *csrIndex {
 	return c
 }
 
-func cmp3(a1, b1, a2, b2, a3, b3 ID) int {
+// CompareSPO orders triples by (S, P, O): the out arena's order, and the
+// order an EdgeSet lists its triples in.
+func CompareSPO(a, b Triple) int {
 	switch {
-	case a1 != b1:
-		return int(a1) - int(b1)
-	case a2 != b2:
-		return int(a2) - int(b2)
+	case a.S != b.S:
+		return int(a.S) - int(b.S)
+	case a.P != b.P:
+		return int(a.P) - int(b.P)
 	default:
-		return int(a3) - int(b3)
+		return int(a.O) - int(b.O)
 	}
 }
 
@@ -130,9 +134,15 @@ func (c *csrIndex) pred(p ID) []Triple {
 }
 
 // predRange narrows a (P, Other)-sorted adjacency run to the contiguous
-// sub-run labelled p via two hand-rolled binary searches (no closures, so
-// the hot path stays allocation-free).
+// sub-run labelled p.
 func predRange(hs []HalfEdge, p ID) []HalfEdge {
+	lo, hi := predBounds(hs, p)
+	return hs[lo:hi]
+}
+
+// predBounds returns the bounds of predRange's sub-run via two hand-rolled
+// binary searches (no closures, so the hot path stays allocation-free).
+func predBounds(hs []HalfEdge, p ID) (start, end int) {
 	lo, hi := 0, len(hs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -142,7 +152,7 @@ func predRange(hs []HalfEdge, p ID) []HalfEdge {
 			hi = mid
 		}
 	}
-	start := lo
+	start = lo
 	hi = len(hs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -152,5 +162,27 @@ func predRange(hs []HalfEdge, p ID) []HalfEdge {
 			hi = mid
 		}
 	}
-	return hs[start:lo]
+	return start, lo
+}
+
+// ordinal returns t's position in the out arena, if the index holds t.
+func (c *csrIndex) ordinal(t Triple) (int, bool) {
+	if int(t.S) >= c.n {
+		return 0, false
+	}
+	base := int(c.outOff[t.S])
+	run := c.outArena[base:c.outOff[t.S+1]]
+	lo, hi := predBounds(run, t.P)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if run[mid].Other < t.O {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(run) || run[lo] != (HalfEdge{P: t.P, Other: t.O}) {
+		return 0, false
+	}
+	return base + lo, true
 }

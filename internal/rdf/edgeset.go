@@ -1,0 +1,99 @@
+package rdf
+
+import (
+	"math/bits"
+	"slices"
+)
+
+// EdgeSet is a set of triples visible in one Snapshot: one bit per
+// ordinal of the pinned CSR generation, plus a sorted list of the members
+// that generation does not hold (every member, for a map-mode snapshot;
+// the delta's, for a live-updated one). Adding a triple of the base costs
+// a binary search and no memory, however often it is added — which is
+// what lets the matcher record the edges of 10⁵ matches of a pattern in
+// |E|/64 words. Not safe for concurrent use.
+type EdgeSet struct {
+	s     *Snapshot
+	bits  []uint64
+	extra []Triple // members without an ordinal; sorted and distinct up to clean
+	clean int
+}
+
+// NewEdgeSet returns an empty set of this snapshot's triples.
+func (s *Snapshot) NewEdgeSet() *EdgeSet {
+	e := &EdgeSet{s: s}
+	if s.gen != nil {
+		e.bits = make([]uint64, (len(s.gen.csr.outArena)+63)/64)
+	}
+	return e
+}
+
+// Of reports whether the set was taken over the same cut of the same
+// graph as s, so that its triples are exactly what s would show. A
+// map-mode snapshot is a live view, not a cut: never.
+func (e *EdgeSet) Of(s *Snapshot) bool {
+	return s.gen != nil && e.s.g == s.g && e.s.gen == s.gen && e.s.n == s.n
+}
+
+// Add puts t, a triple visible in the set's snapshot, into the set.
+func (e *EdgeSet) Add(t Triple) {
+	if i, ok := e.s.Ordinal(t); ok {
+		e.bits[i>>6] |= 1 << (i & 63)
+		return
+	}
+	e.extra = append(e.extra, t)
+	// Keep the list within twice its distinct size: a pattern can match
+	// the same few delta triples many thousands of times.
+	if len(e.extra) >= max(1024, 2*e.clean) {
+		e.normalize()
+	}
+}
+
+func (e *EdgeSet) normalize() {
+	if e.clean == len(e.extra) {
+		return
+	}
+	slices.SortFunc(e.extra, CompareSPO)
+	e.extra = slices.Compact(e.extra)
+	e.clean = len(e.extra)
+}
+
+// Union adds every member of o, a set over the same snapshot.
+func (e *EdgeSet) Union(o *EdgeSet) {
+	for i, w := range o.bits {
+		e.bits[i] |= w
+	}
+	e.extra = append(e.extra, o.extra...)
+}
+
+// Len returns the number of triples in the set.
+func (e *EdgeSet) Len() int {
+	e.normalize()
+	n := len(e.extra)
+	for _, w := range e.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Triples lists the set in (S, P, O) order, in a slice the caller owns.
+func (e *EdgeSet) Triples() []Triple {
+	out := make([]Triple, 0, e.Len())
+	extra := e.extra
+	var sub ID // subject whose out-run holds the ordinal at hand
+	for wi, w := range e.bits {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			c := e.s.gen.csr
+			for c.outOff[sub+1] <= uint32(i) {
+				sub++
+			}
+			t := Triple{S: sub, P: c.outArena[i].P, O: c.outArena[i].Other}
+			for len(extra) > 0 && CompareSPO(extra[0], t) < 0 {
+				out, extra = append(out, extra[0]), extra[1:]
+			}
+			out = append(out, t)
+		}
+	}
+	return append(out, extra...)
+}

@@ -53,7 +53,8 @@ const maxCompactDelta = 1 << 16
 //
 // The graph has two storage modes. While loading it keeps map-of-slices
 // indexes (adjacency and per-property), cheap to append to. Freeze
-// compiles those into an immutable CSR index — flat adjacency arenas with
+// compiles those into an immutable CSR index (NewFrozen builds a graph
+// in that form from a triple list, skipping the first mode) — flat adjacency arenas with
 // per-vertex offset tables, runs sorted by (P, Other) — and from then on
 // the graph is MVCC: each CSR build is a generation, Add appends to the
 // current generation's delta overlay (LSM-style), and Compact builds the
@@ -126,6 +127,28 @@ func NewGraph(d *Dict) *Graph {
 		in:      make(map[ID][]HalfEdge),
 		byPred:  make(map[ID][]Triple),
 	}
+}
+
+// NewFrozen returns a frozen graph holding the given triples, as
+// NewGraph, Add of each in turn and Freeze would build it (a repeated
+// triple counts once, at its first position) but without the map-mode
+// indexes ever existing. The slice belongs to the graph afterwards.
+func NewFrozen(d *Dict, triples []Triple) *Graph {
+	if d == nil {
+		d = NewDict()
+	}
+	g := &Graph{Dict: d, triples: make(map[Triple]struct{}, len(triples))}
+	g.order = triples[:0]
+	for _, t := range triples {
+		if _, dup := g.triples[t]; !dup {
+			g.triples[t] = struct{}{}
+			g.order = append(g.order, t)
+		}
+	}
+	g.liveCount.Store(int64(len(g.order)))
+	g.epoch.Store(uint64(len(g.order))) // where that many Adds leave it
+	g.installGeneration(buildCSR(g.order))
+	return g
 }
 
 // Add inserts a triple; duplicates are ignored. It reports whether the

@@ -198,8 +198,7 @@ func (s *Snapshot) Has(t Triple) bool {
 		return ok
 	}
 	key := HalfEdge{P: t.P, Other: t.O}
-	base := predRange(s.gen.csr.out(t.S), t.P)
-	_, basePresent := slices.BinarySearchFunc(base, key, CompareHalf)
+	_, basePresent := s.gen.csr.ordinal(t)
 	if s.n == 0 {
 		return basePresent
 	}
@@ -209,6 +208,21 @@ func (s *Snapshot) Has(t Triple) bool {
 	}
 	tombVis, tombSeq := maxVisibleSeqHalf(predRangeDeltaHalf(loadHalfRun(&s.gen.delta.tombOut, t.S), t.P), key, s.n)
 	return VisibleKey(basePresent, insVis, insSeq, tombVis, tombSeq)
+}
+
+// Ordinal returns t's position in the (S, P, O) order of the pinned CSR
+// generation, if t is one of its triples and visible in this snapshot.
+// A triple the snapshot sees only through its delta, or not at all, and
+// any triple of a map-mode snapshot, has no ordinal.
+func (s *Snapshot) Ordinal(t Triple) (int, bool) {
+	if s.gen == nil {
+		return 0, false
+	}
+	i, ok := s.gen.csr.ordinal(t)
+	if ok && s.ops != nil && !s.Has(t) {
+		return 0, false
+	}
+	return i, ok
 }
 
 // OutEdges2 returns the outgoing (P, Other) adjacency of vertex v as

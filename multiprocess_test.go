@@ -10,7 +10,9 @@ package rdffrag
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -18,16 +20,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rdffrag/internal/rdf"
+	"rdffrag/internal/watdiv"
 )
 
 // startSiteProc spawns `rdffrag site` on addr and waits for its
-// machine-readable listen line, returning the resolved host:port.
-func startSiteProc(t *testing.T, bin, data, wl, addr string) (*exec.Cmd, string) {
+// machine-readable listen line, returning the resolved host:port. flags
+// come after the defaults (vertical, 2 sites, minsup 0.2) and override
+// them.
+func startSiteProc(t *testing.T, bin, data, wl, addr string, flags ...string) (*exec.Cmd, string) {
 	t.Helper()
-	cmd := exec.Command(bin, "site",
+	cmd := exec.Command(bin, append([]string{"site",
 		"-data", data, "-workload", wl,
 		"-strategy", "vertical", "-sites", "2", "-minsup", "0.2",
-		"-addr", addr)
+		"-addr", addr}, flags...)...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -171,5 +178,105 @@ func TestMultiProcessSites(t *testing.T) {
 	}
 	if opens == 0 {
 		t.Error("no breaker opened across the kill/restart cycle")
+	}
+}
+
+// TestMultiProcessSitesHorizontal: under horizontal fragmentation the
+// control process and a site process, each mining and fragmenting the
+// same files on its own, must cut every pattern by the same minterms —
+// the control routes a query to fragment IDs and prunes by its own
+// minterm table, and the site answers from whatever it built under those
+// IDs. Every site is served by the other process, so each of a few
+// hundred constant-carrying template queries is answered from the site
+// process's fragments and compared with the control's own.
+func TestMultiProcessSitesHorizontal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes; skipped in -short mode")
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "rdffrag")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/rdffrag").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	ds := watdiv.Generate(watdiv.Options{Triples: 20000, Seed: 1})
+	var data bytes.Buffer
+	if err := rdf.WriteNTriples(ds.Graph, &data); err != nil {
+		t.Fatal(err)
+	}
+	texts := func(n int, seed uint64) []string {
+		qs, err := ds.GenerateWorkload(n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(qs))
+		for i, q := range qs {
+			out[i] = fmt.Sprintf("SELECT * WHERE { %s }", q.StringWithDict(ds.Graph.Dict))
+		}
+		return out
+	}
+	design, probes := texts(400, 1), texts(200, 7)
+	dataPath := filepath.Join(tmp, "data.nt")
+	wlPath := filepath.Join(tmp, "workload.rq")
+	if err := os.WriteFile(dataPath, data.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wlPath, []byte(strings.Join(design, "\n---\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The control loads the files, as the site process does, so that the
+	// two dictionaries agree.
+	db := Open(Config{Strategy: Horizontal, Sites: 4, MinSupport: 0.01})
+	if _, err := db.LoadNTriples(bytes.NewReader(data.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	dep, err := db.Deploy(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minterms := 0
+	for _, f := range dep.frag.Fragments {
+		if f.Minterm != nil {
+			minterms++
+		}
+	}
+	if minterms == 0 {
+		t.Fatal("no minterm fragment: the fixture does not exercise horizontal fragmentation")
+	}
+
+	// The control's own answers, before StartServer re-homes its sites.
+	want := make([]*Result, len(probes))
+	nonEmpty := 0
+	for i, q := range probes {
+		if want[i], err = dep.Query(q); err != nil {
+			t.Fatalf("probe %d in process: %v", i, err)
+		}
+		if len(want[i].Rows) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < len(probes)/4 {
+		t.Fatalf("only %d of %d probes have answers; the comparison proves little", nonEmpty, len(probes))
+	}
+
+	_, addr := startSiteProc(t, bin, dataPath, wlPath, "127.0.0.1:0",
+		"-strategy", "horizontal", "-sites", "4", "-minsup", "0.01")
+	srv := dep.StartServer(ServerConfig{
+		Remote: RemoteConfig{
+			Sites: allRemote(dep, "http://"+addr), Retries: 2, Backoff: 5 * time.Millisecond,
+			FrameTimeout: 10 * time.Second,
+		},
+	})
+	defer srv.Close()
+	for i, q := range probes {
+		got, err := srv.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("probe %d via the site process: %v", i, err)
+		}
+		if got.Stats.Partial || !sameRows(got.Rows, want[i].Rows) {
+			t.Fatalf("probe %d %s: %d rows via the site process (partial %v), %d in process",
+				i, q, len(got.Rows), got.Stats.Partial, len(want[i].Rows))
+		}
 	}
 }
