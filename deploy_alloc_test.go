@@ -9,10 +9,12 @@ import (
 // TestDeployTotalAlloc bounds what the offline pipeline allocates on the
 // 50 000-triple WatDiv fixture (44 420 triples, 400 design queries).
 // Matching each pattern once into a bitmap and building fragments frozen
-// took it from 272.9 MB (vertical) and 322.6 MB (horizontal) to the
-// figures below; the ceilings are those plus 25 %. A matched graph built
-// through the map-mode Add, a second match per selected pattern or a
-// per-match bucket each put it back over. What is left is mostly the
+// took it from 272.9 MB (vertical) and 322.6 MB (horizontal) to 48.9 and
+// 102.3 MB; fragment graphs that allocate no membership map and one
+// build-time offset table instead of four, to the figures below. The
+// ceilings are those plus 25 %. A matched graph built through the
+// map-mode Add, a second match per selected pattern or a per-match bucket
+// each put it back over. What is left is mostly the
 // workload side — embeddings enumerated by allocation and the data
 // dictionary — which does not grow with the graph.
 func TestDeployTotalAlloc(t *testing.T) {
@@ -45,6 +47,45 @@ func TestDeployTotalAlloc(t *testing.T) {
 
 // What Deploy measured when the ceilings were set.
 const (
-	deployAllocVertical   = 48_900_000
-	deployAllocHorizontal = 102_300_000
+	deployAllocVertical   = 40_700_000
+	deployAllocHorizontal = 87_400_000
+)
+
+// TestDeployLiveHeap bounds what a deployment keeps, on the same fixture:
+// the heap still live after a collection with the loaded graph and the
+// Deployment reachable. With an offset table entry per dictionary ID in
+// every fragment graph and a membership map beside every CSR it was
+// 24.0 MB (vertical) and 31.1 MB (horizontal); graphs sized by their
+// triples keep the figures below, and the ceilings are those plus 25 %.
+func TestDeployLiveHeap(t *testing.T) {
+	for strategy, ceiling := range map[Strategy]uint64{
+		Vertical:   deployLiveVertical * 5 / 4,
+		Horizontal: deployLiveHorizontal * 5 / 4,
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db, _, workload := watdivDB(t, 50000, Config{Strategy: strategy})
+		db.graph.Freeze()
+		dep, err := db.DeployParsed(workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workload = nil
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live := after.HeapAlloc - min(before.HeapAlloc, after.HeapAlloc)
+		t.Logf("%s: a loaded graph and its deployment keep %.1f MB (ceiling %.1f)", strategy, float64(live)/1e6, float64(ceiling)/1e6)
+		if live > ceiling {
+			t.Errorf("%s: %d B live, want <= %d", strategy, live, ceiling)
+		}
+		runtime.KeepAlive(db)
+		runtime.KeepAlive(dep)
+	}
+}
+
+// What stayed live when the ceilings were set.
+const (
+	deployLiveVertical   = 13_400_000
+	deployLiveHorizontal = 13_900_000
 )

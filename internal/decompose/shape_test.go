@@ -351,7 +351,7 @@ func TestShapeHitPlansWithLiveEstimates(t *testing.T) {
 	for _, sq := range before.Subqueries {
 		for _, e := range sq.Relevant {
 			g := e.Fragment.Graph
-			for i, n := 0, g.LiveTriples(); i < n; i++ {
+			for i, n := 0, g.NumTriples(); i < n; i++ {
 				g.Add(rdf.Triple{
 					S: env.G.Dict.MustIRI(fmt.Sprintf("wsdbm:NewUser%d", i)),
 					P: follows,

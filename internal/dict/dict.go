@@ -119,7 +119,7 @@ func liveRatio(g *rdf.Graph, buildSize int) float64 {
 	if g == nil || buildSize <= 0 {
 		return 1
 	}
-	return float64(g.LiveTriples()) / float64(buildSize)
+	return float64(g.NumTriples()) / float64(buildSize)
 }
 
 // Entries returns all dictionary entries.

@@ -1,6 +1,9 @@
 package rdf
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // csrIndex is the frozen storage engine: the graph compiled into
 // compressed-sparse-row form. Adjacency lives in two flat []HalfEdge
@@ -18,11 +21,9 @@ import "slices"
 // mutable delta side-index (delta.go) instead, and Compact rebuilds this
 // index with the delta folded in.
 type csrIndex struct {
-	n int // ID-space bound: every S/P/O in the graph is < n
-
-	outOff    []uint32   // len n+1; outArena[outOff[v]:outOff[v+1]] = out-edges of v
-	inOff     []uint32   // len n+1; inArena[inOff[v]:inOff[v+1]] = in-edges of v
-	predOff   []uint32   // len n+1; predArena[predOff[p]:predOff[p+1]] = triples labelled p
+	outRuns   runIndex   // subject -> its run of outArena
+	inRuns    runIndex   // object -> its run of inArena
+	predRuns  runIndex   // predicate -> its run of predArena
 	outArena  []HalfEdge // grouped by S, each group sorted by (P, Other)
 	inArena   []HalfEdge // grouped by O, each group sorted by (P, Other)
 	predArena []Triple   // sorted by (P, S, O)
@@ -31,23 +32,95 @@ type csrIndex struct {
 	verts []ID // distinct vertices (subjects ∪ objects), ascending
 }
 
+// runIndex says where in an arena each ID's run lies, in space that grows
+// with the IDs that have one rather than with the ID space: a bitmap over
+// the IDs up to the largest with a run (a rankWord per 64, two bits an
+// ID), and the run bounds of only the IDs whose bit is set, in ID order.
+// The zero value has no runs.
+type runIndex struct {
+	words []rankWord
+	off   []uint32 // arena[off[k]:off[k+1]] is the run of the k-th smallest ID with one
+}
+
+// rankWord is 64 IDs' worth of bitmap beside the number of set bits in
+// the words before it, so that a lookup reads the two from one cache line.
+type rankWord struct {
+	bits uint64
+	rank uint32
+}
+
+// newRunIndex compacts a dense offset table (ID v's run is
+// arena[dense[v]:dense[v+1]]) down to the IDs whose run is not empty.
+func newRunIndex(dense []uint32) runIndex {
+	runs, last := 0, -1
+	for v := 0; v+1 < len(dense); v++ {
+		if dense[v+1] > dense[v] {
+			runs, last = runs+1, v
+		}
+	}
+	if runs == 0 {
+		return runIndex{}
+	}
+	x := runIndex{words: make([]rankWord, last>>6+1), off: make([]uint32, 0, runs+1)}
+	for v := 0; v <= last; v++ {
+		if v&63 == 0 {
+			x.words[v>>6].rank = uint32(len(x.off))
+		}
+		if dense[v+1] > dense[v] {
+			x.words[v>>6].bits |= 1 << (v & 63)
+			x.off = append(x.off, dense[v])
+		}
+	}
+	x.off = append(x.off, dense[last+1])
+	return x
+}
+
+// run returns the bounds of v's run; of an empty one if v has none.
+func (x *runIndex) run(v ID) (lo, hi uint32) {
+	if w := v >> 6; w < ID(len(x.words)) {
+		// v's bit moved to the top: the sign says whether v has a run, and
+		// the ones counted are v and the IDs of the word below it.
+		if s := x.words[w].bits << (63 - v&63); int64(s) < 0 {
+			k := x.words[w].rank + uint32(bits.OnesCount64(s))
+			return x.off[k-1], x.off[k]
+		}
+	}
+	return 0, 0
+}
+
+// keys lists, ascending, the IDs that have a run in x or in y.
+func keys(x, y runIndex) []ID {
+	var ids []ID
+	for w := 0; w < max(len(x.words), len(y.words)); w++ {
+		var b uint64
+		if w < len(x.words) {
+			b = x.words[w].bits
+		}
+		if w < len(y.words) {
+			b |= y.words[w].bits
+		}
+		for ; b != 0; b &= b - 1 {
+			ids = append(ids, ID(w<<6+bits.TrailingZeros64(b)))
+		}
+	}
+	return ids
+}
+
 // buildCSR compiles a list of distinct triples. The list is sorted once,
 // to (S, P, O) — not even that when it arrives sorted, as a matched edge
 // set's triples do — which is the out arena. The other two arenas are two
-// stable counting passes over the offset tables: grouping the (S, P, O)
-// list by P leaves each predicate's run in (S, O) order, the predicate
-// arena; grouping that by O leaves each object's run in (P, S) order, the
-// in arena. order is only read.
+// stable counting passes: grouping the (S, P, O) list by P leaves each
+// predicate's run in (S, O) order, the predicate arena; grouping that by O
+// leaves each object's run in (P, S) order, the in arena. Each grouping
+// counts into one dense table over the ID space, which lives only until
+// buildCSR returns: what the index keeps of it is a runIndex. order is
+// only read.
 func buildCSR(order []Triple) *csrIndex {
 	n := 0
 	for _, t := range order {
 		n = max(n, int(t.S)+1, int(t.P)+1, int(t.O)+1)
 	}
 	c := &csrIndex{
-		n:         n,
-		outOff:    make([]uint32, n+1),
-		inOff:     make([]uint32, n+1),
-		predOff:   make([]uint32, n+1),
 		outArena:  make([]HalfEdge, len(order)),
 		inArena:   make([]HalfEdge, len(order)),
 		predArena: make([]Triple, len(order)),
@@ -57,36 +130,40 @@ func buildCSR(order []Triple) *csrIndex {
 		spo = slices.Clone(order)
 		slices.SortFunc(spo, CompareSPO)
 	}
+	// dense is each grouping's offset table in turn, and then, a group's
+	// entry moving up as the group fills, where its next member goes.
+	dense := make([]uint32, n+1)
 	for i, t := range spo {
 		c.outArena[i] = HalfEdge{P: t.P, Other: t.O}
-		c.outOff[t.S+1]++
-		c.predOff[t.P+1]++
-		c.inOff[t.O+1]++
+		dense[t.S+1]++
 	}
-	prefixSum(c.outOff)
-	prefixSum(c.predOff)
-	prefixSum(c.inOff)
+	prefixSum(dense)
+	c.outRuns = newRunIndex(dense)
 
-	next := make([]uint32, n) // where each group's next entry goes
-	copy(next, c.predOff)
+	clear(dense)
 	for _, t := range spo {
-		c.predArena[next[t.P]] = t
-		next[t.P]++
+		dense[t.P+1]++
 	}
-	copy(next, c.inOff)
-	for _, t := range c.predArena {
-		c.inArena[next[t.O]] = HalfEdge{P: t.P, Other: t.S}
-		next[t.O]++
+	prefixSum(dense)
+	c.predRuns = newRunIndex(dense)
+	for _, t := range spo {
+		c.predArena[dense[t.P]] = t
+		dense[t.P]++
 	}
 
-	for v := 0; v < n; v++ {
-		if c.outOff[v+1] > c.outOff[v] || c.inOff[v+1] > c.inOff[v] {
-			c.verts = append(c.verts, ID(v))
-		}
-		if c.predOff[v+1] > c.predOff[v] {
-			c.preds = append(c.preds, ID(v))
-		}
+	clear(dense)
+	for _, t := range spo {
+		dense[t.O+1]++
 	}
+	prefixSum(dense)
+	c.inRuns = newRunIndex(dense)
+	for _, t := range c.predArena {
+		c.inArena[dense[t.O]] = HalfEdge{P: t.P, Other: t.S}
+		dense[t.O]++
+	}
+
+	c.preds = keys(c.predRuns, runIndex{})
+	c.verts = keys(c.outRuns, c.inRuns)
 	return c
 }
 
@@ -111,26 +188,20 @@ func prefixSum(off []uint32) {
 
 // out returns vertex v's run of the out arena (empty if v is unknown).
 func (c *csrIndex) out(v ID) []HalfEdge {
-	if int(v) >= c.n {
-		return nil
-	}
-	return c.outArena[c.outOff[v]:c.outOff[v+1]]
+	lo, hi := c.outRuns.run(v)
+	return c.outArena[lo:hi]
 }
 
 // in returns vertex v's run of the in arena.
 func (c *csrIndex) in(v ID) []HalfEdge {
-	if int(v) >= c.n {
-		return nil
-	}
-	return c.inArena[c.inOff[v]:c.inOff[v+1]]
+	lo, hi := c.inRuns.run(v)
+	return c.inArena[lo:hi]
 }
 
 // pred returns predicate p's run of the triple arena.
 func (c *csrIndex) pred(p ID) []Triple {
-	if int(p) >= c.n {
-		return nil
-	}
-	return c.predArena[c.predOff[p]:c.predOff[p+1]]
+	lo, hi := c.predRuns.run(p)
+	return c.predArena[lo:hi]
 }
 
 // predRange narrows a (P, Other)-sorted adjacency run to the contiguous
@@ -167,11 +238,8 @@ func predBounds(hs []HalfEdge, p ID) (start, end int) {
 
 // ordinal returns t's position in the out arena, if the index holds t.
 func (c *csrIndex) ordinal(t Triple) (int, bool) {
-	if int(t.S) >= c.n {
-		return 0, false
-	}
-	base := int(c.outOff[t.S])
-	run := c.outArena[base:c.outOff[t.S+1]]
+	base, end := c.outRuns.run(t.S)
+	run := c.outArena[base:end]
 	lo, hi := predBounds(run, t.P)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -184,5 +252,5 @@ func (c *csrIndex) ordinal(t Triple) (int, bool) {
 	if lo == len(run) || run[lo] != (HalfEdge{P: t.P, Other: t.O}) {
 		return 0, false
 	}
-	return base + lo, true
+	return int(base) + lo, true
 }

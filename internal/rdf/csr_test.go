@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -224,6 +225,71 @@ func TestFrozenReadZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("frozen accessors allocate %.1f per run, want 0", allocs)
 	}
+}
+
+// TestFrozenWriterZeroAllocs: membership asked of the generation costs the
+// writer no allocation — Has, an Add of a triple already there and a
+// Delete of one that is not, with inserts and tombstones in the delta.
+func TestFrozenWriterZeroAllocs(t *testing.T) {
+	ts := randomTriples(13, 200, 12, 6)
+	for i := range ts { // past the integers an interface holds for free
+		ts[i] = Triple{S: ts[i].S + 1000, P: ts[i].P + 1000, O: ts[i].O + 1000}
+	}
+	g := NewFrozen(nil, ts)
+	g.SetAutoCompact(-1)
+	live := slices.Clone(g.Triples())
+	inBase, inDelta, reinserted := live[0], Triple{S: 1003, P: 1013, O: 2000}, live[2]
+	tombstoned, absent := live[1], Triple{S: 1003, P: 1013, O: 2001}
+	g.Add(inDelta)
+	g.Delete(tombstoned)
+	g.Delete(reinserted)
+	g.Add(reinserted)
+	if g.DeltaLen() != 4 || g.DeltaTombstones() != 2 {
+		t.Fatalf("setup: delta %d, tombstones %d", g.DeltaLen(), g.DeltaTombstones())
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, tr := range []Triple{inBase, inDelta, reinserted} {
+			if !g.Has(tr) || g.Add(tr) {
+				t.Fatalf("%v is present", tr)
+			}
+		}
+		for _, tr := range []Triple{tombstoned, absent} {
+			if g.Has(tr) || g.Delete(tr) {
+				t.Fatalf("%v is absent", tr)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Has, a duplicate Add and an absent Delete allocate %.1f per run, want 0", allocs)
+	}
+	if g.DeltaLen() != 4 {
+		t.Fatalf("the no-op writes grew the delta to %d", g.DeltaLen())
+	}
+}
+
+// TestFrozenBytesPerTriple: what a frozen graph retains grows with its
+// triples, not with the IDs they reach. 1 000 triples spread over 1<<20
+// IDs kept 12 MB of dense offset tables and a membership map.
+func TestFrozenBytesPerTriple(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	ts := make([]Triple, 1000)
+	for i := range ts {
+		ts[i] = Triple{S: ID(r.Intn(1 << 20)), P: ID(r.Intn(1 << 20)), O: ID(r.Intn(1 << 20))}
+	}
+	ts[0].O = 1<<20 - 1
+	d := NewDict()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := NewFrozen(d, ts)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("a frozen graph of %d triples over 1<<20 IDs retains %d KB", g.NumTriples(), retained>>10)
+	if retained >= 1<<20 {
+		t.Errorf("retains %d B, want < 1 MB", retained)
+	}
+	runtime.KeepAlive(g)
 }
 
 func TestFreezeEmptyGraph(t *testing.T) {

@@ -80,13 +80,24 @@ func (e *EdgeSet) Len() int {
 func (e *EdgeSet) Triples() []Triple {
 	out := make([]Triple, 0, e.Len())
 	extra := e.extra
-	var sub ID // subject whose out-run holds the ordinal at hand
+	// The subjects are the vertices with an out run, in the same order:
+	// sub is the one whose run, ending at end, holds the ordinal at hand.
+	var (
+		c     *csrIndex
+		verts []ID
+		sub   ID
+		end   uint32
+	)
+	if e.s.gen != nil {
+		c = e.s.gen.csr
+		verts = c.verts
+	}
 	for wi, w := range e.bits {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)
-			c := e.s.gen.csr
-			for c.outOff[sub+1] <= uint32(i) {
-				sub++
+			for end <= uint32(i) {
+				sub, verts = verts[0], verts[1:]
+				_, end = c.outRuns.run(sub)
 			}
 			t := Triple{S: sub, P: c.outArena[i].P, O: c.outArena[i].Other}
 			for len(extra) > 0 && CompareSPO(extra[0], t) < 0 {

@@ -1,22 +1,28 @@
 package rdf
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// buildCSRThreeSorts is buildCSR as it was: one scratch copy comparison-
-// sorted three ways, once per arena. Kept as the oracle the one-sort,
-// two-counting-pass build must equal arena for arena.
-func buildCSRThreeSorts(order []Triple) *csrIndex {
+// denseCSR is the CSR as it was laid out: three arenas, each comparison-
+// sorted on its own, under offset tables with an entry per ID. Kept as the
+// oracle the one-sort, two-counting-pass build and its run indexes must
+// answer like, ID for ID.
+type denseCSR struct {
+	outOff, inOff, predOff []uint32
+	outArena, inArena      []HalfEdge
+	predArena              []Triple
+	preds, verts           []ID
+}
+
+func buildCSRThreeSorts(order []Triple) *denseCSR {
 	n := 0
 	for _, t := range order {
 		n = max(n, int(t.S)+1, int(t.P)+1, int(t.O)+1)
 	}
-	c := &csrIndex{
-		n:       n,
+	c := &denseCSR{
 		outOff:  make([]uint32, n+1),
 		inOff:   make([]uint32, n+1),
 		predOff: make([]uint32, n+1),
@@ -67,6 +73,14 @@ func buildCSRThreeSorts(order []Triple) *csrIndex {
 	return c
 }
 
+// denseRun is a run lookup in a dense offset table, empty past its end.
+func denseRun[T any](arena []T, off []uint32, v ID) []T {
+	if int64(v)+1 >= int64(len(off)) {
+		return nil
+	}
+	return arena[off[v]:off[v+1]]
+}
+
 func distinct(ts []Triple) []Triple {
 	seen := make(map[Triple]bool)
 	var out []Triple
@@ -87,12 +101,31 @@ func TestBuildCSREqualsThreeSortBuild(t *testing.T) {
 		if !slices.Equal(order, before) {
 			t.Errorf("%s: buildCSR reordered its input", name)
 		}
-		if len(order) == 0 { // make([]T, 0) and nil are the same arena
-			got.outArena, got.inArena, got.predArena = nil, nil, nil
-			want.outArena, want.inArena, want.predArena = nil, nil, nil
+		bad := func(what string, v ID) {
+			t.Helper()
+			t.Errorf("%s (%d triples): %s of ID %d differs from the three-sort build", name, len(order), what, v)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s (%d triples): the one-sort build differs from the three-sort build", name, len(order))
+		if !slices.Equal(got.verts, want.verts) || !slices.Equal(got.preds, want.preds) {
+			t.Errorf("%s (%d triples): verts or preds differ from the three-sort build", name, len(order))
+		}
+		for v := ID(0); int(v) < len(want.outOff)+65; v++ {
+			if !slices.Equal(got.out(v), denseRun(want.outArena, want.outOff, v)) {
+				bad("the out run", v)
+			}
+			if !slices.Equal(got.in(v), denseRun(want.inArena, want.inOff, v)) {
+				bad("the in run", v)
+			}
+			if !slices.Equal(got.pred(v), denseRun(want.predArena, want.predOff, v)) {
+				bad("the predicate run", v)
+			}
+			for j, h := range denseRun(want.outArena, want.outOff, v) {
+				if i, ok := got.ordinal(Triple{S: v, P: h.P, O: h.Other}); !ok || i != int(want.outOff[v])+j {
+					bad("a triple's ordinal", v)
+				}
+			}
+			if _, ok := got.ordinal(Triple{S: v, P: 1 << 30, O: 0}); ok {
+				bad("an absent triple's ordinal", v)
+			}
 		}
 	}
 	check("empty", nil)
@@ -226,7 +259,7 @@ func TestNewFrozenEqualsAddFreeze(t *testing.T) {
 			defer gs.Close()
 			defer ws.Close()
 			ok := got.Frozen() && slices.Equal(got.Triples(), want.Triples()) &&
-				got.NumTriples() == want.NumTriples() && got.LiveTriples() == want.LiveTriples() &&
+				got.NumTriples() == want.NumTriples() &&
 				got.Epoch() == want.Epoch() && got.DeltaLen() == want.DeltaLen() &&
 				slices.Equal(gs.Triples(), ws.Triples()) &&
 				slices.Equal(gs.Vertices(), ws.Vertices()) && slices.Equal(gs.Predicates(), ws.Predicates())

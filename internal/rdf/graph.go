@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -51,14 +50,17 @@ const maxCompactDelta = 1 << 16
 // Graph is an in-memory RDF graph (Definition 1): vertices are all subjects
 // and objects, directed edges are triples labelled by property.
 //
-// The graph has two storage modes. While loading it keeps map-of-slices
+// While loading, the graph keeps a membership map and map-of-slices
 // indexes (adjacency and per-property), cheap to append to. Freeze
-// compiles those into an immutable CSR index (NewFrozen builds a graph
-// in that form from a triple list, skipping the first mode) — flat adjacency arenas with
-// per-vertex offset tables, runs sorted by (P, Other) — and from then on
-// the graph is MVCC: each CSR build is a generation, Add appends to the
-// current generation's delta overlay (LSM-style), and Compact builds the
-// next generation off to the side and swaps it in atomically.
+// compiles the triple list into an immutable CSR index and releases all
+// four maps (NewFrozen builds a graph in that form from a triple list, the
+// maps never existing): flat adjacency arenas, runs sorted by (P, Other),
+// found through run indexes sized by the IDs the graph uses. A frozen
+// graph is those arenas and its triple list, nothing per triple besides.
+// From then on the graph is MVCC: each CSR build is a generation, Add
+// appends to the current generation's delta overlay (LSM-style), and
+// Compact builds the next generation off to the side and swaps it in
+// atomically.
 //
 // All reads go through Snapshot, an immutable view pinning a
 // (generation, delta length) pair: a frozen graph supports one writer
@@ -70,8 +72,7 @@ const maxCompactDelta = 1 << 16
 type Graph struct {
 	Dict *Dict
 
-	triples map[Triple]struct{}
-	order   []Triple // insertion order, for deterministic iteration (writer-owned)
+	order []Triple // insertion order, for deterministic iteration (writer-owned)
 
 	// staleOrder counts occurrences in order that are no longer live
 	// (deleted, or superseded by a later re-insert). Frozen-mode deletes
@@ -84,15 +85,16 @@ type Graph struct {
 	liveOrder   []Triple
 	liveOrderAt uint64
 
-	// liveCount mirrors len(triples) through an atomic so concurrent
-	// readers (planner cardinality scaling) can read the live size while
-	// the writer mutates.
+	// liveCount is the number of live triples, an atomic so concurrent
+	// readers (planner cardinality scaling) can read it while the writer
+	// mutates.
 	liveCount atomic.Int64
 
-	// Map-mode indexes; nil while frozen.
-	out    map[ID][]HalfEdge // subject -> (P,O)
-	in     map[ID][]HalfEdge // object  -> (P,S)
-	byPred map[ID][]Triple   // property -> triples
+	// Map-mode membership and indexes; nil once frozen.
+	triples map[Triple]struct{}
+	out     map[ID][]HalfEdge // subject -> (P,O)
+	in      map[ID][]HalfEdge // object  -> (P,S)
+	byPred  map[ID][]Triple   // property -> triples
 
 	// gen is the current CSR generation; nil in map mode. Swapped
 	// atomically by Freeze/Compact; snapshot readers load it lock-free.
@@ -132,23 +134,36 @@ func NewGraph(d *Dict) *Graph {
 // NewFrozen returns a frozen graph holding the given triples, as
 // NewGraph, Add of each in turn and Freeze would build it (a repeated
 // triple counts once, at its first position) but without the map-mode
-// indexes ever existing. The slice belongs to the graph afterwards.
+// maps ever existing. The slice belongs to the graph afterwards.
 func NewFrozen(d *Dict, triples []Triple) *Graph {
 	if d == nil {
 		d = NewDict()
 	}
-	g := &Graph{Dict: d, triples: make(map[Triple]struct{}, len(triples))}
-	g.order = triples[:0]
-	for _, t := range triples {
-		if _, dup := g.triples[t]; !dup {
-			g.triples[t] = struct{}{}
-			g.order = append(g.order, t)
-		}
-	}
+	g := &Graph{Dict: d, order: firstOccurrences(triples)}
 	g.liveCount.Store(int64(len(g.order)))
 	g.epoch.Store(uint64(len(g.order))) // where that many Adds leave it
 	g.installGeneration(buildCSR(g.order))
 	return g
+}
+
+// firstOccurrences drops, in place, every repeat of a triple.
+func firstOccurrences(ts []Triple) []Triple {
+	ascending := true
+	for i := 1; i < len(ts) && ascending; i++ {
+		ascending = CompareSPO(ts[i-1], ts[i]) < 0
+	}
+	if ascending { // as an edge set lists its triples: nothing repeats
+		return ts
+	}
+	seen := make(map[Triple]struct{}, len(ts))
+	out := ts[:0]
+	for _, t := range ts {
+		if _, dup := seen[t]; !dup {
+			seen[t] = struct{}{}
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // Add inserts a triple; duplicates are ignored. It reports whether the
@@ -157,10 +172,9 @@ func NewFrozen(d *Dict, triples []Triple) *Graph {
 // and becomes visible to snapshots taken after Add returns; snapshots
 // already pinned never see it.
 func (g *Graph) Add(t Triple) bool {
-	if _, ok := g.triples[t]; ok {
+	if g.Has(t) {
 		return false
 	}
-	g.triples[t] = struct{}{}
 	g.order = append(g.order, t)
 	g.liveCount.Add(1)
 	if gen := g.gen.Load(); gen != nil {
@@ -180,6 +194,7 @@ func (g *Graph) Add(t Triple) bool {
 		}
 		return true
 	}
+	g.triples[t] = struct{}{}
 	g.out[t.S] = append(g.out[t.S], HalfEdge{P: t.P, Other: t.O})
 	g.in[t.O] = append(g.in[t.O], HalfEdge{P: t.P, Other: t.S})
 	g.byPred[t.P] = append(g.byPred[t.P], t)
@@ -195,10 +210,9 @@ func (g *Graph) Add(t Triple) bool {
 // Compact folds the tombstone away when it rebuilds the CSR. Writer-side,
 // like Add.
 func (g *Graph) Delete(t Triple) bool {
-	if _, ok := g.triples[t]; !ok {
+	if !g.Has(t) {
 		return false
 	}
-	delete(g.triples, t)
 	g.liveCount.Add(-1)
 	if gen := g.gen.Load(); gen != nil {
 		g.staleOrder++
@@ -215,6 +229,7 @@ func (g *Graph) Delete(t Triple) bool {
 	}
 	// Map mode: splice the triple out of every index (old contract — no
 	// readers concurrent with mutation).
+	delete(g.triples, t)
 	g.order = spliceTriple(g.order, t)
 	if run := spliceHalf(g.out[t.S], HalfEdge{P: t.P, Other: t.O}); len(run) > 0 {
 		g.out[t.S] = run
@@ -263,7 +278,7 @@ func (g *Graph) AddTerms(s, p, o Term) Triple {
 }
 
 // Freeze compiles the graph into its immutable CSR form (the first
-// generation) and releases the map indexes. Idempotent; call after bulk
+// generation) and releases the maps. Idempotent; call after bulk
 // loading and before issuing queries. On an already-frozen graph
 // carrying a delta it compacts, so Freeze always leaves a pure CSR
 // behind.
@@ -273,7 +288,7 @@ func (g *Graph) Freeze() {
 		return
 	}
 	g.installGeneration(buildCSR(g.order))
-	g.out, g.in, g.byPred = nil, nil, nil
+	g.triples, g.out, g.in, g.byPred = nil, nil, nil, nil
 }
 
 // installGeneration publishes a freshly built CSR as the new current
@@ -429,23 +444,25 @@ func (g *Graph) compactOrder() {
 	g.staleOrder = 0
 }
 
-// Has reports whether the triple is present. Writer-side: it reads the
-// live triple set, so it must not race Add; concurrent readers use
+// Has reports whether the triple is present, as the writer sees it: once
+// frozen it asks the current generation — its CSR, then its delta up to
+// the last write — as a snapshot taken now would, without allocating.
+// Writer-side, so it must not race Add; concurrent readers use
 // Snapshot.Has.
 func (g *Graph) Has(t Triple) bool {
-	_, ok := g.triples[t]
-	return ok
+	gen := g.gen.Load()
+	if gen == nil {
+		_, ok := g.triples[t]
+		return ok
+	}
+	return gen.has(t, uint32(gen.delta.n.Load()), gen.delta.dels.Load() > 0)
 }
 
-// NumTriples returns |E(G)| as the writer sees it: live triples only
-// (adds included, deletes excluded).
-func (g *Graph) NumTriples() int { return len(g.triples) }
-
-// LiveTriples returns the live triple count through an atomic counter,
-// safe to read concurrently with the writer (unlike NumTriples, which
-// reads the writer-owned map). Planner-side cardinality scaling reads it
-// while updates land.
-func (g *Graph) LiveTriples() int { return int(g.liveCount.Load()) }
+// NumTriples returns |E(G)|: live triples only (adds included, deletes
+// excluded). It reads an atomic counter, so unlike the rest of the
+// writer-side API it is safe concurrently with the writer; planner-side
+// cardinality scaling reads it while updates land.
+func (g *Graph) NumTriples() int { return int(g.liveCount.Load()) }
 
 // Triples returns the live triples in insertion order (delta triples
 // included — they are the newest suffix; a triple re-inserted after a
@@ -456,26 +473,11 @@ func (g *Graph) Triples() []Triple {
 	if g.staleOrder == 0 {
 		return g.order
 	}
-	if g.liveOrder != nil && g.liveOrderAt == g.epoch.Load() {
-		return g.liveOrder
+	if g.liveOrder == nil || g.liveOrderAt != g.epoch.Load() {
+		g.liveOrder = g.snapshotAt().Triples()
+		g.liveOrderAt = g.epoch.Load()
 	}
-	out := make([]Triple, 0, len(g.triples))
-	emitted := make(map[Triple]struct{}, g.staleOrder)
-	for i := len(g.order) - 1; i >= 0; i-- {
-		t := g.order[i]
-		if _, live := g.triples[t]; !live {
-			continue
-		}
-		if _, dup := emitted[t]; dup {
-			continue
-		}
-		emitted[t] = struct{}{}
-		out = append(out, t)
-	}
-	slices.Reverse(out)
-	g.liveOrder = out
-	g.liveOrderAt = g.epoch.Load()
-	return out
+	return g.liveOrder
 }
 
 // mergeIDs merges two sorted, disjoint ID slices. With an empty extra it

@@ -197,16 +197,23 @@ func (s *Snapshot) Has(t Triple) bool {
 		_, ok := s.g.triples[t]
 		return ok
 	}
-	key := HalfEdge{P: t.P, Other: t.O}
-	_, basePresent := s.gen.csr.ordinal(t)
-	if s.n == 0 {
+	return s.gen.has(t, s.n, s.ops != nil)
+}
+
+// has reports whether t is visible at delta bound n: in the CSR or
+// inserted below n, and not tombstoned since. tombs says whether a
+// tombstone below n exists at all.
+func (gen *generation) has(t Triple, n uint32, tombs bool) bool {
+	_, basePresent := gen.csr.ordinal(t)
+	if n == 0 {
 		return basePresent
 	}
-	insVis, insSeq := maxVisibleSeqHalf(predRangeDeltaHalf(loadHalfRun(&s.gen.delta.out, t.S), t.P), key, s.n)
-	if s.ops == nil {
+	key := HalfEdge{P: t.P, Other: t.O}
+	insVis, insSeq := maxVisibleSeqHalf(predRangeDeltaHalf(loadHalfRun(&gen.delta.out, t.S), t.P), key, n)
+	if !tombs {
 		return basePresent || insVis
 	}
-	tombVis, tombSeq := maxVisibleSeqHalf(predRangeDeltaHalf(loadHalfRun(&s.gen.delta.tombOut, t.S), t.P), key, s.n)
+	tombVis, tombSeq := maxVisibleSeqHalf(predRangeDeltaHalf(loadHalfRun(&gen.delta.tombOut, t.S), t.P), key, n)
 	return VisibleKey(basePresent, insVis, insSeq, tombVis, tombSeq)
 }
 

@@ -126,8 +126,8 @@ func TestStatsFoldDeletes(t *testing.T) {
 	}
 	// The lock-free live counter the planner scales by tracks too:
 	// 3 live p triples + 2 untouched q triples.
-	if got := g.LiveTriples(); got != 5 {
-		t.Fatalf("LiveTriples = %d, want 5", got)
+	if got := g.NumTriples(); got != 5 {
+		t.Fatalf("NumTriples = %d, want 5", got)
 	}
 }
 
