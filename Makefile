@@ -90,10 +90,12 @@ crash-soak:
 # codecs against encoding/json. The result encoders, against the
 # struct-and-encoding/json oracle in results_test.go: the JSON must
 # unmarshal to the same value, the CSV read back to the same records,
-# the TSV bytes be equal. The batch-frame row decoder, against
+# the TSV bytes be equal. The batch-frame row codec, against
 # encoding/json into a [][]rdf.ID: never accept what it rejects, decode
-# to the identical value otherwise. The seed corpora alone run inside
-# `test`.
+# to the same IDs, row count and common row width otherwise, encode a
+# table back to the same bytes — and a frame whose rows are ragged, or
+# not as wide as the subquery's variables, is never accepted as a
+# table. The seed corpora alone run inside `test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRows$$' -fuzztime=10s ./internal/transport

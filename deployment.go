@@ -91,21 +91,16 @@ func (dep *Deployment) decodeResult(q *sparql.Graph, b *match.Bindings, stats *e
 	// One read-locked fetch of the per-ID renderings, one flat cell array
 	// and one header array: allocations do not grow with the row count.
 	text := dep.db.graph.Dict.Rendered()
-	cells := 0
-	for _, row := range b.Rows {
-		cells += len(row)
-	}
-	flat := make([]string, cells)
-	res.Rows = make([][]string, len(b.Rows))
-	for r, row := range b.Rows {
-		out := flat[:len(row):len(row)]
-		flat = flat[len(row):]
-		for i, id := range row {
-			if id != rdf.NoID {
-				out[i] = text[id]
-			}
+	w := len(b.Vars)
+	flat := make([]string, len(b.Rows))
+	for i, id := range b.Rows {
+		if id != rdf.NoID {
+			flat[i] = text[id]
 		}
-		res.Rows[r] = out
+	}
+	res.Rows = make([][]string, b.Len())
+	for r := range res.Rows {
+		res.Rows[r] = flat[r*w : (r+1)*w : (r+1)*w]
 	}
 	if len(q.OrderBy) > 0 {
 		applyOrderBy(res, q.OrderBy)

@@ -107,8 +107,8 @@ func TestSHAPEEngineCorrect(t *testing.T) {
 			t.Fatalf("Query(%s): %v", qs, err)
 		}
 		want := centralized(q, env)
-		if len(got.Rows) != len(want.Rows) {
-			t.Errorf("query %q: got %d rows, want %d", qs, len(got.Rows), len(want.Rows))
+		if got.Len() != want.Len() {
+			t.Errorf("query %q: got %d rows, want %d", qs, got.Len(), want.Len())
 		}
 		if stats.SitesTouched != 4 {
 			t.Errorf("SHAPE must touch all sites, got %d", stats.SitesTouched)
@@ -135,8 +135,8 @@ func TestWARPEngineCorrect(t *testing.T) {
 			t.Fatalf("Query(%s): %v", qs, err)
 		}
 		want := centralized(q, env)
-		if len(got.Rows) != len(want.Rows) {
-			t.Errorf("query %q: got %d rows, want %d", qs, len(got.Rows), len(want.Rows))
+		if got.Len() != want.Len() {
+			t.Errorf("query %q: got %d rows, want %d", qs, got.Len(), want.Len())
 		}
 	}
 }

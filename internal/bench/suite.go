@@ -194,7 +194,7 @@ func (r *vfhfRunner) Run(q *sparql.Graph) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(b.Rows), nil
+	return b.Len(), nil
 }
 
 type baselineRunner struct {
@@ -209,7 +209,7 @@ func (r *baselineRunner) Run(q *sparql.Graph) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(b.Rows), nil
+	return b.Len(), nil
 }
 
 // BuildStrategy deploys one strategy over a dataset, reporting offline
@@ -342,5 +342,5 @@ func CentralAnswerSize(q *sparql.Graph, g *rdf.Graph) int {
 	} else {
 		b.Dedup()
 	}
-	return len(b.Rows)
+	return b.Len()
 }

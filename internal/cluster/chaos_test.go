@@ -148,7 +148,7 @@ func TestChannelRPCFaultInjection(t *testing.T) {
 		c, _, _ := chaosCluster(t)
 		c.Faults = NewChaos(ChaosConfig{Cut: 1})
 		delivered := 0
-		err := c.EvalStream(ctx, req(c), 1, func(b *match.Bindings) error { delivered += len(b.Rows); return nil })
+		err := c.EvalStream(ctx, req(c), 1, func(b *match.Bindings) error { delivered += b.Len(); return nil })
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("EvalStream under Cut=1 = %v, want ErrInjected", err)
 		}
@@ -168,8 +168,8 @@ func TestChannelRPCFaultInjection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Eval under DelayProb=1: %v", err)
 		}
-		if len(b.Rows) != 2 {
-			t.Fatalf("rows = %d, want 2 (delays slow but do not fail)", len(b.Rows))
+		if b.Len() != 2 {
+			t.Fatalf("rows = %d, want 2 (delays slow but do not fail)", b.Len())
 		}
 		if got := c.Faults.Counts(); got.Delays < 2 || got.Disruptions() != 0 {
 			t.Errorf("counts = %+v, want ≥2 delays and no disruptions", got)

@@ -366,7 +366,7 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 
 	b := match.ToBindings(req.Query, all)
 	b.Dedup()
-	respBytes := len(b.Rows) * len(b.Vars) * 4
+	respBytes := len(b.Rows) * 4
 	c.Net.Messages.Add(1)
 	c.Net.Bytes.Add(int64(respBytes))
 	if err := c.receiveResponse(ctx, respBytes); err != nil {

@@ -23,8 +23,8 @@ func TestPlaceAndEval(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	if len(b.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(b.Rows))
+	if b.Len() != 2 {
+		t.Fatalf("rows = %d, want 2", b.Len())
 	}
 	msgs, bytes := c.Net.Snapshot()
 	if msgs != 2 {
@@ -65,8 +65,8 @@ func TestEvalDedupAcrossFragments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	if len(b.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 after dedup", len(b.Rows))
+	if b.Len() != 2 {
+		t.Fatalf("rows = %d, want 2 after dedup", b.Len())
 	}
 }
 
@@ -94,9 +94,7 @@ func TestEvalConcurrentSafety(t *testing.T) {
 	wg.Wait()
 }
 
-func mkBindings(vars []string, rows ...[]rdf.ID) *match.Bindings {
-	return &match.Bindings{Vars: vars, Rows: rows}
-}
+func mkBindings(vars []string, rows ...[]rdf.ID) *match.Bindings { return table(vars, rows...) }
 
 func TestHashJoinShared(t *testing.T) {
 	l := mkBindings([]string{"x", "y"}, []rdf.ID{1, 2}, []rdf.ID{3, 4})
@@ -105,10 +103,10 @@ func TestHashJoinShared(t *testing.T) {
 	if len(j.Vars) != 3 || j.Vars[2] != "z" {
 		t.Fatalf("vars = %v", j.Vars)
 	}
-	if len(j.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(j.Rows))
+	if j.Len() != 2 {
+		t.Fatalf("rows = %d, want 2", j.Len())
 	}
-	for _, row := range j.Rows {
+	for _, row := range tableRows(j) {
 		if row[0] != 1 || row[1] != 2 {
 			t.Errorf("unexpected row %v", row)
 		}
@@ -119,16 +117,16 @@ func TestHashJoinCartesian(t *testing.T) {
 	l := mkBindings([]string{"a"}, []rdf.ID{1}, []rdf.ID{2})
 	r := mkBindings([]string{"b"}, []rdf.ID{3}, []rdf.ID{4})
 	j := HashJoin(l, r)
-	if len(j.Rows) != 4 {
-		t.Fatalf("cartesian rows = %d, want 4", len(j.Rows))
+	if j.Len() != 4 {
+		t.Fatalf("cartesian rows = %d, want 4", j.Len())
 	}
 }
 
 func TestHashJoinEmpty(t *testing.T) {
 	l := mkBindings([]string{"a"})
 	r := mkBindings([]string{"a"}, []rdf.ID{1})
-	if j := HashJoin(l, r); len(j.Rows) != 0 {
-		t.Errorf("join with empty side produced %d rows", len(j.Rows))
+	if j := HashJoin(l, r); j.Len() != 0 {
+		t.Errorf("join with empty side produced %d rows", j.Len())
 	}
 }
 
@@ -136,8 +134,8 @@ func TestUnionDedups(t *testing.T) {
 	a := mkBindings([]string{"x"}, []rdf.ID{1}, []rdf.ID{2})
 	b := mkBindings([]string{"x"}, []rdf.ID{2}, []rdf.ID{3})
 	u := Union(a, b, nil)
-	if len(u.Rows) != 3 {
-		t.Fatalf("union rows = %d, want 3", len(u.Rows))
+	if u.Len() != 3 {
+		t.Fatalf("union rows = %d, want 3", u.Len())
 	}
 }
 
@@ -147,8 +145,8 @@ func TestProject(t *testing.T) {
 	if len(p.Vars) != 1 || p.Vars[0] != "x" {
 		t.Fatalf("vars = %v", p.Vars)
 	}
-	if len(p.Rows) != 2 {
-		t.Fatalf("projected rows = %d, want 2 (dedup)", len(p.Rows))
+	if p.Len() != 2 {
+		t.Fatalf("projected rows = %d, want 2 (dedup)", p.Len())
 	}
 	// Projecting onto an unknown var keeps known ones only.
 	p2 := Project(b, []string{"z", "y"})

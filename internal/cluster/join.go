@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/bits"
+
 	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
 )
@@ -14,18 +16,16 @@ func HashJoin(left, right *match.Bindings) *match.Bindings {
 	return HashJoinOpts(left, right, JoinOptions{})
 }
 
-// colPair pairs the positions of one shared variable in both tables.
-type colPair struct{ l, r int }
-
-// alignVars returns (shared pairs of column indices, right-only columns).
-func alignVars(lv, rv []string) (shared []colPair, rightOnly []int) {
+// alignVars returns the positions of the shared variables in each table
+// (lkey[i] and rkey[i] hold the same variable) and right's other columns.
+func alignVars(lv, rv []string) (lkey, rkey, rightOnly []int) {
 	pos := make(map[string]int, len(lv))
 	for i, v := range lv {
 		pos[v] = i
 	}
 	for j, v := range rv {
 		if i, ok := pos[v]; ok {
-			shared = append(shared, colPair{i, j})
+			lkey, rkey = append(lkey, i), append(rkey, j)
 		} else {
 			rightOnly = append(rightOnly, j)
 		}
@@ -41,177 +41,171 @@ func names(vars []string, idx []int) []string {
 	return out
 }
 
-// maxPackedCols is how many shared join columns fit the fixed-size packed
-// key. SPARQL joins share one or two variables in practice; wider joins
-// fall back to string keys.
-const maxPackedCols = 4
+// FNV-1a parameters for join keys.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-// packedKey is a comparable join key: the shared column values, unused
-// slots zero. All keys of one join have the same column count, so uniform
-// padding cannot introduce false matches.
-type packedKey [maxPackedCols]rdf.ID
-
-// chain is the list of row numbers stored under one join key, in
-// insertion order: head and tail index joinTable.next, n is its length.
-type chain struct{ head, tail, n int32 }
-
-// joinTable indexes row numbers by their shared-column join key. Keys are
-// packed value arrays — no per-row string materialization — unless the
-// join is wider than maxPackedCols columns. Rows under one key are
-// threaded through the one flat next table (next[i] is the row after row
-// i), so a key costs its map entry and a row four bytes, never a slice of
-// its own. Walk a chain c with
-//
-//	for i, k := c.head, c.n; k > 0; i, k = t.next[i], k-1
-type joinTable struct {
-	cols   []colPair
-	packed map[packedKey]chain
-	str    map[string]chain
-	next   []int32
+// hashKey hashes a row's join key: FNV-1a over its values in the columns
+// cols, which name the same variables in the same order on either side of
+// a join, so matching rows hash alike at any key width. It reads the
+// columns in place and never allocates.
+func hashKey(row []rdf.ID, cols []int) uint64 {
+	h := uint64(fnvOffset64)
+	for _, c := range cols {
+		h ^= uint64(row[c])
+		h *= fnvPrime64
+	}
+	return h
 }
 
-func newJoinTable(cols []colPair, sizeHint int) *joinTable {
-	t := &joinTable{cols: cols, next: make([]int32, sizeHint)}
-	if len(cols) <= maxPackedCols {
-		t.packed = make(map[packedKey]chain, sizeHint)
-	} else {
-		t.str = make(map[string]chain, sizeHint)
+// chain is the list of rows stored under one join key: newest is the last
+// one added, n its length. Walk it towards the first with
+//
+//	for i, k := c.newest, c.n; k > 0; i, k = t.older(i), k-1
+type chain struct{ newest, n int32 }
+
+// storeChunk is one chunk of a joinTable's rows: the rows back to back
+// and, for each, the row before it in its chain.
+type storeChunk struct {
+	rows []rdf.ID
+	prev []int32
+}
+
+// joinTable is one side of a join: its w-wide rows in an append-only
+// store and an open-addressed table of row numbers over them. The store
+// never copies on growth: chunk c holds first<<c rows, so row i lives in
+// the chunk named by the bit length of i+first (first is a power of two;
+// a table made over an existing block adopts it as a chunk 0 large enough
+// for all of it). A slot holds the chain of one join key, whose value is
+// read in place from the chain's newest row — no key is ever
+// materialized, at any key width. The slots double when three quarters
+// full, which re-places one row number per distinct key.
+type joinTable struct {
+	w       int
+	cols    []int // the join key's columns in this side's rows
+	first   uint32
+	lgFirst int // bits.Len32(first)
+	chunks  []storeChunk
+	n       int32   // rows stored
+	slots   []chain // n == 0: free
+	keys    int     // occupied slots
+	shift   uint    // 64 - log2(len(slots))
+}
+
+// rowStoreFirst is the first chunk's size in rows of a table that starts
+// empty.
+const rowStoreFirst = 4
+
+// newJoinTable returns an empty table over w-wide rows keyed by cols.
+func newJoinTable(w int, cols []int) *joinTable {
+	t := &joinTable{w: w, cols: cols, first: rowStoreFirst, lgFirst: bits.Len32(rowStoreFirst)}
+	t.resize(8)
+	return t
+}
+
+// indexRows returns the table of the n w-wide rows already in rows, which
+// it reads in place: the block becomes the store's only chunk.
+func indexRows(rows []rdf.ID, w, n int, cols []int) *joinTable {
+	first := uint32(1) << bits.Len32(uint32(n))
+	t := &joinTable{w: w, cols: cols, first: first, lgFirst: bits.Len32(first)}
+	t.chunks = []storeChunk{{rows: rows, prev: make([]int32, n)}}
+	t.resize(1 << bits.Len(uint(n+n/2)))
+	for i := 0; i < n; i++ {
+		t.link(rows[i*w : (i+1)*w])
 	}
 	return t
 }
 
-// packKey builds the packed key of row; left selects which side of the
-// column pairs row belongs to. It never allocates.
-func packKey(row []rdf.ID, cols []colPair, left bool) packedKey {
-	var k packedKey
-	for i, c := range cols {
-		if left {
-			k[i] = row[c.l]
-		} else {
-			k[i] = row[c.r]
+// slot returns the chunk and row offset of row i.
+func (t *joinTable) slot(i int32) (c *storeChunk, off int) {
+	u := uint32(i) + t.first
+	k := bits.Len32(u) - t.lgFirst
+	return &t.chunks[k], int(u ^ t.first<<k)
+}
+
+func (t *joinTable) at(i int32) []rdf.ID {
+	c, off := t.slot(i)
+	return c.rows[off*t.w : (off+1)*t.w]
+}
+
+// older returns the row before row i in its chain.
+func (t *joinTable) older(i int32) int32 {
+	c, off := t.slot(i)
+	return c.prev[off]
+}
+
+func (t *joinTable) resize(slots int) {
+	old := t.slots
+	t.slots, t.shift = make([]chain, slots), uint(64-bits.Len(uint(slots))+1)
+	for _, c := range old {
+		if c.n > 0 {
+			*t.find(t.at(c.newest), t.cols) = c
 		}
 	}
-	return k
 }
 
-// stringKey is the fallback key for joins wider than maxPackedCols.
-func stringKey(row []rdf.ID, cols []colPair, left bool) string {
-	b := make([]byte, 0, len(cols)*4)
-	for _, c := range cols {
-		var v rdf.ID
-		if left {
-			v = row[c.l]
-		} else {
-			v = row[c.r]
+// find returns the slot of the key that row holds in the columns cols:
+// the key's chain, or the free slot where it would start.
+func (t *joinTable) find(row []rdf.ID, cols []int) *chain {
+	// FNV's low bits pick a join partition; the multiply moves what the
+	// table indexes by away from them.
+	for i := (hashKey(row, cols) * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & uint64(len(t.slots)-1) {
+		c := &t.slots[i]
+		if c.n == 0 {
+			return c
 		}
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
-}
-
-// add records row idx at the end of its join key's chain; left names
-// row's side. Row numbers only ever grow.
-func (t *joinTable) add(row []rdf.ID, left bool, idx int32) {
-	// Not append(next, make(...)...): under -race that allocates per call.
-	for int(idx) >= len(t.next) {
-		t.next = append(t.next, 0)
-	}
-	if t.packed != nil {
-		k := packKey(row, t.cols, left)
-		t.packed[k] = t.link(t.packed[k], idx)
-	} else {
-		k := stringKey(row, t.cols, left)
-		t.str[k] = t.link(t.str[k], idx)
+		have, same := t.at(c.newest), true
+		for k, col := range cols {
+			if row[col] != have[t.cols[k]] {
+				same = false
+				break
+			}
+		}
+		if same {
+			return c
+		}
 	}
 }
 
-func (t *joinTable) link(c chain, idx int32) chain {
+// add stores a copy of row as the table's next row and links it to the end
+// of its key's chain.
+func (t *joinTable) add(row []rdf.ID) {
+	if k := bits.Len32(uint32(t.n)+t.first) - t.lgFirst; k == len(t.chunks) {
+		t.chunks = append(t.chunks, storeChunk{make([]rdf.ID, int(t.first<<k)*t.w), make([]int32, t.first<<k)})
+	}
+	copy(t.at(t.n), row)
+	t.link(row)
+}
+
+// link ends its key's chain with row, which is the store's row number n.
+func (t *joinTable) link(row []rdf.ID) {
+	if (t.keys+1)*4 > len(t.slots)*3 {
+		t.resize(2 * len(t.slots))
+	}
+	c := t.find(row, t.cols)
 	if c.n == 0 {
-		return chain{head: idx, tail: idx, n: 1}
+		t.keys++
 	}
-	t.next[c.tail] = idx
-	return chain{head: c.head, tail: idx, n: c.n + 1}
+	chunk, off := t.slot(t.n)
+	chunk.prev[off] = c.newest
+	c.newest, c.n = t.n, c.n+1
+	t.n++
 }
 
-// lookup returns the chain of rows whose key matches row (from the side
-// named by left); the zero chain when there is none.
-func (t *joinTable) lookup(row []rdf.ID, left bool) chain {
-	if t.packed != nil {
-		return t.packed[packKey(row, t.cols, left)]
-	}
-	return t.str[stringKey(row, t.cols, left)]
-}
+// lookup returns the chain of the rows whose key is what row, a row of the
+// other side, holds in its own key columns cols; the zero chain when there
+// is none.
+func (t *joinTable) lookup(row []rdf.ID, cols []int) chain { return *t.find(row, cols) }
 
-// rowArena carves fixed-width binding rows out of chunked backing arrays,
-// cutting the join's one-allocation-per-output-row cost to one allocation
-// per chunk. Carved rows are capped (three-index slices), so a consumer
-// appending to one cannot stomp its neighbour. Rows are handed off to
-// consumers and the arena only ever starts fresh chunks — it is never
-// reset — so handed-off rows stay valid for as long as the consumer keeps
-// them. A chunk is as large as the caller said it expects to carve, or
-// twice the previous chunk, up to rowArenaChunk: a stage that emits three
-// rows pays for three.
-type rowArena struct {
-	buf    []rdf.ID
-	expect int // IDs the caller is about to carve: the next chunk's floor
-}
-
-// rowArenaChunk caps a chunk's size in IDs (16 KiB chunks).
-const rowArenaChunk = 4096
-
-// presizedArena returns an arena whose first chunk holds exactly rows
-// fixed-width rows, so a join with a known output size allocates row
-// storage once.
-func presizedArena(rows, width int) *rowArena {
-	return &rowArena{buf: make([]rdf.ID, 0, rows*width)}
-}
-
-func (a *rowArena) alloc(n int) []rdf.ID {
-	if n == 0 {
-		return nil
-	}
-	if len(a.buf)+n > cap(a.buf) {
-		size := min(max(a.expect, 2*cap(a.buf)), rowArenaChunk)
-		a.buf = make([]rdf.ID, 0, max(size, n))
-	}
-	off := len(a.buf)
-	a.buf = a.buf[:off+n]
-	return a.buf[off : off+n : off+n]
-}
-
-// mergeRows concatenates a left row with the right-only columns of a
-// right row, carving the output from the arena. Every output row is
-// exactly j.width wide: well-formed rows take the branch-light fast
-// path (small enough to inline into the per-output-row emit loops),
-// ragged rows (shorter or longer than their table's width) divert to
-// mergeRowsRagged, which pads missing columns with NoID instead of
-// corrupting or panicking.
-func mergeRows(a *rowArena, j *joinGeom, lr, rr []rdf.ID) []rdf.ID {
-	if len(lr) < j.lw || len(rr) <= j.maxRO {
-		return mergeRowsRagged(a, j, lr, rr)
-	}
-	out := a.alloc(j.width)
-	copy(out, lr[:j.lw])
+// mergeRow writes the join of a left row and a right row — left's columns,
+// then right's columns not shared with left — into out, j.width wide.
+func mergeRow(out []rdf.ID, j *joinGeom, lr, rr []rdf.ID) {
+	copy(out, lr)
 	for i, idx := range j.rightOnly {
 		out[j.lw+i] = rr[idx]
 	}
-	return out
-}
-
-func mergeRowsRagged(a *rowArena, j *joinGeom, lr, rr []rdf.ID) []rdf.ID {
-	out := a.alloc(j.width)
-	n := copy(out[:j.lw], lr)
-	for i := n; i < j.lw; i++ {
-		out[i] = rdf.NoID
-	}
-	for i, idx := range j.rightOnly {
-		if idx < len(rr) {
-			out[j.lw+i] = rr[idx]
-		} else {
-			out[j.lw+i] = rdf.NoID
-		}
-	}
-	return out
 }
 
 // Union merges binding tables with identical variable sets, deduplicating
@@ -226,6 +220,7 @@ func Union(bs ...*match.Bindings) *match.Bindings {
 			out = &match.Bindings{Vars: b.Vars}
 		}
 		out.Rows = append(out.Rows, b.Rows...)
+		out.Nullary += b.Nullary
 	}
 	if out == nil {
 		return &match.Bindings{}
@@ -252,14 +247,12 @@ func Project(b *match.Bindings, vars []string) *match.Bindings {
 			kept = append(kept, v)
 		}
 	}
-	out := &match.Bindings{Vars: kept}
-	var arena rowArena
-	for _, r := range b.Rows {
-		row := arena.alloc(len(idx))
-		for i, j := range idx {
-			row[i] = r[j]
+	n, w := b.Len(), len(b.Vars)
+	out := match.NewBindings(kept, make([]rdf.ID, 0, n*len(idx)), n)
+	for r := 0; r < n; r++ {
+		for _, j := range idx {
+			out.Rows = append(out.Rows, b.Rows[r*w+j])
 		}
-		out.Rows = append(out.Rows, row)
 	}
 	out.Dedup()
 	return out

@@ -2,96 +2,38 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"rdffrag/internal/match"
-	"rdffrag/internal/rdf"
 )
 
-// TestPackKeyZeroAllocs: building and probing packed join keys is
-// allocation-free — the per-probe-row cost of the hot join loop.
-func TestPackKeyZeroAllocs(t *testing.T) {
-	cols := []colPair{{l: 1, r: 0}, {l: 3, r: 2}}
-	tab := newJoinTable(cols, 16)
-	row := []rdf.ID{1, 2, 3, 4}
-	tab.add(row, false, 0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		k := packKey(row, cols, true)
-		if k[0] != 2 || k[1] != 4 {
-			t.Fatalf("packKey = %v", k)
-		}
-		_ = tab.lookup(row, true)
-	})
-	if allocs != 0 {
-		t.Errorf("key pack+probe allocates %.1f per run, want 0", allocs)
-	}
-}
-
-// TestJoinTableWideFallback: joins sharing more than maxPackedCols
-// variables fall back to string keys and still join correctly.
+// TestJoinTableWideFallback: a join sharing five variables — wider than
+// the fixed-size keys that once needed a string fallback — goes through
+// the one table and still joins correctly.
 func TestJoinTableWideFallback(t *testing.T) {
 	vars := []string{"a", "b", "c", "d", "e"}
 	l := benchTable(8, vars)
 	r := benchTable(8, vars) // all 5 columns shared
 	out := HashJoin(l, r)
-	// Every left row joins exactly its equal right rows; benchTable is
-	// deterministic so row i equals row i.
 	want := 0
-	for i, lr := range l.Rows {
-		for j, rr := range r.Rows {
-			eq := true
-			for k := range lr {
-				if lr[k] != rr[k] {
-					eq = false
-					break
-				}
-			}
-			if eq {
+	for _, lr := range tableRows(l) {
+		for _, rr := range tableRows(r) {
+			if slices.Equal(lr, rr) {
 				want++
 			}
-			_ = i
-			_ = j
 		}
 	}
-	if len(out.Rows) != want {
-		t.Fatalf("wide join rows = %d, want %d", len(out.Rows), want)
-	}
-}
-
-// TestRowArenaRowsAreIsolated: rows carved from one arena chunk have
-// capped capacity, so appending to one row cannot corrupt the next.
-func TestRowArenaRowsAreIsolated(t *testing.T) {
-	var a rowArena
-	r1 := a.alloc(3)
-	r2 := a.alloc(3)
-	copy(r1, []rdf.ID{1, 2, 3})
-	copy(r2, []rdf.ID{4, 5, 6})
-	_ = append(r1, 99) // must reallocate, not overwrite r2[0]
-	if r2[0] != 4 {
-		t.Fatalf("appending to one arena row stomped its neighbour: %v", r2)
-	}
-	if &r1[0] == &r2[0] {
-		t.Fatal("rows share storage")
+	if out.Len() != want || want == 0 {
+		t.Fatalf("wide join rows = %d, want %d", out.Len(), want)
 	}
 }
 
 // BenchmarkJoinStreamBatches measures the pipelined symmetric join over
 // many batches — the shape the streaming engine actually runs.
 func BenchmarkJoinStreamBatches(b *testing.B) {
-	mk := func(vars []string, rows, batch int) []*match.Bindings {
-		var out []*match.Bindings
-		t := benchTable(rows, vars)
-		for i := 0; i < rows; i += batch {
-			end := i + batch
-			if end > rows {
-				end = rows
-			}
-			out = append(out, &match.Bindings{Vars: vars, Rows: t.Rows[i:end]})
-		}
-		return out
-	}
-	lb := mk([]string{"x", "y"}, 2000, 128)
-	rb := mk([]string{"y", "z"}, 2000, 128)
+	lb := benchBatches([]string{"x", "y"}, 2000, 128)
+	rb := benchBatches([]string{"y", "z"}, 2000, 128)
 	lv, rv := []string{"x", "y"}, []string{"y", "z"}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -110,7 +52,7 @@ func BenchmarkJoinStreamBatches(b *testing.B) {
 		go JoinStream(context.Background(), lv, rv, left, right, out)
 		n := 0
 		for o := range out {
-			n += len(o.Rows)
+			n += o.Len()
 		}
 		if n == 0 {
 			b.Fatal("join stream produced nothing")

@@ -12,13 +12,21 @@ import (
 func benchTable(n int, vars []string) *match.Bindings {
 	b := &match.Bindings{Vars: vars}
 	for i := 0; i < n; i++ {
-		row := make([]rdf.ID, len(vars))
-		for j := range row {
-			row[j] = rdf.ID((i*7 + j*13) % 97)
+		for j := range vars {
+			b.Rows = append(b.Rows, rdf.ID((i*7+j*13)%97))
 		}
-		b.Rows = append(b.Rows, row)
 	}
 	return b
+}
+
+// benchBatches cuts benchTable(rows, vars) into batches of batch rows.
+func benchBatches(vars []string, rows, batch int) []*match.Bindings {
+	var out []*match.Bindings
+	t := benchTable(rows, vars)
+	for i := 0; i < rows; i += batch {
+		out = append(out, &match.Bindings{Vars: vars, Rows: t.Rows[i*len(vars) : min(i+batch, rows)*len(vars)]})
+	}
+	return out
 }
 
 func BenchmarkHashJoin(b *testing.B) {
@@ -40,20 +48,8 @@ func BenchmarkHashJoin(b *testing.B) {
 // throughput; on one hardware thread it records the partitioning
 // overhead instead.
 func BenchmarkJoinStreamPartitioned(b *testing.B) {
-	mk := func(vars []string, rows, batch int) []*match.Bindings {
-		var out []*match.Bindings
-		t := benchTable(rows, vars)
-		for i := 0; i < rows; i += batch {
-			end := i + batch
-			if end > rows {
-				end = rows
-			}
-			out = append(out, &match.Bindings{Vars: vars, Rows: t.Rows[i:end]})
-		}
-		return out
-	}
-	lb := mk([]string{"x", "y"}, 2000, 128)
-	rb := mk([]string{"y", "z"}, 2000, 128)
+	lb := benchBatches([]string{"x", "y"}, 2000, 128)
+	rb := benchBatches([]string{"y", "z"}, 2000, 128)
 	lv, rv := []string{"x", "y"}, []string{"y", "z"}
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
@@ -73,7 +69,7 @@ func BenchmarkJoinStreamPartitioned(b *testing.B) {
 				go JoinStreamOpts(context.Background(), lv, rv, left, right, out, JoinOptions{Partitions: p})
 				n := 0
 				for o := range out {
-					n += len(o.Rows)
+					n += o.Len()
 				}
 				if n == 0 {
 					b.Fatal("partitioned join stream produced nothing")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -10,16 +11,26 @@ import (
 	"rdffrag/internal/rdf"
 )
 
+// table builds the binding table of the given rows over vars.
+func table(vars []string, rows ...[]rdf.ID) *match.Bindings {
+	return match.NewBindings(vars, slices.Concat(rows...), len(rows))
+}
+
+// tableRows lists a table's rows; an empty tuple is an empty row.
+func tableRows(b *match.Bindings) [][]rdf.ID {
+	rows := make([][]rdf.ID, b.Len())
+	for i := range rows {
+		rows[i] = b.Row(i)
+	}
+	return rows
+}
+
 // randomBindings builds a small random binding table over the given vars.
 func randomBindings(seed int64, vars []string, rows int) *match.Bindings {
 	r := rand.New(rand.NewSource(seed))
 	b := &match.Bindings{Vars: vars}
-	for i := 0; i < rows; i++ {
-		row := make([]rdf.ID, len(vars))
-		for j := range row {
-			row[j] = rdf.ID(r.Intn(4))
-		}
-		b.Rows = append(b.Rows, row)
+	for i := 0; i < rows*len(vars); i++ {
+		b.Rows = append(b.Rows, rdf.ID(r.Intn(4)))
 	}
 	return b
 }
@@ -28,7 +39,7 @@ func randomBindings(seed int64, vars []string, rows int) *match.Bindings {
 // var=value strings, so tables can be compared independent of row and
 // column order.
 func canonicalRows(b *match.Bindings) []string {
-	out := make([]string, 0, len(b.Rows))
+	out := make([]string, 0, b.Len())
 	order := make([]int, len(b.Vars))
 	names := append([]string(nil), b.Vars...)
 	sort.Strings(names)
@@ -39,7 +50,7 @@ func canonicalRows(b *match.Bindings) []string {
 	for i, v := range names {
 		order[i] = pos[v]
 	}
-	for _, r := range b.Rows {
+	for _, r := range tableRows(b) {
 		s := ""
 		for i, v := range names {
 			s += v + "=" + string(rune('0'+int(r[order[i]]))) + ";"
@@ -100,10 +111,10 @@ func TestHashJoinMatchesNestedLoopProperty(t *testing.T) {
 		got := HashJoin(a, b)
 		var oracle match.Bindings
 		oracle.Vars = []string{"x", "y", "z"}
-		for _, ra := range a.Rows {
-			for _, rb := range b.Rows {
+		for _, ra := range tableRows(a) {
+			for _, rb := range tableRows(b) {
 				if ra[1] == rb[0] {
-					oracle.Rows = append(oracle.Rows, []rdf.ID{ra[0], ra[1], rb[1]})
+					oracle.Rows = append(oracle.Rows, ra[0], ra[1], rb[1])
 				}
 			}
 		}

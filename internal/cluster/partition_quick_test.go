@@ -3,9 +3,9 @@ package cluster
 // Property harness for the partitioned parallel control-site join. One
 // randomized corpus of binding-table pairs — spanning shared-variable
 // layouts (one shared, reordered multi-shared, all shared, Cartesian,
-// >4-column string-fallback keys), key distributions (uniform, heavily
-// skewed, near-unique), empty sides and ragged rows — drives every join
-// operator against a nested-loop oracle:
+// five shared columns, a side or both without variables), key
+// distributions (uniform, heavily skewed, near-unique) and empty sides —
+// drives every join operator against a nested-loop oracle:
 //
 //   - HashJoin and HashJoinOpts at every partition count are
 //     byte-identical to the oracle (exact rows, exact order);
@@ -30,25 +30,15 @@ import (
 
 // nestedLoopOracle joins two tables the slow, obviously-correct way, in
 // exactly the order the ordered operators must reproduce: for each left
-// row in arrival order, its matching right rows in arrival order. It
-// mirrors the documented semantics: rows missing a shared column have no
-// join key and match nothing; missing output columns pad with NoID.
+// row in arrival order, its matching right rows in arrival order.
 func nestedLoopOracle(left, right *match.Bindings) *match.Bindings {
 	g := newJoinGeom(left.Vars, right.Vars)
-	shared, rightOnly := g.shared, g.rightOnly
 	out := &match.Bindings{Vars: JoinVars(left.Vars, right.Vars)}
-	lw := len(left.Vars)
-	for _, lr := range left.Rows {
-		if !g.lKeyable(lr) {
-			continue
-		}
-		for _, rr := range right.Rows {
-			if !g.rKeyable(rr) {
-				continue
-			}
+	for _, lr := range tableRows(left) {
+		for _, rr := range tableRows(right) {
 			eq := true
-			for _, c := range shared {
-				if lr[c.l] != rr[c.r] {
+			for k := range g.lkey {
+				if lr[g.lkey[k]] != rr[g.rkey[k]] {
 					eq = false
 					break
 				}
@@ -56,19 +46,13 @@ func nestedLoopOracle(left, right *match.Bindings) *match.Bindings {
 			if !eq {
 				continue
 			}
-			row := make([]rdf.ID, lw+len(rightOnly))
-			n := copy(row[:lw], lr)
-			for i := n; i < lw; i++ {
-				row[i] = rdf.NoID
+			out.Rows = append(out.Rows, lr...)
+			for _, j := range g.rightOnly {
+				out.Rows = append(out.Rows, rr[j])
 			}
-			for i, j := range rightOnly {
-				if j < len(rr) {
-					row[lw+i] = rr[j]
-				} else {
-					row[lw+i] = rdf.NoID
-				}
+			if len(out.Vars) == 0 {
+				out.Nullary++
 			}
-			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out
@@ -80,14 +64,20 @@ var joinLayouts = [][2][]string{
 	{{"a", "b", "c"}, {"c", "a", "d"}},
 	{{"x", "y"}, {"x", "y"}},
 	{{"x", "y"}, {"z", "w"}}, // Cartesian
-	// Five shared columns: wider than maxPackedCols, exercising the
-	// string-fallback keys and their partition routing.
+	// Five shared columns: a key wider than any fixed-size packing.
 	{{"a", "b", "c", "d", "e", "l0"}, {"e", "d", "c", "b", "a", "r0"}},
+	// A side without variables — the table of an all-constant pattern —
+	// joins as a Cartesian factor: its row count multiplies the other's.
+	{{}, {"x", "y"}},
+	{{"x"}, {}},
+	{{}, {}},
 }
 
-// genJoinCase draws one randomized join instance: a variable layout, two
-// tables with a chosen key distribution, optionally an empty side and
-// optionally ragged rows.
+// cartesianLayout reports whether a layout shares no variable.
+func cartesianLayout(layout [2][]string) bool { return !Partitionable(layout[0], layout[1]) }
+
+// genJoinCase draws one randomized join instance: a variable layout and
+// two tables with a chosen key distribution, optionally an empty side.
 func genJoinCase(rng *rand.Rand) (left, right *match.Bindings) {
 	layout := joinLayouts[rng.Intn(len(joinLayouts))]
 	draw := func(vars []string) *match.Bindings {
@@ -95,50 +85,35 @@ func genJoinCase(rng *rand.Rand) (left, right *match.Bindings) {
 		if rng.Intn(8) == 0 {
 			n = 0 // empty side
 		}
-		return genJoinTable(rng, vars, n, rng.Intn(3), rng.Intn(4) == 0)
+		return genJoinTable(rng, vars, n, rng.Intn(3))
 	}
 	return draw(layout[0]), draw(layout[1])
 }
 
 // genJoinTable draws n rows over vars: skew 0 is uniform over six values,
-// 1 collapses ~80% of values onto one key, anything else is near-unique;
-// ragged cuts about one row in eight short.
-func genJoinTable(rng *rand.Rand, vars []string, n, skew int, ragged bool) *match.Bindings {
-	b := &match.Bindings{Vars: vars}
-	for i := 0; i < n; i++ {
-		row := make([]rdf.ID, len(vars))
-		for j := range row {
-			switch skew {
-			case 0:
-				row[j] = rdf.ID(rng.Intn(6))
-			case 1:
-				if rng.Intn(5) > 0 {
-					row[j] = 1
-				} else {
-					row[j] = rdf.ID(rng.Intn(8))
-				}
-			default:
-				row[j] = rdf.ID(rng.Intn(512))
+// 1 collapses ~80% of values onto one key, anything else is near-unique.
+func genJoinTable(rng *rand.Rand, vars []string, n, skew int) *match.Bindings {
+	b := match.NewBindings(vars, nil, n)
+	for i := 0; i < n*len(vars); i++ {
+		switch skew {
+		case 0:
+			b.Rows = append(b.Rows, rdf.ID(rng.Intn(6)))
+		case 1:
+			if rng.Intn(5) > 0 {
+				b.Rows = append(b.Rows, 1)
+			} else {
+				b.Rows = append(b.Rows, rdf.ID(rng.Intn(8)))
 			}
+		default:
+			b.Rows = append(b.Rows, rdf.ID(rng.Intn(512)))
 		}
-		if ragged && rng.Intn(8) == 0 {
-			row = row[:rng.Intn(len(row))]
-		}
-		b.Rows = append(b.Rows, row)
 	}
 	return b
 }
 
-func rowsExactEqual(a, b [][]rdf.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !slices.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
+// tablesExactEqual: the same rows in the same order.
+func tablesExactEqual(a, b *match.Bindings) bool {
+	return a.Len() == b.Len() && slices.Equal(a.Rows, b.Rows)
 }
 
 // runJoinStream feeds both tables through JoinStreamOpts in randomized
@@ -148,8 +123,8 @@ func runJoinStream(t *testing.T, rng *rand.Rand, left, right *match.Bindings, op
 	lch := make(chan *match.Bindings, 2)
 	rch := make(chan *match.Bindings, 2)
 	out := make(chan *match.Bindings, 4)
-	go sendBatches(lch, left.Vars, left.Rows, 1+rng.Intn(16))
-	go sendBatches(rch, right.Vars, right.Rows, 1+rng.Intn(16))
+	go sendBatches(lch, left, 1+rng.Intn(16))
+	go sendBatches(rch, right, 1+rng.Intn(16))
 	go JoinStreamOpts(context.Background(), left.Vars, right.Vars, lch, rch, out, opts)
 	got := collect(out)
 	if got == nil {
@@ -184,20 +159,20 @@ func TestPartitionedJoinEquivalenceProperty(t *testing.T) {
 func checkJoinAgainstOracle(t *testing.T, rng *rand.Rand, left, right *match.Bindings, partitionCounts []int) bool {
 	t.Helper()
 	want := nestedLoopOracle(left, right)
-	if got := HashJoin(left, right); !slices.Equal(got.Vars, want.Vars) || !rowsExactEqual(got.Rows, want.Rows) {
-		t.Logf("HashJoin diverged from oracle (%d rows vs %d)", len(got.Rows), len(want.Rows))
+	if got := HashJoin(left, right); !slices.Equal(got.Vars, want.Vars) || !tablesExactEqual(got, want) {
+		t.Logf("HashJoin diverged from oracle (%d rows vs %d)", got.Len(), want.Len())
 		return false
 	}
 	wm := multiset(want)
 	for _, p := range partitionCounts {
-		if got := HashJoinOpts(left, right, JoinOptions{Partitions: p}); !rowsExactEqual(got.Rows, want.Rows) {
+		if got := HashJoinOpts(left, right, JoinOptions{Partitions: p}); !tablesExactEqual(got, want) {
 			t.Logf("HashJoinOpts(P=%d) diverged from oracle", p)
 			return false
 		}
 		// Deterministic stream: byte-identical regardless of batch
 		// boundaries and input interleaving.
 		got := runJoinStream(t, rng, left, right, JoinOptions{Partitions: p, Deterministic: true})
-		if !slices.Equal(got.Vars, want.Vars) || !rowsExactEqual(got.Rows, want.Rows) {
+		if !slices.Equal(got.Vars, want.Vars) || !tablesExactEqual(got, want) {
 			t.Logf("deterministic JoinStreamOpts(P=%d) diverged from oracle", p)
 			return false
 		}
@@ -219,28 +194,27 @@ func checkJoinAgainstOracle(t *testing.T, rng *rand.Rand, left, right *match.Bin
 }
 
 // TestJoinAcrossChunkBoundaries drives table sizes that end on, one past
-// and well past the boundaries of the symmetric join's chunked row store
-// and of the chain table's next array through every layout — Cartesian,
-// string-key fallback and ragged rows included — against the oracle.
+// and well past the chunk boundaries of the symmetric join's row store
+// and chain links, and past several doublings of its slot table, through
+// every layout — Cartesian, five-column keys and sides without variables
+// included — against the oracle.
 func TestJoinAcrossChunkBoundaries(t *testing.T) {
 	sizes := []int{rowStoreFirst, rowStoreFirst + 1, 3 * rowStoreFirst, 3*rowStoreFirst + 1, 16, 17, 33, 4097}
 	rng := rand.New(rand.NewSource(17))
 	for li, layout := range joinLayouts {
 		for _, n := range sizes {
 			nr := n
-			if li == 3 && n > 64 {
+			if cartesianLayout(layout) && n > 64 {
 				nr = 3 // Cartesian: keep the product small
 			}
-			for _, ragged := range []bool{false, true} {
-				if n > 64 && (!ragged || li == 1 || li == 2) {
-					continue // the big case once per key kind is enough under -race
-				}
-				// Near-unique keys keep the big cases' outputs near their inputs.
-				left := genJoinTable(rng, layout[0], n, 2, ragged)
-				right := genJoinTable(rng, layout[1], nr, 2, ragged)
-				if !checkJoinAgainstOracle(t, rng, left, right, []int{1, 3}) {
-					t.Errorf("layout %d, %d x %d rows, ragged=%v: diverged from the nested-loop oracle", li, n, nr, ragged)
-				}
+			if n > 64 && (li == 1 || li == 2) {
+				continue // the big case once per key kind is enough under -race
+			}
+			// Near-unique keys keep the big cases' outputs near their inputs.
+			left := genJoinTable(rng, layout[0], n, 2)
+			right := genJoinTable(rng, layout[1], nr, 2)
+			if !checkJoinAgainstOracle(t, rng, left, right, []int{1, 3}) {
+				t.Errorf("layout %d, %d x %d rows: diverged from the nested-loop oracle", li, n, nr)
 			}
 		}
 	}
@@ -252,12 +226,12 @@ func TestJoinAcrossChunkBoundaries(t *testing.T) {
 func TestPartitionRoutingIsConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cols := []colPair{{l: 0, r: 1}, {l: 2, r: 0}}
+		lkey, rkey := []int{0, 2}, []int{1, 0}
 		lrow := []rdf.ID{rdf.ID(rng.Intn(16)), rdf.ID(rng.Intn(16)), rdf.ID(rng.Intn(16))}
 		rrow := []rdf.ID{lrow[2], lrow[0], rdf.ID(rng.Intn(16))}
 		for _, p := range []int{2, 3, 8, 64} {
-			lp := partitionFor(lrow, cols, true, p)
-			rp := partitionFor(rrow, cols, false, p)
+			lp := partitionFor(lrow, lkey, p)
+			rp := partitionFor(rrow, rkey, p)
 			if lp != rp {
 				t.Logf("seed %d: matching rows routed to partitions %d and %d of %d", seed, lp, rp, p)
 				return false
@@ -290,7 +264,7 @@ func TestJoinStreamPartitionedCancel(t *testing.T) {
 		}()
 		// Feed one batch so workers are mid-join, then cancel without
 		// closing the inputs: only the kill switch can stop the join.
-		left <- &match.Bindings{Vars: lv, Rows: [][]rdf.ID{{1, 2}, {3, 4}}}
+		left <- &match.Bindings{Vars: lv, Rows: []rdf.ID{1, 2, 3, 4}}
 		cancel()
 		for range out {
 		}

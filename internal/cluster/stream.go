@@ -25,11 +25,11 @@ import (
 // quickly.
 const DefaultBatchSize = 256
 
-// BatchSink receives one shipped batch of bindings. The batch — its Rows
-// slice and the rows in it — belongs to the receiver from then on: the
-// sender keeps no reference, so the sink may reorder, overwrite or retain
-// it. Fragments evaluate in parallel, so the sink must be safe for
-// concurrent use. Returning an error stops the stream.
+// BatchSink receives one shipped batch of bindings. The batch and its Rows
+// array belong to the receiver from then on: the sender keeps no
+// reference, so the sink may reorder, overwrite or retain it. Fragments
+// evaluate in parallel, so the sink must be safe for concurrent use.
+// Returning an error stops the stream.
 type BatchSink func(*match.Bindings) error
 
 // EvalStream evaluates a subquery at a site like Eval, but ships binding
@@ -99,7 +99,7 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 					return false
 				}
 				b.Dedup()
-				respBytes := len(b.Rows) * len(b.Vars) * 4
+				respBytes := len(b.Rows) * 4
 				c.Net.Messages.Add(1)
 				c.Net.Bytes.Add(int64(respBytes))
 				if err := c.receiveResponse(ctx, respBytes); err != nil {
@@ -122,7 +122,7 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 // streams: left's variables followed by right's non-shared variables,
 // matching HashJoin.
 func JoinVars(leftVars, rightVars []string) []string {
-	_, rightOnly := alignVars(leftVars, rightVars)
+	_, _, rightOnly := alignVars(leftVars, rightVars)
 	return append(append([]string(nil), leftVars...), names(rightVars, rightOnly)...)
 }
 

@@ -13,15 +13,13 @@ import (
 	"rdffrag/internal/sparql"
 )
 
-// sendBatches splits rows into batches of n and streams them.
-func sendBatches(ch chan *match.Bindings, vars []string, rows [][]rdf.ID, n int) {
+// sendBatches splits a table into batches of n rows and streams them.
+func sendBatches(ch chan *match.Bindings, t *match.Bindings, n int) {
 	defer close(ch)
-	for i := 0; i < len(rows); i += n {
-		j := i + n
-		if j > len(rows) {
-			j = len(rows)
-		}
-		ch <- &match.Bindings{Vars: vars, Rows: rows[i:j]}
+	w := len(t.Vars)
+	for i := 0; i < t.Len(); i += n {
+		j := min(i+n, t.Len())
+		ch <- match.NewBindings(t.Vars, t.Rows[i*w:j*w], j-i)
 	}
 }
 
@@ -32,6 +30,7 @@ func collect(ch <-chan *match.Bindings) *match.Bindings {
 			out = &match.Bindings{Vars: b.Vars}
 		}
 		out.Rows = append(out.Rows, b.Rows...)
+		out.Nullary += b.Nullary
 	}
 	return out
 }
@@ -41,7 +40,7 @@ func multiset(b *match.Bindings) map[string]int {
 	if b == nil {
 		return m
 	}
-	for _, r := range b.Rows {
+	for _, r := range tableRows(b) {
 		m[fmt.Sprint(r)]++
 	}
 	return m
@@ -63,19 +62,15 @@ func TestJoinStreamMatchesHashJoin(t *testing.T) {
 	for _, tc := range cases {
 		for trial := 0; trial < 5; trial++ {
 			nl, nr := rng.Intn(40), rng.Intn(40)
-			lrows := randomRows(rng, nl, len(tc.lv))
-			rrows := randomRows(rng, nr, len(tc.rv))
-
-			want := HashJoin(
-				&match.Bindings{Vars: tc.lv, Rows: lrows},
-				&match.Bindings{Vars: tc.rv, Rows: rrows},
-			)
+			l := &match.Bindings{Vars: tc.lv, Rows: randomRows(rng, nl, len(tc.lv))}
+			r := &match.Bindings{Vars: tc.rv, Rows: randomRows(rng, nr, len(tc.rv))}
+			want := HashJoin(l, r)
 
 			left := make(chan *match.Bindings, 2)
 			right := make(chan *match.Bindings, 2)
 			out := make(chan *match.Bindings, 2)
-			go sendBatches(left, tc.lv, lrows, 3)
-			go sendBatches(right, tc.rv, rrows, 5)
+			go sendBatches(left, l, 3)
+			go sendBatches(right, r, 5)
 			go JoinStream(context.Background(), tc.lv, tc.rv, left, right, out)
 			got := collect(out)
 
@@ -100,14 +95,10 @@ func TestJoinStreamMatchesHashJoin(t *testing.T) {
 	}
 }
 
-func randomRows(rng *rand.Rand, n, width int) [][]rdf.ID {
-	rows := make([][]rdf.ID, n)
+func randomRows(rng *rand.Rand, n, width int) []rdf.ID {
+	rows := make([]rdf.ID, n*width)
 	for i := range rows {
-		r := make([]rdf.ID, width)
-		for j := range r {
-			r[j] = rdf.ID(rng.Intn(6)) // small domain → plenty of join hits
-		}
-		rows[i] = r
+		rows[i] = rdf.ID(rng.Intn(6)) // small domain → plenty of join hits
 	}
 	return rows
 }

@@ -17,16 +17,12 @@ import (
 // genBatches draws a stream of batches over width columns from a small
 // value domain, so rows repeat within a batch and across batches; some
 // batches are empty.
-func genBatches(rng *rand.Rand, width int) [][][]rdf.ID {
-	batches := make([][][]rdf.ID, rng.Intn(12))
+func genBatches(rng *rand.Rand, width int) [][]rdf.ID {
+	batches := make([][]rdf.ID, rng.Intn(12))
 	for i := range batches {
-		batches[i] = make([][]rdf.ID, rng.Intn(40))
-		for j := range batches[i] {
-			row := make([]rdf.ID, width)
-			for k := range row {
-				row[k] = rdf.ID(rng.Intn(3))
-			}
-			batches[i][j] = row
+		batches[i] = make([]rdf.ID, rng.Intn(40)*width)
+		for k := range batches[i] {
+			batches[i][k] = rdf.ID(rng.Intn(3))
 		}
 	}
 	return batches
@@ -34,7 +30,7 @@ func genBatches(rng *rand.Rand, width int) [][][]rdf.ID {
 
 // feed copies batches into a closed channel: consume owns what it
 // receives and may overwrite it, so every run gets its own copy.
-func feed(vars []string, batches [][][]rdf.ID) <-chan *match.Bindings {
+func feed(vars []string, batches [][]rdf.ID) <-chan *match.Bindings {
 	ch := make(chan *match.Bindings, len(batches))
 	for _, rows := range batches {
 		ch <- &match.Bindings{Vars: vars, Rows: slices.Clone(rows)}
@@ -43,8 +39,9 @@ func feed(vars []string, batches [][][]rdf.ID) <-chan *match.Bindings {
 	return ch
 }
 
-func rowsEqual(a, b [][]rdf.ID) bool {
-	return slices.EqualFunc(a, b, func(x, y []rdf.ID) bool { return slices.Equal(x, y) })
+// rowsEqual: got holds exactly the rows want, in that order.
+func rowsEqual(got *match.Bindings, want [][]rdf.ID) bool {
+	return got.Len() == len(want) && slices.Equal(got.Rows, slices.Concat(want...))
 }
 
 // TestConsumeSortDedupMatchesRowSetProperty: without a LIMIT consume
@@ -78,7 +75,7 @@ func TestConsumeSortDedupMatchesRowSetProperty(t *testing.T) {
 
 		distinct := map[string][]rdf.ID{}
 		for _, rows := range batches {
-			for _, row := range rows {
+			for row := range slices.Chunk(rows, width) {
 				r := make([]rdf.ID, len(proj))
 				for k, j := range proj {
 					r[k] = row[j]
@@ -97,8 +94,8 @@ func TestConsumeSortDedupMatchesRowSetProperty(t *testing.T) {
 		limited.Limit = len(want) + 1
 		counted := e.consume(context.Background(), func() {}, &limited, feed(vars, batches), vars)
 		for name, got := range map[string]*match.Bindings{"sort-dedup": sorted, "rowSet": counted} {
-			if len(got.Vars) != len(proj) || !rowsEqual(got.Rows, want) {
-				t.Logf("seed %d: %s path returned %d rows over %v, want %d", seed, name, len(got.Rows), got.Vars, len(want))
+			if len(got.Vars) != len(proj) || !rowsEqual(got, want) {
+				t.Logf("seed %d: %s path returned %d rows over %v, want %d", seed, name, got.Len(), got.Vars, len(want))
 				return false
 			}
 		}
@@ -119,7 +116,7 @@ func TestConsumeLimitCancelsPipeline(t *testing.T) {
 	go func() {
 		defer close(in)
 		for i := 0; ; i++ {
-			b := &match.Bindings{Vars: []string{"x"}, Rows: [][]rdf.ID{{rdf.ID(i / 2)}, {rdf.ID(i / 2)}}}
+			b := &match.Bindings{Vars: []string{"x"}, Rows: []rdf.ID{rdf.ID(i / 2), rdf.ID(i / 2)}}
 			select {
 			case in <- b:
 			case <-ctx.Done():
@@ -131,24 +128,22 @@ func TestConsumeLimitCancelsPipeline(t *testing.T) {
 	if ctx.Err() == nil {
 		t.Error("consume reached its LIMIT without cancelling the pipeline")
 	}
-	if want := [][]rdf.ID{{0}, {1}, {2}}; !rowsEqual(got.Rows, want) {
+	if want := [][]rdf.ID{{0}, {1}, {2}}; !rowsEqual(got, want) {
 		t.Errorf("LIMIT 3 over duplicated rows returned %v, want %v", got.Rows, want)
 	}
 }
 
-// TestConsumeAllocs: draining 50 batches costs the result and its row
-// list — plus, when projecting, the kept variable names and one backing
-// array per batch; nothing per row and no set of seen rows.
+// TestConsumeAllocs: draining 50 batches costs the result and its one row
+// array — plus, when projecting, the kept variable names; nothing per
+// batch, nothing per row and no set of seen rows.
 func TestConsumeAllocs(t *testing.T) {
 	const nBatches, perBatch = 50, 256
 	vars := []string{"x", "y", "z"}
-	batches := make([][][]rdf.ID, nBatches)
+	batches := make([][]rdf.ID, nBatches)
 	for i := range batches {
-		flat := make([]rdf.ID, perBatch*len(vars))
-		batches[i] = make([][]rdf.ID, perBatch)
-		for j := range batches[i] {
-			batches[i][j] = flat[j*3 : j*3+3 : j*3+3]
-			batches[i][j][0], batches[i][j][1] = rdf.ID(i), rdf.ID(j%100) // duplicates within every batch
+		batches[i] = make([]rdf.ID, perBatch*len(vars))
+		for j := 0; j < perBatch; j++ {
+			batches[i][3*j], batches[i][3*j+1] = rdf.ID(i), rdf.ID(j%100) // duplicates within every batch
 		}
 	}
 	e := &Engine{}
@@ -158,8 +153,8 @@ func TestConsumeAllocs(t *testing.T) {
 		budget uint64
 		rows   int
 	}{
-		{"select *", &sparql.Graph{}, 3, nBatches * 100},
-		{"projected", &sparql.Graph{Select: []string{"y", "x"}}, 3 + nBatches, nBatches * 100},
+		{"select *", &sparql.Graph{}, 2, nBatches * 100},
+		{"projected", &sparql.Graph{Select: []string{"y", "x"}}, 3, nBatches * 100},
 	} {
 		var least uint64 = 1 << 62
 		for trial := 0; trial < 5; trial++ {
@@ -168,8 +163,8 @@ func TestConsumeAllocs(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			got := e.consume(context.Background(), func() {}, tc.q, in, vars)
 			runtime.ReadMemStats(&after)
-			if len(got.Rows) != tc.rows {
-				t.Fatalf("%s: %d rows, want %d", tc.name, len(got.Rows), tc.rows)
+			if got.Len() != tc.rows {
+				t.Fatalf("%s: %d rows, want %d", tc.name, got.Len(), tc.rows)
 			}
 			least = min(least, after.Mallocs-before.Mallocs)
 		}

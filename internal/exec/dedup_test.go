@@ -8,14 +8,16 @@ import (
 	"rdffrag/internal/rdf"
 )
 
-// TestRowSetMatchesStringKeys: the packed-key row set must accept and
-// reject exactly the rows a string-keyed set would, across the packed
-// width boundary (≤4 columns packed, >4 string fallback).
+// TestRowSetMatchesStringKeys: the row set must accept and reject exactly
+// the rows a string-keyed set would, at every width — five and seven
+// columns, which once took a string fallback, included — while its slot
+// table doubles several times.
 func TestRowSetMatchesStringKeys(t *testing.T) {
 	for _, width := range []int{1, 2, 4, 5, 7} {
 		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(width)))
-			set := newRowSet(width)
+			set := rowSet{w: width}
+			var rows []rdf.ID
 			oracle := make(map[string]bool)
 			for i := 0; i < 2000; i++ {
 				row := make([]rdf.ID, width)
@@ -25,24 +27,31 @@ func TestRowSetMatchesStringKeys(t *testing.T) {
 				key := fmt.Sprint(row)
 				want := !oracle[key]
 				oracle[key] = true
-				if got := set.insert(row); got != want {
-					t.Fatalf("insert(%v) = %v, want %v", row, got, want)
+				rows = append(rows, row...)
+				got := set.insert(rows)
+				if !got {
+					rows = rows[:len(rows)-width]
+				}
+				if got != want || set.n != len(oracle) || len(rows) != set.n*width {
+					t.Fatalf("insert(%v) = %v, want %v; %d distinct of %d", row, got, want, set.n, len(oracle))
 				}
 			}
 		})
 	}
 }
 
-// TestRowSetAllocs: packed insertion of an already-seen row must not
-// allocate — the point of replacing the per-row string keys.
+// TestRowSetAllocs: inserting an already-seen row must not allocate — the
+// point of comparing rows where they lie.
 func TestRowSetAllocs(t *testing.T) {
-	set := newRowSet(3)
-	row := []rdf.ID{1, 2, 3}
-	set.insert(row)
+	set := rowSet{w: 3}
+	rows := []rdf.ID{1, 2, 3, 1, 2, 3}
+	set.insert(rows[:3])
 	allocs := testing.AllocsPerRun(1000, func() {
-		set.insert(row)
+		if set.insert(rows) {
+			t.Fatal("a seen row was taken for new")
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("duplicate packed insert allocates %.1f per run, want 0", allocs)
+		t.Errorf("duplicate insert allocates %.1f per run, want 0", allocs)
 	}
 }

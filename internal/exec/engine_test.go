@@ -41,7 +41,7 @@ func centralizedAnswer(q *sparql.Graph, g *rdf.Graph) *match.Bindings {
 }
 
 func bindingsEqual(a, b *match.Bindings) bool {
-	if len(a.Rows) != len(b.Rows) || len(a.Vars) != len(b.Vars) {
+	if a.Len() != b.Len() || len(a.Vars) != len(b.Vars) {
 		return false
 	}
 	key := func(bind *match.Bindings, i int) string {
@@ -55,15 +55,15 @@ func bindingsEqual(a, b *match.Bindings) bool {
 		s := ""
 		for _, v := range order {
 			idx = idx[:0]
-			s += fmt.Sprintf("%d|", bind.Rows[i][pos[v]])
+			s += fmt.Sprintf("%d|", bind.Row(i)[pos[v]])
 		}
 		return s
 	}
 	am := map[string]int{}
-	for i := range a.Rows {
+	for i := 0; i < a.Len(); i++ {
 		am[key(a, i)]++
 	}
-	for i := range b.Rows {
+	for i := 0; i < b.Len(); i++ {
 		am[key(b, i)]--
 	}
 	for _, v := range am {
@@ -94,7 +94,7 @@ func TestQueryMatchesCentralizedVertical(t *testing.T) {
 		}
 		want := centralizedAnswer(q, env.G)
 		if !bindingsEqual(got, want) {
-			t.Errorf("query %q: distributed %d rows, centralized %d rows", qs, len(got.Rows), len(want.Rows))
+			t.Errorf("query %q: distributed %d rows, centralized %d rows", qs, got.Len(), want.Len())
 		}
 		if stats.Subqueries < 1 {
 			t.Errorf("query %q: no subqueries", qs)
@@ -112,7 +112,7 @@ func TestQueryMatchesCentralizedHorizontal(t *testing.T) {
 		}
 		want := centralizedAnswer(q, env.G)
 		if !bindingsEqual(got, want) {
-			t.Errorf("query %q: distributed %d rows, centralized %d rows", qs, len(got.Rows), len(want.Rows))
+			t.Errorf("query %q: distributed %d rows, centralized %d rows", qs, got.Len(), want.Len())
 		}
 	}
 }
@@ -151,8 +151,8 @@ func TestQueryEmptyResult(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	if len(got.Rows) != 0 {
-		t.Errorf("rows = %d, want 0", len(got.Rows))
+	if got.Len() != 0 {
+		t.Errorf("rows = %d, want 0", got.Len())
 	}
 }
 
@@ -165,7 +165,7 @@ func TestQueryVariablePredicate(t *testing.T) {
 	}
 	want := centralizedAnswer(q, env.G)
 	if !bindingsEqual(got, want) {
-		t.Errorf("var-pred query: got %d rows, want %d", len(got.Rows), len(want.Rows))
+		t.Errorf("var-pred query: got %d rows, want %d", got.Len(), want.Len())
 	}
 }
 

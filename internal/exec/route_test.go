@@ -36,8 +36,8 @@ func TestRouteUnboundSubqueryIsAnError(t *testing.T) {
 		t.Fatalf("Prepare: %v", err)
 	}
 	want, _, err := e.QueryPrepared(context.Background(), q, prep)
-	if err != nil || len(want.Rows) == 0 {
-		t.Fatalf("bound plan: %d rows, err %v; want a non-empty answer", len(want.Rows), err)
+	if err != nil || want.Len() == 0 {
+		t.Fatalf("bound plan: %d rows, err %v; want a non-empty answer", want.Len(), err)
 	}
 
 	// The same decomposition as a hand-assembled one would be: no bound

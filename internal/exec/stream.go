@@ -13,6 +13,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -205,11 +206,11 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 // consume drains the final join stream into the result: projected,
 // distinct and sorted (Dedup order), the engine's historical
 // deterministic output. Without a pushed-down LIMIT it keeps the incoming
-// batches — they are its own, see cluster.BatchSink — sizes the result
-// once from their total and lets the final sort drop duplicates as
-// neighbours. With one, distinct rows must be counted as they arrive:
-// once Limit of them survive projection the whole pipeline is cancelled
-// instead of materializing the rest.
+// batches — they are its own, see cluster.BatchSink — then projects them
+// all into one array sized from their total and lets the final sort drop
+// duplicates as neighbours. With one, distinct rows must be counted as
+// they arrive: once Limit of them survive projection the whole pipeline
+// is cancelled instead of materializing the rest.
 func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *sparql.Graph, in <-chan *match.Bindings, inVars []string) *match.Bindings {
 	// Resolve the projection once, against the full joined layout.
 	var fewCols [8]int // a projection this narrow stays on the stack
@@ -224,61 +225,61 @@ func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *spar
 			}
 		}
 	}
+	// appendRows appends b's rows from..to, projected, to dst.
+	appendRows := func(dst []rdf.ID, b *match.Bindings, from, to int) []rdf.ID {
+		if len(q.Select) == 0 {
+			return append(dst, b.Rows[from*len(inVars):to*len(inVars)]...)
+		}
+		for i := from; i < to; i++ {
+			row := b.Rows[i*len(inVars) : (i+1)*len(inVars)]
+			for _, j := range proj {
+				dst = append(dst, row[j])
+			}
+		}
+		return dst
+	}
+	w := len(keptVars)
+
 	// ORDER BY is applied by the caller on decoded terms; stopping early
 	// would change which rows survive, so only push the limit down for
 	// unordered queries.
-	var seen *rowSet // non-nil when q.Limit is pushed down
 	if q.Limit > 0 && len(q.OrderBy) == 0 {
-		seen = newRowSet(len(keptVars))
+		var rows []rdf.ID
+		seen := rowSet{w: w}
+		for b := range in {
+			for i, n := 0, b.Len(); i < n && seen.n < q.Limit; i++ {
+				if rows = appendRows(rows, b, i, i+1); !seen.insert(rows) {
+					rows = rows[:len(rows)-w]
+				}
+			}
+			if seen.n >= q.Limit {
+				cancel() // stop producers and join stages
+				break
+			}
+		}
+		out := match.NewBindings(keptVars, rows, seen.n)
+		out.Dedup()
+		return out
 	}
 
-	out := &match.Bindings{Vars: keptVars}
 	// Most results arrive in a few batches; the list stays on the stack.
-	var few [64][][]rdf.ID
+	var few [64]*match.Bindings
 	batches, total := few[:0], 0
 	for b := range in {
-		rows := b.Rows
-		if len(q.Select) > 0 {
-			projectRows(rows, proj)
-		}
-		if seen == nil {
-			batches, total = append(batches, rows), total+len(rows)
-			continue
-		}
-		for _, r := range rows {
-			if !seen.insert(r) {
-				continue
-			}
-			out.Rows = append(out.Rows, r)
-			if len(out.Rows) >= q.Limit {
-				cancel() // stop producers and join stages
-				out.Dedup()
-				return out
-			}
+		batches, total = append(batches, b), total+b.Len()
+	}
+	var rows []rdf.ID
+	if len(batches) == 1 && len(q.Select) == 0 {
+		rows = batches[0].Rows
+	} else if total > 0 {
+		rows = make([]rdf.ID, 0, total*w)
+		for _, b := range batches {
+			rows = appendRows(rows, b, 0, b.Len())
 		}
 	}
-	if total > 0 {
-		out.Rows = make([][]rdf.ID, 0, total)
-		for _, rows := range batches {
-			out.Rows = append(out.Rows, rows...)
-		}
-	}
+	out := match.NewBindings(keptVars, rows, total)
 	out.Dedup()
 	return out
-}
-
-// projectRows replaces every row by its projection onto the columns
-// proj, carved from one backing array for the whole batch.
-func projectRows(rows [][]rdf.ID, proj []int) {
-	w := len(proj)
-	flat := make([]rdf.ID, len(rows)*w)
-	for i, row := range rows {
-		r := flat[i*w : (i+1)*w : (i+1)*w]
-		for k, j := range proj {
-			r[k] = row[j]
-		}
-		rows[i] = r
-	}
 }
 
 // countPartitionableStages walks the join order and counts the stages a
@@ -297,48 +298,49 @@ func countPartitionableStages(order []int, vars [][]string) int {
 	return n
 }
 
-// maxPackedCols is how many columns fit the fixed-size packed dedup key;
-// it mirrors cluster's join-table keys. Almost every projection is ≤4
-// columns wide; wider rows fall back to string keys.
-const maxPackedCols = 4
-
-// rowSet dedups binding rows without materializing a string per row: rows
-// up to maxPackedCols wide key a map by packed [4]rdf.ID value arrays
-// (all rows of one result set share a width, so zero padding cannot
-// collide). It removes the last per-row string materialization in the
-// query path.
+// rowSet tells the distinct rows of a flat array of w-wide rows that is
+// being filled: an open-addressed table of row numbers that compares rows
+// where they lie, so no key is materialized at any width.
 type rowSet struct {
-	packed map[[maxPackedCols]rdf.ID]struct{}
-	str    map[string]struct{}
+	w     int
+	n     int     // distinct rows so far: the array's first n
+	slots []int32 // 1 + a row number; 0: free
 }
 
-func newRowSet(width int) *rowSet {
-	if width <= maxPackedCols {
-		return &rowSet{packed: make(map[[maxPackedCols]rdf.ID]struct{})}
+func rowHash(row []rdf.ID) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, v := range row {
+		h = (h ^ uint64(v)) * 1099511628211
 	}
-	return &rowSet{str: make(map[string]struct{})}
+	return h * 0x9E3779B97F4A7C15
 }
 
-// insert adds the row, reporting whether it was new.
-func (s *rowSet) insert(r []rdf.ID) bool {
-	if s.packed != nil {
-		var k [maxPackedCols]rdf.ID
-		copy(k[:], r)
-		if _, ok := s.packed[k]; ok {
-			return false
+// place returns the slot that holds row's number, or the free slot where
+// it belongs; rows is the array the numbers in the slots refer to.
+func (s *rowSet) place(rows, row []rdf.ID) *int32 {
+	for i := rowHash(row) >> (64 - bits.Len(uint(len(s.slots))) + 1); ; i = (i + 1) & uint64(len(s.slots)-1) {
+		r := int(s.slots[i])
+		if r == 0 || slices.Equal(rows[(r-1)*s.w:r*s.w], row) {
+			return &s.slots[i]
 		}
-		s.packed[k] = struct{}{}
-		return true
 	}
-	b := make([]byte, 0, len(r)*4)
-	for _, id := range r {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+}
+
+// insert takes rows, the n distinct rows so far followed by one more, and
+// reports whether that one is new; if so it is row n from now on.
+func (s *rowSet) insert(rows []rdf.ID) bool {
+	if (s.n+1)*4 > len(s.slots)*3 {
+		s.slots = make([]int32, max(16, 2*len(s.slots)))
+		for r := 0; r < s.n; r++ {
+			*s.place(rows, rows[r*s.w:(r+1)*s.w]) = int32(r + 1)
+		}
 	}
-	k := string(b)
-	if _, ok := s.str[k]; ok {
+	slot := s.place(rows, rows[s.n*s.w:(s.n+1)*s.w])
+	if *slot != 0 {
 		return false
 	}
-	s.str[k] = struct{}{}
+	s.n++
+	*slot = int32(s.n)
 	return true
 }
 
@@ -385,7 +387,7 @@ func (e *Engine) evalSubqueryStream(ctx context.Context, sq *decompose.Subquery,
 				View:        view,
 				Parallelism: sitePar,
 			}, e.BatchSize, func(b *match.Bindings) error {
-				st.rows.Add(int64(len(b.Rows)))
+				st.rows.Add(int64(b.Len()))
 				select {
 				case out <- b:
 					return nil

@@ -41,38 +41,45 @@ func bindingQuery(rng *rand.Rand, seed int64) *sparql.Graph {
 
 // referenceBatches is the path FindBindings replaced: whole matches,
 // batch by batch, projected afterwards.
-func referenceBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int) [][][]rdf.ID {
-	var out [][][]rdf.ID
+func referenceBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int) []*Bindings {
+	var out []*Bindings
 	FindBatches(q, g, opts, size, func(ms []Match) bool {
-		out = append(out, ToBindings(q, ms).Rows)
+		out = append(out, ToBindings(q, ms))
 		return true
 	})
 	return out
 }
 
-func emittedBatches(t *testing.T, q *sparql.Graph, g *rdf.Snapshot, opts Options, size, stopAfter int) [][][]rdf.ID {
+func emittedBatches(t *testing.T, q *sparql.Graph, g *rdf.Snapshot, opts Options, size, stopAfter int) []*Bindings {
 	t.Helper()
-	var out [][][]rdf.ID
+	var out []*Bindings
 	vars := q.Vars()
 	FindBindings(q, g, opts, size, func(b *Bindings) bool {
 		if !slices.Equal(b.Vars, vars) {
 			t.Errorf("batch vars = %v, want %v", b.Vars, vars)
 		}
-		for _, r := range b.Rows {
-			if r == nil || len(r) != len(vars) || cap(r) != len(r) {
-				t.Errorf("row %v: len %d cap %d, want a non-nil row capped at %d", r, len(r), cap(r), len(vars))
-			}
+		if len(b.Rows) != b.Len()*len(vars) || b.Len() == 0 || (len(vars) > 0 && b.Nullary != 0) {
+			t.Errorf("batch of %d rows over %v holds %d IDs, Nullary %d", b.Len(), vars, len(b.Rows), b.Nullary)
 		}
-		out = append(out, b.Rows)
+		out = append(out, b)
 		return len(out) != stopAfter
 	})
 	return out
 }
 
-func flattenSorted(batches [][][]rdf.ID) [][]rdf.ID {
+// tableRows lists a table's rows; an empty tuple is an empty row.
+func tableRows(b *Bindings) [][]rdf.ID {
+	rows := make([][]rdf.ID, b.Len())
+	for i := range rows {
+		rows[i] = b.Row(i)
+	}
+	return rows
+}
+
+func flattenSorted(batches []*Bindings) [][]rdf.ID {
 	var all [][]rdf.ID
 	for _, b := range batches {
-		all = append(all, b...)
+		all = append(all, tableRows(b)...)
 	}
 	slices.SortFunc(all, RowCompare)
 	return all
@@ -81,6 +88,8 @@ func flattenSorted(batches [][][]rdf.ID) [][]rdf.ID {
 func sameRows(a, b [][]rdf.ID) bool {
 	return slices.EqualFunc(a, b, func(x, y []rdf.ID) bool { return slices.Equal(x, y) })
 }
+
+func sameBatch(a, b *Bindings) bool { return sameRows(tableRows(a), tableRows(b)) }
 
 // TestFindBindingsMatchesFindBatchesProperty: FindBindings emits what
 // ToBindings makes of FindBatches — the same row multiset in every mode,
@@ -124,7 +133,7 @@ func TestFindBindingsMatchesFindBatchesProperty(t *testing.T) {
 				t.Logf("%s: seeds %d/%d: row multiset differs (%d batches vs %d)", mode.name, dataSeed, querySeed, len(got), len(want))
 				return false
 			}
-			if mode.ordered && !slices.EqualFunc(got, want, sameRows) {
+			if mode.ordered && !slices.EqualFunc(got, want, sameBatch) {
 				t.Logf("%s: seeds %d/%d: batch sequence differs", mode.name, dataSeed, querySeed)
 				return false
 			}
@@ -147,7 +156,7 @@ func TestFindBindingsMatchesFindBatchesProperty(t *testing.T) {
 				t.Logf("%s: sink refused batch %d, was called %d times", mode.name, stop, len(cut))
 				return false
 			}
-			if mode.ordered && !slices.EqualFunc(cut, want[:stop], sameRows) {
+			if mode.ordered && !slices.EqualFunc(cut, want[:stop], sameBatch) {
 				t.Logf("%s: the %d batches before the stop differ", mode.name, stop)
 				return false
 			}
@@ -159,28 +168,30 @@ func TestFindBindingsMatchesFindBatchesProperty(t *testing.T) {
 	}
 }
 
-// TestFindBindingsBatchesAreTheReceivers: batches never share a row or a
-// header slot, so a receiver may sort, overwrite and keep each one while
-// the search goes on — the contract cluster.BatchSink states.
+// TestFindBindingsBatchesAreTheReceivers: batches never share storage, so
+// a receiver may sort, overwrite, append to and keep each one while the
+// search goes on — the contract cluster.BatchSink states.
 func TestFindBindingsBatchesAreTheReceivers(t *testing.T) {
 	g := batchGraph(300)
 	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
 	for _, opts := range []Options{{Parallelism: 1}, {Parallelism: 4}, {Parallelism: 4, Deterministic: true}} {
-		var kept []*Bindings
+		var kept, copies []*Bindings
 		FindBindings(q, g.Snapshot(), opts, 7, func(b *Bindings) bool {
-			for i := range b.Rows {
-				b.Rows[i] = append(b.Rows[i], rdf.NoID) // must not reach a neighbour
-			}
+			copies = append(copies, &Bindings{Vars: b.Vars, Rows: slices.Clone(b.Rows)})
+			_ = append(b.Rows, rdf.NoID, rdf.NoID) // must not reach a neighbour
+			_ = append(b.Row(0), rdf.NoID)         // nor the next row
+			slices.Reverse(b.Rows)
 			kept = append(kept, b)
 			return true
 		})
 		seen := map[string]bool{}
-		for _, b := range kept {
-			for _, r := range b.Rows {
-				if len(r) != 3 || r[2] != rdf.NoID {
-					t.Fatalf("opts %+v: kept row %v was overwritten", opts, r)
-				}
-				seen[fmt.Sprint(r[:2])] = true
+		for i, b := range kept {
+			slices.Reverse(b.Rows)
+			if !sameBatch(b, copies[i]) {
+				t.Fatalf("opts %+v: kept batch %d was overwritten: %v, was %v", opts, i, b.Rows, copies[i].Rows)
+			}
+			for _, r := range tableRows(b) {
+				seen[fmt.Sprint(r)] = true
 			}
 		}
 		if len(seen) != 300 {
@@ -190,30 +201,78 @@ func TestFindBindingsBatchesAreTheReceivers(t *testing.T) {
 }
 
 // TestFindBindingsChunksGrowFromFourRows: a small answer pays for a small
-// chunk. Nine two-column rows fit chunks of 4 and 8 rows (96 B) and
-// headers of 4, 8 and 16 (672 B); a batch-sized chunk and header up front
-// would be 2 KB + 6 KB.
+// batch. Nine two-column rows go through arrays of 4, 8 and 16 rows (224
+// B) and nothing else; a batch-sized array up front would be 2 KB.
 func TestFindBindingsChunksGrowFromFourRows(t *testing.T) {
 	g := batchGraph(9)
 	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
 	p := newProjector(q)
 	m := Match{Vertex: make([]rdf.ID, len(q.Verts))}
 	allocs := testing.AllocsPerRun(100, func() {
-		c := rowChunks{p: p, size: 256}
-		b := batcher[[]rdf.ID]{keep: c.carve, size: 256}
+		b := newBatcher(p.appendRow, 2, 256)
 		for i := 0; i < 9; i++ {
 			b.add(&m)
 		}
-		if got := b.take(); len(got) != 9 || cap(got) != 16 {
-			t.Fatalf("batch holds %d rows in a header of %d, want 9 in 16", len(got), cap(got))
-		}
-		if c.grow != 8 {
-			t.Fatalf("last chunk holds %d rows, want 8", c.grow)
+		if got := b.take(); len(got) != 9*2 || cap(got) != 16*2 {
+			t.Fatalf("batch holds %d IDs in an array of %d, want 18 in 32", len(got), cap(got))
 		}
 	})
-	// Chunks of 4 and 8 rows, headers of 4, 8 and 16, the rowChunks and
-	// its bound carve.
-	if allocs > 7 {
-		t.Errorf("nine rows cost %.0f allocations, want at most 7", allocs)
+	// Arrays of 4, 8 and 16 rows, and the bound appendRow.
+	if allocs > 4 {
+		t.Errorf("nine rows cost %.0f allocations, want at most 4", allocs)
+	}
+}
+
+// TestDedupMatchesSortedSetProperty: Dedup's in-place record sort leaves
+// exactly the distinct rows in lexicographic order, at every width — no
+// variables included — on random, constant, ascending and descending
+// tables, and also when the quicksort gives up at once and hands over to
+// sort.Sort.
+func TestDedupMatchesSortedSetProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w, n, domain := rng.Intn(7), rng.Intn(300), 1+rng.Intn(40)
+		b := NewBindings(make([]string, w), nil, n)
+		for i := 0; i < n*w; i++ {
+			b.Rows = append(b.Rows, rdf.ID(rng.Intn(domain)))
+		}
+		switch rng.Intn(4) {
+		case 0:
+			b.Dedup() // ascending input
+			n = b.Len()
+		case 1:
+			b.Dedup()
+			n = b.Len()
+			for i := 0; i < n/2; i++ {
+				for k := 0; k < w; k++ {
+					b.Rows[i*w+k], b.Rows[(n-1-i)*w+k] = b.Rows[(n-1-i)*w+k], b.Rows[i*w+k]
+				}
+			}
+		}
+		want := tableRows(b)
+		slices.SortFunc(want, RowCompare)
+		want = slices.CompactFunc(want, func(x, y []rdf.ID) bool { return slices.Equal(x, y) })
+		if w == 0 {
+			want = want[:min(n, 1)]
+		}
+		wantFlat := slices.Concat(want...)
+
+		viaFallback := slices.Clone(b.Rows)
+		if w > 0 {
+			(&records{viaFallback, w}).sort(0, n, 0)
+			if !slices.IsSortedFunc(tableRows(&Bindings{Vars: b.Vars, Rows: viaFallback}), RowCompare) {
+				t.Logf("seed %d: the sort.Sort fallback left %v", seed, viaFallback)
+				return false
+			}
+		}
+		b.Dedup()
+		if b.Len() != len(want) || !slices.Equal(b.Rows, wantFlat) {
+			t.Logf("seed %d: width %d, %d rows: Dedup left %v, want %v", seed, w, n, b.Rows, wantFlat)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
 	}
 }

@@ -137,45 +137,51 @@ func Find(q *sparql.Graph, g *rdf.Snapshot, opts Options) []Match {
 // Match; FindBatches remains for callers that want whole matches, matched
 // triples included.
 func FindBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn func([]Match) bool) {
-	findBatched(q, g, opts, size, func(int) func(*Match) Match { return (*Match).clone }, fn)
+	findBatched(q, g, opts, size, 1, func(batch []Match, m *Match) []Match { return append(batch, m.clone()) }, fn)
 }
 
-// batcher groups what keep makes of each match into batches of up to size.
-// A batch's slice grows geometrically from 4 to size — most fragment
-// evaluations fill a handful of slots, and a full-size slice per
+// batcher groups what keep appends for each match — stride elements, one
+// Match or one row of IDs — into batches of up to size matches. A batch's
+// array grows geometrically from 4 matches to size — most fragment
+// evaluations fill a handful of slots, and a full-size array per
 // evaluation was once the largest single cost of a selective query — and
 // a batch, once taken, belongs to whoever receives it.
-type batcher[T any] struct {
-	keep  func(*Match) T
-	size  int
-	batch []T
-	last  int // capacity the previous batch reached
+type batcher[E any] struct {
+	keep   func([]E, *Match) []E
+	stride int
+	size   int // elements in a full batch
+	batch  []E
+	last   int // capacity the previous batch reached
+}
+
+func newBatcher[E any](keep func([]E, *Match) []E, stride, size int) batcher[E] {
+	return batcher[E]{keep: keep, stride: stride, size: size * stride}
 }
 
 // add keeps m in the batch and reports whether the batch is full.
-func (b *batcher[T]) add(m *Match) bool {
+func (b *batcher[E]) add(m *Match) bool {
 	if len(b.batch) == cap(b.batch) {
-		b.batch = append(make([]T, 0, min(max(4, 2*cap(b.batch), b.last), b.size)), b.batch...)
+		b.batch = append(make([]E, 0, min(max(4*b.stride, 2*cap(b.batch), b.last), b.size)), b.batch...)
 	}
-	b.batch = append(b.batch, b.keep(m))
+	b.batch = b.keep(b.batch, m)
 	return len(b.batch) == b.size
 }
 
 // take hands out the batch filled so far and starts the next.
-func (b *batcher[T]) take() []T {
+func (b *batcher[E]) take() []E {
 	out := b.batch
 	b.batch, b.last = nil, cap(out)
 	return out
 }
 
 // findBatched is the search-and-batch skeleton behind FindBatches and
-// FindBindings: newKeep makes, once per enumerating goroutine and given
-// the batch size in force, the function that turns the searcher's reused
-// Match into what the batch keeps. A parallel run delivers batches to fn one at a time — in the
-// sequential enumeration order with opts.Deterministic (a stable
-// morsel-order merge, after materializing everything), otherwise as each
-// worker fills its own, in claiming order.
-func findBatched[T any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, newKeep func(size int) func(*Match) T, fn func([]T) bool) {
+// FindBindings: keep appends to a batch the stride elements that the
+// searcher's reused Match becomes (it must grow the array when it is full;
+// it is called from every enumerating goroutine). A parallel run delivers
+// batches to fn one at a time — in the sequential enumeration order with
+// opts.Deterministic (a stable morsel-order merge, after materializing
+// everything), otherwise as each worker fills its own, in claiming order.
+func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, stride int, keep func([]E, *Match) []E, fn func([]E) bool) {
 	if size <= 0 {
 		size = 256
 	}
@@ -186,7 +192,7 @@ func findBatched[T any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size int
 	r := planParallel(q, g, opts, order)
 	switch {
 	case r == nil:
-		b := batcher[T]{keep: newKeep(size), size: size}
+		b := newBatcher(keep, stride, size)
 		forEachOrdered(q, g, opts, order, func(m *Match) bool {
 			return !b.add(m) || fn(b.take())
 		})
@@ -194,16 +200,15 @@ func findBatched[T any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size int
 			fn(b.take())
 		}
 	case opts.Deterministic:
-		buckets := make([][]T, r.numMorsels)
+		buckets := make([][]E, r.numMorsels)
 		r.run(func(int) workerHooks {
-			keep := newKeep(size)
 			return workerHooks{onMatch: func(morsel int, m *Match) bool {
-				buckets[morsel] = append(buckets[morsel], keep(m))
+				buckets[morsel] = keep(buckets[morsel], m)
 				return true
 			}}
 		})
 		for all := slices.Concat(buckets...); len(all) > 0; {
-			n := min(size, len(all))
+			n := min(size*stride, len(all))
 			if !fn(all[:n:n]) {
 				return
 			}
@@ -214,14 +219,14 @@ func findBatched[T any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size int
 			mu      sync.Mutex
 			stopped bool
 		)
-		deliver := func(batch []T) bool {
+		deliver := func(batch []E) bool {
 			mu.Lock()
 			defer mu.Unlock()
 			stopped = stopped || !fn(batch)
 			return !stopped
 		}
 		r.run(func(int) workerHooks {
-			b := batcher[T]{keep: newKeep(size), size: size}
+			b := newBatcher(keep, stride, size)
 			return workerHooks{
 				onMatch: func(_ int, m *Match) bool {
 					return !b.add(m) || deliver(b.take())
@@ -809,57 +814,4 @@ func (s *searcher) bindPred(e sparql.Edge, p rdf.ID) bool {
 	}
 	s.m.Pred[e.PredVar] = p
 	return true
-}
-
-// Bindings converts matches into a variable-name-keyed tabular form used
-// by the distributed join executor.
-type Bindings struct {
-	Vars []string
-	Rows [][]rdf.ID
-}
-
-// ToBindings projects matches onto the query's variables (vertex variables
-// plus variable predicates), in sorted variable order. The rows share one
-// backing array.
-func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
-	p := newProjector(q)
-	w := len(p.vars)
-	b := &Bindings{Vars: p.vars, Rows: make([][]rdf.ID, len(ms))}
-	flat := make([]rdf.ID, len(ms)*w)
-	for i := range ms {
-		b.Rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
-		p.project(&ms[i], b.Rows[i])
-	}
-	return b
-}
-
-// Dedup removes duplicate rows in place (matches can repeat a projection).
-func (b *Bindings) Dedup() {
-	if len(b.Rows) <= 1 {
-		return
-	}
-	slices.SortFunc(b.Rows, RowCompare)
-	out := b.Rows[:1]
-	for _, r := range b.Rows[1:] {
-		if RowCompare(out[len(out)-1], r) != 0 {
-			out = append(out, r)
-		}
-	}
-	b.Rows = out
-}
-
-// RowCompare orders binding rows lexicographically. Ragged rows (width
-// mismatch, e.g. tables accidentally merged across projections) compare
-// by common prefix and then by width instead of panicking.
-func RowCompare(a, b []rdf.ID) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
 }

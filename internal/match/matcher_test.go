@@ -152,8 +152,8 @@ func TestToBindingsAndDedup(t *testing.T) {
 	q := sparql.MustParse(g.Dict, `SELECT ?i WHERE { ?x <mainInterest> ?i . }`)
 	ms := Find(q, g.Snapshot(), Options{})
 	b := ToBindings(q, ms)
-	if len(b.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(b.Rows))
+	if b.Len() != 4 {
+		t.Fatalf("rows = %d, want 4", b.Len())
 	}
 	iPos := -1
 	for i, v := range b.Vars {
@@ -166,12 +166,12 @@ func TestToBindingsAndDedup(t *testing.T) {
 	}
 	// Project to ?i only and dedupe: Ethics, Social_theory, Religion.
 	proj := &Bindings{Vars: []string{"i"}}
-	for _, r := range b.Rows {
-		proj.Rows = append(proj.Rows, []rdf.ID{r[iPos]})
+	for r := 0; r < b.Len(); r++ {
+		proj.Rows = append(proj.Rows, b.Row(r)[iPos])
 	}
 	proj.Dedup()
-	if len(proj.Rows) != 3 {
-		t.Errorf("deduped = %d, want 3", len(proj.Rows))
+	if proj.Len() != 3 {
+		t.Errorf("deduped = %d, want 3", proj.Len())
 	}
 }
 

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,13 +38,8 @@ func TestParallelFindEqualsSequentialQuick(t *testing.T) {
 			sb, pb := ToBindings(q, seq), ToBindings(q, par)
 			sb.Dedup()
 			pb.Dedup()
-			if len(sb.Rows) != len(pb.Rows) {
+			if !slices.Equal(sb.Rows, pb.Rows) || sb.Len() != pb.Len() {
 				return false
-			}
-			for i := range sb.Rows {
-				if RowCompare(sb.Rows[i], pb.Rows[i]) != 0 {
-					return false
-				}
 			}
 		}
 		return true

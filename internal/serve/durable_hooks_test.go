@@ -83,9 +83,9 @@ func TestExclusivePublishesMaintenanceMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Bindings.Rows) != len(base.Bindings.Rows)+1 {
+	if after.Bindings.Len() != base.Bindings.Len()+1 {
 		t.Fatalf("maintenance mutation not visible: %d rows before, %d after",
-			len(base.Bindings.Rows), len(after.Bindings.Rows))
+			base.Bindings.Len(), after.Bindings.Len())
 	}
 }
 

@@ -46,7 +46,7 @@ func TestServerMVCCWritersNeverBlockedByReaders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline query: %v", err)
 	}
-	baseRows := len(baseResp.Bindings.Rows)
+	baseRows := baseResp.Bindings.Len()
 	idleGens := srv.Metrics().Generations // one live generation per graph
 
 	const (
@@ -88,7 +88,7 @@ func TestServerMVCCWritersNeverBlockedByReaders(t *testing.T) {
 					return
 				}
 				dur := time.Since(begin)
-				rows := len(resp.Bindings.Rows)
+				rows := resp.Bindings.Len()
 				if (rows-baseRows)%4 != 0 {
 					errCh <- fmt.Errorf("reader %d: rows = %d (base %d): query saw a torn update batch", c, rows, baseRows)
 					return

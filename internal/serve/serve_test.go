@@ -44,14 +44,14 @@ func newEngine(t *testing.T, latency cluster.Delay) (*exec.Engine, *testenv.Env)
 
 func rowSet(b *match.Bindings) map[string]int {
 	m := make(map[string]int)
-	for _, r := range b.Rows {
-		m[fmt.Sprint(r)]++
+	for i := 0; i < b.Len(); i++ {
+		m[fmt.Sprint(b.Row(i))]++
 	}
 	return m
 }
 
 func sameBindings(a, b *match.Bindings) bool {
-	if len(a.Vars) != len(b.Vars) || len(a.Rows) != len(b.Rows) {
+	if len(a.Vars) != len(b.Vars) || a.Len() != b.Len() {
 		return false
 	}
 	for i := range a.Vars {
@@ -112,7 +112,7 @@ func TestConcurrentClientsMatchSequential(t *testing.T) {
 					}
 					if !sameBindings(resp.Bindings, want[j]) {
 						errCh <- fmt.Errorf("client %d query %d: concurrent result diverged (%d rows vs %d)",
-							c, j, len(resp.Bindings.Rows), len(want[j].Rows))
+							c, j, resp.Bindings.Len(), want[j].Len())
 						return
 					}
 				}
@@ -256,7 +256,7 @@ func TestPlanCache(t *testing.T) {
 	if m := srv.Metrics(); m.CacheHits != 3 || m.CacheMisses != 2 {
 		t.Errorf("CacheHits/Misses = %d/%d, want 3/2", m.CacheHits, m.CacheMisses)
 	}
-	if len(resps[0].Bindings.Rows) == 0 || sameBindings(resps[0].Bindings, resps[1].Bindings) {
+	if resps[0].Bindings.Len() == 0 || sameBindings(resps[0].Bindings, resps[1].Bindings) {
 		t.Errorf("Person3 and Person5 instances must each get their own non-trivial answer")
 	}
 	if got := resps[2].Bindings.Vars; len(got) != 1 || got[0] != "a" {
@@ -302,7 +302,7 @@ func TestNearbyShapesNeverMisbind(t *testing.T) {
 				t.Fatalf("engine.Query(%s): %v", text, err)
 			}
 			if !sameBindings(resp.Bindings, want) {
-				t.Errorf("round %d: %s served %d rows (hit=%v), engine %d", round, text, len(resp.Bindings.Rows), resp.CacheHit, len(want.Rows))
+				t.Errorf("round %d: %s served %d rows (hit=%v), engine %d", round, text, resp.Bindings.Len(), resp.CacheHit, want.Len())
 			}
 		}
 	}

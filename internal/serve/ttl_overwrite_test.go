@@ -45,7 +45,7 @@ func TestSweepExpiresTTLBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRows := len(base.Bindings.Rows)
+	baseRows := base.Bindings.Len()
 
 	if _, err := srv.Apply(context.Background(), serve.Batch{Op: serve.OpInsert, Ins: mk("ttl-perm", "Permanent"), TTL: 0}); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestSweepExpiresTTLBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(after.Bindings.Rows), baseRows+1; got != want {
+	if got, want := after.Bindings.Len(), baseRows+1; got != want {
 		t.Fatalf("rows after sweep = %d, want %d (permanent insert only)", got, want)
 	}
 
@@ -246,18 +246,18 @@ func TestOverwriteAtomicVisibilitySoak(t *testing.T) {
 					errCh <- fmt.Errorf("reader %d: %w", c, err)
 					return
 				}
-				rows := resp.Bindings.Rows
-				if len(rows) != 1 {
-					errCh <- fmt.Errorf("reader %d: %d rows, want exactly 1 (torn overwrite)", c, len(rows))
+				if n := resp.Bindings.Len(); n != 1 {
+					errCh <- fmt.Errorf("reader %d: %d rows, want exactly 1 (torn overwrite)", c, n)
 					return
 				}
+				row := resp.Bindings.Row(0)
 				ni, ii := varIdx(resp.Bindings.Vars, "n"), varIdx(resp.Bindings.Vars, "i")
 				if ni < 0 || ii < 0 {
 					errCh <- fmt.Errorf("reader %d: vars %v missing n/i", c, resp.Bindings.Vars)
 					return
 				}
-				nv, okN := nameOf[rows[0][ni]]
-				iv, okI := interestOf[rows[0][ii]]
+				nv, okN := nameOf[row[ni]]
+				iv, okI := interestOf[row[ii]]
 				if !okN || !okI || nv != iv {
 					errCh <- fmt.Errorf("reader %d: name v%d (known=%v) vs interest v%d (known=%v): mixed versions", c, nv, okN, iv, okI)
 					return
@@ -282,7 +282,7 @@ func TestOverwriteAtomicVisibilitySoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ni := varIdx(resp.Bindings.Vars, "n")
-	if len(resp.Bindings.Rows) != 1 || ni < 0 || nameOf[resp.Bindings.Rows[0][ni]] != versions {
+	if resp.Bindings.Len() != 1 || ni < 0 || nameOf[resp.Bindings.Row(0)[ni]] != versions {
 		t.Fatalf("final state: rows=%v, want single v%d row", resp.Bindings.Rows, versions)
 	}
 }

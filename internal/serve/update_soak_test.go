@@ -114,7 +114,7 @@ func TestServerUpdateSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("baseline query: %v", err)
 		}
-		baseRows = len(resp.Bindings.Rows)
+		baseRows = resp.Bindings.Len()
 	}
 
 	const (
@@ -181,7 +181,7 @@ func TestServerUpdateSoak(t *testing.T) {
 					return
 				}
 				if q == countQ {
-					rows := len(resp.Bindings.Rows)
+					rows := resp.Bindings.Len()
 					if rows < lastRows {
 						errCh <- fmt.Errorf("client %d: rows went backwards: %d after %d (torn read?)", c, rows, lastRows)
 						return
@@ -206,7 +206,7 @@ func TestServerUpdateSoak(t *testing.T) {
 		t.Fatalf("final query: %v", err)
 	}
 	wantRows := baseRows + batches*perB/2
-	if got := len(resp.Bindings.Rows); got != wantRows {
+	if got := resp.Bindings.Len(); got != wantRows {
 		t.Errorf("final rows = %d, want %d (updates lost or duplicated)", got, wantRows)
 	}
 
@@ -280,8 +280,8 @@ func TestServerDeleteRoutesThroughApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Bindings.Rows) != len(base.Bindings.Rows) {
-		t.Fatalf("delete not visible: %d rows, want %d", len(after.Bindings.Rows), len(base.Bindings.Rows))
+	if after.Bindings.Len() != base.Bindings.Len() {
+		t.Fatalf("delete not visible: %d rows, want %d", after.Bindings.Len(), base.Bindings.Len())
 	}
 
 	// Deleting it again (now absent) must count zero.

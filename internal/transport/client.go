@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"rdffrag/internal/cluster"
-	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
 )
 
@@ -103,10 +102,12 @@ func NewSiteClient(cfg ClientConfig) *SiteClient {
 	return &SiteClient{cfg: cfg, breaker: NewBreaker(cfg.Breaker)}
 }
 
-// streamState is the resume cursor shared across a call's attempts:
-// how many batches of the deterministic sequence the sink has seen,
-// and under which data epoch. Only a winning attempt mutates it.
+// streamState is what a call's attempts share: the variables every batch
+// must bind, and the resume cursor — how many batches of the
+// deterministic sequence the sink has seen, and under which data epoch.
+// Only a winning attempt mutates the cursor.
 type streamState struct {
+	vars  []string
 	mu    sync.Mutex
 	acked int
 	epoch uint64
@@ -147,7 +148,7 @@ func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, ba
 		return fmt.Errorf("%w: site %d: %v", cluster.ErrSiteUnavailable, c.cfg.Site, err)
 	}
 
-	st := &streamState{}
+	st := &streamState{vars: req.Query.Vars()}
 	start := time.Now()
 	var last outcome
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
@@ -322,7 +323,11 @@ func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, st *streamS
 			if f.Seq != acked {
 				return outcome{err: fmt.Errorf("transport: site %d: batch %d out of order (want %d)", c.cfg.Site, f.Seq, acked), retryable: true, id: id, claimed: true}
 			}
-			if err := sink(&match.Bindings{Vars: f.Vars, Rows: f.Rows}); err != nil {
+			b, err := f.bindings(st.vars)
+			if err != nil {
+				return outcome{err: fmt.Errorf("transport: site %d: %w", c.cfg.Site, err), retryable: true, id: id, claimed: true}
+			}
+			if err := sink(b); err != nil {
 				return outcome{err: err, id: id, claimed: true}
 			}
 			acked++

@@ -293,16 +293,16 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 			case cluster.FaultCut:
 				return errCutInjected
 			case cluster.FaultDelay:
-				if err := s.cfg.Chaos.StragglerWait(r.Context(), len(b.Rows)*len(b.Vars)*4); err != nil {
+				if err := s.cfg.Chaos.StragglerWait(r.Context(), len(b.Rows)*4); err != nil {
 					return err
 				}
 			}
-			if err := write(&frame{K: "b", Seq: seq, Vars: b.Vars, Rows: b.Rows}); err != nil {
+			if err := write(&frame{K: "b", Seq: seq, Vars: b.Vars, Rows: rowsOf(b)}); err != nil {
 				return err
 			}
 			seq++
 			s.batches.Add(1)
-			s.rows.Add(uint64(len(b.Rows)))
+			s.rows.Add(uint64(b.Len()))
 			return nil
 		})
 		if err != nil {

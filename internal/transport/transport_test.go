@@ -66,8 +66,8 @@ func newCollector() *collector { return &collector{rows: map[string]int{}} }
 func (rc *collector) sink(b *match.Bindings) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	for _, r := range b.Rows {
-		rc.rows[fmt.Sprint(r)]++
+	for i := 0; i < b.Len(); i++ {
+		rc.rows[fmt.Sprint(b.Row(i))]++
 		rc.n++
 	}
 	return nil

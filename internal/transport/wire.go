@@ -24,8 +24,11 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"rdffrag/internal/cluster"
+	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 )
@@ -89,31 +92,63 @@ type frame struct {
 	DictFP  uint64   `json:"dictFp,omitempty"`  // hdr: server fingerprint of that prefix
 	Seq     int      `json:"seq"`               // b
 	Vars    []string `json:"vars,omitempty"`    // b
-	Rows    wireRows `json:"rows,omitempty"`    // b
+	Rows    wireRows `json:"rows,omitzero"`     // b
 	Count   int      `json:"count,omitempty"`   // done: total batches in sequence
 	Msg     string   `json:"msg,omitempty"`     // err
 	Retry   bool     `json:"retry,omitempty"`   // err
 }
 
-// wireRows is the rows of a batch frame. It encodes as the [][]rdf.ID it
-// is; decoding is by hand, because encoding/json grows every row and the
-// row list by reflection: one pass counts rows and IDs, a second carves
-// every row from one []rdf.ID and one header slice. It accepts only what
-// encoding/json accepts into a [][]rdf.ID — and of that only what
-// json.Marshal of one can emit, plus whitespace: null or an array of
-// rows, a row null or an array of decimal integers below 2^32 — and
-// yields the same value.
-type wireRows [][]rdf.ID
+// wireRows is the rows of a batch frame: on the wire an array of rows,
+// each an array of IDs; in memory the flat array a match.Bindings holds,
+// so a batch goes from one to the other without a slice per row. It
+// encodes to the bytes encoding/json gives the same rows as a slice of ID
+// slices (no rows: the field is left out). Decoding is by hand —
+// encoding/json grows every row and the row list by reflection — in two
+// passes: one counts the IDs, the second fills one []rdf.ID. It accepts
+// only what encoding/json accepts into such a slice of slices — and of
+// that only what json.Marshal of one can emit, plus whitespace: null or
+// an array of rows, a row null or an array of decimal integers below 2^32
+// — and yields the same IDs in the same order.
+type wireRows struct {
+	ids []rdf.ID
+	n   int // rows
+	// w is the width of every row, or -1 when the rows received differ in
+	// width: what was sent is then no table, and bindings refuses it.
+	w int
+}
+
+func rowsOf(b *match.Bindings) wireRows {
+	return wireRows{ids: b.Rows, n: b.Len(), w: len(b.Vars)}
+}
+
+// IsZero leaves an empty batch's rows out of its frame.
+func (r wireRows) IsZero() bool { return r.n == 0 }
+
+func (r wireRows) MarshalJSON() ([]byte, error) {
+	out := make([]byte, 0, 2+2*r.n+7*len(r.ids))
+	out = append(out, '[')
+	for i := 0; i < r.n; i++ {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, '[')
+		for k, id := range r.ids[i*r.w : (i+1)*r.w] {
+			if k > 0 {
+				out = append(out, ',')
+			}
+			out = strconv.AppendUint(out, uint64(id), 10)
+		}
+		out = append(out, ']')
+	}
+	return append(out, ']'), nil
+}
 
 var errWireRows = errors.New("transport: rows: not an array of arrays of uint32")
 
 func (r *wireRows) UnmarshalJSON(data []byte) error {
-	nRows, nIDs := 0, 0
+	nIDs := 0
 	for i, c := range data {
-		switch {
-		case c == '[' || c == 'n':
-			nRows++ // one too many for the outer array: harmless
-		case c >= '0' && c <= '9' && (i == 0 || data[i-1] < '0' || data[i-1] > '9'):
+		if c >= '0' && c <= '9' && (i == 0 || data[i-1] < '0' || data[i-1] > '9') {
 			nIDs++
 		}
 	}
@@ -125,23 +160,32 @@ func (r *wireRows) UnmarshalJSON(data []byte) error {
 		valueOrClose
 		afterValue
 	)
-	rows, ids := make([][]rdf.ID, 0, nRows), make([]rdf.ID, 0, nIDs)
-	depth, st, start, null := 0, value, 0, false
+	got := wireRows{ids: make([]rdf.ID, 0, nIDs)}
+	// endRow counts a row that ended with the array start IDs long.
+	endRow := func(start int) {
+		if w := len(got.ids) - start; got.n == 0 {
+			got.w = w
+		} else if w != got.w {
+			got.w = -1
+		}
+		got.n++
+	}
+	depth, st, start := 0, value, 0
 	for i := 0; i < len(data); i++ {
 		switch c := data[i]; {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 		case c == '[' && st != afterValue && depth < 2:
-			depth, st, start = depth+1, valueOrClose, len(ids)
+			depth, st, start = depth+1, valueOrClose, len(got.ids)
 		case c == ']' && st != value && depth > 0:
 			if depth == 2 {
-				rows = append(rows, ids[start:len(ids):len(ids)])
+				endRow(start)
 			}
 			depth, st = depth-1, afterValue
 		case c == ',' && st == afterValue && depth > 0:
 			st = value
 		case c == 'n' && st != afterValue && depth < 2 && len(data)-i >= 4 && string(data[i:i+4]) == "null":
-			if null = depth == 0; !null {
-				rows = append(rows, nil)
+			if depth == 1 {
+				endRow(len(got.ids)) // a null row holds nothing
 			}
 			i, st = i+3, afterValue
 		case c >= '0' && c <= '9' && st != afterValue && depth == 2:
@@ -152,7 +196,7 @@ func (r *wireRows) UnmarshalJSON(data []byte) error {
 			if v >= 1<<32 || (data[first] == '0' && i > first+1) {
 				return errWireRows // out of range, or a leading zero
 			}
-			ids = append(ids, rdf.ID(v))
+			got.ids = append(got.ids, rdf.ID(v))
 			i, st = i-1, afterValue
 		default:
 			return errWireRows
@@ -161,10 +205,23 @@ func (r *wireRows) UnmarshalJSON(data []byte) error {
 	if depth != 0 || st != afterValue {
 		return errWireRows
 	}
-	if *r = rows; null {
-		*r = nil
-	}
+	*r = got
 	return nil
+}
+
+// bindings returns a batch frame's rows as a table over vars, the
+// variables of the subquery the frame answers. Rows travel as bare IDs
+// and the control site joins them by position, so a frame that names
+// other variables, or holds a row that is not exactly len(vars) wide, is
+// refused.
+func (f *frame) bindings(vars []string) (*match.Bindings, error) {
+	if !slices.Equal(f.Vars, vars) {
+		return nil, fmt.Errorf("batch %d binds %v, the subquery %v", f.Seq, f.Vars, vars)
+	}
+	if f.Rows.n > 0 && f.Rows.w != len(vars) {
+		return nil, fmt.Errorf("batch %d holds rows that are not %d wide", f.Seq, len(vars))
+	}
+	return match.NewBindings(vars, f.Rows.ids, f.Rows.n), nil
 }
 
 // encodeQuery flattens a parsed query graph for the wire, decoding

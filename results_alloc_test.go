@@ -51,9 +51,8 @@ func TestDecodeResultAllocs(t *testing.T) {
 	d := dep.db.graph.Dict
 	b := &match.Bindings{Vars: []string{"s", "n", "o"}}
 	for i := 0; i < 10000; i++ {
-		b.Rows = append(b.Rows, []rdf.ID{
-			d.MustIRI(fmt.Sprintf("http://ex/subject/%d", i)), d.MustLiteral(fmt.Sprintf("name %d", i%100)), rdf.NoID,
-		})
+		b.Rows = append(b.Rows,
+			d.MustIRI(fmt.Sprintf("http://ex/subject/%d", i)), d.MustLiteral(fmt.Sprintf("name %d", i%100)), rdf.NoID)
 	}
 	q, stats := &sparql.Graph{}, &exec.QueryStats{}
 	var res *Result
