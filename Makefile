@@ -22,7 +22,9 @@ cover:
 	$(GO) test -race -covermode=atomic -coverprofile=coverage.out ./...
 
 # Coverage floors for the packages this repo's correctness hangs on:
-# internal/cluster (control-site join operators, pre-PR-4 baseline),
+# internal/cluster (site RPC and the two control-site join operators) at
+# what it measures now that the partitioned join is gone (94.2), minus a
+# point,
 # internal/rdf (the CSR + delta-overlay storage engine, raised to its
 # PR-8 coverage after the tombstone suite landed) and
 # internal/match (the merge-cursor matcher) at its
@@ -39,7 +41,7 @@ cover:
 # (Definitions 5-12) — sit at what they measured when the pipeline moved
 # to matched edge sets (fap 100.0, mining 96.5, fragment 96.4), minus a
 # point of slack.
-COVER_FLOOR_CLUSTER ?= 81.9
+COVER_FLOOR_CLUSTER ?= 93.2
 COVER_FLOOR_RDF ?= 92.0
 COVER_FLOOR_MATCH ?= 88.3
 COVER_FLOOR_SERVE ?= 88.0
@@ -113,8 +115,8 @@ benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # Hot-path benchmarks, recorded as a point of the perf trajectory in
-# BENCH_9.json. The current section includes the partitioned-join
-# per-partition-count sweep (BenchmarkJoinStreamPartitioned/P*), the
+# BENCH_9.json. The current section includes the control-site joins
+# (BenchmarkHashJoin, BenchmarkJoinStream), the
 # live-update mixed add+query pair (BenchmarkLiveMixedAddQuery/overlay
 # vs /refreeze), its add+delete sibling
 # (BenchmarkLiveMixedAddDeleteQuery — the tombstone overlay against the
@@ -127,15 +129,15 @@ benchmark-check:
 # rwlock side costs a full query latency per op, and at 1000x rather
 # than the original 200x because the mvcc side's mean is tail-dominated
 # on small single-core hosts and 200 samples made the 20% gate flake); the parallel section
-# re-measures BenchmarkMatchWatDiv and the join sweep under GOMAXPROCS=1
+# re-measures BenchmarkMatchWatDiv and BenchmarkJoinStream under GOMAXPROCS=1
 # and the host's full core count, and the regression gate fails the
 # target when any benchmark runs >20% slower than the previous committed
 # trajectory file (BENCH_8.json). The WAL section measures the durable
 # append under each sync policy (BenchmarkWALAppend/always-interval-none)
 # and the group-commit ack latency (BenchmarkWALGroupCommitLatency) —
 # the write-side cost every durable update now pays.
-BENCH_HOT := BenchmarkCandidateScan$$|BenchmarkMatchWatDiv$$|BenchmarkHashJoin$$|BenchmarkJoinStreamPartitioned$$|BenchmarkLiveMixedAddQuery$$|BenchmarkLiveMixedAddDeleteQuery$$|BenchmarkLiveSlowlyChangingGraph$$
-BENCH_PAR := BenchmarkMatchWatDiv$$|BenchmarkJoinStreamPartitioned$$
+BENCH_HOT := BenchmarkCandidateScan$$|BenchmarkMatchWatDiv$$|BenchmarkHashJoin$$|BenchmarkJoinStream$$|BenchmarkLiveMixedAddQuery$$|BenchmarkLiveMixedAddDeleteQuery$$|BenchmarkLiveSlowlyChangingGraph$$
+BENCH_PAR := BenchmarkMatchWatDiv$$|BenchmarkJoinStream$$
 BENCH_SERVE := BenchmarkUpdateLatencyUnderLoad$$
 BENCH_WAL := BenchmarkWALAppend$$|BenchmarkWALGroupCommitLatency$$
 # Tolerated ns/op regression vs the previous trajectory file. Wall-clock
@@ -162,7 +164,7 @@ bench-baseline:
 	{ $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -benchtime 1s \
 		./internal/match ./internal/cluster; cat .bench_serve.txt; cat .bench_wal.txt; } | \
 		$(GO) run ./cmd/benchjson -pr 9 -out BENCH_9.json \
-		-require 'BenchmarkCandidateScan,BenchmarkMatchWatDiv,BenchmarkHashJoin,BenchmarkJoinStreamPartitioned/P2,BenchmarkLiveMixedAddQuery/overlay,BenchmarkLiveMixedAddQuery/refreeze,BenchmarkLiveMixedAddDeleteQuery/overlay,BenchmarkLiveMixedAddDeleteQuery/refreeze,BenchmarkLiveSlowlyChangingGraph/overlay,BenchmarkLiveSlowlyChangingGraph/refreeze,BenchmarkUpdateLatencyUnderLoad/mvcc,BenchmarkUpdateLatencyUnderLoad/rwlock,BenchmarkWALAppend/always,BenchmarkWALAppend/interval,BenchmarkWALAppend/none,BenchmarkWALGroupCommitLatency' \
+		-require 'BenchmarkCandidateScan,BenchmarkMatchWatDiv,BenchmarkHashJoin,BenchmarkJoinStream,BenchmarkLiveMixedAddQuery/overlay,BenchmarkLiveMixedAddQuery/refreeze,BenchmarkLiveMixedAddDeleteQuery/overlay,BenchmarkLiveMixedAddDeleteQuery/refreeze,BenchmarkLiveSlowlyChangingGraph/overlay,BenchmarkLiveSlowlyChangingGraph/refreeze,BenchmarkUpdateLatencyUnderLoad/mvcc,BenchmarkUpdateLatencyUnderLoad/rwlock,BenchmarkWALAppend/always,BenchmarkWALAppend/interval,BenchmarkWALAppend/none,BenchmarkWALGroupCommitLatency' \
 		-parallel "$$par" -prev BENCH_8.json -max-regress $(BENCH_MAX_REGRESS); \
 	status=$$?; rm -f .bench_gomaxprocs_1.txt .bench_gomaxprocs_np.txt .bench_serve.txt .bench_wal.txt; exit $$status
 

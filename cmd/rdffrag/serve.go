@@ -39,7 +39,6 @@ func serveMain(args []string) {
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-query execution deadline (0 disables)")
 		cache    = fs.Int("cache", 256, "plan cache capacity in query shapes (negative disables)")
 		parallel = fs.Int("parallel", 0, "intra-query worker budget, divided among in-flight queries (0 = GOMAXPROCS, negative = sequential matching)")
-		joinPart = fs.Int("join-partitions", 0, "control-site join partitions per stage (0 = derived from each query's parallelism grant, negative = sequential join)")
 		ttl      = fs.Duration("ttl", 0, "default time-to-live for inserted triples; the sweeper deletes them through the durable update path when it elapses (0 = permanent; per-request X-TTL overrides)")
 		sweepInt = fs.Duration("sweep-interval", time.Second, "how often the TTL sweeper checks for expired triples (negative disables)")
 		profile  = fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
@@ -124,15 +123,14 @@ func serveMain(args []string) {
 	}
 
 	srv := dep.StartServer(rdffrag.ServerConfig{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		Timeout:        *timeout,
-		PlanCacheSize:  *cache,
-		Parallelism:    *parallel,
-		JoinPartitions: *joinPart,
-		TTL:            *ttl,
-		SweepInterval:  *sweepInt,
-		Durable:        durable,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		Timeout:       *timeout,
+		PlanCacheSize: *cache,
+		Parallelism:   *parallel,
+		TTL:           *ttl,
+		SweepInterval: *sweepInt,
+		Durable:       durable,
 		Remote: rdffrag.RemoteConfig{
 			Sites:            remoteSites,
 			Retries:          *retries,
@@ -165,8 +163,8 @@ func serveMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("serving on %s (workers=%d queue=%d timeout=%s cache=%d parallel=%d join-partitions=%d remote-sites=%d partial=%v durable=%v ttl=%s pprof=%v)\n",
-		ln.Addr(), *workers, *queue, *timeout, *cache, *parallel, *joinPart, len(remoteSites), *partial, durable != nil, *ttl, *profile)
+	fmt.Printf("serving on %s (workers=%d queue=%d timeout=%s cache=%d parallel=%d remote-sites=%d partial=%v durable=%v ttl=%s pprof=%v)\n",
+		ln.Addr(), *workers, *queue, *timeout, *cache, *parallel, len(remoteSites), *partial, durable != nil, *ttl, *profile)
 
 	httpSrv := &http.Server{Handler: mux}
 	// Graceful shutdown: SIGTERM/SIGINT stops accepting requests, drains

@@ -34,11 +34,7 @@ type Config struct {
 	// engine (fragment fan-out × matcher morsel workers). 0 means
 	// GOMAXPROCS; 1 forces sequential matching for apples-to-apples
 	// comparisons against single-core figures.
-	Parallelism int
-	// JoinPartitions overrides the per-stage partition count of the
-	// control-site join pipeline (0 = derived from the parallelism
-	// budget; 1 forces the sequential symmetric join).
-	JoinPartitions int
+	Parallelism    int
 	SampleFraction float64
 	Seed           uint64
 	// StorageFactor sets SC as a multiple of the hot graph size for
@@ -277,7 +273,6 @@ func (s *Suite) BuildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats
 			return nil, nil, err
 		}
 		eng.Parallelism = cfg.Parallelism
-		eng.JoinPartitions = cfg.JoinPartitions
 		stats.Loading = time.Since(t1)
 		stats.Redundancy = fr.Redundancy(ds.Graph)
 		return &vfhfRunner{name: strategy, engine: eng}, stats, nil

@@ -2,43 +2,79 @@ package cluster
 
 import (
 	"math/bits"
+	"slices"
 
 	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
 )
 
-// HashJoin joins two binding tables on their shared variables, the
-// control-site join of Section 7.3. With no shared variables it degrades
-// to a Cartesian product. Output columns are left's variables followed by
-// right's non-shared variables. It is the single-partition case of
-// HashJoinOpts (see partition.go), sharing the same ordered join core.
-func HashJoin(left, right *match.Bindings) *match.Bindings {
-	return HashJoinOpts(left, right, JoinOptions{})
+// joinGeom is one join's resolved column geometry, shared by HashJoin and
+// JoinStream.
+type joinGeom struct {
+	lkey, rkey []int // the shared variables' columns in left and right rows
+	rightOnly  []int // right's columns that left does not have
+	lw, rw     int   // input row widths
+	width      int   // output row width
+	outVars    []string
 }
 
-// alignVars returns the positions of the shared variables in each table
-// (lkey[i] and rkey[i] hold the same variable) and right's other columns.
-func alignVars(lv, rv []string) (lkey, rkey, rightOnly []int) {
-	pos := make(map[string]int, len(lv))
-	for i, v := range lv {
-		pos[v] = i
-	}
-	for j, v := range rv {
-		if i, ok := pos[v]; ok {
-			lkey, rkey = append(lkey, i), append(rkey, j)
+// newJoinGeom aligns two variable lists: lkey[i] and rkey[i] hold the same
+// variable, and the output is left's variables followed by right's other
+// ones.
+func newJoinGeom(leftVars, rightVars []string) *joinGeom {
+	j := &joinGeom{lw: len(leftVars), rw: len(rightVars), outVars: slices.Clone(leftVars)}
+	for r, v := range rightVars {
+		if l := slices.Index(leftVars, v); l >= 0 {
+			j.lkey, j.rkey = append(j.lkey, l), append(j.rkey, r)
 		} else {
-			rightOnly = append(rightOnly, j)
+			j.rightOnly, j.outVars = append(j.rightOnly, r), append(j.outVars, v)
 		}
 	}
-	return
+	j.width = len(j.outVars)
+	return j
 }
 
-func names(vars []string, idx []int) []string {
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = vars[j]
+// JoinVars returns the output column layout of a join of two binding
+// tables or streams: left's variables followed by right's non-shared
+// variables.
+func JoinVars(leftVars, rightVars []string) []string {
+	return newJoinGeom(leftVars, rightVars).outVars
+}
+
+// HashJoin joins two binding tables on their shared variables, the
+// control-site join of Section 7.3: index the right rows, probe the left
+// rows in order, emit each left row's matches in the order right holds
+// them. With no shared variables every pair matches — the nested-loop
+// Cartesian product in the same order. Output columns follow JoinVars.
+func HashJoin(left, right *match.Bindings) *match.Bindings {
+	j := newJoinGeom(left.Vars, right.Vars)
+	ln, rn := left.Len(), right.Len()
+	if ln == 0 || rn == 0 {
+		return match.NewBindings(j.outVars, nil, 0)
 	}
-	return out
+	tab := indexRows(right.Rows, j.rw, rn, j.rkey)
+	// Counting pass: probing twice is far cheaper than growing the output
+	// through repeated reallocation.
+	total := 0
+	for i := 0; i < ln; i++ {
+		total += int(tab.lookup(left.Rows[i*j.lw:(i+1)*j.lw], j.lkey).n)
+	}
+	if total == 0 {
+		return match.NewBindings(j.outVars, nil, 0)
+	}
+	rows := make([]rdf.ID, total*j.width)
+	at := 0
+	for i := 0; i < ln; i++ {
+		lr := left.Rows[i*j.lw : (i+1)*j.lw]
+		c := tab.lookup(lr, j.lkey)
+		// The chain runs from its newest row back: fill this left row's
+		// outputs from the last to the first.
+		for ri, k := c.newest, int(c.n); k > 0; ri, k = tab.older(ri), k-1 {
+			mergeRow(rows[(at+k-1)*j.width:(at+k)*j.width], j, lr, tab.at(ri))
+		}
+		at += int(c.n)
+	}
+	return match.NewBindings(j.outVars, rows, total)
 }
 
 // FNV-1a parameters for join keys.
@@ -149,8 +185,10 @@ func (t *joinTable) resize(slots int) {
 // find returns the slot of the key that row holds in the columns cols:
 // the key's chain, or the free slot where it would start.
 func (t *joinTable) find(row []rdf.ID, cols []int) *chain {
-	// FNV's low bits pick a join partition; the multiply moves what the
-	// table indexes by away from them.
+	// The slot is the hash's top bits, which FNV-1a leaves nearly constant
+	// over small IDs (a 20 000-key table of consecutive IDs without the
+	// multiply probes linearly through all of them); the multiply folds
+	// every lower bit into the top ones.
 	for i := (hashKey(row, cols) * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & uint64(len(t.slots)-1) {
 		c := &t.slots[i]
 		if c.n == 0 {

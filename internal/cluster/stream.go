@@ -4,10 +4,10 @@ package cluster
 // materialize-then-ship round trip of Eval, EvalStream lets a site push
 // binding batches to the control site as the local matcher projects them
 // (match.FindBindings), and JoinStream consumes such batch streams with a
-// symmetric (pipelined) hash join — symJoiner in partition.go: whichever
-// input is ready first builds its hash table incrementally while probing
-// the other side's table, so join work overlaps with subquery evaluation
-// and shipping. Query latency becomes the longest chain through the
+// symmetric (pipelined) hash join — symJoiner below: whichever input is
+// ready first builds its hash table incrementally while probing the other
+// side's table, so join work overlaps with subquery evaluation and
+// shipping. Query latency becomes the longest chain through the
 // pipeline rather than the sum of barrier-separated phases.
 
 import (
@@ -118,24 +118,104 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 	return firstErr
 }
 
-// JoinVars returns the output column layout of a join of two binding
-// streams: left's variables followed by right's non-shared variables,
-// matching HashJoin.
-func JoinVars(leftVars, rightVars []string) []string {
-	_, _, rightOnly := alignVars(leftVars, rightVars)
-	return append(append([]string(nil), leftVars...), names(rightVars, rightOnly)...)
+// symJoiner is the symmetric (pipelined) hash-join core: each arriving
+// row is copied into its side's table and probed against the other side's
+// rows seen so far, so every matching pair is produced exactly once, as
+// soon as its later row arrives.
+type symJoiner struct {
+	j           *joinGeom
+	left, right *joinTable
+	hits        []chain // per row of the batch being probed; reused
+}
+
+func newSymJoiner(j *joinGeom) *symJoiner {
+	return &symJoiner{j: j, left: newJoinTable(j.lw, j.lkey), right: newJoinTable(j.rw, j.rkey)}
+}
+
+// probe adds a batch to its side (left names it) and returns the batch's
+// merged matches against the other side's rows seen so far, nil when there
+// are none. The first pass stores the rows and counts the matches, so the
+// output is allocated once, exactly.
+func (s *symJoiner) probe(b *match.Bindings, left bool) *match.Bindings {
+	own, other := s.right, s.left
+	if left {
+		own, other = other, own
+	}
+	n := b.Len()
+	if cap(s.hits) < n {
+		s.hits = make([]chain, 0, n)
+	}
+	s.hits = s.hits[:0]
+	total := 0
+	for i := 0; i < n; i++ {
+		row := b.Rows[i*own.w : (i+1)*own.w]
+		own.add(row)
+		c := other.lookup(row, own.cols)
+		s.hits = append(s.hits, c)
+		total += int(c.n)
+	}
+	if total == 0 {
+		return nil
+	}
+	width := s.j.width
+	found := make([]rdf.ID, total*width)
+	at := 0
+	for i, c := range s.hits {
+		row := b.Rows[i*own.w : (i+1)*own.w]
+		// A chain runs from its newest row back; the output lists a
+		// row's matches oldest first.
+		for o, k := c.newest, int(c.n); k > 0; o, k = other.older(o), k-1 {
+			lr, rr := row, other.at(o)
+			if !left {
+				lr, rr = rr, lr
+			}
+			mergeRow(found[(at+k-1)*width:(at+k)*width], s.j, lr, rr)
+		}
+		at += int(c.n)
+	}
+	return match.NewBindings(s.j.outVars, found, total)
 }
 
 // JoinStream runs a symmetric (pipelined) hash join between two batch
 // streams and closes out when done. Both inputs build a hash table
 // incrementally: each arriving row is inserted into its side's table and
 // probed against the other side's rows seen so far, so every matching
-// pair is emitted exactly once, as soon as its later row arrives. With no
-// shared variables it degrades to a streamed Cartesian product. Output
-// columns follow JoinVars(leftVars, rightVars). Cancelling ctx stops the
-// join promptly; the inputs are then left undrained (producers must also
-// watch ctx). It is the single-partition streaming case of
-// JoinStreamOpts (see partition.go).
+// pair is emitted exactly once, as soon as its later row arrives — a
+// batch's rows in their order, each with its matches in the order the
+// other side received them, so a right stream consumed whole before the
+// first left batch yields exactly HashJoin's row sequence. With no shared
+// variables it degrades to a streamed Cartesian product. Output columns
+// follow JoinVars(leftVars, rightVars). Cancelling ctx stops the join
+// promptly; the inputs are then left undrained (producers must also watch
+// ctx).
 func JoinStream(ctx context.Context, leftVars, rightVars []string, left, right <-chan *match.Bindings, out chan<- *match.Bindings) {
-	JoinStreamOpts(ctx, leftVars, rightVars, left, right, out, JoinOptions{})
+	defer close(out)
+	s := newSymJoiner(newJoinGeom(leftVars, rightVars))
+	for left != nil || right != nil {
+		var found *match.Bindings
+		select {
+		case b, ok := <-left:
+			if !ok {
+				left = nil
+				continue
+			}
+			found = s.probe(b, true)
+		case b, ok := <-right:
+			if !ok {
+				right = nil
+				continue
+			}
+			found = s.probe(b, false)
+		case <-ctx.Done():
+			return
+		}
+		if found == nil {
+			continue
+		}
+		select {
+		case out <- found:
+		case <-ctx.Done():
+			return
+		}
+	}
 }

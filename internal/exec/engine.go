@@ -42,13 +42,6 @@ type Engine struct {
 	// against inter-query worker count under load.
 	Parallelism int
 
-	// JoinPartitions overrides the per-stage partition count of the
-	// control-site join pipeline. 0 derives it from the query's
-	// parallelism budget (half the budget, split across the join
-	// stages); 1 forces the sequential symmetric join. A Prepared with
-	// its own JoinPartitions overrides this per execution.
-	JoinPartitions int
-
 	// Remotes maps site IDs to remote evaluators (transport site
 	// clients). Subqueries routed to a mapped site go over the network;
 	// unmapped sites evaluate in-process over the cluster's channel
@@ -103,9 +96,6 @@ type QueryStats struct {
 	// Parallelism is the effective intra-query worker budget the
 	// execution ran with (after resolving Prepared and engine defaults).
 	Parallelism int
-	// JoinPartitions is the per-stage partition count the control-site
-	// join pipeline ran with (0 when the plan had no join stages).
-	JoinPartitions int
 	// Partial is true when PartialResults mode skipped unreachable
 	// sites: the rows returned are correct but possibly incomplete.
 	// UnreachableSites lists the skipped sites, ascending.
@@ -155,10 +145,6 @@ type Prepared struct {
 	// 0; the server stamps it per execution so queries run at different
 	// budgets under different load.
 	Parallelism int
-	// JoinPartitions, when non-zero, overrides the engine's per-stage
-	// join partition count for executions of this Prepared, the same way
-	// Parallelism overrides the worker budget.
-	JoinPartitions int
 	// View, when non-nil, is the pinned read view every site evaluation
 	// of this execution reads from — the MVCC replacement for the old
 	// per-query data lock. Prepare leaves it nil; the server stamps the

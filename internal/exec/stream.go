@@ -99,47 +99,6 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 		vars[i] = sq.Graph.Vars()
 	}
 
-	// Split the worker grant between the subquery producers and the
-	// control-site join pipeline: when the plan has partitionable join
-	// stages and a budget worth splitting, half the budget funds join
-	// partitions (divided across those stages) and the producers divide
-	// the rest — so total worker demand stays near the budget instead of
-	// multiplying. Only stages whose inputs share a variable count:
-	// Cartesian stages always run single-partition in cluster, so
-	// charging the budget for them would starve the producers for
-	// workers the join never uses. An explicit Prepared/engine
-	// JoinPartitions override replaces the derived count (clamped to
-	// cluster's cap). joinPar of 1 keeps the sequential symmetric join
-	// and leaves the whole budget with the producers.
-	joinStages := len(pl.Order) - 1
-	joinPar := 0
-	sqBudget := par
-	if joinStages > 0 {
-		partStages := countPartitionableStages(pl.Order, vars)
-		if partStages > 0 {
-			switch {
-			case prep.JoinPartitions > 0:
-				joinPar = prep.JoinPartitions
-			case e.JoinPartitions > 0:
-				joinPar = e.JoinPartitions
-			case par > 1:
-				joinPar = par / 2 / partStages
-			}
-			if joinPar > cluster.MaxJoinPartitions {
-				joinPar = cluster.MaxJoinPartitions
-			}
-		}
-		if joinPar < 1 {
-			joinPar = 1
-		}
-		if joinPar > 1 {
-			sqBudget = par - joinPar*partStages
-			if sqBudget < 1 {
-				sqBudget = 1
-			}
-		}
-	}
-	stats.JoinPartitions = joinPar
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -148,12 +107,12 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 	errCh := make(chan error, len(dcp.Subqueries))
 
 	// One producer per subquery, streaming batches from its sites. The
-	// producers' share of the worker budget is divided across the
-	// concurrent subquery producers here, across each subquery's sites
-	// below, and across a site's fragments in cluster — so total
-	// morsel-worker demand stays near the budget instead of multiplying
-	// with the fan-out.
-	sqPar := sqBudget / len(dcp.Subqueries)
+	// whole worker budget goes to them — a control-site join stage is one
+	// goroutine — divided across the concurrent subquery producers here,
+	// across each subquery's sites below, and across a site's fragments
+	// in cluster, so total morsel-worker demand stays near the budget
+	// instead of multiplying with the fan-out.
+	sqPar := par / len(dcp.Subqueries)
 	if sqPar < 1 {
 		sqPar = 1
 	}
@@ -170,14 +129,13 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 	}
 
 	// Chain pipelined joins in optimizer order: stage k joins the running
-	// result stream with subquery Order[k]'s stream, fanned out over
-	// joinPar shared-nothing partitions. Streaming merge mode: consume
-	// dedups and sorts the final rows, so the deterministic
-	// (materialize-then-emit) merge would only add latency here.
+	// result stream with subquery Order[k]'s stream. Their emit order is
+	// whatever the arrival order makes it; consume dedups and sorts the
+	// final rows.
 	cur, curVars := (<-chan *match.Bindings)(streams[pl.Order[0]]), vars[pl.Order[0]]
 	for _, idx := range pl.Order[1:] {
 		next := make(chan *match.Bindings, streamBuf)
-		go cluster.JoinStreamOpts(ctx, curVars, vars[idx], cur, streams[idx], next, cluster.JoinOptions{Partitions: joinPar})
+		go cluster.JoinStream(ctx, curVars, vars[idx], cur, streams[idx], next)
 		cur, curVars = next, cluster.JoinVars(curVars, vars[idx])
 	}
 
@@ -280,22 +238,6 @@ func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *spar
 	out := match.NewBindings(keptVars, rows, total)
 	out.Dedup()
 	return out
-}
-
-// countPartitionableStages walks the join order and counts the stages a
-// partition grant can actually fan out, per cluster's own
-// shared-variable rule (Cartesian stages run single-partition
-// regardless).
-func countPartitionableStages(order []int, vars [][]string) int {
-	n := 0
-	cv := vars[order[0]]
-	for _, idx := range order[1:] {
-		if cluster.Partitionable(cv, vars[idx]) {
-			n++
-		}
-		cv = cluster.JoinVars(cv, vars[idx])
-	}
-	return n
 }
 
 // rowSet tells the distinct rows of a flat array of w-wide rows that is

@@ -42,13 +42,6 @@ type Metrics struct {
 	// zero until the first execution.
 	ParallelismBudget    int
 	EffectiveParallelism float64
-	// JoinPartitionsCap is the configured per-stage join partition
-	// override (0 = derived per query from its parallelism grant);
-	// EffectiveJoinPartitions is the average per-stage partition count
-	// completed join-bearing queries actually ran with, zero until the
-	// first such completion.
-	JoinPartitionsCap       int
-	EffectiveJoinPartitions float64
 	// Updates counts applied live-update batches (inserts and deletes);
 	// TriplesAdded is the total of new triples insert batches contributed
 	// (duplicates excluded) and TriplesDeleted the total delete batches
@@ -130,8 +123,6 @@ type collector struct {
 	cacheMisses  atomic.Uint64
 	parSum       atomic.Int64  // sum of granted per-query parallelism
 	parCount     atomic.Int64  // executions the sum covers
-	joinSum      atomic.Int64  // sum of per-stage join partitions ran with
-	joinCount    atomic.Int64  // join-bearing completions the sum covers
 	partials     atomic.Uint64 // completions flagged partial (sites skipped)
 	updates      atomic.Uint64 // applied live-update batches
 	triplesAdd   atomic.Uint64 // new triples insert batches contributed
@@ -155,17 +146,6 @@ func newCollector() *collector {
 func (m *collector) parallelism(eff int) {
 	m.parSum.Add(int64(eff))
 	m.parCount.Add(1)
-}
-
-// joinPartitions records the per-stage join partition count one completed
-// execution ran with; plans without join stages report 0 and are not
-// counted.
-func (m *collector) joinPartitions(p int) {
-	if p <= 0 {
-		return
-	}
-	m.joinSum.Add(int64(p))
-	m.joinCount.Add(1)
 }
 
 // update records one applied live-update batch.
@@ -217,9 +197,6 @@ func (m *collector) snapshot() Metrics {
 	}
 	if n := m.parCount.Load(); n > 0 {
 		s.EffectiveParallelism = float64(m.parSum.Load()) / float64(n)
-	}
-	if n := m.joinCount.Load(); n > 0 {
-		s.EffectiveJoinPartitions = float64(m.joinSum.Load()) / float64(n)
 	}
 	m.mu.Lock()
 	lats := append([]time.Duration(nil), m.lats...)

@@ -63,11 +63,6 @@ type Config struct {
 	// sequentially and throughput comes from the worker pool instead —
 	// the intra- vs inter-query trade the budget exists to make.
 	Parallelism int
-	// JoinPartitions overrides the per-stage partition count of every
-	// query's control-site join pipeline (default 0: each query derives
-	// it from its parallelism grant; negative forces the sequential
-	// symmetric join).
-	JoinPartitions int
 	// Apply, when non-nil, is the live-update sink: Update, Delete and
 	// Overwrite route batches through it under the server's writer mutex
 	// (updates are serialized with each other, never with queries) and
@@ -169,9 +164,6 @@ func (c Config) withDefaults() Config {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	} else if c.Parallelism < 0 {
 		c.Parallelism = 1
-	}
-	if c.JoinPartitions < 0 {
-		c.JoinPartitions = 1
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = time.Second
@@ -356,10 +348,8 @@ func (s *Server) execute(req *request) outcome {
 	}
 	// Stamp the Prepared (this query's own: only the shape behind it is
 	// cached and shared) with this query's slice of the parallelism
-	// budget and the server's join-partition override (0 lets the engine
-	// derive the partition count from the grant).
+	// budget.
 	prep.Parallelism = s.effectiveParallelism()
-	prep.JoinPartitions = s.cfg.JoinPartitions
 	prep.View = view
 	s.met.parallelism(prep.Parallelism)
 	b, stats, err := s.engine.QueryPrepared(ctx, req.q, prep)
@@ -371,7 +361,6 @@ func (s *Server) execute(req *request) outcome {
 		s.met.failed.Add(1)
 		return outcome{err: err}
 	}
-	s.met.joinPartitions(stats.JoinPartitions)
 	if stats.Partial {
 		s.met.partials.Add(1)
 	}
@@ -581,7 +570,6 @@ func (s *Server) plan(q *sparql.Graph) (*exec.Prepared, bool, error) {
 func (s *Server) Metrics() Metrics {
 	m := s.met.snapshot()
 	m.ParallelismBudget = s.cfg.Parallelism
-	m.JoinPartitionsCap = s.cfg.JoinPartitions
 	m.Sites = s.engine.SiteMetrics()
 	views := s.engine.Views()
 	m.Generations = views.Generations()

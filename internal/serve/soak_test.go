@@ -1,14 +1,13 @@
 package serve_test
 
-// End-to-end server soak for the partitioned join pipeline: many
-// concurrent clients replay join-heavy queries against rdffrag's serving
-// layer while a share of the requests is cancelled mid-flight or given
-// deadlines too tight to meet. The partitioned join spawns routers and
-// partition workers per stage, so the invariants here are exactly the
-// ones early termination could break: no goroutine leaks once the server
-// closes, the admission queue and in-flight gauges return to zero, and
-// the effective parallelism/join-partition grants never exceed the
-// configured budget.
+// End-to-end server soak for the join pipeline: many concurrent clients
+// replay join-heavy queries against rdffrag's serving layer while a share
+// of the requests is cancelled mid-flight or given deadlines too tight to
+// meet. Every query spawns a producer per subquery and a goroutine per
+// join stage, so the invariants here are exactly the ones early
+// termination could break: no goroutine leaks once the server closes, the
+// admission queue and in-flight gauges return to zero, and the effective
+// parallelism grants never exceed the configured budget.
 
 import (
 	"context"
@@ -27,7 +26,7 @@ import (
 
 // soakQueries is the join-heavy share of the workload: every query has
 // at least two triple patterns, so every execution runs the control-site
-// join pipeline (and, with parallelism granted, its partition fan-out).
+// join pipeline.
 var soakQueries = []string{
 	`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`,
 	`SELECT ?x WHERE { ?x <placeOfDeath> ?c . ?c <country> ?k . ?c <postalCode> ?z . }`,
@@ -89,9 +88,6 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 						if resp.Stats.Parallelism > budget {
 							return fmt.Errorf("client %d: granted parallelism %d exceeds budget %d", c, resp.Stats.Parallelism, budget)
 						}
-						if resp.Stats.JoinPartitions > budget {
-							return fmt.Errorf("client %d: join partitions %d exceed budget %d", c, resp.Stats.JoinPartitions, budget)
-						}
 					case errors.Is(err, context.Canceled),
 						errors.Is(err, context.DeadlineExceeded),
 						errors.Is(err, serve.ErrOverloaded):
@@ -121,9 +117,6 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 	if m.EffectiveParallelism > budget {
 		t.Errorf("effective parallelism %.2f exceeds budget %d", m.EffectiveParallelism, budget)
 	}
-	if m.EffectiveJoinPartitions > budget {
-		t.Errorf("effective join partitions %.2f exceed budget %d", m.EffectiveJoinPartitions, budget)
-	}
 
 	srv.Close()
 	m = srv.Metrics()
@@ -135,8 +128,8 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 	}
 
 	// Goroutine-leak bound: abandoned executions (the server keeps
-	// running a query its client cancelled) and partition workers must
-	// all unwind once the server has drained. Allow brief settling and a
+	// running a query its client cancelled) and join stages must all
+	// unwind once the server has drained. Allow brief settling and a
 	// small slack for runtime/test goroutines.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -28,10 +28,6 @@ type ServerConfig struct {
 	// among concurrently executing queries (0 = GOMAXPROCS, negative
 	// forces sequential matching).
 	Parallelism int
-	// JoinPartitions overrides the per-stage partition count of every
-	// query's control-site join pipeline (0 = derived per query from its
-	// parallelism grant, negative forces the sequential join).
-	JoinPartitions int
 	// Remote configures networked sites: which site IDs are served by
 	// external `rdffrag site` processes, and the retry / hedging /
 	// circuit-breaker / degradation policy used to reach them. The zero
@@ -109,15 +105,14 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 		durable: cfg.Durable,
 		ttl:     cfg.TTL,
 		inner: serve.New(dep.engine, serve.Config{
-			Workers:        cfg.Workers,
-			QueueDepth:     cfg.QueueDepth,
-			Timeout:        cfg.Timeout,
-			PlanCacheSize:  cfg.PlanCacheSize,
-			Parallelism:    cfg.Parallelism,
-			JoinPartitions: cfg.JoinPartitions,
-			SweepInterval:  cfg.SweepInterval,
-			Apply:          apply,
-			WALStats:       walStats,
+			Workers:       cfg.Workers,
+			QueueDepth:    cfg.QueueDepth,
+			Timeout:       cfg.Timeout,
+			PlanCacheSize: cfg.PlanCacheSize,
+			Parallelism:   cfg.Parallelism,
+			SweepInterval: cfg.SweepInterval,
+			Apply:         apply,
+			WALStats:      walStats,
 		}),
 	}
 	if cfg.Durable != nil {
