@@ -25,10 +25,10 @@ cover:
 # internal/cluster (site RPC and the two control-site join operators) at
 # what it measures now that the partitioned join is gone (94.2), minus a
 # point,
-# internal/rdf (the CSR + delta-overlay storage engine, raised to its
-# PR-8 coverage after the tombstone suite landed) and
-# internal/match (the merge-cursor matcher) at its
-# pre-PR-5 baseline measured before the live-update overlay landed,
+# internal/rdf (the CSR + delta-overlay storage engine) and
+# internal/match (the merge-cursor matcher) at what they measure now that
+# map mode and the read paths that served it are gone (95.5 and 96.2),
+# minus a point,
 # internal/serve (the MVCC query admission/update path) at its PR-6
 # baseline measured when snapshot reads landed, and internal/transport
 # (the networked site RPC with retry/hedging/breaker) at its PR-7
@@ -42,8 +42,8 @@ cover:
 # to matched edge sets (fap 100.0, mining 96.5, fragment 96.4), minus a
 # point of slack.
 COVER_FLOOR_CLUSTER ?= 93.2
-COVER_FLOOR_RDF ?= 92.0
-COVER_FLOOR_MATCH ?= 88.3
+COVER_FLOOR_RDF ?= 94.5
+COVER_FLOOR_MATCH ?= 95.2
 COVER_FLOOR_SERVE ?= 88.0
 COVER_FLOOR_TRANSPORT ?= 82.0
 COVER_FLOOR_WAL ?= 85.0
@@ -89,7 +89,7 @@ crash-soak:
 		'TestCrashRecoverySoak|TestCrashRecoveryDeleteSoak|TestCrashRecoveryOverwriteSoak|TestGracefulShutdownSIGTERM|TestSiteGracefulShutdownSIGTERM' .
 
 # Ten seconds of coverage-guided fuzzing each of the two hand-written
-# codecs against encoding/json. The result encoders, against the
+# codecs against encoding/json, then of the N-Triples scanner. The result encoders, against the
 # struct-and-encoding/json oracle in results_test.go: the JSON must
 # unmarshal to the same value, the CSV read back to the same records,
 # the TSV bytes be equal. The batch-frame row codec, against
@@ -97,10 +97,15 @@ crash-soak:
 # to the same IDs, row count and common row width otherwise, encode a
 # table back to the same bytes — and a frame whose rows are ragged, or
 # not as wide as the subquery's variables, is never accepted as a
-# table. The seed corpora alone run inside `test`.
+# table. The scanner every load and every update batch goes through:
+# never panic, accept no line with an unclosed IRI, literal or datatype
+# or with anything after the third term, and scan what WriteNTriples
+# writes of an accepted document back to the same triples. The seed
+# corpora alone run inside `test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRows$$' -fuzztime=10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzScanNTriples$$' -fuzztime=10s ./internal/rdf
 
 # One iteration per benchmark: a compile-and-run smoke, not a measurement.
 bench:

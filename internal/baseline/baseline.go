@@ -59,10 +59,7 @@ func BuildSHAPE(g *rdf.Graph, m int) *Placement {
 	if m < 1 {
 		m = 1
 	}
-	p := &Placement{Strategy: SHAPE, SiteGraphs: make([]*rdf.Graph, m)}
-	for i := range p.SiteGraphs {
-		p.SiteGraphs[i] = rdf.NewGraph(g.Dict)
-	}
+	sites := make([][]rdf.Triple, m)
 	site := func(v rdf.ID) int {
 		h := fnv.New32a()
 		var b [4]byte
@@ -71,11 +68,18 @@ func BuildSHAPE(g *rdf.Graph, m int) *Placement {
 		return int(h.Sum32() % uint32(m))
 	}
 	for _, t := range g.Triples() {
-		p.SiteGraphs[site(t.S)].Add(t)
-		p.SiteGraphs[site(t.O)].Add(t)
+		sites[site(t.S)] = append(sites[site(t.S)], t)
+		sites[site(t.O)] = append(sites[site(t.O)], t)
 	}
-	for _, sg := range p.SiteGraphs {
-		sg.Freeze()
+	return newPlacement(SHAPE, g.Dict, sites)
+}
+
+// newPlacement builds each site's graph from the triples assigned to it;
+// a triple assigned to a site more than once counts once.
+func newPlacement(strategy Strategy, d *rdf.Dict, sites [][]rdf.Triple) *Placement {
+	p := &Placement{Strategy: strategy, SiteGraphs: make([]*rdf.Graph, len(sites))}
+	for i, ts := range sites {
+		p.SiteGraphs[i] = rdf.NewFrozen(d, ts)
 	}
 	return p
 }
@@ -91,10 +95,7 @@ func BuildWARP(g *rdf.Graph, patterns []*mining.Pattern, m int) *Placement {
 	g.Freeze() // pattern replication matches every pattern against g
 	gsn := g.Snapshot()
 	defer gsn.Close()
-	p := &Placement{Strategy: WARP, SiteGraphs: make([]*rdf.Graph, m)}
-	for i := range p.SiteGraphs {
-		p.SiteGraphs[i] = rdf.NewGraph(g.Dict)
-	}
+	sites := make([][]rdf.Triple, m)
 
 	// Compact vertex numbering for the partitioner.
 	verts := gsn.Vertices()
@@ -112,21 +113,16 @@ func BuildWARP(g *rdf.Graph, patterns []*mining.Pattern, m int) *Placement {
 
 	// Base assignment: triple to its subject's part.
 	for _, t := range g.Triples() {
-		p.SiteGraphs[partOf(t.S)].Add(t)
+		sites[partOf(t.S)] = append(sites[partOf(t.S)], t)
 	}
 
 	// Pattern replication: each match fully resident at one site.
 	for _, pat := range patterns {
 		match.ForEach(pat.Graph, gsn, match.Options{}, func(mt *match.Match) bool {
 			home := partOf(mt.Vertex[0])
-			for _, t := range mt.Triples {
-				p.SiteGraphs[home].Add(t)
-			}
+			sites[home] = append(sites[home], mt.Triples...)
 			return true
 		})
 	}
-	for _, sg := range p.SiteGraphs {
-		sg.Freeze()
-	}
-	return p
+	return newPlacement(WARP, g.Dict, sites)
 }

@@ -132,7 +132,6 @@ func (s *Suite) DBpedia() (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.Graph.Freeze()
 	s.dbp = &Dataset{Name: "DBpedia", Graph: db.Graph, Log: db.Log}
 	return s.dbp, nil
 }
@@ -157,7 +156,6 @@ func (s *Suite) watDivAt(triples int) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	wd.Graph.Freeze()
 	return &Dataset{Name: "WatDiv", Graph: wd.Graph, Log: log, WatDiv: wd}, nil
 }
 

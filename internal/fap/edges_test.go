@@ -34,7 +34,7 @@ func fingerprint(sel *Selection) string {
 // TestSelectUnchangedByEdgeSets pins Select's outcome to what it was when
 // a pattern's size was MatchedGraph(p).NumTriples(): the fingerprints were
 // recorded at the commit before edge sets, on the package's own fixture
-// (a map-mode hot graph) and on a frozen WatDiv graph.
+// (a hot graph as Add left it, all delta) and on a frozen WatDiv graph.
 func TestSelectUnchangedByEdgeSets(t *testing.T) {
 	g, w := testData()
 	ps := (&mining.Miner{MinSup: 3}).Mine(w)

@@ -43,8 +43,8 @@ func checkFragments(t *testing.T, name string, fr *Fragmentation) {
 	hot := fr.Hot.Snapshot()
 	defer hot.Close()
 	for i, f := range fr.Fragments {
-		if f.ID != i || !f.Graph.Frozen() || f.Graph.DeltaLen() != 0 {
-			t.Errorf("%s: fragment at %d has ID %d, frozen %v, delta %d", name, i, f.ID, f.Graph.Frozen(), f.Graph.DeltaLen())
+		if f.ID != i || f.Graph.DeltaLen() != 0 {
+			t.Errorf("%s: fragment at %d has ID %d, delta %d", name, i, f.ID, f.Graph.DeltaLen())
 		}
 		if want := matchUnion(f, hot); !slices.Equal(f.Graph.Triples(), want) {
 			t.Errorf("%s: fragment %d (%s) holds %d triples, its matches use %d", name, f.ID, f.Key(), f.Graph.NumTriples(), len(want))
@@ -81,9 +81,9 @@ func TestFragmentsAreTheirPatternsMatches(t *testing.T) {
 	}
 	for _, fx := range []fixture{{"figure 1", fig, figure2Workload(fig.Dict), 2}, {"watdiv", ds.Graph, wd, 4}} {
 		hc := SplitHotCold(fx.g, fx.workload, fx.theta)
-		if !hc.Hot.Frozen() || !hc.Cold.Frozen() || hc.Hot.NumTriples()+hc.Cold.NumTriples() != fx.g.NumTriples() {
-			t.Fatalf("%s: hot %d + cold %d of %d triples, frozen %v/%v", fx.name,
-				hc.Hot.NumTriples(), hc.Cold.NumTriples(), fx.g.NumTriples(), hc.Hot.Frozen(), hc.Cold.Frozen())
+		if hc.Hot.DeltaLen() != 0 || hc.Cold.DeltaLen() != 0 || hc.Hot.NumTriples()+hc.Cold.NumTriples() != fx.g.NumTriples() {
+			t.Fatalf("%s: hot %d + cold %d of %d triples, deltas %d/%d", fx.name,
+				hc.Hot.NumTriples(), hc.Cold.NumTriples(), fx.g.NumTriples(), hc.Hot.DeltaLen(), hc.Cold.DeltaLen())
 		}
 		ps := (&mining.Miner{MinSup: fx.theta}).Mine(fx.workload)
 		sel, err := (&fap.Selector{StorageCapacity: 3 * hc.Hot.NumTriples()}).Select(ps, fx.workload, hc.Hot)

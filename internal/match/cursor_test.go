@@ -107,7 +107,7 @@ func filterPredOK(s *searcher, e sparql.Edge, ts []rdf.Triple) []rdf.Triple {
 }
 
 // TestCursorAgreesWithReferenceProperty: for random graphs, queries and
-// binding states — frozen and thawed — the cursor enumerates exactly the
+// binding states — frozen and all delta — the cursor enumerates exactly the
 // reference candidate multiset (modulo predOK filtering and order).
 func TestCursorAgreesWithReferenceProperty(t *testing.T) {
 	f := func(dataSeed, querySeed int64, bindMask uint8, freeze bool) bool {
@@ -145,11 +145,11 @@ func TestCursorAgreesWithReferenceProperty(t *testing.T) {
 }
 
 // TestFrozenMatchEquivalenceProperty: Find returns the same match set on
-// a frozen graph as on a thawed one, and both agree with the brute-force
-// oracle.
+// a frozen graph as on one a run of Adds left all delta, and both agree
+// with the brute-force oracle.
 func TestFrozenMatchEquivalenceProperty(t *testing.T) {
 	f := func(dataSeed, querySeed int64) bool {
-		thawed := randomData(dataSeed, 15)
+		added := randomData(dataSeed, 15)
 		frozen := randomData(dataSeed, 15)
 		frozen.Freeze()
 		q := randomQuery(querySeed, 3)
@@ -164,7 +164,7 @@ func TestFrozenMatchEquivalenceProperty(t *testing.T) {
 			}
 			return seen
 		}
-		a := keys(Find(q, thawed.Snapshot(), Options{}))
+		a := keys(Find(q, added.Snapshot(), Options{}))
 		b := keys(Find(q, frozen.Snapshot(), Options{}))
 		if len(a) != len(b) {
 			return false
@@ -174,7 +174,7 @@ func TestFrozenMatchEquivalenceProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(a) == bruteForceCount(q, thawed)
+		return len(a) == bruteForceCount(q, added)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -182,15 +182,16 @@ func TestFrozenMatchEquivalenceProperty(t *testing.T) {
 }
 
 // TestFrozenVarPredEquivalence: variable-predicate edges (the curTris
-// full-scan mode plus pred bindings) agree across storage modes.
+// full-scan mode plus pred bindings) agree between an all-delta graph and
+// a frozen one.
 func TestFrozenVarPredEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		thawed := randomData(seed, 20)
+		added := randomData(seed, 20)
 		frozen := randomData(seed, 20)
 		frozen.Freeze()
-		q := sparql.MustParse(thawed.Dict, `SELECT * WHERE { ?x ?p ?y . ?y ?p ?z . }`)
-		if a, b := Count(q, thawed.Snapshot(), Options{}), Count(q, frozen.Snapshot(), Options{}); a != b {
-			t.Fatalf("seed %d: thawed count %d != frozen count %d", seed, a, b)
+		q := sparql.MustParse(added.Dict, `SELECT * WHERE { ?x ?p ?y . ?y ?p ?z . }`)
+		if a, b := Count(q, added.Snapshot(), Options{}), Count(q, frozen.Snapshot(), Options{}); a != b {
+			t.Fatalf("seed %d: all-delta count %d != frozen count %d", seed, a, b)
 		}
 	}
 }

@@ -2,9 +2,9 @@ package match
 
 // MatchedEdges against what MatchedGraph did before edge sets existed:
 // every triple of every match appended to a per-morsel bucket and the
-// buckets replayed through the map-mode Add. That body is kept here as
-// the oracle; the edge set must hold exactly its triples, whatever the
-// storage mode of the snapshot, the worker count or the vertex filter.
+// buckets replayed through Add. That body is kept here as the oracle;
+// the edge set must hold exactly its triples, whatever the snapshot
+// carries in its delta, the worker count or the vertex filter.
 
 import (
 	"fmt"
@@ -47,18 +47,13 @@ func matchedGraphOracle(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Gra
 	return sub
 }
 
-// storageModes builds the same random triple set four ways: map mode,
-// frozen, frozen under an insert-only delta, frozen under a delta with
-// tombstones (one of them re-inserted afterwards).
+// storageModes builds the same random triple set three ways: frozen,
+// frozen under an insert-only delta, frozen under a delta with tombstones
+// (one of them re-inserted afterwards).
 func storageModes(seed int64, triples int) map[string]*rdf.Graph {
 	r := rand.New(rand.NewSource(seed))
 	all := randomData(seed, triples).Triples()
 	frozen := rdf.NewFrozen(nil, slices.Clone(all))
-
-	mapMode := rdf.NewGraph(nil)
-	for _, t := range all {
-		mapMode.Add(t)
-	}
 
 	split := len(all) * 2 / 3
 	inserts := rdf.NewFrozen(nil, slices.Clone(all[:split]))
@@ -82,7 +77,7 @@ func storageModes(seed int64, triples int) map[string]*rdf.Graph {
 	for i := 0; i < 10; i++ {
 		tombs.Add(rdf.Triple{S: rdf.ID(r.Intn(6)), P: rdf.ID(6 + r.Intn(3)), O: rdf.ID(r.Intn(6))})
 	}
-	return map[string]*rdf.Graph{"map": mapMode, "frozen": frozen, "inserts": inserts, "tombstones": tombs}
+	return map[string]*rdf.Graph{"frozen": frozen, "inserts": inserts, "tombstones": tombs}
 }
 
 // checkEdgeSet compares MatchedEdges with the oracle on one snapshot
@@ -100,8 +95,8 @@ func checkEdgeSet(t *testing.T, q *sparql.Graph, sn *rdf.Snapshot, filter func(i
 			t.Logf("workers=%d: edge set has %d triples (Len %d), the old MatchedGraph %d", workers, len(got), set.Len(), len(want))
 			return false
 		}
-		if sub := MatchedGraph(q, sn, opts); !sub.Frozen() || !slices.Equal(sub.Triples(), want) {
-			t.Logf("workers=%d: MatchedGraph is not the edge set's triples, frozen", workers)
+		if sub := MatchedGraph(q, sn, opts); sub.DeltaLen() != 0 || !slices.Equal(sub.Triples(), want) {
+			t.Logf("workers=%d: MatchedGraph is not the edge set's triples in one generation", workers)
 			return false
 		}
 	}

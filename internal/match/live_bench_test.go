@@ -28,9 +28,6 @@ func liveBenchSetup(b *testing.B) (*rdf.Graph, *sparql.Graph) {
 	b.Helper()
 	wd := watdiv.Generate(watdiv.Options{Triples: 100000, Seed: 20160315})
 	g := wd.Graph
-	if !g.Frozen() {
-		g.Freeze()
-	}
 	// A constant-anchored point lookup on a real vertex: the read-mostly
 	// shape live services serve, cheap enough that update cost shows.
 	t0 := g.Triples()[0]

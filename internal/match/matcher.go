@@ -338,7 +338,7 @@ type searcher struct {
 // (b) the most selective edge (fewest candidate triples) comes first.
 // Constant-anchored edges are costed by the exact degree of the constant
 // vertex — restricted to the edge's predicate when that is constant too
-// (an O(log deg) lookup on a frozen graph) — instead of a flat guess.
+// (an O(log deg) lookup) — instead of a flat guess.
 func edgeOrder(q *sparql.Graph, g *rdf.Snapshot) []int {
 	n := len(q.Edges)
 	selectivity := make([]int, n)
@@ -495,14 +495,14 @@ func (s *searcher) expandRoot(ei int, t rdf.Triple) {
 // without materializing them: it merge-walks up to three zero-copy index
 // runs (a CSR run plus its insert and tombstone delta runs, the
 // per-predicate triple arena plus its deltas, or the full triple list)
-// and synthesizes each Triple into caller-provided storage. On a frozen
-// graph the runs are sorted, and the merge reproduces exactly the
-// enumeration order a freshly rebuilt CSR would give — the property the
-// differential harness pins. The tombstone run is nil on insert-only
-// snapshots, leaving the original two-way merge; with tombstones the
-// cursor walks key groups and resolves latest-op-wins visibility
-// inline. The cursor itself lives on the searcher's stack — candidate
-// enumeration performs zero heap allocations, with or without a delta.
+// and synthesizes each Triple into caller-provided storage. The runs are
+// sorted, and the merge reproduces exactly the enumeration order a
+// freshly rebuilt CSR would give — the property the differential harness
+// pins. The tombstone run is nil on insert-only snapshots, leaving the
+// original two-way merge; with tombstones the cursor walks key groups and
+// resolves latest-op-wins visibility inline. The cursor itself lives on
+// the searcher's stack — candidate enumeration performs zero heap
+// allocations, with or without a delta.
 type candCursor struct {
 	mode  uint8             // one of curHalf, curTris, curSingle, curDone
 	half  []rdf.HalfEdge    // curHalf: base adjacency run to walk
@@ -518,7 +518,6 @@ type candCursor struct {
 	bound uint32            // snapshot visibility bound: delta entries with Seq >= bound are skipped
 	fixed rdf.ID            // curHalf: the bound endpoint's data vertex
 	other rdf.ID            // curHalf: required far endpoint; NoID = unconstrained
-	needP rdf.ID            // curHalf: required predicate; NoID = already filtered
 	out   bool              // curHalf: fixed endpoint is the subject
 }
 
@@ -531,7 +530,7 @@ const (
 
 // initCursor picks the cheapest index to drive the scan for edge e given
 // the current bindings, threading the edge's constant predicate into the
-// bound-endpoint cases so a frozen graph serves a contiguous run. The
+// bound-endpoint cases so the graph serves a contiguous run. The
 // two-run (base + delta overlay) accessors keep this allocation-free even
 // on graphs carrying live updates; the delta runs are nil whenever the
 // graph has no delta, leaving the original single-run walk.
@@ -542,7 +541,6 @@ func (s *searcher) initCursor(c *candCursor, e sparql.Edge) {
 	c.dhalf, c.thalf, c.dtris, c.ttris = nil, nil, nil, nil
 	c.bound = s.g.Bound()
 	c.other = rdf.NoID
-	c.needP = rdf.NoID
 	switch {
 	case fromBound && toBound && !e.IsPredVar():
 		// Fully-ground edge: a set membership test.
@@ -564,11 +562,7 @@ func (s *searcher) initCursor(c *candCursor, e sparql.Edge) {
 		if e.IsPredVar() {
 			c.half, c.dhalf, c.thalf = s.g.OutEdges2(sub)
 		} else {
-			base, ins, tomb, exact := s.g.OutRun2(sub, e.Pred)
-			c.half, c.dhalf, c.thalf = base, ins, tomb
-			if !exact {
-				c.needP = e.Pred
-			}
+			c.half, c.dhalf, c.thalf = s.g.OutRun2(sub, e.Pred)
 		}
 	case toBound:
 		obj := s.m.Vertex[e.To]
@@ -578,11 +572,7 @@ func (s *searcher) initCursor(c *candCursor, e sparql.Edge) {
 		if e.IsPredVar() {
 			c.half, c.dhalf, c.thalf = s.g.InEdges2(obj)
 		} else {
-			base, ins, tomb, exact := s.g.InRun2(obj, e.Pred)
-			c.half, c.dhalf, c.thalf = base, ins, tomb
-			if !exact {
-				c.needP = e.Pred
-			}
+			c.half, c.dhalf, c.thalf = s.g.InRun2(obj, e.Pred)
 		}
 	case !e.IsPredVar():
 		c.mode = curTris
@@ -665,9 +655,6 @@ func (c *candCursor) next(t *rdf.Triple) bool {
 			default:
 				return false
 			}
-			if c.needP != rdf.NoID && h.P != c.needP {
-				continue
-			}
 			if c.other != rdf.NoID && h.Other != c.other {
 				continue
 			}
@@ -716,9 +703,6 @@ func (c *candCursor) nextHalfTomb(t *rdf.Triple) bool {
 			}
 		}
 		if !rdf.VisibleKey(basePresent, insVis, insSeq, tombVis, tombSeq) {
-			continue
-		}
-		if c.needP != rdf.NoID && key.P != c.needP {
 			continue
 		}
 		if c.other != rdf.NoID && key.Other != c.other {

@@ -59,8 +59,8 @@ type parallelRun struct {
 
 	// Root candidates: exactly one of half/tris is non-nil, mirroring
 	// candCursor's curHalf and curTris modes. dhalf/dtris are the insert
-	// delta runs of a live-updated frozen graph (nil without a delta)
-	// and thalf/ttris the tombstone runs (nil on insert-only snapshots);
+	// delta runs of a live-updated graph (nil without a delta) and
+	// thalf/ttris the tombstone runs (nil on insert-only snapshots);
 	// the sequential cursor merge-walks the runs in sorted order, so the
 	// morsels partition that merged sequence.
 	half  []rdf.HalfEdge
@@ -72,7 +72,6 @@ type parallelRun struct {
 	bound uint32 // snapshot visibility bound for the delta runs
 	fixed rdf.ID // curHalf: the bound endpoint's data vertex
 	other rdf.ID // curHalf: required far endpoint; NoID = unconstrained
-	needP rdf.ID // curHalf: required predicate; NoID = already filtered
 	out   bool   // curHalf: fixed endpoint is the subject
 
 	workers    int
@@ -118,14 +117,14 @@ func planParallel(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int) *
 	// Resolve the root candidate run against the constant bindings only
 	// — nothing else is bound at depth 0. This mirrors initCursor's
 	// bound-endpoint cases with s.bound[v] ⇔ the vertex is a constant,
-	// including the delta-overlay runs of a live-updated frozen graph.
+	// including the delta-overlay runs of a live-updated graph.
 	var (
 		half         []rdf.HalfEdge
 		dhalf, thalf []rdf.DeltaHalf
 		tris         []rdf.Triple
 		dtris, ttris []rdf.DeltaTriple
 		fixed        rdf.ID
-		other, needP = rdf.NoID, rdf.NoID
+		other        = rdf.NoID
 		out          bool
 	)
 	from, to := q.Verts[e.From], q.Verts[e.To]
@@ -141,22 +140,14 @@ func planParallel(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int) *
 		if e.IsPredVar() {
 			half, dhalf, thalf = g.OutEdges2(from.Term)
 		} else {
-			base, delta, tomb, exact := g.OutRun2(from.Term, e.Pred)
-			half, dhalf, thalf = base, delta, tomb
-			if !exact {
-				needP = e.Pred
-			}
+			half, dhalf, thalf = g.OutRun2(from.Term, e.Pred)
 		}
 	case !to.IsVar():
 		fixed = to.Term
 		if e.IsPredVar() {
 			half, dhalf, thalf = g.InEdges2(to.Term)
 		} else {
-			base, delta, tomb, exact := g.InRun2(to.Term, e.Pred)
-			half, dhalf, thalf = base, delta, tomb
-			if !exact {
-				needP = e.Pred
-			}
+			half, dhalf, thalf = g.InRun2(to.Term, e.Pred)
 		}
 	case !e.IsPredVar():
 		tris, dtris, ttris = g.ByPredicate2(e.Pred)
@@ -180,7 +171,7 @@ func planParallel(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int) *
 		half: half, dhalf: dhalf, thalf: thalf,
 		tris: tris, dtris: dtris, ttris: ttris,
 		bound: g.Bound(),
-		fixed: fixed, other: other, needP: needP, out: out,
+		fixed: fixed, other: other, out: out,
 	}
 	r.morselSize = n / (workers * morselsPerWorker)
 	if r.morselSize < 1 {
@@ -278,9 +269,6 @@ func (r *parallelRun) runMorsel(s *searcher, morsel int) {
 			h = r.dhalf[j].H
 			j++
 		}
-		if r.needP != rdf.NoID && h.P != r.needP {
-			continue
-		}
 		if r.other != rdf.NoID && h.Other != r.other {
 			continue
 		}
@@ -367,9 +355,6 @@ func (r *parallelRun) runMorselTomb(s *searcher, blo, bhi, dlo, dhi, tlo, thi in
 			}
 		}
 		if !rdf.VisibleKey(basePresent, insVis, insSeq, tombVis, tombSeq) {
-			continue
-		}
-		if r.needP != rdf.NoID && key.P != r.needP {
 			continue
 		}
 		if r.other != rdf.NoID && key.Other != r.other {

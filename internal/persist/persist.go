@@ -113,7 +113,7 @@ type State struct {
 	WALSeq uint64
 }
 
-// Save encodes the state to w. Delta-carrying frozen graphs (a live
+// Save encodes the state to w. Delta-carrying graphs (a live
 // deployment that has taken updates since its last compaction) are
 // compacted first: the snapshot's triple lists already contain the delta
 // triples either way, but compact-on-save means the surviving in-memory

@@ -5,21 +5,21 @@ import (
 	"slices"
 )
 
-// csrIndex is the frozen storage engine: the graph compiled into
+// csrIndex is the storage engine: a generation's triples compiled into
 // compressed-sparse-row form. Adjacency lives in two flat []HalfEdge
 // arenas (outgoing grouped by subject, incoming grouped by object), each
 // vertex's run sorted by (P, Other) so a constant-predicate lookup on a
 // bound endpoint is a binary search to a contiguous sub-run instead of a
 // full adjacency scan. Triples additionally live in a per-predicate arena
-// sorted by (P, S, O), replacing the byPred map. All lookups return
-// subslices of the arenas: zero allocations on the match/join hot path.
+// sorted by (P, S, O). All lookups return subslices of the arenas: zero
+// allocations on the match/join hot path.
 //
 // A triple's ordinal is its position in the out arena, i.e. in the
 // (S, P, O) order of the whole index; EdgeSet keeps one bit per ordinal.
 //
-// The index is immutable; Graph.Add on a frozen graph accumulates in the
-// mutable delta side-index (delta.go) instead, and Compact rebuilds this
-// index with the delta folded in.
+// The index is immutable; Graph.Add accumulates in the mutable delta
+// side-index (delta.go) instead, and Compact rebuilds this index with the
+// delta folded in.
 type csrIndex struct {
 	outRuns   runIndex   // subject -> its run of outArena
 	inRuns    runIndex   // object -> its run of inArena

@@ -33,8 +33,8 @@ type deltaOp struct {
 	Del  bool
 }
 
-// genDelta is the mutable side of one CSR generation: post-freeze Adds
-// and Deletes accumulate here instead of thawing the CSR, LSM-style.
+// genDelta is the mutable side of one CSR generation: Adds and Deletes
+// accumulate here instead of rebuilding the CSR, LSM-style.
 // Inserts land in the out/in/byPred runs, deletes land as tombstones in
 // the tombOut/tombIn/tombByPred side-runs with the same sort discipline.
 // Each per-vertex run is kept sorted by (P, Other) and each

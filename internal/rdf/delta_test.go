@@ -7,113 +7,35 @@ import (
 	"testing/quick"
 )
 
-// rebuiltFrozen builds a fresh graph from the same triple sequence and
-// freezes it: the ground truth an overlaid graph must be byte-identical
-// to.
-func rebuiltFrozen(ts []Triple) *Graph {
-	g := graphOf(ts)
-	g.Freeze()
-	return g
-}
+// rebuiltFrozen builds a fresh graph from the same triple sequence: the
+// ground truth an overlaid graph must be byte-identical to.
+func rebuiltFrozen(ts []Triple) *Graph { return NewFrozen(nil, slices.Clone(ts)) }
 
-// checkEquivalent asserts the full snapshot read API agrees across the
-// overlaid graph, the map-mode oracle and a rebuilt-frozen graph:
-// byte-identical runs against the rebuild (both are sorted), set-equal
-// adjacency against the oracle, and exact degrees/counts everywhere.
-func checkEquivalent(t *testing.T, overlay, oracle *Graph) bool {
+// checkEquivalent asserts the overlaid graph answers what the naive
+// oracle does: the writer-side list, then the full snapshot read API,
+// byte for byte — and so does a graph rebuilt from the overlay's triples,
+// which makes the overlay's merged runs the rebuild's.
+func checkEquivalent(t *testing.T, overlay *Graph, oracle *naiveSet) bool {
 	t.Helper()
 	// Writer-side enumeration must agree exactly, deletes included: both
 	// keep live triples in insertion order, with a delete-then-reinsert
 	// moving the triple to its latest insertion point.
-	if !slices.Equal(overlay.Triples(), oracle.Triples()) {
-		t.Logf("Triples(): overlay %v oracle %v", overlay.Triples(), oracle.Triples())
+	if !equalRun(overlay.Triples(), oracle.live) || overlay.NumTriples() != len(oracle.live) {
+		t.Logf("Triples(): overlay %v oracle %v", overlay.Triples(), oracle.live)
 		return false
 	}
-	rg := rebuiltFrozen(overlay.Triples())
-	ov, or, rb := overlay.Snapshot(), oracle.Snapshot(), rg.Snapshot()
+	ov, rb := overlay.Snapshot(), rebuiltFrozen(overlay.Triples()).Snapshot()
 	defer ov.Close()
-	defer or.Close()
 	defer rb.Close()
-	if ov.NumTriples() != or.NumTriples() || ov.NumTriples() != rb.NumTriples() {
-		t.Logf("NumTriples: overlay %d oracle %d rebuilt %d",
-			ov.NumTriples(), or.NumTriples(), rb.NumTriples())
-		return false
-	}
-	if !slices.Equal(ov.Vertices(), rb.Vertices()) || !slices.Equal(ov.Vertices(), or.Vertices()) {
-		t.Logf("Vertices diverged: overlay %v rebuilt %v oracle %v",
-			ov.Vertices(), rb.Vertices(), or.Vertices())
-		return false
-	}
-	if !slices.Equal(ov.Predicates(), rb.Predicates()) || !slices.Equal(ov.Predicates(), or.Predicates()) {
-		t.Logf("Predicates diverged")
-		return false
-	}
-	for _, v := range rb.Vertices() {
-		// Frozen overlays must serve byte-identical merged runs vs the
-		// rebuild; in map mode runs are insertion-ordered, so compare
-		// sorted.
-		outA, outB := ov.OutEdges(v), rb.OutEdges(v)
-		inA, inB := ov.InEdges(v), rb.InEdges(v)
-		if !overlay.Frozen() {
-			outA, inA = sortedEdges(outA), sortedEdges(inA)
-		}
-		if !slices.Equal(outA, outB) {
-			t.Logf("OutEdges(%d): overlay %v rebuilt %v", v, outA, outB)
-			return false
-		}
-		if !slices.Equal(inA, inB) {
-			t.Logf("InEdges(%d): overlay %v rebuilt %v", v, inA, inB)
-			return false
-		}
-		// Set-equal adjacency vs the map-mode oracle.
-		if !slices.Equal(sortedEdges(ov.OutEdges(v)), sortedEdges(or.OutEdges(v))) {
-			t.Logf("OutEdges(%d) vs oracle diverged", v)
-			return false
-		}
-		if ov.Degree(v) != or.Degree(v) || ov.OutDegree(v) != or.OutDegree(v) || ov.InDegree(v) != or.InDegree(v) {
-			t.Logf("degrees of %d diverged", v)
-			return false
-		}
-		for _, p := range rb.Predicates() {
-			if ov.OutDegreeP(v, p) != or.OutDegreeP(v, p) || ov.InDegreeP(v, p) != or.InDegreeP(v, p) {
-				t.Logf("OutDegreeP/InDegreeP(%d, %d) diverged", v, p)
-				return false
-			}
-			if overlay.Frozen() { // map mode serves inexact runs by contract
-				run, exact := ov.OutRun(v, p)
-				wantRun, _ := rb.OutRun(v, p)
-				if !exact || !slices.Equal(run, wantRun) {
-					t.Logf("OutRun(%d,%d): overlay %v (exact=%v) rebuilt %v", v, p, run, exact, wantRun)
-					return false
-				}
-			}
-		}
-	}
-	for _, p := range rb.Predicates() {
-		if ov.PredicateCount(p) != or.PredicateCount(p) {
-			t.Logf("PredicateCount(%d) diverged", p)
-			return false
-		}
-		if overlay.Frozen() && !slices.Equal(ov.ByPredicate(p), rb.ByPredicate(p)) {
-			t.Logf("ByPredicate(%d): overlay %v rebuilt %v", p, ov.ByPredicate(p), rb.ByPredicate(p))
-			return false
-		}
-	}
-	for _, tr := range overlay.Triples() {
-		if !ov.Has(tr) || !or.Has(tr) {
-			t.Logf("Has(%v) lost a triple", tr)
-			return false
-		}
-	}
-	return true
+	return oracle.readBy(t, ov) && oracle.readBy(t, rb)
 }
 
 // TestDeltaOverlayDifferentialProperty is the storage half of the
 // differential mutation harness: a random interleaving of
-// Add/Delete/Freeze/Compact ops runs against an overlaid graph and a
-// map-mode oracle, and after every mutation the whole read API must
-// agree with both the oracle (as sets) and a freshly rebuilt frozen
-// graph (byte for byte) — before and after every compaction. The small
+// Add/Delete/Freeze/Compact ops runs against an overlaid graph and the
+// naive oracle, and after every mutation the whole read API must agree
+// with the oracle, as a freshly rebuilt graph's does, byte for byte —
+// before and after every compaction. The small
 // vocabulary makes delete-then-reinsert and duplicate-add collisions
 // common, and random deletes regularly target never-inserted triples
 // (both sides must report them as no-ops, not phantoms).
@@ -121,7 +43,7 @@ func TestDeltaOverlayDifferentialProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		overlay := NewGraph(nil)
-		oracle := NewGraph(overlay.Dict)
+		oracle := newNaive()
 		// A third of the runs auto-compact aggressively (every delta
 		// triple crosses the threshold), a third never, a third default.
 		switch seed % 3 {
@@ -157,14 +79,14 @@ func TestDeltaOverlayDifferentialProperty(t *testing.T) {
 					t.Logf("Delete(%v) presence diverged", tr)
 					return false
 				}
-			case op < 9: // Freeze (compacts when already frozen)
+			case op < 9: // Freeze
 				overlay.Freeze()
 			default: // Compact
 				overlay.Compact()
 			}
 			if !checkEquivalent(t, overlay, oracle) {
-				t.Logf("seed %d diverged at step %d (frozen=%v delta=%d tombs=%d compactions=%d)",
-					seed, step, overlay.Frozen(), overlay.DeltaLen(), overlay.DeltaTombstones(), overlay.Compactions())
+				t.Logf("seed %d diverged at step %d (delta=%d tombs=%d compactions=%d)",
+					seed, step, overlay.DeltaLen(), overlay.DeltaTombstones(), overlay.Compactions())
 				return false
 			}
 		}
@@ -179,8 +101,7 @@ func TestDeltaOverlayDifferentialProperty(t *testing.T) {
 // configured fraction of the base, and never does when disabled.
 func TestAutoCompaction(t *testing.T) {
 	ts := randomTriples(3, 400, 24, 6)
-	g := graphOf(ts)
-	g.Freeze()
+	g := rebuiltFrozen(ts)
 	base := g.NumTriples()
 	g.SetAutoCompact(0.1)
 	// minCompactDelta floors the threshold; push well past both bounds.
@@ -200,12 +121,8 @@ func TestAutoCompaction(t *testing.T) {
 	if g.DeltaLen() >= want {
 		t.Fatalf("delta %d still at/above threshold %d after compaction", g.DeltaLen(), want)
 	}
-	if !g.Frozen() {
-		t.Fatal("auto-compaction left the graph unfrozen")
-	}
 
-	g2 := graphOf(ts)
-	g2.Freeze()
+	g2 := rebuiltFrozen(ts)
 	g2.SetAutoCompact(-1)
 	for i := 0; i < 3*minCompactDelta; i++ {
 		g2.Add(Triple{S: ID(1000 + i), P: ID(2000), O: ID(3000 + i)})
@@ -274,8 +191,8 @@ func TestDeltaReadZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		_, _, _ = sn.OutEdges2(v)
 		_, _, _ = sn.InEdges2(v)
-		_, _, _, _ = sn.OutRun2(v, p)
-		_, _, _, _ = sn.InRun2(v, p)
+		_, _, _ = sn.OutRun2(v, p)
+		_, _, _ = sn.InRun2(v, p)
 		_, _, _ = sn.ByPredicate2(p)
 		_ = sn.OutDegreeP(v, p)
 		_ = sn.PredicateCount(p)

@@ -7,32 +7,26 @@ import (
 
 // EdgeSet is a set of triples visible in one Snapshot: one bit per
 // ordinal of the pinned CSR generation, plus a sorted list of the members
-// that generation does not hold (every member, for a map-mode snapshot;
-// the delta's, for a live-updated one). Adding a triple of the base costs
-// a binary search and no memory, however often it is added — which is
-// what lets the matcher record the edges of 10⁵ matches of a pattern in
-// |E|/64 words. Not safe for concurrent use.
+// that generation does not hold, the delta's. Adding a triple of the base
+// costs a binary search and no memory, however often it is added — which
+// is what lets the matcher record the edges of 10⁵ matches of a pattern
+// in |E|/64 words. Not safe for concurrent use.
 type EdgeSet struct {
 	s     *Snapshot
 	bits  []uint64
-	extra []Triple // members without an ordinal; sorted and distinct up to clean
+	extra []Triple // delta members, without an ordinal; sorted and distinct up to clean
 	clean int
 }
 
 // NewEdgeSet returns an empty set of this snapshot's triples.
 func (s *Snapshot) NewEdgeSet() *EdgeSet {
-	e := &EdgeSet{s: s}
-	if s.gen != nil {
-		e.bits = make([]uint64, (len(s.gen.csr.outArena)+63)/64)
-	}
-	return e
+	return &EdgeSet{s: s, bits: make([]uint64, (len(s.gen.csr.outArena)+63)/64)}
 }
 
 // Of reports whether the set was taken over the same cut of the same
-// graph as s, so that its triples are exactly what s would show. A
-// map-mode snapshot is a live view, not a cut: never.
+// graph as s, so that its triples are exactly what s would show.
 func (e *EdgeSet) Of(s *Snapshot) bool {
-	return s.gen != nil && e.s.g == s.g && e.s.gen == s.gen && e.s.n == s.n
+	return e.s.g == s.g && e.s.gen == s.gen && e.s.n == s.n
 }
 
 // Add puts t, a triple visible in the set's snapshot, into the set.
@@ -83,15 +77,11 @@ func (e *EdgeSet) Triples() []Triple {
 	// The subjects are the vertices with an out run, in the same order:
 	// sub is the one whose run, ending at end, holds the ordinal at hand.
 	var (
-		c     *csrIndex
-		verts []ID
+		c     = e.s.gen.csr
+		verts = c.verts
 		sub   ID
 		end   uint32
 	)
-	if e.s.gen != nil {
-		c = e.s.gen.csr
-		verts = c.verts
-	}
 	for wi, w := range e.bits {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)

@@ -196,7 +196,7 @@ func TestSnapshotOrdinal(t *testing.T) {
 		t.Errorf("the snapshot pinned before the delete lost the triple: %d, %v", i, ok)
 	}
 	if _, ok := NewGraph(nil).Snapshot().Ordinal(Triple{}); ok {
-		t.Error("a map-mode snapshot gave an ordinal")
+		t.Error("an empty graph's snapshot gave an ordinal")
 	}
 }
 
@@ -210,7 +210,7 @@ func TestEdgeSet(t *testing.T) {
 	for _, tr := range extra {
 		frozen.Add(tr)
 	}
-	for name, g := range map[string]*Graph{"map": graphOf(append(slices.Clone(base), extra...)), "frozen+delta": frozen} {
+	for name, g := range map[string]*Graph{"added": graphOf(append(slices.Clone(base), extra...)), "frozen+delta": frozen} {
 		sn := g.Snapshot()
 		members := append(slices.Clone(base[:60]), extra...)
 		a, b := sn.NewEdgeSet(), sn.NewEdgeSet()
@@ -229,8 +229,8 @@ func TestEdgeSet(t *testing.T) {
 		if a.Len() != len(want) || !slices.Equal(a.Triples(), want) {
 			t.Errorf("%s: set of %d triples lists %d (Len %d)", name, len(want), len(a.Triples()), a.Len())
 		}
-		if a.Of(g.Snapshot()) != g.Frozen() {
-			t.Errorf("%s: Of(an identical later snapshot) = %v", name, !g.Frozen())
+		if !a.Of(g.Snapshot()) {
+			t.Errorf("%s: not Of an identical later snapshot", name)
 		}
 		g.Add(Triple{S: 1, P: 41, O: 1})
 		if a.Of(g.Snapshot()) {
@@ -258,7 +258,7 @@ func TestNewFrozenEqualsAddFreeze(t *testing.T) {
 			gs, ws := got.Snapshot(), want.Snapshot()
 			defer gs.Close()
 			defer ws.Close()
-			ok := got.Frozen() && slices.Equal(got.Triples(), want.Triples()) &&
+			ok := slices.Equal(got.Triples(), want.Triples()) &&
 				got.NumTriples() == want.NumTriples() &&
 				got.Epoch() == want.Epoch() && got.DeltaLen() == want.DeltaLen() &&
 				slices.Equal(gs.Triples(), ws.Triples()) &&
@@ -300,7 +300,7 @@ func TestNewFrozenEqualsAddFreeze(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
-	if g := NewFrozen(nil, nil); !g.Frozen() || g.NumTriples() != 0 || g.Dict == nil {
-		t.Error("NewFrozen of nothing is not an empty frozen graph with a dictionary")
+	if g := NewFrozen(nil, nil); g.DeltaLen() != 0 || g.NumTriples() != 0 || g.Dict == nil {
+		t.Error("NewFrozen of nothing is not an empty graph with a dictionary")
 	}
 }

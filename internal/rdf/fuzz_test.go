@@ -1,0 +1,72 @@
+package rdf
+
+import (
+	"bytes"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// ntStatement is what a line ScanNTriples accepts must look like: three
+// terms, each one closed — an IRI by its '>', a literal by an unescaped
+// quote, a datatype by its '>' — and nothing after the third but an
+// optional '.'. It is looser than the scanner (a blank node label may
+// stop anywhere), which is all the fuzz target needs of it.
+var ntStatement = regexp.MustCompile(`(?s)^(?:[ \t]*(?:<[^>]*>|_:[^ \t]*|"(?:[^"\\]|\\.)*"(?:\^\^<[^>]*>|@[^ \t]*)?)){3}[\s\v\x{85}\p{Z}]*\.?$`)
+
+// FuzzScanNTriples: the scanner never panics; a document it accepts holds,
+// line for line, only closed terms and no trailing content, one statement
+// to a line; and loaded into a graph and written back by WriteNTriples it
+// scans to the graph's triple list again.
+func FuzzScanNTriples(f *testing.F) {
+	f.Add("<http://ex/Aristotle> <http://ex/name> \"Aristotle\" .\n# a comment\n\n_:b1 <http://ex/p> \"line\\nbreak\" .\n" +
+		"<http://ex/x> <http://ex/age> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n<http://ex/x> <http://ex/label> \"hi\"@en .")
+	f.Add("<a><p><b>.\r\n_: <p> _:c.\n<a> <p> \"q\\\"uote\\\\\"  .\n<a> <p> \"\xff\\t\" .\n<a> <p> <b>")
+	for _, bad := range badNTriples {
+		f.Add(bad)
+		f.Add("<a> <p> <b> .\n" + bad + "\n")
+	}
+	scan := func(doc string) (stmts [][3]Term, err error) {
+		err = ScanNTriples(strings.NewReader(doc), func(s, p, o Term) error {
+			stmts = append(stmts, [3]Term{s, p, o})
+			return nil
+		})
+		return stmts, err
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		stmts, err := scan(doc)
+		if err != nil {
+			return
+		}
+		n := 0
+		for i, line := range strings.Split(doc, "\n") {
+			if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			n++
+			if !ntStatement.MatchString(line) {
+				t.Fatalf("line %d accepted: %q", i+1, line)
+			}
+		}
+		if n != len(stmts) {
+			t.Fatalf("%d statements scanned from %d lines", len(stmts), n)
+		}
+
+		g := NewGraph(nil)
+		if read, err := ReadNTriples(g, strings.NewReader(doc)); err != nil || read != n {
+			t.Fatalf("ReadNTriples of a document that scans: %d of %d, %v", read, n, err)
+		}
+		var held [][3]Term
+		for _, tr := range g.Triples() {
+			held = append(held, [3]Term{g.Dict.Decode(tr.S), g.Dict.Decode(tr.P), g.Dict.Decode(tr.O)})
+		}
+		var out bytes.Buffer
+		if err := WriteNTriples(g, &out); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := scan(out.String()); err != nil || !slices.Equal(back, held) {
+			t.Fatalf("written back as %q, which scans to %v (%v), not %v", out.String(), back, err, held)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -30,8 +31,8 @@ type HalfEdge struct {
 	Other ID
 }
 
-// DefaultCompactFraction is the auto-compaction threshold: a frozen
-// graph folds its delta into the CSR once the delta exceeds this
+// DefaultCompactFraction is the auto-compaction threshold: a graph
+// folds its delta into the CSR once the delta exceeds this
 // fraction of the CSR's triples (see SetAutoCompact).
 const DefaultCompactFraction = 0.25
 
@@ -50,34 +51,30 @@ const maxCompactDelta = 1 << 16
 // Graph is an in-memory RDF graph (Definition 1): vertices are all subjects
 // and objects, directed edges are triples labelled by property.
 //
-// While loading, the graph keeps a membership map and map-of-slices
-// indexes (adjacency and per-property), cheap to append to. Freeze
-// compiles the triple list into an immutable CSR index and releases all
-// four maps (NewFrozen builds a graph in that form from a triple list, the
-// maps never existing): flat adjacency arenas, runs sorted by (P, Other),
-// found through run indexes sized by the IDs the graph uses. A frozen
-// graph is those arenas and its triple list, nothing per triple besides.
-// From then on the graph is MVCC: each CSR build is a generation, Add
-// appends to the current generation's delta overlay (LSM-style), and
-// Compact builds the next generation off to the side and swaps it in
-// atomically.
+// A graph has one form from NewGraph on: an immutable CSR generation —
+// flat adjacency arenas, runs sorted by (P, Other), found through run
+// indexes sized by the IDs the graph uses — plus that generation's delta
+// overlay. A generation is its arenas and the triple list, nothing per
+// triple besides. The graph is MVCC: Add and Delete append to the current
+// generation's delta (LSM-style), Compact builds the next generation off
+// to the side and swaps it in atomically, and AddAll installs a bulk load
+// as one generation without indexing it in a delta first.
 //
 // All reads go through Snapshot, an immutable view pinning a
-// (generation, delta length) pair: a frozen graph supports one writer
-// concurrent with any number of snapshot readers, with no lock on the
-// read path. Writer-side methods (Add, Freeze, Compact, Merge, Triples)
-// are single-writer: they must not be called concurrently with each
-// other, but they never invalidate a live Snapshot. Map-mode graphs keep
-// the old contract — no mutation concurrent with reads.
+// (generation, delta length) pair: a graph supports one writer concurrent
+// with any number of snapshot readers, with no lock on the read path.
+// Writer-side methods (Add, AddAll, Delete, Freeze, Compact, Triples) are
+// single-writer: they must not be called concurrently with each other,
+// but they never invalidate a live Snapshot.
 type Graph struct {
 	Dict *Dict
 
 	order []Triple // insertion order, for deterministic iteration (writer-owned)
 
 	// staleOrder counts occurrences in order that are no longer live
-	// (deleted, or superseded by a later re-insert). Frozen-mode deletes
-	// only tombstone, so order grows append-only within a generation;
-	// Compact rebuilds it without the stale occurrences.
+	// (deleted, or superseded by a later re-insert). Deletes only
+	// tombstone, so order grows append-only within a generation; Compact
+	// rebuilds it without the stale occurrences.
 	staleOrder int
 
 	// liveOrder caches the materialized live triple list when order
@@ -90,14 +87,8 @@ type Graph struct {
 	// mutates.
 	liveCount atomic.Int64
 
-	// Map-mode membership and indexes; nil once frozen.
-	triples map[Triple]struct{}
-	out     map[ID][]HalfEdge // subject -> (P,O)
-	in      map[ID][]HalfEdge // object  -> (P,S)
-	byPred  map[ID][]Triple   // property -> triples
-
-	// gen is the current CSR generation; nil in map mode. Swapped
-	// atomically by Freeze/Compact; snapshot readers load it lock-free.
+	// gen is the current CSR generation, never nil. Swapped atomically
+	// by Compact and AddAll; snapshot readers load it lock-free.
 	gen atomic.Pointer[generation]
 
 	// genMu guards the retired-generation registry and generation
@@ -122,152 +113,149 @@ func NewGraph(d *Dict) *Graph {
 	if d == nil {
 		d = NewDict()
 	}
-	return &Graph{
-		Dict:    d,
-		triples: make(map[Triple]struct{}),
-		out:     make(map[ID][]HalfEdge),
-		in:      make(map[ID][]HalfEdge),
-		byPred:  make(map[ID][]Triple),
-	}
-}
-
-// NewFrozen returns a frozen graph holding the given triples, as
-// NewGraph, Add of each in turn and Freeze would build it (a repeated
-// triple counts once, at its first position) but without the map-mode
-// maps ever existing. The slice belongs to the graph afterwards.
-func NewFrozen(d *Dict, triples []Triple) *Graph {
-	if d == nil {
-		d = NewDict()
-	}
-	g := &Graph{Dict: d, order: firstOccurrences(triples)}
-	g.liveCount.Store(int64(len(g.order)))
-	g.epoch.Store(uint64(len(g.order))) // where that many Adds leave it
-	g.installGeneration(buildCSR(g.order))
+	g := &Graph{Dict: d}
+	g.installGeneration(buildCSR(nil))
 	return g
 }
 
-// firstOccurrences drops, in place, every repeat of a triple.
-func firstOccurrences(ts []Triple) []Triple {
+// NewFrozen returns a graph holding the given triples in one CSR
+// generation with an empty delta, however few they are: NewGraph and
+// AddAll's bulk path. The slice belongs to the graph afterwards.
+func NewFrozen(d *Dict, triples []Triple) *Graph {
+	g := NewGraph(d)
+	g.load(triples)
+	return g
+}
+
+// AddAll inserts a batch as Add of each triple in turn would — a triple
+// the graph holds, or a repeat of an earlier one, is dropped — and
+// returns how many were new. A batch at least as large as the current
+// generation's auto-compaction threshold would leave a compaction behind
+// anyway, so it is not indexed in the delta only to be discarded: the new
+// triples join the triple list and one new generation is built over it.
+// A smaller batch is a run of delta appends. Snapshots already pinned see
+// none of it either way. Writer-side; the slice belongs to the graph
+// afterwards.
+func (g *Graph) AddAll(ts []Triple) int {
+	if len(ts) >= g.compactThreshold(g.gen.Load()) {
+		return g.load(ts)
+	}
+	n := 0
+	for _, t := range ts {
+		if g.Add(t) {
+			n++
+		}
+	}
+	return n
+}
+
+// load is AddAll's bulk path: the new triples of ts, first occurrence
+// first, appended to the triple list under one freshly built generation,
+// with whatever delta the old one carried folded in.
+func (g *Graph) load(ts []Triple) int {
+	ts = g.newTriples(ts)
+	if len(ts) == 0 {
+		return 0
+	}
+	if g.DeltaLen() > 0 {
+		g.compactions.Add(1)
+	}
+	g.compactOrder()
+	if len(g.order) == 0 {
+		g.order = ts // an initial load keeps the caller's list, not a copy
+	} else {
+		// Into spare capacity or a fresh array: either way past every
+		// length a pinned snapshot's order header covers.
+		g.order = append(g.order, ts...)
+	}
+	g.liveCount.Add(int64(len(ts)))
+	g.epoch.Add(uint64(len(ts))) // where that many Adds leave it
+	g.installGeneration(buildCSR(g.order))
+	return len(ts)
+}
+
+// newTriples drops, in place, every triple of ts the graph holds and
+// every repeat of an earlier one.
+func (g *Graph) newTriples(ts []Triple) []Triple {
 	ascending := true
 	for i := 1; i < len(ts) && ascending; i++ {
 		ascending = CompareSPO(ts[i-1], ts[i]) < 0
 	}
-	if ascending { // as an edge set lists its triples: nothing repeats
+	if ascending && g.NumTriples() == 0 { // as an edge set lists its triples: nothing repeats
 		return ts
 	}
-	seen := make(map[Triple]struct{}, len(ts))
+	var seen map[Triple]struct{}
+	if !ascending {
+		seen = make(map[Triple]struct{}, len(ts))
+	}
 	out := ts[:0]
 	for _, t := range ts {
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			out = append(out, t)
+		if g.Has(t) {
+			continue
 		}
+		if seen != nil {
+			if _, dup := seen[t]; dup {
+				continue
+			}
+			seen[t] = struct{}{}
+		}
+		out = append(out, t)
 	}
 	return out
 }
 
 // Add inserts a triple; duplicates are ignored. It reports whether the
-// triple was new. On a frozen graph the triple goes to the current
-// generation's delta overlay (possibly triggering an auto-compaction)
-// and becomes visible to snapshots taken after Add returns; snapshots
-// already pinned never see it.
+// triple was new. The triple goes to the current generation's delta
+// overlay (possibly triggering an auto-compaction) and becomes visible to
+// snapshots taken after Add returns; snapshots already pinned never see
+// it.
 func (g *Graph) Add(t Triple) bool {
 	if g.Has(t) {
 		return false
 	}
 	g.order = append(g.order, t)
 	g.liveCount.Add(1)
-	if gen := g.gen.Load(); gen != nil {
-		// Publish order: order header first, then the op log, then the
-		// delta runs, then the delta length (the readers' acquire
-		// point). A snapshot that observes delta length n is guaranteed
-		// to find all n ops in the order prefix, the log and the runs.
-		ord := g.order
-		gen.ord.Store(&ord)
-		seq := uint32(gen.delta.n.Load())
-		gen.delta.appendOp(t, false)
-		gen.delta.add(t, seq)
-		gen.delta.n.Add(1)
-		g.epoch.Add(1)
-		if g.shouldCompact(gen) {
-			g.Compact()
-		}
-		return true
-	}
-	g.triples[t] = struct{}{}
-	g.out[t.S] = append(g.out[t.S], HalfEdge{P: t.P, Other: t.O})
-	g.in[t.O] = append(g.in[t.O], HalfEdge{P: t.P, Other: t.S})
-	g.byPred[t.P] = append(g.byPred[t.P], t)
+	// Publish order: order header first, then the op log, then the
+	// delta runs, then the delta length (the readers' acquire
+	// point). A snapshot that observes delta length n is guaranteed
+	// to find all n ops in the order prefix, the log and the runs.
+	gen := g.gen.Load()
+	ord := g.order
+	gen.ord.Store(&ord)
+	seq := uint32(gen.delta.n.Load())
+	gen.delta.appendOp(t, false)
+	gen.delta.add(t, seq)
+	gen.delta.n.Add(1)
 	g.epoch.Add(1)
+	if g.shouldCompact(gen) {
+		g.Compact()
+	}
 	return true
 }
 
 // Delete removes a triple; deleting an absent (or never-inserted) triple
 // is a no-op, not a phantom — it reports whether the triple was present.
-// On a frozen graph the delete lands as a tombstone in the current
-// generation's delta overlay: snapshots taken after Delete returns no
-// longer see the triple, snapshots already pinned keep seeing it, and
-// Compact folds the tombstone away when it rebuilds the CSR. Writer-side,
-// like Add.
+// The delete lands as a tombstone in the current generation's delta
+// overlay: snapshots taken after Delete returns no longer see the triple,
+// snapshots already pinned keep seeing it, and Compact folds the
+// tombstone away when it rebuilds the CSR. Writer-side, like Add.
 func (g *Graph) Delete(t Triple) bool {
 	if !g.Has(t) {
 		return false
 	}
 	g.liveCount.Add(-1)
-	if gen := g.gen.Load(); gen != nil {
-		g.staleOrder++
-		seq := uint32(gen.delta.n.Load())
-		gen.delta.appendOp(t, true)
-		gen.delta.addTomb(t, seq)
-		gen.delta.dels.Add(1)
-		gen.delta.n.Add(1)
-		g.epoch.Add(1)
-		if g.shouldCompact(gen) {
-			g.Compact()
-		}
-		return true
-	}
-	// Map mode: splice the triple out of every index (old contract — no
-	// readers concurrent with mutation).
-	delete(g.triples, t)
-	g.order = spliceTriple(g.order, t)
-	if run := spliceHalf(g.out[t.S], HalfEdge{P: t.P, Other: t.O}); len(run) > 0 {
-		g.out[t.S] = run
-	} else {
-		delete(g.out, t.S)
-	}
-	if run := spliceHalf(g.in[t.O], HalfEdge{P: t.P, Other: t.S}); len(run) > 0 {
-		g.in[t.O] = run
-	} else {
-		delete(g.in, t.O)
-	}
-	if run := spliceTriple(g.byPred[t.P], t); len(run) > 0 {
-		g.byPred[t.P] = run
-	} else {
-		delete(g.byPred, t.P)
-	}
+	g.staleOrder++
+	gen := g.gen.Load()
+	seq := uint32(gen.delta.n.Load())
+	gen.delta.appendOp(t, true)
+	gen.delta.addTomb(t, seq)
+	gen.delta.dels.Add(1)
+	gen.delta.n.Add(1)
 	g.epoch.Add(1)
+	if g.shouldCompact(gen) {
+		g.Compact()
+	}
 	return true
-}
-
-// spliceTriple removes the first occurrence of t, preserving order.
-func spliceTriple(run []Triple, t Triple) []Triple {
-	for i, x := range run {
-		if x == t {
-			return append(run[:i], run[i+1:]...)
-		}
-	}
-	return run
-}
-
-// spliceHalf removes the first occurrence of h, preserving order.
-func spliceHalf(run []HalfEdge, h HalfEdge) []HalfEdge {
-	for i, x := range run {
-		if x == h {
-			return append(run[:i], run[i+1:]...)
-		}
-	}
-	return run
 }
 
 // AddTerms interns the three terms and inserts the resulting triple.
@@ -277,19 +265,9 @@ func (g *Graph) AddTerms(s, p, o Term) Triple {
 	return t
 }
 
-// Freeze compiles the graph into its immutable CSR form (the first
-// generation) and releases the maps. Idempotent; call after bulk
-// loading and before issuing queries. On an already-frozen graph
-// carrying a delta it compacts, so Freeze always leaves a pure CSR
-// behind.
-func (g *Graph) Freeze() {
-	if g.gen.Load() != nil {
-		g.Compact()
-		return
-	}
-	g.installGeneration(buildCSR(g.order))
-	g.triples, g.out, g.in, g.byPred = nil, nil, nil, nil
-}
+// Freeze folds the delta away, leaving a pure CSR behind: call after
+// loading and before the match-heavy work.
+func (g *Graph) Freeze() { g.Compact() }
 
 // installGeneration publishes a freshly built CSR as the new current
 // generation, retiring the previous one into the registry until its
@@ -333,11 +311,7 @@ func (g *Graph) pruneLocked() {
 
 // LiveGenerations reports how many CSR generations are currently alive:
 // the serving generation plus retired ones still pinned by snapshots.
-// Zero in map mode.
 func (g *Graph) LiveGenerations() int {
-	if g.gen.Load() == nil {
-		return 0
-	}
 	g.genMu.Lock()
 	defer g.genMu.Unlock()
 	g.pruneLocked()
@@ -347,10 +321,7 @@ func (g *Graph) LiveGenerations() int {
 // PinnedSnapshots reports how many pinned (unclosed) snapshots exist
 // across all generations of this graph.
 func (g *Graph) PinnedSnapshots() int {
-	n := int64(0)
-	if gen := g.gen.Load(); gen != nil {
-		n += gen.pins.Load()
-	}
+	n := g.gen.Load().pins.Load()
 	g.genMu.Lock()
 	for _, gen := range g.retired {
 		n += gen.pins.Load()
@@ -359,34 +330,18 @@ func (g *Graph) PinnedSnapshots() int {
 	return int(n)
 }
 
-// Frozen reports whether the graph is in CSR mode (possibly carrying a
-// delta overlay; see DeltaLen).
-func (g *Graph) Frozen() bool { return g.gen.Load() != nil }
-
-// DeltaLen returns the number of post-freeze mutations (inserts and
-// tombstones) waiting in the current generation's delta overlay (0 in
-// map mode or right after a compaction).
-func (g *Graph) DeltaLen() int {
-	gen := g.gen.Load()
-	if gen == nil {
-		return 0
-	}
-	return int(gen.delta.n.Load())
-}
+// DeltaLen returns the number of mutations (inserts and tombstones)
+// waiting in the current generation's delta overlay (0 right after a
+// compaction).
+func (g *Graph) DeltaLen() int { return int(g.gen.Load().delta.n.Load()) }
 
 // DeltaTombstones returns how many of the current generation's delta
 // mutations are tombstones.
-func (g *Graph) DeltaTombstones() int {
-	gen := g.gen.Load()
-	if gen == nil {
-		return 0
-	}
-	return int(gen.delta.dels.Load())
-}
+func (g *Graph) DeltaTombstones() int { return int(g.gen.Load().delta.dels.Load()) }
 
-// Compactions returns how many times the delta has been folded into a
-// new CSR generation, by Compact directly or by the auto-compaction
-// threshold.
+// Compactions returns how many times a delta has been folded into a new
+// CSR generation: by Compact directly, by the auto-compaction threshold,
+// or by an AddAll that found one.
 func (g *Graph) Compactions() uint64 { return g.compactions.Load() }
 
 // Epoch returns the graph's mutation counter: it increments on every
@@ -399,31 +354,29 @@ func (g *Graph) Epoch() uint64 { return g.epoch.Load() }
 func (g *Graph) SetAutoCompact(fraction float64) { g.autoCompact = fraction }
 
 func (g *Graph) shouldCompact(gen *generation) bool {
+	return int(gen.delta.n.Load()) >= g.compactThreshold(gen)
+}
+
+// compactThreshold is the delta length at which gen compacts on its own:
+// out of reach when auto-compaction is off.
+func (g *Graph) compactThreshold(gen *generation) int {
 	if g.autoCompact < 0 {
-		return false
+		return math.MaxInt
 	}
 	frac := g.autoCompact
 	if frac == 0 {
 		frac = DefaultCompactFraction
 	}
-	threshold := int(frac * float64(gen.base))
-	if threshold < minCompactDelta {
-		threshold = minCompactDelta
-	}
-	if threshold > maxCompactDelta {
-		threshold = maxCompactDelta
-	}
-	return int(gen.delta.n.Load()) >= threshold
+	return min(max(int(frac*float64(gen.base)), minCompactDelta), maxCompactDelta)
 }
 
 // Compact folds the current generation's delta into a freshly rebuilt
 // CSR (one pass over the triple list) and swaps the new generation in
 // atomically. In-flight snapshots keep reading the generation they
 // pinned; the old generation is retired and forgotten once its last
-// snapshot drains. No-op in map mode or when the delta is empty.
+// snapshot drains. No-op when the delta is empty.
 func (g *Graph) Compact() {
-	gen := g.gen.Load()
-	if gen == nil || gen.delta.n.Load() == 0 {
+	if g.DeltaLen() == 0 {
 		return
 	}
 	g.compactOrder()
@@ -444,17 +397,12 @@ func (g *Graph) compactOrder() {
 	g.staleOrder = 0
 }
 
-// Has reports whether the triple is present, as the writer sees it: once
-// frozen it asks the current generation — its CSR, then its delta up to
-// the last write — as a snapshot taken now would, without allocating.
-// Writer-side, so it must not race Add; concurrent readers use
-// Snapshot.Has.
+// Has reports whether the triple is present, as the writer sees it: it
+// asks the current generation — its CSR, then its delta up to the last
+// write — as a snapshot taken now would, without allocating. Writer-side,
+// so it must not race Add; concurrent readers use Snapshot.Has.
 func (g *Graph) Has(t Triple) bool {
 	gen := g.gen.Load()
-	if gen == nil {
-		_, ok := g.triples[t]
-		return ok
-	}
 	return gen.has(t, uint32(gen.delta.n.Load()), gen.delta.dels.Load() > 0)
 }
 
@@ -499,39 +447,4 @@ func mergeIDs(base, extra []ID) []ID {
 // TripleString renders a triple with decoded terms.
 func (g *Graph) TripleString(t Triple) string {
 	return fmt.Sprintf("%s %s %s .", g.Dict.Decode(t.S), g.Dict.Decode(t.P), g.Dict.Decode(t.O))
-}
-
-// Clone returns a deep copy of the graph structure sharing the dictionary.
-// The copy is in map mode regardless of the receiver's mode.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.Dict)
-	for _, t := range g.Triples() {
-		c.Add(t)
-	}
-	return c
-}
-
-// Merge inserts all triples of other into g (dictionaries must be shared).
-func (g *Graph) Merge(other *Graph) {
-	if other == nil {
-		return
-	}
-	if other.Dict != g.Dict {
-		panic("rdf: Merge requires a shared dictionary")
-	}
-	for _, t := range other.Triples() {
-		g.Add(t)
-	}
-}
-
-// SubgraphByPredicates returns a new graph (sharing the dictionary)
-// containing exactly the triples whose property is in keep.
-func (g *Graph) SubgraphByPredicates(keep map[ID]bool) *Graph {
-	sub := NewGraph(g.Dict)
-	for _, t := range g.Triples() {
-		if keep[t.P] {
-			sub.Add(t)
-		}
-	}
-	return sub
 }

@@ -1,9 +1,13 @@
 package rdf
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -112,35 +116,6 @@ func TestGraphAddAndIndexes(t *testing.T) {
 	}
 }
 
-func TestGraphCloneAndMerge(t *testing.T) {
-	g := NewGraph(nil)
-	a, p, b := g.Dict.MustIRI("a"), g.Dict.MustIRI("p"), g.Dict.MustIRI("b")
-	g.Add(Triple{a, p, b})
-
-	c := g.Clone()
-	c.Add(Triple{b, p, a})
-	if g.NumTriples() != 1 || c.NumTriples() != 2 {
-		t.Fatalf("clone mutated original: g=%d c=%d", g.NumTriples(), c.NumTriples())
-	}
-
-	g.Merge(c)
-	if g.NumTriples() != 2 {
-		t.Errorf("after Merge NumTriples = %d, want 2", g.NumTriples())
-	}
-}
-
-func TestSubgraphByPredicates(t *testing.T) {
-	g := NewGraph(nil)
-	a, b := g.Dict.MustIRI("a"), g.Dict.MustIRI("b")
-	p, q := g.Dict.MustIRI("p"), g.Dict.MustIRI("q")
-	g.Add(Triple{a, p, b})
-	g.Add(Triple{a, q, b})
-	sub := g.SubgraphByPredicates(map[ID]bool{p: true})
-	if sub.NumTriples() != 1 || !sub.Has(Triple{a, p, b}) {
-		t.Errorf("subgraph wrong: %v", sub.Triples())
-	}
-}
-
 func TestNTriplesRoundTrip(t *testing.T) {
 	src := strings.Join([]string{
 		`<http://ex/Aristotle> <http://ex/name> "Aristotle" .`,
@@ -172,17 +147,79 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	}
 }
 
+// badNTriples are statements ScanNTriples must refuse: FuzzScanNTriples
+// is seeded from them too.
+var badNTriples = []string{
+	`<http://ex/a <http://ex/p> <http://ex/b> .`,
+	`<http://ex/a> "lit" .`,
+	`<a> <p> "unterminated .`,
+	`<a> <p> <b> extra .`,
+	`<a> <p> <unterminated .`,
+	`<a> <p> "x"^^<unterminated .`,
+	`<a> _b <c> .`,
+	`<a> <p>`,
+}
+
 func TestNTriplesErrors(t *testing.T) {
-	for _, bad := range []string{
-		`<http://ex/a <http://ex/p> <http://ex/b> .`,
-		`<http://ex/a> "lit" .`,
-		`<a> <p> "unterminated .`,
-		`<a> <p> <b> extra .`,
-	} {
+	for _, bad := range badNTriples {
 		g := NewGraph(nil)
 		if _, err := ReadNTriples(g, strings.NewReader(bad)); err == nil {
 			t.Errorf("expected error for %q", bad)
 		}
+	}
+}
+
+// TestNTriplesScannerErrorHasLine: a line over the scanner's limit, or a
+// failing reader, is reported at its line like a parse error, not as a
+// bare bufio error.
+func TestNTriplesScannerErrorHasLine(t *testing.T) {
+	good := "<a> <p> <b> .\n"
+	long := good + good + "<a> <p> \"" + strings.Repeat("x", 17<<20) + "\" .\n"
+	g := NewGraph(nil)
+	_, err := ReadNTriples(g, strings.NewReader(long))
+	if err == nil || !strings.HasPrefix(err.Error(), "rdf: line 3: ") || !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("over-long line 3: err = %v", err)
+	}
+	_, err = ReadNTriples(g, io.MultiReader(strings.NewReader(good), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	if err == nil || !strings.HasPrefix(err.Error(), "rdf: line 2: ") || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("read error after line 1: err = %v", err)
+	}
+	if g.NumTriples() != 0 {
+		t.Errorf("failed loads left %d triples", g.NumTriples())
+	}
+}
+
+// TestLoadIsAllOrNothing: valid statements followed by a bad one are an
+// error that adds no triple, in either syntax — the graph, and a snapshot
+// pinned before the load, read as they did.
+func TestLoadIsAllOrNothing(t *testing.T) {
+	const have = "<s0> <p> <o0> .\n<s1> <p> <o1> .\n"
+	for _, tc := range []struct {
+		name string
+		read func(*Graph, io.Reader) (int, error)
+		doc  string
+	}{
+		{"ntriples", ReadNTriples, "<s2> <p> <o2> .\n<s0> <q> <o0> .\n<s3> <p> \"unterminated .\n"},
+		{"ntriples trailing", ReadNTriples, "<s2> <p> <o2> .\n<s3> <p> <o3> <extra> .\n"},
+		{"turtle", ReadTurtle, "<s2> <p> <o2> ; <q> <o0> .\n<s3> <p> <o3>"},
+		{"turtle prefix", ReadTurtle, "<s2> <p> <o2> .\n<s3> <p> nope:o3 .\n"},
+	} {
+		g := NewGraph(nil)
+		if n, err := ReadNTriples(g, strings.NewReader(have)); n != 2 || err != nil {
+			t.Fatalf("%s: setup read %d, %v", tc.name, n, err)
+		}
+		want := newNaive(g.Triples()...)
+		pinned := g.Snapshot()
+		epoch := g.Epoch()
+		if n, err := tc.read(g, strings.NewReader(tc.doc)); err == nil || n != 0 {
+			t.Errorf("%s: read %d triples, err %v; want an error", tc.name, n, err)
+		}
+		now := g.Snapshot()
+		if g.NumTriples() != 2 || g.Epoch() != epoch || !want.readBy(t, now) || !want.readBy(t, pinned) {
+			t.Errorf("%s: a failed load changed the graph (%d triples)", tc.name, g.NumTriples())
+		}
+		now.Close()
+		pinned.Close()
 	}
 }
 

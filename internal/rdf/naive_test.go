@@ -1,0 +1,181 @@
+package rdf
+
+import (
+	"slices"
+	"testing"
+)
+
+// naiveSet is the reference the differential suites read a Graph
+// against: a membership map beside the live triples in insertion order
+// (a triple re-inserted after a delete counts from its latest insertion),
+// every read a linear scan and a sort. What it answers is what a graph
+// holding the same triples must answer, in the same order: its runs come
+// out sorted the way the CSR arenas are.
+type naiveSet struct {
+	member map[Triple]struct{}
+	live   []Triple
+}
+
+func newNaive(ts ...Triple) *naiveSet {
+	n := &naiveSet{member: map[Triple]struct{}{}}
+	for _, t := range ts {
+		n.Add(t)
+	}
+	return n
+}
+
+func (n *naiveSet) Has(t Triple) bool {
+	_, ok := n.member[t]
+	return ok
+}
+
+func (n *naiveSet) Add(t Triple) bool {
+	if n.Has(t) {
+		return false
+	}
+	n.member[t] = struct{}{}
+	n.live = append(n.live, t)
+	return true
+}
+
+func (n *naiveSet) Delete(t Triple) bool {
+	if !n.Has(t) {
+		return false
+	}
+	delete(n.member, t)
+	n.live = slices.DeleteFunc(n.live, func(x Triple) bool { return x == t })
+	return true
+}
+
+func (n *naiveSet) clone() *naiveSet { return newNaive(n.live...) }
+
+// out and in are v's adjacency in (P, Other) order.
+func (n *naiveSet) out(v ID) (hs []HalfEdge) {
+	for _, t := range n.live {
+		if t.S == v {
+			hs = append(hs, HalfEdge{P: t.P, Other: t.O})
+		}
+	}
+	slices.SortFunc(hs, CompareHalf)
+	return hs
+}
+
+func (n *naiveSet) in(v ID) (hs []HalfEdge) {
+	for _, t := range n.live {
+		if t.O == v {
+			hs = append(hs, HalfEdge{P: t.P, Other: t.S})
+		}
+	}
+	slices.SortFunc(hs, CompareHalf)
+	return hs
+}
+
+// labelled keeps the entries of a run whose label is p.
+func labelled(hs []HalfEdge, p ID) (run []HalfEdge) {
+	for _, h := range hs {
+		if h.P == p {
+			run = append(run, h)
+		}
+	}
+	return run
+}
+
+// pred is the triples labelled p in (S, O) order.
+func (n *naiveSet) pred(p ID) (ts []Triple) {
+	for _, t := range n.live {
+		if t.P == p {
+			ts = append(ts, t)
+		}
+	}
+	slices.SortFunc(ts, CompareSO)
+	return ts
+}
+
+func (n *naiveSet) vertices() (vs []ID) {
+	for _, t := range n.live {
+		vs = append(vs, t.S, t.O)
+	}
+	slices.Sort(vs)
+	return slices.Compact(vs)
+}
+
+func (n *naiveSet) predicates() (ps []ID) {
+	for _, t := range n.live {
+		ps = append(ps, t.P)
+	}
+	slices.Sort(ps)
+	return slices.Compact(ps)
+}
+
+func (n *naiveSet) stats(p ID) PredStats {
+	ts := n.pred(p)
+	subs, objs := map[ID]struct{}{}, map[ID]struct{}{}
+	for _, t := range ts {
+		subs[t.S], objs[t.O] = struct{}{}, struct{}{}
+	}
+	return PredStats{Count: len(ts), DistinctSubjects: len(subs), DistinctObjects: len(objs)}
+}
+
+// readBy reports, logging the first difference, whether every accessor
+// of sn answers what the set does — for the IDs the set uses and for one
+// past them, which has no run anywhere.
+func (n *naiveSet) readBy(t *testing.T, sn *Snapshot) bool {
+	t.Helper()
+	fail := func(format string, args ...any) bool {
+		t.Helper()
+		t.Logf(format, args...)
+		return false
+	}
+	if sn.NumTriples() != len(n.live) || !equalRun(sn.Triples(), n.live) {
+		return fail("Triples() = %v (NumTriples %d), want %v", sn.Triples(), sn.NumTriples(), n.live)
+	}
+	verts, preds := n.vertices(), n.predicates()
+	if !equalRun(sn.Vertices(), verts) || sn.NumVertices() != len(verts) {
+		return fail("Vertices() = %v, want %v", sn.Vertices(), verts)
+	}
+	if !equalRun(sn.Predicates(), preds) {
+		return fail("Predicates() = %v, want %v", sn.Predicates(), preds)
+	}
+	absent := ID(0)
+	for _, id := range append(verts, preds...) {
+		absent = max(absent, id+1)
+	}
+	for _, v := range append(verts, absent) {
+		out, in := n.out(v), n.in(v)
+		if got := sn.OutEdges(v); !equalRun(got, out) {
+			return fail("OutEdges(%d) = %v, want %v", v, got, out)
+		}
+		if got := sn.InEdges(v); !equalRun(got, in) {
+			return fail("InEdges(%d) = %v, want %v", v, got, in)
+		}
+		if sn.OutDegree(v) != len(out) || sn.InDegree(v) != len(in) || sn.Degree(v) != len(out)+len(in) {
+			return fail("degrees of %d = %d out, %d in, %d; want %d out, %d in", v, sn.OutDegree(v), sn.InDegree(v), sn.Degree(v), len(out), len(in))
+		}
+		for _, p := range append(preds, absent) {
+			outP, inP := labelled(out, p), labelled(in, p)
+			if got := sn.OutRun(v, p); !equalRun(got, outP) || sn.OutDegreeP(v, p) != len(outP) {
+				return fail("OutRun(%d, %d) = %v (OutDegreeP %d), want %v", v, p, got, sn.OutDegreeP(v, p), outP)
+			}
+			if got := sn.InRun(v, p); !equalRun(got, inP) || sn.InDegreeP(v, p) != len(inP) {
+				return fail("InRun(%d, %d) = %v (InDegreeP %d), want %v", v, p, got, sn.InDegreeP(v, p), inP)
+			}
+		}
+	}
+	for _, p := range append(preds, absent) {
+		want := n.pred(p)
+		if got := sn.ByPredicate(p); !equalRun(got, want) || sn.PredicateCount(p) != len(want) {
+			return fail("ByPredicate(%d) = %v (PredicateCount %d), want %v", p, got, sn.PredicateCount(p), want)
+		}
+	}
+	for _, tr := range n.live {
+		for _, x := range []Triple{tr, {S: tr.O, P: tr.P, O: tr.S}} {
+			if sn.Has(x) != n.Has(x) {
+				return fail("Has(%v) = %v", x, !n.Has(x))
+			}
+		}
+	}
+	if sn.Has(Triple{S: absent, P: absent, O: absent}) {
+		return fail("Has of a triple over absent IDs")
+	}
+	return true
+}

@@ -7,14 +7,39 @@ import (
 	"strings"
 )
 
-// ReadNTriples parses a (simplified) N-Triples document into the graph.
-// Supported term forms: <iri>, _:blank, "literal" with optional
+// ReadNTriples parses a (simplified) N-Triples document, as ScanNTriples
+// reads it, into the graph and returns the number of statements read.
+func ReadNTriples(g *Graph, r io.Reader) (int, error) {
+	return readAll(g, func(fn func(s, p, o Term) error) error { return ScanNTriples(r, fn) })
+}
+
+// readAll encodes each statement of a term-level scan against g's
+// dictionary and adds them in one AddAll once the whole document has
+// parsed: a document that fails adds no triple (the terms of the
+// statements before the error stay interned, which carries no graph
+// state).
+func readAll(g *Graph, scan func(fn func(s, p, o Term) error) error) (int, error) {
+	var ts []Triple
+	err := scan(func(s, p, o Term) error {
+		ts = append(ts, Triple{S: g.Dict.Encode(s), P: g.Dict.Encode(p), O: g.Dict.Encode(o)})
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	n := len(ts)
+	g.AddAll(ts)
+	return n, nil
+}
+
+// ScanNTriples parses a (simplified) N-Triples document, handing fn each
+// statement's terms in document order; it stops at the first error, fn's
+// included. Supported term forms: <iri>, _:blank, "literal" with optional
 // ^^<datatype> or @lang suffix (folded into the literal's lexical form).
 // Lines starting with '#' and blank lines are skipped.
-func ReadNTriples(g *Graph, r io.Reader) (int, error) {
+func ScanNTriples(r io.Reader, fn func(s, p, o Term) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	n := 0
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -23,13 +48,17 @@ func ReadNTriples(g *Graph, r io.Reader) (int, error) {
 			continue
 		}
 		s, p, o, err := parseNTLine(line)
-		if err != nil {
-			return n, fmt.Errorf("rdf: line %d: %w", lineNo, err)
+		if err == nil {
+			err = fn(s, p, o)
 		}
-		g.AddTerms(s, p, o)
-		n++
+		if err != nil {
+			return fmt.Errorf("rdf: line %d: %w", lineNo, err)
+		}
 	}
-	return n, sc.Err()
+	if err := sc.Err(); err != nil { // a read error, or a line over the buffer's limit
+		return fmt.Errorf("rdf: line %d: %w", lineNo+1, err)
+	}
+	return nil
 }
 
 func parseNTLine(line string) (s, p, o Term, err error) {

@@ -21,12 +21,11 @@ type generation struct {
 	delta *genDelta
 	pins  atomic.Int64 // snapshots currently pinning this generation
 
-	// ord republishes the graph's order slice header after every
-	// frozen-mode Add of this generation. It lives on the generation —
-	// not the graph — because Compact rebuilds the order list (folding
-	// tombstones away), and a snapshot must pair the generation it
-	// pinned with the order array that generation's base/seq space
-	// indexes into.
+	// ord republishes the graph's order slice header after every Add of
+	// this generation. It lives on the generation — not the graph —
+	// because Compact rebuilds the order list (folding tombstones away),
+	// and a snapshot must pair the generation it pinned with the order
+	// array that generation's base/seq space indexes into.
 	ord atomic.Pointer[[]Triple]
 }
 
@@ -38,16 +37,11 @@ type generation struct {
 // many goroutines and stays valid indefinitely; Close releases its pin
 // on the generation (needed only for the generation-lifecycle gauges —
 // an unclosed snapshot leaks a gauge increment, not memory).
-//
-// Snapshots of a map-mode (never frozen) graph are a compatibility
-// fallback: they read the live map indexes and are only consistent while
-// no writer runs, exactly the old Graph read contract. Frozen-graph
-// snapshots are the real MVCC path.
 type Snapshot struct {
 	g      *Graph
-	gen    *generation // nil = map-mode fallback
+	gen    *generation // never nil
 	n      uint32      // delta visibility bound: entries with Seq < n are visible
-	order  []Triple    // pinned insertion-order prefix (frozen mode)
+	order  []Triple    // pinned insertion-order prefix
 	pinned bool
 	closed atomic.Bool
 
@@ -68,10 +62,8 @@ type Snapshot struct {
 // the pins).
 func (g *Graph) Snapshot() *Snapshot {
 	s := g.snapshotAt()
-	if s.gen != nil {
-		s.pinned = true
-		s.gen.pins.Add(1)
-	}
+	s.pinned = true
+	s.gen.pins.Add(1)
 	return s
 }
 
@@ -80,9 +72,6 @@ func (g *Graph) Snapshot() *Snapshot {
 // which do their own pin accounting per acquired handle.
 func (g *Graph) snapshotAt() *Snapshot {
 	gen := g.gen.Load()
-	if gen == nil {
-		return &Snapshot{g: g}
-	}
 	// Load n before the order header: the writer publishes the order
 	// first and increments n last, so the header seen here covers at
 	// least the window's adds. The dels hint is loaded after n: reading
@@ -103,9 +92,9 @@ func (g *Graph) snapshotAt() *Snapshot {
 }
 
 // Close releases the snapshot's generation pin. Idempotent; a nil or
-// unpinned (view-owned or map-mode) snapshot is a no-op.
+// unpinned (view-owned) snapshot is a no-op.
 func (s *Snapshot) Close() {
-	if s == nil || !s.pinned || s.gen == nil || s.closed.Swap(true) {
+	if s == nil || !s.pinned || s.closed.Swap(true) {
 		return
 	}
 	s.gen.pins.Add(-1)
@@ -125,19 +114,11 @@ func (s *Snapshot) Graph() *Graph { return s.g }
 // filter raw delta runs during its inline merges.
 func (s *Snapshot) Bound() uint32 { return s.n }
 
-// Generation returns the pinned CSR generation's id (0 in map mode).
-func (s *Snapshot) Generation() uint64 {
-	if s.gen == nil {
-		return 0
-	}
-	return s.gen.id
-}
+// Generation returns the pinned CSR generation's id.
+func (s *Snapshot) Generation() uint64 { return s.gen.id }
 
 // NumTriples returns the number of triples visible in this snapshot.
 func (s *Snapshot) NumTriples() int {
-	if s.gen == nil {
-		return len(s.g.order)
-	}
 	if s.ops == nil {
 		return len(s.order)
 	}
@@ -148,9 +129,6 @@ func (s *Snapshot) NumTriples() int {
 // re-inserted after a delete counts from its latest insertion). The
 // slice is owned by the store and must not be mutated.
 func (s *Snapshot) Triples() []Triple {
-	if s.gen == nil {
-		return s.g.order
-	}
 	if s.ops == nil {
 		return s.order
 	}
@@ -193,10 +171,6 @@ func (s *Snapshot) materialize() []Triple {
 
 // Has reports whether the triple is visible in this snapshot.
 func (s *Snapshot) Has(t Triple) bool {
-	if s.gen == nil {
-		_, ok := s.g.triples[t]
-		return ok
-	}
 	return s.gen.has(t, s.n, s.ops != nil)
 }
 
@@ -219,12 +193,9 @@ func (gen *generation) has(t Triple, n uint32, tombs bool) bool {
 
 // Ordinal returns t's position in the (S, P, O) order of the pinned CSR
 // generation, if t is one of its triples and visible in this snapshot.
-// A triple the snapshot sees only through its delta, or not at all, and
-// any triple of a map-mode snapshot, has no ordinal.
+// A triple the snapshot sees only through its delta, or not at all, has
+// no ordinal.
 func (s *Snapshot) Ordinal(t Triple) (int, bool) {
-	if s.gen == nil {
-		return 0, false
-	}
 	i, ok := s.gen.csr.ordinal(t)
 	if ok && s.ops != nil && !s.Has(t) {
 		return 0, false
@@ -239,12 +210,8 @@ func (s *Snapshot) Ordinal(t Triple) (int, bool) {
 // skipped by the caller (the match cursor does this inline; the
 // allocating OutEdges pre-filters). The tombstone run is nil whenever
 // the snapshot's window is insert-only — the common case, where callers
-// keep their two-run merge. In map mode both delta runs are nil and the
-// base run is in insertion order.
+// keep their two-run merge.
 func (s *Snapshot) OutEdges2(v ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
-	if s.gen == nil {
-		return s.g.out[v], nil, nil
-	}
 	if s.n == 0 { // empty visible delta: skip the side-index lookup
 		return s.gen.csr.out(v), nil, nil
 	}
@@ -256,9 +223,6 @@ func (s *Snapshot) OutEdges2(v ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
 
 // InEdges2 is OutEdges2 for incoming edges of v.
 func (s *Snapshot) InEdges2(v ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
-	if s.gen == nil {
-		return s.g.in[v], nil, nil
-	}
 	if s.n == 0 {
 		return s.gen.csr.in(v), nil, nil
 	}
@@ -268,46 +232,33 @@ func (s *Snapshot) InEdges2(v ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
 	return s.gen.csr.in(v), loadHalfRun(&s.gen.delta.in, v), tomb
 }
 
-// OutRun2 narrows OutEdges2 to the sub-runs labelled p. On a frozen
-// graph the runs are binary-searched and exact is true; in map mode it
-// returns the full adjacency with exact false and the caller filters by
-// P. The delta runs are raw: filter by Seq < Bound().
-func (s *Snapshot) OutRun2(v, p ID) (base []HalfEdge, ins, tomb []DeltaHalf, exact bool) {
-	if s.gen == nil {
-		return s.g.out[v], nil, nil, false
-	}
+// OutRun2 narrows OutEdges2 to the sub-runs labelled p, each found by
+// binary search. The delta runs are raw: filter by Seq < Bound().
+func (s *Snapshot) OutRun2(v, p ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
 	if s.n == 0 {
-		return predRange(s.gen.csr.out(v), p), nil, nil, true
+		return predRange(s.gen.csr.out(v), p), nil, nil
 	}
 	if s.ops != nil {
 		tomb = predRangeDeltaHalf(loadHalfRun(&s.gen.delta.tombOut, v), p)
 	}
-	return predRange(s.gen.csr.out(v), p), predRangeDeltaHalf(loadHalfRun(&s.gen.delta.out, v), p), tomb, true
+	return predRange(s.gen.csr.out(v), p), predRangeDeltaHalf(loadHalfRun(&s.gen.delta.out, v), p), tomb
 }
 
 // InRun2 is OutRun2 for incoming edges of v.
-func (s *Snapshot) InRun2(v, p ID) (base []HalfEdge, ins, tomb []DeltaHalf, exact bool) {
-	if s.gen == nil {
-		return s.g.in[v], nil, nil, false
-	}
+func (s *Snapshot) InRun2(v, p ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
 	if s.n == 0 {
-		return predRange(s.gen.csr.in(v), p), nil, nil, true
+		return predRange(s.gen.csr.in(v), p), nil, nil
 	}
 	if s.ops != nil {
 		tomb = predRangeDeltaHalf(loadHalfRun(&s.gen.delta.tombIn, v), p)
 	}
-	return predRange(s.gen.csr.in(v), p), predRangeDeltaHalf(loadHalfRun(&s.gen.delta.in, v), p), tomb, true
+	return predRange(s.gen.csr.in(v), p), predRangeDeltaHalf(loadHalfRun(&s.gen.delta.in, v), p), tomb
 }
 
 // ByPredicate2 returns the triples labelled p as zero-copy runs: the
 // CSR arena run plus the raw insert and tombstone delta runs, all
-// sorted by (S, O) when frozen. The delta runs are raw: filter by
-// Seq < Bound(). In map mode both delta runs are nil and the base run
-// is in insertion order.
+// sorted by (S, O). The delta runs are raw: filter by Seq < Bound().
 func (s *Snapshot) ByPredicate2(p ID) (base []Triple, ins, tomb []DeltaTriple) {
-	if s.gen == nil {
-		return s.g.byPred[p], nil, nil
-	}
 	if s.n == 0 {
 		return s.gen.csr.pred(p), nil, nil
 	}
@@ -321,19 +272,17 @@ func (s *Snapshot) ByPredicate2(p ID) (base []Triple, ins, tomb []DeltaTriple) {
 // sorted by (P, Other). It allocates when v has visible delta edges;
 // the matcher uses OutEdges2 instead.
 func (s *Snapshot) OutEdges(v ID) []HalfEdge {
-	base, ins, tomb := s.OutEdges2(v)
-	if len(tomb) > 0 {
-		return visibleMergedHalf(base, ins, tomb, s.n)
-	}
-	if len(ins) == 0 {
-		return base
-	}
-	return mergeHalf(base, visibleHalf(ins, s.n))
+	return s.mergedHalf(s.OutEdges2(v))
 }
 
 // InEdges is OutEdges for incoming edges of v.
 func (s *Snapshot) InEdges(v ID) []HalfEdge {
-	base, ins, tomb := s.InEdges2(v)
+	return s.mergedHalf(s.InEdges2(v))
+}
+
+// mergedHalf merges a CSR adjacency run with what this snapshot sees of
+// its delta runs; the base run itself when that is nothing.
+func (s *Snapshot) mergedHalf(base []HalfEdge, ins, tomb []DeltaHalf) []HalfEdge {
 	if len(tomb) > 0 {
 		return visibleMergedHalf(base, ins, tomb, s.n)
 	}
@@ -343,33 +292,26 @@ func (s *Snapshot) InEdges(v ID) []HalfEdge {
 	return mergeHalf(base, visibleHalf(ins, s.n))
 }
 
-// OutRun returns v's outgoing edges labelled p, merged. exact is false
-// in map mode, where the caller must filter by P.
-func (s *Snapshot) OutRun(v, p ID) (run []HalfEdge, exact bool) {
-	base, ins, tomb, exact := s.OutRun2(v, p)
+// countHalf is len(mergedHalf) without building the run.
+func (s *Snapshot) countHalf(base []HalfEdge, ins, tomb []DeltaHalf) int {
 	if len(tomb) > 0 {
-		return visibleMergedHalf(base, ins, tomb, s.n), exact
+		return countMergedHalf(base, ins, tomb, s.n)
 	}
-	if len(ins) == 0 {
-		return base, exact
-	}
-	return mergeHalf(base, visibleHalf(ins, s.n)), exact
+	return len(base) + countVisibleHalf(ins, s.n)
+}
+
+// OutRun returns v's outgoing edges labelled p, merged.
+func (s *Snapshot) OutRun(v, p ID) []HalfEdge {
+	return s.mergedHalf(s.OutRun2(v, p))
 }
 
 // InRun is OutRun for incoming edges of v.
-func (s *Snapshot) InRun(v, p ID) (run []HalfEdge, exact bool) {
-	base, ins, tomb, exact := s.InRun2(v, p)
-	if len(tomb) > 0 {
-		return visibleMergedHalf(base, ins, tomb, s.n), exact
-	}
-	if len(ins) == 0 {
-		return base, exact
-	}
-	return mergeHalf(base, visibleHalf(ins, s.n)), exact
+func (s *Snapshot) InRun(v, p ID) []HalfEdge {
+	return s.mergedHalf(s.InRun2(v, p))
 }
 
 // ByPredicate returns all visible triples labelled p, merged into one
-// (S, O)-sorted run when frozen.
+// (S, O)-sorted run.
 func (s *Snapshot) ByPredicate(p ID) []Triple {
 	base, ins, tomb := s.ByPredicate2(p)
 	if len(tomb) > 0 {
@@ -382,63 +324,20 @@ func (s *Snapshot) ByPredicate(p ID) []Triple {
 }
 
 // OutDegree returns the number of visible outgoing edges of v.
-func (s *Snapshot) OutDegree(v ID) int {
-	base, ins, tomb := s.OutEdges2(v)
-	if len(tomb) > 0 {
-		return countMergedHalf(base, ins, tomb, s.n)
-	}
-	return len(base) + countVisibleHalf(ins, s.n)
-}
+func (s *Snapshot) OutDegree(v ID) int { return s.countHalf(s.OutEdges2(v)) }
 
 // InDegree is OutDegree for incoming edges.
-func (s *Snapshot) InDegree(v ID) int {
-	base, ins, tomb := s.InEdges2(v)
-	if len(tomb) > 0 {
-		return countMergedHalf(base, ins, tomb, s.n)
-	}
-	return len(base) + countVisibleHalf(ins, s.n)
-}
+func (s *Snapshot) InDegree(v ID) int { return s.countHalf(s.InEdges2(v)) }
 
 // Degree returns the total (out + in) degree of v.
 func (s *Snapshot) Degree(v ID) int { return s.OutDegree(v) + s.InDegree(v) }
 
 // OutDegreeP returns the number of visible outgoing edges of v labelled
-// p: an exact (vertex, predicate) selectivity. O(log deg + delta) when
-// frozen, O(deg) in map mode.
-func (s *Snapshot) OutDegreeP(v, p ID) int {
-	base, ins, tomb, exact := s.OutRun2(v, p)
-	if exact {
-		if len(tomb) > 0 {
-			return countMergedHalf(base, ins, tomb, s.n)
-		}
-		return len(base) + countVisibleHalf(ins, s.n)
-	}
-	n := 0
-	for _, h := range base {
-		if h.P == p {
-			n++
-		}
-	}
-	return n
-}
+// p: an exact (vertex, predicate) selectivity in O(log deg + delta).
+func (s *Snapshot) OutDegreeP(v, p ID) int { return s.countHalf(s.OutRun2(v, p)) }
 
 // InDegreeP is OutDegreeP for incoming edges.
-func (s *Snapshot) InDegreeP(v, p ID) int {
-	base, ins, tomb, exact := s.InRun2(v, p)
-	if exact {
-		if len(tomb) > 0 {
-			return countMergedHalf(base, ins, tomb, s.n)
-		}
-		return len(base) + countVisibleHalf(ins, s.n)
-	}
-	n := 0
-	for _, h := range base {
-		if h.P == p {
-			n++
-		}
-	}
-	return n
-}
+func (s *Snapshot) InDegreeP(v, p ID) int { return s.countHalf(s.InRun2(v, p)) }
 
 // PredicateCount returns the number of visible triples labelled p.
 func (s *Snapshot) PredicateCount(p ID) int {
@@ -452,14 +351,6 @@ func (s *Snapshot) PredicateCount(p ID) int {
 // Predicates returns the distinct visible properties in ascending ID
 // order.
 func (s *Snapshot) Predicates() []ID {
-	if s.gen == nil {
-		ps := make([]ID, 0, len(s.g.byPred))
-		for p := range s.g.byPred {
-			ps = append(ps, p)
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		return ps
-	}
 	c := s.gen.csr
 	if s.n == 0 {
 		return c.preds
@@ -494,21 +385,6 @@ func (s *Snapshot) Predicates() []ID {
 // Vertices returns the distinct visible vertices (subjects ∪ objects) in
 // ascending ID order.
 func (s *Snapshot) Vertices() []ID {
-	if s.gen == nil {
-		seen := make(map[ID]struct{}, len(s.g.out)+len(s.g.in))
-		for v := range s.g.out {
-			seen[v] = struct{}{}
-		}
-		for v := range s.g.in {
-			seen[v] = struct{}{}
-		}
-		vs := make([]ID, 0, len(seen))
-		for v := range seen {
-			vs = append(vs, v)
-		}
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		return vs
-	}
 	c := s.gen.csr
 	if s.n == 0 {
 		return c.verts

@@ -17,18 +17,14 @@ import "sync"
 // compaction starts a new generation (its order list may have been
 // rewritten to fold tombstones), which resets the cache and refolds;
 // compactions are rare enough that the amortized cost stays negligible.
-// Safe for concurrent readers racing the single writer on a frozen
-// graph: every input is read through the generation's published
-// atomics. Map-mode graphs refold fully when the epoch moves (the old
-// no-readers-during-mutation contract).
+// Safe for concurrent readers racing the single writer: every input is
+// read through the generation's published atomics.
 type Stats struct {
 	g *Graph
 
 	mu        sync.RWMutex
-	mapMode   bool
 	foldedGen uint64 // CSR generation the aggregates cover (0 = none)
 	foldedOps int    // delta ops of that generation folded in
-	foldedEp  uint64 // map mode: graph epoch covered
 	perPred   map[ID]*predAgg
 }
 
@@ -58,12 +54,9 @@ func NewStats(g *Graph) *Stats {
 // lookups contend only on a read lock.
 func (s *Stats) Predicate(p ID) PredStats {
 	gen := s.g.gen.Load()
-	if gen == nil {
-		return s.predicateMap(p)
-	}
 	n := int(gen.delta.n.Load())
 	s.mu.RLock()
-	if !s.mapMode && s.foldedGen == gen.id && s.foldedOps >= n {
+	if s.foldedGen == gen.id && s.foldedOps >= n {
 		ps := s.read(p)
 		s.mu.RUnlock()
 		return ps
@@ -71,12 +64,11 @@ func (s *Stats) Predicate(p ID) PredStats {
 	s.mu.RUnlock()
 
 	s.mu.Lock()
-	if s.mapMode || s.foldedGen != gen.id {
+	if s.foldedGen != gen.id {
 		s.perPred = make(map[ID]*predAgg)
 		for _, t := range (*gen.ord.Load())[:gen.base] {
 			s.foldAdd(t)
 		}
-		s.mapMode = false
 		s.foldedGen = gen.id
 		s.foldedOps = 0
 	}
@@ -90,35 +82,6 @@ func (s *Stats) Predicate(p ID) PredStats {
 			}
 		}
 		s.foldedOps = n
-	}
-	ps := s.read(p)
-	s.mu.Unlock()
-	return ps
-}
-
-// predicateMap is the map-mode path: refold everything when the epoch
-// moved (map-mode mutation splices in place, so there is no stable
-// suffix to fold incrementally).
-func (s *Stats) predicateMap(p ID) PredStats {
-	epoch := s.g.epoch.Load()
-	s.mu.RLock()
-	if s.mapMode && s.foldedEp == epoch {
-		ps := s.read(p)
-		s.mu.RUnlock()
-		return ps
-	}
-	s.mu.RUnlock()
-
-	s.mu.Lock()
-	if !s.mapMode || s.foldedEp != epoch {
-		s.perPred = make(map[ID]*predAgg)
-		for _, t := range s.g.order {
-			s.foldAdd(t)
-		}
-		s.mapMode = true
-		s.foldedEp = epoch
-		s.foldedGen = 0
-		s.foldedOps = 0
 	}
 	ps := s.read(p)
 	s.mu.Unlock()

@@ -98,8 +98,8 @@ func escapeLiteral(s string) string {
 		return s
 	}
 	var b strings.Builder
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ { // bytes, not runes: what is not valid UTF-8 stays what it was
+		switch c := s[i]; c {
 		case '"':
 			b.WriteString(`\"`)
 		case '\\':
@@ -111,7 +111,7 @@ func escapeLiteral(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

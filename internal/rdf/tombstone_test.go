@@ -7,18 +7,19 @@ import (
 )
 
 // TestDeleteNeverInserted: tombstoning a triple the graph never held is
-// a no-op in both modes — it reports absent, mutates nothing, and leaves
-// no phantom behind for snapshots or a later re-insert to trip over.
+// a no-op, with a delta and without — it reports absent, mutates nothing,
+// and leaves no phantom behind for snapshots or a later re-insert to trip
+// over.
 func TestDeleteNeverInserted(t *testing.T) {
 	g := graphOf(randomTriples(11, 40, 8, 4))
 	phantom := Triple{S: 900, P: 901, O: 902}
 	if g.Delete(phantom) {
-		t.Fatal("map mode: Delete of a never-inserted triple reported present")
+		t.Fatal("delta: Delete of a never-inserted triple reported present")
 	}
 	n := g.NumTriples()
 	g.Freeze()
 	if g.Delete(phantom) {
-		t.Fatal("frozen: Delete of a never-inserted triple reported present")
+		t.Fatal("no delta: Delete of a never-inserted triple reported present")
 	}
 	if g.DeltaLen() != 0 || g.DeltaTombstones() != 0 {
 		t.Fatalf("no-op delete left delta state behind: len=%d tombs=%d", g.DeltaLen(), g.DeltaTombstones())
@@ -128,7 +129,7 @@ func TestDeleteHeavyDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		overlay := NewGraph(nil)
-		oracle := NewGraph(overlay.Dict)
+		oracle := newNaive()
 		if seed%2 == 0 {
 			overlay.SetAutoCompact(-1)
 		}
@@ -194,8 +195,8 @@ func TestTombstoneReadZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		_, _, _ = sn.OutEdges2(v)
 		_, _, _ = sn.InEdges2(v)
-		_, _, _, _ = sn.OutRun2(v, p)
-		_, _, _, _ = sn.InRun2(v, p)
+		_, _, _ = sn.OutRun2(v, p)
+		_, _, _ = sn.InRun2(v, p)
 		_, _, _ = sn.ByPredicate2(p)
 		_ = sn.OutDegreeP(v, p)
 		_ = sn.PredicateCount(p)

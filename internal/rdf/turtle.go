@@ -8,7 +8,8 @@ import (
 )
 
 // ReadTurtle parses a Turtle subset into the graph and returns the number
-// of triples read. Supported: @prefix / PREFIX declarations, @base /
+// of triples read; like ReadNTriples, a document that fails to parse adds
+// none. Supported: @prefix / PREFIX declarations, @base /
 // BASE (resolved by plain concatenation), prefixed names, the 'a'
 // keyword, ';' predicate-object lists, ',' object lists, blank node
 // labels (_:x), string literals with optional language tag or datatype
@@ -16,32 +17,31 @@ import (
 // shorthand literals, and '#' comments. Collections and anonymous blank
 // nodes ([...]) are not supported.
 func ReadTurtle(g *Graph, r io.Reader) (int, error) {
-	br := bufio.NewReader(r)
-	data, err := io.ReadAll(br)
-	if err != nil {
-		return 0, err
-	}
-	p := &turtleParser{src: string(data), g: g, prefixes: map[string]string{}}
-	return p.run()
+	return readAll(g, func(fn func(s, p, o Term) error) error {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return fmt.Errorf("rdf: turtle: %w", err)
+		}
+		return (&turtleParser{src: string(data), emit: fn, prefixes: map[string]string{}}).run()
+	})
 }
 
 type turtleParser struct {
 	src      string
 	pos      int
-	g        *Graph
+	emit     func(s, p, o Term) error // receives each triple, in document order
 	prefixes map[string]string
 	base     string
-	count    int
 }
 
-func (p *turtleParser) run() (int, error) {
+func (p *turtleParser) run() error {
 	for {
 		p.skipWS()
 		if p.eof() {
-			return p.count, nil
+			return nil
 		}
 		if err := p.statement(); err != nil {
-			return p.count, fmt.Errorf("rdf: turtle at offset %d: %w", p.pos, err)
+			return fmt.Errorf("rdf: turtle at offset %d: %w", p.pos, err)
 		}
 	}
 }
@@ -167,8 +167,9 @@ func (p *turtleParser) triples() error {
 			if err != nil {
 				return err
 			}
-			p.g.AddTerms(subj, pred, obj)
-			p.count++
+			if err := p.emit(subj, pred, obj); err != nil {
+				return err
+			}
 			p.skipWS()
 			if !p.eof() && p.src[p.pos] == ',' {
 				p.pos++

@@ -79,9 +79,7 @@ func (vs *ViewSource) Acquire() *ViewHandle {
 		return &ViewHandle{}
 	}
 	for _, s := range v.snaps {
-		if s.gen != nil {
-			s.gen.pins.Add(1)
-		}
+		s.gen.pins.Add(1)
 	}
 	return &ViewHandle{v: v}
 }
@@ -105,10 +103,8 @@ func (h *ViewHandle) Close() {
 		return
 	}
 	for _, s := range h.v.snaps {
-		if s.gen != nil {
-			s.gen.pins.Add(-1)
-			s.g.pruneRetired()
-		}
+		s.gen.pins.Add(-1)
+		s.g.pruneRetired()
 	}
 }
 

@@ -97,7 +97,7 @@ func testApply(env *testenv.Env) func(b serve.Batch) (serve.UpdateStats, error) 
 
 func TestServerUpdateSoak(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
-	env.G.Freeze() // updates must ride the delta overlay, not map mode
+	env.G.Freeze()
 
 	before := runtime.NumGoroutine()
 	srv := serve.New(engine, serve.Config{

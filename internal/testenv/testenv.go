@@ -33,28 +33,32 @@ type Env struct {
 // country/postalCode, persons linked to cities by placeOfDeath, and cold
 // viaf/wappen edges.
 func Graph(n int) *rdf.Graph {
-	g := rdf.NewGraph(nil)
+	d := rdf.NewDict()
+	var ts []rdf.Triple
+	add := func(s, p, o rdf.Term) {
+		ts = append(ts, rdf.Triple{S: d.Encode(s), P: d.Encode(p), O: d.Encode(o)})
+	}
 	iri := func(s string) rdf.Term { return rdf.NewIRI(s) }
 	lit := func(s string) rdf.Term { return rdf.NewLiteral(s) }
 	for i := 0; i < n; i++ {
 		p := fmt.Sprintf("Person%d", i)
-		g.AddTerms(iri(p), iri("name"), lit(fmt.Sprintf("Name %d", i)))
-		g.AddTerms(iri(p), iri("mainInterest"), iri(fmt.Sprintf("Interest%d", i%5)))
+		add(iri(p), iri("name"), lit(fmt.Sprintf("Name %d", i)))
+		add(iri(p), iri("mainInterest"), iri(fmt.Sprintf("Interest%d", i%5)))
 		if i%2 == 0 {
-			g.AddTerms(iri(p), iri("influencedBy"), iri(fmt.Sprintf("Person%d", (i+3)%n)))
+			add(iri(p), iri("influencedBy"), iri(fmt.Sprintf("Person%d", (i+3)%n)))
 		}
 		city := fmt.Sprintf("City%d", i%(n/2+1))
-		g.AddTerms(iri(p), iri("placeOfDeath"), iri(city))
-		g.AddTerms(iri(city), iri("country"), iri(fmt.Sprintf("Country%d", i%3)))
-		g.AddTerms(iri(city), iri("postalCode"), lit(fmt.Sprintf("%05d", i)))
+		add(iri(p), iri("placeOfDeath"), iri(city))
+		add(iri(city), iri("country"), iri(fmt.Sprintf("Country%d", i%3)))
+		add(iri(city), iri("postalCode"), lit(fmt.Sprintf("%05d", i)))
 		if i%4 == 0 {
-			g.AddTerms(iri(p), iri("viaf"), lit(fmt.Sprintf("%09d", i)))
+			add(iri(p), iri("viaf"), lit(fmt.Sprintf("%09d", i)))
 		}
 		if i%5 == 0 {
-			g.AddTerms(iri(city), iri("wappen"), iri(fmt.Sprintf("Wappen%d.svg", i)))
+			add(iri(city), iri("wappen"), iri(fmt.Sprintf("Wappen%d.svg", i)))
 		}
 	}
-	return g
+	return rdf.NewFrozen(d, ts)
 }
 
 // Workload builds a mixed workload over the graph's hot properties plus a

@@ -99,8 +99,12 @@ func Generate(opts Options) *Dataset {
 	nWebsites := max(3, nUsers/50)
 	nCategories := max(4, nProducts/50)
 
-	g := rdf.NewGraph(nil)
-	ds := &Dataset{Graph: g}
+	d := rdf.NewDict()
+	var ts []rdf.Triple
+	add := func(s, p, o rdf.Term) {
+		ts = append(ts, rdf.Triple{S: d.Encode(s), P: d.Encode(p), O: d.Encode(o)})
+	}
+	ds := &Dataset{}
 	iri := rdf.NewIRI
 	lit := rdf.NewLiteral
 
@@ -110,73 +114,73 @@ func Generate(opts Options) *Dataset {
 	for i := 0; i < nRetailers; i++ {
 		rt := fmt.Sprintf("wsdbm:Retailer%d", i)
 		ds.Retailers = append(ds.Retailers, rt)
-		g.AddTerms(iri(rt), iri(PropType), iri("wsdbm:Retailer"))
+		add(iri(rt), iri(PropType), iri("wsdbm:Retailer"))
 	}
 	for i := 0; i < nWebsites; i++ {
 		ws := fmt.Sprintf("wsdbm:Website%d", i)
 		ds.Websites = append(ds.Websites, ws)
-		g.AddTerms(iri(ws), iri(PropType), iri("wsdbm:Website"))
-		g.AddTerms(iri(ws), iri(PropUrl), lit(fmt.Sprintf("http://site%d.example", i)))
+		add(iri(ws), iri(PropType), iri("wsdbm:Website"))
+		add(iri(ws), iri(PropUrl), lit(fmt.Sprintf("http://site%d.example", i)))
 		if r.chance(1, 2) {
-			g.AddTerms(iri(ws), iri(PropLanguage), lit([]string{"en", "de", "fr", "zh"}[r.intn(4)]))
+			add(iri(ws), iri(PropLanguage), lit([]string{"en", "de", "fr", "zh"}[r.intn(4)]))
 		}
 	}
 	for i := 0; i < nProducts; i++ {
 		p := fmt.Sprintf("wsdbm:Product%d", i)
 		ds.Products = append(ds.Products, p)
-		g.AddTerms(iri(p), iri(PropType), iri(ds.Categories[r.intn(nCategories)]))
-		g.AddTerms(iri(p), iri(PropCaption), lit(fmt.Sprintf("Product caption %d", i)))
-		g.AddTerms(iri(p), iri(PropProducedBy), iri(ds.Retailers[r.intn(nRetailers)]))
+		add(iri(p), iri(PropType), iri(ds.Categories[r.intn(nCategories)]))
+		add(iri(p), iri(PropCaption), lit(fmt.Sprintf("Product caption %d", i)))
+		add(iri(p), iri(PropProducedBy), iri(ds.Retailers[r.intn(nRetailers)]))
 		// Attribute diversity: only some products have descriptions.
 		if r.chance(2, 5) {
-			g.AddTerms(iri(p), iri(PropDescrip), lit(fmt.Sprintf("Description of product %d", i)))
+			add(iri(p), iri(PropDescrip), lit(fmt.Sprintf("Description of product %d", i)))
 		}
 	}
 	for i := 0; i < nUsers; i++ {
 		u := fmt.Sprintf("wsdbm:User%d", i)
 		ds.Users = append(ds.Users, u)
-		g.AddTerms(iri(u), iri(PropType), iri("wsdbm:User"))
+		add(iri(u), iri(PropType), iri("wsdbm:User"))
 		// Social edges: Zipf-ish out-degree 1..4.
 		follows := 1 + r.intn(4)
 		for f := 0; f < follows; f++ {
-			g.AddTerms(iri(u), iri(PropFollows), iri(fmt.Sprintf("wsdbm:User%d", r.intn(nUsers))))
+			add(iri(u), iri(PropFollows), iri(fmt.Sprintf("wsdbm:User%d", r.intn(nUsers))))
 		}
 		if r.chance(1, 2) {
-			g.AddTerms(iri(u), iri(PropFriendOf), iri(fmt.Sprintf("wsdbm:User%d", r.intn(nUsers))))
+			add(iri(u), iri(PropFriendOf), iri(fmt.Sprintf("wsdbm:User%d", r.intn(nUsers))))
 		}
 		likes := r.intn(3)
 		for l := 0; l < likes; l++ {
-			g.AddTerms(iri(u), iri(PropLikes), iri(ds.Products[r.intn(nProducts)]))
+			add(iri(u), iri(PropLikes), iri(ds.Products[r.intn(nProducts)]))
 		}
 		if r.chance(1, 3) {
-			g.AddTerms(iri(u), iri(PropSubscribes), iri(ds.Websites[r.intn(nWebsites)]))
+			add(iri(u), iri(PropSubscribes), iri(ds.Websites[r.intn(nWebsites)]))
 		}
 		if r.chance(1, 4) {
-			g.AddTerms(iri(u), iri(PropEmail), lit(fmt.Sprintf("user%d@example.org", i)))
+			add(iri(u), iri(PropEmail), lit(fmt.Sprintf("user%d@example.org", i)))
 		}
 		if r.chance(1, 3) {
-			g.AddTerms(iri(u), iri(PropAge), lit(fmt.Sprintf("%d", 18+r.intn(60))))
+			add(iri(u), iri(PropAge), lit(fmt.Sprintf("%d", 18+r.intn(60))))
 		}
 		if r.chance(1, 8) {
-			g.AddTerms(iri(u), iri(PropHomepage), lit(fmt.Sprintf("http://user%d.example", i)))
+			add(iri(u), iri(PropHomepage), lit(fmt.Sprintf("http://user%d.example", i)))
 		}
 	}
 	for i := 0; i < nReviews; i++ {
 		rv := fmt.Sprintf("wsdbm:Review%d", i)
-		g.AddTerms(iri(rv), iri(PropReviewer), iri(ds.Users[r.intn(nUsers)]))
-		g.AddTerms(iri(rv), iri(PropReviewsPrd), iri(ds.Products[r.intn(nProducts)]))
-		g.AddTerms(iri(rv), iri(PropRating), lit(fmt.Sprintf("%d", 1+r.intn(5))))
+		add(iri(rv), iri(PropReviewer), iri(ds.Users[r.intn(nUsers)]))
+		add(iri(rv), iri(PropReviewsPrd), iri(ds.Products[r.intn(nProducts)]))
+		add(iri(rv), iri(PropRating), lit(fmt.Sprintf("%d", 1+r.intn(5))))
 		if r.chance(1, 4) {
-			g.AddTerms(iri(rv), iri(PropTitle), lit(fmt.Sprintf("Review title %d", i)))
+			add(iri(rv), iri(PropTitle), lit(fmt.Sprintf("Review title %d", i)))
 		}
 	}
 	for i := 0; i < nOffers; i++ {
 		rt := ds.Retailers[r.intn(nRetailers)]
 		p := ds.Products[r.intn(nProducts)]
-		g.AddTerms(iri(rt), iri(PropOffers), iri(p))
-		g.AddTerms(iri(p), iri(PropPrice), lit(fmt.Sprintf("%d.99", 1+r.intn(500))))
+		add(iri(rt), iri(PropOffers), iri(p))
+		add(iri(p), iri(PropPrice), lit(fmt.Sprintf("%d.99", 1+r.intn(500))))
 	}
-	g.Freeze() // benchmark datasets are read-only once generated
+	ds.Graph = rdf.NewFrozen(d, ts)
 	return ds
 }
 

@@ -66,8 +66,12 @@ func GenerateDBpedia(o DBpediaOptions) (*DBpedia, error) {
 		o.Queries = 100
 	}
 	r := newRNG(o.Seed | 1)
-	g := rdf.NewGraph(nil)
-	db := &DBpedia{Graph: g}
+	d := rdf.NewDict()
+	var ts []rdf.Triple
+	add := func(s, p, o rdf.Term) {
+		ts = append(ts, rdf.Triple{S: d.Encode(s), P: d.Encode(p), O: d.Encode(o)})
+	}
+	db := &DBpedia{}
 	iri := rdf.NewIRI
 	lit := rdf.NewLiteral
 
@@ -83,43 +87,43 @@ func GenerateDBpedia(o DBpediaOptions) (*DBpedia, error) {
 	for i := 0; i < nPlaces; i++ {
 		pl := fmt.Sprintf("dbr:Place%d", i)
 		db.Places = append(db.Places, pl)
-		g.AddTerms(iri(pl), iri("dbo:country"), iri(fmt.Sprintf("dbr:Country%d", i%12)))
-		g.AddTerms(iri(pl), iri("dbo:postalCode"), lit(fmt.Sprintf("%05d", i)))
+		add(iri(pl), iri("dbo:country"), iri(fmt.Sprintf("dbr:Country%d", i%12)))
+		add(iri(pl), iri("dbo:postalCode"), lit(fmt.Sprintf("%05d", i)))
 		// Cold tail: rarely queried descriptive properties.
 		if i%3 == 0 {
-			g.AddTerms(iri(pl), iri("dbo:wappen"), iri(fmt.Sprintf("dbr:Wappen%d.svg", i)))
+			add(iri(pl), iri("dbo:wappen"), iri(fmt.Sprintf("dbr:Wappen%d.svg", i)))
 		}
 		if i%4 == 0 {
-			g.AddTerms(iri(pl), iri("dbo:imageSkyline"), iri(fmt.Sprintf("dbr:Skyline%d.jpg", i)))
+			add(iri(pl), iri("dbo:imageSkyline"), iri(fmt.Sprintf("dbr:Skyline%d.jpg", i)))
 		}
 	}
 	for i := 0; i < nPersons; i++ {
 		p := fmt.Sprintf("dbr:Person%d", i)
 		db.Persons = append(db.Persons, p)
-		g.AddTerms(iri(p), iri("foaf:name"), lit(fmt.Sprintf("Person %d", i)))
-		g.AddTerms(iri(p), iri("dbo:mainInterest"), iri(db.Topics[r.intn(nTopics)]))
-		g.AddTerms(iri(p), iri("dbo:placeOfDeath"), iri(db.Places[r.intn(nPlaces)]))
+		add(iri(p), iri("foaf:name"), lit(fmt.Sprintf("Person %d", i)))
+		add(iri(p), iri("dbo:mainInterest"), iri(db.Topics[r.intn(nTopics)]))
+		add(iri(p), iri("dbo:placeOfDeath"), iri(db.Places[r.intn(nPlaces)]))
 		if i > 0 && r.intn(10) < 7 {
-			g.AddTerms(iri(p), iri("dbo:influencedBy"), iri(db.Persons[r.intn(i)]))
+			add(iri(p), iri("dbo:influencedBy"), iri(db.Persons[r.intn(i)]))
 		}
 		if r.intn(10) < 4 {
-			g.AddTerms(iri(p), iri("dbo:birthPlace"), iri(db.Places[r.intn(nPlaces)]))
+			add(iri(p), iri("dbo:birthPlace"), iri(db.Places[r.intn(nPlaces)]))
 		}
 		// Cold tail on persons.
 		if i%5 == 0 {
-			g.AddTerms(iri(p), iri("dbo:viaf"), lit(fmt.Sprintf("%09d", i)))
+			add(iri(p), iri("dbo:viaf"), lit(fmt.Sprintf("%09d", i)))
 		}
 		if i%6 == 0 {
-			g.AddTerms(iri(p), iri("dbo:wikiPageUsesTemplate"), iri(fmt.Sprintf("dbt:Template%d", i%7)))
+			add(iri(p), iri("dbo:wikiPageUsesTemplate"), iri(fmt.Sprintf("dbt:Template%d", i%7)))
 		}
 	}
 
+	db.Graph = rdf.NewFrozen(d, ts)
 	log, err := db.generateLog(o.Queries, r)
 	if err != nil {
 		return nil, err
 	}
 	db.Log = log
-	g.Freeze() // benchmark datasets are read-only once generated
 	return db, nil
 }
 

@@ -117,7 +117,8 @@ func (db *DB) LoadTurtle(r io.Reader) (int, error) {
 }
 
 // AddTriple inserts one triple given as N-Triples-style terms: IRIs bare
-// ("http://ex/a") and literals via Lit.
+// ("http://ex/a") and literals via AddTripleLit. Each call is one delta
+// append, as a live update is; load files with LoadNTriples/LoadTurtle.
 func (db *DB) AddTriple(subject, predicate, object string) {
 	db.graph.AddTerms(rdf.NewIRI(subject), rdf.NewIRI(predicate), rdf.NewIRI(object))
 }
@@ -161,9 +162,9 @@ func (db *DB) DeployParsed(workload []*sparql.Graph) (*Deployment, error) {
 	theta := atLeast1(cfg.Theta * float64(len(workload)))
 	minSup := atLeast1(cfg.MinSupport * float64(len(workload)))
 
-	// Compile the loaded graph into its immutable CSR form before the
-	// match-heavy offline pipeline; Add after deployment goes to the
-	// delta overlay (Server.Update), not back to map mode.
+	// Fold whatever delta loading left (AddTriple calls, a small file)
+	// into the CSR before the match-heavy offline pipeline; Add after
+	// deployment goes to the delta overlay (Server.Update).
 	db.graph.Freeze()
 	hc := fragment.SplitHotCold(db.graph, workload, theta)
 	patterns := (&mining.Miner{MinSup: minSup, MaxEdges: cfg.MaxPatternEdges}).Mine(workload)

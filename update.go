@@ -33,7 +33,7 @@ var ErrBadUpdate = errors.New("rdffrag: bad update batch")
 // Update parses an N-Triples document and applies its triples to the live
 // deployment through the server's update path: triples land in the delta
 // overlays of the global graph, the hot/cold split, and the relevant
-// fragment graphs — no thaw, no re-fragmentation — without blocking
+// fragment graphs — no rebuild, no re-fragmentation — without blocking
 // in-flight queries, which keep reading the MVCC view they pinned at
 // admission. Queries admitted after Update returns see the new triples.
 func (s *Server) Update(ctx context.Context, ntriples string) (*UpdateResult, error) {
@@ -138,30 +138,37 @@ func (s *Server) Delete(ctx context.Context, ntriples string) (*UpdateResult, er
 	return &st, nil
 }
 
+// parseTerms parses an N-Triples document into its statements' terms,
+// three to a statement, touching no dictionary.
+func parseTerms(ntriples string) ([]rdf.Term, error) {
+	var terms []rdf.Term
+	err := rdf.ScanNTriples(strings.NewReader(ntriples), func(s, p, o rdf.Term) error {
+		terms = append(terms, s, p, o)
+		return nil
+	})
+	return terms, err
+}
+
 // parseTripleSet parses an N-Triples document into deployment-dictionary
-// triples, atomically: it parses into a scratch graph with a private
-// dictionary first, so a batch rejected for syntax anywhere — even on
-// its last line — leaves nothing behind, not even interned terms in the
-// shared dictionary. Only a fully valid batch re-encodes into the
-// deployment dictionary (concurrency-safe inserts); a valid batch that
-// then fails admission (server closed) may leave its terms interned,
-// which is benign — terms are content-addressed and carry no graph
-// state. An empty document is a valid empty set (overwrite sides may be
-// empty); callers that require triples check themselves. WAL replay
-// parses recovered records through the same path, so recovery and the
-// live path agree on what a batch means.
+// triples, atomically: it parses into a term list first, so a batch
+// rejected for syntax anywhere — even on its last line — leaves nothing
+// behind, not even interned terms in the shared dictionary. Only a fully
+// valid batch encodes into the deployment dictionary (concurrency-safe
+// inserts); a valid batch that then fails admission (server closed) may
+// leave its terms interned, which is benign — terms are
+// content-addressed and carry no graph state. An empty document is a
+// valid empty set (overwrite sides may be empty); callers that require
+// triples check themselves. WAL replay parses recovered records through
+// the same path, so recovery and the live path agree on what a batch
+// means.
 func parseTripleSet(d *rdf.Dict, ntriples string) ([]rdf.Triple, error) {
-	scratch := rdf.NewGraph(nil)
-	if _, err := rdf.ReadNTriples(scratch, strings.NewReader(ntriples)); err != nil {
+	terms, err := parseTerms(ntriples)
+	if err != nil {
 		return nil, err
 	}
-	ts := make([]rdf.Triple, 0, scratch.NumTriples())
-	for _, t := range scratch.Triples() {
-		ts = append(ts, rdf.Triple{
-			S: d.Encode(scratch.Dict.Decode(t.S)),
-			P: d.Encode(scratch.Dict.Decode(t.P)),
-			O: d.Encode(scratch.Dict.Decode(t.O)),
-		})
+	ts := make([]rdf.Triple, 0, len(terms)/3)
+	for ; len(terms) > 0; terms = terms[3:] {
+		ts = append(ts, rdf.Triple{S: d.Encode(terms[0]), P: d.Encode(terms[1]), O: d.Encode(terms[2])})
 	}
 	return ts, nil
 }
@@ -188,16 +195,16 @@ func parseUpdateBatch(d *rdf.Dict, ntriples string) ([]rdf.Triple, error) {
 // additionally reports how many triples the document parsed to, so
 // callers can tell an empty document from a fully-dropped one.
 func parseLookupSet(d *rdf.Dict, ntriples string) (ts []rdf.Triple, parsed int, err error) {
-	scratch := rdf.NewGraph(nil)
-	if _, err := rdf.ReadNTriples(scratch, strings.NewReader(ntriples)); err != nil {
+	terms, err := parseTerms(ntriples)
+	if err != nil {
 		return nil, 0, err
 	}
-	parsed = scratch.NumTriples()
+	parsed = len(terms) / 3
 	ts = make([]rdf.Triple, 0, parsed)
-	for _, t := range scratch.Triples() {
-		s, okS := d.Lookup(scratch.Dict.Decode(t.S))
-		p, okP := d.Lookup(scratch.Dict.Decode(t.P))
-		o, okO := d.Lookup(scratch.Dict.Decode(t.O))
+	for ; len(terms) > 0; terms = terms[3:] {
+		s, okS := d.Lookup(terms[0])
+		p, okP := d.Lookup(terms[1])
+		o, okO := d.Lookup(terms[2])
 		if !okS || !okP || !okO {
 			continue
 		}
@@ -273,7 +280,7 @@ func (dep *Deployment) applyBatch(b serve.Batch) serve.UpdateStats {
 // fragments may overlap, and the control site dedups), everything else
 // goes to the cold graph and the cold fragment (cold subqueries read it
 // there; global subqueries read all fragments, cold included). Fragment
-// graphs stay frozen — triples land in their delta overlays.
+// graphs keep their CSR — triples land in their delta overlays.
 func (dep *Deployment) routeTriple(t rdf.Triple) {
 	if dep.hc.FreqProps[t.P] {
 		dep.hc.Hot.Add(t)
@@ -398,14 +405,14 @@ func anchorPattern(p *sparql.Graph, ei int, t rdf.Triple) *sparql.Graph {
 // coldFragmentAdd appends to the cold fragment. StartServer materializes
 // and places the fragment before serving begins (ensureColdFragment), so
 // on the live path this is a pure delta append into an already-placed
-// frozen graph — no fragmentation or allocation metadata mutates while
+// graph — no fragmentation or allocation metadata mutates while
 // lock-free queries read it.
 func (dep *Deployment) coldFragmentAdd(t rdf.Triple) {
 	dep.ensureColdFragment()
 	dep.frag.Cold.Graph.Add(t)
 }
 
-// ensureColdFragment materializes, freezes and places the cold fragment
+// ensureColdFragment materializes and places the cold fragment
 // if the deployment doesn't have one yet (the cold graph was empty at
 // fragmentation time, so no cold site was allocated). It must run before
 // queries execute concurrently: it mutates the fragmentation and
@@ -419,14 +426,10 @@ func (dep *Deployment) ensureColdFragment() {
 				maxID = f.ID + 1
 			}
 		}
-		g := rdf.NewGraph(dep.db.graph.Dict)
-		// Freeze the empty graph so live updates land in its MVCC delta
-		// overlay instead of mutating map-mode indexes under readers.
-		g.Freeze()
 		fr.Cold = &fragment.Fragment{
 			ID:    maxID,
 			Kind:  fragment.ColdKind,
-			Graph: g,
+			Graph: rdf.NewGraph(dep.db.graph.Dict),
 		}
 	}
 	if dep.alloc.ColdSite < 0 {
