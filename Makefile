@@ -6,7 +6,7 @@ GO ?= go
 # bench-baseline needs pipefail so a panicking benchmark fails the target.
 SHELL := /bin/bash
 
-.PHONY: build test race cover cover-gate chaos-soak crash-soak fuzz-smoke bench benchmark-check bench-baseline fmt fmt-check vet ci
+.PHONY: build test race cover cover-gate chaos-soak crash-soak fuzz-smoke bench benchmark-check bench-baseline fmt fmt-check vet loc ci
 
 build:
 	$(GO) build ./...
@@ -25,17 +25,17 @@ cover:
 # internal/cluster (site RPC and the two control-site join operators) at
 # what it measures now that the partitioned join is gone (94.2), minus a
 # point,
-# internal/rdf (the CSR + delta-overlay storage engine) and
-# internal/match (the merge-cursor matcher) at what they measure now that
-# map mode and the read paths that served it are gone (95.5 and 96.2),
-# minus a point,
+# internal/rdf (the CSR + delta-overlay storage engine, merge cursor
+# included) and internal/match (the matcher over it) at what they measure
+# now that the visibility rule is written once, in rdf (95.0 and 98.0),
+# minus a point — rdf's floor stays where it was, a floor never drops,
 # internal/serve (the MVCC query admission/update path) at its PR-6
 # baseline measured when snapshot reads landed, and internal/transport
 # (the networked site RPC with retry/hedging/breaker) at its PR-7
 # landing coverage, minus a small slack for scheduler-dependent
 # hedge-race branches (measured 82.7%), and internal/wal (the
-# write-ahead log the durability guarantee hangs on) at the floor the
-# durability PR committed to (landed at ~93%). The three packages that
+# write-ahead log the durability guarantee hangs on) at what it measures
+# reading the one format it writes (88.7), minus a point. The three packages that
 # are the paper's offline pipeline — internal/fap (Algorithm 1),
 # internal/mining (Section 4's pattern mining) and internal/fragment
 # (Definitions 5-12) — sit at what they measured when the pipeline moved
@@ -43,10 +43,10 @@ cover:
 # point of slack.
 COVER_FLOOR_CLUSTER ?= 93.2
 COVER_FLOOR_RDF ?= 94.5
-COVER_FLOOR_MATCH ?= 95.2
+COVER_FLOOR_MATCH ?= 97.0
 COVER_FLOOR_SERVE ?= 88.0
 COVER_FLOOR_TRANSPORT ?= 82.0
-COVER_FLOOR_WAL ?= 85.0
+COVER_FLOOR_WAL ?= 87.7
 COVER_FLOOR_FAP ?= 99.0
 COVER_FLOOR_MINING ?= 95.5
 COVER_FLOOR_FRAGMENT ?= 95.4
@@ -182,5 +182,11 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package of this module (benchmark/ is a module of
+# its own and not counted): the count every PR states its delta of.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		while read pkg files; do printf '%6d %s\n' $$(cat $$files | wc -l) $$pkg; done
 
 ci: fmt-check vet build cover cover-gate chaos-soak crash-soak fuzz-smoke bench benchmark-check

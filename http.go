@@ -195,7 +195,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.countWriteErr(json.NewEncoder(w).Encode(map[string]any{
 		"added":         res.Added,
 		"deleted":       res.Deleted,
-		"delta_triples": res.DeltaTriples,
+		"delta_triples": res.DeltaLen,
 		"compactions":   res.Compactions,
 		"seq":           res.Seq,
 	}))
@@ -294,7 +294,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"updates":         m.Updates,
 		"triples_added":   m.TriplesAdded,
 		"triples_deleted": m.TriplesDeleted,
-		"delta_triples":   m.DeltaTriples,
+		"delta_triples":   m.DeltaLen,
 		"compactions":     m.Compactions,
 		// TTL expiry: sweeper passes that issued a delete batch and the
 		// triples those batches removed.

@@ -8,6 +8,16 @@ import (
 	"rdffrag/internal/sparql"
 )
 
+// edges walks a run to its end: the reference below reads whole runs, as
+// the slice accessors it was written against returned them.
+func edges(r *rdf.Run) (ps []rdf.Pair) {
+	c := rdf.Cursor{Run: *r}
+	for e, ok := c.Next(); ok; e, ok = c.Next() {
+		ps = append(ps, e)
+	}
+	return ps
+}
+
 // referenceCandidates is the pre-CSR slice-based candidate enumeration,
 // kept as the oracle the cursor must agree with: it materializes every
 // candidate triple for edge e under the searcher's current bindings.
@@ -19,30 +29,57 @@ func referenceCandidates(s *searcher, e sparql.Edge) []rdf.Triple {
 		sub := s.m.Vertex[e.From]
 		obj := s.m.Vertex[e.To]
 		var out []rdf.Triple
-		for _, h := range s.g.OutEdges(sub) {
-			if h.Other == obj {
-				out = append(out, rdf.Triple{S: sub, P: h.P, O: obj})
+		for _, h := range edges(new(rdf.Run).Out(s.g, sub)) {
+			if h.B == obj {
+				out = append(out, rdf.Triple{S: sub, P: h.A, O: obj})
 			}
 		}
 		return out
 	case fromBound:
 		sub := s.m.Vertex[e.From]
 		var out []rdf.Triple
-		for _, h := range s.g.OutEdges(sub) {
-			out = append(out, rdf.Triple{S: sub, P: h.P, O: h.Other})
+		for _, h := range edges(new(rdf.Run).Out(s.g, sub)) {
+			out = append(out, rdf.Triple{S: sub, P: h.A, O: h.B})
 		}
 		return out
 	case toBound:
 		obj := s.m.Vertex[e.To]
 		var out []rdf.Triple
-		for _, h := range s.g.InEdges(obj) {
-			out = append(out, rdf.Triple{S: h.Other, P: h.P, O: obj})
+		for _, h := range edges(new(rdf.Run).In(s.g, obj)) {
+			out = append(out, rdf.Triple{S: h.B, P: h.A, O: obj})
 		}
 		return out
 	case !e.IsPredVar():
-		return s.g.ByPredicate(e.Pred)
+		var out []rdf.Triple
+		for _, so := range edges(new(rdf.Run).Pred(s.g, e.Pred)) {
+			out = append(out, rdf.Triple{S: so.A, P: e.Pred, O: so.B})
+		}
+		return out
 	default:
 		return s.g.Triples()
+	}
+}
+
+// next steps c the way search's loop does: to the next listed triple, or
+// to the next entry of the run that the far endpoint lets through,
+// rebuilt as a triple.
+func (c *candCursor) next(t *rdf.Triple) bool {
+	for {
+		if c.dir == curList {
+			if len(c.list) == 0 {
+				return false
+			}
+			*t, c.list = c.list[0], c.list[1:]
+			return true
+		}
+		p, ok := c.run.Next()
+		if !ok {
+			return false
+		}
+		if tr, ok := c.triple(p); ok {
+			*t = tr
+			return true
+		}
 	}
 }
 

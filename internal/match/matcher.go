@@ -90,7 +90,7 @@ func forEachOrdered(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int,
 			s.bound[i] = true
 		}
 	}
-	s.search(0)
+	s.search(0, nil)
 }
 
 // clone deep-copies a reused Match for retention beyond the ForEach
@@ -398,35 +398,42 @@ func edgeOrder(q *sparql.Graph, g *rdf.Snapshot) []int {
 	return order
 }
 
-func (s *searcher) search(depth int) {
-	if s.done {
-		return
-	}
+// search extends the current partial match over the edge at depth of the
+// search order, by each of its candidates in turn. A parallel worker hands
+// in root, the cursor on its morsel's share of the root edge's candidates;
+// every other call starts the cursor itself.
+func (s *searcher) search(depth int, root *candCursor) {
 	if s.stop != nil && s.stop.Load() {
 		s.done = true
 		return
 	}
-	if depth == len(s.order) {
-		s.found++
-		if !s.fn(&s.m) {
-			s.done = true
-		}
-		if s.opts.Limit > 0 && s.found >= s.opts.Limit {
-			s.done = true
-		}
-		return
-	}
 	ei := s.order[depth]
 	e := s.q.Edges[ei]
-	var cur candCursor
-	s.initCursor(&cur, e)
-	var t rdf.Triple
-	// The candidate-expansion body stays inline: factoring it into a
-	// call costs ~2x on candidate-scan microbenchmarks. expandRoot
-	// mirrors it for the parallel workers' root loop — keep in sync.
-	for cur.next(&t) {
-		if s.done {
-			return
+	var own candCursor
+	cur := root
+	if cur == nil {
+		cur = &own
+		s.initCursor(cur, e)
+	}
+	// The loop steps the cursor's run itself and expands the candidate
+	// inline: a call per candidate for either — a next method on the
+	// cursor, an expand method on the searcher — costs the candidate-scan
+	// microbenchmarks a quarter or more.
+	for !s.done {
+		var t rdf.Triple
+		if cur.dir == curList {
+			if len(cur.list) == 0 {
+				return
+			}
+			t, cur.list = cur.list[0], cur.list[1:]
+		} else {
+			p, ok := cur.run.Next()
+			if !ok {
+				return
+			}
+			if t, ok = cur.triple(p); !ok {
+				continue
+			}
 		}
 		if !s.predOK(e, t.P) {
 			continue
@@ -444,7 +451,11 @@ func (s *searcher) search(depth int) {
 		}
 		undoP := s.bindPred(e, t.P)
 		s.m.Triples[ei] = t
-		s.search(depth + 1)
+		if depth+1 < len(s.order) {
+			s.search(depth+1, nil)
+		} else {
+			s.emit()
+		}
 		if undoP {
 			delete(s.m.Pred, e.PredVar)
 		}
@@ -457,304 +468,95 @@ func (s *searcher) search(depth int) {
 	}
 }
 
-// expandRoot tries one root candidate triple t for query edge ei on
-// behalf of a parallel worker: bind both endpoints (and a variable
-// predicate), run the rest of the search, then unwind. It mirrors
-// search's inner-loop body (kept inline there for speed) at depth 0.
-func (s *searcher) expandRoot(ei int, t rdf.Triple) {
-	e := s.q.Edges[ei]
-	if !s.predOK(e, t.P) {
-		return
-	}
-	undoS, ok := s.bind(e.From, t.S)
-	if !ok {
-		return
-	}
-	undoO, ok := s.bind(e.To, t.O)
-	if !ok {
-		if undoS {
-			s.unbind(e.From)
-		}
-		return
-	}
-	undoP := s.bindPred(e, t.P)
-	s.m.Triples[ei] = t
-	s.search(1)
-	if undoP {
-		delete(s.m.Pred, e.PredVar)
-	}
-	if undoO {
-		s.unbind(e.To)
-	}
-	if undoS {
-		s.unbind(e.From)
+// emit hands the match, complete, to the callback.
+func (s *searcher) emit() {
+	s.found++
+	if !s.fn(&s.m) || s.opts.Limit > 0 && s.found >= s.opts.Limit {
+		s.done = true
 	}
 }
 
 // candCursor enumerates the candidate data triples of one query edge
-// without materializing them: it merge-walks up to three zero-copy index
-// runs (a CSR run plus its insert and tombstone delta runs, the
-// per-predicate triple arena plus its deltas, or the full triple list)
-// and synthesizes each Triple into caller-provided storage. The runs are
-// sorted, and the merge reproduces exactly the enumeration order a
-// freshly rebuilt CSR would give — the property the differential harness
-// pins. The tombstone run is nil on insert-only snapshots, leaving the
-// original two-way merge; with tombstones the cursor walks key groups and
-// resolves latest-op-wins visibility inline. The cursor itself lives on
-// the searcher's stack — candidate enumeration performs zero heap
-// allocations, with or without a delta.
+// without materializing them. An index run serves them unless nothing of
+// the edge is bound: which entries of the run are visible, and in what
+// order, is rdf's business — the cursor holds an rdf.Cursor over the run
+// and rebuilds each Triple from the run's pair and the ID the run is kept
+// under. The order is that of a freshly rebuilt CSR, the property the
+// differential harness pins. The cursor lives on the searcher's stack:
+// candidate enumeration performs zero heap allocations, with or without a
+// delta.
 type candCursor struct {
-	mode  uint8             // one of curHalf, curTris, curSingle, curDone
-	half  []rdf.HalfEdge    // curHalf: base adjacency run to walk
-	dhalf []rdf.DeltaHalf   // curHalf: insert delta run (nil without delta)
-	thalf []rdf.DeltaHalf   // curHalf: tombstone run (nil without visible deletes)
-	tris  []rdf.Triple      // curTris: base triple run to walk
-	dtris []rdf.DeltaTriple // curTris: insert delta run (nil without delta)
-	ttris []rdf.DeltaTriple // curTris: tombstone run (nil without visible deletes)
-	one   rdf.Triple        // curSingle: the only candidate
-	i     int               // position in the base run
-	j     int               // position in the insert delta run
-	k     int               // position in the tombstone run
-	bound uint32            // snapshot visibility bound: delta entries with Seq >= bound are skipped
-	fixed rdf.ID            // curHalf: the bound endpoint's data vertex
-	other rdf.ID            // curHalf: required far endpoint; NoID = unconstrained
-	out   bool              // curHalf: fixed endpoint is the subject
+	run   rdf.Cursor
+	dir   uint8        // what the run is kept under (curOut, curIn, curPred), or curList
+	fixed rdf.ID       // that subject, object or predicate
+	other rdf.ID       // curOut: required far endpoint; NoID = unconstrained
+	list  []rdf.Triple // curList: the candidates still to go
 }
 
 const (
-	curHalf = iota
-	curTris
-	curSingle
-	curDone
+	curOut  = iota // the (P, O) run of a bound subject
+	curIn          // the (P, S) run of a bound object
+	curPred        // the (S, O) run of a constant predicate
+	curList        // no run: every triple of the snapshot
 )
 
-// initCursor picks the cheapest index to drive the scan for edge e given
-// the current bindings, threading the edge's constant predicate into the
-// bound-endpoint cases so the graph serves a contiguous run. The
-// two-run (base + delta overlay) accessors keep this allocation-free even
-// on graphs carrying live updates; the delta runs are nil whenever the
-// graph has no delta, leaving the original single-run walk.
-func (s *searcher) initCursor(c *candCursor, e sparql.Edge) {
-	fromBound := s.bound[e.From]
-	toBound := s.bound[e.To]
-	c.i, c.j, c.k = 0, 0, 0
-	c.dhalf, c.thalf, c.dtris, c.ttris = nil, nil, nil, nil
-	c.bound = s.g.Bound()
-	c.other = rdf.NoID
+// pick puts c, a zero cursor, at the start of what serves the candidates
+// of edge e when its endpoints are bound to from and to (rdf.NoID where
+// not), cheapest first: a bound endpoint's run — of a fully-ground edge,
+// no more than the entry that is the edge; else the part labelled with
+// the edge's predicate when that is constant, so the graph serves a
+// contiguous sub-run — a constant predicate's run, the snapshot's triple
+// list (which already folds the delta in). The sequential search calls it
+// with the current bindings; the parallel search with the constants, to
+// deal the root's candidates out in morsels.
+func (c *candCursor) pick(g *rdf.Snapshot, e sparql.Edge, from, to rdf.ID) {
 	switch {
-	case fromBound && toBound && !e.IsPredVar():
-		// Fully-ground edge: a set membership test.
-		t := rdf.Triple{S: s.m.Vertex[e.From], P: e.Pred, O: s.m.Vertex[e.To]}
-		if s.g.Has(t) {
-			c.mode = curSingle
-			c.one = t
-		} else {
-			c.mode = curDone
-		}
-	case fromBound:
-		sub := s.m.Vertex[e.From]
-		c.mode = curHalf
-		c.out = true
-		c.fixed = sub
-		if toBound {
-			c.other = s.m.Vertex[e.To]
-		}
-		if e.IsPredVar() {
-			c.half, c.dhalf, c.thalf = s.g.OutEdges2(sub)
-		} else {
-			c.half, c.dhalf, c.thalf = s.g.OutRun2(sub, e.Pred)
-		}
-	case toBound:
-		obj := s.m.Vertex[e.To]
-		c.mode = curHalf
-		c.out = false
-		c.fixed = obj
-		if e.IsPredVar() {
-			c.half, c.dhalf, c.thalf = s.g.InEdges2(obj)
-		} else {
-			c.half, c.dhalf, c.thalf = s.g.InRun2(obj, e.Pred)
-		}
+	case from != rdf.NoID && to != rdf.NoID && !e.IsPredVar():
+		c.dir, c.fixed, c.other = curOut, from, rdf.NoID
+		c.run.Out(g, from).Only(rdf.Pair{A: e.Pred, B: to})
+		return
+	case from != rdf.NoID:
+		c.dir, c.fixed, c.other = curOut, from, to
+		c.run.Out(g, from)
+	case to != rdf.NoID:
+		c.dir, c.fixed = curIn, to
+		c.run.In(g, to)
 	case !e.IsPredVar():
-		c.mode = curTris
-		c.tris, c.dtris, c.ttris = s.g.ByPredicate2(e.Pred)
+		c.dir, c.fixed = curPred, e.Pred
+		c.run.Pred(g, e.Pred)
+		return
 	default:
-		// Full scan: the snapshot's triple list already folds the delta
-		// in — inserts as its newest suffix, deletes materialized away —
-		// so no side runs are needed.
-		c.mode = curTris
-		c.tris = s.g.Triples()
+		c.dir, c.list = curList, g.Triples()
+		return
+	}
+	if !e.IsPredVar() {
+		c.run.Narrow(e.Pred)
 	}
 }
 
-// next advances the cursor, writing the candidate into *t. It returns
-// false when the candidates are exhausted. With a delta run present it
-// two-way merges the sorted base and delta runs, reproducing the
-// enumeration order of a rebuilt CSR; with an empty delta (the steady
-// state) the extra run costs one bounds check per candidate. Delta
-// entries with Seq >= the snapshot's bound — appended by the writer
-// after the snapshot was pinned — are skipped, so a pinned reader's
-// enumeration never changes mid-query.
-func (c *candCursor) next(t *rdf.Triple) bool {
-	switch c.mode {
-	case curTris:
-		if len(c.ttris) != 0 {
-			return c.nextTrisTomb(t)
-		}
-		for c.j < len(c.dtris) && c.dtris[c.j].Seq >= c.bound {
-			c.j++
-		}
-		var tr rdf.Triple
-		switch {
-		case c.i < len(c.tris) && c.j < len(c.dtris):
-			if rdf.CompareSO(c.dtris[c.j].T, c.tris[c.i]) < 0 {
-				tr = c.dtris[c.j].T
-				c.j++
-			} else {
-				tr = c.tris[c.i]
-				c.i++
-			}
-		case c.i < len(c.tris):
-			tr = c.tris[c.i]
-			c.i++
-		case c.j < len(c.dtris):
-			tr = c.dtris[c.j].T
-			c.j++
-		default:
-			return false
-		}
-		*t = tr
-		return true
-	case curSingle:
-		c.mode = curDone
-		*t = c.one
-		return true
-	case curHalf:
-		if len(c.thalf) != 0 {
-			return c.nextHalfTomb(t)
-		}
-		for {
-			for c.j < len(c.dhalf) && c.dhalf[c.j].Seq >= c.bound {
-				c.j++
-			}
-			var h rdf.HalfEdge
-			switch {
-			case c.i < len(c.half) && c.j < len(c.dhalf):
-				if rdf.CompareHalf(c.dhalf[c.j].H, c.half[c.i]) < 0 {
-					h = c.dhalf[c.j].H
-					c.j++
-				} else {
-					h = c.half[c.i]
-					c.i++
-				}
-			case c.i < len(c.half):
-				h = c.half[c.i]
-				c.i++
-			case c.j < len(c.dhalf):
-				h = c.dhalf[c.j].H
-				c.j++
-			default:
-				return false
-			}
-			if c.other != rdf.NoID && h.Other != c.other {
-				continue
-			}
-			if c.out {
-				*t = rdf.Triple{S: c.fixed, P: h.P, O: h.Other}
-			} else {
-				*t = rdf.Triple{S: h.Other, P: h.P, O: c.fixed}
-			}
-			return true
-		}
+// initCursor starts c, a zero cursor, on the candidates of edge e under
+// the current bindings.
+func (s *searcher) initCursor(c *candCursor, e sparql.Edge) {
+	from, to := rdf.NoID, rdf.NoID
+	if s.bound[e.From] {
+		from = s.m.Vertex[e.From]
 	}
-	return false
+	if s.bound[e.To] {
+		to = s.m.Vertex[e.To]
+	}
+	c.pick(s.g, e, from, to)
 }
 
-// nextHalfTomb is the curHalf walk with a tombstone run present: a
-// three-run group merge that consumes one (P, Other) key group per step
-// and resolves latest-op-wins visibility before emitting. Still zero
-// allocations per candidate.
-func (c *candCursor) nextHalfTomb(t *rdf.Triple) bool {
-	for c.i < len(c.half) || c.j < len(c.dhalf) || c.k < len(c.thalf) {
-		var key rdf.HalfEdge
-		have := false
-		if c.i < len(c.half) {
-			key, have = c.half[c.i], true
-		}
-		if c.j < len(c.dhalf) && (!have || rdf.CompareHalf(c.dhalf[c.j].H, key) < 0) {
-			key, have = c.dhalf[c.j].H, true
-		}
-		if c.k < len(c.thalf) && (!have || rdf.CompareHalf(c.thalf[c.k].H, key) < 0) {
-			key = c.thalf[c.k].H
-		}
-		basePresent := c.i < len(c.half) && c.half[c.i] == key
-		if basePresent {
-			c.i++
-		}
-		var insVis, tombVis bool
-		var insSeq, tombSeq uint32
-		for ; c.j < len(c.dhalf) && c.dhalf[c.j].H == key; c.j++ {
-			if sq := c.dhalf[c.j].Seq; sq < c.bound && (!insVis || sq > insSeq) {
-				insVis, insSeq = true, sq
-			}
-		}
-		for ; c.k < len(c.thalf) && c.thalf[c.k].H == key; c.k++ {
-			if sq := c.thalf[c.k].Seq; sq < c.bound && (!tombVis || sq > tombSeq) {
-				tombVis, tombSeq = true, sq
-			}
-		}
-		if !rdf.VisibleKey(basePresent, insVis, insSeq, tombVis, tombSeq) {
-			continue
-		}
-		if c.other != rdf.NoID && key.Other != c.other {
-			continue
-		}
-		if c.out {
-			*t = rdf.Triple{S: c.fixed, P: key.P, O: key.Other}
-		} else {
-			*t = rdf.Triple{S: key.Other, P: key.P, O: c.fixed}
-		}
-		return true
+// triple rebuilds the candidate from an entry of c's run and the ID the
+// run is kept under; false if the far endpoint rules the entry out.
+func (c *candCursor) triple(e rdf.Pair) (rdf.Triple, bool) {
+	switch c.dir {
+	case curOut:
+		return rdf.Triple{S: c.fixed, P: e.A, O: e.B}, c.other == rdf.NoID || e.B == c.other
+	case curIn:
+		return rdf.Triple{S: e.B, P: e.A, O: c.fixed}, true
 	}
-	return false
-}
-
-// nextTrisTomb is nextHalfTomb for the per-predicate triple runs.
-func (c *candCursor) nextTrisTomb(t *rdf.Triple) bool {
-	for c.i < len(c.tris) || c.j < len(c.dtris) || c.k < len(c.ttris) {
-		var key rdf.Triple
-		have := false
-		if c.i < len(c.tris) {
-			key, have = c.tris[c.i], true
-		}
-		if c.j < len(c.dtris) && (!have || rdf.CompareSO(c.dtris[c.j].T, key) < 0) {
-			key, have = c.dtris[c.j].T, true
-		}
-		if c.k < len(c.ttris) && (!have || rdf.CompareSO(c.ttris[c.k].T, key) < 0) {
-			key = c.ttris[c.k].T
-		}
-		basePresent := c.i < len(c.tris) && c.tris[c.i] == key
-		if basePresent {
-			c.i++
-		}
-		var insVis, tombVis bool
-		var insSeq, tombSeq uint32
-		for ; c.j < len(c.dtris) && c.dtris[c.j].T == key; c.j++ {
-			if sq := c.dtris[c.j].Seq; sq < c.bound && (!insVis || sq > insSeq) {
-				insVis, insSeq = true, sq
-			}
-		}
-		for ; c.k < len(c.ttris) && c.ttris[c.k].T == key; c.k++ {
-			if sq := c.ttris[c.k].Seq; sq < c.bound && (!tombVis || sq > tombSeq) {
-				tombVis, tombSeq = true, sq
-			}
-		}
-		if !rdf.VisibleKey(basePresent, insVis, insSeq, tombVis, tombSeq) {
-			continue
-		}
-		*t = key
-		return true
-	}
-	return false
+	return rdf.Triple{S: e.A, P: c.fixed, O: e.B}, true
 }
 
 func (s *searcher) predOK(e sparql.Edge, p rdf.ID) bool {

@@ -6,13 +6,14 @@ import (
 )
 
 // csrIndex is the storage engine: a generation's triples compiled into
-// compressed-sparse-row form. Adjacency lives in two flat []HalfEdge
-// arenas (outgoing grouped by subject, incoming grouped by object), each
+// compressed-sparse-row form, three flat []Pair arenas. Adjacency lives in
+// two (outgoing grouped by subject, incoming grouped by object), each
 // vertex's run sorted by (P, Other) so a constant-predicate lookup on a
 // bound endpoint is a binary search to a contiguous sub-run instead of a
-// full adjacency scan. Triples additionally live in a per-predicate arena
-// sorted by (P, S, O). All lookups return subslices of the arenas: zero
-// allocations on the match/join hot path.
+// full adjacency scan. The third groups the triples by predicate, each
+// predicate's run its (S, O) pairs in that order: the predicate is the
+// run's key and is not stored again. All lookups return subslices of the
+// arenas: zero allocations on the match/join hot path.
 //
 // A triple's ordinal is its position in the out arena, i.e. in the
 // (S, P, O) order of the whole index; EdgeSet keeps one bit per ordinal.
@@ -21,12 +22,12 @@ import (
 // side-index (delta.go) instead, and Compact rebuilds this index with the
 // delta folded in.
 type csrIndex struct {
-	outRuns   runIndex   // subject -> its run of outArena
-	inRuns    runIndex   // object -> its run of inArena
-	predRuns  runIndex   // predicate -> its run of predArena
-	outArena  []HalfEdge // grouped by S, each group sorted by (P, Other)
-	inArena   []HalfEdge // grouped by O, each group sorted by (P, Other)
-	predArena []Triple   // sorted by (P, S, O)
+	outRuns   runIndex // subject -> its run of outArena
+	inRuns    runIndex // object -> its run of inArena
+	predRuns  runIndex // predicate -> its run of predArena
+	outArena  []Pair   // grouped by S, each group (P, O) sorted
+	inArena   []Pair   // grouped by O, each group (P, S) sorted
+	predArena []Pair   // grouped by P ascending, each group (S, O) sorted
 
 	preds []ID // distinct predicates, ascending
 	verts []ID // distinct vertices (subjects ∪ objects), ascending
@@ -121,9 +122,9 @@ func buildCSR(order []Triple) *csrIndex {
 		n = max(n, int(t.S)+1, int(t.P)+1, int(t.O)+1)
 	}
 	c := &csrIndex{
-		outArena:  make([]HalfEdge, len(order)),
-		inArena:   make([]HalfEdge, len(order)),
-		predArena: make([]Triple, len(order)),
+		outArena:  make([]Pair, len(order)),
+		inArena:   make([]Pair, len(order)),
+		predArena: make([]Pair, len(order)),
 	}
 	spo := order
 	if !slices.IsSortedFunc(spo, CompareSPO) {
@@ -134,7 +135,7 @@ func buildCSR(order []Triple) *csrIndex {
 	// entry moving up as the group fills, where its next member goes.
 	dense := make([]uint32, n+1)
 	for i, t := range spo {
-		c.outArena[i] = HalfEdge{P: t.P, Other: t.O}
+		c.outArena[i] = Pair{t.P, t.O}
 		dense[t.S+1]++
 	}
 	prefixSum(dense)
@@ -147,9 +148,10 @@ func buildCSR(order []Triple) *csrIndex {
 	prefixSum(dense)
 	c.predRuns = newRunIndex(dense)
 	for _, t := range spo {
-		c.predArena[dense[t.P]] = t
+		c.predArena[dense[t.P]] = Pair{t.S, t.O}
 		dense[t.P]++
 	}
+	c.preds = keys(c.predRuns, runIndex{})
 
 	clear(dense)
 	for _, t := range spo {
@@ -157,12 +159,13 @@ func buildCSR(order []Triple) *csrIndex {
 	}
 	prefixSum(dense)
 	c.inRuns = newRunIndex(dense)
-	for _, t := range c.predArena {
-		c.inArena[dense[t.O]] = HalfEdge{P: t.P, Other: t.S}
-		dense[t.O]++
+	for _, p := range c.preds {
+		for _, so := range c.pred(p) {
+			c.inArena[dense[so.B]] = Pair{p, so.A}
+			dense[so.B]++
+		}
 	}
 
-	c.preds = keys(c.predRuns, runIndex{})
 	c.verts = keys(c.outRuns, c.inRuns)
 	return c
 }
@@ -187,70 +190,26 @@ func prefixSum(off []uint32) {
 }
 
 // out returns vertex v's run of the out arena (empty if v is unknown).
-func (c *csrIndex) out(v ID) []HalfEdge {
+func (c *csrIndex) out(v ID) []Pair {
 	lo, hi := c.outRuns.run(v)
 	return c.outArena[lo:hi]
 }
 
 // in returns vertex v's run of the in arena.
-func (c *csrIndex) in(v ID) []HalfEdge {
+func (c *csrIndex) in(v ID) []Pair {
 	lo, hi := c.inRuns.run(v)
 	return c.inArena[lo:hi]
 }
 
-// pred returns predicate p's run of the triple arena.
-func (c *csrIndex) pred(p ID) []Triple {
+// pred returns predicate p's run of the predicate arena.
+func (c *csrIndex) pred(p ID) []Pair {
 	lo, hi := c.predRuns.run(p)
 	return c.predArena[lo:hi]
 }
 
-// predRange narrows a (P, Other)-sorted adjacency run to the contiguous
-// sub-run labelled p.
-func predRange(hs []HalfEdge, p ID) []HalfEdge {
-	lo, hi := predBounds(hs, p)
-	return hs[lo:hi]
-}
-
-// predBounds returns the bounds of predRange's sub-run via two hand-rolled
-// binary searches (no closures, so the hot path stays allocation-free).
-func predBounds(hs []HalfEdge, p ID) (start, end int) {
-	lo, hi := 0, len(hs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if hs[mid].P < p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	start = lo
-	hi = len(hs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if hs[mid].P <= p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return start, lo
-}
-
 // ordinal returns t's position in the out arena, if the index holds t.
 func (c *csrIndex) ordinal(t Triple) (int, bool) {
-	base, end := c.outRuns.run(t.S)
-	run := c.outArena[base:end]
-	lo, hi := predBounds(run, t.P)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if run[mid].Other < t.O {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(run) || run[lo] != (HalfEdge{P: t.P, Other: t.O}) {
-		return 0, false
-	}
-	return int(base) + lo, true
+	lo, hi := c.outRuns.run(t.S)
+	i, ok := searchPairs(c.outArena[lo:hi], Pair{t.P, t.O})
+	return int(lo) + i, ok
 }

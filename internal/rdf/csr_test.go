@@ -70,14 +70,14 @@ func TestFrozenRunsSortedAndExact(t *testing.T) {
 	defer sn.Close()
 	for _, v := range sn.Vertices() {
 		hs := sn.OutEdges(v)
-		if !slices.IsSortedFunc(hs, CompareHalf) {
+		if !slices.IsSortedFunc(hs, comparePairs) {
 			t.Fatalf("out adjacency of %d not sorted: %v", v, hs)
 		}
 		for _, p := range sn.Predicates() {
 			run := sn.OutRun(v, p)
-			var want []HalfEdge
+			var want []Pair
 			for _, h := range hs {
-				if h.P == p {
+				if h.A == p {
 					want = append(want, h)
 				}
 			}
@@ -86,7 +86,7 @@ func TestFrozenRunsSortedAndExact(t *testing.T) {
 			}
 		}
 		in := sn.InEdges(v)
-		if !slices.IsSortedFunc(in, CompareHalf) {
+		if !slices.IsSortedFunc(in, comparePairs) {
 			t.Fatalf("in adjacency of %d not sorted: %v", v, in)
 		}
 	}
@@ -132,7 +132,7 @@ func TestDeltaOnAdd(t *testing.T) {
 		t.Fatalf("NumVertices = %d, want %d (delta vertices missing?)", sn.NumVertices(), nv+2)
 	}
 	// Overlaid reads serve the delta triple before any compaction.
-	if got := sn.OutEdges(100); len(got) != 1 || got[0] != (HalfEdge{P: 101, Other: 102}) {
+	if got := sn.OutEdges(100); len(got) != 1 || got[0] != (Pair{101, 102}) {
 		t.Fatalf("OutEdges(100) = %v with delta", got)
 	}
 	if sn.OutDegreeP(100, 101) != 1 || sn.InDegreeP(102, 101) != 1 || sn.PredicateCount(101) != 1 {
@@ -145,7 +145,7 @@ func TestDeltaOnAdd(t *testing.T) {
 	}
 	post := g.Snapshot()
 	defer post.Close()
-	if got := post.OutEdges(100); len(got) != 1 || got[0] != (HalfEdge{P: 101, Other: 102}) {
+	if got := post.OutEdges(100); len(got) != 1 || got[0] != (Pair{101, 102}) {
 		t.Fatalf("OutEdges(100) = %v after compaction", got)
 	}
 }
@@ -161,11 +161,11 @@ func TestFrozenReadZeroAllocs(t *testing.T) {
 	v := sn.Vertices()[0]
 	p := sn.Predicates()[0]
 	allocs := testing.AllocsPerRun(200, func() {
-		_ = sn.OutEdges(v)
-		_ = sn.InEdges(v)
-		_ = sn.OutRun(v, p)
-		_ = sn.InRun(v, p)
-		_ = sn.ByPredicate(p)
+		_ = walk(sn.Out(v))
+		_ = walk(sn.In(v))
+		_ = walk(narrowed(sn.Out(v), p))
+		_ = walk(narrowed(sn.In(v), p))
+		_ = walk(sn.Pred(p))
 		_ = sn.OutDegreeP(v, p)
 		_ = sn.Degree(v)
 	})

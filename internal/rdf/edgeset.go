@@ -89,7 +89,7 @@ func (e *EdgeSet) Triples() []Triple {
 				sub, verts = verts[0], verts[1:]
 				_, end = c.outRuns.run(sub)
 			}
-			t := Triple{S: sub, P: c.outArena[i].P, O: c.outArena[i].Other}
+			t := Triple{S: sub, P: c.outArena[i].A, O: c.outArena[i].B}
 			for len(extra) > 0 && CompareSPO(extra[0], t) < 0 {
 				out, extra = append(out, extra[0]), extra[1:]
 			}

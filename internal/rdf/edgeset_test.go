@@ -12,8 +12,8 @@ import (
 // answer like, ID for ID.
 type denseCSR struct {
 	outOff, inOff, predOff []uint32
-	outArena, inArena      []HalfEdge
-	predArena              []Triple
+	outArena, inArena      []Pair
+	predArena              []Pair
 	preds, verts           []ID
 }
 
@@ -40,24 +40,25 @@ func buildCSRThreeSorts(order []Triple) *denseCSR {
 	}
 
 	slices.SortFunc(scratch, func(a, b Triple) int { return cmp3(a.S, b.S, a.P, b.P, a.O, b.O) })
-	c.outArena = make([]HalfEdge, len(scratch))
+	c.outArena = make([]Pair, len(scratch))
 	for i, t := range scratch {
-		c.outArena[i] = HalfEdge{P: t.P, Other: t.O}
+		c.outArena[i] = Pair{t.P, t.O}
 		c.outOff[t.S+1]++
 	}
 	prefixSum(c.outOff)
 
 	slices.SortFunc(scratch, func(a, b Triple) int { return cmp3(a.O, b.O, a.P, b.P, a.S, b.S) })
-	c.inArena = make([]HalfEdge, len(scratch))
+	c.inArena = make([]Pair, len(scratch))
 	for i, t := range scratch {
-		c.inArena[i] = HalfEdge{P: t.P, Other: t.S}
+		c.inArena[i] = Pair{t.P, t.S}
 		c.inOff[t.O+1]++
 	}
 	prefixSum(c.inOff)
 
 	slices.SortFunc(scratch, func(a, b Triple) int { return cmp3(a.P, b.P, a.S, b.S, a.O, b.O) })
-	c.predArena = scratch
-	for _, t := range scratch {
+	c.predArena = make([]Pair, len(scratch))
+	for i, t := range scratch {
+		c.predArena[i] = Pair{t.S, t.O}
 		c.predOff[t.P+1]++
 	}
 	prefixSum(c.predOff)
@@ -119,7 +120,7 @@ func TestBuildCSREqualsThreeSortBuild(t *testing.T) {
 				bad("the predicate run", v)
 			}
 			for j, h := range denseRun(want.outArena, want.outOff, v) {
-				if i, ok := got.ordinal(Triple{S: v, P: h.P, O: h.Other}); !ok || i != int(want.outOff[v])+j {
+				if i, ok := got.ordinal(Triple{S: v, P: h.A, O: h.B}); !ok || i != int(want.outOff[v])+j {
 					bad("a triple's ordinal", v)
 				}
 			}

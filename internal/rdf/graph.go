@@ -17,20 +17,6 @@ func (t Triple) String() string {
 	return fmt.Sprintf("(%d %d %d)", t.S, t.P, t.O)
 }
 
-// Edge is one directed labelled edge as seen from one endpoint.
-type Edge struct {
-	P     ID   // property (edge label)
-	Other ID   // the vertex on the far end
-	Out   bool // true if the edge leaves the vertex owning this adjacency entry
-}
-
-// HalfEdge is one adjacency entry: the edge label and the far endpoint.
-// The direction is implied by which index (out or in) it came from.
-type HalfEdge struct {
-	P     ID
-	Other ID
-}
-
 // DefaultCompactFraction is the auto-compaction threshold: a graph
 // folds its delta into the CSR once the delta exceeds this
 // fraction of the CSR's triples (see SetAutoCompact).
@@ -224,7 +210,7 @@ func (g *Graph) Add(t Triple) bool {
 	gen.ord.Store(&ord)
 	seq := uint32(gen.delta.n.Load())
 	gen.delta.appendOp(t, false)
-	gen.delta.add(t, seq)
+	gen.delta.index(t, seq, false)
 	gen.delta.n.Add(1)
 	g.epoch.Add(1)
 	if g.shouldCompact(gen) {
@@ -248,7 +234,7 @@ func (g *Graph) Delete(t Triple) bool {
 	gen := g.gen.Load()
 	seq := uint32(gen.delta.n.Load())
 	gen.delta.appendOp(t, true)
-	gen.delta.addTomb(t, seq)
+	gen.delta.index(t, seq, true)
 	gen.delta.dels.Add(1)
 	gen.delta.n.Add(1)
 	g.epoch.Add(1)
@@ -403,7 +389,7 @@ func (g *Graph) compactOrder() {
 // so it must not race Add; concurrent readers use Snapshot.Has.
 func (g *Graph) Has(t Triple) bool {
 	gen := g.gen.Load()
-	return gen.has(t, uint32(gen.delta.n.Load()), gen.delta.dels.Load() > 0)
+	return new(Run).out(gen, t.S, uint32(gen.delta.n.Load())).Has(Pair{t.P, t.O})
 }
 
 // NumTriples returns |E(G)|: live triples only (adds included, deletes
@@ -426,22 +412,6 @@ func (g *Graph) Triples() []Triple {
 		g.liveOrderAt = g.epoch.Load()
 	}
 	return g.liveOrder
-}
-
-// mergeIDs merges two sorted, disjoint ID slices. With an empty extra it
-// returns base unchanged (zero-copy).
-func mergeIDs(base, extra []ID) []ID {
-	if len(extra) == 0 {
-		return base
-	}
-	return mergeSorted(base, extra, func(a, b ID) int {
-		if a < b {
-			return -1
-		} else if a > b {
-			return 1
-		}
-		return 0
-	})
 }
 
 // TripleString renders a triple with decoded terms.

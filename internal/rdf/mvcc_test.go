@@ -9,6 +9,7 @@ package rdf
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,68 +80,102 @@ func sameEnumeration(t *testing.T, got, want *Snapshot) bool {
 }
 
 // TestSnapshotIsolationUnderConcurrentWriter pins a snapshot, then lets
-// a writer append and compact through multiple generations while a
-// reader repeatedly re-enumerates the pinned view. Every enumeration
-// must be byte-identical to a CSR rebuilt from the pinned prefix — the
-// "query results match a rebuilt-CSR oracle at the pinned epoch"
-// acceptance property — and once the snapshot closes, the old
-// generations it kept alive must be forgotten.
+// a writer run through multiple generations while a reader repeatedly
+// re-reads the pinned view. Every enumeration must be byte-identical to
+// a CSR rebuilt from the pinned triples — the "query results match a
+// rebuilt-CSR oracle at the pinned epoch" acceptance property — and every
+// run, degree, Has and Triples() what the naive set held at the pin;
+// once the snapshot closes, the old generations it kept alive must be
+// forgotten. Twice: pinned on a clean generation under a writer that
+// only adds, and pinned inside a window that already holds tombstones
+// under a writer that deletes as it adds, so that the pinned runs go on
+// collecting ops on their own keys until a compaction retires them.
 func TestSnapshotIsolationUnderConcurrentWriter(t *testing.T) {
 	const nv, np = 40, 6
-	g := graphOf(randomTriples(17, 300, nv, np))
-	g.Freeze()
-	g.SetAutoCompact(0.05) // compact early and often
+	for _, tc := range []struct {
+		name    string
+		deletes bool
+	}{
+		{"clean generation, adds", false},
+		{"tombstone window, adds and deletes", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := distinct(randomTriples(17, 300, nv, np))
+			g := graphOf(base)
+			g.Freeze()
+			g.SetAutoCompact(0.05) // compact early and often
+			loaded := g.Compactions()
+			ref := newNaive(base...)
+			if tc.deletes {
+				for i, tr := range randomTriples(23, 30, nv, np) {
+					if g.Delete(base[i*5]) != ref.Delete(base[i*5]) || g.Add(tr) != ref.Add(tr) {
+						t.Fatal("setup: graph and naive set disagree")
+					}
+				}
+				if g.DeltaTombstones() == 0 || g.Compactions() != loaded {
+					t.Fatalf("setup: %d tombstones pending, %d compactions since the load; want the tombstones still in the loaded generation's window", g.DeltaTombstones(), g.Compactions()-loaded)
+				}
+			}
 
-	sn := g.Snapshot()
-	oracle := rebuiltSnapshot(append([]Triple(nil), sn.Triples()...))
-	pinnedGen := sn.Generation()
+			sn := g.Snapshot()
+			oracle := rebuiltSnapshot(slices.Clone(ref.live))
+			pinnedGen := sn.Generation()
+			same := func() bool { return sameEnumeration(t, sn, oracle) && ref.readBy(t, sn) }
 
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // writer: raw-ID adds so the shared Dict stays untouched
-		defer wg.Done()
-		defer done.Store(true)
-		for _, tr := range randomTriples(99, 2000, nv, np) {
-			g.Add(tr)
-		}
-	}()
-	go func() { // reader: the pinned view must never move
-		defer wg.Done()
-		for !done.Load() {
-			if !sameEnumeration(t, sn, oracle) {
-				t.Error("pinned snapshot drifted from its rebuilt-CSR oracle")
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { // writer: raw-ID ops so the shared Dict stays untouched
+				defer wg.Done()
+				defer done.Store(true)
+				pool := slices.Clone(ref.live) // what a delete aims at: once there, maybe gone since
+				for i, tr := range randomTriples(99, 2000, nv, np) {
+					if tc.deletes && i%3 == 2 {
+						g.Delete(pool[(i*31)%len(pool)])
+						continue
+					}
+					g.Add(tr)
+					pool = append(pool, tr)
+				}
+			}()
+			go func() { // reader: the pinned view must never move
+				defer wg.Done()
+				for !done.Load() {
+					if !same() {
+						t.Error("pinned snapshot drifted from its oracles")
+						return
+					}
+				}
+			}()
+			wg.Wait()
+
+			if t.Failed() {
 				return
 			}
-		}
-	}()
-	wg.Wait()
-
-	if t.Failed() {
-		return
-	}
-	if g.Compactions() < 2 {
-		t.Fatalf("writer triggered %d compactions, want >= 2 (tighten AutoCompact)", g.Compactions())
-	}
-	if cur := g.Snapshot(); cur.Generation() == pinnedGen {
-		t.Error("generation never advanced despite compactions")
-	} else {
-		cur.Close()
-	}
-	// One last check after the dust settles, then drain the pin.
-	if !sameEnumeration(t, sn, oracle) {
-		t.Error("pinned snapshot drifted after writer finished")
-	}
-	if live := g.LiveGenerations(); live < 2 {
-		t.Errorf("LiveGenerations = %d while an old-generation snapshot is pinned, want >= 2", live)
-	}
-	sn.Close()
-	sn.Close() // idempotent
-	if live := g.LiveGenerations(); live != 1 {
-		t.Errorf("LiveGenerations = %d after the last snapshot closed, want 1", live)
-	}
-	if pinned := g.PinnedSnapshots(); pinned != 0 {
-		t.Errorf("PinnedSnapshots = %d after close, want 0", pinned)
+			if n := g.Compactions() - loaded; n < 2 {
+				t.Fatalf("writer triggered %d compactions, want >= 2 (tighten AutoCompact)", n)
+			}
+			if cur := g.Snapshot(); cur.Generation() == pinnedGen {
+				t.Error("generation never advanced despite compactions")
+			} else {
+				cur.Close()
+			}
+			// One last check after the dust settles, then drain the pin.
+			if !same() {
+				t.Error("pinned snapshot drifted after writer finished")
+			}
+			if live := g.LiveGenerations(); live < 2 {
+				t.Errorf("LiveGenerations = %d while an old-generation snapshot is pinned, want >= 2", live)
+			}
+			sn.Close()
+			sn.Close() // idempotent
+			if live := g.LiveGenerations(); live != 1 {
+				t.Errorf("LiveGenerations = %d after the last snapshot closed, want 1", live)
+			}
+			if pinned := g.PinnedSnapshots(); pinned != 0 {
+				t.Errorf("PinnedSnapshots = %d after close, want 0", pinned)
+			}
+		})
 	}
 }
 

@@ -50,30 +50,30 @@ func (n *naiveSet) Delete(t Triple) bool {
 func (n *naiveSet) clone() *naiveSet { return newNaive(n.live...) }
 
 // out and in are v's adjacency in (P, Other) order.
-func (n *naiveSet) out(v ID) (hs []HalfEdge) {
+func (n *naiveSet) out(v ID) (hs []Pair) {
 	for _, t := range n.live {
 		if t.S == v {
-			hs = append(hs, HalfEdge{P: t.P, Other: t.O})
+			hs = append(hs, Pair{t.P, t.O})
 		}
 	}
-	slices.SortFunc(hs, CompareHalf)
+	slices.SortFunc(hs, comparePairs)
 	return hs
 }
 
-func (n *naiveSet) in(v ID) (hs []HalfEdge) {
+func (n *naiveSet) in(v ID) (hs []Pair) {
 	for _, t := range n.live {
 		if t.O == v {
-			hs = append(hs, HalfEdge{P: t.P, Other: t.S})
+			hs = append(hs, Pair{t.P, t.S})
 		}
 	}
-	slices.SortFunc(hs, CompareHalf)
+	slices.SortFunc(hs, comparePairs)
 	return hs
 }
 
 // labelled keeps the entries of a run whose label is p.
-func labelled(hs []HalfEdge, p ID) (run []HalfEdge) {
+func labelled(hs []Pair, p ID) (run []Pair) {
 	for _, h := range hs {
-		if h.P == p {
+		if h.A == p {
 			run = append(run, h)
 		}
 	}

@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -32,24 +31,25 @@ type generation struct {
 // Snapshot is an immutable, lock-free read view of a graph: it pins a
 // (CSR generation, delta length) pair at acquisition, so concurrent
 // writer appends and even compactions are invisible to it. It is the
-// only type the read path (match, exec, cluster, serve) consumes; all
-// two-run accessors live here. A Snapshot is safe for concurrent use by
-// many goroutines and stays valid indefinitely; Close releases its pin
-// on the generation (needed only for the generation-lifecycle gauges —
-// an unclosed snapshot leaks a gauge increment, not memory).
+// only type the read path (match, exec, cluster, serve) consumes: what it
+// sees of an index run is a Run (Run.Out, In, Pred), and the degrees and
+// the membership test are questions put to one. A Snapshot is safe for
+// concurrent use by many goroutines and stays valid indefinitely; Close
+// releases its pin on the generation (needed only for the
+// generation-lifecycle gauges — an unclosed snapshot leaks a gauge
+// increment, not memory).
 type Snapshot struct {
 	g      *Graph
 	gen    *generation // never nil
-	n      uint32      // delta visibility bound: entries with Seq < n are visible
+	n      uint32      // delta visibility bound: ops with a sequence number < n are visible
 	order  []Triple    // pinned insertion-order prefix
 	pinned bool
 	closed atomic.Bool
 
 	// ops is the visible op window when it contains deletes; nil for
-	// insert-only windows, whose read paths are byte-for-byte the
-	// two-run fast paths of the delete-free engine. With ops set, the
-	// order prefix may carry stale occurrences; Triples/NumTriples
-	// materialize the live list lazily (once) instead of slicing.
+	// insert-only windows. With ops set, the order prefix may carry stale
+	// occurrences; Triples/NumTriples materialize the live list lazily
+	// (once) instead of slicing.
 	ops     []deltaOp
 	matOnce sync.Once
 	mat     []Triple
@@ -109,11 +109,6 @@ func (s *Snapshot) Dict() *Dict { return s.g.Dict }
 // exists for identity checks and dictionary access.
 func (s *Snapshot) Graph() *Graph { return s.g }
 
-// Bound returns the delta visibility bound: delta entries with
-// Seq < Bound belong to this snapshot. The match cursor uses it to
-// filter raw delta runs during its inline merges.
-func (s *Snapshot) Bound() uint32 { return s.n }
-
 // Generation returns the pinned CSR generation's id.
 func (s *Snapshot) Generation() uint64 { return s.gen.id }
 
@@ -170,26 +165,7 @@ func (s *Snapshot) materialize() []Triple {
 }
 
 // Has reports whether the triple is visible in this snapshot.
-func (s *Snapshot) Has(t Triple) bool {
-	return s.gen.has(t, s.n, s.ops != nil)
-}
-
-// has reports whether t is visible at delta bound n: in the CSR or
-// inserted below n, and not tombstoned since. tombs says whether a
-// tombstone below n exists at all.
-func (gen *generation) has(t Triple, n uint32, tombs bool) bool {
-	_, basePresent := gen.csr.ordinal(t)
-	if n == 0 {
-		return basePresent
-	}
-	key := HalfEdge{P: t.P, Other: t.O}
-	insVis, insSeq := maxVisibleSeqHalf(predRangeDeltaHalf(loadHalfRun(&gen.delta.out, t.S), t.P), key, n)
-	if !tombs {
-		return basePresent || insVis
-	}
-	tombVis, tombSeq := maxVisibleSeqHalf(predRangeDeltaHalf(loadHalfRun(&gen.delta.tombOut, t.S), t.P), key, n)
-	return VisibleKey(basePresent, insVis, insSeq, tombVis, tombSeq)
-}
+func (s *Snapshot) Has(t Triple) bool { return new(Run).Out(s, t.S).Has(Pair{t.P, t.O}) }
 
 // Ordinal returns t's position in the (S, P, O) order of the pinned CSR
 // generation, if t is one of its triples and visible in this snapshot.
@@ -203,229 +179,90 @@ func (s *Snapshot) Ordinal(t Triple) (int, bool) {
 	return i, ok
 }
 
-// OutEdges2 returns the outgoing (P, Other) adjacency of vertex v as
-// zero-copy runs: the immutable CSR run plus the raw insert and
-// tombstone delta runs, all sorted by (P, Other). Delta entries with
-// Seq >= Bound() belong to writes after this snapshot and must be
-// skipped by the caller (the match cursor does this inline; the
-// allocating OutEdges pre-filters). The tombstone run is nil whenever
-// the snapshot's window is insert-only — the common case, where callers
-// keep their two-run merge.
-func (s *Snapshot) OutEdges2(v ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
-	if s.n == 0 { // empty visible delta: skip the side-index lookup
-		return s.gen.csr.out(v), nil, nil
-	}
-	if s.ops != nil {
-		tomb = loadHalfRun(&s.gen.delta.tombOut, v)
-	}
-	return s.gen.csr.out(v), loadHalfRun(&s.gen.delta.out, v), tomb
+// Out sets r to vertex v's outgoing edges as s sees them, (P, O) pairs,
+// and returns r.
+func (r *Run) Out(s *Snapshot, v ID) *Run { return r.out(s.gen, v, s.n) }
+
+func (r *Run) out(gen *generation, v ID, n uint32) *Run {
+	return r.set(gen.csr.out(v), &gen.delta.out, v, n)
 }
 
-// InEdges2 is OutEdges2 for incoming edges of v.
-func (s *Snapshot) InEdges2(v ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
-	if s.n == 0 {
-		return s.gen.csr.in(v), nil, nil
-	}
-	if s.ops != nil {
-		tomb = loadHalfRun(&s.gen.delta.tombIn, v)
-	}
-	return s.gen.csr.in(v), loadHalfRun(&s.gen.delta.in, v), tomb
-}
+// In sets r to vertex v's incoming edges as s sees them, (P, S) pairs,
+// and returns r.
+func (r *Run) In(s *Snapshot, v ID) *Run { return r.set(s.gen.csr.in(v), &s.gen.delta.in, v, s.n) }
 
-// OutRun2 narrows OutEdges2 to the sub-runs labelled p, each found by
-// binary search. The delta runs are raw: filter by Seq < Bound().
-func (s *Snapshot) OutRun2(v, p ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
-	if s.n == 0 {
-		return predRange(s.gen.csr.out(v), p), nil, nil
-	}
-	if s.ops != nil {
-		tomb = predRangeDeltaHalf(loadHalfRun(&s.gen.delta.tombOut, v), p)
-	}
-	return predRange(s.gen.csr.out(v), p), predRangeDeltaHalf(loadHalfRun(&s.gen.delta.out, v), p), tomb
-}
-
-// InRun2 is OutRun2 for incoming edges of v.
-func (s *Snapshot) InRun2(v, p ID) (base []HalfEdge, ins, tomb []DeltaHalf) {
-	if s.n == 0 {
-		return predRange(s.gen.csr.in(v), p), nil, nil
-	}
-	if s.ops != nil {
-		tomb = predRangeDeltaHalf(loadHalfRun(&s.gen.delta.tombIn, v), p)
-	}
-	return predRange(s.gen.csr.in(v), p), predRangeDeltaHalf(loadHalfRun(&s.gen.delta.in, v), p), tomb
-}
-
-// ByPredicate2 returns the triples labelled p as zero-copy runs: the
-// CSR arena run plus the raw insert and tombstone delta runs, all
-// sorted by (S, O). The delta runs are raw: filter by Seq < Bound().
-func (s *Snapshot) ByPredicate2(p ID) (base []Triple, ins, tomb []DeltaTriple) {
-	if s.n == 0 {
-		return s.gen.csr.pred(p), nil, nil
-	}
-	if s.ops != nil {
-		tomb = loadTripleRun(&s.gen.delta.tombByPred, p)
-	}
-	return s.gen.csr.pred(p), loadTripleRun(&s.gen.delta.byPred, p), tomb
-}
-
-// OutEdges returns the outgoing adjacency of v merged into one run
-// sorted by (P, Other). It allocates when v has visible delta edges;
-// the matcher uses OutEdges2 instead.
-func (s *Snapshot) OutEdges(v ID) []HalfEdge {
-	return s.mergedHalf(s.OutEdges2(v))
-}
-
-// InEdges is OutEdges for incoming edges of v.
-func (s *Snapshot) InEdges(v ID) []HalfEdge {
-	return s.mergedHalf(s.InEdges2(v))
-}
-
-// mergedHalf merges a CSR adjacency run with what this snapshot sees of
-// its delta runs; the base run itself when that is nothing.
-func (s *Snapshot) mergedHalf(base []HalfEdge, ins, tomb []DeltaHalf) []HalfEdge {
-	if len(tomb) > 0 {
-		return visibleMergedHalf(base, ins, tomb, s.n)
-	}
-	if len(ins) == 0 {
-		return base
-	}
-	return mergeHalf(base, visibleHalf(ins, s.n))
-}
-
-// countHalf is len(mergedHalf) without building the run.
-func (s *Snapshot) countHalf(base []HalfEdge, ins, tomb []DeltaHalf) int {
-	if len(tomb) > 0 {
-		return countMergedHalf(base, ins, tomb, s.n)
-	}
-	return len(base) + countVisibleHalf(ins, s.n)
-}
-
-// OutRun returns v's outgoing edges labelled p, merged.
-func (s *Snapshot) OutRun(v, p ID) []HalfEdge {
-	return s.mergedHalf(s.OutRun2(v, p))
-}
-
-// InRun is OutRun for incoming edges of v.
-func (s *Snapshot) InRun(v, p ID) []HalfEdge {
-	return s.mergedHalf(s.InRun2(v, p))
-}
-
-// ByPredicate returns all visible triples labelled p, merged into one
-// (S, O)-sorted run.
-func (s *Snapshot) ByPredicate(p ID) []Triple {
-	base, ins, tomb := s.ByPredicate2(p)
-	if len(tomb) > 0 {
-		return visibleMergedTriples(base, ins, tomb, s.n)
-	}
-	if len(ins) == 0 {
-		return base
-	}
-	return mergeTriples(base, visibleTriples(ins, s.n))
+// Pred sets r to the triples labelled p as s sees them, (S, O) pairs, and
+// returns r.
+func (r *Run) Pred(s *Snapshot, p ID) *Run {
+	return r.set(s.gen.csr.pred(p), &s.gen.delta.pred, p, s.n)
 }
 
 // OutDegree returns the number of visible outgoing edges of v.
-func (s *Snapshot) OutDegree(v ID) int { return s.countHalf(s.OutEdges2(v)) }
+func (s *Snapshot) OutDegree(v ID) int { return new(Run).Out(s, v).Len() }
 
 // InDegree is OutDegree for incoming edges.
-func (s *Snapshot) InDegree(v ID) int { return s.countHalf(s.InEdges2(v)) }
+func (s *Snapshot) InDegree(v ID) int { return new(Run).In(s, v).Len() }
 
 // Degree returns the total (out + in) degree of v.
 func (s *Snapshot) Degree(v ID) int { return s.OutDegree(v) + s.InDegree(v) }
 
 // OutDegreeP returns the number of visible outgoing edges of v labelled
 // p: an exact (vertex, predicate) selectivity in O(log deg + delta).
-func (s *Snapshot) OutDegreeP(v, p ID) int { return s.countHalf(s.OutRun2(v, p)) }
+func (s *Snapshot) OutDegreeP(v, p ID) int { return new(Run).Out(s, v).Narrow(p).Len() }
 
 // InDegreeP is OutDegreeP for incoming edges.
-func (s *Snapshot) InDegreeP(v, p ID) int { return s.countHalf(s.InRun2(v, p)) }
+func (s *Snapshot) InDegreeP(v, p ID) int { return new(Run).In(s, v).Narrow(p).Len() }
 
 // PredicateCount returns the number of visible triples labelled p.
-func (s *Snapshot) PredicateCount(p ID) int {
-	base, ins, tomb := s.ByPredicate2(p)
-	if len(tomb) > 0 {
-		return countMergedTriples(base, ins, tomb, s.n)
-	}
-	return len(base) + countVisibleTriples(ins, s.n)
-}
+func (s *Snapshot) PredicateCount(p ID) int { return new(Run).Pred(s, p).Len() }
 
 // Predicates returns the distinct visible properties in ascending ID
 // order.
 func (s *Snapshot) Predicates() []ID {
-	c := s.gen.csr
-	if s.n == 0 {
-		return c.preds
-	}
-	if s.ops != nil {
-		// Deletes pending: a predicate stays only while a live triple
-		// carries it. Derive the set from the materialized triple list,
-		// exactly as a rebuild would.
-		seen := make(map[ID]struct{})
-		ps := make([]ID, 0, len(c.preds))
-		for _, t := range s.materialize() {
-			if _, dup := seen[t.P]; !dup {
-				seen[t.P] = struct{}{}
-				ps = append(ps, t.P)
-			}
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		return ps
-	}
-	var extra []ID
-	s.gen.delta.byPred.Range(func(k, v any) bool {
-		p := k.(ID)
-		if len(c.pred(p)) == 0 && countVisibleTriples(v.([]DeltaTriple), s.n) > 0 {
-			extra = append(extra, p)
-		}
-		return true
-	})
-	sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
-	return mergeIDs(c.preds, extra)
+	live := func(p ID) bool { return s.PredicateCount(p) > 0 }
+	return s.liveKeys(s.gen.csr.preds, live, &s.gen.delta.pred)
 }
 
 // Vertices returns the distinct visible vertices (subjects ∪ objects) in
 // ascending ID order.
 func (s *Snapshot) Vertices() []ID {
-	c := s.gen.csr
+	live := func(v ID) bool { return s.OutDegree(v) > 0 || s.InDegree(v) > 0 }
+	return s.liveKeys(s.gen.csr.verts, live, &s.gen.delta.out, &s.gen.delta.in)
+}
+
+// liveKeys lists, ascending, the IDs with a visible run: those of base,
+// the CSR's, and those that have one only in the delta indexes sides. An
+// ID stays while live says some run of its own has a visible entry —
+// which is not asked of the CSR's IDs unless deletes are pending, nor of
+// anything at bound 0, where base itself is the answer.
+func (s *Snapshot) liveKeys(base []ID, live func(ID) bool, sides ...*sync.Map) []ID {
 	if s.n == 0 {
-		return c.verts
+		return base
 	}
-	if s.ops != nil {
-		// Deletes pending: derive the vertex set from the materialized
-		// triple list, exactly as a rebuild would.
-		seen := make(map[ID]struct{})
-		for _, t := range s.materialize() {
-			seen[t.S] = struct{}{}
-			seen[t.O] = struct{}{}
-		}
-		vs := make([]ID, 0, len(seen))
-		for v := range seen {
-			vs = append(vs, v)
-		}
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		return vs
-	}
-	seen := make(map[ID]struct{})
-	for _, side := range []*sync.Map{&s.gen.delta.out, &s.gen.delta.in} {
-		side.Range(func(k, v any) bool {
-			id := k.(ID)
-			if _, dup := seen[id]; dup {
-				return true
-			}
-			if len(c.out(id)) > 0 || len(c.in(id)) > 0 {
-				return true // already in the CSR vertex set
-			}
-			if countVisibleHalf(v.([]DeltaHalf), s.n) > 0 {
-				seen[id] = struct{}{}
+	var extra []ID
+	for _, side := range sides {
+		side.Range(func(k, _ any) bool {
+			if _, inBase := slices.BinarySearch(base, k.(ID)); !inBase && live(k.(ID)) {
+				extra = append(extra, k.(ID))
 			}
 			return true
 		})
 	}
-	extra := make([]ID, 0, len(seen))
-	for v := range seen {
-		extra = append(extra, v)
+	if s.ops == nil && len(extra) == 0 {
+		return base
 	}
-	sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
-	return mergeIDs(c.verts, extra)
+	slices.Sort(extra)
+	extra = slices.Compact(extra) // a vertex can be in both of its sides
+	out := make([]ID, 0, len(base)+len(extra))
+	for _, id := range base {
+		for len(extra) > 0 && extra[0] < id {
+			out, extra = append(out, extra[0]), extra[1:]
+		}
+		if s.ops == nil || live(id) {
+			out = append(out, id)
+		}
+	}
+	return append(out, extra...)
 }
 
 // NumVertices returns the number of distinct visible vertices.

@@ -131,8 +131,7 @@ func TestStatsFoldDeletes(t *testing.T) {
 	}
 }
 
-// TestSnapshotIdentityAccessors smokes the snapshot's identity surface
-// and the delta visibility bound the cursors filter by.
+// TestSnapshotIdentityAccessors smokes the snapshot's identity surface.
 func TestSnapshotIdentityAccessors(t *testing.T) {
 	g := statsGraph()
 	g.Freeze()
@@ -144,9 +143,6 @@ func TestSnapshotIdentityAccessors(t *testing.T) {
 	}
 	if sn.Graph() != g {
 		t.Error("Snapshot.Graph is not the source graph")
-	}
-	if sn.Bound() != uint32(g.DeltaLen()) {
-		t.Errorf("Bound = %d, want the pinned delta length %d", sn.Bound(), g.DeltaLen())
 	}
 	if g.Epoch() == 0 {
 		t.Error("Epoch still 0 after mutations")

@@ -193,11 +193,11 @@ func TestTombstoneReadZeroAllocs(t *testing.T) {
 	v := sn.Vertices()[0]
 	p := sn.Predicates()[0]
 	allocs := testing.AllocsPerRun(200, func() {
-		_, _, _ = sn.OutEdges2(v)
-		_, _, _ = sn.InEdges2(v)
-		_, _, _ = sn.OutRun2(v, p)
-		_, _, _ = sn.InRun2(v, p)
-		_, _, _ = sn.ByPredicate2(p)
+		_ = walk(sn.Out(v))
+		_ = walk(sn.In(v))
+		_ = walk(narrowed(sn.Out(v), p))
+		_ = walk(narrowed(sn.In(v), p))
+		_ = walk(sn.Pred(p))
 		_ = sn.OutDegreeP(v, p)
 		_ = sn.PredicateCount(p)
 		_ = sn.Degree(v)

@@ -49,12 +49,12 @@ type Metrics struct {
 	Updates        uint64
 	TriplesAdded   uint64
 	TriplesDeleted uint64
-	// DeltaTriples is the global graph's delta overlay size after the
+	// DeltaLen is the global graph's delta overlay size after the
 	// most recent update (0 right after a compaction); Compactions is
 	// its cumulative compaction count. Both are zero until the first
 	// update.
-	DeltaTriples int
-	Compactions  uint64
+	DeltaLen    int
+	Compactions uint64
 	// SweepRuns counts TTL sweeper passes that issued a delete batch for
 	// expired triples (idle passes with nothing due are not counted);
 	// SweptTriples totals the triples those batches actually removed.
@@ -153,7 +153,7 @@ func (m *collector) update(st UpdateStats) {
 	m.updates.Add(1)
 	m.triplesAdd.Add(uint64(st.Added))
 	m.triplesDel.Add(uint64(st.Deleted))
-	m.deltaGauge.Store(int64(st.DeltaTriples))
+	m.deltaGauge.Store(int64(st.DeltaLen))
 	m.compactions.Store(st.Compactions)
 }
 
@@ -184,7 +184,7 @@ func (m *collector) snapshot() Metrics {
 		Updates:        m.updates.Load(),
 		TriplesAdded:   m.triplesAdd.Load(),
 		TriplesDeleted: m.triplesDel.Load(),
-		DeltaTriples:   int(m.deltaGauge.Load()),
+		DeltaLen:       int(m.deltaGauge.Load()),
 		Compactions:    m.compactions.Load(),
 		SweepRuns:      m.sweepRuns.Load(),
 		SweptTriples:   m.sweptTriples.Load(),

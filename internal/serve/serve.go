@@ -139,9 +139,9 @@ type UpdateStats struct {
 	// global graph (tombstoning a triple that was never inserted is a
 	// no-op, not an error).
 	Deleted int
-	// DeltaTriples is the global graph's delta overlay size after the
+	// DeltaLen is the global graph's delta overlay size after the
 	// batch (0 right after a compaction).
-	DeltaTriples int
+	DeltaLen int
 	// Compactions is the global graph's cumulative compaction count.
 	Compactions uint64
 	// Seq is the batch's write-ahead-log sequence number; 0 when the

@@ -87,10 +87,10 @@ func testApply(env *testenv.Env) func(b serve.Batch) (serve.UpdateStats, error) 
 			}
 		}
 		return serve.UpdateStats{
-			Added:        added,
-			Deleted:      deleted,
-			DeltaTriples: env.G.DeltaLen(),
-			Compactions:  env.G.Compactions(),
+			Added:       added,
+			Deleted:     deleted,
+			DeltaLen:    env.G.DeltaLen(),
+			Compactions: env.G.Compactions(),
 		}, nil
 	}
 }
@@ -223,8 +223,8 @@ func TestServerUpdateSoak(t *testing.T) {
 	if m.Compactions == 0 {
 		t.Errorf("Compactions = 0 after %d adds (threshold never crossed?)", batches*perB)
 	}
-	if m.DeltaTriples != env.G.DeltaLen() {
-		t.Errorf("DeltaTriples gauge %d != graph delta %d", m.DeltaTriples, env.G.DeltaLen())
+	if m.DeltaLen != env.G.DeltaLen() {
+		t.Errorf("DeltaLen gauge %d != graph delta %d", m.DeltaLen, env.G.DeltaLen())
 	}
 
 	srv.Close()

@@ -1,13 +1,12 @@
 package wal
 
 // Record-kind framing tests: the kind byte round-trips through
-// append/reopen/replay, v1 segments written before kinds existed stay
-// replayable as inserts, v2 segments written before overwrite records
-// existed stay replayable (and refuse kinds from their future), an
-// unknown kind value truncates like corruption, and the CRC genuinely
-// covers the kind byte.
+// append/reopen/replay, segments of the formats that preceded this one
+// are refused by name and left alone, an unknown kind value truncates
+// like corruption, and the CRC genuinely covers the kind byte.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -54,175 +53,67 @@ func TestRecordKindRoundTrip(t *testing.T) {
 	}
 }
 
-// appendRecordV1 frames one record the way "RDFWAL1\n" segments did:
-// no kind byte, CRC over seq + payload only.
-func appendRecordV1(buf []byte, seq uint64, payload []byte) []byte {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(8+len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Checksum(hdr[8:16], castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
-func TestV1SegmentReadCompat(t *testing.T) {
-	dir := t.TempDir()
-	img := make([]byte, segHeaderSize)
-	copy(img, segMagicV1)
-	binary.LittleEndian.PutUint32(img[len(segMagicV1):], 7)
-	binary.LittleEndian.PutUint64(img[len(segMagicV1)+4:], 0xfeed)
-	img = appendRecordV1(img, 1, []byte("old-one"))
-	img = appendRecordV1(img, 2, []byte("old-two"))
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), img, 0o644); err != nil {
-		t.Fatalf("write v1 segment: %v", err)
-	}
-
-	l := mustOpen(t, Options{Dir: dir, Sync: SyncAlways})
-	defer l.Close()
-	if l.LastSeq() != 2 {
-		t.Fatalf("LastSeq = %d, want 2 (both v1 records recovered)", l.LastSeq())
-	}
-	var recs []Record
-	var dictLen int
-	var dictFP uint64
-	err := l.Replay(0, func(n int, fp uint64) error {
-		dictLen, dictFP = n, fp
-		return nil
-	}, func(rec Record) error {
-		recs = append(recs, Record{Seq: rec.Seq, Kind: rec.Kind, Payload: append([]byte(nil), rec.Payload...)})
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if dictLen != 7 || dictFP != 0xfeed {
-		t.Errorf("v1 header dict state = (%d, %#x), want (7, 0xfeed)", dictLen, dictFP)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("replayed %d records, want 2", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.Kind != KindInsert {
-			t.Errorf("v1 record %d decoded as kind %d, want KindInsert", rec.Seq, rec.Kind)
-		}
-		want := []string{"old-one", "old-two"}[i]
-		if string(rec.Payload) != want {
-			t.Errorf("v1 record %d payload %q, want %q", rec.Seq, rec.Payload, want)
-		}
-	}
-
-	// Appends land in a fresh v3 segment continuing the sequence: a
-	// mixed-version directory replays as one stream.
-	seq, err := l.Append(KindDelete, []byte("new-three"))
-	if err != nil {
-		t.Fatalf("Append after v1 recovery: %v", err)
-	}
-	if seq != 3 {
-		t.Fatalf("post-v1 append seq = %d, want 3", seq)
-	}
-	if err := l.Rotate(); err != nil {
-		t.Fatalf("Rotate: %v", err)
-	}
-	got := map[uint64]Kind{}
-	if err := l.Replay(0, nil, func(rec Record) error {
-		got[rec.Seq] = rec.Kind
-		return nil
-	}); err != nil {
-		t.Fatalf("Replay after append: %v", err)
-	}
-	if len(got) != 3 || got[3] != KindDelete {
-		t.Fatalf("mixed-version replay = %v, want 3 records with seq 3 a delete", got)
-	}
-}
-
-// encodeSegHeaderV2 renders the header a "RDFWAL2\n" writer produced;
-// the frame layout is identical to v3, only the magic (and the set of
-// admissible kinds) differs.
-func encodeSegHeaderV2(dictLen int, dictFP uint64) []byte {
-	buf := encodeSegHeader(dictLen, dictFP)
-	copy(buf, segMagicV2)
-	return buf
-}
-
-func TestV2SegmentReadCompat(t *testing.T) {
-	dir := t.TempDir()
-	img := encodeSegHeaderV2(11, 0xbeef)
-	img = appendRecord(img, 1, KindInsert, []byte("two-ins"))
-	img = appendRecord(img, 2, KindDelete, []byte("two-del"))
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), img, 0o644); err != nil {
-		t.Fatalf("write v2 segment: %v", err)
-	}
-
-	l := mustOpen(t, Options{Dir: dir, Sync: SyncAlways})
-	defer l.Close()
-	if l.LastSeq() != 2 {
-		t.Fatalf("LastSeq = %d, want 2 (both v2 records recovered)", l.LastSeq())
-	}
-	var recs []Record
-	var dictLen int
-	var dictFP uint64
-	err := l.Replay(0, func(n int, fp uint64) error {
-		dictLen, dictFP = n, fp
-		return nil
-	}, func(rec Record) error {
-		recs = append(recs, Record{Seq: rec.Seq, Kind: rec.Kind, Payload: append([]byte(nil), rec.Payload...)})
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if dictLen != 11 || dictFP != 0xbeef {
-		t.Errorf("v2 header dict state = (%d, %#x), want (11, 0xbeef)", dictLen, dictFP)
-	}
-	if len(recs) != 2 || recs[0].Kind != KindInsert || recs[1].Kind != KindDelete {
-		t.Fatalf("v2 replay = %+v, want insert then delete", recs)
-	}
-
-	// The v2 tail is sealed: an overwrite record appended after recovery
-	// must land in a fresh v3 segment, not be written into a header that
-	// doesn't admit its kind.
-	seq, err := l.Append(KindOverwrite, []byte("ow-three"))
-	if err != nil {
-		t.Fatalf("Append overwrite after v2 recovery: %v", err)
-	}
-	if seq != 3 {
-		t.Fatalf("post-v2 append seq = %d, want 3", seq)
-	}
-	if err := l.Rotate(); err != nil {
-		t.Fatalf("Rotate: %v", err)
-	}
-	got := map[uint64]Kind{}
-	if err := l.Replay(0, nil, func(rec Record) error {
-		got[rec.Seq] = rec.Kind
-		return nil
-	}); err != nil {
-		t.Fatalf("Replay after append: %v", err)
-	}
-	if len(got) != 3 || got[3] != KindOverwrite {
-		t.Fatalf("mixed-version replay = %v, want 3 records with seq 3 an overwrite", got)
-	}
-}
-
-// TestOverwriteKindInV2Truncates pins the reason for the magic bump: a
-// v2 reader treats an overwrite record as an unknown kind and truncates
-// there, so overwrites must never be appended into a v2 segment.
-func TestOverwriteKindInV2Truncates(t *testing.T) {
-	dir := t.TempDir()
-	img := encodeSegHeaderV2(0, 0)
-	img = appendRecord(img, 1, KindInsert, []byte("good"))
-	img = appendRecord(img, 2, KindOverwrite, []byte("not-in-v2"))
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), img, 0o644); err != nil {
-		t.Fatalf("write segment: %v", err)
-	}
-	l := mustOpen(t, Options{Dir: dir, Sync: SyncAlways})
-	defer l.Close()
-	if l.LastSeq() != 1 {
-		t.Fatalf("LastSeq = %d, want 1 (overwrite kind truncates a v2 segment)", l.LastSeq())
-	}
-	if got := collect(t, l, 0); len(got) != 1 || got[1] != "good" {
-		t.Fatalf("replay = %v, want only seq 1 %q", got, "good")
+// TestForeignFormatSegments: a segment of another RDFWAL format is
+// somebody's data — Open refuses it by name and changes nothing — while a
+// header that is no RDFWAL header at all is what a crash during segment
+// creation leaves, and is dropped with everything after it.
+func TestForeignFormatSegments(t *testing.T) {
+	// A v1 frame carried no kind byte: CRC over seq + payload only.
+	body := append(binary.LittleEndian.AppendUint64(nil, 1), "old-one"...)
+	v1 := append([]byte("RDFWAL1\n"), make([]byte, segHeaderSize-len(segMagic))...)
+	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(body)))
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(body, castagnoli))
+	v1 = append(v1, body...)
+	// A v2 segment is a v3 one but for the magic.
+	v2 := appendRecord(encodeSegHeader(11, 0xbeef), 1, KindDelete, []byte("old-del"))
+	copy(v2, "RDFWAL2\n")
+	garbage := appendRecord(encodeSegHeader(0, 0), 1, KindInsert, []byte("lost"))
+	copy(garbage, "NOTAWAL!")
+	for _, tc := range []struct {
+		name, format string // format "": not an RDFWAL header, dropped
+		img          []byte
+	}{
+		{"v1", "RDFWAL1", v1},
+		{"v2", "RDFWAL2", v2},
+		{"newer", "RDFWAL4", append([]byte("RDFWAL4\n"), v2[len(segMagic):]...)},
+		{"garbage", "", garbage},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			first, second := filepath.Join(dir, segName(1)), filepath.Join(dir, segName(2))
+			later := appendRecord(encodeSegHeader(0, 0), 2, KindInsert, []byte("later"))
+			for path, img := range map[string][]byte{first: tc.img, second: later} {
+				if err := os.WriteFile(path, img, 0o644); err != nil {
+					t.Fatalf("write segment: %v", err)
+				}
+			}
+			l, err := Open(Options{Dir: dir, Sync: SyncAlways})
+			if tc.format == "" {
+				if err != nil {
+					t.Fatalf("Open over a torn header: %v", err)
+				}
+				defer l.Close()
+				if names, _ := OS().List(dir); len(names) != 1 || l.LastSeq() != 0 {
+					t.Fatalf("after Open: files %v, LastSeq %d; want the torn segment and its successor gone", names, l.LastSeq())
+				}
+				if seq := mustAppend(t, l, "fresh"); seq != 1 {
+					t.Fatalf("append after the drop seq = %d, want 1", seq)
+				}
+				return
+			}
+			want := "wal: segment " + segName(1) + " is " + tc.format + "; this build reads RDFWAL3 only"
+			if err == nil || err.Error() != want {
+				t.Fatalf("Open = %v, want the error %q", err, want)
+			}
+			for path, img := range map[string][]byte{first: tc.img, second: later} {
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, img) {
+					t.Errorf("%s changed under a refused Open (read error %v)", filepath.Base(path), err)
+				}
+			}
+			if names, _ := OS().List(dir); len(names) != 2 {
+				t.Errorf("directory holds %v after a refused Open, want the two segments", names)
+			}
+		})
 	}
 }
 

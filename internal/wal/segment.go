@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"strconv"
@@ -11,7 +12,7 @@ import (
 // On-disk layout. A segment file is a fixed header followed by a run of
 // framed records:
 //
-//	header:  magic "RDFWAL2\n" | uint32 dictLen | uint64 dictFP
+//	header:  magic "RDFWAL3\n" | uint32 dictLen | uint64 dictFP
 //	record:  uint32 frameLen | uint32 crc32c | uint64 seq | uint8 kind | payload
 //
 // frameLen counts the seq and kind fields plus the payload (so a record
@@ -22,19 +23,12 @@ import (
 // state at segment creation so recovery can refuse to replay a log
 // against a foreign checkpoint.
 //
-// Version history. "RDFWAL1\n" segments predate record kinds: their
-// frames carry no kind byte (frameLen = 8 + len(payload)) and every
-// record is an insert. "RDFWAL2\n" added the kind byte with insert and
-// delete kinds. "RDFWAL3\n" keeps the v2 frame layout but additionally
-// admits KindOverwrite, whose payload frames a delete-set and an
-// insert-set applied as one atomic batch — the magic bump exists so a
-// v2 reader truncates at an overwrite record instead of misapplying it.
-// Readers accept all three versions — a deployment upgraded in place
-// keeps its old segments replayable — but new segments are always
-// written v3, so a log directory may legitimately hold a mix.
+// This is the one format the package writes and the one it reads.
+// "RDFWAL1\n" (no kind byte) and "RDFWAL2\n" (no overwrite kind) only
+// ever existed in this repository's own history; a segment carrying
+// either, or any other RDFWAL magic, is refused by name rather than
+// taken for a torn header and deleted.
 const (
-	segMagicV1    = "RDFWAL1\n"
-	segMagicV2    = "RDFWAL2\n"
 	segMagic      = "RDFWAL3\n"
 	segHeaderSize = len(segMagic) + 4 + 8
 	recHeaderSize = 4 + 4 + 8 + 1
@@ -46,14 +40,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Kind uint8
 
 const (
-	// KindInsert adds the payload's triples. v1 records decode as inserts.
+	// KindInsert adds the payload's triples.
 	KindInsert Kind = 0
 	// KindDelete removes the payload's triples.
 	KindDelete Kind = 1
 	// KindOverwrite atomically removes one triple set and inserts
 	// another. Its payload is uint32 little-endian len(deleteDoc) |
-	// deleteDoc | insertDoc, both docs N-Triples text. Only valid in
-	// v3 segments.
+	// deleteDoc | insertDoc, both docs N-Triples text.
 	KindOverwrite Kind = 2
 )
 
@@ -73,21 +66,13 @@ func segName(firstSeq uint64) string {
 
 // parseSegName inverts segName.
 func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg")
-	if len(hex) != 16 {
-		return 0, false
-	}
+	hex, pre := strings.CutPrefix(name, "wal-")
+	hex, suf := strings.CutSuffix(hex, ".seg")
 	n, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+	return n, pre && suf && len(hex) == 16 && err == nil
 }
 
-// encodeSegHeader renders a (v3) segment header.
+// encodeSegHeader renders a segment header.
 func encodeSegHeader(dictLen int, dictFP uint64) []byte {
 	buf := make([]byte, segHeaderSize)
 	copy(buf, segMagic)
@@ -96,28 +81,29 @@ func encodeSegHeader(dictLen int, dictFP uint64) []byte {
 	return buf
 }
 
-// decodeSegHeader validates and reads a segment header, reporting which
-// layout version the segment's frames use.
-func decodeSegHeader(data []byte) (dictLen int, dictFP uint64, version int, ok bool) {
+// errTornHeader says a segment does not start with a whole header of any
+// RDFWAL format: what a crash during segment creation leaves.
+var errTornHeader = errors.New("torn segment header")
+
+// decodeSegHeader validates and reads a segment header. A header of
+// another RDFWAL format is an error that names it; anything else that is
+// not this build's header is errTornHeader.
+func decodeSegHeader(data []byte) (dictLen int, dictFP uint64, err error) {
 	if len(data) < segHeaderSize {
-		return 0, 0, 0, false
+		return 0, 0, errTornHeader
 	}
-	switch string(data[:len(segMagic)]) {
-	case segMagic:
-		version = 3
-	case segMagicV2:
-		version = 2
-	case segMagicV1:
-		version = 1
-	default:
-		return 0, 0, 0, false
+	if magic := string(data[:len(segMagic)]); magic != segMagic {
+		if strings.HasPrefix(magic, "RDFWAL") && strings.HasSuffix(magic, "\n") {
+			return 0, 0, fmt.Errorf("is %s; this build reads %s only", magic[:len(magic)-1], segMagic[:len(segMagic)-1])
+		}
+		return 0, 0, errTornHeader
 	}
 	dictLen = int(binary.LittleEndian.Uint32(data[len(segMagic):]))
 	dictFP = binary.LittleEndian.Uint64(data[len(segMagic)+4:])
-	return dictLen, dictFP, version, true
+	return dictLen, dictFP, nil
 }
 
-// appendRecord frames one record onto buf (v2/v3 frame layout).
+// appendRecord frames one record onto buf.
 func appendRecord(buf []byte, seq uint64, kind Kind, payload []byte) []byte {
 	var hdr [recHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(9+len(payload)))
@@ -131,16 +117,13 @@ func appendRecord(buf []byte, seq uint64, kind Kind, payload []byte) []byte {
 }
 
 // scanSegment walks the records of a segment file image (header
-// included), decoding frames per the given layout version, enforcing
-// the CRC and strict sequence continuity from prevSeq. It returns the
-// valid records and the byte offset of the first invalid frame — torn
-// short, checksum-failed, out of sequence, or carrying an unknown
-// record kind; valid == len(data) means the segment is whole.
-func scanSegment(data []byte, prevSeq uint64, version int) (recs []Record, valid int64) {
-	minBody := 8 // v1: seq only
-	if version >= 2 {
-		minBody = 9 // v2: seq + kind
-	}
+// included), enforcing the CRC and strict sequence continuity from
+// prevSeq. It returns the valid records and the byte offset of the first
+// invalid frame — torn short, checksum-failed, out of sequence, or
+// carrying an unknown record kind; valid == len(data) means the segment
+// is whole.
+func scanSegment(data []byte, prevSeq uint64) (recs []Record, valid int64) {
+	const minBody = 8 + 1 // seq + kind
 	off := segHeaderSize
 	for {
 		if off+8+minBody > len(data) {
@@ -156,22 +139,11 @@ func scanSegment(data []byte, prevSeq uint64, version int) (recs []Record, valid
 			return recs, int64(off)
 		}
 		seq := binary.LittleEndian.Uint64(body[:8])
-		if seq != prevSeq+1 {
+		kind := Kind(body[8])
+		if seq != prevSeq+1 || kind > KindOverwrite {
 			return recs, int64(off)
 		}
-		rec := Record{Seq: seq, Kind: KindInsert, Payload: body[8:]}
-		if version >= 2 {
-			maxKind := KindDelete // v2 predates overwrite records
-			if version >= 3 {
-				maxKind = KindOverwrite
-			}
-			rec.Kind = Kind(body[8])
-			rec.Payload = body[9:]
-			if rec.Kind > maxKind {
-				return recs, int64(off)
-			}
-		}
-		recs = append(recs, rec)
+		recs = append(recs, Record{Seq: seq, Kind: kind, Payload: body[9:]})
 		prevSeq = seq
 		off += 8 + frameLen
 	}

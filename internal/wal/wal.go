@@ -150,13 +150,6 @@ type Log struct {
 	syncErr error // a failed background fsync poisons the log
 	buf     []byte
 
-	// tailVersion is the layout version of the newest recovered segment;
-	// a pre-v3 tail is sealed rather than reopened for append (a v1
-	// header doesn't announce the kind byte new records carry, and a v2
-	// header doesn't admit overwrite records, which would truncate the
-	// tail on the next replay).
-	tailVersion int
-
 	appends       uint64
 	fsyncs        uint64
 	appendedBytes uint64
@@ -172,7 +165,9 @@ type Log struct {
 // a crash left behind: the tail is scanned record by record and
 // truncated at the first torn or CRC-failing frame, and any segments
 // after a corrupt one are discarded (nothing after a tear is
-// trustworthy — sequence numbers would have a hole anyway).
+// trustworthy — sequence numbers would have a hole anyway). A segment
+// in another RDFWAL format is not damage: Open fails, naming the format,
+// and leaves the directory as it found it.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
@@ -185,12 +180,7 @@ func Open(opts Options) (*Log, error) {
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
-	if len(l.segs) == 0 || l.tailVersion < 3 {
-		// No live segment, or the newest one uses an older frame layout:
-		// appends must land in a fresh v3 segment — a kind byte written
-		// into a v1 segment would be misread as the payload's first
-		// byte, and an overwrite record in a v2 segment would be
-		// truncated as an unknown kind on the next replay.
+	if len(l.segs) == 0 {
 		if err := l.openSegmentLocked(l.lastSeq + 1); err != nil {
 			return nil, err
 		}
@@ -217,14 +207,10 @@ func (l *Log) recover() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	type cand struct {
-		name     string
-		firstSeq uint64
-	}
-	var cands []cand
+	var cands []segInfo
 	for _, name := range names {
 		if first, ok := parseSegName(name); ok {
-			cands = append(cands, cand{name, first})
+			cands = append(cands, segInfo{name: name, firstSeq: first})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].firstSeq < cands[j].firstSeq })
@@ -244,10 +230,8 @@ func (l *Log) recover() error {
 	// records at all, yet new appends must continue the global sequence
 	// — reusing retired numbers would make replay's seq filter skip
 	// fresh records.
-	prevSeq := uint64(0)
 	if len(cands) > 0 {
-		prevSeq = cands[0].firstSeq - 1
-		l.lastSeq = prevSeq
+		l.lastSeq = cands[0].firstSeq - 1
 	}
 	for i, c := range cands {
 		path := filepath.Join(l.opts.Dir, c.name)
@@ -255,8 +239,13 @@ func (l *Log) recover() error {
 		if err != nil {
 			return fmt.Errorf("wal: read %s: %w", c.name, err)
 		}
-		_, _, version, headerOK := decodeSegHeader(data)
-		if !headerOK || (i > 0 && c.firstSeq != prevSeq+1) {
+		_, _, err = decodeSegHeader(data)
+		if err != nil && !errors.Is(err, errTornHeader) {
+			// Another format's segment is somebody's data, not damage:
+			// nothing has been touched yet, and nothing will be.
+			return fmt.Errorf("wal: segment %s %w", c.name, err)
+		}
+		if err != nil || c.firstSeq != l.lastSeq+1 {
 			// A crash during segment creation tears the header before
 			// any record lands; a firstSeq gap means the covering
 			// segment was lost. Either way nothing from here on is
@@ -264,21 +253,19 @@ func (l *Log) recover() error {
 			l.truncated += int64(len(data))
 			return drop(i)
 		}
-		l.tailVersion = version
-		recs, valid := scanSegment(data, prevSeq, version)
+		recs, valid := scanSegment(data, l.lastSeq)
 		if len(recs) > 0 {
-			prevSeq = recs[len(recs)-1].Seq
+			l.lastSeq = recs[len(recs)-1].Seq
 		}
-		l.lastSeq = prevSeq
+		c.size = valid
+		l.segs = append(l.segs, c)
 		if valid < int64(len(data)) {
 			l.truncated += int64(len(data)) - valid
 			if err := l.fs.Truncate(path, valid); err != nil {
 				return fmt.Errorf("wal: truncate torn tail of %s: %w", c.name, err)
 			}
-			l.segs = append(l.segs, segInfo{name: c.name, firstSeq: c.firstSeq, size: valid})
 			return drop(i + 1)
 		}
-		l.segs = append(l.segs, segInfo{name: c.name, firstSeq: c.firstSeq, size: int64(len(data))})
 	}
 	return nil
 }
@@ -457,11 +444,11 @@ func (l *Log) Replay(after uint64, enterSegment func(dictLen int, dictFP uint64)
 		if err != nil {
 			return fmt.Errorf("wal: replay %s: %w", seg.name, err)
 		}
-		dictLen, dictFP, version, ok := decodeSegHeader(data)
-		if !ok {
-			return fmt.Errorf("wal: replay %s: bad segment header", seg.name)
+		dictLen, dictFP, err := decodeSegHeader(data)
+		if err != nil {
+			return fmt.Errorf("wal: replay %s: %w", seg.name, err)
 		}
-		recs, _ := scanSegment(data, seg.firstSeq-1, version)
+		recs, _ := scanSegment(data, seg.firstSeq-1)
 		entered := false
 		for _, rec := range recs {
 			if rec.Seq <= after {

@@ -87,8 +87,8 @@ func (s *Server) Overwrite(ctx context.Context, delDoc, insDoc string, ttl time.
 		// seen and there is nothing to insert: a whole-batch no-op, kept
 		// off the writer path so a durable server doesn't log it.
 		return &UpdateResult{
-			DeltaTriples: s.dep.db.graph.DeltaLen(),
-			Compactions:  s.dep.db.graph.Compactions(),
+			DeltaLen:    s.dep.db.graph.DeltaLen(),
+			Compactions: s.dep.db.graph.Compactions(),
 		}, nil
 	}
 	st, err := s.inner.Apply(ctx, serve.Batch{Op: serve.OpOverwrite, Del: del, Ins: ins, TTL: ttl})
@@ -127,8 +127,8 @@ func (s *Server) Delete(ctx context.Context, ntriples string) (*UpdateResult, er
 		// touching the writer path (a durable server must not log an
 		// empty batch — replay would reject it as carrying no triples).
 		return &UpdateResult{
-			DeltaTriples: s.dep.db.graph.DeltaLen(),
-			Compactions:  s.dep.db.graph.Compactions(),
+			DeltaLen:    s.dep.db.graph.DeltaLen(),
+			Compactions: s.dep.db.graph.Compactions(),
 		}, nil
 	}
 	st, err := s.inner.Delete(ctx, ts)
@@ -266,10 +266,10 @@ func (dep *Deployment) applyBatch(b serve.Batch) serve.UpdateStats {
 		dep.routeTriple(t)
 	}
 	return serve.UpdateStats{
-		Added:        added,
-		Deleted:      deleted,
-		DeltaTriples: dep.db.graph.DeltaLen(),
-		Compactions:  dep.db.graph.Compactions(),
+		Added:       added,
+		Deleted:     deleted,
+		DeltaLen:    dep.db.graph.DeltaLen(),
+		Compactions: dep.db.graph.Compactions(),
 	}
 }
 
