@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rdffrag/internal/rdf"
@@ -32,63 +33,77 @@ func main() {
 	)
 	flag.Parse()
 
-	var graph *rdf.Graph
-	var log []*sparql.Graph
-	switch *kind {
+	c, err := generate(*kind, *triples, *queries, *seed)
+	if err == nil {
+		err = writeFile(*out+".nt", c.writeData)
+	}
+	if err == nil {
+		err = writeFile(*out+".rq", c.writeWorkload)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "datagen:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s.nt (%d triples) and %s.rq (%d queries)\n", *out, len(c.triples), *out, len(c.log))
+}
+
+// corpus is a generated dataset as datagen writes it: the triples in the
+// order the generator made them — the bytes of the data file are pinned by
+// the benchmark, and a graph keeps no order to ask for — and the workload.
+type corpus struct {
+	graph   *rdf.Graph
+	triples []rdf.Triple
+	log     []*sparql.Graph
+}
+
+func generate(kind string, triples, queries int, seed uint64) (*corpus, error) {
+	switch kind {
 	case "dbpedia":
 		db, err := workload.GenerateDBpedia(workload.DBpediaOptions{
-			Triples: *triples, Queries: *queries, Seed: *seed,
+			Triples: triples, Queries: queries, Seed: seed,
 		})
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		graph, log = db.Graph, db.Log
+		return &corpus{db.Graph, db.Triples, db.Log}, nil
 	case "watdiv":
-		ds := watdiv.Generate(watdiv.Options{Triples: *triples, Seed: *seed})
-		wl, err := ds.GenerateWorkload(*queries, *seed+1)
+		ds := watdiv.Generate(watdiv.Options{Triples: triples, Seed: seed})
+		wl, err := ds.GenerateWorkload(queries, seed+1)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		graph, log = ds.Graph, wl
-	default:
-		fatal(fmt.Errorf("unknown kind %q", *kind))
+		return &corpus{ds.Graph, ds.Triples, wl}, nil
 	}
+	return nil, fmt.Errorf("unknown kind %q", kind)
+}
 
-	ntPath := *out + ".nt"
-	f, err := os.Create(ntPath)
-	if err != nil {
-		fatal(err)
+func (c *corpus) writeData(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	for _, t := range c.triples {
+		fmt.Fprintln(bw, c.graph.TripleString(t))
 	}
-	if err := rdf.WriteNTriples(graph, f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	return bw.Flush()
+}
 
-	rqPath := *out + ".rq"
-	wf, err := os.Create(rqPath)
-	if err != nil {
-		fatal(err)
-	}
-	bw := bufio.NewWriter(wf)
-	for i, q := range log {
+func (c *corpus) writeWorkload(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	for i, q := range c.log {
 		if i > 0 {
 			fmt.Fprintln(bw, "---")
 		}
-		fmt.Fprintf(bw, "SELECT * WHERE { %s }\n", q.StringWithDict(graph.Dict))
+		fmt.Fprintf(bw, "SELECT * WHERE { %s }\n", q.StringWithDict(c.graph.Dict))
 	}
-	if err := bw.Flush(); err != nil {
-		fatal(err)
-	}
-	if err := wf.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d triples) and %s (%d queries)\n",
-		ntPath, graph.NumTriples(), rqPath, len(log))
+	return bw.Flush()
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "datagen:", err)
-	os.Exit(1)
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,11 +2,10 @@ package rdffrag
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
-
-	"rdffrag/internal/rdf"
 )
 
 // TestDeployTotalAlloc bounds what the offline pipeline allocates on the
@@ -14,7 +13,8 @@ import (
 // Matching each pattern once into a bitmap and building fragments frozen
 // took it from 272.9 MB (vertical) and 322.6 MB (horizontal) to 48.9 and
 // 102.3 MB; fragment graphs that allocate no membership map and one
-// build-time offset table instead of four, to the figures below. The
+// build-time offset table instead of four, to 40.7 and 87.4 MB; graphs
+// that keep no triple list beside their arenas, to the figures below. The
 // ceilings are those plus 25 %. A matched graph built through the
 // map-mode Add, a second match per selected pattern or a per-match bucket
 // each put it back over. What is left is mostly the
@@ -50,8 +50,8 @@ func TestDeployTotalAlloc(t *testing.T) {
 
 // What Deploy measured when the ceilings were set.
 const (
-	deployAllocVertical   = 40_700_000
-	deployAllocHorizontal = 87_400_000
+	deployAllocVertical   = 36_900_000
+	deployAllocHorizontal = 83_200_000
 )
 
 // TestDeployLiveHeap bounds what a deployment keeps, on the same fixture:
@@ -59,7 +59,10 @@ const (
 // Deployment reachable. With an offset table entry per dictionary ID in
 // every fragment graph and a membership map beside every CSR it was
 // 24.0 MB (vertical) and 31.1 MB (horizontal); graphs sized by their
-// triples keep the figures below, and the ceilings are those plus 25 %.
+// triples kept 12.4 and 13.0 MB, of which 3.3 MB were each graph's
+// insertion-order list and vertex list; a triple kept in the three arenas
+// and nowhere else leaves the figures below, and the ceilings are those
+// plus 25 %.
 func TestDeployLiveHeap(t *testing.T) {
 	for strategy, ceiling := range map[Strategy]uint64{
 		Vertical:   deployLiveVertical * 5 / 4,
@@ -89,23 +92,24 @@ func TestDeployLiveHeap(t *testing.T) {
 
 // What stayed live when the ceilings were set.
 const (
-	deployLiveVertical   = 13_400_000
-	deployLiveHorizontal = 13_900_000
+	deployLiveVertical   = 9_100_000
+	deployLiveHorizontal = 9_600_000
 )
 
 // TestLoadTotalAlloc bounds what loading allocates on the same fixture:
 // Open, LoadNTriples of its 44 420 triples (2.3 MB of N-Triples) and
 // Freeze. Through a membership map and three map-of-slices indexes, all
 // dropped by Freeze, it was 23.0 MB; parsed into a triple list and built
-// once it is the figure below, and the ceiling is that plus 10 %. A second
-// index built during the load puts it back over. What is left is mostly
-// the dictionary and the parser's strings, then the dedup map and the
-// arenas.
+// once, 15.7 MB; with the list sorted in place — which drops repeats
+// without a dedup map — and not kept, the figure below, and the ceiling is
+// that plus 10 %. A second index built during the load puts it back over.
+// What is left is mostly the dictionary and the parser's strings, then
+// the parsed list and the arenas.
 func TestLoadTotalAlloc(t *testing.T) {
 	_, ds, _ := watdivDB(t, 50000, Config{})
-	var doc bytes.Buffer
-	if err := rdf.WriteNTriples(ds.Graph, &doc); err != nil {
-		t.Fatal(err)
+	var doc bytes.Buffer // as datagen writes it, in generation order: the load sorts
+	for _, tr := range ds.Triples {
+		fmt.Fprintln(&doc, ds.Graph.TripleString(tr))
 	}
 	perRun := make([]uint64, 5)
 	var before, after runtime.MemStats
@@ -131,4 +135,4 @@ func TestLoadTotalAlloc(t *testing.T) {
 }
 
 // What the load measured when the ceiling was set.
-const loadAlloc = 15_800_000
+const loadAlloc = 13_700_000

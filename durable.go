@@ -133,7 +133,7 @@ func OpenDurable(cfg DurabilityConfig) (*Durable, error) {
 // Recover rebuilds the deployment from the data directory: it loads the
 // checkpoint snapshot, opens the WAL (truncating any torn tail), and
 // replays every record past the checkpoint's sequence stamp through
-// Deployment.applyUpdate. Only cfg's runtime knobs apply — structure
+// Deployment.applyBatch. Only cfg's runtime knobs apply — structure
 // comes from the snapshot. After a clean shutdown the replay is empty
 // and CleanStart reports true.
 func (d *Durable) Recover(cfg Config) (*Deployment, error) {

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/gob"
+	"math/rand"
 	"testing"
 
 	"rdffrag/internal/allocation"
@@ -73,37 +74,62 @@ func TestRoundTripStructure(t *testing.T) {
 	}
 }
 
-// TestRoundTripDeltaCarryingGraphs: a deployment that has taken live
-// updates into its delta overlays snapshots completely — Save compacts
-// the deltas first (the frozen survivors keep serving pure-CSR reads)
-// and Load reproduces every delta triple.
-// TestSaveLoadSaveByteStable: a loaded state is the saved state — graphs
-// rebuilt by NewFrozen from the stored lists keep their order, so saving
-// it again writes the same bytes.
+// TestSaveLoadSaveByteStable: a loaded state is the saved state — a graph
+// lists its triples in (S, P, O) order whatever order it was built from,
+// so saving a loaded state again writes the same bytes. That holds for a
+// checkpoint whose lists are in any other order too, as those written
+// before the graph stopped keeping an insertion order are: it loads, and
+// saves as the same state.
 func TestSaveLoadSaveByteStable(t *testing.T) {
 	for _, horizontal := range []bool{false, true} {
-		var first, second bytes.Buffer
+		var first bytes.Buffer
 		if err := Save(&first, buildState(t, horizontal)); err != nil {
 			t.Fatalf("Save: %v", err)
 		}
-		loaded, err := Load(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatalf("Load: %v", err)
+		var snap Snapshot
+		if err := gob.NewDecoder(bytes.NewReader(first.Bytes())).Decode(&snap); err != nil {
+			t.Fatalf("decode: %v", err)
 		}
-		for _, g := range []*rdf.Graph{loaded.Graph, loaded.HC.Hot, loaded.HC.Cold, loaded.Frag.Cold.Graph, loaded.Frag.Fragments[0].Graph} {
-			if g.DeltaLen() != 0 {
-				t.Errorf("horizontal=%v: a loaded graph carries a delta", horizontal)
+		r := rand.New(rand.NewSource(1))
+		lists := [][][3]uint32{snap.GraphTriples, snap.Cold.Triples}
+		for _, f := range snap.Fragments {
+			lists = append(lists, f.Triples)
+		}
+		for _, ts := range lists {
+			r.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+		}
+		var shuffled bytes.Buffer
+		if err := gob.NewEncoder(&shuffled).Encode(&snap); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if bytes.Equal(first.Bytes(), shuffled.Bytes()) {
+			t.Fatal("setup: shuffling the triple lists left the checkpoint as it was")
+		}
+		for name, saved := range map[string][]byte{"as saved": first.Bytes(), "lists shuffled": shuffled.Bytes()} {
+			loaded, err := Load(bytes.NewReader(saved))
+			if err != nil {
+				t.Fatalf("%s: Load: %v", name, err)
 			}
-		}
-		if err := Save(&second, loaded); err != nil {
-			t.Fatalf("second Save: %v", err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Errorf("horizontal=%v: save → load → save changed the snapshot (%d vs %d bytes)", horizontal, first.Len(), second.Len())
+			for _, g := range []*rdf.Graph{loaded.Graph, loaded.HC.Hot, loaded.HC.Cold, loaded.Frag.Cold.Graph, loaded.Frag.Fragments[0].Graph} {
+				if g.DeltaLen() != 0 {
+					t.Errorf("horizontal=%v, %s: a loaded graph carries a delta", horizontal, name)
+				}
+			}
+			var second bytes.Buffer
+			if err := Save(&second, loaded); err != nil {
+				t.Fatalf("%s: second Save: %v", name, err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Errorf("horizontal=%v, %s: save → load → save changed the snapshot (%d vs %d bytes)", horizontal, name, first.Len(), second.Len())
+			}
 		}
 	}
 }
 
+// TestRoundTripDeltaCarryingGraphs: a deployment that has taken live
+// updates into its delta overlays snapshots completely — Save compacts
+// the deltas first (the frozen survivors keep serving pure-CSR reads)
+// and Load reproduces every delta triple.
 func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 	st := buildState(t, false)
 	st.Graph.Freeze()

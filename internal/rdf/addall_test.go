@@ -94,7 +94,7 @@ func TestAddAllEqualsAddLoopProperty(t *testing.T) {
 		}
 		added := len(want.live) - len(pinnedWant.live)
 		ok := got == added && bulk.Epoch() == loop.Epoch() && bulk.NumTriples() == loop.NumTriples() &&
-			equalRun(bulk.Triples(), want.live) && equalRun(loop.Triples(), want.live)
+			equalRun(bulk.Triples(), want.spo()) && equalRun(loop.Triples(), want.spo())
 		if len(batch) >= threshold { // one generation over everything
 			ok = ok && bulk.DeltaLen() == 0
 		} else { // the same run of delta appends

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"iter"
 	"math/bits"
 	"slices"
 )
@@ -30,7 +31,6 @@ type csrIndex struct {
 	predArena []Pair   // grouped by P ascending, each group (S, O) sorted
 
 	preds []ID // distinct predicates, ascending
-	verts []ID // distinct vertices (subjects ∪ objects), ascending
 }
 
 // runIndex says where in an arena each ID's run lies, in space that grows
@@ -89,47 +89,42 @@ func (x *runIndex) run(v ID) (lo, hi uint32) {
 	return 0, 0
 }
 
-// keys lists, ascending, the IDs that have a run in x or in y.
-func keys(x, y runIndex) []ID {
-	var ids []ID
-	for w := 0; w < max(len(x.words), len(y.words)); w++ {
-		var b uint64
-		if w < len(x.words) {
-			b = x.words[w].bits
-		}
-		if w < len(y.words) {
-			b |= y.words[w].bits
-		}
-		for ; b != 0; b &= b - 1 {
-			ids = append(ids, ID(w<<6+bits.TrailingZeros64(b)))
+// keys yields, ascending, the IDs that have a run in x or in y.
+func keys(x, y runIndex) iter.Seq[ID] {
+	return func(yield func(ID) bool) {
+		for w := 0; w < max(len(x.words), len(y.words)); w++ {
+			var b uint64
+			if w < len(x.words) {
+				b = x.words[w].bits
+			}
+			if w < len(y.words) {
+				b |= y.words[w].bits
+			}
+			for ; b != 0; b &= b - 1 {
+				if !yield(ID(w<<6 + bits.TrailingZeros64(b))) {
+					return
+				}
+			}
 		}
 	}
-	return ids
 }
 
-// buildCSR compiles a list of distinct triples. The list is sorted once,
-// to (S, P, O) — not even that when it arrives sorted, as a matched edge
-// set's triples do — which is the out arena. The other two arenas are two
-// stable counting passes: grouping the (S, P, O) list by P leaves each
-// predicate's run in (S, O) order, the predicate arena; grouping that by O
-// leaves each object's run in (P, S) order, the in arena. Each grouping
-// counts into one dense table over the ID space, which lives only until
-// buildCSR returns: what the index keeps of it is a runIndex. order is
-// only read.
-func buildCSR(order []Triple) *csrIndex {
+// buildCSR compiles a list of distinct triples in (S, P, O) order, which
+// is the out arena. The other two arenas are two stable counting passes:
+// grouping the (S, P, O) list by P leaves each predicate's run in (S, O)
+// order, the predicate arena; grouping that by O leaves each object's run
+// in (P, S) order, the in arena. Each grouping counts into one dense table
+// over the ID space, which lives only until buildCSR returns: what the
+// index keeps of it is a runIndex. spo is only read, and not kept.
+func buildCSR(spo []Triple) *csrIndex {
 	n := 0
-	for _, t := range order {
+	for _, t := range spo {
 		n = max(n, int(t.S)+1, int(t.P)+1, int(t.O)+1)
 	}
 	c := &csrIndex{
-		outArena:  make([]Pair, len(order)),
-		inArena:   make([]Pair, len(order)),
-		predArena: make([]Pair, len(order)),
-	}
-	spo := order
-	if !slices.IsSortedFunc(spo, CompareSPO) {
-		spo = slices.Clone(order)
-		slices.SortFunc(spo, CompareSPO)
+		outArena:  make([]Pair, len(spo)),
+		inArena:   make([]Pair, len(spo)),
+		predArena: make([]Pair, len(spo)),
 	}
 	// dense is each grouping's offset table in turn, and then, a group's
 	// entry moving up as the group fills, where its next member goes.
@@ -151,7 +146,7 @@ func buildCSR(order []Triple) *csrIndex {
 		c.predArena[dense[t.P]] = Pair{t.S, t.O}
 		dense[t.P]++
 	}
-	c.preds = keys(c.predRuns, runIndex{})
+	c.preds = slices.Collect(keys(c.predRuns, runIndex{}))
 
 	clear(dense)
 	for _, t := range spo {
@@ -165,8 +160,6 @@ func buildCSR(order []Triple) *csrIndex {
 			dense[so.B]++
 		}
 	}
-
-	c.verts = keys(c.outRuns, c.inRuns)
 	return c
 }
 

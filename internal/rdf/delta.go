@@ -8,9 +8,9 @@ import (
 
 // deltaOp is one entry of a generation's operation log: the triple, the
 // running add count through this op (so a reader can turn an op-window
-// length into an order-prefix length in O(1)), and whether the op is a
-// delete. The op at index i has sequence number i — the same space the
-// runs' Seq fields index into.
+// length into a triple count in O(1)), and whether the op is a delete.
+// The op at index i has sequence number i — the same space the runs' Seq
+// fields index into.
 type deltaOp struct {
 	T    Triple
 	Adds uint32 // adds among ops[0..i] inclusive
@@ -33,8 +33,7 @@ type deltaOp struct {
 // n is guaranteed to find every op below n in the runs it loads
 // afterwards; ops beyond its n it skips by their sequence numbers.
 type genDelta struct {
-	n    atomic.Int64 // published delta length (ops fully indexed)
-	dels atomic.Int64 // published delete count: 0 = no op below n is a delete
+	n atomic.Int64 // published delta length (ops fully indexed)
 
 	out, in, pred sync.Map // ID -> []deltaPair: the ops on (P, O), (P, S), (S, O) under it
 

@@ -17,11 +17,11 @@ func rebuiltFrozen(ts []Triple) *Graph { return NewFrozen(nil, slices.Clone(ts))
 // which makes the overlay's merged runs the rebuild's.
 func checkEquivalent(t *testing.T, overlay *Graph, oracle *naiveSet) bool {
 	t.Helper()
-	// Writer-side enumeration must agree exactly, deletes included: both
-	// keep live triples in insertion order, with a delete-then-reinsert
-	// moving the triple to its latest insertion point.
-	if !equalRun(overlay.Triples(), oracle.live) || overlay.NumTriples() != len(oracle.live) {
-		t.Logf("Triples(): overlay %v oracle %v", overlay.Triples(), oracle.live)
+	// Writer-side enumeration must agree exactly, deletes included: the
+	// live triples in (S, P, O) order, wherever in the window a triple was
+	// deleted or put back.
+	if !equalRun(overlay.Triples(), oracle.spo()) || overlay.NumTriples() != len(oracle.live) {
+		t.Logf("Triples(): overlay %v oracle %v", overlay.Triples(), oracle.spo())
 		return false
 	}
 	ov, rb := overlay.Snapshot(), rebuiltFrozen(overlay.Triples()).Snapshot()

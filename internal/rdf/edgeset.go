@@ -74,20 +74,20 @@ func (e *EdgeSet) Len() int {
 func (e *EdgeSet) Triples() []Triple {
 	out := make([]Triple, 0, e.Len())
 	extra := e.extra
-	// The subjects are the vertices with an out run, in the same order:
-	// sub is the one whose run, ending at end, holds the ordinal at hand.
-	var (
-		c     = e.s.gen.csr
-		verts = c.verts
-		sub   ID
-		end   uint32
-	)
-	for wi, w := range e.bits {
-		for ; w != 0; w &= w - 1 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			for end <= uint32(i) {
-				sub, verts = verts[0], verts[1:]
-				_, end = c.outRuns.run(sub)
+	// The subjects are the IDs with an out run, ascending, and their runs
+	// in that order are the ordinals: the k-th subject's lie between the
+	// k-th and the next of the run bounds.
+	c, k := e.s.gen.csr, 0
+	for sub := range keys(c.outRuns, runIndex{}) {
+		i, hi := c.outRuns.off[k], c.outRuns.off[k+1]
+		for k++; i < hi; i++ {
+			rest := e.bits[i>>6] >> (i & 63)
+			if rest == 0 { // no member in what is left of this word
+				i |= 63
+				continue
+			}
+			if i += uint32(bits.TrailingZeros64(rest)); i >= hi {
+				break
 			}
 			t := Triple{S: sub, P: c.outArena[i].A, O: c.outArena[i].B}
 			for len(extra) > 0 && CompareSPO(extra[0], t) < 0 {

@@ -97,17 +97,19 @@ func distinct(ts []Triple) []Triple {
 func TestBuildCSREqualsThreeSortBuild(t *testing.T) {
 	check := func(name string, order []Triple) {
 		t.Helper()
-		before := slices.Clone(order)
-		got, want := buildCSR(order), buildCSRThreeSorts(order)
-		if !slices.Equal(order, before) {
-			t.Errorf("%s: buildCSR reordered its input", name)
+		spo := slices.Clone(order)
+		slices.SortFunc(spo, CompareSPO)
+		before := slices.Clone(spo)
+		got, want := buildCSR(spo), buildCSRThreeSorts(order)
+		if !slices.Equal(spo, before) {
+			t.Errorf("%s: buildCSR wrote to its input", name)
 		}
 		bad := func(what string, v ID) {
 			t.Helper()
 			t.Errorf("%s (%d triples): %s of ID %d differs from the three-sort build", name, len(order), what, v)
 		}
-		if !slices.Equal(got.verts, want.verts) || !slices.Equal(got.preds, want.preds) {
-			t.Errorf("%s (%d triples): verts or preds differ from the three-sort build", name, len(order))
+		if !slices.Equal(slices.Collect(keys(got.outRuns, got.inRuns)), want.verts) || !slices.Equal(got.preds, want.preds) {
+			t.Errorf("%s (%d triples): the run indexes' vertices or preds differ from the three-sort build", name, len(order))
 		}
 		for v := ID(0); int(v) < len(want.outOff)+65; v++ {
 			if !slices.Equal(got.out(v), denseRun(want.outArena, want.outOff, v)) {
@@ -137,13 +139,7 @@ func TestBuildCSREqualsThreeSortBuild(t *testing.T) {
 	}
 	check("single subject", single)
 	f := func(seed int64) bool {
-		random := distinct(randomTriples(seed, 200, 12, 5))
-		check("random", random)
-		sorted := slices.Clone(random)
-		slices.SortFunc(sorted, CompareSPO)
-		check("sorted", sorted)
-		slices.Reverse(sorted)
-		check("reverse-sorted", sorted)
+		check("random", distinct(randomTriples(seed, 200, 12, 5)))
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -40,33 +41,22 @@ const maxCompactDelta = 1 << 16
 // A graph has one form from NewGraph on: an immutable CSR generation —
 // flat adjacency arenas, runs sorted by (P, Other), found through run
 // indexes sized by the IDs the graph uses — plus that generation's delta
-// overlay. A generation is its arenas and the triple list, nothing per
-// triple besides. The graph is MVCC: Add and Delete append to the current
-// generation's delta (LSM-style), Compact builds the next generation off
-// to the side and swaps it in atomically, and AddAll installs a bulk load
-// as one generation without indexing it in a delta first.
+// overlay. A generation is its arenas: a triple is kept in the three
+// indexes and nowhere else, so a graph is a set and lists its triples in
+// (S, P, O) order, whatever order they arrived in. The graph is MVCC: Add
+// and Delete append to the current generation's delta (LSM-style), Compact
+// builds the next generation off to the side and swaps it in atomically,
+// and AddAll installs a bulk load as one generation without indexing it in
+// a delta first.
 //
 // All reads go through Snapshot, an immutable view pinning a
 // (generation, delta length) pair: a graph supports one writer concurrent
 // with any number of snapshot readers, with no lock on the read path.
-// Writer-side methods (Add, AddAll, Delete, Freeze, Compact, Triples) are
+// Writer-side methods (Add, AddAll, Delete, Freeze, Compact) are
 // single-writer: they must not be called concurrently with each other,
 // but they never invalidate a live Snapshot.
 type Graph struct {
 	Dict *Dict
-
-	order []Triple // insertion order, for deterministic iteration (writer-owned)
-
-	// staleOrder counts occurrences in order that are no longer live
-	// (deleted, or superseded by a later re-insert). Deletes only
-	// tombstone, so order grows append-only within a generation; Compact
-	// rebuilds it without the stale occurrences.
-	staleOrder int
-
-	// liveOrder caches the materialized live triple list when order
-	// carries stale occurrences; valid while liveOrderAt == epoch.
-	liveOrder   []Triple
-	liveOrderAt uint64
 
 	// liveCount is the number of live triples, an atomic so concurrent
 	// readers (planner cardinality scaling) can read it while the writer
@@ -105,8 +95,9 @@ func NewGraph(d *Dict) *Graph {
 }
 
 // NewFrozen returns a graph holding the given triples in one CSR
-// generation with an empty delta, however few they are: NewGraph and
-// AddAll's bulk path. The slice belongs to the graph afterwards.
+// generation with an empty delta, however few they are and in whatever
+// order: NewGraph and AddAll's bulk path. The slice is the graph's to
+// reorder; the graph does not keep it.
 func NewFrozen(d *Dict, triples []Triple) *Graph {
 	g := NewGraph(d)
 	g.load(triples)
@@ -117,11 +108,11 @@ func NewFrozen(d *Dict, triples []Triple) *Graph {
 // the graph holds, or a repeat of an earlier one, is dropped — and
 // returns how many were new. A batch at least as large as the current
 // generation's auto-compaction threshold would leave a compaction behind
-// anyway, so it is not indexed in the delta only to be discarded: the new
-// triples join the triple list and one new generation is built over it.
-// A smaller batch is a run of delta appends. Snapshots already pinned see
-// none of it either way. Writer-side; the slice belongs to the graph
-// afterwards.
+// anyway, so it is not indexed in the delta only to be discarded: one new
+// generation is built over the graph's triples and the batch's. A smaller
+// batch is a run of delta appends. Snapshots already pinned see none of it
+// either way. Writer-side; the slice is the graph's to reorder, and the
+// graph does not keep it.
 func (g *Graph) AddAll(ts []Triple) int {
 	if len(ts) >= g.compactThreshold(g.gen.Load()) {
 		return g.load(ts)
@@ -135,59 +126,30 @@ func (g *Graph) AddAll(ts []Triple) int {
 	return n
 }
 
-// load is AddAll's bulk path: the new triples of ts, first occurrence
-// first, appended to the triple list under one freshly built generation,
-// with whatever delta the old one carried folded in.
+// load is AddAll's bulk path: one freshly built generation over what the
+// graph holds — whatever delta the old generation carried folded in — and
+// ts, sorted together so that a repeat, of a triple held or of an earlier
+// one of ts, lies next to the original and goes.
 func (g *Graph) load(ts []Triple) int {
-	ts = g.newTriples(ts)
-	if len(ts) == 0 {
+	have := g.NumTriples()
+	if have > 0 {
+		ts = append(g.Triples(), ts...)
+	}
+	if !slices.IsSortedFunc(ts, CompareSPO) { // a matched edge set's triples arrive sorted
+		slices.SortFunc(ts, CompareSPO)
+	}
+	ts = slices.Compact(ts)
+	added := len(ts) - have
+	if added == 0 {
 		return 0
 	}
 	if g.DeltaLen() > 0 {
 		g.compactions.Add(1)
 	}
-	g.compactOrder()
-	if len(g.order) == 0 {
-		g.order = ts // an initial load keeps the caller's list, not a copy
-	} else {
-		// Into spare capacity or a fresh array: either way past every
-		// length a pinned snapshot's order header covers.
-		g.order = append(g.order, ts...)
-	}
-	g.liveCount.Add(int64(len(ts)))
-	g.epoch.Add(uint64(len(ts))) // where that many Adds leave it
-	g.installGeneration(buildCSR(g.order))
-	return len(ts)
-}
-
-// newTriples drops, in place, every triple of ts the graph holds and
-// every repeat of an earlier one.
-func (g *Graph) newTriples(ts []Triple) []Triple {
-	ascending := true
-	for i := 1; i < len(ts) && ascending; i++ {
-		ascending = CompareSPO(ts[i-1], ts[i]) < 0
-	}
-	if ascending && g.NumTriples() == 0 { // as an edge set lists its triples: nothing repeats
-		return ts
-	}
-	var seen map[Triple]struct{}
-	if !ascending {
-		seen = make(map[Triple]struct{}, len(ts))
-	}
-	out := ts[:0]
-	for _, t := range ts {
-		if g.Has(t) {
-			continue
-		}
-		if seen != nil {
-			if _, dup := seen[t]; dup {
-				continue
-			}
-			seen[t] = struct{}{}
-		}
-		out = append(out, t)
-	}
-	return out
+	g.liveCount.Add(int64(added))
+	g.epoch.Add(uint64(added)) // where that many Adds leave it
+	g.installGeneration(buildCSR(ts))
+	return added
 }
 
 // Add inserts a triple; duplicates are ignored. It reports whether the
@@ -199,24 +161,26 @@ func (g *Graph) Add(t Triple) bool {
 	if g.Has(t) {
 		return false
 	}
-	g.order = append(g.order, t)
 	g.liveCount.Add(1)
-	// Publish order: order header first, then the op log, then the
-	// delta runs, then the delta length (the readers' acquire
-	// point). A snapshot that observes delta length n is guaranteed
-	// to find all n ops in the order prefix, the log and the runs.
+	g.apply(t, false)
+	return true
+}
+
+// apply logs and indexes one op that changes the set, an insert or a
+// delete of t. Publish order: the op log first, then the delta runs,
+// then the delta length (the readers' acquire point). A snapshot that
+// observes delta length n is guaranteed to find all n ops in the log
+// and the runs.
+func (g *Graph) apply(t Triple, del bool) {
 	gen := g.gen.Load()
-	ord := g.order
-	gen.ord.Store(&ord)
 	seq := uint32(gen.delta.n.Load())
-	gen.delta.appendOp(t, false)
-	gen.delta.index(t, seq, false)
+	gen.delta.appendOp(t, del)
+	gen.delta.index(t, seq, del)
 	gen.delta.n.Add(1)
 	g.epoch.Add(1)
-	if g.shouldCompact(gen) {
+	if int(gen.delta.n.Load()) >= g.compactThreshold(gen) {
 		g.Compact()
 	}
-	return true
 }
 
 // Delete removes a triple; deleting an absent (or never-inserted) triple
@@ -230,17 +194,7 @@ func (g *Graph) Delete(t Triple) bool {
 		return false
 	}
 	g.liveCount.Add(-1)
-	g.staleOrder++
-	gen := g.gen.Load()
-	seq := uint32(gen.delta.n.Load())
-	gen.delta.appendOp(t, true)
-	gen.delta.index(t, seq, true)
-	gen.delta.dels.Add(1)
-	gen.delta.n.Add(1)
-	g.epoch.Add(1)
-	if g.shouldCompact(gen) {
-		g.Compact()
-	}
+	g.apply(t, true)
 	return true
 }
 
@@ -262,9 +216,7 @@ func (g *Graph) installGeneration(csr *csrIndex) {
 	g.genMu.Lock()
 	defer g.genMu.Unlock()
 	g.nextGenID++
-	gen := &generation{id: g.nextGenID, csr: csr, base: len(g.order), delta: &genDelta{}}
-	ord := g.order
-	gen.ord.Store(&ord)
+	gen := &generation{id: g.nextGenID, csr: csr, delta: &genDelta{}}
 	if old := g.gen.Load(); old != nil {
 		g.retired = append(g.retired, old)
 	}
@@ -323,7 +275,7 @@ func (g *Graph) DeltaLen() int { return int(g.gen.Load().delta.n.Load()) }
 
 // DeltaTombstones returns how many of the current generation's delta
 // mutations are tombstones.
-func (g *Graph) DeltaTombstones() int { return int(g.gen.Load().delta.dels.Load()) }
+func (g *Graph) DeltaTombstones() int { return g.snapshotAt().dels() }
 
 // Compactions returns how many times a delta has been folded into a new
 // CSR generation: by Compact directly, by the auto-compaction threshold,
@@ -339,10 +291,6 @@ func (g *Graph) Epoch() uint64 { return g.epoch.Load() }
 // disables auto-compaction (Compact/Freeze still work explicitly).
 func (g *Graph) SetAutoCompact(fraction float64) { g.autoCompact = fraction }
 
-func (g *Graph) shouldCompact(gen *generation) bool {
-	return int(gen.delta.n.Load()) >= g.compactThreshold(gen)
-}
-
 // compactThreshold is the delta length at which gen compacts on its own:
 // out of reach when auto-compaction is off.
 func (g *Graph) compactThreshold(gen *generation) int {
@@ -353,34 +301,20 @@ func (g *Graph) compactThreshold(gen *generation) int {
 	if frac == 0 {
 		frac = DefaultCompactFraction
 	}
-	return min(max(int(frac*float64(gen.base)), minCompactDelta), maxCompactDelta)
+	return min(max(int(frac*float64(len(gen.csr.outArena))), minCompactDelta), maxCompactDelta)
 }
 
 // Compact folds the current generation's delta into a freshly rebuilt
-// CSR (one pass over the triple list) and swaps the new generation in
-// atomically. In-flight snapshots keep reading the generation they
-// pinned; the old generation is retired and forgotten once its last
-// snapshot drains. No-op when the delta is empty.
+// CSR (one walk of the visible triples, which is where tombstones go) and
+// swaps the new generation in atomically. In-flight snapshots keep
+// reading the generation they pinned; the old generation is retired and
+// forgotten once its last snapshot drains. No-op when the delta is empty.
 func (g *Graph) Compact() {
 	if g.DeltaLen() == 0 {
 		return
 	}
-	g.compactOrder()
-	g.installGeneration(buildCSR(g.order))
+	g.installGeneration(buildCSR(g.Triples()))
 	g.compactions.Add(1)
-}
-
-// compactOrder rebuilds the insertion-order list without stale
-// occurrences (this is where tombstones get folded away). The rebuild is
-// a fresh slice — retired generations' published order headers keep
-// pointing at the old array, so pinned snapshots are unaffected.
-func (g *Graph) compactOrder() {
-	if g.staleOrder == 0 {
-		return
-	}
-	g.order = g.Triples()
-	g.liveOrder = nil
-	g.staleOrder = 0
 }
 
 // Has reports whether the triple is present, as the writer sees it: it
@@ -398,21 +332,10 @@ func (g *Graph) Has(t Triple) bool {
 // cardinality scaling reads it while updates land.
 func (g *Graph) NumTriples() int { return int(g.liveCount.Load()) }
 
-// Triples returns the live triples in insertion order (delta triples
-// included — they are the newest suffix; a triple re-inserted after a
-// delete counts from its latest insertion). Writer-side; the returned
-// slice is owned by the graph and must not be mutated. Concurrent
-// readers use Snapshot.Triples.
-func (g *Graph) Triples() []Triple {
-	if g.staleOrder == 0 {
-		return g.order
-	}
-	if g.liveOrder == nil || g.liveOrderAt != g.epoch.Load() {
-		g.liveOrder = g.snapshotAt().Triples()
-		g.liveOrderAt = g.epoch.Load()
-	}
-	return g.liveOrder
-}
+// Triples returns the live triples (delta triples included) in (S, P, O)
+// order, in a slice the caller owns: Snapshot.Triples of the cut a
+// snapshot taken now would pin.
+func (g *Graph) Triples() []Triple { return g.snapshotAt().Triples() }
 
 // TripleString renders a triple with decoded terms.
 func (g *Graph) TripleString(t Triple) string {

@@ -94,6 +94,11 @@ func TestWriterMembershipEqualsMapOracle(t *testing.T) {
 				live = slices.DeleteFunc(live, func(x Triple) bool { return x == tr })
 			}
 		}
+		liveSPO := func() []Triple { // the oracle's list as a graph lists it
+			ts := slices.Clone(live)
+			slices.SortFunc(ts, CompareSPO)
+			return ts
+		}
 		var (
 			pinned       *Snapshot
 			pinnedMember map[Triple]bool
@@ -130,13 +135,13 @@ func TestWriterMembershipEqualsMapOracle(t *testing.T) {
 						seed, step, tr, !member[tr], member[tr], g.DeltaLen(), g.DeltaTombstones())
 				}
 			}
-			if step%7 == 0 && !slices.Equal(g.Triples(), live) {
+			if step%7 == 0 && !slices.Equal(g.Triples(), liveSPO()) {
 				t.Fatalf("seed %d step %d: Triples() is not the oracle's list", seed, step)
 			}
 		}
 		close(stop)
 		reader.Wait()
-		if !slices.Equal(g.Triples(), live) {
+		if !slices.Equal(g.Triples(), liveSPO()) {
 			t.Fatalf("seed %d: Triples() is not the oracle's list at the end", seed)
 		}
 		for _, tr := range universe {

@@ -1,7 +1,7 @@
 package rdf
 
 // Generation-lifecycle tests for the MVCC layer: a pinned snapshot must
-// enumerate byte-identically to a CSR rebuilt from its own triple prefix
+// enumerate byte-identically to a CSR rebuilt from its own triples
 // while a concurrent writer appends and compacts underneath it, retired
 // generations must be forgotten once their last pinned snapshot drains,
 // and a published multi-graph view must never expose a torn update
@@ -37,8 +37,8 @@ func equalRun[T any](a, b []T) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// sameEnumeration compares the full read API of two snapshots:
-// insertion order, vertex and predicate sets, per-vertex adjacency in
+// sameEnumeration compares the full read API of two snapshots: the
+// triple list, vertex and predicate sets, per-vertex adjacency in
 // both directions and per-predicate runs must be byte-identical.
 func sameEnumeration(t *testing.T, got, want *Snapshot) bool {
 	t.Helper()
@@ -47,7 +47,7 @@ func sameEnumeration(t *testing.T, got, want *Snapshot) bool {
 		return false
 	}
 	if !equalRun(got.Triples(), want.Triples()) {
-		t.Log("Triples() order diverged")
+		t.Log("Triples() diverged")
 		return false
 	}
 	verts := want.Vertices()

@@ -1,16 +1,17 @@
 package rdf
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
 
 // naiveSet is the reference the differential suites read a Graph
-// against: a membership map beside the live triples in insertion order
-// (a triple re-inserted after a delete counts from its latest insertion),
-// every read a linear scan and a sort. What it answers is what a graph
-// holding the same triples must answer, in the same order: its runs come
-// out sorted the way the CSR arenas are.
+// against: a membership map beside the live triples in the order they
+// were added, every read a linear scan and a sort. What it answers is what
+// a graph holding the same triples must answer, in the same order: its
+// runs come out sorted the way the CSR arenas are, and its triples, spo,
+// the way the out arena is — a graph keeps no other order.
 type naiveSet struct {
 	member map[Triple]struct{}
 	live   []Triple
@@ -48,6 +49,14 @@ func (n *naiveSet) Delete(t Triple) bool {
 }
 
 func (n *naiveSet) clone() *naiveSet { return newNaive(n.live...) }
+
+// spo is the set in (S, P, O) order: strictly ascending, the members
+// being distinct.
+func (n *naiveSet) spo() []Triple {
+	ts := slices.Clone(n.live)
+	slices.SortFunc(ts, CompareSPO)
+	return ts
+}
 
 // out and in are v's adjacency in (P, Other) order.
 func (n *naiveSet) out(v ID) (hs []Pair) {
@@ -126,8 +135,8 @@ func (n *naiveSet) readBy(t *testing.T, sn *Snapshot) bool {
 		t.Logf(format, args...)
 		return false
 	}
-	if sn.NumTriples() != len(n.live) || !equalRun(sn.Triples(), n.live) {
-		return fail("Triples() = %v (NumTriples %d), want %v", sn.Triples(), sn.NumTriples(), n.live)
+	if got, want := sn.Triples(), n.spo(); sn.NumTriples() != len(want) || !equalRun(got, want) {
+		return fail("Triples() = %v (NumTriples %d), want %v", got, sn.NumTriples(), want)
 	}
 	verts, preds := n.vertices(), n.predicates()
 	if !equalRun(sn.Vertices(), verts) || sn.NumVertices() != len(verts) {
@@ -178,4 +187,76 @@ func (n *naiveSet) readBy(t *testing.T, sn *Snapshot) bool {
 		return fail("Has of a triple over absent IDs")
 	}
 	return true
+}
+
+// TestTriplesAreTheSetInSPOOrder: a graph is a set — whatever order its
+// triples arrived in and whatever happened to them since, Triples lists
+// them strictly ascending by (S, P, O), and NumTriples and Vertices count
+// the same set. Snapshots pinned on the load, inside a window of deletes,
+// after some of the deleted came back, after a Compact and after a bulk
+// AddAll each go on reading what the naive set held at their pin while
+// the graph moves on under them; and two graphs loaded from one list in
+// two orders list the same.
+func TestTriplesAreTheSetInSPOOrder(t *testing.T) {
+	const nv, np = 14, 5
+	base := distinct(randomTriples(41, 300, nv, np))
+	g := NewFrozen(nil, slices.Clone(base))
+	g.SetAutoCompact(-1)
+	ref := newNaive(base...)
+	type pin struct {
+		at   string
+		sn   *Snapshot
+		want *naiveSet
+	}
+	var pins []pin
+	pinNow := func(at string) { pins = append(pins, pin{at, g.Snapshot(), ref.clone()}) }
+	apply := func(del bool, ts ...Triple) {
+		t.Helper()
+		for _, tr := range ts {
+			if del && g.Delete(tr) != ref.Delete(tr) || !del && g.Add(tr) != ref.Add(tr) {
+				t.Fatalf("the graph and the naive set disagree on %v", tr)
+			}
+		}
+	}
+
+	pinNow("the load")
+	gone := make([]Triple, 0, 40)
+	for i := 0; i < 40; i++ {
+		gone = append(gone, base[i*5])
+	}
+	apply(true, gone...)
+	pinNow("inside a window of deletes")
+	apply(false, gone[:20]...)
+	apply(false, randomTriples(42, 30, 2*nv, np)...) // subjects the CSR has no run for among them
+	pinNow("after delete-then-reinsert")
+	if g.DeltaTombstones() != 40 {
+		t.Fatalf("setup: %d tombstones pending, want 40", g.DeltaTombstones())
+	}
+	g.Compact()
+	pinNow("after Compact")
+	g.SetAutoCompact(0)
+	batch := randomTriples(43, 200, 3*nv, np)
+	if got, want := g.AddAll(slices.Clone(batch)), len(newNaive(batch...).live); g.DeltaLen() != 0 || got > want {
+		t.Fatalf("setup: AddAll of %d added %d of %d distinct and left a delta of %d; want the bulk path", len(batch), got, want, g.DeltaLen())
+	}
+	for _, tr := range batch {
+		ref.Add(tr)
+	}
+	pinNow("after a bulk AddAll")
+	apply(true, ref.spo()[:50]...) // the last pin has a window open under it too
+	pinNow("at the end")
+
+	for _, p := range pins {
+		if !p.want.readBy(t, p.sn) {
+			t.Errorf("the snapshot pinned %s does not read as the set held then", p.at)
+		}
+		p.sn.Close()
+	}
+
+	shuffled := slices.Clone(ref.live)
+	rand.New(rand.NewSource(44)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	a, b := NewFrozen(nil, slices.Clone(ref.live)), NewFrozen(nil, shuffled)
+	if !slices.Equal(a.Triples(), b.Triples()) || !slices.Equal(a.Triples(), ref.spo()) {
+		t.Error("two permutations of one triple list built graphs that list differently")
+	}
 }

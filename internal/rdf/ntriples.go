@@ -137,7 +137,8 @@ func parseNTTerm(s string) (Term, string, error) {
 	return Term{}, "", fmt.Errorf("unexpected character %q", s[0])
 }
 
-// WriteNTriples serializes the graph in insertion order.
+// WriteNTriples serializes the graph in the order of Graph.Triples:
+// (S, P, O) by dictionary ID, not the order a document was read in.
 func WriteNTriples(g *Graph, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, t := range g.Triples() {

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,16 +17,8 @@ import (
 type generation struct {
 	id    uint64
 	csr   *csrIndex
-	base  int // triples compiled into csr (the order-prefix length)
 	delta *genDelta
 	pins  atomic.Int64 // snapshots currently pinning this generation
-
-	// ord republishes the graph's order slice header after every Add of
-	// this generation. It lives on the generation — not the graph —
-	// because Compact rebuilds the order list (folding tombstones away),
-	// and a snapshot must pair the generation it pinned with the order
-	// array that generation's base/seq space indexes into.
-	ord atomic.Pointer[[]Triple]
 }
 
 // Snapshot is an immutable, lock-free read view of a graph: it pins a
@@ -33,26 +26,19 @@ type generation struct {
 // writer appends and even compactions are invisible to it. It is the
 // only type the read path (match, exec, cluster, serve) consumes: what it
 // sees of an index run is a Run (Run.Out, In, Pred), and the degrees and
-// the membership test are questions put to one. A Snapshot is safe for
-// concurrent use by many goroutines and stays valid indefinitely; Close
-// releases its pin on the generation (needed only for the
-// generation-lifecycle gauges — an unclosed snapshot leaks a gauge
+// the membership test are questions put to one; its triple list is a walk
+// of those runs in (S, P, O) order, its triple count arithmetic on the op
+// log, and it holds nothing of its own beside the pair. A Snapshot is
+// safe for concurrent use by many goroutines and stays valid
+// indefinitely; Close releases its pin on the generation (needed only for
+// the generation-lifecycle gauges — an unclosed snapshot leaks a gauge
 // increment, not memory).
 type Snapshot struct {
 	g      *Graph
 	gen    *generation // never nil
 	n      uint32      // delta visibility bound: ops with a sequence number < n are visible
-	order  []Triple    // pinned insertion-order prefix
 	pinned bool
 	closed atomic.Bool
-
-	// ops is the visible op window when it contains deletes; nil for
-	// insert-only windows. With ops set, the order prefix may carry stale
-	// occurrences; Triples/NumTriples materialize the live list lazily
-	// (once) instead of slicing.
-	ops     []deltaOp
-	matOnce sync.Once
-	mat     []Triple
 }
 
 // Snapshot pins the graph's current read view. The returned snapshot is
@@ -72,23 +58,7 @@ func (g *Graph) Snapshot() *Snapshot {
 // which do their own pin accounting per acquired handle.
 func (g *Graph) snapshotAt() *Snapshot {
 	gen := g.gen.Load()
-	// Load n before the order header: the writer publishes the order
-	// first and increments n last, so the header seen here covers at
-	// least the window's adds. The dels hint is loaded after n: reading
-	// 0 proves no tombstone has seq < n, so the window is insert-only
-	// and every op extended the order prefix.
-	n := uint32(gen.delta.n.Load())
-	ord := *gen.ord.Load()
-	if n == 0 || gen.delta.dels.Load() == 0 {
-		return &Snapshot{g: g, gen: gen, n: n, order: ord[:gen.base+int(n)]}
-	}
-	ops := (*gen.delta.opsHdr.Load())[:n]
-	adds := int(ops[n-1].Adds)
-	s := &Snapshot{g: g, gen: gen, n: n, order: ord[:gen.base+adds]}
-	if int(n) > adds { // the window itself contains deletes
-		s.ops = ops
-	}
-	return s
+	return &Snapshot{g: g, gen: gen, n: uint32(gen.delta.n.Load())}
 }
 
 // Close releases the snapshot's generation pin. Idempotent; a nil or
@@ -112,56 +82,36 @@ func (s *Snapshot) Graph() *Graph { return s.g }
 // Generation returns the pinned CSR generation's id.
 func (s *Snapshot) Generation() uint64 { return s.gen.id }
 
-// NumTriples returns the number of triples visible in this snapshot.
+// dels returns how many of the ops the snapshot sees are deletes; the
+// others are inserts. The log is append-only, so whatever header is
+// published now holds the n ops that were there at the cut.
+func (s *Snapshot) dels() int {
+	if s.n == 0 {
+		return 0
+	}
+	return int(s.n - (*s.gen.delta.opsHdr.Load())[s.n-1].Adds)
+}
+
+// NumTriples returns the number of triples visible in this snapshot:
+// every logged op changed the set, an insert by one more and a delete by
+// one fewer, so it is arithmetic and allocates nothing.
 func (s *Snapshot) NumTriples() int {
-	if s.ops == nil {
-		return len(s.order)
-	}
-	return len(s.materialize())
+	return len(s.gen.csr.outArena) + int(s.n) - 2*s.dels()
 }
 
-// Triples returns the visible triples in insertion order (a triple
-// re-inserted after a delete counts from its latest insertion). The
-// slice is owned by the store and must not be mutated.
+// Triples returns the visible triples in (S, P, O) order, in a slice the
+// caller owns: under each ID that can have an outgoing run, ascending,
+// what a Cursor over the run yields.
 func (s *Snapshot) Triples() []Triple {
-	if s.ops == nil {
-		return s.order
+	out := make([]Triple, 0, s.NumTriples())
+	for v := range s.runKeys(s.gen.csr.outRuns, runIndex{}, &s.gen.delta.out) {
+		var c Cursor
+		c.Out(s, v)
+		for e, ok := c.Next(); ok; e, ok = c.Next() {
+			out = append(out, Triple{S: v, P: e.A, O: e.B})
+		}
 	}
-	return s.materialize()
-}
-
-// materialize folds the snapshot's op window over its order prefix into
-// the live triple list, once, caching the result. Last-op-wins per
-// triple; a live triple keeps its latest insertion position, matching
-// what a rebuild from scratch would produce.
-func (s *Snapshot) materialize() []Triple {
-	s.matOnce.Do(func() {
-		state := make(map[Triple]bool, len(s.ops))
-		for _, op := range s.ops {
-			state[op.T] = !op.Del
-		}
-		out := make([]Triple, 0, len(s.order))
-		var emitted map[Triple]struct{}
-		for i := len(s.order) - 1; i >= 0; i-- {
-			t := s.order[i]
-			if live, touched := state[t]; touched {
-				if !live {
-					continue
-				}
-				if emitted == nil {
-					emitted = make(map[Triple]struct{}, len(state))
-				}
-				if _, dup := emitted[t]; dup {
-					continue
-				}
-				emitted[t] = struct{}{}
-			}
-			out = append(out, t)
-		}
-		slices.Reverse(out)
-		s.mat = out
-	})
-	return s.mat
+	return out
 }
 
 // Has reports whether the triple is visible in this snapshot.
@@ -173,7 +123,7 @@ func (s *Snapshot) Has(t Triple) bool { return new(Run).Out(s, t.S).Has(Pair{t.P
 // no ordinal.
 func (s *Snapshot) Ordinal(t Triple) (int, bool) {
 	i, ok := s.gen.csr.ordinal(t)
-	if ok && s.ops != nil && !s.Has(t) {
+	if ok && s.dels() > 0 && !s.Has(t) {
 		return 0, false
 	}
 	return i, ok
@@ -219,50 +169,63 @@ func (s *Snapshot) PredicateCount(p ID) int { return new(Run).Pred(s, p).Len() }
 // Predicates returns the distinct visible properties in ascending ID
 // order.
 func (s *Snapshot) Predicates() []ID {
-	live := func(p ID) bool { return s.PredicateCount(p) > 0 }
-	return s.liveKeys(s.gen.csr.preds, live, &s.gen.delta.pred)
+	if s.n == 0 {
+		return s.gen.csr.preds
+	}
+	var out []ID
+	for p := range s.runKeys(s.gen.csr.predRuns, runIndex{}, &s.gen.delta.pred) {
+		if s.PredicateCount(p) > 0 {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // Vertices returns the distinct visible vertices (subjects ∪ objects) in
 // ascending ID order.
 func (s *Snapshot) Vertices() []ID {
-	live := func(v ID) bool { return s.OutDegree(v) > 0 || s.InDegree(v) > 0 }
-	return s.liveKeys(s.gen.csr.verts, live, &s.gen.delta.out, &s.gen.delta.in)
+	var out []ID
+	for v := range s.runKeys(s.gen.csr.outRuns, s.gen.csr.inRuns, &s.gen.delta.out, &s.gen.delta.in) {
+		if s.n == 0 || s.OutDegree(v) > 0 || s.InDegree(v) > 0 {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
-// liveKeys lists, ascending, the IDs with a visible run: those of base,
-// the CSR's, and those that have one only in the delta indexes sides. An
-// ID stays while live says some run of its own has a visible entry —
-// which is not asked of the CSR's IDs unless deletes are pending, nor of
-// anything at bound 0, where base itself is the answer.
-func (s *Snapshot) liveKeys(base []ID, live func(ID) bool, sides ...*sync.Map) []ID {
-	if s.n == 0 {
-		return base
-	}
-	var extra []ID
-	for _, side := range sides {
-		side.Range(func(k, _ any) bool {
-			if _, inBase := slices.BinarySearch(base, k.(ID)); !inBase && live(k.(ID)) {
-				extra = append(extra, k.(ID))
+// runKeys yields, ascending, the IDs that can have a visible run: those
+// with a run in x or y, the CSR's, and — not at bound 0, where nothing of
+// the delta is visible — those with one in the delta indexes sides.
+// Whether such a run has a visible entry is for a Run to say.
+func (s *Snapshot) runKeys(x, y runIndex, sides ...*sync.Map) iter.Seq[ID] {
+	return func(yield func(ID) bool) {
+		var extra []ID // the delta's keys
+		if s.n > 0 {
+			for _, side := range sides {
+				side.Range(func(k, _ any) bool {
+					extra = append(extra, k.(ID))
+					return true
+				})
 			}
-			return true
-		})
-	}
-	if s.ops == nil && len(extra) == 0 {
-		return base
-	}
-	slices.Sort(extra)
-	extra = slices.Compact(extra) // a vertex can be in both of its sides
-	out := make([]ID, 0, len(base)+len(extra))
-	for _, id := range base {
-		for len(extra) > 0 && extra[0] < id {
-			out, extra = append(out, extra[0]), extra[1:]
+			slices.Sort(extra)
+			extra = slices.Compact(extra) // a vertex can be in both of its sides
 		}
-		if s.ops == nil || live(id) {
-			out = append(out, id)
+		for id := range keys(x, y) {
+			for ; len(extra) > 0 && extra[0] <= id; extra = extra[1:] {
+				if extra[0] < id && !yield(extra[0]) {
+					return
+				}
+			}
+			if !yield(id) {
+				return
+			}
+		}
+		for _, id := range extra {
+			if !yield(id) {
+				return
+			}
 		}
 	}
-	return append(out, extra...)
 }
 
 // NumVertices returns the number of distinct visible vertices.

@@ -10,12 +10,11 @@ import "sync"
 // Refresh is incremental within a CSR generation: the cache keeps
 // persistent per-predicate aggregates (count plus refcounted
 // distinct-subject/object maps) keyed by the generation id, folds the
-// generation's base order once, and then folds only the delta op-log
-// suffix on later lookups — O(new ops), not O(|E|). Delete ops
+// generation's predicate arena once, and then folds only the delta
+// op-log suffix on later lookups — O(new ops), not O(|E|). Delete ops
 // decrement the refcounts, so distinct counts shrink exactly when the
 // last triple carrying a subject/object under a predicate goes away. A
-// compaction starts a new generation (its order list may have been
-// rewritten to fold tombstones), which resets the cache and refolds;
+// compaction starts a new generation, which resets the cache and refolds;
 // compactions are rare enough that the amortized cost stays negligible.
 // Safe for concurrent readers racing the single writer: every input is
 // read through the generation's published atomics.
@@ -66,8 +65,10 @@ func (s *Stats) Predicate(p ID) PredStats {
 	s.mu.Lock()
 	if s.foldedGen != gen.id {
 		s.perPred = make(map[ID]*predAgg)
-		for _, t := range (*gen.ord.Load())[:gen.base] {
-			s.foldAdd(t)
+		for _, p := range gen.csr.preds {
+			for _, so := range gen.csr.pred(p) {
+				s.foldAdd(Triple{S: so.A, P: p, O: so.B})
+			}
 		}
 		s.foldedGen = gen.id
 		s.foldedOps = 0

@@ -205,4 +205,16 @@ func TestTombstoneReadZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("three-run accessors allocate %.1f per run with tombstones, want 0", allocs)
 	}
+	// The count the matcher ranks a fully-unbound edge by is arithmetic on
+	// the op log, on a cut nobody has listed the triples of before.
+	want := len(sn.Triples())
+	allocs = testing.AllocsPerRun(200, func() {
+		fresh := Snapshot{g: g, gen: sn.gen, n: sn.n}
+		if n := fresh.NumTriples(); n != want {
+			t.Fatalf("NumTriples = %d with tombstones pending, Triples lists %d", n, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("NumTriples allocates %.1f per run with tombstones, want 0", allocs)
+	}
 }

@@ -353,27 +353,19 @@ func (p *turtleParser) prefixedName() (Term, error) {
 // prefix compression), so any Turtle parser can read the output.
 func WriteTurtle(g *Graph, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	bySubject := make(map[ID][]Triple)
-	var order []ID
-	for _, t := range g.Triples() {
-		if _, ok := bySubject[t.S]; !ok {
-			order = append(order, t.S)
-		}
-		bySubject[t.S] = append(bySubject[t.S], t)
-	}
-	for _, s := range order {
-		ts := bySubject[s]
-		if _, err := fmt.Fprintf(bw, "%s ", g.Dict.Decode(s)); err != nil {
-			return err
-		}
-		for i, t := range ts {
-			sep := " ;\n    "
-			if i == len(ts)-1 {
-				sep = " .\n"
-			}
-			if _, err := fmt.Fprintf(bw, "%s %s%s", g.Dict.Decode(t.P), g.Dict.Decode(t.O), sep); err != nil {
+	ts := g.Triples() // (S, P, O) order: a subject's triples are together
+	for i, t := range ts {
+		if i == 0 || ts[i-1].S != t.S {
+			if _, err := fmt.Fprintf(bw, "%s ", g.Dict.Decode(t.S)); err != nil {
 				return err
 			}
+		}
+		sep := " ;\n    "
+		if i == len(ts)-1 || ts[i+1].S != t.S {
+			sep = " .\n"
+		}
+		if _, err := fmt.Fprintf(bw, "%s %s%s", g.Dict.Decode(t.P), g.Dict.Decode(t.O), sep); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()

@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -142,6 +144,11 @@ func TestWriteTurtleRoundTrip(t *testing.T) {
 	if err := WriteTurtle(g, &stringsWriter{&buf}); err != nil {
 		t.Fatalf("WriteTurtle: %v", err)
 	}
+	// In (S, P, O) order by dictionary ID, so a subject's triples are one
+	// predicate list.
+	if want := "<http://ex/a> <http://ex/p> <http://ex/b> ;\n    <http://ex/q> \"hello world\" .\n<http://ex/c> <http://ex/p> _:n1 .\n"; buf.String() != want {
+		t.Errorf("WriteTurtle wrote\n%s\nwant\n%s", buf.String(), want)
+	}
 	g2 := NewGraph(nil)
 	n, err := ReadTurtle(g2, strings.NewReader(buf.String()))
 	if err != nil {
@@ -160,6 +167,30 @@ func TestWriteTurtleRoundTrip(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("triple %s lost in round trip", want)
+		}
+	}
+}
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestWritersReportAFailedWrite: a document larger than the writers'
+// buffer meets the failure while triples are still being written, a small
+// one at the final flush; neither is swallowed.
+func TestWritersReportAFailedWrite(t *testing.T) {
+	small, large := NewGraph(nil), NewGraph(nil)
+	small.AddTerms(NewIRI("http://ex/a"), NewIRI("http://ex/p"), NewIRI("http://ex/b"))
+	for i := 0; i < 300; i++ {
+		large.AddTerms(NewIRI(fmt.Sprintf("http://ex/subject/%d", i/3)), NewIRI("http://ex/p"), NewLiteral(fmt.Sprintf("value %d", i)))
+	}
+	for name, g := range map[string]*Graph{"small": small, "large": large} {
+		if err := WriteNTriples(g, failingWriter{}); err == nil {
+			t.Errorf("%s: WriteNTriples swallowed the write error", name)
+		}
+		if err := WriteTurtle(g, failingWriter{}); err == nil {
+			t.Errorf("%s: WriteTurtle swallowed the write error", name)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package watdiv
 
 import (
 	"fmt"
+	"slices"
 
 	"rdffrag/internal/rdf"
 )
@@ -20,6 +21,9 @@ import (
 // to instantiate query templates.
 type Dataset struct {
 	Graph *rdf.Graph
+	// Triples is Graph's triples in the order they were generated, which
+	// the graph, a set, does not keep: what datagen writes.
+	Triples []rdf.Triple
 
 	Users      []string
 	Products   []string
@@ -101,8 +105,12 @@ func Generate(opts Options) *Dataset {
 
 	d := rdf.NewDict()
 	var ts []rdf.Triple
+	seen := make(map[rdf.Triple]bool)
 	add := func(s, p, o rdf.Term) {
-		ts = append(ts, rdf.Triple{S: d.Encode(s), P: d.Encode(p), O: d.Encode(o)})
+		if t := (rdf.Triple{S: d.Encode(s), P: d.Encode(p), O: d.Encode(o)}); !seen[t] {
+			seen[t] = true
+			ts = append(ts, t)
+		}
 	}
 	ds := &Dataset{}
 	iri := rdf.NewIRI
@@ -180,7 +188,8 @@ func Generate(opts Options) *Dataset {
 		add(iri(rt), iri(PropOffers), iri(p))
 		add(iri(p), iri(PropPrice), lit(fmt.Sprintf("%d.99", 1+r.intn(500))))
 	}
-	ds.Graph = rdf.NewFrozen(d, ts)
+	ds.Triples = ts
+	ds.Graph = rdf.NewFrozen(d, slices.Clone(ts))
 	return ds
 }
 

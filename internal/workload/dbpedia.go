@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"rdffrag/internal/rdf"
@@ -51,6 +52,7 @@ type DBpediaOptions struct {
 // DBpedia bundles the generated graph, its entity pools and the log.
 type DBpedia struct {
 	Graph   *rdf.Graph
+	Triples []rdf.Triple // Graph's triples in the order they were generated: what datagen writes
 	Log     []*sparql.Graph
 	Persons []string
 	Places  []string
@@ -68,8 +70,12 @@ func GenerateDBpedia(o DBpediaOptions) (*DBpedia, error) {
 	r := newRNG(o.Seed | 1)
 	d := rdf.NewDict()
 	var ts []rdf.Triple
+	seen := make(map[rdf.Triple]bool)
 	add := func(s, p, o rdf.Term) {
-		ts = append(ts, rdf.Triple{S: d.Encode(s), P: d.Encode(p), O: d.Encode(o)})
+		if t := (rdf.Triple{S: d.Encode(s), P: d.Encode(p), O: d.Encode(o)}); !seen[t] {
+			seen[t] = true
+			ts = append(ts, t)
+		}
 	}
 	db := &DBpedia{}
 	iri := rdf.NewIRI
@@ -118,7 +124,8 @@ func GenerateDBpedia(o DBpediaOptions) (*DBpedia, error) {
 		}
 	}
 
-	db.Graph = rdf.NewFrozen(d, ts)
+	db.Triples = ts
+	db.Graph = rdf.NewFrozen(d, slices.Clone(ts))
 	log, err := db.generateLog(o.Queries, r)
 	if err != nil {
 		return nil, err
