@@ -1,8 +1,9 @@
 package rdffrag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"rdffrag/internal/allocation"
@@ -36,12 +37,21 @@ type Deployment struct {
 	walSeq uint64
 }
 
-// Result is a decoded query answer.
+// Result is a query answer: the engine's table, which the encoders read.
 type Result struct {
 	Vars []string
+	// Rows is the answer decoded, one N-Triples term per cell ("" unbound).
+	// Deployment.Query/QueryParsed and Server.Query/QueryParsed fill it;
+	// /query does not, and the encoders never read it. It is a field, not
+	// an accessor, only because benchmark/layers reads len(res.Rows); it
+	// becomes one when ROADMAP item 5 retires that replay.
 	Rows [][]string
 	// Stats carries execution metrics for the answered query.
 	Stats QueryStats
+
+	ids  []rdf.ID // row-major, len(Vars) to a row; rdf.NoID is unbound
+	n    int      // rows: a zero-variable answer has rows and no IDs
+	text []string // Dict.Rendered(): the renderings the IDs index
 }
 
 // QueryStats summarizes one query's distributed execution.
@@ -71,13 +81,15 @@ func (dep *Deployment) QueryParsed(q *sparql.Graph) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dep.decodeResult(q, b, stats), nil
+	return decoded(dep.newResult(q, b, stats), nil)
 }
 
-// decodeResult turns engine bindings into decoded terms and applies the
-// decoded-order ORDER BY / LIMIT step shared by Deployment.QueryParsed
-// and the concurrent Server.
-func (dep *Deployment) decodeResult(q *sparql.Graph, b *match.Bindings, stats *exec.QueryStats) *Result {
+// newResult makes the engine's table, uncopied (the Result owns b.Rows),
+// the answer beside the renderings it indexes, fetched under one read
+// lock. ORDER BY sorts the rows stably in place in SPARQL 1.1 §15.1 order
+// — unbound, blank nodes, IRIs, literals, each kind by rendering, DESC
+// reversing both — and LIMIT then cuts the table.
+func (dep *Deployment) newResult(q *sparql.Graph, b *match.Bindings, stats *exec.QueryStats) *Result {
 	res := &Result{
 		Vars: b.Vars,
 		Stats: QueryStats{
@@ -87,53 +99,56 @@ func (dep *Deployment) decodeResult(q *sparql.Graph, b *match.Bindings, stats *e
 			Partial:          stats.Partial,
 			UnreachableSites: append([]int(nil), stats.UnreachableSites...),
 		},
-	}
-	// One read-locked fetch of the per-ID renderings, one flat cell array
-	// and one header array: allocations do not grow with the row count.
-	text := dep.db.graph.Dict.Rendered()
-	w := len(b.Vars)
-	flat := make([]string, len(b.Rows))
-	for i, id := range b.Rows {
-		if id != rdf.NoID {
-			flat[i] = text[id]
-		}
-	}
-	res.Rows = make([][]string, b.Len())
-	for r := range res.Rows {
-		res.Rows[r] = flat[r*w : (r+1)*w : (r+1)*w]
+		ids:  b.Rows,
+		n:    b.Len(),
+		text: dep.db.graph.Dict.Rendered(),
 	}
 	if len(q.OrderBy) > 0 {
-		applyOrderBy(res, q.OrderBy)
-		if q.Limit > 0 && len(res.Rows) > q.Limit {
-			res.Rows = res.Rows[:q.Limit]
+		b.SortStable(func(i, j int) bool {
+			for _, k := range q.OrderBy {
+				if c := slices.Index(res.Vars, k.Var); c >= 0 {
+					x, y := res.cell(i, c), res.cell(j, c)
+					if d := cmp.Or(cmp.Compare(termRank(x), termRank(y)), strings.Compare(x, y)); d != 0 {
+						return (d < 0) != k.Desc
+					}
+				}
+			}
+			return false
+		})
+		if q.Limit > 0 && res.n > q.Limit {
+			res.n, res.ids = q.Limit, res.ids[:q.Limit*len(res.Vars)]
 		}
 	}
 	return res
 }
 
-// applyOrderBy sorts decoded rows lexicographically by the given keys.
-func applyOrderBy(res *Result, keys []sparql.OrderKey) {
-	pos := make(map[string]int, len(res.Vars))
-	for i, v := range res.Vars {
-		pos[v] = i
+// termRank orders a rendering's kind, told by its first byte: unbound
+// (""), blank node (_:), IRI (<), literal (anything else).
+func termRank(s string) int {
+	if s == "" {
+		return 0
 	}
-	sort.SliceStable(res.Rows, func(i, j int) bool {
-		for _, k := range keys {
-			c, ok := pos[k.Var]
-			if !ok {
-				continue
-			}
-			a, b := res.Rows[i][c], res.Rows[j][c]
-			if a == b {
-				continue
-			}
-			if k.Desc {
-				return a > b
-			}
-			return a < b
+	return 2 - strings.IndexByte("<_", s[0])
+}
+
+// decoded fills a successful answer's Rows: the embedded entry points' end.
+func decoded(res *Result, err error) (*Result, error) {
+	if err == nil {
+		res.decodeRows()
+	}
+	return res, err
+}
+
+// decodeRows fills Rows with one cell array and one header array.
+func (r *Result) decodeRows() {
+	w, flat := len(r.Vars), make([]string, len(r.ids))
+	r.Rows = make([][]string, r.n)
+	for i := range r.Rows {
+		r.Rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+		for c := range w {
+			r.Rows[i][c] = r.cell(i, c)
 		}
-		return false
-	})
+	}
 }
 
 // DeployStats summarizes the offline pipeline's outcome.

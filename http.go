@@ -61,7 +61,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// flows through admission, the join pipeline and every (local or
 	// remote) site evaluation, so an abandoned query stops consuming
 	// cluster resources end to end.
-	res, err := s.Query(r.Context(), query)
+	res, err := s.answer(r.Context(), query)
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		http.Error(w, "server overloaded, retry later", http.StatusServiceUnavailable)

@@ -198,7 +198,7 @@ func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *spar
 	}
 	w := len(keptVars)
 
-	// ORDER BY is applied by the caller on decoded terms; stopping early
+	// ORDER BY is applied by the caller, by the terms' renderings; stopping early
 	// would change which rows survive, so only push the limit down for
 	// unordered queries.
 	if q.Limit > 0 && len(q.OrderBy) == 0 {

@@ -73,6 +73,21 @@ func (b *Bindings) Dedup() {
 	}
 }
 
+// SortStable orders the rows stably by less, which compares rows i and j
+// where they lie when it is called: rows are swapped whole, in place.
+func (b *Bindings) SortStable(less func(i, j int) bool) {
+	if w := len(b.Vars); w > 0 {
+		sort.Stable(byLess{&records{b.Rows, w}, less})
+	}
+}
+
+type byLess struct {
+	*records
+	less func(i, j int) bool
+}
+
+func (s byLess) Less(i, j int) bool { return s.less(i, j) }
+
 // records sorts the fixed-width rows of a flat array as whole records.
 type records struct {
 	rows []rdf.ID

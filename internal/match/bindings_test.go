@@ -276,3 +276,29 @@ func TestDedupMatchesSortedSetProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSortStableMatchesSliceSort: SortStable, keyed on one column and
+// swapping rows where they lie, leaves what slices.SortStableFunc leaves
+// of the same rows as separate slices — equal keys in their first order —
+// at every width, none included.
+func TestSortStableMatchesSliceSort(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w, n := rng.Intn(5), rng.Intn(200)
+		b := NewBindings(make([]string, w), nil, n)
+		for i := 0; i < n*w; i++ {
+			b.Rows = append(b.Rows, rdf.ID(rng.Intn(8)))
+		}
+		want := tableRows(NewBindings(b.Vars, slices.Clone(b.Rows), n))
+		slices.SortStableFunc(want, func(x, y []rdf.ID) int { return slices.Compare(x[:min(w, 1)], y[:min(w, 1)]) })
+		b.SortStable(func(i, j int) bool { return b.Rows[i*w] < b.Rows[j*w] }) // never called at width 0
+		if got := tableRows(b); !sameRows(got, want) || b.Len() != n {
+			t.Logf("seed %d: width %d: SortStable left %v, want %v", seed, w, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -13,11 +13,11 @@ import (
 
 // This file renders query Results in the W3C SPARQL 1.1 result formats:
 // application/sparql-results+json, text/csv and text/tab-separated-values.
-// Result rows hold terms in N-Triples syntax (<iri>, "literal", _:blank);
-// the serializers classify them accordingly. All three append into one
-// pooled chunk that goes to the io.Writer whenever it fills: a result of
-// any size leaves in one pass, allocations do not grow with the row
-// count, and the first failed write ends the encoding.
+// A cell is read off the ID table as its term's N-Triples rendering
+// (<iri>, "literal", _:blank) and classified accordingly. All three
+// append into one pooled chunk that goes to the io.Writer whenever it
+// fills: a result of any size leaves in one pass, allocations do not
+// grow with the row count, and the first failed write ends the encoding.
 
 // chunkSize keeps the write count of a multi-megabyte answer in the
 // hundreds and the buffer small enough to pool per concurrent response.
@@ -64,6 +64,14 @@ func (c *chunk) sep(i int, sep byte) {
 	}
 }
 
+// cell returns the rendering of the term at row, col; "" when unbound.
+func (r *Result) cell(row, col int) string {
+	if id := r.ids[row*len(r.Vars)+col]; id != rdf.NoID {
+		return r.text[id]
+	}
+	return ""
+}
+
 // classifyTerm splits a result cell into its SPARQL-JSON term type and
 // plain value; ok is false for an unbound cell.
 func classifyTerm(s string) (typ, value string, ok bool) {
@@ -94,12 +102,12 @@ func (r *Result) WriteJSON(w io.Writer) error {
 		c.b = appendJSONString(c.b, v)
 	}
 	c.b = append(c.b, `]},"results":{"bindings":[`...)
-	for n, row := range r.Rows {
+	for n := range r.n {
 		c.sep(n, ',')
 		c.b = append(c.b, "\n{"...)
 		bound := 0
-		for i, v := range r.Vars[:min(len(r.Vars), len(row))] {
-			typ, value, ok := classifyTerm(row[i])
+		for i, v := range r.Vars {
+			typ, value, ok := classifyTerm(r.cell(n, i))
 			if !ok {
 				continue
 			}
@@ -182,13 +190,11 @@ func (r *Result) WriteCSV(w io.Writer) error {
 		c.b = appendCSVField(c.b, v)
 	}
 	c.b = append(c.b, '\n')
-	for _, row := range r.Rows {
+	for n := range r.n {
 		for i := range r.Vars {
 			c.sep(i, ',')
-			if i < len(row) {
-				_, value, _ := classifyTerm(row[i])
-				c.b = appendCSVField(c.b, value)
-			}
+			_, value, _ := classifyTerm(r.cell(n, i))
+			c.b = appendCSVField(c.b, value)
 		}
 		c.b = append(c.b, '\n')
 		if err := c.flush(chunkSize); err != nil {
@@ -224,10 +230,10 @@ func (r *Result) WriteTSV(w io.Writer) error {
 		c.b = append(append(c.b, '?'), v...)
 	}
 	c.b = append(c.b, '\n')
-	for _, row := range r.Rows {
-		for i, cell := range row {
+	for n := range r.n {
+		for i := range r.Vars {
 			c.sep(i, '\t')
-			c.b = append(c.b, cell...)
+			c.b = append(c.b, r.cell(n, i)...)
 		}
 		c.b = append(c.b, '\n')
 		if err := c.flush(chunkSize); err != nil {

@@ -2,26 +2,53 @@ package rdffrag
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
 	"rdffrag/internal/rdf"
+	"rdffrag/internal/watdiv"
 )
 
-func sampleResult() *Result {
-	return &Result{
-		Vars: []string{"x", "n"},
-		Rows: [][]string{
-			{"<http://ex/Aristotle>", `"Aristotle"`},
-			{"_:b0", `"with, comma"`},
-			{"<http://ex/Plato>", ""},
-		},
+// resultOf builds a Result the way the engine hands one over: an ID table
+// of stride len(vars) over a rendering table of its own, "" cells as
+// rdf.NoID, and the row count kept apart so a zero-variable answer keeps
+// its rows. It sets Rows to the same strings: the oracle reads those, the
+// encoders the IDs.
+func resultOf(vars []string, rows [][]string) *Result {
+	r := &Result{Vars: vars, Rows: rows, n: len(rows)}
+	ids := map[string]rdf.ID{}
+	for _, row := range rows {
+		if len(row) != len(vars) {
+			panic(fmt.Sprintf("row %q is not %d wide", row, len(vars)))
+		}
+		for _, cell := range row {
+			id, ok := ids[cell]
+			if cell == "" {
+				id = rdf.NoID
+			} else if !ok {
+				id, ids[cell] = rdf.ID(len(r.text)), rdf.ID(len(r.text))
+				r.text = append(r.text, cell)
+			}
+			r.ids = append(r.ids, id)
+		}
 	}
+	return r
+}
+
+func sampleResult() *Result {
+	return resultOf([]string{"x", "n"}, [][]string{
+		{"<http://ex/Aristotle>", `"Aristotle"`},
+		{"_:b0", `"with, comma"`},
+		{"<http://ex/Plato>", ""},
+	})
 }
 
 func TestWriteJSON(t *testing.T) {
@@ -202,9 +229,6 @@ func oracleJSON(t testing.TB, r *Result) []byte {
 	for _, row := range r.Rows {
 		b := make(map[string]oracleTerm, len(r.Vars))
 		for i, v := range r.Vars {
-			if i >= len(row) {
-				continue
-			}
 			if term, ok := oracleClassify(row[i]); ok {
 				b[v] = term
 			}
@@ -227,10 +251,8 @@ func oracleCSV(t testing.TB, r *Result) []byte {
 	for _, row := range r.Rows {
 		rec := make([]string, len(r.Vars))
 		for i := range r.Vars {
-			if i < len(row) {
-				term, _ := oracleClassify(row[i])
-				rec[i] = term.Value
-			}
+			term, _ := oracleClassify(row[i])
+			rec[i] = term.Value
 		}
 		recs = append(recs, rec)
 	}
@@ -253,50 +275,55 @@ func oracleTSV(r *Result) []byte {
 	return buf.Bytes()
 }
 
-// checkAgainstOracle is the property the differential test and the fuzz
-// target share: the JSON documents unmarshal to the same value, the CSV
-// reads back through encoding/csv to the same records, the TSV bytes are
-// equal.
+// checkAgainstOracle is the property the differential tests and the fuzz
+// target share: what WriteJSON, WriteCSV and WriteTSV write of r, reading
+// its ID table, is what the oracle writes of r.Rows.
 func checkAgainstOracle(t testing.TB, r *Result) {
 	t.Helper()
-	var got bytes.Buffer
-	if err := r.WriteJSON(&got); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
+	checkBodies(t, r, func(format string) []byte {
+		var buf bytes.Buffer
+		if err := encoders[format](r, &buf); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		return buf.Bytes()
+	})
+}
+
+// checkBodies holds body(format) for json, csv and tsv against the
+// oracle's encoding of r.Rows: the JSON documents unmarshal to the same
+// value, the CSV reads back through encoding/csv to the same records, the
+// TSV bytes are equal.
+func checkBodies(t testing.TB, r *Result, body func(format string) []byte) {
+	t.Helper()
+	got := body("json")
 	var gotDoc, wantDoc any
-	if err := json.Unmarshal(got.Bytes(), &gotDoc); err != nil {
-		t.Fatalf("WriteJSON wrote invalid JSON: %v\n%q", err, got.Bytes())
+	if err := json.Unmarshal(got, &gotDoc); err != nil {
+		t.Fatalf("WriteJSON wrote invalid JSON: %v\n%.2000q", err, got)
 	}
 	if err := json.Unmarshal(oracleJSON(t, r), &wantDoc); err != nil {
 		t.Fatalf("oracle wrote invalid JSON: %v", err)
 	}
 	if !reflect.DeepEqual(gotDoc, wantDoc) {
-		t.Fatalf("JSON differs from the oracle for %+v\n got %q\nwant %v", r, got.Bytes(), wantDoc)
+		t.Fatalf("JSON differs from the oracle for %q, %d rows\n got %.2000q\nwant %.2000q", r.Vars, len(r.Rows), got, oracleJSON(t, r))
 	}
 
-	got.Reset()
-	if err := r.WriteCSV(&got); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
 	readBack := func(b []byte) [][]string {
 		cr := csv.NewReader(bytes.NewReader(b))
 		cr.FieldsPerRecord = -1
 		recs, err := cr.ReadAll()
 		if err != nil {
-			t.Fatalf("CSV does not read back: %v\n%q", err, b)
+			t.Fatalf("CSV does not read back: %v\n%.2000q", err, b)
 		}
 		return recs
 	}
-	if want := oracleCSV(t, r); !reflect.DeepEqual(readBack(got.Bytes()), readBack(want)) {
-		t.Fatalf("CSV records differ from the oracle for %+v\n got %q\nwant %q", r, got.Bytes(), want)
+	got = body("csv")
+	if want := oracleCSV(t, r); !reflect.DeepEqual(readBack(got), readBack(want)) {
+		t.Fatalf("CSV records differ from the oracle for %q, %d rows\n got %.2000q\nwant %.2000q", r.Vars, len(r.Rows), got, want)
 	}
 
-	got.Reset()
-	if err := r.WriteTSV(&got); err != nil {
-		t.Fatalf("WriteTSV: %v", err)
-	}
-	if want := oracleTSV(r); !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("TSV differs from the oracle for %+v\n got %q\nwant %q", r, got.Bytes(), want)
+	got = body("tsv")
+	if want := oracleTSV(r); !bytes.Equal(got, want) {
+		t.Fatalf("TSV differs from the oracle for %q, %d rows\n got %.2000q\nwant %.2000q", r.Vars, len(r.Rows), got, want)
 	}
 }
 
@@ -312,59 +339,72 @@ var nastyCells = []string{
 // TestEncodersMatchOracle: over hand-picked edge cases and generated
 // results the append encoders agree with the encoders they replaced.
 func TestEncodersMatchOracle(t *testing.T) {
+	partial := func(r *Result, sites ...int) *Result {
+		r.Stats = QueryStats{Partial: true, UnreachableSites: sites}
+		return r
+	}
 	cases := []*Result{
 		sampleResult(),
-		{Vars: []string{}},
-		{Vars: []string{}, Rows: [][]string{{}, {"<a>"}}},
-		{Vars: []string{"x"}},
-		{Vars: []string{"x"}, Rows: [][]string{{""}, {}, {"<a>", "<extra>"}}},
-		{Vars: []string{"a", "b", "c"}, Rows: [][]string{{"<a>"}, {"", "", `"c"`}, {"", `"b"`}}},
-		{Vars: []string{"x"}, Stats: QueryStats{Partial: true}},
-		{Vars: []string{"x"}, Rows: [][]string{{"_:b"}}, Stats: QueryStats{Partial: true, UnreachableSites: []int{0, 3, 12}}},
-		{Vars: []string{`q"uote`, "new\nline", "é"}, Rows: [][]string{{"<a>", "<b>", "<c>"}}},
+		resultOf([]string{}, nil),
+		// A zero-variable answer: rows without cells, which the table alone
+		// cannot count.
+		resultOf([]string{}, [][]string{{}, {}, {}}),
+		resultOf([]string{"x"}, nil),
+		resultOf([]string{"x"}, [][]string{{""}, {"<a>"}}),
+		// An all-unbound row among bound ones.
+		resultOf([]string{"a", "b", "c"}, [][]string{{"<a>", "", ""}, {"", "", ""}, {"", `"b"`, `"c"`}}),
+		partial(resultOf([]string{"x"}, nil)),
+		partial(resultOf([]string{"x"}, [][]string{{"_:b"}}), 0, 3, 12),
+		resultOf([]string{`q"uote`, "new\nline", "é"}, [][]string{{"<a>", "<b>", "<c>"}}),
 	}
 	rng := rand.New(rand.NewSource(14))
 	for n := 0; n < 300; n++ {
-		r := &Result{Vars: make([]string, rng.Intn(5))}
-		for i := range r.Vars {
-			r.Vars[i] = fmt.Sprintf("v%d", i)
+		vars := make([]string, rng.Intn(5))
+		for i := range vars {
+			vars[i] = fmt.Sprintf("v%d", i)
 		}
-		r.Rows = make([][]string, rng.Intn(8))
-		for i := range r.Rows {
-			r.Rows[i] = make([]string, rng.Intn(len(r.Vars)+2))
-			for j := range r.Rows[i] {
-				r.Rows[i][j] = nastyCells[rng.Intn(len(nastyCells))]
+		rows := make([][]string, rng.Intn(8))
+		for i := range rows {
+			rows[i] = make([]string, len(vars))
+			for j := range rows[i] {
+				rows[i][j] = nastyCells[rng.Intn(len(nastyCells))]
 			}
 		}
-		if r.Stats.Partial = rng.Intn(4) == 0; r.Stats.Partial {
-			r.Stats.UnreachableSites = rng.Perm(rng.Intn(4))
+		r := resultOf(vars, rows)
+		if rng.Intn(4) == 0 {
+			partial(r, rng.Perm(rng.Intn(4))...)
 		}
 		cases = append(cases, r)
 	}
 	// Enough rows to cross several chunk boundaries.
-	big := &Result{Vars: []string{"s", "o"}}
+	var big [][]string
 	for i := 0; i < 5000; i++ {
-		big.Rows = append(big.Rows, []string{fmt.Sprintf("<http://ex/subject/%d>", i), nastyCells[i%len(nastyCells)]})
+		big = append(big, []string{fmt.Sprintf("<http://ex/subject/%d>", i), nastyCells[i%len(nastyCells)]})
 	}
-	cases = append(cases, big)
+	cases = append(cases, resultOf([]string{"s", "o"}, big))
 	for _, r := range cases {
 		checkAgainstOracle(t, r)
 	}
 }
 
 // resultFromFuzz cuts fuzz bytes into a Result: lines are rows, '|'
-// separates cells, the first line names the variables. Variable names are
-// made valid UTF-8 — two distinct invalid names would collapse into one
-// JSON key — while cells keep every byte.
+// separates cells, the first line names the variables; a row is cut or
+// padded with unbound cells to their number. Variable names are made valid
+// UTF-8 — two distinct invalid names would collapse into one JSON key —
+// while cells keep every byte.
 func resultFromFuzz(data []byte, partial bool) *Result {
 	lines := strings.Split(string(data), "\n")
-	r := &Result{Vars: []string{}}
+	vars := []string{}
 	if lines[0] != "" {
-		r.Vars = strings.Split(strings.ToValidUTF8(lines[0], "?"), "|")
+		vars = strings.Split(strings.ToValidUTF8(lines[0], "?"), "|")
 	}
+	var rows [][]string
 	for _, line := range lines[1:] {
-		r.Rows = append(r.Rows, strings.Split(line, "|"))
+		row := make([]string, len(vars))
+		copy(row, strings.Split(line, "|"))
+		rows = append(rows, row)
 	}
+	r := resultOf(vars, rows)
 	if partial {
 		r.Stats = QueryStats{Partial: true, UnreachableSites: []int{len(data) % 7}}
 	}
@@ -376,20 +416,59 @@ func FuzzWriteJSON(f *testing.F) {
 	f.Add([]byte("\n\n<a>"), true)
 	f.Add([]byte("v\n"+strings.Join(nastyCells, "\nx|")), true)
 	f.Add([]byte("a|a|b\n<1>|<2>\n|\"\\\"\n\"\xff\\u0041\"|\x00"), false)
+	f.Add([]byte("\n\n\n"), false)                 // zero variables, three rows
+	f.Add([]byte("a|b\n<x>|_:y\n|\n\"z\"|"), true) // an all-unbound row
 	f.Fuzz(func(t *testing.T, data []byte, partial bool) {
 		checkAgainstOracle(t, resultFromFuzz(data, partial))
 	})
+}
+
+// TestQueryBodiesMatchOracle: end to end, what /query writes — encoded
+// from the engine's ID table, Rows never built — is in every format the
+// oracle's encoding of the Rows Server.Query decodes for embedded callers,
+// for all 20 WatDiv templates under both fragmentations.
+func TestQueryBodiesMatchOracle(t *testing.T) {
+	for _, strategy := range []Strategy{Vertical, Horizontal} {
+		t.Run(string(strategy), func(t *testing.T) {
+			db, ds, workload := watdivDB(t, 50000, Config{Strategy: strategy})
+			dep, err := db.DeployParsed(workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := dep.StartServer(ServerConfig{})
+			defer srv.Close()
+			h, rows := srv.Handler(), 0
+			for i, tpl := range watdiv.Templates() {
+				pick := func(pool []string) string { return "<" + pool[i%len(pool)] + ">" }
+				query := strings.NewReplacer("%user%", pick(ds.Users), "%product%", pick(ds.Products),
+					"%retailer%", pick(ds.Retailers), "%website%", pick(ds.Websites), "%category%", pick(ds.Categories)).Replace(tpl.Text)
+				res, err := srv.Query(context.Background(), query)
+				if err != nil {
+					t.Fatalf("%s: %v", tpl.Name, err)
+				}
+				rows += len(res.Rows)
+				checkBodies(t, res, func(format string) []byte {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest("POST", "/query?format="+format, strings.NewReader(query)))
+					if rec.Code != http.StatusOK {
+						t.Fatalf("%s: /query?format=%s answered %d: %s", tpl.Name, format, rec.Code, rec.Body)
+					}
+					return rec.Body.Bytes()
+				})
+			}
+			if rows < 10000 {
+				t.Errorf("the 20 templates answered %d rows; want a workload-scale run", rows)
+			}
+		})
+	}
 }
 
 // TestWriteJSONWireFormat pins what the README promises beyond the
 // oracle's "same value": compact, one binding per line, keys in
 // projection order, and "vars" an array even when Vars is nil.
 func TestWriteJSONWireFormat(t *testing.T) {
-	r := &Result{
-		Vars:  []string{"z", "a"},
-		Rows:  [][]string{{"<http://ex/1>", `"one"`}, {"", "_:b"}},
-		Stats: QueryStats{Partial: true, UnreachableSites: []int{2, 5}},
-	}
+	r := resultOf([]string{"z", "a"}, [][]string{{"<http://ex/1>", `"one"`}, {"", "_:b"}})
+	r.Stats = QueryStats{Partial: true, UnreachableSites: []int{2, 5}}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -403,7 +482,7 @@ func TestWriteJSONWireFormat(t *testing.T) {
 		t.Errorf("wire format:\n got %s\nwant %s", buf.String(), want)
 	}
 	buf.Reset()
-	if err := (&Result{}).WriteJSON(&buf); err != nil {
+	if err := resultOf(nil, nil).WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	if want := "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[\n]}}\n"; buf.String() != want {

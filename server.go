@@ -124,20 +124,29 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 // Query parses and executes one query through the server, honouring ctx
 // for cancellation. Safe for concurrent use by many clients.
 func (s *Server) Query(ctx context.Context, query string) (*Result, error) {
-	q, err := sparql.NewParser(s.dep.db.graph.Dict).Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return s.QueryParsed(ctx, q)
+	return decoded(s.answer(ctx, query))
 }
 
 // QueryParsed executes an already-parsed query graph through the server.
 func (s *Server) QueryParsed(ctx context.Context, q *sparql.Graph) (*Result, error) {
+	return decoded(s.answerParsed(ctx, q))
+}
+
+// answer is Query stopping at the ID table, all that /query encodes.
+func (s *Server) answer(ctx context.Context, query string) (*Result, error) {
+	q, err := sparql.NewParser(s.dep.db.graph.Dict).Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return s.answerParsed(ctx, q)
+}
+
+func (s *Server) answerParsed(ctx context.Context, q *sparql.Graph) (*Result, error) {
 	resp, err := s.inner.Query(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	return s.dep.decodeResult(q, resp.Bindings, resp.Stats), nil
+	return s.dep.newResult(q, resp.Bindings, resp.Stats), nil
 }
 
 // Close stops accepting queries and waits for in-flight work to finish.
