@@ -46,7 +46,8 @@ func (p *serveProc) url(path string) string { return "http://" + p.addr + path }
 
 // startServeProc spawns `rdffrag serve -data-dir` and waits for the
 // machine-readable listen line (scraping the recovery summary on the
-// way). extra appends to the base argument list.
+// way); an empty dataDir serves without durability. extra appends to the
+// base argument list.
 func startServeProc(t *testing.T, bin, dataDir string, extra ...string) *serveProc {
 	t.Helper()
 	args := append([]string{"serve", "-addr", "127.0.0.1:0", "-data-dir", dataDir, "-workers", "2"}, extra...)

@@ -168,7 +168,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrOverloaded):
 		http.Error(w, "server overloaded, retry later", http.StatusServiceUnavailable)
 		return
-	case errors.Is(err, ErrNoUpdater):
+	case errors.Is(err, ErrNoUpdater), errors.Is(err, ErrRemoteSites):
 		http.Error(w, err.Error(), http.StatusNotImplemented)
 		return
 	case errors.Is(err, context.DeadlineExceeded):

@@ -1,12 +1,13 @@
 package cluster
 
-// Tests for the flat-table path: the chain table and chunked row store on
-// their own, and the allocation guards that keep a binding row costing
+// Tests for the flat-table path: the chain table and the chunks it adopts
+// on their own, and the allocation guards that keep a binding row costing
 // its bytes and nothing else through EvalStream and the streaming join.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -18,10 +19,16 @@ import (
 	"rdffrag/internal/watdiv"
 )
 
+// adoptSizes are batch sizes on both sides of the chunk geometry: narrower
+// than a chunk, exactly one and several chunks wide, and empty.
+var adoptSizes = []int{1, 3, chunkRows - 1, chunkRows, 0, chunkRows + 1, 3*chunkRows + 7, 17}
+
 // TestJoinTableChainsKeepInsertionOrder: a key's chain lists its rows in
-// the order they were added — walked from the newest back — at every key
-// width, a five-column key included, through many doublings of the slot
-// table; the key is probed from the other side's column order.
+// the order they were adopted — walked from the newest reference back,
+// each reference naming the chunk and offset its batch put the row at —
+// at every key width, a five-column key included, across batches of
+// every size in adoptSizes and through many doublings of the slot table;
+// the key is probed from the other side's column order.
 func TestJoinTableChainsKeepInsertionOrder(t *testing.T) {
 	for _, width := range []int{0, 1, 4, 5} {
 		cols, otherCols := make([]int, width), make([]int, width)
@@ -29,25 +36,32 @@ func TestJoinTableChainsKeepInsertionOrder(t *testing.T) {
 			cols[i], otherCols[i] = i, width-1-i
 		}
 		rng := rand.New(rand.NewSource(int64(width)))
-		tab := newJoinTable(width, cols)
-		want := map[string][]int32{}
+		tab := newJoinTable(width, cols, 0)
+		want := map[string][]uint32{}
 		var rows [][]rdf.ID
-		for idx := int32(0); idx < 500; idx++ {
-			row := make([]rdf.ID, width)
-			for i := range row {
-				row[i] = rdf.ID(rng.Intn(3))
+		for _, n := range adoptSizes {
+			batch := make([]rdf.ID, n*width)
+			for i := range batch {
+				batch[i] = rdf.ID(rng.Intn(3))
 			}
-			rows = append(rows, row)
-			tab.add(row)
-			want[fmt.Sprint(row)] = append(want[fmt.Sprint(row)], idx)
+			first := len(tab.chunks)
+			tab.adopt(batch, n)
+			for i := range n {
+				row := batch[i*width : (i+1)*width]
+				rows = append(rows, row)
+				want[fmt.Sprint(row)] = append(want[fmt.Sprint(row)], refOf(first+i/chunkRows, i%chunkRows))
+			}
 		}
 		for _, row := range rows {
 			probe := slices.Clone(row)
 			slices.Reverse(probe)
 			c := tab.lookup(probe, otherCols)
-			var got []int32
-			for i, k := c.newest, c.n; k > 0; i, k = tab.older(i), k-1 {
-				got = append(got, i)
+			var got []uint32
+			for r, k := c.newest, c.n; k > 0; r, k = tab.older(r), k-1 {
+				if !slices.Equal(tab.at(r), row) {
+					t.Fatalf("width %d key %v: chain reaches row %v", width, row, tab.at(r))
+				}
+				got = append(got, r)
 			}
 			slices.Reverse(got)
 			if !slices.Equal(got, want[fmt.Sprint(row)]) {
@@ -65,37 +79,54 @@ func TestJoinTableChainsKeepInsertionOrder(t *testing.T) {
 	}
 }
 
-// TestRowStoreNeverMovesARow: rows keep their place as the store grows
-// across chunk boundaries, and at finds each one; a store made over an
-// existing block reads it where it is.
-func TestRowStoreNeverMovesARow(t *testing.T) {
-	tab := newJoinTable(2, []int{0})
-	var slots []*rdf.ID
-	const n = 4097
-	for i := 0; i < n; i++ {
-		tab.add([]rdf.ID{rdf.ID(i), rdf.ID(2 * i)})
-		slots = append(slots, &tab.at(int32(i))[0])
+// TestAdoptedRowIsReadWhereItsBatchPutIt: a table reads each row in the
+// array of the batch that brought it — the same memory, not a copy —
+// whether the batch is narrower than a chunk, one chunk wide or several
+// (a block cut into chunks over sub-slices of its array), and still there
+// after later batches; a batch takes one chunk per chunkRows rows.
+func TestAdoptedRowIsReadWhereItsBatchPutIt(t *testing.T) {
+	tab := newJoinTable(2, []int{0}, 0)
+	type placed struct {
+		ref uint32
+		at  *rdf.ID
 	}
-	if len(tab.chunks[0].rows) != 2*rowStoreFirst || rowStoreFirst > 16 {
-		t.Fatalf("first chunk holds %d IDs, want 2 x rowStoreFirst = %d <= 16 rows", len(tab.chunks[0].rows), rowStoreFirst)
-	}
-	for i := 0; i < n; i++ {
-		if got := tab.at(int32(i)); !slices.Equal(got, []rdf.ID{rdf.ID(i), rdf.ID(2 * i)}) {
-			t.Fatalf("at(%d) = %v", i, got)
+	var rows []placed
+	chunks := 0
+	for _, n := range adoptSizes {
+		batch := make([]rdf.ID, 2*n)
+		for i := range n {
+			batch[2*i], batch[2*i+1] = rdf.ID(i), rdf.ID(len(rows))
 		}
-		if slots[i] != &tab.at(int32(i))[0] {
-			t.Fatalf("row %d moved while the store grew", i)
-		}
-	}
-	for _, n := range []int{1, 7, 8, 9, 1000} {
-		block := make([]rdf.ID, 2*n)
-		over := indexRows(block, 2, n, []int{1})
-		for i := 0; i < n; i++ {
-			if &over.at(int32(i))[0] != &block[2*i] {
-				t.Fatalf("a table over a block of %d rows reads row %d elsewhere", n, i)
-			}
+		first := len(tab.chunks)
+		tab.adopt(batch, n)
+		chunks += (n + chunkRows - 1) / chunkRows
+		for i := range n {
+			rows = append(rows, placed{refOf(first+i/chunkRows, i%chunkRows), &batch[2*i]})
 		}
 	}
+	if len(tab.chunks) != chunks {
+		t.Fatalf("%d chunks, want one per started chunkRows rows of a batch: %d", len(tab.chunks), chunks)
+	}
+	for i, p := range rows {
+		if &tab.at(p.ref)[0] != p.at {
+			t.Fatalf("row %d is read away from where its batch put it", i)
+		}
+	}
+}
+
+// TestRowReferenceNeverWraps: the last row of the last chunk a side may
+// hold takes the last 32-bit reference, and a chunk past that ceiling
+// panics instead of wrapping onto chunk 0.
+func TestRowReferenceNeverWraps(t *testing.T) {
+	if r := refOf(maxChunks-1, chunkRows-1); r != math.MaxUint32 {
+		t.Fatalf("last reference = %#x, want %#x", r, uint32(math.MaxUint32))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a reference past the chunk ceiling did not panic")
+		}
+	}()
+	refOf(maxChunks, 0)
 }
 
 // measureAllocs runs f once and reports the heap objects and bytes it
@@ -108,35 +139,51 @@ func measureAllocs(f func()) (objects, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestJoinStreamAllocsPerInputRow: the streaming join of 10 000 x 10 000
-// rows on one shared column allocates per batch, per chunk and per
-// doubling of a slot table — never per row (it once cost more than one
-// allocation per input row and 300 B, then 179 B with a slice header per
-// row and a Go map per side). The bytes are the output rows, the two
-// stores with their chain links and the two slot tables; the ceilings are
-// the 0.0092 objects and 52.3 B it measures plus 10%.
-func TestJoinStreamAllocsPerInputRow(t *testing.T) {
-	const n, batch = 10000, 256
-	lv, rv := []string{"x", "y"}, []string{"y", "z"}
-	mk := func(shift int) []rdf.ID {
+// joinInputs are the two sides of the allocation guards' join: n rows
+// each on one shared column y = i+1, so every row matches exactly once,
+// cut into batches of batch rows.
+func joinInputs(n, batch int) (lv, rv []string, left, right []*match.Bindings) {
+	lv, rv = []string{"x", "y"}, []string{"y", "z"}
+	mk := func(vars []string, shift int) []*match.Bindings {
 		rows := make([]rdf.ID, 2*n)
 		for i := 0; i < n; i++ {
-			rows[2*i], rows[2*i+1] = rdf.ID(i+shift), rdf.ID(i+1-shift) // y = i+1 on both sides
+			rows[2*i], rows[2*i+1] = rdf.ID(i+shift), rdf.ID(i+1-shift)
 		}
-		return rows
+		return batchesOf(match.NewBindings(vars, rows, n), batch)
 	}
-	lrows, rrows := mk(0), mk(1)
+	return lv, rv, mk(lv, 0), mk(rv, 1)
+}
+
+// TestJoinStreamAllocsPerInputRow: the streaming join of 10 000 x 10 000
+// rows on one shared column, both inputs open until every batch is in,
+// allocates per batch, per chunk and per doubling of a slot table — never
+// per row, and never a copy of one (it once cost more than one allocation
+// per input row and 300 B, then 179 B with a slice header per row and a
+// Go map per side, then 52.3 B copying every row into a chunk store). One
+// goroutine feeds the batches, alternating sides, over unbuffered
+// channels, so the join takes them in that order and keeps every one
+// whichever close it sees first: the figure repeats. The bytes are the
+// output rows (6 B per input row), the two sides' chain links (4 B) and
+// chunk lists and the two slot tables (26 B, with their doublings); one
+// allocation per batch and side is its chain links. The ceilings are the
+// 0.0104 objects and 37.2 B it measures plus 10%.
+func TestJoinStreamAllocsPerInputRow(t *testing.T) {
+	const n, batch = 10000, 256
+	lv, rv, lb, rb := joinInputs(n, batch)
 	run := func() (objects, bytes uint64) {
-		left := make(chan *match.Bindings, n/batch+1)
-		right := make(chan *match.Bindings, n/batch+1)
-		out := make(chan *match.Bindings, 2*(n/batch+1))
-		for i := 0; i < n; i += batch {
-			left <- &match.Bindings{Vars: lv, Rows: lrows[2*i : 2*min(i+batch, n)]}
-			right <- &match.Bindings{Vars: rv, Rows: rrows[2*i : 2*min(i+batch, n)]}
-		}
-		close(left)
-		close(right)
-		objects, bytes = measureAllocs(func() { JoinStream(context.Background(), lv, rv, left, right, out) })
+		left, right := make(chan *match.Bindings), make(chan *match.Bindings)
+		out := make(chan *match.Bindings, len(lb)+len(rb))
+		objects, bytes = measureAllocs(func() {
+			go func() {
+				for i := range lb {
+					left <- lb[i]
+					right <- rb[i]
+				}
+				close(left)
+				close(right)
+			}()
+			JoinStream(context.Background(), lv, rv, left, right, out)
+		})
 		joined := 0
 		for b := range out {
 			joined += b.Len()
@@ -150,11 +197,51 @@ func TestJoinStreamAllocsPerInputRow(t *testing.T) {
 	objects, bytes := run()
 	perRow, bytesPerRow := float64(objects)/(2*n), float64(bytes)/(2*n)
 	t.Logf("%d allocations (%.4f per input row), %.1f B per input row", objects, perRow, bytesPerRow)
-	if perRow > 0.011 {
-		t.Errorf("streaming join allocates %.4f objects per input row (%d total), want <= 0.011", perRow, objects)
+	if perRow > 0.0115 {
+		t.Errorf("streaming join allocates %.4f objects per input row (%d total), want <= 0.0115", perRow, objects)
 	}
-	if bytesPerRow > 58 {
-		t.Errorf("streaming join allocates %.1f B per input row, want <= 58", bytesPerRow)
+	if bytesPerRow > 41 {
+		t.Errorf("streaming join allocates %.1f B per input row, want <= 41", bytesPerRow)
+	}
+}
+
+// TestJoinProbeOnlyAfterClose: once right has closed, 10 000 more left
+// rows cost their output rows and each output batch's Bindings, nothing
+// else — no chain link, no chunk, no slot: left's rows are probed against
+// right's table and let go, and left's own table is gone.
+func TestJoinProbeOnlyAfterClose(t *testing.T) {
+	const n, batch = 10000, 256
+	lv, rv, lb, rb := joinInputs(n, batch)
+	s := newSymJoiner(newJoinGeom(lv, rv))
+	for _, b := range rb {
+		if s.probe(b, false) != nil {
+			t.Fatal("right rows matched an empty left side")
+		}
+	}
+	s.close(false)
+	right := *s.right
+	var joined, outBatches int
+	var outBytes uint64
+	objects, bytes := measureAllocs(func() {
+		for _, b := range lb {
+			if found := s.probe(b, true); found != nil {
+				joined += found.Len()
+				outBatches++
+				outBytes += uint64(cap(found.Rows)) * 4
+			}
+		}
+	})
+	if joined != n {
+		t.Fatalf("joined %d rows, want %d", joined, n)
+	}
+	if s.left != nil || len(s.right.chunks) != len(right.chunks) || len(s.right.slots) != len(right.slots) {
+		t.Fatal("probing after right closed stored left rows or grew right's table")
+	}
+	// A Bindings is 56 bytes, allocated from the 64-byte size class.
+	t.Logf("%d output batches: %d allocations, %d B (%d B of output rows)", outBatches, objects, bytes, outBytes)
+	if objects > uint64(2*outBatches) || bytes > outBytes+uint64(64*outBatches) {
+		t.Errorf("%d probe-only batches allocate %d objects and %d B, want <= %d and <= %d B (output rows and one Bindings each)",
+			outBatches, objects, bytes, 2*outBatches, outBytes+uint64(64*outBatches))
 	}
 }
 

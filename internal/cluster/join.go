@@ -1,5 +1,9 @@
 package cluster
 
+// The control-site join of Section 7.3 — HashJoin here, JoinStream in
+// stream.go — and the one table both index a side's rows with, which
+// adopts the arrays the rows arrived in and never copies a row.
+
 import (
 	"math/bits"
 	"slices"
@@ -52,7 +56,8 @@ func HashJoin(left, right *match.Bindings) *match.Bindings {
 	if ln == 0 || rn == 0 {
 		return match.NewBindings(j.outVars, nil, 0)
 	}
-	tab := indexRows(right.Rows, j.rw, rn, j.rkey)
+	tab := newJoinTable(j.rw, j.rkey, rn)
+	tab.adopt(right.Rows, rn)
 	// Counting pass: probing twice is far cheaper than growing the output
 	// through repeated reallocation.
 	total := 0
@@ -96,80 +101,89 @@ func hashKey(row []rdf.ID, cols []int) uint64 {
 	return h
 }
 
-// chain is the list of rows stored under one join key: newest is the last
-// one added, n its length. Walk it towards the first with
-//
-//	for i, k := c.newest, c.n; k > 0; i, k = t.older(i), k-1
-type chain struct{ newest, n int32 }
+// A row reference is 32 bits: the chunk in the high ones, the row within
+// the chunk in the low chunkBits. A chunk is at most chunkRows rows —
+// DefaultBatchSize, so a site's full batch is one chunk — and a wider
+// batch or block is adopted as several chunks over sub-slices of its
+// array. One side of a join therefore holds at most maxChunks chunks:
+// 2^24 batches, or 2^32 rows in full chunks. refOf panics rather than let
+// a reference wrap onto another row.
+const (
+	chunkBits = 8
+	chunkRows = 1 << chunkBits
+	maxChunks = 1 << (32 - chunkBits)
+)
 
-// storeChunk is one chunk of a joinTable's rows: the rows back to back
-// and, for each, the row before it in its chain.
+// refOf returns the reference of row off of chunk c.
+func refOf(c, off int) uint32 {
+	if c >= maxChunks {
+		panic("cluster: a join side holds more than maxChunks chunks of rows")
+	}
+	return uint32(c)<<chunkBits | uint32(off)
+}
+
+// chain is the list of rows stored under one join key: newest is the
+// reference of the last one added, n its length. Walk it towards the
+// first with
+//
+//	for r, k := c.newest, c.n; k > 0; r, k = t.older(r), k-1
+type chain struct{ newest, n uint32 }
+
+// storeChunk is one chunk of a joinTable's rows: the rows back to back,
+// where the batch that brought them put them, and for each the reference
+// of the row before it in its chain.
 type storeChunk struct {
 	rows []rdf.ID
-	prev []int32
+	prev []uint32
 }
 
-// joinTable is one side of a join: its w-wide rows in an append-only
-// store and an open-addressed table of row numbers over them. The store
-// never copies on growth: chunk c holds first<<c rows, so row i lives in
-// the chunk named by the bit length of i+first (first is a power of two;
-// a table made over an existing block adopts it as a chunk 0 large enough
-// for all of it). A slot holds the chain of one join key, whose value is
-// read in place from the chain's newest row — no key is ever
+// joinTable is one side of a join: its w-wide rows, read in place in the
+// arrays of the batches that brought them, and an open-addressed table of
+// row references over them. A slot holds the chain of one join key, whose
+// value is read in place from the chain's newest row — no key is ever
 // materialized, at any key width. The slots double when three quarters
-// full, which re-places one row number per distinct key.
+// full, which re-places one reference per distinct key.
 type joinTable struct {
-	w       int
-	cols    []int // the join key's columns in this side's rows
-	first   uint32
-	lgFirst int // bits.Len32(first)
-	chunks  []storeChunk
-	n       int32   // rows stored
-	slots   []chain // n == 0: free
-	keys    int     // occupied slots
-	shift   uint    // 64 - log2(len(slots))
+	w      int
+	cols   []int // the join key's columns in this side's rows
+	chunks []storeChunk
+	slots  []chain // n == 0: free
+	keys   int     // occupied slots
+	shift  uint    // 64 - log2(len(slots))
 }
 
-// rowStoreFirst is the first chunk's size in rows of a table that starts
-// empty.
-const rowStoreFirst = 4
-
-// newJoinTable returns an empty table over w-wide rows keyed by cols.
-func newJoinTable(w int, cols []int) *joinTable {
-	t := &joinTable{w: w, cols: cols, first: rowStoreFirst, lgFirst: bits.Len32(rowStoreFirst)}
-	t.resize(8)
+// newJoinTable returns an empty table over w-wide rows keyed by cols, its
+// slots sized for n distinct keys.
+func newJoinTable(w int, cols []int, n int) *joinTable {
+	t := &joinTable{w: w, cols: cols}
+	t.resize(max(8, 1<<bits.Len(uint(n+n/2))))
 	return t
 }
 
-// indexRows returns the table of the n w-wide rows already in rows, which
-// it reads in place: the block becomes the store's only chunk.
-func indexRows(rows []rdf.ID, w, n int, cols []int) *joinTable {
-	first := uint32(1) << bits.Len32(uint32(n))
-	t := &joinTable{w: w, cols: cols, first: first, lgFirst: bits.Len32(first)}
-	t.chunks = []storeChunk{{rows: rows, prev: make([]int32, n)}}
-	t.resize(1 << bits.Len(uint(n+n/2)))
-	for i := 0; i < n; i++ {
-		t.link(rows[i*w : (i+1)*w])
+// adopt takes the n w-wide rows in rows as the table's next rows and links
+// each to the end of its key's chain. The rows are not copied: the table
+// reads them where they are until it is dropped, so nobody may write to
+// the array after handing it over (see BatchSink).
+func (t *joinTable) adopt(rows []rdf.ID, n int) {
+	prev := make([]uint32, n)
+	for lo := 0; lo < n; lo += chunkRows {
+		hi := min(lo+chunkRows, n)
+		base := refOf(len(t.chunks), 0)
+		t.chunks = append(t.chunks, storeChunk{rows: rows[lo*t.w : hi*t.w], prev: prev[lo:hi]})
+		for i := lo; i < hi; i++ {
+			t.link(rows[i*t.w:(i+1)*t.w], base|uint32(i-lo))
+		}
 	}
-	return t
 }
 
-// slot returns the chunk and row offset of row i.
-func (t *joinTable) slot(i int32) (c *storeChunk, off int) {
-	u := uint32(i) + t.first
-	k := bits.Len32(u) - t.lgFirst
-	return &t.chunks[k], int(u ^ t.first<<k)
+func (t *joinTable) at(r uint32) []rdf.ID {
+	off := int(r & (chunkRows - 1))
+	return t.chunks[r>>chunkBits].rows[off*t.w : (off+1)*t.w]
 }
 
-func (t *joinTable) at(i int32) []rdf.ID {
-	c, off := t.slot(i)
-	return c.rows[off*t.w : (off+1)*t.w]
-}
-
-// older returns the row before row i in its chain.
-func (t *joinTable) older(i int32) int32 {
-	c, off := t.slot(i)
-	return c.prev[off]
+// older returns the reference of the row before row r in its chain.
+func (t *joinTable) older(r uint32) uint32 {
+	return t.chunks[r>>chunkBits].prev[r&(chunkRows-1)]
 }
 
 func (t *joinTable) resize(slots int) {
@@ -207,18 +221,8 @@ func (t *joinTable) find(row []rdf.ID, cols []int) *chain {
 	}
 }
 
-// add stores a copy of row as the table's next row and links it to the end
-// of its key's chain.
-func (t *joinTable) add(row []rdf.ID) {
-	if k := bits.Len32(uint32(t.n)+t.first) - t.lgFirst; k == len(t.chunks) {
-		t.chunks = append(t.chunks, storeChunk{make([]rdf.ID, int(t.first<<k)*t.w), make([]int32, t.first<<k)})
-	}
-	copy(t.at(t.n), row)
-	t.link(row)
-}
-
-// link ends its key's chain with row, which is the store's row number n.
-func (t *joinTable) link(row []rdf.ID) {
+// link ends its key's chain with row, whose reference is r.
+func (t *joinTable) link(row []rdf.ID, r uint32) {
 	if (t.keys+1)*4 > len(t.slots)*3 {
 		t.resize(2 * len(t.slots))
 	}
@@ -226,10 +230,8 @@ func (t *joinTable) link(row []rdf.ID) {
 	if c.n == 0 {
 		t.keys++
 	}
-	chunk, off := t.slot(t.n)
-	chunk.prev[off] = c.newest
-	c.newest, c.n = t.n, c.n+1
-	t.n++
+	t.chunks[r>>chunkBits].prev[r&(chunkRows-1)] = c.newest
+	c.newest, c.n = r, c.n+1
 }
 
 // lookup returns the chain of the rows whose key is what row, a row of the

@@ -18,16 +18,6 @@ func benchTable(n int, vars []string) *match.Bindings {
 	return b
 }
 
-// benchBatches cuts benchTable(rows, vars) into batches of batch rows.
-func benchBatches(vars []string, rows, batch int) []*match.Bindings {
-	var out []*match.Bindings
-	t := benchTable(rows, vars)
-	for i := 0; i < rows; i += batch {
-		out = append(out, &match.Bindings{Vars: vars, Rows: t.Rows[i*len(vars) : min(i+batch, rows)*len(vars)]})
-	}
-	return out
-}
-
 func BenchmarkHashJoin(b *testing.B) {
 	l := benchTable(2000, []string{"x", "y"})
 	r := benchTable(2000, []string{"y", "z"})
@@ -41,9 +31,9 @@ func BenchmarkHashJoin(b *testing.B) {
 // BenchmarkJoinStream measures the pipelined symmetric join over many
 // batches — the shape the streaming engine actually runs.
 func BenchmarkJoinStream(b *testing.B) {
-	lb := benchBatches([]string{"x", "y"}, 2000, 128)
-	rb := benchBatches([]string{"y", "z"}, 2000, 128)
 	lv, rv := []string{"x", "y"}, []string{"y", "z"}
+	lb := batchesOf(benchTable(2000, lv), 128)
+	rb := batchesOf(benchTable(2000, rv), 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

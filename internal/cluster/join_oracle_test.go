@@ -9,7 +9,7 @@ package cluster
 //
 //   - HashJoin is byte-identical to the oracle (exact rows, exact order);
 //   - JoinStream emits exactly the oracle's row multiset at every batch
-//     size and input interleaving;
+//     size, input interleaving and order of the inputs' closes;
 //   - JoinStream fed its whole right stream before the first left batch
 //     is byte-identical to the oracle too: emit order = insertion order.
 //
@@ -116,12 +116,24 @@ func tablesExactEqual(a, b *match.Bindings) bool {
 	return a.Len() == b.Len() && slices.Equal(a.Rows, b.Rows)
 }
 
+// joinOf runs JoinStream over two inputs and collects the emitted rows in
+// emission order.
+func joinOf(lv, rv []string, left, right chan *match.Bindings) *match.Bindings {
+	out := make(chan *match.Bindings, 4)
+	go JoinStream(context.Background(), lv, rv, left, right, out)
+	got := collect(out)
+	if got == nil {
+		got = &match.Bindings{Vars: JoinVars(lv, rv)}
+	}
+	return got
+}
+
 // runJoinStream feeds both tables through JoinStream in randomized batch
-// sizes and collects the emitted rows in emission order. With rightFirst
-// the join has taken in the whole right table before the left one starts:
-// the right channel is unbuffered and JoinStream probes a batch before it
-// receives another, so the last right send returning means all of right
-// is stored or about to be, ahead of any left batch.
+// sizes. With rightFirst the join has taken in the whole right table
+// before the left one starts: the right channel is unbuffered and
+// JoinStream probes a batch before it receives another, so the last right
+// send returning means all of right is stored or about to be, ahead of any
+// left batch.
 func runJoinStream(rng *rand.Rand, left, right *match.Bindings, rightFirst bool) *match.Bindings {
 	rbuf := 2
 	if rightFirst {
@@ -129,7 +141,6 @@ func runJoinStream(rng *rand.Rand, left, right *match.Bindings, rightFirst bool)
 	}
 	lch := make(chan *match.Bindings, 2)
 	rch := make(chan *match.Bindings, rbuf)
-	out := make(chan *match.Bindings, 4)
 	lbatch, rbatch := 1+rng.Intn(16), 1+rng.Intn(16)
 	if rightFirst {
 		go func() {
@@ -140,12 +151,56 @@ func runJoinStream(rng *rand.Rand, left, right *match.Bindings, rightFirst bool)
 		go sendBatches(lch, left, lbatch)
 		go sendBatches(rch, right, rbatch)
 	}
-	go JoinStream(context.Background(), left.Vars, right.Vars, lch, rch, out)
-	got := collect(out)
-	if got == nil {
-		got = &match.Bindings{Vars: JoinVars(left.Vars, right.Vars)}
+	return joinOf(left.Vars, right.Vars, lch, rch)
+}
+
+// closeFirst feeds two inputs of a join from one goroutine over unbuffered
+// channels, so the join receives the batches in the order sent: first's
+// batches interleaved with the first half of second's, then first's close,
+// then the rest of second's — which the join only probes once it has seen
+// that close — and second's close.
+func closeFirst(firstCh chan *match.Bindings, first []*match.Bindings, secondCh chan *match.Bindings, second []*match.Bindings) {
+	early, late := second[:len(second)/2], second[len(second)/2:]
+	for i := 0; i < max(len(first), len(early)); i++ {
+		if i < len(first) {
+			firstCh <- first[i]
+		}
+		if i < len(early) {
+			secondCh <- early[i]
+		}
 	}
-	return got
+	close(firstCh)
+	for _, b := range late {
+		secondCh <- b
+	}
+	close(secondCh)
+}
+
+// queued returns a closed channel holding bs.
+func queued(bs []*match.Bindings) chan *match.Bindings {
+	ch := make(chan *match.Bindings, len(bs))
+	for _, b := range bs {
+		ch <- b
+	}
+	close(ch)
+	return ch
+}
+
+// sameMultiset reports whether got holds want's rows, each as often.
+func sameMultiset(t *testing.T, name string, want, got *match.Bindings) bool {
+	t.Helper()
+	wm, gm := multiset(want), multiset(got)
+	if len(gm) != len(wm) {
+		t.Logf("%s: %d distinct rows, want %d", name, len(gm), len(wm))
+		return false
+	}
+	for k, v := range wm {
+		if gm[k] != v {
+			t.Logf("%s: row %s count %d, want %d", name, k, gm[k], v)
+			return false
+		}
+	}
+	return true
 }
 
 // TestJoinEquivalenceProperty: HashJoin ≡ JoinStream ≡ nested-loop oracle
@@ -166,8 +221,12 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 }
 
 // checkJoinAgainstOracle runs one join instance through HashJoin and the
-// right-first JoinStream (exact rows, exact order) and through JoinStream
-// under randomized interleaving (same row multiset).
+// right-first JoinStream (exact rows, exact order), and through
+// JoinStream under randomized interleaving and in each explicit close
+// order (same row multiset): left closes first, right closes first, both
+// close with every batch still queued — each side one batch of its whole
+// table, as wide as it is — and a side closes first having sent no rows,
+// or only empty batches, leaving the other side's rows nothing to match.
 func checkJoinAgainstOracle(t *testing.T, rng *rand.Rand, left, right *match.Bindings) bool {
 	t.Helper()
 	want := nestedLoopOracle(left, right)
@@ -180,27 +239,53 @@ func checkJoinAgainstOracle(t *testing.T, rng *rand.Rand, left, right *match.Bin
 		return false
 	}
 	// Order unconstrained once the inputs interleave.
-	wm, gm := multiset(want), multiset(runJoinStream(rng, left, right, false))
-	if len(gm) != len(wm) {
-		t.Logf("JoinStream: %d distinct rows, want %d", len(gm), len(wm))
+	if !sameMultiset(t, "JoinStream", want, runJoinStream(rng, left, right, false)) {
 		return false
 	}
-	for k, v := range wm {
-		if gm[k] != v {
-			t.Logf("JoinStream: row %s count %d, want %d", k, gm[k], v)
+	lv, rv := left.Vars, right.Vars
+	lb, rb := batchesOf(left, 1+rng.Intn(16)), batchesOf(right, 1+rng.Intn(16))
+	l, r := make(chan *match.Bindings), make(chan *match.Bindings)
+	go closeFirst(l, lb, r, rb)
+	if !sameMultiset(t, "left closes first", want, joinOf(lv, rv, l, r)) {
+		return false
+	}
+	l, r = make(chan *match.Bindings), make(chan *match.Bindings)
+	go closeFirst(r, rb, l, lb)
+	if !sameMultiset(t, "right closes first", want, joinOf(lv, rv, l, r)) {
+		return false
+	}
+	whole := func(b *match.Bindings) chan *match.Bindings { return queued(batchesOf(b, max(1, b.Len()))) }
+	if !sameMultiset(t, "both queued", want, joinOf(lv, rv, whole(left), whole(right))) {
+		return false
+	}
+	empties := func(vars []string) []*match.Bindings {
+		return []*match.Bindings{match.NewBindings(vars, nil, 0), match.NewBindings(vars, nil, 0)}
+	}
+	for _, sent := range [][2][]*match.Bindings{{nil, nil}, {empties(lv), empties(rv)}} {
+		l, r = make(chan *match.Bindings), make(chan *match.Bindings)
+		go closeFirst(l, sent[0], r, rb)
+		if got := joinOf(lv, rv, l, r); got.Len() != 0 {
+			t.Logf("left closed with %d empty batches: %d rows joined", len(sent[0]), got.Len())
+			return false
+		}
+		l, r = make(chan *match.Bindings), make(chan *match.Bindings)
+		go closeFirst(r, sent[1], l, lb)
+		if got := joinOf(lv, rv, l, r); got.Len() != 0 {
+			t.Logf("right closed with %d empty batches: %d rows joined", len(sent[1]), got.Len())
 			return false
 		}
 	}
 	return true
 }
 
-// TestJoinAcrossChunkBoundaries drives table sizes that end on, one past
-// and well past the chunk boundaries of the symmetric join's row store
-// and chain links, and past several doublings of its slot table, through
-// every layout — Cartesian, five-column keys and sides without variables
-// included — against the oracle.
+// TestJoinAcrossChunkBoundaries drives table sizes around and well past
+// the chunk boundaries of the join's adopted rows and chain links — a
+// HashJoin block and a queued whole-table batch of more than chunkRows
+// rows span several chunks — and past several doublings of its slot
+// table, through every layout — Cartesian, five-column keys and sides
+// without variables included — against the oracle.
 func TestJoinAcrossChunkBoundaries(t *testing.T) {
-	sizes := []int{rowStoreFirst, rowStoreFirst + 1, 3 * rowStoreFirst, 3*rowStoreFirst + 1, 16, 17, 33, 4097}
+	sizes := []int{1, 17, chunkRows - 1, chunkRows, chunkRows + 1, 2*chunkRows + 1, 16*chunkRows + 1}
 	rng := rand.New(rand.NewSource(17))
 	for li, layout := range joinLayouts {
 		for _, n := range sizes {

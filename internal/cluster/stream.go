@@ -8,7 +8,11 @@ package cluster
 // ready first builds its hash table incrementally while probing the other
 // side's table, so join work overlaps with subquery evaluation and
 // shipping. Query latency becomes the longest chain through the
-// pipeline rather than the sum of barrier-separated phases.
+// pipeline rather than the sum of barrier-separated phases. A side's
+// table indexes its batches' rows where they arrived, without copying
+// them — a delivered batch belongs to its receiver (BatchSink) — and only
+// while the other input is open; after that the side's batches are
+// probed and let go.
 
 import (
 	"context"
@@ -27,9 +31,11 @@ const DefaultBatchSize = 256
 
 // BatchSink receives one shipped batch of bindings. The batch and its Rows
 // array belong to the receiver from then on: the sender keeps no
-// reference, so the sink may reorder, overwrite or retain it. Fragments
-// evaluate in parallel, so the sink must be safe for concurrent use.
-// Returning an error stops the stream.
+// reference and never writes to them again, so the sink may reorder,
+// overwrite or retain it. JoinStream retains every batch it keeps and
+// reads it until the join ends; exec.consume keeps every batch until the
+// answer is built. Fragments evaluate in parallel, so the sink must be
+// safe for concurrent use. Returning an error stops the stream.
 type BatchSink func(*match.Bindings) error
 
 // EvalStream evaluates a subquery at a site like Eval, but ships binding
@@ -119,38 +125,40 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 }
 
 // symJoiner is the symmetric (pipelined) hash-join core: each arriving
-// row is copied into its side's table and probed against the other side's
-// rows seen so far, so every matching pair is produced exactly once, as
-// soon as its later row arrives.
+// batch is probed against the other side's rows seen so far and, while
+// the other side is still open, adopted by its own side's table, so every
+// matching pair is produced exactly once, as soon as its later row
+// arrives.
 type symJoiner struct {
 	j           *joinGeom
-	left, right *joinTable
-	hits        []chain // per row of the batch being probed; reused
+	left, right *joinTable // nil once dropped by close
+	hits        []chain    // per row of the batch being probed; reused
 }
 
 func newSymJoiner(j *joinGeom) *symJoiner {
-	return &symJoiner{j: j, left: newJoinTable(j.lw, j.lkey), right: newJoinTable(j.rw, j.rkey)}
+	return &symJoiner{j: j, left: newJoinTable(j.lw, j.lkey, 0), right: newJoinTable(j.rw, j.rkey, 0)}
 }
 
-// probe adds a batch to its side (left names it) and returns the batch's
-// merged matches against the other side's rows seen so far, nil when there
-// are none. The first pass stores the rows and counts the matches, so the
-// output is allocated once, exactly.
+// probe takes a batch of the side left names and returns its merged
+// matches against the other side's rows seen so far, nil when there are
+// none; its own side's table, unless dropped, adopts the batch. The first
+// pass counts the matches, so the output is allocated once, exactly.
 func (s *symJoiner) probe(b *match.Bindings, left bool) *match.Bindings {
-	own, other := s.right, s.left
+	own, other, w, cols := s.right, s.left, s.j.rw, s.j.rkey
 	if left {
-		own, other = other, own
+		own, other, w, cols = s.left, s.right, s.j.lw, s.j.lkey
 	}
 	n := b.Len()
+	if own != nil {
+		own.adopt(b.Rows, n)
+	}
 	if cap(s.hits) < n {
 		s.hits = make([]chain, 0, n)
 	}
 	s.hits = s.hits[:0]
 	total := 0
 	for i := 0; i < n; i++ {
-		row := b.Rows[i*own.w : (i+1)*own.w]
-		own.add(row)
-		c := other.lookup(row, own.cols)
+		c := other.lookup(b.Rows[i*w:(i+1)*w], cols)
 		s.hits = append(s.hits, c)
 		total += int(c.n)
 	}
@@ -161,7 +169,7 @@ func (s *symJoiner) probe(b *match.Bindings, left bool) *match.Bindings {
 	found := make([]rdf.ID, total*width)
 	at := 0
 	for i, c := range s.hits {
-		row := b.Rows[i*own.w : (i+1)*own.w]
+		row := b.Rows[i*w : (i+1)*w]
 		// A chain runs from its newest row back; the output lists a
 		// row's matches oldest first.
 		for o, k := c.newest, int(c.n); k > 0; o, k = other.older(o), k-1 {
@@ -176,18 +184,32 @@ func (s *symJoiner) probe(b *match.Bindings, left bool) *match.Bindings {
 	return match.NewBindings(s.j.outVars, found, total)
 }
 
+// close records that the side left names has ended: the other side's
+// table, which only this side probed, is dropped, since none of its rows
+// can match again.
+func (s *symJoiner) close(left bool) {
+	if left {
+		s.right = nil
+	} else {
+		s.left = nil
+	}
+}
+
 // JoinStream runs a symmetric (pipelined) hash join between two batch
-// streams and closes out when done. Both inputs build a hash table
-// incrementally: each arriving row is inserted into its side's table and
-// probed against the other side's rows seen so far, so every matching
-// pair is emitted exactly once, as soon as its later row arrives — a
-// batch's rows in their order, each with its matches in the order the
-// other side received them, so a right stream consumed whole before the
-// first left batch yields exactly HashJoin's row sequence. With no shared
-// variables it degrades to a streamed Cartesian product. Output columns
-// follow JoinVars(leftVars, rightVars). Cancelling ctx stops the join
-// promptly; the inputs are then left undrained (producers must also watch
-// ctx).
+// streams and closes out when done. Each arriving batch is probed against
+// the other side's rows seen so far and, while the other input is still
+// open, kept in its own side's table where it arrived — the join owns the
+// batches it receives (see BatchSink) and reads them until it returns.
+// Once an input closes, the other side's table is dropped and that side's
+// batches are only probed: a symmetric hash join keeps an input only
+// while the other can still deliver rows. Every matching pair is emitted
+// exactly once, as soon as its later row arrives — a batch's rows in
+// their order, each with its matches in the order the other side received
+// them, so a right stream consumed whole before the first left batch
+// yields exactly HashJoin's row sequence. With no shared variables it
+// degrades to a streamed Cartesian product. Output columns follow
+// JoinVars(leftVars, rightVars). Cancelling ctx stops the join promptly;
+// the inputs are then left undrained (producers must also watch ctx).
 func JoinStream(ctx context.Context, leftVars, rightVars []string, left, right <-chan *match.Bindings, out chan<- *match.Bindings) {
 	defer close(out)
 	s := newSymJoiner(newJoinGeom(leftVars, rightVars))
@@ -197,12 +219,14 @@ func JoinStream(ctx context.Context, leftVars, rightVars []string, left, right <
 		case b, ok := <-left:
 			if !ok {
 				left = nil
+				s.close(true)
 				continue
 			}
 			found = s.probe(b, true)
 		case b, ok := <-right:
 			if !ok {
 				right = nil
+				s.close(false)
 				continue
 			}
 			found = s.probe(b, false)

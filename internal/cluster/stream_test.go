@@ -13,13 +13,22 @@ import (
 	"rdffrag/internal/sparql"
 )
 
-// sendBatches splits a table into batches of n rows and streams them.
-func sendBatches(ch chan *match.Bindings, t *match.Bindings, n int) {
-	defer close(ch)
+// batchesOf cuts a table into batches of n rows over its own array.
+func batchesOf(t *match.Bindings, n int) []*match.Bindings {
+	var out []*match.Bindings
 	w := len(t.Vars)
 	for i := 0; i < t.Len(); i += n {
 		j := min(i+n, t.Len())
-		ch <- match.NewBindings(t.Vars, t.Rows[i*w:j*w], j-i)
+		out = append(out, match.NewBindings(t.Vars, t.Rows[i*w:j*w:j*w], j-i))
+	}
+	return out
+}
+
+// sendBatches splits a table into batches of n rows and streams them.
+func sendBatches(ch chan *match.Bindings, t *match.Bindings, n int) {
+	defer close(ch)
+	for _, b := range batchesOf(t, n) {
+		ch <- b
 	}
 }
 

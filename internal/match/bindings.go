@@ -234,8 +234,11 @@ func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
 // hands fn each batch already projected onto the query's variables (what
 // ToBindings would make of it), without retaining a Match: rows are
 // written straight from the searcher's reused Match into the batch's flat
-// array. The batch belongs to fn. It powers streaming subquery evaluation:
-// sites ship bindings to the control-site join as they are found.
+// array. The batch and its array belong to fn: the matcher keeps no
+// reference and never writes to them again, so fn may retain them — the
+// control-site join reads the rows of the batches it keeps, in place,
+// until it ends. It powers streaming subquery evaluation: sites ship
+// bindings to the control-site join as they are found.
 func FindBindings(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn func(*Bindings) bool) {
 	p := newProjector(q)
 	if len(p.vars) == 0 {

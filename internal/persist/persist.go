@@ -131,8 +131,11 @@ func Save(w io.Writer, st *State) error {
 	snap := &Snapshot{Version: Version, Sites: st.Sites, Kind: uint8(st.Frag.Kind), WALSeq: st.WALSeq}
 
 	d := st.Graph.Dict
+	// Queries intern their constants while a checkpoint runs (it holds only
+	// the writer lock), so the dictionary may grow meanwhile: take the
+	// terms there are now, which every triple refers to.
 	snap.Terms = make([]TermDTO, d.Len())
-	for i := 0; i < d.Len(); i++ {
+	for i := range snap.Terms {
 		t := d.Decode(rdf.ID(i))
 		snap.Terms[i] = TermDTO{Kind: uint8(t.Kind), Value: t.Value}
 	}

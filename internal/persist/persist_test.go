@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -122,6 +123,39 @@ func TestSaveLoadSaveByteStable(t *testing.T) {
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
 				t.Errorf("horizontal=%v, %s: save → load → save changed the snapshot (%d vs %d bytes)", horizontal, name, first.Len(), second.Len())
 			}
+		}
+	}
+}
+
+// TestSaveWhileTermsAreInterned: queries intern their constants into the
+// shared dictionary while a checkpoint runs under the writer lock alone,
+// so the dictionary grows during Save; the snapshot takes the terms there
+// were when it began instead of running past the array it sized for them.
+func TestSaveWhileTermsAreInterned(t *testing.T) {
+	st := buildState(t, false)
+	d := st.Graph.Dict
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 20000 {
+			d.Encode(rdf.NewIRI(fmt.Sprintf("urn:query:constant:%d", i)))
+		}
+	}()
+	for saves := 0; ; saves++ {
+		select {
+		case <-done:
+			if saves == 0 {
+				t.Fatal("the terms were all interned before the first Save began")
+			}
+			return
+		default:
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, st); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		if _, err := Load(&buf); err != nil {
+			t.Fatalf("Load: %v", err)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -178,6 +179,70 @@ func TestMultiProcessSites(t *testing.T) {
 	}
 	if opens == 0 {
 		t.Error("no breaker opened across the kill/restart cycle")
+	}
+}
+
+// TestMultiProcessSitesRefuseUpdates: a real `rdffrag serve -site …`
+// control in front of a real `rdffrag site` process refuses every update
+// method with 501 and a message naming -site — the site process would
+// never see the batch — and the refused batches change no answer.
+func TestMultiProcessSitesRefuseUpdates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes; skipped in -short mode")
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "rdffrag")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/rdffrag").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	dataPath := filepath.Join(tmp, "data.nt")
+	wlPath := filepath.Join(tmp, "workload.rq")
+	if err := os.WriteFile(dataPath, []byte(soakNT(40, 0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wlPath, []byte(strings.Join(soakWorkload, "\n---\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, siteAddr := startSiteProc(t, bin, dataPath, wlPath, "127.0.0.1:0")
+	ctrl := startServeProc(t, bin, "", "-data", dataPath, "-workload", wlPath,
+		"-strategy", "vertical", "-sites", "2", "-minsup", "0.2",
+		"-site", "0=http://"+siteAddr, "-site", "1=http://"+siteAddr)
+
+	rows := func() string {
+		resp, err := http.Post(ctrl.url("/query?format=csv"), "application/sparql-query", strings.NewReader(soakWorkload[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("query: HTTP %d, %v: %s", resp.StatusCode, err, body)
+		}
+		return string(body)
+	}
+	before := rows()
+	person := "<P90> <name> \"Person 90\" .\n<P90> <interest> <I0> .\n"
+	for _, tc := range []struct{ method, body string }{
+		{http.MethodPost, person},
+		{http.MethodPut, "---\n" + person},
+		{http.MethodDelete, "<P1> <name> \"Person 1\" .\n"},
+	} {
+		req, err := http.NewRequest(tc.method, ctrl.url("/update"), strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s /update: %v", tc.method, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotImplemented || !strings.Contains(string(msg), "-site") {
+			t.Errorf("%s /update with remote sites: HTTP %d %q, want 501 naming -site", tc.method, resp.StatusCode, msg)
+		}
+	}
+	if after := rows(); after != before {
+		t.Errorf("answers moved after refused updates:\n%s\nwant\n%s", after, before)
 	}
 }
 

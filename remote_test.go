@@ -9,6 +9,7 @@ package rdffrag
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -300,6 +301,17 @@ func TestChaosSoakRemoteSites(t *testing.T) {
 		},
 	})
 
+	// A server with remote sites refuses updates (ErrRemoteSites). The
+	// site handler above serves this same *Deployment, so the soak applies
+	// its updates through a second, in-process server on it: that is how
+	// the test moves the site's data epoch under the remote streams, which
+	// must then restart instead of resuming — not how a production
+	// deployment, whose sites are separate processes, is updated.
+	writer := dep.StartServer(ServerConfig{Workers: 1})
+	if _, err := srv.Update(context.Background(), soakNT(1, 999)); !errors.Is(err, ErrRemoteSites) {
+		t.Fatalf("update through the server with remote sites: %v, want ErrRemoteSites", err)
+	}
+
 	parsed := make([]*sparql.Graph, len(soakWorkload))
 	for i, q := range soakWorkload {
 		parsed[i] = sparql.MustParse(dep.db.graph.Dict, q)
@@ -327,7 +339,7 @@ func TestChaosSoakRemoteSites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < updates; j++ {
-			if _, err := srv.Update(context.Background(), soakNT(3, 1000+10*j)); err != nil {
+			if _, err := writer.Update(context.Background(), soakNT(3, 1000+10*j)); err != nil {
 				errs <- fmt.Errorf("update %d: %w", j, err)
 			}
 		}
@@ -407,6 +419,7 @@ func TestChaosSoakRemoteSites(t *testing.T) {
 
 	// Phase D: drain and check for leaks.
 	srv.Close()
+	writer.Close()
 	site.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {

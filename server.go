@@ -31,7 +31,8 @@ type ServerConfig struct {
 	// Remote configures networked sites: which site IDs are served by
 	// external `rdffrag site` processes, and the retry / hedging /
 	// circuit-breaker / degradation policy used to reach them. The zero
-	// value keeps every site in-process.
+	// value keeps every site in-process. A server with any remote site
+	// refuses updates (ErrRemoteSites).
 	Remote RemoteConfig
 	// Durable routes every update batch through a write-ahead log before
 	// it is acknowledged (see OpenDurable). The Durable must be bound —
@@ -64,6 +65,9 @@ type Server struct {
 	inner   *serve.Server
 	durable *Durable // nil when serving without durability
 	ttl     time.Duration
+	// remote is set when the server was started with remote sites: its
+	// updates are refused with ErrRemoteSites.
+	remote bool
 
 	// draining flips once shutdown begins (MarkDraining or Close) so
 	// /healthz can tell load balancers to stop routing here while
@@ -104,6 +108,7 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 		dep:     dep,
 		durable: cfg.Durable,
 		ttl:     cfg.TTL,
+		remote:  len(cfg.Remote.Sites) > 0,
 		inner: serve.New(dep.engine, serve.Config{
 			Workers:       cfg.Workers,
 			QueueDepth:    cfg.QueueDepth,

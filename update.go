@@ -30,6 +30,14 @@ var ErrNoUpdater = serve.ErrNoUpdater
 // status class it belongs to.
 var ErrBadUpdate = errors.New("rdffrag: bad update batch")
 
+// ErrRemoteSites is returned by Update, UpdateTTL, Delete and Overwrite on
+// a server started with remote sites (ServerConfig.Remote.Sites, the
+// `-site` flag of `rdffrag serve`). A batch changes this process's graphs
+// only; a site process answers from its own copy, which never receives
+// it, so the update would be acknowledged and yet invisible through every
+// remote site. /update maps it to 501.
+var ErrRemoteSites = errors.New("rdffrag: updates are refused while sites are remote (-site): site processes never receive them")
+
 // Update parses an N-Triples document and applies its triples to the live
 // deployment through the server's update path: triples land in the delta
 // overlays of the global graph, the hot/cold split, and the relevant
@@ -45,6 +53,9 @@ func (s *Server) Update(ctx context.Context, ntriples string) (*UpdateResult, er
 // deletes them through the normal durable update path once ttl elapses.
 // Zero means no expiry (ignoring any server-wide default).
 func (s *Server) UpdateTTL(ctx context.Context, ntriples string, ttl time.Duration) (*UpdateResult, error) {
+	if s.remote {
+		return nil, ErrRemoteSites
+	}
 	ts, err := parseUpdateBatch(s.dep.db.graph.Dict, ntriples)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadUpdate, err)
@@ -67,6 +78,9 @@ func (s *Server) UpdateTTL(ctx context.Context, ntriples string, ttl time.Durati
 // insert, an empty insDoc to a delete), but not both. A positive ttl
 // schedules the inserted triples for expiry.
 func (s *Server) Overwrite(ctx context.Context, delDoc, insDoc string, ttl time.Duration) (*UpdateResult, error) {
+	if s.remote {
+		return nil, ErrRemoteSites
+	}
 	dict := s.dep.db.graph.Dict
 	del, delParsed, err := parseLookupSet(dict, delDoc)
 	if err != nil {
@@ -114,6 +128,9 @@ func (s *Server) Sweep() int { return s.inner.Sweep(time.Now()) }
 // no-op (it does not even intern the unknown terms), so Delete's stats
 // report what actually went away.
 func (s *Server) Delete(ctx context.Context, ntriples string) (*UpdateResult, error) {
+	if s.remote {
+		return nil, ErrRemoteSites
+	}
 	ts, err := parseDeleteBatch(s.dep.db.graph.Dict, ntriples)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadUpdate, err)
