@@ -48,7 +48,7 @@ func serveMain(args []string) {
 		walFlush  = fs.Duration("wal-flush-interval", 2*time.Millisecond, "group-commit flush period for -wal-sync interval")
 		walSeg    = fs.Int64("wal-segment-bytes", 64<<20, "rotate WAL segments past this size")
 		ckptBytes = fs.Int64("checkpoint-bytes", 8<<20, "checkpoint once the live WAL grows past this size")
-		crashProb = fs.Float64("wal-crash-prob", 0, "fault injection: probability a WAL fsync simulates a machine crash (torn tail + SIGKILL); testing only")
+		crashProb = fs.Float64("wal-crash-prob", 0, "fault injection: probability a WAL or checkpoint fsync simulates a machine crash (torn tail + SIGKILL); testing only")
 		crashSeed = fs.Int64("wal-crash-seed", 1, "seed for the WAL crash injector")
 		drainTO   = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound: how long SIGTERM waits for in-flight queries to drain")
 
@@ -94,9 +94,10 @@ func serveMain(args []string) {
 			CheckpointBytes: *ckptBytes,
 		}
 		if *crashProb > 0 {
-			// The crash harness's fault seam: fsyncs roll a simulated
-			// machine crash — a random prefix of the unflushed tail
-			// persists (a torn write), then the process SIGKILLs itself.
+			// The crash harness's fault seam: fsyncs of the log and of a
+			// checkpoint's temp file roll a simulated machine crash — a
+			// random prefix of the unflushed tail persists (a torn
+			// write), then the process SIGKILLs itself.
 			dcfg.FS = wal.NewChaosFS(*crashSeed, *crashProb)
 		}
 		var err error

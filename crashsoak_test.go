@@ -15,12 +15,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -95,7 +97,12 @@ func startServeProc(t *testing.T, bin, dataDir string, extra ...string) *servePr
 // (2xx with a parsed body). Anything else — connection reset by a dying
 // process, a refused socket — counts as unacknowledged.
 func sendBatch(p *serveProc, i int) (seq uint64, ok bool) {
-	resp, err := http.Post(p.url("/update"), "application/n-triples", strings.NewReader(crashBatch(i)))
+	return sendDoc(p, crashBatch(i))
+}
+
+// sendDoc posts one update document, acknowledged as sendBatch's is.
+func sendDoc(p *serveProc, doc string) (seq uint64, ok bool) {
+	resp, err := http.Post(p.url("/update"), "application/n-triples", strings.NewReader(doc))
 	if err != nil {
 		return 0, false
 	}
@@ -695,6 +702,191 @@ func TestCrashRecoveryOverwriteSoak(t *testing.T) {
 	p = startServeProc(t, bin, dataDir, base...)
 	verify(p, "final")
 	t.Logf("overwrite soak: %d kills, %d overwrites durable", kills, acked)
+}
+
+// writerBatch renders writer w's batch i in the checkpoint soak: two
+// triples under the dedicated predicates, with a subject of the writer's
+// own, so each writer's recovered batches can be checked as a prefix of
+// what it sent.
+func writerBatch(w, i int) string {
+	return fmt.Sprintf("<W%dC%d> <urn:crash:p> <V%d> .\n<W%dC%d> <urn:crash:q> \"mark %d\" .\n", w, i, i, w, i, i)
+}
+
+// writerPrefixes reads how many batches of each of n writers recovered,
+// failing the test unless each writer's batches are exactly 1..R, whole.
+func writerPrefixes(t *testing.T, p *serveProc, n int) []int {
+	t.Helper()
+	subjects := func(query string) []map[int]bool {
+		resp, err := http.Post(p.url("/query?format=tsv"), "application/sparql-query", strings.NewReader(query))
+		if err != nil {
+			t.Fatalf("probe query: %v", err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("probe query: HTTP %d: %s", resp.StatusCode, b)
+		}
+		sets := make([]map[int]bool, n)
+		for w := range sets {
+			sets[w] = map[int]bool{}
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n")[1:] {
+			var w, i int
+			if _, err := fmt.Sscanf(strings.TrimSpace(line), "<W%dC%d>", &w, &i); err != nil || w < 0 || w >= n {
+				t.Fatalf("unexpected probe subject %q", line)
+			}
+			if sets[w][i] {
+				t.Fatalf("duplicate subject W%dC%d in recovered state (double apply)", w, i)
+			}
+			sets[w][i] = true
+		}
+		return sets
+	}
+	ps := subjects(`SELECT ?x WHERE { ?x <urn:crash:p> ?v . }`)
+	qs := subjects(`SELECT ?x WHERE { ?x <urn:crash:q> ?v . }`)
+	out := make([]int, n)
+	for w := range n {
+		for i := 1; i <= len(ps[w]); i++ {
+			if !ps[w][i] || !qs[w][i] {
+				t.Fatalf("writer %d: recovered state is not the prefix 1..%d whole: batch %d missing or torn", w, len(ps[w]), i)
+			}
+		}
+		if len(qs[w]) != len(ps[w]) {
+			t.Fatalf("writer %d: torn batches: %d <urn:crash:p> subjects vs %d <urn:crash:q>", w, len(ps[w]), len(qs[w]))
+		}
+		out[w] = len(ps[w])
+	}
+	return out
+}
+
+// TestCrashRecoveryCheckpointSoak SIGKILLs a durable server while two
+// writers stream batches and the checkpointer — kicked by every append
+// (-checkpoint-bytes 1) — writes image after image off the writer lock,
+// overlapping the appends. The kills take turns: from the outside after a
+// seeded delay; by the fault-injecting filesystem tearing an fsync, of
+// the WAL or of a checkpoint's temp file; and from the outside the moment
+// a checkpoint's temp file appears, inside the off-lock write. A temp file
+// left behind counts a kill inside a checkpoint write. Every restart must
+// load a whole checkpoint, the old one or the new one and never one older
+// than the last restart loaded, and replay each writer to exactly a prefix
+// between its acknowledged and its attempted batches.
+func TestCrashRecoveryCheckpointSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes; skipped in -short mode")
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "rdffrag")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/rdffrag").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	dataPath := filepath.Join(tmp, "data.nt")
+	wlPath := filepath.Join(tmp, "workload.rq")
+	if err := os.WriteFile(dataPath, []byte(soakNT(30, 0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wlPath, []byte(strings.Join(soakWorkload, "\n---\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dataDir := filepath.Join(tmp, "durable")
+	tmpCheckpoint := filepath.Join(dataDir, checkpointFile+".tmp")
+	base := []string{"-data", dataPath, "-workload", wlPath, "-sites", "2", "-minsup", "0.2",
+		"-wal-sync", "always", "-checkpoint-bytes", "1", "-wal-segment-bytes", "2048"}
+	p := startServeProc(t, bin, dataDir, base...)
+
+	const writers = 2
+	acked, attempted := make([]int, writers), make([]int, writers)
+	var lastCheckpoint uint64
+	verify := func(p *serveProc, phase string) {
+		for w, r := range writerPrefixes(t, p, writers) {
+			if r < acked[w] || r > attempted[w] {
+				t.Fatalf("%s: writer %d recovered %d batches, want acked %d <= R <= attempted %d", phase, w, r, acked[w], attempted[w])
+			}
+			acked[w], attempted[w] = r, r
+		}
+		m := walMetricsOf(t, p)
+		if m["replayed_records"] != m["wal_last_seq"]-m["wal_checkpoint_seq"] {
+			t.Fatalf("%s: replayed_records %v != wal_last_seq %v - wal_checkpoint_seq %v",
+				phase, m["replayed_records"], m["wal_last_seq"], m["wal_checkpoint_seq"])
+		}
+		if seq := uint64(m["wal_checkpoint_seq"]); seq < lastCheckpoint {
+			t.Fatalf("%s: recovered from checkpoint seq %d, older than the %d the last restart loaded", phase, seq, lastCheckpoint)
+		} else {
+			lastCheckpoint = seq
+		}
+	}
+
+	r := rand.New(rand.NewSource(27))
+	kills, insideWrite := 0, 0
+	for cycle := 0; kills < 15; cycle++ {
+		mode := cycle % 3 // 0: seeded delay, 1: torn fsync, 2: at a checkpoint's temp file
+		if cycle > 0 {
+			extra := append([]string(nil), base...)
+			if mode == 1 {
+				extra = append(extra, "-wal-crash-prob", "0.08", "-wal-crash-seed", fmt.Sprint(2700+cycle))
+			}
+			p = startServeProc(t, bin, dataDir, extra...)
+			if p.recovered == "" {
+				t.Fatalf("cycle %d: restart did not report a recovery summary", cycle)
+			}
+			verify(p, fmt.Sprintf("cycle %d", cycle))
+		}
+
+		// Each writer streams until the process stops acknowledging; a
+		// torn-fsync cycle must die within its budget.
+		budget := 1 << 20
+		if mode == 1 {
+			budget = 200
+		}
+		var wg sync.WaitGroup
+		for w := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range budget {
+					attempted[w]++
+					if _, ok := sendDoc(p, writerBatch(w, attempted[w])); !ok {
+						return
+					}
+					acked[w]++
+				}
+			}()
+		}
+		switch mode {
+		case 0:
+			time.Sleep(time.Duration(20+r.Intn(200)) * time.Millisecond)
+			p.cmd.Process.Kill()
+		case 1:
+			if wg.Wait(); acked[0]+acked[1] == attempted[0]+attempted[1] {
+				t.Fatalf("cycle %d: %d batches without an injected crash; raise the probability", cycle, writers*budget)
+			}
+		case 2:
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				if _, err := os.Stat(tmpCheckpoint); err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("cycle %d: no checkpoint began within 30s of streaming", cycle)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			p.cmd.Process.Kill()
+		}
+		waitDeath(t, p)
+		wg.Wait()
+		if _, err := os.Stat(tmpCheckpoint); err == nil {
+			insideWrite++
+		}
+		kills++
+	}
+
+	p = startServeProc(t, bin, dataDir, base...)
+	verify(p, "final")
+	if lastCheckpoint == 0 || insideWrite < 3 {
+		t.Fatalf("%d of %d kills landed inside a checkpoint write, the last restart loaded checkpoint seq %d: the soak did not exercise what it is for",
+			insideWrite, kills, lastCheckpoint)
+	}
+	t.Logf("checkpoint soak: %d kills, %d inside a checkpoint write, %v batches durable", kills, insideWrite, acked)
 }
 
 // TestGracefulShutdownSIGTERM: under the lossy-window "interval" sync

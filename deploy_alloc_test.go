@@ -3,6 +3,7 @@ package rdffrag
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"testing"
@@ -136,3 +137,37 @@ func TestLoadTotalAlloc(t *testing.T) {
 
 // What the load measured when the ceiling was set.
 const loadAlloc = 13_700_000
+
+// TestCheckpointAlloc bounds what one Save of the deployment allocates on
+// the same fixture, vertical. Built as a triple list per graph, copied
+// into a DTO of [3]uint32 and gob-encoded as one 1.9 MB value, it was
+// 19.3 MB; streamed from pinned snapshots a chunk at a time into a 1.7 MB
+// image, the figure below, and the ceiling is that plus 10 %. A triple
+// list, or the image held whole, puts it back over.
+func TestCheckpointAlloc(t *testing.T) {
+	db, _, workload := watdivDB(t, 50000, Config{Strategy: Vertical})
+	db.graph.Freeze()
+	dep, err := db.DeployParsed(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := make([]uint64, 5)
+	var before, after runtime.MemStats
+	for i := range perRun {
+		runtime.ReadMemStats(&before)
+		if err := dep.Save(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perRun[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(perRun)
+	median, ceiling := perRun[len(perRun)/2], uint64(checkpointAlloc*11/10)
+	t.Logf("Save allocates %.2f MB (ceiling %.2f)", float64(median)/1e6, float64(ceiling)/1e6)
+	if median > ceiling {
+		t.Errorf("Save allocates %d B, want <= %d", median, ceiling)
+	}
+}
+
+// What one Save measured when the ceiling was set.
+const checkpointAlloc = 375_000

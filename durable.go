@@ -3,8 +3,10 @@ package rdffrag
 // Durable updates: every acknowledged update batch — insert or delete,
 // told apart by the WAL record's kind byte — is appended to a
 // write-ahead log before it is applied, and a background checkpointer
-// periodically folds the log into a persist.Save snapshot stamped with
-// the last applied WAL sequence number. Restart loads the latest
+// periodically folds the log into a persist image stamped with the last
+// applied WAL sequence number. The checkpointer holds the writer lock
+// only to compact, pin a snapshot of each graph and rotate the log; it
+// streams the image to disk while updates go on. Restart loads the latest
 // checkpoint and replays the WAL tail through the exact same
 // Deployment.applyBatch path the live server uses, truncating at the
 // first torn or CRC-failing record — so a crash (SIGKILL, power cut)
@@ -24,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rdffrag/internal/persist"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/serve"
 	"rdffrag/internal/wal"
@@ -53,11 +56,11 @@ type DurabilityConfig struct {
 	// CheckpointBytes triggers a background checkpoint once the live
 	// WAL grows past it (default 8 MiB).
 	CheckpointBytes int64
-	// FS overrides the WAL's filesystem — the fault-injection seam the
-	// crash harness uses (wal.NewChaosFS). Nil means the real
-	// filesystem. Checkpoint snapshots always use the real filesystem:
-	// their tmp+fsync+rename dance is atomic against crashes by
-	// construction, so the interesting fault surface is the log tail.
+	// FS overrides the filesystem the WAL and the checkpoint's temp file
+	// are written through — the fault-injection seam the crash harness
+	// uses (wal.NewChaosFS): a checkpoint is written while updates append,
+	// so a simulated crash can land inside either. Nil means the real
+	// filesystem.
 	FS wal.FS
 }
 
@@ -75,6 +78,9 @@ func (c DurabilityConfig) withDefaults() (DurabilityConfig, wal.SyncPolicy, erro
 	if c.CheckpointBytes <= 0 {
 		c.CheckpointBytes = 8 << 20
 	}
+	if c.FS == nil {
+		c.FS = wal.OS()
+	}
 	return c, pol, nil
 }
 
@@ -89,8 +95,10 @@ type Durable struct {
 	pol wal.SyncPolicy
 	log *wal.Log
 	dep *Deployment
-	srv *Server // set by StartServer; checkpoints run under its data lock
+	srv *Server // set by StartServer; checkpoints capture under its data lock
 
+	ckptMu        sync.Mutex    // one checkpoint at a time, capture to retire
+	writing       atomic.Bool   // a checkpoint is between its log rotation and its retire
 	appliedSeq    atomic.Uint64 // newest WAL seq applied to the deployment
 	checkpointSeq atomic.Uint64 // WAL seq the latest checkpoint covers
 	checkpoints   atomic.Uint64
@@ -144,9 +152,6 @@ func (d *Durable) Recover(cfg Config) (*Deployment, error) {
 	// never happened, so the previous checkpoint is still the truth.
 	os.Remove(filepath.Join(d.cfg.Dir, checkpointFile+".tmp"))
 	markerSeq, hadMarker := readCleanMarker(d.cfg.Dir)
-	// The marker only certifies the state at the moment it was written;
-	// any progress past this point invalidates it.
-	os.Remove(filepath.Join(d.cfg.Dir, cleanMarker))
 
 	f, err := os.Open(filepath.Join(d.cfg.Dir, checkpointFile))
 	if err != nil {
@@ -155,8 +160,11 @@ func (d *Durable) Recover(cfg Config) (*Deployment, error) {
 	dep, err := LoadDeployment(f, cfg)
 	f.Close()
 	if err != nil {
-		return nil, err
+		return nil, err // a checkpoint this build cannot read leaves the directory as it was
 	}
+	// The marker only certifies the state at the moment it was written;
+	// any progress past this point invalidates it.
+	os.Remove(filepath.Join(d.cfg.Dir, cleanMarker))
 	base := dep.walSeq
 	d.appliedSeq.Store(base)
 	d.checkpointSeq.Store(base)
@@ -213,11 +221,13 @@ func (d *Durable) Bootstrap(dep *Deployment) error {
 		return fmt.Errorf("rdffrag: Durable already bound to a deployment")
 	}
 	os.Remove(filepath.Join(d.cfg.Dir, cleanMarker))
-	d.dep = dep
-	if err := d.writeCheckpoint(0); err != nil {
-		d.dep = nil
+	img := dep.capture(0)
+	err := d.writeCheckpoint(img)
+	img.Close()
+	if err != nil {
 		return err
 	}
+	d.dep = dep
 	if err := d.openLog(dep); err != nil {
 		d.dep = nil
 		return err
@@ -345,8 +355,10 @@ func (d *Durable) applyDurable(b serve.Batch) (serve.UpdateStats, error) {
 	d.appliedSeq.Store(seq)
 	// Kick the checkpointer when the log has grown past the configured
 	// bound, or when the global graph compacted (the snapshot is about
-	// to be cheap to write and the delta overlay is empty anyway).
-	if d.log.Size() >= d.cfg.CheckpointBytes || st.Compactions > d.compactions.Load() {
+	// to be cheap to write and the delta overlay is empty anyway). Not
+	// while a checkpoint is writing: the log's size still counts the
+	// segments it is about to retire.
+	if !d.writing.Load() && (d.log.Size() >= d.cfg.CheckpointBytes || st.Compactions > d.compactions.Load()) {
 		d.compactions.Store(st.Compactions)
 		select {
 		case d.kick <- struct{}{}:
@@ -374,58 +386,87 @@ func (d *Durable) start(s *Server) {
 }
 
 // Checkpoint writes a snapshot of the current state stamped with the
-// last applied WAL sequence, atomically (tmp + fsync + rename), then
-// rotates the log and retires the segments the snapshot covers. Runs
-// under the server's exclusive data lock when one is attached, so the
-// state it captures is a consistent batch boundary.
+// last applied WAL sequence, atomically (tmp + fsync + rename), and
+// retires the log segments it covers. Only the capture holds the
+// server's writer lock, when a server is attached: it compacts every
+// graph carrying a delta, pins a snapshot of each graph at the last
+// applied sequence — a batch boundary — and rotates the log there. The
+// write, the fsyncs, the rename and the retire run after the lock is
+// released, while updates append to the fresh segment. Checkpoints run
+// one at a time.
 func (d *Durable) Checkpoint() error {
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	var img *persist.Image
 	var err error
-	run := func() { err = d.checkpointLocked() }
+	capture := func() { img, err = d.capture() }
 	if d.srv != nil {
-		d.srv.inner.Exclusive(run)
+		d.srv.inner.Exclusive(capture)
 	} else {
-		run()
+		capture()
 	}
-	return err
-}
-
-func (d *Durable) checkpointLocked() error {
-	seq := d.appliedSeq.Load()
-	if err := d.writeCheckpoint(seq); err != nil {
+	if err != nil {
 		return err
 	}
-	// The snapshot's compact-on-save bumped the graph's compaction
-	// counter; re-baseline so that bump doesn't read as an
-	// engine-initiated compaction and re-trigger a checkpoint.
-	d.compactions.Store(d.dep.db.graph.Compactions())
+	defer d.writing.Store(false)
+	defer img.Close()
+	if err := d.writeCheckpoint(img); err != nil {
+		return err
+	}
 	// Crash ordering: the checkpoint is durable before any log segment
 	// is removed, and replay filters on the sequence stamp — a crash
 	// between rename and retire just replays zero records from the
 	// not-yet-retired segments.
-	if err := d.log.Rotate(); err != nil {
+	if err := d.log.Retire(img.WALSeq()); err != nil {
 		return err
 	}
-	if err := d.log.Retire(seq); err != nil {
-		return err
-	}
-	d.checkpointSeq.Store(seq)
+	d.checkpointSeq.Store(img.WALSeq())
 	d.checkpoints.Add(1)
 	return nil
 }
 
-// writeCheckpoint persists the deployment snapshot atomically: written
-// to a temp file, fsynced, renamed over the previous checkpoint, with
-// the directory fsynced so the rename itself survives a power cut. A
-// crash at any point leaves either the old or the new checkpoint
-// intact, never a torn one.
-func (d *Durable) writeCheckpoint(seq uint64) error {
+// capture is the part of a checkpoint that holds the writer lock.
+// Compacting here keeps the deltas, and the process, from growing
+// between checkpoints, and leaves the snapshots pure CSR, which the write
+// streams without allocating. It bumps the global graph's compaction
+// counter: re-baseline it, so that the bump does not read as an
+// engine-initiated compaction and kick another checkpoint. Rotating at
+// the pinned sequence leaves every earlier segment covered by the image;
+// until the checkpoint retires them, appends kick no other.
+func (d *Durable) capture() (*persist.Image, error) {
+	dep := d.dep
+	for _, g := range []*rdf.Graph{dep.db.graph, dep.hc.Hot, dep.hc.Cold} {
+		g.Compact()
+	}
+	for _, f := range dep.frag.Fragments {
+		f.Graph.Compact()
+	}
+	if dep.frag.Cold != nil {
+		dep.frag.Cold.Graph.Compact()
+	}
+	d.compactions.Store(dep.db.graph.Compactions())
+	img := dep.capture(d.appliedSeq.Load())
+	if err := d.log.Rotate(); err != nil {
+		img.Close()
+		return nil, err
+	}
+	d.writing.Store(true)
+	return img, nil
+}
+
+// writeCheckpoint streams img to a temp file, fsyncs it, renames it over
+// the previous checkpoint and fsyncs the directory, so the rename itself
+// survives a power cut. A crash at any point leaves either the old or
+// the new checkpoint intact, never a torn one. The temp file goes through
+// the configured filesystem, the crash harness's fault seam.
+func (d *Durable) writeCheckpoint(img *persist.Image) error {
 	final := filepath.Join(d.cfg.Dir, checkpointFile)
 	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := d.cfg.FS.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("rdffrag: checkpoint: %w", err)
 	}
-	err = d.dep.saveState(f, seq)
+	err = persist.Save(f, img)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -12,7 +12,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"rdffrag/internal/rdf"
+	"rdffrag/internal/wal"
 )
 
 func durableDeploy(t *testing.T) *Deployment {
@@ -140,6 +146,121 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	defer srv2.Close()
 	if got := queryRows(t, srv2, durableProbe); strings.Join(got, "\n") != strings.Join(oracle, "\n") {
 		t.Fatalf("recovered answers diverge after checkpointed recovery")
+	}
+}
+
+// gatedFS holds the first write to a checkpoint's temp file, once armed,
+// until release is closed, so a test can act while a checkpoint is in its
+// off-lock write. Everything else goes straight through.
+type gatedFS struct {
+	wal.FS
+	armed            atomic.Bool
+	started, release chan struct{}
+}
+
+func (g *gatedFS) Create(path string) (wal.File, error) {
+	f, err := g.FS.Create(path)
+	if err != nil || filepath.Base(path) != checkpointFile+".tmp" || !g.armed.Swap(false) {
+		return f, err
+	}
+	return &gatedFile{File: f, fs: g}, nil
+}
+
+type gatedFile struct {
+	wal.File
+	fs   *gatedFS
+	once sync.Once
+}
+
+func (f *gatedFile) Write(p []byte) (int, error) {
+	f.once.Do(func() {
+		close(f.fs.started)
+		<-f.fs.release
+	})
+	return f.File.Write(p)
+}
+
+// TestCheckpointWritesOffTheWriterLock: a checkpoint holds the writer
+// lock only to compact, pin and rotate. It leaves no graph carrying a
+// delta, and while it is writing the image an update is acknowledged;
+// recovery then starts from the checkpoint's sequence and replays that
+// update.
+func TestCheckpointWritesOffTheWriterLock(t *testing.T) {
+	dir := t.TempDir()
+	fs := &gatedFS{FS: wal.OS(), started: make(chan struct{}), release: make(chan struct{})}
+	d, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always", FS: fs, CheckpointBytes: 1 << 30})
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	dep := durableDeploy(t)
+	if err := d.Bootstrap(dep); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
+	const batches = 6
+	for i := 0; i < batches; i++ {
+		if _, err := srv.Update(context.Background(), durableUpdate(i)); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	graphs := []*rdf.Graph{dep.db.graph, dep.hc.Hot, dep.hc.Cold, dep.frag.Cold.Graph}
+	for _, f := range dep.frag.Fragments {
+		graphs = append(graphs, f.Graph)
+	}
+	if dep.db.graph.DeltaLen() == 0 {
+		t.Fatal("setup: the updates left no delta")
+	}
+
+	fs.armed.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- d.Checkpoint() }()
+	<-fs.started
+	for i, g := range graphs {
+		if g.DeltaLen() != 0 {
+			t.Errorf("graph %d carries a %d-op delta after the checkpoint's capture", i, g.DeltaLen())
+		}
+	}
+	acked := make(chan uint64, 1)
+	go func() {
+		res, err := srv.Update(context.Background(), durableUpdate(batches))
+		if err != nil {
+			t.Errorf("update during the checkpoint: %v", err)
+		}
+		acked <- res.Seq
+	}()
+	select {
+	case seq := <-acked:
+		if seq != batches+1 {
+			t.Fatalf("update during the checkpoint acknowledged at seq %d, want %d", seq, batches+1)
+		}
+	case <-time.After(10 * time.Second):
+		close(fs.release)
+		t.Fatal("an update waited for the checkpoint's write: the write holds the writer lock")
+	}
+	close(fs.release)
+	if err := <-done; err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if d.CheckpointSeq() != batches {
+		t.Fatalf("checkpoint seq %d, want the %d captured", d.CheckpointSeq(), batches)
+	}
+	oracle := queryRows(t, srv, durableProbe)
+
+	d2, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	dep2, err := d2.Recover(Config{})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if d2.CheckpointSeq() != batches || d2.ReplayedRecords() != 1 {
+		t.Fatalf("recovered from checkpoint seq %d replaying %d records, want %d and 1", d2.CheckpointSeq(), d2.ReplayedRecords(), batches)
+	}
+	srv2 := dep2.StartServer(ServerConfig{Workers: 2, Durable: d2})
+	defer srv2.Close()
+	if got := queryRows(t, srv2, durableProbe); strings.Join(got, "\n") != strings.Join(oracle, "\n") {
+		t.Fatalf("recovered answers diverge: %d rows, want %d", len(got), len(oracle))
 	}
 }
 

@@ -3,13 +3,27 @@
 // minterm constraints, and the allocation — so a deployment can be
 // reloaded without re-running mining, selection and fragmentation
 // (Section 7.1's "global statistics file generated at fragmentation and
-// allocation time"). The format is gob over DTO structs; it is internal
-// and versioned, not a public interchange format.
+// allocation time"). It is also the durable checkpoint, so Save streams:
+// it reads pinned snapshots, writes a chunk at a time, and holds neither
+// the image nor a triple list. The format is internal and versioned, not
+// a public interchange format:
+//
+//	gob  {Version}                 one stamp, so any older image is named
+//	gob  header                    counts, patterns, fragment metadata
+//	gob  {Kinds, Values} ...       the terms in ID order, termChunk a chunk
+//	gob  []uint32 ...              each graph's (S, P, O) IDs, flat,
+//	                               tripleChunk triples a chunk: the global
+//	                               graph, the fragments, the cold fragment
+//	u32  CRC-32C (Castagnoli, little-endian) of every byte before it
 package persist
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"slices"
 
@@ -20,40 +34,52 @@ import (
 	"rdffrag/internal/sparql"
 )
 
-// Version guards against decoding snapshots from incompatible builds.
-// Version 2 added the WAL checkpoint stamp (WALSeq) and the dictionary
-// fingerprint header.
-const Version = 2
+// Version guards against decoding images from incompatible builds.
+// Version 2 added the WAL checkpoint stamp and the dictionary
+// fingerprint; version 3 streams the terms and triples in chunks behind
+// a header and ends in a CRC trailer. Load reads this version only.
+const Version = 3
 
-// Snapshot is the serialized deployment state.
-type Snapshot struct {
-	Version int
-	Sites   int
-	Kind    uint8 // fragment.Kind of the fragmentation
+// Chunk sizes. A save holds one chunk of each at a time.
+const (
+	termChunk   = 1024
+	tripleChunk = 4096
+)
 
-	// WALSeq is the last write-ahead-log sequence number applied to
-	// this snapshot; recovery replays only records past it. Zero for
-	// snapshots of non-durable deployments.
+// maxSites bounds the site count a header may claim: it sizes the
+// allocation's site table, and no header count may size an allocation
+// unchecked.
+const maxSites = 1 << 16
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// stamp is an image's first value. Gob matches fields by name, so every
+// version's first value decodes into it.
+type stamp struct{ Version int }
+
+// header is everything but the terms and the triples.
+type header struct {
+	Sites int
+	Kind  uint8 // fragment.Kind of the fragmentation
+	// WALSeq is the last write-ahead-log sequence number applied to the
+	// image; recovery replays only records past it. Zero for images of
+	// non-durable deployments.
 	WALSeq uint64
-	// DictFP fingerprints the Terms list (rdf.Dict.Fingerprint over all
-	// of them); Load refuses a snapshot whose rebuilt dictionary hashes
-	// differently, so a checkpoint can never be replayed against a
-	// mismatched dictionary.
-	DictFP uint64
-
-	Terms        []TermDTO
-	GraphTriples [][3]uint32
-	FreqProps    []uint32
-
+	// DictFP fingerprints the Terms terms (rdf.Dict.Fingerprint); Load
+	// refuses an image whose rebuilt dictionary hashes differently, so a
+	// checkpoint can never be replayed against a mismatched dictionary.
+	DictFP    uint64
+	Terms     int
+	FreqProps []uint32
 	Patterns  []PatternDTO
-	Fragments []FragmentDTO
-	Cold      ColdDTO
+	Graph     int           // triples of the global graph
+	Fragments []FragmentDTO // the cold fragment, if any, last
 }
 
-// TermDTO mirrors rdf.Term.
-type TermDTO struct {
-	Kind  uint8
-	Value string
+// termsDTO is one chunk of terms: kinds and lexical values, index-aligned.
+type termsDTO struct {
+	Kinds  []uint8
+	Values []string
 }
 
 // VertexDTO mirrors sparql.Vertex (IsVar encoded by Var != "").
@@ -84,68 +110,138 @@ type ConstraintDTO struct {
 	Value  uint32
 }
 
-// FragmentDTO mirrors fragment.Fragment plus its site.
+// FragmentDTO is a fragment's metadata, its site and how many triples
+// of the stream are its.
 type FragmentDTO struct {
 	ID          int
 	Kind        uint8
-	PatternIdx  int // index into Snapshot.Patterns; -1 for none
+	PatternIdx  int // index into header.Patterns; -1 for none
 	Constraints []ConstraintDTO
-	Triples     [][3]uint32
 	Site        int
+	Triples     int
 }
 
-// ColdDTO holds the cold fragment.
-type ColdDTO struct {
-	ID      int
-	Triples [][3]uint32
-	Site    int
-}
-
-// State bundles what Save needs and what Load returns.
+// State is what Load returns, and what Capture pins.
 type State struct {
 	Graph *rdf.Graph
 	HC    *fragment.HotCold
 	Frag  *fragment.Fragmentation
 	Alloc *allocation.Allocation
 	Sites int
-	// WALSeq stamps (Save) / reports (Load) the last applied WAL
-	// sequence number; see Snapshot.WALSeq.
+	// WALSeq stamps (Capture) / reports (Load) the last applied WAL
+	// sequence number; see header.WALSeq.
 	WALSeq uint64
 }
 
-// Save encodes the state to w. Delta-carrying graphs (a live
-// deployment that has taken updates since its last compaction) are
-// compacted first: the snapshot's triple lists already contain the delta
-// triples either way, but compact-on-save means the surviving in-memory
-// deployment keeps serving pure-CSR reads and the snapshot marks a clean
-// LSM generation.
-func Save(w io.Writer, st *State) error {
-	st.Graph.Compact()
-	if st.HC != nil {
-		st.HC.Hot.Compact()
-		st.HC.Cold.Compact()
-	}
-	for _, f := range st.Frag.All() {
-		f.Graph.Compact()
-	}
-	snap := &Snapshot{Version: Version, Sites: st.Sites, Kind: uint8(st.Frag.Kind), WALSeq: st.WALSeq}
+// Image is a deployment pinned at one batch boundary for Save: a snapshot
+// of each graph it writes, the dictionary prefix their triples draw on,
+// and the fragments' sites, copied. Writers may go on once Capture
+// returns; nothing Save reads changes under it. Close releases the
+// snapshots.
+type Image struct {
+	hdr       header
+	dict      *rdf.Dict
+	freqProps map[rdf.ID]bool
+	graph     *rdf.Snapshot
+	parts     []part // the fragments, the cold one last
+}
 
-	d := st.Graph.Dict
-	// Queries intern their constants while a checkpoint runs (it holds only
-	// the writer lock), so the dictionary may grow meanwhile: take the
-	// terms there are now, which every triple refers to.
-	snap.Terms = make([]TermDTO, d.Len())
-	for i := range snap.Terms {
-		t := d.Decode(rdf.ID(i))
-		snap.Terms[i] = TermDTO{Kind: uint8(t.Kind), Value: t.Value}
-	}
-	snap.DictFP = d.Fingerprint(len(snap.Terms))
-	snap.GraphTriples = encodeTriples(st.Graph.Triples())
-	for p := range st.HC.FreqProps {
-		snap.FreqProps = append(snap.FreqProps, uint32(p))
-	}
-	slices.Sort(snap.FreqProps) // equal states encode to equal bytes
+// part is one fragment of an image.
+type part struct {
+	f    *fragment.Fragment // ID, kind, pattern and minterm: fixed once deployed
+	site int
+	sn   *rdf.Snapshot
+}
 
+// Capture pins st for Save. The caller orders it with st's writer — the
+// durable checkpointer and Server.Save hold the writer lock — so the
+// image is one batch boundary; the lock can go as soon as Capture
+// returns. The term count is read after the snapshots are pinned, so it
+// covers every ID they hold.
+func Capture(st *State) *Image {
+	img := &Image{
+		hdr:       header{Sites: st.Sites, Kind: uint8(st.Frag.Kind), WALSeq: st.WALSeq},
+		dict:      st.Graph.Dict,
+		freqProps: st.HC.FreqProps,
+		graph:     st.Graph.Snapshot(),
+	}
+	for _, f := range st.Frag.Fragments {
+		img.parts = append(img.parts, part{f: f, site: st.Alloc.SiteOf[f.ID], sn: f.Graph.Snapshot()})
+	}
+	if c := st.Frag.Cold; c != nil {
+		img.parts = append(img.parts, part{f: c, site: st.Alloc.ColdSite, sn: c.Graph.Snapshot()})
+	}
+	img.hdr.Terms = img.dict.Len()
+	img.hdr.DictFP = img.dict.Fingerprint(img.hdr.Terms)
+	return img
+}
+
+// WALSeq is the sequence stamp the image was captured with.
+func (img *Image) WALSeq() uint64 { return img.hdr.WALSeq }
+
+// Close releases the image's snapshots. Idempotent.
+func (img *Image) Close() {
+	img.graph.Close()
+	for _, p := range img.parts {
+		p.sn.Close()
+	}
+}
+
+// Save streams img to w. It reads the pinned snapshots and the
+// dictionary prefix, which concurrent writers and query-constant
+// interning leave as they were, and changes nothing: it needs no lock.
+// What it allocates is one chunk of each kind and the encoder's buffers,
+// whatever the size of the deployment.
+func Save(w io.Writer, img *Image) error {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	cw := &crcWriter{w: bw}
+	enc := gob.NewEncoder(cw)
+	hdr := img.header()
+	if err := enc.Encode(stamp{Version}); err != nil {
+		return fmt.Errorf("persist: encode: %w", err)
+	}
+	if err := enc.Encode(&hdr); err != nil {
+		return fmt.Errorf("persist: encode: %w", err)
+	}
+	var terms termsDTO
+	for lo := 0; lo < hdr.Terms; lo += termChunk {
+		terms.Kinds, terms.Values = terms.Kinds[:0], terms.Values[:0]
+		for id := lo; id < min(lo+termChunk, hdr.Terms); id++ {
+			t := img.dict.Decode(rdf.ID(id))
+			terms.Kinds = append(terms.Kinds, uint8(t.Kind))
+			terms.Values = append(terms.Values, t.Value)
+		}
+		if err := enc.Encode(&terms); err != nil {
+			return fmt.Errorf("persist: encode: %w", err)
+		}
+	}
+	ids := make([]uint32, 0, 3*tripleChunk)
+	if err := writeTriples(enc, img.graph, ids); err != nil {
+		return err
+	}
+	for _, p := range img.parts {
+		if err := writeTriples(enc, p.sn, ids); err != nil {
+			return err
+		}
+	}
+	if _, err := bw.Write(binary.LittleEndian.AppendUint32(nil, cw.sum)); err != nil {
+		return fmt.Errorf("persist: write: %w", err)
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("persist: write: %w", err)
+	}
+	return nil
+}
+
+// header completes the image's header with what the write derives from
+// its fixed parts: the patterns, the fragments' metadata and the counts.
+func (img *Image) header() header {
+	hdr := img.hdr
+	hdr.Graph = img.graph.NumTriples()
+	for p := range img.freqProps {
+		hdr.FreqProps = append(hdr.FreqProps, uint32(p))
+	}
+	slices.Sort(hdr.FreqProps) // equal states encode to equal bytes
 	patIdx := make(map[string]int)
 	addPattern := func(p *mining.Pattern) int {
 		if p == nil {
@@ -161,62 +257,147 @@ func Save(w io.Writer, st *State) error {
 		for _, e := range p.Graph.Edges {
 			dto.Edges = append(dto.Edges, EdgeDTO{From: e.From, To: e.To, Pred: uint32(e.Pred), PredVar: e.PredVar})
 		}
-		patIdx[p.Code] = len(snap.Patterns)
-		snap.Patterns = append(snap.Patterns, dto)
+		patIdx[p.Code] = len(hdr.Patterns)
+		hdr.Patterns = append(hdr.Patterns, dto)
 		return patIdx[p.Code]
 	}
-
-	for _, f := range st.Frag.Fragments {
+	for _, p := range img.parts {
 		dto := FragmentDTO{
-			ID:         f.ID,
-			Kind:       uint8(f.Kind),
-			PatternIdx: addPattern(f.Pattern),
-			Triples:    encodeTriples(f.Graph.Triples()),
-			Site:       st.Alloc.SiteOf[f.ID],
+			ID:         p.f.ID,
+			Kind:       uint8(p.f.Kind),
+			PatternIdx: addPattern(p.f.Pattern),
+			Site:       p.site,
+			Triples:    p.sn.NumTriples(),
 		}
-		if f.Minterm != nil {
-			for _, c := range f.Minterm.Constraints {
+		if p.f.Minterm != nil {
+			for _, c := range p.f.Minterm.Constraints {
 				dto.Constraints = append(dto.Constraints, ConstraintDTO{
 					Vertex: c.Vertex, Equal: c.Equal, Value: uint32(c.Value),
 				})
 			}
 		}
-		snap.Fragments = append(snap.Fragments, dto)
+		hdr.Fragments = append(hdr.Fragments, dto)
 	}
-	if st.Frag.Cold != nil {
-		snap.Cold = ColdDTO{
-			ID:      st.Frag.Cold.ID,
-			Triples: encodeTriples(st.Frag.Cold.Graph.Triples()),
-			Site:    st.Alloc.ColdSite,
-		}
-	}
-	return gob.NewEncoder(w).Encode(snap)
+	return hdr
 }
 
-// Load decodes a snapshot and rebuilds the in-memory structures.
-func Load(r io.Reader) (*State, error) {
-	var snap Snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("persist: decode: %w", err)
+// writeTriples streams one graph as chunks of flat (S, P, O) IDs through
+// ids, a buffer of one chunk's capacity.
+func writeTriples(enc *gob.Encoder, sn *rdf.Snapshot, ids []uint32) error {
+	n := 0
+	flush := func() error {
+		if len(ids) == 0 {
+			return nil
+		}
+		n += len(ids) / 3
+		err := enc.Encode(ids)
+		ids = ids[:0]
+		return err
 	}
-	if snap.Version != Version {
-		return nil, fmt.Errorf("persist: snapshot version %d, want %d", snap.Version, Version)
-	}
-
-	dict := rdf.NewDict()
-	for i, t := range snap.Terms {
-		id := dict.Encode(rdf.Term{Kind: rdf.TermKind(t.Kind), Value: t.Value})
-		if id != rdf.ID(i) {
-			return nil, fmt.Errorf("persist: dictionary IDs diverged at %d", i)
+	for t := range sn.All() {
+		ids = append(ids, uint32(t.S), uint32(t.P), uint32(t.O))
+		if len(ids) == cap(ids) {
+			if err := flush(); err != nil {
+				return fmt.Errorf("persist: encode: %w", err)
+			}
 		}
 	}
-	if fp := dict.Fingerprint(len(snap.Terms)); fp != snap.DictFP {
-		return nil, fmt.Errorf("persist: dictionary fingerprint mismatch (snapshot %016x, rebuilt %016x): snapshot is corrupt or from a different deployment", snap.DictFP, fp)
+	if err := flush(); err != nil {
+		return fmt.Errorf("persist: encode: %w", err)
+	}
+	if n != sn.NumTriples() {
+		return fmt.Errorf("persist: a snapshot counted %d triples and listed %d", sn.NumTriples(), n)
+	}
+	return nil
+}
+
+// crcWriter checksums what passes through it.
+type crcWriter struct {
+	w   io.Writer
+	sum uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	c.sum = crc32.Update(c.sum, castagnoli, p)
+	return c.w.Write(p)
+}
+
+// crcReader checksums what is read through it. It is an io.ByteReader,
+// so gob reads exactly its messages from it and buffers nothing ahead:
+// the trailer is read past it, unsummed.
+type crcReader struct {
+	r   *bufio.Reader
+	sum uint32
+	one [1]byte
+}
+
+func (c *crcReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.sum = crc32.Update(c.sum, castagnoli, p[:n])
+	return n, err
+}
+
+func (c *crcReader) ReadByte() (byte, error) {
+	b, err := c.r.ReadByte()
+	if err == nil {
+		c.one[0] = b
+		c.sum = crc32.Update(c.sum, castagnoli, c.one[:])
+	}
+	return b, err
+}
+
+// Load decodes an image and rebuilds the in-memory structures. It checks
+// every count and ID against what the image holds before anything is
+// built from it, and builds nothing until the CRC trailer has matched.
+func Load(r io.Reader) (*State, error) {
+	cr := &crcReader{r: bufio.NewReaderSize(r, 64<<10)}
+	dec := gob.NewDecoder(cr)
+	var v stamp
+	if err := dec.Decode(&v); err != nil {
+		return nil, fmt.Errorf("persist: decode: %w", err)
+	}
+	if v.Version != Version {
+		return nil, fmt.Errorf("persist: checkpoint format v%d; this build reads v%d only", v.Version, Version)
+	}
+	var hdr header
+	if err := dec.Decode(&hdr); err != nil {
+		return nil, fmt.Errorf("persist: decode header: %w", err)
+	}
+	patterns, err := hdr.check()
+	if err != nil {
+		return nil, err
+	}
+	dict, err := readTerms(dec, hdr.Terms)
+	if err != nil {
+		return nil, err
+	}
+	var ids []uint32
+	all, err := readTriples(dec, hdr.Graph, hdr.Terms, &ids)
+	if err != nil {
+		return nil, err
+	}
+	frags := make([][]rdf.Triple, len(hdr.Fragments))
+	for i, fd := range hdr.Fragments {
+		if frags[i], err = readTriples(dec, fd.Triples, hdr.Terms, &ids); err != nil {
+			return nil, err
+		}
+	}
+	var trailer [4]byte
+	if _, err := io.ReadFull(cr.r, trailer[:]); err != nil {
+		return nil, fmt.Errorf("persist: checkpoint ends before its CRC trailer: %w", err)
+	}
+	if want := binary.LittleEndian.Uint32(trailer[:]); want != cr.sum {
+		return nil, fmt.Errorf("persist: checkpoint CRC mismatch (trailer %08x, content %08x): the image is corrupt", want, cr.sum)
+	}
+	if _, err := cr.r.ReadByte(); err != io.EOF {
+		return nil, errors.New("persist: data after the checkpoint's CRC trailer")
+	}
+	if fp := dict.Fingerprint(hdr.Terms); fp != hdr.DictFP {
+		return nil, fmt.Errorf("persist: dictionary fingerprint mismatch (snapshot %016x, rebuilt %016x): snapshot is corrupt or from a different deployment", hdr.DictFP, fp)
 	}
 
-	all := decodeTriples(snap.GraphTriples)
-	freq := make(map[rdf.ID]bool, len(snap.FreqProps))
-	for _, p := range snap.FreqProps {
+	freq := make(map[rdf.ID]bool, len(hdr.FreqProps))
+	for _, p := range hdr.FreqProps {
 		freq[rdf.ID(p)] = true
 	}
 	var hot, cold []rdf.Triple
@@ -234,33 +415,17 @@ func Load(r io.Reader) (*State, error) {
 		FreqProps: freq,
 	}
 
-	patterns := make([]*mining.Pattern, len(snap.Patterns))
-	for i, pd := range snap.Patterns {
-		g := sparql.NewGraph()
-		for _, e := range pd.Edges {
-			vf := pd.Verts[e.From]
-			vt := pd.Verts[e.To]
-			g.AddTriplePattern(
-				sparql.Vertex{Var: vf.Var, Term: rdf.ID(vf.Term)},
-				sparql.Edge{Pred: rdf.ID(e.Pred), PredVar: e.PredVar},
-				sparql.Vertex{Var: vt.Var, Term: rdf.ID(vt.Term)},
-			)
-		}
-		patterns[i] = &mining.Pattern{Graph: g, Code: pd.Code, Support: pd.Support}
-	}
-
-	fr := &fragment.Fragmentation{Hot: hc.Hot, Kind: fragment.Kind(snap.Kind)}
+	fr := &fragment.Fragmentation{Hot: hc.Hot, Kind: fragment.Kind(hdr.Kind)}
 	alloc := &allocation.Allocation{
-		Sites:    make([][]*fragment.Fragment, snap.Sites),
+		Sites:    make([][]*fragment.Fragment, hdr.Sites),
 		SiteOf:   make(map[int]int),
 		ColdSite: -1,
 	}
-	for _, fd := range snap.Fragments {
-		g := rdf.NewFrozen(dict, decodeTriples(fd.Triples))
+	for i, fd := range hdr.Fragments {
 		f := &fragment.Fragment{
 			ID:    fd.ID,
 			Kind:  fragment.Kind(fd.Kind),
-			Graph: g,
+			Graph: rdf.NewFrozen(dict, frags[i]),
 		}
 		if fd.PatternIdx >= 0 {
 			f.Pattern = patterns[fd.PatternIdx]
@@ -274,41 +439,147 @@ func Load(r io.Reader) (*State, error) {
 			}
 			f.Minterm = mt
 		}
-		fr.Fragments = append(fr.Fragments, f)
-		if fd.Site < 0 || fd.Site >= snap.Sites {
-			return nil, fmt.Errorf("persist: fragment %d has invalid site %d", fd.ID, fd.Site)
+		if f.Kind == fragment.ColdKind {
+			fr.Cold = f
+			if fd.Triples == 0 {
+				continue // placed when the server starts
+			}
+			alloc.ColdSite = fd.Site
+		} else {
+			fr.Fragments = append(fr.Fragments, f)
 		}
 		alloc.Sites[fd.Site] = append(alloc.Sites[fd.Site], f)
 		alloc.SiteOf[fd.ID] = fd.Site
 	}
-	if len(snap.Cold.Triples) > 0 || snap.Cold.ID != 0 {
-		g := rdf.NewFrozen(dict, decodeTriples(snap.Cold.Triples))
-		fr.Cold = &fragment.Fragment{ID: snap.Cold.ID, Kind: fragment.ColdKind, Graph: g}
-		if g.NumTriples() > 0 {
-			if snap.Cold.Site < 0 || snap.Cold.Site >= snap.Sites {
-				return nil, fmt.Errorf("persist: cold fragment has invalid site %d", snap.Cold.Site)
-			}
-			alloc.Sites[snap.Cold.Site] = append(alloc.Sites[snap.Cold.Site], fr.Cold)
-			alloc.SiteOf[fr.Cold.ID] = snap.Cold.Site
-			alloc.ColdSite = snap.Cold.Site
+	return &State{Graph: graph, HC: hc, Frag: fr, Alloc: alloc, Sites: hdr.Sites, WALSeq: hdr.WALSeq}, nil
+}
+
+// check refuses a header whose counts, indexes or IDs reach past what the
+// image holds, and rebuilds its patterns.
+func (h *header) check() ([]*mining.Pattern, error) {
+	if h.Sites < 1 || h.Sites > maxSites {
+		return nil, fmt.Errorf("persist: %d sites", h.Sites)
+	}
+	if h.Terms < 0 || h.Graph < 0 {
+		return nil, fmt.Errorf("persist: negative count (%d terms, %d triples)", h.Terms, h.Graph)
+	}
+	for _, p := range h.FreqProps {
+		if err := h.term(p); err != nil {
+			return nil, err
 		}
 	}
-
-	return &State{Graph: graph, HC: hc, Frag: fr, Alloc: alloc, Sites: snap.Sites, WALSeq: snap.WALSeq}, nil
+	patterns := make([]*mining.Pattern, len(h.Patterns))
+	for i, pd := range h.Patterns {
+		g := sparql.NewGraph()
+		for _, e := range pd.Edges {
+			if e.From < 0 || e.From >= len(pd.Verts) || e.To < 0 || e.To >= len(pd.Verts) {
+				return nil, fmt.Errorf("persist: pattern %d: edge %d→%d outside its %d vertices", i, e.From, e.To, len(pd.Verts))
+			}
+			vf, vt := pd.Verts[e.From], pd.Verts[e.To]
+			if err := errors.Join(h.constant(vf.Var, vf.Term), h.constant(e.PredVar, e.Pred), h.constant(vt.Var, vt.Term)); err != nil {
+				return nil, err
+			}
+			g.AddTriplePattern(
+				sparql.Vertex{Var: vf.Var, Term: rdf.ID(vf.Term)},
+				sparql.Edge{Pred: rdf.ID(e.Pred), PredVar: e.PredVar},
+				sparql.Vertex{Var: vt.Var, Term: rdf.ID(vt.Term)},
+			)
+		}
+		patterns[i] = &mining.Pattern{Graph: g, Code: pd.Code, Support: pd.Support}
+	}
+	seen := make(map[int]bool, len(h.Fragments))
+	for i, fd := range h.Fragments {
+		if seen[fd.ID] {
+			return nil, fmt.Errorf("persist: fragment ID %d appears twice", fd.ID)
+		}
+		seen[fd.ID] = true
+		if fd.Triples < 0 {
+			return nil, fmt.Errorf("persist: fragment %d has %d triples", fd.ID, fd.Triples)
+		}
+		cold := fragment.Kind(fd.Kind) == fragment.ColdKind
+		if cold && i < len(h.Fragments)-1 {
+			return nil, fmt.Errorf("persist: cold fragment %d is not the last", fd.ID)
+		}
+		if (!cold || fd.Triples > 0) && (fd.Site < 0 || fd.Site >= h.Sites) {
+			return nil, fmt.Errorf("persist: fragment %d has invalid site %d", fd.ID, fd.Site)
+		}
+		if fd.PatternIdx < -1 || fd.PatternIdx >= len(patterns) {
+			return nil, fmt.Errorf("persist: fragment %d names pattern %d of %d", fd.ID, fd.PatternIdx, len(patterns))
+		}
+		for _, c := range fd.Constraints {
+			if fd.PatternIdx < 0 || c.Vertex < 0 || c.Vertex >= len(patterns[fd.PatternIdx].Graph.Verts) {
+				return nil, fmt.Errorf("persist: fragment %d constrains vertex %d its pattern does not have", fd.ID, c.Vertex)
+			}
+			if err := h.term(c.Value); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return patterns, nil
 }
 
-func encodeTriples(ts []rdf.Triple) [][3]uint32 {
-	out := make([][3]uint32, len(ts))
-	for i, t := range ts {
-		out[i] = [3]uint32{uint32(t.S), uint32(t.P), uint32(t.O)}
+// term refuses an ID the image's dictionary does not have.
+func (h *header) term(id uint32) error {
+	if int64(id) >= int64(h.Terms) {
+		return fmt.Errorf("persist: term ID %d is at or above the term count %d", id, h.Terms)
 	}
-	return out
+	return nil
 }
 
-func decodeTriples(ts [][3]uint32) []rdf.Triple {
-	out := make([]rdf.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = rdf.Triple{S: rdf.ID(t[0]), P: rdf.ID(t[1]), O: rdf.ID(t[2])}
+// constant is term for a pattern position that is not a variable.
+func (h *header) constant(variable string, id uint32) error {
+	if variable != "" {
+		return nil
 	}
-	return out
+	return h.term(id)
+}
+
+// readTerms rebuilds the dictionary from the term chunks, ID for ID.
+func readTerms(dec *gob.Decoder, n int) (*rdf.Dict, error) {
+	dict := rdf.NewDict()
+	var chunk termsDTO
+	for dict.Len() < n {
+		chunk.Kinds, chunk.Values = chunk.Kinds[:0], chunk.Values[:0]
+		if err := dec.Decode(&chunk); err != nil {
+			return nil, fmt.Errorf("persist: decode terms: %w", err)
+		}
+		if len(chunk.Kinds) == 0 || len(chunk.Kinds) != len(chunk.Values) || len(chunk.Kinds) > n-dict.Len() {
+			return nil, fmt.Errorf("persist: a chunk of %d kinds and %d values at term %d of %d", len(chunk.Kinds), len(chunk.Values), dict.Len(), n)
+		}
+		for i, k := range chunk.Kinds {
+			if rdf.TermKind(k) > rdf.Blank {
+				return nil, fmt.Errorf("persist: term %d has kind %d", dict.Len(), k)
+			}
+			want := rdf.ID(dict.Len())
+			if id := dict.Encode(rdf.Term{Kind: rdf.TermKind(k), Value: chunk.Values[i]}); id != want {
+				return nil, fmt.Errorf("persist: dictionary IDs diverged at %d", want)
+			}
+		}
+	}
+	return dict, nil
+}
+
+// readTriples reads the chunks of one graph's n triples through *ids,
+// refusing an ID the dictionary does not have. The list grows with what
+// the chunks hold, not with n.
+func readTriples(dec *gob.Decoder, n, terms int, ids *[]uint32) ([]rdf.Triple, error) {
+	var out []rdf.Triple
+	for len(out) < n {
+		if err := dec.Decode(ids); err != nil {
+			return nil, fmt.Errorf("persist: decode triples: %w", err)
+		}
+		c := *ids
+		if len(c) == 0 || len(c)%3 != 0 || len(c)/3 > n-len(out) {
+			return nil, fmt.Errorf("persist: a chunk of %d IDs at triple %d of %d", len(c), len(out), n)
+		}
+		for i := 0; i < len(c); i += 3 {
+			for _, id := range c[i : i+3] {
+				if int64(id) >= int64(terms) {
+					return nil, fmt.Errorf("persist: triple ID %d is at or above the term count %d", id, terms)
+				}
+			}
+			out = append(out, rdf.Triple{S: rdf.ID(c[i]), P: rdf.ID(c[i+1]), O: rdf.ID(c[i+2])})
+		}
+	}
+	return out, nil
 }

@@ -2,20 +2,29 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
-	"rdffrag/internal/allocation"
 	"rdffrag/internal/fragment"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/testenv"
 )
 
-func buildState(t *testing.T, horizontal bool) *State {
+func buildState(t testing.TB, horizontal bool) *State {
 	t.Helper()
-	env, err := testenv.Build(testenv.Options{Horizontal: horizontal})
+	return stateOf(t, testenv.Options{Horizontal: horizontal})
+}
+
+func stateOf(t testing.TB, o testenv.Options) *State {
+	t.Helper()
+	env, err := testenv.Build(o)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -28,17 +37,99 @@ func buildState(t *testing.T, horizontal bool) *State {
 	}
 }
 
+// save captures st and writes it, as Deployment.Save does.
+func save(t testing.TB, st *State) []byte {
+	t.Helper()
+	img := Capture(st)
+	defer img.Close()
+	var buf bytes.Buffer
+	if err := Save(&buf, img); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	return buf.Bytes()
+}
+
+func load(t testing.TB, b []byte) *State {
+	t.Helper()
+	st, err := Load(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	return st
+}
+
+// image is a saved stream taken apart, for the tests that alter one part
+// of it and write it back behind a fresh CRC trailer.
+type image struct {
+	hdr    header
+	terms  []termsDTO
+	graphs [][]uint32 // the global graph's IDs, then each fragment's
+}
+
+func decodeImage(t *testing.T, b []byte) *image {
+	t.Helper()
+	dec := gob.NewDecoder(bytes.NewReader(b))
+	var v stamp
+	var im image
+	if err := dec.Decode(&v); err != nil || v.Version != Version {
+		t.Fatalf("decode stamp: version %d, %v", v.Version, err)
+	}
+	if err := dec.Decode(&im.hdr); err != nil {
+		t.Fatalf("decode header: %v", err)
+	}
+	for n := 0; n < im.hdr.Terms; {
+		var c termsDTO
+		if err := dec.Decode(&c); err != nil {
+			t.Fatalf("decode terms: %v", err)
+		}
+		n += len(c.Kinds)
+		im.terms = append(im.terms, c)
+	}
+	counts := []int{im.hdr.Graph}
+	for _, fd := range im.hdr.Fragments {
+		counts = append(counts, fd.Triples)
+	}
+	for _, n := range counts {
+		var ids []uint32
+		for len(ids) < 3*n {
+			var c []uint32
+			if err := dec.Decode(&c); err != nil {
+				t.Fatalf("decode triples: %v", err)
+			}
+			ids = append(ids, c...)
+		}
+		im.graphs = append(im.graphs, ids)
+	}
+	return &im
+}
+
+func (im *image) encode(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := &crcWriter{w: &buf}
+	enc := gob.NewEncoder(cw)
+	values := []any{stamp{Version}, &im.hdr}
+	for i := range im.terms {
+		values = append(values, &im.terms[i])
+	}
+	for _, ids := range im.graphs {
+		for lo := 0; lo < len(ids); lo += 3 * tripleChunk {
+			values = append(values, ids[lo:min(lo+3*tripleChunk, len(ids))])
+		}
+	}
+	for _, v := range values {
+		if err := enc.Encode(v); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+	}
+	buf.Write(binary.LittleEndian.AppendUint32(nil, cw.sum))
+	return buf.Bytes()
+}
+
 func TestRoundTripStructure(t *testing.T) {
 	for _, horizontal := range []bool{false, true} {
 		st := buildState(t, horizontal)
-		var buf bytes.Buffer
-		if err := Save(&buf, st); err != nil {
-			t.Fatalf("Save: %v", err)
-		}
-		got, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("Load: %v", err)
-		}
+		got := load(t, save(t, st))
 		if got.Graph.NumTriples() != st.Graph.NumTriples() {
 			t.Errorf("graph triples %d vs %d", got.Graph.NumTriples(), st.Graph.NumTriples())
 		}
@@ -53,7 +144,7 @@ func TestRoundTripStructure(t *testing.T) {
 		}
 		for i, f := range st.Frag.Fragments {
 			g := got.Frag.Fragments[i]
-			if g.ID != f.ID || g.Graph.NumTriples() != f.Graph.NumTriples() {
+			if g.ID != f.ID || !slices.Equal(g.Graph.Triples(), f.Graph.Triples()) {
 				t.Errorf("fragment %d drifted", f.ID)
 			}
 			if (g.Minterm == nil) != (f.Minterm == nil) {
@@ -77,60 +168,44 @@ func TestRoundTripStructure(t *testing.T) {
 
 // TestSaveLoadSaveByteStable: a loaded state is the saved state — a graph
 // lists its triples in (S, P, O) order whatever order it was built from,
-// so saving a loaded state again writes the same bytes. That holds for a
-// checkpoint whose lists are in any other order too, as those written
-// before the graph stopped keeping an insertion order are: it loads, and
-// saves as the same state.
+// so saving a loaded state again writes the same bytes. That holds for an
+// image whose triples arrive in any other order too: it loads, and saves
+// as the same state.
 func TestSaveLoadSaveByteStable(t *testing.T) {
 	for _, horizontal := range []bool{false, true} {
-		var first bytes.Buffer
-		if err := Save(&first, buildState(t, horizontal)); err != nil {
-			t.Fatalf("Save: %v", err)
-		}
-		var snap Snapshot
-		if err := gob.NewDecoder(bytes.NewReader(first.Bytes())).Decode(&snap); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
+		first := save(t, buildState(t, horizontal))
+		im := decodeImage(t, first)
 		r := rand.New(rand.NewSource(1))
-		lists := [][][3]uint32{snap.GraphTriples, snap.Cold.Triples}
-		for _, f := range snap.Fragments {
-			lists = append(lists, f.Triples)
+		for _, ids := range im.graphs {
+			r.Shuffle(len(ids)/3, func(i, j int) {
+				a, b := ids[3*i:3*i+3], ids[3*j:3*j+3]
+				for k := range 3 {
+					a[k], b[k] = b[k], a[k]
+				}
+			})
 		}
-		for _, ts := range lists {
-			r.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+		shuffled := im.encode(t)
+		if bytes.Equal(first, shuffled) {
+			t.Fatal("setup: shuffling the triples left the image as it was")
 		}
-		var shuffled bytes.Buffer
-		if err := gob.NewEncoder(&shuffled).Encode(&snap); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if bytes.Equal(first.Bytes(), shuffled.Bytes()) {
-			t.Fatal("setup: shuffling the triple lists left the checkpoint as it was")
-		}
-		for name, saved := range map[string][]byte{"as saved": first.Bytes(), "lists shuffled": shuffled.Bytes()} {
-			loaded, err := Load(bytes.NewReader(saved))
-			if err != nil {
-				t.Fatalf("%s: Load: %v", name, err)
-			}
+		for name, saved := range map[string][]byte{"as saved": first, "triples shuffled": shuffled} {
+			loaded := load(t, saved)
 			for _, g := range []*rdf.Graph{loaded.Graph, loaded.HC.Hot, loaded.HC.Cold, loaded.Frag.Cold.Graph, loaded.Frag.Fragments[0].Graph} {
 				if g.DeltaLen() != 0 {
 					t.Errorf("horizontal=%v, %s: a loaded graph carries a delta", horizontal, name)
 				}
 			}
-			var second bytes.Buffer
-			if err := Save(&second, loaded); err != nil {
-				t.Fatalf("%s: second Save: %v", name, err)
-			}
-			if !bytes.Equal(first.Bytes(), second.Bytes()) {
-				t.Errorf("horizontal=%v, %s: save → load → save changed the snapshot (%d vs %d bytes)", horizontal, name, first.Len(), second.Len())
+			if second := save(t, loaded); !bytes.Equal(first, second) {
+				t.Errorf("horizontal=%v, %s: save → load → save changed the image (%d vs %d bytes)", horizontal, name, len(first), len(second))
 			}
 		}
 	}
 }
 
 // TestSaveWhileTermsAreInterned: queries intern their constants into the
-// shared dictionary while a checkpoint runs under the writer lock alone,
-// so the dictionary grows during Save; the snapshot takes the terms there
-// were when it began instead of running past the array it sized for them.
+// shared dictionary while a checkpoint runs, with no lock at all once the
+// snapshots are pinned, so the dictionary grows during Save; the image
+// takes the terms there were at the capture instead of running past them.
 func TestSaveWhileTermsAreInterned(t *testing.T) {
 	st := buildState(t, false)
 	d := st.Graph.Dict
@@ -150,20 +225,15 @@ func TestSaveWhileTermsAreInterned(t *testing.T) {
 			return
 		default:
 		}
-		var buf bytes.Buffer
-		if err := Save(&buf, st); err != nil {
-			t.Fatalf("Save: %v", err)
-		}
-		if _, err := Load(&buf); err != nil {
-			t.Fatalf("Load: %v", err)
-		}
+		load(t, save(t, st))
 	}
 }
 
 // TestRoundTripDeltaCarryingGraphs: a deployment that has taken live
-// updates into its delta overlays snapshots completely — Save compacts
-// the deltas first (the frozen survivors keep serving pure-CSR reads)
-// and Load reproduces every delta triple.
+// updates into its delta overlays saves completely, and Save changes
+// nothing: the deltas, the compaction counts and the epochs stay as they
+// were (compacting is the durable checkpointer's, under the writer lock).
+// Load reproduces every delta triple, and no tombstoned one.
 func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 	st := buildState(t, false)
 	st.Graph.Freeze()
@@ -172,32 +242,36 @@ func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 	cold := st.Frag.Cold
 
 	// Stream post-freeze updates: one into the global graph + a hot
-	// fragment, one into the global graph + the cold fragment.
+	// fragment, one into the global graph + the cold fragment, and a
+	// delete of a frozen triple.
 	d := st.Graph.Dict
 	hot := rdf.Triple{S: d.MustIRI("UpdP"), P: d.MustIRI("name"), O: d.MustLiteral("Upd")}
 	coldT := rdf.Triple{S: d.MustIRI("UpdP"), P: d.MustIRI("viaf"), O: d.MustLiteral("42")}
+	gone := st.Graph.Triples()[0]
 	st.Graph.Add(hot)
 	st.Graph.Add(coldT)
+	st.Graph.Delete(gone)
 	frag0.Graph.Add(hot)
 	cold.Graph.Add(coldT)
-	if st.Graph.DeltaLen() != 2 || frag0.Graph.DeltaLen() == 0 || cold.Graph.DeltaLen() == 0 {
-		t.Fatalf("setup: deltas global=%d frag=%d cold=%d",
-			st.Graph.DeltaLen(), frag0.Graph.DeltaLen(), cold.Graph.DeltaLen())
+	graphs := []*rdf.Graph{st.Graph, frag0.Graph, cold.Graph}
+	type counters struct {
+		delta       int
+		compactions uint64
+		epoch       uint64
+	}
+	before := make([]counters, len(graphs))
+	for i, g := range graphs {
+		before[i] = counters{g.DeltaLen(), g.Compactions(), g.Epoch()}
+		if before[i].delta == 0 {
+			t.Fatalf("setup: graph %d carries no delta", i)
+		}
 	}
 
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	// Compact-on-save: the saved deployment's graphs carry no deltas now.
-	if st.Graph.DeltaLen() != 0 || frag0.Graph.DeltaLen() != 0 || cold.Graph.DeltaLen() != 0 {
-		t.Errorf("Save left deltas behind: global=%d frag=%d cold=%d",
-			st.Graph.DeltaLen(), frag0.Graph.DeltaLen(), cold.Graph.DeltaLen())
-	}
-
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	got := load(t, save(t, st))
+	for i, g := range graphs {
+		if now := (counters{g.DeltaLen(), g.Compactions(), g.Epoch()}); now != before[i] {
+			t.Errorf("graph %d: Save moved (delta, compactions, epoch) from %v to %v", i, before[i], now)
+		}
 	}
 	if got.Graph.NumTriples() != st.Graph.NumTriples() {
 		t.Fatalf("graph triples %d vs %d", got.Graph.NumTriples(), st.Graph.NumTriples())
@@ -210,6 +284,33 @@ func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 	if !got.Frag.Fragments[0].Graph.Has(reHot) {
 		t.Error("fragment delta triple lost across the round trip")
 	}
+	if got.Graph.Has(gone) {
+		t.Error("a tombstoned triple came back across the round trip")
+	}
+}
+
+// TestSaveWritesTheCapturedCut: Save writes the graphs as Capture pinned
+// them, whatever the writer does between the two — the checkpointer
+// captures under the writer lock and writes after releasing it.
+func TestSaveWritesTheCapturedCut(t *testing.T) {
+	st := buildState(t, false)
+	want := save(t, st)
+	img := Capture(st)
+	defer img.Close()
+	d := st.Graph.Dict
+	late := rdf.Triple{S: d.MustIRI("Late"), P: d.MustIRI("name"), O: d.MustLiteral("Late")}
+	st.Graph.Add(late)
+	st.Frag.Fragments[0].Graph.Add(late)
+	st.Graph.Delete(st.Graph.Triples()[0])
+	st.Frag.Cold.Graph.Compact()
+	st.Graph.Compact()
+	var buf bytes.Buffer
+	if err := Save(&buf, img); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("the writes after Capture reached the image (%d vs %d bytes)", buf.Len(), len(want))
+	}
 }
 
 func mustLookup(t *testing.T, d *rdf.Dict, iri string) rdf.ID {
@@ -221,46 +322,152 @@ func mustLookup(t *testing.T, d *rdf.Dict, iri string) rdf.ID {
 	return id
 }
 
+// TestVersionMismatch: an image of another format version is refused by
+// name — a version 2 checkpoint, one gob value of the whole deployment
+// written before the stream, and a version from the future.
 func TestVersionMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Snapshot{Version: 99}); err != nil {
+	type termV2 struct {
+		Kind  uint8
+		Value string
+	}
+	type fragmentV2 struct {
+		ID         int
+		PatternIdx int
+		Triples    [][3]uint32
+		Site       int
+	}
+	type snapshotV2 struct {
+		Version      int
+		Sites        int
+		DictFP       uint64
+		Terms        []termV2
+		GraphTriples [][3]uint32
+		FreqProps    []uint32
+		Fragments    []fragmentV2
+	}
+	var v2 bytes.Buffer
+	if err := gob.NewEncoder(&v2).Encode(&snapshotV2{
+		Version:      2,
+		Sites:        1,
+		Terms:        []termV2{{Value: "s"}, {Value: "p"}, {Value: "o"}},
+		GraphTriples: [][3]uint32{{0, 1, 2}},
+		FreqProps:    []uint32{1},
+		Fragments:    []fragmentV2{{PatternIdx: -1, Triples: [][3]uint32{{0, 1, 2}}}},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf); err == nil {
-		t.Error("future version accepted")
+	var v99 bytes.Buffer
+	if err := gob.NewEncoder(&v99).Encode(stamp{99}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		image []byte
+		names []string
+	}{
+		{v2.Bytes(), []string{"v2", "v3"}},
+		{v99.Bytes(), []string{"v99", "v3"}},
+	} {
+		_, err := Load(bytes.NewReader(c.image))
+		if err == nil {
+			t.Fatalf("an image that is not v%d loaded", Version)
+		}
+		for _, name := range c.names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("the refusal %q does not name %s", err, name)
+			}
+		}
 	}
 }
 
 func TestInvalidSiteRejected(t *testing.T) {
-	st := buildState(t, false)
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.Fragments[0].Site = 99
-	var buf2 bytes.Buffer
-	if err := gob.NewEncoder(&buf2).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf2); err == nil {
+	im := decodeImage(t, save(t, buildState(t, false)))
+	im.hdr.Fragments[0].Site = 99
+	if _, err := Load(bytes.NewReader(im.encode(t))); err == nil {
 		t.Error("invalid site accepted")
 	}
 }
 
+// TestLoadRefusesWhatTheImageDoesNotHold: an index, a count or an ID that
+// reaches past what the image holds is refused by Load, before anything
+// indexes with it — and so is content whose CRC trailer does not match.
+func TestLoadRefusesWhatTheImageDoesNotHold(t *testing.T) {
+	saved := save(t, buildState(t, true))
+	minterm := -1
+	for i, fd := range decodeImage(t, saved).hdr.Fragments {
+		if len(fd.Constraints) > 0 {
+			minterm = i
+			break
+		}
+	}
+	if minterm < 0 {
+		t.Fatal("setup: no fragment carries a minterm")
+	}
+	for _, c := range []struct {
+		name   string
+		alter  func(im *image)
+		refuse string
+	}{
+		{"pattern index past the patterns", func(im *image) { im.hdr.Fragments[0].PatternIdx = len(im.hdr.Patterns) }, "pattern"},
+		{"constraint on a vertex the pattern lacks", func(im *image) { im.hdr.Fragments[minterm].Constraints[0].Vertex = 99 }, "vertex"},
+		{"constraint value past the terms", func(im *image) { im.hdr.Fragments[minterm].Constraints[0].Value = uint32(im.hdr.Terms) }, "term count"},
+		{"triple ID past the terms", func(im *image) { im.graphs[0][0] = uint32(im.hdr.Terms) }, "term count"},
+		{"fragment triple ID past the terms", func(im *image) { im.graphs[1][2] = uint32(im.hdr.Terms) }, "term count"},
+		{"frequent property past the terms", func(im *image) { im.hdr.FreqProps[0] = uint32(im.hdr.Terms) }, "term count"},
+		{"pattern edge past its vertices", func(im *image) { im.hdr.Patterns[0].Edges[0].To = len(im.hdr.Patterns[0].Verts) }, "vertices"},
+		{"pattern constant past the terms", func(im *image) {
+			im.hdr.Patterns[0].Edges[0].PredVar, im.hdr.Patterns[0].Edges[0].Pred = "", uint32(im.hdr.Terms)
+		}, "term count"},
+		{"no sites", func(im *image) { im.hdr.Sites = 0 }, "sites"},
+		{"a billion sites", func(im *image) { im.hdr.Sites = 1 << 30 }, "sites"},
+		{"fragment ID twice", func(im *image) { im.hdr.Fragments[1].ID = im.hdr.Fragments[0].ID }, "twice"},
+		{"negative triple count", func(im *image) { im.hdr.Fragments[0].Triples = -1; im.graphs[1] = nil }, "triples"},
+		{"cold fragment on no site", func(im *image) { im.hdr.Fragments[len(im.hdr.Fragments)-1].Site = -1 }, "invalid site"},
+		{"cold fragment not last", func(im *image) {
+			fs, gs := im.hdr.Fragments, im.graphs
+			fs[len(fs)-1], fs[len(fs)-2] = fs[len(fs)-2], fs[len(fs)-1]
+			gs[len(gs)-1], gs[len(gs)-2] = gs[len(gs)-2], gs[len(gs)-1]
+		}, "not the last"},
+		{"term of no kind", func(im *image) { im.terms[0].Kinds[0] = 9 }, "kind"},
+		{"term repeated", func(im *image) {
+			im.terms[0].Values[1], im.terms[0].Kinds[1] = im.terms[0].Values[0], im.terms[0].Kinds[0]
+		}, "diverged"},
+		{"more triples than counted", func(im *image) { im.hdr.Graph-- }, "chunk"},
+		{"fewer triples than counted", func(im *image) { im.hdr.Graph += tripleChunk }, "decode triples"},
+	} {
+		im := decodeImage(t, saved)
+		c.alter(im)
+		_, err := Load(bytes.NewReader(im.encode(t)))
+		if err == nil || !strings.Contains(err.Error(), c.refuse) {
+			t.Errorf("%s: Load returned %v, want a refusal naming %q", c.name, err, c.refuse)
+		}
+	}
+
+	// Content altered behind the saved trailer, the trailer itself, and
+	// bytes missing from or added to the end.
+	im := decodeImage(t, saved)
+	im.graphs[0][2] = im.graphs[0][5]
+	altered := im.encode(t)
+	copy(altered[len(altered)-4:], saved[len(saved)-4:])
+	flipped := slices.Clone(saved)
+	flipped[len(flipped)-1] ^= 1
+	for _, c := range []struct {
+		name, refuse string
+		image        []byte
+	}{
+		{"content altered", "CRC mismatch", altered},
+		{"trailer altered", "CRC mismatch", flipped},
+		{"trailer cut", "CRC trailer", saved[:len(saved)-2]},
+		{"byte appended", "after the checkpoint's CRC trailer", append(slices.Clone(saved), 0)},
+		{"image cut in two", "decode", saved[:len(saved)/2]},
+	} {
+		if _, err := Load(bytes.NewReader(c.image)); err == nil || !strings.Contains(err.Error(), c.refuse) {
+			t.Errorf("%s: Load returned %v, want a refusal naming %q", c.name, err, c.refuse)
+		}
+	}
+}
+
 func TestLoadedMintermStillFilters(t *testing.T) {
-	st := buildState(t, true)
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := load(t, save(t, buildState(t, true)))
 	var withMinterm *fragment.Fragment
 	for _, f := range got.Frag.Fragments {
 		if f.Minterm != nil {
@@ -282,34 +489,53 @@ func TestLoadedMintermStillFilters(t *testing.T) {
 			t.Error("negation constraint accepts its excluded value after reload")
 		}
 	}
-	_ = allocation.Allocation{}
 }
 
-// TestDictFingerprintGuardsTampering: a snapshot whose Terms list was
-// altered after Save (bit rot, wrong file, a different deployment's
-// snapshot spliced in) must be refused at Load — silently decoding
-// triples against the wrong dictionary would scramble every term.
+// TestDictFingerprintGuardsTampering: an image whose terms were altered
+// after Save (bit rot, wrong file, a different deployment's terms spliced
+// in) must be refused at Load even behind a matching CRC — silently
+// decoding triples against the wrong dictionary would scramble every
+// term.
 func TestDictFingerprintGuardsTampering(t *testing.T) {
-	st := buildState(t, false)
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-
-	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if snap.DictFP == 0 {
+	im := decodeImage(t, save(t, buildState(t, false)))
+	if im.hdr.DictFP == 0 {
 		t.Fatal("Save left DictFP unstamped")
 	}
-	snap.Terms[len(snap.Terms)/2].Value += "-tampered"
-	var evil bytes.Buffer
-	if err := gob.NewEncoder(&evil).Encode(&snap); err != nil {
-		t.Fatalf("re-encode: %v", err)
+	chunk := &im.terms[len(im.terms)/2]
+	chunk.Values[len(chunk.Values)/2] += "-tampered"
+	_, err := Load(bytes.NewReader(im.encode(t)))
+	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("Load of an image with a tampered term chunk returned %v, want the fingerprint refusal", err)
 	}
-	if _, err := Load(&evil); err == nil {
-		t.Fatal("Load accepted a snapshot with a tampered dictionary")
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		w.n = 0
+		return 0, errors.New("disk full")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestSaveReportsWriteErrors: a write that fails anywhere in the stream —
+// a checkpoint's disk filling up — fails Save, whose image is then never
+// renamed into place.
+func TestSaveReportsWriteErrors(t *testing.T) {
+	st := stateOf(t, testenv.Options{Persons: 2000})
+	size := len(save(t, st))
+	if size < 4<<16 {
+		t.Fatalf("setup: a %d-byte image fits the write buffer", size)
+	}
+	img := Capture(st)
+	defer img.Close()
+	for _, n := range []int{0, 1 << 16, size / 2, size - 1} {
+		if err := Save(&failAfter{n: n}, img); err == nil {
+			t.Errorf("Save reported no error from a writer failing after %d of %d bytes", n, size)
+		}
 	}
 }
 
@@ -318,15 +544,29 @@ func TestDictFingerprintGuardsTampering(t *testing.T) {
 func TestWALSeqRoundTrips(t *testing.T) {
 	st := buildState(t, false)
 	st.WALSeq = 12345
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if got.WALSeq != 12345 {
+	if got := load(t, save(t, st)); got.WALSeq != 12345 {
 		t.Fatalf("WALSeq = %d, want 12345", got.WALSeq)
 	}
+}
+
+// FuzzLoad: whatever the bytes, Load does not panic, does not allocate
+// from a count the bytes do not back, and accepts no image whose CRC
+// trailer fails; what it accepts saves and loads again. The seeds are
+// images of six-person deployments: a fuzzer minimizes what it finds
+// byte by byte, so small seeds keep it fuzzing.
+func FuzzLoad(f *testing.F) {
+	for _, horizontal := range []bool{false, true} {
+		f.Add(save(f, stateOf(f, testenv.Options{Persons: 6, Horizontal: horizontal})))
+	}
+	f.Add([]byte("not a checkpoint"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := Load(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if n := len(b) - 4; crc32.Checksum(b[:n], castagnoli) != binary.LittleEndian.Uint32(b[n:]) {
+			t.Fatal("Load accepted an image whose CRC trailer fails")
+		}
+		load(t, save(t, st))
+	})
 }

@@ -174,6 +174,44 @@ func TestFrozenReadZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllStreams: All yields what Triples lists, with and without a
+// delta, stops when the consumer does, and walks a delta-free snapshot
+// without allocating whatever its size — a checkpoint streams from it.
+func TestSnapshotAllStreams(t *testing.T) {
+	g := graphOf(randomTriples(17, 400, 30, 6))
+	g.Freeze()
+	g.SetAutoCompact(-1)
+	frozen := g.Snapshot()
+	defer frozen.Close()
+	var n int
+	allocs := testing.AllocsPerRun(50, func() {
+		n = 0
+		for range frozen.All() {
+			n++
+		}
+	})
+	if allocs != 0 || n != frozen.NumTriples() {
+		t.Fatalf("All walked %d of %d triples with %.1f allocations per walk, want all and 0", n, frozen.NumTriples(), allocs)
+	}
+	live := frozen.Triples()
+	g.Delete(live[3])
+	g.Add(Triple{S: 2, P: 31, O: 5})
+	sn := g.Snapshot()
+	defer sn.Close()
+	if got := slices.Collect(sn.All()); !slices.Equal(got, sn.Triples()) || len(got) != len(live) || !slices.IsSortedFunc(got, CompareSPO) {
+		t.Fatalf("All over a delta yields %d triples, Triples lists %d, want %d in (S, P, O) order", len(got), len(sn.Triples()), len(live))
+	}
+	n = 0
+	for range sn.All() {
+		if n++; n == 5 {
+			break
+		}
+	}
+	if n != 5 {
+		t.Fatalf("All went on after the consumer stopped: %d", n)
+	}
+}
+
 // TestFrozenWriterZeroAllocs: membership asked of the generation costs the
 // writer no allocation — Has, an Add of a triple already there and a
 // Delete of one that is not, with inserts and tombstones in the delta.

@@ -99,19 +99,27 @@ func (s *Snapshot) NumTriples() int {
 	return len(s.gen.csr.outArena) + int(s.n) - 2*s.dels()
 }
 
-// Triples returns the visible triples in (S, P, O) order, in a slice the
-// caller owns: under each ID that can have an outgoing run, ascending,
-// what a Cursor over the run yields.
-func (s *Snapshot) Triples() []Triple {
-	out := make([]Triple, 0, s.NumTriples())
-	for v := range s.runKeys(s.gen.csr.outRuns, runIndex{}, &s.gen.delta.out) {
-		var c Cursor
-		c.Out(s, v)
-		for e, ok := c.Next(); ok; e, ok = c.Next() {
-			out = append(out, Triple{S: v, P: e.A, O: e.B})
+// All yields the visible triples in (S, P, O) order: under each ID that
+// can have an outgoing run, ascending, what a Cursor over the run yields.
+// While the snapshot sees no delta the walk allocates nothing, so a
+// checkpoint streams a graph of any size from it.
+func (s *Snapshot) All() iter.Seq[Triple] {
+	return func(yield func(Triple) bool) {
+		for v := range s.runKeys(s.gen.csr.outRuns, runIndex{}, &s.gen.delta.out) {
+			var c Cursor
+			c.Out(s, v)
+			for e, ok := c.Next(); ok; e, ok = c.Next() {
+				if !yield(Triple{S: v, P: e.A, O: e.B}) {
+					return
+				}
+			}
 		}
 	}
-	return out
+}
+
+// Triples returns All's triples in a slice the caller owns.
+func (s *Snapshot) Triples() []Triple {
+	return slices.AppendSeq(make([]Triple, 0, s.NumTriples()), s.All())
 }
 
 // Has reports whether the triple is visible in this snapshot.

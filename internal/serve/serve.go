@@ -511,10 +511,12 @@ func (s *Server) PendingExpiries() int {
 // Exclusive runs fn while holding the writer mutex: no update applies
 // until fn returns, and a fresh read view is published afterwards.
 // Maintenance that mutates the deployment's graphs outside the Apply
-// sink (snapshotting with compact-on-save, manual compaction) must run
+// sink (the checkpointer's compaction, manual compaction) must run
 // through it so its mutations serialize with updates and become visible
-// to queries as one atomic cut. Queries keep running throughout — graph
-// mutations are MVCC-safe against pinned readers.
+// to queries as one atomic cut; so must a capture that has to see one
+// batch boundary (pinning the snapshots a save writes). Keep fn short:
+// write the pinned snapshots after it returns. Queries keep running
+// throughout — graph mutations are MVCC-safe against pinned readers.
 func (s *Server) Exclusive(fn func()) {
 	s.dataMu.Lock()
 	defer s.dataMu.Unlock()

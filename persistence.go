@@ -1,7 +1,6 @@
 package rdffrag
 
 import (
-	"fmt"
 	"io"
 
 	"rdffrag/internal/cluster"
@@ -14,18 +13,21 @@ import (
 // Save serializes the deployment — term dictionary, hot/cold split,
 // fragments with their generating patterns and minterms, and the
 // allocation — so it can be reloaded with LoadDeployment without
-// re-running the offline pipeline. Save compacts delta-carrying graphs
-// first (a mutation), so while a Server is running use Server.Save,
-// which takes the server's exclusive data lock.
+// re-running the offline pipeline. It changes nothing: it pins a snapshot
+// of each graph and streams them. It does not order itself with updates,
+// so while a Server is running use Server.Save, which pins under the
+// server's writer lock.
 func (dep *Deployment) Save(w io.Writer) error {
-	return dep.saveState(w, 0)
+	img := dep.capture(0)
+	defer img.Close()
+	return persist.Save(w, img)
 }
 
-// saveState is Save with an explicit WAL sequence stamp — the durable
-// checkpoint path records which log records the snapshot already
-// contains, so recovery replays only the tail past it.
-func (dep *Deployment) saveState(w io.Writer, walSeq uint64) error {
-	return persist.Save(w, &persist.State{
+// capture pins the deployment for persist.Save, stamped with the WAL
+// sequence number of the last batch it holds — so recovery replays only
+// the log past it. The caller orders it with the writer.
+func (dep *Deployment) capture(walSeq uint64) *persist.Image {
+	return persist.Capture(&persist.State{
 		Graph:  dep.db.graph,
 		HC:     dep.hc,
 		Frag:   dep.frag,
@@ -43,9 +45,6 @@ func LoadDeployment(r io.Reader, cfg Config) (*Deployment, error) {
 	st, err := persist.Load(r)
 	if err != nil {
 		return nil, err
-	}
-	if st.Sites < 1 {
-		return nil, fmt.Errorf("rdffrag: snapshot has no sites")
 	}
 	db := &DB{cfg: cfg, graph: st.Graph}
 	db.cfg.Sites = st.Sites

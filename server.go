@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rdffrag/internal/persist"
 	"rdffrag/internal/serve"
 	"rdffrag/internal/sparql"
 )
@@ -176,15 +177,16 @@ func (s *Server) MarkDraining() { s.draining.Store(true) }
 // Draining reports whether shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Save snapshots the deployment under the server's writer mutex: no
-// update applies while the snapshot's compact-on-save mutates the
-// graphs, and a fresh read view is published afterwards (in-flight
-// queries keep their pinned views). Use this instead of Deployment.Save
-// while the server is live.
+// Save snapshots the deployment without holding up updates: under the
+// server's writer mutex it only pins a snapshot of each graph and copies
+// the fragments' sites, one batch boundary, and it writes them once the
+// mutex is released. It changes nothing. Use this instead of
+// Deployment.Save while the server is live.
 func (s *Server) Save(w io.Writer) error {
-	var err error
-	s.inner.Exclusive(func() { err = s.dep.Save(w) })
-	return err
+	var img *persist.Image
+	s.inner.Exclusive(func() { img = s.dep.capture(0) })
+	defer img.Close()
+	return persist.Save(w, img)
 }
 
 // ServerMetrics mirrors the serving layer's snapshot for API consumers.
