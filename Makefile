@@ -92,15 +92,21 @@ chaos-soak:
 # stream and checkpoints are written off the writer lock beside their
 # appends — some kills inside a checkpoint's write — and every restart
 # must load a whole checkpoint, old or new, and replay each writer to an
-# acknowledged prefix. The SIGTERM tests prove graceful shutdown loses
-# nothing even under the lossy-window "interval" sync policy.
+# acknowledged prefix. The TTL soak kills, the same three ways and once
+# with SIGTERM, a server that sweeps every 50ms while TTL-stamped and
+# permanent batches stream: after every restart an acknowledged TTL batch
+# is there until its original absolute deadline and gone within a sweep
+# interval and a second's slack after it, and a permanent one stays. The
+# SIGTERM tests prove graceful shutdown loses nothing even under the
+# lossy-window "interval" sync policy.
 crash-soak:
 	$(GO) test -race -count=1 -run \
-		'TestCrashRecoverySoak|TestCrashRecoveryDeleteSoak|TestCrashRecoveryOverwriteSoak|TestCrashRecoveryCheckpointSoak|TestGracefulShutdownSIGTERM|TestSiteGracefulShutdownSIGTERM' .
+		'TestCrashRecoverySoak|TestCrashRecoveryDeleteSoak|TestCrashRecoveryOverwriteSoak|TestCrashRecoveryCheckpointSoak|TestCrashRecoveryTTLSoak|TestGracefulShutdownSIGTERM|TestSiteGracefulShutdownSIGTERM' .
 
 # Ten seconds of coverage-guided fuzzing each of the two hand-written
-# codecs against encoding/json, then of the N-Triples scanner and of the
-# checkpoint loader. The result encoders, against the
+# codecs against encoding/json, then of the N-Triples scanner, of the
+# checkpoint loader, of the WAL segment scanner and of the WAL batch
+# payload decoder. The result encoders, against the
 # struct-and-encoding/json oracle in results_test.go: the JSON must
 # unmarshal to the same value, the CSV read back to the same records,
 # the TSV bytes be equal. The batch-frame row codec, against
@@ -115,12 +121,19 @@ crash-soak:
 # loader: never panic, allocate from no count the bytes do not back, and
 # accept no image whose CRC trailer fails. Its inputs are kilobytes of gob,
 # which the fuzzer would otherwise spend the whole run minimizing. The
-# seed corpora alone run inside `test`.
+# segment scanner: never panic, return no frame whose CRC fails — the
+# records it returns, framed again, are the bytes it calls valid — and
+# reach past the image from no length prefix. The batch payload decoder:
+# never panic, slice from no length prefix the payload does not back, and
+# what it accepts encodes back to the same batch. The seed corpora alone
+# run inside `test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRows$$' -fuzztime=10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzScanNTriples$$' -fuzztime=10s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzScanSegment$$' -fuzztime=10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s .
 
 # One iteration per benchmark: a compile-and-run smoke, not a measurement.
 bench:

@@ -39,7 +39,7 @@ func serveMain(args []string) {
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-query execution deadline (0 disables)")
 		cache    = fs.Int("cache", 256, "plan cache capacity in query shapes (negative disables)")
 		parallel = fs.Int("parallel", 0, "intra-query worker budget, divided among in-flight queries (0 = GOMAXPROCS, negative = sequential matching)")
-		ttl      = fs.Duration("ttl", 0, "default time-to-live for inserted triples; the sweeper deletes them through the durable update path when it elapses (0 = permanent; per-request X-TTL overrides)")
+		ttl      = fs.Duration("ttl", 0, "default time-to-live for inserted triples: each is stamped with the deadline now+ttl, which the WAL and checkpoints keep across restarts, and the sweeper deletes it through the durable update path once that passes; the latest write of a triple sets or clears its deadline (0 = permanent; per-request X-TTL overrides)")
 		sweepInt = fs.Duration("sweep-interval", time.Second, "how often the TTL sweeper checks for expired triples (negative disables)")
 		profile  = fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
 

@@ -982,3 +982,274 @@ func TestSiteGracefulShutdownSIGTERM(t *testing.T) {
 		t.Fatal("site did not exit after SIGTERM")
 	}
 }
+
+// ttlBatch is one batch of the TTL soak: two triples under the dedicated
+// predicates, stamped with ttl (0: permanent).
+type ttlBatch struct {
+	i          int
+	ttl        time.Duration
+	sent, done time.Time // done: acked, or when the process was seen dead
+	acked      bool
+	torn       bool // seen absent before it could expire: it must stay so
+}
+
+func (b *ttlBatch) doc() string {
+	return fmt.Sprintf("<TS%d> <urn:ttl:p> \"%d\" .\n<TS%d> <urn:ttl:q> \"%d\" .\n", b.i, b.i, b.i, b.i)
+}
+
+// sendTTL posts b with its TTL in the X-TTL header and reports an ack.
+func sendTTL(p *serveProc, b *ttlBatch) bool {
+	req, err := http.NewRequest(http.MethodPost, p.url("/update"), strings.NewReader(b.doc()))
+	if err != nil {
+		return false
+	}
+	if b.ttl > 0 {
+		req.Header.Set("X-TTL", b.ttl.String())
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode == http.StatusOK
+}
+
+// liveTTLBatches reads which TTL-soak batches are present, in one query
+// so that no sweep lands between the reads of a batch's two triples, and
+// fails the test on a batch with one of them. ok is false when the
+// process died before it answered.
+func liveTTLBatches(t *testing.T, p *serveProc) (live map[int]bool, ok bool) {
+	t.Helper()
+	resp, err := http.Post(p.url("/query?format=tsv"), "application/sparql-query",
+		strings.NewReader(`SELECT ?x ?p WHERE { ?x ?p ?v . }`))
+	if err != nil {
+		return nil, false
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, false
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("probe query: HTTP %d: %s", resp.StatusCode, b)
+	}
+	halves := map[int]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n")[1:] {
+		var i int
+		if _, err := fmt.Sscanf(line, "<TS%d>", &i); err == nil && strings.Contains(line, "<urn:ttl:") {
+			halves[i]++
+		}
+	}
+	live = map[int]bool{}
+	for i, n := range halves {
+		if n != 2 {
+			t.Fatalf("batch %d has %d of its 2 triples (a torn batch or a torn sweep)", i, n)
+		}
+		live[i] = true
+	}
+	return live, true
+}
+
+// TestCrashRecoveryTTLSoak streams TTL-stamped and permanent batches into
+// a durable server that sweeps every 50ms and checkpoints after every
+// append, and kills it at seeded points: from the outside after a seeded
+// delay, by the fault-injecting filesystem tearing an fsync (of the WAL or
+// of a checkpoint's temp file), and from the outside the moment a
+// checkpoint's temp file appears — plus one clean SIGTERM. After each
+// restart, every acknowledged TTL batch is present until its original
+// absolute deadline, and gone within one sweep interval (plus slack) of
+// it, or of the restart when the deadline passed while the process was
+// down; every acknowledged permanent batch stays. A TTL deadline that
+// lived only in the process would outlive its batch past the first kill.
+func TestCrashRecoveryTTLSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes; skipped in -short mode")
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "rdffrag")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/rdffrag").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	dataPath := filepath.Join(tmp, "data.nt")
+	wlPath := filepath.Join(tmp, "workload.rq")
+	if err := os.WriteFile(dataPath, []byte(soakNT(30, 0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wlPath, []byte(strings.Join(soakWorkload, "\n---\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dataDir := filepath.Join(tmp, "durable")
+	tmpCheckpoint := filepath.Join(dataDir, checkpointFile+".tmp")
+	const (
+		sweep = 50 * time.Millisecond
+		slack = time.Second
+	)
+	base := []string{"-data", dataPath, "-workload", wlPath, "-sites", "2", "-minsup", "0.2",
+		"-wal-sync", "always", "-checkpoint-bytes", "1", "-wal-segment-bytes", "2048",
+		"-sweep-interval", sweep.String()}
+	p := startServeProc(t, bin, dataDir, base...)
+	up := time.Now() // the sweeper has started by now
+
+	var batches []*ttlBatch
+	// verify checks the restarted process; false means the injected crash
+	// killed it, in a sweep's or a checkpoint's fsync, before it answered.
+	verify := func(p *serveProc, phase string) bool {
+		t0 := time.Now()
+		live, ok := liveTTLBatches(t, p)
+		if !ok {
+			return false
+		}
+		t1 := time.Now()
+		for _, b := range batches {
+			has := live[b.i]
+			switch {
+			case b.torn && has:
+				t.Fatalf("%s: batch %d, seen torn, is back", phase, b.i)
+			case b.ttl == 0 && b.acked && !has:
+				t.Fatalf("%s: acknowledged permanent batch %d is gone", phase, b.i)
+			case b.ttl > 0 && b.acked && !has && t1.Before(b.sent.Add(b.ttl)):
+				t.Fatalf("%s: acknowledged batch %d is gone before its deadline, %v after it was sent with X-TTL %v",
+					phase, b.i, t1.Sub(b.sent), b.ttl)
+			case b.ttl > 0 && has && t0.After(later(b.done.Add(b.ttl), up).Add(sweep+slack)):
+				t.Fatalf("%s: batch %d outlived its X-TTL %v: still present %v after it was stamped, %v after the restart",
+					phase, b.i, b.ttl, t0.Sub(b.done), t0.Sub(up))
+			}
+			// An unacknowledged batch that recovered is owed what an
+			// acknowledged one is; one absent before it could have expired
+			// was torn away.
+			if !b.acked && has {
+				b.acked = true
+			} else if !b.acked && (b.ttl == 0 || t1.Before(b.sent.Add(b.ttl))) {
+				b.torn = true
+			}
+		}
+		return true
+	}
+
+	r := rand.New(rand.NewSource(28))
+	delays := rand.New(rand.NewSource(29))
+	kills, probeKills := 0, 0
+	for cycle := 0; kills < 9; cycle++ {
+		mode := cycle % 3 // 0: seeded delay, 1: torn fsync, 2: at a checkpoint's temp file
+		extra := append([]string(nil), base...)
+		if mode == 1 {
+			extra = append(extra, "-wal-crash-prob", "0.08", "-wal-crash-seed", fmt.Sprint(2800+cycle))
+		}
+		if cycle > 0 {
+			p = startServeProc(t, bin, dataDir, extra...)
+			up = time.Now()
+			if p.recovered == "" {
+				t.Fatalf("cycle %d: restart did not report a recovery summary", cycle)
+			}
+			if !verify(p, fmt.Sprintf("cycle %d", cycle)) {
+				waitDeath(t, p)
+				kills++
+				probeKills++
+				continue
+			}
+		}
+		if cycle == 3 {
+			// The clean restart: SIGTERM checkpoints the schedule and
+			// marks the directory clean, so the restart replays nothing.
+			if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			waitDeath(t, p)
+			p = startServeProc(t, bin, dataDir, extra...)
+			up = time.Now()
+			if !strings.Contains(p.recovered, "replayed=0") || !strings.Contains(p.recovered, "clean=true") {
+				t.Fatalf("restart after SIGTERM was not clean: %q", p.recovered)
+			}
+			if !verify(p, "after SIGTERM") {
+				t.Fatal("the process restarted after SIGTERM died without an injected crash")
+			}
+		}
+
+		first := len(batches)
+		budget := 1 << 20
+		if mode == 1 {
+			budget = 200
+		}
+		streamed := make(chan struct{})
+		go func() {
+			defer close(streamed)
+			for range budget {
+				b := &ttlBatch{i: len(batches) + 1, sent: time.Now()}
+				if r.Intn(3) > 0 {
+					b.ttl = time.Duration(300+r.Intn(2700)) * time.Millisecond
+				}
+				batches = append(batches, b)
+				if !sendTTL(p, b) {
+					return
+				}
+				b.acked, b.done = true, time.Now()
+			}
+		}()
+		switch mode {
+		case 0:
+			time.Sleep(time.Duration(100+delays.Intn(400)) * time.Millisecond)
+			p.cmd.Process.Kill()
+		case 1:
+			if <-streamed; len(batches)-first == budget && batches[len(batches)-1].acked {
+				t.Fatalf("cycle %d: %d batches without an injected crash; raise the probability", cycle, budget)
+			}
+		case 2:
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				if _, err := os.Stat(tmpCheckpoint); err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("cycle %d: no checkpoint began within 30s of streaming", cycle)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			p.cmd.Process.Kill()
+		}
+		waitDeath(t, p)
+		<-streamed
+		died := time.Now()
+		for _, b := range batches[first:] {
+			if !b.acked {
+				b.done = died // the latest the server can have stamped it
+			}
+		}
+		kills++
+	}
+
+	// The last restart: wait until every deadline is past its bound, then
+	// every TTL batch must be gone and every durable permanent one there.
+	p = startServeProc(t, bin, dataDir, base...)
+	up = time.Now()
+	if !verify(p, "final restart") {
+		t.Fatal("the final process died without an injected crash")
+	}
+	last := up
+	for _, b := range batches {
+		last = later(last, b.done.Add(b.ttl))
+	}
+	time.Sleep(time.Until(last.Add(sweep + slack + 100*time.Millisecond)))
+	if !verify(p, "after every deadline") {
+		t.Fatal("the final process died without an injected crash")
+	}
+	acked, stamped := 0, 0
+	for _, b := range batches {
+		if b.acked {
+			acked++
+			if b.ttl > 0 {
+				stamped++
+			}
+		}
+	}
+	t.Logf("TTL soak: %d kills (%d of them while a restart was being checked) and a SIGTERM, %d batches durable, %d of them TTL-stamped",
+		kills, probeKills, acked, stamped)
+}
+
+// later is the later of two instants.
+func later(a, b time.Time) time.Time {
+	if a.After(b) {
+		return a
+	}
+	return b
+}

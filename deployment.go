@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"rdffrag/internal/allocation"
 	"rdffrag/internal/cluster"
@@ -35,6 +36,10 @@ type Deployment struct {
 	// loaded at (0 for freshly built deployments); Durable.Recover
 	// replays WAL records past it.
 	walSeq uint64
+	// expiry is the TTL schedule: the deadline of every triple the latest
+	// insert of which carried one. Only applyBatch changes it, under the
+	// writer lock; checkpoints carry it.
+	expiry map[rdf.Triple]time.Time
 }
 
 // Result is a query answer: the engine's table, which the encoders read.

@@ -1,7 +1,7 @@
 package rdffrag
 
-// Durable updates: every acknowledged update batch — insert or delete,
-// told apart by the WAL record's kind byte — is appended to a
+// Durable updates: every acknowledged update batch — its delete-set, its
+// insert-set and its TTL deadline, one record — is appended to a
 // write-ahead log before it is applied, and a background checkpointer
 // periodically folds the log into a persist image stamped with the last
 // applied WAL sequence number. The checkpointer holds the writer lock
@@ -188,7 +188,7 @@ func (d *Durable) Recover(cfg Config) (*Deployment, error) {
 		}
 		return nil
 	}, func(rec wal.Record) error {
-		b, err := decodeWALRecord(dict, rec)
+		b, err := decodeBatch(dict, rec.Payload)
 		if err != nil {
 			return fmt.Errorf("rdffrag: WAL replay: record %d: %w", rec.Seq, err)
 		}
@@ -256,97 +256,79 @@ func (d *Durable) openLog(dep *Deployment) error {
 	return nil
 }
 
-// decodeWALRecord inverts encodeWALPayload: it parses one recovered
-// record back into the batch applyDurable logged. Deletes (and the
-// delete side of overwrites) replay through Encode (interning), not
-// Lookup: the batch's terms were in the dictionary when the record was
-// logged, so post-checkpoint they resolve to the same triples; a term
-// the recovered dictionary genuinely lacks yields a triple that was
-// never present, and deleting it is a no-op.
-func decodeWALRecord(dict *rdf.Dict, rec wal.Record) (serve.Batch, error) {
-	switch rec.Kind {
-	case wal.KindDelete:
-		ts, err := parseUpdateBatch(dict, string(rec.Payload))
-		if err != nil {
-			return serve.Batch{}, err
-		}
-		return serve.Batch{Op: serve.OpDelete, Del: ts}, nil
-	case wal.KindOverwrite:
-		delDoc, insDoc, err := splitOverwritePayload(rec.Payload)
-		if err != nil {
-			return serve.Batch{}, err
-		}
-		del, err := parseTripleSet(dict, string(delDoc))
-		if err != nil {
-			return serve.Batch{}, err
-		}
-		ins, err := parseTripleSet(dict, string(insDoc))
-		if err != nil {
-			return serve.Batch{}, err
-		}
-		if len(del) == 0 && len(ins) == 0 {
-			return serve.Batch{}, fmt.Errorf("rdffrag: overwrite record carried no triples")
-		}
-		return serve.Batch{Op: serve.OpOverwrite, Del: del, Ins: ins}, nil
-	default:
-		ts, err := parseUpdateBatch(dict, string(rec.Payload))
-		if err != nil {
-			return serve.Batch{}, err
-		}
-		return serve.Batch{Op: serve.OpInsert, Ins: ts}, nil
+// Batch payload layout, written by encodeBatch and read by decodeBatch
+// only:
+//
+//	i64 deadline | u32 len(del) | del | ins
+//
+// Integers are little-endian; the deadline is in Unix microseconds, 0 for
+// none (microseconds reach past the year 2262 that Unix nanoseconds stop
+// at, so no Go duration of TTL overflows it). del and ins are N-Triples
+// text. Logging term text instead of IDs makes replay independent of
+// dictionary ID assignment: IDs diverge across restarts (queries intern
+// ad-hoc constants the log never sees), but re-parsing the text lands each
+// term on whatever ID the recovered dictionary assigns it. Both sides share
+// one record — one CRC frame — which is the whole atomicity story: a crash
+// either persists the frame (recovery replays delete-set and insert-set
+// together) or tears it (recovery truncates the frame whole), never half.
+const batchHeader = 8 + 4
+
+// encodeBatch renders one batch as its WAL record payload.
+func encodeBatch(d *rdf.Dict, b serve.Batch) []byte {
+	var deadline int64
+	if !b.Deadline.IsZero() {
+		deadline = b.Deadline.UnixMicro()
 	}
+	p := binary.LittleEndian.AppendUint64(nil, uint64(deadline))
+	p = appendNTriples(append(p, 0, 0, 0, 0), d, b.Del)
+	binary.LittleEndian.PutUint32(p[8:], uint32(len(p)-batchHeader))
+	return appendNTriples(p, d, b.Ins)
 }
 
-// encodeWALPayload renders one batch into its WAL record: the kind byte
-// carries the operation and the payload the triple text. An overwrite's
-// two sides share a single record — a single CRC frame — which is the
-// whole atomicity story: a crash either persists the frame (recovery
-// replays delete-set and insert-set together) or tears it (recovery
-// truncates the frame whole), never half.
-func encodeWALPayload(dict *rdf.Dict, b serve.Batch) (wal.Kind, []byte) {
-	switch b.Op {
-	case serve.OpDelete:
-		return wal.KindDelete, encodeUpdateBatch(dict, b.Del)
-	case serve.OpOverwrite:
-		return wal.KindOverwrite, encodeOverwritePayload(
-			encodeUpdateBatch(dict, b.Del), encodeUpdateBatch(dict, b.Ins))
-	default:
-		return wal.KindInsert, encodeUpdateBatch(dict, b.Ins)
+func appendNTriples(p []byte, d *rdf.Dict, ts []rdf.Triple) []byte {
+	for _, t := range ts {
+		p = fmt.Appendf(p, "%s %s %s .\n", d.Decode(t.S), d.Decode(t.P), d.Decode(t.O))
 	}
+	return p
 }
 
-// encodeOverwritePayload frames an overwrite record's payload:
-// uint32 little-endian len(deleteDoc) | deleteDoc | insertDoc.
-func encodeOverwritePayload(delDoc, insDoc []byte) []byte {
-	buf := make([]byte, 4, 4+len(delDoc)+len(insDoc))
-	binary.LittleEndian.PutUint32(buf, uint32(len(delDoc)))
-	buf = append(buf, delDoc...)
-	return append(buf, insDoc...)
-}
-
-// splitOverwritePayload inverts encodeOverwritePayload.
-func splitOverwritePayload(p []byte) (delDoc, insDoc []byte, err error) {
-	if len(p) < 4 {
-		return nil, nil, fmt.Errorf("rdffrag: overwrite payload too short (%d bytes)", len(p))
+// decodeBatch inverts encodeBatch. Both sides parse with interning: the
+// batch's terms were in the dictionary when the record was logged, so
+// past the checkpoint they resolve to the same triples, and a term the
+// recovered dictionary lacks yields a triple that was never present,
+// whose deletion is a no-op.
+func decodeBatch(d *rdf.Dict, p []byte) (serve.Batch, error) {
+	if len(p) < batchHeader {
+		return serve.Batch{}, fmt.Errorf("rdffrag: a %d-byte batch payload is shorter than its header", len(p))
 	}
-	n := int(binary.LittleEndian.Uint32(p))
-	if n < 0 || 4+n > len(p) {
-		return nil, nil, fmt.Errorf("rdffrag: overwrite payload delete-doc length %d exceeds payload", n)
+	n := binary.LittleEndian.Uint32(p[8:])
+	if int64(n) > int64(len(p)-batchHeader) {
+		return serve.Batch{}, fmt.Errorf("rdffrag: a batch payload's %d-byte delete side overruns its %d bytes", n, len(p)-batchHeader)
 	}
-	return p[4 : 4+n], p[4+n:], nil
+	var b serve.Batch
+	if deadline := int64(binary.LittleEndian.Uint64(p)); deadline != 0 {
+		b.Deadline = time.UnixMicro(deadline)
+	}
+	var err error
+	if b.Del, _, err = parseBatch(d, string(p[batchHeader:batchHeader+n]), true); err != nil {
+		return serve.Batch{}, err
+	}
+	if b.Ins, _, err = parseBatch(d, string(p[batchHeader+n:]), true); err != nil {
+		return serve.Batch{}, err
+	}
+	return b, nil
 }
 
 // applyDurable is the serve-layer Apply sink of a durable deployment:
 // WAL append first (under SyncAlways the fsync happens inside, so a
 // batch is on stable storage before the caller can ack it), then the
-// normal in-memory apply. The record kind carries the operation, so
-// replay re-applies deletes as deletes and overwrites as one atomic
-// swap. The caller holds the server's writer mutex, so append order,
-// sequence order and apply order all agree. A failed append rejects the
-// batch before anything mutates.
+// normal in-memory apply. The record carries the whole batch, deadline
+// included, so replay re-applies it exactly as applied here. The caller
+// holds the server's writer mutex, so append order, sequence order and
+// apply order all agree. A failed append rejects the batch before
+// anything mutates.
 func (d *Durable) applyDurable(b serve.Batch) (serve.UpdateStats, error) {
-	kind, payload := encodeWALPayload(d.dep.db.graph.Dict, b)
-	seq, err := d.log.Append(kind, payload)
+	seq, err := d.log.Append(wal.KindInsert, encodeBatch(d.dep.db.graph.Dict, b))
 	if err != nil {
 		return serve.UpdateStats{}, fmt.Errorf("rdffrag: %w", err)
 	}

@@ -91,39 +91,29 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// /update?op=delete and PUT for POST /update?op=overwrite. An
 	// overwrite body is two N-Triples documents — delete-set, then
 	// insert-set — separated by a line holding only "---"; both sets
-	// apply as one atomic batch under one WAL sequence number.
-	const (
-		opInsert = iota
-		opDelete
-		opOverwrite
-	)
-	var batchOp int
-	switch op := r.URL.Query().Get("op"); {
-	case r.Method == http.MethodDelete:
-		if op != "" && op != "delete" {
-			http.Error(w, fmt.Sprintf("op=%s contradicts the DELETE method", op), http.StatusBadRequest)
-			return
-		}
-		batchOp = opDelete
-	case r.Method == http.MethodPut:
-		if op != "" && op != "overwrite" {
-			http.Error(w, fmt.Sprintf("op=%s contradicts the PUT method", op), http.StatusBadRequest)
-			return
-		}
-		batchOp = opOverwrite
-	case r.Method == http.MethodPost:
-		switch op {
-		case "", "insert":
-		case "delete":
-			batchOp = opDelete
-		case "overwrite":
-			batchOp = opOverwrite
-		default:
-			http.Error(w, fmt.Sprintf("unknown op %q (want insert, delete or overwrite)", op), http.StatusBadRequest)
-			return
-		}
+	// apply as one atomic batch under one WAL sequence number. Every op
+	// is that one batch with a side empty.
+	op, implied := r.URL.Query().Get("op"), ""
+	switch r.Method {
+	case http.MethodPost:
+	case http.MethodDelete:
+		implied = "delete"
+	case http.MethodPut:
+		implied = "overwrite"
 	default:
 		http.Error(w, "POST (or DELETE, or PUT) an N-Triples document", http.StatusMethodNotAllowed)
+		return
+	}
+	switch {
+	case implied != "" && op != "" && op != implied:
+		http.Error(w, fmt.Sprintf("op=%s contradicts the %s method", op, r.Method), http.StatusBadRequest)
+		return
+	case implied != "":
+		op = implied
+	case op == "":
+		op = "insert"
+	case op != "insert" && op != "delete" && op != "overwrite":
+		http.Error(w, fmt.Sprintf("unknown op %q (want insert, delete or overwrite)", op), http.StatusBadRequest)
 		return
 	}
 	ttl, err := s.requestTTL(r)
@@ -143,20 +133,18 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	var res *UpdateResult
-	switch batchOp {
-	case opDelete:
-		res, err = s.Delete(r.Context(), string(body))
-	case opOverwrite:
-		delDoc, insDoc, ok := splitOverwriteBody(string(body))
-		if !ok {
+	delDoc, insDoc := "", string(body)
+	switch op {
+	case "delete":
+		delDoc, insDoc = insDoc, ""
+	case "overwrite":
+		var ok bool
+		if delDoc, insDoc, ok = splitOverwriteBody(insDoc); !ok {
 			http.Error(w, `overwrite body needs a line holding only "---" between its delete-set and insert-set`, http.StatusBadRequest)
 			return
 		}
-		res, err = s.Overwrite(r.Context(), delDoc, insDoc, ttl)
-	default:
-		res, err = s.UpdateTTL(r.Context(), string(body), ttl)
 	}
+	res, err := s.apply(r.Context(), delDoc, insDoc, ttl)
 	// Status routing mirrors handleQuery: only the client's own mistakes
 	// are 400s. Overload and shutdown are retryable 5xx — mapping them
 	// to 400 (as this handler once did) told well-behaved clients their

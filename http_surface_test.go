@@ -117,6 +117,29 @@ func TestHandleUpdateTTLHeader(t *testing.T) {
 	if rows := queryRows(t, srv, owProbe); len(rows) != 0 {
 		t.Fatalf("expired triples still visible: %v", rows)
 	}
+
+	// The longest Go duration is a valid X-TTL. Its deadline, some three
+	// centuries out, lies past what Unix nanoseconds can hold; it must
+	// still be in the future, not overflow into the past and sweep the
+	// batch at once.
+	req = httptest.NewRequest(http.MethodPost, "/update", strings.NewReader(owDoc(2)))
+	req.Header.Set("X-TTL", "2562047h")
+	rec = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("X-TTL 2562047h: status %d, body %s", rec.Code, rec.Body)
+	}
+	if n := srv.Sweep(); n != 0 {
+		t.Fatalf("Sweep removed %d triples of a batch stamped to expire centuries out", n)
+	}
+	if rows := queryRows(t, srv, owProbe); len(rows) != 1 {
+		t.Fatalf("far-TTL insert not visible: %v", rows)
+	}
+	for _, at := range dep.expiry {
+		if !at.After(time.Now().AddDate(290, 0, 0)) {
+			t.Fatalf("the 2562047h batch is due at %v", at)
+		}
+	}
 }
 
 // TestHealthzDraining: /healthz answers ok while serving, 503 once

@@ -99,7 +99,10 @@ func Allocate(fr *fragment.Fragmentation, workload []*sparql.Graph, m int) *Allo
 	for clusters > m {
 		// Pick the pair with the highest density: affinity / (|A|·|B|),
 		// breaking ties toward the smaller combined load to keep sites
-		// balanced; merge pairs with zero affinity only when necessary.
+		// balanced, and then toward the smaller (lo, hi) root pair, so the
+		// map's iteration order never decides — every process that
+		// allocates the same input places each fragment on the same site.
+		// Merge pairs with zero affinity only when necessary.
 		bestA, bestB := -1, -1
 		var bestDensity float64
 		bestLoad := 0
@@ -108,6 +111,9 @@ func Allocate(fr *fragment.Fragmentation, workload []*sparql.Graph, m int) *Allo
 			if a == b {
 				continue
 			}
+			if a > b {
+				a, b = b, a
+			}
 			d := float64(w) / float64(size[a]*size[b])
 			if spreadSiblings {
 				if col := siblingCollisions(parent, find, a, b, patternOf); col > 0 {
@@ -115,7 +121,8 @@ func Allocate(fr *fragment.Fragmentation, workload []*sparql.Graph, m int) *Allo
 				}
 			}
 			l := load[a] + load[b]
-			if bestA == -1 || d > bestDensity || (d == bestDensity && l < bestLoad) {
+			if bestA == -1 || d > bestDensity || d == bestDensity && (l < bestLoad ||
+				l == bestLoad && (a < bestA || a == bestA && b < bestB)) {
 				bestA, bestB, bestDensity, bestLoad = a, b, d, l
 			}
 		}

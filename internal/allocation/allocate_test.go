@@ -1,6 +1,8 @@
 package allocation
 
 import (
+	"fmt"
+	"maps"
 	"testing"
 
 	"rdffrag/internal/fap"
@@ -157,5 +159,44 @@ func TestColdFragmentPlaced(t *testing.T) {
 	alloc := Allocate(fr, w, 3)
 	if alloc.ColdSite < 0 || alloc.ColdSite >= 3 {
 		t.Errorf("cold site = %d", alloc.ColdSite)
+	}
+}
+
+// TestAllocateBreaksTiesDeterministically: two chains of predicates, each
+// queried as often as the other, give two cluster pairs of equal density
+// and equal combined load. Which one merges must not depend on the order
+// a map happens to be ranged in: every `rdffrag site` process allocates
+// for itself, and two processes that disagree on where a fragment lives
+// cannot answer together.
+func TestAllocateBreaksTiesDeterministically(t *testing.T) {
+	g := rdf.NewGraph(nil)
+	for i := 0; i < 20; i++ {
+		for _, chain := range [][2]string{{"a", "b"}, {"c", "d"}} {
+			s, m, o := fmt.Sprintf("%s-s%d", chain[0], i), fmt.Sprintf("%s-m%d", chain[0], i), fmt.Sprintf("%s-o%d", chain[0], i)
+			g.AddTerms(rdf.NewIRI(s), rdf.NewIRI(chain[0]), rdf.NewIRI(m))
+			g.AddTerms(rdf.NewIRI(m), rdf.NewIRI(chain[1]), rdf.NewIRI(o))
+		}
+	}
+	var w []*sparql.Graph
+	for i := 0; i < 5; i++ {
+		w = append(w,
+			sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <a> ?y . ?y <b> ?z . }`),
+			sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <c> ?y . ?y <d> ?z . }`))
+	}
+	hc := fragment.SplitHotCold(g, w, 2)
+	sel, err := (&fap.Selector{StorageCapacity: 10 * hc.Hot.NumTriples()}).Select((&mining.Miner{MinSup: 3}).Mine(w), w, hc.Hot)
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	fr := fragment.Vertical(sel, hc)
+	const m = 5
+	if len(fr.Fragments) <= m {
+		t.Fatalf("setup: %d fragments for %d sites leave nothing to merge", len(fr.Fragments), m)
+	}
+	want := Allocate(fr, w, m).SiteOf
+	for i := 0; i < 64; i++ {
+		if got := Allocate(fr, w, m).SiteOf; !maps.Equal(got, want) {
+			t.Fatalf("call %d placed the fragments %v, the first call %v", i+2, got, want)
+		}
 	}
 }

@@ -9,7 +9,8 @@
 // a public interchange format:
 //
 //	gob  {Version}                 one stamp, so any older image is named
-//	gob  header                    counts, patterns, fragment metadata
+//	gob  header                    counts, patterns, fragment metadata,
+//	                               the TTL schedule
 //	gob  {Kinds, Values} ...       the terms in ID order, termChunk a chunk
 //	gob  []uint32 ...              each graph's (S, P, O) IDs, flat,
 //	                               tripleChunk triples a chunk: the global
@@ -25,7 +26,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"slices"
+	"time"
 
 	"rdffrag/internal/allocation"
 	"rdffrag/internal/fragment"
@@ -37,8 +40,10 @@ import (
 // Version guards against decoding images from incompatible builds.
 // Version 2 added the WAL checkpoint stamp and the dictionary
 // fingerprint; version 3 streams the terms and triples in chunks behind
-// a header and ends in a CRC trailer. Load reads this version only.
-const Version = 3
+// a header and ends in a CRC trailer; version 4 adds the TTL schedule to
+// the header. Load reads versions 3 and 4: a version 3 image is one with
+// nothing pending.
+const Version = 4
 
 // Chunk sizes. A save holds one chunk of each at a time.
 const (
@@ -74,6 +79,11 @@ type header struct {
 	Patterns  []PatternDTO
 	Graph     int           // triples of the global graph
 	Fragments []FragmentDTO // the cold fragment, if any, last
+	// Pending and Deadlines are the TTL schedule in (S, P, O) order:
+	// Pending holds each scheduled triple's IDs, flat, and Deadlines its
+	// deadline in Unix microseconds.
+	Pending   []uint32
+	Deadlines []int64
 }
 
 // termsDTO is one chunk of terms: kinds and lexical values, index-aligned.
@@ -131,6 +141,9 @@ type State struct {
 	// WALSeq stamps (Capture) / reports (Load) the last applied WAL
 	// sequence number; see header.WALSeq.
 	WALSeq uint64
+	// Expiry is the TTL schedule: each pending triple's deadline. Load
+	// returns nil when nothing is pending.
+	Expiry map[rdf.Triple]time.Time
 }
 
 // Image is a deployment pinned at one batch boundary for Save: a snapshot
@@ -170,6 +183,10 @@ func Capture(st *State) *Image {
 	}
 	if c := st.Frag.Cold; c != nil {
 		img.parts = append(img.parts, part{f: c, site: st.Alloc.ColdSite, sn: c.Graph.Snapshot()})
+	}
+	for _, t := range slices.SortedFunc(maps.Keys(st.Expiry), rdf.CompareSPO) {
+		img.hdr.Pending = append(img.hdr.Pending, uint32(t.S), uint32(t.P), uint32(t.O))
+		img.hdr.Deadlines = append(img.hdr.Deadlines, st.Expiry[t].UnixMicro())
 	}
 	img.hdr.Terms = img.dict.Len()
 	img.hdr.DictFP = img.dict.Fingerprint(img.hdr.Terms)
@@ -356,8 +373,8 @@ func Load(r io.Reader) (*State, error) {
 	if err := dec.Decode(&v); err != nil {
 		return nil, fmt.Errorf("persist: decode: %w", err)
 	}
-	if v.Version != Version {
-		return nil, fmt.Errorf("persist: checkpoint format v%d; this build reads v%d only", v.Version, Version)
+	if v.Version != Version && v.Version != Version-1 {
+		return nil, fmt.Errorf("persist: checkpoint format v%d; this build reads v%d and v%d only", v.Version, Version-1, Version)
 	}
 	var hdr header
 	if err := dec.Decode(&hdr); err != nil {
@@ -451,7 +468,15 @@ func Load(r io.Reader) (*State, error) {
 		alloc.Sites[fd.Site] = append(alloc.Sites[fd.Site], f)
 		alloc.SiteOf[fd.ID] = fd.Site
 	}
-	return &State{Graph: graph, HC: hc, Frag: fr, Alloc: alloc, Sites: hdr.Sites, WALSeq: hdr.WALSeq}, nil
+	st := &State{Graph: graph, HC: hc, Frag: fr, Alloc: alloc, Sites: hdr.Sites, WALSeq: hdr.WALSeq}
+	for i, deadline := range hdr.Deadlines {
+		if st.Expiry == nil {
+			st.Expiry = make(map[rdf.Triple]time.Time, len(hdr.Deadlines))
+		}
+		p := hdr.Pending[3*i:]
+		st.Expiry[rdf.Triple{S: rdf.ID(p[0]), P: rdf.ID(p[1]), O: rdf.ID(p[2])}] = time.UnixMicro(deadline)
+	}
+	return st, nil
 }
 
 // check refuses a header whose counts, indexes or IDs reach past what the
@@ -463,7 +488,10 @@ func (h *header) check() ([]*mining.Pattern, error) {
 	if h.Terms < 0 || h.Graph < 0 {
 		return nil, fmt.Errorf("persist: negative count (%d terms, %d triples)", h.Terms, h.Graph)
 	}
-	for _, p := range h.FreqProps {
+	if len(h.Pending) != 3*len(h.Deadlines) {
+		return nil, fmt.Errorf("persist: %d pending IDs for %d deadlines", len(h.Pending), len(h.Deadlines))
+	}
+	for _, p := range slices.Concat(h.FreqProps, h.Pending) {
 		if err := h.term(p); err != nil {
 			return nil, err
 		}

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"rdffrag/internal/fragment"
 	"rdffrag/internal/rdf"
@@ -105,10 +107,16 @@ func decodeImage(t *testing.T, b []byte) *image {
 
 func (im *image) encode(t *testing.T) []byte {
 	t.Helper()
+	return im.encodeAs(t, stamp{Version}, &im.hdr)
+}
+
+// encodeAs is encode with the stamp and the header given.
+func (im *image) encodeAs(t *testing.T, v stamp, hdr any) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	cw := &crcWriter{w: &buf}
 	enc := gob.NewEncoder(cw)
-	values := []any{stamp{Version}, &im.hdr}
+	values := []any{v, hdr}
 	for i := range im.terms {
 		values = append(values, &im.terms[i])
 	}
@@ -322,10 +330,39 @@ func mustLookup(t *testing.T, d *rdf.Dict, iri string) rdf.ID {
 	return id
 }
 
+// headerV3 is a version 3 image's header: this version's without the TTL
+// schedule.
+type headerV3 struct {
+	Sites     int
+	Kind      uint8
+	WALSeq    uint64
+	DictFP    uint64
+	Terms     int
+	FreqProps []uint32
+	Patterns  []PatternDTO
+	Graph     int
+	Fragments []FragmentDTO
+}
+
 // TestVersionMismatch: an image of another format version is refused by
 // name — a version 2 checkpoint, one gob value of the whole deployment
-// written before the stream, and a version from the future.
+// written before the stream, and a version from the future — while a
+// version 3 image, the stream before the header carried a TTL schedule,
+// loads as one with nothing pending.
 func TestVersionMismatch(t *testing.T) {
+	saved := save(t, buildState(t, false))
+	im := decodeImage(t, saved)
+	h := im.hdr
+	st, err := Load(bytes.NewReader(im.encodeAs(t, stamp{3}, &headerV3{
+		h.Sites, h.Kind, h.WALSeq, h.DictFP, h.Terms, h.FreqProps, h.Patterns, h.Graph, h.Fragments,
+	})))
+	if err != nil {
+		t.Fatalf("a v3 image did not load: %v", err)
+	}
+	if st.Expiry != nil || !bytes.Equal(save(t, st), saved) {
+		t.Fatalf("a v3 image loaded with schedule %v, or saves to other bytes than the v4 image of its state", st.Expiry)
+	}
+
 	type termV2 struct {
 		Kind  uint8
 		Value string
@@ -364,8 +401,8 @@ func TestVersionMismatch(t *testing.T) {
 		image []byte
 		names []string
 	}{
-		{v2.Bytes(), []string{"v2", "v3"}},
-		{v99.Bytes(), []string{"v99", "v3"}},
+		{v2.Bytes(), []string{"v2", "v3", "v4"}},
+		{v99.Bytes(), []string{"v99", "v3", "v4"}},
 	} {
 		_, err := Load(bytes.NewReader(c.image))
 		if err == nil {
@@ -549,14 +586,64 @@ func TestWALSeqRoundTrips(t *testing.T) {
 	}
 }
 
+// TestExpiryRoundTrips: the TTL schedule survives the round trip to the
+// microsecond, as far out as the longest Go duration reaches, in (S, P, O)
+// order, so equal schedules save to equal bytes; an image of an empty
+// schedule loads with none.
+func TestExpiryRoundTrips(t *testing.T) {
+	st := buildState(t, false)
+	if got := load(t, save(t, st)); got.Expiry != nil {
+		t.Fatalf("an image with nothing pending loaded the schedule %v", got.Expiry)
+	}
+	ts := st.Graph.Triples()
+	far := time.Now().Add(time.Duration(math.MaxInt64)).Truncate(time.Microsecond)
+	st.Expiry = map[rdf.Triple]time.Time{
+		ts[len(ts)-1]: far,
+		ts[0]:         time.UnixMicro(1_700_000_000_123_456),
+		ts[len(ts)/2]: time.UnixMicro(1_700_000_000_000_000),
+	}
+	saved := save(t, st)
+	got := load(t, saved)
+	if len(got.Expiry) != len(st.Expiry) {
+		t.Fatalf("loaded %d deadlines, want %d", len(got.Expiry), len(st.Expiry))
+	}
+	for tr, at := range st.Expiry {
+		if !got.Expiry[tr].Equal(at) {
+			t.Errorf("triple %v: deadline %v, want %v", tr, got.Expiry[tr], at)
+		}
+	}
+	if !got.Expiry[ts[len(ts)-1]].After(time.Now().AddDate(290, 0, 0)) {
+		t.Error("the longest TTL's deadline did not stay centuries out")
+	}
+	if !bytes.Equal(save(t, got), saved) {
+		t.Error("the reloaded schedule saves to other bytes")
+	}
+	im := decodeImage(t, saved)
+	im.hdr.Deadlines = im.hdr.Deadlines[1:]
+	if _, err := Load(bytes.NewReader(im.encode(t))); err == nil || !strings.Contains(err.Error(), "deadlines") {
+		t.Errorf("an image with more pending IDs than deadlines: Load returned %v", err)
+	}
+	im = decodeImage(t, saved)
+	im.hdr.Pending[1] = uint32(im.hdr.Terms)
+	if _, err := Load(bytes.NewReader(im.encode(t))); err == nil || !strings.Contains(err.Error(), "term count") {
+		t.Errorf("a pending triple ID past the terms: Load returned %v", err)
+	}
+}
+
 // FuzzLoad: whatever the bytes, Load does not panic, does not allocate
 // from a count the bytes do not back, and accepts no image whose CRC
 // trailer fails; what it accepts saves and loads again. The seeds are
-// images of six-person deployments: a fuzzer minimizes what it finds
+// images of six-person deployments, one with a TTL schedule pending: a
+// fuzzer minimizes what it finds
 // byte by byte, so small seeds keep it fuzzing.
 func FuzzLoad(f *testing.F) {
 	for _, horizontal := range []bool{false, true} {
-		f.Add(save(f, stateOf(f, testenv.Options{Persons: 6, Horizontal: horizontal})))
+		st := stateOf(f, testenv.Options{Persons: 6, Horizontal: horizontal})
+		f.Add(save(f, st))
+		if horizontal {
+			st.Expiry = map[rdf.Triple]time.Time{st.Graph.Triples()[0]: time.UnixMicro(1_700_000_000_000_000)}
+			f.Add(save(f, st))
+		}
 	}
 	f.Add([]byte("not a checkpoint"))
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -40,7 +40,7 @@ func TestUpdateApplyErrorLeavesServerUntouched(t *testing.T) {
 		P: env.G.Dict.MustIRI("name"),
 		O: env.G.Dict.MustLiteral("Apply Err"),
 	}}
-	if _, err := srv.Update(context.Background(), ts); !errors.Is(err, rejected) {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: ts}); !errors.Is(err, rejected) {
 		t.Fatalf("Update returned %v, want the sink's error", err)
 	}
 	if m := srv.Metrics(); m.Updates != 0 || m.TriplesAdded != 0 {
@@ -48,7 +48,7 @@ func TestUpdateApplyErrorLeavesServerUntouched(t *testing.T) {
 	}
 	// The sink's contract is reject-before-mutate; the next attempt must
 	// go through cleanly and count exactly once.
-	st, err := srv.Update(context.Background(), ts)
+	st, err := srv.Apply(context.Background(), serve.Batch{Ins: ts})
 	if err != nil || st.Added != 1 {
 		t.Fatalf("retry after rejection: stats %+v, err %v", st, err)
 	}
@@ -73,7 +73,7 @@ func TestExclusivePublishesMaintenanceMutations(t *testing.T) {
 	// and compact-on-save do. Without the Publish inside Exclusive the
 	// next query would still be admitted against the stale view.
 	srv.Exclusive(func() {
-		testApply(env)(serve.Batch{Op: serve.OpInsert, Ins: []rdf.Triple{{
+		testApply(env)(serve.Batch{Ins: []rdf.Triple{{
 			S: env.G.Dict.MustIRI("exclusive-s"),
 			P: env.G.Dict.MustIRI("name"),
 			O: env.G.Dict.MustLiteral("Exclusive Row"),

@@ -125,7 +125,7 @@ func TestServerMVCCWritersNeverBlockedByReaders(t *testing.T) {
 				person++
 			}
 			begin := time.Now()
-			if _, err := srv.Update(context.Background(), ts); err != nil {
+			if _, err := srv.Apply(context.Background(), serve.Batch{Ins: ts}); err != nil {
 				errCh <- fmt.Errorf("writer batch %d: %w", b, err)
 				return
 			}

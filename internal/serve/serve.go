@@ -10,7 +10,7 @@
 //
 // Reads and writes never block each other: each query pins an immutable
 // MVCC read view (rdf.ViewSource) at admission and executes lock-free
-// against it, while Update appends to delta overlays and compacts under
+// against it, while Apply appends to delta overlays and compacts under
 // a writer-only mutex, publishing a new view per batch. The old
 // design's RWMutex — where one long query stalled every update and a
 // burst of updates starved queries — is gone from the query path
@@ -20,7 +20,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -38,7 +37,7 @@ var ErrOverloaded = errors.New("serve: admission queue full")
 // ErrClosed is returned for queries submitted after Close.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrNoUpdater is returned by Update when the server was configured
+// ErrNoUpdater is returned by Apply when the server was configured
 // without an Apply sink.
 var ErrNoUpdater = errors.New("serve: no update sink configured")
 
@@ -63,19 +62,23 @@ type Config struct {
 	// sequentially and throughput comes from the worker pool instead —
 	// the intra- vs inter-query trade the budget exists to make.
 	Parallelism int
-	// Apply, when non-nil, is the live-update sink: Update, Delete and
-	// Overwrite route batches through it under the server's writer mutex
-	// (updates are serialized with each other, never with queries) and
-	// publish a new MVCC read view when the batch lands. In-flight
-	// queries keep reading the view they pinned at admission; queries
-	// admitted afterwards see the whole batch — for an overwrite, the
-	// delete-set and insert-set land under one Publish, so no reader
-	// ever sees the old triples gone but the new ones absent. The
-	// callback reports what the batch did; an error rejects the batch
-	// whole — the sink's contract is that it fails only before mutating
-	// anything (e.g. the write-ahead-log append failed), so no view is
-	// published and nothing was torn.
+	// Apply, when non-nil, is the live-update sink: Server.Apply routes
+	// batches through it under the server's writer mutex (updates are
+	// serialized with each other, never with queries) and publishes a new
+	// MVCC read view when the batch lands. In-flight queries keep reading
+	// the view they pinned at admission; queries admitted afterwards see
+	// the whole batch — the delete-set and insert-set land under one
+	// Publish, so no reader ever sees the old triples gone but the new
+	// ones absent. The callback reports what the batch did; an error
+	// rejects the batch whole — the sink's contract is that it fails only
+	// before mutating anything (e.g. the write-ahead-log append failed),
+	// so no view is published and nothing was torn. The sink also keeps
+	// the TTL schedule: a batch's Deadline stamps its inserted triples.
 	Apply func(b Batch) (UpdateStats, error)
+	// Due, when non-nil, lists the triples of the sink's TTL schedule
+	// whose deadline is at or before now. Sweep calls it under the writer
+	// mutex it then applies their deletion under.
+	Due func(now time.Time) []rdf.Triple
 	// SweepInterval is how often the background TTL sweeper checks for
 	// expired triples (default 1s; negative disables the sweeper —
 	// expiries then only fire through an explicit Sweep call). The
@@ -87,47 +90,13 @@ type Config struct {
 	WALStats func() WALMetrics
 }
 
-// Batch is one atomic update: Del's triples are removed and Ins's
-// triples added under a single writer-mutex hold, a single sink call
-// and a single MVCC publish. Op names the operation for logging and
-// stats; the sets drive what actually happens (an insert carries only
-// Ins, a delete only Del, an overwrite both).
+// Batch is one atomic update: Del's triples are removed, then Ins's
+// added, under a single writer-mutex hold, a single sink call and a single
+// MVCC publish. An insert carries only Ins, a delete only Del, an
+// overwrite both. A non-zero Deadline stamps Ins's triples to expire then.
 type Batch struct {
-	Op  Op
-	Ins []rdf.Triple
-	Del []rdf.Triple
-	// TTL, when positive, schedules Ins's triples for expiry: once TTL
-	// elapses the sweeper deletes them through the normal update path.
-	// The expiry schedule is process-local (not persisted) — the sweep
-	// deletes themselves are durable, but triples inserted moments
-	// before a crash outlive their TTL until something re-stamps them.
-	TTL time.Duration
-}
-
-// Op says what an update batch does with its triples.
-type Op uint8
-
-const (
-	// OpInsert adds the batch's triples (duplicates are skipped).
-	OpInsert Op = iota
-	// OpDelete removes the batch's triples (absent triples are no-ops).
-	OpDelete
-	// OpOverwrite removes the batch's Del triples and adds its Ins
-	// triples as one atomic swap.
-	OpOverwrite
-)
-
-// String renders the op the way the HTTP API spells it.
-func (op Op) String() string {
-	switch op {
-	case OpInsert:
-		return "insert"
-	case OpDelete:
-		return "delete"
-	case OpOverwrite:
-		return "overwrite"
-	}
-	return fmt.Sprintf("Op(%d)", int(op))
+	Del, Ins []rdf.Triple
+	Deadline time.Time
 }
 
 // UpdateStats reports the effect of one applied update batch.
@@ -206,7 +175,7 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// dataMu is the writer-side mutex: it serializes Update batches,
+	// dataMu is the writer-side mutex: it serializes update batches,
 	// Exclusive maintenance and the Close barrier with each other.
 	// Queries never touch it — they pin an immutable MVCC read view at
 	// admission (engine.Views().Acquire) and execute lock-free against
@@ -214,20 +183,8 @@ type Server struct {
 	// updates.
 	dataMu sync.Mutex
 
-	// expMu guards the TTL expiry queue: batches applied with a positive
-	// TTL enqueue their insert-set here, and the sweeper drains entries
-	// whose deadline has passed into delete batches.
-	expMu     sync.Mutex
-	expQ      []expiry
 	sweepStop chan struct{}
 	sweepDone chan struct{}
-}
-
-// expiry is one pending TTL deadline: the triples of a single batch and
-// the instant they fall due.
-type expiry struct {
-	at time.Time
-	ts []rdf.Triple
 }
 
 // New starts a server over a deployed engine: cfg.Workers goroutines
@@ -245,7 +202,7 @@ func New(engine *exec.Engine, cfg Config) *Server {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if cfg.Apply != nil && cfg.SweepInterval > 0 {
+	if cfg.Apply != nil && cfg.Due != nil && cfg.SweepInterval > 0 {
 		s.sweepStop = make(chan struct{})
 		s.sweepDone = make(chan struct{})
 		go s.sweeper(cfg.SweepInterval)
@@ -269,7 +226,7 @@ func (s *Server) Close() {
 		close(s.sweepStop)
 		<-s.sweepDone
 	}
-	// Barrier for in-flight updates: an Update that passed the closed
+	// Barrier for in-flight updates: an Apply that passed the closed
 	// check before it flipped either finishes before this lock is granted
 	// or re-checks closed under dataMu and backs out — after Close
 	// returns, nothing mutates the deployment's graphs.
@@ -368,38 +325,22 @@ func (s *Server) execute(req *request) outcome {
 	return outcome{resp: &Response{Bindings: b, Stats: stats, CacheHit: hit, Latency: lat}}
 }
 
-// Update applies an insert batch to the deployment through the
-// configured Apply sink. It takes the writer mutex — updates serialize
-// with each other and with Exclusive, but never wait for queries: the
-// graphs' delta appends and compactions are MVCC-safe against readers
-// pinned to older views, and a new view is published once the batch has
-// fully landed, so no query ever observes a torn batch. Returns
-// ErrNoUpdater when the server has no sink and ErrClosed after Close. A
-// cancelled ctx is honoured before the mutex is taken; once applying,
-// the batch always completes (partial updates would be torn).
-func (s *Server) Update(ctx context.Context, ts []rdf.Triple) (UpdateStats, error) {
-	return s.Apply(ctx, Batch{Op: OpInsert, Ins: ts})
-}
-
-// Delete applies a delete batch through the same serialized writer path
-// as Update: matched triples are tombstoned in the deployment's graphs
-// and a new read view publishes the removal atomically. Deleting a
-// triple that is not present is a no-op, not an error.
-func (s *Server) Delete(ctx context.Context, ts []rdf.Triple) (UpdateStats, error) {
-	return s.Apply(ctx, Batch{Op: OpDelete, Del: ts})
-}
-
-// Overwrite removes del and adds ins as one atomic batch: both sets go
-// through the sink in a single call and become visible under a single
-// MVCC publish, so no query ever observes the deletes without the
-// inserts. A positive ttl schedules the inserted triples for expiry.
-func (s *Server) Overwrite(ctx context.Context, del, ins []rdf.Triple, ttl time.Duration) (UpdateStats, error) {
-	return s.Apply(ctx, Batch{Op: OpOverwrite, Del: del, Ins: ins, TTL: ttl})
-}
-
-// Apply applies one batch through the configured sink under the writer
-// mutex; Update, Delete and Overwrite are wrappers over it.
+// Apply applies one batch to the deployment through the configured sink.
+// It takes the writer mutex — updates serialize with each other and with
+// Exclusive, but never wait for queries: the graphs' delta appends and
+// compactions are MVCC-safe against readers pinned to older views, and a
+// new view is published once the batch has fully landed, so no query ever
+// observes a torn batch. Returns ErrNoUpdater when the server has no sink
+// and ErrClosed after Close. A cancelled ctx is honoured before the mutex
+// is taken; once applying, the batch always completes (partial updates
+// would be torn).
 func (s *Server) Apply(ctx context.Context, b Batch) (UpdateStats, error) {
+	return s.apply(ctx, func() (Batch, bool) { return b, true })
+}
+
+// apply applies the batch pick returns, picked under the writer mutex;
+// when pick reports nothing to apply, nothing happens.
+func (s *Server) apply(ctx context.Context, pick func() (Batch, bool)) (UpdateStats, error) {
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
@@ -429,6 +370,10 @@ func (s *Server) Apply(ctx context.Context, b Batch) (UpdateStats, error) {
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
 	}
+	b, ok := pick()
+	if !ok {
+		return UpdateStats{}, nil
+	}
 	st, err := s.cfg.Apply(b)
 	if err != nil {
 		// The sink rejected the batch before mutating anything (its
@@ -443,11 +388,6 @@ func (s *Server) Apply(ctx context.Context, b Batch) (UpdateStats, error) {
 	// cannot interleave apply order and publish order (the gauge must
 	// reflect the last-applied batch).
 	s.met.update(st)
-	if b.TTL > 0 && len(b.Ins) > 0 {
-		s.expMu.Lock()
-		s.expQ = append(s.expQ, expiry{at: time.Now().Add(b.TTL), ts: append([]rdf.Triple(nil), b.Ins...)})
-		s.expMu.Unlock()
-	}
 	return st, nil
 }
 
@@ -466,46 +406,31 @@ func (s *Server) sweeper(interval time.Duration) {
 	}
 }
 
-// Sweep deletes every TTL-stamped triple whose deadline is at or before
-// now, issuing the deletions as ordinary delete batches through the
-// Apply sink — WAL-logged and MVCC-published like any client delete. It
-// reports how many triples the sweep removed. Entries whose batch could
-// not be applied (the server closing, a poisoned WAL) are requeued for a
-// later sweep. The background sweeper calls this on its interval; tests
-// and embedders may call it directly for deterministic expiry.
+// Sweep deletes every triple whose TTL deadline is at or before now, as
+// one ordinary delete batch through the Apply sink — WAL-logged and
+// MVCC-published like any client delete — and reports how many triples
+// went away. It picks the due triples under the writer mutex it applies
+// them under: the latest write of a triple sets its deadline, so a pick
+// made earlier could delete a triple re-stamped in between. A batch the
+// sink rejects (the server closing, a poisoned WAL) changes nothing, and
+// its triples stay due for the next sweep. The background sweeper calls
+// this on its interval; tests and embedders may call it directly for
+// deterministic expiry.
 func (s *Server) Sweep(now time.Time) int {
-	s.expMu.Lock()
-	var due []rdf.Triple
-	rest := s.expQ[:0]
-	for _, e := range s.expQ {
-		if e.at.After(now) {
-			rest = append(rest, e)
-		} else {
-			due = append(due, e.ts...)
-		}
-	}
-	s.expQ = rest
-	s.expMu.Unlock()
-	if len(due) == 0 {
+	if s.cfg.Due == nil {
 		return 0
 	}
-	st, err := s.Apply(context.Background(), Batch{Op: OpDelete, Del: due})
-	if err != nil {
-		s.expMu.Lock()
-		s.expQ = append(s.expQ, expiry{at: now, ts: due})
-		s.expMu.Unlock()
+	var due []rdf.Triple
+	st, err := s.apply(context.Background(), func() (Batch, bool) {
+		due = s.cfg.Due(now)
+		return Batch{Del: due}, len(due) > 0
+	})
+	if err != nil || len(due) == 0 {
 		return 0
 	}
 	s.met.sweepRuns.Add(1)
 	s.met.sweptTriples.Add(uint64(st.Deleted))
 	return st.Deleted
-}
-
-// PendingExpiries reports how many TTL batches await their deadline.
-func (s *Server) PendingExpiries() int {
-	s.expMu.Lock()
-	defer s.expMu.Unlock()
-	return len(s.expQ)
 }
 
 // Exclusive runs fn while holding the writer mutex: no update applies

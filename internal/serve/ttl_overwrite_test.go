@@ -1,13 +1,14 @@
 package serve_test
 
 // TTL expiry and atomic overwrite visibility at the serving layer. The
-// sweeper's contract: a batch applied with a positive TTL is deleted —
-// through the ordinary Apply path, so the deletion is WAL-logged and
-// MVCC-published wherever the sink is durable — once its deadline
-// passes, and never before; a failed sweep requeues instead of dropping
-// expiries. The overwrite contract: a reader either sees a version's
-// triples completely or not at all — the delete-set and insert-set land
-// under one Publish, so no query observes the swap half done.
+// sweeper's contract: a triple an insert stamped with a deadline is
+// deleted — through the ordinary Apply path, so the deletion is
+// WAL-logged and MVCC-published wherever the sink is durable — once the
+// deadline passes, and never before; a failed sweep leaves its triples
+// due instead of dropping them. The overwrite contract: a reader either
+// sees a version's triples completely or not at all — the delete-set and
+// insert-set land under one Publish, so no query observes the swap half
+// done.
 
 import (
 	"context"
@@ -22,15 +23,52 @@ import (
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/serve"
 	"rdffrag/internal/sparql"
+	"rdffrag/internal/testenv"
 )
 
+// ttlConfig is testApply with the TTL schedule a deployment keeps beside
+// it: a batch's deadline stamps its inserted triples, any other write of a
+// triple clears its deadline (latest write wins), and Due lists what has
+// fallen due. A rejected batch changes nothing.
+func ttlConfig(env *testenv.Env, apply func(serve.Batch) (serve.UpdateStats, error)) serve.Config {
+	deadlines := map[rdf.Triple]time.Time{}
+	return serve.Config{
+		SweepInterval: -1,
+		Apply: func(b serve.Batch) (serve.UpdateStats, error) {
+			st, err := apply(b)
+			if err != nil {
+				return st, err
+			}
+			for _, t := range b.Del {
+				delete(deadlines, t)
+			}
+			for _, t := range b.Ins {
+				if b.Deadline.IsZero() {
+					delete(deadlines, t)
+				} else {
+					deadlines[t] = b.Deadline
+				}
+			}
+			return st, nil
+		},
+		Due: func(now time.Time) (due []rdf.Triple) {
+			for t, at := range deadlines {
+				if !at.After(now) {
+					due = append(due, t)
+				}
+			}
+			return due
+		},
+	}
+}
+
 // TestSweepExpiresTTLBatches: deterministic expiry via explicit Sweep
-// calls (background sweeper disabled). Triples with a TTL vanish once
-// the deadline passes; triples without one stay.
+// calls (background sweeper disabled). Triples with a deadline vanish
+// once it passes; triples without one stay.
 func TestSweepExpiresTTLBatches(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	env.G.Freeze()
-	srv := serve.New(engine, serve.Config{Apply: testApply(env), SweepInterval: -1})
+	srv := serve.New(engine, ttlConfig(env, testApply(env)))
 	defer srv.Close()
 
 	mk := func(s, n string) []rdf.Triple {
@@ -41,43 +79,41 @@ func TestSweepExpiresTTLBatches(t *testing.T) {
 		}}
 	}
 	q := sparql.MustParse(env.G.Dict, `SELECT ?x ?n WHERE { ?x <name> ?n . }`)
-	base, err := srv.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
+	rows := func() int {
+		t.Helper()
+		resp, err := srv.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Bindings.Len()
 	}
-	baseRows := base.Bindings.Len()
+	baseRows := rows()
 
-	if _, err := srv.Apply(context.Background(), serve.Batch{Op: serve.OpInsert, Ins: mk("ttl-perm", "Permanent"), TTL: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Apply(context.Background(), serve.Batch{Op: serve.OpInsert, Ins: mk("ttl-tmp", "Temporary"), TTL: 50 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	if n := srv.PendingExpiries(); n != 1 {
-		t.Fatalf("PendingExpiries = %d, want 1 (only the TTL batch)", n)
-	}
-
-	// A sweep before the deadline removes nothing and keeps the entry.
 	now := time.Now()
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: mk("ttl-perm", "Permanent")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: mk("ttl-tmp", "Temporary"), Deadline: now.Add(50 * time.Millisecond)}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A sweep before the deadline removes nothing.
 	if n := srv.Sweep(now); n != 0 {
 		t.Fatalf("premature sweep removed %d triples", n)
 	}
-	if n := srv.PendingExpiries(); n != 1 {
-		t.Fatalf("premature sweep dropped the expiry (pending = %d)", n)
+	if got, want := rows(), baseRows+2; got != want {
+		t.Fatalf("rows after a premature sweep = %d, want %d", got, want)
 	}
 
-	// Past the deadline the batch goes away; the permanent one survives.
+	// Past the deadline the stamped triple goes away; the permanent one
+	// survives, and a second sweep finds nothing left due.
 	if n := srv.Sweep(now.Add(time.Second)); n != 1 {
 		t.Fatalf("sweep removed %d triples, want 1", n)
 	}
-	if n := srv.PendingExpiries(); n != 0 {
-		t.Fatalf("pending expiries after sweep = %d, want 0", n)
+	if n := srv.Sweep(now.Add(time.Second)); n != 0 {
+		t.Fatalf("second sweep removed %d triples, want 0", n)
 	}
-	after, err := srv.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := after.Bindings.Len(), baseRows+1; got != want {
+	if got, want := rows(), baseRows+1; got != want {
 		t.Fatalf("rows after sweep = %d, want %d (permanent insert only)", got, want)
 	}
 
@@ -88,23 +124,22 @@ func TestSweepExpiresTTLBatches(t *testing.T) {
 }
 
 // TestSweepRequeuesFailedBatches: when the Apply sink rejects the
-// sweep's delete batch (a poisoned WAL would), the expiry is requeued
-// and a later sweep retries it — expiries are never silently dropped.
+// sweep's delete batch (a poisoned WAL would), nothing changes — the
+// triples stay due and a later sweep deletes them. Expiries are never
+// silently dropped.
 func TestSweepRequeuesFailedBatches(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	env.G.Freeze()
 
 	poisoned := errors.New("sink poisoned")
 	var failDeletes atomic.Bool
-	srv := serve.New(engine, serve.Config{
-		SweepInterval: -1,
-		Apply: func(b serve.Batch) (serve.UpdateStats, error) {
-			if b.Op == serve.OpDelete && failDeletes.Load() {
-				return serve.UpdateStats{}, poisoned
-			}
-			return testApply(env)(b)
-		},
-	})
+	apply := testApply(env)
+	srv := serve.New(engine, ttlConfig(env, func(b serve.Batch) (serve.UpdateStats, error) {
+		if len(b.Del) > 0 && failDeletes.Load() {
+			return serve.UpdateStats{}, poisoned
+		}
+		return apply(b)
+	}))
 	defer srv.Close()
 
 	ins := []rdf.Triple{{
@@ -112,7 +147,7 @@ func TestSweepRequeuesFailedBatches(t *testing.T) {
 		P: env.G.Dict.MustIRI("name"),
 		O: env.G.Dict.MustLiteral("Requeue"),
 	}}
-	if _, err := srv.Apply(context.Background(), serve.Batch{Op: serve.OpInsert, Ins: ins, TTL: time.Millisecond}); err != nil {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: ins, Deadline: time.Now().Add(time.Millisecond)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,9 +155,6 @@ func TestSweepRequeuesFailedBatches(t *testing.T) {
 	due := time.Now().Add(time.Second)
 	if n := srv.Sweep(due); n != 0 {
 		t.Fatalf("failed sweep reported %d deletions", n)
-	}
-	if n := srv.PendingExpiries(); n != 1 {
-		t.Fatalf("failed sweep lost the expiry (pending = %d)", n)
 	}
 	if m := srv.Metrics(); m.SweepRuns != 0 {
 		t.Fatalf("failed sweep counted as a run (SweepRuns = %d)", m.SweepRuns)
@@ -132,17 +164,20 @@ func TestSweepRequeuesFailedBatches(t *testing.T) {
 	if n := srv.Sweep(due); n != 1 {
 		t.Fatalf("retried sweep removed %d triples, want 1", n)
 	}
-	if n := srv.PendingExpiries(); n != 0 {
-		t.Fatalf("pending expiries after retried sweep = %d, want 0", n)
+	if n := srv.Sweep(due); n != 0 {
+		t.Fatalf("a sweep after the retry removed %d triples, want 0", n)
 	}
 }
 
 // TestBackgroundSweeperExpires: the background sweeper (no explicit
-// Sweep calls) removes a TTL batch on its own within a few intervals.
+// Sweep calls) removes a stamped triple on its own within a few
+// intervals.
 func TestBackgroundSweeperExpires(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	env.G.Freeze()
-	srv := serve.New(engine, serve.Config{Apply: testApply(env), SweepInterval: 5 * time.Millisecond})
+	cfg := ttlConfig(env, testApply(env))
+	cfg.SweepInterval = 5 * time.Millisecond
+	srv := serve.New(engine, cfg)
 	defer srv.Close()
 
 	ins := []rdf.Triple{{
@@ -150,7 +185,7 @@ func TestBackgroundSweeperExpires(t *testing.T) {
 		P: env.G.Dict.MustIRI("name"),
 		O: env.G.Dict.MustLiteral("Background"),
 	}}
-	if _, err := srv.Apply(context.Background(), serve.Batch{Op: serve.OpInsert, Ins: ins, TTL: time.Millisecond}); err != nil {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: ins, Deadline: time.Now().Add(time.Millisecond)}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -198,7 +233,7 @@ func TestOverwriteAtomicVisibilitySoak(t *testing.T) {
 			{S: subj, P: interest, O: i},
 		}
 	}
-	if _, err := srv.Update(context.Background(), verTriples[0]); err != nil {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: verTriples[0]}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -220,7 +255,7 @@ func TestOverwriteAtomicVisibilitySoak(t *testing.T) {
 		defer wg.Done()
 		defer stop.Store(true)
 		for v := 1; v <= versions; v++ {
-			st, err := srv.Overwrite(context.Background(), verTriples[v-1], verTriples[v], 0)
+			st, err := srv.Apply(context.Background(), serve.Batch{Del: verTriples[v-1], Ins: verTriples[v]})
 			if err != nil {
 				errCh <- fmt.Errorf("overwrite to v%d: %w", v, err)
 				return

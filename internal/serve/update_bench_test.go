@@ -114,7 +114,7 @@ func benchUpdateUnderLoad(b *testing.B, lockBased bool) {
 		if lockBased {
 			dataMu.Lock()
 		}
-		_, err := srv.Update(context.Background(), batches[i])
+		_, err := srv.Apply(context.Background(), serve.Batch{Ins: batches[i]})
 		if lockBased {
 			dataMu.Unlock()
 		}

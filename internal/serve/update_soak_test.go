@@ -2,7 +2,7 @@ package serve_test
 
 // Reader/writer soak for the live-update path: concurrent clients replay
 // join-heavy queries while one writer streams Add batches through
-// Server.Update, pushing the frozen graphs' delta overlays through
+// Server.Apply, pushing the frozen graphs' delta overlays through
 // several compactions. Run under -race in CI. The invariants are the
 // ones a torn read or a lost lock would break: every successful query
 // sees a consistent snapshot (row counts over an insert-only stream are
@@ -145,7 +145,7 @@ func TestServerUpdateSoak(t *testing.T) {
 				)
 				person++
 			}
-			st, err := srv.Update(context.Background(), ts)
+			st, err := srv.Apply(context.Background(), serve.Batch{Ins: ts})
 			if err != nil {
 				errCh <- fmt.Errorf("writer batch %d: %w", b, err)
 				return
@@ -250,7 +250,7 @@ func parsedSoak(t *testing.T, env *testenv.Env, rng *rand.Rand) *sparql.Graph {
 	return sparql.MustParse(env.G.Dict, soakQueries[rng.Intn(len(soakQueries))])
 }
 
-// TestServerDeleteRoutesThroughApply: Server.Delete shares the update
+// TestServerDeleteRoutesThroughApply: a delete batch shares the update
 // path — serialized with inserts, counted in Deleted stats and the
 // TriplesDeleted metric, and visible to the next query; deleting a
 // never-inserted triple is a no-op, not a phantom.
@@ -268,11 +268,11 @@ func TestServerDeleteRoutesThroughApply(t *testing.T) {
 
 	s := env.G.Dict.MustIRI("del-target")
 	ts := []rdf.Triple{{S: s, P: env.G.Dict.MustIRI("name"), O: env.G.Dict.MustLiteral("Del Target")}}
-	if st, err := srv.Update(context.Background(), ts); err != nil || st.Added != 1 {
+	if st, err := srv.Apply(context.Background(), serve.Batch{Ins: ts}); err != nil || st.Added != 1 {
 		t.Fatalf("insert: stats %+v, err %v", st, err)
 	}
 
-	st, err := srv.Delete(context.Background(), ts)
+	st, err := srv.Apply(context.Background(), serve.Batch{Del: ts})
 	if err != nil || st.Deleted != 1 {
 		t.Fatalf("delete: stats %+v, err %v", st, err)
 	}
@@ -285,7 +285,7 @@ func TestServerDeleteRoutesThroughApply(t *testing.T) {
 	}
 
 	// Deleting it again (now absent) must count zero.
-	st, err = srv.Delete(context.Background(), ts)
+	st, err = srv.Apply(context.Background(), serve.Batch{Del: ts})
 	if err != nil || st.Deleted != 0 {
 		t.Fatalf("re-delete of absent triple: stats %+v, err %v", st, err)
 	}
@@ -304,7 +304,7 @@ func TestUpdateNoSink(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	srv := serve.New(engine, serve.Config{})
 	defer srv.Close()
-	_, err := srv.Update(context.Background(), []rdf.Triple{{S: 1, P: 2, O: 3}})
+	_, err := srv.Apply(context.Background(), serve.Batch{Ins: []rdf.Triple{{S: 1, P: 2, O: 3}}})
 	if !errors.Is(err, serve.ErrNoUpdater) {
 		t.Fatalf("Update without sink: err = %v, want ErrNoUpdater", err)
 	}
@@ -316,7 +316,7 @@ func TestUpdateAfterClose(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	srv := serve.New(engine, serve.Config{Apply: testApply(env)})
 	srv.Close()
-	if _, err := srv.Update(context.Background(), []rdf.Triple{{S: 1, P: 2, O: 3}}); !errors.Is(err, serve.ErrClosed) {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: []rdf.Triple{{S: 1, P: 2, O: 3}}}); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("Update after Close: err = %v, want ErrClosed", err)
 	}
 }

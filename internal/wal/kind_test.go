@@ -1,9 +1,11 @@
 package wal
 
-// Record-kind framing tests: the kind byte round-trips through
-// append/reopen/replay, segments of the formats that preceded this one
-// are refused by name and left alone, an unknown kind value truncates
-// like corruption, and the CRC genuinely covers the kind byte.
+// Record-kind framing tests: records of the one kind round-trip through
+// append/reopen/replay and Append refuses any other; segments of the
+// formats that preceded this one are refused by name and left alone, but
+// for a log that is one header-only RDFWAL3 segment, which is rewritten in
+// this format; an unknown kind value truncates like corruption; and the
+// CRC genuinely covers the kind byte.
 
 import (
 	"bytes"
@@ -17,8 +19,13 @@ import (
 func TestRecordKindRoundTrip(t *testing.T) {
 	opts := testOpts(t, SyncAlways)
 	l := mustOpen(t, opts)
-	kinds := []Kind{KindInsert, KindDelete, KindOverwrite, KindInsert, KindDelete, KindOverwrite}
+	kinds := []Kind{KindInsert, KindInsert, KindInsert}
 	for i, k := range kinds {
+		// A kind the reader would truncate at is refused before it is
+		// framed, and takes no sequence number.
+		if _, err := l.Append(Kind(1+i), []byte("never")); err == nil {
+			t.Fatalf("Append of kind %d accepted", 1+i)
+		}
 		seq, err := l.Append(k, []byte{byte('a' + i)})
 		if err != nil {
 			t.Fatalf("Append kind %d: %v", k, err)
@@ -64,9 +71,11 @@ func TestForeignFormatSegments(t *testing.T) {
 	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(body)))
 	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(body, castagnoli))
 	v1 = append(v1, body...)
-	// A v2 segment is a v3 one but for the magic.
-	v2 := appendRecord(encodeSegHeader(11, 0xbeef), 1, KindDelete, []byte("old-del"))
+	// A v2 or v3 segment is a v4 one but for the magic and its kinds.
+	v2 := appendRecord(encodeSegHeader(11, 0xbeef), 1, Kind(1), []byte("old-del"))
 	copy(v2, "RDFWAL2\n")
+	v3 := appendRecord(encodeSegHeader(11, 0xbeef), 1, Kind(2), []byte("\x00\x00\x00\x00old-overwrite"))
+	copy(v3, "RDFWAL3\n")
 	garbage := appendRecord(encodeSegHeader(0, 0), 1, KindInsert, []byte("lost"))
 	copy(garbage, "NOTAWAL!")
 	for _, tc := range []struct {
@@ -75,7 +84,8 @@ func TestForeignFormatSegments(t *testing.T) {
 	}{
 		{"v1", "RDFWAL1", v1},
 		{"v2", "RDFWAL2", v2},
-		{"newer", "RDFWAL4", append([]byte("RDFWAL4\n"), v2[len(segMagic):]...)},
+		{"v3", "RDFWAL3", v3},
+		{"newer", "RDFWAL5", append([]byte("RDFWAL5\n"), v2[len(segMagic):]...)},
 		{"garbage", "", garbage},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,7 +111,7 @@ func TestForeignFormatSegments(t *testing.T) {
 				}
 				return
 			}
-			want := "wal: segment " + segName(1) + " is " + tc.format + "; this build reads RDFWAL3 only"
+			want := "wal: segment " + segName(1) + " is " + tc.format + "; this build reads RDFWAL4 only"
 			if err == nil || err.Error() != want {
 				t.Fatalf("Open = %v, want the error %q", err, want)
 			}
@@ -115,6 +125,47 @@ func TestForeignFormatSegments(t *testing.T) {
 			}
 		})
 	}
+
+	// A header-only RDFWAL3 segment is what a clean shutdown of the build
+	// before this format leaves: a checkpoint covers everything, and the
+	// segment waits for the next record. It is rewritten in this format
+	// at the same first sequence number, stamped with the dictionary state
+	// Open is given, and appends continue there.
+	t.Run("v3-header-only", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, segName(7))
+		hdr := encodeSegHeader(11, 0xbeef)
+		copy(hdr, "RDFWAL3\n")
+		if err := os.WriteFile(path, hdr, 0o644); err != nil {
+			t.Fatalf("write segment: %v", err)
+		}
+		opts := Options{Dir: dir, Sync: SyncAlways, DictState: func() (int, uint64) { return 12, 0xf00d }}
+		l := mustOpen(t, opts)
+		if l.LastSeq() != 6 {
+			t.Fatalf("LastSeq = %d, want 6: the sequence runs on from the segment's name", l.LastSeq())
+		}
+		if seq := mustAppend(t, l, "fresh"); seq != 7 {
+			t.Fatalf("first append seq = %d, want 7", seq)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if names, _ := OS().List(dir); len(names) != 1 || names[0] != segName(7) {
+			t.Fatalf("directory holds %v, want only %s", names, segName(7))
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, fp, err := decodeSegHeader(data); err != nil || n != 12 || fp != 0xf00d {
+			t.Fatalf("rewritten header: dictionary stamp (%d, %#x), error %v; want (12, 0xf00d) in this format", n, fp, err)
+		}
+		l = mustOpen(t, opts)
+		defer l.Close()
+		if got := collect(t, l, 0); len(got) != 1 || got[7] != "fresh" {
+			t.Fatalf("replay = %v, want only seq 7 %q", got, "fresh")
+		}
+	})
 }
 
 func TestUnknownKindTruncates(t *testing.T) {
@@ -157,9 +208,9 @@ func TestCRCCoversKindByte(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read segment: %v", err)
 	}
-	// Flip the kind byte (frame offset: 4 len + 4 crc + 8 seq) from
-	// insert to delete without touching the CRC: the record must fail
-	// the checksum, not silently replay as a delete.
+	// Flip the kind byte (frame offset: 4 len + 4 crc + 8 seq) without
+	// touching the CRC: the record must fail the checksum, not be read as
+	// a kind it was not written as.
 	data[segHeaderSize+16] ^= 1
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("rewrite segment: %v", err)

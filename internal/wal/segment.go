@@ -12,7 +12,7 @@ import (
 // On-disk layout. A segment file is a fixed header followed by a run of
 // framed records:
 //
-//	header:  magic "RDFWAL3\n" | uint32 dictLen | uint64 dictFP
+//	header:  magic "RDFWAL4\n" | uint32 dictLen | uint64 dictFP
 //	record:  uint32 frameLen | uint32 crc32c | uint64 seq | uint8 kind | payload
 //
 // frameLen counts the seq and kind fields plus the payload (so a record
@@ -23,35 +23,33 @@ import (
 // state at segment creation so recovery can refuse to replay a log
 // against a foreign checkpoint.
 //
-// This is the one format the package writes and the one it reads.
-// "RDFWAL1\n" (no kind byte) and "RDFWAL2\n" (no overwrite kind) only
-// ever existed in this repository's own history; a segment carrying
-// either, or any other RDFWAL magic, is refused by name rather than
-// taken for a torn header and deleted.
+// This is the one format the package writes and the one it reads, with
+// one record kind. "RDFWAL1\n" (no kind byte), "RDFWAL2\n" (no overwrite
+// kind) and "RDFWAL3\n" (three kinds: insert, delete and overwrite) only
+// ever existed in this repository's own history. A log that is a single
+// header-only RDFWAL3 segment — what a clean shutdown of the build before
+// this format leaves — holds no record, and Open rewrites it in this
+// format at the same first sequence number; any other segment of another
+// RDFWAL format, an RDFWAL3 one holding records included, is refused by
+// name rather than taken for a torn header and deleted.
 const (
-	segMagic      = "RDFWAL3\n"
+	segMagic      = "RDFWAL4\n"
+	prevMagic     = "RDFWAL3\n"
 	segHeaderSize = len(segMagic) + 4 + 8
 	recHeaderSize = 4 + 4 + 8 + 1
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Kind says what an update record does to the triples in its payload.
+// Kind is a record's kind byte. This format has one kind: a record is an
+// update batch, whatever its payload says the batch does.
 type Kind uint8
 
-const (
-	// KindInsert adds the payload's triples.
-	KindInsert Kind = 0
-	// KindDelete removes the payload's triples.
-	KindDelete Kind = 1
-	// KindOverwrite atomically removes one triple set and inserts
-	// another. Its payload is uint32 little-endian len(deleteDoc) |
-	// deleteDoc | insertDoc, both docs N-Triples text.
-	KindOverwrite Kind = 2
-)
+// KindInsert is the one record kind.
+const KindInsert Kind = 0
 
 // Record is one WAL entry: a monotonically increasing sequence number,
-// the operation kind, and the raw update-batch payload.
+// its kind, and the raw update-batch payload.
 type Record struct {
 	Seq     uint64
 	Kind    Kind
@@ -140,7 +138,7 @@ func scanSegment(data []byte, prevSeq uint64) (recs []Record, valid int64) {
 		}
 		seq := binary.LittleEndian.Uint64(body[:8])
 		kind := Kind(body[8])
-		if seq != prevSeq+1 || kind > KindOverwrite {
+		if seq != prevSeq+1 || kind != KindInsert {
 			return recs, int64(off)
 		}
 		recs = append(recs, Record{Seq: seq, Kind: kind, Payload: body[9:]})

@@ -167,7 +167,9 @@ type Log struct {
 // after a corrupt one are discarded (nothing after a tear is
 // trustworthy — sequence numbers would have a hole anyway). A segment
 // in another RDFWAL format is not damage: Open fails, naming the format,
-// and leaves the directory as it found it.
+// and leaves the directory as it found it — unless the log is a single
+// header-only RDFWAL3 segment, which holds nothing and is rewritten in
+// this format.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
@@ -239,6 +241,13 @@ func (l *Log) recover() error {
 		if err != nil {
 			return fmt.Errorf("wal: read %s: %w", c.name, err)
 		}
+		if len(cands) == 1 && len(data) == segHeaderSize && string(data[:len(prevMagic)]) == prevMagic {
+			// The log is one header-only segment of the previous format:
+			// what a clean shutdown of the build before this one leaves.
+			// It holds no record, so Open writes this format's header over
+			// it, at the first sequence number its name gives.
+			return nil
+		}
 		_, _, err = decodeSegHeader(data)
 		if err != nil && !errors.Is(err, errTornHeader) {
 			// Another format's segment is somebody's data, not damage:
@@ -296,8 +305,13 @@ func (l *Log) openSegmentLocked(firstSeq uint64) error {
 // Append frames payload as the next record of the given kind and writes
 // it to the live segment, rotating first if the segment is over size.
 // Under SyncAlways the record is fsynced before Append returns. The
-// returned sequence number is what replay idempotence keys on.
+// returned sequence number is what replay idempotence keys on. A kind
+// other than KindInsert is refused: recovery would truncate the log at
+// it.
 func (l *Log) Append(kind Kind, payload []byte) (uint64, error) {
+	if kind != KindInsert {
+		return 0, fmt.Errorf("wal: record kind %d is not one this format has", kind)
+	}
 	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -12,9 +12,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"rdffrag/internal/rdf"
+	"rdffrag/internal/serve"
 )
 
 const owProbe = `SELECT ?n ?i WHERE { <OWSubj> <name> ?n . <OWSubj> <interest> ?i . }`
@@ -97,32 +102,68 @@ func TestServerOverwriteEmptySides(t *testing.T) {
 	}
 }
 
-// TestOverwritePayloadFraming: the WAL payload's length-prefixed framing
-// round-trips both sides and rejects truncated or corrupt frames instead
-// of mis-splitting them.
+// TestOverwritePayloadFraming: the WAL batch payload round-trips both
+// sides and the deadline — to the microsecond, as far out as the longest
+// Go duration reaches — and rejects truncated or corrupt frames instead of
+// mis-splitting them.
 func TestOverwritePayloadFraming(t *testing.T) {
-	cases := []struct{ del, ins string }{
-		{"<a> <b> <c> .\n", "<d> <e> <f> .\n"},
-		{"", "<d> <e> <f> .\n"},
-		{"<a> <b> <c> .\n", ""},
-		{"", ""},
+	d := rdf.NewDict()
+	parse := func(doc string) []rdf.Triple {
+		ts, _, err := parseBatch(d, doc, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
 	}
-	for _, tc := range cases {
-		p := encodeOverwritePayload([]byte(tc.del), []byte(tc.ins))
-		del, ins, err := splitOverwritePayload(p)
-		if err != nil || string(del) != tc.del || string(ins) != tc.ins {
-			t.Fatalf("round-trip (%q, %q): got (%q, %q), err %v", tc.del, tc.ins, del, ins, err)
+	far := time.Now().Add(time.Duration(math.MaxInt64)).Truncate(time.Microsecond)
+	for _, b := range []serve.Batch{
+		{Del: parse("<a> <b> <c> .\n"), Ins: parse("<d> <e> <f> .\n")},
+		{Ins: parse("<d> <e> <f> .\n<d> <e> \"g\" .\n"), Deadline: time.UnixMicro(1_700_000_000_000_001)},
+		{Del: parse("<a> <b> <c> .\n")},
+		{Ins: parse("<far> <e> <f> .\n"), Deadline: far},
+		{},
+	} {
+		got, err := decodeBatch(d, encodeBatch(d, b))
+		if err != nil || !slices.Equal(got.Del, b.Del) || !slices.Equal(got.Ins, b.Ins) || !got.Deadline.Equal(b.Deadline) {
+			t.Fatalf("round-trip of %+v: got %+v, err %v", b, got, err)
 		}
 	}
-	if _, _, err := splitOverwritePayload([]byte{1, 0}); err == nil {
+	if !far.After(time.Now().AddDate(290, 0, 0)) {
+		t.Fatalf("the longest TTL's deadline %v is not centuries out", far)
+	}
+	if _, err := decodeBatch(d, []byte{1, 0}); err == nil {
 		t.Fatal("short payload accepted")
 	}
 	// Length prefix pointing past the payload's end.
-	bad := encodeOverwritePayload([]byte("x"), nil)
-	bad[0] = 200
-	if _, _, err := splitOverwritePayload(bad); err == nil {
-		t.Fatal("overlong delete-doc length accepted")
+	bad := encodeBatch(d, serve.Batch{Del: parse("<a> <b> <c> .\n")})
+	bad[8] = 200
+	if _, err := decodeBatch(d, bad); err == nil {
+		t.Fatal("overlong delete-side length accepted")
 	}
+}
+
+// FuzzDecodeBatch: whatever the payload, decodeBatch does not panic and
+// slices nothing from a length prefix the bytes do not back; a payload it
+// accepts encodes back to one that decodes to the same batch.
+func FuzzDecodeBatch(f *testing.F) {
+	d := rdf.NewDict()
+	tr := func(s, p, o string) rdf.Triple {
+		return rdf.Triple{S: d.MustIRI(s), P: d.MustIRI(p), O: d.MustLiteral(o)}
+	}
+	f.Add(encodeBatch(d, serve.Batch{Ins: []rdf.Triple{tr("s", "p", "v1")}, Deadline: time.UnixMicro(1_700_000_000_000_000)}))
+	f.Add(encodeBatch(d, serve.Batch{Del: []rdf.Triple{tr("s", "p", "v1")}, Ins: []rdf.Triple{tr("s", "p", "v2")}}))
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff<a> <b> <c> ."))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		d := rdf.NewDict()
+		b, err := decodeBatch(d, p)
+		if err != nil {
+			return
+		}
+		again, err := decodeBatch(d, encodeBatch(d, b))
+		if err != nil || !slices.Equal(again.Del, b.Del) || !slices.Equal(again.Ins, b.Ins) || !again.Deadline.Equal(b.Deadline) {
+			t.Fatalf("decoded %+v, which encodes to %+v (err %v)", b, again, err)
+		}
+	})
 }
 
 // TestDurableOverwriteRecovery: overwrite batches survive a crash as one

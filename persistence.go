@@ -23,9 +23,10 @@ func (dep *Deployment) Save(w io.Writer) error {
 	return persist.Save(w, img)
 }
 
-// capture pins the deployment for persist.Save, stamped with the WAL
-// sequence number of the last batch it holds — so recovery replays only
-// the log past it. The caller orders it with the writer.
+// capture pins the deployment for persist.Save, TTL schedule included,
+// stamped with the WAL sequence number of the last batch it holds — so
+// recovery replays only the log past it. The caller orders it with the
+// writer.
 func (dep *Deployment) capture(walSeq uint64) *persist.Image {
 	return persist.Capture(&persist.State{
 		Graph:  dep.db.graph,
@@ -34,6 +35,7 @@ func (dep *Deployment) capture(walSeq uint64) *persist.Image {
 		Alloc:  dep.alloc,
 		Sites:  dep.cfg.Sites,
 		WALSeq: walSeq,
+		Expiry: dep.expiry,
 	})
 }
 
@@ -70,5 +72,6 @@ func LoadDeployment(r io.Reader, cfg Config) (*Deployment, error) {
 		cluster: cl,
 		engine:  engine,
 		walSeq:  st.WALSeq,
+		expiry:  st.Expiry,
 	}, nil
 }

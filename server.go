@@ -44,7 +44,9 @@ type ServerConfig struct {
 	// inserted batch (plain inserts and the insert side of overwrites):
 	// the background sweeper deletes the batch's triples through the
 	// normal durable update path once TTL elapses. Per-request X-TTL
-	// headers override it; zero leaves triples permanent.
+	// headers override it; zero leaves triples permanent. The latest write
+	// of a triple decides its deadline, and a durable server logs and
+	// checkpoints it, so it survives a restart.
 	TTL time.Duration
 	// SweepInterval is how often the TTL sweeper checks for expired
 	// triples (0 = 1s; negative disables the background sweeper).
@@ -118,6 +120,7 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 			Parallelism:   cfg.Parallelism,
 			SweepInterval: cfg.SweepInterval,
 			Apply:         apply,
+			Due:           dep.due,
 			WALStats:      walStats,
 		}),
 	}

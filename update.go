@@ -44,72 +44,27 @@ var ErrRemoteSites = errors.New("rdffrag: updates are refused while sites are re
 // fragment graphs — no rebuild, no re-fragmentation — without blocking
 // in-flight queries, which keep reading the MVCC view they pinned at
 // admission. Queries admitted after Update returns see the new triples.
+// The server's default TTL, if any, stamps them.
 func (s *Server) Update(ctx context.Context, ntriples string) (*UpdateResult, error) {
-	return s.UpdateTTL(ctx, ntriples, s.ttl)
+	return s.apply(ctx, "", ntriples, s.ttl)
 }
 
-// UpdateTTL is Update with an explicit time-to-live: a positive ttl
-// schedules the batch's triples for expiry — the server's sweeper
-// deletes them through the normal durable update path once ttl elapses.
+// UpdateTTL is Update with an explicit time-to-live: a positive ttl stamps
+// the batch's triples with the deadline now+ttl, and the server's sweeper
+// deletes them through the normal durable update path once it passes.
 // Zero means no expiry (ignoring any server-wide default).
 func (s *Server) UpdateTTL(ctx context.Context, ntriples string, ttl time.Duration) (*UpdateResult, error) {
-	if s.remote {
-		return nil, ErrRemoteSites
-	}
-	ts, err := parseUpdateBatch(s.dep.db.graph.Dict, ntriples)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadUpdate, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	st, err := s.inner.Apply(ctx, serve.Batch{Op: serve.OpInsert, Ins: ts, TTL: ttl})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return s.apply(ctx, "", ntriples, ttl)
 }
 
 // Overwrite atomically replaces one triple set with another: delDoc's
 // triples are removed and insDoc's inserted as one batch — one WAL
 // record, one MVCC publish — so no query ever sees the deletes without
 // the inserts, and crash recovery replays the whole swap or none of it.
-// Either side may be empty (an empty delDoc degrades to a TTL-stamped
-// insert, an empty insDoc to a delete), but not both. A positive ttl
-// schedules the inserted triples for expiry.
+// Either side may be empty (an empty delDoc is an insert, an empty insDoc
+// a delete), but not both. A positive ttl stamps the inserted triples.
 func (s *Server) Overwrite(ctx context.Context, delDoc, insDoc string, ttl time.Duration) (*UpdateResult, error) {
-	if s.remote {
-		return nil, ErrRemoteSites
-	}
-	dict := s.dep.db.graph.Dict
-	del, delParsed, err := parseLookupSet(dict, delDoc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadUpdate, err)
-	}
-	ins, err := parseTripleSet(dict, insDoc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadUpdate, err)
-	}
-	if delParsed == 0 && len(ins) == 0 {
-		return nil, fmt.Errorf("%w: overwrite carried no triples", ErrBadUpdate)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(del) == 0 && len(ins) == 0 {
-		// Every delete triple referenced terms the deployment has never
-		// seen and there is nothing to insert: a whole-batch no-op, kept
-		// off the writer path so a durable server doesn't log it.
-		return &UpdateResult{
-			DeltaLen:    s.dep.db.graph.DeltaLen(),
-			Compactions: s.dep.db.graph.Compactions(),
-		}, nil
-	}
-	st, err := s.inner.Apply(ctx, serve.Batch{Op: serve.OpOverwrite, Del: del, Ins: ins, TTL: ttl})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return s.apply(ctx, delDoc, insDoc, ttl)
 }
 
 // Sweep forces one TTL sweep at the current instant, deleting every
@@ -128,133 +83,90 @@ func (s *Server) Sweep() int { return s.inner.Sweep(time.Now()) }
 // no-op (it does not even intern the unknown terms), so Delete's stats
 // report what actually went away.
 func (s *Server) Delete(ctx context.Context, ntriples string) (*UpdateResult, error) {
+	return s.apply(ctx, ntriples, "", 0)
+}
+
+// apply is every update's one path: it parses the delete side, then the
+// insert side, and applies both as one batch. A positive ttl stamps the
+// inserted triples with the deadline now+ttl, kept to the microsecond the
+// WAL record and the checkpoint store, so replay rebuilds it exactly.
+func (s *Server) apply(ctx context.Context, delDoc, insDoc string, ttl time.Duration) (*UpdateResult, error) {
 	if s.remote {
 		return nil, ErrRemoteSites
 	}
-	ts, err := parseDeleteBatch(s.dep.db.graph.Dict, ntriples)
+	dict := s.dep.db.graph.Dict
+	del, nDel, err := parseBatch(dict, delDoc, false)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadUpdate, err)
+	}
+	ins, nIns, err := parseBatch(dict, insDoc, true)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadUpdate, err)
+	}
+	if nDel+nIns == 0 {
+		return nil, fmt.Errorf("%w: the batch carried no triples", ErrBadUpdate)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(ts) == 0 {
-		// Every triple referenced a term the deployment has never seen,
-		// so nothing can match: succeed as a whole-batch no-op without
-		// touching the writer path (a durable server must not log an
-		// empty batch — replay would reject it as carrying no triples).
+	if len(del)+len(ins) == 0 {
+		// Every delete triple named a term the deployment has never seen
+		// and there is nothing to insert: a whole-batch no-op, kept off the
+		// writer path so a durable server doesn't log it.
 		return &UpdateResult{
 			DeltaLen:    s.dep.db.graph.DeltaLen(),
 			Compactions: s.dep.db.graph.Compactions(),
 		}, nil
 	}
-	st, err := s.inner.Delete(ctx, ts)
+	b := serve.Batch{Del: del, Ins: ins}
+	if ttl > 0 && len(ins) > 0 {
+		b.Deadline = time.Now().Add(ttl).Truncate(time.Microsecond)
+	}
+	st, err := s.inner.Apply(ctx, b)
 	if err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
-// parseTerms parses an N-Triples document into its statements' terms,
-// three to a statement, touching no dictionary.
-func parseTerms(ntriples string) ([]rdf.Term, error) {
+// parseBatch parses one side of an update batch, an N-Triples document,
+// into deployment-dictionary triples, and reports how many statements the
+// document held. It is atomic: the whole document parses before any term
+// is resolved, so a batch rejected for syntax anywhere — even on its last
+// line — leaves nothing behind, not even interned terms in the shared
+// dictionary. With intern, new terms are interned (an insert side, and
+// WAL replay); without, a statement naming a term the deployment has
+// never seen cannot be present, so it is dropped — a no-op delete, not an
+// error, and no term that exists nowhere pollutes the dictionary. An
+// empty document is a valid empty side.
+func parseBatch(d *rdf.Dict, doc string, intern bool) (ts []rdf.Triple, n int, err error) {
 	var terms []rdf.Term
-	err := rdf.ScanNTriples(strings.NewReader(ntriples), func(s, p, o rdf.Term) error {
+	err = rdf.ScanNTriples(strings.NewReader(doc), func(s, p, o rdf.Term) error {
 		terms = append(terms, s, p, o)
 		return nil
 	})
-	return terms, err
-}
-
-// parseTripleSet parses an N-Triples document into deployment-dictionary
-// triples, atomically: it parses into a term list first, so a batch
-// rejected for syntax anywhere — even on its last line — leaves nothing
-// behind, not even interned terms in the shared dictionary. Only a fully
-// valid batch encodes into the deployment dictionary (concurrency-safe
-// inserts); a valid batch that then fails admission (server closed) may
-// leave its terms interned, which is benign — terms are
-// content-addressed and carry no graph state. An empty document is a
-// valid empty set (overwrite sides may be empty); callers that require
-// triples check themselves. WAL replay parses recovered records through
-// the same path, so recovery and the live path agree on what a batch
-// means.
-func parseTripleSet(d *rdf.Dict, ntriples string) ([]rdf.Triple, error) {
-	terms, err := parseTerms(ntriples)
-	if err != nil {
-		return nil, err
-	}
-	ts := make([]rdf.Triple, 0, len(terms)/3)
-	for ; len(terms) > 0; terms = terms[3:] {
-		ts = append(ts, rdf.Triple{S: d.Encode(terms[0]), P: d.Encode(terms[1]), O: d.Encode(terms[2])})
-	}
-	return ts, nil
-}
-
-// parseUpdateBatch is parseTripleSet for paths where an empty document
-// is a client error rather than an empty set.
-func parseUpdateBatch(d *rdf.Dict, ntriples string) ([]rdf.Triple, error) {
-	ts, err := parseTripleSet(d, ntriples)
-	if err != nil {
-		return nil, err
-	}
-	if len(ts) == 0 {
-		return nil, fmt.Errorf("rdffrag: update carried no triples")
-	}
-	return ts, nil
-}
-
-// parseLookupSet parses a document with the same whole-batch atomicity
-// as parseTripleSet, but resolves terms through the deployment
-// dictionary without interning: a triple whose subject, predicate or
-// object the deployment has never seen cannot possibly be present, so
-// it is dropped from the set (a no-op delete, not an error) instead of
-// polluting the shared dictionary with terms that exist nowhere. It
-// additionally reports how many triples the document parsed to, so
-// callers can tell an empty document from a fully-dropped one.
-func parseLookupSet(d *rdf.Dict, ntriples string) (ts []rdf.Triple, parsed int, err error) {
-	terms, err := parseTerms(ntriples)
 	if err != nil {
 		return nil, 0, err
 	}
-	parsed = len(terms) / 3
-	ts = make([]rdf.Triple, 0, parsed)
+	n = len(terms) / 3
+	ts = make([]rdf.Triple, 0, n)
 	for ; len(terms) > 0; terms = terms[3:] {
-		s, okS := d.Lookup(terms[0])
-		p, okP := d.Lookup(terms[1])
-		o, okO := d.Lookup(terms[2])
-		if !okS || !okP || !okO {
-			continue
+		var id [3]rdf.ID
+		known := true
+		for i := range id {
+			if intern {
+				id[i] = d.Encode(terms[i])
+			} else {
+				var ok bool
+				id[i], ok = d.Lookup(terms[i])
+				known = known && ok
+			}
 		}
-		ts = append(ts, rdf.Triple{S: s, P: p, O: o})
+		if known {
+			ts = append(ts, rdf.Triple{S: id[0], P: id[1], O: id[2]})
+		}
 	}
-	return ts, parsed, nil
-}
-
-// parseDeleteBatch is parseLookupSet for paths where an empty document
-// is a client error rather than an empty set.
-func parseDeleteBatch(d *rdf.Dict, ntriples string) ([]rdf.Triple, error) {
-	ts, parsed, err := parseLookupSet(d, ntriples)
-	if err != nil {
-		return nil, err
-	}
-	if parsed == 0 {
-		return nil, fmt.Errorf("rdffrag: delete carried no triples")
-	}
-	return ts, nil
-}
-
-// encodeUpdateBatch renders an already-encoded batch back to N-Triples
-// text — the write-ahead-log payload. Logging term text instead of raw
-// IDs makes replay independent of dictionary ID assignment: IDs diverge
-// across restarts (queries intern ad-hoc constants the log never sees),
-// but re-encoding the text through parseUpdateBatch lands each term on
-// whatever ID the recovered dictionary assigns it.
-func encodeUpdateBatch(d *rdf.Dict, ts []rdf.Triple) []byte {
-	var buf strings.Builder
-	for _, t := range ts {
-		fmt.Fprintf(&buf, "%s %s %s .\n", d.Decode(t.S), d.Decode(t.P), d.Decode(t.O))
-	}
-	return []byte(buf.String())
+	return ts, n, nil
 }
 
 // applyBatch is the serve layer's Apply sink: the batch's delete-set is
@@ -265,10 +177,13 @@ func encodeUpdateBatch(d *rdf.Dict, ts []rdf.Triple) []byte {
 // publish, which is what makes an overwrite atomic to readers; the
 // delete-then-insert order plus latest-op-wins tombstone resolution
 // means an overwrite that deletes and reinserts the same triple keeps
-// it. Concurrent queries read pinned MVCC views throughout.
+// it. Concurrent queries read pinned MVCC views throughout. It is also
+// the only writer of the TTL schedule, so live apply and WAL replay
+// build the same one.
 func (dep *Deployment) applyBatch(b serve.Batch) serve.UpdateStats {
 	added, deleted := 0, 0
 	for _, t := range b.Del {
+		dep.schedule(t, time.Time{})
 		if !dep.db.graph.Delete(t) {
 			continue // not present: a no-op, not a phantom
 		}
@@ -276,6 +191,7 @@ func (dep *Deployment) applyBatch(b serve.Batch) serve.UpdateStats {
 		dep.unrouteTriple(t)
 	}
 	for _, t := range b.Ins {
+		dep.schedule(t, b.Deadline)
 		if !dep.db.graph.Add(t) {
 			continue // duplicate
 		}
@@ -288,6 +204,33 @@ func (dep *Deployment) applyBatch(b serve.Batch) serve.UpdateStats {
 		DeltaLen:    dep.db.graph.DeltaLen(),
 		Compactions: dep.db.graph.Compactions(),
 	}
+}
+
+// schedule records t's TTL deadline, latest write wins: a deadline sets
+// it, the zero time — a delete, or an insert without a TTL — clears it.
+// While nothing is pending it costs one length check.
+func (dep *Deployment) schedule(t rdf.Triple, deadline time.Time) {
+	switch {
+	case !deadline.IsZero():
+		if dep.expiry == nil {
+			dep.expiry = make(map[rdf.Triple]time.Time)
+		}
+		dep.expiry[t] = deadline
+	case len(dep.expiry) > 0:
+		delete(dep.expiry, t)
+	}
+}
+
+// due lists the triples whose deadline is at or before now: the serve
+// layer's Due hook, called under the writer mutex.
+func (dep *Deployment) due(now time.Time) []rdf.Triple {
+	var ts []rdf.Triple
+	for t, at := range dep.expiry {
+		if !at.After(now) {
+			ts = append(ts, t)
+		}
+	}
+	return ts
 }
 
 // routeTriple places one new triple so every decomposition class finds
