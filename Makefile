@@ -104,8 +104,8 @@ crash-soak:
 		'TestCrashRecoverySoak|TestCrashRecoveryDeleteSoak|TestCrashRecoveryOverwriteSoak|TestCrashRecoveryCheckpointSoak|TestCrashRecoveryTTLSoak|TestGracefulShutdownSIGTERM|TestSiteGracefulShutdownSIGTERM' .
 
 # Ten seconds of coverage-guided fuzzing each of the two hand-written
-# codecs against encoding/json, then of the N-Triples scanner, of the
-# checkpoint loader, of the WAL segment scanner and of the WAL batch
+# codecs against encoding/json, then of the N-Triples scanner, of the term
+# dictionary, of the checkpoint loader, of the WAL segment scanner and of the WAL batch
 # payload decoder. The result encoders, against the
 # struct-and-encoding/json oracle in results_test.go: the JSON must
 # unmarshal to the same value, the CSV read back to the same records,
@@ -117,7 +117,10 @@ crash-soak:
 # table. The scanner every load and every update batch goes through:
 # never panic, accept no line with an unclosed IRI, literal or datatype
 # or with anything after the third term, and scan what WriteNTriples
-# writes of an accepted document back to the same triples. The checkpoint
+# writes of an accepted document back to the same triples. The term
+# dictionary, which keeps a term as its rendering: for terms of any kind
+# and value, Encode, Decode, Lookup and Rendered agree, distinct terms get
+# distinct IDs, and the fingerprint is that of the decoded terms. The checkpoint
 # loader: never panic, allocate from no count the bytes do not back, and
 # accept no image whose CRC trailer fails. Its inputs are kilobytes of gob,
 # which the fuzzer would otherwise spend the whole run minimizing. The
@@ -131,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRows$$' -fuzztime=10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzScanNTriples$$' -fuzztime=10s ./internal/rdf
+	$(GO) test -run '^$$' -fuzz '^FuzzDictEncode$$' -fuzztime=10s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSegment$$' -fuzztime=10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s .

@@ -11,27 +11,28 @@ import (
 	"rdffrag/internal/cluster"
 	"rdffrag/internal/dict"
 	"rdffrag/internal/exec"
-	"rdffrag/internal/fap"
 	"rdffrag/internal/fragment"
 	"rdffrag/internal/match"
-	"rdffrag/internal/mining"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 )
 
-// Deployment is a fragmented, allocated, query-ready store.
+// Deployment is a fragmented, allocated, query-ready store. Its data is
+// the hot/cold split — every triple is in the hot graph or the cold one,
+// which is also the cold fragment — and the fragments built over it.
 type Deployment struct {
-	db       *DB
-	cfg      Config
-	workload []*sparql.Graph
-	hc       *fragment.HotCold
-	mined    []*mining.Pattern
-	sel      *fap.Selection
-	frag     *fragment.Fragmentation
-	alloc    *allocation.Allocation
-	dict     *dict.Dictionary
-	cluster  *cluster.Cluster
-	engine   *exec.Engine
+	db  *DB // emptied by Deploy; its graph's Dict is the deployment's
+	cfg Config
+	// mined holds the mining fields of Stats — MinedPatterns,
+	// SelectedPatterns, WorkloadCoverage — counted once by DeployParsed;
+	// zero for a deployment LoadDeployment restored.
+	mined   DeployStats
+	hc      *fragment.HotCold
+	frag    *fragment.Fragmentation
+	alloc   *allocation.Allocation
+	dict    *dict.Dictionary
+	cluster *cluster.Cluster
+	engine  *exec.Engine
 	// walSeq is the write-ahead-log sequence stamp the deployment was
 	// loaded at (0 for freshly built deployments); Durable.Recover
 	// replays WAL records past it.
@@ -174,24 +175,17 @@ type DeployStats struct {
 // Stats reports the deployment's structural metrics (Figures 8, Table 1).
 // Mining-related fields are zero for deployments restored with
 // LoadDeployment (the snapshot stores fragments, not the mining run).
+// Triples counts the hot and cold graphs' union: a hot triple parked in
+// the cold fragment is one triple. ColdTriples counts the cold graph,
+// parked hot triples included.
 func (dep *Deployment) Stats() DeployStats {
-	s := DeployStats{
-		Strategy:    dep.cfg.Strategy,
-		Sites:       dep.cfg.Sites,
-		Triples:     dep.db.graph.NumTriples(),
-		HotTriples:  dep.hc.Hot.NumTriples(),
-		ColdTriples: dep.hc.Cold.NumTriples(),
-		Fragments:   len(dep.frag.Fragments),
-		Redundancy:  dep.frag.Redundancy(dep.db.graph),
-		Balance:     dep.alloc.Balance(),
-	}
-	s.MinedPatterns = len(dep.mined)
-	if dep.sel != nil {
-		s.SelectedPatterns = len(dep.sel.Patterns)
-	}
-	if len(dep.workload) > 0 {
-		s.WorkloadCoverage = mining.Coverage(dep.mined, dep.workload)
-	}
+	s := dep.mined
+	s.Strategy, s.Sites = dep.cfg.Strategy, dep.cfg.Sites
+	s.Triples = dep.hc.NumTriples()
+	s.HotTriples, s.ColdTriples = dep.hc.Hot.NumTriples(), dep.hc.Cold.NumTriples()
+	s.Fragments = len(dep.frag.Fragments)
+	s.Redundancy = dep.frag.RedundancyOf(s.Triples)
+	s.Balance = dep.alloc.Balance()
 	return s
 }
 

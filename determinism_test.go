@@ -57,6 +57,8 @@ func TestDeployDeterministic(t *testing.T) {
 			}
 			var want string
 			for i := 0; i < 8; i++ {
+				// Deploy consumes the store, not the dataset's graph it holds.
+				db = &DB{cfg: db.cfg, graph: ds.Graph}
 				dep, err := db.DeployParsed(workload)
 				if err != nil {
 					t.Fatal(err)

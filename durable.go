@@ -102,7 +102,7 @@ type Durable struct {
 	appliedSeq    atomic.Uint64 // newest WAL seq applied to the deployment
 	checkpointSeq atomic.Uint64 // WAL seq the latest checkpoint covers
 	checkpoints   atomic.Uint64
-	compactions   atomic.Uint64 // global-graph compaction count at last checkpoint kick
+	compactions   atomic.Uint64 // hot+cold compaction count at last checkpoint kick
 	replayed      uint64        // records Recover applied; read-only afterwards
 	cleanStart    bool
 
@@ -208,7 +208,7 @@ func (d *Durable) Recover(cfg Config) (*Deployment, error) {
 		dep.engine.Views().Publish()
 	}
 	d.cleanStart = hadMarker && d.replayed == 0 && markerSeq == d.log.LastSeq()
-	d.compactions.Store(dep.db.graph.Compactions())
+	d.compactions.Store(dep.compactions())
 	d.dep = dep
 	return dep, nil
 }
@@ -232,7 +232,7 @@ func (d *Durable) Bootstrap(dep *Deployment) error {
 		d.dep = nil
 		return err
 	}
-	d.compactions.Store(dep.db.graph.Compactions())
+	d.compactions.Store(dep.compactions())
 	return nil
 }
 
@@ -336,7 +336,7 @@ func (d *Durable) applyDurable(b serve.Batch) (serve.UpdateStats, error) {
 	st.Seq = seq
 	d.appliedSeq.Store(seq)
 	// Kick the checkpointer when the log has grown past the configured
-	// bound, or when the global graph compacted (the snapshot is about
+	// bound, or when the hot or cold graph compacted (the snapshot is about
 	// to be cheap to write and the delta overlay is empty anyway). Not
 	// while a checkpoint is writing: the log's size still counts the
 	// segments it is about to retire.
@@ -410,23 +410,20 @@ func (d *Durable) Checkpoint() error {
 // capture is the part of a checkpoint that holds the writer lock.
 // Compacting here keeps the deltas, and the process, from growing
 // between checkpoints, and leaves the snapshots pure CSR, which the write
-// streams without allocating. It bumps the global graph's compaction
-// counter: re-baseline it, so that the bump does not read as an
-// engine-initiated compaction and kick another checkpoint. Rotating at
+// streams without allocating. It bumps the hot and cold graphs'
+// compaction counters: re-baseline their sum, so that the bump does not
+// read as an engine-initiated compaction and kick another checkpoint. The
+// cold graph is the cold fragment's. Rotating at
 // the pinned sequence leaves every earlier segment covered by the image;
 // until the checkpoint retires them, appends kick no other.
 func (d *Durable) capture() (*persist.Image, error) {
 	dep := d.dep
-	for _, g := range []*rdf.Graph{dep.db.graph, dep.hc.Hot, dep.hc.Cold} {
-		g.Compact()
-	}
+	dep.hc.Hot.Compact()
+	dep.hc.Cold.Compact()
 	for _, f := range dep.frag.Fragments {
 		f.Graph.Compact()
 	}
-	if dep.frag.Cold != nil {
-		dep.frag.Cold.Graph.Compact()
-	}
-	d.compactions.Store(dep.db.graph.Compactions())
+	d.compactions.Store(dep.compactions())
 	img := dep.capture(d.appliedSeq.Load())
 	if err := d.log.Rotate(); err != nil {
 		img.Close()

@@ -203,11 +203,11 @@ func TestCheckpointWritesOffTheWriterLock(t *testing.T) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
-	graphs := []*rdf.Graph{dep.db.graph, dep.hc.Hot, dep.hc.Cold, dep.frag.Cold.Graph}
+	graphs := []*rdf.Graph{dep.hc.Hot, dep.hc.Cold, dep.frag.Cold.Graph}
 	for _, f := range dep.frag.Fragments {
 		graphs = append(graphs, f.Graph)
 	}
-	if dep.db.graph.DeltaLen() == 0 {
+	if dep.hc.Hot.DeltaLen() == 0 {
 		t.Fatal("setup: the updates left no delta")
 	}
 
@@ -327,7 +327,7 @@ func TestUpdateAtomicityOnMalformedBatch(t *testing.T) {
 		t.Fatalf("valid update: %v", err)
 	}
 	before := queryRows(t, srv, durableProbe)
-	beforeTriples := dep.db.graph.NumTriples()
+	beforeTriples := dep.hc.NumTriples()
 	beforeSeq := d.LastSeq()
 
 	// Two valid lines, then garbage: nothing from this batch may land.
@@ -335,7 +335,7 @@ func TestUpdateAtomicityOnMalformedBatch(t *testing.T) {
 	if _, err := srv.Update(context.Background(), bad); err == nil {
 		t.Fatal("malformed batch accepted")
 	}
-	if got := dep.db.graph.NumTriples(); got != beforeTriples {
+	if got := dep.hc.NumTriples(); got != beforeTriples {
 		t.Fatalf("malformed batch partially applied: %d -> %d triples", beforeTriples, got)
 	}
 	if after := queryRows(t, srv, durableProbe); strings.Join(after, "\n") != strings.Join(before, "\n") {

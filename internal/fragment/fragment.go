@@ -88,14 +88,19 @@ func (fr *Fragmentation) All() []*Fragment {
 // fragments (hot + cold) to the number of edges in the original graph
 // (Table 1's metric).
 func (fr *Fragmentation) Redundancy(original *rdf.Graph) float64 {
+	return fr.RedundancyOf(original.NumTriples())
+}
+
+// RedundancyOf is Redundancy over an original graph of n triples.
+func (fr *Fragmentation) RedundancyOf(n int) float64 {
+	if n == 0 {
+		return 0
+	}
 	total := 0
 	for _, f := range fr.All() {
 		total += f.Graph.NumTriples()
 	}
-	if original.NumTriples() == 0 {
-		return 0
-	}
-	return float64(total) / float64(original.NumTriples())
+	return float64(total) / float64(n)
 }
 
 // CoversHotGraph verifies data integrity: every hot edge appears in at

@@ -96,6 +96,17 @@ func TestSplitHotCold(t *testing.T) {
 			t.Errorf("hot property %v in cold graph", g.Dict.Decode(tr.P))
 		}
 	}
+	// The split counts the graph it divides, a hot triple parked in the
+	// cold graph — the cold fragment's — once.
+	if hc.NumTriples() != g.NumTriples() {
+		t.Errorf("the split counts %d triples of %d", hc.NumTriples(), g.NumTriples())
+	}
+	parked := rdf.Triple{S: g.Dict.MustIRI("Parked"), P: name, O: g.Dict.MustLiteral("Parked")}
+	hc.Hot.Add(parked)
+	hc.Cold.Add(parked)
+	if hc.NumTriples() != g.NumTriples()+1 {
+		t.Errorf("with a parked triple the split counts %d triples of %d", hc.NumTriples(), g.NumTriples()+1)
+	}
 }
 
 func TestVerticalCoversHotGraph(t *testing.T) {

@@ -16,6 +16,11 @@
 //	                               tripleChunk triples a chunk: the global
 //	                               graph, the fragments, the cold fragment
 //	u32  CRC-32C (Castagnoli, little-endian) of every byte before it
+//
+// A deployment holds no global graph: it holds the hot/cold split, whose
+// cold graph is also its cold fragment. The global graph an image carries
+// is the union of the hot and cold graphs, which is the graph the split
+// divided.
 package persist
 
 import (
@@ -26,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"maps"
 	"slices"
 	"time"
@@ -77,7 +83,7 @@ type header struct {
 	Terms     int
 	FreqProps []uint32
 	Patterns  []PatternDTO
-	Graph     int           // triples of the global graph
+	Graph     int           // triples of the global graph: hot ∪ cold
 	Fragments []FragmentDTO // the cold fragment, if any, last
 	// Pending and Deadlines are the TTL schedule in (S, P, O) order:
 	// Pending holds each scheduled triple's IDs, flat, and Deadlines its
@@ -131,9 +137,10 @@ type FragmentDTO struct {
 	Triples     int
 }
 
-// State is what Load returns, and what Capture pins.
+// State is what Load returns, and what Capture pins. HC.Cold is
+// Frag.Cold's graph, as fragmentation builds it, and HC.Hot's dictionary
+// is the state's.
 type State struct {
-	Graph *rdf.Graph
 	HC    *fragment.HotCold
 	Frag  *fragment.Fragmentation
 	Alloc *allocation.Allocation
@@ -147,15 +154,15 @@ type State struct {
 }
 
 // Image is a deployment pinned at one batch boundary for Save: a snapshot
-// of each graph it writes, the dictionary prefix their triples draw on,
-// and the fragments' sites, copied. Writers may go on once Capture
-// returns; nothing Save reads changes under it. Close releases the
-// snapshots.
+// of the hot and the cold graph and of each fragment, the dictionary
+// prefix their triples draw on, and the fragments' sites, copied. Writers
+// may go on once Capture returns; nothing Save reads changes under it.
+// Close releases the snapshots.
 type Image struct {
 	hdr       header
 	dict      *rdf.Dict
 	freqProps map[rdf.ID]bool
-	graph     *rdf.Snapshot
+	hot, cold *rdf.Snapshot
 	parts     []part // the fragments, the cold one last
 }
 
@@ -174,9 +181,10 @@ type part struct {
 func Capture(st *State) *Image {
 	img := &Image{
 		hdr:       header{Sites: st.Sites, Kind: uint8(st.Frag.Kind), WALSeq: st.WALSeq},
-		dict:      st.Graph.Dict,
+		dict:      st.HC.Hot.Dict,
 		freqProps: st.HC.FreqProps,
-		graph:     st.Graph.Snapshot(),
+		hot:       st.HC.Hot.Snapshot(),
+		cold:      st.HC.Cold.Snapshot(),
 	}
 	for _, f := range st.Frag.Fragments {
 		img.parts = append(img.parts, part{f: f, site: st.Alloc.SiteOf[f.ID], sn: f.Graph.Snapshot()})
@@ -198,7 +206,8 @@ func (img *Image) WALSeq() uint64 { return img.hdr.WALSeq }
 
 // Close releases the image's snapshots. Idempotent.
 func (img *Image) Close() {
-	img.graph.Close()
+	img.hot.Close()
+	img.cold.Close()
 	for _, p := range img.parts {
 		p.sn.Close()
 	}
@@ -232,12 +241,22 @@ func Save(w io.Writer, img *Image) error {
 			return fmt.Errorf("persist: encode: %w", err)
 		}
 	}
-	ids := make([]uint32, 0, 3*tripleChunk)
-	if err := writeTriples(enc, img.graph, ids); err != nil {
+	c := &chunks{enc: enc, ids: make([]uint32, 0, 3*tripleChunk)}
+	for t := range union(img.hot, img.cold) {
+		if err := c.add(t); err != nil {
+			return err
+		}
+	}
+	if err := c.end(hdr.Graph); err != nil {
 		return err
 	}
 	for _, p := range img.parts {
-		if err := writeTriples(enc, p.sn, ids); err != nil {
+		for t := range p.sn.All() {
+			if err := c.add(t); err != nil {
+				return err
+			}
+		}
+		if err := c.end(p.sn.NumTriples()); err != nil {
 			return err
 		}
 	}
@@ -254,7 +273,7 @@ func Save(w io.Writer, img *Image) error {
 // its fixed parts: the patterns, the fragments' metadata and the counts.
 func (img *Image) header() header {
 	hdr := img.hdr
-	hdr.Graph = img.graph.NumTriples()
+	hdr.Graph = fragment.UnionLen(img.hot, img.cold, img.freqProps)
 	for p := range img.freqProps {
 		hdr.FreqProps = append(hdr.FreqProps, uint32(p))
 	}
@@ -298,32 +317,70 @@ func (img *Image) header() header {
 	return hdr
 }
 
-// writeTriples streams one graph as chunks of flat (S, P, O) IDs through
-// ids, a buffer of one chunk's capacity.
-func writeTriples(enc *gob.Encoder, sn *rdf.Snapshot, ids []uint32) error {
-	n := 0
-	flush := func() error {
-		if len(ids) == 0 {
-			return nil
+// union yields the triples of two snapshots in (S, P, O) order, a triple
+// both hold once. It walks a and pulls b alongside: the cold graph, the
+// smaller, goes second.
+func union(a, b *rdf.Snapshot) iter.Seq[rdf.Triple] {
+	return func(yield func(rdf.Triple) bool) {
+		next, stop := iter.Pull(b.All())
+		defer stop()
+		u, ok := next()
+		for t := range a.All() {
+			for ; ok && rdf.CompareSPO(u, t) <= 0; u, ok = next() {
+				if u != t && !yield(u) {
+					return
+				}
+			}
+			if !yield(t) {
+				return
+			}
 		}
-		n += len(ids) / 3
-		err := enc.Encode(ids)
-		ids = ids[:0]
-		return err
-	}
-	for t := range sn.All() {
-		ids = append(ids, uint32(t.S), uint32(t.P), uint32(t.O))
-		if len(ids) == cap(ids) {
-			if err := flush(); err != nil {
-				return fmt.Errorf("persist: encode: %w", err)
+		for ; ok; u, ok = next() {
+			if !yield(u) {
+				return
 			}
 		}
 	}
-	if err := flush(); err != nil {
+}
+
+// chunks streams graphs as chunks of flat (S, P, O) IDs through ids, a
+// buffer of one chunk's capacity.
+type chunks struct {
+	enc *gob.Encoder
+	ids []uint32
+	n   int // triples of the current graph written so far
+}
+
+func (c *chunks) add(t rdf.Triple) error {
+	c.ids = append(c.ids, uint32(t.S), uint32(t.P), uint32(t.O))
+	if len(c.ids) < cap(c.ids) {
+		return nil
+	}
+	return c.flush()
+}
+
+func (c *chunks) flush() error {
+	if len(c.ids) == 0 {
+		return nil
+	}
+	c.n += len(c.ids) / 3
+	err := c.enc.Encode(c.ids)
+	c.ids = c.ids[:0]
+	if err != nil {
 		return fmt.Errorf("persist: encode: %w", err)
 	}
-	if n != sn.NumTriples() {
-		return fmt.Errorf("persist: a snapshot counted %d triples and listed %d", sn.NumTriples(), n)
+	return nil
+}
+
+// end flushes the current graph, which the header counted want triples.
+func (c *chunks) end(want int) error {
+	if err := c.flush(); err != nil {
+		return err
+	}
+	n := c.n
+	c.n = 0
+	if n != want {
+		return fmt.Errorf("persist: a graph counted %d triples and listed %d", want, n)
 	}
 	return nil
 }
@@ -366,6 +423,10 @@ func (c *crcReader) ReadByte() (byte, error) {
 // Load decodes an image and rebuilds the in-memory structures. It checks
 // every count and ID against what the image holds before anything is
 // built from it, and builds nothing until the CRC trailer has matched.
+// The hot graph is the global graph's triples of frequent properties, and
+// the cold graph is the cold fragment's graph — one graph, as
+// fragmentation builds it — or, in an image with no cold fragment, the
+// global graph's other triples.
 func Load(r io.Reader) (*State, error) {
 	cr := &crcReader{r: bufio.NewReaderSize(r, 64<<10)}
 	dec := gob.NewDecoder(cr)
@@ -425,12 +486,7 @@ func Load(r io.Reader) (*State, error) {
 			cold = append(cold, t)
 		}
 	}
-	graph := rdf.NewFrozen(dict, all)
-	hc := &fragment.HotCold{
-		Hot:       rdf.NewFrozen(dict, hot),
-		Cold:      rdf.NewFrozen(dict, cold),
-		FreqProps: freq,
-	}
+	hc := &fragment.HotCold{Hot: rdf.NewFrozen(dict, hot), FreqProps: freq}
 
 	fr := &fragment.Fragmentation{Hot: hc.Hot, Kind: fragment.Kind(hdr.Kind)}
 	alloc := &allocation.Allocation{
@@ -457,7 +513,7 @@ func Load(r io.Reader) (*State, error) {
 			f.Minterm = mt
 		}
 		if f.Kind == fragment.ColdKind {
-			fr.Cold = f
+			fr.Cold, hc.Cold = f, f.Graph
 			if fd.Triples == 0 {
 				continue // placed when the server starts
 			}
@@ -468,7 +524,10 @@ func Load(r io.Reader) (*State, error) {
 		alloc.Sites[fd.Site] = append(alloc.Sites[fd.Site], f)
 		alloc.SiteOf[fd.ID] = fd.Site
 	}
-	st := &State{Graph: graph, HC: hc, Frag: fr, Alloc: alloc, Sites: hdr.Sites, WALSeq: hdr.WALSeq}
+	if hc.Cold == nil {
+		hc.Cold = rdf.NewFrozen(dict, cold)
+	}
+	st := &State{HC: hc, Frag: fr, Alloc: alloc, Sites: hdr.Sites, WALSeq: hdr.WALSeq}
 	for i, deadline := range hdr.Deadlines {
 		if st.Expiry == nil {
 			st.Expiry = make(map[rdf.Triple]time.Time, len(hdr.Deadlines))

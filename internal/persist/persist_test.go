@@ -31,7 +31,6 @@ func stateOf(t testing.TB, o testenv.Options) *State {
 		t.Fatalf("Build: %v", err)
 	}
 	return &State{
-		Graph: env.G,
 		HC:    env.HC,
 		Frag:  env.Frag,
 		Alloc: env.Alloc,
@@ -138,11 +137,11 @@ func TestRoundTripStructure(t *testing.T) {
 	for _, horizontal := range []bool{false, true} {
 		st := buildState(t, horizontal)
 		got := load(t, save(t, st))
-		if got.Graph.NumTriples() != st.Graph.NumTriples() {
-			t.Errorf("graph triples %d vs %d", got.Graph.NumTriples(), st.Graph.NumTriples())
+		if got.HC.NumTriples() != st.HC.NumTriples() {
+			t.Errorf("graph triples %d vs %d", got.HC.NumTriples(), st.HC.NumTriples())
 		}
-		if got.HC.Hot.NumTriples() != st.HC.Hot.NumTriples() {
-			t.Errorf("hot triples %d vs %d", got.HC.Hot.NumTriples(), st.HC.Hot.NumTriples())
+		if !slices.Equal(got.HC.Hot.Triples(), st.HC.Hot.Triples()) || !slices.Equal(got.HC.Cold.Triples(), st.HC.Cold.Triples()) {
+			t.Errorf("hot/cold triples %d/%d vs %d/%d", got.HC.Hot.NumTriples(), got.HC.Cold.NumTriples(), st.HC.Hot.NumTriples(), st.HC.Cold.NumTriples())
 		}
 		if len(got.Frag.Fragments) != len(st.Frag.Fragments) {
 			t.Fatalf("fragments %d vs %d", len(got.Frag.Fragments), len(st.Frag.Fragments))
@@ -166,8 +165,8 @@ func TestRoundTripStructure(t *testing.T) {
 			}
 		}
 		// Term dictionary must round trip ID-for-ID.
-		for i := 0; i < st.Graph.Dict.Len(); i++ {
-			if got.Graph.Dict.Decode(rdf.ID(i)) != st.Graph.Dict.Decode(rdf.ID(i)) {
+		for i := 0; i < st.HC.Hot.Dict.Len(); i++ {
+			if got.HC.Hot.Dict.Decode(rdf.ID(i)) != st.HC.Hot.Dict.Decode(rdf.ID(i)) {
 				t.Fatalf("term %d drifted", i)
 			}
 		}
@@ -198,7 +197,7 @@ func TestSaveLoadSaveByteStable(t *testing.T) {
 		}
 		for name, saved := range map[string][]byte{"as saved": first, "triples shuffled": shuffled} {
 			loaded := load(t, saved)
-			for _, g := range []*rdf.Graph{loaded.Graph, loaded.HC.Hot, loaded.HC.Cold, loaded.Frag.Cold.Graph, loaded.Frag.Fragments[0].Graph} {
+			for _, g := range []*rdf.Graph{loaded.HC.Hot, loaded.HC.Cold, loaded.Frag.Fragments[0].Graph} {
 				if g.DeltaLen() != 0 {
 					t.Errorf("horizontal=%v, %s: a loaded graph carries a delta", horizontal, name)
 				}
@@ -216,7 +215,7 @@ func TestSaveLoadSaveByteStable(t *testing.T) {
 // takes the terms there were at the capture instead of running past them.
 func TestSaveWhileTermsAreInterned(t *testing.T) {
 	st := buildState(t, false)
-	d := st.Graph.Dict
+	d := st.HC.Hot.Dict
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -244,24 +243,22 @@ func TestSaveWhileTermsAreInterned(t *testing.T) {
 // Load reproduces every delta triple, and no tombstoned one.
 func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 	st := buildState(t, false)
-	st.Graph.Freeze()
-	st.Graph.SetAutoCompact(-1)
+	st.HC.Hot.SetAutoCompact(-1)
 	frag0 := st.Frag.Fragments[0]
 	cold := st.Frag.Cold
 
-	// Stream post-freeze updates: one into the global graph + a hot
-	// fragment, one into the global graph + the cold fragment, and a
-	// delete of a frozen triple.
-	d := st.Graph.Dict
+	// Stream post-freeze updates: one into the hot graph + a hot
+	// fragment, one into the cold graph — the cold fragment's — and a
+	// delete of a frozen hot triple.
+	d := st.HC.Hot.Dict
 	hot := rdf.Triple{S: d.MustIRI("UpdP"), P: d.MustIRI("name"), O: d.MustLiteral("Upd")}
 	coldT := rdf.Triple{S: d.MustIRI("UpdP"), P: d.MustIRI("viaf"), O: d.MustLiteral("42")}
-	gone := st.Graph.Triples()[0]
-	st.Graph.Add(hot)
-	st.Graph.Add(coldT)
-	st.Graph.Delete(gone)
+	gone := st.HC.Hot.Triples()[0]
+	st.HC.Hot.Add(hot)
+	st.HC.Hot.Delete(gone)
 	frag0.Graph.Add(hot)
 	cold.Graph.Add(coldT)
-	graphs := []*rdf.Graph{st.Graph, frag0.Graph, cold.Graph}
+	graphs := []*rdf.Graph{st.HC.Hot, frag0.Graph, cold.Graph}
 	type counters struct {
 		delta       int
 		compactions uint64
@@ -281,19 +278,65 @@ func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 			t.Errorf("graph %d: Save moved (delta, compactions, epoch) from %v to %v", i, before[i], now)
 		}
 	}
-	if got.Graph.NumTriples() != st.Graph.NumTriples() {
-		t.Fatalf("graph triples %d vs %d", got.Graph.NumTriples(), st.Graph.NumTriples())
+	if got.HC.NumTriples() != st.HC.NumTriples() {
+		t.Fatalf("graph triples %d vs %d", got.HC.NumTriples(), st.HC.NumTriples())
 	}
-	gd := got.Graph.Dict
+	gd := got.HC.Hot.Dict
 	reHot := rdf.Triple{S: mustLookup(t, gd, "UpdP"), P: mustLookup(t, gd, "name"), O: gd.MustLiteral("Upd")}
-	if !got.Graph.Has(reHot) {
+	reCold := rdf.Triple{S: reHot.S, P: mustLookup(t, gd, "viaf"), O: gd.MustLiteral("42")}
+	if !got.HC.Hot.Has(reHot) || !got.HC.Cold.Has(reCold) {
 		t.Error("delta triple lost across the round trip")
 	}
 	if !got.Frag.Fragments[0].Graph.Has(reHot) {
 		t.Error("fragment delta triple lost across the round trip")
 	}
-	if got.Graph.Has(gone) {
+	if got.HC.Hot.Has(gone) {
 		t.Error("a tombstoned triple came back across the round trip")
+	}
+}
+
+// TestLoadKeepsOneColdGraph: a deployment's cold graph is its cold
+// fragment's graph, and a hot triple that completed no pattern match sits
+// in it beside the hot graph. The image's global graph holds that triple
+// once, and Load links the cold graph and the cold fragment as
+// fragmentation does — one graph, not a copy of the cold triples each —
+// so the loaded state saves to the same bytes.
+func TestLoadKeepsOneColdGraph(t *testing.T) {
+	for _, horizontal := range []bool{false, true} {
+		st := buildState(t, horizontal)
+		if st.HC.Cold != st.Frag.Cold.Graph {
+			t.Fatal("setup: fragmentation built the cold fragment over a graph of its own")
+		}
+		d := st.HC.Hot.Dict
+		parked := rdf.Triple{S: d.MustIRI("Parked"), P: d.MustIRI("name"), O: d.MustLiteral("Parked")}
+		if !st.HC.FreqProps[parked.P] {
+			t.Fatal("setup: <name> is not a frequent property")
+		}
+		st.HC.Hot.Add(parked)
+		st.HC.Cold.Add(parked)
+		saved := save(t, st)
+		if n, want := decodeImage(t, saved).hdr.Graph, st.HC.Hot.NumTriples()+st.HC.Cold.NumTriples()-1; n != want {
+			t.Errorf("horizontal=%v: the global graph holds %d triples, want %d", horizontal, n, want)
+		}
+		got := load(t, saved)
+		if got.HC.Cold != got.Frag.Cold.Graph {
+			t.Errorf("horizontal=%v: the loaded cold graph is not the cold fragment's", horizontal)
+		}
+		if !got.HC.Hot.Has(parked) || !got.HC.Cold.Has(parked) || got.HC.NumTriples() != st.HC.NumTriples() {
+			t.Errorf("horizontal=%v: the parked triple did not load where it was", horizontal)
+		}
+		if !bytes.Equal(save(t, got), saved) {
+			t.Errorf("horizontal=%v: the loaded state saves to other bytes", horizontal)
+		}
+
+		// An image with no cold fragment takes its cold graph from the
+		// global graph: its triples of properties that are not frequent.
+		im := decodeImage(t, saved)
+		im.hdr.Fragments, im.graphs = im.hdr.Fragments[:len(im.hdr.Fragments)-1], im.graphs[:len(im.graphs)-1]
+		got = load(t, im.encode(t))
+		if got.Frag.Cold != nil || got.HC.Cold.Has(parked) || got.HC.Cold.NumTriples() != st.HC.Cold.NumTriples()-1 {
+			t.Errorf("horizontal=%v: with no cold fragment, the cold graph loaded %d triples, want the %d of cold properties", horizontal, got.HC.Cold.NumTriples(), st.HC.Cold.NumTriples()-1)
+		}
 	}
 }
 
@@ -305,13 +348,14 @@ func TestSaveWritesTheCapturedCut(t *testing.T) {
 	want := save(t, st)
 	img := Capture(st)
 	defer img.Close()
-	d := st.Graph.Dict
+	d := st.HC.Hot.Dict
 	late := rdf.Triple{S: d.MustIRI("Late"), P: d.MustIRI("name"), O: d.MustLiteral("Late")}
-	st.Graph.Add(late)
+	st.HC.Hot.Add(late)
 	st.Frag.Fragments[0].Graph.Add(late)
-	st.Graph.Delete(st.Graph.Triples()[0])
+	st.Frag.Cold.Graph.Add(late)
+	st.HC.Hot.Delete(st.HC.Hot.Triples()[0])
 	st.Frag.Cold.Graph.Compact()
-	st.Graph.Compact()
+	st.HC.Hot.Compact()
 	var buf bytes.Buffer
 	if err := Save(&buf, img); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -569,7 +613,11 @@ func TestSaveReportsWriteErrors(t *testing.T) {
 	}
 	img := Capture(st)
 	defer img.Close()
-	for _, n := range []int{0, 1 << 16, size / 2, size - 1} {
+	fails := []int{0, size / 2, size - 1}
+	for n := 1 << 16; n < size; n += 1 << 16 { // each buffer's worth: terms, the global graph, the fragments
+		fails = append(fails, n)
+	}
+	for _, n := range fails {
 		if err := Save(&failAfter{n: n}, img); err == nil {
 			t.Errorf("Save reported no error from a writer failing after %d of %d bytes", n, size)
 		}
@@ -595,7 +643,7 @@ func TestExpiryRoundTrips(t *testing.T) {
 	if got := load(t, save(t, st)); got.Expiry != nil {
 		t.Fatalf("an image with nothing pending loaded the schedule %v", got.Expiry)
 	}
-	ts := st.Graph.Triples()
+	ts := st.HC.Hot.Triples()
 	far := time.Now().Add(time.Duration(math.MaxInt64)).Truncate(time.Microsecond)
 	st.Expiry = map[rdf.Triple]time.Time{
 		ts[len(ts)-1]: far,
@@ -641,7 +689,7 @@ func FuzzLoad(f *testing.F) {
 		st := stateOf(f, testenv.Options{Persons: 6, Horizontal: horizontal})
 		f.Add(save(f, st))
 		if horizontal {
-			st.Expiry = map[rdf.Triple]time.Time{st.Graph.Triples()[0]: time.UnixMicro(1_700_000_000_000_000)}
+			st.Expiry = map[rdf.Triple]time.Time{st.HC.Hot.Triples()[0]: time.UnixMicro(1_700_000_000_000_000)}
 			f.Add(save(f, st))
 		}
 	}
@@ -656,4 +704,47 @@ func FuzzLoad(f *testing.F) {
 		}
 		load(t, save(t, st))
 	})
+}
+
+// TestUnionMergesInOrder: the global graph Save writes is the hot and
+// cold snapshots merged in (S, P, O) order, a triple both hold once,
+// whichever side runs out first — and the merge stops where its reader
+// stops.
+func TestUnionMergesInOrder(t *testing.T) {
+	tr := func(s rdf.ID) rdf.Triple { return rdf.Triple{S: s, P: 1, O: 2} }
+	for _, c := range []struct{ a, b, want []rdf.ID }{
+		{[]rdf.ID{1, 3, 5}, []rdf.ID{0, 3, 4, 6}, []rdf.ID{0, 1, 3, 4, 5, 6}},
+		{[]rdf.ID{0, 3, 4, 6}, []rdf.ID{1, 3, 5}, []rdf.ID{0, 1, 3, 4, 5, 6}},
+		{nil, []rdf.ID{2}, []rdf.ID{2}},
+		{[]rdf.ID{2}, nil, []rdf.ID{2}},
+	} {
+		snap := func(ids []rdf.ID) *rdf.Snapshot {
+			var ts []rdf.Triple
+			for _, id := range ids {
+				ts = append(ts, tr(id))
+			}
+			return rdf.NewFrozen(nil, ts).Snapshot()
+		}
+		a, b := snap(c.a), snap(c.b)
+		var want []rdf.Triple
+		for _, id := range c.want {
+			want = append(want, tr(id))
+		}
+		if got := slices.Collect(union(a, b)); !slices.Equal(got, want) {
+			t.Errorf("union of %v and %v = %v, want %v", c.a, c.b, got, want)
+		}
+		for stop := range want {
+			var got []rdf.Triple
+			for t := range union(a, b) {
+				if got = append(got, t); len(got) > stop {
+					break
+				}
+			}
+			if !slices.Equal(got, want[:stop+1]) {
+				t.Errorf("union of %v and %v stopped after %d: %v", c.a, c.b, stop+1, got)
+			}
+		}
+		a.Close()
+		b.Close()
+	}
 }

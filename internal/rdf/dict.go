@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -11,15 +12,22 @@ type ID uint32
 // NoID is the invalid identifier.
 const NoID = ID(^uint32(0))
 
-// Dict interns RDF terms to dense IDs and back. It is safe for concurrent
-// use; lookups take a read lock, inserts a write lock.
+// Dict interns RDF terms to dense IDs and back. It keeps one string per
+// term, its N-Triples rendering (Term.String): Rendered serves it, the
+// intern map is keyed by it, and a decoded term's Value is a substring of
+// it — an IRI's between the brackets, a blank node's after the "_:", a
+// literal's between the quotes. Only a literal whose rendering escapes a
+// character keeps its value a second time, unescaped. It is safe for
+// concurrent use; lookups take a read lock, inserts a write lock.
 type Dict struct {
-	mu    sync.RWMutex
-	byKey map[string]ID
-	terms []Term
-	// text[id] is terms[id].String(), rendered once when the term is
+	mu  sync.RWMutex
+	ids map[string]ID // rendering → ID
+	// text[id] is the rendering of term id, made once when the term is
 	// interned so result decoding never concatenates per cell.
 	text []string
+	// unescaped[id] is the value of literal id when its rendering
+	// escapes a character; nil until one does.
+	unescaped map[ID]string
 
 	// Prefix-fingerprint cache: the dictionary is append-only, so the
 	// fingerprint of terms[0:n] never changes once computed. fpN/fpHash
@@ -34,36 +42,58 @@ type Dict struct {
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{byKey: make(map[string]ID)}
+	return &Dict{ids: make(map[string]ID)}
 }
 
-// Encode interns t and returns its ID, allocating one if necessary.
+// stackTerm is the rendering length Encode and Lookup build on the stack;
+// a longer term's rendering is built on the heap.
+const stackTerm = 128
+
+// Encode interns t and returns its ID, allocating one if necessary. A
+// term already interned costs a lookup and allocates nothing. It panics
+// on a term of no known kind, which has no rendering of its own.
 func (d *Dict) Encode(t Term) ID {
-	key := t.Key()
+	if t.Kind > Blank {
+		panic(fmt.Sprintf("rdf: Encode of a term of kind %d", t.Kind))
+	}
+	var buf [stackTerm]byte
+	r := appendTerm(buf[:0], t)
 	d.mu.RLock()
-	id, ok := d.byKey[key]
+	id, ok := d.ids[string(r)]
 	d.mu.RUnlock()
 	if ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok = d.byKey[key]; ok {
+	if id, ok = d.ids[string(r)]; ok {
 		return id
 	}
-	id = ID(len(d.terms))
-	d.byKey[key] = id
-	d.terms = append(d.terms, t)
-	d.text = append(d.text, t.String())
+	id = ID(len(d.text))
+	s := string(r)
+	d.ids[s] = id
+	d.text = append(d.text, s)
+	if t.Kind == Literal && len(s) != len(t.Value)+2 {
+		if d.unescaped == nil {
+			d.unescaped = make(map[ID]string)
+		}
+		d.unescaped[id] = strings.Clone(t.Value)
+	}
 	return id
 }
 
 // Lookup returns the ID for t without inserting. The second result reports
-// whether the term is present.
+// whether the term is present. It allocates nothing for a term of up to
+// stackTerm rendered bytes.
 func (d *Dict) Lookup(t Term) (ID, bool) {
+	if t.Kind > Blank {
+		return NoID, false
+	}
+	var buf [stackTerm]byte
+	r := appendTerm(buf[:0], t)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	id, ok := d.byKey[t.Key()]
+	id, ok := d.ids[string(r)]
 	return id, ok
 }
 
@@ -72,7 +102,22 @@ func (d *Dict) Lookup(t Term) (ID, bool) {
 func (d *Dict) Decode(id ID) Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.terms[id]
+	return d.term(id)
+}
+
+// term reads term id off its rendering; the caller holds mu.
+func (d *Dict) term(id ID) Term {
+	r := d.text[id]
+	switch r[0] {
+	case '<':
+		return Term{Kind: IRI, Value: r[1 : len(r)-1]}
+	case '_':
+		return Term{Kind: Blank, Value: r[2:]}
+	}
+	if v, ok := d.unescaped[id]; ok {
+		return Term{Kind: Literal, Value: v}
+	}
+	return Term{Kind: Literal, Value: r[1 : len(r)-1]}
 }
 
 // Rendered returns the N-Triples form (Term.String) of every term
@@ -89,7 +134,7 @@ func (d *Dict) Rendered() []string {
 func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.terms)
+	return len(d.text)
 }
 
 // FNV-1a parameters (hash/fnv is not used directly: the rolling state
@@ -120,7 +165,7 @@ func (d *Dict) Fingerprint(n int) uint64 {
 		start, h = d.fpN, d.fpHash
 	}
 	for i := start; i < n; i++ {
-		h = fnvTerm(h, d.terms[i])
+		h = fnvTerm(h, d.term(ID(i)))
 	}
 	if n >= d.fpN {
 		d.fpN, d.fpHash = n, h

@@ -29,6 +29,73 @@ func TestDictRendered(t *testing.T) {
 	}
 }
 
+// FuzzDictEncode: for terms of any kind and value — escaped literals,
+// blank nodes, invalid UTF-8, values that read like another kind's
+// rendering — Encode, Decode, Lookup and Rendered agree on each term,
+// distinct terms get distinct IDs and equal ones the same, a term of no
+// known kind is refused, and the fingerprint is that of the decoded
+// terms: hashed one by one, and as a second dictionary interning them
+// again computes it.
+func FuzzDictEncode(f *testing.F) {
+	f.Add(uint8(0), "http://ex/a", uint8(1), "http://ex/a", uint8(2), "b0")
+	f.Add(uint8(1), "quote \" backslash \\ newline \n", uint8(1), "quote \" backslash \\ newline \n", uint8(0), "x>y")
+	f.Add(uint8(1), "\xff\\t", uint8(2), "", uint8(1), "")
+	f.Add(uint8(0), "<x", uint8(1), `"x`, uint8(7), "_:x")
+	f.Fuzz(func(t *testing.T, k1 uint8, v1 string, k2 uint8, v2 string, k3 uint8, v3 string) {
+		d := NewDict()
+		for _, seed := range []Term{NewIRI("http://ex/a"), NewLiteral("x"), NewBlank("b0")} {
+			d.Encode(seed)
+		}
+		terms := []Term{{TermKind(k1), v1}, {TermKind(k2), v2}, {TermKind(k3), v3}}
+		ids := make([]ID, len(terms))
+		for i, term := range terms {
+			if term.Kind > Blank {
+				if _, ok := d.Lookup(term); ok {
+					t.Fatalf("Lookup found %#v, a term of no known kind", term)
+				}
+				func() {
+					defer func() { recover() }()
+					d.Encode(term)
+					t.Fatalf("Encode accepted %#v, a term of no known kind", term)
+				}()
+				ids[i] = NoID
+				continue
+			}
+			ids[i] = d.Encode(term)
+			if got := d.Decode(ids[i]); got != term {
+				t.Fatalf("Decode(Encode(%#v)) = %#v", term, got)
+			}
+			if id, ok := d.Lookup(term); !ok || id != ids[i] {
+				t.Fatalf("Lookup(%#v) = %d, %v; Encode gave %d", term, id, ok, ids[i])
+			}
+			if r := d.Rendered()[ids[i]]; r != term.String() {
+				t.Fatalf("Rendered()[%d] = %q, want %q", ids[i], r, term.String())
+			}
+			if again := d.Encode(term); again != ids[i] {
+				t.Fatalf("re-Encode of %#v gave %d, then %d", term, ids[i], again)
+			}
+		}
+		for i := range terms {
+			for j := range i {
+				if ids[i] != NoID && ids[j] != NoID && (ids[i] == ids[j]) != (terms[i] == terms[j]) {
+					t.Fatalf("%#v and %#v got IDs %d and %d", terms[j], terms[i], ids[j], ids[i])
+				}
+			}
+		}
+		n := d.Len()
+		h, again := uint64(fnvOffset64), NewDict()
+		for id := range ID(n) {
+			h = fnvTerm(h, d.Decode(id))
+			if again.Encode(d.Decode(id)) != id {
+				t.Fatalf("the decoded terms intern to other IDs at %d", id)
+			}
+		}
+		if fp := d.Fingerprint(n); fp != h || fp != again.Fingerprint(n) {
+			t.Fatalf("Fingerprint(%d) = %x; the decoded terms hash to %x, and intern to %x", n, fp, h, again.Fingerprint(n))
+		}
+	})
+}
+
 // TestDictRenderedSnapshotUnderWrites: a snapshot taken under one read
 // lock stays valid and unchanged while writers keep interning — the
 // property result decoding relies on (run under -race).

@@ -50,6 +50,17 @@ func TestDictLookup(t *testing.T) {
 	if !ok || got != id {
 		t.Fatalf("Lookup = (%d,%v), want (%d,true)", got, ok, id)
 	}
+	// A term already interned is looked up, and re-interned, without
+	// allocating: its rendering is built on the stack.
+	lit := NewLiteral("a \"quoted\" literal")
+	d.Encode(lit)
+	if n := testing.AllocsPerRun(100, func() {
+		d.Encode(lit)
+		d.Lookup(lit)
+		d.Lookup(NewBlank("absent"))
+	}); n != 0 {
+		t.Errorf("Encode and Lookup of interned terms allocate %.1f times", n)
+	}
 }
 
 func TestTermKeyRoundTrip(t *testing.T) {
@@ -225,7 +236,7 @@ func TestLoadIsAllOrNothing(t *testing.T) {
 
 func TestEscapeLiteralProperty(t *testing.T) {
 	f := func(s string) bool {
-		return UnescapeLiteral(escapeLiteral(s)) == s
+		return UnescapeLiteral(string(appendEscaped(nil, s))) == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

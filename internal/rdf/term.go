@@ -51,15 +51,22 @@ func NewBlank(v string) Term { return Term{Kind: Blank, Value: v} }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
+	var buf [64]byte
+	return string(appendTerm(buf[:0], t))
+}
+
+// appendTerm appends the term's N-Triples rendering to dst: a term of no
+// known kind renders as its bare value.
+func appendTerm(dst []byte, t Term) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		return append(append(append(dst, '<'), t.Value...), '>')
 	case Literal:
-		return `"` + escapeLiteral(t.Value) + `"`
+		return append(appendEscaped(append(dst, '"'), t.Value), '"')
 	case Blank:
-		return "_:" + t.Value
+		return append(append(dst, "_:"...), t.Value...)
 	}
-	return t.Value
+	return append(dst, t.Value...)
 }
 
 // Key returns a string that uniquely identifies the term across kinds,
@@ -93,28 +100,28 @@ func TermFromKey(k string) (Term, error) {
 	return Term{}, fmt.Errorf("rdf: malformed term key %q", k)
 }
 
-func escapeLiteral(s string) string {
+// appendEscaped appends s to dst with the N-Triples literal escapes.
+func appendEscaped(dst []byte, s string) []byte {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+		return append(dst, s...)
 	}
-	var b strings.Builder
 	for i := 0; i < len(s); i++ { // bytes, not runes: what is not valid UTF-8 stays what it was
 		switch c := s[i]; c {
 		case '"':
-			b.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			b.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			b.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			b.WriteByte(c)
+			dst = append(dst, c)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // UnescapeLiteral reverses the N-Triples literal escapes Term.String

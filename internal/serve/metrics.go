@@ -49,10 +49,10 @@ type Metrics struct {
 	Updates        uint64
 	TriplesAdded   uint64
 	TriplesDeleted uint64
-	// DeltaLen is the global graph's delta overlay size after the
-	// most recent update (0 right after a compaction); Compactions is
-	// its cumulative compaction count. Both are zero until the first
-	// update.
+	// DeltaLen is the hot and cold graphs' summed delta overlay size
+	// after the most recent update (0 right after both compacted);
+	// Compactions is their summed cumulative compaction count. Both are
+	// zero until the first update.
 	DeltaLen    int
 	Compactions uint64
 	// SweepRuns counts TTL sweeper passes that issued a delete batch for
@@ -127,8 +127,8 @@ type collector struct {
 	updates      atomic.Uint64 // applied live-update batches
 	triplesAdd   atomic.Uint64 // new triples insert batches contributed
 	triplesDel   atomic.Uint64 // triples delete batches removed
-	deltaGauge   atomic.Int64  // global delta size after the last update
-	compactions  atomic.Uint64 // global graph's cumulative compactions
+	deltaGauge   atomic.Int64  // hot+cold delta size after the last update
+	compactions  atomic.Uint64 // hot+cold cumulative compactions
 	sweepRuns    atomic.Uint64 // TTL sweeps that issued a delete batch
 	sweptTriples atomic.Uint64 // triples TTL sweeps removed
 

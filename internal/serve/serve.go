@@ -105,13 +105,14 @@ type UpdateStats struct {
 	// are skipped).
 	Added int
 	// Deleted counts triples a delete batch actually removed from the
-	// global graph (tombstoning a triple that was never inserted is a
+	// deployment (tombstoning a triple that was never inserted is a
 	// no-op, not an error).
 	Deleted int
-	// DeltaLen is the global graph's delta overlay size after the
-	// batch (0 right after a compaction).
+	// DeltaLen is the size of the hot and cold graphs' delta overlays
+	// after the batch, summed (0 right after both compacted).
 	DeltaLen int
-	// Compactions is the global graph's cumulative compaction count.
+	// Compactions is the hot and cold graphs' cumulative compaction
+	// count, summed.
 	Compactions uint64
 	// Seq is the batch's write-ahead-log sequence number; 0 when the
 	// deployment is not durable. The batch is recoverable iff a record

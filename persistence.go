@@ -8,15 +8,16 @@ import (
 	"rdffrag/internal/exec"
 	"rdffrag/internal/fragment"
 	"rdffrag/internal/persist"
+	"rdffrag/internal/rdf"
 )
 
-// Save serializes the deployment — term dictionary, hot/cold split,
-// fragments with their generating patterns and minterms, and the
-// allocation — so it can be reloaded with LoadDeployment without
-// re-running the offline pipeline. It changes nothing: it pins a snapshot
-// of each graph and streams them. It does not order itself with updates,
-// so while a Server is running use Server.Save, which pins under the
-// server's writer lock.
+// Save serializes the deployment — term dictionary, hot/cold split (as
+// the global graph it divides), fragments with their generating patterns
+// and minterms, and the allocation — so it can be reloaded with
+// LoadDeployment without re-running the offline pipeline. It changes
+// nothing: it pins a snapshot of each graph and streams them. It does not
+// order itself with updates, so while a Server is running use
+// Server.Save, which pins under the server's writer lock.
 func (dep *Deployment) Save(w io.Writer) error {
 	img := dep.capture(0)
 	defer img.Close()
@@ -29,7 +30,6 @@ func (dep *Deployment) Save(w io.Writer) error {
 // writer.
 func (dep *Deployment) capture(walSeq uint64) *persist.Image {
 	return persist.Capture(&persist.State{
-		Graph:  dep.db.graph,
 		HC:     dep.hc,
 		Frag:   dep.frag,
 		Alloc:  dep.alloc,
@@ -48,7 +48,7 @@ func LoadDeployment(r io.Reader, cfg Config) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{cfg: cfg, graph: st.Graph}
+	db := &DB{cfg: cfg, graph: rdf.NewGraph(st.HC.Hot.Dict)}
 	db.cfg.Sites = st.Sites
 	if st.Frag.Kind == fragment.HorizontalKind {
 		db.cfg.Strategy = Horizontal

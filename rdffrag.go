@@ -93,7 +93,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DB is an RDF store awaiting deployment.
+// DB is an RDF store awaiting deployment. Deploy consumes what it loaded:
+// the deployment keeps the hot/cold split of the graph, not the graph, and
+// the store is left empty, its dictionary — the deployment's — kept.
 type DB struct {
 	cfg   Config
 	graph *rdf.Graph
@@ -128,17 +130,19 @@ func (db *DB) AddTripleLit(subject, predicate, literal string) {
 	db.graph.AddTerms(rdf.NewIRI(subject), rdf.NewIRI(predicate), rdf.NewLiteral(literal))
 }
 
-// NumTriples reports the loaded size.
+// NumTriples reports the loaded size: 0 once Deploy has consumed it.
 func (db *DB) NumTriples() int { return db.graph.NumTriples() }
 
 // Graph exposes the underlying graph for advanced integrations (the
-// benchmark harness uses it); most callers never need it.
+// benchmark harness uses it); most callers never need it. After Deploy it
+// is an empty graph over the deployment's dictionary.
 func (db *DB) Graph() *rdf.Graph { return db.graph }
 
 // Deploy runs the offline pipeline of Sections 3–6 over the given SPARQL
 // workload and starts the cluster (in-process sites by default; any
 // subset can be re-homed to remote fragment-host processes via
-// ServerConfig.Remote / SiteHandler).
+// ServerConfig.Remote / SiteHandler). It consumes the loaded graph, as
+// DeployParsed does.
 func (db *DB) Deploy(workloadQueries []string) (*Deployment, error) {
 	parser := sparql.NewParser(db.graph.Dict)
 	workload := make([]*sparql.Graph, 0, len(workloadQueries))
@@ -153,7 +157,11 @@ func (db *DB) Deploy(workloadQueries []string) (*Deployment, error) {
 }
 
 // DeployParsed is Deploy for already-parsed query graphs (they must share
-// this store's dictionary).
+// this store's dictionary). It splits the loaded graph into its hot and
+// cold graphs (Definitions 5–6), which together hold every triple, and
+// releases it: the store is empty afterwards, whether or not the rest of
+// the pipeline succeeds, and a second deployment needs the data loaded
+// again.
 func (db *DB) DeployParsed(workload []*sparql.Graph) (*Deployment, error) {
 	cfg := db.cfg
 	if len(workload) == 0 {
@@ -162,11 +170,11 @@ func (db *DB) DeployParsed(workload []*sparql.Graph) (*Deployment, error) {
 	theta := atLeast1(cfg.Theta * float64(len(workload)))
 	minSup := atLeast1(cfg.MinSupport * float64(len(workload)))
 
-	// Fold whatever delta loading left (AddTriple calls, a small file)
-	// into the CSR before the match-heavy offline pipeline; Add after
-	// deployment goes to the delta overlay (Server.Update).
-	db.graph.Freeze()
+	// The split builds both graphs frozen, whatever delta loading left
+	// (AddTriple calls, a small file); Add after deployment goes to their
+	// delta overlays (Server.Update).
 	hc := fragment.SplitHotCold(db.graph, workload, theta)
+	db.graph = rdf.NewGraph(db.graph.Dict)
 	patterns := (&mining.Miner{MinSup: minSup, MaxEdges: cfg.MaxPatternEdges}).Mine(workload)
 	sel, err := (&fap.Selector{
 		StorageCapacity: int(cfg.StorageFactor * float64(hc.Hot.NumTriples())),
@@ -191,17 +199,19 @@ func (db *DB) DeployParsed(workload []*sparql.Graph) (*Deployment, error) {
 		return nil, err
 	}
 	return &Deployment{
-		db:       db,
-		cfg:      cfg,
-		workload: workload,
-		hc:       hc,
-		mined:    patterns,
-		sel:      sel,
-		frag:     fr,
-		alloc:    alloc,
-		dict:     dd,
-		cluster:  cl,
-		engine:   engine,
+		db:  db,
+		cfg: cfg,
+		mined: DeployStats{
+			MinedPatterns:    len(patterns),
+			SelectedPatterns: len(sel.Patterns),
+			WorkloadCoverage: mining.Coverage(patterns, workload),
+		},
+		hc:      hc,
+		frag:    fr,
+		alloc:   alloc,
+		dict:    dd,
+		cluster: cl,
+		engine:  engine,
 	}, nil
 }
 

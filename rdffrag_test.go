@@ -80,13 +80,17 @@ func TestEndToEndHorizontal(t *testing.T) {
 
 func TestDeployStats(t *testing.T) {
 	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
+	loaded := db.NumTriples()
 	dep, err := db.Deploy(phWorkload)
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
+	if db.NumTriples() != 0 || db.Graph().Dict != dep.hc.Hot.Dict {
+		t.Errorf("Deploy left the store %d triples, or another dictionary", db.NumTriples())
+	}
 	s := dep.Stats()
-	if s.Triples != db.NumTriples() {
-		t.Errorf("stats triples = %d", s.Triples)
+	if s.Triples != loaded {
+		t.Errorf("stats triples = %d, want %d", s.Triples, loaded)
 	}
 	if s.HotTriples+s.ColdTriples != s.Triples {
 		t.Errorf("hot %d + cold %d != %d", s.HotTriples, s.ColdTriples, s.Triples)

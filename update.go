@@ -16,8 +16,8 @@ import (
 
 // UpdateResult reports what one live-update batch did: triples new to
 // the deployment (duplicates skipped), triples a delete batch removed,
-// the global graph's delta overlay size after the batch, and its
-// cumulative compaction count.
+// and the hot and cold graphs' delta overlay sizes after the batch and
+// cumulative compaction counts, each summed.
 type UpdateResult = serve.UpdateStats
 
 // ErrNoUpdater is returned by Server.Update when the server has no update
@@ -40,11 +40,11 @@ var ErrRemoteSites = errors.New("rdffrag: updates are refused while sites are re
 
 // Update parses an N-Triples document and applies its triples to the live
 // deployment through the server's update path: triples land in the delta
-// overlays of the global graph, the hot/cold split, and the relevant
-// fragment graphs — no rebuild, no re-fragmentation — without blocking
-// in-flight queries, which keep reading the MVCC view they pinned at
-// admission. Queries admitted after Update returns see the new triples.
-// The server's default TTL, if any, stamps them.
+// overlays of the hot/cold split and the relevant fragment graphs — no
+// rebuild, no re-fragmentation — without blocking in-flight queries,
+// which keep reading the MVCC view they pinned at admission. Queries
+// admitted after Update returns see the new triples. The server's default
+// TTL, if any, stamps them.
 func (s *Server) Update(ctx context.Context, ntriples string) (*UpdateResult, error) {
 	return s.apply(ctx, "", ntriples, s.ttl)
 }
@@ -76,12 +76,12 @@ func (s *Server) Sweep() int { return s.inner.Sweep(time.Now()) }
 
 // Delete parses an N-Triples document and removes its triples from the
 // live deployment through the same serialized writer path as Update:
-// matched triples are tombstoned in the delta overlays of the global
-// graph, the hot/cold split and every fragment graph, and a fresh MVCC
-// view publishes the removal atomically — in-flight queries keep the
-// view they pinned. Deleting a triple the deployment never held is a
-// no-op (it does not even intern the unknown terms), so Delete's stats
-// report what actually went away.
+// matched triples are tombstoned in the delta overlays of the hot/cold
+// split and every fragment graph, and a fresh MVCC view publishes the
+// removal atomically — in-flight queries keep the view they pinned.
+// Deleting a triple the deployment never held is a no-op (it does not
+// even intern the unknown terms), so Delete's stats report what actually
+// went away.
 func (s *Server) Delete(ctx context.Context, ntriples string) (*UpdateResult, error) {
 	return s.apply(ctx, ntriples, "", 0)
 }
@@ -113,10 +113,8 @@ func (s *Server) apply(ctx context.Context, delDoc, insDoc string, ttl time.Dura
 		// Every delete triple named a term the deployment has never seen
 		// and there is nothing to insert: a whole-batch no-op, kept off the
 		// writer path so a durable server doesn't log it.
-		return &UpdateResult{
-			DeltaLen:    s.dep.db.graph.DeltaLen(),
-			Compactions: s.dep.db.graph.Compactions(),
-		}, nil
+		st := s.dep.updateStats(0, 0)
+		return &st, nil
 	}
 	b := serve.Batch{Del: del, Ins: ins}
 	if ttl > 0 && len(ins) > 0 {
@@ -172,7 +170,8 @@ func parseBatch(d *rdf.Dict, doc string, intern bool) (ts []rdf.Triple, n int, e
 // applyBatch is the serve layer's Apply sink: the batch's delete-set is
 // tombstoned first (each matched triple removed everywhere it was
 // routed), then its insert-set routes each new triple into every graph
-// the query path might read it from. Both sets land under one caller
+// the query path might read it from. Whether a triple is present is the
+// question of its home graph (home). Both sets land under one caller
 // (the serve layer holds the writer mutex) and one subsequent MVCC
 // publish, which is what makes an overwrite atomic to readers; the
 // delete-then-insert order plus latest-op-wins tombstone resolution
@@ -184,7 +183,7 @@ func (dep *Deployment) applyBatch(b serve.Batch) serve.UpdateStats {
 	added, deleted := 0, 0
 	for _, t := range b.Del {
 		dep.schedule(t, time.Time{})
-		if !dep.db.graph.Delete(t) {
+		if !dep.home(t).Delete(t) {
 			continue // not present: a no-op, not a phantom
 		}
 		deleted++
@@ -192,18 +191,40 @@ func (dep *Deployment) applyBatch(b serve.Batch) serve.UpdateStats {
 	}
 	for _, t := range b.Ins {
 		dep.schedule(t, b.Deadline)
-		if !dep.db.graph.Add(t) {
+		if !dep.home(t).Add(t) {
 			continue // duplicate
 		}
 		added++
 		dep.routeTriple(t)
 	}
+	return dep.updateStats(added, deleted)
+}
+
+// home is the graph that holds t if the deployment does: the hot graph if
+// t's property is frequent, the cold graph otherwise. A hot triple the
+// cold graph also holds (see routeTriple) is in the hot graph too, so the
+// hot graph alone answers for it.
+func (dep *Deployment) home(t rdf.Triple) *rdf.Graph {
+	if dep.hc.FreqProps[t.P] {
+		return dep.hc.Hot
+	}
+	return dep.hc.Cold
+}
+
+// updateStats completes a batch's counts with the delta overlay sizes and
+// the cumulative compaction counts of the hot and cold graphs, summed.
+func (dep *Deployment) updateStats(added, deleted int) serve.UpdateStats {
 	return serve.UpdateStats{
 		Added:       added,
 		Deleted:     deleted,
-		DeltaLen:    dep.db.graph.DeltaLen(),
-		Compactions: dep.db.graph.Compactions(),
+		DeltaLen:    dep.hc.Hot.DeltaLen() + dep.hc.Cold.DeltaLen(),
+		Compactions: dep.compactions(),
 	}
+}
+
+// compactions sums the hot and cold graphs' compaction counts.
+func (dep *Deployment) compactions() uint64 {
+	return dep.hc.Hot.Compactions() + dep.hc.Cold.Compactions()
 }
 
 // schedule records t's TTL deadline, latest write wins: a deadline sets
@@ -233,27 +254,29 @@ func (dep *Deployment) due(now time.Time) []rdf.Triple {
 	return ts
 }
 
-// routeTriple places one new triple so every decomposition class finds
-// it: hot-predicate triples go to the hot graph and — via incremental
-// pattern maintenance — to every fragment whose generating pattern they
-// complete a match of (pattern-routed subqueries read exactly those;
-// fragments may overlap, and the control site dedups), everything else
-// goes to the cold graph and the cold fragment (cold subqueries read it
-// there; global subqueries read all fragments, cold included). Fragment
-// graphs keep their CSR — triples land in their delta overlays.
+// routeTriple places a triple just added to its home graph so every
+// decomposition class finds it. A hot-property triple joins — via
+// incremental pattern maintenance — every fragment whose generating
+// pattern it completes a match of (pattern-routed subqueries read exactly
+// those; fragments may overlap, and the control site dedups). A
+// cold-property triple is already in the cold fragment, which is the cold
+// graph: cold subqueries read it there, and global subqueries read all
+// fragments, cold included. Fragment graphs keep their CSR — triples land
+// in their delta overlays.
 func (dep *Deployment) routeTriple(t rdf.Triple) {
 	if dep.hc.FreqProps[t.P] {
-		dep.hc.Hot.Add(t)
 		// The writer matches against its own current state — a snapshot
-		// taken right after the Add, so the anchored pattern search sees t.
-		gsn := dep.db.graph.Snapshot()
+		// of the hot graph taken right after the Add, so the anchored
+		// pattern search sees t. Fragments are built over the hot graph
+		// only, so matching there is what a redeploy would also do.
+		hsn := dep.hc.Hot.Snapshot()
 		placed := false
 		for _, f := range dep.frag.Fragments {
-			if dep.maintainFragment(f, t, gsn) {
+			if dep.maintainFragment(f, t, hsn) {
 				placed = true
 			}
 		}
-		gsn.Close()
+		hsn.Close()
 		if placed {
 			return
 		}
@@ -261,29 +284,22 @@ func (dep *Deployment) routeTriple(t rdf.Triple) {
 		// integrity makes this rare: one-edge patterns match any triple
 		// of their property) stays reachable through the cold fragment,
 		// the catch-all every global subquery reads. Later updates that
-		// do complete a match re-discover it in the global graph.
-	} else {
-		dep.hc.Cold.Add(t)
+		// do complete a match re-discover it in the hot graph.
 	}
 	dep.coldFragmentAdd(t)
 }
 
 // unrouteTriple is routeTriple's inverse for a triple just removed from
-// the global graph: it tombstones t in the hot/cold split and in every
-// fragment graph that may carry it. Fragment Delete is a no-op where t
-// never landed, so no placement bookkeeping is needed. Partner triples
-// of pattern matches t used to complete stay in their fragments — a
-// fragment's contents remain a superset of its pattern's current
-// matches, which keeps pattern-routed subqueries complete (the
-// control-site join filters non-matches) while every graph stays a
-// subset of what the deployment actually holds: t itself is gone
-// everywhere.
+// its home graph: it tombstones t in every fragment graph that may carry
+// it, the cold one included — which is where a hot triple that completed
+// no match was parked. Fragment Delete is a no-op where t never landed,
+// so no placement bookkeeping is needed. Partner triples of pattern
+// matches t used to complete stay in their fragments — a fragment's
+// contents remain a superset of its pattern's current matches, which
+// keeps pattern-routed subqueries complete (the control-site join filters
+// non-matches) while every graph stays a subset of what the deployment
+// actually holds: t itself is gone everywhere.
 func (dep *Deployment) unrouteTriple(t rdf.Triple) {
-	if dep.hc.FreqProps[t.P] {
-		dep.hc.Hot.Delete(t)
-	} else {
-		dep.hc.Cold.Delete(t)
-	}
 	for _, f := range dep.frag.Fragments {
 		f.Graph.Delete(t)
 	}
@@ -293,9 +309,9 @@ func (dep *Deployment) unrouteTriple(t rdf.Triple) {
 }
 
 // maintainFragment incrementally maintains one pattern fragment for a
-// new triple t: for every pattern edge t can bind, the pattern is
+// new hot triple t: for every pattern edge t can bind, the pattern is
 // anchored on t (the edge's endpoints and predicate replaced by t's
-// constants) and matched against the global graph, and every triple of
+// constants) and matched against the hot graph, and every triple of
 // every match joins the fragment. Fragment contents are MatchedGraph(P)
 // — matches only, not all property-relevant triples — so this is what
 // pulls in partner triples that were pruned at fragmentation time
@@ -303,7 +319,7 @@ func (dep *Deployment) unrouteTriple(t rdf.Triple) {
 // subject only now gained the pattern's other property). It reports
 // whether t completed at least one match (every anchored match contains
 // t itself).
-func (dep *Deployment) maintainFragment(f *fragment.Fragment, t rdf.Triple, gsn *rdf.Snapshot) bool {
+func (dep *Deployment) maintainFragment(f *fragment.Fragment, t rdf.Triple, hsn *rdf.Snapshot) bool {
 	if f.Pattern == nil {
 		return false
 	}
@@ -322,7 +338,7 @@ func (dep *Deployment) maintainFragment(f *fragment.Fragment, t rdf.Triple, gsn 
 		if e.From == e.To && t.S != t.O {
 			continue // a self-loop edge cannot bind a non-loop triple
 		}
-		match.ForEach(anchorPattern(p, ei, t), gsn, match.Options{}, func(m *match.Match) bool {
+		match.ForEach(anchorPattern(p, ei, t), hsn, match.Options{}, func(m *match.Match) bool {
 			found = true
 			for _, tr := range m.Triples {
 				f.Graph.Add(tr)
@@ -337,7 +353,7 @@ func (dep *Deployment) maintainFragment(f *fragment.Fragment, t rdf.Triple, gsn 
 // data triple t: the edge's endpoint variables become the constants t.S
 // and t.O everywhere they occur, and its predicate variable (if any)
 // becomes t.P on every edge sharing it. Matches of the anchored pattern
-// over the full graph are exactly the pattern matches t participates in
+// over the hot graph are exactly the pattern matches t participates in
 // through edge ei (a superset for patterns reusing the endpoints, which
 // only adds other real matches — safe, fragments may overlap).
 func anchorPattern(p *sparql.Graph, ei int, t rdf.Triple) *sparql.Graph {
@@ -372,9 +388,10 @@ func (dep *Deployment) coldFragmentAdd(t rdf.Triple) {
 	dep.frag.Cold.Graph.Add(t)
 }
 
-// ensureColdFragment materializes and places the cold fragment
-// if the deployment doesn't have one yet (the cold graph was empty at
-// fragmentation time, so no cold site was allocated). It must run before
+// ensureColdFragment materializes the cold fragment — over the cold
+// graph, as fragmentation builds it — and places it, if the deployment
+// doesn't have one yet (the cold graph was empty at fragmentation time,
+// so no cold site was allocated). It must run before
 // queries execute concurrently: it mutates the fragmentation and
 // allocation metadata the query router reads without a lock. Idempotent.
 func (dep *Deployment) ensureColdFragment() {
@@ -389,7 +406,7 @@ func (dep *Deployment) ensureColdFragment() {
 		fr.Cold = &fragment.Fragment{
 			ID:    maxID,
 			Kind:  fragment.ColdKind,
-			Graph: rdf.NewGraph(dep.db.graph.Dict),
+			Graph: dep.hc.Cold,
 		}
 	}
 	if dep.alloc.ColdSite < 0 {
