@@ -8,8 +8,8 @@
 //	rdffrag -data graph.nt -workload workload.rq [-strategy vertical|horizontal]
 //	        [-sites 4] [-minsup 0.01] [-query 'SELECT ...']
 //	rdffrag serve -data graph.nt -workload workload.rq [-addr :8090]
-//	        [-workers 8] [-queue 128] [-timeout 30s] [-cache 256]
-//	        [-site 2=http://host:7402] [-partial-results] [-hedge-after 50ms]
+//	        [-workers 8] [-queue 128] [-timeout 30s]
+//	        [-site 2=http://host:7402] [-partial-results]
 //	rdffrag site -data graph.nt -workload workload.rq [-addr :7400]
 //	        [-serve-sites 2,3] [-chaos-drop 0.05]
 //
@@ -23,7 +23,7 @@
 // percentiles, queue depth, plan-cache hit rate and per-remote-site
 // robustness counters, GET /healthz is a liveness probe. Sites mapped
 // with -site ID=URL evaluate in separate `rdffrag site` processes over
-// HTTP, behind retries, optional hedging and circuit breakers; the rest
+// HTTP, behind retries, progress deadlines and circuit breakers; the rest
 // evaluate in-process.
 //
 // The site subcommand hosts a deployment's fragments for a remote

@@ -21,9 +21,9 @@ import (
 // serveMain runs the `rdffrag serve` subcommand: deploy (or recover from
 // a durable data directory), then answer SPARQL over HTTP through the
 // concurrent query server. With -site mappings, the listed sites are
-// reached over the network through robust clients (retries, hedging,
-// circuit breakers) instead of evaluating in-process. With -data-dir,
-// every update batch is written ahead to a log before it is
+// reached over the network through robust clients (retries, progress
+// deadlines, circuit breakers) instead of evaluating in-process. With
+// -data-dir, every update batch is written ahead to a log before it is
 // acknowledged, and restart recovers checkpoint + WAL tail.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -37,7 +37,6 @@ func serveMain(args []string) {
 		workers  = fs.Int("workers", 8, "concurrent query executions")
 		queue    = fs.Int("queue", 128, "admission queue depth (full queue → 503)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-query execution deadline (0 disables)")
-		cache    = fs.Int("cache", 256, "plan cache capacity in query shapes (negative disables)")
 		parallel = fs.Int("parallel", 0, "intra-query worker budget, divided among in-flight queries (0 = GOMAXPROCS, negative = sequential matching)")
 		ttl      = fs.Duration("ttl", 0, "default time-to-live for inserted triples: each is stamped with the deadline now+ttl, which the WAL and checkpoints keep across restarts, and the sweeper deletes it through the durable update path once that passes; the latest write of a triple sets or clears its deadline (0 = permanent; per-request X-TTL overrides)")
 		sweepInt = fs.Duration("sweep-interval", time.Second, "how often the TTL sweeper checks for expired triples (negative disables)")
@@ -54,8 +53,7 @@ func serveMain(args []string) {
 
 		retries   = fs.Int("site-retries", 3, "retries per remote site call after the first attempt")
 		backoff   = fs.Duration("site-backoff", 50*time.Millisecond, "base exponential backoff between remote retries (jittered)")
-		frameTO   = fs.Duration("site-frame-timeout", 10*time.Second, "cut a remote stream producing no frame for this long")
-		hedge     = fs.Duration("hedge-after", 0, "race a second remote request after this long without a result frame (0 disables)")
+		frameTO   = fs.Duration("site-frame-timeout", 10*time.Second, "cut and retry a remote site call producing no frame for this long, counted from the request")
 		brkThresh = fs.Int("breaker-threshold", 5, "consecutive remote failures that open a site's circuit breaker")
 		brkCool   = fs.Duration("breaker-cooldown", time.Second, "how long an open breaker waits before a half-open probe")
 		partial   = fs.Bool("partial-results", false, "skip unavailable remote sites and flag results partial instead of failing queries")
@@ -127,7 +125,6 @@ func serveMain(args []string) {
 		Workers:       *workers,
 		QueueDepth:    *queue,
 		Timeout:       *timeout,
-		PlanCacheSize: *cache,
 		Parallelism:   *parallel,
 		TTL:           *ttl,
 		SweepInterval: *sweepInt,
@@ -137,7 +134,6 @@ func serveMain(args []string) {
 			Retries:          *retries,
 			Backoff:          *backoff,
 			FrameTimeout:     *frameTO,
-			HedgeAfter:       *hedge,
 			BreakerThreshold: *brkThresh,
 			BreakerCooldown:  *brkCool,
 			PartialResults:   *partial,
@@ -164,8 +160,8 @@ func serveMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("serving on %s (workers=%d queue=%d timeout=%s cache=%d parallel=%d remote-sites=%d partial=%v durable=%v ttl=%s pprof=%v)\n",
-		ln.Addr(), *workers, *queue, *timeout, *cache, *parallel, len(remoteSites), *partial, durable != nil, *ttl, *profile)
+	fmt.Printf("serving on %s (workers=%d queue=%d timeout=%s parallel=%d remote-sites=%d partial=%v durable=%v ttl=%s pprof=%v)\n",
+		ln.Addr(), *workers, *queue, *timeout, *parallel, len(remoteSites), *partial, durable != nil, *ttl, *profile)
 
 	httpSrv := &http.Server{Handler: mux}
 	// Graceful shutdown: SIGTERM/SIGINT stops accepting requests, drains

@@ -248,8 +248,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"calls":         sm.Calls,
 			"attempts":      sm.Attempts,
 			"retries":       sm.Retries,
-			"hedges":        sm.Hedges,
-			"hedge_wins":    sm.HedgeWins,
 			"failures":      sm.Failures,
 			"fast_fails":    sm.FastFails,
 			"breaker_state": sm.BreakerState,
@@ -299,7 +297,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"generations":      m.Generations,
 		"pinned_snapshots": m.PinnedSnapshots,
 		// Degraded-mode completions and per-remote-site robustness
-		// counters (retries, hedges, breaker state, p99 per site).
+		// counters (retries, failures, breaker state, p99 per site).
 		"partial_results": m.PartialResults,
 		"sites":           sites,
 	}

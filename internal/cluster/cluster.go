@@ -36,7 +36,7 @@ var ErrSiteUnavailable = errors.New("cluster: site unavailable")
 // SiteEval is the site RPC surface: evaluate a subquery at one site and
 // stream binding batches back. It is implemented by the in-process
 // *Cluster (channel RPC) and by transport.SiteClient (HTTP with
-// retry/hedging and a circuit breaker), so the engine is
+// retries and a circuit breaker), so the engine is
 // transport-agnostic and a deployment can mix local and remote sites.
 type SiteEval interface {
 	EvalStream(ctx context.Context, req EvalRequest, batchSize int, sink BatchSink) error
@@ -49,19 +49,17 @@ type SiteMetrics struct {
 	// Site is the site ID the client talks to.
 	Site int
 	// Calls counts EvalStream invocations; Attempts counts HTTP
-	// attempts made for them (initial tries + Retries + Hedges; calls
-	// rejected by an open breaker make no attempt, so
-	// Attempts + FastFails == Calls + Retries + Hedges reconciles).
+	// attempts made for them (initial tries + Retries; calls rejected
+	// by an open breaker make no attempt, so
+	// Attempts + FastFails == Calls + Retries reconciles).
 	Calls    uint64
 	Attempts uint64
-	// Retries counts re-attempts after a retryable failure; Hedges
-	// counts speculative second requests launched for stragglers, and
-	// HedgeWins how many of those beat the primary.
-	Retries   uint64
-	Hedges    uint64
-	HedgeWins uint64
-	// Failures counts failed attempts (transport errors, injected
-	// faults, torn streams, per-frame timeouts).
+	// Retries counts re-attempts after a retryable failure (transport
+	// errors, injected faults, torn streams, per-frame timeouts).
+	Retries uint64
+	// Failures counts calls that returned an error: retries exhausted,
+	// a non-retryable error, the caller giving up, or a fast fail. A
+	// failed attempt that a retry then masks is not one.
 	Failures uint64
 	// FastFails counts calls rejected immediately by an open breaker
 	// (no attempt was made).

@@ -70,9 +70,6 @@ func newPlanCache(capacity int) *planCache {
 	if capacity < 0 {
 		return nil
 	}
-	if capacity == 0 {
-		capacity = 128
-	}
 	return &planCache{cap: capacity, ll: list.New(), idx: make(map[string]*list.Element)}
 }
 

@@ -66,7 +66,7 @@ type Metrics struct {
 	// strict mode fails such queries instead).
 	PartialResults uint64
 	// Sites reports per-remote-site robustness counters (calls,
-	// retries, hedges, breaker state, p99), ordered by site ID; empty
+	// retries, failures, breaker state, p99), ordered by site ID; empty
 	// when every site is in-process.
 	Sites []cluster.SiteMetrics
 	// Generations counts CSR generations still alive across the

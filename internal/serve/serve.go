@@ -52,7 +52,7 @@ type Config struct {
 	// caller context with an earlier deadline still wins.
 	Timeout time.Duration
 	// PlanCacheSize is the LRU plan cache capacity in query shapes
-	// (default 128; negative disables caching).
+	// (default 256; negative disables caching).
 	PlanCacheSize int
 	// Parallelism is the machine-wide intra-query worker budget (default
 	// GOMAXPROCS; negative forces sequential matching). Each query's
@@ -128,7 +128,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 64
 	}
 	if c.PlanCacheSize == 0 {
-		c.PlanCacheSize = 128
+		c.PlanCacheSize = 256
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)

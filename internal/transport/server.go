@@ -3,10 +3,10 @@
 // streams binding batches as NDJSON frames, and SiteClient implements
 // the same cluster.SiteEval interface as the in-process channel path,
 // wrapped in a robustness layer — bounded retries with exponential
-// backoff and jitter (resumable from the last acknowledged batch),
-// optional hedged requests for stragglers, per-frame progress
-// deadlines, and a per-site circuit breaker — so the control site can
-// mix local and remote sites and queries survive a lossy network.
+// backoff and jitter (resumable from the last acknowledged batch), a
+// per-frame progress deadline that runs from the request, and a
+// per-site circuit breaker — so the control site can mix local and
+// remote sites and queries survive a lossy network or a stalled site.
 //
 // Remote evaluations read each fragment's current state (a per-graph
 // consistent snapshot), not the control site's pinned MVCC view: a

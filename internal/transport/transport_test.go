@@ -3,8 +3,9 @@ package transport
 // Client/server tests over real sockets (httptest): fault-free
 // equivalence with the in-process channel path, retry/resume under
 // seeded chaos with exact metrics reconciliation, the frame-progress
-// watchdog, hedged requests, cancellation draining the server, and the
-// breaker failing fast against a dead site then recovering.
+// watchdog (mid-stream and before the first frame), cancellation
+// draining the server, and the breaker failing fast against a dead site
+// then recovering.
 
 import (
 	"context"
@@ -112,12 +113,12 @@ func equalMultisets(a, b map[string]int) bool {
 }
 
 // checkInvariant asserts the metrics reconciliation documented on
-// SiteMetrics: Attempts + FastFails == Calls + Retries + Hedges.
+// SiteMetrics: Attempts + FastFails == Calls + Retries.
 func checkInvariant(t *testing.T, m cluster.SiteMetrics) {
 	t.Helper()
-	if m.Attempts+m.FastFails != m.Calls+m.Retries+m.Hedges {
-		t.Errorf("metrics do not reconcile: attempts %d + fastFails %d != calls %d + retries %d + hedges %d",
-			m.Attempts, m.FastFails, m.Calls, m.Retries, m.Hedges)
+	if m.Attempts+m.FastFails != m.Calls+m.Retries {
+		t.Errorf("metrics do not reconcile: attempts %d + fastFails %d != calls %d + retries %d",
+			m.Attempts, m.FastFails, m.Calls, m.Retries)
 	}
 }
 
@@ -310,9 +311,10 @@ func TestFrameTimeoutWatchdog(t *testing.T) {
 	checkInvariant(t, cm)
 }
 
-// With hedging on, a straggling first request is raced by a second one
-// and the hedge wins without waiting out the straggler.
-func TestHedgeWinsOnStraggler(t *testing.T) {
+// A site that accepts the request and never answers — not even the
+// response headers — is cut by the same watchdog, which runs from the
+// request, and the retry succeeds long before the straggler gives up.
+func TestFrameTimeoutBeforeFirstFrame(t *testing.T) {
 	c, d, q := newTestCluster(t, 20)
 	req := testRequest(q)
 	want := oracle(t, c, req, 8)
@@ -339,25 +341,22 @@ func TestHedgeWinsOnStraggler(t *testing.T) {
 
 	cl := NewSiteClient(ClientConfig{
 		BaseURL: hs.URL, Site: 0, Dict: d,
-		Retries: 1, Backoff: time.Millisecond, HedgeAfter: 50 * time.Millisecond,
+		Retries: 1, Backoff: time.Millisecond, FrameTimeout: 100 * time.Millisecond,
 	})
 	got := newCollector()
 	start := time.Now()
 	if err := cl.EvalStream(context.Background(), req, 8, got.sink); err != nil {
 		t.Fatalf("EvalStream: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("hedged call took %v; the hedge should have finished long before the straggler", elapsed)
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Errorf("call took %v; the watchdog should have cut the silent attempt at ~100ms", elapsed)
 	}
 	if !equalMultisets(got.multiset(), want) {
 		t.Errorf("rows %v != %v", got.multiset(), want)
 	}
 	cm := cl.SiteMetrics()
-	if cm.Hedges != 1 || cm.HedgeWins != 1 {
-		t.Errorf("hedges %d hedgeWins %d, want 1/1", cm.Hedges, cm.HedgeWins)
-	}
-	if cm.Failures != 0 || cm.Retries != 0 {
-		t.Errorf("failures %d retries %d, want 0/0 (the hedge, not a retry, should have won)", cm.Failures, cm.Retries)
+	if cm.Retries != 1 || cm.Failures != 0 {
+		t.Errorf("retries %d failures %d, want 1/0 (one cut, then a clean retry)", cm.Retries, cm.Failures)
 	}
 	checkInvariant(t, cm)
 }
@@ -463,6 +462,11 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	cm := cl.SiteMetrics()
 	if cm.FastFails != 1 {
 		t.Errorf("fastFails = %d, want 1", cm.FastFails)
+	}
+	// Failures counts calls, not attempts: the exhausted call and the
+	// fast-failed one.
+	if cm.Failures != 2 {
+		t.Errorf("failures = %d, want 2 (one per failed call)", cm.Failures)
 	}
 	checkInvariant(t, cm)
 

@@ -297,7 +297,7 @@ func encodeRequest(req cluster.EvalRequest, d *rdf.Dict, batchSize int) (*evalWi
 	}
 	// Stamp the client dictionary state. Prefix fingerprints are
 	// immutable (the dictionary is append-only), so the stamp stays
-	// valid across every retry and hedge of this request.
+	// valid across every retry of this request.
 	dictLen := d.Len()
 	return &evalWire{
 		Site:        req.SiteID,

@@ -2,11 +2,11 @@ package rdffrag
 
 // Multi-process deployment test: fragment hosts run as real `rdffrag
 // site` OS processes built from the actual binary, the control site
-// reaches them over TCP, and a SIGKILL mid-run degrades queries to
-// flagged partial results until the site process is restarted on the
-// same port. This is the closest harness to production: separate
-// dictionaries rebuilt from the same files, real sockets, real process
-// death.
+// reaches them over TCP, and a SIGSTOP or a SIGKILL mid-run degrades
+// queries to flagged partial results until the site process is
+// continued, or restarted on the same port. This is the closest harness
+// to production: separate dictionaries rebuilt from the same files, real
+// sockets, real process death.
 
 import (
 	"bufio"
@@ -19,6 +19,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -109,10 +110,11 @@ func TestMultiProcessSites(t *testing.T) {
 	}
 
 	proc, addr := startSiteProc(t, bin, dataPath, wlPath, "127.0.0.1:0")
+	const frameTimeout = 500 * time.Millisecond
 	srv := dep.StartServer(ServerConfig{
 		Remote: RemoteConfig{
 			Sites: allRemote(dep, "http://"+addr), Retries: 2, Backoff: 5 * time.Millisecond,
-			FrameTimeout: 10 * time.Second, BreakerThreshold: 2, BreakerCooldown: 200 * time.Millisecond,
+			FrameTimeout: frameTimeout, BreakerThreshold: 2, BreakerCooldown: 200 * time.Millisecond,
 			PartialResults: true,
 		},
 	})
@@ -129,6 +131,61 @@ func TestMultiProcessSites(t *testing.T) {
 	}
 	if !sameRows(res.Rows, oracle.Rows) {
 		t.Fatalf("cross-process rows %v != oracle %v", res.Rows, oracle.Rows)
+	}
+
+	// SIGSTOP the site process: the kernel still accepts its connections
+	// and requests, and nothing answers them. The watchdog, which runs
+	// from the request, cuts each attempt after frameTimeout, so the
+	// query comes back partial within its retries instead of waiting out
+	// its deadline, and the failures open the breaker.
+	if err := proc.Process.Signal(syscall.SIGSTOP); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	start := time.Now()
+	res, err = srv.Query(ctx, q)
+	cancel()
+	if err != nil {
+		t.Fatalf("query with the site process stopped: %v (after %v)", err, time.Since(start))
+	}
+	elapsed := time.Since(start)
+	if !res.Stats.Partial || elapsed > 5*time.Second {
+		t.Fatalf("query with the site process stopped: partial %v after %v, want partial within a few frame timeouts", res.Stats.Partial, elapsed)
+	}
+	t.Logf("partial answer %v after SIGSTOP", elapsed)
+	stoppedOpen := false
+	for _, sm := range srv.Metrics().Sites {
+		stoppedOpen = stoppedOpen || sm.BreakerState == "open"
+	}
+	if !stoppedOpen {
+		t.Fatalf("no breaker open with the site process stopped: %+v", srv.Metrics().Sites)
+	}
+
+	// SIGCONT: after the cooldown a probe closes the breaker and answers
+	// equal the oracle again.
+	if err := proc.Process.Signal(syscall.SIGCONT); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		res, err = srv.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("query after SIGCONT: %v", err)
+		}
+		if !res.Stats.Partial {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("queries still partial after the site process was continued")
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	if !sameRows(res.Rows, oracle.Rows) {
+		t.Fatalf("rows after SIGCONT %v != oracle %v", res.Rows, oracle.Rows)
+	}
+	var opensBefore uint64
+	for _, sm := range srv.Metrics().Sites {
+		opensBefore += sm.BreakerOpens
 	}
 
 	// SIGKILL the site process: degraded, flagged partial.
@@ -153,7 +210,7 @@ func TestMultiProcessSites(t *testing.T) {
 	if _, addr2 := startSiteProc(t, bin, dataPath, wlPath, addr); addr2 != addr {
 		t.Fatalf("restarted site on %s, want %s", addr2, addr)
 	}
-	deadline := time.Now().Add(30 * time.Second)
+	deadline = time.Now().Add(30 * time.Second)
 	for {
 		res, err = srv.Query(context.Background(), q)
 		if err != nil {
@@ -177,7 +234,7 @@ func TestMultiProcessSites(t *testing.T) {
 			t.Errorf("site %d breaker still open after recovery", sm.Site)
 		}
 	}
-	if opens == 0 {
+	if opens == opensBefore {
 		t.Error("no breaker opened across the kill/restart cycle")
 	}
 }

@@ -65,18 +65,7 @@ func (dep *Deployment) SiteHandler(cfg SiteConfig) http.Handler {
 // SiteHost is a fragment-host HTTP handler with drain control: once
 // MarkDraining is called its /healthz answers 503 so load balancers
 // stop routing here, while /eval keeps draining in-flight streams.
-type SiteHost struct {
-	inner *transport.SiteServer
-}
-
-// ServeHTTP implements http.Handler.
-func (h *SiteHost) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.inner.ServeHTTP(w, r)
-}
-
-// MarkDraining flips /healthz to 503; call it when graceful shutdown
-// begins, before the HTTP listener drains.
-func (h *SiteHost) MarkDraining() { h.inner.MarkDraining() }
+type SiteHost = transport.SiteServer
 
 // SiteHost is SiteHandler with the concrete type: `rdffrag site` uses
 // it to flip the health probe when SIGTERM starts the drain.
@@ -86,12 +75,12 @@ func (dep *Deployment) SiteHost(cfg SiteConfig) *SiteHost {
 	if cfg.Chaos != nil {
 		chaos = cluster.NewChaos(*cfg.Chaos)
 	}
-	return &SiteHost{inner: transport.NewSiteServer(transport.ServerConfig{
+	return transport.NewSiteServer(transport.ServerConfig{
 		Cluster: dep.cluster,
 		Dict:    dep.db.graph.Dict,
 		Sites:   cfg.Sites,
 		Chaos:   chaos,
-	})}
+	})
 }
 
 // RemoteConfig tunes the robust site clients a server uses to reach
@@ -106,12 +95,10 @@ type RemoteConfig struct {
 	// jitter (default 50ms).
 	Retries int
 	Backoff time.Duration
-	// FrameTimeout is the per-frame progress deadline: a site stream
-	// producing no frame for this long is cut and retried (default 10s).
+	// FrameTimeout is the per-frame progress deadline: a site call
+	// producing no frame for this long, counted from the request, is cut
+	// and retried (default 10s).
 	FrameTimeout time.Duration
-	// HedgeAfter, when positive, races a second request against any
-	// site call with no result frame after this long (off by default).
-	HedgeAfter time.Duration
 	// BreakerThreshold consecutive failed attempts open a site's
 	// circuit breaker for BreakerCooldown before a half-open probe
 	// (defaults 5 and 1s).
@@ -142,7 +129,6 @@ func (dep *Deployment) wireRemotes(cfg RemoteConfig) {
 			Retries:      cfg.Retries,
 			Backoff:      cfg.Backoff,
 			FrameTimeout: cfg.FrameTimeout,
-			HedgeAfter:   cfg.HedgeAfter,
 			Breaker: transport.BreakerConfig{
 				Threshold: cfg.BreakerThreshold,
 				Cooldown:  cfg.BreakerCooldown,

@@ -130,7 +130,7 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 
 	// Every remote client reports, and the counters reconcile.
 	for _, sm := range srv.Metrics().Sites {
-		if sm.Attempts+sm.FastFails != sm.Calls+sm.Retries+sm.Hedges {
+		if sm.Attempts+sm.FastFails != sm.Calls+sm.Retries {
 			t.Errorf("site %d metrics do not reconcile: %+v", sm.Site, sm)
 		}
 		if sm.Failures != 0 {
@@ -380,7 +380,7 @@ func TestChaosSoakRemoteSites(t *testing.T) {
 	// chaos cuts poisoned).
 	var retries, failures, fastFails uint64
 	for _, sm := range srv.Metrics().Sites {
-		if sm.Attempts+sm.FastFails != sm.Calls+sm.Retries+sm.Hedges {
+		if sm.Attempts+sm.FastFails != sm.Calls+sm.Retries {
 			t.Errorf("site %d metrics do not reconcile: %+v", sm.Site, sm)
 		}
 		retries += sm.Retries

@@ -12,7 +12,7 @@ import (
 )
 
 // ServerConfig tunes a concurrent query server. The zero value is usable:
-// 4 workers, a 64-slot admission queue, no per-query timeout, a 128-entry
+// 4 workers, a 64-slot admission queue, no per-query timeout, a 256-entry
 // plan cache.
 type ServerConfig struct {
 	// Workers is the number of queries executed concurrently.
@@ -23,15 +23,15 @@ type ServerConfig struct {
 	// Timeout is the per-query execution deadline (0 = none).
 	Timeout time.Duration
 	// PlanCacheSize is the LRU plan cache capacity in query shapes
-	// (negative disables).
+	// (0 = 256; negative disables).
 	PlanCacheSize int
 	// Parallelism is the machine-wide intra-query worker budget, divided
 	// among concurrently executing queries (0 = GOMAXPROCS, negative
 	// forces sequential matching).
 	Parallelism int
 	// Remote configures networked sites: which site IDs are served by
-	// external `rdffrag site` processes, and the retry / hedging /
-	// circuit-breaker / degradation policy used to reach them. The zero
+	// external `rdffrag site` processes, and the retry / progress-deadline
+	// / circuit-breaker / degradation policy used to reach them. The zero
 	// value keeps every site in-process. A server with any remote site
 	// refuses updates (ErrRemoteSites).
 	Remote RemoteConfig
