@@ -19,7 +19,8 @@ import (
 
 // Deployment is a fragmented, allocated, query-ready store. Its data is
 // the hot/cold split — every triple is in the hot graph or the cold one,
-// which is also the cold fragment — and the fragments built over it.
+// which is also the cold fragment — and one graph per site, the union of
+// the hot fragments allocated there.
 type Deployment struct {
 	db  *DB // emptied by Deploy; its graph's Dict is the deployment's
 	cfg Config
@@ -168,11 +169,16 @@ type DeployStats struct {
 	SelectedPatterns int
 	Fragments        int
 	Redundancy       float64
+	// StoredTriples counts what the sites store: each site's graph, a
+	// triple its fragments share counted once, plus the cold graph.
+	// Redundancy is the logical figure, the fragments' sizes summed.
+	StoredTriples    int
 	WorkloadCoverage float64
 	Balance          float64
 }
 
 // Stats reports the deployment's structural metrics (Figures 8, Table 1).
+// Redundancy and Balance read the fragments' build sizes.
 // Mining-related fields are zero for deployments restored with
 // LoadDeployment (the snapshot stores fragments, not the mining run).
 // Triples counts the hot and cold graphs' union: a hot triple parked in
@@ -185,6 +191,10 @@ func (dep *Deployment) Stats() DeployStats {
 	s.HotTriples, s.ColdTriples = dep.hc.Hot.NumTriples(), dep.hc.Cold.NumTriples()
 	s.Fragments = len(dep.frag.Fragments)
 	s.Redundancy = dep.frag.RedundancyOf(s.Triples)
+	s.StoredTriples = s.ColdTriples
+	for _, g := range dep.alloc.Graphs {
+		s.StoredTriples += g.NumTriples()
+	}
 	s.Balance = dep.alloc.Balance()
 	return s
 }
@@ -277,8 +287,8 @@ func (dep *Deployment) ResetNetworkStats() { dep.cluster.Net.Reset() }
 func (dep *Deployment) Describe() string {
 	s := dep.Stats()
 	return fmt.Sprintf(
-		"strategy=%s sites=%d triples=%d (hot %d / cold %d) mined=%d selected=%d fragments=%d redundancy=%.2f coverage=%.1f%% balance=%.2f",
+		"strategy=%s sites=%d triples=%d (hot %d / cold %d) mined=%d selected=%d fragments=%d redundancy=%.2f stored=%d coverage=%.1f%% balance=%.2f",
 		s.Strategy, s.Sites, s.Triples, s.HotTriples, s.ColdTriples,
 		s.MinedPatterns, s.SelectedPatterns, s.Fragments, s.Redundancy,
-		100*s.WorkloadCoverage, s.Balance)
+		s.StoredTriples, 100*s.WorkloadCoverage, s.Balance)
 }

@@ -29,13 +29,16 @@ func watdivDB(t testing.TB, triples int, cfg Config) (*DB, *watdiv.Dataset, []*s
 }
 
 // deploymentShape lists what a query can observe of the offline
-// pipeline's outcome: each fragment's key, size and site, then the plan of
-// every probe query.
+// pipeline's outcome: each fragment's key, size and site, each site's
+// stored triples, then the plan of every probe query.
 func deploymentShape(t *testing.T, dep *Deployment, probes []*sparql.Graph) string {
 	t.Helper()
 	var b strings.Builder
 	for _, f := range dep.frag.All() {
-		fmt.Fprintf(&b, "%d %s %d @%d\n", f.ID, f.Key(), f.Graph.NumTriples(), dep.alloc.SiteOf[f.ID])
+		fmt.Fprintf(&b, "%d %s %d @%d\n", f.ID, f.Key(), f.Size, dep.alloc.SiteOf[f.ID])
+	}
+	for s, g := range dep.alloc.Graphs {
+		fmt.Fprintf(&b, "site %d stores %d\n", s, g.NumTriples())
 	}
 	for i, q := range probes {
 		ex, err := dep.engine.Explain(q)

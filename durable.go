@@ -420,8 +420,8 @@ func (d *Durable) capture() (*persist.Image, error) {
 	dep := d.dep
 	dep.hc.Hot.Compact()
 	dep.hc.Cold.Compact()
-	for _, f := range dep.frag.Fragments {
-		f.Graph.Compact()
+	for _, g := range dep.alloc.Graphs {
+		g.Compact()
 	}
 	d.compactions.Store(dep.compactions())
 	img := dep.capture(d.appliedSeq.Load())

@@ -203,10 +203,7 @@ func TestCheckpointWritesOffTheWriterLock(t *testing.T) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
-	graphs := []*rdf.Graph{dep.hc.Hot, dep.hc.Cold, dep.frag.Cold.Graph}
-	for _, f := range dep.frag.Fragments {
-		graphs = append(graphs, f.Graph)
-	}
+	graphs := append([]*rdf.Graph{dep.hc.Hot, dep.hc.Cold}, dep.alloc.Graphs...)
 	if dep.hc.Hot.DeltaLen() == 0 {
 		t.Fatal("setup: the updates left no delta")
 	}

@@ -6,9 +6,11 @@
 package allocation
 
 import (
+	"fmt"
 	"sort"
 
 	"rdffrag/internal/fragment"
+	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 )
 
@@ -20,6 +22,9 @@ type Allocation struct {
 	SiteOf map[int]int
 	// ColdSite is the site storing the cold fragment (-1 if none).
 	ColdSite int
+	// Graphs holds the graph each site stores: the union of its hot
+	// fragments, each triple once (empty at a site with none).
+	Graphs []*rdf.Graph
 }
 
 // Affinity computes the fragment affinity metric between all pairs of hot
@@ -78,7 +83,7 @@ func Allocate(fr *fragment.Fragmentation, workload []*sparql.Graph, m int) *Allo
 	for i := range parent {
 		parent[i] = i
 		size[i] = 1
-		load[i] = frags[i].Graph.NumTriples()
+		load[i] = frags[i].Size
 	}
 	var find func(int) int
 	find = func(x int) int {
@@ -183,7 +188,7 @@ func Allocate(fr *fragment.Fragmentation, workload []*sparql.Graph, m int) *Allo
 		for s := range alloc.Sites {
 			l := 0
 			for _, f := range alloc.Sites[s] {
-				l += f.Graph.NumTriples()
+				l += f.Size
 			}
 			if bestLoad == -1 || l < bestLoad {
 				best, bestLoad = s, l
@@ -193,7 +198,42 @@ func Allocate(fr *fragment.Fragmentation, workload []*sparql.Graph, m int) *Allo
 		alloc.SiteOf[fr.Cold.ID] = best
 		alloc.ColdSite = best
 	}
+	alloc.place(fr)
 	return alloc
+}
+
+// place builds each site's graph, frozen over the union of the edge sets
+// of the hot fragments allocated there, and makes it those fragments'
+// Graph; then it drops the edge sets. A triple that several of a site's
+// fragments hold is stored once. The cold fragment keeps the cold graph.
+// A fragmentation is placed once: allocating it again, with its edge sets
+// gone, panics.
+func (a *Allocation) place(fr *fragment.Fragmentation) {
+	a.Graphs = make([]*rdf.Graph, len(a.Sites))
+	for s, frags := range a.Sites {
+		var union *rdf.EdgeSet
+		for _, f := range frags {
+			switch {
+			case f.Kind == fragment.ColdKind:
+			case f.Edges == nil:
+				panic(fmt.Sprintf("allocation: fragment %d has no edge set: its fragmentation was placed already", f.ID))
+			case union == nil:
+				union = f.Edges.Clone()
+			default:
+				union.Union(f.Edges)
+			}
+		}
+		var triples []rdf.Triple
+		if union != nil {
+			triples = union.Triples()
+		}
+		a.Graphs[s] = rdf.NewFrozen(fr.Hot.Dict, triples)
+		for _, f := range frags {
+			if f.Kind != fragment.ColdKind {
+				f.Graph, f.Edges = a.Graphs[s], nil
+			}
+		}
+	}
 }
 
 // siblingCollisions counts pattern codes present in both clusters: merging
@@ -259,12 +299,14 @@ func RoundRobin(fr *fragment.Fragmentation, m int) *Allocation {
 		alloc.SiteOf[fr.Cold.ID] = s
 		alloc.ColdSite = s
 	}
+	alloc.place(fr)
 	return alloc
 }
 
-// Balance returns the ratio of the heaviest site's edge load to the
-// average load — 1.0 is perfectly balanced. Used by the offline-time and
-// throughput experiments to characterize allocations.
+// Balance returns the ratio of the heaviest site's edge load, the sizes
+// of its fragments summed, to the average load — 1.0 is perfectly
+// balanced. Used by the offline-time and throughput experiments to
+// characterize allocations.
 func (a *Allocation) Balance() float64 {
 	if len(a.Sites) == 0 {
 		return 1
@@ -273,7 +315,7 @@ func (a *Allocation) Balance() float64 {
 	for _, site := range a.Sites {
 		l := 0
 		for _, f := range site {
-			l += f.Graph.NumTriples()
+			l += f.Size
 		}
 		total += l
 		if l > max {

@@ -165,9 +165,9 @@ func TestColdFragmentPlaced(t *testing.T) {
 // TestAllocateBreaksTiesDeterministically: two chains of predicates, each
 // queried as often as the other, give two cluster pairs of equal density
 // and equal combined load. Which one merges must not depend on the order
-// a map happens to be ranged in: every `rdffrag site` process allocates
-// for itself, and two processes that disagree on where a fragment lives
-// cannot answer together.
+// a map happens to be ranged in: every `rdffrag site` process fragments
+// and allocates for itself, and two processes that disagree on where a
+// fragment lives cannot answer together.
 func TestAllocateBreaksTiesDeterministically(t *testing.T) {
 	g := rdf.NewGraph(nil)
 	for i := 0; i < 20; i++ {
@@ -195,8 +195,14 @@ func TestAllocateBreaksTiesDeterministically(t *testing.T) {
 	}
 	want := Allocate(fr, w, m).SiteOf
 	for i := 0; i < 64; i++ {
-		if got := Allocate(fr, w, m).SiteOf; !maps.Equal(got, want) {
+		if got := Allocate(fragment.Vertical(sel, hc), w, m).SiteOf; !maps.Equal(got, want) {
 			t.Fatalf("call %d placed the fragments %v, the first call %v", i+2, got, want)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("allocating a placed fragmentation again did not panic")
+		}
+	}()
+	Allocate(fr, w, m)
 }

@@ -206,11 +206,13 @@ func (s *Suite) AblationAllocation() (*Table, error) {
 		Header: []string{"variant", "avg latency", "avg sites/query", "balance"},
 		Notes:  "affinity clustering keeps co-accessed fragments on one site",
 	}
-	p, err := s.vfFor(ds, 1.5, false)
-	if err != nil {
-		return nil, err
-	}
 	for _, rr := range []bool{false, true} {
+		// Allocation places the fragmentation it allocates, so each
+		// variant allocates one of its own.
+		p, err := s.vfFor(ds, 1.5, false)
+		if err != nil {
+			return nil, err
+		}
 		var alloc *allocation.Allocation
 		name := "pnn-affinity"
 		if rr {

@@ -211,14 +211,20 @@ func TestNetStatsReset(t *testing.T) {
 	}
 }
 
-func TestViewsAndFragmentIDs(t *testing.T) {
-	c, _, _ := chaosCluster(t)
+// TestViewsRegisterASharedGraphOnce: fragments that share their site's
+// graph share its registration, so the view source's gauges count the
+// graph once.
+func TestViewsRegisterASharedGraphOnce(t *testing.T) {
+	c, _, g := chaosCluster(t)
 	if c.Views() == nil {
-		t.Error("Views() = nil")
+		t.Fatal("Views() = nil")
 	}
-	ids := c.FragmentIDs(0)
-	if len(ids) != 1 || ids[0] != 1 {
-		t.Errorf("FragmentIDs(0) = %v, want [1]", ids)
+	before := c.Views().Generations()
+	if err := c.Place(0, 2, g); err != nil {
+		t.Fatalf("Place: %v", err)
+	}
+	if got := c.Views().Generations(); got != before || got != g.LiveGenerations() {
+		t.Errorf("a second fragment of one graph moved the generation gauge %d -> %d (graph: %d)", before, got, g.LiveGenerations())
 	}
 }
 
@@ -242,6 +248,13 @@ func TestFragEpoch(t *testing.T) {
 	}
 	if e3 == e1 {
 		t.Errorf("FragEpoch unchanged after mutation (%d)", e3)
+	}
+	// A second fragment of the same graph adds nothing to the sum.
+	if err := c.Place(0, 2, g); err != nil {
+		t.Fatalf("Place: %v", err)
+	}
+	if e4, err := c.FragEpoch(0, []int{1, 2}); err != nil || e4 != g.Epoch() {
+		t.Errorf("FragEpoch of two fragments of one graph = %d (err %v), want the graph's epoch %d", e4, err, g.Epoch())
 	}
 	if _, err := c.FragEpoch(7, nil); err == nil {
 		t.Error("out-of-range site accepted")

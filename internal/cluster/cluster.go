@@ -1,7 +1,8 @@
 // Package cluster models the distributed substrate of the paper's
 // evaluation (Section 8.1: a 10-machine cluster running gStore per site
-// with MPI joins). Sites are worker-pool goroutines holding fragment
-// graphs; the in-process RPC path is channel-based with byte and message
+// with MPI joins). Sites are worker-pool goroutines, each storing one
+// graph — the union of its hot fragments — beside the cold graph where
+// it hosts the cold fragment; the in-process RPC path is channel-based with byte and message
 // accounting, so experiments can compare the communication behaviour of
 // fragmentation strategies on one machine. The same site RPC surface
 // (EvalRequest/EvalStream, abstracted by SiteEval) is also served over
@@ -14,7 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,7 +143,7 @@ type Cluster struct {
 	Faults *Chaos
 
 	// views publishes batch-atomic MVCC read views over every placed
-	// fragment graph: the serving layer republishes after each update
+	// graph: the serving layer republishes after each update
 	// batch, and queries pin the latest view instead of locking the data.
 	views *rdf.ViewSource
 }
@@ -194,9 +195,10 @@ func (c *Cluster) receiveResponse(ctx context.Context, bytes int) error {
 	return ctx.Err()
 }
 
-// Site is one computing node: a set of fragment graphs and a bounded
-// worker pool serializing local work, which models per-machine capacity
-// for the throughput experiments.
+// Site is one computing node: the graphs storing its fragments, by
+// fragment ID — several fragments share their site's graph — and a
+// bounded worker pool serializing local work, which models per-machine
+// capacity for the throughput experiments.
 type Site struct {
 	ID    int
 	frags map[int]*rdf.Graph
@@ -224,8 +226,9 @@ func New(m, workersPerSite int) *Cluster {
 	return c
 }
 
-// Place stores a fragment graph at a site and registers it with the
-// cluster's view source, so subsequently published views cover it.
+// Place records g as the graph storing fragment fragID at a site and
+// registers it with the cluster's view source, so subsequently published
+// views cover it. Fragments sharing a graph share its registration.
 func (c *Cluster) Place(siteID, fragID int, g *rdf.Graph) error {
 	if siteID < 0 || siteID >= len(c.Sites) {
 		return fmt.Errorf("cluster: site %d out of range", siteID)
@@ -238,32 +241,19 @@ func (c *Cluster) Place(siteID, fragID int, g *rdf.Graph) error {
 	return nil
 }
 
-// FragmentIDs lists the fragments stored at a site.
-func (c *Cluster) FragmentIDs(siteID int) []int {
-	s := c.Sites[siteID]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]int, 0, len(s.frags))
-	for id := range s.frags {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // EvalRequest asks one site to evaluate a subquery over some of its
-// fragments and ship the variable bindings back.
+// fragments and ship the variable bindings back. The site evaluates the
+// graphs storing them — its own graph, the cold graph, or both — each
+// once: a match there of a fragment the request did not name is still a
+// match on the data, and a duplicate of another site's is removed by the
+// control site's final dedup.
 type EvalRequest struct {
 	SiteID  int
 	FragIDs []int
 	Query   *sparql.Graph
-	// Filter optionally restricts vertex bindings (minterm push-down).
-	// It is invoked concurrently (fragments evaluate in parallel and the
-	// matcher itself fans out), so it must be safe for concurrent use.
-	Filter func(qv int, id rdf.ID) bool
-	// Parallelism is the site's intra-query worker budget: it bounds how
-	// many fragments evaluate concurrently and how many morsel workers
-	// the matcher uses inside each fragment (the budget is divided
-	// between the two). 0 means GOMAXPROCS.
+	// Parallelism is the matcher's morsel-worker budget for each graph
+	// the site evaluates; the graphs evaluate one after the other. 0
+	// means GOMAXPROCS.
 	Parallelism int
 	// View is the query's pinned MVCC read view; fragments are read
 	// through it so one query sees a single batch-atomic cut across every
@@ -279,34 +269,11 @@ type EvalRequest struct {
 	Deterministic bool
 }
 
-// split divides the request's parallelism budget over the site's
-// fragment fan-out: at most budget fragments evaluate at once, and each
-// gets budget/fanout morsel workers (≥1) so total worker demand stays
-// near the budget instead of multiplying.
-func (req *EvalRequest) split(fragments int) (fanout, perFragment int) {
-	budget := req.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	fanout = fragments
-	if fanout > budget {
-		fanout = budget
-	}
-	if fanout < 1 {
-		fanout = 1
-	}
-	perFragment = budget / fanout
-	if perFragment < 1 {
-		perFragment = 1
-	}
-	return fanout, perFragment
-}
-
 // Eval performs a synchronous request/response round trip to a site: one
 // request message, local evaluation under the site's worker pool, one
-// response message carrying the bindings. Results from multiple fragments
-// are unioned and deduplicated (fragments may overlap). Cancelling ctx
-// aborts the evaluation and any simulated transfer in flight.
+// response message carrying the bindings. The results of the site's
+// graphs are unioned and deduplicated. Cancelling ctx aborts the
+// evaluation and any simulated transfer in flight.
 func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, error) {
 	if req.SiteID < 0 || req.SiteID >= len(c.Sites) {
 		return nil, fmt.Errorf("cluster: site %d out of range", req.SiteID)
@@ -324,44 +291,14 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 		return nil, err
 	}
 
-	// Evaluate fragments in parallel under the site's worker pool: the
-	// paper's horizontal fragmentation wins latency exactly because a
-	// site's (or cluster's) cores scan several small fragments at once
-	// instead of one big one. The request's parallelism budget is split
-	// between this fragment fan-out and the matcher's morsel workers
-	// inside each fragment.
-	fanout, perFragment := req.split(len(graphs))
-	found := make([][]match.Match, len(graphs))
-	gate := make(chan struct{}, fanout)
-	var wg sync.WaitGroup
-	for i, g := range graphs {
-		wg.Add(1)
-		go func(i int, g *rdf.Graph) {
-			defer wg.Done()
-			select {
-			case gate <- struct{}{}: // respect the parallelism budget
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-gate }()
-			select {
-			case s.sem <- struct{}{}: // acquire a site worker
-			case <-ctx.Done():
-				return
-			}
-			found[i] = match.Find(req.Query, req.View.Snap(g), match.Options{VertexFilter: req.Filter, Parallelism: perFragment})
-			<-s.sem
-		}(i, g)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	var all []match.Match
+	err = s.each(ctx, graphs, func(g *rdf.Graph) error {
+		all = append(all, match.Find(req.Query, req.View.Snap(g), match.Options{Parallelism: req.Parallelism})...)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	var all []match.Match
-	for _, f := range found {
-		all = append(all, f...)
-	}
-
 	b := match.ToBindings(req.Query, all)
 	b.Dedup()
 	respBytes := len(b.Rows) * 4
@@ -374,10 +311,11 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 }
 
 // FragEpoch fingerprints the current state of the given fragments at a
-// site: the sum of their graphs' mutation epochs. The HTTP site server
-// stamps it on each eval stream so a resuming client can detect that
-// the data moved between attempts (the deterministic batch prefix is
-// then no longer comparable) and restart from scratch instead.
+// site: the sum of the mutation epochs of the distinct graphs storing
+// them. The HTTP site server stamps it on each eval stream so a resuming
+// client can detect that the data moved between attempts (the
+// deterministic batch prefix is then no longer comparable) and restart
+// from scratch instead.
 func (c *Cluster) FragEpoch(siteID int, fragIDs []int) (uint64, error) {
 	if siteID < 0 || siteID >= len(c.Sites) {
 		return 0, fmt.Errorf("cluster: site %d out of range", siteID)
@@ -393,19 +331,43 @@ func (c *Cluster) FragEpoch(siteID int, fragIDs []int) (uint64, error) {
 	return e, nil
 }
 
-// resolve looks up the requested fragment graphs at the site.
+// resolve maps the requested fragments to the distinct graphs storing
+// them at the site, in the order the request first names each.
 func (s *Site) resolve(req EvalRequest) ([]*rdf.Graph, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	graphs := make([]*rdf.Graph, len(req.FragIDs))
-	for i, fid := range req.FragIDs {
+	graphs := make([]*rdf.Graph, 0, len(req.FragIDs))
+	for _, fid := range req.FragIDs {
 		g, ok := s.frags[fid]
 		if !ok {
 			return nil, fmt.Errorf("cluster: fragment %d not at site %d", fid, req.SiteID)
 		}
-		graphs[i] = g
+		if !slices.Contains(graphs, g) {
+			graphs = append(graphs, g)
+		}
 	}
 	return graphs, nil
+}
+
+// each runs eval over the graphs one after the other, each under one of
+// the site's workers, and stops at the first error, eval's or ctx's.
+func (s *Site) each(ctx context.Context, graphs []*rdf.Graph, eval func(*rdf.Graph) error) error {
+	for _, g := range graphs {
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		err := eval(g)
+		<-s.sem
+		if err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func estimateQueryBytes(q *sparql.Graph) int {

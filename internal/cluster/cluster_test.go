@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -67,6 +68,44 @@ func TestEvalDedupAcrossFragments(t *testing.T) {
 	}
 	if b.Len() != 2 {
 		t.Fatalf("rows = %d, want 2 after dedup", b.Len())
+	}
+}
+
+// TestSiteEvaluatesEachGraphOnce: fragments that share their site's graph
+// resolve to it once, so a request naming several of them streams each
+// match of the graph once, and a request naming a fragment of another
+// graph at the site as well streams that graph's matches after it.
+func TestSiteEvaluatesEachGraphOnce(t *testing.T) {
+	c := New(1, 1)
+	d := rdf.NewDict()
+	site, cold := rdf.NewGraph(d), rdf.NewGraph(d)
+	for i := range 5 {
+		site.AddTerms(rdf.NewIRI(fmt.Sprint("s", i)), rdf.NewIRI("p"), rdf.NewIRI("o"))
+	}
+	cold.AddTerms(rdf.NewIRI("c"), rdf.NewIRI("p"), rdf.NewIRI("o"))
+	for id, g := range map[int]*rdf.Graph{1: site, 2: site, 3: site, 4: cold} {
+		if err := c.Place(0, id, g); err != nil {
+			t.Fatalf("Place: %v", err)
+		}
+	}
+	q := sparql.MustParse(d, `SELECT ?x WHERE { ?x <p> ?o . }`)
+	for _, tc := range []struct {
+		frags []int
+		rows  int
+	}{{[]int{1}, 5}, {[]int{3, 1, 2}, 5}, {[]int{2, 4, 1}, 6}, {[]int{4}, 1}} {
+		for _, deterministic := range []bool{false, true} {
+			streamed := 0
+			req := EvalRequest{SiteID: 0, FragIDs: tc.frags, Query: q, Parallelism: 4, Deterministic: deterministic}
+			if err := c.EvalStream(context.Background(), req, 2, func(b *match.Bindings) error {
+				streamed += b.Len()
+				return nil
+			}); err != nil {
+				t.Fatalf("EvalStream %v: %v", tc.frags, err)
+			}
+			if streamed != tc.rows {
+				t.Errorf("fragments %v (deterministic %v): %d rows streamed, want %d", tc.frags, deterministic, streamed, tc.rows)
+			}
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
@@ -34,19 +33,19 @@ const DefaultBatchSize = 256
 // reference and never writes to them again, so the sink may reorder,
 // overwrite or retain it. JoinStream retains every batch it keeps and
 // reads it until the join ends; exec.consume keeps every batch until the
-// answer is built. Fragments evaluate in parallel, so the sink must be
-// safe for concurrent use. Returning an error stops the stream.
+// answer is built. A subquery's sites stream concurrently, so the sink
+// must be safe for concurrent use. Returning an error stops the stream.
 type BatchSink func(*match.Bindings) error
 
 // EvalStream evaluates a subquery at a site like Eval, but ships binding
 // batches of up to batchSize rows as soon as they are produced instead of
 // materializing the full result first. Each batch pays one response
 // message of simulated network cost. Batches are deduplicated within
-// themselves only; cross-batch duplicates (overlapping fragments) are the
-// consumer's concern, exactly as cross-site duplicates already were.
-// Fragments evaluate concurrently, bounded by req.Parallelism (and the
-// site's worker pool); the remaining budget drives the matcher's morsel
-// workers inside each fragment.
+// themselves only; cross-batch duplicates (a match both the site's graph
+// and the cold graph hold) are the consumer's concern, exactly as
+// cross-site duplicates already were. The site's graphs evaluate one
+// after the other, each with the whole req.Parallelism budget of morsel
+// workers.
 func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int, sink BatchSink) error {
 	if req.SiteID < 0 || req.SiteID >= len(c.Sites) {
 		return fmt.Errorf("cluster: site %d out of range", req.SiteID)
@@ -67,61 +66,23 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 		return err
 	}
 
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	fanout, perFragment := req.split(len(graphs))
-	gate := make(chan struct{}, fanout)
-	for _, g := range graphs {
-		wg.Add(1)
-		go func(g *rdf.Graph) {
-			defer wg.Done()
-			select {
-			case gate <- struct{}{}: // respect the parallelism budget
-			case <-ctx.Done():
-				fail(ctx.Err())
-				return
+	opts := match.Options{Parallelism: req.Parallelism, Deterministic: req.Deterministic}
+	return s.each(ctx, graphs, func(g *rdf.Graph) (err error) {
+		match.FindBindings(req.Query, req.View.Snap(g), opts, batchSize, func(b *match.Bindings) bool {
+			if err = ctx.Err(); err != nil {
+				return false
 			}
-			defer func() { <-gate }()
-			select {
-			case s.sem <- struct{}{}: // acquire a site worker
-			case <-ctx.Done():
-				fail(ctx.Err())
-				return
+			b.Dedup()
+			respBytes := len(b.Rows) * 4
+			c.Net.Messages.Add(1)
+			c.Net.Bytes.Add(int64(respBytes))
+			if err = c.receiveResponse(ctx, respBytes); err == nil {
+				err = sink(b)
 			}
-			defer func() { <-s.sem }()
-			match.FindBindings(req.Query, req.View.Snap(g), match.Options{VertexFilter: req.Filter, Parallelism: perFragment, Deterministic: req.Deterministic}, batchSize, func(b *match.Bindings) bool {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return false
-				}
-				b.Dedup()
-				respBytes := len(b.Rows) * 4
-				c.Net.Messages.Add(1)
-				c.Net.Bytes.Add(int64(respBytes))
-				if err := c.receiveResponse(ctx, respBytes); err != nil {
-					fail(err)
-					return false
-				}
-				if err := sink(b); err != nil {
-					fail(err)
-					return false
-				}
-				return true
-			})
-		}(g)
-	}
-	wg.Wait()
-	return firstErr
+			return err == nil
+		})
+		return err
+	})
 }
 
 // symJoiner is the symmetric (pipelined) hash-join core: each arriving

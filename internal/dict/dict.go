@@ -22,15 +22,20 @@ type Entry struct {
 	Fragment *fragment.Fragment
 	// Site is the site index holding the fragment (-1 if unallocated).
 	Site int
-	// Size is |E(F)|.
+	// Size is |E(F)| when the fragment was built (Fragment.Size).
 	Size int
 	// Cardinality is the number of matches of the generating pattern
 	// within the fragment — the card() statistic behind Algorithm 3's
-	// cost model.
+	// cost model: its matches in the hot graph, under the minterm's
+	// filter for a horizontal fragment. Every match of the pattern lies in
+	// its fragment, so no fragment graph is needed to count them.
 	Cardinality int
 	// AccessFreq is the number of workload queries that touch the
 	// fragment (acc of the pattern or minterm).
 	AccessFreq int
+	// stored is the triple count of the graph storing the fragment, its
+	// site's, when the dictionary was built: what liveRatio rescales by.
+	stored int
 }
 
 // Dictionary indexes fragments by the canonical code of their generating
@@ -56,31 +61,32 @@ type Dictionary struct {
 	hotStats *rdf.Stats
 }
 
-// Build scans a fragmentation + allocation and materializes the
-// dictionary. The workload is used for fragment access frequencies; pass
-// nil to skip that statistic.
+// Build scans a placed fragmentation and its allocation and materializes
+// the dictionary. The workload is used for fragment access frequencies;
+// pass nil to skip that statistic.
 func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []*sparql.Graph) *Dictionary {
 	d := &Dictionary{
 		byCode:           make(map[string][]*Entry),
 		coldPredCount:    make(map[rdf.ID]int),
 		constSelectivity: 10,
+		hotStats:         rdf.NewStats(fr.Hot),
 	}
-	if fr.Hot != nil {
-		d.hotStats = rdf.NewStats(fr.Hot)
-	}
+	hsn := fr.Hot.Snapshot()
+	defer hsn.Close()
 	for _, f := range fr.Fragments {
-		fsn := f.Graph.Snapshot()
+		var opts match.Options
+		if f.Minterm != nil {
+			opts.VertexFilter = f.Minterm.VertexFilter()
+		}
 		e := &Entry{
 			Fragment:    f,
 			Site:        -1,
-			Size:        f.Graph.NumTriples(),
-			Cardinality: match.Count(f.Pattern.Graph, fsn, match.Options{}),
+			Size:        f.Size,
+			Cardinality: match.Count(f.Pattern.Graph, hsn, opts),
+			stored:      f.Graph.NumTriples(),
 		}
-		fsn.Close()
-		if alloc != nil {
-			if s, ok := alloc.SiteOf[f.ID]; ok {
-				e.Site = s
-			}
+		if s, ok := alloc.SiteOf[f.ID]; ok {
+			e.Site = s
 		}
 		for _, q := range workload {
 			if f.RelevantTo(q) {
@@ -114,7 +120,8 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 // tracks growth from delta inserts and shrinkage from tombstones well
 // enough for cost comparison — without it the planner keeps seeing the
 // frozen fragmentation-time cardinalities forever, however many update
-// batches have landed since.
+// batches have landed since. A hot fragment's graph is its site's, so
+// its statistic moves with the site's growth.
 func liveRatio(g *rdf.Graph, buildSize int) float64 {
 	if g == nil || buildSize <= 0 {
 		return 1
@@ -229,9 +236,10 @@ func (cs *CardShape) Estimate(relevant func(i int) bool) int {
 	constrained := false
 	for i, e := range cs.Entries {
 		if relevant(i) {
-			// Scale the Build-time cardinality by the fragment's live
-			// growth (or shrinkage) so estimates follow live updates.
-			total += int(float64(e.Cardinality) * liveRatio(e.Fragment.Graph, e.Size))
+			// Scale the Build-time cardinality by the live growth (or
+			// shrinkage) of the graph storing the fragment so estimates
+			// follow live updates.
+			total += int(float64(e.Cardinality) * liveRatio(e.Fragment.Graph, e.stored))
 			if e.Fragment.Minterm != nil {
 				constrained = true
 			}

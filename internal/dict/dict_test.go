@@ -5,29 +5,41 @@ import (
 	"testing"
 
 	"rdffrag/internal/dict"
+	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 	"rdffrag/internal/testenv"
 )
 
+// TestBuildEntries: an entry's size is its fragment's, and its
+// cardinality — counted over the hot graph, under the minterm's filter for
+// a horizontal fragment — is what counting the pattern's matches within
+// the fragment's own triples gives, since every match lies in them.
 func TestBuildEntries(t *testing.T) {
-	env, err := testenv.Build(testenv.Options{})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	d := env.Dict
-	if len(d.Entries()) != len(env.Frag.Fragments) {
-		t.Fatalf("entries = %d, fragments = %d", len(d.Entries()), len(env.Frag.Fragments))
-	}
-	for _, e := range d.Entries() {
-		if e.Site < 0 {
-			t.Errorf("fragment %d unallocated in dictionary", e.Fragment.ID)
+	for _, horizontal := range []bool{false, true} {
+		env, err := testenv.Build(testenv.Options{Horizontal: horizontal})
+		if err != nil {
+			t.Fatalf("Build: %v", err)
 		}
-		if e.Size != e.Fragment.Graph.NumTriples() {
-			t.Errorf("size mismatch for fragment %d", e.Fragment.ID)
+		d := env.Dict
+		if len(d.Entries()) != len(env.Frag.Fragments) {
+			t.Fatalf("entries = %d, fragments = %d", len(d.Entries()), len(env.Frag.Fragments))
 		}
-		if e.Cardinality < 0 {
-			t.Errorf("negative cardinality for fragment %d", e.Fragment.ID)
+		for i, e := range d.Entries() {
+			f := e.Fragment
+			if e.Site < 0 {
+				t.Errorf("fragment %d unallocated in dictionary", f.ID)
+			}
+			if e.Size != f.Size || e.Size != len(env.Own[i]) {
+				t.Errorf("size mismatch for fragment %d: entry %d, fragment %d, own triples %d", f.ID, e.Size, f.Size, len(env.Own[i]))
+			}
+			var opts match.Options
+			if f.Minterm != nil {
+				opts.VertexFilter = f.Minterm.VertexFilter()
+			}
+			if want := match.Count(f.Pattern.Graph, rdf.NewFrozen(env.G.Dict, env.Own[i]).Snapshot(), opts); e.Cardinality != want || want == 0 {
+				t.Errorf("horizontal=%v: fragment %d has cardinality %d, its own triples hold %d matches", horizontal, f.ID, e.Cardinality, want)
+			}
 		}
 	}
 }
@@ -161,7 +173,8 @@ func TestEstimatesTrackLiveUpdates(t *testing.T) {
 		t.Fatal("name subquery not mapped")
 	}
 
-	// A large insert batch: double every relevant fragment graph.
+	// A large insert batch: as many new triples as each relevant fragment
+	// holds, into the graph storing it, its site's.
 	name := env.G.Dict.MustIRI("name")
 	var added []rdf.Triple
 	for _, e := range env.Dict.LookupGraph(sub) {

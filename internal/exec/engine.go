@@ -34,9 +34,9 @@ type Engine struct {
 	// cluster.DefaultBatchSize).
 	BatchSize int
 
-	// Parallelism is the default intra-query worker budget handed to
-	// every site evaluation: it bounds concurrent fragment evaluations
-	// and the matcher's morsel workers per fragment. 0 means GOMAXPROCS.
+	// Parallelism is the default intra-query worker budget, divided over
+	// the subqueries and their sites: a site's share is the matcher's
+	// morsel workers for each graph it evaluates. 0 means GOMAXPROCS.
 	// A Prepared with its own Parallelism overrides it per execution —
 	// the serving layer uses that to trade intra-query parallelism
 	// against inter-query worker count under load.
@@ -103,7 +103,9 @@ type QueryStats struct {
 	UnreachableSites []int
 }
 
-// New wires an engine and deploys every fragment to its allocated site.
+// New wires an engine and deploys every fragment to its allocated site:
+// the site records the graph storing it, which a hot fragment shares with
+// the site's other hot fragments.
 func New(c *cluster.Cluster, d *dict.Dictionary, fr *fragment.Fragmentation, alloc *allocation.Allocation, hc *fragment.HotCold) (*Engine, error) {
 	e := &Engine{
 		Cluster: c,
@@ -230,7 +232,7 @@ func (e *Engine) Explain(q *sparql.Graph) (*Explanation, error) {
 				step.Fragments = []ExplainFragment{{
 					ID:   e.Frag.Cold.ID,
 					Site: e.Alloc.ColdSite,
-					Size: e.Frag.Cold.Graph.NumTriples(),
+					Size: e.Frag.Cold.Size,
 				}}
 			}
 		case sq.Global:
@@ -238,7 +240,7 @@ func (e *Engine) Explain(q *sparql.Graph) (*Explanation, error) {
 				step.Fragments = append(step.Fragments, ExplainFragment{
 					ID:   f.ID,
 					Site: e.Alloc.SiteOf[f.ID],
-					Size: f.Graph.NumTriples(),
+					Size: f.Size,
 				})
 			}
 		default:
@@ -273,7 +275,8 @@ type ExplainStep struct {
 	Fragments   []ExplainFragment
 }
 
-// ExplainFragment identifies a fragment the step would read.
+// ExplainFragment identifies a fragment the step would read; Size is the
+// fragment's own size when it was built, not its site's graph's.
 type ExplainFragment struct {
 	ID   int
 	Site int

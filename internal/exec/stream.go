@@ -108,10 +108,10 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 
 	// One producer per subquery, streaming batches from its sites. The
 	// whole worker budget goes to them — a control-site join stage is one
-	// goroutine — divided across the concurrent subquery producers here,
-	// across each subquery's sites below, and across a site's fragments
-	// in cluster, so total morsel-worker demand stays near the budget
-	// instead of multiplying with the fan-out.
+	// goroutine — divided across the concurrent subquery producers here
+	// and across each subquery's sites below, whose graphs evaluate one
+	// after the other, so total morsel-worker demand stays near the
+	// budget instead of multiplying with the fan-out.
 	sqPar := par / len(dcp.Subqueries)
 	if sqPar < 1 {
 		sqPar = 1

@@ -35,31 +35,50 @@ func matchUnion(f *Fragment, hot *rdf.Snapshot) []rdf.Triple {
 	return out
 }
 
+// coversHotGraph returns the hot triples in no hot fragment's edge set:
+// none, when the fragmentation keeps every hot edge reachable.
+func coversHotGraph(fr *Fragmentation) []rdf.Triple {
+	hot := fr.Hot.Snapshot()
+	defer hot.Close()
+	union := hot.NewEdgeSet()
+	for _, f := range fr.Fragments {
+		union.Union(f.Edges)
+	}
+	var missing []rdf.Triple
+	have := union.Triples()
+	for _, t := range hot.Triples() {
+		if _, ok := slices.BinarySearchFunc(have, t, rdf.CompareSPO); !ok {
+			missing = append(missing, t)
+		}
+	}
+	return missing
+}
+
 func checkFragments(t *testing.T, name string, fr *Fragmentation) {
 	t.Helper()
-	if missing := fr.CoversHotGraph(); missing != nil {
+	if missing := coversHotGraph(fr); missing != nil {
 		t.Errorf("%s: %d hot edges in no fragment", name, len(missing))
 	}
 	hot := fr.Hot.Snapshot()
 	defer hot.Close()
 	for i, f := range fr.Fragments {
-		if f.ID != i || f.Graph.DeltaLen() != 0 {
-			t.Errorf("%s: fragment at %d has ID %d, delta %d", name, i, f.ID, f.Graph.DeltaLen())
+		if f.ID != i || f.Graph != nil || !f.Edges.Of(hot) {
+			t.Errorf("%s: fragment at %d has ID %d, a graph before placement, or an edge set of another cut", name, i, f.ID)
 		}
-		if want := matchUnion(f, hot); !slices.Equal(f.Graph.Triples(), want) {
-			t.Errorf("%s: fragment %d (%s) holds %d triples, its matches use %d", name, f.ID, f.Key(), f.Graph.NumTriples(), len(want))
+		if want := matchUnion(f, hot); !slices.Equal(f.Edges.Triples(), want) || f.Size != len(want) {
+			t.Errorf("%s: fragment %d (%s) holds %d triples (size %d), its matches use %d", name, f.ID, f.Key(), f.Edges.Len(), f.Size, len(want))
 		}
 	}
-	if fr.Cold.ID != len(fr.Fragments) || fr.Cold.Key() != "cold" {
-		t.Errorf("%s: cold fragment has ID %d, key %s", name, fr.Cold.ID, fr.Cold.Key())
+	if fr.Cold.ID != len(fr.Fragments) || fr.Cold.Key() != "cold" || fr.Cold.Size != fr.Cold.Graph.NumTriples() {
+		t.Errorf("%s: cold fragment has ID %d, key %s, size %d", name, fr.Cold.ID, fr.Cold.Key(), fr.Cold.Size)
 	}
 }
 
 // sameFragments compares two fragmentations fragment by fragment.
 func sameFragments(a, b *Fragmentation) bool {
-	return slices.EqualFunc(a.All(), b.All(), func(x, y *Fragment) bool {
-		return x.ID == y.ID && x.Key() == y.Key() && slices.Equal(x.Graph.Triples(), y.Graph.Triples())
-	})
+	return slices.EqualFunc(a.Fragments, b.Fragments, func(x, y *Fragment) bool {
+		return x.ID == y.ID && x.Key() == y.Key() && slices.Equal(x.Edges.Triples(), y.Edges.Triples())
+	}) && a.Cold.Graph == b.Cold.Graph
 }
 
 // TestFragmentsAreTheirPatternsMatches: built from the edge sets selection
@@ -192,7 +211,7 @@ func TestRelevanceAndNames(t *testing.T) {
 		hc.IsHotQueryEdge(sparql.Edge{PredVar: "p"}) {
 		t.Error("IsHotQueryEdge: frequent constant predicates only")
 	}
-	empty := &Fragmentation{Hot: rdf.NewFrozen(g.Dict, nil), Cold: &Fragment{Kind: ColdKind, Graph: coldGraph(&HotCold{Hot: hc.Hot})}}
+	empty := &Fragmentation{Hot: rdf.NewFrozen(g.Dict, nil), Cold: coldFragment(&HotCold{Hot: hc.Hot}, 0)}
 	if empty.Redundancy(empty.Hot) != 0 || len(empty.All()) != 0 {
 		t.Error("an empty fragmentation has redundancy 0 and no fragments")
 	}

@@ -3,12 +3,12 @@
 // (Definition 10), and horizontal fragmentation from structural minterm
 // predicates (Definitions 11–12).
 //
-// Every graph built here — hot, cold, each fragment — is built frozen by
-// rdf.NewFrozen from a list of distinct triples. A pattern's fragment is
-// the matched edge set fap.Select sized the pattern by, listed in
-// (S, P, O) order (which its CSR build then need not sort); only a
+// The hot and cold graphs are built frozen by rdf.NewFrozen from lists of
+// distinct triples. A fragment builds no graph: a pattern's fragment is
+// the matched edge set fap.Select sized the pattern by, and only a
 // minterm's fragment is matched here, under the minterm's vertex filter,
-// into an edge set of its own.
+// into an edge set of its own. Placement (allocation) turns the edge sets
+// a site is allocated into that site's one graph.
 package fragment
 
 import (
@@ -45,13 +45,27 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Fragment is one fragment of the RDF graph (Definition 3 allows overlap).
+// Fragment is one fragment of the RDF graph (Definition 3 allows overlap):
+// a description — pattern, minterm, size — of what a site is asked about,
+// not a copy of the data. A hot fragment is built as the edge set its
+// pattern's matches use; placement unions the edge sets allocated to a
+// site into the one graph the site stores and drops them.
 type Fragment struct {
 	ID      int
 	Kind    Kind
 	Pattern *mining.Pattern // generating FAP; nil for the cold fragment
 	Minterm *Minterm        // non-nil only for horizontal fragments
-	Graph   *rdf.Graph      // the fragment's triples
+	// Size is |E(F)| when the fragment was built: the load allocation
+	// balances, the figure redundancy sums and the size Explain reports.
+	Size int
+	// Edges is a hot fragment's own triples, over the hot graph's
+	// snapshot, from the fragmenter until placement; nil after it and for
+	// the cold fragment.
+	Edges *rdf.EdgeSet
+	// Graph is the graph that stores the fragment: for a hot fragment its
+	// site's graph, which the site's other hot fragments share, from
+	// placement on; for the cold fragment the cold graph.
+	Graph *rdf.Graph
 }
 
 // Key identifies the fragment's generating pattern (with constraints) in
@@ -86,7 +100,9 @@ func (fr *Fragmentation) All() []*Fragment {
 
 // Redundancy returns the ratio of the total number of edges over all
 // fragments (hot + cold) to the number of edges in the original graph
-// (Table 1's metric).
+// (Table 1's metric). It is the logical figure Algorithm 1 budgets, the
+// fragments' build sizes summed; a site stores a triple its fragments
+// share once.
 func (fr *Fragmentation) Redundancy(original *rdf.Graph) float64 {
 	return fr.RedundancyOf(original.NumTriples())
 }
@@ -98,29 +114,9 @@ func (fr *Fragmentation) RedundancyOf(n int) float64 {
 	}
 	total := 0
 	for _, f := range fr.All() {
-		total += f.Graph.NumTriples()
+		total += f.Size
 	}
 	return float64(total) / float64(n)
-}
-
-// CoversHotGraph verifies data integrity: every hot edge appears in at
-// least one hot fragment. It returns the missing triples (nil when
-// complete).
-func (fr *Fragmentation) CoversHotGraph() []rdf.Triple {
-	var missing []rdf.Triple
-	for _, t := range fr.Hot.Triples() {
-		found := false
-		for _, f := range fr.Fragments {
-			if f.Graph.Has(t) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			missing = append(missing, t)
-		}
-	}
-	return missing
 }
 
 // Constraint is one structural simple predicate p(var) θ Value bound to a

@@ -115,7 +115,7 @@ func TestVerticalCoversHotGraph(t *testing.T) {
 	hc := SplitHotCold(g, w, 2)
 	sel := buildSelection(t, g, w, hc)
 	fr := Vertical(sel, hc)
-	if missing := fr.CoversHotGraph(); len(missing) != 0 {
+	if missing := coversHotGraph(fr); len(missing) != 0 {
 		t.Fatalf("vertical fragmentation misses %d hot edges", len(missing))
 	}
 	if fr.Cold == nil || fr.Cold.Graph.NumTriples() != hc.Cold.NumTriples() {
@@ -153,8 +153,8 @@ func TestVerticalFragmentContents(t *testing.T) {
 	if target == nil {
 		t.Skip("country+postalCode pattern not selected at this storage setting")
 	}
-	if target.Graph.NumTriples() != 4 {
-		t.Errorf("fragment has %d triples, want 4 (2 cities × 2 props)", target.Graph.NumTriples())
+	if target.Size != 4 || target.Edges.Len() != 4 {
+		t.Errorf("fragment has %d triples (size %d), want 4 (2 cities × 2 props)", target.Edges.Len(), target.Size)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestHorizontalCoversHotGraph(t *testing.T) {
 	hc := SplitHotCold(g, w, 2)
 	sel := buildSelection(t, g, w, hc)
 	fr := Horizontal(sel, w, hc, HorizontalOptions{})
-	if missing := fr.CoversHotGraph(); len(missing) != 0 {
+	if missing := coversHotGraph(fr); len(missing) != 0 {
 		for _, m := range missing {
 			t.Logf("missing: %s", g.TripleString(m))
 		}
@@ -201,7 +201,7 @@ func TestHorizontalSplitsByConstant(t *testing.T) {
 	// not share matched triples for the constrained vertex... weaker but
 	// checkable: fragments are non-empty.
 	for _, f := range fr.Fragments {
-		if f.Graph.NumTriples() == 0 {
+		if f.Size == 0 || f.Edges.Len() == 0 {
 			t.Errorf("empty fragment %d survived", f.ID)
 		}
 	}

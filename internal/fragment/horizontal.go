@@ -56,26 +56,14 @@ func Horizontal(sel *fap.Selection, workload []*sparql.Graph, hc *HotCold, opts 
 		if len(minterms) == 0 {
 			// No constants in the workload for this pattern: one fragment,
 			// of the edges selection matched it into.
-			g := rdf.NewFrozen(hc.Hot.Dict, sel.MatchedEdges(p, hsn).Triples())
-			if g.NumTriples() == 0 && p.Size() > 1 {
-				continue
-			}
-			fr.Fragments = append(fr.Fragments, &Fragment{
-				ID: len(fr.Fragments), Kind: HorizontalKind, Pattern: p, Graph: g,
-			})
+			fr.add(HorizontalKind, p, nil, sel.MatchedEdges(p, hsn))
 			continue
 		}
 		for _, mt := range minterms {
-			g := match.MatchedGraph(p.Graph, hsn, match.Options{VertexFilter: mt.VertexFilter()})
-			if g.NumTriples() == 0 {
-				continue
-			}
-			fr.Fragments = append(fr.Fragments, &Fragment{
-				ID: len(fr.Fragments), Kind: HorizontalKind, Pattern: p, Minterm: mt, Graph: g,
-			})
+			fr.add(HorizontalKind, p, mt, match.MatchedEdges(p.Graph, hsn, match.Options{VertexFilter: mt.VertexFilter()}))
 		}
 	}
-	fr.Cold = &Fragment{ID: len(fr.Fragments), Kind: ColdKind, Graph: coldGraph(hc)}
+	fr.Cold = coldFragment(hc, len(fr.Fragments))
 	return fr
 }
 

@@ -9,18 +9,18 @@
 // a public interchange format:
 //
 //	gob  {Version}                 one stamp, so any older image is named
-//	gob  header                    counts, patterns, fragment metadata,
-//	                               the TTL schedule
+//	gob  header                    counts, patterns, the fragment
+//	                               manifest, the TTL schedule
 //	gob  {Kinds, Values} ...       the terms in ID order, termChunk a chunk
 //	gob  []uint32 ...              each graph's (S, P, O) IDs, flat,
-//	                               tripleChunk triples a chunk: the global
-//	                               graph, the fragments, the cold fragment
+//	                               tripleChunk triples a chunk: the hot
+//	                               graph, each site's graph, the cold graph
 //	u32  CRC-32C (Castagnoli, little-endian) of every byte before it
 //
-// A deployment holds no global graph: it holds the hot/cold split, whose
-// cold graph is also its cold fragment. The global graph an image carries
-// is the union of the hot and cold graphs, which is the graph the split
-// divided.
+// These are the graphs a deployment holds: the hot/cold split, whose cold
+// graph is also its cold fragment, and one graph per site, the union of
+// its hot fragments. A fragment is an entry of the manifest — ID, kind,
+// pattern, constraints, site and size — and no triples of its own.
 package persist
 
 import (
@@ -47,9 +47,10 @@ import (
 // Version 2 added the WAL checkpoint stamp and the dictionary
 // fingerprint; version 3 streams the terms and triples in chunks behind
 // a header and ends in a CRC trailer; version 4 adds the TTL schedule to
-// the header. Load reads versions 3 and 4: a version 3 image is one with
-// nothing pending.
-const Version = 4
+// the header; version 5 writes the hot graph and each site's graph where
+// version 4 wrote the global graph and each fragment's triples, and the
+// fragments' sizes in the manifest. Load reads versions 4 and 5.
+const Version = 5
 
 // Chunk sizes. A save holds one chunk of each at a time.
 const (
@@ -83,8 +84,12 @@ type header struct {
 	Terms     int
 	FreqProps []uint32
 	Patterns  []PatternDTO
-	Graph     int           // triples of the global graph: hot ∪ cold
-	Fragments []FragmentDTO // the cold fragment, if any, last
+	Graph     int           // version 4: triples of the global graph, hot ∪ cold
+	Fragments []FragmentDTO // the manifest: the cold fragment, if any, last
+	// Graphs counts the triples of each graph the image lists: the hot
+	// graph, each site's, the cold graph. Version 4 counted its sections
+	// in Graph and FragmentDTO.Triples.
+	Graphs []int
 	// Pending and Deadlines are the TTL schedule in (S, P, O) order:
 	// Pending holds each scheduled triple's IDs, flat, and Deadlines its
 	// deadline in Unix microseconds.
@@ -126,15 +131,16 @@ type ConstraintDTO struct {
 	Value  uint32
 }
 
-// FragmentDTO is a fragment's metadata, its site and how many triples
-// of the stream are its.
+// FragmentDTO is a manifest entry: a fragment's metadata, its site and
+// its size.
 type FragmentDTO struct {
 	ID          int
 	Kind        uint8
 	PatternIdx  int // index into header.Patterns; -1 for none
 	Constraints []ConstraintDTO
-	Site        int
-	Triples     int
+	Site        int // -1: a cold fragment not placed yet
+	Size        int // fragment.Fragment.Size
+	Triples     int // version 4: how many triples of the stream are the fragment's
 }
 
 // State is what Load returns, and what Capture pins. HC.Cold is
@@ -154,23 +160,14 @@ type State struct {
 }
 
 // Image is a deployment pinned at one batch boundary for Save: a snapshot
-// of the hot and the cold graph and of each fragment, the dictionary
-// prefix their triples draw on, and the fragments' sites, copied. Writers
-// may go on once Capture returns; nothing Save reads changes under it.
-// Close releases the snapshots.
+// of each of its graphs, the dictionary prefix their triples draw on, and
+// the header, fragment manifest included. Writers may go on once Capture
+// returns; nothing Save reads changes under it. Close releases the
+// snapshots.
 type Image struct {
-	hdr       header
-	dict      *rdf.Dict
-	freqProps map[rdf.ID]bool
-	hot, cold *rdf.Snapshot
-	parts     []part // the fragments, the cold one last
-}
-
-// part is one fragment of an image.
-type part struct {
-	f    *fragment.Fragment // ID, kind, pattern and minterm: fixed once deployed
-	site int
-	sn   *rdf.Snapshot
+	hdr    header
+	dict   *rdf.Dict
+	graphs []*rdf.Snapshot // the hot graph, each site's, the cold graph
 }
 
 // Capture pins st for Save. The caller orders it with st's writer — the
@@ -180,18 +177,22 @@ type part struct {
 // covers every ID they hold.
 func Capture(st *State) *Image {
 	img := &Image{
-		hdr:       header{Sites: st.Sites, Kind: uint8(st.Frag.Kind), WALSeq: st.WALSeq},
-		dict:      st.HC.Hot.Dict,
-		freqProps: st.HC.FreqProps,
-		hot:       st.HC.Hot.Snapshot(),
-		cold:      st.HC.Cold.Snapshot(),
+		hdr:  header{Sites: st.Sites, Kind: uint8(st.Frag.Kind), WALSeq: st.WALSeq},
+		dict: st.HC.Hot.Dict,
 	}
-	for _, f := range st.Frag.Fragments {
-		img.parts = append(img.parts, part{f: f, site: st.Alloc.SiteOf[f.ID], sn: f.Graph.Snapshot()})
+	for _, g := range slices.Concat([]*rdf.Graph{st.HC.Hot}, st.Alloc.Graphs, []*rdf.Graph{st.HC.Cold}) {
+		img.graphs = append(img.graphs, g.Snapshot())
+		img.hdr.Graphs = append(img.hdr.Graphs, img.graphs[len(img.graphs)-1].NumTriples())
 	}
+	frags := st.Frag.Fragments
 	if c := st.Frag.Cold; c != nil {
-		img.parts = append(img.parts, part{f: c, site: st.Alloc.ColdSite, sn: c.Graph.Snapshot()})
+		frags = append(slices.Clip(frags), c)
 	}
+	img.hdr.manifest(frags, st.Alloc.SiteOf)
+	for p := range st.HC.FreqProps {
+		img.hdr.FreqProps = append(img.hdr.FreqProps, uint32(p))
+	}
+	slices.Sort(img.hdr.FreqProps) // equal states encode to equal bytes
 	for _, t := range slices.SortedFunc(maps.Keys(st.Expiry), rdf.CompareSPO) {
 		img.hdr.Pending = append(img.hdr.Pending, uint32(t.S), uint32(t.P), uint32(t.O))
 		img.hdr.Deadlines = append(img.hdr.Deadlines, st.Expiry[t].UnixMicro())
@@ -201,15 +202,47 @@ func Capture(st *State) *Image {
 	return img
 }
 
+// manifest lists the fragments, each at its site (-1: not placed yet),
+// and the patterns they name, each once.
+func (h *header) manifest(frags []*fragment.Fragment, siteOf map[int]int) {
+	patIdx := make(map[string]int)
+	for _, f := range frags {
+		dto := FragmentDTO{ID: f.ID, Kind: uint8(f.Kind), PatternIdx: -1, Site: -1, Size: f.Size}
+		if s, ok := siteOf[f.ID]; ok {
+			dto.Site = s
+		}
+		if p := f.Pattern; p != nil {
+			i, ok := patIdx[p.Code]
+			if !ok {
+				i = len(h.Patterns)
+				patIdx[p.Code] = i
+				pd := PatternDTO{Code: p.Code, Support: p.Support}
+				for _, v := range p.Graph.Verts {
+					pd.Verts = append(pd.Verts, VertexDTO{Var: v.Var, Term: uint32(v.Term)})
+				}
+				for _, e := range p.Graph.Edges {
+					pd.Edges = append(pd.Edges, EdgeDTO{From: e.From, To: e.To, Pred: uint32(e.Pred), PredVar: e.PredVar})
+				}
+				h.Patterns = append(h.Patterns, pd)
+			}
+			dto.PatternIdx = i
+		}
+		if f.Minterm != nil {
+			for _, c := range f.Minterm.Constraints {
+				dto.Constraints = append(dto.Constraints, ConstraintDTO{Vertex: c.Vertex, Equal: c.Equal, Value: uint32(c.Value)})
+			}
+		}
+		h.Fragments = append(h.Fragments, dto)
+	}
+}
+
 // WALSeq is the sequence stamp the image was captured with.
 func (img *Image) WALSeq() uint64 { return img.hdr.WALSeq }
 
 // Close releases the image's snapshots. Idempotent.
 func (img *Image) Close() {
-	img.hot.Close()
-	img.cold.Close()
-	for _, p := range img.parts {
-		p.sn.Close()
+	for _, sn := range img.graphs {
+		sn.Close()
 	}
 }
 
@@ -222,11 +255,11 @@ func Save(w io.Writer, img *Image) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	cw := &crcWriter{w: bw}
 	enc := gob.NewEncoder(cw)
-	hdr := img.header()
+	hdr := &img.hdr
 	if err := enc.Encode(stamp{Version}); err != nil {
 		return fmt.Errorf("persist: encode: %w", err)
 	}
-	if err := enc.Encode(&hdr); err != nil {
+	if err := enc.Encode(hdr); err != nil {
 		return fmt.Errorf("persist: encode: %w", err)
 	}
 	var terms termsDTO
@@ -242,21 +275,8 @@ func Save(w io.Writer, img *Image) error {
 		}
 	}
 	c := &chunks{enc: enc, ids: make([]uint32, 0, 3*tripleChunk)}
-	for t := range union(img.hot, img.cold) {
-		if err := c.add(t); err != nil {
-			return err
-		}
-	}
-	if err := c.end(hdr.Graph); err != nil {
-		return err
-	}
-	for _, p := range img.parts {
-		for t := range p.sn.All() {
-			if err := c.add(t); err != nil {
-				return err
-			}
-		}
-		if err := c.end(p.sn.NumTriples()); err != nil {
+	for i, sn := range img.graphs {
+		if err := c.graph(sn.All(), hdr.Graphs[i]); err != nil {
 			return err
 		}
 	}
@@ -269,80 +289,6 @@ func Save(w io.Writer, img *Image) error {
 	return nil
 }
 
-// header completes the image's header with what the write derives from
-// its fixed parts: the patterns, the fragments' metadata and the counts.
-func (img *Image) header() header {
-	hdr := img.hdr
-	hdr.Graph = fragment.UnionLen(img.hot, img.cold, img.freqProps)
-	for p := range img.freqProps {
-		hdr.FreqProps = append(hdr.FreqProps, uint32(p))
-	}
-	slices.Sort(hdr.FreqProps) // equal states encode to equal bytes
-	patIdx := make(map[string]int)
-	addPattern := func(p *mining.Pattern) int {
-		if p == nil {
-			return -1
-		}
-		if i, ok := patIdx[p.Code]; ok {
-			return i
-		}
-		dto := PatternDTO{Code: p.Code, Support: p.Support}
-		for _, v := range p.Graph.Verts {
-			dto.Verts = append(dto.Verts, VertexDTO{Var: v.Var, Term: uint32(v.Term)})
-		}
-		for _, e := range p.Graph.Edges {
-			dto.Edges = append(dto.Edges, EdgeDTO{From: e.From, To: e.To, Pred: uint32(e.Pred), PredVar: e.PredVar})
-		}
-		patIdx[p.Code] = len(hdr.Patterns)
-		hdr.Patterns = append(hdr.Patterns, dto)
-		return patIdx[p.Code]
-	}
-	for _, p := range img.parts {
-		dto := FragmentDTO{
-			ID:         p.f.ID,
-			Kind:       uint8(p.f.Kind),
-			PatternIdx: addPattern(p.f.Pattern),
-			Site:       p.site,
-			Triples:    p.sn.NumTriples(),
-		}
-		if p.f.Minterm != nil {
-			for _, c := range p.f.Minterm.Constraints {
-				dto.Constraints = append(dto.Constraints, ConstraintDTO{
-					Vertex: c.Vertex, Equal: c.Equal, Value: uint32(c.Value),
-				})
-			}
-		}
-		hdr.Fragments = append(hdr.Fragments, dto)
-	}
-	return hdr
-}
-
-// union yields the triples of two snapshots in (S, P, O) order, a triple
-// both hold once. It walks a and pulls b alongside: the cold graph, the
-// smaller, goes second.
-func union(a, b *rdf.Snapshot) iter.Seq[rdf.Triple] {
-	return func(yield func(rdf.Triple) bool) {
-		next, stop := iter.Pull(b.All())
-		defer stop()
-		u, ok := next()
-		for t := range a.All() {
-			for ; ok && rdf.CompareSPO(u, t) <= 0; u, ok = next() {
-				if u != t && !yield(u) {
-					return
-				}
-			}
-			if !yield(t) {
-				return
-			}
-		}
-		for ; ok; u, ok = next() {
-			if !yield(u) {
-				return
-			}
-		}
-	}
-}
-
 // chunks streams graphs as chunks of flat (S, P, O) IDs through ids, a
 // buffer of one chunk's capacity.
 type chunks struct {
@@ -351,12 +297,24 @@ type chunks struct {
 	n   int // triples of the current graph written so far
 }
 
-func (c *chunks) add(t rdf.Triple) error {
-	c.ids = append(c.ids, uint32(t.S), uint32(t.P), uint32(t.O))
-	if len(c.ids) < cap(c.ids) {
-		return nil
+// graph writes one graph's triples, which the header counted want.
+func (c *chunks) graph(ts iter.Seq[rdf.Triple], want int) error {
+	c.n = 0
+	for t := range ts {
+		c.ids = append(c.ids, uint32(t.S), uint32(t.P), uint32(t.O))
+		if len(c.ids) == cap(c.ids) {
+			if err := c.flush(); err != nil {
+				return err
+			}
+		}
 	}
-	return c.flush()
+	if err := c.flush(); err != nil {
+		return err
+	}
+	if c.n != want {
+		return fmt.Errorf("persist: a graph counted %d triples and listed %d", want, c.n)
+	}
+	return nil
 }
 
 func (c *chunks) flush() error {
@@ -368,19 +326,6 @@ func (c *chunks) flush() error {
 	c.ids = c.ids[:0]
 	if err != nil {
 		return fmt.Errorf("persist: encode: %w", err)
-	}
-	return nil
-}
-
-// end flushes the current graph, which the header counted want triples.
-func (c *chunks) end(want int) error {
-	if err := c.flush(); err != nil {
-		return err
-	}
-	n := c.n
-	c.n = 0
-	if n != want {
-		return fmt.Errorf("persist: a graph counted %d triples and listed %d", want, n)
 	}
 	return nil
 }
@@ -423,10 +368,9 @@ func (c *crcReader) ReadByte() (byte, error) {
 // Load decodes an image and rebuilds the in-memory structures. It checks
 // every count and ID against what the image holds before anything is
 // built from it, and builds nothing until the CRC trailer has matched.
-// The hot graph is the global graph's triples of frequent properties, and
-// the cold graph is the cold fragment's graph — one graph, as
-// fragmentation builds it — or, in an image with no cold fragment, the
-// global graph's other triples.
+// The cold graph is the cold fragment's — one graph, as fragmentation
+// builds it — and each site's graph is the Graph of every hot fragment
+// there.
 func Load(r io.Reader) (*State, error) {
 	cr := &crcReader{r: bufio.NewReaderSize(r, 64<<10)}
 	dec := gob.NewDecoder(cr)
@@ -441,7 +385,11 @@ func Load(r io.Reader) (*State, error) {
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("persist: decode header: %w", err)
 	}
-	patterns, err := hdr.check()
+	v4 := v.Version == 4
+	if v4 {
+		hdr.fromV4()
+	}
+	patterns, err := hdr.check(v4)
 	if err != nil {
 		return nil, err
 	}
@@ -450,13 +398,9 @@ func Load(r io.Reader) (*State, error) {
 		return nil, err
 	}
 	var ids []uint32
-	all, err := readTriples(dec, hdr.Graph, hdr.Terms, &ids)
-	if err != nil {
-		return nil, err
-	}
-	frags := make([][]rdf.Triple, len(hdr.Fragments))
-	for i, fd := range hdr.Fragments {
-		if frags[i], err = readTriples(dec, fd.Triples, hdr.Terms, &ids); err != nil {
+	graphs := make([][]rdf.Triple, len(hdr.Graphs))
+	for i, n := range hdr.Graphs {
+		if graphs[i], err = readTriples(dec, n, hdr.Terms, &ids); err != nil {
 			return nil, err
 		}
 	}
@@ -478,27 +422,29 @@ func Load(r io.Reader) (*State, error) {
 	for _, p := range hdr.FreqProps {
 		freq[rdf.ID(p)] = true
 	}
-	var hot, cold []rdf.Triple
-	for _, t := range all {
-		if freq[t.P] {
-			hot = append(hot, t)
-		} else {
-			cold = append(cold, t)
-		}
+	if v4 {
+		graphs = hdr.graphsV4(graphs, freq)
 	}
-	hc := &fragment.HotCold{Hot: rdf.NewFrozen(dict, hot), FreqProps: freq}
-
+	hc := &fragment.HotCold{
+		Hot:       rdf.NewFrozen(dict, graphs[0]),
+		Cold:      rdf.NewFrozen(dict, graphs[hdr.Sites+1]),
+		FreqProps: freq,
+	}
 	fr := &fragment.Fragmentation{Hot: hc.Hot, Kind: fragment.Kind(hdr.Kind)}
 	alloc := &allocation.Allocation{
 		Sites:    make([][]*fragment.Fragment, hdr.Sites),
 		SiteOf:   make(map[int]int),
 		ColdSite: -1,
+		Graphs:   make([]*rdf.Graph, hdr.Sites),
 	}
-	for i, fd := range hdr.Fragments {
+	for s := range alloc.Graphs {
+		alloc.Graphs[s] = rdf.NewFrozen(dict, graphs[1+s])
+	}
+	for _, fd := range hdr.Fragments {
 		f := &fragment.Fragment{
-			ID:    fd.ID,
-			Kind:  fragment.Kind(fd.Kind),
-			Graph: rdf.NewFrozen(dict, frags[i]),
+			ID:   fd.ID,
+			Kind: fragment.Kind(fd.Kind),
+			Size: fd.Size,
 		}
 		if fd.PatternIdx >= 0 {
 			f.Pattern = patterns[fd.PatternIdx]
@@ -513,19 +459,17 @@ func Load(r io.Reader) (*State, error) {
 			f.Minterm = mt
 		}
 		if f.Kind == fragment.ColdKind {
-			fr.Cold, hc.Cold = f, f.Graph
-			if fd.Triples == 0 {
+			f.Graph, fr.Cold = hc.Cold, f
+			if fd.Site < 0 {
 				continue // placed when the server starts
 			}
 			alloc.ColdSite = fd.Site
 		} else {
+			f.Graph = alloc.Graphs[fd.Site]
 			fr.Fragments = append(fr.Fragments, f)
 		}
 		alloc.Sites[fd.Site] = append(alloc.Sites[fd.Site], f)
 		alloc.SiteOf[fd.ID] = fd.Site
-	}
-	if hc.Cold == nil {
-		hc.Cold = rdf.NewFrozen(dict, cold)
 	}
 	st := &State{HC: hc, Frag: fr, Alloc: alloc, Sites: hdr.Sites, WALSeq: hdr.WALSeq}
 	for i, deadline := range hdr.Deadlines {
@@ -538,14 +482,57 @@ func Load(r io.Reader) (*State, error) {
 	return st, nil
 }
 
+// fromV4 reads a version 4 header as version 5's, but for its sections —
+// the global graph's, then each fragment's — which graphsV4 regroups: a
+// fragment's size is its count, and a cold fragment of no triples is one
+// not placed yet.
+func (h *header) fromV4() {
+	h.Graphs = []int{h.Graph}
+	for i := range h.Fragments {
+		fd := &h.Fragments[i]
+		fd.Size = fd.Triples
+		h.Graphs = append(h.Graphs, fd.Triples)
+		if fragment.Kind(fd.Kind) == fragment.ColdKind && fd.Triples == 0 {
+			fd.Site = -1
+		}
+	}
+}
+
+// graphsV4 lists a version 4 image's graphs as version 5 does: the global
+// graph's triples of frequent properties, each site's hot fragments'
+// triples together — building the graph drops the repeats — and the cold
+// fragment's, or, with none, the global graph's other triples.
+func (h *header) graphsV4(sections [][]rdf.Triple, freq map[rdf.ID]bool) [][]rdf.Triple {
+	graphs := make([][]rdf.Triple, h.Sites+2)
+	for _, t := range sections[0] {
+		if freq[t.P] {
+			graphs[0] = append(graphs[0], t)
+		} else {
+			graphs[h.Sites+1] = append(graphs[h.Sites+1], t)
+		}
+	}
+	for i, fd := range h.Fragments {
+		if fragment.Kind(fd.Kind) == fragment.ColdKind {
+			graphs[h.Sites+1] = sections[1+i]
+		} else {
+			graphs[1+fd.Site] = append(graphs[1+fd.Site], sections[1+i]...)
+		}
+	}
+	return graphs
+}
+
 // check refuses a header whose counts, indexes or IDs reach past what the
-// image holds, and rebuilds its patterns.
-func (h *header) check() ([]*mining.Pattern, error) {
+// image holds, and rebuilds its patterns. A version 4 header comes to it
+// through fromV4.
+func (h *header) check(v4 bool) ([]*mining.Pattern, error) {
 	if h.Sites < 1 || h.Sites > maxSites {
 		return nil, fmt.Errorf("persist: %d sites", h.Sites)
 	}
-	if h.Terms < 0 || h.Graph < 0 {
-		return nil, fmt.Errorf("persist: negative count (%d terms, %d triples)", h.Terms, h.Graph)
+	if !v4 && len(h.Graphs) != h.Sites+2 {
+		return nil, fmt.Errorf("persist: %d graphs for %d sites", len(h.Graphs), h.Sites)
+	}
+	if h.Terms < 0 || slices.ContainsFunc(h.Graphs, func(n int) bool { return n < 0 }) {
+		return nil, fmt.Errorf("persist: negative count (%d terms, graphs of %v triples)", h.Terms, h.Graphs)
 	}
 	if len(h.Pending) != 3*len(h.Deadlines) {
 		return nil, fmt.Errorf("persist: %d pending IDs for %d deadlines", len(h.Pending), len(h.Deadlines))
@@ -580,14 +567,14 @@ func (h *header) check() ([]*mining.Pattern, error) {
 			return nil, fmt.Errorf("persist: fragment ID %d appears twice", fd.ID)
 		}
 		seen[fd.ID] = true
-		if fd.Triples < 0 {
-			return nil, fmt.Errorf("persist: fragment %d has %d triples", fd.ID, fd.Triples)
+		if fd.Size < 0 {
+			return nil, fmt.Errorf("persist: fragment %d has size %d", fd.ID, fd.Size)
 		}
 		cold := fragment.Kind(fd.Kind) == fragment.ColdKind
 		if cold && i < len(h.Fragments)-1 {
 			return nil, fmt.Errorf("persist: cold fragment %d is not the last", fd.ID)
 		}
-		if (!cold || fd.Triples > 0) && (fd.Site < 0 || fd.Site >= h.Sites) {
+		if (!cold || fd.Site != -1) && (fd.Site < 0 || fd.Site >= h.Sites) {
 			return nil, fmt.Errorf("persist: fragment %d has invalid site %d", fd.ID, fd.Site)
 		}
 		if fd.PatternIdx < -1 || fd.PatternIdx >= len(patterns) {

@@ -26,10 +26,19 @@ func buildState(t testing.TB, horizontal bool) *State {
 
 func stateOf(t testing.TB, o testenv.Options) *State {
 	t.Helper()
+	return stateOfEnv(buildEnv(t, o))
+}
+
+func buildEnv(t testing.TB, o testenv.Options) *testenv.Env {
+	t.Helper()
 	env, err := testenv.Build(o)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
+	return env
+}
+
+func stateOfEnv(env *testenv.Env) *State {
 	return &State{
 		HC:    env.HC,
 		Frag:  env.Frag,
@@ -64,10 +73,10 @@ func load(t testing.TB, b []byte) *State {
 type image struct {
 	hdr    header
 	terms  []termsDTO
-	graphs [][]uint32 // the global graph's IDs, then each fragment's
+	graphs [][]uint32 // the hot graph's IDs, then each site's graph's and the cold graph's
 }
 
-func decodeImage(t *testing.T, b []byte) *image {
+func decodeImage(t testing.TB, b []byte) *image {
 	t.Helper()
 	dec := gob.NewDecoder(bytes.NewReader(b))
 	var v stamp
@@ -86,11 +95,7 @@ func decodeImage(t *testing.T, b []byte) *image {
 		n += len(c.Kinds)
 		im.terms = append(im.terms, c)
 	}
-	counts := []int{im.hdr.Graph}
-	for _, fd := range im.hdr.Fragments {
-		counts = append(counts, fd.Triples)
-	}
-	for _, n := range counts {
+	for _, n := range im.hdr.Graphs {
 		var ids []uint32
 		for len(ids) < 3*n {
 			var c []uint32
@@ -110,7 +115,7 @@ func (im *image) encode(t *testing.T) []byte {
 }
 
 // encodeAs is encode with the stamp and the header given.
-func (im *image) encodeAs(t *testing.T, v stamp, hdr any) []byte {
+func (im *image) encodeAs(t testing.TB, v stamp, hdr any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	cw := &crcWriter{w: &buf}
@@ -149,10 +154,15 @@ func TestRoundTripStructure(t *testing.T) {
 		if got.Frag.Kind != st.Frag.Kind {
 			t.Errorf("kind %v vs %v", got.Frag.Kind, st.Frag.Kind)
 		}
+		for s, g := range st.Alloc.Graphs {
+			if !slices.Equal(got.Alloc.Graphs[s].Triples(), g.Triples()) {
+				t.Errorf("horizontal=%v: site %d's graph drifted: %d triples, saved %d", horizontal, s, got.Alloc.Graphs[s].NumTriples(), g.NumTriples())
+			}
+		}
 		for i, f := range st.Frag.Fragments {
 			g := got.Frag.Fragments[i]
-			if g.ID != f.ID || !slices.Equal(g.Graph.Triples(), f.Graph.Triples()) {
-				t.Errorf("fragment %d drifted", f.ID)
+			if g.ID != f.ID || g.Size != f.Size || g.Graph != got.Alloc.Graphs[got.Alloc.SiteOf[g.ID]] {
+				t.Errorf("fragment %d drifted, or is not stored in its site's graph", f.ID)
 			}
 			if (g.Minterm == nil) != (f.Minterm == nil) {
 				t.Errorf("fragment %d minterm presence drifted", f.ID)
@@ -297,10 +307,10 @@ func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 
 // TestLoadKeepsOneColdGraph: a deployment's cold graph is its cold
 // fragment's graph, and a hot triple that completed no pattern match sits
-// in it beside the hot graph. The image's global graph holds that triple
-// once, and Load links the cold graph and the cold fragment as
-// fragmentation does — one graph, not a copy of the cold triples each —
-// so the loaded state saves to the same bytes.
+// in it beside the hot graph. The image lists the hot and the cold graph,
+// each with the triple, and Load links the cold graph and the cold
+// fragment as fragmentation does — one graph, not a copy of the cold
+// triples each — so the loaded state saves to the same bytes.
 func TestLoadKeepsOneColdGraph(t *testing.T) {
 	for _, horizontal := range []bool{false, true} {
 		st := buildState(t, horizontal)
@@ -315,8 +325,8 @@ func TestLoadKeepsOneColdGraph(t *testing.T) {
 		st.HC.Hot.Add(parked)
 		st.HC.Cold.Add(parked)
 		saved := save(t, st)
-		if n, want := decodeImage(t, saved).hdr.Graph, st.HC.Hot.NumTriples()+st.HC.Cold.NumTriples()-1; n != want {
-			t.Errorf("horizontal=%v: the global graph holds %d triples, want %d", horizontal, n, want)
+		if g := decodeImage(t, saved).hdr.Graphs; g[0] != st.HC.Hot.NumTriples() || g[len(g)-1] != st.HC.Cold.NumTriples() {
+			t.Errorf("horizontal=%v: the image counts %v triples, the hot and cold graphs hold %d and %d", horizontal, g, st.HC.Hot.NumTriples(), st.HC.Cold.NumTriples())
 		}
 		got := load(t, saved)
 		if got.HC.Cold != got.Frag.Cold.Graph {
@@ -329,13 +339,12 @@ func TestLoadKeepsOneColdGraph(t *testing.T) {
 			t.Errorf("horizontal=%v: the loaded state saves to other bytes", horizontal)
 		}
 
-		// An image with no cold fragment takes its cold graph from the
-		// global graph: its triples of properties that are not frequent.
+		// An image with no cold fragment still lists the cold graph.
 		im := decodeImage(t, saved)
-		im.hdr.Fragments, im.graphs = im.hdr.Fragments[:len(im.hdr.Fragments)-1], im.graphs[:len(im.graphs)-1]
+		im.hdr.Fragments = im.hdr.Fragments[:len(im.hdr.Fragments)-1]
 		got = load(t, im.encode(t))
-		if got.Frag.Cold != nil || got.HC.Cold.Has(parked) || got.HC.Cold.NumTriples() != st.HC.Cold.NumTriples()-1 {
-			t.Errorf("horizontal=%v: with no cold fragment, the cold graph loaded %d triples, want the %d of cold properties", horizontal, got.HC.Cold.NumTriples(), st.HC.Cold.NumTriples()-1)
+		if got.Frag.Cold != nil || !slices.Equal(got.HC.Cold.Triples(), st.HC.Cold.Triples()) {
+			t.Errorf("horizontal=%v: with no cold fragment, the cold graph loaded %d triples, want %d", horizontal, got.HC.Cold.NumTriples(), st.HC.Cold.NumTriples())
 		}
 	}
 }
@@ -374,9 +383,19 @@ func mustLookup(t *testing.T, d *rdf.Dict, iri string) rdf.ID {
 	return id
 }
 
-// headerV3 is a version 3 image's header: this version's without the TTL
-// schedule.
-type headerV3 struct {
+// fragmentV4 and headerV4 are a version 4 image's manifest entry and
+// header: an entry counts the triples of the fragment's own section and
+// has no size, and no header counts the sites' sections.
+type fragmentV4 struct {
+	ID          int
+	Kind        uint8
+	PatternIdx  int
+	Constraints []ConstraintDTO
+	Site        int
+	Triples     int
+}
+
+type headerV4 struct {
 	Sites     int
 	Kind      uint8
 	WALSeq    uint64
@@ -385,27 +404,75 @@ type headerV3 struct {
 	FreqProps []uint32
 	Patterns  []PatternDTO
 	Graph     int
-	Fragments []FragmentDTO
+	Fragments []fragmentV4
+	Pending   []uint32
+	Deadlines []int64
+}
+
+// imageV4 writes env's deployment as version 4 did: the global graph,
+// the hot and cold graphs' union, then a section of each fragment's own
+// triples, the cold fragment's last.
+func imageV4(t testing.TB, env *testenv.Env) []byte {
+	t.Helper()
+	im := decodeImage(t, save(t, stateOfEnv(env)))
+	h := im.hdr
+	global := slices.Concat(env.HC.Hot.Triples(), env.HC.Cold.Triples())
+	slices.SortFunc(global, rdf.CompareSPO)
+	global = slices.Compact(global)
+	v4 := headerV4{h.Sites, h.Kind, h.WALSeq, h.DictFP, h.Terms, h.FreqProps, h.Patterns, len(global), nil, h.Pending, h.Deadlines}
+	im.graphs = [][]uint32{flat(global)}
+	for i, fd := range h.Fragments {
+		own := env.HC.Cold.Triples()
+		if i < len(env.Own) {
+			own = env.Own[i]
+		}
+		v4.Fragments = append(v4.Fragments, fragmentV4{fd.ID, fd.Kind, fd.PatternIdx, fd.Constraints, fd.Site, len(own)})
+		im.graphs = append(im.graphs, flat(own))
+	}
+	return im.encodeAs(t, stamp{4}, &v4)
+}
+
+// flat lists triples as the image does, three IDs a triple.
+func flat(ts []rdf.Triple) []uint32 {
+	var ids []uint32
+	for _, tr := range ts {
+		ids = append(ids, uint32(tr.S), uint32(tr.P), uint32(tr.O))
+	}
+	return ids
+}
+
+// TestLoadV4BuildsTheSiteGraphs: a version 4 image, which lists each
+// fragment's triples, loads into the site graphs a fresh deployment
+// places — its fragments' triples unioned, each once — with each
+// fragment's count as its size, so it saves to the version 5 bytes of
+// the fresh deployment.
+func TestLoadV4BuildsTheSiteGraphs(t *testing.T) {
+	for _, horizontal := range []bool{false, true} {
+		env := buildEnv(t, testenv.Options{Horizontal: horizontal})
+		got := load(t, imageV4(t, env))
+		for s, g := range env.Alloc.Graphs {
+			if !slices.Equal(got.Alloc.Graphs[s].Triples(), g.Triples()) {
+				t.Errorf("horizontal=%v: site %d loaded %d triples from a v4 image, a deployment places %d", horizontal, s, got.Alloc.Graphs[s].NumTriples(), g.NumTriples())
+			}
+		}
+		for i, f := range got.Frag.Fragments {
+			if f.Size != env.Frag.Fragments[i].Size || f.Graph != got.Alloc.Graphs[got.Alloc.SiteOf[f.ID]] {
+				t.Errorf("horizontal=%v: fragment %d loaded size %d, want %d, or is not stored in its site's graph", horizontal, f.ID, f.Size, env.Frag.Fragments[i].Size)
+			}
+		}
+		if !bytes.Equal(save(t, got), save(t, stateOfEnv(env))) {
+			t.Errorf("horizontal=%v: a v4 image loads into a state that saves to other bytes than the deployment's", horizontal)
+		}
+	}
 }
 
 // TestVersionMismatch: an image of another format version is refused by
-// name — a version 2 checkpoint, one gob value of the whole deployment
-// written before the stream, and a version from the future — while a
-// version 3 image, the stream before the header carried a TTL schedule,
-// loads as one with nothing pending.
+// name — a version 3 stream, whose header carried no TTL schedule, a
+// version 2 checkpoint, one gob value of the whole deployment written
+// before the stream, and a version from the future.
 func TestVersionMismatch(t *testing.T) {
-	saved := save(t, buildState(t, false))
-	im := decodeImage(t, saved)
-	h := im.hdr
-	st, err := Load(bytes.NewReader(im.encodeAs(t, stamp{3}, &headerV3{
-		h.Sites, h.Kind, h.WALSeq, h.DictFP, h.Terms, h.FreqProps, h.Patterns, h.Graph, h.Fragments,
-	})))
-	if err != nil {
-		t.Fatalf("a v3 image did not load: %v", err)
-	}
-	if st.Expiry != nil || !bytes.Equal(save(t, st), saved) {
-		t.Fatalf("a v3 image loaded with schedule %v, or saves to other bytes than the v4 image of its state", st.Expiry)
-	}
+	im := decodeImage(t, save(t, buildState(t, false)))
+	v3 := im.encodeAs(t, stamp{3}, &im.hdr)
 
 	type termV2 struct {
 		Kind  uint8
@@ -445,8 +512,9 @@ func TestVersionMismatch(t *testing.T) {
 		image []byte
 		names []string
 	}{
-		{v2.Bytes(), []string{"v2", "v3", "v4"}},
-		{v99.Bytes(), []string{"v99", "v3", "v4"}},
+		{v3, []string{"v3", "v4", "v5"}},
+		{v2.Bytes(), []string{"v2", "v4", "v5"}},
+		{v99.Bytes(), []string{"v99", "v4", "v5"}},
 	} {
 		_, err := Load(bytes.NewReader(c.image))
 		if err == nil {
@@ -492,7 +560,7 @@ func TestLoadRefusesWhatTheImageDoesNotHold(t *testing.T) {
 		{"constraint on a vertex the pattern lacks", func(im *image) { im.hdr.Fragments[minterm].Constraints[0].Vertex = 99 }, "vertex"},
 		{"constraint value past the terms", func(im *image) { im.hdr.Fragments[minterm].Constraints[0].Value = uint32(im.hdr.Terms) }, "term count"},
 		{"triple ID past the terms", func(im *image) { im.graphs[0][0] = uint32(im.hdr.Terms) }, "term count"},
-		{"fragment triple ID past the terms", func(im *image) { im.graphs[1][2] = uint32(im.hdr.Terms) }, "term count"},
+		{"site triple ID past the terms", func(im *image) { im.graphs[1+im.hdr.Fragments[0].Site][2] = uint32(im.hdr.Terms) }, "term count"},
 		{"frequent property past the terms", func(im *image) { im.hdr.FreqProps[0] = uint32(im.hdr.Terms) }, "term count"},
 		{"pattern edge past its vertices", func(im *image) { im.hdr.Patterns[0].Edges[0].To = len(im.hdr.Patterns[0].Verts) }, "vertices"},
 		{"pattern constant past the terms", func(im *image) {
@@ -501,19 +569,23 @@ func TestLoadRefusesWhatTheImageDoesNotHold(t *testing.T) {
 		{"no sites", func(im *image) { im.hdr.Sites = 0 }, "sites"},
 		{"a billion sites", func(im *image) { im.hdr.Sites = 1 << 30 }, "sites"},
 		{"fragment ID twice", func(im *image) { im.hdr.Fragments[1].ID = im.hdr.Fragments[0].ID }, "twice"},
-		{"negative triple count", func(im *image) { im.hdr.Fragments[0].Triples = -1; im.graphs[1] = nil }, "triples"},
-		{"cold fragment on no site", func(im *image) { im.hdr.Fragments[len(im.hdr.Fragments)-1].Site = -1 }, "invalid site"},
+		{"negative triple count", func(im *image) { im.hdr.Graphs[1] = -1; im.graphs[1] = nil }, "triples"},
+		{"a site's graph missing", func(im *image) {
+			im.hdr.Graphs, im.graphs = slices.Delete(im.hdr.Graphs, 1, 2), slices.Delete(im.graphs, 1, 2)
+		}, "graphs for"},
+		{"negative size", func(im *image) { im.hdr.Fragments[0].Size = -1 }, "size"},
+		{"hot fragment on no site", func(im *image) { im.hdr.Fragments[0].Site = -1 }, "invalid site"},
+		{"cold fragment past the sites", func(im *image) { im.hdr.Fragments[len(im.hdr.Fragments)-1].Site = im.hdr.Sites }, "invalid site"},
 		{"cold fragment not last", func(im *image) {
-			fs, gs := im.hdr.Fragments, im.graphs
+			fs := im.hdr.Fragments
 			fs[len(fs)-1], fs[len(fs)-2] = fs[len(fs)-2], fs[len(fs)-1]
-			gs[len(gs)-1], gs[len(gs)-2] = gs[len(gs)-2], gs[len(gs)-1]
 		}, "not the last"},
 		{"term of no kind", func(im *image) { im.terms[0].Kinds[0] = 9 }, "kind"},
 		{"term repeated", func(im *image) {
 			im.terms[0].Values[1], im.terms[0].Kinds[1] = im.terms[0].Values[0], im.terms[0].Kinds[0]
 		}, "diverged"},
-		{"more triples than counted", func(im *image) { im.hdr.Graph-- }, "chunk"},
-		{"fewer triples than counted", func(im *image) { im.hdr.Graph += tripleChunk }, "decode triples"},
+		{"more triples than counted", func(im *image) { im.hdr.Graphs[0]-- }, "chunk"},
+		{"fewer triples than counted", func(im *image) { im.hdr.Graphs[0] += tripleChunk }, "decode triples"},
 	} {
 		im := decodeImage(t, saved)
 		c.alter(im)
@@ -606,7 +678,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // a checkpoint's disk filling up — fails Save, whose image is then never
 // renamed into place.
 func TestSaveReportsWriteErrors(t *testing.T) {
-	st := stateOf(t, testenv.Options{Persons: 2000})
+	st := stateOf(t, testenv.Options{Persons: 3000})
 	size := len(save(t, st))
 	if size < 4<<16 {
 		t.Fatalf("setup: a %d-byte image fits the write buffer", size)
@@ -614,7 +686,7 @@ func TestSaveReportsWriteErrors(t *testing.T) {
 	img := Capture(st)
 	defer img.Close()
 	fails := []int{0, size / 2, size - 1}
-	for n := 1 << 16; n < size; n += 1 << 16 { // each buffer's worth: terms, the global graph, the fragments
+	for n := 1 << 16; n < size; n += 1 << 16 { // each buffer's worth: terms, the global graph, the sites
 		fails = append(fails, n)
 	}
 	for _, n := range fails {
@@ -681,12 +753,14 @@ func TestExpiryRoundTrips(t *testing.T) {
 // FuzzLoad: whatever the bytes, Load does not panic, does not allocate
 // from a count the bytes do not back, and accepts no image whose CRC
 // trailer fails; what it accepts saves and loads again. The seeds are
-// images of six-person deployments, one with a TTL schedule pending: a
-// fuzzer minimizes what it finds
-// byte by byte, so small seeds keep it fuzzing.
+// images of six-person deployments, version 5 and version 4, and one
+// with a TTL schedule pending: a fuzzer minimizes what it finds byte by
+// byte, so small seeds keep it fuzzing.
 func FuzzLoad(f *testing.F) {
 	for _, horizontal := range []bool{false, true} {
-		st := stateOf(f, testenv.Options{Persons: 6, Horizontal: horizontal})
+		env := buildEnv(f, testenv.Options{Persons: 6, Horizontal: horizontal})
+		f.Add(imageV4(f, env))
+		st := stateOfEnv(env)
 		f.Add(save(f, st))
 		if horizontal {
 			st.Expiry = map[rdf.Triple]time.Time{st.HC.Hot.Triples()[0]: time.UnixMicro(1_700_000_000_000_000)}
@@ -704,47 +778,4 @@ func FuzzLoad(f *testing.F) {
 		}
 		load(t, save(t, st))
 	})
-}
-
-// TestUnionMergesInOrder: the global graph Save writes is the hot and
-// cold snapshots merged in (S, P, O) order, a triple both hold once,
-// whichever side runs out first — and the merge stops where its reader
-// stops.
-func TestUnionMergesInOrder(t *testing.T) {
-	tr := func(s rdf.ID) rdf.Triple { return rdf.Triple{S: s, P: 1, O: 2} }
-	for _, c := range []struct{ a, b, want []rdf.ID }{
-		{[]rdf.ID{1, 3, 5}, []rdf.ID{0, 3, 4, 6}, []rdf.ID{0, 1, 3, 4, 5, 6}},
-		{[]rdf.ID{0, 3, 4, 6}, []rdf.ID{1, 3, 5}, []rdf.ID{0, 1, 3, 4, 5, 6}},
-		{nil, []rdf.ID{2}, []rdf.ID{2}},
-		{[]rdf.ID{2}, nil, []rdf.ID{2}},
-	} {
-		snap := func(ids []rdf.ID) *rdf.Snapshot {
-			var ts []rdf.Triple
-			for _, id := range ids {
-				ts = append(ts, tr(id))
-			}
-			return rdf.NewFrozen(nil, ts).Snapshot()
-		}
-		a, b := snap(c.a), snap(c.b)
-		var want []rdf.Triple
-		for _, id := range c.want {
-			want = append(want, tr(id))
-		}
-		if got := slices.Collect(union(a, b)); !slices.Equal(got, want) {
-			t.Errorf("union of %v and %v = %v, want %v", c.a, c.b, got, want)
-		}
-		for stop := range want {
-			var got []rdf.Triple
-			for t := range union(a, b) {
-				if got = append(got, t); len(got) > stop {
-					break
-				}
-			}
-			if !slices.Equal(got, want[:stop+1]) {
-				t.Errorf("union of %v and %v stopped after %d: %v", c.a, c.b, stop+1, got)
-			}
-		}
-		a.Close()
-		b.Close()
-	}
 }

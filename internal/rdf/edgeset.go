@@ -52,6 +52,11 @@ func (e *EdgeSet) normalize() {
 	e.clean = len(e.extra)
 }
 
+// Clone returns a set of its own with e's members, over e's snapshot.
+func (e *EdgeSet) Clone() *EdgeSet {
+	return &EdgeSet{s: e.s, bits: slices.Clone(e.bits), extra: slices.Clone(e.extra), clean: e.clean}
+}
+
 // Union adds every member of o, a set over the same snapshot.
 func (e *EdgeSet) Union(o *EdgeSet) {
 	for i, w := range o.bits {

@@ -220,7 +220,12 @@ func TestEdgeSet(t *testing.T) {
 				}
 			}
 		}
+		c := b.Clone()
 		a.Union(b)
+		b.Add(base[0])
+		if c.Len() != len(members)/2 || !a.Of(c.s) {
+			t.Errorf("%s: a clone of a set of %d holds %d, or moved with its original", name, len(members)/2, c.Len())
+		}
 		want := slices.Clone(members)
 		slices.SortFunc(want, CompareSPO)
 		if a.Len() != len(want) || !slices.Equal(a.Triples(), want) {

@@ -6,7 +6,7 @@ import (
 )
 
 // ViewSource publishes batch-atomic read views over a set of graphs
-// (the deployment's global graph, hot/cold split and fragment graphs).
+// (a deployment's sites' graphs and its cold graph).
 // The single writer calls Publish after each update batch, capturing a
 // consistent (generation, delta length) cut of every registered graph;
 // queries call Acquire to pin the latest published view lock-free. This

@@ -60,8 +60,8 @@ func testApply(env *testenv.Env) func(b serve.Batch) (serve.UpdateStats, error) 
 			} else {
 				env.HC.Cold.Delete(t)
 			}
-			for _, f := range env.Frag.Fragments {
-				f.Graph.Delete(t)
+			for _, g := range env.Alloc.Graphs {
+				g.Delete(t)
 			}
 			env.Frag.Cold.Graph.Delete(t)
 		}

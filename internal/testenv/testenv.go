@@ -26,6 +26,9 @@ type Env struct {
 	Frag     *fragment.Fragmentation
 	Alloc    *allocation.Allocation
 	Dict     *dict.Dictionary
+	// Own lists each hot fragment's own triples, in Frag.Fragments
+	// order, read from its edge set before placement dropped it.
+	Own [][]rdf.Triple
 }
 
 // Graph builds a philosopher-style graph with hot and cold properties:
@@ -142,6 +145,9 @@ func BuildFrom(g *rdf.Graph, workload []*sparql.Graph, o Options) (*Env, error) 
 		env.Frag = fragment.Horizontal(sel, env.Workload, env.HC, fragment.HorizontalOptions{})
 	} else {
 		env.Frag = fragment.Vertical(sel, env.HC)
+	}
+	for _, f := range env.Frag.Fragments {
+		env.Own = append(env.Own, f.Edges.Triples())
 	}
 	env.Alloc = allocation.Allocate(env.Frag, env.Workload, o.Sites)
 	env.Dict = dict.Build(env.Frag, env.Alloc, env.Workload)

@@ -109,10 +109,7 @@ type outcome struct {
 // redelivered and downstream dedup absorbs it).
 func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, batchSize int, sink cluster.BatchSink) error {
 	c.calls.Add(1)
-	wire, err := encodeRequest(req, c.cfg.Dict, batchSize)
-	if err != nil {
-		return err
-	}
+	wire := encodeRequest(req, c.cfg.Dict, batchSize)
 	if err := c.breaker.Allow(); err != nil {
 		c.fastFails.Add(1)
 		c.failures.Add(1)

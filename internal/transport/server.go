@@ -21,7 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"rdffrag/internal/cluster"
@@ -37,7 +37,7 @@ var errCutInjected = errors.New("transport: injected stream cut")
 
 // ServerConfig configures a SiteServer.
 type ServerConfig struct {
-	// Cluster holds the fragment graphs this process serves.
+	// Cluster holds the graphs of the sites this process serves.
 	Cluster *cluster.Cluster
 	// Dict is the deployment dictionary queries are decoded through.
 	Dict *rdf.Dict
@@ -266,50 +266,41 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	if batch <= 0 {
 		batch = cluster.DefaultBatchSize
 	}
-	frags := append([]int(nil), wire.Frags...)
-	sort.Ints(frags)
-
-	// Fragments evaluate one at a time in sorted order with the
-	// deterministic matcher: the batch sequence is then reproducible
-	// across attempts, which is what makes `skip` sound. (The
-	// parallelism budget still fans out morsel workers inside each
-	// fragment — determinism costs ordering, not parallel matching.)
+	// The site's graphs evaluate one at a time, in the order the sorted
+	// fragment IDs first name them, with the deterministic matcher: the
+	// batch sequence is then reproducible across attempts, which is what
+	// makes `skip` sound. (The parallelism budget still fans out morsel
+	// workers inside each graph — determinism costs ordering, not parallel
+	// matching.)
+	req := cluster.EvalRequest{
+		SiteID:        wire.Site,
+		FragIDs:       slices.Sorted(slices.Values(wire.Frags)),
+		Query:         q,
+		Parallelism:   wire.Parallelism,
+		Deterministic: true,
+	}
 	seq := 0
-	var streamErr error
-	for _, fid := range frags {
-		req := cluster.EvalRequest{
-			SiteID:        wire.Site,
-			FragIDs:       []int{fid},
-			Query:         q,
-			Parallelism:   wire.Parallelism,
-			Deterministic: true,
+	streamErr := s.cfg.Cluster.EvalStream(r.Context(), req, batch, func(b *match.Bindings) error {
+		if seq < skip {
+			seq++
+			return nil
 		}
-		err := s.cfg.Cluster.EvalStream(r.Context(), req, batch, func(b *match.Bindings) error {
-			if seq < skip {
-				seq++
-				return nil
-			}
-			switch s.cfg.Chaos.OnBatch() {
-			case cluster.FaultCut:
-				return errCutInjected
-			case cluster.FaultDelay:
-				if err := s.cfg.Chaos.StragglerWait(r.Context(), len(b.Rows)*4); err != nil {
-					return err
-				}
-			}
-			if err := write(&frame{K: "b", Seq: seq, Vars: b.Vars, Rows: rowsOf(b)}); err != nil {
+		switch s.cfg.Chaos.OnBatch() {
+		case cluster.FaultCut:
+			return errCutInjected
+		case cluster.FaultDelay:
+			if err := s.cfg.Chaos.StragglerWait(r.Context(), len(b.Rows)*4); err != nil {
 				return err
 			}
-			seq++
-			s.batches.Add(1)
-			s.rows.Add(uint64(b.Len()))
-			return nil
-		})
-		if err != nil {
-			streamErr = err
-			break
 		}
-	}
+		if err := write(&frame{K: "b", Seq: seq, Vars: b.Vars, Rows: rowsOf(b)}); err != nil {
+			return err
+		}
+		seq++
+		s.batches.Add(1)
+		s.rows.Add(uint64(b.Len()))
+		return nil
+	})
 
 	switch {
 	case streamErr == nil:

@@ -175,15 +175,6 @@ func TestQueryConstantRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeRequestRejectsFilter(t *testing.T) {
-	_, d, q := newTestCluster(t, 2)
-	req := testRequest(q)
-	req.Filter = func(int, rdf.ID) bool { return true }
-	if _, err := encodeRequest(req, d, 4); err == nil {
-		t.Fatal("encodeRequest accepted a vertex filter")
-	}
-}
-
 // Dropped and errored requests are retried until the call succeeds, and
 // the client's retry counter reconciles exactly with the number of
 // faults the server injected.

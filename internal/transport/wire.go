@@ -287,14 +287,8 @@ func decodeQuery(wq wireQuery, d *rdf.Dict) (*sparql.Graph, error) {
 	return q, nil
 }
 
-// encodeRequest builds the wire form of an EvalRequest. Vertex filters
-// are function values and cannot travel; the engine's streaming path
-// never sets one, so this is a programming-error guard, not a runtime
-// path.
-func encodeRequest(req cluster.EvalRequest, d *rdf.Dict, batchSize int) (*evalWire, error) {
-	if req.Filter != nil {
-		return nil, fmt.Errorf("transport: vertex filters cannot be serialized to remote sites")
-	}
+// encodeRequest builds the wire form of an EvalRequest.
+func encodeRequest(req cluster.EvalRequest, d *rdf.Dict, batchSize int) *evalWire {
 	// Stamp the client dictionary state. Prefix fingerprints are
 	// immutable (the dictionary is append-only), so the stamp stays
 	// valid across every retry of this request.
@@ -307,5 +301,5 @@ func encodeRequest(req cluster.EvalRequest, d *rdf.Dict, batchSize int) (*evalWi
 		Batch:       batchSize,
 		DictLen:     dictLen,
 		DictFP:      d.Fingerprint(dictLen),
-	}, nil
+	}
 }

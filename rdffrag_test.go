@@ -1,6 +1,7 @@
 package rdffrag
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -101,11 +102,16 @@ func TestDeployStats(t *testing.T) {
 	if s.Redundancy < 1 {
 		t.Errorf("redundancy = %f", s.Redundancy)
 	}
+	// The sites store every triple at least once, and a triple two of a
+	// site's fragments share once: no more than the fragments' sizes sum.
+	if s.StoredTriples < s.Triples || float64(s.StoredTriples) > s.Redundancy*float64(s.Triples) {
+		t.Errorf("stored %d triples of %d at redundancy %.2f", s.StoredTriples, s.Triples, s.Redundancy)
+	}
 	if s.WorkloadCoverage <= 0.9 {
 		t.Errorf("coverage = %f", s.WorkloadCoverage)
 	}
-	if !strings.Contains(dep.Describe(), "strategy=vertical") {
-		t.Errorf("Describe = %q", dep.Describe())
+	if d := dep.Describe(); !strings.Contains(d, "strategy=vertical") || !strings.Contains(d, fmt.Sprintf("redundancy=%.2f stored=%d ", s.Redundancy, s.StoredTriples)) {
+		t.Errorf("Describe = %q", d)
 	}
 }
 

@@ -232,8 +232,12 @@ func TestTTLSweeperBesideWritersAndCheckpoints(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if d.Checkpoints() == 0 {
-		t.Fatal("no checkpoint ran beside the writers")
+	// The appends kick checkpoints that run on their own goroutine: one
+	// may still be writing when the writers return.
+	for deadline := time.Now().Add(10 * time.Second); d.Checkpoints() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint ran beside the writers")
+		}
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		var pending int

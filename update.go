@@ -40,11 +40,11 @@ var ErrRemoteSites = errors.New("rdffrag: updates are refused while sites are re
 
 // Update parses an N-Triples document and applies its triples to the live
 // deployment through the server's update path: triples land in the delta
-// overlays of the hot/cold split and the relevant fragment graphs — no
-// rebuild, no re-fragmentation — without blocking in-flight queries,
-// which keep reading the MVCC view they pinned at admission. Queries
-// admitted after Update returns see the new triples. The server's default
-// TTL, if any, stamps them.
+// overlays of the hot/cold split and of the graphs of the sites whose
+// fragments they join — no rebuild, no re-fragmentation — without
+// blocking in-flight queries, which keep reading the MVCC view they
+// pinned at admission. Queries admitted after Update returns see the new
+// triples. The server's default TTL, if any, stamps them.
 func (s *Server) Update(ctx context.Context, ntriples string) (*UpdateResult, error) {
 	return s.apply(ctx, "", ntriples, s.ttl)
 }
@@ -77,7 +77,7 @@ func (s *Server) Sweep() int { return s.inner.Sweep(time.Now()) }
 // Delete parses an N-Triples document and removes its triples from the
 // live deployment through the same serialized writer path as Update:
 // matched triples are tombstoned in the delta overlays of the hot/cold
-// split and every fragment graph, and a fresh MVCC view publishes the
+// split and every site's graph, and a fresh MVCC view publishes the
 // removal atomically — in-flight queries keep the view they pinned.
 // Deleting a triple the deployment never held is a no-op (it does not
 // even intern the unknown terms), so Delete's stats report what actually
@@ -257,12 +257,13 @@ func (dep *Deployment) due(now time.Time) []rdf.Triple {
 // routeTriple places a triple just added to its home graph so every
 // decomposition class finds it. A hot-property triple joins — via
 // incremental pattern maintenance — every fragment whose generating
-// pattern it completes a match of (pattern-routed subqueries read exactly
-// those; fragments may overlap, and the control site dedups). A
+// pattern it completes a match of, which is to say the graph of each
+// site holding such a fragment, once (pattern-routed subqueries read
+// those sites; the control site dedups what two of them find). A
 // cold-property triple is already in the cold fragment, which is the cold
 // graph: cold subqueries read it there, and global subqueries read all
-// fragments, cold included. Fragment graphs keep their CSR — triples land
-// in their delta overlays.
+// fragments, cold included. Site graphs keep their CSR — triples land in
+// their delta overlays.
 func (dep *Deployment) routeTriple(t rdf.Triple) {
 	if dep.hc.FreqProps[t.P] {
 		// The writer matches against its own current state — a snapshot
@@ -290,18 +291,18 @@ func (dep *Deployment) routeTriple(t rdf.Triple) {
 }
 
 // unrouteTriple is routeTriple's inverse for a triple just removed from
-// its home graph: it tombstones t in every fragment graph that may carry
-// it, the cold one included — which is where a hot triple that completed
-// no match was parked. Fragment Delete is a no-op where t never landed,
-// so no placement bookkeeping is needed. Partner triples of pattern
-// matches t used to complete stay in their fragments — a fragment's
-// contents remain a superset of its pattern's current matches, which
+// its home graph: it tombstones t in every site's graph, once, and in the
+// cold graph — which is where a hot triple that completed no match was
+// parked. Delete is a no-op where t never landed, so no placement
+// bookkeeping is needed. Partner triples of pattern matches t used to
+// complete stay in their sites' graphs — a fragment's share of its
+// site's graph remains a superset of its pattern's current matches, which
 // keeps pattern-routed subqueries complete (the control-site join filters
 // non-matches) while every graph stays a subset of what the deployment
 // actually holds: t itself is gone everywhere.
 func (dep *Deployment) unrouteTriple(t rdf.Triple) {
-	for _, f := range dep.frag.Fragments {
-		f.Graph.Delete(t)
+	for _, g := range dep.alloc.Graphs {
+		g.Delete(t)
 	}
 	if dep.frag.Cold != nil {
 		dep.frag.Cold.Graph.Delete(t)
@@ -312,10 +313,11 @@ func (dep *Deployment) unrouteTriple(t rdf.Triple) {
 // new hot triple t: for every pattern edge t can bind, the pattern is
 // anchored on t (the edge's endpoints and predicate replaced by t's
 // constants) and matched against the hot graph, and every triple of
-// every match joins the fragment. Fragment contents are MatchedGraph(P)
-// — matches only, not all property-relevant triples — so this is what
-// pulls in partner triples that were pruned at fragmentation time
-// because they completed no match back then (e.g. a <name> edge whose
+// every match joins the graph storing the fragment, its site's — where a
+// triple the site already holds is a no-op. A fragment is its pattern's
+// matched edges — matches only, not all property-relevant triples — so
+// this is what pulls in partner triples that were pruned at fragmentation
+// time because they completed no match back then (e.g. a <name> edge whose
 // subject only now gained the pattern's other property). It reports
 // whether t completed at least one match (every anchored match contains
 // t itself).

@@ -523,11 +523,11 @@ func TestUpdatesMatchRedeploy(t *testing.T) {
 }
 
 // TestSaveBytesGolden: what Server.Save writes of each oracleRuns
-// deployment, fresh and after each batch, byte for byte — SHA-256s
-// recorded when the deployment still kept the loaded graph whole beside
-// its hot/cold split, whose global section is that graph. The image holds
-// the same global graph as the union of the split, so a checkpoint stays
-// readable by, and identical to, what that build wrote.
+// deployment, fresh and after each batch, byte for byte — SHA-256s of the
+// version 5 image, which stores each site's graph once. Each image the
+// build before it wrote of these runs, as version 4, loads into the same
+// graphs and manifest; the fragment sizes differ once updates have
+// landed, a version 4 image having counted each fragment's graph.
 func TestSaveBytesGolden(t *testing.T) {
 	for _, run := range oracleRuns {
 		for _, strategy := range []Strategy{Vertical, Horizontal} {
@@ -542,53 +542,48 @@ func TestSaveBytesGolden(t *testing.T) {
 }
 
 // goldenSaves maps run/strategy to the SHA-256 of each Save, fresh and
-// after each batch. Every one is what the build that kept the loaded graph
-// wrote, but the predicate-variable run's after its hot batch: that build
-// matched the anchored pattern against the loaded graph, so the pattern's
-// predicate-variable edge pulled Zeno's cold <postalCode> triple into the
-// fragment, which a redeploy does not; matching against the hot graph
-// leaves it out.
+// after each batch.
 var goldenSaves = map[string][]string{
 	"philosophers/vertical": {
-		"c9af695f84ecf220e3dbf2f421a323f5a2dae30b12409e5a042d6b2cc18bc361",
-		"25b5e2c0199f42327e6c6d4e3e386f2d47ffae928b512d9dbdd19f7f23d4bcde",
-		"108b0c2269d72d02d30fc63659c65a5df9b9ffc8bc1cd438f7df048604049398",
-		"2bcae2738e4e9ec165700de445016c56932c66b0a9e0c34450b8d17be7e6dbcb",
-		"2bcae2738e4e9ec165700de445016c56932c66b0a9e0c34450b8d17be7e6dbcb",
-		"553428818a94f02ed7f42cb1f771a2796b383a5b33b39a86314b3854594796a6",
-		"8564065e786f1076c09b4ab61033f3416e4a5d153f37efb62c4a7211ccf372f5",
+		"694b07ec91a22381eaf5a666ecb4315d9ba4087b60d4e44963619dcee8f41206",
+		"39abb666328a39152fc4bb27a8ff7a25941258abae39cce614a340437f8bf252",
+		"009630808f2006c7af235ef64289978a2c3421de571e395b2b3817c3583de89d",
+		"4b58796b9006e5dd0b53f39580d2325461e39ee01b54f64279879c410975a362",
+		"4b58796b9006e5dd0b53f39580d2325461e39ee01b54f64279879c410975a362",
+		"4ab826110c4ebb374ea18345773a0e8f8d5765eeb81cd3769bd0179876818d9e",
+		"b900bdd831265240a6774230f5ac9d66601a22a711b89cdfd203915f06c8db2b",
 	},
 	"philosophers/horizontal": {
-		"b48cc4af220a8ce86c7988ec0c86477285dd5e18a9e9a74c834ec7ce6fe1e62b",
-		"b337086fbd5013e024fc48c48b758d0428838da176357ef2d6f349f02817a5b3",
-		"94f98deef5c2bbb71d3c5f7b06d3eb419fdcad58bf10b5563da691e397993bcf",
-		"c89f96acc7fdd5ae429507f99d6832e42e41afe5684c41c44b8e52352395264b",
-		"c89f96acc7fdd5ae429507f99d6832e42e41afe5684c41c44b8e52352395264b",
-		"7271174b73e0abcb9adbebfae7586dfdf3eac48bf815a12cb8f5640ce40b1c98",
-		"56c3d2302ce7848aecca0ed153e0cfde869396f0fe457c06f2f4eb85b61834ea",
+		"5b182c1590e81144d265eb548958cabc244fd07a3a3506f20743a21e78eaa058",
+		"23a0a169d85e7357942636431d848a7ff287a9714bcdf961590e3957477954d1",
+		"8e6793cdfebae2c708b84d7157ce9250ccb7e60e10cfc96df9bb3c06982f1759",
+		"27f02d220f601ad234f1d714f9b34f509b4f4901cf41170c6427698eba539300",
+		"27f02d220f601ad234f1d714f9b34f509b4f4901cf41170c6427698eba539300",
+		"1226e9d4057bde80c2b45ae578d851fd71beb141d18f920e361669a246f13654",
+		"5b8eabbff3715416cfc4950791600c4a0894c2249c8c44bbd0fd2c28da23902c",
 	},
 	"parked/vertical": {
-		"e6aa11d0566d07782c61d702c8c7fa7837bb0a7a072ffa954c0d6c0aa95c9176",
-		"f4e7f4d84a3ff06a800cadc2a202319ae68b0a06294fd2316fbe5b3c003c6746",
-		"f4e7f4d84a3ff06a800cadc2a202319ae68b0a06294fd2316fbe5b3c003c6746",
-		"0aa8ffb3f2e6cdb1948c92d9bc83170b1dc8cc81d759e33cf642815cf1beb54b",
+		"ea8d526d9c436813239954a28feb269fe71444cb04fe33aea7aa6404309af5b7",
+		"c025053a5ab321713c3f232b48241c6ecb2138920885fc2c580432ef10a8ce54",
+		"c025053a5ab321713c3f232b48241c6ecb2138920885fc2c580432ef10a8ce54",
+		"0a2b90ccefec7665e54bf6210d5c7f79322fbdf4feaaf55bed5205415c57f0da",
 	},
 	"parked/horizontal": {
-		"b32926598e5376b6d8aa05bd38069203cc24ea32cb407a10944f7ddc509f576e",
-		"22fed3f0bcc9f473f2923fc4b9b9869dccdba655e1541d6bc53a7d6644485a08",
-		"22fed3f0bcc9f473f2923fc4b9b9869dccdba655e1541d6bc53a7d6644485a08",
-		"eee856cce10b8f667e4b964bfbf1af9262e8b4dac4c91d280b7897aa0765c022",
+		"b0b80492f085dcfde050256e87b4411699e2222aab15af4bcbfafcc178ed1801",
+		"6688068582626730f53607294d3b22b7d2fdecde80d4f972b8ecd0821e0b93bc",
+		"6688068582626730f53607294d3b22b7d2fdecde80d4f972b8ecd0821e0b93bc",
+		"03afcf6ba4f8880a485fd42d69400f9551480bd3791fdd144443b4421e7d62ca",
 	},
 	"predicate variable/vertical": {
-		"96503d849be52672943f4d762034bab9684322d468d1417f59d5eb3fc6f58227",
-		"18b87b5688569ea7c6d7efa3af5a7f780b6666aa8e0d552add7652d29d48eb42",
-		"b3de5df8cd7509f52e37755f32d088cdc0f25332eef93fc523b55594f6aa4f4f", // d3d5795ee2b61ba6 at the build that kept the loaded graph
-		"d6e820c745edbb6fbbd8aaafd860ac8ff6288c0a7a1e4b56774223eb6a611896",
+		"e74346d1dd220599e9c67f2c53d764e6da3fb4ded744741f2321543d9e73ef91",
+		"f2a6307a924ed3a51008d3a49d8e9130473b5c728d63804b1ced3ade2c454aea",
+		"b986a051d1aa464231dfe1881bb95cba9fec518e5598638ce6c608b6a5798935",
+		"fc4054586f9cc74f0038e2c9445970ef04ebdaa5098d21bf8e4f2c778f25dce9",
 	},
 	"predicate variable/horizontal": {
-		"2057744b3ab20b8cfe2a01ad8cb4451e10b128227f892f597ab8ae34fb08b879",
-		"7adf436fffb7c467e173e1f0fa4dff9c8b0dee3a71a94ac4706f2237e89e82a5",
-		"54971ab11d78fe1e83ca3e5dfa9f523a5b5662eea136b9edafbea3826714e0a4", // 4c3e47ea810a91a8 at the build that kept the loaded graph
-		"d8fd931ee2aa70e5cd66d68ed9b60998e77b463ede24fd7c051b54d7a48623d4",
+		"e48ec4e8ffbf3350edf44ad786a311f5af10329ce5d29e70adf9283cb656fe0d",
+		"9fa484f3b406a39e9312f804b7f7d0270aadaaf057df4c1c68bafddf3d1b19c4",
+		"dfde8271ddca9c10897d79e31c34162c724587c9cd51117b5346265c44e34832",
+		"0f7f03ccf3fbefaebbb670382c7c0d5a217b8f91ce95a73ca9f61d022731d5f1",
 	},
 }
