@@ -56,9 +56,10 @@ type Result struct {
 	// Stats carries execution metrics for the answered query.
 	Stats QueryStats
 
-	ids  []rdf.ID // row-major, len(Vars) to a row; rdf.NoID is unbound
-	n    int      // rows: a zero-variable answer has rows and no IDs
-	text []string // Dict.Rendered(): the renderings the IDs index
+	ids   []rdf.ID        // row-major, len(Vars) to a row; rdf.NoID is unbound
+	n     int             // rows: a zero-variable answer has rows and no IDs
+	text  []string        // Dict.Rendered(): the renderings the IDs index
+	table *match.Bindings // what ids lies in; /query releases it once written
 }
 
 // QueryStats summarizes one query's distributed execution.
@@ -106,9 +107,10 @@ func (dep *Deployment) newResult(q *sparql.Graph, b *match.Bindings, stats *exec
 			Partial:          stats.Partial,
 			UnreachableSites: append([]int(nil), stats.UnreachableSites...),
 		},
-		ids:  b.Rows,
-		n:    b.Len(),
-		text: dep.db.graph.Dict.Rendered(),
+		ids:   b.Rows,
+		n:     b.Len(),
+		text:  dep.db.graph.Dict.Rendered(),
+		table: b,
 	}
 	if len(q.OrderBy) > 0 {
 		b.SortStable(func(i, j int) bool {

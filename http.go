@@ -83,6 +83,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeResult(w, format, res)
+	res.table.Release() // written: nothing reads the answer again
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

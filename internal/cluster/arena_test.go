@@ -162,15 +162,21 @@ func joinInputs(n, batch int) (lv, rv []string, left, right []*match.Bindings) {
 // Go map per side, then 52.3 B copying every row into a chunk store). One
 // goroutine feeds the batches, alternating sides, over unbuffered
 // channels, so the join takes them in that order and keeps every one
-// whichever close it sees first: the figure repeats. The bytes are the
-// output rows (6 B per input row), the two sides' chain links (4 B) and
-// chunk lists and the two slot tables (26 B, with their doublings); one
-// allocation per batch and side is its chain links. The ceilings are the
-// 0.0104 objects and 37.2 B it measures plus 10%.
+// whichever close it sees first: the figure repeats. It was 0.0104
+// objects and 37.2 B — output rows (6 B per input row), the two sides'
+// chain links (4 B) and chunk lists and the two slot tables (26 B, with
+// their doublings), one allocation per batch and side for its links —
+// with ceilings 0.0115 and 41. The links and slot tables now come from
+// match's free list and go back when the join drops a table, so after a
+// first run the second takes them all again: what is left is the output
+// rows (8 B per input row in power-of-two arrays, which the test keeps)
+// and the chunk and batch lists. The ceilings are the 0.0060 objects and
+// 9.1 B it measures plus 10%. Every run gets batches of its own: the join
+// hands back what it receives.
 func TestJoinStreamAllocsPerInputRow(t *testing.T) {
 	const n, batch = 10000, 256
-	lv, rv, lb, rb := joinInputs(n, batch)
 	run := func() (objects, bytes uint64) {
+		lv, rv, lb, rb := joinInputs(n, batch)
 		left, right := make(chan *match.Bindings), make(chan *match.Bindings)
 		out := make(chan *match.Bindings, len(lb)+len(rb))
 		objects, bytes = measureAllocs(func() {
@@ -197,18 +203,23 @@ func TestJoinStreamAllocsPerInputRow(t *testing.T) {
 	objects, bytes := run()
 	perRow, bytesPerRow := float64(objects)/(2*n), float64(bytes)/(2*n)
 	t.Logf("%d allocations (%.4f per input row), %.1f B per input row", objects, perRow, bytesPerRow)
-	if perRow > 0.0115 {
-		t.Errorf("streaming join allocates %.4f objects per input row (%d total), want <= 0.0115", perRow, objects)
+	if perRow > 0.0066 {
+		t.Errorf("streaming join allocates %.4f objects per input row (%d total), want <= 0.0066", perRow, objects)
 	}
-	if bytesPerRow > 41 {
-		t.Errorf("streaming join allocates %.1f B per input row, want <= 41", bytesPerRow)
+	if bytesPerRow > 10 {
+		t.Errorf("streaming join allocates %.1f B per input row, want <= 10", bytesPerRow)
 	}
 }
 
 // TestJoinProbeOnlyAfterClose: once right has closed, 10 000 more left
-// rows cost their output rows and each output batch's Bindings, nothing
-// else — no chain link, no chunk, no slot: left's rows are probed against
-// right's table and let go, and left's own table is gone.
+// rows cost each output batch's Bindings and nothing else — no chain link,
+// no chunk, no slot: left's rows are probed against right's table and
+// handed back, and left's own table is gone. The output rows cost nothing
+// either once the receiver hands each output batch back, as consume does:
+// the next probe takes the same array again, so at most one array of each
+// size the outputs need is allocated (a full batch's and the short last
+// one's). It was 2 objects per output batch and its output rows' bytes
+// before outputs were recycled.
 func TestJoinProbeOnlyAfterClose(t *testing.T) {
 	const n, batch = 10000, 256
 	lv, rv, lb, rb := joinInputs(n, batch)
@@ -221,13 +232,16 @@ func TestJoinProbeOnlyAfterClose(t *testing.T) {
 	s.close(false)
 	right := *s.right
 	var joined, outBatches int
-	var outBytes uint64
+	var arrayBytes uint64 // a full output batch's array and the last one's
 	objects, bytes := measureAllocs(func() {
-		for _, b := range lb {
+		for i, b := range lb {
 			if found := s.probe(b, true); found != nil {
 				joined += found.Len()
 				outBatches++
-				outBytes += uint64(cap(found.Rows)) * 4
+				if i == 0 || i == len(lb)-1 {
+					arrayBytes += uint64(cap(found.Rows)) * 4
+				}
+				found.Release()
 			}
 		}
 	})
@@ -237,11 +251,16 @@ func TestJoinProbeOnlyAfterClose(t *testing.T) {
 	if s.left != nil || len(s.right.chunks) != len(right.chunks) || len(s.right.slots) != len(right.slots) {
 		t.Fatal("probing after right closed stored left rows or grew right's table")
 	}
-	// A Bindings is 56 bytes, allocated from the 64-byte size class.
-	t.Logf("%d output batches: %d allocations, %d B (%d B of output rows)", outBatches, objects, bytes, outBytes)
-	if objects > uint64(2*outBatches) || bytes > outBytes+uint64(64*outBatches) {
-		t.Errorf("%d probe-only batches allocate %d objects and %d B, want <= %d and <= %d B (output rows and one Bindings each)",
-			outBatches, objects, bytes, 2*outBatches, outBytes+uint64(64*outBatches))
+	for i, b := range lb {
+		if b.Len() != 0 {
+			t.Fatalf("probe-only batch %d still holds %d rows: it was not handed back", i, b.Len())
+		}
+	}
+	// A Bindings is 57 bytes, allocated from the 64-byte size class.
+	t.Logf("%d output batches: %d allocations, %d B (%d B in one array of each size)", outBatches, objects, bytes, arrayBytes)
+	if objects > uint64(outBatches+2) || bytes > arrayBytes+uint64(64*outBatches) {
+		t.Errorf("%d probe-only batches allocate %d objects and %d B, want <= %d and <= %d B (one Bindings each, one array of each size)",
+			outBatches, objects, bytes, outBatches+2, arrayBytes+uint64(64*outBatches))
 	}
 }
 

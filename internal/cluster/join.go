@@ -57,6 +57,7 @@ func HashJoin(left, right *match.Bindings) *match.Bindings {
 		return match.NewBindings(j.outVars, nil, 0)
 	}
 	tab := newJoinTable(j.rw, j.rkey, rn)
+	defer tab.free()
 	tab.adopt(right.Rows, rn)
 	// Counting pass: probing twice is far cheaper than growing the output
 	// through repeated reallocation.
@@ -134,7 +135,7 @@ type chain struct{ newest, n uint32 }
 // of the row before it in its chain.
 type storeChunk struct {
 	rows []rdf.ID
-	prev []uint32
+	prev []rdf.ID // row references as ID words, in one of match's row arrays
 }
 
 // joinTable is one side of a join: its w-wide rows, read in place in the
@@ -142,14 +143,16 @@ type storeChunk struct {
 // row references over them. A slot holds the chain of one join key, whose
 // value is read in place from the chain's newest row — no key is ever
 // materialized, at any key width. The slots double when three quarters
-// full, which re-places one reference per distinct key.
+// full, which re-places one reference per distinct key. Links and slots
+// are row arrays of match's free list, which free hands them back to.
 type joinTable struct {
 	w      int
 	cols   []int // the join key's columns in this side's rows
 	chunks []storeChunk
-	slots  []chain // n == 0: free
-	keys   int     // occupied slots
-	shift  uint    // 64 - log2(len(slots))
+	owned  []*match.Bindings // adopted batches that go back with the table
+	slots  []rdf.ID          // two words a slot: the chain's newest reference and length (0: free)
+	keys   int               // occupied slots
+	shift  uint              // 64 - log2(slots)
 }
 
 // newJoinTable returns an empty table over w-wide rows keyed by cols, its
@@ -165,11 +168,10 @@ func newJoinTable(w int, cols []int, n int) *joinTable {
 // reads them where they are until it is dropped, so nobody may write to
 // the array after handing it over (see BatchSink).
 func (t *joinTable) adopt(rows []rdf.ID, n int) {
-	prev := make([]uint32, n)
 	for lo := 0; lo < n; lo += chunkRows {
 		hi := min(lo+chunkRows, n)
 		base := refOf(len(t.chunks), 0)
-		t.chunks = append(t.chunks, storeChunk{rows: rows[lo*t.w : hi*t.w], prev: prev[lo:hi]})
+		t.chunks = append(t.chunks, storeChunk{rows: rows[lo*t.w : hi*t.w], prev: match.TakeRows(hi - lo)[:hi-lo]})
 		for i := lo; i < hi; i++ {
 			t.link(rows[i*t.w:(i+1)*t.w], base|uint32(i-lo))
 		}
@@ -183,32 +185,37 @@ func (t *joinTable) at(r uint32) []rdf.ID {
 
 // older returns the reference of the row before row r in its chain.
 func (t *joinTable) older(r uint32) uint32 {
-	return t.chunks[r>>chunkBits].prev[r&(chunkRows-1)]
+	return uint32(t.chunks[r>>chunkBits].prev[r&(chunkRows-1)])
 }
 
+// resize re-places every chain in a table of slots slots.
 func (t *joinTable) resize(slots int) {
 	old := t.slots
-	t.slots, t.shift = make([]chain, slots), uint(64-bits.Len(uint(slots))+1)
-	for _, c := range old {
-		if c.n > 0 {
-			*t.find(t.at(c.newest), t.cols) = c
+	t.slots, t.shift = match.TakeRows(2 * slots)[:2*slots], uint(64-bits.Len(uint(slots))+1)
+	clear(t.slots)
+	for i := 0; i < len(old); i += 2 {
+		if old[i+1] > 0 {
+			s := t.find(t.at(uint32(old[i])), t.cols)
+			t.slots[s], t.slots[s+1] = old[i], old[i+1]
 		}
 	}
+	match.GiveRows(old)
 }
 
-// find returns the slot of the key that row holds in the columns cols:
-// the key's chain, or the free slot where it would start.
-func (t *joinTable) find(row []rdf.ID, cols []int) *chain {
+// find returns the first word of the slot of the key that row holds in
+// the columns cols: the key's chain, or the free slot where it would start.
+func (t *joinTable) find(row []rdf.ID, cols []int) int {
 	// The slot is the hash's top bits, which FNV-1a leaves nearly constant
 	// over small IDs (a 20 000-key table of consecutive IDs without the
 	// multiply probes linearly through all of them); the multiply folds
 	// every lower bit into the top ones.
-	for i := (hashKey(row, cols) * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & uint64(len(t.slots)-1) {
-		c := &t.slots[i]
-		if c.n == 0 {
-			return c
+	mask := uint64(len(t.slots)/2 - 1)
+	for i := (hashKey(row, cols) * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
+		s := 2 * int(i)
+		if t.slots[s+1] == 0 {
+			return s
 		}
-		have, same := t.at(c.newest), true
+		have, same := t.at(uint32(t.slots[s])), true
 		for k, col := range cols {
 			if row[col] != have[t.cols[k]] {
 				same = false
@@ -216,28 +223,45 @@ func (t *joinTable) find(row []rdf.ID, cols []int) *chain {
 			}
 		}
 		if same {
-			return c
+			return s
 		}
 	}
 }
 
 // link ends its key's chain with row, whose reference is r.
 func (t *joinTable) link(row []rdf.ID, r uint32) {
-	if (t.keys+1)*4 > len(t.slots)*3 {
-		t.resize(2 * len(t.slots))
+	if (t.keys+1)*4 > len(t.slots)/2*3 {
+		t.resize(len(t.slots)) // twice the slots: two words each
 	}
-	c := t.find(row, t.cols)
-	if c.n == 0 {
+	s := t.find(row, t.cols)
+	if t.slots[s+1] == 0 {
 		t.keys++
 	}
-	t.chunks[r>>chunkBits].prev[r&(chunkRows-1)] = c.newest
-	c.newest, c.n = r, c.n+1
+	t.chunks[r>>chunkBits].prev[r&(chunkRows-1)] = t.slots[s]
+	t.slots[s], t.slots[s+1] = rdf.ID(r), t.slots[s+1]+1
 }
 
 // lookup returns the chain of the rows whose key is what row, a row of the
 // other side, holds in its own key columns cols; the zero chain when there
 // is none.
-func (t *joinTable) lookup(row []rdf.ID, cols []int) chain { return *t.find(row, cols) }
+func (t *joinTable) lookup(row []rdf.ID, cols []int) chain {
+	s := t.find(row, cols)
+	return chain{uint32(t.slots[s]), uint32(t.slots[s+1])}
+}
+
+// free hands back the slots, links and batches of a table nobody reads.
+func (t *joinTable) free() {
+	if t == nil {
+		return
+	}
+	for _, c := range t.chunks {
+		match.GiveRows(c.prev)
+	}
+	for _, b := range t.owned {
+		b.Release()
+	}
+	match.GiveRows(t.slots)
+}
 
 // mergeRow writes the join of a left row and a right row — left's columns,
 // then right's columns not shared with left — into out, j.width wide.

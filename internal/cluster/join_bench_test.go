@@ -32,11 +32,14 @@ func BenchmarkHashJoin(b *testing.B) {
 // batches — the shape the streaming engine actually runs.
 func BenchmarkJoinStream(b *testing.B) {
 	lv, rv := []string{"x", "y"}, []string{"y", "z"}
-	lb := batchesOf(benchTable(2000, lv), 128)
-	rb := batchesOf(benchTable(2000, rv), 128)
+	lt, rt := benchTable(2000, lv), benchTable(2000, rv)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A join hands back the batches it receives: each gets its own.
+		b.StopTimer()
+		lb, rb := batchesOf(lt, 128), batchesOf(rt, 128)
+		b.StartTimer()
 		left := make(chan *match.Bindings, len(lb))
 		right := make(chan *match.Bindings, len(rb))
 		out := make(chan *match.Bindings, 16)

@@ -243,14 +243,16 @@ func checkJoinAgainstOracle(t *testing.T, rng *rand.Rand, left, right *match.Bin
 		return false
 	}
 	lv, rv := left.Vars, right.Vars
-	lb, rb := batchesOf(left, 1+rng.Intn(16)), batchesOf(right, 1+rng.Intn(16))
+	// Each join gets batches of its own: it hands back what it receives.
+	lsize, rsize := 1+rng.Intn(16), 1+rng.Intn(16)
+	lb, rb := func() []*match.Bindings { return batchesOf(left, lsize) }, func() []*match.Bindings { return batchesOf(right, rsize) }
 	l, r := make(chan *match.Bindings), make(chan *match.Bindings)
-	go closeFirst(l, lb, r, rb)
+	go closeFirst(l, lb(), r, rb())
 	if !sameMultiset(t, "left closes first", want, joinOf(lv, rv, l, r)) {
 		return false
 	}
 	l, r = make(chan *match.Bindings), make(chan *match.Bindings)
-	go closeFirst(r, rb, l, lb)
+	go closeFirst(r, rb(), l, lb())
 	if !sameMultiset(t, "right closes first", want, joinOf(lv, rv, l, r)) {
 		return false
 	}
@@ -263,13 +265,13 @@ func checkJoinAgainstOracle(t *testing.T, rng *rand.Rand, left, right *match.Bin
 	}
 	for _, sent := range [][2][]*match.Bindings{{nil, nil}, {empties(lv), empties(rv)}} {
 		l, r = make(chan *match.Bindings), make(chan *match.Bindings)
-		go closeFirst(l, sent[0], r, rb)
+		go closeFirst(l, sent[0], r, rb())
 		if got := joinOf(lv, rv, l, r); got.Len() != 0 {
 			t.Logf("left closed with %d empty batches: %d rows joined", len(sent[0]), got.Len())
 			return false
 		}
 		l, r = make(chan *match.Bindings), make(chan *match.Bindings)
-		go closeFirst(r, sent[1], l, lb)
+		go closeFirst(r, sent[1], l, lb())
 		if got := joinOf(lv, rv, l, r); got.Len() != 0 {
 			t.Logf("right closed with %d empty batches: %d rows joined", len(sent[1]), got.Len())
 			return false

@@ -31,10 +31,11 @@ const DefaultBatchSize = 256
 // BatchSink receives one shipped batch of bindings. The batch and its Rows
 // array belong to the receiver from then on: the sender keeps no
 // reference and never writes to them again, so the sink may reorder,
-// overwrite or retain it. JoinStream retains every batch it keeps and
-// reads it until the join ends; exec.consume keeps every batch until the
-// answer is built. A subquery's sites stream concurrently, so the sink
-// must be safe for concurrent use. Returning an error stops the stream.
+// overwrite or retain it, and its last reader calls Release. JoinStream
+// reads every batch it keeps until the join ends; exec.consume releases
+// each batch once it is copied into the answer. A subquery's sites stream
+// concurrently, so the sink must be safe for concurrent use. Returning an
+// error stops the stream.
 type BatchSink func(*match.Bindings) error
 
 // EvalStream evaluates a subquery at a site like Eval, but ships binding
@@ -102,8 +103,9 @@ func newSymJoiner(j *joinGeom) *symJoiner {
 
 // probe takes a batch of the side left names and returns its merged
 // matches against the other side's rows seen so far, nil when there are
-// none; its own side's table, unless dropped, adopts the batch. The first
-// pass counts the matches, so the output is allocated once, exactly.
+// none; its own side's table, unless dropped, adopts the batch, else it is
+// released. The first pass counts the matches, so the output is taken once,
+// at its size.
 func (s *symJoiner) probe(b *match.Bindings, left bool) *match.Bindings {
 	own, other, w, cols := s.right, s.left, s.j.rw, s.j.rkey
 	if left {
@@ -112,6 +114,9 @@ func (s *symJoiner) probe(b *match.Bindings, left bool) *match.Bindings {
 	n := b.Len()
 	if own != nil {
 		own.adopt(b.Rows, n)
+		own.owned = append(own.owned, b)
+	} else {
+		defer b.Release()
 	}
 	if cap(s.hits) < n {
 		s.hits = make([]chain, 0, n)
@@ -127,7 +132,7 @@ func (s *symJoiner) probe(b *match.Bindings, left bool) *match.Bindings {
 		return nil
 	}
 	width := s.j.width
-	found := make([]rdf.ID, total*width)
+	found := match.TakeRows(total * width)[:total*width]
 	at := 0
 	for i, c := range s.hits {
 		row := b.Rows[i*w : (i+1)*w]
@@ -142,16 +147,18 @@ func (s *symJoiner) probe(b *match.Bindings, left bool) *match.Bindings {
 		}
 		at += int(c.n)
 	}
-	return match.NewBindings(s.j.outVars, found, total)
+	return match.Recyclable(s.j.outVars, found, total)
 }
 
 // close records that the side left names has ended: the other side's
-// table, which only this side probed, is dropped, since none of its rows
-// can match again.
+// table, which only this side probed, is dropped and handed back, since
+// none of its rows can match again.
 func (s *symJoiner) close(left bool) {
 	if left {
+		s.right.free()
 		s.right = nil
 	} else {
+		s.left.free()
 		s.left = nil
 	}
 }
@@ -163,17 +170,23 @@ func (s *symJoiner) close(left bool) {
 // batches it receives (see BatchSink) and reads them until it returns.
 // Once an input closes, the other side's table is dropped and that side's
 // batches are only probed: a symmetric hash join keeps an input only
-// while the other can still deliver rows. Every matching pair is emitted
-// exactly once, as soon as its later row arrives — a batch's rows in
-// their order, each with its matches in the order the other side received
-// them, so a right stream consumed whole before the first left batch
-// yields exactly HashJoin's row sequence. With no shared variables it
+// while the other can still deliver rows. An input batch is released with
+// its table, or at once when none keeps it: nobody may read one after
+// sending it; the output batches are the receiver's. Every matching pair
+// is emitted exactly once, as soon as its later row arrives — a batch's
+// rows in their order, each with its matches in the order the other side
+// received them, so a right stream consumed whole before the first left
+// batch yields exactly HashJoin's row sequence. With no shared variables it
 // degrades to a streamed Cartesian product. Output columns follow
 // JoinVars(leftVars, rightVars). Cancelling ctx stops the join promptly;
 // the inputs are then left undrained (producers must also watch ctx).
 func JoinStream(ctx context.Context, leftVars, rightVars []string, left, right <-chan *match.Bindings, out chan<- *match.Bindings) {
 	defer close(out)
 	s := newSymJoiner(newJoinGeom(leftVars, rightVars))
+	defer func() {
+		s.left.free()
+		s.right.free()
+	}()
 	for left != nil || right != nil {
 		var found *match.Bindings
 		select {
@@ -200,6 +213,7 @@ func JoinStream(ctx context.Context, leftVars, rightVars []string, left, right <
 		select {
 		case out <- found:
 		case <-ctx.Done():
+			found.Release()
 			return
 		}
 	}

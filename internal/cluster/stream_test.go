@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,18 +14,21 @@ import (
 	"rdffrag/internal/sparql"
 )
 
-// batchesOf cuts a table into batches of n rows over its own array.
+// batchesOf cuts a table into batches of n rows, each a copy in an array
+// of match's free list, as a site's batches are: the join a batch is sent
+// to hands it back, so a batch goes to one join only.
 func batchesOf(t *match.Bindings, n int) []*match.Bindings {
 	var out []*match.Bindings
 	w := len(t.Vars)
 	for i := 0; i < t.Len(); i += n {
 		j := min(i+n, t.Len())
-		out = append(out, match.NewBindings(t.Vars, t.Rows[i*w:j*w:j*w], j-i))
+		out = append(out, match.Recyclable(t.Vars, append(match.TakeRows((j-i)*w), t.Rows[i*w:j*w]...), j-i))
 	}
 	return out
 }
 
-// sendBatches splits a table into batches of n rows and streams them.
+// sendBatches splits a copy of a table into batches of n rows and streams
+// them.
 func sendBatches(ch chan *match.Bindings, t *match.Bindings, n int) {
 	defer close(ch)
 	for _, b := range batchesOf(t, n) {
@@ -99,6 +103,33 @@ func TestJoinStreamMatchesHashJoin(t *testing.T) {
 						t.Fatalf("output vars %v, want %v", got.Vars, wantVars)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestJoinHandsBackItsInputs documents the contract JoinStream's inputs
+// are under: a batch sent to the join is the join's, and once the join has
+// returned the batch is empty and its array back on match's free list —
+// under the race detector overwritten with an ID no dictionary holds
+// (rdf.NoID - 1), so that a caller still reading it reads an answer the
+// oracles refuse.
+func TestJoinHandsBackItsInputs(t *testing.T) {
+	lv, rv := []string{"x", "y"}, []string{"y", "z"}
+	l := batchesOf(match.NewBindings(lv, []rdf.ID{1, 2, 3, 4}, 2), 2)[0]
+	r := batchesOf(match.NewBindings(rv, []rdf.ID{2, 9}, 1), 1)[0]
+	arrays := map[string][]rdf.ID{"left": l.Rows, "right": r.Rows}
+	got := joinOf(lv, rv, queued([]*match.Bindings{l}), queued([]*match.Bindings{r}))
+	if !slices.Equal(got.Rows, []rdf.ID{1, 2, 9}) {
+		t.Fatalf("joined %v, want [1 2 9]", got.Rows)
+	}
+	if l.Len() != 0 || r.Len() != 0 {
+		t.Fatalf("inputs hold %d and %d rows after the join returned, want none", l.Len(), r.Len())
+	}
+	for side, rows := range arrays {
+		for _, id := range rows {
+			if poisoned := id == rdf.NoID-1; poisoned != raceOn {
+				t.Fatalf("%s input's array reads %v after the join returned (race detector on: %v)", side, rows, raceOn)
 			}
 		}
 	}

@@ -28,12 +28,13 @@ func genBatches(rng *rand.Rand, width int) [][]rdf.ID {
 	return batches
 }
 
-// feed copies batches into a closed channel: consume owns what it
-// receives and may overwrite it, so every run gets its own copy.
+// feed copies batches into a closed channel, each into an array of match's
+// free list as a site's batch is: consume owns what it receives, may
+// overwrite it and hands it back, so every run gets its own copy.
 func feed(vars []string, batches [][]rdf.ID) <-chan *match.Bindings {
 	ch := make(chan *match.Bindings, len(batches))
 	for _, rows := range batches {
-		ch <- &match.Bindings{Vars: vars, Rows: slices.Clone(rows)}
+		ch <- match.Recyclable(vars, append(match.TakeRows(len(rows)), rows...), len(rows)/len(vars))
 	}
 	close(ch)
 	return ch

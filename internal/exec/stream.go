@@ -165,10 +165,12 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 // distinct and sorted (Dedup order), the engine's historical
 // deterministic output. Without a pushed-down LIMIT it keeps the incoming
 // batches — they are its own, see cluster.BatchSink — then projects them
-// all into one array sized from their total and lets the final sort drop
-// duplicates as neighbours. With one, distinct rows must be counted as
-// they arrive: once Limit of them survive projection the whole pipeline
-// is cancelled instead of materializing the rest.
+// all into one array of match's free list, sized from their total, and
+// lets the final sort drop duplicates as neighbours. With one, distinct
+// rows must be counted as they arrive: once Limit of them survive
+// projection the whole pipeline is cancelled instead of materializing the
+// rest. A batch is released once copied; a lone unprojected one is the
+// answer.
 func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *sparql.Graph, in <-chan *match.Bindings, inVars []string) *match.Bindings {
 	// Resolve the projection once, against the full joined layout.
 	var fewCols [8]int // a projection this narrow stays on the stack
@@ -210,6 +212,7 @@ func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *spar
 					rows = rows[:len(rows)-w]
 				}
 			}
+			b.Release()
 			if seen.n >= q.Limit {
 				cancel() // stop producers and join stages
 				break
@@ -226,16 +229,17 @@ func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *spar
 	for b := range in {
 		batches, total = append(batches, b), total+b.Len()
 	}
-	var rows []rdf.ID
+	var out *match.Bindings
 	if len(batches) == 1 && len(q.Select) == 0 {
-		rows = batches[0].Rows
-	} else if total > 0 {
-		rows = make([]rdf.ID, 0, total*w)
+		out = batches[0]
+	} else {
+		rows := match.TakeRows(total * w)
 		for _, b := range batches {
 			rows = appendRows(rows, b, 0, b.Len())
+			b.Release()
 		}
+		out = match.Recyclable(keptVars, rows, total)
 	}
-	out := match.NewBindings(keptVars, rows, total)
 	out.Dedup()
 	return out
 }

@@ -23,6 +23,7 @@ type Bindings struct {
 	// pattern is whether, and how often, it matched. It is ignored when the
 	// table has variables.
 	Nullary int
+	taken   bool // Rows is a whole array of the free list's (Recyclable)
 }
 
 // NewBindings returns the table of n rows over vars stored in rows.
@@ -237,8 +238,10 @@ func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
 // array. The batch and its array belong to fn: the matcher keeps no
 // reference and never writes to them again, so fn may retain them — the
 // control-site join reads the rows of the batches it keeps, in place,
-// until it ends. It powers streaming subquery evaluation: sites ship
-// bindings to the control-site join as they are found.
+// until it ends, and its last reader calls Release, which hands the array
+// back to the free list unless Deterministic made it a slice of one
+// array. It powers streaming subquery evaluation: sites ship bindings to
+// the control-site join as they are found.
 func FindBindings(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn func(*Bindings) bool) {
 	p := newProjector(q)
 	if len(p.vars) == 0 {
@@ -246,12 +249,12 @@ func FindBindings(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn f
 		// zero-sized elements through the same batching.
 		findBatched(q, g, opts, size, 1, func(units []struct{}, _ *Match) []struct{} {
 			return append(units, struct{}{})
-		}, func(units []struct{}) bool {
+		}, onHeap[struct{}], func([]struct{}) {}, func(units []struct{}) bool {
 			return fn(&Bindings{Vars: p.vars, Nullary: len(units)})
 		})
 		return
 	}
-	findBatched(q, g, opts, size, len(p.vars), p.appendRow, func(rows []rdf.ID) bool {
-		return fn(&Bindings{Vars: p.vars, Rows: rows})
+	findBatched(q, g, opts, size, len(p.vars), p.appendRow, TakeRows, GiveRows, func(rows []rdf.ID) bool {
+		return fn(&Bindings{Vars: p.vars, Rows: rows, taken: !opts.Deterministic})
 	})
 }

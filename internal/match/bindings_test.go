@@ -202,14 +202,16 @@ func TestFindBindingsBatchesAreTheReceivers(t *testing.T) {
 
 // TestFindBindingsChunksGrowFromFourRows: a small answer pays for a small
 // batch. Nine two-column rows go through arrays of 4, 8 and 16 rows (224
-// B) and nothing else; a batch-sized array up front would be 2 KB.
+// B) and nothing else; a batch-sized array up front would be 2 KB. The two
+// arrays the batch outgrows go back to the free list and are taken again
+// by the next run.
 func TestFindBindingsChunksGrowFromFourRows(t *testing.T) {
 	g := batchGraph(9)
 	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
 	p := newProjector(q)
 	m := Match{Vertex: make([]rdf.ID, len(q.Verts))}
 	allocs := testing.AllocsPerRun(100, func() {
-		b := newBatcher(p.appendRow, 2, 256)
+		b := newBatcher(p.appendRow, TakeRows, GiveRows, 2, 256)
 		for i := 0; i < 9; i++ {
 			b.add(&m)
 		}

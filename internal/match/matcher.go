@@ -137,31 +137,39 @@ func Find(q *sparql.Graph, g *rdf.Snapshot, opts Options) []Match {
 // Match; FindBatches remains for callers that want whole matches, matched
 // triples included.
 func FindBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn func([]Match) bool) {
-	findBatched(q, g, opts, size, 1, func(batch []Match, m *Match) []Match { return append(batch, m.clone()) }, fn)
+	findBatched(q, g, opts, size, 1, func(batch []Match, m *Match) []Match { return append(batch, m.clone()) }, onHeap[Match], func([]Match) {}, fn)
 }
+
+// onHeap allocates the arrays of batches no free list keeps.
+func onHeap[E any](n int) []E { return make([]E, 0, n) }
 
 // batcher groups what keep appends for each match — stride elements, one
 // Match or one row of IDs — into batches of up to size matches. A batch's
 // array grows geometrically from 4 matches to size — most fragment
 // evaluations fill a handful of slots, and a full-size array per
-// evaluation was once the largest single cost of a selective query — and
-// a batch, once taken, belongs to whoever receives it.
+// evaluation was once the largest single cost of a selective query; free
+// gets back each array a batch outgrew. A batch, once taken, belongs to
+// whoever receives it, and so does handing it back.
 type batcher[E any] struct {
 	keep   func([]E, *Match) []E
+	alloc  func(n int) []E // an empty array with room for at least n elements
+	free   func([]E)
 	stride int
 	size   int // elements in a full batch
 	batch  []E
 	last   int // capacity the previous batch reached
 }
 
-func newBatcher[E any](keep func([]E, *Match) []E, stride, size int) batcher[E] {
-	return batcher[E]{keep: keep, stride: stride, size: size * stride}
+func newBatcher[E any](keep func([]E, *Match) []E, alloc func(int) []E, free func([]E), stride, size int) batcher[E] {
+	return batcher[E]{keep: keep, alloc: alloc, free: free, stride: stride, size: size * stride}
 }
 
 // add keeps m in the batch and reports whether the batch is full.
 func (b *batcher[E]) add(m *Match) bool {
-	if len(b.batch) == cap(b.batch) {
-		b.batch = append(make([]E, 0, min(max(4*b.stride, 2*cap(b.batch), b.last), b.size)), b.batch...)
+	if len(b.batch)+b.stride > cap(b.batch) {
+		grown := append(b.alloc(min(max(4*b.stride, 2*cap(b.batch), b.last), b.size)), b.batch...)
+		b.free(b.batch)
+		b.batch = grown
 	}
 	b.batch = b.keep(b.batch, m)
 	return len(b.batch) == b.size
@@ -177,11 +185,12 @@ func (b *batcher[E]) take() []E {
 // findBatched is the search-and-batch skeleton behind FindBatches and
 // FindBindings: keep appends to a batch the stride elements that the
 // searcher's reused Match becomes (it must grow the array when it is full;
-// it is called from every enumerating goroutine). A parallel run delivers
-// batches to fn one at a time — in the sequential enumeration order with
-// opts.Deterministic (a stable morsel-order merge, after materializing
-// everything), otherwise as each worker fills its own, in claiming order.
-func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, stride int, keep func([]E, *Match) []E, fn func([]E) bool) {
+// it is called from every enumerating goroutine), on arrays from alloc. A
+// parallel run delivers batches to fn one at a time — in the sequential
+// enumeration order with opts.Deterministic (a stable morsel-order merge,
+// after materializing everything in one array the batches slice), otherwise
+// as each worker fills its own, in claiming order.
+func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, stride int, keep func([]E, *Match) []E, alloc func(int) []E, free func([]E), fn func([]E) bool) {
 	if size <= 0 {
 		size = 256
 	}
@@ -192,7 +201,7 @@ func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, st
 	r := planParallel(q, g, opts, order)
 	switch {
 	case r == nil:
-		b := newBatcher(keep, stride, size)
+		b := newBatcher(keep, alloc, free, stride, size)
 		forEachOrdered(q, g, opts, order, func(m *Match) bool {
 			return !b.add(m) || fn(b.take())
 		})
@@ -226,7 +235,7 @@ func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, st
 			return !stopped
 		}
 		r.run(func(int) workerHooks {
-			b := newBatcher(keep, stride, size)
+			b := newBatcher(keep, alloc, free, stride, size)
 			return workerHooks{
 				onMatch: func(_ int, m *Match) bool {
 					return !b.add(m) || deliver(b.take())

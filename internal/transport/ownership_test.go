@@ -12,13 +12,15 @@ import (
 )
 
 // TestDeliveredBatchesStayTheReceivers: a delivered batch belongs to its
-// receiver (cluster.BatchSink), and the control-site join reads the
-// batches it keeps until it ends, so no producer may write to one after
-// handing it over. Every batch three producers deliver is kept — an
-// in-process Cluster.EvalStream, a SiteClient.EvalStream against an
-// httptest site, and a JoinStream stage fed by one of each — and once the
-// streams have ended each must still equal the copy taken when it was
-// delivered. Under -race a late write also shows as a race.
+// receiver (cluster.BatchSink). No producer writes to a batch after
+// delivery: every batch an in-process Cluster.EvalStream and a
+// SiteClient.EvalStream against an httptest site deliver is kept, and
+// once the streams have ended each must still equal the copy taken when it
+// was delivered. A JoinStream stage fed by one of each keeps its inputs
+// only while it runs: once it returns, every input batch has been handed
+// back (Release leaves it empty), while every batch it emitted still
+// equals its copy — the output is the receiver's. Under -race a late write
+// also shows as a race.
 func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 	c, d, q := newTestCluster(t, 600)
 	req := testRequest(q)
@@ -32,9 +34,10 @@ func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 		rows []rdf.ID
 	}
 	var (
-		mu   sync.Mutex
-		all  []kept
-		rows = map[string]int{}
+		mu     sync.Mutex
+		all    []kept
+		inputs []*match.Bindings
+		rows   = map[string]int{}
 	)
 	keep := func(from string, b *match.Bindings) {
 		mu.Lock()
@@ -44,10 +47,15 @@ func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 	}
 	sinkTo := func(from string, ch chan<- *match.Bindings) cluster.BatchSink {
 		return func(b *match.Bindings) error {
-			keep(from, b)
-			if ch != nil {
-				ch <- b
+			if ch == nil {
+				keep(from, b)
+				return nil
 			}
+			mu.Lock()
+			inputs = append(inputs, b)
+			rows[from] += b.Len()
+			mu.Unlock()
+			ch <- b
 			return nil
 		}
 	}
@@ -89,6 +97,11 @@ func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 	for i, k := range all {
 		if !slices.Equal(k.b.Rows, k.rows) {
 			t.Fatalf("batch %d of %d changed after it was delivered", i, len(all))
+		}
+	}
+	for i, b := range inputs {
+		if b.Len() != 0 {
+			t.Fatalf("join input %d of %d still holds %d rows after the join returned", i, len(inputs), b.Len())
 		}
 	}
 }

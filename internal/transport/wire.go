@@ -104,7 +104,7 @@ type frame struct {
 // encodes to the bytes encoding/json gives the same rows as a slice of ID
 // slices (no rows: the field is left out). Decoding is by hand —
 // encoding/json grows every row and the row list by reflection — in two
-// passes: one counts the IDs, the second fills one []rdf.ID. It accepts
+// passes: one counts the IDs, the second fills one match.TakeRows. It accepts
 // only what encoding/json accepts into such a slice of slices — and of
 // that only what json.Marshal of one can emit, plus whitespace: null or
 // an array of rows, a row null or an array of decimal integers below 2^32
@@ -160,7 +160,7 @@ func (r *wireRows) UnmarshalJSON(data []byte) error {
 		valueOrClose
 		afterValue
 	)
-	got := wireRows{ids: make([]rdf.ID, 0, nIDs)}
+	got := wireRows{ids: match.TakeRows(nIDs)}
 	// endRow counts a row that ended with the array start IDs long.
 	endRow := func(start int) {
 		if w := len(got.ids) - start; got.n == 0 {
@@ -221,7 +221,7 @@ func (f *frame) bindings(vars []string) (*match.Bindings, error) {
 	if f.Rows.n > 0 && f.Rows.w != len(vars) {
 		return nil, fmt.Errorf("batch %d holds rows that are not %d wide", f.Seq, len(vars))
 	}
-	return match.NewBindings(vars, f.Rows.ids, f.Rows.n), nil
+	return match.Recyclable(vars, f.Rows.ids, f.Rows.n), nil
 }
 
 // encodeQuery flattens a parsed query graph for the wire, decoding
