@@ -130,8 +130,9 @@ crash-soak:
 # records it returns, framed again, are the bytes it calls valid — and
 # reach past the image from no length prefix. The batch payload decoder:
 # never panic, slice from no length prefix the payload does not back, and
-# what it accepts encodes back to the same batch. The seed corpora alone
-# run inside `test`.
+# what it accepts encodes back to the same batch. The SPARQL parser: never
+# panic, and wrap ErrParse in every error it returns — what /query answers
+# with 400. The seed corpora alone run inside `test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRows$$' -fuzztime=10s ./internal/transport
@@ -140,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSegment$$' -fuzztime=10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/sparql
 
 # One iteration per benchmark: a compile-and-run smoke, not a measurement.
 bench:
@@ -239,9 +241,11 @@ vet:
 	$(GO) vet ./...
 
 # Non-test Go lines per package of this module (benchmark/ is a module of
-# its own and not counted): the count every PR states its delta of.
+# its own and not counted), then their total: the count every PR states
+# its delta of.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
-		while read pkg files; do printf '%6d %s\n' $$(cat $$files | wc -l) $$pkg; done
+		while read pkg files; do printf '%6d %s\n' $$(cat $$files | wc -l) $$pkg; done | \
+		awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 ci: fmt-check vet build cover cover-gate chaos-soak crash-soak fuzz-smoke bench benchmark-check pins

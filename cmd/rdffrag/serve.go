@@ -51,12 +51,8 @@ func serveMain(args []string) {
 		crashSeed = fs.Int64("wal-crash-seed", 1, "seed for the WAL crash injector")
 		drainTO   = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound: how long SIGTERM waits for in-flight queries to drain")
 
-		retries   = fs.Int("site-retries", 3, "retries per remote site call after the first attempt")
-		backoff   = fs.Duration("site-backoff", 50*time.Millisecond, "base exponential backoff between remote retries (jittered)")
-		frameTO   = fs.Duration("site-frame-timeout", 10*time.Second, "cut and retry a remote site call producing no frame for this long, counted from the request")
-		brkThresh = fs.Int("breaker-threshold", 5, "consecutive remote failures that open a site's circuit breaker")
-		brkCool   = fs.Duration("breaker-cooldown", time.Second, "how long an open breaker waits before a half-open probe")
-		partial   = fs.Bool("partial-results", false, "skip unavailable remote sites and flag results partial instead of failing queries")
+		frameTO = fs.Duration("site-frame-timeout", 10*time.Second, "cut and retry a remote site call producing no frame for this long, counted from the request")
+		partial = fs.Bool("partial-results", false, "skip unavailable remote sites and flag results partial instead of failing queries")
 	)
 	remoteSites := map[int]string{}
 	fs.Func("site", "remote site mapping ID=URL, e.g. -site 2=http://10.0.0.7:7402 (repeatable; unmapped sites run in-process)", func(v string) error {
@@ -130,13 +126,9 @@ func serveMain(args []string) {
 		SweepInterval: *sweepInt,
 		Durable:       durable,
 		Remote: rdffrag.RemoteConfig{
-			Sites:            remoteSites,
-			Retries:          *retries,
-			Backoff:          *backoff,
-			FrameTimeout:     *frameTO,
-			BreakerThreshold: *brkThresh,
-			BreakerCooldown:  *brkCool,
-			PartialResults:   *partial,
+			Sites:          remoteSites,
+			FrameTimeout:   *frameTO,
+			PartialResults: *partial,
 		},
 	})
 

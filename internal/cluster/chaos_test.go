@@ -227,39 +227,3 @@ func TestViewsRegisterASharedGraphOnce(t *testing.T) {
 		t.Errorf("a second fragment of one graph moved the generation gauge %d -> %d (graph: %d)", before, got, g.LiveGenerations())
 	}
 }
-
-// TestFragEpoch checks the resume fingerprint: it must move when the
-// fragment data moves (so a resuming client restarts instead of stitching
-// incomparable batch prefixes) and hold still otherwise.
-func TestFragEpoch(t *testing.T) {
-	c, _, g := chaosCluster(t)
-	e1, err := c.FragEpoch(0, []int{1})
-	if err != nil {
-		t.Fatalf("FragEpoch: %v", err)
-	}
-	e2, err := c.FragEpoch(0, []int{1})
-	if err != nil || e2 != e1 {
-		t.Fatalf("stable FragEpoch moved: %d -> %d (err %v)", e1, e2, err)
-	}
-	g.AddTerms(rdf.NewIRI("e"), rdf.NewIRI("p"), rdf.NewIRI("f"))
-	e3, err := c.FragEpoch(0, []int{1})
-	if err != nil {
-		t.Fatalf("FragEpoch after add: %v", err)
-	}
-	if e3 == e1 {
-		t.Errorf("FragEpoch unchanged after mutation (%d)", e3)
-	}
-	// A second fragment of the same graph adds nothing to the sum.
-	if err := c.Place(0, 2, g); err != nil {
-		t.Fatalf("Place: %v", err)
-	}
-	if e4, err := c.FragEpoch(0, []int{1, 2}); err != nil || e4 != g.Epoch() {
-		t.Errorf("FragEpoch of two fragments of one graph = %d (err %v), want the graph's epoch %d", e4, err, g.Epoch())
-	}
-	if _, err := c.FragEpoch(7, nil); err == nil {
-		t.Error("out-of-range site accepted")
-	}
-	if _, err := c.FragEpoch(0, []int{42}); err == nil {
-		t.Error("missing fragment accepted")
-	}
-}

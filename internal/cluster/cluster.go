@@ -262,11 +262,6 @@ type EvalRequest struct {
 	// network transport, which cannot ship a view handle across
 	// processes).
 	View *rdf.ViewHandle
-	// Deterministic makes streamed batches arrive in the sequential
-	// enumeration order (match.Options.Deterministic). The HTTP site
-	// server relies on it: a deterministic batch sequence is what makes
-	// a torn stream resumable from the last acknowledged batch.
-	Deterministic bool
 }
 
 // Eval performs a synchronous request/response round trip to a site: one
@@ -308,27 +303,6 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 		return nil, err
 	}
 	return b, nil
-}
-
-// FragEpoch fingerprints the current state of the given fragments at a
-// site: the sum of the mutation epochs of the distinct graphs storing
-// them. The HTTP site server stamps it on each eval stream so a resuming
-// client can detect that the data moved between attempts (the
-// deterministic batch prefix is then no longer comparable) and restart
-// from scratch instead.
-func (c *Cluster) FragEpoch(siteID int, fragIDs []int) (uint64, error) {
-	if siteID < 0 || siteID >= len(c.Sites) {
-		return 0, fmt.Errorf("cluster: site %d out of range", siteID)
-	}
-	graphs, err := c.Sites[siteID].resolve(EvalRequest{SiteID: siteID, FragIDs: fragIDs})
-	if err != nil {
-		return 0, err
-	}
-	var e uint64
-	for _, g := range graphs {
-		e += g.Epoch()
-	}
-	return e, nil
 }
 
 // resolve maps the requested fragments to the distinct graphs storing

@@ -93,18 +93,16 @@ func TestSiteEvaluatesEachGraphOnce(t *testing.T) {
 		frags []int
 		rows  int
 	}{{[]int{1}, 5}, {[]int{3, 1, 2}, 5}, {[]int{2, 4, 1}, 6}, {[]int{4}, 1}} {
-		for _, deterministic := range []bool{false, true} {
-			streamed := 0
-			req := EvalRequest{SiteID: 0, FragIDs: tc.frags, Query: q, Parallelism: 4, Deterministic: deterministic}
-			if err := c.EvalStream(context.Background(), req, 2, func(b *match.Bindings) error {
-				streamed += b.Len()
-				return nil
-			}); err != nil {
-				t.Fatalf("EvalStream %v: %v", tc.frags, err)
-			}
-			if streamed != tc.rows {
-				t.Errorf("fragments %v (deterministic %v): %d rows streamed, want %d", tc.frags, deterministic, streamed, tc.rows)
-			}
+		streamed := 0
+		req := EvalRequest{SiteID: 0, FragIDs: tc.frags, Query: q, Parallelism: 4}
+		if err := c.EvalStream(context.Background(), req, 2, func(b *match.Bindings) error {
+			streamed += b.Len()
+			return nil
+		}); err != nil {
+			t.Fatalf("EvalStream %v: %v", tc.frags, err)
+		}
+		if streamed != tc.rows {
+			t.Errorf("fragments %v: %d rows streamed, want %d", tc.frags, streamed, tc.rows)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 		return err
 	}
 
-	opts := match.Options{Parallelism: req.Parallelism, Deterministic: req.Deterministic}
+	opts := match.Options{Parallelism: req.Parallelism}
 	return s.each(ctx, graphs, func(g *rdf.Graph) (err error) {
 		match.FindBindings(req.Query, req.View.Snap(g), opts, batchSize, func(b *match.Bindings) bool {
 			if err = ctx.Err(); err != nil {

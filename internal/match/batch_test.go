@@ -21,8 +21,8 @@ func batchGraph(n int) *rdf.Graph {
 
 // TestFindBatchesCoversAllMatches checks the batching contract. The
 // sequence of batch sizes is fixed only when one goroutine enumerates
-// (Parallelism 1, or Deterministic's morsel-order merge); under default
-// options each worker flushes its own partial batch, so only the bounds
+// (Parallelism 1); under default options each worker flushes its own
+// partial batch, so only the bounds
 // hold: no batch over size, sizes summing to the match count, and the
 // same matches as Find.
 func TestFindBatchesCoversAllMatches(t *testing.T) {
@@ -43,7 +43,6 @@ func TestFindBatchesCoversAllMatches(t *testing.T) {
 		sizes []int // nil: scheduling-dependent
 	}{
 		{"sequential", Options{Parallelism: 1}, []int{7, 7, 7, 4}},
-		{"deterministic", Options{Parallelism: 4, Deterministic: true}, []int{7, 7, 7, 4}},
 		{"default", Options{}, nil},
 		{"streaming", Options{Parallelism: 4}, nil},
 	}

@@ -231,17 +231,16 @@ func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
 }
 
 // FindBindings enumerates matches like FindBatches — same search, same
-// batch boundaries, same Parallelism and Deterministic semantics — but
-// hands fn each batch already projected onto the query's variables (what
-// ToBindings would make of it), without retaining a Match: rows are
-// written straight from the searcher's reused Match into the batch's flat
-// array. The batch and its array belong to fn: the matcher keeps no
-// reference and never writes to them again, so fn may retain them — the
-// control-site join reads the rows of the batches it keeps, in place,
-// until it ends, and its last reader calls Release, which hands the array
-// back to the free list unless Deterministic made it a slice of one
-// array. It powers streaming subquery evaluation: sites ship bindings to
-// the control-site join as they are found.
+// batch boundaries, same Parallelism semantics — but hands fn each batch
+// already projected onto the query's variables (what ToBindings would make
+// of it), without retaining a Match: rows are written straight from the
+// searcher's reused Match into the batch's flat array. The batch and its
+// array belong to fn: the matcher keeps no reference and never writes to
+// them again, so fn may retain them — the control-site join reads the rows
+// of the batches it keeps, in place, until it ends, and its last reader
+// calls Release, which hands the array back to the free list. It powers
+// streaming subquery evaluation: sites ship bindings to the control-site
+// join as they are found.
 func FindBindings(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn func(*Bindings) bool) {
 	p := newProjector(q)
 	if len(p.vars) == 0 {
@@ -255,6 +254,6 @@ func FindBindings(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn f
 		return
 	}
 	findBatched(q, g, opts, size, len(p.vars), p.appendRow, TakeRows, GiveRows, func(rows []rdf.ID) bool {
-		return fn(&Bindings{Vars: p.vars, Rows: rows, taken: !opts.Deterministic})
+		return fn(&Bindings{Vars: p.vars, Rows: rows, taken: true})
 	})
 }

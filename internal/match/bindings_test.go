@@ -93,10 +93,9 @@ func sameBatch(a, b *Bindings) bool { return sameRows(tableRows(a), tableRows(b)
 
 // TestFindBindingsMatchesFindBatchesProperty: FindBindings emits what
 // ToBindings makes of FindBatches — the same row multiset in every mode,
-// and with one enumerating goroutine (Parallelism 1) or the morsel-order
-// merge (Deterministic) the identical sequence of batches, which the
-// transport's resume-by-batch-number depends on. A sink that refuses
-// stops it after exactly that batch.
+// and with one enumerating goroutine (Parallelism 1) the identical
+// sequence of batches. A sink that refuses stops it after exactly that
+// batch.
 func TestFindBindingsMatchesFindBatchesProperty(t *testing.T) {
 	modes := []struct {
 		name    string
@@ -104,7 +103,6 @@ func TestFindBindingsMatchesFindBatchesProperty(t *testing.T) {
 		ordered bool
 	}{
 		{"sequential", Options{Parallelism: 1}, true},
-		{"deterministic", Options{Parallelism: 4, Deterministic: true}, true},
 		{"streaming", Options{Parallelism: 4}, false},
 	}
 	f := func(dataSeed, querySeed int64, freeze, filter bool) bool {
@@ -174,7 +172,7 @@ func TestFindBindingsMatchesFindBatchesProperty(t *testing.T) {
 func TestFindBindingsBatchesAreTheReceivers(t *testing.T) {
 	g := batchGraph(300)
 	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
-	for _, opts := range []Options{{Parallelism: 1}, {Parallelism: 4}, {Parallelism: 4, Deterministic: true}} {
+	for _, opts := range []Options{{Parallelism: 1}, {Parallelism: 4}} {
 		var kept, copies []*Bindings
 		FindBindings(q, g.Snapshot(), opts, 7, func(b *Bindings) bool {
 			copies = append(copies, &Bindings{Vars: b.Vars, Rows: slices.Clone(b.Rows)})

@@ -5,7 +5,6 @@
 package match
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,16 +43,11 @@ type Options struct {
 	// sequential because its callback contract (one reused Match) is
 	// inherently serial.
 	// Limit > 0 also forces the sequential path, preserving the exact
-	// "first Limit matches in enumeration order" semantics.
+	// "first Limit matches in enumeration order" semantics. A parallel
+	// FindBatches or FindBindings streams batches as workers fill them, in
+	// no particular order; Find's parallel output is exactly the
+	// sequential output.
 	Parallelism int
-	// Deterministic makes a parallel FindBatches or FindBindings deliver
-	// batches in the sequential enumeration order (a stable morsel-order
-	// merge), at the cost of materializing all matches before the first
-	// callback.
-	// Without it batches stream as workers fill them, in no particular
-	// order. Find is always deterministic: its parallel output is
-	// exactly the sequential output.
-	Deterministic bool
 }
 
 // ForEach enumerates homomorphisms of q in g, invoking fn for each. The
@@ -186,10 +180,8 @@ func (b *batcher[E]) take() []E {
 // FindBindings: keep appends to a batch the stride elements that the
 // searcher's reused Match becomes (it must grow the array when it is full;
 // it is called from every enumerating goroutine), on arrays from alloc. A
-// parallel run delivers batches to fn one at a time — in the sequential
-// enumeration order with opts.Deterministic (a stable morsel-order merge,
-// after materializing everything in one array the batches slice), otherwise
-// as each worker fills its own, in claiming order.
+// parallel run delivers batches to fn one at a time, as each worker fills
+// its own, in claiming order.
 func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, stride int, keep func([]E, *Match) []E, alloc func(int) []E, free func([]E), fn func([]E) bool) {
 	if size <= 0 {
 		size = 256
@@ -207,21 +199,6 @@ func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, st
 		})
 		if len(b.batch) > 0 {
 			fn(b.take())
-		}
-	case opts.Deterministic:
-		buckets := make([][]E, r.numMorsels)
-		r.run(func(int) workerHooks {
-			return workerHooks{onMatch: func(morsel int, m *Match) bool {
-				buckets[morsel] = keep(buckets[morsel], m)
-				return true
-			}}
-		})
-		for all := slices.Concat(buckets...); len(all) > 0; {
-			n := min(size*stride, len(all))
-			if !fn(all[:n:n]) {
-				return
-			}
-			all = all[n:]
 		}
 	default:
 		var (

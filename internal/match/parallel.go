@@ -16,11 +16,10 @@ package match
 // Determinism: morsels partition the root candidates in enumeration
 // order, and within a morsel a worker searches in exactly the sequential
 // order, so per-morsel result buckets concatenated in morsel order
-// reproduce the sequential output byte for byte. Find always merges that
-// way; FindBatches and FindBindings do when Options.Deterministic is set
-// and otherwise stream batches as workers fill them (findBatched in
-// matcher.go). Count and MatchedEdges produce a number and a set, which
-// have no order to keep.
+// reproduce the sequential output byte for byte. Find merges that way;
+// FindBatches and FindBindings stream batches as workers fill them
+// (findBatched in matcher.go). Count and MatchedEdges produce a number and
+// a set, which have no order to keep.
 
 import (
 	"runtime"

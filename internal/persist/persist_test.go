@@ -248,8 +248,8 @@ func TestSaveWhileTermsAreInterned(t *testing.T) {
 
 // TestRoundTripDeltaCarryingGraphs: a deployment that has taken live
 // updates into its delta overlays saves completely, and Save changes
-// nothing: the deltas, the compaction counts and the epochs stay as they
-// were (compacting is the durable checkpointer's, under the writer lock).
+// nothing: the deltas and the compaction counts stay as they were
+// (compacting is the durable checkpointer's, under the writer lock).
 // Load reproduces every delta triple, and no tombstoned one.
 func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 	st := buildState(t, false)
@@ -272,11 +272,10 @@ func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 	type counters struct {
 		delta       int
 		compactions uint64
-		epoch       uint64
 	}
 	before := make([]counters, len(graphs))
 	for i, g := range graphs {
-		before[i] = counters{g.DeltaLen(), g.Compactions(), g.Epoch()}
+		before[i] = counters{g.DeltaLen(), g.Compactions()}
 		if before[i].delta == 0 {
 			t.Fatalf("setup: graph %d carries no delta", i)
 		}
@@ -284,8 +283,8 @@ func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 
 	got := load(t, save(t, st))
 	for i, g := range graphs {
-		if now := (counters{g.DeltaLen(), g.Compactions(), g.Epoch()}); now != before[i] {
-			t.Errorf("graph %d: Save moved (delta, compactions, epoch) from %v to %v", i, before[i], now)
+		if now := (counters{g.DeltaLen(), g.Compactions()}); now != before[i] {
+			t.Errorf("graph %d: Save moved (delta, compactions) from %v to %v", i, before[i], now)
 		}
 	}
 	if got.HC.NumTriples() != st.HC.NumTriples() {

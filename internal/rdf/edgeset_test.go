@@ -262,7 +262,7 @@ func TestNewFrozenEqualsAddFreeze(t *testing.T) {
 			defer ws.Close()
 			ok := slices.Equal(got.Triples(), want.Triples()) &&
 				got.NumTriples() == want.NumTriples() &&
-				got.Epoch() == want.Epoch() && got.DeltaLen() == want.DeltaLen() &&
+				got.DeltaLen() == want.DeltaLen() &&
 				slices.Equal(gs.Triples(), ws.Triples()) &&
 				slices.Equal(gs.Vertices(), ws.Vertices()) && slices.Equal(gs.Predicates(), ws.Predicates())
 			gst, wst := NewStats(got), NewStats(want)

@@ -77,10 +77,6 @@ type Graph struct {
 	// Add; 0 means DefaultCompactFraction, negative disables.
 	autoCompact float64
 	compactions atomic.Uint64
-
-	// epoch increments on every successful Add. Derived caches (Stats)
-	// compare epochs to decide whether they are stale.
-	epoch atomic.Uint64
 }
 
 // NewGraph returns an empty graph sharing the given dictionary. A nil dict
@@ -147,7 +143,6 @@ func (g *Graph) load(ts []Triple) int {
 		g.compactions.Add(1)
 	}
 	g.liveCount.Add(int64(added))
-	g.epoch.Add(uint64(added)) // where that many Adds leave it
 	g.installGeneration(buildCSR(ts))
 	return added
 }
@@ -177,7 +172,6 @@ func (g *Graph) apply(t Triple, del bool) {
 	gen.delta.appendOp(t, del)
 	gen.delta.index(t, seq, del)
 	gen.delta.n.Add(1)
-	g.epoch.Add(1)
 	if int(gen.delta.n.Load()) >= g.compactThreshold(gen) {
 		g.Compact()
 	}
@@ -281,10 +275,6 @@ func (g *Graph) DeltaTombstones() int { return g.snapshotAt().dels() }
 // CSR generation: by Compact directly, by the auto-compaction threshold,
 // or by an AddAll that found one.
 func (g *Graph) Compactions() uint64 { return g.compactions.Load() }
-
-// Epoch returns the graph's mutation counter: it increments on every
-// successful Add or Delete. Derived caches use it to detect staleness.
-func (g *Graph) Epoch() uint64 { return g.epoch.Load() }
 
 // SetAutoCompact sets the delta/CSR ratio beyond which Add compacts
 // automatically. 0 restores DefaultCompactFraction; a negative fraction

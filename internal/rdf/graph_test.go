@@ -221,12 +221,12 @@ func TestLoadIsAllOrNothing(t *testing.T) {
 		}
 		want := newNaive(g.Triples()...)
 		pinned := g.Snapshot()
-		epoch := g.Epoch()
+		delta := g.DeltaLen()
 		if n, err := tc.read(g, strings.NewReader(tc.doc)); err == nil || n != 0 {
 			t.Errorf("%s: read %d triples, err %v; want an error", tc.name, n, err)
 		}
 		now := g.Snapshot()
-		if g.NumTriples() != 2 || g.Epoch() != epoch || !want.readBy(t, now) || !want.readBy(t, pinned) {
+		if g.NumTriples() != 2 || g.DeltaLen() != delta || !want.readBy(t, now) || !want.readBy(t, pinned) {
 			t.Errorf("%s: a failed load changed the graph (%d triples)", tc.name, g.NumTriples())
 		}
 		now.Close()

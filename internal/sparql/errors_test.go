@@ -20,6 +20,12 @@ func TestParseErrorsWrapSentinel(t *testing.T) {
 		"SELECT ?x WHERE { OPTIONAL { ?x <urn:p> ?y } }",
 		"SELECT ?x WHERE { ?x <urn:p> ?y } LIMIT -1",
 		"SELECT ?x WHERE { ?x foo:bar ?y }",
+		"SELECT ?x * WHERE { ?x <urn:p> ?y }",
+		"SELECT ?x DISTINCT ?y WHERE { ?x <urn:p> ?y }",
+		"SELECT DISTINCT DISTINCT ?x WHERE { ?x <urn:p> ?y }",
+		"SELECT WHERE { ?x <urn:p> ?y }",
+		"SELECT * ?x WHERE { ?x <urn:p> ?y }",
+		"SELECT",
 	}
 	for _, q := range bad {
 		_, err := NewParser(d).Parse(q)
@@ -39,8 +45,14 @@ func TestParseErrorsWrapSentinel(t *testing.T) {
 		}
 	}
 
-	ok := "SELECT ?x WHERE { ?x <urn:p> ?y }"
-	if _, err := NewParser(d).Parse(ok); err != nil {
-		t.Fatalf("Parse(%q): %v", ok, err)
+	for _, ok := range []string{
+		"SELECT ?x WHERE { ?x <urn:p> ?y }",
+		"SELECT DISTINCT ?x ?y WHERE { ?x <urn:p> ?y }",
+		"SELECT * WHERE { ?x <urn:p> ?y }",
+		"select distinct * { ?x <urn:p> ?y }",
+	} {
+		if _, err := NewParser(d).Parse(ok); err != nil {
+			t.Fatalf("Parse(%q): %v", ok, err)
+		}
 	}
 }

@@ -246,23 +246,19 @@ func (s *parseState) parseQuery() (*Graph, error) {
 	if err := s.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	// Projection.
-	for {
-		t := s.peek()
-		if t.kind == tokVar {
-			s.next()
-			g.Select = append(g.Select, t.text)
-			continue
+	// Projection: DISTINCT? (Var+ | '*').
+	if t := s.peek(); t.kind == tokKeyword && strings.EqualFold(t.text, "DISTINCT") {
+		s.next()
+	}
+	if t := s.peek(); t.kind == tokPunct && t.text == "*" {
+		s.next()
+	} else {
+		for s.peek().kind == tokVar {
+			g.Select = append(g.Select, s.next().text)
 		}
-		if t.kind == tokKeyword && strings.EqualFold(t.text, "DISTINCT") {
-			s.next()
-			continue
+		if len(g.Select) == 0 {
+			return nil, parseErrf("SELECT needs variables or *, got %q at %d", t.text, t.pos)
 		}
-		if t.kind == tokPunct && t.text == "*" {
-			s.next()
-			continue
-		}
-		break
 	}
 	if s.peek().kind == tokKeyword && strings.EqualFold(s.peek().text, "WHERE") {
 		s.next()

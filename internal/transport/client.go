@@ -10,9 +10,8 @@ package transport
 //   - per-frame progress deadline, armed when the request is sent: a
 //     site that produces no frame for FrameTimeout — before its header
 //     or mid-stream — is cut locally and retried;
-//   - bounded retries with exponential backoff and jitter, resuming
-//     from the last acknowledged batch of the deterministic sequence
-//     (the server restarts from scratch if the data epoch moved);
+//   - bounded retries with exponential backoff and jitter, each one
+//     streaming the subquery's answer again from its first batch;
 //   - a circuit breaker per client: a dead site fails fast instead of
 //     burning the full retry budget on every query.
 
@@ -60,7 +59,7 @@ type ClientConfig struct {
 }
 
 // SiteClient evaluates subqueries against one remote site server with
-// retries, resume and a circuit breaker. Safe for concurrent use by many
+// retries and a circuit breaker. Safe for concurrent use by many
 // queries. It implements cluster.SiteEval and
 // cluster.SiteMetricsReporter.
 type SiteClient struct {
@@ -103,10 +102,9 @@ type outcome struct {
 }
 
 // EvalStream implements cluster.SiteEval over HTTP. Batches are pushed
-// to sink in the server's deterministic sequence order; on a retry
-// after a torn stream only unacknowledged batches are redelivered
-// (unless the site's data moved, in which case the full sequence is
-// redelivered and downstream dedup absorbs it).
+// to sink as they arrive; a retry after a torn stream delivers the whole
+// answer again, and the control site's dedup absorbs the rows the torn
+// attempt had already delivered.
 func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, batchSize int, sink cluster.BatchSink) error {
 	c.calls.Add(1)
 	wire := encodeRequest(req, c.cfg.Dict, batchSize)
@@ -154,10 +152,7 @@ func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, ba
 }
 
 // runAttempt performs one HTTP round trip and streams frames to the
-// sink. The call's attempts share wire, whose Resume and Epoch are the
-// resume cursor: how many batches of the deterministic sequence the sink
-// has seen, and under which data epoch. Each delivered batch advances it,
-// so a retry asks for exactly what the sink still lacks.
+// sink.
 func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []string, sink cluster.BatchSink) outcome {
 	c.attempts.Add(1)
 	actx, cancel := context.WithCancel(ctx)
@@ -219,16 +214,7 @@ func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []stri
 			if f.DictLen > 0 && f.DictLen <= c.cfg.Dict.Len() && c.cfg.Dict.Fingerprint(f.DictLen) != f.DictFP {
 				return outcome{err: fmt.Errorf("transport: site %d: dictionary mismatch: server prefix %d does not match this deployment's dictionary", c.cfg.Site, f.DictLen)}
 			}
-			// The server echoes the resume it accepted: Skip==Resume when
-			// honored, 0 when the epoch moved and the stream restarts.
-			wire.Resume, wire.Epoch = f.Skip, f.Epoch
 		case "b":
-			if f.Seq < wire.Resume {
-				continue // defensive: duplicate of an acknowledged batch
-			}
-			if f.Seq != wire.Resume {
-				return outcome{err: fmt.Errorf("transport: site %d: batch %d out of order (want %d)", c.cfg.Site, f.Seq, wire.Resume), retryable: true}
-			}
 			b, err := f.bindings(vars)
 			if err != nil {
 				return outcome{err: fmt.Errorf("transport: site %d: %w", c.cfg.Site, err), retryable: true}
@@ -236,7 +222,6 @@ func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []stri
 			if err := sink(b); err != nil {
 				return outcome{err: err}
 			}
-			wire.Resume++
 		case "done":
 			return outcome{}
 		case "err":

@@ -3,10 +3,10 @@
 // streams binding batches as NDJSON frames, and SiteClient implements
 // the same cluster.SiteEval interface as the in-process channel path,
 // wrapped in a robustness layer — bounded retries with exponential
-// backoff and jitter (resumable from the last acknowledged batch), a
-// per-frame progress deadline that runs from the request, and a
-// per-site circuit breaker — so the control site can mix local and
-// remote sites and queries survive a lossy network or a stalled site.
+// backoff and jitter (each one restarting the stream), a per-frame
+// progress deadline that runs from the request, and a per-site circuit
+// breaker — so the control site can mix local and remote sites and
+// queries survive a lossy network or a stalled site.
 //
 // Remote evaluations read each fragment's current state (a per-graph
 // consistent snapshot), not the control site's pinned MVCC view: a
@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"sync/atomic"
 
 	"rdffrag/internal/cluster"
@@ -61,12 +60,9 @@ type ServerMetrics struct {
 	Evals       uint64
 	ActiveEvals int
 	// Batches and Rows count streamed result frames and the binding
-	// rows they carried (resume-skipped frames excluded).
+	// rows they carried.
 	Batches uint64
 	Rows    uint64
-	// Resumes counts streams that skipped an acknowledged prefix for a
-	// resuming client.
-	Resumes uint64
 	// ResponseWriteErrors counts response bodies that failed to write
 	// after the status line was sent (client gone mid-response); the
 	// status can't change anymore, so the metric is the observable.
@@ -77,9 +73,9 @@ type ServerMetrics struct {
 
 // SiteServer serves a cluster's fragments over HTTP: POST /eval streams
 // NDJSON binding batches, GET /healthz is a liveness probe, GET
-// /metrics reports the counters above. Evaluation is deterministic
-// (fragments in sorted order, batches in sequential enumeration order)
-// so a torn stream is resumable from the last acknowledged batch.
+// /metrics reports the counters above. Batches stream as the matcher's
+// workers fill them, in no fixed order: a retried stream restarts from
+// scratch, and the control site's dedup absorbs what it repeats.
 type SiteServer struct {
 	cfg ServerConfig
 	mux *http.ServeMux
@@ -88,7 +84,6 @@ type SiteServer struct {
 	active        atomic.Int64
 	batches       atomic.Uint64
 	rows          atomic.Uint64
-	resumes       atomic.Uint64
 	respWriteErrs atomic.Uint64
 
 	// draining flips once graceful shutdown begins; /healthz then
@@ -132,7 +127,6 @@ func (s *SiteServer) Metrics() ServerMetrics {
 		ActiveEvals:         int(s.active.Load()),
 		Batches:             s.batches.Load(),
 		Rows:                s.rows.Load(),
-		Resumes:             s.resumes.Load(),
 		ResponseWriteErrors: s.respWriteErrs.Load(),
 		Chaos:               s.cfg.Chaos.Counts(),
 	}
@@ -146,7 +140,6 @@ func (s *SiteServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"active_evals":          m.ActiveEvals,
 		"batches":               m.Batches,
 		"rows":                  m.Rows,
-		"resumes":               m.Resumes,
 		"response_write_errors": m.ResponseWriteErrors,
 		"chaos_drops":           m.Chaos.Drops,
 		"chaos_errors":          m.Chaos.Errors,
@@ -222,20 +215,6 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	epoch, err := s.cfg.Cluster.FragEpoch(wire.Site, wire.Frags)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	// Resume only holds when the data hasn't moved since the torn
-	// attempt: the deterministic batch sequence is a function of
-	// (query, fragments, epoch, batch size). On mismatch, stream from
-	// scratch — the client resets its ack count from the header.
-	skip := 0
-	if wire.Resume > 0 && wire.Epoch == epoch {
-		skip = wire.Resume
-	}
-
 	s.evals.Add(1)
 	s.active.Add(1)
 	defer s.active.Add(-1)
@@ -255,36 +234,16 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	// The header carries the server's fingerprint of the shared prefix
 	// (min of both lengths) so the client can verify the other
 	// direction — whichever dictionary is longer checks the shorter one.
-	if err := write(&frame{K: "hdr", Epoch: epoch, Skip: skip, DictLen: hdrLen, DictFP: s.cfg.Dict.Fingerprint(hdrLen)}); err != nil {
+	if err := write(&frame{K: "hdr", DictLen: hdrLen, DictFP: s.cfg.Dict.Fingerprint(hdrLen)}); err != nil {
 		return
-	}
-	if skip > 0 {
-		s.resumes.Add(1)
 	}
 
 	batch := wire.Batch
 	if batch <= 0 {
 		batch = cluster.DefaultBatchSize
 	}
-	// The site's graphs evaluate one at a time, in the order the sorted
-	// fragment IDs first name them, with the deterministic matcher: the
-	// batch sequence is then reproducible across attempts, which is what
-	// makes `skip` sound. (The parallelism budget still fans out morsel
-	// workers inside each graph — determinism costs ordering, not parallel
-	// matching.)
-	req := cluster.EvalRequest{
-		SiteID:        wire.Site,
-		FragIDs:       slices.Sorted(slices.Values(wire.Frags)),
-		Query:         q,
-		Parallelism:   wire.Parallelism,
-		Deterministic: true,
-	}
-	seq := 0
+	req := cluster.EvalRequest{SiteID: wire.Site, FragIDs: wire.Frags, Query: q, Parallelism: wire.Parallelism}
 	streamErr := s.cfg.Cluster.EvalStream(r.Context(), req, batch, func(b *match.Bindings) error {
-		if seq < skip {
-			seq++
-			return nil
-		}
 		switch s.cfg.Chaos.OnBatch() {
 		case cluster.FaultCut:
 			return errCutInjected
@@ -293,18 +252,18 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 		}
-		if err := write(&frame{K: "b", Seq: seq, Vars: b.Vars, Rows: rowsOf(b)}); err != nil {
+		if err := write(&frame{K: "b", Vars: b.Vars, Rows: rowsOf(b)}); err != nil {
 			return err
 		}
-		seq++
 		s.batches.Add(1)
 		s.rows.Add(uint64(b.Len()))
+		b.Release()
 		return nil
 	})
 
 	switch {
 	case streamErr == nil:
-		write(&frame{K: "done", Count: seq})
+		write(&frame{K: "done"})
 	case errors.Is(streamErr, errCutInjected):
 		// Abort the connection without a terminal frame: the client
 		// must see a torn stream, not a clean close. ErrAbortHandler

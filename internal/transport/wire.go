@@ -2,12 +2,13 @@ package transport
 
 // Wire format of the site RPC. A request is one JSON document; the
 // response is a stream of newline-delimited JSON frames
-// (application/x-ndjson): a header frame carrying the data epoch, zero
-// or more batch frames carrying binding rows, and a terminal done frame.
-// The terminal frame is what makes torn streams detectable: EOF before
-// it means the stream was cut (network fault, site death) and the
-// delivered prefix is incomplete — the client retries and resumes
-// instead of silently accepting a truncated result.
+// (application/x-ndjson): a header frame carrying the site's dictionary
+// fingerprint, zero or more batch frames carrying binding rows, and a
+// terminal done frame. The terminal frame is what makes torn streams
+// detectable: EOF before it means the stream was cut (network fault, site
+// death) and the delivered prefix is incomplete — the client retries the
+// whole stream instead of silently accepting a truncated result, and the
+// control site's dedup absorbs the rows the torn attempt had delivered.
 //
 // Queries travel structurally (vertices and edges with constants as
 // N-Triples term keys), not as SPARQL text: Term.Key/TermFromKey
@@ -60,15 +61,6 @@ type evalWire struct {
 	Query       wireQuery `json:"query"`
 	Parallelism int       `json:"parallelism,omitempty"`
 	Batch       int       `json:"batch,omitempty"`
-	// Resume asks the server to skip the first Resume batches of the
-	// deterministic batch sequence (they were already delivered and
-	// acknowledged before a previous attempt's stream tore). Only valid
-	// together with Epoch.
-	Resume int `json:"resume,omitempty"`
-	// Epoch is the data fingerprint the resumed prefix was produced
-	// under; the server ignores Resume (and streams from scratch) when
-	// its current epoch differs.
-	Epoch uint64 `json:"epoch,omitempty"`
 	// DictLen/DictFP fingerprint the client dictionary's first DictLen
 	// terms (rdf.Dict.Fingerprint). Binding rows travel as raw IDs, so a
 	// client and server whose data dictionaries diverged would silently
@@ -86,14 +78,10 @@ type evalWire struct {
 // server-side failure (Retry says whether it is worth retrying).
 type frame struct {
 	K       string   `json:"k"`
-	Epoch   uint64   `json:"epoch,omitempty"`   // hdr
-	Skip    int      `json:"skip,omitempty"`    // hdr: batches skipped for resume
 	DictLen int      `json:"dictLen,omitempty"` // hdr: shared dictionary prefix length
 	DictFP  uint64   `json:"dictFp,omitempty"`  // hdr: server fingerprint of that prefix
-	Seq     int      `json:"seq"`               // b
 	Vars    []string `json:"vars,omitempty"`    // b
 	Rows    wireRows `json:"rows,omitzero"`     // b
-	Count   int      `json:"count,omitempty"`   // done: total batches in sequence
 	Msg     string   `json:"msg,omitempty"`     // err
 	Retry   bool     `json:"retry,omitempty"`   // err
 }
@@ -216,10 +204,10 @@ func (r *wireRows) UnmarshalJSON(data []byte) error {
 // refused.
 func (f *frame) bindings(vars []string) (*match.Bindings, error) {
 	if !slices.Equal(f.Vars, vars) {
-		return nil, fmt.Errorf("batch %d binds %v, the subquery %v", f.Seq, f.Vars, vars)
+		return nil, fmt.Errorf("batch binds %v, the subquery %v", f.Vars, vars)
 	}
 	if f.Rows.n > 0 && f.Rows.w != len(vars) {
-		return nil, fmt.Errorf("batch %d holds rows that are not %d wide", f.Seq, len(vars))
+		return nil, fmt.Errorf("batch holds rows that are not %d wide", len(vars))
 	}
 	return match.Recyclable(vars, f.Rows.ids, f.Rows.n), nil
 }

@@ -130,11 +130,11 @@ func TestWireRowsFrameRoundTrip(t *testing.T) {
 	}
 	var buf, ref bytes.Buffer
 	enc, refEnc := json.NewEncoder(&buf), json.NewEncoder(&ref)
-	for seq := 0; seq < 2; seq++ {
-		if err := enc.Encode(&frame{K: "b", Seq: seq, Vars: vars, Rows: rowsOf(b)}); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := enc.Encode(&frame{K: "b", Vars: vars, Rows: rowsOf(b)}); err != nil {
 			t.Fatal(err)
 		}
-		refEnc.Encode(map[string]any{"k": "b", "seq": seq, "vars": vars, "rows": nested})
+		refEnc.Encode(map[string]any{"k": "b", "vars": vars, "rows": nested})
 	}
 	var had, want map[string]json.RawMessage
 	line, _, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
@@ -142,27 +142,27 @@ func TestWireRowsFrameRoundTrip(t *testing.T) {
 	if json.Unmarshal(line, &had) != nil || json.Unmarshal(refLine, &want) != nil || !bytes.Equal(had["rows"], want["rows"]) {
 		t.Fatalf("rows went out as %.60s..., encoding/json writes %.60s...", had["rows"], want["rows"])
 	}
-	if err := enc.Encode(&frame{K: "b", Seq: 2, Vars: vars}); err != nil {
+	if err := enc.Encode(&frame{K: "b", Vars: vars}); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(&frame{K: "b", Seq: 3, Rows: rowsOf(&match.Bindings{Nullary: 2})}); err != nil {
+	if err := enc.Encode(&frame{K: "b", Rows: rowsOf(&match.Bindings{Nullary: 2})}); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(&frame{K: "done", Count: 4}); err != nil {
+	if err := enc.Encode(&frame{K: "done"}); err != nil {
 		t.Fatal(err)
 	}
-	if tail := buf.String(); !strings.HasSuffix(tail, `{"k":"b","seq":2,"vars":["x","y","z"]}`+"\n"+`{"k":"b","seq":3,"rows":[[],[]]}`+"\n"+`{"k":"done","seq":0,"count":4}`+"\n") {
+	if tail := buf.String(); !strings.HasSuffix(tail, `{"k":"b","vars":["x","y","z"]}`+"\n"+`{"k":"b","rows":[[],[]]}`+"\n"+`{"k":"done"}`+"\n") {
 		t.Fatalf("the stream ends %q", tail[len(tail)-120:])
 	}
 	dec := json.NewDecoder(&buf)
-	for seq := 0; seq < 2; seq++ {
+	for i := 0; i < 2; i++ {
 		var f frame
 		if err := dec.Decode(&f); err != nil {
 			t.Fatal(err)
 		}
 		got, err := f.bindings(vars)
-		if err != nil || f.K != "b" || f.Seq != seq || got.Len() != 256 || !slices.Equal(got.Rows, b.Rows) {
-			t.Fatalf("frame %d came back as k=%q seq=%d with %d rows, err %v", seq, f.K, f.Seq, f.Rows.n, err)
+		if err != nil || f.K != "b" || got.Len() != 256 || !slices.Equal(got.Rows, b.Rows) {
+			t.Fatalf("frame %d came back as k=%q with %d rows, err %v", i, f.K, f.Rows.n, err)
 		}
 	}
 	var f frame
@@ -180,7 +180,7 @@ func TestWireRowsFrameRoundTrip(t *testing.T) {
 		t.Fatalf("two empty tuples came back as %+v, err %v", got, err)
 	}
 	f = frame{}
-	if err := dec.Decode(&f); err != nil || f.K != "done" || f.Count != 4 || f.Rows.n != 0 {
+	if err := dec.Decode(&f); err != nil || f.K != "done" || f.Rows.n != 0 {
 		t.Fatalf("done frame came back as %+v, err %v", f, err)
 	}
 }
@@ -207,24 +207,24 @@ func TestWireRowsDecodeAllocs(t *testing.T) {
 
 // TestClientRejectsFramesThatAreNoTable: a batch frame is checked against
 // the request — its vars must be the subquery's and every row exactly
-// that wide. A site that answers otherwise fails the attempt the way an
-// out-of-order batch does: retried, and with every attempt as bad the
-// call ends unavailable with nothing ragged handed to the sink.
+// that wide. A site that answers otherwise fails the attempt the way a
+// torn stream does: retried, and with every attempt as bad the call ends
+// unavailable with nothing ragged handed to the sink.
 func TestClientRejectsFramesThatAreNoTable(t *testing.T) {
 	_, d, q := newTestCluster(t, 4)
 	for name, batch := range map[string]string{
-		"other vars": `{"k":"b","seq":0,"vars":["x","z"],"rows":[[1,2]]}`,
-		"no vars":    `{"k":"b","seq":0,"rows":[[1,2]]}`,
-		"ragged":     `{"k":"b","seq":0,"vars":["x","y"],"rows":[[1,2],[3]]}`,
-		"over-wide":  `{"k":"b","seq":0,"vars":["x","y"],"rows":[[1,2,3],[4,5,6]]}`,
-		"narrow":     `{"k":"b","seq":0,"vars":["x","y"],"rows":[[1],[2]]}`,
-		"null row":   `{"k":"b","seq":0,"vars":["x","y"],"rows":[[1,2],null]}`,
+		"other vars": `{"k":"b","vars":["x","z"],"rows":[[1,2]]}`,
+		"no vars":    `{"k":"b","rows":[[1,2]]}`,
+		"ragged":     `{"k":"b","vars":["x","y"],"rows":[[1,2],[3]]}`,
+		"over-wide":  `{"k":"b","vars":["x","y"],"rows":[[1,2,3],[4,5,6]]}`,
+		"narrow":     `{"k":"b","vars":["x","y"],"rows":[[1],[2]]}`,
+		"null row":   `{"k":"b","vars":["x","y"],"rows":[[1,2],null]}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			attempts := 0
 			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				attempts++
-				fmt.Fprintf(w, "{\"k\":\"hdr\",\"seq\":0}\n%s\n{\"k\":\"done\",\"seq\":0,\"count\":1}\n", batch)
+				fmt.Fprintf(w, "{\"k\":\"hdr\"}\n%s\n{\"k\":\"done\"}\n", batch)
 			}))
 			defer hs.Close()
 			cl := NewSiteClient(ClientConfig{BaseURL: hs.URL, Dict: d, Retries: 2, Backoff: time.Microsecond})
@@ -232,8 +232,8 @@ func TestClientRejectsFramesThatAreNoTable(t *testing.T) {
 				t.Errorf("the sink received %d rows over %v", b.Len(), b.Vars)
 				return nil
 			})
-			if err == nil || !strings.Contains(err.Error(), "batch 0") || attempts != 3 {
-				t.Fatalf("after %d attempts: %v; want 3 attempts refused for batch 0", attempts, err)
+			if err == nil || !strings.Contains(err.Error(), "transport: site 0: batch ") || attempts != 3 {
+				t.Fatalf("after %d attempts: %v; want 3 attempts refused for the batch", attempts, err)
 			}
 		})
 	}

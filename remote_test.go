@@ -278,7 +278,8 @@ func TestQueryDisconnectCancelsRemoteEvals(t *testing.T) {
 
 // The deterministic chaos soak: mixed query/update load over networked
 // sites under seeded drop/error/cut/delay faults. Every query must
-// succeed (retries and resume mask the faults), the post-quiesce
+// succeed (retries mask the faults, and dedup the rows a restarted
+// stream repeats), the post-quiesce
 // answers must equal the fault-free in-process oracle, the robustness
 // counters must reconcile with the injected-fault counts, and nothing
 // may leak.
@@ -304,9 +305,9 @@ func TestChaosSoakRemoteSites(t *testing.T) {
 	// A server with remote sites refuses updates (ErrRemoteSites). The
 	// site handler above serves this same *Deployment, so the soak applies
 	// its updates through a second, in-process server on it: that is how
-	// the test moves the site's data epoch under the remote streams, which
-	// must then restart instead of resuming — not how a production
-	// deployment, whose sites are separate processes, is updated.
+	// the test moves the site's data under the remote streams — not how a
+	// production deployment, whose sites are separate processes, is
+	// updated.
 	writer := dep.StartServer(ServerConfig{Workers: 1})
 	if _, err := srv.Update(context.Background(), soakNT(1, 999)); !errors.Is(err, ErrRemoteSites) {
 		t.Fatalf("update through the server with remote sites: %v, want ErrRemoteSites", err)
