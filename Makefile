@@ -132,7 +132,10 @@ crash-soak:
 # never panic, slice from no length prefix the payload does not back, and
 # what it accepts encodes back to the same batch. The SPARQL parser: never
 # panic, and wrap ErrParse in every error it returns — what /query answers
-# with 400. The seed corpora alone run inside `test`.
+# with 400. The Turtle reader: never panic, add no triple from a document
+# it refuses, and read what WriteTurtle writes of a document it accepts
+# back to the same triple set; like the loader's, its inputs would spend
+# the run being minimized. The seed corpora alone run inside `test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRows$$' -fuzztime=10s ./internal/transport
@@ -142,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSegment$$' -fuzztime=10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/sparql
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTurtle$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rdf
 
 # One iteration per benchmark: a compile-and-run smoke, not a measurement.
 bench:

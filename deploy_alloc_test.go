@@ -15,15 +15,17 @@ import (
 // took it from 272.9 MB (vertical) and 322.6 MB (horizontal) to 48.9 and
 // 102.3 MB; fragment graphs that allocate no membership map and one
 // build-time offset table instead of four, to 40.7 and 87.4 MB; graphs
-// that keep no triple list beside their arenas, to the figures below. The
-// ceilings are those plus 25 %. A matched graph built through the
-// map-mode Add, a second match per selected pattern or a per-match bucket
-// each put it back over. What is left is mostly the
-// workload side — embeddings enumerated by allocation and the data
-// dictionary — which does not grow with the graph. Deploy has since
-// taken on the workload coverage Stats used to count on each call
-// (38.0 and 84.3 MB measured); building a graph per site instead of one
-// per fragment, the figures below.
+// that keep no triple list beside their arenas, lower still. A matched
+// graph built through the map-mode Add, a second match per selected
+// pattern or a per-match bucket each put it back over. Deploy has since taken on the workload coverage
+// Stats used to count on each call (38.0 and 84.3 MB measured); building
+// a graph per site instead of one per fragment, 32.8 and 76.0 MB; finding
+// a pattern's embeddings once per query shape instead of once per
+// workload query, in horizontal fragmentation, allocation and the data
+// dictionary, the figures below. The ceilings are those plus 25 %;
+// embeddings found per query again put it back over. What is left is mostly the graphs' CSR builds, the
+// patterns' matched edge sets and the embeddings mining and selection
+// enumerate over the distinct normalized queries.
 func TestDeployTotalAlloc(t *testing.T) {
 	// Each matcher worker has a bitmap of its own; fix how many there are.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -55,8 +57,8 @@ func TestDeployTotalAlloc(t *testing.T) {
 
 // What Deploy measured when the ceilings were set.
 const (
-	deployAllocVertical   = 32_800_000
-	deployAllocHorizontal = 76_000_000
+	deployAllocVertical   = 14_700_000
+	deployAllocHorizontal = 19_100_000
 )
 
 // TestDeployLiveHeap bounds what a deployment keeps, on the same fixture:

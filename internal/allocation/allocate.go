@@ -31,13 +31,14 @@ type Allocation struct {
 // fragments: aff(F,F') = Σ_k use(Qk,F) × use(Qk,F').
 func Affinity(frags []*fragment.Fragment, workload []*sparql.Graph) map[[2]int]int {
 	aff := make(map[[2]int]int)
+	var rel fragment.Relevance
 	for _, q := range workload {
 		var touched []int
 		for i, f := range frags {
 			if f.Kind == fragment.ColdKind {
 				continue
 			}
-			if f.RelevantTo(q) {
+			if rel.RelevantTo(f, q) {
 				touched = append(touched, i)
 			}
 		}

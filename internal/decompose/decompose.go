@@ -119,13 +119,7 @@ type block struct {
 
 // relevant is Fragment.RelevantTo for entry i against q's constants.
 func (b *block) relevant(q *sparql.Graph, i int) bool {
-	f := b.card.Entries[i].Fragment
-	for _, m := range b.embeds[i] {
-		if f.MintermCompatible(q, m) {
-			return true
-		}
-	}
-	return false
+	return b.card.Entries[i].Fragment.CompatibleWithAny(q, b.embeds[i])
 }
 
 // Shape computes the decomposition skeleton of q's structure.

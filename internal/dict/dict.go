@@ -73,6 +73,7 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 	}
 	hsn := fr.Hot.Snapshot()
 	defer hsn.Close()
+	var rel fragment.Relevance
 	for _, f := range fr.Fragments {
 		var opts match.Options
 		if f.Minterm != nil {
@@ -89,7 +90,7 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 			e.Site = s
 		}
 		for _, q := range workload {
-			if f.RelevantTo(q) {
+			if rel.RelevantTo(f, q) {
 				e.AccessFreq++
 			}
 		}
@@ -145,18 +146,14 @@ func (d *Dictionary) LookupGraph(g *sparql.Graph) []*Entry {
 	return d.byCode[mining.CanonicalCode(g.Generalize())]
 }
 
-// HasPattern reports whether a subquery maps to some selected pattern.
-func (d *Dictionary) HasPattern(g *sparql.Graph) bool {
-	return len(d.LookupGraph(g)) > 0
-}
-
 // RelevantEntries returns the entries for the subquery's pattern whose
 // fragments are relevant to the (constant-bearing) subquery — the
 // fragment-pruning step of Sections 5.1/5.2.
 func (d *Dictionary) RelevantEntries(sub *sparql.Graph) []*Entry {
 	var out []*Entry
+	var rel fragment.Relevance
 	for _, e := range d.LookupGraph(sub) {
-		if e.Fragment.RelevantTo(sub) {
+		if rel.RelevantTo(e.Fragment, sub) {
 			out = append(out, e)
 		}
 	}
@@ -174,7 +171,8 @@ func (d *Dictionary) EstimateCard(sub *sparql.Graph) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return cs.Estimate(func(i int) bool { return cs.Entries[i].Fragment.RelevantTo(sub) }), true
+	var rel fragment.Relevance
+	return cs.Estimate(func(i int) bool { return rel.RelevantTo(cs.Entries[i].Fragment, sub) }), true
 }
 
 // CardShape is what EstimateCard takes from a subquery's structure —

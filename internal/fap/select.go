@@ -107,6 +107,7 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 
 	// Lines 3–6: one-edge pattern per frequent property in the hot graph.
 	oneEdgeCodes := make(map[string]bool)
+	var oneEdgeRows [][]bool
 	totalSize := 0
 	for _, pred := range hsn.Predicates() {
 		g := sparql.NewGraph()
@@ -120,6 +121,7 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 			}
 		}
 		sel.OneEdge = append(sel.OneEdge, p)
+		oneEdgeRows = append(oneEdgeRows, row)
 		oneEdgeCodes[code] = true
 		totalSize += fragSize(p)
 	}
@@ -139,13 +141,6 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].p.Code < cands[j].p.Code })
 
-	oneEdgeRows := make([][]bool, len(sel.OneEdge))
-	oneEdgeSizes := make([]int, len(sel.OneEdge))
-	for i, p := range sel.OneEdge {
-		oneEdgeRows[i] = contains(p)
-		oneEdgeSizes[i] = p.Size()
-	}
-
 	// benefitWith computes Benefit(P' ∪ extra, Q) where best holds the
 	// current per-query maximum |E(p)| over the chosen set.
 	benefit := func(best []int) int {
@@ -156,10 +151,11 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 		return total
 	}
 	baseBest := make([]int, len(uniq))
-	for i := range sel.OneEdge {
-		for qi, ok := range oneEdgeRows[i] {
-			if ok && oneEdgeSizes[i] > baseBest[qi] {
-				baseBest[qi] = oneEdgeSizes[i]
+	for i, row := range oneEdgeRows {
+		sz := sel.OneEdge[i].Size()
+		for qi, ok := range row {
+			if ok && sz > baseBest[qi] {
+				baseBest[qi] = sz
 			}
 		}
 	}

@@ -207,10 +207,6 @@ func TestRelevanceAndNames(t *testing.T) {
 			t.Errorf("Kind(%d).String() = %s", uint8(k), k)
 		}
 	}
-	if hot, cold := aristotle.Edges[0], unrelated.Edges[0]; !hc.IsHotQueryEdge(hot) || hc.IsHotQueryEdge(cold) ||
-		hc.IsHotQueryEdge(sparql.Edge{PredVar: "p"}) {
-		t.Error("IsHotQueryEdge: frequent constant predicates only")
-	}
 	empty := &Fragmentation{Hot: rdf.NewFrozen(g.Dict, nil), Cold: coldFragment(&HotCold{Hot: hc.Hot}, 0)}
 	if empty.Redundancy(empty.Hot) != 0 || len(empty.All()) != 0 {
 		t.Error("an empty fragmentation has redundancy 0 and no fragments")

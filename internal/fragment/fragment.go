@@ -149,21 +149,6 @@ func (m *Minterm) Key() string {
 	return m.Pattern.Code + "|" + strings.Join(parts, "&")
 }
 
-// Satisfies reports whether a full vertex binding of the pattern satisfies
-// the minterm.
-func (m *Minterm) Satisfies(binding []rdf.ID) bool {
-	for _, c := range m.Constraints {
-		got := binding[c.Vertex]
-		if c.Equal && got != c.Value {
-			return false
-		}
-		if !c.Equal && got == c.Value {
-			return false
-		}
-	}
-	return true
-}
-
 // VertexFilter adapts the minterm to match.Options.VertexFilter.
 func (m *Minterm) VertexFilter() func(qv int, id rdf.ID) bool {
 	byVertex := make(map[int][]Constraint)
@@ -172,10 +157,7 @@ func (m *Minterm) VertexFilter() func(qv int, id rdf.ID) bool {
 	}
 	return func(qv int, id rdf.ID) bool {
 		for _, c := range byVertex[qv] {
-			if c.Equal && id != c.Value {
-				return false
-			}
-			if !c.Equal && id == c.Value {
+			if (id == c.Value) != c.Equal {
 				return false
 			}
 		}

@@ -77,10 +77,11 @@ func harvestSimplePreds(p *mining.Pattern, workload []*sparql.Graph, maxPreds, m
 		value  rdf.ID
 	}
 	counts := make(map[key]int)
+	var rel Relevance
 	for _, q := range workload {
 		seen := make(map[key]bool)
-		for _, emb := range sparql.FindEmbeddings(p.Graph, q, 0) {
-			for pv, qv := range emb.VertexMap {
+		for _, m := range rel.Embeddings(p.Graph, q) {
+			for pv, qv := range m {
 				if p.Graph.Verts[pv].IsVar() && !q.Verts[qv].IsVar() {
 					k := key{vertex: pv, value: q.Verts[qv].Term}
 					if !seen[k] {

@@ -88,9 +88,3 @@ func UnionLen(hot, cold *rdf.Snapshot, freq map[rdf.ID]bool) int {
 	}
 	return n
 }
-
-// IsHotQueryEdge reports whether a query edge touches only frequent
-// properties (variable predicates count as cold: they may bind anywhere).
-func (hc *HotCold) IsHotQueryEdge(e sparql.Edge) bool {
-	return !e.IsPredVar() && hc.FreqProps[e.Pred]
-}

@@ -298,12 +298,6 @@ func edgeMarker(set *rdf.EdgeSet, edges int) func(*Match) bool {
 	}
 }
 
-// MatchedGraph returns the subgraph of g induced by all matches of q, as
-// a frozen graph of its own: MatchedEdges' triples in (S, P, O) order.
-func MatchedGraph(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Graph {
-	return rdf.NewFrozen(g.Dict(), MatchedEdges(q, g, opts).Triples())
-}
-
 type searcher struct {
 	q     *sparql.Graph
 	g     *rdf.Snapshot

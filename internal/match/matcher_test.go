@@ -130,6 +130,12 @@ func TestVertexFilter(t *testing.T) {
 	}
 }
 
+// MatchedGraph returns the subgraph of g induced by all matches of q, as
+// a frozen graph of its own: MatchedEdges' triples in (S, P, O) order.
+func MatchedGraph(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Graph {
+	return rdf.NewFrozen(g.Dict(), MatchedEdges(q, g, opts).Triples())
+}
+
 func TestMatchedGraph(t *testing.T) {
 	g := philosopherGraph()
 	q := sparql.MustParse(g.Dict, `SELECT * WHERE { ?x <influencedBy> ?y . ?x <mainInterest> ?i . ?x <name> ?n . }`)

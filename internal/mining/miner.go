@@ -19,11 +19,6 @@ type Pattern struct {
 // Size returns |E(p)|.
 func (p *Pattern) Size() int { return p.Graph.NumEdges() }
 
-// ContainedIn reports use(Q, p) for a (normalized or raw) query graph Q.
-func (p *Pattern) ContainedIn(q *sparql.Graph) bool {
-	return sparql.Embeds(p.Graph, q)
-}
-
 // Miner mines frequent access patterns from a SPARQL query workload.
 type Miner struct {
 	// MinSup is the absolute support threshold minSup (Definition 7); a

@@ -156,7 +156,7 @@ func TestPatternContainedIn(t *testing.T) {
 	gen := q.Generalize()
 	anyHit := false
 	for _, p := range ps {
-		if p.ContainedIn(gen) {
+		if sparql.Embeds(p.Graph, gen) {
 			anyHit = true
 		}
 	}

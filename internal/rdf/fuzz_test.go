@@ -70,3 +70,51 @@ func FuzzScanNTriples(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadTurtle: the Turtle reader never panics; a document it refuses
+// adds no triple to the graph it was read into; and what it accepts,
+// written back by WriteTurtle, reads to the same triple set.
+func FuzzReadTurtle(f *testing.F) {
+	f.Add("@prefix ex: <http://ex/> .\n@prefix : <http://default/> .\nex:Aristotle a ex:Philosopher ;\n    ex:name \"Aristotle\" ;\n" +
+		"    ex:mainInterest ex:Ethics , ex:Logic .\n:thing ex:rel _:b1 . # comment\n")
+	f.Add("PREFIX ex: <http://ex/>\nBASE <http://base/>\n<a> ex:label \"tagged\"@en ; ex:age \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> ;\n" +
+		"    ex:rank 7 ; ex:score -3.14 ; ex:q \"q\\\"uote\\\\\" .")
+	for _, bad := range []string{
+		`@prefix ex <http://ex/> .`, `@prefix ex: <http://ex/>`, `ex:a ex:p ex:b .`,
+		`<http://a> <http://p> "unterminated`, `<http://a> <http://p> <http://b>`, `<http://a> "lit" <http://b> .`,
+	} {
+		f.Add(bad)
+		f.Add("<http://a> <http://p> <http://b> .\n" + bad)
+	}
+	terms := func(g *Graph) []string {
+		var out []string
+		for _, tr := range g.Triples() {
+			out = append(out, g.TripleString(tr))
+		}
+		slices.Sort(out)
+		return out
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		g := NewGraph(nil)
+		g.AddTerms(NewIRI("http://held/s"), NewIRI("http://held/p"), NewLiteral("held"))
+		held := terms(g)
+		n, err := ReadTurtle(g, strings.NewReader(doc))
+		if err != nil {
+			if got := terms(g); n != 0 || !slices.Equal(got, held) {
+				t.Fatalf("a refused document (%v) read %d triples, left %v", err, n, got)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteTurtle(g, &out); err != nil {
+			t.Fatal(err)
+		}
+		back := NewGraph(nil)
+		if _, err := ReadTurtle(back, bytes.NewReader(out.Bytes())); err != nil {
+			t.Fatalf("written back as %q, which does not read: %v", out.String(), err)
+		}
+		if want, got := terms(g), terms(back); !slices.Equal(got, want) {
+			t.Fatalf("written back as %q, which reads to %v, not %v", out.String(), got, want)
+		}
+	})
+}

@@ -2,53 +2,10 @@ package serve
 
 import (
 	"container/list"
-	"encoding/binary"
 	"sync"
 
 	"rdffrag/internal/decompose"
-	"rdffrag/internal/sparql"
 )
-
-// appendShapeKey appends the cache key of q's shape to dst: the edge
-// list over parse-order vertex numbers with its predicate IDs, and which
-// vertices are constants — exactly what a decompose.Shape is a function
-// of. Constant values and variable names are left out, so every instance
-// of a query template shares an entry; a predicate variable is written as
-// the number of the first edge that carries it. Projection, ORDER BY
-// and LIMIT are excluded too: they play no part in planning. A textual
-// reordering of the same pattern numbers its vertices differently and
-// gets an entry of its own, which costs one more miss and nothing on a
-// hit — merging them would put a graph canonicalisation on every lookup.
-// With dst backed by a stack array the key costs no allocation.
-func appendShapeKey(dst []byte, q *sparql.Graph) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(q.Verts)))
-	for _, v := range q.Verts {
-		if v.IsVar() {
-			dst = append(dst, 'v')
-		} else {
-			dst = append(dst, 'c')
-		}
-	}
-	for i, e := range q.Edges {
-		dst = binary.AppendUvarint(dst, uint64(e.From))
-		dst = binary.AppendUvarint(dst, uint64(e.To))
-		if !e.IsPredVar() {
-			dst = append(dst, 'p')
-			dst = binary.AppendUvarint(dst, uint64(e.Pred))
-			continue
-		}
-		first := i
-		for j, w := range q.Edges[:i] {
-			if w.PredVar == e.PredVar {
-				first = j
-				break
-			}
-		}
-		dst = append(dst, '?')
-		dst = binary.AppendUvarint(dst, uint64(first))
-	}
-	return dst
-}
 
 // planCache is a small mutex-guarded LRU of query shapes. Entries are
 // immutable (a decompose.Shape is read-only once built), so hits can be

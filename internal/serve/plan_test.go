@@ -19,7 +19,7 @@ func TestShapeKey(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	key := func(text string) string {
-		return string(appendShapeKey(nil, sparql.MustParse(env.G.Dict, text)))
+		return string(sparql.AppendShapeKey(nil, sparql.MustParse(env.G.Dict, text)))
 	}
 	base := `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Person3> . }`
 	for _, same := range []string{

@@ -476,7 +476,7 @@ func (s *Server) plan(q *sparql.Graph) (*exec.Prepared, bool, error) {
 		return prep, false, err
 	}
 	var buf [128]byte
-	key := appendShapeKey(buf[:0], q)
+	key := sparql.AppendShapeKey(buf[:0], q)
 	shape, hit := s.cache.get(key)
 	if hit {
 		s.met.cacheHits.Add(1)

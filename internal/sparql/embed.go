@@ -1,6 +1,9 @@
 package sparql
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
 
 // Embedding is one occurrence of a pattern inside a query graph: a
 // vertex-injective mapping of pattern vertices to query vertices together
@@ -46,6 +49,45 @@ func FindEmbeddings(pattern, q *Graph, limit int) []Embedding {
 	}
 	st.search(0)
 	return st.found
+}
+
+// AppendShapeKey appends the key of q's shape to dst: the edge list over
+// parse-order vertex numbers with its predicate IDs (a predicate variable
+// as the number of the first edge that carries it), and which vertices
+// are constants — not their values, the variable names, projection, ORDER
+// BY or LIMIT. It has two users: the plan cache keys a decompose.Shape by
+// it, a function of exactly this, and fragment.Relevance keys a pattern's
+// embeddings by it, which FindEmbeddings finds reading no more of q than
+// this. A reordered pattern gets a key of its own. With dst backed by a
+// stack array the key costs no allocation.
+func AppendShapeKey(dst []byte, q *Graph) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(q.Verts)))
+	for _, v := range q.Verts {
+		if v.IsVar() {
+			dst = append(dst, 'v')
+		} else {
+			dst = append(dst, 'c')
+		}
+	}
+	for i, e := range q.Edges {
+		dst = binary.AppendUvarint(dst, uint64(e.From))
+		dst = binary.AppendUvarint(dst, uint64(e.To))
+		if !e.IsPredVar() {
+			dst = append(dst, 'p')
+			dst = binary.AppendUvarint(dst, uint64(e.Pred))
+			continue
+		}
+		first := i
+		for j, w := range q.Edges[:i] {
+			if w.PredVar == e.PredVar {
+				first = j
+				break
+			}
+		}
+		dst = append(dst, '?')
+		dst = binary.AppendUvarint(dst, uint64(first))
+	}
+	return dst
 }
 
 type embedState struct {
