@@ -63,16 +63,7 @@ type Result struct {
 }
 
 // QueryStats summarizes one query's distributed execution.
-type QueryStats struct {
-	Subqueries       int
-	SitesTouched     int
-	IntermediateRows int
-	// Partial is true when the server ran in degraded mode and skipped
-	// unreachable remote sites: the rows are correct but possibly
-	// incomplete. UnreachableSites lists the skipped sites, ascending.
-	Partial          bool
-	UnreachableSites []int
-}
+type QueryStats = exec.QueryStats
 
 // Query parses, decomposes, optimizes and executes a SPARQL query.
 func (dep *Deployment) Query(query string) (*Result, error) {
@@ -99,14 +90,8 @@ func (dep *Deployment) QueryParsed(q *sparql.Graph) (*Result, error) {
 // reversing both — and LIMIT then cuts the table.
 func (dep *Deployment) newResult(q *sparql.Graph, b *match.Bindings, stats *exec.QueryStats) *Result {
 	res := &Result{
-		Vars: b.Vars,
-		Stats: QueryStats{
-			Subqueries:       stats.Subqueries,
-			SitesTouched:     stats.SitesTouched,
-			IntermediateRows: stats.IntermediateRows,
-			Partial:          stats.Partial,
-			UnreachableSites: append([]int(nil), stats.UnreachableSites...),
-		},
+		Vars:  b.Vars,
+		Stats: *stats,
 		ids:   b.Rows,
 		n:     b.Len(),
 		text:  dep.db.graph.Dict.Rendered(),
@@ -202,31 +187,13 @@ func (dep *Deployment) Stats() DeployStats {
 }
 
 // Explanation is a human-oriented description of how a query would run.
-type Explanation struct {
-	// Subqueries renders each subquery: its BGP text, classification and
-	// the fragment/site pairs it would read.
-	Subqueries []ExplainStep
-	// JoinOrder lists subquery indices in execution order.
-	JoinOrder []int
-	// DecompositionCost and PlanCost are the optimizer estimates.
-	DecompositionCost float64
-	PlanCost          float64
-}
+type Explanation = exec.Explanation
 
 // ExplainStep is one subquery of an explanation.
-type ExplainStep struct {
-	Text          string
-	Kind          string // "pattern", "cold" or "global"
-	EstimatedCard int
-	Fragments     []FragmentRef
-}
+type ExplainStep = exec.ExplainStep
 
 // FragmentRef names a fragment and its site.
-type FragmentRef struct {
-	ID   int
-	Site int
-	Size int
-}
+type FragmentRef = exec.FragmentRef
 
 // Explain plans a query without executing it: decomposition, join order
 // and fragment routing.
@@ -235,46 +202,7 @@ func (dep *Deployment) Explain(query string) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := dep.engine.Explain(q)
-	if err != nil {
-		return nil, err
-	}
-	ex := &Explanation{
-		JoinOrder:         inner.JoinOrder,
-		DecompositionCost: inner.DecompositionCost,
-		PlanCost:          inner.PlanCost,
-	}
-	for _, st := range inner.Subqueries {
-		step := ExplainStep{
-			Kind:          "pattern",
-			EstimatedCard: st.Card,
-			Text:          q.EdgeSubgraph(st.Edges).StringWithDict(dep.db.graph.Dict),
-		}
-		if st.Cold {
-			step.Kind = "cold"
-		} else if st.Global {
-			step.Kind = "global"
-		}
-		for _, f := range st.Fragments {
-			step.Fragments = append(step.Fragments, FragmentRef{ID: f.ID, Site: f.Site, Size: f.Size})
-		}
-		ex.Subqueries = append(ex.Subqueries, step)
-	}
-	return ex, nil
-}
-
-// String renders the explanation as indented text.
-func (ex *Explanation) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "decomposition cost %.0f, plan cost %.0f, join order %v\n",
-		ex.DecompositionCost, ex.PlanCost, ex.JoinOrder)
-	for i, st := range ex.Subqueries {
-		fmt.Fprintf(&b, "  q%d [%s, card≈%d] %s\n", i, st.Kind, st.EstimatedCard, st.Text)
-		for _, f := range st.Fragments {
-			fmt.Fprintf(&b, "      fragment %d @ site %d (%d edges)\n", f.ID, f.Site, f.Size)
-		}
-	}
-	return b.String()
+	return dep.engine.Explain(q)
 }
 
 // NetworkStats returns cumulative simulated network traffic.

@@ -7,6 +7,7 @@ package allocation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rdffrag/internal/fragment"
@@ -52,6 +53,29 @@ func Affinity(frags []*fragment.Fragment, workload []*sparql.Graph) map[[2]int]i
 	return aff
 }
 
+// cluster is one cluster of Algorithm 2's agglomerative clustering,
+// named by its root, the fragment position it grew from: a merge of B
+// into A keeps A's.
+type cluster struct {
+	members []int // fragment positions, ascending
+	load    int   // edge load, the members' sizes summed: for tie-breaking
+	// codes counts the members per pattern code, under horizontal
+	// fragmentation only.
+	codes map[string]int
+}
+
+// collisions counts b's members whose pattern code a holds too: merging
+// them would co-locate fragments the horizontal strategy wants spread.
+func collisions(a, b *cluster) int {
+	col := 0
+	for code, k := range b.codes {
+		if a.codes[code] > 0 {
+			col += k
+		}
+	}
+	return col
+}
+
 // Allocate clusters the fragmentation's hot fragments into m sites by
 // iteratively merging the cluster pair with the highest inter-cluster
 // affinity density, then assigns the cold fragment to the least-loaded
@@ -62,126 +86,117 @@ func Allocate(fr *fragment.Fragmentation, workload []*sparql.Graph, m int) *Allo
 		m = 1
 	}
 	frags := fr.Fragments
-	aff := Affinity(frags, workload)
-
-	// Horizontal fragmentation deliberately distributes one pattern's
-	// fragments among different sites to maximize intra-query parallelism
-	// (Section 5.2), so sibling fragments repel each other during
-	// clustering.
-	spreadSiblings := fr.Kind == fragment.HorizontalKind
-	patternOf := make([]string, len(frags))
-	for i, f := range frags {
-		if f.Pattern != nil {
-			patternOf[i] = f.Pattern.Code
-		}
-	}
-
-	// Union-find clusters over fragment positions.
 	n := len(frags)
-	parent := make([]int, n)
-	size := make([]int, n) // cluster cardinality
-	load := make([]int, n) // cluster edge load, for tie-breaking
-	for i := range parent {
-		parent[i] = i
-		size[i] = 1
-		load[i] = frags[i].Size
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	cs := make([]*cluster, n) // by root; nil once merged away
+	for i, f := range frags {
+		cs[i] = &cluster{members: []int{i}, load: f.Size, codes: map[string]int{}}
+		// Horizontal fragmentation deliberately distributes one pattern's
+		// fragments among different sites to maximize intra-query
+		// parallelism (Section 5.2), so sibling fragments repel each
+		// other during clustering.
+		if fr.Kind == fragment.HorizontalKind {
+			cs[i].codes[f.Pattern.Code] = 1
 		}
-		return x
+	}
+	// roots lists the live clusters' roots by smallest member: the order
+	// the fallback's unstable sort by load starts from, which decides its
+	// load ties.
+	roots := func() []int {
+		var rs []int
+		for r, c := range cs {
+			if c != nil {
+				rs = append(rs, r)
+			}
+		}
+		slices.SortFunc(rs, func(x, y int) int { return cs[x].members[0] - cs[y].members[0] })
+		return rs
+	}
+	// inter[a][b], a < b, is the total affinity between the clusters
+	// rooted at a and b.
+	inter := make([][]int, n)
+	for i := range inter {
+		inter[i] = make([]int, n)
+	}
+	for k, w := range Affinity(frags, workload) {
+		inter[k[0]][k[1]] = w
+	}
+	at := func(a, b int) *int {
+		return &inter[min(a, b)][max(a, b)]
 	}
 
-	// Inter-cluster total affinity, keyed by root pair (lo,hi).
-	inter := make(map[[2]int]int, len(aff))
-	for k, w := range aff {
-		inter[k] = w
-	}
-
-	clusters := n
-	for clusters > m {
+	for live := n; live > m; live-- {
 		// Pick the pair with the highest density: affinity / (|A|·|B|),
 		// breaking ties toward the smaller combined load to keep sites
-		// balanced, and then toward the smaller (lo, hi) root pair, so the
-		// map's iteration order never decides — every process that
-		// allocates the same input places each fragment on the same site.
-		// Merge pairs with zero affinity only when necessary.
+		// balanced, and then toward the smaller (a, b) root pair, the
+		// first met — every process that allocates the same input places
+		// each fragment on the same site. Merge pairs with zero affinity
+		// only when necessary.
 		bestA, bestB := -1, -1
 		var bestDensity float64
 		bestLoad := 0
-		for k, w := range inter {
-			a, b := find(k[0]), find(k[1])
-			if a == b {
+		for a, ca := range cs {
+			if ca == nil {
 				continue
 			}
-			if a > b {
-				a, b = b, a
-			}
-			d := float64(w) / float64(size[a]*size[b])
-			if spreadSiblings {
-				if col := siblingCollisions(parent, find, a, b, patternOf); col > 0 {
+			for b := a + 1; b < n; b++ {
+				cb, w := cs[b], inter[a][b]
+				if cb == nil || w == 0 {
+					continue
+				}
+				d := float64(w) / float64(len(ca.members)*len(cb.members))
+				if col := collisions(ca, cb); col > 0 {
 					d /= float64(1 + 4*col)
 				}
-			}
-			l := load[a] + load[b]
-			if bestA == -1 || d > bestDensity || d == bestDensity && (l < bestLoad ||
-				l == bestLoad && (a < bestA || a == bestA && b < bestB)) {
-				bestA, bestB, bestDensity, bestLoad = a, b, d, l
+				l := ca.load + cb.load
+				if bestA == -1 || d > bestDensity || d == bestDensity && l < bestLoad {
+					bestA, bestB, bestDensity, bestLoad = a, b, d, l
+				}
 			}
 		}
 		if bestA == -1 {
 			// No affinity edges remain across clusters: merge the two
-			// lightest clusters.
-			roots := clusterRoots(parent, find)
-			sort.Slice(roots, func(i, j int) bool { return load[roots[i]] < load[roots[j]] })
-			bestA, bestB = roots[0], roots[1]
+			// lightest.
+			rs := roots()
+			sort.Slice(rs, func(i, j int) bool { return cs[rs[i]].load < cs[rs[j]].load })
+			bestA, bestB = rs[0], rs[1]
 		}
 		// Merge bestB into bestA.
-		parent[bestB] = bestA
-		size[bestA] += size[bestB]
-		load[bestA] += load[bestB]
-		// Compact the inter map lazily: re-key entries touching bestB.
-		for k, w := range inter {
-			a, b := find(k[0]), find(k[1])
-			if a == b {
-				delete(inter, k)
-				continue
-			}
-			lo, hi := a, b
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			nk := [2]int{lo, hi}
-			if nk != k {
-				inter[nk] += w
-				delete(inter, k)
+		a, b := cs[bestA], cs[bestB]
+		a.members = append(a.members, b.members...)
+		slices.Sort(a.members)
+		a.load += b.load
+		for code, k := range b.codes {
+			a.codes[code] += k
+		}
+		cs[bestB] = nil
+		for r, c := range cs {
+			if c != nil && r != bestA {
+				*at(bestA, r) += *at(bestB, r)
 			}
 		}
-		clusters--
 	}
 
 	// Materialize sites deterministically: order clusters by smallest
-	// member fragment ID.
-	roots := clusterRoots(parent, find)
-	sort.Slice(roots, func(i, j int) bool {
-		return minMember(parent, find, roots[i], frags) < minMember(parent, find, roots[j], frags)
-	})
-	siteIdx := make(map[int]int, len(roots))
-	for i, r := range roots {
-		siteIdx[r] = i
+	// member fragment ID, and each site's fragments by position.
+	minID := func(r int) int {
+		id := frags[r].ID
+		for _, i := range cs[r].members {
+			id = min(id, frags[i].ID)
+		}
+		return id
 	}
+	rs := roots()
+	sort.Slice(rs, func(i, j int) bool { return minID(rs[i]) < minID(rs[j]) })
 	alloc := &Allocation{
 		Sites:    make([][]*fragment.Fragment, m),
 		SiteOf:   make(map[int]int, n),
 		ColdSite: -1,
 	}
-	for i, f := range frags {
-		s := siteIdx[find(i)]
-		alloc.Sites[s] = append(alloc.Sites[s], f)
-		alloc.SiteOf[f.ID] = s
+	for s, r := range rs {
+		for _, i := range cs[r].members {
+			alloc.Sites[s] = append(alloc.Sites[s], frags[i])
+			alloc.SiteOf[frags[i].ID] = s
+		}
 	}
 	// Cold fragment to the least-loaded site.
 	if fr.Cold != nil && fr.Cold.Graph.NumTriples() > 0 {
@@ -235,47 +250,6 @@ func (a *Allocation) place(fr *fragment.Fragmentation) {
 			}
 		}
 	}
-}
-
-// siblingCollisions counts pattern codes present in both clusters: merging
-// them would co-locate fragments the horizontal strategy wants spread.
-func siblingCollisions(parent []int, find func(int) int, a, b int, patternOf []string) int {
-	inA := make(map[string]bool)
-	for i := range parent {
-		if find(i) == a && patternOf[i] != "" {
-			inA[patternOf[i]] = true
-		}
-	}
-	col := 0
-	for i := range parent {
-		if find(i) == b && inA[patternOf[i]] {
-			col++
-		}
-	}
-	return col
-}
-
-func clusterRoots(parent []int, find func(int) int) []int {
-	seen := make(map[int]bool)
-	var roots []int
-	for i := range parent {
-		r := find(i)
-		if !seen[r] {
-			seen[r] = true
-			roots = append(roots, r)
-		}
-	}
-	return roots
-}
-
-func minMember(parent []int, find func(int) int, root int, frags []*fragment.Fragment) int {
-	best := 1 << 30
-	for i := range parent {
-		if find(i) == root && frags[i].ID < best {
-			best = frags[i].ID
-		}
-	}
-	return best
 }
 
 // RoundRobin is the ablation baseline for Allocate: fragments are dealt

@@ -14,6 +14,15 @@ import (
 
 func buildFragmentation(t *testing.T) (*fragment.Fragmentation, []*sparql.Graph, *rdf.Graph) {
 	t.Helper()
+	g, w := coAccessInput()
+	sel, hc := selectPatterns(t, g, w, 2, 3, 10)
+	return fragment.Vertical(sel, hc), w, g
+}
+
+// coAccessInput is a graph of persons and cities and a workload that
+// co-accesses name+mainInterest, and separately
+// placeOfDeath+country+postalCode.
+func coAccessInput() (*rdf.Graph, []*sparql.Graph) {
 	g := rdf.NewGraph(nil)
 	add := func(s, p, o string) { g.AddTerms(rdf.NewIRI(s), rdf.NewIRI(p), rdf.NewIRI(o)) }
 	for i := 0; i < 30; i++ {
@@ -26,21 +35,26 @@ func buildFragmentation(t *testing.T) (*fragment.Fragmentation, []*sparql.Graph,
 	}
 	d := g.Dict
 	var w []*sparql.Graph
-	// Queries that co-access name+mainInterest, and separately
-	// placeOfDeath+country+postalCode.
 	for i := 0; i < 10; i++ {
 		w = append(w, sparql.MustParse(d, `SELECT ?x WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`))
 	}
 	for i := 0; i < 8; i++ {
 		w = append(w, sparql.MustParse(d, `SELECT ?x WHERE { ?x <placeOfDeath> ?p . ?p <country> ?c . ?p <postalCode> ?z . }`))
 	}
-	hc := fragment.SplitHotCold(g, w, 2)
-	ps := (&mining.Miner{MinSup: 3}).Mine(w)
-	sel, err := (&fap.Selector{StorageCapacity: 10 * hc.Hot.NumTriples()}).Select(ps, w, hc.Hot)
+	return g, w
+}
+
+// selectPatterns runs the pipeline up to Algorithm 1: the hot/cold split
+// at theta, mining at minSup, and selection within mul times the hot
+// graph's size.
+func selectPatterns(t *testing.T, g *rdf.Graph, w []*sparql.Graph, theta, minSup, mul int) (*fap.Selection, *fragment.HotCold) {
+	t.Helper()
+	hc := fragment.SplitHotCold(g, w, theta)
+	sel, err := (&fap.Selector{StorageCapacity: mul * hc.Hot.NumTriples()}).Select((&mining.Miner{MinSup: minSup}).Mine(w), w, hc.Hot)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
-	return fragment.Vertical(sel, hc), w, g
+	return sel, hc
 }
 
 func TestAffinityCoAccess(t *testing.T) {
@@ -169,25 +183,8 @@ func TestColdFragmentPlaced(t *testing.T) {
 // and allocates for itself, and two processes that disagree on where a
 // fragment lives cannot answer together.
 func TestAllocateBreaksTiesDeterministically(t *testing.T) {
-	g := rdf.NewGraph(nil)
-	for i := 0; i < 20; i++ {
-		for _, chain := range [][2]string{{"a", "b"}, {"c", "d"}} {
-			s, m, o := fmt.Sprintf("%s-s%d", chain[0], i), fmt.Sprintf("%s-m%d", chain[0], i), fmt.Sprintf("%s-o%d", chain[0], i)
-			g.AddTerms(rdf.NewIRI(s), rdf.NewIRI(chain[0]), rdf.NewIRI(m))
-			g.AddTerms(rdf.NewIRI(m), rdf.NewIRI(chain[1]), rdf.NewIRI(o))
-		}
-	}
-	var w []*sparql.Graph
-	for i := 0; i < 5; i++ {
-		w = append(w,
-			sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <a> ?y . ?y <b> ?z . }`),
-			sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <c> ?y . ?y <d> ?z . }`))
-	}
-	hc := fragment.SplitHotCold(g, w, 2)
-	sel, err := (&fap.Selector{StorageCapacity: 10 * hc.Hot.NumTriples()}).Select((&mining.Miner{MinSup: 3}).Mine(w), w, hc.Hot)
-	if err != nil {
-		t.Fatalf("Select: %v", err)
-	}
+	g, w := twoChainsInput()
+	sel, hc := selectPatterns(t, g, w, 2, 3, 10)
 	fr := fragment.Vertical(sel, hc)
 	const m = 5
 	if len(fr.Fragments) <= m {
@@ -205,4 +202,24 @@ func TestAllocateBreaksTiesDeterministically(t *testing.T) {
 		}
 	}()
 	Allocate(fr, w, m)
+}
+
+// twoChainsInput is two chains of predicates, a-b and c-d, each queried
+// as often as the other.
+func twoChainsInput() (*rdf.Graph, []*sparql.Graph) {
+	g := rdf.NewGraph(nil)
+	for i := 0; i < 20; i++ {
+		for _, chain := range [][2]string{{"a", "b"}, {"c", "d"}} {
+			s, m, o := fmt.Sprintf("%s-s%d", chain[0], i), fmt.Sprintf("%s-m%d", chain[0], i), fmt.Sprintf("%s-o%d", chain[0], i)
+			g.AddTerms(rdf.NewIRI(s), rdf.NewIRI(chain[0]), rdf.NewIRI(m))
+			g.AddTerms(rdf.NewIRI(m), rdf.NewIRI(chain[1]), rdf.NewIRI(o))
+		}
+	}
+	var w []*sparql.Graph
+	for i := 0; i < 5; i++ {
+		w = append(w,
+			sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <a> ?y . ?y <b> ?z . }`),
+			sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <c> ?y . ?y <d> ?z . }`))
+	}
+	return g, w
 }

@@ -8,6 +8,7 @@ import (
 
 	"rdffrag/internal/cluster"
 	"rdffrag/internal/decompose"
+	"rdffrag/internal/exec"
 	"rdffrag/internal/match"
 	"rdffrag/internal/mining"
 	"rdffrag/internal/plan"
@@ -50,16 +51,10 @@ func NewEngine(c *cluster.Cluster, p *Placement, patterns []*mining.Pattern, ori
 	return e, nil
 }
 
-// QueryStats mirrors exec.QueryStats for cross-strategy reporting.
-type QueryStats struct {
-	Subqueries   int
-	SitesTouched int
-}
-
 // Query decomposes, broadcasts, unions and joins.
-func (e *Engine) Query(q *sparql.Graph) (*match.Bindings, *QueryStats, error) {
+func (e *Engine) Query(q *sparql.Graph) (*match.Bindings, *exec.QueryStats, error) {
 	subs := e.decompose(q)
-	stats := &QueryStats{Subqueries: len(subs), SitesTouched: len(e.Cluster.Sites)}
+	stats := &exec.QueryStats{Subqueries: len(subs), SitesTouched: len(e.Cluster.Sites)}
 
 	results := make([]*match.Bindings, len(subs))
 	var wg sync.WaitGroup

@@ -3,7 +3,7 @@
 // is represented by its generating frequent access pattern (with or
 // without minterm constraints), keyed by the pattern's canonical code —
 // the DFS-coding hash table of the paper — and associated with fragment
-// definitions, sizes, site mappings, access frequencies and cardinalities.
+// definitions, sizes, site mappings and cardinalities.
 package dict
 
 import (
@@ -30,9 +30,6 @@ type Entry struct {
 	// filter for a horizontal fragment. Every match of the pattern lies in
 	// its fragment, so no fragment graph is needed to count them.
 	Cardinality int
-	// AccessFreq is the number of workload queries that touch the
-	// fragment (acc of the pattern or minterm).
-	AccessFreq int
 	// stored is the triple count of the graph storing the fragment, its
 	// site's, when the dictionary was built: what liveRatio rescales by.
 	stored int
@@ -62,8 +59,9 @@ type Dictionary struct {
 }
 
 // Build scans a placed fragmentation and its allocation and materializes
-// the dictionary. The workload is used for fragment access frequencies;
-// pass nil to skip that statistic.
+// the dictionary. It does not read the workload: the parameter stays
+// because benchmark/layers calls Build with three arguments, until ROADMAP
+// item 5 retires that replay.
 func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []*sparql.Graph) *Dictionary {
 	d := &Dictionary{
 		byCode:           make(map[string][]*Entry),
@@ -73,7 +71,6 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 	}
 	hsn := fr.Hot.Snapshot()
 	defer hsn.Close()
-	var rel fragment.Relevance
 	for _, f := range fr.Fragments {
 		var opts match.Options
 		if f.Minterm != nil {
@@ -88,11 +85,6 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 		}
 		if s, ok := alloc.SiteOf[f.ID]; ok {
 			e.Site = s
-		}
-		for _, q := range workload {
-			if rel.RelevantTo(f, q) {
-				e.AccessFreq++
-			}
 		}
 		d.entries = append(d.entries, e)
 		if len(d.byCode[f.Pattern.Code]) == 0 {

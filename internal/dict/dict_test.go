@@ -233,22 +233,3 @@ func TestEstimatesTrackLiveUpdates(t *testing.T) {
 			removed, coldBase, coldAfter)
 	}
 }
-
-func TestAccessFrequencies(t *testing.T) {
-	env, err := testenv.Build(testenv.Options{})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	anyAccessed := false
-	for _, e := range env.Dict.Entries() {
-		if e.AccessFreq > len(env.Workload) {
-			t.Errorf("access freq %d exceeds workload size", e.AccessFreq)
-		}
-		if e.AccessFreq > 0 {
-			anyAccessed = true
-		}
-	}
-	if !anyAccessed {
-		t.Error("no fragment is accessed by any workload query")
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"rdffrag/internal/allocation"
 	"rdffrag/internal/cluster"
@@ -220,36 +221,24 @@ func (e *Engine) Explain(q *sparql.Graph) (*Explanation, error) {
 	}
 	for _, sq := range dcp.Subqueries {
 		step := ExplainStep{
-			PatternCode: sq.PatternCode,
-			Cold:        sq.Cold,
-			Global:      sq.Global,
-			Card:        sq.Card,
-			Edges:       append([]int(nil), sq.EdgeIdx...),
+			Text:          sq.Graph.StringWithDict(e.Frag.Hot.Dict),
+			Kind:          "pattern",
+			EstimatedCard: sq.Card,
 		}
 		switch {
 		case sq.Cold:
+			step.Kind = "cold"
 			if e.Alloc.ColdSite >= 0 {
-				step.Fragments = []ExplainFragment{{
-					ID:   e.Frag.Cold.ID,
-					Site: e.Alloc.ColdSite,
-					Size: e.Frag.Cold.Size,
-				}}
+				step.Fragments = []FragmentRef{{ID: e.Frag.Cold.ID, Site: e.Alloc.ColdSite, Size: e.Frag.Cold.Size}}
 			}
 		case sq.Global:
+			step.Kind = "global"
 			for _, f := range e.Frag.All() {
-				step.Fragments = append(step.Fragments, ExplainFragment{
-					ID:   f.ID,
-					Site: e.Alloc.SiteOf[f.ID],
-					Size: f.Size,
-				})
+				step.Fragments = append(step.Fragments, FragmentRef{ID: f.ID, Site: e.Alloc.SiteOf[f.ID], Size: f.Size})
 			}
 		default:
 			for _, entry := range sq.Relevant {
-				step.Fragments = append(step.Fragments, ExplainFragment{
-					ID:   entry.Fragment.ID,
-					Site: entry.Site,
-					Size: entry.Size,
-				})
+				step.Fragments = append(step.Fragments, FragmentRef{ID: entry.Fragment.ID, Site: entry.Site, Size: entry.Size})
 			}
 		}
 		ex.Subqueries = append(ex.Subqueries, step)
@@ -257,30 +246,46 @@ func (e *Engine) Explain(q *sparql.Graph) (*Explanation, error) {
 	return ex, nil
 }
 
-// Explanation describes a query's distributed execution plan.
+// Explanation is a human-oriented description of how a query would run.
 type Explanation struct {
-	Subqueries        []ExplainStep
-	JoinOrder         []int
+	// Subqueries renders each subquery: its BGP text, classification and
+	// the fragment/site pairs it would read.
+	Subqueries []ExplainStep
+	// JoinOrder lists subquery indices in execution order.
+	JoinOrder []int
+	// DecompositionCost and PlanCost are the optimizer estimates.
 	DecompositionCost float64
 	PlanCost          float64
 }
 
-// ExplainStep is one subquery of the plan.
+// ExplainStep is one subquery of an explanation.
 type ExplainStep struct {
-	PatternCode string
-	Cold        bool
-	Global      bool
-	Card        int
-	Edges       []int
-	Fragments   []ExplainFragment
+	Text          string
+	Kind          string // "pattern", "cold" or "global"
+	EstimatedCard int
+	Fragments     []FragmentRef
 }
 
-// ExplainFragment identifies a fragment the step would read; Size is the
-// fragment's own size when it was built, not its site's graph's.
-type ExplainFragment struct {
+// FragmentRef names a fragment the step would read and its site; Size is
+// the fragment's own size when it was built, not its site's graph's.
+type FragmentRef struct {
 	ID   int
 	Site int
 	Size int
+}
+
+// String renders the explanation as indented text.
+func (ex *Explanation) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "decomposition cost %.0f, plan cost %.0f, join order %v\n",
+		ex.DecompositionCost, ex.PlanCost, ex.JoinOrder)
+	for i, st := range ex.Subqueries {
+		fmt.Fprintf(&b, "  q%d [%s, card≈%d] %s\n", i, st.Kind, st.EstimatedCard, st.Text)
+		for _, f := range st.Fragments {
+			fmt.Fprintf(&b, "      fragment %d @ site %d (%d edges)\n", f.ID, f.Site, f.Size)
+		}
+	}
+	return b.String()
 }
 
 // routeSubquery maps a subquery to the fragment IDs it must read at each

@@ -71,6 +71,31 @@ func startSiteProc(t *testing.T, bin, data, wl, addr string, flags ...string) (*
 	}
 }
 
+// waitStopped waits until every thread of process pid is stopped. SIGSTOP
+// is delivered asynchronously: a query sent right after the signal may be
+// answered before the process stops.
+func waitStopped(t *testing.T, pid int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		stats, _ := filepath.Glob(fmt.Sprintf("/proc/%d/task/*/stat", pid))
+		stopped := len(stats) > 0
+		for _, path := range stats {
+			b, err := os.ReadFile(path)
+			// The state follows the parenthesized command name.
+			i := bytes.LastIndexByte(b, ')')
+			stopped = stopped && err == nil && i >= 0 && i+2 < len(b) && b[i+2] == 'T'
+		}
+		if stopped {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("process %d not stopped 5s after SIGSTOP", pid)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestMultiProcessSites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes; skipped in -short mode")
@@ -141,6 +166,7 @@ func TestMultiProcessSites(t *testing.T) {
 	if err := proc.Process.Signal(syscall.SIGSTOP); err != nil {
 		t.Fatal(err)
 	}
+	waitStopped(t, proc.Process.Pid)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	start := time.Now()
 	res, err = srv.Query(ctx, q)

@@ -56,19 +56,12 @@ type Config struct {
 	// mirroring the paper's 4-core machines).
 	WorkersPerSite int
 	// MinSupport is the pattern-mining threshold as a fraction of the
-	// workload (default 0.01; the paper's DBpedia setting is 0.001).
+	// workload (default 0.01; the paper's DBpedia setting is 0.001). It is
+	// also the hot/cold property threshold.
 	MinSupport float64
-	// Theta is the hot/cold property threshold as a workload fraction
-	// (default: same as MinSupport).
-	Theta float64
 	// StorageFactor sets the storage constraint SC as a multiple of the
 	// hot graph size (default 3).
 	StorageFactor float64
-	// MaxPatternEdges caps mined pattern size (default 10).
-	MaxPatternEdges int
-	// MaxSimplePreds caps minterm growth per pattern for horizontal
-	// fragmentation (default 3).
-	MaxSimplePreds int
 }
 
 func (c Config) withDefaults() Config {
@@ -83,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinSupport <= 0 {
 		c.MinSupport = 0.01
-	}
-	if c.Theta <= 0 {
-		c.Theta = c.MinSupport
 	}
 	if c.StorageFactor <= 0 {
 		c.StorageFactor = 3
@@ -167,15 +157,14 @@ func (db *DB) DeployParsed(workload []*sparql.Graph) (*Deployment, error) {
 	if len(workload) == 0 {
 		return nil, fmt.Errorf("rdffrag: empty workload; workload-driven fragmentation needs queries")
 	}
-	theta := atLeast1(cfg.Theta * float64(len(workload)))
 	minSup := atLeast1(cfg.MinSupport * float64(len(workload)))
 
 	// The split builds both graphs frozen, whatever delta loading left
 	// (AddTriple calls, a small file); Add after deployment goes to their
 	// delta overlays (Server.Update).
-	hc := fragment.SplitHotCold(db.graph, workload, theta)
+	hc := fragment.SplitHotCold(db.graph, workload, minSup)
 	db.graph = rdf.NewGraph(db.graph.Dict)
-	patterns := (&mining.Miner{MinSup: minSup, MaxEdges: cfg.MaxPatternEdges}).Mine(workload)
+	patterns := (&mining.Miner{MinSup: minSup}).Mine(workload)
 	sel, err := (&fap.Selector{
 		StorageCapacity: int(cfg.StorageFactor * float64(hc.Hot.NumTriples())),
 	}).Select(patterns, workload, hc.Hot)
@@ -185,9 +174,7 @@ func (db *DB) DeployParsed(workload []*sparql.Graph) (*Deployment, error) {
 
 	var fr *fragment.Fragmentation
 	if cfg.Strategy == Horizontal {
-		fr = fragment.Horizontal(sel, workload, hc, fragment.HorizontalOptions{
-			MaxSimplePreds: cfg.MaxSimplePreds,
-		})
+		fr = fragment.Horizontal(sel, workload, hc, fragment.HorizontalOptions{})
 	} else {
 		fr = fragment.Vertical(sel, hc)
 	}
