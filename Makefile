@@ -140,7 +140,10 @@ crash-soak:
 # with 400. The Turtle reader: never panic, add no triple from a document
 # it refuses, and read what WriteTurtle writes of a document it accepts
 # back to the same triple set; like the loader's, its inputs would spend
-# the run being minimized. The seed corpora alone run inside `test`.
+# the run being minimized. The /eval query decoder: never panic, and a
+# query it accepts encodes back to the very wire form it was given — a
+# repeated vertex, which would shift every edge after it, is refused.
+# The seed corpora alone run inside `test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRows$$' -fuzztime=10s ./internal/transport
@@ -151,6 +154,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/sparql
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTurtle$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rdf
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQuery$$' -fuzztime=10s ./internal/transport
 
 # One iteration per benchmark: a compile-and-run smoke, not a measurement.
 bench:

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rdffrag/internal/exec"
+	"rdffrag/internal/match"
 	"rdffrag/internal/sparql"
 	"rdffrag/internal/watdiv"
 )
@@ -19,32 +20,24 @@ import (
 // binding rows to the control site and joins them there.
 var analyticTemplates = []string{"C1", "C2", "F1", "F3", "F5", "L5"}
 
-// TestAnalyticAllocPerIntermediateRow pins, at workload scale, what the
-// engine allocates per binding row shipped to the control-site join: the
-// six analytic templates over the 50 000-triple WatDiv fixture on a
-// vertical deployment, prepared once, executed with a fixed worker budget,
-// TotalAlloc over QueryStats.IntermediateRows. With a slice header beside
-// every row at four stations and a Go map per join side it was 192 B;
-// with a binding table one flat array, 67 B; with the join adopting its
-// batches in place, and keeping a side's rows only while the other input
-// is open, 43–47 B (which input closes first varies from run to run), and
-// the ceiling was 46 plus 10 %. With every row array taken from match's
-// free list and handed back where its last reader is done, it measures
-// 10.8–13.2 B, and the ceiling is 13 plus 10 %. Row data copied once more
-// than needed, a header per row, a key materialized per row or an array
-// not handed back each put it back over.
-func TestAnalyticAllocPerIntermediateRow(t *testing.T) {
+// analyticQuery is one analytic template, prepared on a deployment.
+type analyticQuery struct {
+	name string
+	q    *sparql.Graph
+	prep *exec.Prepared
+}
+
+// prepareAnalytic deploys the 50 000-triple WatDiv fixture vertically and
+// prepares the analytic templates on it once each, with a fixed worker
+// budget: what is allocated must not depend on the host.
+func prepareAnalytic(t *testing.T) (*exec.Engine, []analyticQuery) {
 	db, ds, workload := watdivDB(t, 50000, Config{Strategy: Vertical})
 	db.graph.Freeze()
 	dep, err := db.DeployParsed(workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type prepared struct {
-		q    *sparql.Graph
-		prep *exec.Prepared
-	}
-	var queries []prepared
+	var queries []analyticQuery
 	for _, tpl := range watdiv.Templates() {
 		if !slices.Contains(analyticTemplates, tpl.Name) {
 			continue
@@ -57,36 +50,69 @@ func TestAnalyticAllocPerIntermediateRow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tpl.Name, err)
 		}
-		prep.Parallelism = 1 // the worker budget must not depend on the host
-		queries = append(queries, prepared{q, prep})
+		prep.Parallelism = 1
+		queries = append(queries, analyticQuery{tpl.Name, q, prep})
 	}
 	if len(queries) != len(analyticTemplates) {
 		t.Fatalf("found %d of the %d analytic templates", len(queries), len(analyticTemplates))
 	}
-	run := func() (rows int) {
-		for _, p := range queries {
-			got, stats, err := dep.engine.QueryPrepared(context.Background(), p.q, p.prep)
-			if err != nil || got.Vars == nil {
-				t.Fatalf("QueryPrepared: %v", err)
-			}
-			rows += stats.IntermediateRows
-		}
-		return rows
-	}
-	run()
-	perRow := make([]float64, 5)
+	return dep.engine, queries
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
 	var before, after runtime.MemStats
-	for i := range perRow {
-		runtime.ReadMemStats(&before)
-		rows := run()
-		runtime.ReadMemStats(&after)
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// medianOfFive calls sample once to warm up, then five times, and returns
+// the median of the five.
+func medianOfFive(sample func() float64) float64 {
+	sample()
+	got := make([]float64, 5)
+	for i := range got {
+		got[i] = sample()
+	}
+	slices.Sort(got)
+	return got[len(got)/2]
+}
+
+// TestAnalyticAllocPerIntermediateRow pins, at workload scale, what the
+// engine allocates per binding row shipped to the control-site join: the
+// six analytic templates over the 50 000-triple WatDiv fixture on a
+// vertical deployment, prepared once, executed with a fixed worker budget,
+// TotalAlloc over QueryStats.IntermediateRows. With a slice header beside
+// every row at four stations and a Go map per join side it was 192 B;
+// with a binding table one flat array, 67 B; with the join adopting its
+// batches in place, and keeping a side's rows only while the other input
+// is open, 43–47 B (which input closes first varies from run to run), and
+// the ceiling was 46 plus 10 %. With every row array taken from match's
+// free list and handed back where its last reader is done, it measures
+// 10.8–13.2 B, and the ceiling is 13 plus 10 %; with each joined batch
+// projected as it arrives, 9.7–12.5 B, too close to the ceiling to lower
+// it. Row data copied once more than needed, a header per row, a key
+// materialized per row or an array not handed back each put it back over.
+func TestAnalyticAllocPerIntermediateRow(t *testing.T) {
+	engine, queries := prepareAnalytic(t)
+	median := medianOfFive(func() float64 {
+		rows := 0
+		bytes := allocated(func() {
+			for _, p := range queries {
+				got, stats, err := engine.QueryPrepared(context.Background(), p.q, p.prep)
+				if err != nil || got.Vars == nil {
+					t.Fatalf("QueryPrepared: %v", err)
+				}
+				rows += stats.IntermediateRows
+			}
+		})
 		if rows < 10000 {
 			t.Fatalf("the six templates shipped %d rows; want a workload-scale run", rows)
 		}
-		perRow[i] = float64(after.TotalAlloc-before.TotalAlloc) / float64(rows)
-	}
-	slices.Sort(perRow)
-	median := perRow[len(perRow)/2]
+		return float64(bytes) / float64(rows)
+	})
 	t.Logf("%.1f B allocated per intermediate row", median)
 	if median > analyticAllocPerRow*1.1 {
 		t.Errorf("the engine allocates %.1f B per intermediate row, want <= %.1f", median, analyticAllocPerRow*1.1)
@@ -95,6 +121,48 @@ func TestAnalyticAllocPerIntermediateRow(t *testing.T) {
 
 // What the test measured when the ceiling was set.
 const analyticAllocPerRow = 13
+
+// TestAnalyticF5AllocPerQuery pins what one F5 query allocates besides
+// the answer it returns: F5 is the analytic template whose control-site
+// join emits the most rows (12 908 five-column rows on this fixture,
+// for 2 990 distinct answers). It runs on the deployment and worker
+// budget of TestAnalyticAllocPerIntermediateRow, four queries a round,
+// median of five rounds, TotalAlloc around each query less its answer's
+// row array. The caller keeps every answer, so that array never returns
+// to match's free list and each query takes it afresh, whatever consume
+// does with its input. While the control site kept every joined
+// batch until the stream ended and only then projected them, the batches
+// overflowed the free list and each query allocated them afresh:
+// 67–112 KB (79–150 under the race detector). With each batch projected
+// as it arrives and handed back at once it measures 43–51 KB (41–46), and
+// the ceiling is 48 plus 25 %. The aggregate per-row test above barely
+// moves with this, so it cannot catch the regression.
+func TestAnalyticF5AllocPerQuery(t *testing.T) {
+	engine, queries := prepareAnalytic(t)
+	f5 := queries[slices.IndexFunc(queries, func(p analyticQuery) bool { return p.name == "F5" })]
+	const perRound = 4
+	median := medianOfFive(func() float64 {
+		var bytes float64
+		for range perRound {
+			var got *match.Bindings
+			all := allocated(func() {
+				var err error
+				if got, _, err = engine.QueryPrepared(context.Background(), f5.q, f5.prep); err != nil {
+					t.Fatalf("F5: %v", err)
+				}
+			})
+			bytes += float64(all) - float64(4*cap(got.Rows))
+		}
+		return bytes / perRound / 1024
+	})
+	t.Logf("%.1f KB allocated per F5 query besides its answer", median)
+	if median > f5AllocKBPerQuery*1.25 {
+		t.Errorf("an F5 query allocates %.1f KB besides its answer, want <= %.1f", median, f5AllocKBPerQuery*1.25)
+	}
+}
+
+// What TestAnalyticF5AllocPerQuery measured when the ceiling was set.
+const f5AllocKBPerQuery = 48
 
 // discardResponse keeps a response's status and throws its body away.
 type discardResponse struct {

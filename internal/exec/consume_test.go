@@ -134,6 +134,35 @@ func TestConsumeLimitCancelsPipeline(t *testing.T) {
 	}
 }
 
+// TestConsumeReleasesEachBatchOnArrival: consume holds one input batch at
+// a time — by the time it takes batch k+1, batch k is projected into the
+// answer and handed back — with and without a pushed-down LIMIT, and the
+// answer is what the batches held.
+func TestConsumeReleasesEachBatchOnArrival(t *testing.T) {
+	vars := []string{"x", "y"}
+	for _, q := range []*sparql.Graph{{Select: []string{"y"}}, {Select: []string{"y"}, Limit: 1000}} {
+		in, done := make(chan *match.Bindings), make(chan *match.Bindings)
+		go func() { done <- (&Engine{}).consume(context.Background(), func() {}, q, in, vars) }()
+		var prev *match.Bindings
+		for k := range 10 {
+			b := match.Recyclable(vars, append(match.TakeRows(4), rdf.ID(k), rdf.ID(k), rdf.ID(k), rdf.ID(k+1)), 2)
+			in <- b // unbuffered: consume has taken b, and is done with prev
+			if prev != nil && prev.Rows != nil {
+				t.Errorf("limit %d: batch %d still holds its rows once batch %d was taken", q.Limit, k-1, k)
+			}
+			prev = b
+		}
+		close(in)
+		got := <-done
+		if prev.Rows != nil {
+			t.Errorf("limit %d: the last batch still holds its rows once the answer is out", q.Limit)
+		}
+		if want := []rdf.ID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}; !slices.Equal(got.Rows, want) {
+			t.Errorf("limit %d: answer %v, want %v", q.Limit, got.Rows, want)
+		}
+	}
+}
+
 // TestConsumeAllocs: draining 50 batches costs the result and its one row
 // array — plus, when projecting, the kept variable names; nothing per
 // batch, nothing per row and no set of seen rows.

@@ -163,14 +163,13 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 
 // consume drains the final join stream into the result: projected,
 // distinct and sorted (Dedup order), the engine's historical
-// deterministic output. Without a pushed-down LIMIT it keeps the incoming
-// batches — they are its own, see cluster.BatchSink — then projects them
-// all into one array of match's free list, sized from their total, and
-// lets the final sort drop duplicates as neighbours. With one, distinct
-// rows must be counted as they arrive: once Limit of them survive
-// projection the whole pipeline is cancelled instead of materializing the
-// rest. A batch is released once copied; a lone unprojected one is the
-// answer.
+// deterministic output. It holds one input batch at a time: each is
+// projected into the answer as it arrives — an array of match's free list,
+// grown through it — and released at once, so its array is there for the
+// next batch or probe to take. Without a pushed-down LIMIT the final sort
+// drops duplicates as neighbours. With one, distinct rows must be counted
+// as they arrive: once Limit of them survive projection the whole
+// pipeline is cancelled instead of materializing the rest.
 func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *sparql.Graph, in <-chan *match.Bindings, inVars []string) *match.Bindings {
 	// Resolve the projection once, against the full joined layout.
 	var fewCols [8]int // a projection this narrow stays on the stack
@@ -203,43 +202,31 @@ func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *spar
 	// ORDER BY is applied by the caller, by the terms' renderings; stopping early
 	// would change which rows survive, so only push the limit down for
 	// unordered queries.
+	limit := 0
 	if q.Limit > 0 && len(q.OrderBy) == 0 {
-		var rows []rdf.ID
-		seen := rowSet{w: w}
-		for b := range in {
-			for i, n := 0, b.Len(); i < n && seen.n < q.Limit; i++ {
+		limit = q.Limit
+	}
+	var rows []rdf.ID
+	n, seen := 0, rowSet{w: w}
+	for b := range in {
+		rows = match.GrowRows(rows, b.Len()*w)
+		if limit == 0 {
+			rows, n = appendRows(rows, b, 0, b.Len()), n+b.Len()
+		} else {
+			for i := 0; i < b.Len() && seen.n < limit; i++ {
 				if rows = appendRows(rows, b, i, i+1); !seen.insert(rows) {
 					rows = rows[:len(rows)-w]
 				}
 			}
-			b.Release()
-			if seen.n >= q.Limit {
-				cancel() // stop producers and join stages
-				break
-			}
+			n = seen.n
 		}
-		out := match.NewBindings(keptVars, rows, seen.n)
-		out.Dedup()
-		return out
-	}
-
-	// Most results arrive in a few batches; the list stays on the stack.
-	var few [64]*match.Bindings
-	batches, total := few[:0], 0
-	for b := range in {
-		batches, total = append(batches, b), total+b.Len()
-	}
-	var out *match.Bindings
-	if len(batches) == 1 && len(q.Select) == 0 {
-		out = batches[0]
-	} else {
-		rows := match.TakeRows(total * w)
-		for _, b := range batches {
-			rows = appendRows(rows, b, 0, b.Len())
-			b.Release()
+		b.Release()
+		if limit > 0 && n >= limit {
+			cancel() // stop producers and join stages
+			break
 		}
-		out = match.Recyclable(keptVars, rows, total)
 	}
+	out := match.Recyclable(keptVars, rows, n)
 	out.Dedup()
 	return out
 }

@@ -68,6 +68,16 @@ func GiveRows(a []rdf.ID) {
 	}
 }
 
+// GrowRows returns a, a TakeRows array or nil, with room for n more IDs:
+// if it has none, a copy in a larger array of the list, a handed back.
+func GrowRows(a []rdf.ID, n int) []rdf.ID {
+	if len(a)+n <= cap(a) {
+		return a
+	}
+	defer GiveRows(a) // once copied
+	return append(TakeRows(max(len(a)+n, 2*cap(a))), a...)
+}
+
 // poisonID is an ID no dictionary holds (rdf.NoID is an unbound cell).
 const poisonID = rdf.NoID - 1
 

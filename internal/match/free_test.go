@@ -85,3 +85,24 @@ func TestReleaseHandsBackOnlyRecyclableTables(t *testing.T) {
 		t.Fatalf("a released table without variables counts %d rows, want 3", nullary.Len())
 	}
 }
+
+// TestGrowRowsHandsBackWhatItOutgrows: GrowRows keeps an array that has
+// room, and otherwise copies it into one at least twice as large and
+// hands the old one back, for the next taker of its class.
+func TestGrowRowsHandsBackWhatItOutgrows(t *testing.T) {
+	a := GrowRows(nil, 3)
+	if cap(a) != 4 {
+		t.Fatalf("GrowRows(nil, 3) has room for %d IDs, want its class, 4", cap(a))
+	}
+	a = append(a, 1, 2, 3)
+	if b := GrowRows(a, 1); &b[:1][0] != &a[0] {
+		t.Fatal("GrowRows replaced an array with room")
+	}
+	grown := GrowRows(a, 2)
+	if cap(grown) != 8 || !slices.Equal(grown, []rdf.ID{1, 2, 3}) {
+		t.Fatalf("GrowRows past the class holds %v with room for %d, want [1 2 3] with room for 8", grown, cap(grown))
+	}
+	if b := TakeRows(4); &b[:1][0] != &a[0] {
+		t.Fatal("the outgrown array did not go back")
+	}
+}

@@ -237,38 +237,41 @@ func encodeQuery(q *sparql.Graph, d *rdf.Dict) wireQuery {
 
 // decodeQuery rebuilds a query graph from the wire, interning constant
 // term keys through the site's dict (content-addressed; concurrent-safe).
+// Edges name vertices by their place in the list, so a list that names a
+// vertex twice is refused: the graph interns vertices, and every later
+// one would move down a place.
 func decodeQuery(wq wireQuery, d *rdf.Dict) (*sparql.Graph, error) {
 	q := sparql.NewGraph()
 	for i, wv := range wq.Verts {
-		switch {
-		case wv.Var != "":
-			q.AddVertex(sparql.Vertex{Var: wv.Var})
-		case wv.Term != "":
+		v := sparql.Vertex{Var: wv.Var}
+		if (wv.Var == "") == (wv.Term == "") {
+			return nil, fmt.Errorf("transport: vertex %d must be a var or a term, not both or neither", i)
+		}
+		if wv.Term != "" {
 			t, err := rdf.TermFromKey(wv.Term)
 			if err != nil {
 				return nil, fmt.Errorf("transport: vertex %d: %w", i, err)
 			}
-			q.AddVertex(sparql.Vertex{Term: d.Encode(t)})
-		default:
-			return nil, fmt.Errorf("transport: vertex %d is neither var nor term", i)
+			v.Term = d.Encode(t)
+		}
+		if q.AddVertex(v) != i {
+			return nil, fmt.Errorf("transport: vertex %d repeats an earlier one", i)
 		}
 	}
 	for i, we := range wq.Edges {
 		if we.From < 0 || we.From >= len(q.Verts) || we.To < 0 || we.To >= len(q.Verts) {
 			return nil, fmt.Errorf("transport: edge %d endpoints out of range", i)
 		}
-		e := sparql.Edge{From: we.From, To: we.To}
-		switch {
-		case we.PredVar != "":
-			e.PredVar = we.PredVar
-		case we.Pred != "":
+		e := sparql.Edge{From: we.From, To: we.To, PredVar: we.PredVar}
+		if (we.PredVar == "") == (we.Pred == "") {
+			return nil, fmt.Errorf("transport: edge %d must have a pred or a predVar, not both or neither", i)
+		}
+		if we.Pred != "" {
 			t, err := rdf.TermFromKey(we.Pred)
 			if err != nil {
 				return nil, fmt.Errorf("transport: edge %d: %w", i, err)
 			}
 			e.Pred = d.Encode(t)
-		default:
-			return nil, fmt.Errorf("transport: edge %d has neither pred nor predVar", i)
 		}
 		q.AddEdge(e)
 	}

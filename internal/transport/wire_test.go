@@ -238,3 +238,66 @@ func TestClientRejectsFramesThatAreNoTable(t *testing.T) {
 		})
 	}
 }
+
+// TestSiteRefusesQueriesItWouldMisread: edges name vertices by their
+// place in the wire list, so a site answers 400 to a list it cannot
+// rebuild place for place — a repeated vertex (the graph interns it, and
+// every later vertex would move down one place: edge 0→2 below would
+// become ?a→?c), a vertex or an edge label that is two things at once —
+// and evaluates the same query written plainly.
+func TestSiteRefusesQueriesItWouldMisread(t *testing.T) {
+	c, d, _ := newTestCluster(t, 4)
+	ss := NewSiteServer(ServerConfig{Cluster: c, Dict: d})
+	for _, tc := range []struct {
+		name, query string
+		status      int
+	}{
+		{"plain", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusOK},
+		{"repeated var", `{"verts":[{"var":"a"},{"var":"a"},{"var":"b"},{"var":"c"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"repeated term", `{"verts":[{"term":"<a1"},{"term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"var and term", `{"verts":[{"var":"a","term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"pred and predVar", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p","predVar":"p"}]}`, http.StatusBadRequest},
+		{"neither var nor term", `{"verts":[{},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"edge out of range", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
+	} {
+		body := fmt.Sprintf(`{"site":0,"frags":[1,2],"query":%s}`, tc.query)
+		rec := httptest.NewRecorder()
+		ss.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/eval", strings.NewReader(body)))
+		if rec.Code != tc.status {
+			t.Errorf("%s: /eval answered %d (%s), want %d", tc.name, rec.Code, strings.TrimSpace(rec.Body.String()), tc.status)
+		}
+	}
+}
+
+// FuzzDecodeQuery: a site decodes whatever query an /eval body carries
+// without panicking, and a query it accepts is one the control site could
+// have sent — encodeQuery writes it back to the very wire form.
+func FuzzDecodeQuery(f *testing.F) {
+	for _, s := range []string{
+		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`,
+		`{"verts":[{"var":"x"},{"term":"\"lit\\n"},{"term":"_b0"}],"edges":[{"from":0,"to":1,"predVar":"p"},{"from":2,"to":0,"pred":"<q"}]}`,
+		`{"verts":[{"term":"<"}],"edges":[{"from":0,"to":0,"pred":"<"}]}`,
+		`{"verts":[{"var":"a"},{"var":"a"},{"var":"b"},{"var":"c"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`,
+		`{"verts":[{"var":"a","term":"<a"}],"edges":[]}`,
+		`{"verts":[{"var":"a"}],"edges":[{"from":0,"to":0,"pred":"<p","predVar":"p"}]}`,
+		`{"verts":[{"term":"x"}],"edges":[{"from":-1,"to":0,"pred":"<p"}]}`,
+		`{"verts":[],"edges":[]}`, `{}`, `null`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var wq wireQuery
+		if json.Unmarshal(data, &wq) != nil {
+			return
+		}
+		d := rdf.NewDict()
+		q, err := decodeQuery(wq, d)
+		if err != nil {
+			return
+		}
+		back := encodeQuery(q, d)
+		if !slices.Equal(back.Verts, wq.Verts) || !slices.Equal(back.Edges, wq.Edges) {
+			t.Fatalf("accepted %+v, which encodes back to %+v", wq, back)
+		}
+	})
+}
