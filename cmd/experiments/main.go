@@ -6,6 +6,8 @@
 //
 //	experiments                 # run everything
 //	experiments -exp fig9       # one experiment: fig8a fig8b fig9 fig10 fig11 fig12 table1 table2
+//	                            #   ablation-selection ablation-decomposition ablation-allocation serve
+//	experiments -validate       # every strategy's answers against centralized evaluation, row for row
 //	experiments -dbp 30000 -wd 20000 -sites 10 -clients 8
 package main
 
@@ -20,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: all, fig8a, fig8b, fig9, fig10, fig11, fig12, table1, table2, serve")
+		exp      = flag.String("exp", "all", "experiment id: all, fig8a, fig8b, fig9, fig10, fig11, fig12, table1, table2, ablation-selection, ablation-decomposition, ablation-allocation, serve")
 		dbp      = flag.Int("dbp", 12000, "DBpedia-like dataset size in triples")
 		dbpQ     = flag.Int("dbpq", 1500, "DBpedia-like query log length")
 		wd       = flag.Int("wd", 10000, "WatDiv-like dataset size in triples")

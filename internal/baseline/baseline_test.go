@@ -1,14 +1,17 @@
 package baseline_test
 
 import (
+	"slices"
 	"testing"
 
 	"rdffrag/internal/baseline"
 	"rdffrag/internal/cluster"
 	"rdffrag/internal/match"
 	"rdffrag/internal/mining"
+	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 	"rdffrag/internal/testenv"
+	"rdffrag/internal/watdiv"
 )
 
 func TestSHAPECoversGraph(t *testing.T) {
@@ -71,8 +74,8 @@ func TestWARPLessRedundantThanSHAPE(t *testing.T) {
 	}
 }
 
-func centralized(q *sparql.Graph, env *testenv.Env) *match.Bindings {
-	ms := match.Find(q, env.G.Snapshot(), match.Options{})
+func centralized(q *sparql.Graph, g *rdf.Graph) *match.Bindings {
+	ms := match.Find(q, g.Snapshot(), match.Options{})
 	b := match.ToBindings(q, ms)
 	if len(q.Select) > 0 {
 		b = cluster.Project(b, q.Select)
@@ -89,31 +92,67 @@ var queries = []string{
 	`SELECT ?x ?v WHERE { ?x <viaf> ?v . }`,
 }
 
+// checkEngine runs qs through e and requires the centralized answer over
+// g, row for row in Dedup order, from every one of the m sites.
+func checkEngine(t *testing.T, e *baseline.Engine, g *rdf.Graph, qs []*sparql.Graph, m int) {
+	t.Helper()
+	for _, q := range qs {
+		got, stats, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("Query(%s): %v", q, err)
+		}
+		want := centralized(q, g)
+		if !slices.Equal(got.Vars, want.Vars) || got.Len() != want.Len() || !slices.Equal(got.Rows, want.Rows) {
+			t.Errorf("query %s: got %v with %d rows, want %v with %d", q, got.Vars, got.Len(), want.Vars, want.Len())
+		}
+		if stats.SitesTouched != m {
+			t.Errorf("query %s touched %d sites, want all %d", q, stats.SitesTouched, m)
+		}
+	}
+}
+
+// philosopherQueries parses the hand-written queries over env's graph.
+func philosopherQueries(env *testenv.Env) []*sparql.Graph {
+	var qs []*sparql.Graph
+	for _, s := range queries {
+		qs = append(qs, sparql.MustParse(env.G.Dict, s))
+	}
+	return qs
+}
+
+// watDiv generates a small WatDiv-like graph, its workload, and every
+// tenth workload query as a seeded sample of the twenty templates.
+func watDiv(t *testing.T) (*rdf.Graph, []*sparql.Graph, []*sparql.Graph) {
+	t.Helper()
+	ds := watdiv.Generate(watdiv.Options{Triples: 3000, Seed: 7})
+	log, err := ds.GenerateWorkload(300, 7)
+	if err != nil {
+		t.Fatalf("GenerateWorkload: %v", err)
+	}
+	var sample []*sparql.Graph
+	for i := 0; i < len(log); i += 10 {
+		sample = append(sample, log[i])
+	}
+	return ds.Graph, log, sample
+}
+
 func TestSHAPEEngineCorrect(t *testing.T) {
 	env, err := testenv.Build(testenv.Options{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	c := cluster.New(4, 2)
-	p := baseline.BuildSHAPE(env.G, 4)
-	e, err := baseline.NewEngine(c, p, nil, env.G)
+	e, err := baseline.NewEngine(cluster.New(4, 2), baseline.BuildSHAPE(env.G, 4), nil, env.G)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	for _, qs := range queries {
-		q := sparql.MustParse(env.G.Dict, qs)
-		got, stats, err := e.Query(q)
-		if err != nil {
-			t.Fatalf("Query(%s): %v", qs, err)
-		}
-		want := centralized(q, env)
-		if got.Len() != want.Len() {
-			t.Errorf("query %q: got %d rows, want %d", qs, got.Len(), want.Len())
-		}
-		if stats.SitesTouched != 4 {
-			t.Errorf("SHAPE must touch all sites, got %d", stats.SitesTouched)
-		}
+	checkEngine(t, e, env.G, philosopherQueries(env), 4)
+
+	g, _, sample := watDiv(t)
+	e, err = baseline.NewEngine(cluster.New(4, 2), baseline.BuildSHAPE(g, 4), nil, g)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
 	}
+	checkEngine(t, e, g, sample, 4)
 }
 
 func TestWARPEngineCorrect(t *testing.T) {
@@ -122,23 +161,19 @@ func TestWARPEngineCorrect(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	pats := (&mining.Miner{MinSup: 3}).Mine(env.Workload)
-	c := cluster.New(4, 2)
-	p := baseline.BuildWARP(env.G, pats, 4)
-	e, err := baseline.NewEngine(c, p, pats, env.G)
+	e, err := baseline.NewEngine(cluster.New(4, 2), baseline.BuildWARP(env.G, pats, 4), pats, env.G)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	for _, qs := range queries {
-		q := sparql.MustParse(env.G.Dict, qs)
-		got, _, err := e.Query(q)
-		if err != nil {
-			t.Fatalf("Query(%s): %v", qs, err)
-		}
-		want := centralized(q, env)
-		if got.Len() != want.Len() {
-			t.Errorf("query %q: got %d rows, want %d", qs, got.Len(), want.Len())
-		}
+	checkEngine(t, e, env.G, philosopherQueries(env), 4)
+
+	g, log, sample := watDiv(t)
+	pats = (&mining.Miner{MinSup: 3}).Mine(log)
+	e, err = baseline.NewEngine(cluster.New(4, 2), baseline.BuildWARP(g, pats, 4), pats, g)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
 	}
+	checkEngine(t, e, g, sample, 4)
 }
 
 func TestEngineSiteMismatch(t *testing.T) {

@@ -4,11 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
+	"rdffrag/internal/allocation"
 	"rdffrag/internal/cluster"
 	"rdffrag/internal/decompose"
 	"rdffrag/internal/exec"
+	"rdffrag/internal/fragment"
 	"rdffrag/internal/match"
 	"rdffrag/internal/mining"
 	"rdffrag/internal/plan"
@@ -16,32 +17,48 @@ import (
 	"rdffrag/internal/sparql"
 )
 
-// Engine executes queries over a baseline placement. Unlike the paper's
-// VF/HF engine it cannot prune sites: every subquery is broadcast to all
-// of them (SHAPE and WARP both hash/partition data so any site may hold
-// matches), then results are unioned and joined at the control site.
+// Engine answers queries over a baseline placement with the paper's own
+// engine (internal/exec): the placement is deployed as one fragment per
+// site, and the baseline decides only the decomposition. It cannot prune
+// sites: SHAPE and WARP both hash/partition data so any site may hold
+// matches, so every subquery is global and evaluated at all of them.
 type Engine struct {
-	Cluster   *cluster.Cluster
-	Placement *Placement
-	// Patterns drive WARP's pattern-first decomposition; empty for SHAPE.
-	Patterns []*mining.Pattern
+	// Parallelism is the intra-query worker budget each query runs with;
+	// 0 means GOMAXPROCS.
+	Parallelism int
 
+	engine *exec.Engine
+	// patterns drive WARP's pattern-first decomposition: its multi-edge
+	// patterns, largest first; empty for SHAPE.
+	patterns  []*mining.Pattern
 	predCount map[rdf.ID]int
 	triples   int
 }
 
-// NewEngine deploys a placement to the cluster, one fragment per site
-// (fragment ID = site ID).
+// NewEngine deploys a placement to the cluster: fragment i is site i's
+// graph, allocated to site i, and no graph is cold.
 func NewEngine(c *cluster.Cluster, p *Placement, patterns []*mining.Pattern, original *rdf.Graph) (*Engine, error) {
 	if len(p.SiteGraphs) != len(c.Sites) {
 		return nil, fmt.Errorf("baseline: placement has %d sites, cluster %d", len(p.SiteGraphs), len(c.Sites))
 	}
+	fr := &fragment.Fragmentation{Hot: original}
+	alloc := &allocation.Allocation{SiteOf: make(map[int]int, len(p.SiteGraphs)), ColdSite: -1}
 	for i, g := range p.SiteGraphs {
-		if err := c.Place(i, i, g); err != nil {
-			return nil, err
+		fr.Fragments = append(fr.Fragments, &fragment.Fragment{ID: i, Size: g.NumTriples(), Graph: g})
+		alloc.SiteOf[i] = i
+	}
+	eng, err := exec.New(c, nil, fr, alloc, nil)
+	if err != nil {
+		return nil, err
+	}
+	var pats []*mining.Pattern
+	for _, pat := range patterns {
+		if pat.Size() > 1 { // a 1-edge pattern covers nothing a star does not
+			pats = append(pats, pat)
 		}
 	}
-	e := &Engine{Cluster: c, Placement: p, Patterns: patterns, predCount: make(map[rdf.ID]int)}
+	sort.Slice(pats, func(i, j int) bool { return pats[i].Size() > pats[j].Size() })
+	e := &Engine{engine: eng, patterns: pats, predCount: make(map[rdf.ID]int)}
 	osn := original.Snapshot()
 	for _, pr := range osn.Predicates() {
 		e.predCount[pr] = osn.PredicateCount(pr)
@@ -51,99 +68,48 @@ func NewEngine(c *cluster.Cluster, p *Placement, patterns []*mining.Pattern, ori
 	return e, nil
 }
 
-// Query decomposes, broadcasts, unions and joins.
+// Query decomposes q, orders the joins (Algorithm 4) and runs the plan
+// through the engine, which evaluates every subquery at every site.
 func (e *Engine) Query(q *sparql.Graph) (*match.Bindings, *exec.QueryStats, error) {
-	subs := e.decompose(q)
-	stats := &exec.QueryStats{Subqueries: len(subs), SitesTouched: len(e.Cluster.Sites)}
-
-	results := make([]*match.Bindings, len(subs))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, sq := range subs {
-		wg.Add(1)
-		go func(i int, sq *decompose.Subquery) {
-			defer wg.Done()
-			parts := make([]*match.Bindings, len(e.Cluster.Sites))
-			var iwg sync.WaitGroup
-			for s := range e.Cluster.Sites {
-				iwg.Add(1)
-				go func(s int) {
-					defer iwg.Done()
-					b, err := e.Cluster.Eval(context.Background(), cluster.EvalRequest{SiteID: s, FragIDs: []int{s}, Query: sq.Graph})
-					mu.Lock()
-					if err != nil && firstErr == nil {
-						firstErr = err
-					}
-					parts[s] = b
-					mu.Unlock()
-				}(s)
-			}
-			iwg.Wait()
-			mu.Lock()
-			results[i] = cluster.Union(parts...)
-			mu.Unlock()
-		}(i, sq)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-
-	dcp := &decompose.Decomposition{Subqueries: subs}
+	dcp := &decompose.Decomposition{Subqueries: e.decompose(q)}
 	pl, err := plan.Optimize(dcp)
 	if err != nil {
 		return nil, nil, err
 	}
-	joined := results[pl.Order[0]]
-	for _, idx := range pl.Order[1:] {
-		joined = cluster.HashJoin(joined, results[idx])
-	}
-	if len(q.Select) > 0 {
-		joined = cluster.Project(joined, q.Select)
-	} else {
-		joined.Dedup()
-	}
-	return joined, stats, nil
+	return e.engine.QueryPrepared(context.Background(), q, &exec.Prepared{Dcp: dcp, Plan: pl, Parallelism: e.Parallelism})
 }
 
-// decompose builds the baseline's subqueries. WARP first greedily covers
-// the query with its replicated patterns (largest first); the remainder —
-// and everything, for SHAPE — is grouped into subject-rooted stars, which
-// both placements answer locally per site.
+// decompose builds the baseline's subqueries, each global. WARP first
+// greedily covers the query with its replicated patterns (largest first);
+// the remainder — and everything, for SHAPE — is grouped into
+// subject-rooted stars, which both placements answer locally per site.
 func (e *Engine) decompose(q *sparql.Graph) []*decompose.Subquery {
 	covered := make([]bool, len(q.Edges))
 	var subs []*decompose.Subquery
 
-	if len(e.Patterns) > 0 {
-		pats := append([]*mining.Pattern(nil), e.Patterns...)
-		sort.Slice(pats, func(i, j int) bool { return pats[i].Size() > pats[j].Size() })
-		for _, pat := range pats {
-			if pat.Size() <= 1 {
+	for _, pat := range e.patterns {
+		for _, es := range sparql.CoveredEdgeSets(pat.Graph, q) {
+			free := true
+			for _, ei := range es {
+				if covered[ei] {
+					free = false
+					break
+				}
+			}
+			if !free {
 				continue
 			}
-			for _, es := range sparql.CoveredEdgeSets(pat.Graph, q) {
-				free := true
-				for _, ei := range es {
-					if covered[ei] {
-						free = false
-						break
-					}
-				}
-				if !free {
-					continue
-				}
-				for _, ei := range es {
-					covered[ei] = true
-				}
-				sub := q.EdgeSubgraph(es)
-				subs = append(subs, &decompose.Subquery{
-					Graph:       sub,
-					EdgeIdx:     append([]int(nil), es...),
-					PatternCode: pat.Code,
-					Card:        e.estimate(sub),
-				})
+			for _, ei := range es {
+				covered[ei] = true
 			}
+			sub := q.EdgeSubgraph(es)
+			subs = append(subs, &decompose.Subquery{
+				Graph:       sub,
+				EdgeIdx:     append([]int(nil), es...),
+				PatternCode: pat.Code,
+				Global:      true,
+				Card:        e.estimate(sub),
+			})
 		}
 	}
 
@@ -166,6 +132,7 @@ func (e *Engine) decompose(q *sparql.Graph) []*decompose.Subquery {
 		subs = append(subs, &decompose.Subquery{
 			Graph:   sub,
 			EdgeIdx: append([]int(nil), es...),
+			Global:  true,
 			Card:    e.estimate(sub),
 		})
 	}
@@ -173,7 +140,7 @@ func (e *Engine) decompose(q *sparql.Graph) []*decompose.Subquery {
 }
 
 // estimate is a coarse cardinality estimate: the minimum predicate count
-// over the subquery's edges, halved per constant vertex.
+// over the subquery's edges, divided by 10 per constant vertex.
 func (e *Engine) estimate(sub *sparql.Graph) int {
 	est := -1
 	for _, edge := range sub.Edges {

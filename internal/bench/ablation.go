@@ -156,12 +156,13 @@ func (s *Suite) AblationDecomposition() (*Table, error) {
 }
 
 // Validate cross-checks all four strategies against centralized ground
-// truth on a sample of both workloads, reporting mismatch counts. It is
-// the correctness gate behind every timing experiment.
+// truth on a sample of both workloads, reporting how many answers differ
+// in a variable or a row. It is the correctness gate behind every timing
+// experiment.
 func (s *Suite) Validate() (*Table, error) {
 	t := &Table{
 		ID:     "validate",
-		Title:  "distributed vs centralized result counts",
+		Title:  "distributed vs centralized answers, row for row",
 		Header: []string{"dataset", "strategy", "queries", "mismatches"},
 		Notes:  "every cell in the mismatches column must be 0",
 	}
@@ -178,11 +179,11 @@ func (s *Suite) Validate() (*Table, error) {
 			}
 			mismatches := 0
 			for _, q := range sample {
-				got, err := r.Run(q)
+				got, _, err := r.Query(q)
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s: %w", name, ds.Name, err)
 				}
-				if got != CentralAnswerSize(q, ds.Graph) {
+				if !sameAnswer(got, CentralAnswer(q, ds.Graph)) {
 					mismatches++
 				}
 			}

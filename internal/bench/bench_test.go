@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"rdffrag/internal/sparql"
 )
 
 // smallCfg keeps unit-test runtime low; the cmd/experiments binary and the
@@ -74,8 +72,8 @@ func TestBuildStrategyAllCorrect(t *testing.T) {
 		t.Fatalf("DBpedia: %v", err)
 	}
 	sample := Sample(ds.Log, 0.03)
-	// Every strategy must agree with centralized evaluation on result
-	// counts for a sample of the log.
+	// Every strategy must give the centralized answer, row for row, on
+	// a sample of the log.
 	for _, name := range StrategyNames {
 		r, st, err := s.BuildStrategy(ds, name)
 		if err != nil {
@@ -85,22 +83,40 @@ func TestBuildStrategyAllCorrect(t *testing.T) {
 			t.Errorf("%s redundancy %f < 1", name, st.Redundancy)
 		}
 		for qi, q := range sample {
-			got, err := r.Run(q)
+			got, _, err := r.Query(q)
 			if err != nil {
 				t.Fatalf("%s query %d: %v", name, qi, err)
 			}
-			want := distinctProjected(q, ds)
-			if got != want {
-				t.Errorf("%s query %d: got %d rows, want %d", name, qi, got, want)
+			if want := CentralAnswer(q, ds.Graph); !sameAnswer(got, want) {
+				t.Errorf("%s query %d: got %v with %d rows, want %v with %d", name, qi, got.Vars, got.Len(), want.Vars, want.Len())
 			}
 		}
 	}
 }
 
-// distinctProjected computes the centralized answer size under the same
-// projection semantics as the engines (distinct projected rows).
-func distinctProjected(q *sparql.Graph, ds *Dataset) int {
-	return CentralAnswerSize(q, ds.Graph)
+// TestBuildStrategyParallelism: Config.Parallelism reaches every
+// strategy's executions, the baselines' included.
+func TestBuildStrategyParallelism(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Parallelism = 1
+	s := NewSuite(cfg)
+	ds, err := s.DBpedia()
+	if err != nil {
+		t.Fatalf("DBpedia: %v", err)
+	}
+	for _, name := range StrategyNames {
+		r, _, err := s.BuildStrategy(ds, name)
+		if err != nil {
+			t.Fatalf("BuildStrategy(%s): %v", name, err)
+		}
+		_, stats, err := r.Query(ds.Log[0])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if stats.Parallelism != 1 {
+			t.Errorf("%s ran at parallelism %d, want 1", name, stats.Parallelism)
+		}
+	}
 }
 
 func TestFig12QueriesCorrectAllStrategies(t *testing.T) {
@@ -119,13 +135,12 @@ func TestFig12QueriesCorrectAllStrategies(t *testing.T) {
 			t.Fatalf("BuildStrategy(%s): %v", name, err)
 		}
 		for i, q := range qs {
-			got, err := r.Run(q)
+			got, _, err := r.Query(q)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, names[i], err)
 			}
-			want := CentralAnswerSize(q, ds.Graph)
-			if got != want {
-				t.Errorf("%s %s: got %d rows, want %d", name, names[i], got, want)
+			if want := CentralAnswer(q, ds.Graph); !sameAnswer(got, want) {
+				t.Errorf("%s %s: got %v with %d rows, want %v with %d", name, names[i], got.Vars, got.Len(), want.Vars, want.Len())
 			}
 		}
 	}

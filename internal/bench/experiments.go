@@ -67,8 +67,8 @@ func runSequential(r Runner, qs []*sparql.Graph) (avg time.Duration, err error) 
 	}
 	t0 := time.Now()
 	for _, q := range qs {
-		if _, err := r.Run(q); err != nil {
-			return 0, fmt.Errorf("%s: %w", r.Name(), err)
+		if _, _, err := r.Query(q); err != nil {
+			return 0, err
 		}
 	}
 	return time.Since(t0) / time.Duration(len(qs)), nil
@@ -99,7 +99,7 @@ func runThroughput(r Runner, qs []*sparql.Graph, clients int) (float64, error) {
 		go func() {
 			defer wg.Done()
 			for q := range jobs {
-				if _, err := r.Run(q); err != nil {
+				if _, _, err := r.Query(q); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -175,7 +175,7 @@ func (s *Suite) Fig10() (*Table, error) {
 			}
 			avg, err := runSequential(r, sample)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			row = append(row, ms(float64(avg.Microseconds())/1000))
 		}
@@ -211,7 +211,7 @@ func (s *Suite) Fig11() (*Table, error) {
 			}
 			avg, err := runSequential(r, sample)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			avgs = append(avgs, ms(float64(avg.Microseconds())/1000))
 			qpm, err := runThroughput(r, sample, s.Cfg.Clients)
@@ -254,11 +254,11 @@ func (s *Suite) Fig12() (*Table, error) {
 	const reps = 3
 	for qi, q := range qs {
 		row := []string{names[qi]}
-		for _, r := range runners {
+		for ri, r := range runners {
 			t0 := time.Now()
 			for rep := 0; rep < reps; rep++ {
-				if _, err := r.Run(q); err != nil {
-					return nil, fmt.Errorf("%s on %s: %w", r.Name(), names[qi], err)
+				if _, _, err := r.Query(q); err != nil {
+					return nil, fmt.Errorf("%s on %s: %w", StrategyNames[ri], names[qi], err)
 				}
 			}
 			row = append(row, ms(float64(time.Since(t0).Microseconds())/1000/reps))

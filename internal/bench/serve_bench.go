@@ -39,12 +39,12 @@ func (s *Suite) ServerThroughput() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		vr, ok := runner.(*vfhfRunner)
+		eng, ok := runner.(*exec.Engine)
 		if !ok {
-			return nil, fmt.Errorf("bench: %s runner does not expose an engine", strategy)
+			return nil, fmt.Errorf("bench: %s runner is not an exec.Engine", strategy)
 		}
 		for clients := 1; clients <= maxClients; clients *= 2 {
-			qps, m, err := serveRun(vr.engine, sample, clients)
+			qps, m, err := serveRun(eng, sample, clients)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rdffrag/internal/allocation"
@@ -159,10 +160,10 @@ func (s *Suite) watDivAt(triples int) (*Dataset, error) {
 	return &Dataset{Name: "WatDiv", Graph: wd.Graph, Log: log, WatDiv: wd}, nil
 }
 
-// Runner abstracts a deployed strategy for the online experiments.
+// Runner is a deployed strategy for the online experiments: an
+// *exec.Engine for VF and HF, a *baseline.Engine for SHAPE and WARP.
 type Runner interface {
-	Name() string
-	Run(q *sparql.Graph) (rows int, err error)
+	Query(q *sparql.Graph) (*match.Bindings, *exec.QueryStats, error)
 }
 
 // BuildStats captures the offline costs (Table 2) and redundancy (Table 1).
@@ -175,36 +176,6 @@ type BuildStats struct {
 
 // StrategyName enumerates the four compared systems.
 var StrategyNames = []string{"SHAPE", "WARP", "VF", "HF"}
-
-type vfhfRunner struct {
-	name   string
-	engine *exec.Engine
-}
-
-func (r *vfhfRunner) Name() string { return r.name }
-
-func (r *vfhfRunner) Run(q *sparql.Graph) (int, error) {
-	b, _, err := r.engine.Query(q)
-	if err != nil {
-		return 0, err
-	}
-	return b.Len(), nil
-}
-
-type baselineRunner struct {
-	name   string
-	engine *baseline.Engine
-}
-
-func (r *baselineRunner) Name() string { return r.name }
-
-func (r *baselineRunner) Run(q *sparql.Graph) (int, error) {
-	b, _, err := r.engine.Query(q)
-	if err != nil {
-		return 0, err
-	}
-	return b.Len(), nil
-}
 
 // BuildStrategy deploys one strategy over a dataset, reporting offline
 // stats. Strategy must be one of StrategyNames.
@@ -223,9 +194,10 @@ func (s *Suite) BuildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats
 		if err != nil {
 			return nil, nil, err
 		}
+		eng.Parallelism = cfg.Parallelism
 		stats.Loading = time.Since(t1)
 		stats.Redundancy = p.Redundancy(ds.Graph)
-		return &baselineRunner{name: strategy, engine: eng}, stats, nil
+		return eng, stats, nil
 
 	case "WARP":
 		minSup := minSupOf(len(ds.Log))
@@ -240,9 +212,10 @@ func (s *Suite) BuildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats
 		if err != nil {
 			return nil, nil, err
 		}
+		eng.Parallelism = cfg.Parallelism
 		stats.Loading = time.Since(t1)
 		stats.Redundancy = p.Redundancy(ds.Graph)
-		return &baselineRunner{name: strategy, engine: eng}, stats, nil
+		return eng, stats, nil
 
 	case "VF", "HF":
 		minSup := minSupOf(len(ds.Log))
@@ -273,7 +246,7 @@ func (s *Suite) BuildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats
 		eng.Parallelism = cfg.Parallelism
 		stats.Loading = time.Since(t1)
 		stats.Redundancy = fr.Redundancy(ds.Graph)
-		return &vfhfRunner{name: strategy, engine: eng}, stats, nil
+		return eng, stats, nil
 	}
 	return nil, nil, fmt.Errorf("bench: unknown strategy %q", strategy)
 }
@@ -322,10 +295,11 @@ func Sample(log []*sparql.Graph, fraction float64) []*sparql.Graph {
 	return out
 }
 
-// CentralAnswerSize answers q over the full graph with the same projection
-// semantics as the distributed engines (distinct projected rows); used by
-// tests and the validation mode of cmd/experiments.
-func CentralAnswerSize(q *sparql.Graph, g *rdf.Graph) int {
+// CentralAnswer answers q over the full graph with the same projection
+// semantics as the distributed engines: distinct projected rows, in Dedup
+// order. Tests and the validation mode of cmd/experiments compare every
+// strategy's answer with it.
+func CentralAnswer(q *sparql.Graph, g *rdf.Graph) *match.Bindings {
 	sn := g.Snapshot()
 	defer sn.Close()
 	ms := match.Find(q, sn, match.Options{})
@@ -335,5 +309,11 @@ func CentralAnswerSize(q *sparql.Graph, g *rdf.Graph) int {
 	} else {
 		b.Dedup()
 	}
-	return b.Len()
+	return b
+}
+
+// sameAnswer reports whether two answers, each in Dedup order, bind the
+// same variables to the same rows.
+func sameAnswer(a, b *match.Bindings) bool {
+	return slices.Equal(a.Vars, b.Vars) && a.Len() == b.Len() && slices.Equal(a.Rows, b.Rows)
 }

@@ -167,15 +167,6 @@ func TestHashJoinEmpty(t *testing.T) {
 	}
 }
 
-func TestUnionDedups(t *testing.T) {
-	a := mkBindings([]string{"x"}, []rdf.ID{1}, []rdf.ID{2})
-	b := mkBindings([]string{"x"}, []rdf.ID{2}, []rdf.ID{3})
-	u := Union(a, b, nil)
-	if u.Len() != 3 {
-		t.Fatalf("union rows = %d, want 3", u.Len())
-	}
-}
-
 func TestProject(t *testing.T) {
 	b := mkBindings([]string{"x", "y"}, []rdf.ID{1, 9}, []rdf.ID{1, 8}, []rdf.ID{2, 7})
 	p := Project(b, []string{"x"})

@@ -272,27 +272,6 @@ func mergeRow(out []rdf.ID, j *joinGeom, lr, rr []rdf.ID) {
 	}
 }
 
-// Union merges binding tables with identical variable sets, deduplicating
-// rows; used when a subquery is evaluated on several fragments or sites.
-func Union(bs ...*match.Bindings) *match.Bindings {
-	var out *match.Bindings
-	for _, b := range bs {
-		if b == nil {
-			continue
-		}
-		if out == nil {
-			out = &match.Bindings{Vars: b.Vars}
-		}
-		out.Rows = append(out.Rows, b.Rows...)
-		out.Nullary += b.Nullary
-	}
-	if out == nil {
-		return &match.Bindings{}
-	}
-	out.Dedup()
-	return out
-}
-
 // Project keeps only the named columns, deduplicating rows. Variables not
 // present in the table are ignored.
 func Project(b *match.Bindings, vars []string) *match.Bindings {

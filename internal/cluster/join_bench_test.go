@@ -61,13 +61,3 @@ func BenchmarkJoinStream(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkUnionDedup(b *testing.B) {
-	x := benchTable(3000, []string{"x", "y"})
-	y := benchTable(3000, []string{"x", "y"})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Union(x, y)
-	}
-}

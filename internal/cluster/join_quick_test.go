@@ -125,20 +125,6 @@ func TestHashJoinMatchesNestedLoopProperty(t *testing.T) {
 	}
 }
 
-// TestUnionIdempotentProperty: Union(A, A) has the same distinct rows as
-// Union(A).
-func TestUnionIdempotentProperty(t *testing.T) {
-	f := func(s int64) bool {
-		a := randomBindings(s, []string{"x", "y"}, 8)
-		once := Union(a)
-		twice := Union(a, a)
-		return equalMultiset(canonicalRows(once), canonicalRows(twice))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestProjectThenProjectProperty: projecting twice equals projecting once
 // onto the narrower set.
 func TestProjectThenProjectProperty(t *testing.T) {

@@ -30,13 +30,16 @@ type Subquery struct {
 	// decomposition bound from it; do not modify it.
 	EdgeIdx []int
 	// PatternCode is the canonical code of the matching selected pattern
-	// ("" for cold or global subqueries).
+	// ("" for cold subqueries, and for global ones but a WARP pattern
+	// cover's).
 	PatternCode string
 	// Cold marks an all-infrequent-property subquery evaluated on the
 	// cold fragment.
 	Cold bool
-	// Global marks a subquery that must consult every fragment (variable
-	// predicates may match hot and cold edges alike).
+	// Global marks a subquery that must consult every fragment: here,
+	// one whose variable predicates may match hot and cold edges alike;
+	// in internal/baseline, every subquery, since a SHAPE or WARP
+	// placement may hold a match at any site.
 	Global bool
 	// Card is the estimated result cardinality from the data dictionary.
 	Card int

@@ -77,7 +77,9 @@ func (st *runStats) siteCount() int {
 }
 
 // QueryPrepared executes q with a previously prepared plan. The plan must
-// come from this engine and a structurally identical query graph.
+// come from this engine and a structurally identical query graph — or,
+// for a baseline placement (internal/baseline), from the baseline's own
+// decomposition, whose subqueries are all global.
 func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepared) (*match.Bindings, *QueryStats, error) {
 	dcp, pl := prep.Dcp, prep.Plan
 	stats := &QueryStats{
