@@ -155,26 +155,35 @@ func serveMain(args []string) {
 	fmt.Printf("serving on %s (workers=%d queue=%d timeout=%s parallel=%d remote-sites=%d partial=%v durable=%v ttl=%s pprof=%v)\n",
 		ln.Addr(), *workers, *queue, *timeout, *parallel, len(remoteSites), *partial, durable != nil, *ttl, *profile)
 
-	httpSrv := &http.Server{Handler: mux}
-	// Graceful shutdown: SIGTERM/SIGINT stops accepting requests, drains
-	// in-flight queries (bounded by -drain-timeout), then closes the
-	// server — which, when durable, checkpoints, marks the directory
+	// Graceful shutdown closes the server once the listener has
+	// drained — which, when durable, checkpoints, marks the directory
 	// clean and fsyncs the log, so nothing is lost even under the
 	// "interval" sync policy.
+	serveUntilSignal(mux, ln, *drainTO, srv.MarkDraining, srv.Close)
+}
+
+// serveUntilSignal serves h on ln until SIGTERM or SIGINT, then shuts
+// down gracefully: markDraining flips /healthz to 503 before the
+// listener stops accepting, so a load balancer probing during the drain
+// window routes away; in-flight requests drain for at most drain; then
+// closeServer, when non-nil, closes what h fronts. The shutdown tests
+// scrape the two lines it prints.
+func serveUntilSignal(h http.Handler, ln net.Listener, drain time.Duration, markDraining, closeServer func()) {
+	httpSrv := &http.Server{Handler: h}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		sig := <-sigs
-		fmt.Printf("received %s, draining (timeout %s)\n", sig, *drainTO)
-		// Flip /healthz to 503 before the listener stops accepting, so a
-		// load balancer probing during the drain window routes away.
-		srv.MarkDraining()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
+		fmt.Printf("received %s, draining (timeout %s)\n", sig, drain)
+		markDraining()
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		httpSrv.Shutdown(ctx)
 		cancel()
-		srv.Close()
+		if closeServer != nil {
+			closeServer()
+		}
 		fmt.Println("shutdown complete")
 	}()
 	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {

@@ -1,16 +1,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"rdffrag"
@@ -81,30 +77,11 @@ func siteMain(args []string) {
 	// multi-process harness starts sites on :0 and scrapes the port.
 	fmt.Printf("site listening on %s (serving sites %s)\n", ln.Addr(), siteList(ids))
 
-	host := dep.SiteHost(cfg)
-	httpSrv := &http.Server{Handler: host}
-	// Graceful shutdown: SIGTERM/SIGINT flips /healthz to 503 (load
-	// balancers stop routing here), stops accepting evals and drains
-	// the in-flight ones (streams finish or their clients give up)
-	// bounded by -drain-timeout, so the control site sees clean stream
+	// Graceful shutdown drains the in-flight evals (streams finish or
+	// their clients give up), so the control site sees clean stream
 	// ends instead of torn ones when a host is decommissioned politely.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := <-sigs
-		fmt.Printf("received %s, draining (timeout %s)\n", sig, *drainTO)
-		host.MarkDraining()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
-		httpSrv.Shutdown(ctx)
-		cancel()
-		fmt.Println("shutdown complete")
-	}()
-	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		fatal(err)
-	}
-	<-done
+	host := dep.SiteHost(cfg)
+	serveUntilSignal(host, ln, *drainTO, host.MarkDraining, nil)
 }
 
 func siteList(ids []int) string {

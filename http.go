@@ -46,15 +46,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	query, err := readQuery(w, r)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			// MaxBytesReader (not LimitReader, which this path once
-			// used): an oversized query errors out whole instead of
-			// silently parsing a truncated prefix.
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
+		httpError(w, err, http.StatusBadRequest)
 		return
 	}
 	// r.Context() is cancelled the moment the client disconnects; it
@@ -62,24 +54,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// remote) site evaluation, so an abandoned query stops consuming
 	// cluster resources end to end.
 	res, err := s.answer(r.Context(), query)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		http.Error(w, "server overloaded, retry later", http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		return
-	case errors.Is(err, context.Canceled):
-		// The client went away; the status is never seen.
-		http.Error(w, err.Error(), http.StatusRequestTimeout)
-		return
-	case errors.Is(err, sparql.ErrParse):
-		// Typed classification: any parse failure wraps the sentinel,
-		// so this no longer depends on the message's spelling.
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if err != nil {
+		httpError(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.writeResult(w, format, res)
@@ -126,12 +102,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// out whole instead of silently applying a truncated prefix.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
+		httpError(w, err, http.StatusBadRequest)
 		return
 	}
 	delDoc, insDoc := "", string(body)
@@ -146,35 +117,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	res, err := s.apply(r.Context(), delDoc, insDoc, ttl)
-	// Status routing mirrors handleQuery: only the client's own mistakes
-	// are 400s. Overload and shutdown are retryable 5xx — mapping them
-	// to 400 (as this handler once did) told well-behaved clients their
-	// batch was malformed when the server was merely busy.
-	switch {
-	case errors.Is(err, ErrServerClosed):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, ErrOverloaded):
-		http.Error(w, "server overloaded, retry later", http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, ErrNoUpdater), errors.Is(err, ErrRemoteSites):
-		http.Error(w, err.Error(), http.StatusNotImplemented)
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		return
-	case errors.Is(err, context.Canceled):
-		// The client went away; the status is never seen.
-		http.Error(w, err.Error(), http.StatusRequestTimeout)
-		return
-	case errors.Is(err, ErrBadUpdate):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	case err != nil:
-		// Anything else is the server's problem — e.g. a poisoned WAL
-		// rejecting appends. 500 tells the client to alert, not to
-		// "fix" a batch that was never wrong.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if err != nil {
+		httpError(w, err, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -188,6 +132,41 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		"compactions":   res.Compactions,
 		"seq":           res.Seq,
 	}))
+}
+
+// httpError answers a failed /query or /update with the status of the
+// error's class. Only the client's own mistakes are 400s: overload and
+// shutdown are retryable 503s on both endpoints. fallback is the status
+// of an error of no class: 400 for a request body that failed to read,
+// 500 for anything the server failed at — e.g. a poisoned WAL rejecting
+// appends — which tells the client to alert, not to "fix" a request
+// that was never wrong.
+func httpError(w http.ResponseWriter, err error, fallback int) {
+	var tooBig *http.MaxBytesError
+	status := fallback
+	switch {
+	case errors.As(err, &tooBig):
+		// MaxBytesReader (not LimitReader): an oversized body fails
+		// whole instead of a truncated prefix parsing or applying.
+		status = http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrServerClosed):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrOverloaded):
+		http.Error(w, "server overloaded, retry later", http.StatusServiceUnavailable)
+		return
+	case errors.Is(err, ErrNoUpdater), errors.Is(err, ErrRemoteSites):
+		status = http.StatusNotImplemented
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		// The client went away; the status is never seen.
+		status = http.StatusRequestTimeout
+	case errors.Is(err, sparql.ErrParse), errors.Is(err, ErrBadUpdate):
+		// Typed classification: a parse failure wraps its sentinel, so
+		// this does not depend on the message's spelling.
+		status = http.StatusBadRequest
+	}
+	http.Error(w, err.Error(), status)
 }
 
 // requestTTL resolves the batch's time-to-live: the X-TTL header (a Go

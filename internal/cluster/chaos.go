@@ -1,14 +1,10 @@
 package cluster
 
-// Deterministic fault injection at the simulated-network seam. Chaos is
-// the single configuration point for both network shaping (Delay) and
-// failures (drops, injected errors, mid-stream cuts, straggler delays):
-// the channel-RPC path consults the Cluster's Chaos in
-// sendRequest/receiveResponse, and the HTTP transport
-// (internal/transport) consults the same type around its request and
-// batch writes — one seam, one timer implementation (Delay.wait), so
-// benchmarks and fault-injection tests configure the simulated network
-// in one place and cannot drift apart.
+// Deterministic fault injection for the networked site RPC. Chaos rolls
+// failures (drops, injected errors, mid-stream cuts, straggler delays);
+// the HTTP transport (internal/transport) consults it around its request
+// and batch writes, and the straggler delay reuses the cluster's Delay
+// timer, so the simulated network is shaped by one implementation.
 //
 // Faults are drawn from a seeded PRNG, so a soak run with a fixed seed
 // injects a reproducible fault sequence (per call site; interleaving
@@ -19,17 +15,11 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 )
-
-// ErrInjected marks an error produced by fault injection rather than a
-// real failure. Transports treat it like any transport error (it is
-// retryable); tests unwrap it to tell injected faults from real ones.
-var ErrInjected = errors.New("chaos: injected fault")
 
 // FaultKind classifies one injected fault.
 type FaultKind int

@@ -7,8 +7,8 @@
 // fragmentation strategies on one machine. The same site RPC surface
 // (EvalRequest/EvalStream, abstracted by SiteEval) is also served over
 // real sockets by internal/transport, which lets the control site mix
-// in-process sites with remote fragment-host processes; the Chaos seam
-// (chaos.go) injects deterministic delay and failure on both paths.
+// in-process sites with remote fragment-host processes; the Chaos
+// injector (chaos.go) makes that HTTP path fail deterministically.
 package cluster
 
 import (
@@ -136,12 +136,6 @@ type Cluster struct {
 	outLink sync.Mutex // control site's send link
 	inLink  sync.Mutex // control site's receive link
 
-	// Faults, when non-nil, injects deterministic seeded faults on the
-	// channel-RPC path: requests can be dropped or errored and response
-	// streams cut or stalled, through the same seam the HTTP transport
-	// uses. Set it before issuing queries (like Latency).
-	Faults *Chaos
-
 	// views publishes batch-atomic MVCC read views over every placed
 	// graph: the serving layer republishes after each update
 	// batch, and queries pin the latest view instead of locking the data.
@@ -162,16 +156,6 @@ func (c *Cluster) sendRequest(ctx context.Context, bytes int) error {
 			return err
 		}
 	}
-	switch c.Faults.OnRequest() {
-	case FaultDrop:
-		return fmt.Errorf("%w: request dropped", ErrInjected)
-	case FaultError:
-		return fmt.Errorf("%w: request errored", ErrInjected)
-	case FaultDelay:
-		if err := c.Faults.StragglerWait(ctx, bytes); err != nil {
-			return err
-		}
-	}
 	return ctx.Err()
 }
 
@@ -181,14 +165,6 @@ func (c *Cluster) receiveResponse(ctx context.Context, bytes int) error {
 		err := c.Latency.wait(ctx, bytes)
 		c.inLink.Unlock()
 		if err != nil {
-			return err
-		}
-	}
-	switch c.Faults.OnBatch() {
-	case FaultCut:
-		return fmt.Errorf("%w: response stream cut", ErrInjected)
-	case FaultDelay:
-		if err := c.Faults.StragglerWait(ctx, bytes); err != nil {
 			return err
 		}
 	}

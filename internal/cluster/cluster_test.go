@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
@@ -48,6 +50,42 @@ func TestEvalErrors(t *testing.T) {
 	}
 	if err := c.Place(9, 0, rdf.NewGraph(d)); err == nil {
 		t.Error("Place out of range accepted")
+	}
+}
+
+// TestLatencyDelaysEachMessage: with a simulated link delay a call pays
+// it on the request and on its response, and a context that ends
+// mid-call ends the call with the context's error.
+func TestLatencyDelaysEachMessage(t *testing.T) {
+	c, q, _ := chaosCluster(t)
+	const delay = 5 * time.Millisecond
+	c.Latency = Delay{PerMessage: delay}
+	req := EvalRequest{SiteID: 0, FragIDs: []int{1}, Query: q}
+	start := time.Now()
+	b, err := c.Eval(context.Background(), req)
+	if err != nil || b.Len() != 2 {
+		t.Fatalf("Eval under latency: %v rows, err %v; want 2 rows", b, err)
+	}
+	if el := time.Since(start); el < 2*delay {
+		t.Errorf("Eval took %v, want at least a request and a response delay (%v)", el, 2*delay)
+	}
+
+	// Cancelled in the sink of the first of two batches: the call ends
+	// with the context's error and delivers no second batch.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	batches := 0
+	err = c.EvalStream(ctx, req, 1, func(b *match.Bindings) error {
+		batches++
+		cancel()
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || batches != 1 {
+		t.Errorf("EvalStream cancelled in its sink: err %v after %d batches, want context.Canceled after 1", err, batches)
+	}
+	// An ended context fails the request before the site does any work.
+	if _, err := c.Eval(ctx, req); !errors.Is(err, context.Canceled) {
+		t.Errorf("Eval with an ended context = %v, want context.Canceled", err)
 	}
 }
 

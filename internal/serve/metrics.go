@@ -1,12 +1,11 @@
 package serve
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"rdffrag/internal/cluster"
+	"rdffrag/internal/metrics"
 )
 
 // latencyWindow is how many recent per-query latencies the percentile
@@ -132,13 +131,11 @@ type collector struct {
 	sweepRuns    atomic.Uint64 // TTL sweeps that issued a delete batch
 	sweptTriples atomic.Uint64 // triples TTL sweeps removed
 
-	mu   sync.Mutex
-	lats []time.Duration // ring buffer of recent latencies
-	next int
+	lats *metrics.Window // recent query latencies
 }
 
 func newCollector() *collector {
-	return &collector{start: time.Now(), lats: make([]time.Duration, 0, latencyWindow)}
+	return &collector{start: time.Now(), lats: metrics.NewWindow(latencyWindow)}
 }
 
 // parallelism records the intra-query worker budget granted to one
@@ -159,14 +156,7 @@ func (m *collector) update(st UpdateStats) {
 
 func (m *collector) complete(lat time.Duration) {
 	m.completed.Add(1)
-	m.mu.Lock()
-	if len(m.lats) < latencyWindow {
-		m.lats = append(m.lats, lat)
-	} else {
-		m.lats[m.next] = lat
-		m.next = (m.next + 1) % latencyWindow
-	}
-	m.mu.Unlock()
+	m.lats.Observe(lat)
 }
 
 func (m *collector) snapshot() Metrics {
@@ -198,23 +188,7 @@ func (m *collector) snapshot() Metrics {
 	if n := m.parCount.Load(); n > 0 {
 		s.EffectiveParallelism = float64(m.parSum.Load()) / float64(n)
 	}
-	m.mu.Lock()
-	lats := append([]time.Duration(nil), m.lats...)
-	m.mu.Unlock()
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		s.P50 = percentile(lats, 0.50)
-		s.P95 = percentile(lats, 0.95)
-		s.P99 = percentile(lats, 0.99)
-	}
+	p := m.lats.Percentiles(0.50, 0.95, 0.99)
+	s.P50, s.P95, s.P99 = p[0], p[1], p[2]
 	return s
-}
-
-// percentile reads the p-th percentile from a sorted sample (nearest-rank).
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	i := int(p * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -23,12 +23,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"rdffrag/internal/cluster"
+	"rdffrag/internal/metrics"
 	"rdffrag/internal/rdf"
 )
 
@@ -72,10 +71,7 @@ type SiteClient struct {
 	failures  atomic.Uint64
 	fastFails atomic.Uint64
 
-	latMu  sync.Mutex
-	lats   [512]time.Duration // ring of recent successful-call latencies
-	latIdx int
-	latN   int
+	lats *metrics.Window // recent successful-call latencies
 }
 
 // NewSiteClient builds a client for one remote site.
@@ -92,7 +88,7 @@ func NewSiteClient(cfg ClientConfig) *SiteClient {
 	if cfg.HTTP == nil {
 		cfg.HTTP = &http.Client{}
 	}
-	return &SiteClient{cfg: cfg, breaker: NewBreaker(cfg.Breaker)}
+	return &SiteClient{cfg: cfg, breaker: NewBreaker(cfg.Breaker), lats: metrics.NewWindow(512)}
 }
 
 // outcome is one attempt's verdict.
@@ -129,7 +125,7 @@ func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, ba
 		o := c.runAttempt(ctx, wire, vars, sink)
 		if o.err == nil {
 			c.breaker.Success()
-			c.observe(time.Since(start))
+			c.lats.Observe(time.Since(start))
 			return nil
 		}
 		// The caller gave up (or its sink did): not the site's fault —
@@ -225,7 +221,7 @@ func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []stri
 		case "done":
 			return outcome{}
 		case "err":
-			return outcome{err: fmt.Errorf("transport: site %d: remote: %s", c.cfg.Site, f.Msg), retryable: f.Retry}
+			return outcome{err: fmt.Errorf("transport: site %d: remote: %s", c.cfg.Site, f.Msg)}
 		default:
 			return outcome{err: fmt.Errorf("transport: site %d: unknown frame %q", c.cfg.Site, f.K), retryable: true}
 		}
@@ -253,34 +249,6 @@ func (c *SiteClient) backoffWait(ctx context.Context, attempt int) error {
 	}
 }
 
-// observe records a successful call's latency in the ring.
-func (c *SiteClient) observe(d time.Duration) {
-	c.latMu.Lock()
-	c.lats[c.latIdx] = d
-	c.latIdx = (c.latIdx + 1) % len(c.lats)
-	if c.latN < len(c.lats) {
-		c.latN++
-	}
-	c.latMu.Unlock()
-}
-
-// p99 computes the 99th-percentile latency over the ring.
-func (c *SiteClient) p99() time.Duration {
-	c.latMu.Lock()
-	n := c.latN
-	sample := append([]time.Duration(nil), c.lats[:n]...)
-	c.latMu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	idx := (n*99 + 99) / 100
-	if idx >= n {
-		idx = n - 1
-	}
-	return sample[idx]
-}
-
 // SiteMetrics implements cluster.SiteMetricsReporter. The counters
 // reconcile: Attempts + FastFails == Calls + Retries.
 func (c *SiteClient) SiteMetrics() cluster.SiteMetrics {
@@ -294,6 +262,6 @@ func (c *SiteClient) SiteMetrics() cluster.SiteMetrics {
 		FastFails:    c.fastFails.Load(),
 		BreakerState: state,
 		BreakerOpens: opens,
-		P99:          c.p99(),
+		P99:          c.lats.Percentiles(0.99)[0],
 	}
 }

@@ -45,8 +45,8 @@ type ServerConfig struct {
 	// typically serves one site; tests serve several from one process.
 	Sites []int
 	// Chaos, when non-nil, injects deterministic seeded faults on this
-	// server's request and batch handling — the same seam the
-	// channel-RPC path uses (cluster.Chaos).
+	// server's request and batch handling: every fault test of the
+	// networked path goes through it.
 	Chaos *cluster.Chaos
 	// MaxBodyBytes bounds the /eval request body (default 8 MiB).
 	MaxBodyBytes int64
@@ -272,6 +272,6 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	case r.Context().Err() != nil:
 		// Client disconnected or cancelled; nothing left to tell it.
 	default:
-		write(&frame{K: "err", Msg: streamErr.Error(), Retry: errors.Is(streamErr, cluster.ErrInjected)})
+		write(&frame{K: "err", Msg: streamErr.Error()})
 	}
 }

@@ -75,7 +75,7 @@ type evalWire struct {
 
 // frame is one NDJSON response frame, discriminated by K: "hdr" opens
 // the stream, "b" carries a batch, "done" closes it, "err" reports a
-// server-side failure (Retry says whether it is worth retrying).
+// server-side failure, which the client does not retry.
 type frame struct {
 	K       string   `json:"k"`
 	DictLen int      `json:"dictLen,omitempty"` // hdr: shared dictionary prefix length
@@ -83,7 +83,6 @@ type frame struct {
 	Vars    []string `json:"vars,omitempty"`    // b
 	Rows    wireRows `json:"rows,omitzero"`     // b
 	Msg     string   `json:"msg,omitempty"`     // err
-	Retry   bool     `json:"retry,omitempty"`   // err
 }
 
 // wireRows is the rows of a batch frame: on the wire an array of rows,

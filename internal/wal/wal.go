@@ -23,6 +23,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"rdffrag/internal/metrics"
 )
 
 // ErrClosed fails operations on a closed log.
@@ -134,6 +136,10 @@ type segInfo struct {
 	size     int64
 }
 
+// latWindowSize is how many recent append and fsync latencies the p99s
+// are read from.
+const latWindowSize = 1024
+
 // Log is a write-ahead log over one directory. Append/Sync/Rotate/
 // Retire are safe for concurrent use; Replay must run before the first
 // Append.
@@ -154,8 +160,8 @@ type Log struct {
 	fsyncs        uint64
 	appendedBytes uint64
 	truncated     int64
-	appendLat     latWindow
-	fsyncLat      latWindow
+	appendLat     *metrics.Window
+	fsyncLat      *metrics.Window
 
 	flushStop chan struct{}
 	flushDone chan struct{}
@@ -175,7 +181,12 @@ func Open(opts Options) (*Log, error) {
 		return nil, errors.New("wal: Options.Dir is required")
 	}
 	opts = opts.withDefaults()
-	l := &Log{opts: opts, fs: opts.FS}
+	l := &Log{
+		opts:      opts,
+		fs:        opts.FS,
+		appendLat: metrics.NewWindow(latWindowSize),
+		fsyncLat:  metrics.NewWindow(latWindowSize),
+	}
 	if err := l.fs.MkdirAll(opts.Dir); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -343,7 +354,7 @@ func (l *Log) Append(kind Kind, payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	l.appendLat.observe(time.Since(start))
+	l.appendLat.Observe(time.Since(start))
 	return seq, nil
 }
 
@@ -367,7 +378,7 @@ func (l *Log) syncLocked() error {
 	}
 	l.dirty = false
 	l.fsyncs++
-	l.fsyncLat.observe(time.Since(start))
+	l.fsyncLat.Observe(time.Since(start))
 	return nil
 }
 
@@ -507,11 +518,11 @@ func (l *Log) sizeLocked() int64 {
 	return total
 }
 
-// Metrics snapshots the log's counters.
+// Metrics snapshots the log's counters. The latency windows are read
+// after l.mu is released: their sort never stalls an Append.
 func (l *Log) Metrics() Metrics {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Metrics{
+	m := Metrics{
 		Appends:        l.appends,
 		Fsyncs:         l.fsyncs,
 		AppendedBytes:  l.appendedBytes,
@@ -519,9 +530,11 @@ func (l *Log) Metrics() Metrics {
 		Segments:       len(l.segs),
 		LastSeq:        l.lastSeq,
 		TruncatedBytes: l.truncated,
-		AppendP99:      l.appendLat.p99(),
-		FsyncP99:       l.fsyncLat.p99(),
 	}
+	l.mu.Unlock()
+	m.AppendP99 = l.appendLat.Percentiles(0.99)[0]
+	m.FsyncP99 = l.fsyncLat.Percentiles(0.99)[0]
+	return m
 }
 
 // Close flushes, fsyncs and closes the log. Idempotent.

@@ -4,8 +4,8 @@ package rdffrag
 // hosted by separate processes (`rdffrag site`) and fronted here by
 // robust HTTP clients, or kept in-process over the simulated channel
 // RPC — the executor cannot tell the difference. Fault injection
-// (Chaos) drives both paths through one seam for deterministic
-// robustness testing.
+// (SiteConfig.Chaos) makes a site host fail deterministically, for
+// robustness tests of the networked path.
 
 import (
 	"net/http"
@@ -15,32 +15,12 @@ import (
 	"rdffrag/internal/transport"
 )
 
-// ChaosConfig configures the deterministic seeded fault injector shared
-// by the channel-RPC and HTTP transports.
+// ChaosConfig configures the deterministic seeded fault injector a site
+// host applies to its request and stream handling (SiteConfig.Chaos).
 type ChaosConfig = cluster.ChaosConfig
-
-// ChaosCounts reports how many faults an injector has fired.
-type ChaosCounts = cluster.ChaosCounts
 
 // SiteMetrics is one remote site client's robustness counters.
 type SiteMetrics = cluster.SiteMetrics
-
-// InjectFaults installs a fault injector on the deployment's in-process
-// channel-RPC path: site evaluations randomly (but reproducibly, per
-// cfg.Seed) drop, fail, stall or cut mid-stream. The in-process path
-// has no retry layer, so injected faults surface as query errors — the
-// point is proving they surface cleanly (no hangs, no leaks, no torn
-// state), not that they are masked. Pass a zero ChaosConfig's
-// probabilities to effectively disable it.
-func (dep *Deployment) InjectFaults(cfg ChaosConfig) {
-	dep.cluster.Faults = cluster.NewChaos(cfg)
-}
-
-// FaultCounts reports the faults the injector installed by InjectFaults
-// has fired so far (zero value when none was installed).
-func (dep *Deployment) FaultCounts() ChaosCounts {
-	return dep.cluster.Faults.Counts()
-}
 
 // SiteConfig configures a fragment-host HTTP handler (see SiteHandler).
 type SiteConfig struct {
