@@ -3,12 +3,18 @@ package rdffrag
 // Every `rdffrag site` process runs the offline pipeline on its own, and
 // the /eval fingerprint does not cover fragment contents: two processes
 // given the same files must build the same fragments at the same sites,
-// or a networked deployment answers wrongly. One process deploying
-// several times stands in for several processes — what differed between
-// them was map iteration order, which differs between calls too.
+// or a networked deployment answers wrongly. Deploying several times in
+// one process catches what differs between calls, map iteration order
+// first; deploying once more in another catches what differs only between
+// processes.
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,6 +56,13 @@ func deploymentShape(t *testing.T, dep *Deployment, probes []*sparql.Graph) stri
 	return b.String()
 }
 
+// childOut names, in the environment of this test binary run again by
+// TestDeployDeterministic, the file the child writes what it deployed to.
+const childOut = "RDFFRAG_TEST_CHILD_OUT"
+
+// TestDeployDeterministic: the 20 000-triple WatDiv input deploys to the
+// same deploymentShape, and saves to the same bytes, eight times in this
+// process and once in another — this test binary run again.
 func TestDeployDeterministic(t *testing.T) {
 	for _, strategy := range []Strategy{Vertical, Horizontal} {
 		t.Run(string(strategy), func(t *testing.T) {
@@ -58,25 +71,41 @@ func TestDeployDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want string
-			for i := 0; i < 8; i++ {
+			deploy := func() string {
 				// Deploy consumes the store, not the dataset's graph it holds.
-				db = &DB{cfg: db.cfg, graph: ds.Graph}
-				dep, err := db.DeployParsed(workload)
+				dep, err := (&DB{cfg: db.cfg, graph: ds.Graph}).DeployParsed(workload)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := deploymentShape(t, dep, probes)
-				if i == 0 {
-					want = got
-					if strategy == Horizontal && !strings.Contains(got, "|v") {
-						t.Fatal("no minterm fragment: the fixture does not exercise the tie-break")
-					}
-					continue
+				var img bytes.Buffer
+				if err := dep.Save(&img); err != nil {
+					t.Fatal(err)
 				}
-				if got != want {
+				return fmt.Sprintf("save %x\n%s", sha256.Sum256(img.Bytes()), deploymentShape(t, dep, probes))
+			}
+			want := deploy()
+			if out := os.Getenv(childOut); out != "" {
+				if err := os.WriteFile(out, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if strategy == Horizontal && !strings.Contains(want, "|v") {
+				t.Fatal("no minterm fragment: the fixture does not exercise the tie-break")
+			}
+			for i := 1; i < 8; i++ {
+				if got := deploy(); got != want {
 					t.Fatalf("deploy %d differs from deploy 0:\n%s", i, firstDiff(want, got))
 				}
+			}
+			out := filepath.Join(t.TempDir(), "deployed")
+			cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
+			cmd.Env = append(os.Environ(), childOut+"="+out)
+			if log, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("another process: %v\n%s", err, log)
+			}
+			if got, err := os.ReadFile(out); err != nil || string(got) != want {
+				t.Fatalf("another process deployed differently (%v):\n%s", err, firstDiff(want, string(got)))
 			}
 		})
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,6 +25,35 @@ import (
 func durableDeploy(t *testing.T) *Deployment {
 	t.Helper()
 	return deploySoak(t, 3, 40)
+}
+
+// bootstrapped opens cfg's data directory and bootstraps a durableDeploy
+// deployment into it.
+func bootstrapped(t *testing.T, cfg DurabilityConfig) (*Durable, *Deployment) {
+	t.Helper()
+	d, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	dep := durableDeploy(t)
+	if err := d.Bootstrap(dep); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	return d, dep
+}
+
+// recovered reopens cfg's data directory and recovers what it holds.
+func recovered(t *testing.T, cfg DurabilityConfig) (*Durable, *Deployment) {
+	t.Helper()
+	d, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	dep, err := d.Recover(Config{})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	return d, dep
 }
 
 // durableUpdate generates batch i: a unique person chained into the soak
@@ -45,14 +75,7 @@ func queryRows(t *testing.T, srv *Server, q string) []string {
 
 func TestDurableRecoverAfterAbandon(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	dep := durableDeploy(t)
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: dir, Sync: "always"})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
 
 	const batches = 12
@@ -65,28 +88,33 @@ func TestDurableRecoverAfterAbandon(t *testing.T) {
 			t.Fatalf("update %d: seq = %d, want %d (acks must carry the WAL seq)", i, res.Seq, i+1)
 		}
 	}
-	oracle := queryRows(t, srv, durableProbe)
 	// Abandon without Close: with sync=always every acked batch is on
 	// stable storage, so recovery owes us all of them.
 
-	d2, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	dep2, err := d2.Recover(Config{})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	d2, dep2 := recovered(t, DurabilityConfig{Dir: dir, Sync: "always"})
 	if d2.ReplayedRecords() != batches {
 		t.Fatalf("replayed %d records, want %d (checkpoint was at seq 0)", d2.ReplayedRecords(), batches)
 	}
 	if d2.CleanStart() {
 		t.Fatal("CleanStart true after an abandoned (crashed) server")
 	}
+	// A served answer reads its text off the dictionary's renderings:
+	// after the checkpoint restore and a replay that interned new terms,
+	// each is still its decoded term's, and the answer is the model's.
+	dict := dep2.db.graph.Dict
+	for id, r := range dict.Rendered() {
+		if want := dict.Decode(rdf.ID(id)).String(); r != want {
+			t.Fatalf("ID %d renders as %s, decodes to %s", id, r, want)
+		}
+	}
+	docs := []string{soakNT(40, 0)}
+	for i := range batches {
+		docs = append(docs, durableUpdate(i))
+	}
 	srv2 := dep2.StartServer(ServerConfig{Workers: 2, Durable: d2})
 	defer srv2.Close()
-	if got := queryRows(t, srv2, durableProbe); strings.Join(got, "\n") != strings.Join(oracle, "\n") {
-		t.Fatalf("recovered answers diverge:\ngot  %d rows\nwant %d rows", len(got), len(oracle))
+	if got, want := queryRows(t, srv2, durableProbe), modelRows(t, modelOf(t, docs...), durableProbe); !slices.Equal(got, want) {
+		t.Fatalf("recovered answers diverge from the model's:\ngot  %d rows\nwant %d rows", len(got), len(want))
 	}
 	// The recovered server keeps sequencing where the log left off.
 	res, err := srv2.Update(context.Background(), durableUpdate(batches))
@@ -102,14 +130,7 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny checkpoint threshold: the background checkpointer must fire
 	// mid-stream, advance the checkpoint seq and retire covered segments.
-	d, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always", CheckpointBytes: 2 << 10, SegmentBytes: 1 << 10})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	dep := durableDeploy(t)
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: dir, Sync: "always", CheckpointBytes: 2 << 10, SegmentBytes: 1 << 10})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
 
 	const batches = 60
@@ -129,14 +150,7 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	oracle := queryRows(t, srv, durableProbe)
 	ckptSeq := d.CheckpointSeq()
 
-	d2, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	dep2, err := d2.Recover(Config{})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	d2, dep2 := recovered(t, DurabilityConfig{Dir: dir, Sync: "always"})
 	// Replay is bounded by the checkpoint: exactly lastSeq − ckptSeq
 	// records (the metrics reconciliation the crash soak also checks).
 	if want := uint64(batches) - ckptSeq; d2.ReplayedRecords() != want {
@@ -188,14 +202,7 @@ func (f *gatedFile) Write(p []byte) (int, error) {
 func TestCheckpointWritesOffTheWriterLock(t *testing.T) {
 	dir := t.TempDir()
 	fs := &gatedFS{FS: wal.OS(), started: make(chan struct{}), release: make(chan struct{})}
-	d, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always", FS: fs, CheckpointBytes: 1 << 30})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	dep := durableDeploy(t)
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: dir, Sync: "always", FS: fs, CheckpointBytes: 1 << 30})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
 	const batches = 6
 	for i := 0; i < batches; i++ {
@@ -243,14 +250,7 @@ func TestCheckpointWritesOffTheWriterLock(t *testing.T) {
 	}
 	oracle := queryRows(t, srv, durableProbe)
 
-	d2, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	dep2, err := d2.Recover(Config{})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	d2, dep2 := recovered(t, DurabilityConfig{Dir: dir, Sync: "always"})
 	if d2.CheckpointSeq() != batches || d2.ReplayedRecords() != 1 {
 		t.Fatalf("recovered from checkpoint seq %d replaying %d records, want %d and 1", d2.CheckpointSeq(), d2.ReplayedRecords(), batches)
 	}
@@ -265,14 +265,7 @@ func TestDurableCleanShutdownSkipsReplay(t *testing.T) {
 	dir := t.TempDir()
 	// sync=interval: acks may run ahead of the disk — the graceful-close
 	// path must still lose nothing (final checkpoint + fsync + marker).
-	d, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "interval"})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	dep := durableDeploy(t)
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: dir, Sync: "interval"})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
 	for i := 0; i < 8; i++ {
 		if _, err := srv.Update(context.Background(), durableUpdate(i)); err != nil {
@@ -282,14 +275,7 @@ func TestDurableCleanShutdownSkipsReplay(t *testing.T) {
 	oracle := queryRows(t, srv, durableProbe)
 	srv.Close()
 
-	d2, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "interval"})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	dep2, err := d2.Recover(Config{})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	d2, dep2 := recovered(t, DurabilityConfig{Dir: dir, Sync: "interval"})
 	if !d2.CleanStart() {
 		t.Fatal("CleanStart false after a graceful Close")
 	}
@@ -309,14 +295,7 @@ func TestDurableCleanShutdownSkipsReplay(t *testing.T) {
 // recovery would resurrect the rejection as state).
 func TestUpdateAtomicityOnMalformedBatch(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	dep := durableDeploy(t)
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: dir, Sync: "always"})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
 	defer srv.Close()
 
@@ -355,14 +334,7 @@ func TestUpdateAtomicityOnMalformedBatch(t *testing.T) {
 // section; a plain server's don't.
 func TestServerWALMetricsExposed(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	dep := durableDeploy(t)
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: dir, Sync: "always"})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
 	defer srv.Close()
 	if _, err := srv.Update(context.Background(), durableUpdate(0)); err != nil {

@@ -6,11 +6,7 @@ import (
 )
 
 func TestExplain(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 3, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 3, MinSupport: 0.2}, phWorkload)
 	ex, err := dep.Explain(`SELECT ?x WHERE { ?x <name> ?n . ?x <mainInterest> ?i . ?x <imageSkyline> ?img . }`)
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
@@ -41,11 +37,7 @@ func TestExplain(t *testing.T) {
 }
 
 func TestExplainMatchesExecution(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 3, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 3, MinSupport: 0.2}, phWorkload)
 	query := `SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> <Ethics> . }`
 	ex, err := dep.Explain(query)
 	if err != nil {
@@ -71,11 +63,7 @@ func TestExplainMatchesExecution(t *testing.T) {
 }
 
 func TestQueryLimit(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	all, err := dep.Query(`SELECT ?x ?n WHERE { ?x <name> ?n . }`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)

@@ -19,10 +19,7 @@ func TestZeroVariableSubqueryEndToEnd(t *testing.T) {
 	}
 	for _, strategy := range []Strategy{Vertical, Horizontal} {
 		t.Run(string(strategy), func(t *testing.T) {
-			dep, err := loadPhilosophers(t, Config{Strategy: strategy, Sites: 3, MinSupport: 0.2}).Deploy(phWorkload)
-			if err != nil {
-				t.Fatalf("Deploy: %v", err)
-			}
+			dep := deployPhilosophers(t, Config{Strategy: strategy, Sites: 3, MinSupport: 0.2}, phWorkload)
 			for _, tc := range []struct {
 				query        string
 				want         [][]string
@@ -70,21 +67,14 @@ func TestZeroVariableSubqueryEndToEnd(t *testing.T) {
 // TestFiveSharedColumnJoinEndToEnd joins two subqueries on five shared
 // variables — a key wider than the four columns that once fit a packed
 // map key, so it used to take a string-key path that no longer exists —
-// and checks the answer against a nested loop over the data. The query
+// and checks the answer against the model's. The query
 // walks one five-vertex chain by hot properties and again by cold ones:
 // the hot walk is a pattern subquery, the cold walk the cold subquery, and
 // both bind all five vertices.
 func TestFiveSharedColumnJoinEndToEnd(t *testing.T) {
 	const chains = 60
 	var nt strings.Builder
-	type edge struct{ s, p, o string }
-	edges := map[edge]bool{}
-	add := func(s, p, o string) {
-		if !edges[edge{s, p, o}] {
-			edges[edge{s, p, o}] = true
-			fmt.Fprintf(&nt, "<%s> <%s> <%s> .\n", s, p, o)
-		}
-	}
+	add := func(s, p, o string) { fmt.Fprintf(&nt, "<%s> <%s> <%s> .\n", s, p, o) }
 	node := func(chain, k int) string { return fmt.Sprintf("n%d_%d", chain, k) }
 	for c := 0; c < chains; c++ {
 		for k := 0; k < 4; k++ {
@@ -107,29 +97,9 @@ func TestFiveSharedColumnJoinEndToEnd(t *testing.T) {
 	hotWalk := `?a <hot0> ?b . ?b <hot1> ?c . ?c <hot2> ?d . ?d <hot3> ?e .`
 	query := `SELECT ?a ?b ?c ?d ?e WHERE { ` + hotWalk + ` ?a <cold0> ?b . ?b <cold1> ?c . ?c <cold2> ?d . ?d <cold3> ?e . }`
 
-	// The oracle: every five-tuple of nodes, one nested loop per vertex.
-	var want [][]string
-	for a := 0; a < chains; a++ {
-		for _, b := range []int{a, (a + 7) % chains} {
-			bn := node(b, 1)
-			if !edges[edge{node(a, 0), "hot0", bn}] || !edges[edge{node(a, 0), "cold0", bn}] {
-				continue
-			}
-			row := []string{"<" + node(a, 0) + ">", "<" + bn + ">"}
-			ok := true
-			for k := 1; k < 4 && ok; k++ {
-				s, o := node(b, k), node(b, k+1)
-				ok = edges[edge{s, fmt.Sprintf("hot%d", k), o}] && edges[edge{s, fmt.Sprintf("cold%d", k), o}]
-				row = append(row, "<"+o+">")
-			}
-			if ok {
-				want = append(want, row)
-			}
-		}
-	}
-	slices.SortFunc(want, slices.Compare[[]string])
+	want := modelRows(t, modelOf(t, nt.String()), query)
 	if len(want) < chains/2 || len(want) >= 2*chains {
-		t.Fatalf("the oracle finds %d walks; the fixture should have about %d", len(want), chains)
+		t.Fatalf("the model finds %d walks; the fixture should have about %d", len(want), chains)
 	}
 
 	workload := make([]string, 10)
@@ -157,10 +127,8 @@ func TestFiveSharedColumnJoinEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Query: %v", err)
 			}
-			got := slices.Clone(res.Rows)
-			slices.SortFunc(got, slices.Compare[[]string])
-			if !slices.EqualFunc(got, want, slices.Equal[[]string]) {
-				t.Errorf("the join on five columns returned %d rows, the nested loop %d:\n%v\n%v", len(got), len(want), got, want)
+			if got := sortedRows(res); !slices.Equal(got, want) {
+				t.Errorf("the join on five columns returned %d rows, the model %d:\n%v\n%v", len(got), len(want), got, want)
 			}
 		})
 	}

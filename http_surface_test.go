@@ -210,15 +210,7 @@ func TestQueryBodyTooLarge413(t *testing.T) {
 // TestUpdateBodyTooLarge413: an /update body past 64 MiB answers 413
 // with nothing applied and nothing logged.
 func TestUpdateBodyTooLarge413(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	dep := deploySoak(t, 3, 30)
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: t.TempDir(), Sync: "always"})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
 	defer srv.Close()
 

@@ -22,11 +22,7 @@ import (
 
 func updateTestServer(t *testing.T) *Server {
 	t.Helper()
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	return dep.StartServer(ServerConfig{Workers: 2})
 }
 
@@ -121,11 +117,7 @@ func TestHandleUpdateClosedServer503(t *testing.T) {
 // TestHandleUpdateNoSink501: a server constructed without an update sink
 // reports the capability gap, not a bad request.
 func TestHandleUpdateNoSink501(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	srv := &Server{dep: dep, inner: serve.New(dep.engine, serve.Config{})}
 	defer srv.Close()
 	rec := doUpdate(srv, http.MethodPost, "/update", "<S> <name> \"S\" .\n", nil)
@@ -138,18 +130,7 @@ func TestHandleUpdateNoSink501(t *testing.T) {
 // append must answer 500 — the batch was never wrong, the server is —
 // for inserts and deletes alike.
 func TestHandleUpdateWALFailure500(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	d, err := OpenDurable(DurabilityConfig{Dir: t.TempDir(), Sync: "always"})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: t.TempDir(), Sync: "always"})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
 	defer srv.Close()
 

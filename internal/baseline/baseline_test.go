@@ -6,8 +6,8 @@ import (
 
 	"rdffrag/internal/baseline"
 	"rdffrag/internal/cluster"
-	"rdffrag/internal/match"
 	"rdffrag/internal/mining"
+	"rdffrag/internal/model"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 	"rdffrag/internal/testenv"
@@ -74,17 +74,6 @@ func TestWARPLessRedundantThanSHAPE(t *testing.T) {
 	}
 }
 
-func centralized(q *sparql.Graph, g *rdf.Graph) *match.Bindings {
-	ms := match.Find(q, g.Snapshot(), match.Options{})
-	b := match.ToBindings(q, ms)
-	if len(q.Select) > 0 {
-		b = cluster.Project(b, q.Select)
-	} else {
-		b.Dedup()
-	}
-	return b
-}
-
 var queries = []string{
 	`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`,
 	`SELECT ?x WHERE { ?x <placeOfDeath> ?c . ?c <country> ?k . }`,
@@ -92,8 +81,8 @@ var queries = []string{
 	`SELECT ?x ?v WHERE { ?x <viaf> ?v . }`,
 }
 
-// checkEngine runs qs through e and requires the centralized answer over
-// g, row for row in Dedup order, from every one of the m sites.
+// checkEngine runs qs through e and requires the model's answer over g,
+// row for row in Dedup order, from every one of the m sites.
 func checkEngine(t *testing.T, e *baseline.Engine, g *rdf.Graph, qs []*sparql.Graph, m int) {
 	t.Helper()
 	for _, q := range qs {
@@ -101,9 +90,9 @@ func checkEngine(t *testing.T, e *baseline.Engine, g *rdf.Graph, qs []*sparql.Gr
 		if err != nil {
 			t.Fatalf("Query(%s): %v", q, err)
 		}
-		want := centralized(q, g)
-		if !slices.Equal(got.Vars, want.Vars) || got.Len() != want.Len() || !slices.Equal(got.Rows, want.Rows) {
-			t.Errorf("query %s: got %v with %d rows, want %v with %d", q, got.Vars, got.Len(), want.Vars, want.Len())
+		want := model.Answer(q, g.Triples())
+		if !slices.Equal(got.Vars, want.Vars) || got.Len() != len(want.Rows) || !slices.Equal(got.Rows, want.Flat()) {
+			t.Errorf("query %s: got %v with %d rows, want %v with %d", q, got.Vars, got.Len(), want.Vars, len(want.Rows))
 		}
 		if stats.SitesTouched != m {
 			t.Errorf("query %s touched %d sites, want all %d", q, stats.SitesTouched, m)

@@ -1,13 +1,13 @@
 package exec_test
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"rdffrag/internal/cluster"
 	"rdffrag/internal/exec"
 	"rdffrag/internal/match"
+	"rdffrag/internal/model"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 	"rdffrag/internal/testenv"
@@ -27,51 +27,11 @@ func newEngine(t *testing.T, horizontal bool) (*exec.Engine, *testenv.Env) {
 	return e, env
 }
 
-// centralizedAnswer evaluates q over the whole graph with the local
-// matcher, the ground truth for distributed results.
-func centralizedAnswer(q *sparql.Graph, g *rdf.Graph) *match.Bindings {
-	ms := match.Find(q, g.Snapshot(), match.Options{})
-	b := match.ToBindings(q, ms)
-	if len(q.Select) > 0 {
-		b = cluster.Project(b, q.Select)
-	} else {
-		b.Dedup()
-	}
-	return b
-}
-
-func bindingsEqual(a, b *match.Bindings) bool {
-	if a.Len() != b.Len() || len(a.Vars) != len(b.Vars) {
-		return false
-	}
-	key := func(bind *match.Bindings, i int) string {
-		idx := make([]int, len(bind.Vars))
-		order := append([]string(nil), bind.Vars...)
-		sort.Strings(order)
-		pos := map[string]int{}
-		for j, v := range bind.Vars {
-			pos[v] = j
-		}
-		s := ""
-		for _, v := range order {
-			idx = idx[:0]
-			s += fmt.Sprintf("%d|", bind.Row(i)[pos[v]])
-		}
-		return s
-	}
-	am := map[string]int{}
-	for i := 0; i < a.Len(); i++ {
-		am[key(a, i)]++
-	}
-	for i := 0; i < b.Len(); i++ {
-		am[key(b, i)]--
-	}
-	for _, v := range am {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
+// answersLikeModel reports whether got is what the model answers for q
+// over g: the same header and the same rows, in Dedup order.
+func answersLikeModel(got *match.Bindings, q *sparql.Graph, g *rdf.Graph) bool {
+	want := model.Answer(q, g.Triples())
+	return slices.Equal(got.Vars, want.Vars) && got.Len() == len(want.Rows) && slices.Equal(got.Rows, want.Flat())
 }
 
 var correctnessQueries = []string{
@@ -84,17 +44,19 @@ var correctnessQueries = []string{
 	`SELECT ?x WHERE { ?x <mainInterest> <Interest2> . ?x <influencedBy> ?y . ?y <mainInterest> ?j . }`,
 }
 
-func TestQueryMatchesCentralizedVertical(t *testing.T) {
-	e, env := newEngine(t, false)
+// queriesMatchModel runs correctnessQueries through an engine over the
+// fixture, fragmented one way or the other: each is the model's answer
+// over the whole graph, the centralized one, and ran as subqueries.
+func queriesMatchModel(t *testing.T, horizontal bool) {
+	e, env := newEngine(t, horizontal)
 	for _, qs := range correctnessQueries {
 		q := sparql.MustParse(env.G.Dict, qs)
 		got, stats, err := e.Query(q)
 		if err != nil {
 			t.Fatalf("Query(%s): %v", qs, err)
 		}
-		want := centralizedAnswer(q, env.G)
-		if !bindingsEqual(got, want) {
-			t.Errorf("query %q: distributed %d rows, centralized %d rows", qs, got.Len(), want.Len())
+		if !answersLikeModel(got, q, env.G) {
+			t.Errorf("query %q: distributed %d rows, not the model's answer", qs, got.Len())
 		}
 		if stats.Subqueries < 1 {
 			t.Errorf("query %q: no subqueries", qs)
@@ -102,20 +64,8 @@ func TestQueryMatchesCentralizedVertical(t *testing.T) {
 	}
 }
 
-func TestQueryMatchesCentralizedHorizontal(t *testing.T) {
-	e, env := newEngine(t, true)
-	for _, qs := range correctnessQueries {
-		q := sparql.MustParse(env.G.Dict, qs)
-		got, _, err := e.Query(q)
-		if err != nil {
-			t.Fatalf("Query(%s): %v", qs, err)
-		}
-		want := centralizedAnswer(q, env.G)
-		if !bindingsEqual(got, want) {
-			t.Errorf("query %q: distributed %d rows, centralized %d rows", qs, got.Len(), want.Len())
-		}
-	}
-}
+func TestQueryMatchesCentralizedVertical(t *testing.T)   { queriesMatchModel(t, false) }
+func TestQueryMatchesCentralizedHorizontal(t *testing.T) { queriesMatchModel(t, true) }
 
 func TestQueryTouchesOnlyRelevantSites(t *testing.T) {
 	e, env := newEngine(t, false)
@@ -163,9 +113,8 @@ func TestQueryVariablePredicate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	want := centralizedAnswer(q, env.G)
-	if !bindingsEqual(got, want) {
-		t.Errorf("var-pred query: got %d rows, want %d", got.Len(), want.Len())
+	if !answersLikeModel(got, q, env.G) {
+		t.Errorf("var-pred query: got %d rows, not the model's answer", got.Len())
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // both of the pattern's properties: the subquery is routed to both sites,
 // and both find the ?y ≠ <A> matches. No minterm filter is needed: every
 // match either site finds is a match on the data, and the final dedup
-// answers each once, as the brute-force matcher does.
+// answers each once, as the model does.
 func TestHorizontalDuplicateAcrossSites(t *testing.T) {
 	d := rdf.NewDict()
 	var ts []rdf.Triple
@@ -83,12 +83,11 @@ func TestHorizontalDuplicateAcrossSites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	want := centralizedAnswer(q, g)
-	if !bindingsEqual(got, want) {
-		t.Errorf("distributed %d rows, brute force %d", got.Len(), want.Len())
+	if !answersLikeModel(got, q, g) {
+		t.Errorf("distributed %d rows, not the model's answer", got.Len())
 	}
-	if stats.Subqueries != 1 || stats.SitesTouched != 2 || stats.IntermediateRows != want.Len()+2 {
+	if stats.Subqueries != 1 || stats.SitesTouched != 2 || stats.IntermediateRows != got.Len()+2 {
 		t.Errorf("setup: %d subqueries over %d sites shipped %d rows for %d answers; want one subquery at both sites, the two ?y ≠ <A> matches found twice",
-			stats.Subqueries, stats.SitesTouched, stats.IntermediateRows, want.Len())
+			stats.Subqueries, stats.SitesTouched, stats.IntermediateRows, got.Len())
 	}
 }

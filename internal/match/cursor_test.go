@@ -183,7 +183,7 @@ func TestCursorAgreesWithReferenceProperty(t *testing.T) {
 
 // TestFrozenMatchEquivalenceProperty: Find returns the same match set on
 // a frozen graph as on one a run of Adds left all delta, and both agree
-// with the brute-force oracle.
+// with the model.
 func TestFrozenMatchEquivalenceProperty(t *testing.T) {
 	f := func(dataSeed, querySeed int64) bool {
 		added := randomData(dataSeed, 15)
@@ -211,7 +211,7 @@ func TestFrozenMatchEquivalenceProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(a) == bruteForceCount(q, added)
+		return len(a) == modelCount(q, added)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

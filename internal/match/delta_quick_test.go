@@ -6,7 +6,7 @@ package match
 // from scratch out of its triples — and the matcher must return
 // byte-identical results on overlay vs rebuild (the merge cursor
 // reproduces the rebuilt CSR's enumeration order exactly) and as many
-// matches as the brute-force oracle. The parallel morsel fan-out is
+// matches as the model answers rows. The parallel morsel fan-out is
 // held to the same byte-identical standard over delta-carrying roots.
 
 import (
@@ -23,7 +23,7 @@ import (
 
 // TestDeltaOverlayMatchDifferentialProperty: after every mutation step,
 // Find on the overlaid graph is byte-identical to Find on a freshly
-// rebuilt one, and counts what the brute-force oracle counts.
+// rebuilt one, and counts what the model counts.
 func TestDeltaOverlayMatchDifferentialProperty(t *testing.T) {
 	f := func(dataSeed, querySeed int64) bool {
 		r := rand.New(rand.NewSource(dataSeed))
@@ -69,8 +69,8 @@ func TestDeltaOverlayMatchDifferentialProperty(t *testing.T) {
 					step, overlay.DeltaLen(), overlay.DeltaTombstones(), len(got), len(want))
 				return false
 			}
-			if Count(q, overlay.Snapshot(), Options{Parallelism: 1}) != bruteForceCount(q, rebuilt) {
-				t.Logf("step %d: overlay diverged from brute-force oracle", step)
+			if Count(q, overlay.Snapshot(), Options{Parallelism: 1}) != modelCount(q, rebuilt) {
+				t.Logf("step %d: overlay diverged from the model", step)
 				return false
 			}
 		}

@@ -4,7 +4,8 @@ package serve_test
 // sweeper's contract: a triple an insert stamped with a deadline is
 // deleted — through the ordinary Apply path, so the deletion is
 // WAL-logged and MVCC-published wherever the sink is durable — once the
-// deadline passes, and never before; a failed sweep leaves its triples
+// deadline passes, and never before (which the root package's lockstep
+// runs check against internal/model); a failed sweep leaves its triples
 // due instead of dropping them. The overwrite contract: a reader either
 // sees a version's triples completely or not at all — the delete-set and
 // insert-set land under one Publish, so no query observes the swap half
@@ -20,106 +21,27 @@ import (
 	"time"
 
 	"rdffrag/internal/cluster"
+	"rdffrag/internal/model"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/serve"
 	"rdffrag/internal/sparql"
-	"rdffrag/internal/testenv"
 )
 
-// ttlConfig is testApply with the TTL schedule a deployment keeps beside
-// it: a batch's deadline stamps its inserted triples, any other write of a
-// triple clears its deadline (latest write wins), and Due lists what has
-// fallen due. A rejected batch changes nothing.
-func ttlConfig(env *testenv.Env, apply func(serve.Batch) (serve.UpdateStats, error)) serve.Config {
-	deadlines := map[rdf.Triple]time.Time{}
+// ttlConfig is apply with the TTL schedule a deployment keeps beside it,
+// the model's: the latest write of a triple sets or clears its deadline,
+// and Due lists what has fallen due. A rejected batch changes nothing.
+func ttlConfig(apply func(serve.Batch) (serve.UpdateStats, error)) serve.Config {
+	schedule := model.New()
 	return serve.Config{
 		SweepInterval: -1,
 		Apply: func(b serve.Batch) (serve.UpdateStats, error) {
 			st, err := apply(b)
-			if err != nil {
-				return st, err
+			if err == nil {
+				schedule.Apply(model.Batch(b))
 			}
-			for _, t := range b.Del {
-				delete(deadlines, t)
-			}
-			for _, t := range b.Ins {
-				if b.Deadline.IsZero() {
-					delete(deadlines, t)
-				} else {
-					deadlines[t] = b.Deadline
-				}
-			}
-			return st, nil
+			return st, err
 		},
-		Due: func(now time.Time) (due []rdf.Triple) {
-			for t, at := range deadlines {
-				if !at.After(now) {
-					due = append(due, t)
-				}
-			}
-			return due
-		},
-	}
-}
-
-// TestSweepExpiresTTLBatches: deterministic expiry via explicit Sweep
-// calls (background sweeper disabled). Triples with a deadline vanish
-// once it passes; triples without one stay.
-func TestSweepExpiresTTLBatches(t *testing.T) {
-	engine, env := newEngine(t, cluster.Delay{})
-	env.G.Freeze()
-	srv := serve.New(engine, ttlConfig(env, testApply(env)))
-	defer srv.Close()
-
-	mk := func(s, n string) []rdf.Triple {
-		return []rdf.Triple{{
-			S: env.G.Dict.MustIRI(s),
-			P: env.G.Dict.MustIRI("name"),
-			O: env.G.Dict.MustLiteral(n),
-		}}
-	}
-	q := sparql.MustParse(env.G.Dict, `SELECT ?x ?n WHERE { ?x <name> ?n . }`)
-	rows := func() int {
-		t.Helper()
-		resp, err := srv.Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.Bindings.Len()
-	}
-	baseRows := rows()
-
-	now := time.Now()
-	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: mk("ttl-perm", "Permanent")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: mk("ttl-tmp", "Temporary"), Deadline: now.Add(50 * time.Millisecond)}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A sweep before the deadline removes nothing.
-	if n := srv.Sweep(now); n != 0 {
-		t.Fatalf("premature sweep removed %d triples", n)
-	}
-	if got, want := rows(), baseRows+2; got != want {
-		t.Fatalf("rows after a premature sweep = %d, want %d", got, want)
-	}
-
-	// Past the deadline the stamped triple goes away; the permanent one
-	// survives, and a second sweep finds nothing left due.
-	if n := srv.Sweep(now.Add(time.Second)); n != 1 {
-		t.Fatalf("sweep removed %d triples, want 1", n)
-	}
-	if n := srv.Sweep(now.Add(time.Second)); n != 0 {
-		t.Fatalf("second sweep removed %d triples, want 0", n)
-	}
-	if got, want := rows(), baseRows+1; got != want {
-		t.Fatalf("rows after sweep = %d, want %d (permanent insert only)", got, want)
-	}
-
-	m := srv.Metrics()
-	if m.SweepRuns != 1 || m.SweptTriples != 1 {
-		t.Fatalf("sweep metrics: runs=%d swept=%d, want 1/1", m.SweepRuns, m.SweptTriples)
+		Due: schedule.Due,
 	}
 }
 
@@ -134,7 +56,7 @@ func TestSweepRequeuesFailedBatches(t *testing.T) {
 	poisoned := errors.New("sink poisoned")
 	var failDeletes atomic.Bool
 	apply := testApply(env)
-	srv := serve.New(engine, ttlConfig(env, func(b serve.Batch) (serve.UpdateStats, error) {
+	srv := serve.New(engine, ttlConfig(func(b serve.Batch) (serve.UpdateStats, error) {
 		if len(b.Del) > 0 && failDeletes.Load() {
 			return serve.UpdateStats{}, poisoned
 		}
@@ -175,7 +97,7 @@ func TestSweepRequeuesFailedBatches(t *testing.T) {
 func TestBackgroundSweeperExpires(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	env.G.Freeze()
-	cfg := ttlConfig(env, testApply(env))
+	cfg := ttlConfig(testApply(env))
 	cfg.SweepInterval = 5 * time.Millisecond
 	srv := serve.New(engine, cfg)
 	defer srv.Close()

@@ -154,7 +154,7 @@ func TestMultiProcessSites(t *testing.T) {
 	if res.Stats.Partial {
 		t.Fatal("query flagged partial with the site process healthy")
 	}
-	if !sameRows(res.Rows, oracle.Rows) {
+	if !sameRows(res, oracle) {
 		t.Fatalf("cross-process rows %v != oracle %v", res.Rows, oracle.Rows)
 	}
 
@@ -206,7 +206,7 @@ func TestMultiProcessSites(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	if !sameRows(res.Rows, oracle.Rows) {
+	if !sameRows(res, oracle) {
 		t.Fatalf("rows after SIGCONT %v != oracle %v", res.Rows, oracle.Rows)
 	}
 	var opensBefore uint64
@@ -250,7 +250,7 @@ func TestMultiProcessSites(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	if !sameRows(res.Rows, oracle.Rows) {
+	if !sameRows(res, oracle) {
 		t.Errorf("post-restart rows %v != oracle %v", res.Rows, oracle.Rows)
 	}
 	var opens uint64
@@ -422,7 +422,7 @@ func TestMultiProcessSitesHorizontal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("probe %d via the site process: %v", i, err)
 		}
-		if got.Stats.Partial || !sameRows(got.Rows, want[i].Rows) {
+		if got.Stats.Partial || !sameRows(got, want[i]) {
 			t.Fatalf("probe %d %s: %d rows via the site process (partial %v), %d in process",
 				i, q, len(got.Rows), got.Stats.Partial, len(want[i].Rows))
 		}

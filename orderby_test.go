@@ -14,11 +14,7 @@ import (
 )
 
 func TestOrderBy(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	res, err := dep.Query(`SELECT ?x ?n WHERE { ?x <name> ?n . } ORDER BY ?n`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -46,11 +42,7 @@ func TestOrderBy(t *testing.T) {
 }
 
 func TestOrderByWithLimit(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	all, err := dep.Query(`SELECT ?n WHERE { ?x <name> ?n . } ORDER BY ?n`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -72,11 +64,7 @@ func TestOrderByWithLimit(t *testing.T) {
 }
 
 func TestOrderByErrors(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	for _, bad := range []string{
 		`SELECT ?n WHERE { ?x <name> ?n . } ORDER BY`,
 		`SELECT ?n WHERE { ?x <name> ?n . } ORDER ?n`,

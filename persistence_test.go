@@ -6,11 +6,7 @@ import (
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 3, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 3, MinSupport: 0.2}, phWorkload)
 	query := `SELECT ?x WHERE { ?x <influencedBy> <Aristotle> . ?x <name> ?n . }`
 	want, err := dep.Query(query)
 	if err != nil {
@@ -52,11 +48,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoadHorizontal(t *testing.T) {
-	db := loadPhilosophers(t, Config{Strategy: Horizontal, Sites: 3, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Strategy: Horizontal, Sites: 3, MinSupport: 0.2}, phWorkload)
 	var buf bytes.Buffer
 	if err := dep.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -84,11 +76,7 @@ func TestLoadDeploymentGarbage(t *testing.T) {
 }
 
 func TestSaveLoadColdQueries(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	var buf bytes.Buffer
 	if err := dep.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)

@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// phNT is the philosopher fixture; exposed so differential tests can
-// rebuild oracle deployments over filtered line sets (e.g. the merged
-// data minus a deleted batch).
+// phNT is the philosopher fixture; the lockstep runs (runLockstep) load
+// it into the model too.
 const phNT = `
 <Aristotle> <influencedBy> <Plato> .
 <Aristotle> <mainInterest> <Ethics> .
@@ -36,6 +35,16 @@ func loadPhilosophers(t *testing.T, cfg Config) *DB {
 	return db
 }
 
+// deployPhilosophers deploys the philosopher fixture over workload.
+func deployPhilosophers(t *testing.T, cfg Config, workload []string) *Deployment {
+	t.Helper()
+	dep, err := loadPhilosophers(t, cfg).Deploy(workload)
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	return dep
+}
+
 var phWorkload = []string{
 	`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`,
 	`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`,
@@ -47,11 +56,7 @@ var phWorkload = []string{
 }
 
 func TestEndToEndVertical(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 3, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 3, MinSupport: 0.2}, phWorkload)
 	res, err := dep.Query(`SELECT ?x WHERE { ?x <influencedBy> <Aristotle> . ?x <name> ?n . }`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -65,11 +70,7 @@ func TestEndToEndVertical(t *testing.T) {
 }
 
 func TestEndToEndHorizontal(t *testing.T) {
-	db := loadPhilosophers(t, Config{Strategy: Horizontal, Sites: 3, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Strategy: Horizontal, Sites: 3, MinSupport: 0.2}, phWorkload)
 	res, err := dep.Query(`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> <Ethics> . }`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -116,11 +117,7 @@ func TestDeployStats(t *testing.T) {
 }
 
 func TestQueryColdProperty(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	res, err := dep.Query(`SELECT ?x WHERE { ?x <imageSkyline> ?img . }`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -145,11 +142,7 @@ func TestDeployBadWorkloadQuery(t *testing.T) {
 }
 
 func TestQueryBadSyntax(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	if _, err := dep.Query(`SELECT {`); err == nil {
 		t.Error("malformed query accepted")
 	}
@@ -179,11 +172,7 @@ func TestAddTripleAPI(t *testing.T) {
 }
 
 func TestNetworkStatsAccumulate(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	dep.ResetNetworkStats()
 	if _, err := dep.Query(`SELECT ?x WHERE { ?x <name> ?n . }`); err != nil {
 		t.Fatalf("Query: %v", err)

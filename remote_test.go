@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -72,26 +73,8 @@ func allRemote(dep *Deployment, baseURL string) map[int]string {
 	return m
 }
 
-func rowMultiset(rows [][]string) map[string]int {
-	m := make(map[string]int, len(rows))
-	for _, r := range rows {
-		m[strings.Join(r, "\x1f")]++
-	}
-	return m
-}
-
-func sameRows(a, b [][]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ma, mb := rowMultiset(a), rowMultiset(b)
-	for k, v := range ma {
-		if mb[k] != v {
-			return false
-		}
-	}
-	return true
-}
+// sameRows reports whether two answers hold the same rows, in any order.
+func sameRows(a, b *Result) bool { return slices.Equal(sortedRows(a), sortedRows(b)) }
 
 // Queries answered through networked sites match the in-process answers
 // exactly, clean results (not flagged partial), for every workload query.
@@ -123,7 +106,7 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 		if res.Stats.Partial {
 			t.Errorf("query %d flagged partial with all sites healthy", i)
 		}
-		if !sameRows(res.Rows, oracle[i].Rows) {
+		if !sameRows(res, oracle[i]) {
 			t.Errorf("query %d: remote rows %v != in-process rows %v", i, res.Rows, oracle[i].Rows)
 		}
 	}
@@ -368,7 +351,7 @@ func TestChaosSoakRemoteSites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle query %d: %v", i, err)
 		}
-		if !sameRows(remote.Rows, local.Rows) {
+		if !sameRows(remote, local) {
 			t.Errorf("query %d: remote rows (%d) != oracle rows (%d) after soak",
 				i, len(remote.Rows), len(local.Rows))
 		}
@@ -467,7 +450,7 @@ func TestSiteKillRestartRecovery(t *testing.T) {
 	if err != nil || res.Stats.Partial {
 		t.Fatalf("healthy query: err=%v partial=%v", err, res != nil && res.Stats.Partial)
 	}
-	if !sameRows(res.Rows, oracle.Rows) {
+	if !sameRows(res, oracle) {
 		t.Fatalf("healthy remote rows %v != oracle %v", res.Rows, oracle.Rows)
 	}
 
@@ -532,7 +515,7 @@ func TestSiteKillRestartRecovery(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if !sameRows(res.Rows, oracle.Rows) {
+	if !sameRows(res, oracle) {
 		t.Errorf("post-recovery rows %v != oracle %v", res.Rows, oracle.Rows)
 	}
 	for _, sm := range srv.Metrics().Sites {

@@ -128,11 +128,7 @@ func TestWriteTSV(t *testing.T) {
 }
 
 func TestSerializersOnLiveQuery(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	res, err := dep.Query(`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> <Ethics> . }`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)

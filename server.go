@@ -33,7 +33,7 @@ type ServerConfig struct {
 	// external `rdffrag site` processes, and the retry / progress-deadline
 	// / circuit-breaker / degradation policy used to reach them. The zero
 	// value keeps every site in-process. A server with any remote site
-	// refuses updates (ErrRemoteSites).
+	// refuses updates (ErrRemoteSites) and sweeps nothing.
 	Remote RemoteConfig
 	// Durable routes every update batch through a write-ahead log before
 	// it is acknowledged (see OpenDurable). The Durable must be bound —
@@ -99,6 +99,10 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 	apply := func(b serve.Batch) (serve.UpdateStats, error) {
 		return dep.applyBatch(b), nil
 	}
+	due := dep.due
+	if len(cfg.Remote.Sites) > 0 {
+		due = nil // a sweep is a batch too, which site processes never receive
+	}
 	var walStats func() serve.WALMetrics
 	if cfg.Durable != nil {
 		if cfg.Durable.dep != dep {
@@ -120,7 +124,7 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 			Parallelism:   cfg.Parallelism,
 			SweepInterval: cfg.SweepInterval,
 			Apply:         apply,
-			Due:           dep.due,
+			Due:           due,
 			WALStats:      walStats,
 		}),
 	}

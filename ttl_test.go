@@ -5,10 +5,13 @@ package rdffrag
 // more batch to the readers that pinned a view before it.
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -36,14 +39,7 @@ func scheduleOf(dep *Deployment) map[string]time.Time {
 // triple, at its latest deadline.
 func TestTTLLatestWriteWins(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	dep := durableDeploy(t)
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: dir, Sync: "always"})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d, SweepInterval: -1})
 
 	doc := func(k string) string { return fmt.Sprintf("<TTL%s> <name> \"%s\" .\n", k, k) }
@@ -89,21 +85,8 @@ func TestTTLLatestWriteWins(t *testing.T) {
 			t.Fatalf("%s: schedule %v, want %v", phase, got, live)
 		}
 	}
-	// Two hours in, the re-stamped triple's first deadline has passed, yet
-	// nothing is due.
-	if n := srv.inner.Sweep(start.Add(2 * time.Hour)); n != 0 {
-		t.Fatalf("live sweep 2h in removed %d triples, want 0", n)
-	}
-
 	// Abandon (no Close): recovery replays every record.
-	d2, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	dep2, err := d2.Recover(Config{})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	d2, dep2 := recovered(t, DurabilityConfig{Dir: dir, Sync: "always"})
 	if d2.ReplayedRecords() != 7 {
 		t.Fatalf("replayed %d records, want 7", d2.ReplayedRecords())
 	}
@@ -115,14 +98,7 @@ func TestTTLLatestWriteWins(t *testing.T) {
 	// A clean close checkpoints: the next recovery loads the schedule from
 	// the image and replays nothing.
 	srv2.Close()
-	d3, err := OpenDurable(DurabilityConfig{Dir: dir, Sync: "always"})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	dep3, err := d3.Recover(Config{})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	d3, dep3 := recovered(t, DurabilityConfig{Dir: dir, Sync: "always"})
 	if !d3.CleanStart() || d3.ReplayedRecords() != 0 {
 		t.Fatalf("recovery after a clean close: clean=%v replayed=%d", d3.CleanStart(), d3.ReplayedRecords())
 	}
@@ -196,14 +172,7 @@ func TestPinnedQueryAcrossSweep(t *testing.T) {
 // once (run it under -race); once every deadline has passed, the sweeper
 // has emptied the schedule and every stamped triple is gone.
 func TestTTLSweeperBesideWritersAndCheckpoints(t *testing.T) {
-	d, err := OpenDurable(DurabilityConfig{Dir: t.TempDir(), Sync: "none", CheckpointBytes: 4 << 10})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	dep := durableDeploy(t)
-	if err := d.Bootstrap(dep); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
+	d, dep := bootstrapped(t, DurabilityConfig{Dir: t.TempDir(), Sync: "none", CheckpointBytes: 4 << 10})
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d, SweepInterval: time.Millisecond})
 	defer srv.Close()
 	ctx := context.Background()
@@ -251,5 +220,34 @@ func TestTTLSweeperBesideWritersAndCheckpoints(t *testing.T) {
 	}
 	if rows := queryRows(t, srv, `SELECT ?x WHERE { ?x <name> "stamped" . }`); len(rows) != 0 {
 		t.Fatalf("%d stamped triples outlived the sweeps", len(rows))
+	}
+}
+
+// TestRemoteSitesSweepNothing: a server with remote sites refuses every
+// batch, and a sweep is one. A loaded deployment holding a triple past
+// its deadline, its sites served by another, sweeps nothing and goes on
+// answering the triple, which the sites still hold.
+func TestRemoteSitesSweepNothing(t *testing.T) {
+	srv := deploySoak(t, 3, 30).StartServer(ServerConfig{Workers: 2, SweepInterval: -1})
+	if _, err := srv.UpdateTTL(context.Background(), owDoc(1), time.Hour); err != nil {
+		t.Fatalf("UpdateTTL: %v", err)
+	}
+	var img bytes.Buffer
+	err := srv.Save(&img)
+	srv.Close()
+	host, err2 := LoadDeployment(bytes.NewReader(img.Bytes()), Config{})
+	ctl, err3 := LoadDeployment(bytes.NewReader(img.Bytes()), Config{})
+	if err := errors.Join(err, err2, err3); err != nil {
+		t.Fatal(err)
+	}
+	site := httptest.NewServer(host.SiteHandler(SiteConfig{}))
+	defer site.Close()
+	srv = ctl.StartServer(ServerConfig{Workers: 2, Remote: RemoteConfig{Sites: allRemote(ctl, site.URL)}})
+	defer srv.Close()
+	if n := srv.inner.Sweep(time.Now().Add(2 * time.Hour)); n != 0 || len(ctl.expiry) != 2 {
+		t.Fatalf("a server with remote sites swept %d triples, left %d deadlines pending", n, len(ctl.expiry))
+	}
+	if rows := queryRows(t, srv, owProbe); len(rows) != 1 || !strings.Contains(rows[0], "ow v1") {
+		t.Fatalf("after the sweep the expired triple answers %v, want the v1 row", rows)
 	}
 }

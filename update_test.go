@@ -5,11 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"rdffrag/internal/rdf"
 )
@@ -22,7 +22,7 @@ import (
 // pruned from {name, influencedBy} fragments because he had no
 // <influencedBy> edge at fragmentation time. Routing must pull that
 // pruned partner triple back into the fragment, or live results diverge
-// from the redeploy oracle.
+// from the model's.
 const updateDoc = `
 <Simone_de_Beauvoir> <name> "Simone de Beauvoir" .
 <Simone_de_Beauvoir> <mainInterest> <Ethics> .
@@ -53,26 +53,17 @@ func sortedRows(res *Result) []string {
 	return out
 }
 
-// TestServerUpdateEndToEnd is the deployment half of the differential
-// harness: after streaming updates through the public Server.Update, every
-// probe query must answer exactly what a from-scratch deployment over the
-// merged data answers — pattern-routed, cold and global subqueries alike —
-// without the live deployment re-running fragmentation.
+// TestServerUpdateEndToEnd: an update streamed through the public
+// Server.Update counts what it added, a repeat adds nothing, the server's
+// metrics count both, and Server.Save keeps the delta and writes what a
+// reloaded deployment answers as the live one does. What each probe
+// answers after the batch is the lockstep runs' to check (oracleRuns).
 func TestServerUpdateEndToEnd(t *testing.T) {
 	for _, strategy := range []Strategy{Vertical, Horizontal} {
 		t.Run(string(strategy), func(t *testing.T) {
-			db := loadPhilosophers(t, Config{Strategy: strategy, Sites: 3, MinSupport: 0.2})
-			dep, err := db.Deploy(phWorkload)
-			if err != nil {
-				t.Fatalf("Deploy: %v", err)
-			}
+			dep := deployPhilosophers(t, Config{Strategy: strategy, Sites: 3, MinSupport: 0.2}, phWorkload)
 			srv := dep.StartServer(ServerConfig{Workers: 2})
 			defer srv.Close()
-
-			before, err := srv.Query(context.Background(), updateProbes[0])
-			if err != nil {
-				t.Fatalf("baseline query: %v", err)
-			}
 
 			res, err := srv.Update(context.Background(), updateDoc)
 			if err != nil {
@@ -80,39 +71,6 @@ func TestServerUpdateEndToEnd(t *testing.T) {
 			}
 			if res.Added != 8 { // 9 lines, 1 duplicate
 				t.Errorf("Added = %d, want 8", res.Added)
-			}
-
-			after, err := srv.Query(context.Background(), updateProbes[0])
-			if err != nil {
-				t.Fatalf("post-update query: %v", err)
-			}
-			if len(after.Rows) != len(before.Rows)+1 {
-				t.Errorf("Ethics rows %d -> %d, want +1 (Simone de Beauvoir missing)",
-					len(before.Rows), len(after.Rows))
-			}
-
-			// Differential oracle: a fresh deployment over the merged data.
-			db2 := loadPhilosophers(t, Config{Strategy: strategy, Sites: 3, MinSupport: 0.2})
-			if _, err := db2.LoadNTriples(strings.NewReader(updateDoc)); err != nil {
-				t.Fatalf("oracle load: %v", err)
-			}
-			dep2, err := db2.Deploy(phWorkload)
-			if err != nil {
-				t.Fatalf("oracle Deploy: %v", err)
-			}
-			for _, q := range updateProbes {
-				got, err := srv.Query(context.Background(), q)
-				if err != nil {
-					t.Fatalf("live %s: %v", q, err)
-				}
-				want, err := dep2.Query(q)
-				if err != nil {
-					t.Fatalf("oracle %s: %v", q, err)
-				}
-				g, w := sortedRows(got), sortedRows(want)
-				if strings.Join(g, "\n") != strings.Join(w, "\n") {
-					t.Errorf("%s:\nlive   %v\noracle %v", q, g, w)
-				}
 			}
 
 			// A second identical update is a no-op.
@@ -151,12 +109,8 @@ func TestServerUpdateEndToEnd(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reloaded %s: %v", q, err)
 				}
-				want, err := dep2.Query(q)
-				if err != nil {
-					t.Fatalf("oracle %s: %v", q, err)
-				}
-				if strings.Join(sortedRows(got), "\n") != strings.Join(sortedRows(want), "\n") {
-					t.Errorf("reloaded deployment diverges on %s", q)
+				if want := queryRows(t, srv, q); !slices.Equal(sortedRows(got), want) {
+					t.Errorf("reloaded deployment diverges on %s:\nreloaded %v\nlive     %v", q, sortedRows(got), want)
 				}
 			}
 		})
@@ -177,19 +131,15 @@ const deleteDoc = `
 <Aristotle> <influencedBy> <Paris> .
 `
 
-// TestServerDeleteEndToEnd: after an insert batch and then a delete
-// batch through the public API, every probe query must answer exactly
-// what a from-scratch deployment over the surviving triples answers —
-// deletes reach the global graph, the hot/cold split and the fragment
-// overlays without the live deployment re-running fragmentation.
+// TestServerDeleteEndToEnd: a delete batch through the public
+// Server.Delete counts what it removed — never-seen terms and absent
+// triples are no-ops — a repeat removes nothing, and the server's metrics
+// count it. What each probe answers is the lockstep runs' to check
+// (oracleRuns).
 func TestServerDeleteEndToEnd(t *testing.T) {
 	for _, strategy := range []Strategy{Vertical, Horizontal} {
 		t.Run(string(strategy), func(t *testing.T) {
-			db := loadPhilosophers(t, Config{Strategy: strategy, Sites: 3, MinSupport: 0.2})
-			dep, err := db.Deploy(phWorkload)
-			if err != nil {
-				t.Fatalf("Deploy: %v", err)
-			}
+			dep := deployPhilosophers(t, Config{Strategy: strategy, Sites: 3, MinSupport: 0.2}, phWorkload)
 			srv := dep.StartServer(ServerConfig{Workers: 2})
 			defer srv.Close()
 
@@ -204,43 +154,6 @@ func TestServerDeleteEndToEnd(t *testing.T) {
 				t.Errorf("Deleted = %d, want 3", res.Deleted)
 			}
 
-			// Differential oracle: a fresh deployment over exactly the
-			// surviving lines.
-			gone := map[string]bool{}
-			for _, line := range strings.Split(deleteDoc, "\n") {
-				if line = strings.TrimSpace(line); line != "" {
-					gone[line] = true
-				}
-			}
-			var survivors strings.Builder
-			for _, line := range strings.Split(phNT+updateDoc, "\n") {
-				if l := strings.TrimSpace(line); l != "" && !gone[l] {
-					survivors.WriteString(l + "\n")
-				}
-			}
-			db2 := Open(Config{Strategy: strategy, Sites: 3, MinSupport: 0.2})
-			if _, err := db2.LoadNTriples(strings.NewReader(survivors.String())); err != nil {
-				t.Fatalf("oracle load: %v", err)
-			}
-			dep2, err := db2.Deploy(phWorkload)
-			if err != nil {
-				t.Fatalf("oracle Deploy: %v", err)
-			}
-			for _, q := range updateProbes {
-				got, err := srv.Query(context.Background(), q)
-				if err != nil {
-					t.Fatalf("live %s: %v", q, err)
-				}
-				want, err := dep2.Query(q)
-				if err != nil {
-					t.Fatalf("oracle %s: %v", q, err)
-				}
-				g, w := sortedRows(got), sortedRows(want)
-				if strings.Join(g, "\n") != strings.Join(w, "\n") {
-					t.Errorf("%s:\nlive   %v\noracle %v", q, g, w)
-				}
-			}
-
 			// A repeat of the same delete batch removes nothing further.
 			res2, err := srv.Delete(context.Background(), deleteDoc)
 			if err != nil {
@@ -248,25 +161,6 @@ func TestServerDeleteEndToEnd(t *testing.T) {
 			}
 			if res2.Deleted != 0 {
 				t.Errorf("repeat Deleted = %d, want 0", res2.Deleted)
-			}
-
-			// Delete-then-reinsert: re-adding a deleted line brings its
-			// probe row back (the later insert outlives the tombstone).
-			reinsert := "<Simone_de_Beauvoir> <mainInterest> <Ethics> .\n"
-			res3, err := srv.Update(context.Background(), reinsert)
-			if err != nil || res3.Added != 1 {
-				t.Fatalf("reinsert: res %+v, err %v", res3, err)
-			}
-			after, err := srv.Query(context.Background(), updateProbes[0])
-			if err != nil {
-				t.Fatalf("post-reinsert query: %v", err)
-			}
-			want, err := dep2.Query(updateProbes[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(after.Rows) != len(want.Rows)+1 {
-				t.Errorf("post-reinsert Ethics rows = %d, want %d", len(after.Rows), len(want.Rows)+1)
 			}
 
 			m := srv.Metrics()
@@ -281,14 +175,10 @@ func TestServerDeleteEndToEnd(t *testing.T) {
 // triple references never-interned terms succeeds as a whole-batch no-op
 // without polluting the dictionary or (on a durable server) the WAL.
 func TestServerDeleteAllUnknownTermsIsNoOp(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	srv := dep.StartServer(ServerConfig{})
 	defer srv.Close()
-	dictLen := db.Graph().Dict.Len()
+	dictLen := dep.db.graph.Dict.Len()
 	res, err := srv.Delete(context.Background(), "<Ghost> <haunts> <Nothing> .\n")
 	if err != nil {
 		t.Fatalf("Delete: %v", err)
@@ -296,7 +186,7 @@ func TestServerDeleteAllUnknownTermsIsNoOp(t *testing.T) {
 	if res.Deleted != 0 {
 		t.Errorf("Deleted = %d, want 0", res.Deleted)
 	}
-	if got := db.Graph().Dict.Len(); got != dictLen {
+	if got := dep.db.graph.Dict.Len(); got != dictLen {
 		t.Errorf("no-op delete interned %d terms", got-dictLen)
 	}
 	if m := srv.Metrics(); m.Updates != 0 {
@@ -306,11 +196,7 @@ func TestServerDeleteAllUnknownTermsIsNoOp(t *testing.T) {
 
 // TestServerUpdateRejectsGarbage: a malformed document mutates nothing.
 func TestServerUpdateRejectsGarbage(t *testing.T) {
-	db := loadPhilosophers(t, Config{Sites: 2, MinSupport: 0.2})
-	dep, err := db.Deploy(phWorkload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
+	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
 	srv := dep.StartServer(ServerConfig{})
 	defer srv.Close()
 	n := dep.Stats().Triples
@@ -325,17 +211,20 @@ func TestServerUpdateRejectsGarbage(t *testing.T) {
 	}
 }
 
-// oracleBatch is one batch of a redeploy-oracle run: the N-Triples lines
-// it deletes and inserts, written as the model holds them, and an
-// optional look at the live deployment once it has landed.
+// oracleBatch is one step of a lockstep run (runLockstep): a batch — the
+// N-Triples lines it deletes and inserts, and the TTL, whole hours, it
+// stamps on the inserted ones — or, when sweep is set, a TTL sweep at the
+// run's start plus sweep; and an optional look at the live deployment
+// once it has landed.
 type oracleBatch struct {
-	name     string
-	del, ins []string
-	check    func(t *testing.T, dep *Deployment)
+	name       string
+	del, ins   []string
+	ttl, sweep time.Duration
+	check      func(t *testing.T, dep *Deployment)
 }
 
-// oracleRun is a fixture, a design workload, the probe queries and the
-// batches a redeploy-oracle run applies.
+// oracleRun is a design workload, the probe queries and the batches a
+// lockstep run applies to the philosopher fixture.
 type oracleRun struct {
 	name     string
 	workload []string
@@ -348,6 +237,12 @@ type oracleRun struct {
 // it: it completes no match and is parked in the cold fragment, beside
 // the hot graph.
 const parkedTriple = `<Aristotle> <spouse> <Pythias> .`
+
+// predVarWorkload is the fixture's design workload and a frequent pattern
+// with a predicate-variable edge.
+var predVarWorkload = append(slices.Clone(phWorkload),
+	`SELECT ?x ?p ?o WHERE { ?x <name> ?n . ?x ?p ?o . }`,
+	`SELECT ?x ?p ?o WHERE { ?x <name> ?n . ?x ?p ?o . }`)
 
 // oracleRuns are the update shapes the hot/cold split must answer for:
 // hot inserts that complete matches, a cold property's insert and delete,
@@ -388,10 +283,8 @@ var oracleRuns = []oracleRun{
 		},
 	},
 	{
-		name: "predicate variable",
-		workload: append(slices.Clone(phWorkload),
-			`SELECT ?x ?p ?o WHERE { ?x <name> ?n . ?x ?p ?o . }`,
-			`SELECT ?x ?p ?o WHERE { ?x <name> ?n . ?x ?p ?o . }`),
+		name:     "predicate variable",
+		workload: predVarWorkload,
 		probes: []string{
 			`SELECT ?x ?p ?o WHERE { ?x <name> ?n . ?x ?p ?o . }`,
 			`SELECT ?p ?o WHERE { <Zeno> ?p ?o . }`,
@@ -425,98 +318,14 @@ var oracleRuns = []oracleRun{
 	},
 }
 
-// runAgainstRedeploy deploys the philosopher fixture over run's workload,
-// serves it, and applies run's batches one by one. After each, the
-// batch's Added and Deleted must be what a set of lines says they are —
-// a duplicate adds nothing, an absent triple deletes nothing — and every
-// probe, and Stats' triple count, must equal a fresh deployment's over
-// the lines left. It returns the SHA-256 of Server.Save's bytes, fresh
-// and after each batch.
-func runAgainstRedeploy(t *testing.T, strategy Strategy, run oracleRun) []string {
-	t.Helper()
-	cfg := Config{Strategy: strategy, Sites: 3, MinSupport: 0.2}
-	dep, err := loadPhilosophers(t, cfg).Deploy(run.workload)
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	srv := dep.StartServer(ServerConfig{Workers: 2})
-	defer srv.Close()
-	saved := func() string {
-		var buf bytes.Buffer
-		if err := srv.Save(&buf); err != nil {
-			t.Fatalf("Server.Save: %v", err)
-		}
-		return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
-	}
-	sums := []string{saved()}
-
-	model := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSpace(phNT), "\n") {
-		model[line] = true
-	}
-	for _, b := range run.batches {
-		wantDel, wantAdd := 0, 0
-		for _, l := range b.del {
-			if model[l] {
-				wantDel++
-				delete(model, l)
-			}
-		}
-		for _, l := range b.ins {
-			if !model[l] {
-				wantAdd++
-				model[l] = true
-			}
-		}
-		res, err := srv.Overwrite(context.Background(), strings.Join(b.del, "\n"), strings.Join(b.ins, "\n"), 0)
-		if err != nil {
-			t.Fatalf("%s: %v", b.name, err)
-		}
-		if res.Added != wantAdd || res.Deleted != wantDel {
-			t.Errorf("%s: added %d, deleted %d; want %d, %d", b.name, res.Added, res.Deleted, wantAdd, wantDel)
-		}
-		if b.check != nil {
-			b.check(t, dep)
-		}
-
-		lines := slices.Sorted(maps.Keys(model))
-		oracle := Open(cfg)
-		if _, err := oracle.LoadNTriples(strings.NewReader(strings.Join(lines, "\n"))); err != nil {
-			t.Fatalf("%s: oracle load: %v", b.name, err)
-		}
-		want, err := oracle.Deploy(run.workload)
-		if err != nil {
-			t.Fatalf("%s: oracle Deploy: %v", b.name, err)
-		}
-		if got := dep.Stats().Triples; got != len(lines) {
-			t.Errorf("%s: Stats counts %d triples, the model %d", b.name, got, len(lines))
-		}
-		for _, q := range run.probes {
-			g, err := srv.Query(context.Background(), q)
-			if err != nil {
-				t.Fatalf("%s: live %s: %v", b.name, q, err)
-			}
-			w, err := want.Query(q)
-			if err != nil {
-				t.Fatalf("%s: oracle %s: %v", b.name, q, err)
-			}
-			if gs, ws := sortedRows(g), sortedRows(w); !slices.Equal(gs, ws) {
-				t.Errorf("%s: %s:\nlive   %v\noracle %v", b.name, q, gs, ws)
-			}
-		}
-		sums = append(sums, saved())
-	}
-	return sums
-}
-
 // TestUpdatesMatchRedeploy: every batch shape of oracleRuns, under both
-// fragmentations, reports and answers what a redeploy over the
-// surviving lines reports and answers.
+// fragmentations, reports and answers what a deployment built afresh over
+// the surviving triples would — what the model reports and answers.
 func TestUpdatesMatchRedeploy(t *testing.T) {
 	for _, run := range oracleRuns {
 		for _, strategy := range []Strategy{Vertical, Horizontal} {
 			t.Run(run.name+"/"+string(strategy), func(t *testing.T) {
-				runAgainstRedeploy(t, strategy, run)
+				runLockstep(t, strategy, run, nil)
 			})
 		}
 	}
@@ -533,8 +342,16 @@ func TestSaveBytesGolden(t *testing.T) {
 		for _, strategy := range []Strategy{Vertical, Horizontal} {
 			key := run.name + "/" + string(strategy)
 			t.Run(key, func(t *testing.T) {
-				if got, want := runAgainstRedeploy(t, strategy, run), goldenSaves[key]; !slices.Equal(got, want) {
-					t.Errorf("Save wrote other bytes:\ngot  %q\nwant %q", got, want)
+				var sums []string
+				runLockstep(t, strategy, run, func(srv *Server) {
+					var buf bytes.Buffer
+					if err := srv.Save(&buf); err != nil {
+						t.Fatalf("Server.Save: %v", err)
+					}
+					sums = append(sums, fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())))
+				})
+				if want := goldenSaves[key]; !slices.Equal(sums, want) {
+					t.Errorf("Save wrote other bytes:\ngot  %q\nwant %q", sums, want)
 				}
 			})
 		}
