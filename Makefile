@@ -1,12 +1,9 @@
 # Local dev targets mirroring .github/workflows/ci.yml: `make ci`
-# reproduces the gate's checks; CI additionally runs `make bench-baseline`
-# (kept out of `ci` because it rewrites BENCH_9.json's current section).
+# reproduces the gate's checks.
 
 GO ?= go
-# bench-baseline needs pipefail so a panicking benchmark fails the target.
-SHELL := /bin/bash
 
-.PHONY: build test race cover cover-gate chaos-soak crash-soak fuzz-smoke bench benchmark-check pins bench-baseline fmt fmt-check vet loc ci
+.PHONY: build test race cover cover-gate chaos-soak crash-soak fuzz-smoke bench benchmark-check pins fmt fmt-check vet loc ci
 
 build:
 	$(GO) build ./...
@@ -204,60 +201,6 @@ pins:
 			echo "watdiv.$$ext hashes to $$sum, not the $$key benchmark/pinned.json pins" >&2; status=1; \
 		fi; \
 	done; exit $$status
-
-# Hot-path benchmarks, recorded as a point of the perf trajectory in
-# BENCH_9.json. The current section includes the control-site joins
-# (BenchmarkHashJoin, BenchmarkJoinStream), the
-# live-update mixed add+query pair (BenchmarkLiveMixedAddQuery/overlay
-# vs /refreeze), its add+delete sibling
-# (BenchmarkLiveMixedAddDeleteQuery — the tombstone overlay against the
-# rebuild-per-mutation baseline), the slowly-changing-graph pair
-# (BenchmarkLiveSlowlyChangingGraph — overwrite-style version churn
-# over a fixed entity population) and the MVCC writer-latency pair
-# (BenchmarkUpdateLatencyUnderLoad/mvcc vs /rwlock — per-update latency
-# with long queries in flight, snapshot reads against the retired
-# data-lock architecture; run at a fixed iteration count because the
-# rwlock side costs a full query latency per op, and at 1000x rather
-# than the original 200x because the mvcc side's mean is tail-dominated
-# on small single-core hosts and 200 samples made the 20% gate flake); the parallel section
-# re-measures BenchmarkMatchWatDiv and BenchmarkJoinStream under GOMAXPROCS=1
-# and the host's full core count, and the regression gate fails the
-# target when any benchmark runs >20% slower than the previous committed
-# trajectory file (BENCH_8.json). The WAL section measures the durable
-# append under each sync policy (BenchmarkWALAppend/always-interval-none)
-# and the group-commit ack latency (BenchmarkWALGroupCommitLatency) —
-# the write-side cost every durable update now pays.
-BENCH_HOT := BenchmarkCandidateScan$$|BenchmarkMatchWatDiv$$|BenchmarkHashJoin$$|BenchmarkJoinStream$$|BenchmarkLiveMixedAddQuery$$|BenchmarkLiveMixedAddDeleteQuery$$|BenchmarkLiveSlowlyChangingGraph$$
-BENCH_PAR := BenchmarkMatchWatDiv$$|BenchmarkJoinStream$$
-BENCH_SERVE := BenchmarkUpdateLatencyUnderLoad$$
-BENCH_WAL := BenchmarkWALAppend$$|BenchmarkWALGroupCommitLatency$$
-# Tolerated ns/op regression vs the previous trajectory file. Wall-clock
-# comparisons across hosts drift; override (e.g. BENCH_MAX_REGRESS=0.5)
-# when the measurement machine differs from the one that recorded the
-# previous file.
-BENCH_MAX_REGRESS ?= 0.20
-bench-baseline:
-	set -o pipefail; \
-	np=$$(nproc); \
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench '$(BENCH_PAR)' -benchmem -benchtime 1s \
-		./internal/match ./internal/cluster > .bench_gomaxprocs_1.txt; \
-	if [ "$$np" -gt 1 ]; then \
-		$(GO) test -run '^$$' -bench '$(BENCH_PAR)' -benchmem -benchtime 1s \
-			./internal/match ./internal/cluster > .bench_gomaxprocs_np.txt; \
-		par="1=.bench_gomaxprocs_1.txt,$$np=.bench_gomaxprocs_np.txt"; \
-	else \
-		par="1=.bench_gomaxprocs_1.txt"; \
-	fi; \
-	$(GO) test -run '^$$' -bench '$(BENCH_SERVE)' -benchmem -benchtime 1000x \
-		./internal/serve > .bench_serve.txt; \
-	$(GO) test -run '^$$' -bench '$(BENCH_WAL)' -benchmem -benchtime 300x \
-		./internal/wal > .bench_wal.txt; \
-	{ $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -benchtime 1s \
-		./internal/match ./internal/cluster; cat .bench_serve.txt; cat .bench_wal.txt; } | \
-		$(GO) run ./cmd/benchjson -pr 9 -out BENCH_9.json \
-		-require 'BenchmarkCandidateScan,BenchmarkMatchWatDiv,BenchmarkHashJoin,BenchmarkJoinStream,BenchmarkLiveMixedAddQuery/overlay,BenchmarkLiveMixedAddQuery/refreeze,BenchmarkLiveMixedAddDeleteQuery/overlay,BenchmarkLiveMixedAddDeleteQuery/refreeze,BenchmarkLiveSlowlyChangingGraph/overlay,BenchmarkLiveSlowlyChangingGraph/refreeze,BenchmarkUpdateLatencyUnderLoad/mvcc,BenchmarkUpdateLatencyUnderLoad/rwlock,BenchmarkWALAppend/always,BenchmarkWALAppend/interval,BenchmarkWALAppend/none,BenchmarkWALGroupCommitLatency' \
-		-parallel "$$par" -prev BENCH_8.json -max-regress $(BENCH_MAX_REGRESS); \
-	status=$$?; rm -f .bench_gomaxprocs_1.txt .bench_gomaxprocs_np.txt .bench_serve.txt .bench_wal.txt; exit $$status
 
 fmt:
 	gofmt -w .

@@ -1,16 +1,10 @@
 package match
 
-// Mixed add+query benchmark for the live-update delta overlay: a
+// Mixed add+query benchmarks for the live-update delta overlay: a
 // read-mostly workload (selective point lookups) interleaved with a 1%
-// stream of fresh triples. "overlay" is the delta path this PR adds —
-// Add appends to the frozen graph's delta index and reads merge, with
-// the default auto-compaction threshold amortizing rebuilds. "refreeze"
-// emulates the pre-overlay world at its best: every update pays a full
-// CSR rebuild immediately (the old Add thawed the whole graph to maps,
-// O(|E|), and the next query either ran on slow maps or re-froze — the
-// rebuild-per-update baseline is the cheaper of the two). The
-// bench-baseline gate records both in BENCH_5.json; the acceptance bar
-// is overlay ≥10x refreeze at this update ratio.
+// stream of mutations. Add and Delete go to the frozen graph's delta
+// index and reads merge it, with the default auto-compaction threshold
+// amortizing rebuilds.
 
 import (
 	"fmt"
@@ -44,42 +38,32 @@ func liveBenchSetup(b *testing.B) (*rdf.Graph, *sparql.Graph) {
 // deletes: update ticks alternate between inserting a fresh triple and
 // tombstoning the one inserted on the previous tick, so the visible
 // window carries both insert and tombstone runs while the read-mostly
-// lookups stream on. "overlay" is the tombstone side-run this PR adds;
-// "refreeze" pays the pre-overlay full rebuild on every mutation (a
-// delete without tombstones had no cheaper option). Recorded in
-// BENCH_8.json next to the add-only pair.
+// lookups stream on.
 func BenchmarkLiveMixedAddDeleteQuery(b *testing.B) {
-	for _, mode := range []string{"overlay", "refreeze"} {
-		b.Run(mode, func(b *testing.B) {
-			g, q := liveBenchSetup(b)
-			obj := g.Triples()[1].O
-			pred := g.Triples()[0].P
-			serial := 0
-			var last rdf.Triple
-			havePending := false
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%liveUpdateRatio == 0 {
-					if havePending {
-						g.Delete(last)
-						havePending = false
-					} else {
-						s := g.Dict.MustIRI(fmt.Sprintf("livedel%d", serial))
-						serial++
-						last = rdf.Triple{S: s, P: pred, O: obj}
-						g.Add(last)
-						havePending = true
-					}
-					if mode == "refreeze" {
-						g.Compact() // the rebuild the pre-overlay mutation forced
-					}
-				}
-				if n := Count(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
-					b.Fatal("point lookup matched nothing")
-				}
+	g, q := liveBenchSetup(b)
+	obj := g.Triples()[1].O
+	pred := g.Triples()[0].P
+	serial := 0
+	var last rdf.Triple
+	havePending := false
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%liveUpdateRatio == 0 {
+			if havePending {
+				g.Delete(last)
+				havePending = false
+			} else {
+				s := g.Dict.MustIRI(fmt.Sprintf("livedel%d", serial))
+				serial++
+				last = rdf.Triple{S: s, P: pred, O: obj}
+				g.Add(last)
+				havePending = true
 			}
-		})
+		}
+		if n := Count(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
+			b.Fatal("point lookup matched nothing")
+		}
 	}
 }
 
@@ -90,74 +74,60 @@ func BenchmarkLiveMixedAddDeleteQuery(b *testing.B) {
 // overwrite batch produces), so the overlay carries a steady mix of
 // tombstones and fresh versions proportional to churn, never growing
 // with history. Read-mostly point lookups stream on throughout.
-// "refreeze" pays the pre-overlay full rebuild on every version swap.
-// Recorded in BENCH_9.json next to the add-only and add+delete pairs.
 func BenchmarkLiveSlowlyChangingGraph(b *testing.B) {
 	const entities = 16
-	for _, mode := range []string{"overlay", "refreeze"} {
-		b.Run(mode, func(b *testing.B) {
-			g, q := liveBenchSetup(b)
-			pred := g.Triples()[0].P
-			// Pre-intern the version objects and seed each entity at v0 so
-			// the timed region swaps versions, never first-inserts.
-			subj := make([]rdf.ID, entities)
-			vers := make([]rdf.ID, entities*2)
-			for e := 0; e < entities; e++ {
-				subj[e] = g.Dict.MustIRI(fmt.Sprintf("scd%d", e))
-			}
-			for v := range vers {
-				vers[v] = g.Dict.MustIRI(fmt.Sprintf("scdv%d", v))
-			}
-			cur := make([]int, entities)
-			for e := 0; e < entities; e++ {
-				g.Add(rdf.Triple{S: subj[e], P: pred, O: vers[0]})
-			}
-			g.Compact()
-			serial := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%liveUpdateRatio == 0 {
-					e := serial % entities
-					serial++
-					next := (cur[e] + 1) % len(vers)
-					g.Delete(rdf.Triple{S: subj[e], P: pred, O: vers[cur[e]]})
-					g.Add(rdf.Triple{S: subj[e], P: pred, O: vers[next]})
-					cur[e] = next
-					if mode == "refreeze" {
-						g.Compact() // the rebuild the pre-overlay swap forced
-					}
-				}
-				if n := Count(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
-					b.Fatal("point lookup matched nothing")
-				}
-			}
-		})
+	g, q := liveBenchSetup(b)
+	pred := g.Triples()[0].P
+	// Pre-intern the version objects and seed each entity at v0 so the
+	// timed region swaps versions, never first-inserts.
+	subj := make([]rdf.ID, entities)
+	vers := make([]rdf.ID, entities*2)
+	for e := 0; e < entities; e++ {
+		subj[e] = g.Dict.MustIRI(fmt.Sprintf("scd%d", e))
+	}
+	for v := range vers {
+		vers[v] = g.Dict.MustIRI(fmt.Sprintf("scdv%d", v))
+	}
+	cur := make([]int, entities)
+	for e := 0; e < entities; e++ {
+		g.Add(rdf.Triple{S: subj[e], P: pred, O: vers[0]})
+	}
+	g.Compact()
+	serial := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%liveUpdateRatio == 0 {
+			e := serial % entities
+			serial++
+			next := (cur[e] + 1) % len(vers)
+			g.Delete(rdf.Triple{S: subj[e], P: pred, O: vers[cur[e]]})
+			g.Add(rdf.Triple{S: subj[e], P: pred, O: vers[next]})
+			cur[e] = next
+		}
+		if n := Count(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
+			b.Fatal("point lookup matched nothing")
+		}
 	}
 }
 
+// BenchmarkLiveMixedAddQuery is the add-only mix: every update tick
+// inserts a fresh triple beside the point lookups.
 func BenchmarkLiveMixedAddQuery(b *testing.B) {
-	for _, mode := range []string{"overlay", "refreeze"} {
-		b.Run(mode, func(b *testing.B) {
-			g, q := liveBenchSetup(b)
-			obj := g.Triples()[1].O
-			pred := g.Triples()[0].P
-			serial := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%liveUpdateRatio == 0 {
-					s := g.Dict.MustIRI(fmt.Sprintf("live%d", serial))
-					serial++
-					g.Add(rdf.Triple{S: s, P: pred, O: obj})
-					if mode == "refreeze" {
-						g.Compact() // the rebuild the pre-overlay Add forced
-					}
-				}
-				if n := Count(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
-					b.Fatal("point lookup matched nothing")
-				}
-			}
-		})
+	g, q := liveBenchSetup(b)
+	obj := g.Triples()[1].O
+	pred := g.Triples()[0].P
+	serial := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%liveUpdateRatio == 0 {
+			s := g.Dict.MustIRI(fmt.Sprintf("live%d", serial))
+			serial++
+			g.Add(rdf.Triple{S: s, P: pred, O: obj})
+		}
+		if n := Count(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
+			b.Fatal("point lookup matched nothing")
+		}
 	}
 }

@@ -32,6 +32,28 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+// TestAppendAllocs: a 512-byte Append allocates at most once under every
+// sync policy — BenchmarkWALAppend's host-independent half. The frame is
+// built in the log's reused buffer, so a second allocation per record is
+// a regression on the path every durable update takes.
+func TestAppendAllocs(t *testing.T) {
+	payload := make([]byte, 512)
+	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncNone} {
+		t.Run(pol.String(), func(t *testing.T) {
+			l := mustOpen(t, testOpts(t, pol))
+			defer l.Close()
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := l.Append(KindInsert, payload); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Errorf("Append allocates %.2f times per record, want <= 1", allocs)
+			}
+		})
+	}
+}
+
 // BenchmarkWALGroupCommitLatency measures the worst extra latency the
 // "interval" policy adds before a batch is durable: append, then wait
 // for the flusher's fsync to cover it. This is the ack-to-durable window
