@@ -59,7 +59,11 @@ cover:
 # point. internal/model (the reference every end-to-end answer and update
 # is checked against, so a branch of it no test reaches is a rule nothing
 # checks) sits at what it measured when it replaced the hand-built
-# oracles (100.0), minus a point.
+# oracles (100.0), minus a point. internal/exec (Section 7's engine, which
+# merges co-located subqueries and marks the vertices each one must keep,
+# so a branch of it no test reaches is an answer nothing checks) sits at
+# what it measured when it came to merge them (82.3); its own tests leave
+# Explain and the remote-site paths to the root package's.
 COVER_FLOOR_CLUSTER ?= 94.7
 COVER_FLOOR_RDF ?= 94.5
 COVER_FLOOR_MATCH ?= 97.0
@@ -75,10 +79,11 @@ COVER_FLOOR_BASELINE ?= 91.3
 COVER_FLOOR_DECOMPOSE ?= 94.3
 COVER_FLOOR_PLAN ?= 95.0
 COVER_FLOOR_MODEL ?= 99.0
+COVER_FLOOR_EXEC ?= 82.3
 cover-gate:
 	@test -f coverage.out || { echo "coverage.out missing; run 'make cover' first" >&2; exit 1; }
 	@status=0; \
-	for spec in "cluster=$(COVER_FLOOR_CLUSTER)" "rdf=$(COVER_FLOOR_RDF)" "match=$(COVER_FLOOR_MATCH)" "serve=$(COVER_FLOOR_SERVE)" "transport=$(COVER_FLOOR_TRANSPORT)" "wal=$(COVER_FLOOR_WAL)" "fap=$(COVER_FLOOR_FAP)" "mining=$(COVER_FLOOR_MINING)" "fragment=$(COVER_FLOOR_FRAGMENT)" "persist=$(COVER_FLOOR_PERSIST)" "allocation=$(COVER_FLOOR_ALLOCATION)" "baseline=$(COVER_FLOOR_BASELINE)" "decompose=$(COVER_FLOOR_DECOMPOSE)" "plan=$(COVER_FLOOR_PLAN)" "model=$(COVER_FLOOR_MODEL)"; do \
+	for spec in "cluster=$(COVER_FLOOR_CLUSTER)" "rdf=$(COVER_FLOOR_RDF)" "match=$(COVER_FLOOR_MATCH)" "serve=$(COVER_FLOOR_SERVE)" "transport=$(COVER_FLOOR_TRANSPORT)" "wal=$(COVER_FLOOR_WAL)" "fap=$(COVER_FLOOR_FAP)" "mining=$(COVER_FLOOR_MINING)" "fragment=$(COVER_FLOOR_FRAGMENT)" "persist=$(COVER_FLOOR_PERSIST)" "allocation=$(COVER_FLOOR_ALLOCATION)" "baseline=$(COVER_FLOOR_BASELINE)" "decompose=$(COVER_FLOOR_DECOMPOSE)" "plan=$(COVER_FLOOR_PLAN)" "model=$(COVER_FLOOR_MODEL)" "exec=$(COVER_FLOOR_EXEC)"; do \
 		pkg=$${spec%%=*}; floor=$${spec##*=}; \
 		{ head -1 coverage.out; grep "rdffrag/internal/$$pkg/" coverage.out; } > .cover_gate.out; \
 		pct=$$($(GO) tool cover -func=.cover_gate.out | awk '/^total:/ { sub("%","",$$3); print $$3 }'); \

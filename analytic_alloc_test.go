@@ -80,22 +80,25 @@ func medianOfFive(sample func() float64) float64 {
 	return got[len(got)/2]
 }
 
-// TestAnalyticAllocPerIntermediateRow pins, at workload scale, what the
-// engine allocates per binding row shipped to the control-site join: the
-// six analytic templates over the 50 000-triple WatDiv fixture on a
-// vertical deployment, prepared once, executed with a fixed worker budget,
-// TotalAlloc over QueryStats.IntermediateRows. With a slice header beside
-// every row at four stations and a Go map per join side it was 192 B;
-// with a binding table one flat array, 67 B; with the join adopting its
-// batches in place, and keeping a side's rows only while the other input
-// is open, 43–47 B (which input closes first varies from run to run), and
-// the ceiling was 46 plus 10 %. With every row array taken from match's
-// free list and handed back where its last reader is done, it measures
-// 10.8–13.2 B, and the ceiling is 13 plus 10 %; with each joined batch
-// projected as it arrives, 9.7–12.5 B, too close to the ceiling to lower
-// it. Row data copied once more than needed, a header per row, a key
-// materialized per row or an array not handed back each put it back over.
-func TestAnalyticAllocPerIntermediateRow(t *testing.T) {
+// TestAnalyticAllocPerQuery pins, at workload scale, what the engine
+// allocates per query: the six analytic templates over the 50 000-triple
+// WatDiv fixture on a vertical deployment, prepared once, executed with a
+// fixed worker budget, TotalAlloc over the queries, median of five rounds.
+// It used to divide by QueryStats.IntermediateRows instead, the binding
+// rows shipped to the control-site join: 192 B a row with a slice header
+// beside every row, 67 B with a binding table one flat array, 43–47 B with
+// the join adopting its batches in place, 10.8–13.2 B with every row array
+// taken from match's free list and handed back, 9.7–12.5 B with each
+// joined batch projected as it arrives (ceiling 13 plus 10 %). Merging
+// co-located subqueries and cutting each search once the variables the
+// query reads are bound ship fewer rows by design — F3 2 270 instead of
+// 3 409, F5 5 140 instead of 17 155 — so bytes per row rose to 16.4 B
+// while bytes per query fell from 73.8 KB to 48.7–50.0 KB (48.8–48.9
+// under the race detector), and the guard counts bytes per query since,
+// ceiling 50 plus 10 %. Row data copied once more than needed, a header
+// per row, a key materialized per row or an array not handed back each
+// put it back over.
+func TestAnalyticAllocPerQuery(t *testing.T) {
 	engine, queries := prepareAnalytic(t)
 	median := medianOfFive(func() float64 {
 		rows := 0
@@ -111,22 +114,22 @@ func TestAnalyticAllocPerIntermediateRow(t *testing.T) {
 		if rows < 10000 {
 			t.Fatalf("the six templates shipped %d rows; want a workload-scale run", rows)
 		}
-		return float64(bytes) / float64(rows)
+		return float64(bytes) / float64(len(queries)) / 1024
 	})
-	t.Logf("%.1f B allocated per intermediate row", median)
-	if median > analyticAllocPerRow*1.1 {
-		t.Errorf("the engine allocates %.1f B per intermediate row, want <= %.1f", median, analyticAllocPerRow*1.1)
+	t.Logf("%.1f KB allocated per query", median)
+	if median > analyticAllocKBPerQuery*1.1 {
+		t.Errorf("the engine allocates %.1f KB per query, want <= %.1f", median, analyticAllocKBPerQuery*1.1)
 	}
 }
 
-// What the test measured when the ceiling was set.
-const analyticAllocPerRow = 13
+// What TestAnalyticAllocPerQuery measured when the ceiling was set.
+const analyticAllocKBPerQuery = 50
 
 // TestAnalyticF5AllocPerQuery pins what one F5 query allocates besides
 // the answer it returns: F5 is the analytic template whose control-site
 // join emits the most rows (12 908 five-column rows on this fixture,
 // for 2 990 distinct answers). It runs on the deployment and worker
-// budget of TestAnalyticAllocPerIntermediateRow, four queries a round,
+// budget of TestAnalyticAllocPerQuery, four queries a round,
 // median of five rounds, TotalAlloc around each query less its answer's
 // row array. The caller keeps every answer, so that array never returns
 // to match's free list and each query takes it afresh, whatever consume
@@ -134,9 +137,13 @@ const analyticAllocPerRow = 13
 // batch until the stream ended and only then projected them, the batches
 // overflowed the free list and each query allocated them afresh:
 // 67–112 KB (79–150 under the race detector). With each batch projected
-// as it arrives and handed back at once it measures 43–51 KB (41–46), and
-// the ceiling is 48 plus 25 %. The aggregate per-row test above barely
-// moves with this, so it cannot catch the regression.
+// as it arrives and handed back at once it measured 43–51 KB (41–46), and
+// the ceiling was 48 plus 25 %. With F5's three co-located subqueries
+// merged into one match at their site, cut once ?u and ?p are bound, no
+// join runs and 5 140 rows are shipped instead of 17 155: it measures
+// 3.9 KB (4.0–4.2), and the ceiling is 4 plus 25 %. The aggregate test
+// above barely moves with a regression of F5's alone, so it cannot catch
+// one.
 func TestAnalyticF5AllocPerQuery(t *testing.T) {
 	engine, queries := prepareAnalytic(t)
 	f5 := queries[slices.IndexFunc(queries, func(p analyticQuery) bool { return p.name == "F5" })]
@@ -162,7 +169,7 @@ func TestAnalyticF5AllocPerQuery(t *testing.T) {
 }
 
 // What TestAnalyticF5AllocPerQuery measured when the ceiling was set.
-const f5AllocKBPerQuery = 48
+const f5AllocKBPerQuery = 4
 
 // discardResponse keeps a response's status and throws its body away.
 type discardResponse struct {
@@ -184,9 +191,11 @@ func (w *discardResponse) WriteHeader(status int)      { w.status = status }
 // batches and storing a side only while the other input is open, 284–304
 // KB (308–314 under the race detector), and the ceiling was 300 plus
 // 10 %. With row arrays recycled through match's free list — the answer's
-// too, once /query has written it — it measures 46–52 KB (65–70 under the
-// race detector, which `make cover` runs), and the ceiling is 66 plus
-// 10 %.
+// too, once /query has written it — it measured 46–52 KB (65–70 under the
+// race detector, which `make cover` runs), and the ceiling was 66 plus
+// 10 %. With co-located subqueries merged and each search cut once the
+// variables the query reads are bound, it measures 14.8–15.1 KB
+// (21.9–29.0 under the race detector), and the ceiling is 29 plus 10 %.
 func TestQueryHandlerAlloc(t *testing.T) {
 	db, _, workload := watdivDB(t, 50000, Config{Strategy: Vertical})
 	dep, err := db.DeployParsed(workload)
@@ -239,4 +248,4 @@ func TestQueryHandlerAlloc(t *testing.T) {
 }
 
 // What TestQueryHandlerAlloc measured when the ceiling was set.
-const handlerAllocKBPerQuery = 66
+const handlerAllocKBPerQuery = 29

@@ -82,3 +82,29 @@ func TestQueryLimit(t *testing.T) {
 		t.Error("bad LIMIT accepted")
 	}
 }
+
+// TestExplainF5Merged pins F5's explanation on the 50 000-triple WatDiv
+// fixture under vertical fragmentation. Algorithm 3 decomposes it into
+// three subqueries, whose fragments affinity allocation puts on site 0;
+// the engine merges them into one step, matched at that site, which lists
+// the three fragments once each.
+func TestExplainF5Merged(t *testing.T) {
+	db, _, workload := watdivDB(t, 50000, Config{Strategy: Vertical})
+	dep, err := db.DeployParsed(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := dep.Explain(`SELECT ?u ?p WHERE { ?u <wsdbm:likes> ?p . ?rv <rev:reviewsProduct> ?p . ?rv <rev:rating> ?g . ?u <wsdbm:follows> ?v . }`)
+	if err != nil {
+		t.Fatalf("Explain: %v", err)
+	}
+	const want = `decomposition cost 109116315000, plan cost 2500, join order [0]
+  q0 [pattern, card≈2500] ?u <wsdbm:likes> ?p . ?rv <rev:reviewsProduct> ?p . ?rv <rev:rating> ?g . ?u <wsdbm:follows> ?v
+      fragment 9 @ site 0 (4158 edges)
+      fragment 30 @ site 0 (5000 edges)
+      fragment 6 @ site 0 (10497 edges)
+`
+	if got := ex.String(); got != want {
+		t.Errorf("F5 explains as\n%s\nwant\n%s", got, want)
+	}
+}

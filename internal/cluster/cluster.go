@@ -222,11 +222,20 @@ func (c *Cluster) Place(siteID, fragID int, g *rdf.Graph) error {
 // graphs storing them — its own graph, the cold graph, or both — each
 // once: a match there of a fragment the request did not name is still a
 // match on the data, and a duplicate of another site's is removed by the
-// control site's final dedup.
+// control site's final dedup. The subquery may be several of the query's
+// subqueries merged into one because all their fragments sit at this site
+// (exec.Engine.Bind): the site then answers their join itself.
 type EvalRequest struct {
 	SiteID  int
 	FragIDs []int
 	Query   *sparql.Graph
+	// Keep marks the query's vertices the rest of the query reads (its
+	// projection and its joins with other subqueries); nil marks them
+	// all. A row still binds every variable, but the site ships one
+	// witness row per binding of the kept vertices' part of the search
+	// (match.Options.Keep), which the control site's projection makes
+	// the same answer.
+	Keep match.VertexMask
 	// Parallelism is the matcher's morsel-worker budget for each graph
 	// the site evaluates; the graphs evaluate one after the other. 0
 	// means GOMAXPROCS.
@@ -264,7 +273,7 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 
 	var all []match.Match
 	err = s.each(ctx, graphs, func(g *rdf.Graph) error {
-		all = append(all, match.Find(req.Query, req.View.Snap(g), match.Options{Parallelism: req.Parallelism})...)
+		all = append(all, match.Find(req.Query, req.View.Snap(g), match.Options{Parallelism: req.Parallelism, Keep: req.Keep})...)
 		return nil
 	})
 	if err != nil {

@@ -14,10 +14,12 @@ package decompose
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rdffrag/internal/dict"
 	"rdffrag/internal/fragment"
+	"rdffrag/internal/match"
 	"rdffrag/internal/sparql"
 )
 
@@ -30,8 +32,8 @@ type Subquery struct {
 	// decomposition bound from it; do not modify it.
 	EdgeIdx []int
 	// PatternCode is the canonical code of the matching selected pattern
-	// ("" for cold subqueries, and for global ones but a WARP pattern
-	// cover's).
+	// ("" for cold subqueries, for several merged into one by
+	// exec.Engine.Bind, and for global ones but a WARP pattern cover's).
 	PatternCode string
 	// Cold marks an all-infrequent-property subquery evaluated on the
 	// cold fragment.
@@ -49,6 +51,11 @@ type Subquery struct {
 	// empty non-nil slice when every fragment is pruned; nil on a
 	// pattern subquery means it never went through Bind.
 	Relevant []*dict.Entry
+	// Keep marks the vertices of Graph whose bindings the rest of the
+	// query reads: its projection and ORDER BY, and the variables it
+	// shares with other subqueries (match.Options.Keep). The engine sets
+	// it when it binds a query (exec.Engine.Bind); nil keeps every vertex.
+	Keep match.VertexMask
 }
 
 // Decomposition is a valid decomposition with its estimated cost.
@@ -320,7 +327,7 @@ func (s *Shape) Bind(q *sparql.Graph) (*Decomposition, error) {
 		se.cards[bi] = b.card.Estimate(func(i int) bool { return b.relevant(q, i) })
 	}
 
-	subs := make([]Subquery, len(s.fixed), len(s.fixed)+nh)
+	subs := make([]Subquery, len(s.fixed))
 	cost := 1.0
 	for i, c := range s.fixed {
 		sg := q.EdgeSubgraph(c.edges)
@@ -336,6 +343,7 @@ func (s *Shape) Bind(q *sparql.Graph) (*Decomposition, error) {
 	if math.IsInf(se.bestCost, 1) {
 		return nil, fmt.Errorf("decompose: cost overflow")
 	}
+	subs = slices.Grow(subs, len(se.best)) // the cover's size, not the hot edges' count
 	for _, bi := range se.best {
 		b := &s.blocks[bi]
 		rel := make([]*dict.Entry, 0, len(b.card.Entries))

@@ -4,11 +4,21 @@
 // decomposes each incoming query (Algorithm 3), optimizes the join order
 // (Algorithm 4), evaluates subqueries on the relevant sites in parallel,
 // and joins the shipped bindings at the control site.
+//
+// Two steps between them keep rows off the network. Subqueries that share
+// a variable and whose fragments all sit on one site — what affinity
+// allocation (Definition 13, Algorithm 2) aims for — are merged into one,
+// which that site answers with one match, so only their joined rows are
+// shipped. And each subquery carries its kept vertices: those whose
+// variables the query projects, orders by or joins on. A site's search
+// stops at one witness for the other variables, which the control site's
+// projection drops anyway, answers being sets.
 package exec
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -176,18 +186,153 @@ func (e *Engine) Shape(q *sparql.Graph) (*decompose.Shape, error) {
 }
 
 // Bind finishes Prepare for q, a query of s's structure: the cheapest
-// decomposition under q's constants and the current statistics, and the
-// join order over it.
+// decomposition under q's constants and the current statistics, with its
+// co-located subqueries merged (colocate) and each subquery's kept
+// vertices marked (markKept), and the join order over it. Both are
+// computed here, once, so that executing the plan allocates nothing for
+// them.
 func (e *Engine) Bind(s *decompose.Shape, q *sparql.Graph) (*Prepared, error) {
 	dcp, err := s.Bind(q)
 	if err != nil {
 		return nil, err
 	}
+	colocate(q, dcp)
+	markKept(q, dcp)
 	pl, err := plan.Optimize(dcp)
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{Dcp: dcp, Plan: pl}, nil
+}
+
+// colocate merges the hot pattern subqueries of dcp that share a variable
+// and whose relevant fragments all sit on one site — transitively — into
+// one subquery each: the query's edges they cover, reading the union of
+// their fragments. That site then answers their join itself and ships
+// only its rows; affinity allocation (Definition 13, Algorithm 2) is what
+// puts such fragments together. The merge is exact: each part's matches
+// lie in its relevant fragments, all stored in the site's graph, which
+// holds nothing the deployment does not, so the merged pattern's matches
+// there are the join of the parts'. A merged subquery is estimated at
+// its smallest part's card. Cold and global subqueries, and parts that
+// share no variable, are left as they are.
+func colocate(q *sparql.Graph, dcp *decompose.Decomposition) {
+	subs := dcp.Subqueries
+	if len(subs) < 2 {
+		return
+	}
+	root := make([]int, len(subs)) // root[i]: the lowest subquery merged with subquery i
+	for i := range root {
+		root[i] = i
+	}
+	merged := false
+	for i, a := range subs {
+		site := siteOf(a)
+		for j := i + 1; j < len(subs); j++ {
+			if b := subs[j]; site < 0 || siteOf(b) != site || root[i] == root[j] || !sharesVar(a.Graph, b.Graph) {
+				continue
+			}
+			from, to := max(root[i], root[j]), min(root[i], root[j])
+			for k := range root {
+				if root[k] == from {
+					root[k] = to
+				}
+			}
+			merged = true
+		}
+	}
+	if !merged {
+		return
+	}
+	out := make([]*decompose.Subquery, 0, len(subs))
+	for i, sq := range subs {
+		if root[i] != i {
+			continue // merged into a subquery before it
+		}
+		if !slices.Contains(root[i+1:], i) {
+			out = append(out, sq)
+			continue
+		}
+		m := &decompose.Subquery{Card: sq.Card}
+		for k, part := range subs {
+			if root[k] != i {
+				continue
+			}
+			m.EdgeIdx = append(m.EdgeIdx, part.EdgeIdx...)
+			for _, entry := range part.Relevant {
+				if !slices.Contains(m.Relevant, entry) {
+					m.Relevant = append(m.Relevant, entry)
+				}
+			}
+			m.Card = min(m.Card, part.Card)
+		}
+		slices.Sort(m.EdgeIdx)
+		m.Graph = q.EdgeSubgraph(m.EdgeIdx)
+		out = append(out, m)
+	}
+	dcp.Subqueries = out
+}
+
+// siteOf returns the site holding every relevant fragment of a hot
+// pattern subquery, or -1 if there is no one such site, or sq is cold or
+// global.
+func siteOf(sq *decompose.Subquery) int {
+	if sq.Cold || sq.Global || len(sq.Relevant) == 0 {
+		return -1
+	}
+	s := sq.Relevant[0].Site
+	for _, entry := range sq.Relevant[1:] {
+		if entry.Site != s {
+			return -1
+		}
+	}
+	return s
+}
+
+// sharesVar reports whether a and b have a vertex variable in common.
+func sharesVar(a, b *sparql.Graph) bool {
+	return slices.ContainsFunc(a.Verts, func(v sparql.Vertex) bool { return v.IsVar() && hasVertexVar(b, v.Var) })
+}
+
+// hasVertexVar reports whether a vertex of g is the variable name.
+func hasVertexVar(g *sparql.Graph, name string) bool {
+	return slices.ContainsFunc(g.Verts, func(v sparql.Vertex) bool { return v.Var == name })
+}
+
+// markKept sets the Keep of each subquery of dcp that has a variable
+// vertex nothing else reads: the vertices the rest of q reads are those
+// whose variables q projects or orders by, or another subquery binds
+// too. Under SELECT * every vertex is read, and a subquery whose every
+// variable vertex is read keeps a nil Keep: both are matched in full.
+func markKept(q *sparql.Graph, dcp *decompose.Decomposition) {
+	if len(q.Select) == 0 {
+		return
+	}
+	read := func(i int, name string) bool {
+		if slices.Contains(q.Select, name) || slices.ContainsFunc(q.OrderBy, func(k sparql.OrderKey) bool { return k.Var == name }) {
+			return true
+		}
+		for j, other := range dcp.Subqueries {
+			if j != i && (hasVertexVar(other.Graph, name) ||
+				slices.ContainsFunc(other.Graph.Edges, func(e sparql.Edge) bool { return e.PredVar == name })) {
+				return true
+			}
+		}
+		return false
+	}
+	for i, sq := range dcp.Subqueries {
+		verts := sq.Graph.Verts
+		if !slices.ContainsFunc(verts, func(v sparql.Vertex) bool { return v.IsVar() && !read(i, v.Var) }) {
+			continue
+		}
+		keep := make(match.VertexMask, (len(verts)+63)/64)
+		for v, vert := range verts {
+			if vert.IsVar() && read(i, vert.Var) {
+				keep = keep.Add(v)
+			}
+		}
+		sq.Keep = keep
+	}
 }
 
 // Query evaluates q and returns the projected bindings.
@@ -207,7 +352,9 @@ func (e *Engine) QueryCtx(ctx context.Context, q *sparql.Graph) (*match.Bindings
 
 // Explain reports how a query would execute without running it: the
 // chosen decomposition (Algorithm 3), the join order (Algorithm 4), and
-// the fragments/sites each subquery would touch.
+// the fragments/sites each subquery would touch. Subqueries Bind merged
+// because their fragments share a site show as one step, which lists all
+// their fragments; the decomposition cost is still that of the parts.
 func (e *Engine) Explain(q *sparql.Graph) (*Explanation, error) {
 	prep, err := e.Prepare(q)
 	if err != nil {

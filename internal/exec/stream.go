@@ -319,6 +319,7 @@ func (e *Engine) evalSubqueryStream(ctx context.Context, sq *decompose.Subquery,
 				SiteID:      s,
 				FragIDs:     bySite[s],
 				Query:       sq.Graph,
+				Keep:        sq.Keep,
 				View:        view,
 				Parallelism: sitePar,
 			}, e.BatchSize, func(b *match.Bindings) error {

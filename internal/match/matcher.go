@@ -48,6 +48,42 @@ type Options struct {
 	// no particular order; Find's parallel output is exactly the
 	// sequential output.
 	Parallelism int
+	// Keep, when non-nil, marks the query vertices whose bindings the
+	// caller reads; the others need one witness each. The search then
+	// stops at the first complete match below the cut depth — the first
+	// depth of its edge order at which every kept vertex and every
+	// variable predicate is bound — and backtracks to the cut: each
+	// binding of the edges above it yields at most one match. Every match
+	// found is a real one, and projected onto the kept vertices the
+	// matches are, as a set, those of the full enumeration. A nil Keep, or
+	// one that marks every variable vertex, enumerates every match.
+	Keep VertexMask
+}
+
+// VertexMask is a set of query vertices: vertex v is bit v%64 of word
+// v/64.
+type VertexMask []uint64
+
+// Has reports whether v is in the set.
+func (m VertexMask) Has(v int) bool { return v/64 < len(m) && m[v/64]&(1<<(v%64)) != 0 }
+
+// Add puts v in the set, growing it as needed.
+func (m VertexMask) Add(v int) VertexMask {
+	for len(m) <= v/64 {
+		m = append(m, 0)
+	}
+	m[v/64] |= 1 << (v % 64)
+	return m
+}
+
+// Within reports whether every vertex of the set is below n.
+func (m VertexMask) Within(n int) bool {
+	for i, w := range m {
+		if lo := i * 64; lo+64 > n && w>>max(n-lo, 0) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ForEach enumerates homomorphisms of q in g, invoking fn for each. The
@@ -65,10 +101,11 @@ func ForEach(q *sparql.Graph, g *rdf.Snapshot, opts Options, fn func(*Match) boo
 // for it twice when the plan declines.
 func forEachOrdered(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int, fn func(*Match) bool) {
 	s := &searcher{
-		q:     q,
-		g:     g,
-		opts:  opts,
-		order: order,
+		q:      q,
+		g:      g,
+		limit:  opts.Limit,
+		filter: opts.VertexFilter,
+		order:  order,
 		m: Match{
 			Vertex:  make([]rdf.ID, len(q.Verts)),
 			Pred:    make(map[string]rdf.ID),
@@ -76,6 +113,7 @@ func forEachOrdered(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int,
 		},
 		bound: make([]bool, len(q.Verts)),
 		fn:    fn,
+		cut:   cutDepth(q, order, opts.Keep),
 	}
 	// Pre-bind constant vertices; bail out if a constant is absent from g.
 	for i, v := range q.Verts {
@@ -299,15 +337,21 @@ func edgeMarker(set *rdf.EdgeSet, edges int) func(*Match) bool {
 }
 
 type searcher struct {
-	q     *sparql.Graph
-	g     *rdf.Snapshot
-	opts  Options
-	order []int
-	m     Match
-	bound []bool
-	fn    func(*Match) bool
-	found int
-	done  bool
+	q      *sparql.Graph
+	g      *rdf.Snapshot
+	limit  int                          // Options.Limit
+	filter func(qv int, id rdf.ID) bool // Options.VertexFilter
+	order  []int
+	m      Match
+	bound  []bool
+	fn     func(*Match) bool
+	found  int
+	// cut is the depth below which one match per binding of the edges
+	// above it suffices (Options.Keep); len(order) when there is none.
+	// witnessed records that the subtree under the cut has yielded it.
+	cut       int
+	done      bool
+	witnessed bool
 	// stop, when non-nil, is the parallel run's shared kill switch: any
 	// worker tripping it (callback returned false) halts every other
 	// worker at its next search step.
@@ -445,13 +489,49 @@ func (s *searcher) search(depth int, root *candCursor) {
 		if undoS {
 			s.unbind(e.From)
 		}
+		if s.witnessed && depth >= s.cut {
+			s.witnessed = depth > s.cut
+			return
+		}
 	}
+}
+
+// cutDepth returns the number of leading edges of order that bind every
+// vertex keep marks and every variable predicate (Options.Keep), or
+// len(order) when keep is nil. It is at least 1: each candidate of the
+// root edge, which a parallel search deals out in morsels, has a witness
+// of its own, so that the parallel output is still the sequential one.
+// Once every variable is bound, an edge has one candidate at most, so a
+// keep that marks every variable vertex still finds every match.
+func cutDepth(q *sparql.Graph, order []int, keep VertexMask) int {
+	if keep == nil {
+		return len(order)
+	}
+	cut := 1
+	for v, vert := range q.Verts {
+		if !vert.IsVar() || !keep.Has(v) {
+			continue
+		}
+		for d, ei := range order {
+			if e := q.Edges[ei]; e.From == v || e.To == v {
+				cut = max(cut, d+1)
+				break
+			}
+		}
+	}
+	for d, ei := range order {
+		if q.Edges[ei].IsPredVar() {
+			cut = max(cut, d+1)
+		}
+	}
+	return cut
 }
 
 // emit hands the match, complete, to the callback.
 func (s *searcher) emit() {
 	s.found++
-	if !s.fn(&s.m) || s.opts.Limit > 0 && s.found >= s.opts.Limit {
+	s.witnessed = true
+	if !s.fn(&s.m) || s.limit > 0 && s.found >= s.limit {
 		s.done = true
 	}
 }
@@ -558,7 +638,7 @@ func (s *searcher) bind(qv int, id rdf.ID) (undo, ok bool) {
 	if s.bound[qv] {
 		return false, s.m.Vertex[qv] == id
 	}
-	if s.opts.VertexFilter != nil && !s.opts.VertexFilter(qv, id) {
+	if s.filter != nil && !s.filter(qv, id) {
 		return false, false
 	}
 	s.bound[qv] = true

@@ -1,7 +1,9 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -120,4 +122,94 @@ func TestVertexFilterMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestKeepCutProperty: under a random Keep, at Parallelism 1 and 2, with
+// and without a VertexFilter, over a graph carrying a delta, every row
+// FindBindings emits is a row of the full enumeration, and the two have
+// the same distinct projection onto the kept vertices' variables and the
+// predicate variable, which the cut always keeps; and Find's parallel
+// output is still its sequential one.
+func TestKeepCutProperty(t *testing.T) {
+	f := func(dataSeed, querySeed int64, keepBits uint8, filtered bool) bool {
+		r := rand.New(rand.NewSource(dataSeed))
+		g := randomData(dataSeed, 60)
+		g.SetAutoCompact(-1)
+		g.Freeze()
+		for i := 0; i < 10; i++ {
+			tr := rdf.Triple{S: rdf.ID(r.Intn(6)), P: rdf.ID(6 + r.Intn(3)), O: rdf.ID(r.Intn(6))}
+			if i%3 == 0 {
+				g.Delete(tr)
+			} else {
+				g.Add(tr)
+			}
+		}
+		q := randomQuery(querySeed, 4)
+		if querySeed%3 == 0 {
+			q.Edges[len(q.Edges)-1].PredVar = "p"
+		}
+		keep := VertexMask{uint64(keepBits) & (1<<len(q.Verts) - 1)}
+		var kept []string // what the cut must keep: the vertices Keep marks, and any predicate variable
+		for v, vert := range q.Verts {
+			if keep.Has(v) {
+				kept = append(kept, vert.Var)
+			}
+		}
+		if querySeed%3 == 0 {
+			kept = append(kept, "p")
+		}
+		opts := Options{Parallelism: 1}
+		if filtered {
+			m := 2 + int(dataSeed&1)
+			opts.VertexFilter = func(qv int, id rdf.ID) bool { return int(id)%m != qv%m }
+		}
+		snap := g.Snapshot()
+		defer snap.Close()
+		full := ToBindings(q, Find(q, snap, opts))
+		rows := map[string]bool{}
+		for i := 0; i < full.Len(); i++ {
+			rows[fmt.Sprint(full.Row(i))] = true
+		}
+		want := project(full, kept)
+		for _, par := range []int{1, 2} {
+			opts.Parallelism, opts.Keep = par, keep
+			got := &Bindings{Vars: full.Vars}
+			FindBindings(q, snap, opts, 4, func(b *Bindings) bool {
+				got.Rows = append(got.Rows, b.Rows...)
+				return true
+			})
+			for i := 0; i < got.Len(); i++ {
+				if !rows[fmt.Sprint(got.Row(i))] {
+					t.Logf("%s keep %v, Parallelism %d: row %v is no match", q, kept, par, got.Row(i))
+					return false
+				}
+			}
+			if p := project(got, kept); !slices.Equal(p.Rows, want.Rows) || p.Len() != want.Len() {
+				t.Logf("%s keep %v, Parallelism %d: kept rows %v, the full enumeration's %v", q, kept, par, p.Rows, want.Rows)
+				return false
+			}
+		}
+		if seq, par := Find(q, snap, opts), Find(q, snap, Options{Parallelism: 1, Keep: keep, VertexFilter: opts.VertexFilter}); !reflect.DeepEqual(seq, par) {
+			t.Logf("%s keep %v: Find finds %d matches at Parallelism 2, %d at 1", q, kept, len(par), len(seq))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// project returns b's distinct rows over vars, a subset of b.Vars.
+func project(b *Bindings, vars []string) *Bindings {
+	out := &Bindings{Vars: vars}
+	for i := 0; i < b.Len(); i++ {
+		row := b.Row(i)
+		for _, v := range vars {
+			out.Rows = append(out.Rows, row[slices.Index(b.Vars, v)])
+		}
+		out.Nullary++
+	}
+	out.Dedup()
+	return out
 }

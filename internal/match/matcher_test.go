@@ -1,6 +1,7 @@
 package match
 
 import (
+	"reflect"
 	"testing"
 
 	"rdffrag/internal/rdf"
@@ -203,6 +204,39 @@ func TestTriangleHomomorphism(t *testing.T) {
 	ms := Find(q, g.Snapshot(), Options{})
 	if len(ms) != 3 {
 		t.Fatalf("triangle matches = %d, want 3 rotations", len(ms))
+	}
+}
+
+// TestVertexMask: a set of vertices grows by words as vertices are added,
+// holds what was added, and is within n exactly when no vertex it holds
+// is n or beyond — words of zeros past n included.
+func TestVertexMask(t *testing.T) {
+	var m VertexMask
+	if m.Has(0) || !m.Within(0) {
+		t.Errorf("the empty set has vertex 0 or is not within 0")
+	}
+	m = m.Add(3).Add(70)
+	if len(m) != 2 || !m.Has(3) || !m.Has(70) || m.Has(4) || m.Has(200) {
+		t.Errorf("set %v after adding 3 and 70", m)
+	}
+	for n, want := range map[int]bool{0: false, 4: false, 64: false, 70: false, 71: true, 200: true} {
+		if m.Within(n) != want {
+			t.Errorf("%v within %d: %v, want %v", m, n, !want, want)
+		}
+	}
+	if !(VertexMask{1, 0}).Within(1) || (VertexMask{2}).Within(1) {
+		t.Errorf("a word of zeros past n counts, or a vertex past n does not")
+	}
+}
+
+// TestKeepEveryVertexFindsEveryMatch: a Keep that marks every variable
+// vertex leaves the search as it is, match for match.
+func TestKeepEveryVertexFindsEveryMatch(t *testing.T) {
+	g := philosopherGraph()
+	q := sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`)
+	all := Find(q, g.Snapshot(), Options{Parallelism: 1})
+	if kept := Find(q, g.Snapshot(), Options{Parallelism: 1, Keep: VertexMask{1<<len(q.Verts) - 1}}); len(all) < 2 || !reflect.DeepEqual(kept, all) {
+		t.Errorf("keeping every vertex finds %d matches, the full search %d", len(kept), len(all))
 	}
 }
 

@@ -49,10 +49,11 @@ const (
 // rdf.Cursor.Cut deals the delta entries out along the same cuts, so the
 // morsels partition the sequential enumeration.
 type parallelRun struct {
-	q     *sparql.Graph
-	g     *rdf.Snapshot
-	opts  Options
-	order []int // shared read-only edge order
+	q      *sparql.Graph
+	g      *rdf.Snapshot
+	filter func(qv int, id rdf.ID) bool // Options.VertexFilter
+	order  []int                        // shared read-only edge order
+	cut    int                          // the searchers' cut depth (Options.Keep)
 
 	root candCursor // the root edge's cursor, at its start
 	n    int        // positions to deal out: of root's CSR run, or of its list
@@ -105,7 +106,7 @@ func planParallel(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int) *
 	if n < parallelMinRoot {
 		return nil
 	}
-	r := &parallelRun{q: q, g: g, opts: opts, order: order, root: root, n: n}
+	r := &parallelRun{q: q, g: g, filter: opts.VertexFilter, order: order, cut: cutDepth(q, order, opts.Keep), root: root, n: n}
 	r.morselSize = min(max(n/(workers*morselsPerWorker), 1), maxMorselSize)
 	r.numMorsels = (n + r.morselSize - 1) / r.morselSize
 	r.workers = min(workers, r.numMorsels)
@@ -159,10 +160,10 @@ func (r *parallelRun) worker(h workerHooks) {
 	}
 	q, g := r.q, r.g
 	s := &searcher{
-		q:     q,
-		g:     g,
-		opts:  r.opts,
-		order: r.order,
+		q:      q,
+		g:      g,
+		filter: r.filter,
+		order:  r.order,
 		m: Match{
 			Vertex:  make([]rdf.ID, len(q.Verts)),
 			Pred:    make(map[string]rdf.ID),
@@ -170,6 +171,7 @@ func (r *parallelRun) worker(h workerHooks) {
 		},
 		bound: make([]bool, len(q.Verts)),
 		stop:  &r.stop,
+		cut:   r.cut,
 	}
 	for i, v := range q.Verts {
 		if !v.IsVar() {

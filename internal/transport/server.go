@@ -210,7 +210,7 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	if wire.DictLen > 0 && wire.DictLen < sLen {
 		hdrLen = wire.DictLen
 	}
-	q, err := decodeQuery(wire.Query, s.cfg.Dict)
+	q, keep, err := decodeQuery(wire.Query, s.cfg.Dict)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -242,7 +242,7 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	if batch <= 0 {
 		batch = cluster.DefaultBatchSize
 	}
-	req := cluster.EvalRequest{SiteID: wire.Site, FragIDs: wire.Frags, Query: q, Parallelism: wire.Parallelism}
+	req := cluster.EvalRequest{SiteID: wire.Site, FragIDs: wire.Frags, Query: q, Keep: keep, Parallelism: wire.Parallelism}
 	streamErr := s.cfg.Cluster.EvalStream(r.Context(), req, batch, func(b *match.Bindings) error {
 		switch s.cfg.Chaos.OnBatch() {
 		case cluster.FaultCut:

@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -153,6 +154,48 @@ func TestEvalOverHTTPMatchesDirect(t *testing.T) {
 		t.Errorf("client metrics = %+v, want one clean call", cm)
 	}
 	checkInvariant(t, cm)
+}
+
+// TestMaskedEvalOverHTTPMatchesDirect: a request whose Keep leaves
+// vertices out travels with it, and the site process ships the rows the
+// in-process site does — one witness ?z per binding of ?x and ?y, which
+// the search binds first (<p> is the rarer predicate), where the unmasked
+// request ships every ?z.
+func TestMaskedEvalOverHTTPMatchesDirect(t *testing.T) {
+	d := rdf.NewDict()
+	c := cluster.New(1, 1)
+	g := rdf.NewGraph(d)
+	for s := 0; s < 4; s++ {
+		for o := 0; o < 5; o++ {
+			g.AddTerms(rdf.NewIRI(fmt.Sprintf("s%d", s)), rdf.NewIRI("p"), rdf.NewIRI(fmt.Sprintf("o%d", (s+o)%6)))
+		}
+	}
+	for o := 0; o < 6; o++ {
+		for z := 0; z < 5; z++ {
+			g.AddTerms(rdf.NewIRI(fmt.Sprintf("o%d", o)), rdf.NewIRI("q"), rdf.NewIRI(fmt.Sprintf("z%d", z)))
+		}
+	}
+	if err := c.Place(0, 1, g); err != nil {
+		t.Fatal(err)
+	}
+	q := sparql.MustParse(d, `SELECT ?x WHERE { ?x <p> ?y . ?y <q> ?z . }`)
+	req := cluster.EvalRequest{SiteID: 0, FragIDs: []int{1}, Query: q, Parallelism: 1}
+	full := oracle(t, c, req, 4)
+	req.Keep = match.VertexMask{0}.Add(slices.IndexFunc(q.Verts, func(v sparql.Vertex) bool { return v.Var == "x" }))
+	want := oracle(t, c, req, 4)
+
+	_, hs := newSite(t, c, d, nil)
+	cl := NewSiteClient(ClientConfig{BaseURL: hs.URL, Site: 0, Dict: d})
+	got := newCollector()
+	if err := cl.EvalStream(context.Background(), req, 4, got.sink); err != nil {
+		t.Fatalf("EvalStream over HTTP: %v", err)
+	}
+	if !equalMultisets(got.multiset(), want) {
+		t.Errorf("HTTP rows %v != direct rows %v", got.multiset(), want)
+	}
+	if got.n != 4*5 || len(full) != 4*5*5 {
+		t.Errorf("the masked request shipped %d rows, the unmasked %d; want 20 of 100", got.n, len(full))
+	}
 }
 
 // Constants survive the structural wire encoding: the term keys

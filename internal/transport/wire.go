@@ -48,10 +48,13 @@ type wireEdge struct {
 	PredVar string `json:"predVar,omitempty"`
 }
 
-// wireQuery is the structural encoding of a basic graph pattern.
+// wireQuery is the structural encoding of a basic graph pattern, with
+// the vertices the control site reads of its rows (cluster.EvalRequest's
+// Keep; absent: every vertex).
 type wireQuery struct {
-	Verts []wireVert `json:"verts"`
-	Edges []wireEdge `json:"edges"`
+	Verts []wireVert       `json:"verts"`
+	Edges []wireEdge       `json:"edges"`
+	Keep  match.VertexMask `json:"keep,omitempty"`
 }
 
 // evalWire is the /eval request body.
@@ -211,10 +214,11 @@ func (f *frame) bindings(vars []string) (*match.Bindings, error) {
 	return match.Recyclable(vars, f.Rows.ids, f.Rows.n), nil
 }
 
-// encodeQuery flattens a parsed query graph for the wire, decoding
-// constant IDs to stable term keys through the control site's dict.
-func encodeQuery(q *sparql.Graph, d *rdf.Dict) wireQuery {
-	wq := wireQuery{Verts: make([]wireVert, len(q.Verts)), Edges: make([]wireEdge, len(q.Edges))}
+// encodeQuery flattens a parsed query graph and its kept vertices for the
+// wire, decoding constant IDs to stable term keys through the control
+// site's dict.
+func encodeQuery(q *sparql.Graph, keep match.VertexMask, d *rdf.Dict) wireQuery {
+	wq := wireQuery{Verts: make([]wireVert, len(q.Verts)), Edges: make([]wireEdge, len(q.Edges)), Keep: keep}
 	for i, v := range q.Verts {
 		if v.IsVar() {
 			wq.Verts[i] = wireVert{Var: v.Var}
@@ -234,47 +238,51 @@ func encodeQuery(q *sparql.Graph, d *rdf.Dict) wireQuery {
 	return wq
 }
 
-// decodeQuery rebuilds a query graph from the wire, interning constant
-// term keys through the site's dict (content-addressed; concurrent-safe).
-// Edges name vertices by their place in the list, so a list that names a
-// vertex twice is refused: the graph interns vertices, and every later
-// one would move down a place.
-func decodeQuery(wq wireQuery, d *rdf.Dict) (*sparql.Graph, error) {
+// decodeQuery rebuilds a query graph and its kept vertices from the wire,
+// interning constant term keys through the site's dict
+// (content-addressed; concurrent-safe). Edges name vertices by their place
+// in the list, so a list that names a vertex twice is refused: the graph
+// interns vertices, and every later one would move down a place. So is a
+// kept vertex the list does not have.
+func decodeQuery(wq wireQuery, d *rdf.Dict) (*sparql.Graph, match.VertexMask, error) {
 	q := sparql.NewGraph()
 	for i, wv := range wq.Verts {
 		v := sparql.Vertex{Var: wv.Var}
 		if (wv.Var == "") == (wv.Term == "") {
-			return nil, fmt.Errorf("transport: vertex %d must be a var or a term, not both or neither", i)
+			return nil, nil, fmt.Errorf("transport: vertex %d must be a var or a term, not both or neither", i)
 		}
 		if wv.Term != "" {
 			t, err := rdf.TermFromKey(wv.Term)
 			if err != nil {
-				return nil, fmt.Errorf("transport: vertex %d: %w", i, err)
+				return nil, nil, fmt.Errorf("transport: vertex %d: %w", i, err)
 			}
 			v.Term = d.Encode(t)
 		}
 		if q.AddVertex(v) != i {
-			return nil, fmt.Errorf("transport: vertex %d repeats an earlier one", i)
+			return nil, nil, fmt.Errorf("transport: vertex %d repeats an earlier one", i)
 		}
 	}
 	for i, we := range wq.Edges {
 		if we.From < 0 || we.From >= len(q.Verts) || we.To < 0 || we.To >= len(q.Verts) {
-			return nil, fmt.Errorf("transport: edge %d endpoints out of range", i)
+			return nil, nil, fmt.Errorf("transport: edge %d endpoints out of range", i)
 		}
 		e := sparql.Edge{From: we.From, To: we.To, PredVar: we.PredVar}
 		if (we.PredVar == "") == (we.Pred == "") {
-			return nil, fmt.Errorf("transport: edge %d must have a pred or a predVar, not both or neither", i)
+			return nil, nil, fmt.Errorf("transport: edge %d must have a pred or a predVar, not both or neither", i)
 		}
 		if we.Pred != "" {
 			t, err := rdf.TermFromKey(we.Pred)
 			if err != nil {
-				return nil, fmt.Errorf("transport: edge %d: %w", i, err)
+				return nil, nil, fmt.Errorf("transport: edge %d: %w", i, err)
 			}
 			e.Pred = d.Encode(t)
 		}
 		q.AddEdge(e)
 	}
-	return q, nil
+	if !wq.Keep.Within(len(q.Verts)) {
+		return nil, nil, fmt.Errorf("transport: keep marks a vertex beyond the query's %d", len(q.Verts))
+	}
+	return q, wq.Keep, nil
 }
 
 // encodeRequest builds the wire form of an EvalRequest.
@@ -286,7 +294,7 @@ func encodeRequest(req cluster.EvalRequest, d *rdf.Dict, batchSize int) *evalWir
 	return &evalWire{
 		Site:        req.SiteID,
 		Frags:       append([]int(nil), req.FragIDs...),
-		Query:       encodeQuery(req.Query, d),
+		Query:       encodeQuery(req.Query, req.Keep, d),
 		Parallelism: req.Parallelism,
 		Batch:       batchSize,
 		DictLen:     dictLen,

@@ -243,8 +243,9 @@ func TestClientRejectsFramesThatAreNoTable(t *testing.T) {
 // place in the wire list, so a site answers 400 to a list it cannot
 // rebuild place for place — a repeated vertex (the graph interns it, and
 // every later vertex would move down one place: edge 0→2 below would
-// become ?a→?c), a vertex or an edge label that is two things at once —
-// and evaluates the same query written plainly.
+// become ?a→?c), a vertex or an edge label that is two things at once, a
+// kept vertex the list does not have — and evaluates the same query
+// written plainly.
 func TestSiteRefusesQueriesItWouldMisread(t *testing.T) {
 	c, d, _ := newTestCluster(t, 4)
 	ss := NewSiteServer(ServerConfig{Cluster: c, Dict: d})
@@ -259,6 +260,9 @@ func TestSiteRefusesQueriesItWouldMisread(t *testing.T) {
 		{"pred and predVar", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p","predVar":"p"}]}`, http.StatusBadRequest},
 		{"neither var nor term", `{"verts":[{},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusBadRequest},
 		{"edge out of range", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"keep", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1]}`, http.StatusOK},
+		{"keep beyond the vertices", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[5]}`, http.StatusBadRequest},
+		{"keep a word beyond the vertices", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1,1]}`, http.StatusBadRequest},
 	} {
 		body := fmt.Sprintf(`{"site":0,"frags":[1,2],"query":%s}`, tc.query)
 		rec := httptest.NewRecorder()
@@ -271,7 +275,8 @@ func TestSiteRefusesQueriesItWouldMisread(t *testing.T) {
 
 // FuzzDecodeQuery: a site decodes whatever query an /eval body carries
 // without panicking, and a query it accepts is one the control site could
-// have sent — encodeQuery writes it back to the very wire form.
+// have sent — encodeQuery writes it back to the very wire form, its kept
+// vertices included.
 func FuzzDecodeQuery(f *testing.F) {
 	for _, s := range []string{
 		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`,
@@ -281,6 +286,11 @@ func FuzzDecodeQuery(f *testing.F) {
 		`{"verts":[{"var":"a","term":"<a"}],"edges":[]}`,
 		`{"verts":[{"var":"a"}],"edges":[{"from":0,"to":0,"pred":"<p","predVar":"p"}]}`,
 		`{"verts":[{"term":"x"}],"edges":[{"from":-1,"to":0,"pred":"<p"}]}`,
+		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1]}`,
+		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[4]}`,
+		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[0,1]}`,
+		`{"verts":[{"var":"a"}],"edges":[{"from":0,"to":0,"pred":"<p"}],"keep":[]}`,
+		`{"verts":[{"var":"a"}],"edges":[{"from":0,"to":0,"pred":"<p"}],"keep":[-1]}`,
 		`{"verts":[],"edges":[]}`, `{}`, `null`,
 	} {
 		f.Add([]byte(s))
@@ -291,12 +301,15 @@ func FuzzDecodeQuery(f *testing.F) {
 			return
 		}
 		d := rdf.NewDict()
-		q, err := decodeQuery(wq, d)
+		q, keep, err := decodeQuery(wq, d)
 		if err != nil {
 			return
 		}
-		back := encodeQuery(q, d)
-		if !slices.Equal(back.Verts, wq.Verts) || !slices.Equal(back.Edges, wq.Edges) {
+		if !keep.Within(len(q.Verts)) {
+			t.Fatalf("accepted keep %v over %d vertices", keep, len(q.Verts))
+		}
+		back := encodeQuery(q, keep, d)
+		if !slices.Equal(back.Verts, wq.Verts) || !slices.Equal(back.Edges, wq.Edges) || !slices.Equal(back.Keep, wq.Keep) {
 			t.Fatalf("accepted %+v, which encodes back to %+v", wq, back)
 		}
 	})

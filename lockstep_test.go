@@ -102,9 +102,12 @@ func runLockstep(t *testing.T, strategy Strategy, run oracleRun, each func(*Serv
 
 // lockstepProbes ask for the workloads' patterns, anchored and not,
 // through a predicate variable, a cold property, and with a projected
-// variable the pattern does not bind. None has ORDER BY or LIMIT, which
-// the model leaves out.
+// variable the pattern does not bind; and for two of the workload's stars
+// joined on ?i, two subqueries whose fragments share a site under either
+// fragmentation, so the engine merges them into one matched there. None
+// has ORDER BY or LIMIT, which the model leaves out.
 var lockstepProbes = []string{
+	`SELECT ?x ?y WHERE { ?x <name> ?n . ?x <mainInterest> ?i . ?y <name> ?m . ?y <mainInterest> ?i . }`,
 	`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`,
 	`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> <Ethics> . }`,
 	`SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Aristotle> . }`,
