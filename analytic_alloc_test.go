@@ -194,8 +194,13 @@ func (w *discardResponse) WriteHeader(status int)      { w.status = status }
 // too, once /query has written it — it measured 46–52 KB (65–70 under the
 // race detector, which `make cover` runs), and the ceiling was 66 plus
 // 10 %. With co-located subqueries merged and each search cut once the
-// variables the query reads are bound, it measures 14.8–15.1 KB
-// (21.9–29.0 under the race detector), and the ceiling is 29 plus 10 %.
+// variables the query reads are bound, it measured 14.8–15.1 KB
+// (21.9–29.0 under the race detector), and the ceiling was 29 plus 10 %.
+// With the parser pulling one token at a time and the query body read
+// into one exact buffer, it measures 11.8–13.2 KB, and the ceiling is 12
+// plus 10 %. Under the race detector, whose sync.Pool drops what is put
+// back at random, the median of a run spreads over 18.8–25.6 KB; there
+// the ceiling is the highest measured plus 10 %.
 func TestQueryHandlerAlloc(t *testing.T) {
 	db, _, workload := watdivDB(t, 50000, Config{Strategy: Vertical})
 	dep, err := db.DeployParsed(workload)
@@ -242,10 +247,18 @@ func TestQueryHandlerAlloc(t *testing.T) {
 	slices.Sort(perQuery)
 	median := perQuery[len(perQuery)/2]
 	t.Logf("%.1f KB allocated per query through /query", median)
-	if median > handlerAllocKBPerQuery*1.1 {
-		t.Errorf("/query allocates %.1f KB per query, want <= %.1f", median, handlerAllocKBPerQuery*1.1)
+	ceiling := handlerAllocKBPerQuery * 1.1
+	if raceOn {
+		ceiling = handlerAllocKBPerQueryRace * 1.1
+	}
+	if median > ceiling {
+		t.Errorf("/query allocates %.1f KB per query, want <= %.1f", median, ceiling)
 	}
 }
 
-// What TestQueryHandlerAlloc measured when the ceiling was set.
-const handlerAllocKBPerQuery = 29
+// What TestQueryHandlerAlloc measured when the ceiling was set: the
+// median, and the highest under the race detector.
+const (
+	handlerAllocKBPerQuery     = 12
+	handlerAllocKBPerQueryRace = 25.6
+)

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"strings"
 	"time"
+	"unsafe"
 
 	"rdffrag/internal/sparql"
 )
@@ -303,7 +304,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // readQuery pulls the SPARQL text from ?q= or the request body. Bodies
 // are capped at 1 MiB via MaxBytesReader: an oversized query fails
 // whole (the caller maps it to 413) instead of a truncated prefix
-// silently parsing as a different, valid query.
+// silently parsing as a different, valid query. A body whose length the
+// request states is read into one buffer of that length, which becomes
+// the query string without a copy.
 func readQuery(w http.ResponseWriter, r *http.Request) (string, error) {
 	if q := r.URL.Query().Get("q"); q != "" {
 		return q, nil
@@ -311,14 +314,24 @@ func readQuery(w http.ResponseWriter, r *http.Request) (string, error) {
 	if r.Body == nil {
 		return "", fmt.Errorf("missing query: pass ?q= or a request body")
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	const limit = 1 << 20
+	body := http.MaxBytesReader(w, r.Body, limit)
+	var buf []byte
+	var err error
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf = make([]byte, n)
+		_, err = io.ReadFull(body, buf)
+	} else {
+		buf, err = io.ReadAll(body)
+	}
 	if err != nil {
 		return "", err
 	}
-	if len(body) == 0 {
+	if len(buf) == 0 {
 		return "", fmt.Errorf("missing query: pass ?q= or a request body")
 	}
-	return string(body), nil
+	// Nothing writes buf again: it is the string's bytes from here on.
+	return unsafe.String(unsafe.SliceData(buf), len(buf)), nil
 }
 
 // resultFormat picks the response format: ?format= (json, csv or tsv;

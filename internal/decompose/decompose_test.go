@@ -98,7 +98,7 @@ func TestDecomposeConnectedColdComponents(t *testing.T) {
 	for _, sq := range dcp.Subqueries {
 		if sq.Cold {
 			cold++
-			if !sq.Graph.Connected() {
+			if len(sq.Graph.ConnectedComponents()) != 1 {
 				t.Error("cold subquery not connected")
 			}
 		}

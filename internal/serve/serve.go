@@ -120,9 +120,12 @@ type UpdateStats struct {
 	Seq uint64
 }
 
+// DefaultWorkers is Config.Workers when it is not positive.
+const DefaultWorkers = 4
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = 4
+		c.Workers = DefaultWorkers
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64

@@ -1,17 +1,18 @@
-package sparql
+package sparql_test
 
 import (
 	"errors"
 	"testing"
 
 	"rdffrag/internal/rdf"
+	"rdffrag/internal/sparql"
 )
 
 // FuzzParse: whatever text reaches /query, the parser never panics, and
 // every error it returns wraps ErrParse — the class /query answers with
 // 400 — so no malformed query is mistaken for a server fault.
 func FuzzParse(f *testing.F) {
-	for _, q := range []string{
+	for _, q := range append([]string{
 		`SELECT ?x ?n WHERE { ?x <http://ex/name> ?n . ?x <http://ex/influencedBy> <http://ex/Aristotle> . }`,
 		`PREFIX ex: <http://ex/> SELECT DISTINCT * { ?x ex:p "v"@en ; a ex:C , ex:D . FILTER(?x != ex:z) } ORDER BY DESC(?x) ?y LIMIT 10`,
 		`SELECT ?x WHERE { ?x ?p "42"^^<http://www.w3.org/2001/XMLSchema#int> . ?x <r> 7 . _:b <q> ?x }`,
@@ -24,11 +25,14 @@ func FuzzParse(f *testing.F) {
 		`SELECT ?x WHERE { OPTIONAL { ?x <p> ?y } }`,
 		`PREFIX : <http://ex/> SELECT ?x { ?x :p :o }`,
 		"",
-	} {
+		`PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/> PREFIX rev: <http://purl.org/stuff/rev#> SELECT ?r ?u WHERE { ?r rev:reviewer ?u . ?u wsdbm:likes wsdbm:Product0 }`,
+		`SELECT ?x WHERE { ?x <p> ?y . FILTER((?y > 3 && (?y < (10 + ?z))) || regex(str(?x), "(a|b)")) ?y <q> ?z }`,
+		`SELECT ?x WHERE { ?x <p> "say \"hi\"\n\tthere\\"@en-GB . ?x <q> "été"@fr }`,
+	}, watdivTexts()...) {
 		f.Add(q)
 	}
 	f.Fuzz(func(t *testing.T, q string) {
-		if _, err := NewParser(rdf.NewDict()).Parse(q); err != nil && !errors.Is(err, ErrParse) {
+		if _, err := sparql.NewParser(rdf.NewDict()).Parse(q); err != nil && !errors.Is(err, sparql.ErrParse) {
 			t.Fatalf("Parse(%q) = %v, which does not wrap ErrParse", q, err)
 		}
 	})

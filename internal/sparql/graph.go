@@ -46,7 +46,9 @@ type Graph struct {
 	// OrderBy lists result ordering keys, applied before Limit.
 	OrderBy []OrderKey
 
-	vertIdx map[string]int // vertex key -> index
+	// vertIdx indexes Verts by key once AddVertex meets more than
+	// scanVerts of them; nil until then.
+	vertIdx map[Vertex]int
 }
 
 // OrderKey is one ORDER BY criterion.
@@ -56,34 +58,41 @@ type OrderKey struct {
 }
 
 // NewGraph returns an empty query graph.
-func NewGraph() *Graph {
-	return &Graph{vertIdx: make(map[string]int)}
+func NewGraph() *Graph { return &Graph{} }
+
+// key is what a vertex is interned by: a variable is its name alone.
+func (v Vertex) key() Vertex {
+	if v.IsVar() {
+		v.Term = 0
+	}
+	return v
 }
 
-func vertKey(v Vertex) string {
-	if v.IsVar() {
-		return "?" + v.Var
-	}
-	return fmt.Sprintf("#%d", v.Term)
-}
+// scanVerts is the vertex count up to which AddVertex finds a vertex by
+// scanning Verts instead of building vertIdx: a query's handful of
+// vertices is found faster than a map is made.
+const scanVerts = 8
 
 // AddVertex interns a vertex, returning its index. Vertices with the same
 // variable name or the same constant ID share an index.
 func (g *Graph) AddVertex(v Vertex) int {
-	if g.vertIdx == nil {
-		g.vertIdx = make(map[string]int)
+	k := v.key()
+	if g.vertIdx == nil && len(g.Verts) >= scanVerts {
+		g.vertIdx = make(map[Vertex]int, 2*len(g.Verts))
 		for i, u := range g.Verts {
-			g.vertIdx[vertKey(u)] = i
+			g.vertIdx[u.key()] = i
 		}
 	}
-	k := vertKey(v)
-	if i, ok := g.vertIdx[k]; ok {
+	if g.vertIdx != nil {
+		if i, ok := g.vertIdx[k]; ok {
+			return i
+		}
+		g.vertIdx[k] = len(g.Verts)
+	} else if i := slices.IndexFunc(g.Verts, func(u Vertex) bool { return u.key() == k }); i >= 0 {
 		return i
 	}
-	i := len(g.Verts)
 	g.Verts = append(g.Verts, v)
-	g.vertIdx[k] = i
-	return i
+	return len(g.Verts) - 1
 }
 
 // AddEdge appends a directed labelled edge between existing vertex indices.
@@ -103,45 +112,35 @@ func (g *Graph) AddTriplePattern(s Vertex, p Edge, o Vertex) {
 // NumEdges returns |E(Q)|.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
-// NumVerts returns |V(Q)|.
-func (g *Graph) NumVerts() int { return len(g.Verts) }
-
 // Vars returns the sorted distinct variable names appearing in vertices
 // and edge labels.
 func (g *Graph) Vars() []string {
-	set := make(map[string]struct{})
+	vars := make([]string, 0, len(g.Verts)+len(g.Edges))
 	for _, v := range g.Verts {
 		if v.IsVar() {
-			set[v.Var] = struct{}{}
+			vars = append(vars, v.Var)
 		}
 	}
 	for _, e := range g.Edges {
 		if e.IsPredVar() {
-			set[e.PredVar] = struct{}{}
+			vars = append(vars, e.PredVar)
 		}
 	}
-	vars := make([]string, 0, len(set))
-	for v := range set {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	return vars
+	slices.Sort(vars)
+	return slices.Compact(vars)
 }
 
-// Predicates returns the distinct constant properties used by edges.
+// Predicates returns the distinct constant properties used by edges, in
+// ascending order.
 func (g *Graph) Predicates() []rdf.ID {
-	set := make(map[rdf.ID]struct{})
+	ps := make([]rdf.ID, 0, len(g.Edges))
 	for _, e := range g.Edges {
 		if !e.IsPredVar() {
-			set[e.Pred] = struct{}{}
+			ps = append(ps, e.Pred)
 		}
 	}
-	ps := make([]rdf.ID, 0, len(set))
-	for p := range set {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	return ps
+	slices.Sort(ps)
+	return slices.Compact(ps)
 }
 
 // EdgeSubgraph returns the query graph induced by the given edge indices.
@@ -178,35 +177,6 @@ func (g *Graph) EdgeSubgraph(edgeIdx []int) *Graph {
 		sub.Edges[i] = Edge{From: from, To: vert(e.To), Pred: e.Pred, PredVar: e.PredVar}
 	}
 	return sub
-}
-
-// Connected reports whether the query graph is connected, treating edges
-// as undirected. The empty graph counts as connected.
-func (g *Graph) Connected() bool {
-	if len(g.Verts) <= 1 {
-		return true
-	}
-	adj := make([][]int, len(g.Verts))
-	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	seen := make([]bool, len(g.Verts))
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range adj[v] {
-			if !seen[u] {
-				seen[u] = true
-				count++
-				stack = append(stack, u)
-			}
-		}
-	}
-	return count == len(g.Verts)
 }
 
 // ConnectedComponents splits the edge set into connected components and
@@ -247,73 +217,47 @@ func (g *Graph) ConnectedComponents() [][]int {
 
 // String renders the graph as a basic graph pattern using raw IDs for
 // constants; see StringWithDict for decoded output.
-func (g *Graph) String() string {
-	var b strings.Builder
-	for i, e := range g.Edges {
-		if i > 0 {
-			b.WriteString(" . ")
-		}
-		b.WriteString(g.vertString(e.From))
-		b.WriteByte(' ')
-		if e.IsPredVar() {
-			b.WriteString("?" + e.PredVar)
-		} else {
-			fmt.Fprintf(&b, "#%d", e.Pred)
-		}
-		b.WriteByte(' ')
-		b.WriteString(g.vertString(e.To))
-	}
-	return b.String()
-}
+func (g *Graph) String() string { return g.StringWithDict(nil) }
 
-// StringWithDict renders the graph with decoded constant terms.
+// StringWithDict renders the graph with decoded constant terms, or with
+// raw IDs ("#7") when d is nil.
 func (g *Graph) StringWithDict(d *rdf.Dict) string {
+	term := func(id rdf.ID) string {
+		if d == nil {
+			return fmt.Sprintf("#%d", id)
+		}
+		return d.Decode(id).String()
+	}
+	vert := func(i int) string {
+		v := g.Verts[i]
+		if v.IsVar() {
+			return "?" + v.Var
+		}
+		return term(v.Term)
+	}
 	var b strings.Builder
 	for i, e := range g.Edges {
 		if i > 0 {
 			b.WriteString(" . ")
 		}
-		b.WriteString(g.vertStringDict(e.From, d))
-		b.WriteByte(' ')
-		if e.IsPredVar() {
-			b.WriteString("?" + e.PredVar)
-		} else {
-			b.WriteString(d.Decode(e.Pred).String())
+		pred := "?" + e.PredVar
+		if !e.IsPredVar() {
+			pred = term(e.Pred)
 		}
-		b.WriteByte(' ')
-		b.WriteString(g.vertStringDict(e.To, d))
+		b.WriteString(vert(e.From) + " " + pred + " " + vert(e.To))
 	}
 	return b.String()
-}
-
-func (g *Graph) vertString(i int) string {
-	v := g.Verts[i]
-	if v.IsVar() {
-		return "?" + v.Var
-	}
-	return fmt.Sprintf("#%d", v.Term)
-}
-
-func (g *Graph) vertStringDict(i int, d *rdf.Dict) string {
-	v := g.Verts[i]
-	if v.IsVar() {
-		return "?" + v.Var
-	}
-	return d.Decode(v.Term).String()
 }
 
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	c.Verts = append([]Vertex(nil), g.Verts...)
-	c.Edges = append([]Edge(nil), g.Edges...)
-	c.Select = append([]string(nil), g.Select...)
-	c.Limit = g.Limit
-	c.OrderBy = append([]OrderKey(nil), g.OrderBy...)
-	for i, v := range c.Verts {
-		c.vertIdx[vertKey(v)] = i
+	return &Graph{
+		Verts:   append([]Vertex(nil), g.Verts...),
+		Edges:   append([]Edge(nil), g.Edges...),
+		Select:  append([]string(nil), g.Select...),
+		Limit:   g.Limit,
+		OrderBy: append([]OrderKey(nil), g.OrderBy...),
 	}
-	return c
 }
 
 // Generalize returns a copy of the graph with every constant vertex

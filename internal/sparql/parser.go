@@ -19,12 +19,13 @@ func NewParser(d *rdf.Dict) *Parser { return &Parser{dict: d} }
 
 // Parse parses one SELECT query.
 func (p *Parser) Parse(query string) (*Graph, error) {
-	toks, err := lex(query)
-	if err != nil {
-		return nil, err
+	st := &parseState{src: query, dict: p.dict}
+	st.advance()
+	g, err := st.parseQuery()
+	if st.lexErr != nil {
+		return nil, st.lexErr // the grammar saw only the EOF standing in for it
 	}
-	st := &parseState{toks: toks, dict: p.dict, prefixes: map[string]string{}}
-	return st.parseQuery()
+	return g, err
 }
 
 type tokKind uint8
@@ -46,36 +47,37 @@ type token struct {
 	pos  int
 }
 
-func lex(src string) ([]token, error) {
-	var toks []token
-	i := 0
-	n := len(src)
-	for i < n {
+// lex returns the token at the cursor and moves past it; at the end of
+// the text it returns tokEOF, again on every later call.
+func (s *parseState) lex() (token, error) {
+	src, n := s.src, len(s.src)
+	for s.i < n {
+		i := s.i
 		c := src[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
+			s.i++
 		case c == '#':
-			for i < n && src[i] != '\n' {
-				i++
+			for s.i < n && src[s.i] != '\n' {
+				s.i++
 			}
 		case c == '<':
 			j := strings.IndexByte(src[i:], '>')
 			if j < 0 {
-				return nil, parseErrf("unterminated IRI at %d", i)
+				return token{}, parseErrf("unterminated IRI at %d", i)
 			}
-			toks = append(toks, token{tokIRI, src[i+1 : i+j], i})
-			i += j + 1
+			s.i += j + 1
+			return token{tokIRI, src[i+1 : i+j], i}, nil
 		case c == '?' || c == '$':
 			j := i + 1
 			for j < n && (isNameChar(src[j])) {
 				j++
 			}
 			if j == i+1 {
-				return nil, parseErrf("bare '%c' at %d", c, i)
+				return token{}, parseErrf("bare '%c' at %d", c, i)
 			}
-			toks = append(toks, token{tokVar, src[i+1 : j], i})
-			i = j
+			s.i = j
+			return token{tokVar, src[i+1 : j], i}, nil
 		case c == '"':
 			j := i + 1
 			for j < n {
@@ -89,7 +91,7 @@ func lex(src string) ([]token, error) {
 				j++
 			}
 			if j >= n {
-				return nil, parseErrf("unterminated literal at %d", i)
+				return token{}, parseErrf("unterminated literal at %d", i)
 			}
 			lex := src[i+1 : j]
 			j++
@@ -103,7 +105,7 @@ func lex(src string) ([]token, error) {
 				if j < n && src[j] == '<' {
 					k := strings.IndexByte(src[j:], '>')
 					if k < 0 {
-						return nil, parseErrf("unterminated datatype at %d", j)
+						return token{}, parseErrf("unterminated datatype at %d", j)
 					}
 					j += k + 1
 				} else {
@@ -112,11 +114,11 @@ func lex(src string) ([]token, error) {
 					}
 				}
 			}
-			toks = append(toks, token{tokLiteral, lex, i})
-			i = j
-		case strings.ContainsRune("{}.;,()*", rune(c)):
-			toks = append(toks, token{tokPunct, string(c), i})
-			i++
+			s.i = j
+			return token{tokLiteral, lex, i}, nil
+		case strings.IndexByte("{}.;,()*", c) >= 0:
+			s.i++
+			return token{tokPunct, src[i : i+1], i}, nil
 		case c >= '0' && c <= '9' || c == '-' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9':
 			j := i + 1
 			for j < n && (src[j] >= '0' && src[j] <= '9' || src[j] == '.') {
@@ -126,8 +128,8 @@ func lex(src string) ([]token, error) {
 			if j > i && src[j-1] == '.' {
 				j--
 			}
-			toks = append(toks, token{tokNumber, src[i:j], i})
-			i = j
+			s.i = j
+			return token{tokNumber, src[i:j], i}, nil
 		case isNameStart(c):
 			j := i
 			for j < n && (isNameChar(src[j]) || src[j] == ':') {
@@ -141,12 +143,12 @@ func lex(src string) ([]token, error) {
 				k := j
 				for k < n && src[k] != '(' {
 					if src[k] != ' ' && src[k] != '\t' && src[k] != '\n' && src[k] != '\r' {
-						return nil, parseErrf("FILTER without '(' at %d", k)
+						return token{}, parseErrf("FILTER without '(' at %d", k)
 					}
 					k++
 				}
 				if k >= n {
-					return nil, parseErrf("FILTER without '(' at %d", j)
+					return token{}, parseErrf("FILTER without '(' at %d", j)
 				}
 				depth := 0
 				for ; k < n; k++ {
@@ -161,23 +163,21 @@ func lex(src string) ([]token, error) {
 					}
 				}
 				if depth != 0 {
-					return nil, parseErrf("unterminated FILTER at %d", i)
+					return token{}, parseErrf("unterminated FILTER at %d", i)
 				}
-				i = k
+				s.i = k
 				continue
 			}
+			s.i = j
 			if strings.Contains(word, ":") {
-				toks = append(toks, token{tokPrefixed, word, i})
-			} else {
-				toks = append(toks, token{tokKeyword, word, i})
+				return token{tokPrefixed, word, i}, nil
 			}
-			i = j
+			return token{tokKeyword, word, i}, nil
 		default:
-			return nil, parseErrf("unexpected character %q at %d", c, i)
+			return token{}, parseErrf("unexpected character %q at %d", c, i)
 		}
 	}
-	toks = append(toks, token{tokEOF, "", n})
-	return toks, nil
+	return token{tokEOF, "", n}, nil
 }
 
 func isNameStart(c byte) bool {
@@ -188,135 +188,138 @@ func isNameChar(c byte) bool {
 	return isNameStart(c) || c >= '0' && c <= '9' || c == '-' || c == '.'
 }
 
+// parseState parses one query, pulling its tokens one at a time.
 type parseState struct {
-	toks     []token
-	pos      int
+	src string
+	i   int   // the cursor, past tok
+	tok token // the one token of lookahead
+	// lexErr is the first lexical error: tok is then tokEOF for good, and
+	// Parse reports lexErr whatever the grammar made of that.
+	lexErr   error
 	dict     *rdf.Dict
 	prefixes map[string]string
 }
 
-func (s *parseState) peek() token { return s.toks[s.pos] }
+// advance lexes the next token into the lookahead.
+func (s *parseState) advance() {
+	if s.lexErr == nil {
+		s.tok, s.lexErr = s.lex()
+	}
+	if s.lexErr != nil {
+		s.tok = token{tokEOF, "", len(s.src)}
+	}
+}
 
 func (s *parseState) next() token {
-	t := s.toks[s.pos]
+	t := s.tok
 	if t.kind != tokEOF {
-		s.pos++
+		s.advance()
 	}
 	return t
 }
 
-func (s *parseState) expectKeyword(kw string) error {
-	t := s.next()
-	if t.kind != tokKeyword || !strings.EqualFold(t.text, kw) {
-		return parseErrf("expected %q, got %q at %d", kw, t.text, t.pos)
-	}
-	return nil
+// is reports whether the lookahead is the keyword or punctuation text.
+func (s *parseState) is(kind tokKind, text string) bool {
+	return s.tok.kind == kind && strings.EqualFold(s.tok.text, text)
 }
 
-func (s *parseState) expectPunct(p string) error {
-	t := s.next()
-	if t.kind != tokPunct || t.text != p {
-		return parseErrf("expected %q, got %q at %d", p, t.text, t.pos)
+// accept consumes the lookahead if it is text.
+func (s *parseState) accept(kind tokKind, text string) bool {
+	if s.is(kind, text) {
+		s.next()
+		return true
+	}
+	return false
+}
+
+// expect consumes the lookahead, which must be text.
+func (s *parseState) expect(kind tokKind, text string) error {
+	if t := s.next(); t.kind != kind || !strings.EqualFold(t.text, text) {
+		return parseErrf("expected %q, got %q at %d", text, t.text, t.pos)
 	}
 	return nil
 }
 
 func (s *parseState) parseQuery() (*Graph, error) {
-	g := NewGraph()
+	g := &Graph{}
 	// Prologue: PREFIX declarations.
-	for s.peek().kind == tokKeyword && strings.EqualFold(s.peek().text, "PREFIX") {
-		s.next()
+	for s.accept(tokKeyword, "PREFIX") {
+		// A bare "foo:" lexes as prefixed with an empty local part.
 		name := s.next()
-		if name.kind != tokPrefixed && !(name.kind == tokKeyword && name.text == ":") {
-			// A bare "foo:" lexes as prefixed with empty local part.
-			if name.kind != tokPrefixed {
-				return nil, parseErrf("malformed PREFIX at %d", name.pos)
-			}
+		if name.kind != tokPrefixed {
+			return nil, parseErrf("malformed PREFIX at %d", name.pos)
 		}
 		iri := s.next()
 		if iri.kind != tokIRI {
 			return nil, parseErrf("PREFIX needs IRI at %d", iri.pos)
 		}
-		pfx := strings.TrimSuffix(name.text, ":")
-		if idx := strings.IndexByte(name.text, ':'); idx >= 0 {
-			pfx = name.text[:idx]
+		if s.prefixes == nil {
+			s.prefixes = map[string]string{}
 		}
-		s.prefixes[pfx] = iri.text
+		s.prefixes[name.text[:strings.IndexByte(name.text, ':')]] = iri.text
 	}
-	if err := s.expectKeyword("SELECT"); err != nil {
+	if err := s.expect(tokKeyword, "SELECT"); err != nil {
 		return nil, err
 	}
 	// Projection: DISTINCT? (Var+ | '*').
-	if t := s.peek(); t.kind == tokKeyword && strings.EqualFold(t.text, "DISTINCT") {
-		s.next()
-	}
-	if t := s.peek(); t.kind == tokPunct && t.text == "*" {
-		s.next()
-	} else {
-		for s.peek().kind == tokVar {
+	s.accept(tokKeyword, "DISTINCT")
+	if t := s.tok; !s.accept(tokPunct, "*") {
+		for s.tok.kind == tokVar {
 			g.Select = append(g.Select, s.next().text)
 		}
 		if len(g.Select) == 0 {
 			return nil, parseErrf("SELECT needs variables or *, got %q at %d", t.text, t.pos)
 		}
 	}
-	if s.peek().kind == tokKeyword && strings.EqualFold(s.peek().text, "WHERE") {
-		s.next()
-	}
-	if err := s.expectPunct("{"); err != nil {
+	s.accept(tokKeyword, "WHERE")
+	if err := s.expect(tokPunct, "{"); err != nil {
 		return nil, err
 	}
 	if err := s.parseBGP(g); err != nil {
 		return nil, err
 	}
 	// Solution modifiers: ORDER BY then LIMIT.
-	if t := s.peek(); t.kind == tokKeyword && strings.EqualFold(t.text, "ORDER") {
-		s.next()
-		if err := s.expectKeyword("BY"); err != nil {
+	if s.accept(tokKeyword, "ORDER") {
+		if err := s.expect(tokKeyword, "BY"); err != nil {
 			return nil, err
 		}
-		for {
-			t := s.peek()
-			switch {
-			case t.kind == tokVar:
+		for t := s.tok; ; t = s.tok {
+			if t.kind == tokVar {
 				s.next()
 				g.OrderBy = append(g.OrderBy, OrderKey{Var: t.text})
-			case t.kind == tokKeyword && (strings.EqualFold(t.text, "ASC") || strings.EqualFold(t.text, "DESC")):
-				desc := strings.EqualFold(t.text, "DESC")
-				s.next()
-				if err := s.expectPunct("("); err != nil {
-					return nil, err
-				}
-				v := s.next()
-				if v.kind != tokVar {
-					return nil, parseErrf("ORDER BY %s needs a variable at %d", t.text, v.pos)
-				}
-				if err := s.expectPunct(")"); err != nil {
-					return nil, err
-				}
-				g.OrderBy = append(g.OrderBy, OrderKey{Var: v.text, Desc: desc})
-			default:
+				continue
+			}
+			desc := s.is(tokKeyword, "DESC")
+			if !desc && !s.is(tokKeyword, "ASC") {
 				if len(g.OrderBy) == 0 {
 					return nil, parseErrf("empty ORDER BY at %d", t.pos)
 				}
-				goto doneOrder
+				break
 			}
+			s.next()
+			if err := s.expect(tokPunct, "("); err != nil {
+				return nil, err
+			}
+			v := s.next()
+			if v.kind != tokVar {
+				return nil, parseErrf("ORDER BY %s needs a variable at %d", t.text, v.pos)
+			}
+			if err := s.expect(tokPunct, ")"); err != nil {
+				return nil, err
+			}
+			g.OrderBy = append(g.OrderBy, OrderKey{Var: v.text, Desc: desc})
 		}
-	doneOrder:
 	}
-	if t := s.peek(); t.kind == tokKeyword && strings.EqualFold(t.text, "LIMIT") {
-		s.next()
+	if s.accept(tokKeyword, "LIMIT") {
 		n := s.next()
 		if n.kind != tokNumber {
 			return nil, parseErrf("LIMIT needs a number at %d", n.pos)
 		}
-		var limit int
-		if _, err := fmt.Sscan(n.text, &limit); err != nil || limit < 0 {
+		if _, err := fmt.Sscan(n.text, &g.Limit); err != nil || g.Limit < 0 {
 			return nil, parseErrf("bad LIMIT %q", n.text)
 		}
-		g.Limit = limit
 	}
-	if t := s.peek(); t.kind != tokEOF {
+	if t := s.tok; t.kind != tokEOF {
 		return nil, parseErrf("unexpected trailing %q at %d", t.text, t.pos)
 	}
 	return g, nil
@@ -326,17 +329,14 @@ func (s *parseState) parseQuery() (*Graph, error) {
 // ';' predicate-object lists and ',' object lists, skipping FILTER.
 func (s *parseState) parseBGP(g *Graph) error {
 	for {
-		t := s.peek()
-		switch {
-		case t.kind == tokPunct && t.text == "}":
-			s.next()
+		switch t := s.tok; {
+		case s.accept(tokPunct, "}"):
 			return nil
 		case t.kind == tokEOF:
 			return parseErrf("unexpected end of query")
-		case t.kind == tokKeyword && (strings.EqualFold(t.text, "OPTIONAL") || strings.EqualFold(t.text, "UNION") || strings.EqualFold(t.text, "GRAPH")):
+		case s.is(tokKeyword, "OPTIONAL") || s.is(tokKeyword, "UNION") || s.is(tokKeyword, "GRAPH"):
 			return parseErrf("%s is not supported", strings.ToUpper(t.text))
-		case t.kind == tokPunct && t.text == ".":
-			s.next()
+		case s.accept(tokPunct, "."):
 		default:
 			if err := s.parseTriples(g); err != nil {
 				return err
@@ -361,23 +361,15 @@ func (s *parseState) parseTriples(g *Graph) error {
 				return err
 			}
 			g.AddTriplePattern(subj, pred, obj)
-			if s.peek().kind == tokPunct && s.peek().text == "," {
-				s.next()
-				continue
-			}
-			break
-		}
-		if s.peek().kind == tokPunct && s.peek().text == ";" {
-			s.next()
-			// Allow trailing ';' before '.' or '}'.
-			if s.peek().kind == tokPunct && (s.peek().text == "." || s.peek().text == "}") {
+			if !s.accept(tokPunct, ",") {
 				break
 			}
-			continue
 		}
-		break
+		// A ';' may trail before '.' or '}'.
+		if !s.accept(tokPunct, ";") || s.is(tokPunct, ".") || s.is(tokPunct, "}") {
+			return nil
+		}
 	}
-	return nil
 }
 
 func (s *parseState) parseVertex() (Vertex, error) {
@@ -385,14 +377,9 @@ func (s *parseState) parseVertex() (Vertex, error) {
 	switch t.kind {
 	case tokVar:
 		return Vertex{Var: t.text}, nil
-	case tokIRI:
-		return Vertex{Term: s.dict.MustIRI(t.text)}, nil
-	case tokPrefixed:
-		iri, err := s.expand(t)
-		if err != nil {
-			return Vertex{}, err
-		}
-		return Vertex{Term: s.dict.MustIRI(iri)}, nil
+	case tokIRI, tokPrefixed:
+		id, err := s.iri(t)
+		return Vertex{Term: id}, err
 	case tokLiteral:
 		return Vertex{Term: s.dict.MustLiteral(unescapeQueryLiteral(t.text))}, nil
 	case tokNumber:
@@ -403,33 +390,30 @@ func (s *parseState) parseVertex() (Vertex, error) {
 
 func (s *parseState) parsePredicate() (Edge, error) {
 	t := s.next()
-	switch t.kind {
-	case tokVar:
+	switch {
+	case t.kind == tokVar:
 		return Edge{PredVar: t.text}, nil
-	case tokIRI:
-		return Edge{Pred: s.dict.MustIRI(t.text)}, nil
-	case tokPrefixed:
-		iri, err := s.expand(t)
-		if err != nil {
-			return Edge{}, err
-		}
-		return Edge{Pred: s.dict.MustIRI(iri)}, nil
-	case tokKeyword:
-		if t.text == "a" {
-			return Edge{Pred: s.dict.MustIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")}, nil
-		}
+	case t.kind == tokIRI || t.kind == tokPrefixed:
+		id, err := s.iri(t)
+		return Edge{Pred: id}, err
+	case t.kind == tokKeyword && t.text == "a":
+		return Edge{Pred: s.dict.MustIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")}, nil
 	}
 	return Edge{}, parseErrf("expected predicate, got %q at %d", t.text, t.pos)
 }
 
-func (s *parseState) expand(t token) (string, error) {
-	idx := strings.IndexByte(t.text, ':')
-	pfx, local := t.text[:idx], t.text[idx+1:]
-	base, ok := s.prefixes[pfx]
-	if !ok {
-		return "", parseErrf("undeclared prefix %q at %d", pfx, t.pos)
+// iri interns the IRI an IRI or prefixed-name token stands for.
+func (s *parseState) iri(t token) (rdf.ID, error) {
+	iri := t.text
+	if t.kind == tokPrefixed {
+		idx := strings.IndexByte(t.text, ':')
+		base, ok := s.prefixes[t.text[:idx]]
+		if !ok {
+			return 0, parseErrf("undeclared prefix %q at %d", t.text[:idx], t.pos)
+		}
+		iri = base + t.text[idx+1:]
 	}
-	return base + local, nil
+	return s.dict.MustIRI(iri), nil
 }
 
 func unescapeQueryLiteral(s string) string {

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -20,8 +21,8 @@ func TestParseBasicSelect(t *testing.T) {
 	if q.NumEdges() != 2 {
 		t.Fatalf("edges = %d, want 2", q.NumEdges())
 	}
-	if q.NumVerts() != 3 {
-		t.Fatalf("verts = %d, want 3 (?x ?n Aristotle)", q.NumVerts())
+	if len(q.Verts) != 3 {
+		t.Fatalf("verts = %d, want 3 (?x ?n Aristotle)", len(q.Verts))
 	}
 	if len(q.Select) != 2 || q.Select[0] != "x" || q.Select[1] != "n" {
 		t.Errorf("Select = %v", q.Select)
@@ -161,9 +162,6 @@ func TestGeneralizeKeepsVerticesApart(t *testing.T) {
 func TestConnectedComponents(t *testing.T) {
 	d := rdf.NewDict()
 	q := MustParse(d, `SELECT * WHERE { ?x <p> ?y . ?a <q> ?b . ?y <r> ?z . }`)
-	if q.Connected() {
-		t.Error("graph with two components reported connected")
-	}
 	comps := q.ConnectedComponents()
 	if len(comps) != 2 {
 		t.Fatalf("components = %d, want 2", len(comps))
@@ -181,10 +179,35 @@ func TestEdgeSubgraph(t *testing.T) {
 	d := rdf.NewDict()
 	q := MustParse(d, `SELECT * WHERE { ?x <p> ?y . ?y <q> ?z . ?z <r> ?x . }`)
 	sub := q.EdgeSubgraph([]int{0, 1})
-	if sub.NumEdges() != 2 || sub.NumVerts() != 3 {
-		t.Fatalf("sub = %d edges %d verts", sub.NumEdges(), sub.NumVerts())
+	if sub.NumEdges() != 2 || len(sub.Verts) != 3 {
+		t.Fatalf("sub = %d edges %d verts", sub.NumEdges(), len(sub.Verts))
 	}
-	if !sub.Connected() {
+	if len(sub.ConnectedComponents()) != 1 {
 		t.Error("subgraph should be connected")
+	}
+}
+
+// AddVertex finds a vertex by scanning a small graph's few and through
+// an index past them: on both sides a variable is its name, whatever
+// Term it carries, and a constant its ID.
+func TestAddVertexInterns(t *testing.T) {
+	g := NewGraph()
+	var verts []Vertex
+	for i := 0; i < 3*scanVerts; i++ {
+		verts = append(verts, Vertex{Var: fmt.Sprintf("v%d", i)}, Vertex{Term: rdf.ID(i + 1)})
+	}
+	for i, v := range verts {
+		if got := g.AddVertex(v); got != i {
+			t.Fatalf("vertex %d (%+v) interned at %d", i, v, got)
+		}
+		for j, u := range verts[:i+1] {
+			u.Term += rdf.ID(len(verts)) * rdf.ID(len(u.Var)) // a variable's Term is ignored
+			if got := g.AddVertex(u); got != j {
+				t.Fatalf("with %d vertices, %+v interned at %d, want %d", i+1, u, got, j)
+			}
+		}
+	}
+	if len(g.Verts) != len(verts) {
+		t.Errorf("%d vertices, want %d", len(g.Verts), len(verts))
 	}
 }

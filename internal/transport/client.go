@@ -13,16 +13,23 @@ package transport
 //   - bounded retries with exponential backoff and jitter, each one
 //     streaming the subquery's answer again from its first batch;
 //   - a circuit breaker per client: a dead site fails fast instead of
-//     burning the full retry budget on every query.
+//     burning the full retry budget on every query;
+//   - every stream read to EOF, past its done frame, so its connection
+//     goes back to the pool and the next call reuses it instead of
+//     dialling (NewHTTPClient sizes that pool).
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,7 +46,8 @@ type ClientConfig struct {
 	Site int
 	// Dict is the control site's dictionary, used to encode queries.
 	Dict *rdf.Dict
-	// HTTP overrides the HTTP client (default: a plain http.Client).
+	// HTTP overrides the HTTP client (default: http.DefaultClient, which
+	// keeps 2 idle connections per host; see NewHTTPClient).
 	HTTP *http.Client
 	// Retries is how many times a retryable attempt is repeated after
 	// the first (default 3).
@@ -85,11 +93,31 @@ func NewSiteClient(cfg ClientConfig) *SiteClient {
 	if cfg.FrameTimeout <= 0 {
 		cfg.FrameTimeout = 10 * time.Second
 	}
-	if cfg.HTTP == nil {
-		cfg.HTTP = &http.Client{}
-	}
+	cfg.HTTP = cmp.Or(cfg.HTTP, http.DefaultClient)
 	return &SiteClient{cfg: cfg, breaker: NewBreaker(cfg.Breaker), lats: metrics.NewWindow(512)}
 }
+
+// NewHTTPClient returns an HTTP client for SiteClients that share it:
+// http.DefaultTransport's settings, but keeping up to idlePerHost idle
+// connections to each site process instead of 2, so that as many /eval
+// streams as run at once each find one to reuse.
+func NewHTTPClient(idlePerHost int) *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = idlePerHost
+	t.MaxIdleConns = 0 // the per-host bound is the bound
+	return &http.Client{Transport: t}
+}
+
+// maxFrameBytes bounds one response frame. A site's batch frame holds at
+// most the batch size of rows the request asked for — a few KB at the
+// default — so a line this long is no frame a site meant to send: the
+// call fails, without a retry, and none of its rows are delivered.
+const maxFrameBytes = 16 << 20
+
+// frameBufs holds the buffers response frames are split in, each big
+// enough for a default batch of wide rows; a longer frame grows a buffer
+// of its own, up to maxFrameBytes.
+var frameBufs = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
 
 // outcome is one attempt's verdict.
 type outcome struct {
@@ -192,11 +220,15 @@ func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []stri
 		return outcome{err: err, retryable: resp.StatusCode >= 500}
 	}
 
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var f frame
-		if err := dec.Decode(&f); err != nil {
-			// EOF or read error before the done frame: torn stream.
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
+	lines := bufio.NewScanner(resp.Body)
+	lines.Buffer(*buf, maxFrameBytes)
+	var f frame
+	for lines.Scan() {
+		f = frame{Vars: f.Vars[:0]}
+		if err := json.Unmarshal(lines.Bytes(), &f); err != nil {
+			// A line cut short by the end of the stream, or garbled.
 			return broken(fmt.Errorf("stream cut: %w", err))
 		}
 		watchdog.Reset(c.cfg.FrameTimeout)
@@ -219,6 +251,12 @@ func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []stri
 				return outcome{err: err}
 			}
 		case "done":
+			// Read on to the end of the body: net/http pools a connection
+			// only once its response has been read whole. The answer is
+			// complete either way, so a read error here fails nothing.
+			if lines.Scan() {
+				return outcome{err: fmt.Errorf("transport: site %d: data after the done frame", c.cfg.Site)}
+			}
 			return outcome{}
 		case "err":
 			return outcome{err: fmt.Errorf("transport: site %d: remote: %s", c.cfg.Site, f.Msg)}
@@ -226,6 +264,11 @@ func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []stri
 			return outcome{err: fmt.Errorf("transport: site %d: unknown frame %q", c.cfg.Site, f.K), retryable: true}
 		}
 	}
+	if errors.Is(lines.Err(), bufio.ErrTooLong) {
+		return outcome{err: fmt.Errorf("transport: site %d: a frame longer than %d bytes", c.cfg.Site, maxFrameBytes)}
+	}
+	// EOF or a read error before the done frame: torn stream.
+	return broken(fmt.Errorf("stream cut: %w", cmp.Or(lines.Err(), io.EOF)))
 }
 
 // backoffWait sleeps before retry n (1-based): Backoff·2ⁿ⁻¹ capped at

@@ -1,0 +1,163 @@
+package transport
+
+// The client's read path: connections go back to the pool once a stream
+// is read to its end, and the frame reader's edges — a frame longer than
+// its pooled buffer, one past maxFrameBytes, data after done, a body
+// torn mid-line or before done.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"rdffrag/internal/cluster"
+)
+
+// TestConnectionsReused counts the connections a site accepts. Its
+// handler pauses after the site handler returns, so a response's end
+// always arrives after its done frame: a client that stopped reading at
+// done would close every connection and dial again.
+func TestConnectionsReused(t *testing.T) {
+	c, d, q := newTestCluster(t, 40)
+	req := testRequest(q)
+	site := NewSiteServer(ServerConfig{Cluster: c, Dict: d})
+	var dials atomic.Int64
+	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		site.ServeHTTP(w, r)
+		time.Sleep(time.Millisecond)
+	}))
+	hs.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	hs.Start()
+	t.Cleanup(hs.Close)
+	want := oracle(t, c, req, 16)
+
+	t.Run("sequential", func(t *testing.T) {
+		dials.Store(0)
+		client := NewSiteClient(ClientConfig{BaseURL: hs.URL, Dict: d})
+		for i := 0; i < 100; i++ {
+			got := newCollector()
+			if err := client.EvalStream(context.Background(), req, 16, got.sink); err != nil {
+				t.Fatal(err)
+			}
+			if !equalMultisets(got.multiset(), want) {
+				t.Fatalf("call %d: rows differ from the in-process answer", i)
+			}
+		}
+		if n := dials.Load(); n != 1 {
+			t.Errorf("100 sequential calls opened %d connections, want 1", n)
+		}
+	})
+
+	t.Run("bursts", func(t *testing.T) {
+		const workers = 4
+		dials.Store(0)
+		client := NewSiteClient(ClientConfig{BaseURL: hs.URL, Dict: d, HTTP: NewHTTPClient(workers)})
+		for burst := 0; burst < 20; burst++ {
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs <- client.EvalStream(context.Background(), req, 16, newCollector().sink)
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n := dials.Load(); n > workers {
+			t.Errorf("20 bursts of %d concurrent calls opened %d connections, want at most %d", workers, n, workers)
+		}
+	})
+}
+
+// TestFrameReaderEdges serves hand-written bodies to a client allowed
+// one retry: what it delivers, whether the call fails, and whether the
+// failure was retried.
+func TestFrameReaderEdges(t *testing.T) {
+	_, d, q := newTestCluster(t, 2)
+	req := testRequest(q) // binds ?x ?y
+	// rows renders n two-wide rows as a batch frame's rows.
+	rows := func(n int) string {
+		var b strings.Builder
+		b.WriteByte('[')
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "[%d,%d]", 100000+i, 200000+i)
+		}
+		b.WriteByte(']')
+		return b.String()
+	}
+	batch := func(n int) string { return `{"k":"b","vars":["x","y"],"rows":` + rows(n) + "}\n" }
+	const hdr, done = `{"k":"hdr"}` + "\n", `{"k":"done"}` + "\n"
+	big := batch(14000)
+	if len(big) < 200<<10 || len(big) > maxFrameBytes {
+		t.Fatalf("the large frame is %d bytes", len(big))
+	}
+	for _, tc := range []struct {
+		name      string
+		body      string
+		rows      int  // rows delivered per attempt
+		fail      bool // the call fails
+		retried   bool // after a retryable attempt
+		errSubstr string
+	}{
+		{name: "frame larger than the pooled buffer", body: hdr + big + done, rows: 14000},
+		{name: "frame past maxFrameBytes", body: hdr + batch(maxFrameBytes/14) + done, fail: true, errSubstr: "longer than"},
+		{name: "byte after done", body: hdr + batch(3) + done + "x", rows: 3, fail: true, errSubstr: "after the done frame"},
+		{name: "empty line after done", body: hdr + done + "\n", fail: true, errSubstr: "after the done frame"},
+		{name: "cut mid-line", body: hdr + batch(3) + `{"k":"b","vars":["x","y"],"rows":[[1,2`, rows: 3, fail: true, retried: true, errSubstr: "stream cut"},
+		{name: "no done frame", body: hdr + batch(3), rows: 3, fail: true, retried: true, errSubstr: "stream cut"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				io.WriteString(w, tc.body)
+			}))
+			defer hs.Close()
+			client := NewSiteClient(ClientConfig{BaseURL: hs.URL, Dict: d, Retries: 1, Backoff: time.Millisecond})
+			got := newCollector()
+			err := client.EvalStream(context.Background(), req, 16, got.sink)
+			if (err != nil) != tc.fail {
+				t.Fatalf("EvalStream = %v, want failure %v", err, tc.fail)
+			}
+			if tc.fail && !strings.Contains(err.Error(), tc.errSubstr) {
+				t.Errorf("EvalStream = %v, want it to say %q", err, tc.errSubstr)
+			}
+			if errors.Is(err, cluster.ErrSiteUnavailable) != tc.retried {
+				t.Errorf("EvalStream = %v: retries exhausted %v, want %v", err, !tc.retried, tc.retried)
+			}
+			m := client.SiteMetrics()
+			attempts := 1
+			if tc.retried {
+				attempts = 2
+			}
+			if int(m.Attempts) != attempts {
+				t.Errorf("%d attempts, want %d", m.Attempts, attempts)
+			}
+			if got.n != tc.rows*attempts {
+				t.Errorf("%d rows delivered, want %d", got.n, tc.rows*attempts)
+			}
+		})
+	}
+}

@@ -6,7 +6,9 @@
 // backoff and jitter (each one restarting the stream), a per-frame
 // progress deadline that runs from the request, and a per-site circuit
 // breaker — so the control site can mix local and remote sites and
-// queries survive a lossy network or a stalled site.
+// queries survive a lossy network or a stalled site. The client reads
+// every stream to EOF so its connection is reused: a subquery is one
+// round trip on a pooled connection, not a dial.
 //
 // Remote evaluations read each fragment's current state (a per-graph
 // consistent snapshot), not the control site's pinned MVCC view: a

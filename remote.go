@@ -88,24 +88,31 @@ type RemoteConfig struct {
 	// site that stays unavailable return flagged partial results
 	// instead of failing (default: fail the query).
 	PartialResults bool
-	// HTTP overrides the HTTP client shared by the site clients.
-	HTTP *http.Client
 }
 
 // wireRemotes installs robust site clients on the deployment's engine
-// per cfg; called by StartServer before serving begins.
-func (dep *Deployment) wireRemotes(cfg RemoteConfig) {
+// per cfg; called by StartServer, with the number of queries it runs at
+// once, before serving begins. The clients share one HTTP client, which
+// keeps as many connections to a site process idle between queries as
+// its sites can have streams open at once: one per worker and site.
+func (dep *Deployment) wireRemotes(cfg RemoteConfig, workers int) {
+	dep.engine.PartialResults = cfg.PartialResults
 	if len(cfg.Sites) == 0 {
-		dep.engine.PartialResults = cfg.PartialResults
 		return
 	}
+	sitesAt, most := map[string]int{}, 0
+	for _, baseURL := range cfg.Sites {
+		sitesAt[baseURL]++
+		most = max(most, sitesAt[baseURL])
+	}
+	client := transport.NewHTTPClient(workers * most)
 	remotes := make(map[int]cluster.SiteEval, len(cfg.Sites))
 	for site, baseURL := range cfg.Sites {
 		remotes[site] = transport.NewSiteClient(transport.ClientConfig{
 			BaseURL:      baseURL,
 			Site:         site,
 			Dict:         dep.db.graph.Dict,
-			HTTP:         cfg.HTTP,
+			HTTP:         client,
 			Retries:      cfg.Retries,
 			Backoff:      cfg.Backoff,
 			FrameTimeout: cfg.FrameTimeout,
@@ -116,5 +123,4 @@ func (dep *Deployment) wireRemotes(cfg RemoteConfig) {
 		})
 	}
 	dep.engine.Remotes = remotes
-	dep.engine.PartialResults = cfg.PartialResults
 }

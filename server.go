@@ -1,6 +1,7 @@
 package rdffrag
 
 import (
+	"cmp"
 	"context"
 	"io"
 	"sync/atomic"
@@ -95,7 +96,7 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 	// reads fragmentation/allocation metadata lock-free while serving, so
 	// it must be static from here on (updates only append triples).
 	dep.ensureColdFragment()
-	dep.wireRemotes(cfg.Remote)
+	dep.wireRemotes(cfg.Remote, cmp.Or(max(cfg.Workers, 0), serve.DefaultWorkers))
 	apply := func(b serve.Batch) (serve.UpdateStats, error) {
 		return dep.applyBatch(b), nil
 	}
