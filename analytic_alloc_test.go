@@ -197,10 +197,13 @@ func (w *discardResponse) WriteHeader(status int)      { w.status = status }
 // variables the query reads are bound, it measured 14.8–15.1 KB
 // (21.9–29.0 under the race detector), and the ceiling was 29 plus 10 %.
 // With the parser pulling one token at a time and the query body read
-// into one exact buffer, it measures 11.8–13.2 KB, and the ceiling is 12
-// plus 10 %. Under the race detector, whose sync.Pool drops what is put
-// back at random, the median of a run spreads over 18.8–25.6 KB; there
-// the ceiling is the highest measured plus 10 %.
+// into one exact buffer, it measured 11.8–13.2 KB, and the ceiling was 12
+// plus 10 %. With each query run on the admitting goroutine, without a
+// worker hop, channels or routing maps, it measures 10.8 KB, and the
+// ceiling is that plus 10 %. Under the race detector, whose sync.Pool
+// drops what is put back at random, the median of a run spreads over
+// 18.8–25.6 KB (19.9–24.6 now); there the ceiling is the highest measured
+// plus 10 %.
 func TestQueryHandlerAlloc(t *testing.T) {
 	db, _, workload := watdivDB(t, 50000, Config{Strategy: Vertical})
 	dep, err := db.DeployParsed(workload)
@@ -259,6 +262,83 @@ func TestQueryHandlerAlloc(t *testing.T) {
 // What TestQueryHandlerAlloc measured when the ceiling was set: the
 // median, and the highest under the race detector.
 const (
-	handlerAllocKBPerQuery     = 12
+	handlerAllocKBPerQuery     = 10.8
 	handlerAllocKBPerQueryRace = 25.6
+)
+
+// selectiveTemplates are the constant-anchored WatDiv templates the
+// benchmark's wd-selective workload replays: nearly every instance is one
+// subquery at one site, with an answer of a few rows.
+var selectiveTemplates = []string{"L1", "L3", "L4", "S1", "S3", "S4", "S5", "S6", "F2", "F4"}
+
+// TestSelectiveHandlerAlloc pins what /query allocates per selective
+// answer: ten instances of each selective template over the 50 000-triple
+// WatDiv fixture on a horizontal deployment, served through
+// Server.Handler() as JSON into a response that discards the body, one
+// execution slot and a sequential matcher, TotalAlloc per query around
+// the handler alone, median of five rounds. Here the fixed cost of running
+// a query is much of what it allocates: while a query went from the
+// caller's goroutine to a serve worker and back over a request channel,
+// under a cancellable context of its own, with a producer goroutine and
+// channel per subquery, a goroutine per site and maps to route it and
+// tally its sites, it measured 4.36 KB. Run on the admitting goroutine, it
+// measures 3.18 KB, and the ceiling is that plus 10 %. Under the race
+// detector, whose sync.Pool drops what is put back at random, the median
+// of a run spreads over 11.8–15.8 KB (13.0–14.2 before); there the
+// ceiling is the highest measured plus 10 %.
+func TestSelectiveHandlerAlloc(t *testing.T) {
+	db, ds, workload := watdivDB(t, 50000, Config{Strategy: Horizontal})
+	dep, err := db.DeployParsed(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := dep.StartServer(ServerConfig{Workers: 1, Parallelism: -1})
+	defer srv.Close()
+	h := srv.Handler()
+	var queries []string
+	for seed := uint64(1); seed <= 10; seed++ {
+		qs, names, err := ds.BenchmarkQueries(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			if slices.Contains(selectiveTemplates, names[i]) {
+				queries = append(queries, "SELECT ?"+strings.Join(q.Select, " ?")+" WHERE { "+q.StringWithDict(ds.Graph.Dict)+" }")
+			}
+		}
+	}
+	if len(queries) != 10*len(selectiveTemplates) {
+		t.Fatalf("found %d instances of the %d selective templates", len(queries), len(selectiveTemplates))
+	}
+	resp := &discardResponse{header: http.Header{}}
+	reqs := make([]*http.Request, len(queries))
+	median := medianOfFive(func() float64 {
+		for i, q := range queries { // a request of its own each round
+			reqs[i] = httptest.NewRequest("POST", "/query", strings.NewReader(q))
+		}
+		return float64(allocated(func() {
+			for i, r := range reqs {
+				resp.status = http.StatusOK
+				h.ServeHTTP(resp, r)
+				if resp.status != http.StatusOK {
+					t.Fatalf("/query answered %d for %s", resp.status, queries[i])
+				}
+			}
+		})) / float64(len(queries)) / 1024
+	})
+	t.Logf("%.2f KB allocated per selective query through /query", median)
+	ceiling := selectiveAllocKBPerQuery * 1.1
+	if raceOn {
+		ceiling = selectiveAllocKBPerQueryRace * 1.1
+	}
+	if median > ceiling {
+		t.Errorf("/query allocates %.2f KB per selective query, want <= %.2f", median, ceiling)
+	}
+}
+
+// What TestSelectiveHandlerAlloc measured when the ceiling was set: the
+// median, and the highest under the race detector.
+const (
+	selectiveAllocKBPerQuery     = 3.18
+	selectiveAllocKBPerQueryRace = 15.8
 )

@@ -160,41 +160,35 @@ func joinInputs(n, batch int) (lv, rv []string, left, right []*match.Bindings) {
 // per row, and never a copy of one (it once cost more than one allocation
 // per input row and 300 B, then 179 B with a slice header per row and a
 // Go map per side, then 52.3 B copying every row into a chunk store). One
-// goroutine feeds the batches, alternating sides, over unbuffered
-// channels, so the join takes them in that order and keeps every one
-// whichever close it sees first: the figure repeats. It was 0.0104
-// objects and 37.2 B — output rows (6 B per input row), the two sides'
-// chain links (4 B) and chunk lists and the two slot tables (26 B, with
-// their doublings), one allocation per batch and side for its links —
-// with ceilings 0.0115 and 41. The links and slot tables now come from
-// match's free list and go back when the join drops a table, so after a
-// first run the second takes them all again: what is left is the output
-// rows (8 B per input row in power-of-two arrays, which the test keeps)
-// and the chunk and batch lists. The ceilings are the 0.0060 objects and
-// 9.1 B it measures plus 10%. Every run gets batches of its own: the join
-// hands back what it receives.
+// producer pushes the batches, alternating sides, then closes both, so
+// the join takes them in that order and keeps every one: the figure
+// repeats. It was 0.0104 objects and 37.2 B — output rows (6 B per input
+// row), the two sides' chain links (4 B) and chunk lists and the two slot
+// tables (26 B, with their doublings), one allocation per batch and side
+// for its links — with ceilings 0.0115 and 41. The links and slot tables
+// now come from match's free list and go back when the join drops a
+// table, so after a first run the second takes them all again: what is
+// left is the output rows (8 B per input row in power-of-two arrays,
+// which the test keeps) and the chunk and batch lists. The ceilings are
+// the 0.0060 objects and 9.1 B it measured, when the join ran on a
+// goroutine of its own fed over channels, plus 10%. Every run gets
+// batches of its own: the join hands back what it receives.
 func TestJoinStreamAllocsPerInputRow(t *testing.T) {
 	const n, batch = 10000, 256
 	run := func() (objects, bytes uint64) {
 		lv, rv, lb, rb := joinInputs(n, batch)
-		left, right := make(chan *match.Bindings), make(chan *match.Bindings)
-		out := make(chan *match.Bindings, len(lb)+len(rb))
+		out := &collector{kept: make([]*match.Bindings, 0, len(lb)+len(rb))}
 		objects, bytes = measureAllocs(func() {
-			go func() {
-				for i := range lb {
-					left <- lb[i]
-					right <- rb[i]
+			j := NewJoiner(lv, rv, out)
+			for i := range lb {
+				if j.Push(lb[i], true) != nil || j.Push(rb[i], false) != nil {
+					t.Fatal("push refused")
 				}
-				close(left)
-				close(right)
-			}()
-			JoinStream(context.Background(), lv, rv, left, right, out)
+			}
+			j.Close(true)
+			j.Close(false)
 		})
-		joined := 0
-		for b := range out {
-			joined += b.Len()
-		}
-		if joined != n {
+		if joined := out.table(JoinVars(lv, rv)).Len(); joined != n {
 			t.Fatalf("joined %d rows, want %d", joined, n)
 		}
 		return objects, bytes

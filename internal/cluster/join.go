@@ -1,6 +1,6 @@
 package cluster
 
-// The control-site join of Section 7.3 — HashJoin here, JoinStream in
+// The control-site join of Section 7.3 — HashJoin here, Joiner in
 // stream.go — and the one table both index a side's rows with, which
 // adopts the arrays the rows arrived in and never copies a row.
 
@@ -13,7 +13,7 @@ import (
 )
 
 // joinGeom is one join's resolved column geometry, shared by HashJoin and
-// JoinStream.
+// Joiner.
 type joinGeom struct {
 	lkey, rkey []int // the shared variables' columns in left and right rows
 	rightOnly  []int // right's columns that left does not have

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"testing"
 
 	"rdffrag/internal/match"
@@ -29,7 +28,8 @@ func BenchmarkHashJoin(b *testing.B) {
 }
 
 // BenchmarkJoinStream measures the pipelined symmetric join over many
-// batches — the shape the streaming engine actually runs.
+// batches — the shape the streaming engine actually runs — with one
+// producer pushing each side whole in turn.
 func BenchmarkJoinStream(b *testing.B) {
 	lv, rv := []string{"x", "y"}, []string{"y", "z"}
 	lt, rt := benchTable(2000, lv), benchTable(2000, rv)
@@ -39,24 +39,18 @@ func BenchmarkJoinStream(b *testing.B) {
 		// A join hands back the batches it receives: each gets its own.
 		b.StopTimer()
 		lb, rb := batchesOf(lt, 128), batchesOf(rt, 128)
+		out := &collector{}
 		b.StartTimer()
-		left := make(chan *match.Bindings, len(lb))
-		right := make(chan *match.Bindings, len(rb))
-		out := make(chan *match.Bindings, 16)
+		j := NewJoiner(lv, rv, out)
 		for _, x := range lb {
-			left <- x
+			j.Push(x, true)
 		}
-		close(left)
+		j.Close(true)
 		for _, x := range rb {
-			right <- x
+			j.Push(x, false)
 		}
-		close(right)
-		go JoinStream(context.Background(), lv, rv, left, right, out)
-		n := 0
-		for o := range out {
-			n += o.Len()
-		}
-		if n == 0 {
+		j.Close(false)
+		if len(out.kept) == 0 {
 			b.Fatal("join stream produced nothing")
 		}
 	}

@@ -8,15 +8,17 @@ package cluster
 // oracle:
 //
 //   - HashJoin is byte-identical to the oracle (exact rows, exact order);
-//   - JoinStream emits exactly the oracle's row multiset at every batch
-//     size, input interleaving and order of the inputs' closes;
-//   - JoinStream fed its whole right stream before the first left batch
+//   - a Joiner emits exactly the oracle's row multiset at every batch
+//     size, interleaving of its producers' pushes and order of the
+//     inputs' closes, and so does a chain of two;
+//   - a Joiner pushed its whole right stream before the first left batch
 //     is byte-identical to the oracle too: emit order = insertion order.
 //
 // Run under -race in CI.
 
 import (
-	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -116,74 +118,34 @@ func tablesExactEqual(a, b *match.Bindings) bool {
 	return a.Len() == b.Len() && slices.Equal(a.Rows, b.Rows)
 }
 
-// joinOf runs JoinStream over two inputs and collects the emitted rows in
-// emission order.
-func joinOf(lv, rv []string, left, right chan *match.Bindings) *match.Bindings {
-	out := make(chan *match.Bindings, 4)
-	go JoinStream(context.Background(), lv, rv, left, right, out)
-	got := collect(out)
-	if got == nil {
-		got = &match.Bindings{Vars: JoinVars(lv, rv)}
+// rightFirst lists the steps that push right whole, then left, in
+// batches of random sizes, then close the two in a random order.
+func rightFirst(rng *rand.Rand, left, right *match.Bindings) []step {
+	steps := slices.Concat(pushes(false, batchesOf(right, 1+rng.Intn(16))), pushes(true, batchesOf(left, 1+rng.Intn(16))))
+	if rng.Intn(2) == 0 {
+		i := slices.Index(steps, step{false, nil})
+		steps = append(slices.Delete(steps, i, i+1), step{false, nil})
 	}
-	return got
+	return steps
 }
 
-// runJoinStream feeds both tables through JoinStream in randomized batch
-// sizes. With rightFirst the join has taken in the whole right table
-// before the left one starts: the right channel is unbuffered and
-// JoinStream probes a batch before it receives another, so the last right
-// send returning means all of right is stored or about to be, ahead of any
-// left batch.
-func runJoinStream(rng *rand.Rand, left, right *match.Bindings, rightFirst bool) *match.Bindings {
-	rbuf := 2
-	if rightFirst {
-		rbuf = 0
-	}
-	lch := make(chan *match.Bindings, 2)
-	rch := make(chan *match.Bindings, rbuf)
-	lbatch, rbatch := 1+rng.Intn(16), 1+rng.Intn(16)
-	if rightFirst {
-		go func() {
-			sendBatches(rch, right, rbatch)
-			sendBatches(lch, left, lbatch)
-		}()
-	} else {
-		go sendBatches(lch, left, lbatch)
-		go sendBatches(rch, right, rbatch)
-	}
-	return joinOf(left.Vars, right.Vars, lch, rch)
-}
-
-// closeFirst feeds two inputs of a join from one goroutine over unbuffered
-// channels, so the join receives the batches in the order sent: first's
-// batches interleaved with the first half of second's, then first's close,
-// then the rest of second's — which the join only probes once it has seen
-// that close — and second's close.
-func closeFirst(firstCh chan *match.Bindings, first []*match.Bindings, secondCh chan *match.Bindings, second []*match.Bindings) {
+// closeFirst lists the steps that push first's batches into its input
+// interleaved with the first half of second's into the other, then close
+// first's input, then push the rest of second's — which the join only
+// probes once it has seen that close — and close second's.
+func closeFirst(firstLeft bool, first, second []*match.Bindings) []step {
 	early, late := second[:len(second)/2], second[len(second)/2:]
+	var steps []step
 	for i := 0; i < max(len(first), len(early)); i++ {
 		if i < len(first) {
-			firstCh <- first[i]
+			steps = append(steps, step{firstLeft, first[i]})
 		}
 		if i < len(early) {
-			secondCh <- early[i]
+			steps = append(steps, step{!firstLeft, early[i]})
 		}
 	}
-	close(firstCh)
-	for _, b := range late {
-		secondCh <- b
-	}
-	close(secondCh)
-}
-
-// queued returns a closed channel holding bs.
-func queued(bs []*match.Bindings) chan *match.Bindings {
-	ch := make(chan *match.Bindings, len(bs))
-	for _, b := range bs {
-		ch <- b
-	}
-	close(ch)
-	return ch
+	steps = append(steps, step{firstLeft, nil})
+	return append(steps, pushes(!firstLeft, late)...)
 }
 
 // sameMultiset reports whether got holds want's rows, each as often.
@@ -203,7 +165,7 @@ func sameMultiset(t *testing.T, name string, want, got *match.Bindings) bool {
 	return true
 }
 
-// TestJoinEquivalenceProperty: HashJoin ≡ JoinStream ≡ nested-loop oracle
+// TestJoinEquivalenceProperty: HashJoin ≡ Joiner ≡ nested-loop oracle
 // across the generated corpus.
 func TestJoinEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -221,12 +183,12 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 }
 
 // checkJoinAgainstOracle runs one join instance through HashJoin and the
-// right-first JoinStream (exact rows, exact order), and through
-// JoinStream under randomized interleaving and in each explicit close
-// order (same row multiset): left closes first, right closes first, both
-// close with every batch still queued — each side one batch of its whole
-// table, as wide as it is — and a side closes first having sent no rows,
-// or only empty batches, leaving the other side's rows nothing to match.
+// right-first Joiner (exact rows, exact order), and through a Joiner
+// pushed to by two producers at once and in each explicit close order
+// (same row multiset): left closes first, right closes first, both close
+// once every batch is in — each side one batch of its whole table, as wide
+// as it is — and a side closes first having sent no rows, or only empty
+// batches, leaving the other side's rows nothing to match.
 func checkJoinAgainstOracle(t *testing.T, rng *rand.Rand, left, right *match.Bindings) bool {
 	t.Helper()
 	want := nestedLoopOracle(left, right)
@@ -234,45 +196,44 @@ func checkJoinAgainstOracle(t *testing.T, rng *rand.Rand, left, right *match.Bin
 		t.Logf("HashJoin diverged from oracle (%d rows vs %d)", got.Len(), want.Len())
 		return false
 	}
-	if got := runJoinStream(rng, left, right, true); !slices.Equal(got.Vars, want.Vars) || !tablesExactEqual(got, want) {
-		t.Logf("right-first JoinStream diverged from oracle (%d rows vs %d)", got.Len(), want.Len())
-		return false
-	}
-	// Order unconstrained once the inputs interleave.
-	if !sameMultiset(t, "JoinStream", want, runJoinStream(rng, left, right, false)) {
-		return false
-	}
 	lv, rv := left.Vars, right.Vars
+	if got := joinOf(t, lv, rv, rightFirst(rng, left, right)); !slices.Equal(got.Vars, want.Vars) || !tablesExactEqual(got, want) {
+		t.Logf("right-first Joiner diverged from oracle (%d rows vs %d)", got.Len(), want.Len())
+		return false
+	}
 	// Each join gets batches of its own: it hands back what it receives.
 	lsize, rsize := 1+rng.Intn(16), 1+rng.Intn(16)
 	lb, rb := func() []*match.Bindings { return batchesOf(left, lsize) }, func() []*match.Bindings { return batchesOf(right, rsize) }
-	l, r := make(chan *match.Bindings), make(chan *match.Bindings)
-	go closeFirst(l, lb(), r, rb())
-	if !sameMultiset(t, "left closes first", want, joinOf(lv, rv, l, r)) {
+	// Order unconstrained once the producers run concurrently.
+	c := &collector{}
+	j := NewJoiner(lv, rv, c)
+	pushConcurrently(t, rng, []input{{j, true, lb()}, {j, false, rb()}})
+	if !sameMultiset(t, "concurrent producers", want, c.table(want.Vars)) {
 		return false
 	}
-	l, r = make(chan *match.Bindings), make(chan *match.Bindings)
-	go closeFirst(r, rb(), l, lb())
-	if !sameMultiset(t, "right closes first", want, joinOf(lv, rv, l, r)) {
+	if !sameMultiset(t, "left closes first", want, joinOf(t, lv, rv, closeFirst(true, lb(), rb()))) {
 		return false
 	}
-	whole := func(b *match.Bindings) chan *match.Bindings { return queued(batchesOf(b, max(1, b.Len()))) }
-	if !sameMultiset(t, "both queued", want, joinOf(lv, rv, whole(left), whole(right))) {
+	if !sameMultiset(t, "right closes first", want, joinOf(t, lv, rv, closeFirst(false, rb(), lb()))) {
+		return false
+	}
+	whole := func(b *match.Bindings) []*match.Bindings { return batchesOf(b, max(1, b.Len())) }
+	steps := slices.Concat(pushes(true, whole(left)), pushes(false, whole(right)))
+	if i := slices.Index(steps, step{true, nil}); i >= 0 {
+		steps = append(slices.Delete(steps, i, i+1), step{true, nil}) // both close once every batch is in
+	}
+	if !sameMultiset(t, "both whole", want, joinOf(t, lv, rv, steps)) {
 		return false
 	}
 	empties := func(vars []string) []*match.Bindings {
 		return []*match.Bindings{match.NewBindings(vars, nil, 0), match.NewBindings(vars, nil, 0)}
 	}
 	for _, sent := range [][2][]*match.Bindings{{nil, nil}, {empties(lv), empties(rv)}} {
-		l, r = make(chan *match.Bindings), make(chan *match.Bindings)
-		go closeFirst(l, sent[0], r, rb())
-		if got := joinOf(lv, rv, l, r); got.Len() != 0 {
+		if got := joinOf(t, lv, rv, closeFirst(true, sent[0], rb())); got.Len() != 0 {
 			t.Logf("left closed with %d empty batches: %d rows joined", len(sent[0]), got.Len())
 			return false
 		}
-		l, r = make(chan *match.Bindings), make(chan *match.Bindings)
-		go closeFirst(r, sent[1], l, lb())
-		if got := joinOf(lv, rv, l, r); got.Len() != 0 {
+		if got := joinOf(t, lv, rv, closeFirst(false, sent[1], lb())); got.Len() != 0 {
 			t.Logf("right closed with %d empty batches: %d rows joined", len(sent[1]), got.Len())
 			return false
 		}
@@ -308,28 +269,101 @@ func TestJoinAcrossChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestJoinStreamCancelMidJoin: cancelling the context while the join
-// holds a joined batch nobody takes, both inputs still open, stops it and
-// closes its output — the kill switch that lets LIMIT terminate a join
-// pipeline early.
+// TestJoinStreamCancelMidJoin: in a chain of two joiners, a refusal at the
+// chain's end comes back out of a push into the first stage's input,
+// through the middle stage, and out of every later push that reaches the
+// end; the refused rows are handed back, the chain's end is closed once
+// when every input has closed, and every input batch is handed back.
 func TestJoinStreamCancelMidJoin(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	lv, rv := []string{"x", "y"}, []string{"y", "z"}
-	left := make(chan *match.Bindings)
-	right := make(chan *match.Bindings)
-	out := make(chan *match.Bindings)
-	done := make(chan struct{})
-	go func() {
-		JoinStream(ctx, lv, rv, left, right, out)
-		close(done)
-	}()
-	// A matching pair, then cancel without reading the output or closing
-	// the inputs: only the kill switch can stop the join.
-	left <- &match.Bindings{Vars: lv, Rows: []rdf.ID{1, 2, 3, 4}}
-	right <- &match.Bindings{Vars: rv, Rows: []rdf.ID{2, 9}}
-	cancel()
-	<-done
-	if _, ok := <-out; ok {
-		t.Fatal("a batch came out of a join nobody was reading")
+	stop := errors.New("stop")
+	av, bv, cv := []string{"x", "y"}, []string{"y", "z"}, []string{"z", "w"}
+	end := &collector{refuse: stop}
+	second := NewJoiner(JoinVars(av, bv), cv, end)
+	first := NewJoiner(av, bv, second)
+	a := batchesOf(match.NewBindings(av, []rdf.ID{1, 2, 3, 2}, 2), 1)
+	b := batchesOf(match.NewBindings(bv, []rdf.ID{2, 5}, 1), 1)
+	c := batchesOf(match.NewBindings(cv, []rdf.ID{5, 8}, 1), 1)
+	for _, s := range []struct {
+		j       *Joiner
+		left    bool
+		b       *match.Bindings
+		refused bool
+	}{
+		{second, false, c[0], false}, // nothing to join yet
+		{first, false, b[0], false},  // nothing to join yet
+		{first, true, a[0], true},    // joins through both stages: refused at the end
+		{first, true, a[1], true},    // so is the next row that gets there
+	} {
+		if err := s.j.Push(s.b, s.left); errors.Is(err, stop) != s.refused {
+			t.Fatalf("push: err %v, want refused %v", err, s.refused)
+		}
+	}
+	second.Close(false)
+	first.Close(false)
+	if end.closes != 0 {
+		t.Fatal("the chain's end closed while an input was still open")
+	}
+	first.Close(true)
+	if end.closes != 1 || len(end.kept) != 0 {
+		t.Fatalf("the chain's end closed %d times and kept %d batches, want once and none", end.closes, len(end.kept))
+	}
+	for _, in := range slices.Concat(a, b, c) {
+		if in.Len() != 0 {
+			t.Fatalf("an input batch holds %d rows once every input closed, want none", in.Len())
+		}
+	}
+}
+
+// TestJoinChainProperty: two producers push random splits of the inputs
+// of a chain of one to three joiners, each in a random interleaving of its
+// own, and close each input at a random point after its last push — an
+// empty input may close before any row arrives. The chain's output must
+// be the row multiset of HashJoin applied down the chain, closed once.
+func TestJoinChainProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		stages := 1 + rng.Intn(3)
+		cartesian := rng.Intn(stages + 2) // a stage sharing nothing, if any
+		tables := make([]*match.Bindings, stages+1)
+		for i := range tables {
+			vars := []string{fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1)}
+			if i == cartesian {
+				vars = []string{fmt.Sprintf("c%d", i)}
+			}
+			n := rng.Intn(12)
+			if rng.Intn(6) == 0 {
+				n = 0
+			}
+			tables[i] = genJoinTable(rng, vars, n, rng.Intn(2))
+		}
+		// The chain, back to front: stage k joins the running result
+		// with input k, and layouts[k] is the running result after it.
+		want, layouts := tables[0], make([][]string, stages+1)
+		layouts[0] = tables[0].Vars
+		for k := 1; k <= stages; k++ {
+			want, layouts[k] = HashJoin(want, tables[k]), JoinVars(layouts[k-1], tables[k].Vars)
+		}
+		end := &collector{}
+		inputs := make([]input, stages+1)
+		var next Stage = end
+		for k := stages; k > 0; k-- {
+			j := NewJoiner(layouts[k-1], tables[k].Vars, next)
+			inputs[k] = input{j, false, batchesOf(tables[k], 1+rng.Intn(8))}
+			next = j
+		}
+		inputs[0] = input{next, true, batchesOf(tables[0], 1+rng.Intn(8))}
+		pushConcurrently(t, rng, inputs)
+		if end.closes != 1 {
+			t.Logf("seed %d: the chain's end closed %d times, want once", seed, end.closes)
+			return false
+		}
+		if !sameMultiset(t, fmt.Sprintf("%d-stage chain", stages), want, end.table(want.Vars)) {
+			t.Logf("seed %d", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

@@ -3,20 +3,21 @@ package cluster
 // Streaming site RPC and the pipelined control-site join. Instead of the
 // materialize-then-ship round trip of Eval, EvalStream lets a site push
 // binding batches to the control site as the local matcher projects them
-// (match.FindBindings), and JoinStream consumes such batch streams with a
-// symmetric (pipelined) hash join — symJoiner below: whichever input is
-// ready first builds its hash table incrementally while probing the other
-// side's table, so join work overlaps with subquery evaluation and
-// shipping. Query latency becomes the longest chain through the
-// pipeline rather than the sum of barrier-separated phases. A side's
-// table indexes its batches' rows where they arrived, without copying
-// them — a delivered batch belongs to its receiver (BatchSink) — and only
-// while the other input is open; after that the side's batches are
-// probed and let go.
+// (match.FindBindings), and a Joiner takes such batch streams into a
+// symmetric hash join — symJoiner below: whichever input delivers first
+// builds its table while probing the other side's. The join has no
+// goroutine of its own: a producer's push runs the probe and hands what
+// it found down the chain of stages before it returns, so join work
+// overlaps with subquery evaluation and shipping. A side's table indexes
+// its batches' rows where they arrived, without copying them — a
+// delivered batch belongs to its receiver (BatchSink) — and only while
+// the other input is open; after that the side's batches are probed and
+// let go.
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
@@ -31,11 +32,11 @@ const DefaultBatchSize = 256
 // BatchSink receives one shipped batch of bindings. The batch and its Rows
 // array belong to the receiver from then on: the sender keeps no
 // reference and never writes to them again, so the sink may reorder,
-// overwrite or retain it, and its last reader calls Release. JoinStream
-// reads every batch it keeps until the join ends; exec.consume releases
-// each batch once it is copied into the answer. A subquery's sites stream
-// concurrently, so the sink must be safe for concurrent use. Returning an
-// error stops the stream.
+// overwrite or retain it, and its last reader calls Release. A Joiner
+// reads every batch it keeps until both its inputs have closed; the
+// engine's answer releases each batch once it is copied in. A subquery's
+// sites stream concurrently, so the sink must be safe for concurrent use.
+// Returning an error stops the stream.
 type BatchSink func(*match.Bindings) error
 
 // EvalStream evaluates a subquery at a site like Eval, but ships binding
@@ -163,58 +164,60 @@ func (s *symJoiner) close(left bool) {
 	}
 }
 
-// JoinStream runs a symmetric (pipelined) hash join between two batch
-// streams and closes out when done. Each arriving batch is probed against
-// the other side's rows seen so far and, while the other input is still
-// open, kept in its own side's table where it arrived — the join owns the
-// batches it receives (see BatchSink) and reads them until it returns.
-// Once an input closes, the other side's table is dropped and that side's
-// batches are only probed: a symmetric hash join keeps an input only
-// while the other can still deliver rows. An input batch is released with
-// its table, or at once when none keeps it: nobody may read one after
-// sending it; the output batches are the receiver's. Every matching pair
-// is emitted exactly once, as soon as its later row arrives — a batch's
-// rows in their order, each with its matches in the order the other side
-// received them, so a right stream consumed whole before the first left
-// batch yields exactly HashJoin's row sequence. With no shared variables it
-// degrades to a streamed Cartesian product. Output columns follow
-// JoinVars(leftVars, rightVars). Cancelling ctx stops the join promptly;
-// the inputs are then left undrained (producers must also watch ctx).
-func JoinStream(ctx context.Context, leftVars, rightVars []string, left, right <-chan *match.Bindings, out chan<- *match.Bindings) {
-	defer close(out)
-	s := newSymJoiner(newJoinGeom(leftVars, rightVars))
-	defer func() {
-		s.left.free()
-		s.right.free()
-	}()
-	for left != nil || right != nil {
-		var found *match.Bindings
-		select {
-		case b, ok := <-left:
-			if !ok {
-				left = nil
-				s.close(true)
-				continue
-			}
-			found = s.probe(b, true)
-		case b, ok := <-right:
-			if !ok {
-				right = nil
-				s.close(false)
-				continue
-			}
-			found = s.probe(b, false)
-		case <-ctx.Done():
-			return
-		}
-		if found == nil {
-			continue
-		}
-		select {
-		case out <- found:
-		case <-ctx.Done():
-			found.Release()
-			return
-		}
+// Stage takes pushed batch streams: a Joiner, or whatever receives the
+// output of a chain of them. Push hands over a batch of the input left
+// names, which belongs to the stage from then on (see BatchSink), even
+// when Push returns an error: that error tells the pusher to stop. Close
+// records that the input left names has ended; no batch of it is pushed
+// afterwards.
+type Stage interface {
+	Push(b *match.Bindings, left bool) error
+	Close(left bool)
+}
+
+// Joiner is the pipelined (symmetric hash) join of two batch streams,
+// driven by its producers: Push probes a batch against the other side's
+// rows seen so far, keeps it in its own side's table while the other
+// input is open — the batch is the joiner's from then on — and hands the
+// rows it found to next's left input before it returns; Close drops the
+// other side's table, which only the closed side probed, and once both
+// inputs have closed closes next's left input. Every matching pair is
+// found exactly once, as soon as its later row arrives, and in HashJoin's
+// order when the right input is pushed whole first. Output columns follow
+// JoinVars(leftVars, rightVars). Push and Close hand on to next under the
+// joiner's mutex: in a chain of joiners the stage order is then the lock
+// order, so nothing deadlocks, and no row reaches next after the close of
+// its side.
+type Joiner struct {
+	mu   sync.Mutex
+	s    *symJoiner
+	next Stage
+	open int // inputs not yet closed
+}
+
+// NewJoiner returns a joiner of a stream over leftVars with one over
+// rightVars, which pushes what it joins into next's left input.
+func NewJoiner(leftVars, rightVars []string, next Stage) *Joiner {
+	return &Joiner{s: newSymJoiner(newJoinGeom(leftVars, rightVars)), next: next, open: 2}
+}
+
+// Push joins a batch of the input left names and hands the rows it found
+// to next, returning next's error.
+func (j *Joiner) Push(b *match.Bindings, left bool) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if found := j.s.probe(b, left); found != nil {
+		return j.next.Push(found, true)
+	}
+	return nil
+}
+
+// Close records that the input left names has ended.
+func (j *Joiner) Close(left bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.s.close(left)
+	if j.open--; j.open == 0 {
+		j.next.Close(true)
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -28,16 +29,28 @@ func genBatches(rng *rand.Rand, width int) [][]rdf.ID {
 	return batches
 }
 
-// feed copies batches into a closed channel, each into an array of match's
-// free list as a site's batch is: consume owns what it receives, may
-// overwrite it and hands it back, so every run gets its own copy.
-func feed(vars []string, batches [][]rdf.ID) <-chan *match.Bindings {
-	ch := make(chan *match.Bindings, len(batches))
-	for _, rows := range batches {
-		ch <- match.Recyclable(vars, append(match.TakeRows(len(rows)), rows...), len(rows)/len(vars))
+// feed copies batches, each into an array of match's free list as a
+// site's batch is: the answer owns what is pushed to it, may overwrite it
+// and hands it back, so every run gets its own copy.
+func feed(vars []string, batches [][]rdf.ID) []*match.Bindings {
+	out := make([]*match.Bindings, len(batches))
+	for i, rows := range batches {
+		out[i] = match.Recyclable(vars, append(match.TakeRows(len(rows)), rows...), len(rows)/len(vars))
 	}
-	close(ch)
-	return ch
+	return out
+}
+
+// consume pushes the batches in into a fresh answer to q over vars, as
+// the last stage of a join chain does, and returns the result.
+func consume(q *sparql.Graph, in []*match.Bindings, vars []string) *match.Bindings {
+	a := new(answer)
+	a.init(q, vars)
+	for _, b := range in {
+		if a.Push(b, true) != nil {
+			break
+		}
+	}
+	return a.result()
 }
 
 // rowsEqual: got holds exactly the rows want, in that order.
@@ -45,13 +58,12 @@ func rowsEqual(got *match.Bindings, want [][]rdf.ID) bool {
 	return got.Len() == len(want) && slices.Equal(got.Rows, slices.Concat(want...))
 }
 
-// TestConsumeSortDedupMatchesRowSetProperty: without a LIMIT consume
+// TestConsumeSortDedupMatchesRowSetProperty: without a LIMIT the answer
 // drops duplicates as neighbours after its sort; with one it counts
 // distinct rows in a rowSet as they arrive. On the same input — with a
 // LIMIT too large to cut anything — both return the distinct projected
 // rows in Dedup order, which is also what a map and a sort make of them.
 func TestConsumeSortDedupMatchesRowSetProperty(t *testing.T) {
-	e := &Engine{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		width := 1 + rng.Intn(6)
@@ -90,10 +102,10 @@ func TestConsumeSortDedupMatchesRowSetProperty(t *testing.T) {
 		}
 		slices.SortFunc(want, match.RowCompare)
 
-		sorted := e.consume(context.Background(), func() {}, q, feed(vars, batches), vars)
+		sorted := consume(q, feed(vars, batches), vars)
 		limited := *q
 		limited.Limit = len(want) + 1
-		counted := e.consume(context.Background(), func() {}, &limited, feed(vars, batches), vars)
+		counted := consume(&limited, feed(vars, batches), vars)
 		for name, got := range map[string]*match.Bindings{"sort-dedup": sorted, "rowSet": counted} {
 			if len(got.Vars) != len(proj) || !rowsEqual(got, want) {
 				t.Logf("seed %d: %s path returned %d rows over %v, want %d", seed, name, got.Len(), got.Vars, len(want))
@@ -108,64 +120,64 @@ func TestConsumeSortDedupMatchesRowSetProperty(t *testing.T) {
 }
 
 // TestConsumeLimitCancelsPipeline: the LIMIT path stops at the Limit-th
-// distinct row — it cancels the pipeline and returns without draining a
-// producer that would otherwise never finish.
+// distinct row — the push that brings it is refused with errLimit, which
+// stops the unit that pushed, and stop cancels the others — and every
+// later push is refused and its batch handed back.
 func TestConsumeLimitCancelsPipeline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	in := make(chan *match.Bindings)
-	go func() {
-		defer close(in)
-		for i := 0; ; i++ {
-			b := &match.Bindings{Vars: []string{"x"}, Rows: []rdf.ID{rdf.ID(i / 2), rdf.ID(i / 2)}}
-			select {
-			case in <- b:
-			case <-ctx.Done():
-				return
+	a := &answer{stop: cancel}
+	a.init(&sparql.Graph{Limit: 3}, []string{"x"})
+	pushes := 0
+	for i := 0; ; i++ {
+		b := match.Recyclable([]string{"x"}, append(match.TakeRows(2), rdf.ID(i/2), rdf.ID(i/2)), 2)
+		pushes++
+		if err := a.Push(b, true); err != nil {
+			if !errors.Is(err, errLimit) {
+				t.Fatalf("push %d refused with %v, want errLimit", pushes, err)
 			}
+			break
 		}
-	}()
-	got := (&Engine{}).consume(ctx, cancel, &sparql.Graph{Limit: 3}, in, []string{"x"})
-	if ctx.Err() == nil {
-		t.Error("consume reached its LIMIT without cancelling the pipeline")
 	}
-	if want := [][]rdf.ID{{0}, {1}, {2}}; !rowsEqual(got, want) {
+	if pushes != 5 || ctx.Err() == nil {
+		t.Errorf("the third distinct row came with push %d (want 5), pipeline cancelled: %v", pushes, ctx.Err() != nil)
+	}
+	late := match.Recyclable([]string{"x"}, append(match.TakeRows(1), 9), 1)
+	if err := a.Push(late, true); !errors.Is(err, errLimit) || late.Rows != nil {
+		t.Errorf("a push after the LIMIT: err %v, batch handed back %v; want errLimit and true", err, late.Rows == nil)
+	}
+	if got, want := a.result(), [][]rdf.ID{{0}, {1}, {2}}; !rowsEqual(got, want) {
 		t.Errorf("LIMIT 3 over duplicated rows returned %v, want %v", got.Rows, want)
 	}
 }
 
-// TestConsumeReleasesEachBatchOnArrival: consume holds one input batch at
-// a time — by the time it takes batch k+1, batch k is projected into the
-// answer and handed back — with and without a pushed-down LIMIT, and the
-// answer is what the batches held.
+// TestConsumeReleasesEachBatchOnArrival: the answer holds no input batch —
+// by the time a push returns, its batch is projected into the answer and
+// handed back — with and without a pushed-down LIMIT, and the answer is
+// what the batches held.
 func TestConsumeReleasesEachBatchOnArrival(t *testing.T) {
 	vars := []string{"x", "y"}
 	for _, q := range []*sparql.Graph{{Select: []string{"y"}}, {Select: []string{"y"}, Limit: 1000}} {
-		in, done := make(chan *match.Bindings), make(chan *match.Bindings)
-		go func() { done <- (&Engine{}).consume(context.Background(), func() {}, q, in, vars) }()
-		var prev *match.Bindings
+		a := new(answer)
+		a.init(q, vars)
 		for k := range 10 {
 			b := match.Recyclable(vars, append(match.TakeRows(4), rdf.ID(k), rdf.ID(k), rdf.ID(k), rdf.ID(k+1)), 2)
-			in <- b // unbuffered: consume has taken b, and is done with prev
-			if prev != nil && prev.Rows != nil {
-				t.Errorf("limit %d: batch %d still holds its rows once batch %d was taken", q.Limit, k-1, k)
+			if err := a.Push(b, true); err != nil {
+				t.Fatalf("limit %d: push %d: %v", q.Limit, k, err)
 			}
-			prev = b
+			if b.Rows != nil {
+				t.Errorf("limit %d: batch %d still holds its rows once its push returned", q.Limit, k)
+			}
 		}
-		close(in)
-		got := <-done
-		if prev.Rows != nil {
-			t.Errorf("limit %d: the last batch still holds its rows once the answer is out", q.Limit)
-		}
-		if want := []rdf.ID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}; !slices.Equal(got.Rows, want) {
+		if got, want := a.result(), []rdf.ID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}; !slices.Equal(got.Rows, want) {
 			t.Errorf("limit %d: answer %v, want %v", q.Limit, got.Rows, want)
 		}
 	}
 }
 
-// TestConsumeAllocs: draining 50 batches costs the result and its one row
-// array — plus, when projecting, the kept variable names; nothing per
-// batch, nothing per row and no set of seen rows.
+// TestConsumeAllocs: pushing 50 batches into an answer costs the result
+// and its one row array — plus, when projecting, the kept variable names;
+// nothing per batch, nothing per row and no set of seen rows.
 func TestConsumeAllocs(t *testing.T) {
 	const nBatches, perBatch = 50, 256
 	vars := []string{"x", "y", "z"}
@@ -176,7 +188,6 @@ func TestConsumeAllocs(t *testing.T) {
 			batches[i][3*j], batches[i][3*j+1] = rdf.ID(i), rdf.ID(j%100) // duplicates within every batch
 		}
 	}
-	e := &Engine{}
 	for _, tc := range []struct {
 		name   string
 		q      *sparql.Graph
@@ -188,10 +199,16 @@ func TestConsumeAllocs(t *testing.T) {
 	} {
 		var least uint64 = 1 << 62
 		for trial := 0; trial < 5; trial++ {
-			in := feed(vars, batches)
+			in, a := feed(vars, batches), new(answer)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			got := e.consume(context.Background(), func() {}, tc.q, in, vars)
+			a.init(tc.q, vars)
+			for _, b := range in {
+				if err := a.Push(b, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := a.result()
 			runtime.ReadMemStats(&after)
 			if got.Len() != tc.rows {
 				t.Fatalf("%s: %d rows, want %d", tc.name, got.Len(), tc.rows)
@@ -200,7 +217,7 @@ func TestConsumeAllocs(t *testing.T) {
 		}
 		t.Logf("%s: %d objects", tc.name, least)
 		if least > tc.budget {
-			t.Errorf("%s: consume of %d batches allocates %d objects, want <= %d", tc.name, nBatches, least, tc.budget)
+			t.Errorf("%s: an answer of %d batches allocates %d objects, want <= %d", tc.name, nBatches, least, tc.budget)
 		}
 	}
 }

@@ -435,36 +435,47 @@ func (ex *Explanation) String() string {
 	return b.String()
 }
 
-// routeSubquery maps a subquery to the fragment IDs it must read at each
-// site (site -> fragment IDs). An empty map means the subquery has no
-// relevant fragments and yields no rows. Which fragments a pattern
-// subquery's constants leave relevant was decided when it was bound; a
-// subquery that skipped that step is refused, since routing it nowhere
-// would pass for an empty answer.
-func (e *Engine) routeSubquery(sq *decompose.Subquery) (map[int][]int, error) {
-	bySite := make(map[int][]int)
+// siteFrags is the fragments a subquery reads at one site.
+type siteFrags struct {
+	site  int
+	frags []int
+}
+
+// routeSubquery lists the sites a subquery must read, ascending, each
+// with the IDs of the fragments it reads there. An empty list means the
+// subquery has no relevant fragments and yields no rows. Which fragments
+// a pattern subquery's constants leave relevant was decided when it was
+// bound; a subquery that skipped that step is refused, since routing it
+// nowhere would pass for an empty answer.
+func (e *Engine) routeSubquery(sq *decompose.Subquery) ([]siteFrags, error) {
+	var route []siteFrags
+	add := func(site, frag int) {
+		i := slices.IndexFunc(route, func(r siteFrags) bool { return r.site == site })
+		if i < 0 {
+			i, route = len(route), append(route, siteFrags{site: site})
+		}
+		route[i].frags = append(route[i].frags, frag)
+	}
 	switch {
 	case sq.Cold:
-		if e.Frag.Cold == nil || e.Alloc.ColdSite < 0 {
-			return bySite, nil
+		if e.Frag.Cold != nil && e.Alloc.ColdSite >= 0 {
+			add(e.Alloc.ColdSite, e.Frag.Cold.ID)
 		}
-		bySite[e.Alloc.ColdSite] = []int{e.Frag.Cold.ID}
 	case sq.Global:
 		for _, f := range e.Frag.All() {
-			s := e.Alloc.SiteOf[f.ID]
-			bySite[s] = append(bySite[s], f.ID)
+			add(e.Alloc.SiteOf[f.ID], f.ID)
 		}
 	default:
 		if sq.Relevant == nil {
 			return nil, fmt.Errorf("exec: pattern subquery %s carries no relevant fragments: it was not bound by decompose", sq.Graph)
 		}
 		for _, entry := range sq.Relevant {
-			s := entry.Site
-			if s < 0 {
+			if entry.Site < 0 {
 				return nil, fmt.Errorf("exec: fragment %d unallocated", entry.Fragment.ID)
 			}
-			bySite[s] = append(bySite[s], entry.Fragment.ID)
+			add(entry.Site, entry.Fragment.ID)
 		}
 	}
-	return bySite, nil
+	slices.SortFunc(route, func(a, b siteFrags) int { return a.site - b.site })
+	return route, nil
 }

@@ -1,22 +1,24 @@
 package exec
 
-// Streaming query execution. The materialization barrier of the original
-// engine (evaluate every subquery fully, then join sequentially) is
-// replaced by a pipeline: each subquery's sites push binding batches over
-// a channel as the local matcher finds them, and a chain of symmetric
-// hash-join operators (cluster.JoinStream) consumes those streams in the
-// optimizer's order. Join work overlaps with evaluation and shipping, so
-// query latency tracks the slowest chain through the pipeline rather than
-// the sum of barrier-separated phases — and LIMIT queries cancel the
-// whole pipeline as soon as enough rows survive projection.
+// Push-based query execution. QueryPrepared expands a plan into units,
+// one per subquery and site it is routed to, and runs every unit but the
+// last on a goroutine of its own, the last on the caller's. A unit pushes
+// each batch its site ships (cluster.SiteEval.EvalStream) into its
+// subquery's input of a chain of symmetric hash joins (cluster.Joiner) in
+// the optimizer's order, whose last stage hands its rows to the answer.
+// Join work thus runs on the producers' goroutines, overlapping
+// evaluation and shipping, and a query of one subquery at one site runs
+// on its caller's goroutine alone, besides the matcher's morsel workers.
+// An unordered LIMIT stops every unit once enough distinct rows survive
+// projection.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -27,53 +29,38 @@ import (
 	"rdffrag/internal/sparql"
 )
 
-// streamBuf is the per-stage channel depth: enough to decouple producer
-// and consumer bursts without hoarding batches.
-const streamBuf = 4
+// errLimit refuses a push once the query's LIMIT is satisfied.
+var errLimit = errors.New("exec: limit reached")
 
-// runStats collects execution metrics from concurrently running pipeline
-// stages.
-type runStats struct {
-	rows  atomic.Int64
-	mu    sync.Mutex
-	sites map[int]bool
-	// unreachable collects sites skipped in PartialResults mode; any
-	// entry flags the whole result partial.
-	unreachable map[int]bool
+// unit is one subquery's evaluation at one site.
+type unit struct {
+	sq    int // the subquery's index in the decomposition
+	route siteFrags
+	par   int // the matcher's worker budget
 }
 
-func (st *runStats) touch(sites []int) {
-	st.mu.Lock()
-	for _, s := range sites {
-		st.sites[s] = true
-	}
-	st.mu.Unlock()
+// inlet is where a subquery's batches go: a join stage's input, or the
+// answer.
+type inlet struct {
+	stage   cluster.Stage
+	left    bool
+	running atomic.Int32 // the subquery's units not yet finished
 }
 
-func (st *runStats) skip(site int) {
-	st.mu.Lock()
-	st.unreachable[site] = true
-	st.mu.Unlock()
-}
+// execution is one run of a plan: its units' shared state.
+type execution struct {
+	e      *Engine
+	ctx    context.Context
+	cancel context.CancelFunc // a no-op when one unit runs
+	subs   []*decompose.Subquery
+	view   *rdf.ViewHandle
+	inlets []inlet
+	ans    answer
+	rows   atomic.Int64 // binding rows shipped
 
-// unreachableSites returns the skipped sites in ascending order.
-func (st *runStats) unreachableSites() []int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]int, 0, len(st.unreachable))
-	for s := range st.unreachable {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// siteCount reads the touched-site tally; producers may still be running
-// when the pipeline is cancelled early, so the read must take the lock.
-func (st *runStats) siteCount() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.sites)
+	mu          sync.Mutex
+	err         error // the first unit's error that fails the query
+	unreachable []int // sites skipped in PartialResults mode
 }
 
 // QueryPrepared executes q with a previously prepared plan. The plan must
@@ -96,139 +83,219 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 	}
 	stats.Parallelism = par
 
-	vars := make([][]string, len(dcp.Subqueries))
-	for i, sq := range dcp.Subqueries {
-		vars[i] = sq.Graph.Vars()
-	}
-
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	st := &runStats{sites: make(map[int]bool), unreachable: make(map[int]bool)}
-	errCh := make(chan error, len(dcp.Subqueries))
-
-	// One producer per subquery, streaming batches from its sites. The
-	// whole worker budget goes to them — a control-site join stage is one
-	// goroutine — divided across the concurrent subquery producers here
-	// and across each subquery's sites below, whose graphs evaluate one
-	// after the other, so total morsel-worker demand stays near the
-	// budget instead of multiplying with the fan-out.
-	sqPar := par / len(dcp.Subqueries)
-	if sqPar < 1 {
-		sqPar = 1
-	}
-	streams := make([]chan *match.Bindings, len(dcp.Subqueries))
-	for i, sq := range dcp.Subqueries {
-		streams[i] = make(chan *match.Bindings, streamBuf)
-		go func(sq *decompose.Subquery, out chan *match.Bindings) {
-			defer close(out)
-			if err := e.evalSubqueryStream(ctx, sq, prep.View, sqPar, out, st); err != nil {
-				errCh <- err
-				cancel()
-			}
-		}(sq, streams[i])
-	}
-
-	// Chain pipelined joins in optimizer order: stage k joins the running
-	// result stream with subquery Order[k]'s stream. Their emit order is
-	// whatever the arrival order makes it; consume dedups and sorts the
-	// final rows.
-	cur, curVars := (<-chan *match.Bindings)(streams[pl.Order[0]]), vars[pl.Order[0]]
-	for _, idx := range pl.Order[1:] {
-		next := make(chan *match.Bindings, streamBuf)
-		go cluster.JoinStream(ctx, curVars, vars[idx], cur, streams[idx], next)
-		cur, curVars = next, cluster.JoinVars(curVars, vars[idx])
-	}
-
-	out := e.consume(ctx, cancel, q, cur, curVars)
-	stats.SitesTouched = st.siteCount()
-	stats.IntermediateRows = int(st.rows.Load())
-	stats.UnreachableSites = st.unreachableSites()
-	stats.Partial = len(stats.UnreachableSites) > 0
-
-	if err := parent.Err(); err != nil {
-		return nil, nil, err
-	}
-	select {
-	case err := <-errCh:
-		// context.Canceled here can only be the pipeline's own
-		// early-termination cancel (LIMIT satisfied); a caller cancel was
-		// caught via parent above.
-		if !errors.Is(err, context.Canceled) {
+	// The worker budget goes to the units, divided across the subqueries
+	// and across each subquery's sites, whose graphs evaluate one after
+	// the other, so total morsel-worker demand stays near the budget
+	// instead of multiplying with the fan-out.
+	x := &execution{e: e, subs: dcp.Subqueries, view: prep.View, inlets: make([]inlet, len(dcp.Subqueries))}
+	sqPar := max(1, par/len(x.subs))
+	var units []unit
+	for i, sq := range x.subs {
+		route, err := e.routeSubquery(sq)
+		if err != nil {
 			return nil, nil, err
 		}
-	default:
+		for _, r := range route {
+			units = append(units, unit{sq: i, route: r, par: max(1, sqPar/len(route))})
+		}
+		x.inlets[i].running.Store(int32(len(route)))
 	}
-	return out, stats, nil
+	x.chain(q, pl.Order)
+	for i := range x.inlets {
+		if in := &x.inlets[i]; in.running.Load() == 0 {
+			in.stage.Close(in.left) // routed nowhere: no rows
+		}
+	}
+
+	x.ctx, x.cancel = ctx, func() {}
+	switch n := len(units); {
+	case n == 1:
+		x.run(&units[0])
+	case n > 1:
+		x.ctx, x.cancel = context.WithCancel(ctx)
+		defer x.cancel()
+		x.ans.stop = x.cancel
+		var wg sync.WaitGroup
+		wg.Add(n - 1)
+		for i := range units[:n-1] {
+			go func(u *unit) {
+				defer wg.Done()
+				x.run(u)
+			}(&units[i])
+		}
+		x.run(&units[n-1])
+		wg.Wait()
+	}
+
+	for i, u := range units {
+		if !slices.ContainsFunc(units[:i], func(v unit) bool { return v.route.site == u.route.site }) {
+			stats.SitesTouched++
+		}
+	}
+	stats.IntermediateRows = int(x.rows.Load())
+	slices.Sort(x.unreachable)
+	stats.UnreachableSites = x.unreachable
+	stats.Partial = len(x.unreachable) > 0
+
+	if err := cmp.Or(ctx.Err(), x.err); err != nil {
+		match.GiveRows(x.ans.rows)
+		return nil, nil, err
+	}
+	return x.ans.result(), stats, nil
 }
 
-// consume drains the final join stream into the result: projected,
+// chain builds the pipelined joins in optimizer order — stage k joins the
+// running result, its left input, with subquery order[k], its right — and
+// points each subquery's inlet at its input, the last stage's output at
+// the answer. The stages' emit order is whatever the arrival order makes
+// it; the answer dedups and sorts the final rows.
+func (x *execution) chain(q *sparql.Graph, order []int) {
+	layouts := make([][]string, 1, 4) // layouts[k]: the running result's variables after stage k
+	layouts[0] = x.subs[order[0]].Graph.Vars()
+	for k, i := range order[1:] {
+		layouts = append(layouts, cluster.JoinVars(layouts[k], x.subs[i].Graph.Vars()))
+	}
+	x.ans.init(q, layouts[len(order)-1])
+	var next cluster.Stage = &x.ans
+	for k := len(order) - 1; k > 0; k-- {
+		next = cluster.NewJoiner(layouts[k-1], x.subs[order[k]].Graph.Vars(), next)
+		x.inlets[order[k]].stage = next
+	}
+	x.inlets[order[0]].stage, x.inlets[order[0]].left = next, true
+}
+
+// run evaluates one unit, pushing what its site ships into its
+// subquery's inlet, which the subquery's last unit to finish closes. An
+// in-process site reads the execution's pinned view; a remote one, whose
+// evaluator retries and breaks, reads current fragment state — a view
+// handle cannot travel across processes.
+func (x *execution) run(u *unit) {
+	in, sq := &x.inlets[u.sq], x.subs[u.sq]
+	err := x.e.evaluatorFor(u.route.site).EvalStream(x.ctx, cluster.EvalRequest{
+		SiteID:      u.route.site,
+		FragIDs:     u.route.frags,
+		Query:       sq.Graph,
+		Keep:        sq.Keep,
+		View:        x.view,
+		Parallelism: u.par,
+	}, x.e.BatchSize, func(b *match.Bindings) error {
+		x.rows.Add(int64(b.Len()))
+		return in.stage.Push(b, in.left)
+	})
+	// A satisfied LIMIT and a cancel are not failures: the answer is
+	// complete, or the caller's context says why it is not. In
+	// PartialResults mode an unavailable site (retries exhausted or
+	// breaker open) is skipped and the result flagged partial; any other
+	// error fails the query and stops the other units.
+	switch {
+	case err == nil, errors.Is(err, errLimit), errors.Is(err, context.Canceled):
+	case x.e.PartialResults && errors.Is(err, cluster.ErrSiteUnavailable) && x.ctx.Err() == nil:
+		x.mu.Lock()
+		if !slices.Contains(x.unreachable, u.route.site) {
+			x.unreachable = append(x.unreachable, u.route.site)
+		}
+		x.mu.Unlock()
+	default:
+		x.mu.Lock()
+		x.err = cmp.Or(x.err, err)
+		x.mu.Unlock()
+		x.cancel()
+	}
+	if in.running.Add(-1) == 0 {
+		in.stage.Close(in.left)
+	}
+}
+
+// answer is the end of a query's join chain: it projects each batch
+// pushed to it into the answer's one row array — taken from match's free
+// list and grown through it — and releases the batch at once, so its
+// array is there for the next batch or probe to take. The result is
 // distinct and sorted (Dedup order), the engine's historical
-// deterministic output. It holds one input batch at a time: each is
-// projected into the answer as it arrives — an array of match's free list,
-// grown through it — and released at once, so its array is there for the
-// next batch or probe to take. Without a pushed-down LIMIT the final sort
-// drops duplicates as neighbours. With one, distinct rows must be counted
-// as they arrive: once Limit of them survive projection the whole
-// pipeline is cancelled instead of materializing the rest.
-func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *sparql.Graph, in <-chan *match.Bindings, inVars []string) *match.Bindings {
-	// Resolve the projection once, against the full joined layout.
-	var fewCols [8]int // a projection this narrow stays on the stack
-	proj := fewCols[:0]
-	keptVars := inVars
+// deterministic output. Without a pushed-down LIMIT the final sort drops
+// duplicates as neighbours. With one, distinct rows must be counted as
+// they arrive: once Limit of them survive projection, every push is
+// refused with errLimit, and stop, when set, cancels the other units.
+type answer struct {
+	mu      sync.Mutex
+	fewCols [8]int // a narrow projection's columns, without an allocation
+	proj    []int  // the projected columns of an input row; nil under SELECT *
+	inW     int    // input row width
+	vars    []string
+	limit   int
+	stop    context.CancelFunc
+	rows    []rdf.ID
+	n       int
+	seen    rowSet
+}
+
+// init resolves q's projection against the joined layout inVars.
+func (a *answer) init(q *sparql.Graph, inVars []string) {
+	a.inW, a.vars = len(inVars), inVars
 	if len(q.Select) > 0 {
-		keptVars = make([]string, 0, len(q.Select))
+		a.proj, a.vars = a.fewCols[:0], make([]string, 0, len(q.Select))
 		for _, v := range q.Select {
 			if i := slices.Index(inVars, v); i >= 0 {
-				proj = append(proj, i)
-				keptVars = append(keptVars, v)
+				a.proj = append(a.proj, i)
+				a.vars = append(a.vars, v)
 			}
 		}
 	}
-	// appendRows appends b's rows from..to, projected, to dst.
-	appendRows := func(dst []rdf.ID, b *match.Bindings, from, to int) []rdf.ID {
-		if len(q.Select) == 0 {
-			return append(dst, b.Rows[from*len(inVars):to*len(inVars)]...)
-		}
-		for i := from; i < to; i++ {
-			row := b.Rows[i*len(inVars) : (i+1)*len(inVars)]
-			for _, j := range proj {
-				dst = append(dst, row[j])
-			}
-		}
-		return dst
-	}
-	w := len(keptVars)
-
-	// ORDER BY is applied by the caller, by the terms' renderings; stopping early
-	// would change which rows survive, so only push the limit down for
-	// unordered queries.
-	limit := 0
+	a.seen.w = len(a.vars)
+	// ORDER BY is applied by the caller, by the terms' renderings;
+	// stopping early would change which rows survive, so only push the
+	// limit down for unordered queries.
 	if q.Limit > 0 && len(q.OrderBy) == 0 {
-		limit = q.Limit
+		a.limit = q.Limit
 	}
-	var rows []rdf.ID
-	n, seen := 0, rowSet{w: w}
-	for b := range in {
-		rows = match.GrowRows(rows, b.Len()*w)
-		if limit == 0 {
-			rows, n = appendRows(rows, b, 0, b.Len()), n+b.Len()
-		} else {
-			for i := 0; i < b.Len() && seen.n < limit; i++ {
-				if rows = appendRows(rows, b, i, i+1); !seen.insert(rows) {
-					rows = rows[:len(rows)-w]
-				}
-			}
-			n = seen.n
-		}
-		b.Release()
-		if limit > 0 && n >= limit {
-			cancel() // stop producers and join stages
-			break
+}
+
+// appendRows appends b's rows from..to, projected, to dst.
+func (a *answer) appendRows(dst []rdf.ID, b *match.Bindings, from, to int) []rdf.ID {
+	if a.proj == nil {
+		return append(dst, b.Rows[from*a.inW:to*a.inW]...)
+	}
+	for i := from; i < to; i++ {
+		row := b.Rows[i*a.inW : (i+1)*a.inW]
+		for _, j := range a.proj {
+			dst = append(dst, row[j])
 		}
 	}
-	out := match.Recyclable(keptVars, rows, n)
+	return dst
+}
+
+// Push projects b into the answer and releases it.
+func (a *answer) Push(b *match.Bindings, _ bool) error {
+	defer b.Release()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.limit > 0 && a.n >= a.limit {
+		return errLimit
+	}
+	w := len(a.vars)
+	a.rows = match.GrowRows(a.rows, b.Len()*w)
+	if a.limit == 0 {
+		a.rows, a.n = a.appendRows(a.rows, b, 0, b.Len()), a.n+b.Len()
+		return nil
+	}
+	for i := 0; i < b.Len() && a.seen.n < a.limit; i++ {
+		if a.rows = a.appendRows(a.rows, b, i, i+1); !a.seen.insert(a.rows) {
+			a.rows = a.rows[:len(a.rows)-w]
+		}
+	}
+	if a.n = a.seen.n; a.n < a.limit {
+		return nil
+	}
+	if a.stop != nil {
+		a.stop()
+	}
+	return errLimit
+}
+
+func (a *answer) Close(bool) {} // the end of the chain: nothing waits on it
+
+// result returns the answer, distinct and sorted.
+func (a *answer) result() *match.Bindings {
+	out := match.Recyclable(a.vars, a.rows, a.n)
 	out.Dedup()
 	return out
 }
@@ -277,76 +344,4 @@ func (s *rowSet) insert(rows []rdf.ID) bool {
 	s.n++
 	*slot = int32(s.n)
 	return true
-}
-
-// evalSubqueryStream routes one subquery to the sites holding its
-// relevant fragments and streams their binding batches into out,
-// dividing the subquery's worker budget across its concurrent sites. It
-// returns once every site's stream is exhausted (or ctx is cancelled).
-// Every site evaluation reads from view, the execution's pinned cut.
-func (e *Engine) evalSubqueryStream(ctx context.Context, sq *decompose.Subquery, view *rdf.ViewHandle, par int, out chan<- *match.Bindings, st *runStats) error {
-	bySite, err := e.routeSubquery(sq)
-	if err != nil {
-		return err
-	}
-	sites := make([]int, 0, len(bySite))
-	for s := range bySite {
-		sites = append(sites, s)
-	}
-	sort.Ints(sites)
-	st.touch(sites)
-	sitePar := 1
-	if len(sites) > 0 {
-		sitePar = par / len(sites)
-		if sitePar < 1 {
-			sitePar = 1
-		}
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, s := range sites {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			// Remote sites get their own evaluator (retries, breaker);
-			// they read current fragment state rather than the pinned
-			// view — a view handle cannot travel across processes.
-			err := e.evaluatorFor(s).EvalStream(ctx, cluster.EvalRequest{
-				SiteID:      s,
-				FragIDs:     bySite[s],
-				Query:       sq.Graph,
-				Keep:        sq.Keep,
-				View:        view,
-				Parallelism: sitePar,
-			}, e.BatchSize, func(b *match.Bindings) error {
-				st.rows.Add(int64(b.Len()))
-				select {
-				case out <- b:
-					return nil
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			})
-			if err != nil {
-				// Degrade gracefully if configured: an unavailable site
-				// (retries exhausted or breaker open) is skipped and the
-				// result flagged partial instead of failing the query.
-				if e.PartialResults && errors.Is(err, cluster.ErrSiteUnavailable) && ctx.Err() == nil {
-					st.skip(s)
-					return
-				}
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(s)
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -108,7 +108,6 @@ func forEachOrdered(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int,
 		order:  order,
 		m: Match{
 			Vertex:  make([]rdf.ID, len(q.Verts)),
-			Pred:    make(map[string]rdf.ID),
 			Triples: make([]rdf.Triple, len(q.Edges)),
 		},
 		bound: make([]bool, len(q.Verts)),
@@ -650,13 +649,16 @@ func (s *searcher) bind(qv int, id rdf.ID) (undo, ok bool) {
 func (s *searcher) unbind(qv int) { s.bound[qv] = false }
 
 // bindPred records a variable-predicate binding, reporting whether the
-// caller must delete it on backtrack.
+// caller must delete it on backtrack. It makes the map on first use.
 func (s *searcher) bindPred(e sparql.Edge, p rdf.ID) bool {
 	if !e.IsPredVar() {
 		return false
 	}
 	if _, ok := s.m.Pred[e.PredVar]; ok {
 		return false
+	}
+	if s.m.Pred == nil {
+		s.m.Pred = make(map[string]rdf.ID)
 	}
 	s.m.Pred[e.PredVar] = p
 	return true

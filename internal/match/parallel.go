@@ -166,7 +166,6 @@ func (r *parallelRun) worker(h workerHooks) {
 		order:  r.order,
 		m: Match{
 			Vertex:  make([]rdf.ID, len(q.Verts)),
-			Pred:    make(map[string]rdf.ID),
 			Triples: make([]rdf.Triple, len(q.Edges)),
 		},
 		bound: make([]bool, len(q.Verts)),

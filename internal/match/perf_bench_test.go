@@ -68,7 +68,7 @@ func TestMatchWatDivAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		parallelism int
 		measured    float64
-	}{{1, 440}, {2, 1091}} {
+	}{{1, 400}, {2, 1020}} {
 		opts := Options{Parallelism: tc.parallelism}
 		allocs := testing.AllocsPerRun(5, func() {
 			total := 0

@@ -9,7 +9,7 @@ import (
 
 // planCache is a small mutex-guarded LRU of query shapes. Entries are
 // immutable (a decompose.Shape is read-only once built), so hits can be
-// shared across concurrent workers without copying.
+// shared across concurrent queries without copying.
 type planCache struct {
 	mu  sync.Mutex
 	cap int

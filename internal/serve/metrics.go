@@ -22,7 +22,8 @@ type Metrics struct {
 	Failed    uint64
 	Rejected  uint64
 	TimedOut  uint64
-	// QueueDepth and InFlight are instantaneous gauges.
+	// QueueDepth and InFlight are instantaneous gauges: the admitted
+	// queries waiting for an execution slot, and those executing.
 	QueueDepth int
 	InFlight   int
 	// QPS is completed queries per second of uptime.
@@ -109,7 +110,7 @@ type WALMetrics struct {
 	FsyncP99  time.Duration
 }
 
-// collector accumulates metrics from concurrent workers.
+// collector accumulates metrics from concurrent queries.
 type collector struct {
 	start        time.Time
 	completed    atomic.Uint64

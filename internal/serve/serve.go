@@ -1,6 +1,6 @@
 // Package serve is the concurrent query-serving layer over the
-// distributed engine: a bounded admission queue feeding a worker pool
-// that executes many queries at once against the shared deployed cluster,
+// distributed engine: bounded admission that runs each query on its
+// caller's goroutine, many at once against the shared deployed cluster,
 // with per-query timeouts/cancellation, an LRU plan cache keyed on the
 // query's constant-free shape (the workload-aware complement of the
 // paper's FAP mining — every instance of a hot shape skips the
@@ -22,6 +22,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rdffrag/internal/exec"
@@ -30,8 +31,8 @@ import (
 	"rdffrag/internal/sparql"
 )
 
-// ErrOverloaded is returned when the admission queue is full; callers
-// should back off and retry.
+// ErrOverloaded is returned when Workers+QueueDepth queries are already
+// admitted; callers should back off and retry.
 var ErrOverloaded = errors.New("serve: admission queue full")
 
 // ErrClosed is returned for queries submitted after Close.
@@ -45,8 +46,8 @@ var ErrNoUpdater = errors.New("serve: no update sink configured")
 type Config struct {
 	// Workers is the number of queries executed concurrently (default 4).
 	Workers int
-	// QueueDepth bounds the admission queue; submissions beyond it fail
-	// fast with ErrOverloaded (default 64).
+	// QueueDepth bounds the queries admitted to wait for a slot beyond
+	// Workers; any more fail fast with ErrOverloaded (default 64).
 	QueueDepth int
 	// Timeout is the per-query execution deadline; 0 disables it. A
 	// caller context with an earlier deadline still wins.
@@ -59,7 +60,7 @@ type Config struct {
 	// effective parallelism is the budget divided by the number of
 	// queries in flight: a lone query fans its morsels across the whole
 	// budget, while under heavy concurrent traffic queries run near
-	// sequentially and throughput comes from the worker pool instead —
+	// sequentially and throughput comes from running many at once —
 	// the intra- vs inter-query trade the budget exists to make.
 	Parallelism int
 	// Apply, when non-nil, is the live-update sink: Server.Apply routes
@@ -151,33 +152,22 @@ type Response struct {
 	// CacheHit reports whether the query's shape came from the plan
 	// cache.
 	CacheHit bool
-	// Latency is the server-side execution time (queue wait included).
+	// Latency is the server-side execution time (slot wait included).
 	Latency time.Duration
-}
-
-type request struct {
-	ctx      context.Context
-	q        *sparql.Graph
-	enqueued time.Time
-	done     chan outcome
-}
-
-type outcome struct {
-	resp *Response
-	err  error
 }
 
 // Server executes queries concurrently against one deployed engine.
 type Server struct {
 	engine *exec.Engine
 	cfg    Config
-	queue  chan *request
+	slots  chan struct{} // one token per executing query: Workers of them
 	cache  *planCache
 	met    *collector
 
-	mu     sync.RWMutex // guards closed vs. queue sends
-	closed bool
-	wg     sync.WaitGroup
+	mu       sync.RWMutex // guards closed against admissions
+	closed   bool
+	admitted atomic.Int64   // queries executing or waiting for a slot
+	wg       sync.WaitGroup // admitted queries
 
 	// dataMu is the writer-side mutex: it serializes update batches,
 	// Exclusive maintenance and the Close barrier with each other.
@@ -191,20 +181,15 @@ type Server struct {
 	sweepDone chan struct{}
 }
 
-// New starts a server over a deployed engine: cfg.Workers goroutines
-// begin draining the admission queue immediately. Call Close to stop.
+// New starts a server over a deployed engine. Call Close to stop.
 func New(engine *exec.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		engine: engine,
 		cfg:    cfg,
-		queue:  make(chan *request, cfg.QueueDepth),
+		slots:  make(chan struct{}, cfg.Workers),
 		cache:  newPlanCache(cfg.PlanCacheSize),
 		met:    newCollector(),
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
 	}
 	if cfg.Apply != nil && cfg.Due != nil && cfg.SweepInterval > 0 {
 		s.sweepStop = make(chan struct{})
@@ -214,8 +199,8 @@ func New(engine *exec.Engine, cfg Config) *Server {
 	return s
 }
 
-// Close stops accepting queries, waits for in-flight and queued work to
-// drain, and returns. Safe to call once.
+// Close stops accepting queries and returns once every admitted query,
+// waiting or executing, has finished. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -223,7 +208,6 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	close(s.queue)
 	s.mu.Unlock()
 	s.wg.Wait()
 	if s.sweepStop != nil {
@@ -238,55 +222,59 @@ func (s *Server) Close() {
 	s.dataMu.Unlock() //nolint:staticcheck // empty critical section is the point
 }
 
-// Query executes an already-parsed query graph. Admission is
-// non-blocking: a full queue fails fast with ErrOverloaded so overload
-// surfaces as back-pressure instead of unbounded latency. The caller's
-// ctx covers queue wait and execution; cancelling it abandons the query
-// (a worker that already picked it up stops at the next pipeline step).
+// Query executes an already-parsed query graph on the caller's goroutine
+// once one of the Workers execution slots is free. Admission is
+// non-blocking: beyond Workers+QueueDepth admitted queries it fails fast
+// with ErrOverloaded, so overload surfaces as back-pressure instead of
+// unbounded latency. The caller's ctx covers the wait and the execution.
 func (s *Server) Query(ctx context.Context, q *sparql.Graph) (*Response, error) {
-	req := &request{ctx: ctx, q: q, enqueued: time.Now(), done: make(chan outcome, 1)}
-
+	start := time.Now()
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	select {
-	case s.queue <- req:
-		s.met.queued.Add(1)
-		s.mu.RUnlock()
-	default:
+	if s.admitted.Add(1) > int64(s.cfg.Workers+s.cfg.QueueDepth) {
+		s.admitted.Add(-1)
 		s.mu.RUnlock()
 		s.met.rejected.Add(1)
 		return nil, ErrOverloaded
 	}
+	s.wg.Add(1)
+	s.mu.RUnlock()
+	defer func() {
+		s.admitted.Add(-1)
+		s.wg.Done()
+	}()
 
 	select {
-	case o := <-req.done:
-		return o.resp, o.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	case s.slots <- struct{}{}:
+	default:
+		s.met.queued.Add(1)
+		select {
+		case s.slots <- struct{}{}:
+			s.met.queued.Add(-1)
+		case <-ctx.Done():
+			s.met.queued.Add(-1)
+			s.met.failed.Add(1)
+			return nil, ctx.Err()
+		}
 	}
+	s.met.inflight.Add(1)
+	resp, err := s.execute(ctx, q, start)
+	s.met.inflight.Add(-1)
+	<-s.slots
+	return resp, err
 }
 
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for req := range s.queue {
-		s.met.queued.Add(-1)
-		s.met.inflight.Add(1)
-		o := s.execute(req)
-		s.met.inflight.Add(-1)
-		req.done <- o
-	}
-}
-
-func (s *Server) execute(req *request) outcome {
-	if err := req.ctx.Err(); err != nil {
-		// The client gave up while the request sat in the queue.
+// execute runs one admitted query that holds a slot; start is when it
+// was submitted.
+func (s *Server) execute(ctx context.Context, q *sparql.Graph, start time.Time) (*Response, error) {
+	if err := ctx.Err(); err != nil {
+		// The client gave up before the query could start.
 		s.met.failed.Add(1)
-		return outcome{err: err}
+		return nil, err
 	}
-	ctx := req.ctx
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
@@ -302,10 +290,10 @@ func (s *Server) execute(req *request) outcome {
 	view := s.engine.Views().Acquire()
 	defer view.Close()
 
-	prep, hit, err := s.plan(req.q)
+	prep, hit, err := s.plan(q)
 	if err != nil {
 		s.met.failed.Add(1)
-		return outcome{err: err}
+		return nil, err
 	}
 	// Stamp the Prepared (this query's own: only the shape behind it is
 	// cached and shared) with this query's slice of the parallelism
@@ -313,20 +301,20 @@ func (s *Server) execute(req *request) outcome {
 	prep.Parallelism = s.effectiveParallelism()
 	prep.View = view
 	s.met.parallelism(prep.Parallelism)
-	b, stats, err := s.engine.QueryPrepared(ctx, req.q, prep)
-	lat := time.Since(req.enqueued)
+	b, stats, err := s.engine.QueryPrepared(ctx, q, prep)
+	lat := time.Since(start)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.met.timedOut.Add(1)
 		}
 		s.met.failed.Add(1)
-		return outcome{err: err}
+		return nil, err
 	}
 	if stats.Partial {
 		s.met.partials.Add(1)
 	}
 	s.met.complete(lat)
-	return outcome{resp: &Response{Bindings: b, Stats: stats, CacheHit: hit, Latency: lat}}
+	return &Response{Bindings: b, Stats: stats, CacheHit: hit, Latency: lat}, nil
 }
 
 // Apply applies one batch to the deployment through the configured sink.
@@ -456,7 +444,7 @@ func (s *Server) Exclusive(fn func()) {
 // effectiveParallelism divides the machine-wide intra-query budget by
 // the number of queries currently executing (this one included), floored
 // at 1: alone on the server a query fans out fully, under load queries
-// degrade toward sequential and concurrency comes from the worker pool.
+// degrade toward sequential and concurrency comes from running many.
 func (s *Server) effectiveParallelism() int {
 	inflight := int(s.met.inflight.Load())
 	if inflight < 1 {

@@ -16,11 +16,11 @@ import (
 // delivery: every batch an in-process Cluster.EvalStream and a
 // SiteClient.EvalStream against an httptest site deliver is kept, and
 // once the streams have ended each must still equal the copy taken when it
-// was delivered. A JoinStream stage fed by one of each keeps its inputs
-// only while it runs: once it returns, every input batch has been handed
-// back (Release leaves it empty), while every batch it emitted still
-// equals its copy — the output is the receiver's. Under -race a late write
-// also shows as a race.
+// was delivered. A Joiner pushed to by one of each keeps its inputs only
+// while they are open: once both have closed, every input batch has been
+// handed back (Release leaves it empty), while every batch it emitted
+// still equals its copy — the output is the receiver's. Under -race a late
+// write also shows as a race.
 func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 	c, d, q := newTestCluster(t, 600)
 	req := testRequest(q)
@@ -45,9 +45,9 @@ func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 		rows[from] += b.Len()
 		mu.Unlock()
 	}
-	sinkTo := func(from string, ch chan<- *match.Bindings) cluster.BatchSink {
+	sinkTo := func(from string, j *cluster.Joiner, left bool) cluster.BatchSink {
 		return func(b *match.Bindings) error {
-			if ch == nil {
+			if j == nil {
 				keep(from, b)
 				return nil
 			}
@@ -55,34 +55,34 @@ func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 			inputs = append(inputs, b)
 			rows[from] += b.Len()
 			mu.Unlock()
-			ch <- b
-			return nil
+			return j.Push(b, left)
 		}
 	}
 
-	if err := c.EvalStream(ctx, req, 8, sinkTo("cluster", nil)); err != nil {
+	if err := c.EvalStream(ctx, req, 8, sinkTo("cluster", nil, false)); err != nil {
 		t.Fatalf("in-process EvalStream: %v", err)
 	}
-	if err := cl.EvalStream(ctx, req, 8, sinkTo("client", nil)); err != nil {
+	if err := cl.EvalStream(ctx, req, 8, sinkTo("client", nil, false)); err != nil {
 		t.Fatalf("EvalStream over HTTP: %v", err)
 	}
 
 	// A join of the subquery with itself: every row meets its own copy.
-	left, right := make(chan *match.Bindings), make(chan *match.Bindings)
-	out := make(chan *match.Bindings)
+	j := cluster.NewJoiner(q.Vars(), q.Vars(), keeper{keep})
+	var wg sync.WaitGroup
 	errs := make(chan error, 2)
-	go func() {
-		defer close(left)
-		errs <- c.EvalStream(ctx, req, 8, sinkTo("join left", left))
-	}()
-	go func() {
-		defer close(right)
-		errs <- cl.EvalStream(ctx, req, 8, sinkTo("join right", right))
-	}()
-	go cluster.JoinStream(ctx, q.Vars(), q.Vars(), left, right, out)
-	for b := range out {
-		keep("join", b)
+	for _, side := range []struct {
+		from string
+		ev   cluster.SiteEval
+		left bool
+	}{{"join left", c, true}, {"join right", cl, false}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- side.ev.EvalStream(ctx, req, 8, sinkTo(side.from, j, side.left))
+			j.Close(side.left)
+		}()
 	}
+	wg.Wait()
 	for range 2 {
 		if err := <-errs; err != nil {
 			t.Fatalf("join input: %v", err)
@@ -101,7 +101,17 @@ func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 	}
 	for i, b := range inputs {
 		if b.Len() != 0 {
-			t.Fatalf("join input %d of %d still holds %d rows after the join returned", i, len(inputs), b.Len())
+			t.Fatalf("join input %d of %d still holds %d rows after both inputs closed", i, len(inputs), b.Len())
 		}
 	}
 }
+
+// keeper is the stage after the join: it keeps what the join emits.
+type keeper struct{ keep func(string, *match.Bindings) }
+
+func (k keeper) Push(b *match.Bindings, _ bool) error {
+	k.keep("join", b)
+	return nil
+}
+
+func (keeper) Close(bool) {}

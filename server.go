@@ -61,9 +61,9 @@ var ErrOverloaded = serve.ErrOverloaded
 // ErrServerClosed is returned by Server.Query after Close.
 var ErrServerClosed = serve.ErrClosed
 
-// Server answers queries concurrently over one deployment: a worker pool
-// behind a bounded admission queue, with per-query cancellation and a
-// plan cache keyed on the query's constant-free shape.
+// Server answers queries concurrently over one deployment, each on its
+// caller's goroutine behind bounded admission, with per-query
+// cancellation and a plan cache keyed on the query's constant-free shape.
 type Server struct {
 	dep     *Deployment
 	inner   *serve.Server
