@@ -65,9 +65,10 @@ type Result struct {
 // QueryStats summarizes one query's distributed execution.
 type QueryStats = exec.QueryStats
 
-// Query parses, decomposes, optimizes and executes a SPARQL query.
+// Query parses, decomposes, optimizes and executes a SPARQL query, adding
+// no term to the dictionary: a constant it lacks answers no rows.
 func (dep *Deployment) Query(query string) (*Result, error) {
-	q, err := sparql.NewParser(dep.db.graph.Dict).Parse(query)
+	q, err := sparql.NewLookupParser(dep.db.graph.Dict).Parse(query)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +199,7 @@ type FragmentRef = exec.FragmentRef
 // Explain plans a query without executing it: decomposition, join order
 // and fragment routing.
 func (dep *Deployment) Explain(query string) (*Explanation, error) {
-	q, err := sparql.NewParser(dep.db.graph.Dict).Parse(query)
+	q, err := sparql.NewLookupParser(dep.db.graph.Dict).Parse(query)
 	if err != nil {
 		return nil, err
 	}

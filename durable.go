@@ -172,18 +172,13 @@ func (d *Durable) Recover(cfg Config) (*Deployment, error) {
 		return nil, err
 	}
 
-	// Replay the tail. Segment headers whose dictionary stamp falls
-	// inside the checkpoint's dictionary are verified against it — a
-	// WAL from a different deployment fails here instead of replaying
-	// garbage. Stamps past the checkpoint length are unverifiable: the
-	// original dictionary also interned ad-hoc query constants the log
-	// never carries, so the recovered dictionary legitimately diverges
-	// beyond the data prefix (which is why records log term text, not
-	// IDs).
+	// Replay the tail. Terms are interned as batches apply, in log order,
+	// so each segment's dictionary stamp, taken as it opened, is a prefix
+	// of what replay has rebuilt when it reaches the segment: a WAL from
+	// another deployment fails here instead of replaying garbage.
 	dict := dep.db.graph.Dict
-	baseLen := dict.Len()
 	err = d.log.Replay(base, func(segLen int, segFP uint64) error {
-		if segLen <= baseLen && dict.Fingerprint(segLen) != segFP {
+		if segLen > dict.Len() || dict.Fingerprint(segLen) != segFP {
 			return fmt.Errorf("rdffrag: WAL segment dictionary fingerprint mismatch: log and checkpoint are from different deployments")
 		}
 		return nil
@@ -264,39 +259,35 @@ func (d *Durable) openLog(dep *Deployment) error {
 // Integers are little-endian; the deadline is in Unix microseconds, 0 for
 // none (microseconds reach past the year 2262 that Unix nanoseconds stop
 // at, so no Go duration of TTL overflows it). del and ins are N-Triples
-// text. Logging term text instead of IDs makes replay independent of
-// dictionary ID assignment: IDs diverge across restarts (queries intern
-// ad-hoc constants the log never sees), but re-parsing the text lands each
-// term on whatever ID the recovered dictionary assigns it. Both sides share
-// one record — one CRC frame — which is the whole atomicity story: a crash
-// either persists the frame (recovery replays delete-set and insert-set
+// text; replay interns the insert side as the live apply did, in log
+// order, so its terms land on the same IDs. Both sides share one record —
+// one CRC frame — which is the whole atomicity story: a crash either
+// persists the frame (recovery replays delete-set and insert-set
 // together) or tears it (recovery truncates the frame whole), never half.
 const batchHeader = 8 + 4
 
-// encodeBatch renders one batch as its WAL record payload.
+// encodeBatch renders one batch as its WAL record payload: the delete
+// side from the renderings of its IDs, the insert side from its terms.
 func encodeBatch(d *rdf.Dict, b serve.Batch) []byte {
 	var deadline int64
 	if !b.Deadline.IsZero() {
 		deadline = b.Deadline.UnixMicro()
 	}
 	p := binary.LittleEndian.AppendUint64(nil, uint64(deadline))
-	p = appendNTriples(append(p, 0, 0, 0, 0), d, b.Del)
+	p = append(p, 0, 0, 0, 0)
+	text := d.Rendered()
+	for _, t := range b.Del {
+		p = fmt.Appendf(p, "%s %s %s .\n", text[t.S], text[t.P], text[t.O])
+	}
 	binary.LittleEndian.PutUint32(p[8:], uint32(len(p)-batchHeader))
-	return appendNTriples(p, d, b.Ins)
-}
-
-func appendNTriples(p []byte, d *rdf.Dict, ts []rdf.Triple) []byte {
-	for _, t := range ts {
-		p = fmt.Appendf(p, "%s %s %s .\n", d.Decode(t.S), d.Decode(t.P), d.Decode(t.O))
+	for _, st := range b.Ins {
+		p = fmt.Appendf(p, "%s %s %s .\n", st[0], st[1], st[2])
 	}
 	return p
 }
 
-// decodeBatch inverts encodeBatch. Both sides parse with interning: the
-// batch's terms were in the dictionary when the record was logged, so
-// past the checkpoint they resolve to the same triples, and a term the
-// recovered dictionary lacks yields a triple that was never present,
-// whose deletion is a no-op.
+// decodeBatch inverts encodeBatch. The delete side is looked up, as the
+// live apply did; the insert side stays terms, for applyBatch to intern.
 func decodeBatch(d *rdf.Dict, p []byte) (serve.Batch, error) {
 	if len(p) < batchHeader {
 		return serve.Batch{}, fmt.Errorf("rdffrag: a %d-byte batch payload is shorter than its header", len(p))
@@ -309,11 +300,12 @@ func decodeBatch(d *rdf.Dict, p []byte) (serve.Batch, error) {
 	if deadline := int64(binary.LittleEndian.Uint64(p)); deadline != 0 {
 		b.Deadline = time.UnixMicro(deadline)
 	}
-	var err error
-	if b.Del, _, err = parseBatch(d, string(p[batchHeader:batchHeader+n]), true); err != nil {
+	del, err := parseStatements(string(p[batchHeader : batchHeader+n]))
+	if err != nil {
 		return serve.Batch{}, err
 	}
-	if b.Ins, _, err = parseBatch(d, string(p[batchHeader+n:]), true); err != nil {
+	b.Del = lookupTriples(d, del)
+	if b.Ins, err = parseStatements(string(p[batchHeader+n:])); err != nil {
 		return serve.Batch{}, err
 	}
 	return b, nil
@@ -322,11 +314,11 @@ func decodeBatch(d *rdf.Dict, p []byte) (serve.Batch, error) {
 // applyDurable is the serve-layer Apply sink of a durable deployment:
 // WAL append first (under SyncAlways the fsync happens inside, so a
 // batch is on stable storage before the caller can ack it), then the
-// normal in-memory apply. The record carries the whole batch, deadline
-// included, so replay re-applies it exactly as applied here. The caller
-// holds the server's writer mutex, so append order, sequence order and
-// apply order all agree. A failed append rejects the batch before
-// anything mutates.
+// normal in-memory apply, which interns the insert side. The record
+// carries the whole batch, deadline included, so replay re-applies it
+// exactly as applied here. The caller holds the server's writer mutex, so
+// append, sequence, apply and term-ID order all agree. A failed append
+// rejects the batch before anything mutates, the dictionary included.
 func (d *Durable) applyDurable(b serve.Batch) (serve.UpdateStats, error) {
 	seq, err := d.log.Append(wal.KindInsert, encodeBatch(d.dep.db.graph.Dict, b))
 	if err != nil {

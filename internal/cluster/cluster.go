@@ -60,7 +60,8 @@ type SiteMetrics struct {
 	Retries uint64
 	// Failures counts calls that returned an error: retries exhausted,
 	// a non-retryable error, the caller giving up, or a fast fail. A
-	// failed attempt that a retry then masks is not one.
+	// failed attempt that a retry then masks is not one, nor is a call
+	// whose sink refused a batch (a satisfied LIMIT stops taking rows).
 	Failures uint64
 	// FastFails counts calls rejected immediately by an open breaker
 	// (no attempt was made).

@@ -347,15 +347,15 @@ func TestShapeHitPlansWithLiveEstimates(t *testing.T) {
 	sameAsOracle(t, d, q, before)
 
 	// Double the live size of every fragment the plan reads.
-	follows := env.G.Dict.MustIRI("wsdbm:follows")
+	follows := env.G.Dict.Encode(rdf.NewIRI("wsdbm:follows"))
 	for _, sq := range before.Subqueries {
 		for _, e := range sq.Relevant {
 			g := e.Fragment.Graph
 			for i, n := 0, g.NumTriples(); i < n; i++ {
 				g.Add(rdf.Triple{
-					S: env.G.Dict.MustIRI(fmt.Sprintf("wsdbm:NewUser%d", i)),
+					S: env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("wsdbm:NewUser%d", i))),
 					P: follows,
-					O: env.G.Dict.MustIRI(fmt.Sprintf("wsdbm:NewUser%d", i+1)),
+					O: env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("wsdbm:NewUser%d", i+1))),
 				})
 			}
 		}

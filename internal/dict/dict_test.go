@@ -179,14 +179,14 @@ func TestEstimatesTrackLiveUpdates(t *testing.T) {
 
 	// A large insert batch: as many new triples as each relevant fragment
 	// holds, into the graph storing it, its site's.
-	name := env.G.Dict.MustIRI("name")
+	name := env.G.Dict.Encode(rdf.NewIRI("name"))
 	var added []rdf.Triple
 	for _, e := range env.Dict.LookupGraph(sub) {
 		for i := 0; i < e.Size; i++ {
 			tr := rdf.Triple{
-				S: env.G.Dict.MustIRI(fmt.Sprintf("Grown%d_%d", e.Fragment.ID, i)),
+				S: env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Grown%d_%d", e.Fragment.ID, i))),
 				P: name,
-				O: env.G.Dict.MustLiteral(fmt.Sprintf("Grown %d %d", e.Fragment.ID, i)),
+				O: env.G.Dict.Encode(rdf.NewLiteral(fmt.Sprintf("Grown %d %d", e.Fragment.ID, i))),
 			}
 			if e.Fragment.Graph.Add(tr) {
 				added = append(added, tr)
@@ -217,7 +217,7 @@ func TestEstimatesTrackLiveUpdates(t *testing.T) {
 	coldSub := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <viaf> ?v . }`)
 	coldBase := env.Dict.EstimateColdCard(coldSub)
 	cold := env.Frag.Cold.Graph
-	viaf := env.G.Dict.MustIRI("viaf")
+	viaf := env.G.Dict.Encode(rdf.NewIRI("viaf"))
 	removed := 0
 	for _, tr := range cold.Triples() {
 		if tr.P == viaf && removed*2 < coldBase {

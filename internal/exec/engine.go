@@ -168,8 +168,15 @@ type Prepared struct {
 	View *rdf.ViewHandle
 }
 
-// Prepare decomposes and optimizes q without executing it.
+// Prepare decomposes and optimizes q without executing it. A query with a
+// constant the dictionary lacks (see Graph.Resolved) has no match: its
+// plan has no subqueries, so it touches no site and answers no rows. No
+// later step may meet that constant, rdf.NoID, which the matcher would
+// read as unbound and the wire cannot render.
 func (e *Engine) Prepare(q *sparql.Graph) (*Prepared, error) {
+	if !q.Resolved() {
+		return &Prepared{Dcp: &decompose.Decomposition{}, Plan: &plan.Plan{}}, nil
+	}
 	s, err := e.Shape(q)
 	if err != nil {
 		return nil, err

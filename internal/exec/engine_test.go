@@ -106,6 +106,28 @@ func TestQueryEmptyResult(t *testing.T) {
 	}
 }
 
+// TestQueryUnresolvedConstant: a constant the lookup parser could not
+// resolve plans to no subquery; the query answers its projected header
+// with no rows and touches no site, and Explain shows no step.
+func TestQueryUnresolvedConstant(t *testing.T) {
+	e, env := newEngine(t, false)
+	n := env.G.Dict.Len()
+	q, err := sparql.NewLookupParser(env.G.Dict).Parse(`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <influencedBy> <NoSuchPerson> . }`)
+	if err != nil || q.Resolved() || env.G.Dict.Len() != n {
+		t.Fatalf("lookup parse: resolved %v, %d new terms, err %v", q.Resolved(), env.G.Dict.Len()-n, err)
+	}
+	got, stats, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Vars, []string{"x", "n"}) || got.Len() != 0 || stats.Subqueries != 0 || stats.SitesTouched != 0 {
+		t.Fatalf("Query: %d rows over %v, stats %+v; want [x n], no rows, no subquery", got.Len(), got.Vars, stats)
+	}
+	if ex, err := e.Explain(q); err != nil || len(ex.Subqueries) != 0 {
+		t.Fatalf("Explain: %v, err %v; want no step", ex, err)
+	}
+}
+
 func TestQueryVariablePredicate(t *testing.T) {
 	e, env := newEngine(t, false)
 	q := sparql.MustParse(env.G.Dict, `SELECT ?p WHERE { <Person0> ?p ?y . }`)

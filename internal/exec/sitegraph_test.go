@@ -28,11 +28,11 @@ func TestHorizontalDuplicateAcrossSites(t *testing.T) {
 	d := rdf.NewDict()
 	var ts []rdf.Triple
 	for i, infl := range []string{"A", "B", "A", "B"} {
-		x := d.MustIRI("P" + string(rune('0'+i)))
+		x := d.Encode(rdf.NewIRI("P" + string(rune('0'+i))))
 		ts = append(ts,
-			rdf.Triple{S: x, P: d.MustIRI("name"), O: d.MustLiteral("n" + string(rune('0'+i)))},
-			rdf.Triple{S: x, P: d.MustIRI("influencedBy"), O: d.MustIRI(infl)},
-			rdf.Triple{S: x, P: d.MustIRI("mainInterest"), O: d.MustIRI("Ethics")})
+			rdf.Triple{S: x, P: d.Encode(rdf.NewIRI("name")), O: d.Encode(rdf.NewLiteral("n" + string(rune('0'+i))))},
+			rdf.Triple{S: x, P: d.Encode(rdf.NewIRI("influencedBy")), O: d.Encode(rdf.NewIRI(infl))},
+			rdf.Triple{S: x, P: d.Encode(rdf.NewIRI("mainInterest")), O: d.Encode(rdf.NewIRI("Ethics"))})
 	}
 	g := rdf.NewFrozen(d, ts)
 	const text = `SELECT ?x ?y WHERE { ?x <name> ?n . ?x <influencedBy> ?y . }`
@@ -46,7 +46,7 @@ func TestHorizontalDuplicateAcrossSites(t *testing.T) {
 	both := pattern(`SELECT * WHERE { ?x <name> ?n . ?x <influencedBy> ?y . }`)
 	y := slices.IndexFunc(both.Graph.Verts, func(v sparql.Vertex) bool { return v.Var == "y" })
 	onA := func(equal bool) *fragment.Minterm {
-		return &fragment.Minterm{Pattern: both, Constraints: []fragment.Constraint{{Vertex: y, Equal: equal, Value: d.MustIRI("A")}}}
+		return &fragment.Minterm{Pattern: both, Constraints: []fragment.Constraint{{Vertex: y, Equal: equal, Value: d.Encode(rdf.NewIRI("A"))}}}
 	}
 	hot := hc.Hot.Snapshot()
 	defer hot.Close()

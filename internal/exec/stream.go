@@ -88,6 +88,10 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 	// the other, so total morsel-worker demand stays near the budget
 	// instead of multiplying with the fan-out.
 	x := &execution{e: e, subs: dcp.Subqueries, view: prep.View, inlets: make([]inlet, len(dcp.Subqueries))}
+	if len(x.subs) == 0 { // Prepare found a constant the data lacks
+		x.ans.init(q, q.Vars())
+		return x.ans.result(), stats, nil
+	}
 	sqPar := max(1, par/len(x.subs))
 	var units []unit
 	for i, sq := range x.subs {

@@ -101,7 +101,7 @@ func TestSplitHotCold(t *testing.T) {
 	if hc.NumTriples() != g.NumTriples() {
 		t.Errorf("the split counts %d triples of %d", hc.NumTriples(), g.NumTriples())
 	}
-	parked := rdf.Triple{S: g.Dict.MustIRI("Parked"), P: name, O: g.Dict.MustLiteral("Parked")}
+	parked := rdf.Triple{S: g.Dict.Encode(rdf.NewIRI("Parked")), P: name, O: g.Dict.Encode(rdf.NewLiteral("Parked"))}
 	hc.Hot.Add(parked)
 	hc.Cold.Add(parked)
 	if hc.NumTriples() != g.NumTriples()+1 {
@@ -211,8 +211,8 @@ func TestMintermSatisfiesAndFilter(t *testing.T) {
 	d := rdf.NewDict()
 	pg := sparql.MustParse(d, `SELECT * WHERE { ?x <p> ?y . }`)
 	p := &mining.Pattern{Graph: pg, Code: mining.CanonicalCode(pg)}
-	v1 := d.MustIRI("v1")
-	v2 := d.MustIRI("v2")
+	v1 := d.Encode(rdf.NewIRI("v1"))
+	v2 := d.Encode(rdf.NewIRI("v2"))
 	mt := &Minterm{Pattern: p, Constraints: []Constraint{
 		{Vertex: 0, Equal: true, Value: v1},
 		{Vertex: 1, Equal: false, Value: v2},

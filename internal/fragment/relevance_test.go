@@ -91,7 +91,7 @@ func TestRelevanceSharesShapeNotConstants(t *testing.T) {
 	y := pg.AddVertex(sparql.Vertex{Var: "y"})
 	f := &fragment.Fragment{Kind: fragment.HorizontalKind, Pattern: p, Minterm: &fragment.Minterm{
 		Pattern:     p,
-		Constraints: []fragment.Constraint{{Vertex: y, Equal: true, Value: d.MustIRI("Plato")}},
+		Constraints: []fragment.Constraint{{Vertex: y, Equal: true, Value: d.Encode(rdf.NewIRI("Plato"))}},
 	}}
 	plato := sparql.MustParse(d, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Plato> . }`)
 	kant := sparql.MustParse(d, `SELECT ?n WHERE { ?a <name> ?n . ?a <influencedBy> <Kant> . }`)

@@ -89,10 +89,10 @@ func deltaHubGraph(fanout, preds, deltaEdges int) *rdf.Graph {
 	g := hubGraph(fanout, preds)
 	g.Freeze()
 	g.SetAutoCompact(-1)
-	hub := g.Dict.MustIRI("hub")
+	hub := g.Dict.Encode(rdf.NewIRI("hub"))
 	for i := 0; i < deltaEdges; i++ {
-		o := g.Dict.MustIRI(fmt.Sprintf("d%d", i))
-		p := g.Dict.MustIRI(fmt.Sprintf("p%d", i%preds))
+		o := g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("d%d", i)))
+		p := g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("p%d", i%preds)))
 		g.Add(rdf.Triple{S: hub, P: p, O: o})
 	}
 	return g
@@ -104,27 +104,27 @@ func deltaHubGraph(fanout, preds, deltaEdges int) *rdf.Graph {
 // and tombstone runs against the base CSR.
 func tombHubGraph(fanout, preds, deltaEdges int) *rdf.Graph {
 	g := deltaHubGraph(fanout, preds, deltaEdges)
-	hub := g.Dict.MustIRI("hub")
+	hub := g.Dict.Encode(rdf.NewIRI("hub"))
 	for i := 0; i < fanout; i += 7 {
-		o := g.Dict.MustIRI(fmt.Sprintf("o%d", i))
-		p := g.Dict.MustIRI(fmt.Sprintf("p%d", i%preds))
+		o := g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("o%d", i)))
+		p := g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("p%d", i%preds)))
 		if !g.Delete(rdf.Triple{S: hub, P: p, O: o}) {
 			panic("tombHubGraph: base edge missing")
 		}
 	}
 	for i := 0; i < deltaEdges; i += 5 {
-		o := g.Dict.MustIRI(fmt.Sprintf("d%d", i))
-		p := g.Dict.MustIRI(fmt.Sprintf("p%d", i%preds))
+		o := g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("d%d", i)))
+		p := g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("p%d", i%preds)))
 		if !g.Delete(rdf.Triple{S: hub, P: p, O: o}) {
 			panic("tombHubGraph: delta edge missing")
 		}
 	}
 	// Delete-then-reinsert: the later insert must win over the tombstone.
-	re := rdf.Triple{S: hub, P: g.Dict.MustIRI("p0"), O: g.Dict.MustIRI("o0")}
+	re := rdf.Triple{S: hub, P: g.Dict.Encode(rdf.NewIRI("p0")), O: g.Dict.Encode(rdf.NewIRI("o0"))}
 	g.Delete(re)
 	g.Add(re)
 	// Never-inserted: a pure no-op, not a phantom the merge could trip on.
-	g.Delete(rdf.Triple{S: hub, P: g.Dict.MustIRI("p0"), O: g.Dict.MustIRI("never")})
+	g.Delete(rdf.Triple{S: hub, P: g.Dict.Encode(rdf.NewIRI("p0")), O: g.Dict.Encode(rdf.NewIRI("never"))})
 	return g
 }
 
@@ -305,8 +305,8 @@ func TestTombstoneCursorZeroAllocs(t *testing.T) {
 		t.Fatal("setup lost the tombstones")
 	}
 	sn := g.Snapshot()
-	hub := g.Dict.MustIRI("hub")
-	p5 := g.Dict.MustIRI("p5")
+	hub := g.Dict.Encode(rdf.NewIRI("hub"))
+	p5 := g.Dict.Encode(rdf.NewIRI("p5"))
 	// Expected candidate counts come from the degree accessors, which the
 	// rdf differential suite pins against the naive oracle.
 	wantP5 := sn.OutDegreeP(hub, p5)

@@ -133,9 +133,9 @@ func TestMatchedEdgesCornerCases(t *testing.T) {
 	// A hub with 300 out-edges under one predicate: the two-edge star
 	// matches 90 000 times over 300 edges.
 	hub := hubGraph(300, 1)
-	h, other := hub.Dict.MustIRI("hub"), hub.Dict.MustIRI("q")
+	h, other := hub.Dict.Encode(rdf.NewIRI("hub")), hub.Dict.Encode(rdf.NewIRI("q"))
 	for i := 0; i < 300; i += 3 {
-		hub.Add(rdf.Triple{S: hub.Dict.MustIRI(fmt.Sprintf("o%d", i)), P: other, O: h})
+		hub.Add(rdf.Triple{S: hub.Dict.Encode(rdf.NewIRI(fmt.Sprintf("o%d", i))), P: other, O: h})
 	}
 	hub.Freeze()
 	star := sparql.MustParse(hub.Dict, `SELECT * WHERE { ?h <p0> ?a . ?h <p0> ?b . }`)

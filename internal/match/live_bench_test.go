@@ -54,7 +54,7 @@ func BenchmarkLiveMixedAddDeleteQuery(b *testing.B) {
 				g.Delete(last)
 				havePending = false
 			} else {
-				s := g.Dict.MustIRI(fmt.Sprintf("livedel%d", serial))
+				s := g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("livedel%d", serial)))
 				serial++
 				last = rdf.Triple{S: s, P: pred, O: obj}
 				g.Add(last)
@@ -83,10 +83,10 @@ func BenchmarkLiveSlowlyChangingGraph(b *testing.B) {
 	subj := make([]rdf.ID, entities)
 	vers := make([]rdf.ID, entities*2)
 	for e := 0; e < entities; e++ {
-		subj[e] = g.Dict.MustIRI(fmt.Sprintf("scd%d", e))
+		subj[e] = g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("scd%d", e)))
 	}
 	for v := range vers {
-		vers[v] = g.Dict.MustIRI(fmt.Sprintf("scdv%d", v))
+		vers[v] = g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("scdv%d", v)))
 	}
 	cur := make([]int, entities)
 	for e := 0; e < entities; e++ {
@@ -122,7 +122,7 @@ func BenchmarkLiveMixedAddQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%liveUpdateRatio == 0 {
-			s := g.Dict.MustIRI(fmt.Sprintf("live%d", serial))
+			s := g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("live%d", serial)))
 			serial++
 			g.Add(rdf.Triple{S: s, P: pred, O: obj})
 		}

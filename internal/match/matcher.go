@@ -114,7 +114,8 @@ func forEachOrdered(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int,
 		fn:    fn,
 		cut:   cutDepth(q, order, opts.Keep),
 	}
-	// Pre-bind constant vertices; bail out if a constant is absent from g.
+	// Pre-bind constant vertices. A constant g lacks simply has no
+	// candidates; rdf.NoID is no constant, and the engine never sends one.
 	for i, v := range q.Verts {
 		if !v.IsVar() {
 			s.m.Vertex[i] = v.Term

@@ -15,13 +15,13 @@ import (
 // with a constant predicate should only ever see fanout/preds edges.
 func hubGraph(fanout, preds int) *rdf.Graph {
 	g := rdf.NewGraph(nil)
-	hub := g.Dict.MustIRI("hub")
+	hub := g.Dict.Encode(rdf.NewIRI("hub"))
 	ps := make([]rdf.ID, preds)
 	for i := range ps {
-		ps[i] = g.Dict.MustIRI(fmt.Sprintf("p%d", i))
+		ps[i] = g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("p%d", i)))
 	}
 	for i := 0; i < fanout; i++ {
-		o := g.Dict.MustIRI(fmt.Sprintf("o%d", i))
+		o := g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("o%d", i)))
 		g.Add(rdf.Triple{S: hub, P: ps[i%preds], O: o})
 	}
 	return g

@@ -247,8 +247,8 @@ func (img *Image) Close() {
 }
 
 // Save streams img to w. It reads the pinned snapshots and the
-// dictionary prefix, which concurrent writers and query-constant
-// interning leave as they were, and changes nothing: it needs no lock.
+// dictionary prefix, which concurrent writers leave as they were, and
+// changes nothing: it needs no lock.
 // What it allocates is one chunk of each kind and the encoder's buffers,
 // whatever the size of the deployment.
 func Save(w io.Writer, img *Image) error {

@@ -261,8 +261,8 @@ func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 	// fragment, one into the cold graph — the cold fragment's — and a
 	// delete of a frozen hot triple.
 	d := st.HC.Hot.Dict
-	hot := rdf.Triple{S: d.MustIRI("UpdP"), P: d.MustIRI("name"), O: d.MustLiteral("Upd")}
-	coldT := rdf.Triple{S: d.MustIRI("UpdP"), P: d.MustIRI("viaf"), O: d.MustLiteral("42")}
+	hot := rdf.Triple{S: d.Encode(rdf.NewIRI("UpdP")), P: d.Encode(rdf.NewIRI("name")), O: d.Encode(rdf.NewLiteral("Upd"))}
+	coldT := rdf.Triple{S: d.Encode(rdf.NewIRI("UpdP")), P: d.Encode(rdf.NewIRI("viaf")), O: d.Encode(rdf.NewLiteral("42"))}
 	gone := st.HC.Hot.Triples()[0]
 	st.HC.Hot.Add(hot)
 	st.HC.Hot.Delete(gone)
@@ -291,8 +291,8 @@ func TestRoundTripDeltaCarryingGraphs(t *testing.T) {
 		t.Fatalf("graph triples %d vs %d", got.HC.NumTriples(), st.HC.NumTriples())
 	}
 	gd := got.HC.Hot.Dict
-	reHot := rdf.Triple{S: mustLookup(t, gd, "UpdP"), P: mustLookup(t, gd, "name"), O: gd.MustLiteral("Upd")}
-	reCold := rdf.Triple{S: reHot.S, P: mustLookup(t, gd, "viaf"), O: gd.MustLiteral("42")}
+	reHot := rdf.Triple{S: mustLookup(t, gd, "UpdP"), P: mustLookup(t, gd, "name"), O: gd.Encode(rdf.NewLiteral("Upd"))}
+	reCold := rdf.Triple{S: reHot.S, P: mustLookup(t, gd, "viaf"), O: gd.Encode(rdf.NewLiteral("42"))}
 	if !got.HC.Hot.Has(reHot) || !got.HC.Cold.Has(reCold) {
 		t.Error("delta triple lost across the round trip")
 	}
@@ -317,7 +317,7 @@ func TestLoadKeepsOneColdGraph(t *testing.T) {
 			t.Fatal("setup: fragmentation built the cold fragment over a graph of its own")
 		}
 		d := st.HC.Hot.Dict
-		parked := rdf.Triple{S: d.MustIRI("Parked"), P: d.MustIRI("name"), O: d.MustLiteral("Parked")}
+		parked := rdf.Triple{S: d.Encode(rdf.NewIRI("Parked")), P: d.Encode(rdf.NewIRI("name")), O: d.Encode(rdf.NewLiteral("Parked"))}
 		if !st.HC.FreqProps[parked.P] {
 			t.Fatal("setup: <name> is not a frequent property")
 		}
@@ -357,7 +357,7 @@ func TestSaveWritesTheCapturedCut(t *testing.T) {
 	img := Capture(st)
 	defer img.Close()
 	d := st.HC.Hot.Dict
-	late := rdf.Triple{S: d.MustIRI("Late"), P: d.MustIRI("name"), O: d.MustLiteral("Late")}
+	late := rdf.Triple{S: d.Encode(rdf.NewIRI("Late")), P: d.Encode(rdf.NewIRI("name")), O: d.Encode(rdf.NewLiteral("Late"))}
 	st.HC.Hot.Add(late)
 	st.Frag.Fragments[0].Graph.Add(late)
 	st.Frag.Cold.Graph.Add(late)

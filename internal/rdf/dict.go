@@ -31,13 +31,11 @@ type Dict struct {
 
 	// Prefix-fingerprint cache: the dictionary is append-only, so the
 	// fingerprint of terms[0:n] never changes once computed. fpN/fpHash
-	// is the rolling FNV state after the first fpN terms (extended
-	// incrementally as the dictionary grows); fpMemo remembers exact
-	// answers for the prefix lengths callers keep asking about.
+	// is the rolling FNV state after the first fpN terms, extended as the
+	// dictionary grows.
 	fpMu   sync.Mutex
 	fpN    int
 	fpHash uint64
-	fpMemo map[int]uint64
 }
 
 // NewDict returns an empty dictionary.
@@ -82,9 +80,9 @@ func (d *Dict) Encode(t Term) ID {
 	return id
 }
 
-// Lookup returns the ID for t without inserting. The second result reports
-// whether the term is present. It allocates nothing for a term of up to
-// stackTerm rendered bytes.
+// Lookup returns the ID for t without inserting, NoID if t is absent. The
+// second result reports whether the term is present. It allocates nothing
+// for a term of up to stackTerm rendered bytes.
 func (d *Dict) Lookup(t Term) (ID, bool) {
 	if t.Kind > Blank {
 		return NoID, false
@@ -93,8 +91,10 @@ func (d *Dict) Lookup(t Term) (ID, bool) {
 	r := appendTerm(buf[:0], t)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	id, ok := d.ids[string(r)]
-	return id, ok
+	if id, ok := d.ids[string(r)]; ok {
+		return id, true
+	}
+	return NoID, false
 }
 
 // Decode returns the term for id. It panics if id was not allocated by this
@@ -148,18 +148,16 @@ const (
 // over each term's kind, length and bytes). Two dictionaries that agree
 // on IDs 0..n-1 have equal n-fingerprints, so a fingerprint identifies
 // a dictionary prefix: checkpoints stamp it to refuse replay against a
-// foreign dictionary, and the transport verifies the shared prefix
-// before interpreting raw-ID binding rows. n must be <= Len. Computed
-// fingerprints are cached — the dictionary is append-only, so a prefix
-// fingerprint never changes.
+// foreign dictionary, and a site checks that a client's dictionary is a
+// prefix of its own before interpreting raw-ID binding rows. n must be
+// <= Len. Callers ask about the whole dictionary, whose fingerprint is
+// kept: asking again once it has grown hashes only the new terms. A
+// shorter prefix is hashed afresh.
 func (d *Dict) Fingerprint(n int) uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	d.fpMu.Lock()
 	defer d.fpMu.Unlock()
-	if h, ok := d.fpMemo[n]; ok {
-		return h
-	}
 	start, h := 0, uint64(fnvOffset64)
 	if d.fpN > 0 && d.fpN <= n {
 		start, h = d.fpN, d.fpHash
@@ -170,10 +168,6 @@ func (d *Dict) Fingerprint(n int) uint64 {
 	if n >= d.fpN {
 		d.fpN, d.fpHash = n, h
 	}
-	if d.fpMemo == nil || len(d.fpMemo) > 4096 {
-		d.fpMemo = make(map[int]uint64)
-	}
-	d.fpMemo[n] = h
 	return h
 }
 
@@ -190,12 +184,6 @@ func fnvTerm(h uint64, t Term) uint64 {
 	}
 	return h
 }
-
-// MustIRI interns an IRI given by its lexical value.
-func (d *Dict) MustIRI(v string) ID { return d.Encode(NewIRI(v)) }
-
-// MustLiteral interns a literal given by its lexical value.
-func (d *Dict) MustLiteral(v string) ID { return d.Encode(NewLiteral(v)) }
 
 // String renders an ID for debugging.
 func (d *Dict) String() string {

@@ -102,14 +102,14 @@ func FuzzDictEncode(f *testing.F) {
 func TestDictRenderedSnapshotUnderWrites(t *testing.T) {
 	d := NewDict()
 	for i := 0; i < 100; i++ {
-		d.MustIRI(fmt.Sprintf("http://ex/%d", i))
+		d.Encode(NewIRI(fmt.Sprintf("http://ex/%d", i)))
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 100; i < 5000; i++ {
-			d.MustLiteral(fmt.Sprintf("late %d", i))
+			d.Encode(NewLiteral(fmt.Sprintf("late %d", i)))
 		}
 	}()
 	for round := 0; round < 50; round++ {

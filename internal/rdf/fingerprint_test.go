@@ -8,7 +8,7 @@ import (
 func fpDict(n int) *Dict {
 	d := NewDict()
 	for i := 0; i < n; i++ {
-		d.MustIRI(fmt.Sprintf("http://example.org/t%d", i))
+		d.Encode(NewIRI(fmt.Sprintf("http://example.org/t%d", i)))
 	}
 	return d
 }
@@ -31,9 +31,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 	b := NewDict()
 	for i := 0; i < 10; i++ {
 		if i == 4 {
-			b.MustIRI("http://example.org/OTHER")
+			b.Encode(NewIRI("http://example.org/OTHER"))
 		} else {
-			b.MustIRI(fmt.Sprintf("http://example.org/t%d", i))
+			b.Encode(NewIRI(fmt.Sprintf("http://example.org/t%d", i)))
 		}
 	}
 	if a.Fingerprint(10) != b.Fingerprint(10) && a.Fingerprint(4) == b.Fingerprint(4) {
@@ -51,10 +51,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	// Length framing: ["ab","c"] must not collide with ["a","bc"].
 	e, f := NewDict(), NewDict()
-	e.MustIRI("ab")
-	e.MustIRI("c")
-	f.MustIRI("a")
-	f.MustIRI("bc")
+	e.Encode(NewIRI("ab"))
+	e.Encode(NewIRI("c"))
+	f.Encode(NewIRI("a"))
+	f.Encode(NewIRI("bc"))
 	if e.Fingerprint(2) == f.Fingerprint(2) {
 		t.Fatal("concatenation ambiguity: length framing is broken")
 	}
@@ -67,19 +67,19 @@ func TestFingerprintPrefixStableAcrossGrowth(t *testing.T) {
 	d := fpDict(5)
 	fp5 := d.Fingerprint(5)
 	for i := 0; i < 100; i++ {
-		d.MustIRI(fmt.Sprintf("http://example.org/extra%d", i))
+		d.Encode(NewIRI(fmt.Sprintf("http://example.org/extra%d", i)))
 	}
 	if d.Fingerprint(5) != fp5 {
 		t.Fatal("prefix fingerprint changed after append-only growth")
 	}
 }
 
-// TestFingerprintRollingMatchesFresh: the incremental (rolling + memo)
+// TestFingerprintRollingMatchesFresh: the incremental (rolling)
 // computation must agree with hashing from scratch in any query order.
 func TestFingerprintRollingMatchesFresh(t *testing.T) {
 	d := fpDict(50)
-	// Out-of-order queries exercise the memo and the restart-from-zero
-	// path (n < fpN forces a fresh walk).
+	// Out-of-order queries exercise the rolling state and the
+	// restart-from-zero path (n < fpN forces a fresh walk).
 	order := []int{50, 10, 30, 10, 50, 1, 49, 0, 25, 50}
 	got := make(map[int]uint64)
 	for _, n := range order {
@@ -90,7 +90,7 @@ func TestFingerprintRollingMatchesFresh(t *testing.T) {
 		got[n] = fp
 	}
 	// An independently built identical dictionary, queried ascending,
-	// must agree with every memoized answer.
+	// must agree with every answer.
 	fresh := fpDict(50)
 	for n, fp := range got {
 		if fresh.Fingerprint(n) != fp {

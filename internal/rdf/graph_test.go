@@ -45,7 +45,7 @@ func TestDictLookup(t *testing.T) {
 	if _, ok := d.Lookup(NewIRI("x")); ok {
 		t.Fatal("Lookup on empty dict returned ok")
 	}
-	id := d.MustIRI("x")
+	id := d.Encode(NewIRI("x"))
 	got, ok := d.Lookup(NewIRI("x"))
 	if !ok || got != id {
 		t.Fatalf("Lookup = (%d,%v), want (%d,true)", got, ok, id)
@@ -80,11 +80,11 @@ func TestTermKeyRoundTrip(t *testing.T) {
 
 func TestGraphAddAndIndexes(t *testing.T) {
 	g := NewGraph(nil)
-	a := g.Dict.MustIRI("a")
-	b := g.Dict.MustIRI("b")
-	c := g.Dict.MustIRI("c")
-	p := g.Dict.MustIRI("p")
-	q := g.Dict.MustIRI("q")
+	a := g.Dict.Encode(NewIRI("a"))
+	b := g.Dict.Encode(NewIRI("b"))
+	c := g.Dict.Encode(NewIRI("c"))
+	p := g.Dict.Encode(NewIRI("p"))
+	q := g.Dict.Encode(NewIRI("q"))
 
 	if !g.Add(Triple{a, p, b}) {
 		t.Fatal("first Add returned false")

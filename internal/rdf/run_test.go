@@ -172,12 +172,12 @@ func TestRunAgreesWithNaiveSetProperty(t *testing.T) {
 // ExampleCursor is the README's snapshot example, compiled.
 func ExampleCursor() {
 	g := NewGraph(nil)
-	v, p := g.Dict.MustIRI("v"), g.Dict.MustIRI("p")
+	v, p := g.Dict.Encode(NewIRI("v")), g.Dict.Encode(NewIRI("p"))
 	g.AddTerms(NewIRI("v"), NewIRI("p"), NewIRI("o1"))
 	g.Freeze()
 	g.AddTerms(NewIRI("v"), NewIRI("p"), NewIRI("o2"))
 	g.AddTerms(NewIRI("v"), NewIRI("q"), NewIRI("o1"))
-	g.Delete(Triple{S: v, P: p, O: g.Dict.MustIRI("o1")})
+	g.Delete(Triple{S: v, P: p, O: g.Dict.Encode(NewIRI("o1"))})
 
 	sn := g.Snapshot()                                 // pin: lock-free, O(1)
 	defer sn.Close()                                   // releases the generation pin

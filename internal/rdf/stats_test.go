@@ -144,8 +144,8 @@ func TestSnapshotIdentityAccessors(t *testing.T) {
 	if sn.Graph() != g {
 		t.Error("Snapshot.Graph is not the source graph")
 	}
-	if id := g.Dict.MustLiteral("lit"); g.Dict.Decode(id).Value != "lit" {
-		t.Error("MustLiteral round trip failed")
+	if id := g.Dict.Encode(NewLiteral("lit")); g.Dict.Decode(id).Value != "lit" {
+		t.Error("literal round trip failed")
 	}
 	if g.Dict.String() == "" || (Triple{1, 2, 3}).String() == "" {
 		t.Error("debug Strings empty")

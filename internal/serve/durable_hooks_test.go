@@ -36,11 +36,11 @@ func TestUpdateApplyErrorLeavesServerUntouched(t *testing.T) {
 	defer srv.Close()
 
 	ts := []rdf.Triple{{
-		S: env.G.Dict.MustIRI("apply-err-s"),
-		P: env.G.Dict.MustIRI("name"),
-		O: env.G.Dict.MustLiteral("Apply Err"),
+		S: env.G.Dict.Encode(rdf.NewIRI("apply-err-s")),
+		P: env.G.Dict.Encode(rdf.NewIRI("name")),
+		O: env.G.Dict.Encode(rdf.NewLiteral("Apply Err")),
 	}}
-	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: ts}); !errors.Is(err, rejected) {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: statements(env.G.Dict, ts)}); !errors.Is(err, rejected) {
 		t.Fatalf("Update returned %v, want the sink's error", err)
 	}
 	if m := srv.Metrics(); m.Updates != 0 || m.TriplesAdded != 0 {
@@ -48,7 +48,7 @@ func TestUpdateApplyErrorLeavesServerUntouched(t *testing.T) {
 	}
 	// The sink's contract is reject-before-mutate; the next attempt must
 	// go through cleanly and count exactly once.
-	st, err := srv.Apply(context.Background(), serve.Batch{Ins: ts})
+	st, err := srv.Apply(context.Background(), serve.Batch{Ins: statements(env.G.Dict, ts)})
 	if err != nil || st.Added != 1 {
 		t.Fatalf("retry after rejection: stats %+v, err %v", st, err)
 	}
@@ -73,11 +73,7 @@ func TestExclusivePublishesMaintenanceMutations(t *testing.T) {
 	// and compact-on-save do. Without the Publish inside Exclusive the
 	// next query would still be admitted against the stale view.
 	srv.Exclusive(func() {
-		testApply(env)(serve.Batch{Ins: []rdf.Triple{{
-			S: env.G.Dict.MustIRI("exclusive-s"),
-			P: env.G.Dict.MustIRI("name"),
-			O: env.G.Dict.MustLiteral("Exclusive Row"),
-		}}})
+		testApply(env)(serve.Batch{Ins: [][3]rdf.Term{{rdf.NewIRI("exclusive-s"), rdf.NewIRI("name"), rdf.NewLiteral("Exclusive Row")}}})
 	})
 	after, err := srv.Query(context.Background(), q)
 	if err != nil {

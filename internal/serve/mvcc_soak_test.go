@@ -117,15 +117,15 @@ func TestServerMVCCWritersNeverBlockedByReaders(t *testing.T) {
 		for b := 0; b < minB || !readersDone.Load(); b++ {
 			ts := make([]rdf.Triple, 0, perB)
 			for i := 0; i < perB/2; i++ {
-				s := env.G.Dict.MustIRI(fmt.Sprintf("Mvcc%d", person))
+				s := env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Mvcc%d", person)))
 				ts = append(ts,
-					rdf.Triple{S: s, P: env.G.Dict.MustIRI("name"), O: env.G.Dict.MustLiteral(fmt.Sprintf("Mvcc %d", person))},
-					rdf.Triple{S: s, P: env.G.Dict.MustIRI("mainInterest"), O: env.G.Dict.MustIRI(fmt.Sprintf("Interest%d", person%5))},
+					rdf.Triple{S: s, P: env.G.Dict.Encode(rdf.NewIRI("name")), O: env.G.Dict.Encode(rdf.NewLiteral(fmt.Sprintf("Mvcc %d", person)))},
+					rdf.Triple{S: s, P: env.G.Dict.Encode(rdf.NewIRI("mainInterest")), O: env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Interest%d", person%5)))},
 				)
 				person++
 			}
 			begin := time.Now()
-			if _, err := srv.Apply(context.Background(), serve.Batch{Ins: ts}); err != nil {
+			if _, err := srv.Apply(context.Background(), serve.Batch{Ins: statements(env.G.Dict, ts)}); err != nil {
 				errCh <- fmt.Errorf("writer batch %d: %w", b, err)
 				return
 			}

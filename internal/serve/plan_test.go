@@ -4,10 +4,25 @@ import (
 	"testing"
 
 	"rdffrag/internal/cluster"
+	"rdffrag/internal/decompose"
 	"rdffrag/internal/exec"
 	"rdffrag/internal/sparql"
 	"rdffrag/internal/testenv"
 )
+
+// TestPlanCachePutTwice: two queries of one shape that miss together both
+// put it; the later shape replaces the earlier and the cache holds one
+// entry. Concurrent tests reach this only when two misses race, so the
+// path is pinned here.
+func TestPlanCachePutTwice(t *testing.T) {
+	c := newPlanCache(2)
+	first, second := &decompose.Shape{}, &decompose.Shape{}
+	c.put("k", first)
+	c.put("k", second)
+	if got, ok := c.get([]byte("k")); !ok || got != second || c.ll.Len() != 1 {
+		t.Fatalf("after two puts of one key: %p (hit %v), %d entries; want the second shape, one entry", got, ok, c.ll.Len())
+	}
+}
 
 // TestShapeKey pins what the plan cache keys on: queries that differ
 // only in constant values or variable names share a key, and every

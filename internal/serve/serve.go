@@ -94,9 +94,13 @@ type Config struct {
 // Batch is one atomic update: Del's triples are removed, then Ins's
 // added, under a single writer-mutex hold, a single sink call and a single
 // MVCC publish. An insert carries only Ins, a delete only Del, an
-// overwrite both. A non-zero Deadline stamps Ins's triples to expire then.
+// overwrite both. Ins holds terms, which the sink interns as it applies
+// the batch: the dictionary grows in apply order, and a batch refused
+// before that adds nothing. A non-zero Deadline stamps Ins's triples to
+// expire then.
 type Batch struct {
-	Del, Ins []rdf.Triple
+	Del      []rdf.Triple
+	Ins      [][3]rdf.Term
 	Deadline time.Time
 }
 
@@ -460,9 +464,10 @@ func (s *Server) effectiveParallelism() int {
 // plan resolves a query's execution plan: the shape of its
 // decompositions through the LRU cache, then the choice among them and
 // the join order for this query's constants and today's statistics. The
-// flag reports a shape hit.
+// flag reports a shape hit. A query with a constant the data lacks skips
+// the cache for Prepare, which answers it.
 func (s *Server) plan(q *sparql.Graph) (*exec.Prepared, bool, error) {
-	if s.cache == nil {
+	if s.cache == nil || !q.Resolved() {
 		prep, err := s.engine.Prepare(q)
 		return prep, false, err
 	}

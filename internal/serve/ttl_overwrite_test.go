@@ -30,14 +30,14 @@ import (
 // ttlConfig is apply with the TTL schedule a deployment keeps beside it,
 // the model's: the latest write of a triple sets or clears its deadline,
 // and Due lists what has fallen due. A rejected batch changes nothing.
-func ttlConfig(apply func(serve.Batch) (serve.UpdateStats, error)) serve.Config {
+func ttlConfig(d *rdf.Dict, apply func(serve.Batch) (serve.UpdateStats, error)) serve.Config {
 	schedule := model.New()
 	return serve.Config{
 		SweepInterval: -1,
 		Apply: func(b serve.Batch) (serve.UpdateStats, error) {
 			st, err := apply(b)
 			if err == nil {
-				schedule.Apply(model.Batch(b))
+				schedule.Apply(model.Batch{Del: b.Del, Ins: interned(d, b.Ins), Deadline: b.Deadline})
 			}
 			return st, err
 		},
@@ -56,7 +56,7 @@ func TestSweepRequeuesFailedBatches(t *testing.T) {
 	poisoned := errors.New("sink poisoned")
 	var failDeletes atomic.Bool
 	apply := testApply(env)
-	srv := serve.New(engine, ttlConfig(func(b serve.Batch) (serve.UpdateStats, error) {
+	srv := serve.New(engine, ttlConfig(env.G.Dict, func(b serve.Batch) (serve.UpdateStats, error) {
 		if len(b.Del) > 0 && failDeletes.Load() {
 			return serve.UpdateStats{}, poisoned
 		}
@@ -65,11 +65,11 @@ func TestSweepRequeuesFailedBatches(t *testing.T) {
 	defer srv.Close()
 
 	ins := []rdf.Triple{{
-		S: env.G.Dict.MustIRI("ttl-requeue"),
-		P: env.G.Dict.MustIRI("name"),
-		O: env.G.Dict.MustLiteral("Requeue"),
+		S: env.G.Dict.Encode(rdf.NewIRI("ttl-requeue")),
+		P: env.G.Dict.Encode(rdf.NewIRI("name")),
+		O: env.G.Dict.Encode(rdf.NewLiteral("Requeue")),
 	}}
-	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: ins, Deadline: time.Now().Add(time.Millisecond)}); err != nil {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: statements(env.G.Dict, ins), Deadline: time.Now().Add(time.Millisecond)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,17 +97,17 @@ func TestSweepRequeuesFailedBatches(t *testing.T) {
 func TestBackgroundSweeperExpires(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	env.G.Freeze()
-	cfg := ttlConfig(testApply(env))
+	cfg := ttlConfig(env.G.Dict, testApply(env))
 	cfg.SweepInterval = 5 * time.Millisecond
 	srv := serve.New(engine, cfg)
 	defer srv.Close()
 
 	ins := []rdf.Triple{{
-		S: env.G.Dict.MustIRI("ttl-bg"),
-		P: env.G.Dict.MustIRI("name"),
-		O: env.G.Dict.MustLiteral("Background"),
+		S: env.G.Dict.Encode(rdf.NewIRI("ttl-bg")),
+		P: env.G.Dict.Encode(rdf.NewIRI("name")),
+		O: env.G.Dict.Encode(rdf.NewLiteral("Background")),
 	}}
-	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: ins, Deadline: time.Now().Add(time.Millisecond)}); err != nil {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: statements(env.G.Dict, ins), Deadline: time.Now().Add(time.Millisecond)}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -138,24 +138,24 @@ func TestOverwriteAtomicVisibilitySoak(t *testing.T) {
 	defer srv.Close()
 
 	const versions = 60
-	subj := env.G.Dict.MustIRI("OWSoak")
-	name := env.G.Dict.MustIRI("name")
-	interest := env.G.Dict.MustIRI("mainInterest")
+	subj := env.G.Dict.Encode(rdf.NewIRI("OWSoak"))
+	name := env.G.Dict.Encode(rdf.NewIRI("name"))
+	interest := env.G.Dict.Encode(rdf.NewIRI("mainInterest"))
 	// Pre-intern every version's terms so readers can map row IDs back
 	// to version numbers without touching the dictionary concurrently.
 	nameOf := make(map[rdf.ID]int, versions+1)
 	interestOf := make(map[rdf.ID]int, versions+1)
 	verTriples := make([][]rdf.Triple, versions+1)
 	for v := 0; v <= versions; v++ {
-		n := env.G.Dict.MustLiteral(fmt.Sprintf("ow version %d", v))
-		i := env.G.Dict.MustIRI(fmt.Sprintf("OWInterest%d", v))
+		n := env.G.Dict.Encode(rdf.NewLiteral(fmt.Sprintf("ow version %d", v)))
+		i := env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("OWInterest%d", v)))
 		nameOf[n], interestOf[i] = v, v
 		verTriples[v] = []rdf.Triple{
 			{S: subj, P: name, O: n},
 			{S: subj, P: interest, O: i},
 		}
 	}
-	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: verTriples[0]}); err != nil {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: statements(env.G.Dict, verTriples[0])}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,7 +177,7 @@ func TestOverwriteAtomicVisibilitySoak(t *testing.T) {
 		defer wg.Done()
 		defer stop.Store(true)
 		for v := 1; v <= versions; v++ {
-			st, err := srv.Apply(context.Background(), serve.Batch{Del: verTriples[v-1], Ins: verTriples[v]})
+			st, err := srv.Apply(context.Background(), serve.Batch{Del: verTriples[v-1], Ins: statements(env.G.Dict, verTriples[v])})
 			if err != nil {
 				errCh <- fmt.Errorf("overwrite to v%d: %w", v, err)
 				return

@@ -72,14 +72,14 @@ func BenchmarkUpdateLatencyUnderLoad(b *testing.B) {
 	// only. The triples use a predicate the benchmark query never
 	// touches, so query latency stays constant no matter how far b.N
 	// escalates.
-	prop := env.G.Dict.MustIRI("benchProp")
-	batches := make([][]rdf.Triple, b.N)
+	prop := env.G.Dict.Encode(rdf.NewIRI("benchProp"))
+	batches := make([][][3]rdf.Term, b.N)
 	for i := range batches {
-		s := env.G.Dict.MustIRI(fmt.Sprintf("Bench%d", i))
-		batches[i] = []rdf.Triple{
-			{S: s, P: prop, O: env.G.Dict.MustIRI(fmt.Sprintf("Val%d", i%64))},
-			{S: s, P: prop, O: env.G.Dict.MustIRI(fmt.Sprintf("Val%d", (i+1)%64))},
-		}
+		s := env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Bench%d", i)))
+		batches[i] = statements(env.G.Dict, []rdf.Triple{
+			{S: s, P: prop, O: env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Val%d", i%64)))},
+			{S: s, P: prop, O: env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Val%d", (i+1)%64)))},
+		})
 	}
 	lats := make([]time.Duration, 0, b.N)
 

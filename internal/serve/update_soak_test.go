@@ -36,6 +36,25 @@ import (
 // to the cold graph and cold fragment. Deletes tombstone the triple
 // everywhere it may have landed. A batch's delete-set applies before its
 // insert-set, matching the deployment's overwrite semantics.
+// statements renders triples of d as a batch's insert side.
+func statements(d *rdf.Dict, ts []rdf.Triple) [][3]rdf.Term {
+	sts := make([][3]rdf.Term, len(ts))
+	for i, t := range ts {
+		sts[i] = [3]rdf.Term{d.Decode(t.S), d.Decode(t.P), d.Decode(t.O)}
+	}
+	return sts
+}
+
+// interned resolves a batch's insert side to triples of d, interning its
+// terms as a deployment's sink does.
+func interned(d *rdf.Dict, sts [][3]rdf.Term) []rdf.Triple {
+	ts := make([]rdf.Triple, len(sts))
+	for i, st := range sts {
+		ts[i] = rdf.Triple{S: d.Encode(st[0]), P: d.Encode(st[1]), O: d.Encode(st[2])}
+	}
+	return ts
+}
+
 func testApply(env *testenv.Env) func(b serve.Batch) (serve.UpdateStats, error) {
 	usesPred := func(f *fragment.Fragment, p rdf.ID) bool {
 		if f.Pattern == nil {
@@ -65,7 +84,7 @@ func testApply(env *testenv.Env) func(b serve.Batch) (serve.UpdateStats, error) 
 			}
 			env.Frag.Cold.Graph.Delete(t)
 		}
-		for _, t := range b.Ins {
+		for _, t := range interned(env.G.Dict, b.Ins) {
 			if !env.G.Add(t) {
 				continue
 			}
@@ -138,14 +157,14 @@ func TestServerUpdateSoak(t *testing.T) {
 		for b := 0; b < batches; b++ {
 			ts := make([]rdf.Triple, 0, perB)
 			for i := 0; i < perB/2; i++ {
-				s := env.G.Dict.MustIRI(fmt.Sprintf("Upd%d", person))
+				s := env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Upd%d", person)))
 				ts = append(ts,
-					rdf.Triple{S: s, P: env.G.Dict.MustIRI("name"), O: env.G.Dict.MustLiteral(fmt.Sprintf("Upd %d", person))},
-					rdf.Triple{S: s, P: env.G.Dict.MustIRI("mainInterest"), O: env.G.Dict.MustIRI(fmt.Sprintf("Interest%d", person%5))},
+					rdf.Triple{S: s, P: env.G.Dict.Encode(rdf.NewIRI("name")), O: env.G.Dict.Encode(rdf.NewLiteral(fmt.Sprintf("Upd %d", person)))},
+					rdf.Triple{S: s, P: env.G.Dict.Encode(rdf.NewIRI("mainInterest")), O: env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Interest%d", person%5)))},
 				)
 				person++
 			}
-			st, err := srv.Apply(context.Background(), serve.Batch{Ins: ts})
+			st, err := srv.Apply(context.Background(), serve.Batch{Ins: statements(env.G.Dict, ts)})
 			if err != nil {
 				errCh <- fmt.Errorf("writer batch %d: %w", b, err)
 				return
@@ -266,9 +285,9 @@ func TestServerDeleteRoutesThroughApply(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := env.G.Dict.MustIRI("del-target")
-	ts := []rdf.Triple{{S: s, P: env.G.Dict.MustIRI("name"), O: env.G.Dict.MustLiteral("Del Target")}}
-	if st, err := srv.Apply(context.Background(), serve.Batch{Ins: ts}); err != nil || st.Added != 1 {
+	s := env.G.Dict.Encode(rdf.NewIRI("del-target"))
+	ts := []rdf.Triple{{S: s, P: env.G.Dict.Encode(rdf.NewIRI("name")), O: env.G.Dict.Encode(rdf.NewLiteral("Del Target"))}}
+	if st, err := srv.Apply(context.Background(), serve.Batch{Ins: statements(env.G.Dict, ts)}); err != nil || st.Added != 1 {
 		t.Fatalf("insert: stats %+v, err %v", st, err)
 	}
 
@@ -304,7 +323,7 @@ func TestUpdateNoSink(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	srv := serve.New(engine, serve.Config{})
 	defer srv.Close()
-	_, err := srv.Apply(context.Background(), serve.Batch{Ins: []rdf.Triple{{S: 1, P: 2, O: 3}}})
+	_, err := srv.Apply(context.Background(), serve.Batch{Ins: [][3]rdf.Term{{rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewIRI("o")}}})
 	if !errors.Is(err, serve.ErrNoUpdater) {
 		t.Fatalf("Update without sink: err = %v, want ErrNoUpdater", err)
 	}
@@ -316,7 +335,7 @@ func TestUpdateAfterClose(t *testing.T) {
 	engine, env := newEngine(t, cluster.Delay{})
 	srv := serve.New(engine, serve.Config{Apply: testApply(env)})
 	srv.Close()
-	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: []rdf.Triple{{S: 1, P: 2, O: 3}}}); !errors.Is(err, serve.ErrClosed) {
+	if _, err := srv.Apply(context.Background(), serve.Batch{Ins: [][3]rdf.Term{{rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewIRI("o")}}}); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("Update after Close: err = %v, want ErrClosed", err)
 	}
 }

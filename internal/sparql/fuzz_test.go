@@ -10,7 +10,9 @@ import (
 
 // FuzzParse: whatever text reaches /query, the parser never panics, and
 // every error it returns wraps ErrParse — the class /query answers with
-// 400 — so no malformed query is mistaken for a server fault.
+// 400 — so no malformed query is mistaken for a server fault. The lookup
+// parser /query uses agrees with the interning one on what parses, adds
+// no term, and resolves a query exactly when it holds every constant.
 func FuzzParse(f *testing.F) {
 	for _, q := range append([]string{
 		`SELECT ?x ?n WHERE { ?x <http://ex/name> ?n . ?x <http://ex/influencedBy> <http://ex/Aristotle> . }`,
@@ -31,9 +33,38 @@ func FuzzParse(f *testing.F) {
 	}, watdivTexts()...) {
 		f.Add(q)
 	}
+	known := rdf.NewDict()
+	known.Encode(rdf.NewIRI("http://ex/name"))
+	known.Encode(rdf.NewIRI("p"))
 	f.Fuzz(func(t *testing.T, q string) {
-		if _, err := sparql.NewParser(rdf.NewDict()).Parse(q); err != nil && !errors.Is(err, sparql.ErrParse) {
+		d := rdf.NewDict()
+		g, err := sparql.NewParser(d).Parse(q)
+		if err != nil && !errors.Is(err, sparql.ErrParse) {
 			t.Fatalf("Parse(%q) = %v, which does not wrap ErrParse", q, err)
+		}
+		n := known.Len()
+		lg, lerr := sparql.NewLookupParser(known).Parse(q)
+		if known.Len() != n || (err == nil) != (lerr == nil) {
+			t.Fatalf("lookup Parse(%q) = %v, %d new terms; interning Parse: %v", q, lerr, known.Len()-n, err)
+		}
+		if err != nil {
+			return
+		}
+		held := true // every constant of q is a term known holds
+		for _, v := range g.Verts {
+			if !v.IsVar() {
+				_, ok := known.Lookup(d.Decode(v.Term))
+				held = held && ok
+			}
+		}
+		for _, e := range g.Edges {
+			if !e.IsPredVar() {
+				_, ok := known.Lookup(d.Decode(e.Pred))
+				held = held && ok
+			}
+		}
+		if lg.Resolved() != held {
+			t.Fatalf("lookup Parse(%q): Resolved() = %v, want %v", q, lg.Resolved(), held)
 		}
 	})
 }

@@ -112,6 +112,13 @@ func (g *Graph) AddTriplePattern(s Vertex, p Edge, o Vertex) {
 // NumEdges returns |E(Q)|.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
+// Resolved reports whether g has no constant NewLookupParser left as
+// rdf.NoID, one its dictionary lacks.
+func (g *Graph) Resolved() bool {
+	return !slices.ContainsFunc(g.Verts, func(v Vertex) bool { return !v.IsVar() && v.Term == rdf.NoID }) &&
+		!slices.ContainsFunc(g.Edges, func(e Edge) bool { return !e.IsPredVar() && e.Pred == rdf.NoID })
+}
+
 // Vars returns the sorted distinct variable names appearing in vertices
 // and edge labels.
 func (g *Graph) Vars() []string {

@@ -11,15 +11,21 @@ import (
 // skipped per the paper ("we ignore FILTER statements"); OPTIONAL, UNION
 // and property paths are rejected.
 type Parser struct {
-	dict *rdf.Dict
+	dict   *rdf.Dict
+	lookup bool // resolve constants with Lookup, not Encode
 }
 
-// NewParser returns a parser interning constants into d.
+// NewParser returns a parser interning constants into d, for the workload.
 func NewParser(d *rdf.Dict) *Parser { return &Parser{dict: d} }
+
+// NewLookupParser returns a parser resolving constants against d without
+// adding to it, for a served query: a constant d lacks becomes rdf.NoID
+// (see Graph.Resolved).
+func NewLookupParser(d *rdf.Dict) *Parser { return &Parser{dict: d, lookup: true} }
 
 // Parse parses one SELECT query.
 func (p *Parser) Parse(query string) (*Graph, error) {
-	st := &parseState{src: query, dict: p.dict}
+	st := &parseState{src: query, dict: p.dict, lookup: p.lookup}
 	st.advance()
 	g, err := st.parseQuery()
 	if st.lexErr != nil {
@@ -197,6 +203,7 @@ type parseState struct {
 	// Parse reports lexErr whatever the grammar made of that.
 	lexErr   error
 	dict     *rdf.Dict
+	lookup   bool
 	prefixes map[string]string
 }
 
@@ -381,9 +388,9 @@ func (s *parseState) parseVertex() (Vertex, error) {
 		id, err := s.iri(t)
 		return Vertex{Term: id}, err
 	case tokLiteral:
-		return Vertex{Term: s.dict.MustLiteral(unescapeQueryLiteral(t.text))}, nil
+		return Vertex{Term: s.id(rdf.NewLiteral(unescapeQueryLiteral(t.text)))}, nil
 	case tokNumber:
-		return Vertex{Term: s.dict.MustLiteral(t.text)}, nil
+		return Vertex{Term: s.id(rdf.NewLiteral(t.text))}, nil
 	}
 	return Vertex{}, parseErrf("expected term, got %q at %d", t.text, t.pos)
 }
@@ -397,12 +404,12 @@ func (s *parseState) parsePredicate() (Edge, error) {
 		id, err := s.iri(t)
 		return Edge{Pred: id}, err
 	case t.kind == tokKeyword && t.text == "a":
-		return Edge{Pred: s.dict.MustIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")}, nil
+		return Edge{Pred: s.id(rdf.NewIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"))}, nil
 	}
 	return Edge{}, parseErrf("expected predicate, got %q at %d", t.text, t.pos)
 }
 
-// iri interns the IRI an IRI or prefixed-name token stands for.
+// iri resolves the IRI an IRI or prefixed-name token stands for.
 func (s *parseState) iri(t token) (rdf.ID, error) {
 	iri := t.text
 	if t.kind == tokPrefixed {
@@ -413,7 +420,15 @@ func (s *parseState) iri(t token) (rdf.ID, error) {
 		}
 		iri = base + t.text[idx+1:]
 	}
-	return s.dict.MustIRI(iri), nil
+	return s.id(rdf.NewIRI(iri)), nil
+}
+
+// id resolves a constant: interned, or looked up, rdf.NoID if absent.
+func (s *parseState) id(t rdf.Term) rdf.ID {
+	if id, ok := s.dict.Lookup(t); ok || s.lookup {
+		return id
+	}
+	return s.dict.Encode(t)
 }
 
 func unescapeQueryLiteral(s string) string {

@@ -119,10 +119,11 @@ const maxFrameBytes = 16 << 20
 // of its own, up to maxFrameBytes.
 var frameBufs = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
 
-// outcome is one attempt's verdict.
+// outcome is one attempt's verdict; refused marks the sink's own error.
 type outcome struct {
 	err       error
 	retryable bool
+	refused   bool
 }
 
 // EvalStream implements cluster.SiteEval over HTTP. Batches are pushed
@@ -156,8 +157,12 @@ func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, ba
 			c.lats.Observe(time.Since(start))
 			return nil
 		}
-		// The caller gave up (or its sink did): not the site's fault —
-		// release the breaker without a verdict.
+		// The sink had enough (a satisfied LIMIT), or the caller gave up:
+		// not the site's fault — release the breaker without a verdict.
+		if o.refused {
+			c.breaker.Cancel()
+			return o.err
+		}
 		if ctx.Err() != nil {
 			c.breaker.Cancel()
 			c.failures.Add(1)
@@ -233,22 +238,14 @@ func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []stri
 		}
 		watchdog.Reset(c.cfg.FrameTimeout)
 		switch f.K {
-		case "hdr":
-			// Dictionary agreement, server side: the header fingerprints
-			// the shared dictionary prefix (the server already verified
-			// our stamp covers its side). Rows are raw IDs, so a mismatch
-			// means every row would decode to the wrong terms — fail the
-			// call outright; a retry cannot heal a diverged deployment.
-			if f.DictLen > 0 && f.DictLen <= c.cfg.Dict.Len() && c.cfg.Dict.Fingerprint(f.DictLen) != f.DictFP {
-				return outcome{err: fmt.Errorf("transport: site %d: dictionary mismatch: server prefix %d does not match this deployment's dictionary", c.cfg.Site, f.DictLen)}
-			}
+		case "hdr": // the site took our dictionary stamp
 		case "b":
 			b, err := f.bindings(vars)
 			if err != nil {
 				return outcome{err: fmt.Errorf("transport: site %d: %w", c.cfg.Site, err), retryable: true}
 			}
 			if err := sink(b); err != nil {
-				return outcome{err: err}
+				return outcome{err: err, refused: true}
 			}
 		case "done":
 			// Read on to the end of the body: net/http pools a connection

@@ -1,12 +1,11 @@
 package transport
 
 // Dictionary-agreement tests: rows cross the wire as raw dictionary
-// IDs, so client and server must share the append-only dictionary
-// prefix. A diverged deployment must be rejected deterministically and
-// without retries — on the server (409) when the client's stamp covers
-// a prefix the server holds, on the client when the server's header
-// fingerprint fails to verify. A genuine prefix (client behind an
-// append-only server) must keep working.
+// IDs, so the client's dictionary must be a prefix of the site's. A
+// diverged deployment must be rejected deterministically and without
+// retries — by the site (409), which checks the client's whole stamp
+// against its own dictionary. A genuine prefix (client behind an
+// append-only site) must keep working.
 
 import (
 	"context"
@@ -37,7 +36,7 @@ func TestDictMismatchServerRejectsWithoutRetry(t *testing.T) {
 	// evaluating anything.
 	rogue := rdf.NewDict()
 	for i := 0; i < 5; i++ {
-		rogue.MustIRI(fmt.Sprintf("rogue%d", i))
+		rogue.Encode(rdf.NewIRI(fmt.Sprintf("rogue%d", i)))
 	}
 	q := sparql.MustParse(rogue, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
 	if rogue.Len() >= d.Len() {
@@ -66,13 +65,13 @@ func TestDictMismatchClientRejectsWithoutRetry(t *testing.T) {
 	c, d, _ := newTestCluster(t, 10)
 	_, hs := newSite(t, c, d, nil)
 
-	// A rogue deployment longer than the server's dictionary: the
-	// server's prefix check cannot fire (our stamp covers terms it does
-	// not hold), so the client must catch the mismatch from the header
-	// fingerprint the server echoes back.
+	// A rogue deployment longer than the server's dictionary: its stamp
+	// covers terms the site does not hold, so it is no prefix of the
+	// site's dictionary and the site refuses it before evaluating
+	// anything.
 	rogue := rdf.NewDict()
 	for i := 0; i < d.Len()+10; i++ {
-		rogue.MustIRI(fmt.Sprintf("rogue%d", i))
+		rogue.Encode(rdf.NewIRI(fmt.Sprintf("rogue%d", i)))
 	}
 	q := sparql.MustParse(rogue, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
 
@@ -80,10 +79,10 @@ func TestDictMismatchClientRejectsWithoutRetry(t *testing.T) {
 	got := newCollector()
 	err := cl.EvalStream(context.Background(), testRequest(q), 8, got.sink)
 	if err == nil {
-		t.Fatal("diverged dictionary accepted by the client")
+		t.Fatal("diverged dictionary accepted")
 	}
 	if !strings.Contains(err.Error(), "dictionary mismatch") {
-		t.Fatalf("want the client-side dictionary mismatch error, got: %v", err)
+		t.Fatalf("want the site's dictionary mismatch error, got: %v", err)
 	}
 	if got.n != 0 {
 		t.Fatalf("%d rows leaked past a dictionary mismatch", got.n)
@@ -97,7 +96,7 @@ func TestDictMismatchClientRejectsWithoutRetry(t *testing.T) {
 // TestDictPrefixClientStillWorks pins the compatibility direction: a
 // client whose dictionary is a strict prefix of the server's (the
 // server interned new terms after an update; the dictionary is
-// append-only) evaluates normally — agreement is on the shared prefix,
+// append-only) evaluates normally — agreement is on the client's prefix,
 // not on equal lengths.
 func TestDictPrefixClientStillWorks(t *testing.T) {
 	c, d, q := newTestCluster(t, 10)
@@ -107,7 +106,7 @@ func TestDictPrefixClientStillWorks(t *testing.T) {
 	client := prefixCopy(d, d.Len())
 	// The server side grows past the client's view.
 	for i := 0; i < 25; i++ {
-		d.MustIRI(fmt.Sprintf("later%d", i))
+		d.Encode(rdf.NewIRI(fmt.Sprintf("later%d", i)))
 	}
 	_, hs := newSite(t, c, d, nil)
 

@@ -196,21 +196,12 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("site %d not served here", wire.Site), http.StatusNotFound)
 		return
 	}
-	// Dictionary agreement check, client side first: rows travel as raw
-	// IDs, so a diverged data dictionary would decode them to the wrong
-	// terms. Verify the shared prefix before decodeQuery interns
-	// anything (full lengths legitimately differ — each side interns
-	// ad-hoc query constants the other never sees). 409 is deliberate:
-	// the client treats only 5xx as retryable, and a dictionary mismatch
-	// never heals by retrying.
-	sLen := s.cfg.Dict.Len()
-	if wire.DictLen > 0 && wire.DictLen <= sLen && s.cfg.Dict.Fingerprint(wire.DictLen) != wire.DictFP {
-		http.Error(w, fmt.Sprintf("site %d: dictionary mismatch: client prefix %d does not match this site's dictionary (deployments differ)", wire.Site, wire.DictLen), http.StatusConflict)
+	// Rows travel as raw IDs, so the site serves only a client whose
+	// whole dictionary is a prefix of its own: 409, which the client does
+	// not retry (a mismatch never heals), and before reading the query.
+	if wire.DictLen == 0 || wire.DictLen > s.cfg.Dict.Len() || s.cfg.Dict.Fingerprint(wire.DictLen) != wire.DictFP {
+		http.Error(w, fmt.Sprintf("site %d: dictionary mismatch: the client's %d terms are no prefix of this site's dictionary (deployments differ)", wire.Site, wire.DictLen), http.StatusConflict)
 		return
-	}
-	hdrLen := sLen
-	if wire.DictLen > 0 && wire.DictLen < sLen {
-		hdrLen = wire.DictLen
 	}
 	q, keep, err := decodeQuery(wire.Query, s.cfg.Dict)
 	if err != nil {
@@ -233,10 +224,7 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}
-	// The header carries the server's fingerprint of the shared prefix
-	// (min of both lengths) so the client can verify the other
-	// direction — whichever dictionary is longer checks the shorter one.
-	if err := write(&frame{K: "hdr", DictLen: hdrLen, DictFP: s.cfg.Dict.Fingerprint(hdrLen)}); err != nil {
+	if err := write(&frame{K: "hdr"}); err != nil {
 		return
 	}
 

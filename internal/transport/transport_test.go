@@ -516,6 +516,43 @@ func TestCancelMidStreamDrainsServer(t *testing.T) {
 	checkInvariant(t, cl.SiteMetrics())
 }
 
+// TestCancelDuringBatchStallEndsTheStream: a caller that leaves while the
+// site stalls a batch (an injected straggler delay) ends the stream there,
+// without a frame more. The chaos delay count tells when the handler has
+// reached the batch's stall, so the cancel always lands inside it.
+func TestCancelDuringBatchStallEndsTheStream(t *testing.T) {
+	c, d, q := newTestCluster(t, 600)
+	// The request's stall costs nothing; a batch of 256 two-column rows,
+	// 2 KB, stalls two hours.
+	chaos := cluster.NewChaos(cluster.ChaosConfig{DelayProb: 1, StragglerDelay: cluster.Delay{PerKB: time.Hour}})
+	ss := NewSiteServer(ServerConfig{Cluster: c, Dict: d, Chaos: chaos})
+	body, err := json.Marshal(encodeRequest(testRequest(q), d, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ss.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/eval", strings.NewReader(string(body))).WithContext(ctx))
+	}()
+	for deadline := time.Now().Add(10 * time.Second); chaos.Counts().Delays < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first batch never stalled")
+		}
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handler did not return after the cancel")
+	}
+	if got := rec.Body.String(); got != "{\"k\":\"hdr\"}\n" || ss.Metrics().Batches != 0 {
+		t.Fatalf("after the cancel the site wrote %q and counts %d batches; want the header alone", got, ss.Metrics().Batches)
+	}
+}
+
 // A dead site exhausts the retry budget once, then the breaker opens
 // and subsequent calls fail fast without touching the network; after
 // the site recovers and the cooldown passes, a half-open probe closes

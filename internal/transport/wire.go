@@ -2,25 +2,25 @@ package transport
 
 // Wire format of the site RPC. A request is one JSON document; the
 // response is a stream of newline-delimited JSON frames
-// (application/x-ndjson): a header frame carrying the site's dictionary
-// fingerprint, zero or more batch frames carrying binding rows, and a
-// terminal done frame. The terminal frame is what makes torn streams
-// detectable: EOF before it means the stream was cut (network fault, site
-// death) and the delivered prefix is incomplete — the client retries the
-// whole stream instead of silently accepting a truncated result, and the
-// control site's dedup absorbs the rows the torn attempt had delivered.
+// (application/x-ndjson): a header frame, once the site has checked the
+// client's dictionary stamp, zero or more batch frames carrying binding
+// rows, and a terminal done frame. The terminal frame is what makes torn
+// streams detectable: EOF before it means the stream was cut (network
+// fault, site death) and the delivered prefix is incomplete — the client
+// retries the whole stream instead of silently accepting a truncated
+// result, and the control site's dedup absorbs the rows the torn attempt
+// had delivered.
 //
 // Queries travel structurally (vertices and edges with constants as
 // N-Triples term keys), not as SPARQL text: Term.Key/TermFromKey
 // round-trip exactly, so the encoding has no parser quirks to survive.
-// Binding rows travel as raw dictionary IDs. That requires the client
-// and server dictionaries to agree, which they do by construction: a
+// Binding rows travel as raw dictionary IDs. That requires the client's
+// dictionary to be a prefix of the site's, which holds by construction: a
 // fragment-host process builds its deployment from the same data and
 // workload files with the same deterministic pipeline as the control
-// site, and data-term IDs are assigned in file order. Terms a query
-// interns ad hoc (constants absent from the data) never appear in
-// binding rows — rows only reference matched data vertices — so
-// post-load interning divergence is harmless.
+// site, and after that only an applied update batch adds a term, in log
+// order — a query never does, on either side. The site checks the
+// client's stamp against its own dictionary before it reads the query.
 
 import (
 	"errors"
@@ -64,14 +64,10 @@ type evalWire struct {
 	Query       wireQuery `json:"query"`
 	Parallelism int       `json:"parallelism,omitempty"`
 	Batch       int       `json:"batch,omitempty"`
-	// DictLen/DictFP fingerprint the client dictionary's first DictLen
-	// terms (rdf.Dict.Fingerprint). Binding rows travel as raw IDs, so a
-	// client and server whose data dictionaries diverged would silently
-	// decode each other's rows to the wrong terms; both sides verify the
-	// shared prefix min(client, server length) instead — full lengths
-	// legitimately differ, because each side interns ad-hoc query
-	// constants the other never sees. Zero means an old client; the
-	// check is skipped.
+	// DictLen/DictFP stamp the client dictionary: its length and the
+	// fingerprint of all of it (rdf.Dict.Fingerprint). Rows travel as raw
+	// IDs, so the site serves only a client whose whole dictionary is a
+	// prefix of its own; a request without a stamp is refused too.
 	DictLen int    `json:"dictLen,omitempty"`
 	DictFP  uint64 `json:"dictFp,omitempty"`
 }
@@ -80,12 +76,10 @@ type evalWire struct {
 // the stream, "b" carries a batch, "done" closes it, "err" reports a
 // server-side failure, which the client does not retry.
 type frame struct {
-	K       string   `json:"k"`
-	DictLen int      `json:"dictLen,omitempty"` // hdr: shared dictionary prefix length
-	DictFP  uint64   `json:"dictFp,omitempty"`  // hdr: server fingerprint of that prefix
-	Vars    []string `json:"vars,omitempty"`    // b
-	Rows    wireRows `json:"rows,omitzero"`     // b
-	Msg     string   `json:"msg,omitempty"`     // err
+	K    string   `json:"k"`
+	Vars []string `json:"vars,omitempty"` // b
+	Rows wireRows `json:"rows,omitzero"`  // b
+	Msg  string   `json:"msg,omitempty"`  // err
 }
 
 // wireRows is the rows of a batch frame: on the wire an array of rows,
@@ -239,11 +233,12 @@ func encodeQuery(q *sparql.Graph, keep match.VertexMask, d *rdf.Dict) wireQuery 
 }
 
 // decodeQuery rebuilds a query graph and its kept vertices from the wire,
-// interning constant term keys through the site's dict
-// (content-addressed; concurrent-safe). Edges name vertices by their place
-// in the list, so a list that names a vertex twice is refused: the graph
-// interns vertices, and every later one would move down a place. So is a
-// kept vertex the list does not have.
+// looking constant term keys up in the site's dict: no client whose
+// dictionary is a prefix of the site's sends a term the site lacks, so one
+// is refused. Edges name vertices by their place in the list, so a list
+// that names a vertex twice is refused: the graph interns vertices, and
+// every later one would move down a place. So is a kept vertex the list
+// does not have.
 func decodeQuery(wq wireQuery, d *rdf.Dict) (*sparql.Graph, match.VertexMask, error) {
 	q := sparql.NewGraph()
 	for i, wv := range wq.Verts {
@@ -252,11 +247,10 @@ func decodeQuery(wq wireQuery, d *rdf.Dict) (*sparql.Graph, match.VertexMask, er
 			return nil, nil, fmt.Errorf("transport: vertex %d must be a var or a term, not both or neither", i)
 		}
 		if wv.Term != "" {
-			t, err := rdf.TermFromKey(wv.Term)
-			if err != nil {
+			var err error
+			if v.Term, err = lookupKey(d, wv.Term); err != nil {
 				return nil, nil, fmt.Errorf("transport: vertex %d: %w", i, err)
 			}
-			v.Term = d.Encode(t)
 		}
 		if q.AddVertex(v) != i {
 			return nil, nil, fmt.Errorf("transport: vertex %d repeats an earlier one", i)
@@ -271,11 +265,10 @@ func decodeQuery(wq wireQuery, d *rdf.Dict) (*sparql.Graph, match.VertexMask, er
 			return nil, nil, fmt.Errorf("transport: edge %d must have a pred or a predVar, not both or neither", i)
 		}
 		if we.Pred != "" {
-			t, err := rdf.TermFromKey(we.Pred)
-			if err != nil {
+			var err error
+			if e.Pred, err = lookupKey(d, we.Pred); err != nil {
 				return nil, nil, fmt.Errorf("transport: edge %d: %w", i, err)
 			}
-			e.Pred = d.Encode(t)
 		}
 		q.AddEdge(e)
 	}
@@ -283,6 +276,15 @@ func decodeQuery(wq wireQuery, d *rdf.Dict) (*sparql.Graph, match.VertexMask, er
 		return nil, nil, fmt.Errorf("transport: keep marks a vertex beyond the query's %d", len(q.Verts))
 	}
 	return q, wq.Keep, nil
+}
+
+// lookupKey resolves a term key to its ID in the site's dictionary d.
+func lookupKey(d *rdf.Dict, key string) (rdf.ID, error) {
+	t, err := rdf.TermFromKey(key)
+	if id, ok := d.Lookup(t); ok || err != nil {
+		return id, err
+	}
+	return rdf.NoID, fmt.Errorf("%s is not in this site's dictionary", t)
 }
 
 // encodeRequest builds the wire form of an EvalRequest.

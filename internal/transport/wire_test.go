@@ -244,39 +244,59 @@ func TestClientRejectsFramesThatAreNoTable(t *testing.T) {
 // rebuild place for place — a repeated vertex (the graph interns it, and
 // every later vertex would move down one place: edge 0→2 below would
 // become ?a→?c), a vertex or an edge label that is two things at once, a
-// kept vertex the list does not have — and evaluates the same query
-// written plainly.
+// kept vertex the list does not have — and to a term its dictionary
+// lacks, which it would have to add; it evaluates the same query written
+// plainly. Rows are raw IDs, so it answers 409, before reading the query,
+// to a request whose dictionary stamp is missing or is no prefix of its
+// own dictionary: here, one term longer.
 func TestSiteRefusesQueriesItWouldMisread(t *testing.T) {
 	c, d, _ := newTestCluster(t, 4)
 	ss := NewSiteServer(ServerConfig{Cluster: c, Dict: d})
-	for _, tc := range []struct {
-		name, query string
-		status      int
-	}{
-		{"plain", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusOK},
-		{"repeated var", `{"verts":[{"var":"a"},{"var":"a"},{"var":"b"},{"var":"c"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"repeated term", `{"verts":[{"term":"<a1"},{"term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"var and term", `{"verts":[{"var":"a","term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"pred and predVar", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p","predVar":"p"}]}`, http.StatusBadRequest},
-		{"neither var nor term", `{"verts":[{},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"edge out of range", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"keep", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1]}`, http.StatusOK},
-		{"keep beyond the vertices", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[5]}`, http.StatusBadRequest},
-		{"keep a word beyond the vertices", `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1,1]}`, http.StatusBadRequest},
-	} {
-		body := fmt.Sprintf(`{"site":0,"frags":[1,2],"query":%s}`, tc.query)
+	post := func(stamp, query string) *httptest.ResponseRecorder {
+		body := fmt.Sprintf(`{"site":0,"frags":[1,2],%s"query":%s}`, stamp, query)
 		rec := httptest.NewRecorder()
 		ss.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/eval", strings.NewReader(body)))
-		if rec.Code != tc.status {
+		return rec
+	}
+	stampOf := func(d *rdf.Dict) string {
+		return fmt.Sprintf(`"dictLen":%d,"dictFp":%d,`, d.Len(), d.Fingerprint(d.Len()))
+	}
+	site := stampOf(d)
+	longer := prefixCopy(d, d.Len())
+	longer.Encode(rdf.NewIRI("later"))
+	const plain = `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`
+	n := d.Len()
+	for _, tc := range []struct {
+		name, stamp, query string
+		status             int
+	}{
+		{"plain", site, plain, http.StatusOK},
+		{"repeated var", site, `{"verts":[{"var":"a"},{"var":"a"},{"var":"b"},{"var":"c"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"repeated term", site, `{"verts":[{"term":"<a1"},{"term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"var and term", site, `{"verts":[{"var":"a","term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"pred and predVar", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p","predVar":"p"}]}`, http.StatusBadRequest},
+		{"neither var nor term", site, `{"verts":[{},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"edge out of range", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
+		{"keep", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1]}`, http.StatusOK},
+		{"keep beyond the vertices", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[5]}`, http.StatusBadRequest},
+		{"keep a word beyond the vertices", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1,1]}`, http.StatusBadRequest},
+		{"a term the site lacks", site, `{"verts":[{"term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<nowhere"}]}`, http.StatusBadRequest},
+		{"unstamped", "", plain, http.StatusConflict},
+		{"a client dictionary longer than the site's", stampOf(longer), plain, http.StatusConflict},
+	} {
+		if rec := post(tc.stamp, tc.query); rec.Code != tc.status {
 			t.Errorf("%s: /eval answered %d (%s), want %d", tc.name, rec.Code, strings.TrimSpace(rec.Body.String()), tc.status)
 		}
+	}
+	if d.Len() != n {
+		t.Errorf("the site's dictionary grew from %d to %d terms", n, d.Len())
 	}
 }
 
 // FuzzDecodeQuery: a site decodes whatever query an /eval body carries
-// without panicking, and a query it accepts is one the control site could
-// have sent — encodeQuery writes it back to the very wire form, its kept
-// vertices included.
+// without panicking or adding a term to its dictionary, and a query it
+// accepts is one the control site could have sent — encodeQuery writes it
+// back to the very wire form, its kept vertices included.
 func FuzzDecodeQuery(f *testing.F) {
 	for _, s := range []string{
 		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`,
@@ -295,13 +315,20 @@ func FuzzDecodeQuery(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	d := rdf.NewDict() // the seeds' terms, so that some decode
+	for _, t := range []rdf.Term{rdf.NewIRI("p"), rdf.NewIRI("q"), rdf.NewIRI(""), rdf.NewIRI("a"), rdf.NewLiteral("lit\n"), rdf.NewBlank("b0")} {
+		d.Encode(t)
+	}
+	n := d.Len()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var wq wireQuery
 		if json.Unmarshal(data, &wq) != nil {
 			return
 		}
-		d := rdf.NewDict()
 		q, keep, err := decodeQuery(wq, d)
+		if d.Len() != n {
+			t.Fatalf("decoding %s added %d terms to the site's dictionary", data, d.Len()-n)
+		}
 		if err != nil {
 			return
 		}

@@ -84,6 +84,7 @@ func runLockstep(t *testing.T, strategy Strategy, run oracleRun, each func(*Serv
 		if got := dep.Stats().Triples; got != m.Len() || pending != m.Pending() {
 			t.Fatalf("%s: %d triples, %d with a deadline; the model %d, %d", step, got, pending, m.Len(), m.Pending())
 		}
+		terms := dep.db.graph.Dict.Len()
 		for _, q := range run.probes {
 			got, err := srv.Query(ctx, q)
 			if err != nil {
@@ -94,6 +95,9 @@ func runLockstep(t *testing.T, strategy Strategy, run oracleRun, each func(*Serv
 				t.Fatalf("%s: %s:\nserved %v %q\nmodel  %v %q", step, q, got.Vars, g, want.Vars, w)
 			}
 		}
+		if n := dep.db.graph.Dict.Len(); n != terms {
+			t.Fatalf("%s: the probes took the dictionary from %d to %d terms", step, terms, n)
+		}
 		if each != nil {
 			each(srv)
 		}
@@ -102,10 +106,14 @@ func runLockstep(t *testing.T, strategy Strategy, run oracleRun, each func(*Serv
 
 // lockstepProbes ask for the workloads' patterns, anchored and not,
 // through a predicate variable, a cold property, and with a projected
-// variable the pattern does not bind; and for two of the workload's stars
+// variable the pattern does not bind; for two of the workload's stars
 // joined on ?i, two subqueries whose fragments share a site under either
-// fragmentation, so the engine merges them into one matched there. None
-// has ORDER BY or LIMIT, which the model leaves out.
+// fragmentation, so the engine merges them into one matched there; and
+// for terms the data never holds — a literal, a predicate — and one
+// genRun inserts partway through a run, which a probe resolves when it is
+// parsed: absent before the insert, present after. No probe adds a term
+// to the dictionary. None has ORDER BY or LIMIT, which the model leaves
+// out.
 var lockstepProbes = []string{
 	`SELECT ?x ?y WHERE { ?x <name> ?n . ?x <mainInterest> ?i . ?y <name> ?m . ?y <mainInterest> ?i . }`,
 	`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`,
@@ -117,6 +125,9 @@ var lockstepProbes = []string{
 	`SELECT ?p ?o WHERE { <Aristotle> ?p ?o . }`,
 	`SELECT ?s ?o WHERE { ?s <postalCode> ?o . }`,
 	`SELECT ?x ?unbound WHERE { ?x <spouse> ?s . }`,
+	`SELECT ?x WHERE { ?x <name> "Nobody" . }`,
+	`SELECT ?x ?o WHERE { ?x <birthPlace> ?o . }`,
+	`SELECT ?p ?o WHERE { <Hypatia> ?p ?o . }`,
 }
 
 // genRun generates a seeded run of n steps over the fixture's terms and a

@@ -85,8 +85,8 @@ func TestOrderByTermKinds(t *testing.T) {
 	dep := &Deployment{db: Open(Config{})}
 	d := dep.db.graph.Dict
 	keys := []rdf.ID{
-		d.MustLiteral("lit"), d.MustIRI("http://ex/z"), rdf.NoID, d.Encode(rdf.NewBlank("b")),
-		d.MustLiteral("a"), d.MustIRI("http://ex/a"), d.Encode(rdf.NewBlank("a")), rdf.NoID,
+		d.Encode(rdf.NewLiteral("lit")), d.Encode(rdf.NewIRI("http://ex/z")), rdf.NoID, d.Encode(rdf.NewBlank("b")),
+		d.Encode(rdf.NewLiteral("a")), d.Encode(rdf.NewIRI("http://ex/a")), d.Encode(rdf.NewBlank("a")), rdf.NoID,
 	}
 	for _, tc := range []struct {
 		desc  bool
@@ -100,7 +100,7 @@ func TestOrderByTermKinds(t *testing.T) {
 	} {
 		b := &match.Bindings{Vars: []string{"k", "row"}}
 		for i, k := range keys {
-			b.Rows = append(b.Rows, k, d.MustIRI(fmt.Sprintf("r%d", i)))
+			b.Rows = append(b.Rows, k, d.Encode(rdf.NewIRI(fmt.Sprintf("r%d", i))))
 		}
 		q := &sparql.Graph{OrderBy: []sparql.OrderKey{{Var: "k", Desc: tc.desc}}, Limit: tc.limit}
 		res := dep.newResult(q, b, &exec.QueryStats{})

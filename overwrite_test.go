@@ -61,27 +61,38 @@ func TestServerOverwriteEmptySides(t *testing.T) {
 // TestOverwritePayloadFraming: the WAL batch payload round-trips both
 // sides and the deadline — to the microsecond, as far out as the longest
 // Go duration reaches — and rejects truncated or corrupt frames instead of
-// mis-splitting them.
+// mis-splitting them. Decoding adds no term to the dictionary.
 func TestOverwritePayloadFraming(t *testing.T) {
 	d := rdf.NewDict()
-	parse := func(doc string) []rdf.Triple {
-		ts, _, err := parseBatch(d, doc, true)
+	stmts := func(doc string) [][3]rdf.Term {
+		sts, err := parseStatements(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		return sts
+	}
+	present := func(doc string) []rdf.Triple { // doc's triples, interned
+		var ts []rdf.Triple
+		for _, st := range stmts(doc) {
+			ts = append(ts, rdf.Triple{S: d.Encode(st[0]), P: d.Encode(st[1]), O: d.Encode(st[2])})
 		}
 		return ts
 	}
 	far := time.Now().Add(time.Duration(math.MaxInt64)).Truncate(time.Microsecond)
 	for _, b := range []serve.Batch{
-		{Del: parse("<a> <b> <c> .\n"), Ins: parse("<d> <e> <f> .\n")},
-		{Ins: parse("<d> <e> <f> .\n<d> <e> \"g\" .\n"), Deadline: time.UnixMicro(1_700_000_000_000_001)},
-		{Del: parse("<a> <b> <c> .\n")},
-		{Ins: parse("<far> <e> <f> .\n"), Deadline: far},
+		{Del: present("<a> <b> <c> .\n"), Ins: stmts("<d> <e> <f> .\n")},
+		{Ins: stmts("<d> <e> <f> .\n<d> <e> \"g\" .\n"), Deadline: time.UnixMicro(1_700_000_000_000_001)},
+		{Del: present("<a> <b> <c> .\n")},
+		{Ins: stmts("<far> <e> <f> .\n"), Deadline: far},
 		{},
 	} {
+		n := d.Len()
 		got, err := decodeBatch(d, encodeBatch(d, b))
 		if err != nil || !slices.Equal(got.Del, b.Del) || !slices.Equal(got.Ins, b.Ins) || !got.Deadline.Equal(b.Deadline) {
 			t.Fatalf("round-trip of %+v: got %+v, err %v", b, got, err)
+		}
+		if d.Len() != n {
+			t.Fatalf("decoding %+v interned %d terms", b, d.Len()-n)
 		}
 	}
 	if !far.After(time.Now().AddDate(290, 0, 0)) {
@@ -91,27 +102,32 @@ func TestOverwritePayloadFraming(t *testing.T) {
 		t.Fatal("short payload accepted")
 	}
 	// Length prefix pointing past the payload's end.
-	bad := encodeBatch(d, serve.Batch{Del: parse("<a> <b> <c> .\n")})
+	bad := encodeBatch(d, serve.Batch{Del: present("<a> <b> <c> .\n")})
 	bad[8] = 200
 	if _, err := decodeBatch(d, bad); err == nil {
 		t.Fatal("overlong delete-side length accepted")
 	}
 }
 
-// FuzzDecodeBatch: whatever the payload, decodeBatch does not panic and
-// slices nothing from a length prefix the bytes do not back; a payload it
-// accepts encodes back to one that decodes to the same batch.
+// FuzzDecodeBatch: whatever the payload, decodeBatch does not panic, adds
+// no term to the dictionary and slices nothing from a length prefix the
+// bytes do not back; a payload it accepts encodes back to one that
+// decodes to the same batch.
 func FuzzDecodeBatch(f *testing.F) {
 	d := rdf.NewDict()
-	tr := func(s, p, o string) rdf.Triple {
-		return rdf.Triple{S: d.MustIRI(s), P: d.MustIRI(p), O: d.MustLiteral(o)}
+	s, p, v1 := d.Encode(rdf.NewIRI("s")), d.Encode(rdf.NewIRI("p")), d.Encode(rdf.NewLiteral("v1"))
+	ins := func(o string) [][3]rdf.Term {
+		return [][3]rdf.Term{{rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewLiteral(o)}}
 	}
-	f.Add(encodeBatch(d, serve.Batch{Ins: []rdf.Triple{tr("s", "p", "v1")}, Deadline: time.UnixMicro(1_700_000_000_000_000)}))
-	f.Add(encodeBatch(d, serve.Batch{Del: []rdf.Triple{tr("s", "p", "v1")}, Ins: []rdf.Triple{tr("s", "p", "v2")}}))
+	f.Add(encodeBatch(d, serve.Batch{Ins: ins("v1"), Deadline: time.UnixMicro(1_700_000_000_000_000)}))
+	f.Add(encodeBatch(d, serve.Batch{Del: []rdf.Triple{{S: s, P: p, O: v1}}, Ins: ins("v2")}))
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff<a> <b> <c> ."))
+	n := d.Len()
 	f.Fuzz(func(t *testing.T, p []byte) {
-		d := rdf.NewDict()
 		b, err := decodeBatch(d, p)
+		if d.Len() != n {
+			t.Fatalf("decoding %q interned %d terms", p, d.Len()-n)
+		}
 		if err != nil {
 			return
 		}

@@ -122,6 +122,33 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 	}
 }
 
+// TestSatisfiedLimitIsNoSiteFailure: once a query's LIMIT is met, its
+// answer refuses the site's next batch; that refusal is the caller's, so
+// on a healthy network no call counts as failed.
+func TestSatisfiedLimitIsNoSiteFailure(t *testing.T) {
+	dep := deploySoak(t, 3, 600)
+	site := httptest.NewServer(dep.SiteHandler(SiteConfig{}))
+	defer site.Close()
+	srv := dep.StartServer(ServerConfig{Workers: 2, Remote: RemoteConfig{Sites: allRemote(dep, site.URL)}})
+	defer srv.Close()
+	for range 20 {
+		res, err := srv.Query(context.Background(), `SELECT ?x ?n WHERE { ?x <name> ?n . } LIMIT 2`)
+		if err != nil || len(res.Rows) != 2 {
+			t.Fatalf("LIMIT 2: %v rows, err %v", res, err)
+		}
+	}
+	var calls uint64
+	for _, sm := range srv.Metrics().Sites {
+		calls += sm.Calls
+		if sm.Failures != 0 {
+			t.Errorf("site %d: %d failures of %d calls on a healthy network", sm.Site, sm.Failures, sm.Calls)
+		}
+	}
+	if calls == 0 {
+		t.Fatal("no query reached a remote site")
+	}
+}
+
 // A dead site either fails the query (strict mode, the default) or is
 // skipped with the result flagged partial and the site listed
 // (PartialResults mode); the flag reaches the JSON wire format and the

@@ -53,7 +53,7 @@ func TestDecodeResultAllocs(t *testing.T) {
 	b := &match.Bindings{Vars: []string{"s", "n", "o"}}
 	for i := 0; i < 10000; i++ {
 		b.Rows = append(b.Rows,
-			d.MustIRI(fmt.Sprintf("http://ex/subject/%d", i)), d.MustLiteral(fmt.Sprintf("name %d", i%100)), rdf.NoID)
+			d.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/subject/%d", i))), d.Encode(rdf.NewLiteral(fmt.Sprintf("name %d", i%100))), rdf.NoID)
 	}
 	q, stats := &sparql.Graph{}, &exec.QueryStats{}
 	var res *Result

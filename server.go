@@ -136,7 +136,7 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 }
 
 // Query parses and executes one query through the server, honouring ctx
-// for cancellation. Safe for concurrent use by many clients.
+// for cancellation, as Deployment.Query does. Safe for concurrent use.
 func (s *Server) Query(ctx context.Context, query string) (*Result, error) {
 	return decoded(s.answer(ctx, query))
 }
@@ -148,7 +148,7 @@ func (s *Server) QueryParsed(ctx context.Context, q *sparql.Graph) (*Result, err
 
 // answer is Query stopping at the ID table, all that /query encodes.
 func (s *Server) answer(ctx context.Context, query string) (*Result, error) {
-	q, err := sparql.NewParser(s.dep.db.graph.Dict).Parse(query)
+	q, err := sparql.NewLookupParser(s.dep.db.graph.Dict).Parse(query)
 	if err != nil {
 		return nil, err
 	}

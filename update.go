@@ -79,44 +79,45 @@ func (s *Server) Sweep() int { return s.inner.Sweep(time.Now()) }
 // matched triples are tombstoned in the delta overlays of the hot/cold
 // split and every site's graph, and a fresh MVCC view publishes the
 // removal atomically — in-flight queries keep the view they pinned.
-// Deleting a triple the deployment never held is a no-op (it does not
-// even intern the unknown terms), so Delete's stats report what actually
-// went away.
+// Deleting a triple the deployment never held is a no-op, so Delete's
+// stats report what actually went away.
 func (s *Server) Delete(ctx context.Context, ntriples string) (*UpdateResult, error) {
 	return s.apply(ctx, ntriples, "", 0)
 }
 
 // apply is every update's one path: it parses the delete side, then the
-// insert side, and applies both as one batch. A positive ttl stamps the
-// inserted triples with the deadline now+ttl, kept to the microsecond the
-// WAL record and the checkpoint store, so replay rebuilds it exactly.
+// insert side, and applies both as one batch. The delete side is looked
+// up here: a triple naming a term the deployment lacks now is not present,
+// and deleting it is a no-op. The insert side stays terms, for the sink to
+// intern. A positive ttl stamps the inserted triples with the deadline
+// now+ttl, kept to the microsecond the WAL record and the checkpoint
+// store, so replay rebuilds it exactly.
 func (s *Server) apply(ctx context.Context, delDoc, insDoc string, ttl time.Duration) (*UpdateResult, error) {
 	if s.remote {
 		return nil, ErrRemoteSites
 	}
-	dict := s.dep.db.graph.Dict
-	del, nDel, err := parseBatch(dict, delDoc, false)
+	del, err := parseStatements(delDoc)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadUpdate, err)
 	}
-	ins, nIns, err := parseBatch(dict, insDoc, true)
+	ins, err := parseStatements(insDoc)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadUpdate, err)
 	}
-	if nDel+nIns == 0 {
+	if len(del)+len(ins) == 0 {
 		return nil, fmt.Errorf("%w: the batch carried no triples", ErrBadUpdate)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(del)+len(ins) == 0 {
+	b := serve.Batch{Del: lookupTriples(s.dep.db.graph.Dict, del), Ins: ins}
+	if len(b.Del)+len(b.Ins) == 0 {
 		// Every delete triple named a term the deployment has never seen
 		// and there is nothing to insert: a whole-batch no-op, kept off the
 		// writer path so a durable server doesn't log it.
 		st := s.dep.updateStats(0, 0)
 		return &st, nil
 	}
-	b := serve.Batch{Del: del, Ins: ins}
 	if ttl > 0 && len(ins) > 0 {
 		b.Deadline = time.Now().Add(ttl).Truncate(time.Microsecond)
 	}
@@ -127,44 +128,32 @@ func (s *Server) apply(ctx context.Context, delDoc, insDoc string, ttl time.Dura
 	return &st, nil
 }
 
-// parseBatch parses one side of an update batch, an N-Triples document,
-// into deployment-dictionary triples, and reports how many statements the
-// document held. It is atomic: the whole document parses before any term
-// is resolved, so a batch rejected for syntax anywhere — even on its last
-// line — leaves nothing behind, not even interned terms in the shared
-// dictionary. With intern, new terms are interned (an insert side, and
-// WAL replay); without, a statement naming a term the deployment has
-// never seen cannot be present, so it is dropped — a no-op delete, not an
-// error, and no term that exists nowhere pollutes the dictionary. An
-// empty document is a valid empty side.
-func parseBatch(d *rdf.Dict, doc string, intern bool) (ts []rdf.Triple, n int, err error) {
-	var terms []rdf.Term
+// parseStatements parses one side of an update batch, an N-Triples
+// document, into its statements' terms. The whole document parses before
+// anything is resolved, so a batch rejected for syntax anywhere — even on
+// its last line — changes nothing. An empty document is a valid empty
+// side.
+func parseStatements(doc string) (sts [][3]rdf.Term, err error) {
 	err = rdf.ScanNTriples(strings.NewReader(doc), func(s, p, o rdf.Term) error {
-		terms = append(terms, s, p, o)
+		sts = append(sts, [3]rdf.Term{s, p, o})
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	n = len(terms) / 3
-	ts = make([]rdf.Triple, 0, n)
-	for ; len(terms) > 0; terms = terms[3:] {
-		var id [3]rdf.ID
-		known := true
-		for i := range id {
-			if intern {
-				id[i] = d.Encode(terms[i])
-			} else {
-				var ok bool
-				id[i], ok = d.Lookup(terms[i])
-				known = known && ok
-			}
-		}
-		if known {
-			ts = append(ts, rdf.Triple{S: id[0], P: id[1], O: id[2]})
+	return sts, err
+}
+
+// lookupTriples resolves statements to triples of d without adding to
+// it, dropping each that names a term d lacks, as absent.
+func lookupTriples(d *rdf.Dict, sts [][3]rdf.Term) []rdf.Triple {
+	ts := make([]rdf.Triple, 0, len(sts))
+	for _, st := range sts {
+		s, sok := d.Lookup(st[0])
+		p, pok := d.Lookup(st[1])
+		o, ook := d.Lookup(st[2])
+		if sok && pok && ook {
+			ts = append(ts, rdf.Triple{S: s, P: p, O: o})
 		}
 	}
-	return ts, n, nil
+	return ts
 }
 
 // applyBatch is the serve layer's Apply sink: the batch's delete-set is
@@ -178,9 +167,11 @@ func parseBatch(d *rdf.Dict, doc string, intern bool) (ts []rdf.Triple, n int, e
 // means an overwrite that deletes and reinserts the same triple keeps
 // it. Concurrent queries read pinned MVCC views throughout. It is also
 // the only writer of the TTL schedule, so live apply and WAL replay
-// build the same one.
+// build the same one, and, past deployment, the one place a term is
+// interned: in the order batches apply, the log's, so live and replayed
+// terms get the same IDs.
 func (dep *Deployment) applyBatch(b serve.Batch) serve.UpdateStats {
-	added, deleted := 0, 0
+	added, deleted, d := 0, 0, dep.db.graph.Dict
 	for _, t := range b.Del {
 		dep.schedule(t, time.Time{})
 		if !dep.home(t).Delete(t) {
@@ -189,7 +180,8 @@ func (dep *Deployment) applyBatch(b serve.Batch) serve.UpdateStats {
 		deleted++
 		dep.unrouteTriple(t)
 	}
-	for _, t := range b.Ins {
+	for _, st := range b.Ins {
+		t := rdf.Triple{S: d.Encode(st[0]), P: d.Encode(st[1]), O: d.Encode(st[2])}
 		dep.schedule(t, b.Deadline)
 		if !dep.home(t).Add(t) {
 			continue // duplicate

@@ -273,7 +273,7 @@ var oracleRuns = []oracleRun{
 		batches: []oracleBatch{
 			{name: "park", ins: []string{parkedTriple}, check: func(t *testing.T, dep *Deployment) {
 				d := dep.db.graph.Dict
-				tr := rdf.Triple{S: d.MustIRI("Aristotle"), P: d.MustIRI("spouse"), O: d.MustIRI("Pythias")}
+				tr := rdf.Triple{S: d.Encode(rdf.NewIRI("Aristotle")), P: d.Encode(rdf.NewIRI("spouse")), O: d.Encode(rdf.NewIRI("Pythias"))}
 				if !dep.hc.Hot.Has(tr) || !dep.frag.Cold.Graph.Has(tr) {
 					t.Fatal("setup: the triple is not parked in the cold fragment beside the hot graph")
 				}
@@ -306,7 +306,7 @@ var oracleRuns = []oracleRun{
 				// as fragments are built: a cold triple of Zeno's joins
 				// no pattern fragment through the predicate variable.
 				d := dep.db.graph.Dict
-				cold := rdf.Triple{S: d.MustIRI("Zeno"), P: d.MustIRI("postalCode"), O: d.MustLiteral("55")}
+				cold := rdf.Triple{S: d.Encode(rdf.NewIRI("Zeno")), P: d.Encode(rdf.NewIRI("postalCode")), O: d.Encode(rdf.NewLiteral("55"))}
 				for _, f := range dep.frag.Fragments {
 					if f.Graph.Has(cold) {
 						t.Errorf("fragment %d (%s) holds a cold triple", f.ID, f.Key())
