@@ -136,18 +136,19 @@ crash-soak:
 	$(GO) test -race -count=1 -run \
 		'TestCrashRecoverySoak|TestCrashRecoveryDeleteSoak|TestCrashRecoveryOverwriteSoak|TestCrashRecoveryCheckpointSoak|TestCrashRecoveryTTLSoak|TestGracefulShutdownSIGTERM|TestSiteGracefulShutdownSIGTERM' .
 
-# Ten seconds of coverage-guided fuzzing each of the two hand-written
-# codecs against encoding/json, then of the N-Triples scanner, of the term
+# Ten seconds of coverage-guided fuzzing each of the result encoders and
+# of the site RPC's binary frame reader, then of the N-Triples scanner, of the term
 # dictionary, of the checkpoint loader, of the WAL segment scanner and of the WAL batch
 # payload decoder. The result encoders, against the
 # struct-and-encoding/json oracle in results_test.go: the JSON must
 # unmarshal to the same value, the CSV read back to the same records,
-# the TSV bytes be equal. The batch-frame row codec, against
-# encoding/json into a [][]rdf.ID: never accept what it rejects, decode
-# to the same IDs, row count and common row width otherwise, encode a
-# table back to the same bytes — and a frame whose rows are ragged, or
-# not as wide as the subquery's variables, is never accepted as a
-# table. The scanner every load and every update batch goes through:
+# the TSV bytes be equal. The frame reader, on a response to a subquery
+# over two variables: never panic, allocate from no length prefix more
+# than the stream's bytes back, deliver only tables over the subquery's
+# variables, and accept only the very bytes a site writes of the batches
+# it delivered — a header naming other variables, a batch whose length is
+# not its row count times their number, and a byte after done are
+# refused. The scanner every load and every update batch goes through:
 # never panic, accept no line with an unclosed IRI, literal or datatype
 # or with anything after the third term, and scan what WriteNTriples
 # writes of an accepted document back to the same triples. The term
@@ -168,10 +169,11 @@ crash-soak:
 # resolves a query exactly when the dictionary holds its every constant. The Turtle reader: never panic, add no triple from a document
 # it refuses, and read what WriteTurtle writes of a document it accepts
 # back to the same triple set; like the loader's, its inputs would spend
-# the run being minimized. The /eval query decoder: never panic, add no
-# term to the site's dictionary, and a query it accepts encodes back to
-# the very wire form it was given — a repeated vertex, which would shift
-# every edge after it, is refused.
+# the run being minimized. The /eval request decoder: never panic, add no
+# term to the site's dictionary, allocate from no length prefix more than
+# the body backs, and a request it accepts encodes back to the very bytes
+# it was given — a repeated vertex, which would shift every edge after
+# it, and a term ID past the stamped dictionary are refused.
 # The seed corpora alone run inside `test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .

@@ -248,6 +248,9 @@ type EvalRequest struct {
 	// network transport, which cannot ship a view handle across
 	// processes).
 	View *rdf.ViewHandle
+	// Vars is Query.Vars() where the caller has it at hand: the columns of
+	// the batches the site ships. nil has it computed.
+	Vars []string
 }
 
 // Eval performs a synchronous request/response round trip to a site: one

@@ -68,7 +68,7 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 		return err
 	}
 
-	opts := match.Options{Parallelism: req.Parallelism, Keep: req.Keep}
+	opts := match.Options{Parallelism: req.Parallelism, Keep: req.Keep, Vars: req.Vars}
 	return s.each(ctx, graphs, func(g *rdf.Graph) (err error) {
 		match.FindBindings(req.Query, req.View.Snap(g), opts, batchSize, func(b *match.Bindings) bool {
 			if err = ctx.Err(); err != nil {

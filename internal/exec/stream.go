@@ -44,6 +44,7 @@ type unit struct {
 type inlet struct {
 	stage   cluster.Stage
 	left    bool
+	vars    []string     // the subquery's variables, its batches' columns
 	running atomic.Int32 // the subquery's units not yet finished
 }
 
@@ -102,6 +103,7 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 		for _, r := range route {
 			units = append(units, unit{sq: i, route: r, par: max(1, sqPar/len(route))})
 		}
+		x.inlets[i].vars = sq.Graph.Vars()
 		x.inlets[i].running.Store(int32(len(route)))
 	}
 	x.chain(q, pl.Order)
@@ -155,14 +157,14 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 // it; the answer dedups and sorts the final rows.
 func (x *execution) chain(q *sparql.Graph, order []int) {
 	layouts := make([][]string, 1, 4) // layouts[k]: the running result's variables after stage k
-	layouts[0] = x.subs[order[0]].Graph.Vars()
+	layouts[0] = x.inlets[order[0]].vars
 	for k, i := range order[1:] {
-		layouts = append(layouts, cluster.JoinVars(layouts[k], x.subs[i].Graph.Vars()))
+		layouts = append(layouts, cluster.JoinVars(layouts[k], x.inlets[i].vars))
 	}
 	x.ans.init(q, layouts[len(order)-1])
 	var next cluster.Stage = &x.ans
 	for k := len(order) - 1; k > 0; k-- {
-		next = cluster.NewJoiner(layouts[k-1], x.subs[order[k]].Graph.Vars(), next)
+		next = cluster.NewJoiner(layouts[k-1], x.inlets[order[k]].vars, next)
 		x.inlets[order[k]].stage = next
 	}
 	x.inlets[order[0]].stage, x.inlets[order[0]].left = next, true
@@ -182,6 +184,7 @@ func (x *execution) run(u *unit) {
 		Keep:        sq.Keep,
 		View:        x.view,
 		Parallelism: u.par,
+		Vars:        in.vars,
 	}, x.e.BatchSize, func(b *match.Bindings) error {
 		x.rows.Add(int64(b.Len()))
 		return in.stage.Push(b, in.left)
@@ -222,7 +225,7 @@ func (x *execution) run(u *unit) {
 type answer struct {
 	mu      sync.Mutex
 	fewCols [8]int // a narrow projection's columns, without an allocation
-	proj    []int  // the projected columns of an input row; nil under SELECT *
+	proj    []int  // the projected columns of an input row; nil: all, in place
 	inW     int    // input row width
 	vars    []string
 	limit   int
@@ -232,12 +235,17 @@ type answer struct {
 	seen    rowSet
 }
 
-// init resolves q's projection against the joined layout inVars.
+// init resolves q's projection against the joined layout inVars: its
+// selected variables, or under SELECT * all of them sorted, as q.Vars().
 func (a *answer) init(q *sparql.Graph, inVars []string) {
-	a.inW, a.vars = len(inVars), inVars
-	if len(q.Select) > 0 {
-		a.proj, a.vars = a.fewCols[:0], make([]string, 0, len(q.Select))
-		for _, v := range q.Select {
+	want := q.Select
+	if len(want) == 0 && !slices.IsSorted(inVars) {
+		want = slices.Sorted(slices.Values(inVars))
+	}
+	a.inW, a.vars = len(inVars), inVars // every column, in place
+	if len(want) > 0 && !slices.Equal(want, inVars) {
+		a.proj, a.vars = a.fewCols[:0], make([]string, 0, len(want))
+		for _, v := range want {
 			if i := slices.Index(inVars, v); i >= 0 {
 				a.proj = append(a.proj, i)
 				a.vars = append(a.vars, v)

@@ -187,8 +187,11 @@ type projector struct {
 	vert []int
 }
 
-func newProjector(q *sparql.Graph) projector {
-	p := projector{vars: q.Vars()}
+func newProjector(q *sparql.Graph, vars []string) projector {
+	if vars == nil {
+		vars = q.Vars()
+	}
+	p := projector{vars: vars}
 	p.vert = make([]int, len(p.vars))
 	for i, name := range p.vars {
 		p.vert[i] = -1
@@ -222,7 +225,7 @@ func (p *projector) appendRow(rows []rdf.ID, m *Match) []rdf.ID {
 // ToBindings projects matches onto the query's variables (vertex variables
 // plus variable predicates), in sorted variable order.
 func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
-	p := newProjector(q)
+	p := newProjector(q, nil)
 	rows := make([]rdf.ID, 0, len(ms)*len(p.vars))
 	for i := range ms {
 		rows = p.appendRow(rows, &ms[i])
@@ -242,7 +245,7 @@ func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
 // streaming subquery evaluation: sites ship bindings to the control-site
 // join as they are found.
 func FindBindings(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn func(*Bindings) bool) {
-	p := newProjector(q)
+	p := newProjector(q, opts.Vars)
 	if len(p.vars) == 0 {
 		// An all-constant pattern: its rows are empty tuples, counted by
 		// zero-sized elements through the same batching.

@@ -206,7 +206,7 @@ func TestFindBindingsBatchesAreTheReceivers(t *testing.T) {
 func TestFindBindingsChunksGrowFromFourRows(t *testing.T) {
 	g := batchGraph(9)
 	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
-	p := newProjector(q)
+	p := newProjector(q, nil)
 	m := Match{Vertex: make([]rdf.ID, len(q.Verts))}
 	allocs := testing.AllocsPerRun(100, func() {
 		b := newBatcher(p.appendRow, TakeRows, GiveRows, 2, 256)

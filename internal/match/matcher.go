@@ -58,6 +58,9 @@ type Options struct {
 	// matches are, as a set, those of the full enumeration. A nil Keep, or
 	// one that marks every variable vertex, enumerates every match.
 	Keep VertexMask
+	// Vars, when non-nil, is q.Vars(), which FindBindings would otherwise
+	// compute: the columns of the batches it hands out.
+	Vars []string
 }
 
 // VertexMask is a set of query vertices: vertex v is bit v%64 of word

@@ -63,21 +63,6 @@ func TestDictLookup(t *testing.T) {
 	}
 }
 
-func TestTermKeyRoundTrip(t *testing.T) {
-	for _, tm := range []Term{NewIRI("http://a"), NewLiteral(`he said "hi"`), NewBlank("n1")} {
-		back, err := TermFromKey(tm.Key())
-		if err != nil {
-			t.Fatalf("TermFromKey(%q): %v", tm.Key(), err)
-		}
-		if back != tm {
-			t.Errorf("round trip %v -> %v", tm, back)
-		}
-	}
-	if _, err := TermFromKey(""); err == nil {
-		t.Error("TermFromKey(\"\") should fail")
-	}
-}
-
 func TestGraphAddAndIndexes(t *testing.T) {
 	g := NewGraph(nil)
 	a := g.Dict.Encode(NewIRI("a"))

@@ -69,37 +69,6 @@ func appendTerm(dst []byte, t Term) []byte {
 	return append(dst, t.Value...)
 }
 
-// Key returns a string that uniquely identifies the term across kinds,
-// suitable for dictionary interning. IRIs and literals with identical
-// lexical forms must not collide.
-func (t Term) Key() string {
-	switch t.Kind {
-	case IRI:
-		return "<" + t.Value
-	case Literal:
-		return `"` + t.Value
-	case Blank:
-		return "_" + t.Value
-	}
-	return t.Value
-}
-
-// TermFromKey reverses Term.Key.
-func TermFromKey(k string) (Term, error) {
-	if k == "" {
-		return Term{}, fmt.Errorf("rdf: empty term key")
-	}
-	switch k[0] {
-	case '<':
-		return NewIRI(k[1:]), nil
-	case '"':
-		return NewLiteral(k[1:]), nil
-	case '_':
-		return NewBlank(k[1:]), nil
-	}
-	return Term{}, fmt.Errorf("rdf: malformed term key %q", k)
-}
-
 // appendEscaped appends s to dst with the N-Triples literal escapes.
 func appendEscaped(dst []byte, s string) []byte {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {

@@ -23,13 +23,10 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,6 +69,11 @@ type ClientConfig struct {
 type SiteClient struct {
 	cfg     ClientConfig
 	breaker *Breaker
+	// eval is the request every /eval attempt is a copy of: its URL is
+	// parsed once, and its header map, empty, is shared by every attempt
+	// and never written to. evalErr is why there is none.
+	eval    *http.Request
+	evalErr error
 
 	calls     atomic.Uint64
 	attempts  atomic.Uint64
@@ -94,36 +96,31 @@ func NewSiteClient(cfg ClientConfig) *SiteClient {
 		cfg.FrameTimeout = 10 * time.Second
 	}
 	cfg.HTTP = cmp.Or(cfg.HTTP, http.DefaultClient)
-	return &SiteClient{cfg: cfg, breaker: NewBreaker(cfg.Breaker), lats: metrics.NewWindow(512)}
+	c := &SiteClient{cfg: cfg, breaker: NewBreaker(cfg.Breaker), lats: metrics.NewWindow(512)}
+	c.eval, c.evalErr = http.NewRequest(http.MethodPost, cfg.BaseURL+"/eval", nil)
+	return c
 }
 
 // NewHTTPClient returns an HTTP client for SiteClients that share it:
 // http.DefaultTransport's settings, but keeping up to idlePerHost idle
 // connections to each site process instead of 2, so that as many /eval
-// streams as run at once each find one to reuse.
+// streams as run at once each find one to reuse, and asking for no gzip,
+// which a site does not write (the header costs a map per request).
 func NewHTTPClient(idlePerHost int) *http.Client {
 	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.DisableCompression = true
 	t.MaxIdleConnsPerHost = idlePerHost
 	t.MaxIdleConns = 0 // the per-host bound is the bound
 	return &http.Client{Transport: t}
 }
 
-// maxFrameBytes bounds one response frame. A site's batch frame holds at
-// most the batch size of rows the request asked for — a few KB at the
-// default — so a line this long is no frame a site meant to send: the
-// call fails, without a retry, and none of its rows are delivered.
-const maxFrameBytes = 16 << 20
-
-// frameBufs holds the buffers response frames are split in, each big
-// enough for a default batch of wide rows; a longer frame grows a buffer
-// of its own, up to maxFrameBytes.
-var frameBufs = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
-
-// outcome is one attempt's verdict; refused marks the sink's own error.
+// outcome is one attempt's verdict; refused marks the sink's own error,
+// torn a stream that ended before its terminal frame.
 type outcome struct {
 	err       error
 	retryable bool
 	refused   bool
+	torn      bool
 }
 
 // EvalStream implements cluster.SiteEval over HTTP. Batches are pushed
@@ -132,14 +129,21 @@ type outcome struct {
 // attempt had already delivered.
 func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, batchSize int, sink cluster.BatchSink) error {
 	c.calls.Add(1)
-	wire := encodeRequest(req, c.cfg.Dict, batchSize)
+	// Stamp the client dictionary state. Prefix fingerprints are
+	// immutable (the dictionary is append-only), so the stamp stays valid
+	// across every retry of this request, which sends these very bytes.
+	dictLen := c.cfg.Dict.Len()
+	body := appendRequest(make([]byte, 0, 64+32*len(req.Query.Edges)), req, batchSize, dictLen, c.cfg.Dict.Fingerprint(dictLen))
 	if err := c.breaker.Allow(); err != nil {
 		c.fastFails.Add(1)
 		c.failures.Add(1)
 		return fmt.Errorf("%w: site %d: %v", cluster.ErrSiteUnavailable, c.cfg.Site, err)
 	}
 
-	vars := req.Query.Vars()
+	vars := req.Vars
+	if vars == nil {
+		vars = req.Query.Vars()
+	}
 	start := time.Now()
 	var last outcome
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
@@ -151,7 +155,7 @@ func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, ba
 				return err
 			}
 		}
-		o := c.runAttempt(ctx, wire, vars, sink)
+		o := c.runAttempt(ctx, body, vars, sink)
 		if o.err == nil {
 			c.breaker.Success()
 			c.lats.Observe(time.Since(start))
@@ -182,20 +186,18 @@ func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, ba
 
 // runAttempt performs one HTTP round trip and streams frames to the
 // sink.
-func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []string, sink cluster.BatchSink) outcome {
+func (c *SiteClient) runAttempt(ctx context.Context, body []byte, vars []string, sink cluster.BatchSink) outcome {
 	c.attempts.Add(1)
+	if c.evalErr != nil {
+		return outcome{err: c.evalErr}
+	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return outcome{err: err}
-	}
-	hreq, err := http.NewRequestWithContext(actx, http.MethodPost, c.cfg.BaseURL+"/eval", bytes.NewReader(body))
-	if err != nil {
-		return outcome{err: err}
-	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq := c.eval.WithContext(actx)
+	hreq.Body, hreq.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	// net/http resends the body on a fresh connection when a pooled one
+	// turns out closed before the request was written.
+	hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 
 	// Progress watchdog, armed with the request: a site that accepts it
 	// and never answers is cut and retried like one that stalls
@@ -225,47 +227,20 @@ func (c *SiteClient) runAttempt(ctx context.Context, wire *evalWire, vars []stri
 		return outcome{err: err, retryable: resp.StatusCode >= 500}
 	}
 
-	buf := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(buf)
-	lines := bufio.NewScanner(resp.Body)
-	lines.Buffer(*buf, maxFrameBytes)
-	var f frame
-	for lines.Scan() {
-		f = frame{Vars: f.Vars[:0]}
-		if err := json.Unmarshal(lines.Bytes(), &f); err != nil {
-			// A line cut short by the end of the stream, or garbled.
-			return broken(fmt.Errorf("stream cut: %w", err))
-		}
-		watchdog.Reset(c.cfg.FrameTimeout)
-		switch f.K {
-		case "hdr": // the site took our dictionary stamp
-		case "b":
-			b, err := f.bindings(vars)
-			if err != nil {
-				return outcome{err: fmt.Errorf("transport: site %d: %w", c.cfg.Site, err), retryable: true}
-			}
-			if err := sink(b); err != nil {
-				return outcome{err: err, refused: true}
-			}
-		case "done":
-			// Read on to the end of the body: net/http pools a connection
-			// only once its response has been read whole. The answer is
-			// complete either way, so a read error here fails nothing.
-			if lines.Scan() {
-				return outcome{err: fmt.Errorf("transport: site %d: data after the done frame", c.cfg.Site)}
-			}
-			return outcome{}
-		case "err":
-			return outcome{err: fmt.Errorf("transport: site %d: remote: %s", c.cfg.Site, f.Msg)}
-		default:
-			return outcome{err: fmt.Errorf("transport: site %d: unknown frame %q", c.cfg.Site, f.K), retryable: true}
-		}
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(resp.Body)
+	defer func() {
+		br.Reset(nil)
+		readers.Put(br)
+	}()
+	o := readFrames(br, vars, sink, func() { watchdog.Reset(c.cfg.FrameTimeout) })
+	switch {
+	case o.torn:
+		return broken(o.err)
+	case o.err != nil && !o.refused:
+		o.err = fmt.Errorf("transport: site %d: %w", c.cfg.Site, o.err)
 	}
-	if errors.Is(lines.Err(), bufio.ErrTooLong) {
-		return outcome{err: fmt.Errorf("transport: site %d: a frame longer than %d bytes", c.cfg.Site, maxFrameBytes)}
-	}
-	// EOF or a read error before the done frame: torn stream.
-	return broken(fmt.Errorf("stream cut: %w", cmp.Or(lines.Err(), io.EOF)))
+	return o
 }
 
 // backoffWait sleeps before retry n (1-based): Backoff·2ⁿ⁻¹ capped at

@@ -3,16 +3,16 @@ package transport
 // The client's read path: connections go back to the pool once a stream
 // is read to its end, and the frame reader's edges — a frame longer than
 // its pooled buffer, one past maxFrameBytes, data after done, a body
-// torn mid-line or before done.
+// torn mid-frame or before done.
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"rdffrag/internal/cluster"
+	"rdffrag/internal/match"
 )
 
 // TestConnectionsReused counts the connections a site accepts. Its
@@ -95,44 +96,37 @@ func TestConnectionsReused(t *testing.T) {
 func TestFrameReaderEdges(t *testing.T) {
 	_, d, q := newTestCluster(t, 2)
 	req := testRequest(q) // binds ?x ?y
-	// rows renders n two-wide rows as a batch frame's rows.
-	rows := func(n int) string {
-		var b strings.Builder
-		b.WriteByte('[')
+	// batch is a frame of n two-wide rows.
+	batch := func(n int) []byte {
+		ids := make([]int, 0, 2*n)
 		for i := 0; i < n; i++ {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "[%d,%d]", 100000+i, 200000+i)
+			ids = append(ids, 100000+i, 200000+i)
 		}
-		b.WriteByte(']')
-		return b.String()
+		return batchOf(n, ids...)
 	}
-	batch := func(n int) string { return `{"k":"b","vars":["x","y"],"rows":` + rows(n) + "}\n" }
-	const hdr, done = `{"k":"hdr"}` + "\n", `{"k":"done"}` + "\n"
+	hdr, done := hdrOf("x", "y"), doneFrame
 	big := batch(14000)
-	if len(big) < 200<<10 || len(big) > maxFrameBytes {
+	if len(big) < 100<<10 || len(big) > maxFrameBytes {
 		t.Fatalf("the large frame is %d bytes", len(big))
 	}
 	for _, tc := range []struct {
 		name      string
-		body      string
+		body      []byte
 		rows      int  // rows delivered per attempt
 		fail      bool // the call fails
 		retried   bool // after a retryable attempt
 		errSubstr string
 	}{
-		{name: "frame larger than the pooled buffer", body: hdr + big + done, rows: 14000},
-		{name: "frame past maxFrameBytes", body: hdr + batch(maxFrameBytes/14) + done, fail: true, errSubstr: "longer than"},
-		{name: "byte after done", body: hdr + batch(3) + done + "x", rows: 3, fail: true, errSubstr: "after the done frame"},
-		{name: "empty line after done", body: hdr + done + "\n", fail: true, errSubstr: "after the done frame"},
-		{name: "cut mid-line", body: hdr + batch(3) + `{"k":"b","vars":["x","y"],"rows":[[1,2`, rows: 3, fail: true, retried: true, errSubstr: "stream cut"},
-		{name: "no done frame", body: hdr + batch(3), rows: 3, fail: true, retried: true, errSubstr: "stream cut"},
+		{name: "frame larger than the pooled buffer", body: slices.Concat(hdr, big, done), rows: 14000},
+		{name: "frame past maxFrameBytes", body: slices.Concat(hdr, appendFrameHead(nil, frameBatch, maxFrameBytes+1)), fail: true, errSubstr: "longer than"},
+		{name: "byte after done", body: slices.Concat(hdr, batch(3), done, []byte("x")), rows: 3, fail: true, errSubstr: "after the done frame"},
+		{name: "empty line after done", body: slices.Concat(hdr, done, []byte("\n")), fail: true, errSubstr: "after the done frame"},
+		{name: "cut mid-line", body: slices.Concat(hdr, batch(3), batch(2)[:13]), rows: 3, fail: true, retried: true, errSubstr: "stream cut"},
+		{name: "no done frame", body: slices.Concat(hdr, batch(3)), rows: 3, fail: true, retried: true, errSubstr: "stream cut"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				io.WriteString(w, tc.body)
+				w.Write(tc.body)
 			}))
 			defer hs.Close()
 			client := NewSiteClient(ClientConfig{BaseURL: hs.URL, Dict: d, Retries: 1, Backoff: time.Millisecond})
@@ -159,5 +153,43 @@ func TestFrameReaderEdges(t *testing.T) {
 				t.Errorf("%d rows delivered, want %d", got.n, tc.rows*attempts)
 			}
 		})
+	}
+}
+
+// TestRemoteEvalAllocs: a remote subquery — the call, its request, the
+// site's handler on the far side of a pooled connection, and a 40-row
+// answer in batches of 16 rows — allocates under a ceiling of objects
+// and of bytes, both counted across the client and the httptest site,
+// which share the process. The ceilings are 135 objects and 9.8 KB, what
+// the binary framing measures, plus a tenth.
+func TestRemoteEvalAllocs(t *testing.T) {
+	if raceOn {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	c, d, q := newTestCluster(t, 40)
+	req := testRequest(q)
+	req.Parallelism = 1
+	_, hs := newSite(t, c, d, nil)
+	client := NewSiteClient(ClientConfig{BaseURL: hs.URL, Dict: d, HTTP: NewHTTPClient(1)})
+	sink := func(b *match.Bindings) error { b.Release(); return nil }
+	call := func() {
+		if err := client.EvalStream(context.Background(), req, 16, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // dial the connection the calls below reuse
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, call)
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("%.0f allocations, %.0f bytes per call", allocs, perCall)
+	const maxAllocs, maxBytes = 148, 10700
+	if allocs > maxAllocs {
+		t.Errorf("a remote subquery allocates %.0f objects, want at most %d", allocs, maxAllocs)
+	}
+	if perCall > maxBytes {
+		t.Errorf("a remote subquery allocates %.0f bytes, want at most %d", perCall, maxBytes)
 	}
 }

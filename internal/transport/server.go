@@ -1,14 +1,15 @@
-// Package transport puts the site RPC surface behind a real network:
-// an HTTP fragment-host server (SiteServer, mounted by `rdffrag site`)
-// streams binding batches as NDJSON frames, and SiteClient implements
-// the same cluster.SiteEval interface as the in-process channel path,
-// wrapped in a robustness layer — bounded retries with exponential
-// backoff and jitter (each one restarting the stream), a per-frame
-// progress deadline that runs from the request, and a per-site circuit
-// breaker — so the control site can mix local and remote sites and
-// queries survive a lossy network or a stalled site. The client reads
-// every stream to EOF so its connection is reused: a subquery is one
-// round trip on a pooled connection, not a dial.
+// Package transport puts the site RPC surface behind a real network: an
+// HTTP fragment-host server (SiteServer, mounted by `rdffrag site`)
+// answers a subquery whose constants travel as dictionary IDs with binary
+// frames of ID rows (wire.go), and SiteClient implements the same
+// cluster.SiteEval interface as the in-process channel path, wrapped in a
+// robustness layer — bounded retries with exponential backoff and jitter
+// (each one restarting the stream), a per-frame progress deadline that
+// runs from the request, and a per-site circuit breaker — so the control
+// site can mix local and remote sites and queries survive a lossy network
+// or a stalled site. The client reads every stream to EOF so its
+// connection is reused: a subquery is one round trip on a pooled
+// connection, not a dial.
 //
 // Remote evaluations read each fragment's current state (a per-graph
 // consistent snapshot), not the control site's pinned MVCC view: a
@@ -19,10 +20,14 @@
 package transport
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"rdffrag/internal/cluster"
@@ -74,7 +79,7 @@ type ServerMetrics struct {
 }
 
 // SiteServer serves a cluster's fragments over HTTP: POST /eval streams
-// NDJSON binding batches, GET /healthz is a liveness probe, GET
+// binding batches in binary frames, GET /healthz is a liveness probe, GET
 // /metrics reports the counters above. Batches stream as the matcher's
 // workers fill them, in no fixed order: a retried stream restarts from
 // scratch, and the control site's dedup absorbs what it repeats.
@@ -152,19 +157,6 @@ func (s *SiteServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serves reports whether this server answers for site id.
-func (s *SiteServer) serves(id int) bool {
-	if len(s.cfg.Sites) == 0 {
-		return true
-	}
-	for _, have := range s.cfg.Sites {
-		if have == id {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST an eval request", http.StatusMethodNotAllowed)
@@ -173,8 +165,11 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	// The body is consumed before any fault rolls: net/http only watches
 	// for client disconnects once the request body has been read, so a
 	// straggler stall taken earlier would not notice the caller leaving.
-	var wire evalWire
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&wire); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// The head is the site and the client dictionary's stamp.
+	rd := wireReader{b: body}
+	site, dictLen, dictFP := rd.u32(), rd.u32(), rd.u64()
+	if err = cmp.Or(err, rd.err); err != nil {
 		http.Error(w, "bad eval request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -192,47 +187,46 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 			return // client gone while stalled
 		}
 	}
-	if !s.serves(wire.Site) {
-		http.Error(w, fmt.Sprintf("site %d not served here", wire.Site), http.StatusNotFound)
+	if len(s.cfg.Sites) > 0 && !slices.Contains(s.cfg.Sites, site) {
+		http.Error(w, fmt.Sprintf("site %d not served here", site), http.StatusNotFound)
 		return
 	}
-	// Rows travel as raw IDs, so the site serves only a client whose
-	// whole dictionary is a prefix of its own: 409, which the client does
-	// not retry (a mismatch never heals), and before reading the query.
-	if wire.DictLen == 0 || wire.DictLen > s.cfg.Dict.Len() || s.cfg.Dict.Fingerprint(wire.DictLen) != wire.DictFP {
-		http.Error(w, fmt.Sprintf("site %d: dictionary mismatch: the client's %d terms are no prefix of this site's dictionary (deployments differ)", wire.Site, wire.DictLen), http.StatusConflict)
+	// Query constants and rows travel as raw IDs, so the site serves only
+	// a client whose whole dictionary is a prefix of its own: 409, which
+	// the client does not retry (a mismatch never heals), and before
+	// reading the query.
+	if dictLen == 0 || dictLen > s.cfg.Dict.Len() || s.cfg.Dict.Fingerprint(dictLen) != dictFP {
+		http.Error(w, fmt.Sprintf("site %d: dictionary mismatch: the client's %d terms are no prefix of this site's dictionary (deployments differ)", site, dictLen), http.StatusConflict)
 		return
 	}
-	q, keep, err := decodeQuery(wire.Query, s.cfg.Dict)
+	req, batch, err := rd.eval(site, dictLen)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	req.Vars = req.Query.Vars()
 	s.evals.Add(1)
 	s.active.Add(1)
 	defer s.active.Add(-1)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	w.Header().Set("Content-Type", "application/octet-stream")
 	flusher, _ := w.(http.Flusher)
-	write := func(f *frame) error {
-		if err := enc.Encode(f); err != nil {
-			return err
-		}
-		if flusher != nil {
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
+	// write sends a frame appended to the emptied buffer, and keeps the
+	// buffer, grown to hold it, for the next.
+	write := func(frame []byte) error {
+		*buf = frame
+		_, err := w.Write(frame)
+		if flusher != nil && err == nil {
 			flusher.Flush()
 		}
-		return nil
+		return err
 	}
-	if err := write(&frame{K: "hdr"}); err != nil {
+	if err := write(appendHdr((*buf)[:0], req.Vars)); err != nil {
 		return
 	}
 
-	batch := wire.Batch
-	if batch <= 0 {
-		batch = cluster.DefaultBatchSize
-	}
-	req := cluster.EvalRequest{SiteID: wire.Site, FragIDs: wire.Frags, Query: q, Keep: keep, Parallelism: wire.Parallelism}
 	streamErr := s.cfg.Cluster.EvalStream(r.Context(), req, batch, func(b *match.Bindings) error {
 		switch s.cfg.Chaos.OnBatch() {
 		case cluster.FaultCut:
@@ -242,7 +236,7 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 		}
-		if err := write(&frame{K: "b", Vars: b.Vars, Rows: rowsOf(b)}); err != nil {
+		if err := write(appendBatch((*buf)[:0], b)); err != nil {
 			return err
 		}
 		s.batches.Add(1)
@@ -253,7 +247,7 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 
 	switch {
 	case streamErr == nil:
-		write(&frame{K: "done"})
+		write(appendFrame((*buf)[:0], frameDone, ""))
 	case errors.Is(streamErr, errCutInjected):
 		// Abort the connection without a terminal frame: the client
 		// must see a torn stream, not a clean close. ErrAbortHandler
@@ -262,6 +256,10 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	case r.Context().Err() != nil:
 		// Client disconnected or cancelled; nothing left to tell it.
 	default:
-		write(&frame{K: "err", Msg: streamErr.Error()})
+		write(appendFrame((*buf)[:0], frameErr, streamErr.Error()))
 	}
 }
+
+// frameBufs holds the buffers a site's response frames are written from,
+// one per stream, grown to its largest frame.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}

@@ -8,8 +8,8 @@ package transport
 // then recovering.
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -198,8 +198,8 @@ func TestMaskedEvalOverHTTPMatchesDirect(t *testing.T) {
 	}
 }
 
-// Constants survive the structural wire encoding: the term keys
-// round-trip through the server's dictionary.
+// Constants travel as dictionary IDs, which name the same terms in the
+// server's dictionary.
 func TestQueryConstantRoundTrip(t *testing.T) {
 	c, d, _ := newTestCluster(t, 10)
 	q := sparql.MustParse(d, `SELECT ?x WHERE { ?x <p> <b3> . }`)
@@ -267,7 +267,7 @@ type attemptLog struct {
 }
 
 // frameTap passes a site's response through, logging each frame the site
-// writes (one json.Encoder line per Write) into log under mu.
+// writes (one frame per Write) into log under mu.
 type frameTap struct {
 	http.ResponseWriter
 	mu  *sync.Mutex
@@ -275,13 +275,14 @@ type frameTap struct {
 }
 
 func (ft frameTap) Write(p []byte) (int, error) {
-	var f frame
-	if json.Unmarshal(p, &f) == nil {
-		ft.mu.Lock()
-		ft.log.rows += f.Rows.n
-		ft.log.done = ft.log.done || f.K == "done"
-		ft.mu.Unlock()
+	ft.mu.Lock()
+	switch p[0] {
+	case frameBatch:
+		ft.log.rows += int(le.Uint32(p[5:]))
+	case frameDone:
+		ft.log.done = true
 	}
+	ft.mu.Unlock()
 	return ft.ResponseWriter.Write(p)
 }
 
@@ -382,7 +383,7 @@ func TestFrameTimeoutWatchdog(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/eval") && evals.Add(1) == 1 {
 			// First attempt: open the stream, then produce nothing.
-			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Header().Set("Content-Type", "application/octet-stream")
 			w.WriteHeader(http.StatusOK)
 			w.(http.Flusher).Flush()
 			<-r.Context().Done()
@@ -526,16 +527,13 @@ func TestCancelDuringBatchStallEndsTheStream(t *testing.T) {
 	// 2 KB, stalls two hours.
 	chaos := cluster.NewChaos(cluster.ChaosConfig{DelayProb: 1, StragglerDelay: cluster.Delay{PerKB: time.Hour}})
 	ss := NewSiteServer(ServerConfig{Cluster: c, Dict: d, Chaos: chaos})
-	body, err := json.Marshal(encodeRequest(testRequest(q), d, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := appendRequest(nil, testRequest(q), 256, d.Len(), d.Fingerprint(d.Len()))
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ss.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/eval", strings.NewReader(string(body))).WithContext(ctx))
+		ss.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/eval", bytes.NewReader(body)).WithContext(ctx))
 	}()
 	for deadline := time.Now().Add(10 * time.Second); chaos.Counts().Delays < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -548,7 +546,7 @@ func TestCancelDuringBatchStallEndsTheStream(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the handler did not return after the cancel")
 	}
-	if got := rec.Body.String(); got != "{\"k\":\"hdr\"}\n" || ss.Metrics().Batches != 0 {
+	if got := rec.Body.Bytes(); !bytes.Equal(got, hdrOf("x", "y")) || ss.Metrics().Batches != 0 {
 		t.Fatalf("after the cancel the site wrote %q and counts %d batches; want the header alone", got, ss.Metrics().Batches)
 	}
 }

@@ -1,32 +1,30 @@
 package transport
 
-// Wire format of the site RPC. A request is one JSON document; the
-// response is a stream of newline-delimited JSON frames
-// (application/x-ndjson): a header frame, once the site has checked the
-// client's dictionary stamp, zero or more batch frames carrying binding
-// rows, and a terminal done frame. The terminal frame is what makes torn
-// streams detectable: EOF before it means the stream was cut (network
-// fault, site death) and the delivered prefix is incomplete — the client
-// retries the whole stream instead of silently accepting a truncated
-// result, and the control site's dedup absorbs the rows the torn attempt
-// had delivered.
+// Wire format of the site RPC: one binary framing both ways; integers
+// are little-endian uint32 but the dictionary fingerprint and keep words
+// (uint64), a string is its length and bytes. The request is
 //
-// Queries travel structurally (vertices and edges with constants as
-// N-Triples term keys), not as SPARQL text: Term.Key/TermFromKey
-// round-trip exactly, so the encoding has no parser quirks to survive.
-// Binding rows travel as raw dictionary IDs. That requires the client's
-// dictionary to be a prefix of the site's, which holds by construction: a
-// fragment-host process builds its deployment from the same data and
-// workload files with the same deterministic pipeline as the control
-// site, and after that only an applied update batch adds a term, in log
-// order — a query never does, on either side. The site checks the
-// client's stamp against its own dictionary before it reads the query.
+//	site dictLen dictFP parallelism batch nFrags frag... nVerts slot...
+//	nEdges (from to slot)... nKeep word...
+//
+// where a slot is 'v' and a variable's name or 't' and a term's ID. IDs
+// name the same terms at both ends while the client's dictionary is a
+// prefix of the site's, which holds by construction (the same files
+// through the same deterministic pipeline, then terms added only by
+// applied update batches, in log order): the site checks the stamp before
+// it reads the query, and refuses an ID at or past the stamped length.
+// The response is frames of a kind byte, a payload length and a payload:
+// header 'h' (nVars name...: the rows' columns), batches 'b' (nRows, then
+// nRows·nVars IDs), then done 'd' (empty) or err 'e' (a message, not
+// retried). EOF before done or err means the stream was cut: the client
+// retries it whole, and the control site's dedup absorbs repeated rows.
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
-	"strconv"
+	"sync"
 
 	"rdffrag/internal/cluster"
 	"rdffrag/internal/match"
@@ -34,272 +32,315 @@ import (
 	"rdffrag/internal/sparql"
 )
 
-// wireVert is one query vertex: a variable or a constant term key.
-type wireVert struct {
-	Var  string `json:"var,omitempty"`
-	Term string `json:"term,omitempty"`
+// Frame kinds.
+const (
+	frameHdr   = 'h'
+	frameBatch = 'b'
+	frameDone  = 'd'
+	frameErr   = 'e'
+)
+
+// maxFrameBytes bounds one response frame's payload. A site's batch frame
+// holds at most the batch size of rows the request asked for — a few KB
+// at the default — so a frame this long is no frame a site meant to send:
+// the call fails, without a retry, before the payload is read.
+const maxFrameBytes = 16 << 20
+
+var le = binary.LittleEndian
+
+// appendRequest appends the wire form of req, asked for in batches of
+// batch rows (0: the site's default), stamped with the first dictLen
+// terms of the client's dictionary and their fingerprint.
+func appendRequest(dst []byte, req cluster.EvalRequest, batch, dictLen int, dictFP uint64) []byte {
+	q := req.Query
+	dst = le.AppendUint64(appendU32s(dst, req.SiteID, dictLen), dictFP)
+	dst = appendU32s(dst, max(req.Parallelism, 0), max(batch, 0), len(req.FragIDs))
+	dst = appendU32s(appendU32s(dst, req.FragIDs...), len(q.Verts))
+	for _, v := range q.Verts {
+		dst = appendSlot(dst, v.Var, v.Term)
+	}
+	dst = appendU32s(dst, len(q.Edges))
+	for _, e := range q.Edges {
+		dst = appendSlot(appendU32s(dst, e.From, e.To), e.PredVar, e.Pred)
+	}
+	dst = appendU32s(dst, len(req.Keep))
+	for _, w := range req.Keep {
+		dst = le.AppendUint64(dst, w)
+	}
+	return dst
 }
 
-// wireEdge is one query edge between vertex indices.
-type wireEdge struct {
-	From    int    `json:"from"`
-	To      int    `json:"to"`
-	Pred    string `json:"pred,omitempty"`
-	PredVar string `json:"predVar,omitempty"`
+func appendU32s(dst []byte, vs ...int) []byte {
+	for _, v := range vs {
+		dst = le.AppendUint32(dst, uint32(v))
+	}
+	return dst
 }
 
-// wireQuery is the structural encoding of a basic graph pattern, with
-// the vertices the control site reads of its rows (cluster.EvalRequest's
-// Keep; absent: every vertex).
-type wireQuery struct {
-	Verts []wireVert       `json:"verts"`
-	Edges []wireEdge       `json:"edges"`
-	Keep  match.VertexMask `json:"keep,omitempty"`
+// appendSlot appends a vertex or an edge label: the variable name, or
+// the term id where name is "".
+func appendSlot(dst []byte, name string, id rdf.ID) []byte {
+	if name != "" {
+		return append(appendU32s(append(dst, 'v'), len(name)), name...)
+	}
+	return le.AppendUint32(append(dst, 't'), uint32(id))
 }
 
-// evalWire is the /eval request body.
-type evalWire struct {
-	Site        int       `json:"site"`
-	Frags       []int     `json:"frags"`
-	Query       wireQuery `json:"query"`
-	Parallelism int       `json:"parallelism,omitempty"`
-	Batch       int       `json:"batch,omitempty"`
-	// DictLen/DictFP stamp the client dictionary: its length and the
-	// fingerprint of all of it (rdf.Dict.Fingerprint). Rows travel as raw
-	// IDs, so the site serves only a client whose whole dictionary is a
-	// prefix of its own; a request without a stamp is refused too.
-	DictLen int    `json:"dictLen,omitempty"`
-	DictFP  uint64 `json:"dictFp,omitempty"`
+// wireReader reads a request or a header front to back. The first read
+// that fails sets err, and every read after it returns nothing.
+type wireReader struct {
+	b   []byte
+	err error
 }
 
-// frame is one NDJSON response frame, discriminated by K: "hdr" opens
-// the stream, "b" carries a batch, "done" closes it, "err" reports a
-// server-side failure, which the client does not retry.
-type frame struct {
-	K    string   `json:"k"`
-	Vars []string `json:"vars,omitempty"` // b
-	Rows wireRows `json:"rows,omitzero"`  // b
-	Msg  string   `json:"msg,omitempty"`  // err
+func (r *wireReader) fail(format string, a ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("transport: "+format, a...)
+	}
 }
 
-// wireRows is the rows of a batch frame: on the wire an array of rows,
-// each an array of IDs; in memory the flat array a match.Bindings holds,
-// so a batch goes from one to the other without a slice per row. It
-// encodes to the bytes encoding/json gives the same rows as a slice of ID
-// slices (no rows: the field is left out). Decoding is by hand —
-// encoding/json grows every row and the row list by reflection — in two
-// passes: one counts the IDs, the second fills one match.TakeRows. It accepts
-// only what encoding/json accepts into such a slice of slices — and of
-// that only what json.Marshal of one can emit, plus whitespace: null or
-// an array of rows, a row null or an array of decimal integers below 2^32
-// — and yields the same IDs in the same order.
-type wireRows struct {
-	ids []rdf.ID
-	n   int // rows
-	// w is the width of every row, or -1 when the rows received differ in
-	// width: what was sent is then no table, and bindings refuses it.
-	w int
+func (r *wireReader) take(n int) (p []byte) {
+	if n > len(r.b) {
+		r.fail("request cut short")
+	}
+	if r.err == nil {
+		p, r.b = r.b[:n], r.b[n:]
+	}
+	return p
 }
 
-func rowsOf(b *match.Bindings) wireRows {
-	return wireRows{ids: b.Rows, n: b.Len(), w: len(b.Vars)}
+func (r *wireReader) u32() int {
+	if p := r.take(4); p != nil {
+		return int(le.Uint32(p))
+	}
+	return 0
 }
 
-// IsZero leaves an empty batch's rows out of its frame.
-func (r wireRows) IsZero() bool { return r.n == 0 }
+func (r *wireReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return le.Uint64(p)
+	}
+	return 0
+}
 
-func (r wireRows) MarshalJSON() ([]byte, error) {
-	out := make([]byte, 0, 2+2*r.n+7*len(r.ids))
-	out = append(out, '[')
-	for i := 0; i < r.n; i++ {
-		if i > 0 {
-			out = append(out, ',')
+// count reads a list's length, refusing a list of elements at least size
+// bytes long that the rest of the request cannot hold: no length prefix
+// makes more than the request backs.
+func (r *wireReader) count(size int) int {
+	if n := r.u32(); n <= len(r.b)/size {
+		return n
+	}
+	r.fail("a list longer than the request")
+	return 0
+}
+
+// slot reads a vertex or an edge label: a variable's name, or a term ID
+// below dictLen.
+func (r *wireReader) slot(dictLen int) (string, rdf.ID) {
+	switch k := r.take(1); {
+	case k == nil:
+	case k[0] == 'v':
+		if name := r.take(r.u32()); len(name) > 0 {
+			return string(name), 0
 		}
-		out = append(out, '[')
-		for k, id := range r.ids[i*r.w : (i+1)*r.w] {
-			if k > 0 {
-				out = append(out, ',')
-			}
-			out = strconv.AppendUint(out, uint64(id), 10)
+		r.fail("an empty variable name")
+	case k[0] == 't':
+		if id := r.u32(); id < dictLen {
+			return "", rdf.ID(id)
+		} else if r.err == nil {
+			r.fail("term ID %d is past the client's %d-term dictionary", id, dictLen)
 		}
-		out = append(out, ']')
+	default:
+		r.fail("slot kind %q", k[0])
 	}
-	return append(out, ']'), nil
+	return "", 0
 }
 
-var errWireRows = errors.New("transport: rows: not an array of arrays of uint32")
-
-func (r *wireRows) UnmarshalJSON(data []byte) error {
-	nIDs := 0
-	for i, c := range data {
-		if c >= '0' && c <= '9' && (i == 0 || data[i-1] < '0' || data[i-1] > '9') {
-			nIDs++
-		}
+// eval reads the rest of a request for site stamped with dictLen terms:
+// the evaluation it asks for and its batch size. Edges name vertices by
+// their place in the list, so a list that names a vertex twice is
+// refused: the graph interns vertices, and every later one would move
+// down a place. So is a kept vertex the list does not have, and a byte
+// past the end.
+func (r *wireReader) eval(site, dictLen int) (cluster.EvalRequest, int, error) {
+	req := cluster.EvalRequest{SiteID: site, Parallelism: r.u32()}
+	batch := r.u32()
+	req.FragIDs = make([]int, r.count(4))
+	for i := range req.FragIDs {
+		req.FragIDs[i] = r.u32()
 	}
-	// depth counts the arrays open around the cursor; st says what may
-	// come next: a value (after ','), a value or ']' (after '['), or
-	// ',' or ']' (after a value).
-	const (
-		value = iota
-		valueOrClose
-		afterValue
-	)
-	got := wireRows{ids: match.TakeRows(nIDs)}
-	// endRow counts a row that ended with the array start IDs long.
-	endRow := func(start int) {
-		if w := len(got.ids) - start; got.n == 0 {
-			got.w = w
-		} else if w != got.w {
-			got.w = -1
-		}
-		got.n++
-	}
-	depth, st, start := 0, value, 0
-	for i := 0; i < len(data); i++ {
-		switch c := data[i]; {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-		case c == '[' && st != afterValue && depth < 2:
-			depth, st, start = depth+1, valueOrClose, len(got.ids)
-		case c == ']' && st != value && depth > 0:
-			if depth == 2 {
-				endRow(start)
-			}
-			depth, st = depth-1, afterValue
-		case c == ',' && st == afterValue && depth > 0:
-			st = value
-		case c == 'n' && st != afterValue && depth < 2 && len(data)-i >= 4 && string(data[i:i+4]) == "null":
-			if depth == 1 {
-				endRow(len(got.ids)) // a null row holds nothing
-			}
-			i, st = i+3, afterValue
-		case c >= '0' && c <= '9' && st != afterValue && depth == 2:
-			v, first := uint64(0), i
-			for ; i < len(data) && data[i] >= '0' && data[i] <= '9' && v < 1<<32; i++ {
-				v = v*10 + uint64(data[i]-'0')
-			}
-			if v >= 1<<32 || (data[first] == '0' && i > first+1) {
-				return errWireRows // out of range, or a leading zero
-			}
-			got.ids = append(got.ids, rdf.ID(v))
-			i, st = i-1, afterValue
-		default:
-			return errWireRows
-		}
-	}
-	if depth != 0 || st != afterValue {
-		return errWireRows
-	}
-	*r = got
-	return nil
-}
-
-// bindings returns a batch frame's rows as a table over vars, the
-// variables of the subquery the frame answers. Rows travel as bare IDs
-// and the control site joins them by position, so a frame that names
-// other variables, or holds a row that is not exactly len(vars) wide, is
-// refused.
-func (f *frame) bindings(vars []string) (*match.Bindings, error) {
-	if !slices.Equal(f.Vars, vars) {
-		return nil, fmt.Errorf("batch binds %v, the subquery %v", f.Vars, vars)
-	}
-	if f.Rows.n > 0 && f.Rows.w != len(vars) {
-		return nil, fmt.Errorf("batch holds rows that are not %d wide", len(vars))
-	}
-	return match.Recyclable(vars, f.Rows.ids, f.Rows.n), nil
-}
-
-// encodeQuery flattens a parsed query graph and its kept vertices for the
-// wire, decoding constant IDs to stable term keys through the control
-// site's dict.
-func encodeQuery(q *sparql.Graph, keep match.VertexMask, d *rdf.Dict) wireQuery {
-	wq := wireQuery{Verts: make([]wireVert, len(q.Verts)), Edges: make([]wireEdge, len(q.Edges)), Keep: keep}
-	for i, v := range q.Verts {
-		if v.IsVar() {
-			wq.Verts[i] = wireVert{Var: v.Var}
-		} else {
-			wq.Verts[i] = wireVert{Term: d.Decode(v.Term).Key()}
-		}
-	}
-	for i, e := range q.Edges {
-		we := wireEdge{From: e.From, To: e.To}
-		if e.IsPredVar() {
-			we.PredVar = e.PredVar
-		} else {
-			we.Pred = d.Decode(e.Pred).Key()
-		}
-		wq.Edges[i] = we
-	}
-	return wq
-}
-
-// decodeQuery rebuilds a query graph and its kept vertices from the wire,
-// looking constant term keys up in the site's dict: no client whose
-// dictionary is a prefix of the site's sends a term the site lacks, so one
-// is refused. Edges name vertices by their place in the list, so a list
-// that names a vertex twice is refused: the graph interns vertices, and
-// every later one would move down a place. So is a kept vertex the list
-// does not have.
-func decodeQuery(wq wireQuery, d *rdf.Dict) (*sparql.Graph, match.VertexMask, error) {
 	q := sparql.NewGraph()
-	for i, wv := range wq.Verts {
-		v := sparql.Vertex{Var: wv.Var}
-		if (wv.Var == "") == (wv.Term == "") {
-			return nil, nil, fmt.Errorf("transport: vertex %d must be a var or a term, not both or neither", i)
-		}
-		if wv.Term != "" {
-			var err error
-			if v.Term, err = lookupKey(d, wv.Term); err != nil {
-				return nil, nil, fmt.Errorf("transport: vertex %d: %w", i, err)
-			}
-		}
-		if q.AddVertex(v) != i {
-			return nil, nil, fmt.Errorf("transport: vertex %d repeats an earlier one", i)
+	for i, n := 0, r.count(5); i < n && r.err == nil; i++ {
+		name, id := r.slot(dictLen)
+		if r.err == nil && q.AddVertex(sparql.Vertex{Var: name, Term: id}) != i {
+			r.fail("vertex %d repeats an earlier one", i)
 		}
 	}
-	for i, we := range wq.Edges {
-		if we.From < 0 || we.From >= len(q.Verts) || we.To < 0 || we.To >= len(q.Verts) {
-			return nil, nil, fmt.Errorf("transport: edge %d endpoints out of range", i)
+	for i, n := 0, r.count(13); i < n && r.err == nil; i++ {
+		from, to := r.u32(), r.u32()
+		name, id := r.slot(dictLen)
+		if r.err == nil && (from >= len(q.Verts) || to >= len(q.Verts)) {
+			r.fail("edge %d endpoints out of range", i)
 		}
-		e := sparql.Edge{From: we.From, To: we.To, PredVar: we.PredVar}
-		if (we.PredVar == "") == (we.Pred == "") {
-			return nil, nil, fmt.Errorf("transport: edge %d must have a pred or a predVar, not both or neither", i)
-		}
-		if we.Pred != "" {
-			var err error
-			if e.Pred, err = lookupKey(d, we.Pred); err != nil {
-				return nil, nil, fmt.Errorf("transport: edge %d: %w", i, err)
-			}
-		}
-		q.AddEdge(e)
+		q.AddEdge(sparql.Edge{From: from, To: to, Pred: id, PredVar: name})
 	}
-	if !wq.Keep.Within(len(q.Verts)) {
-		return nil, nil, fmt.Errorf("transport: keep marks a vertex beyond the query's %d", len(q.Verts))
+	if n := r.count(8); n > 0 {
+		req.Keep = make(match.VertexMask, n)
+		for i := range req.Keep {
+			req.Keep[i] = r.u64()
+		}
 	}
-	return q, wq.Keep, nil
+	switch {
+	case r.err != nil:
+	case !req.Keep.Within(len(q.Verts)):
+		r.fail("keep marks a vertex beyond the query's %d", len(q.Verts))
+	case len(r.b) > 0:
+		r.fail("%d bytes past the request", len(r.b))
+	}
+	req.Query = q
+	return req, batch, r.err
 }
 
-// lookupKey resolves a term key to its ID in the site's dictionary d.
-func lookupKey(d *rdf.Dict, key string) (rdf.ID, error) {
-	t, err := rdf.TermFromKey(key)
-	if id, ok := d.Lookup(t); ok || err != nil {
-		return id, err
-	}
-	return rdf.NoID, fmt.Errorf("%s is not in this site's dictionary", t)
+// appendFrameHead appends a frame's kind and payload length.
+func appendFrameHead(dst []byte, kind byte, n int) []byte {
+	return le.AppendUint32(append(dst, kind), uint32(n))
 }
 
-// encodeRequest builds the wire form of an EvalRequest.
-func encodeRequest(req cluster.EvalRequest, d *rdf.Dict, batchSize int) *evalWire {
-	// Stamp the client dictionary state. Prefix fingerprints are
-	// immutable (the dictionary is append-only), so the stamp stays
-	// valid across every retry of this request.
-	dictLen := d.Len()
-	return &evalWire{
-		Site:        req.SiteID,
-		Frags:       append([]int(nil), req.FragIDs...),
-		Query:       encodeQuery(req.Query, req.Keep, d),
-		Parallelism: req.Parallelism,
-		Batch:       batchSize,
-		DictLen:     dictLen,
-		DictFP:      d.Fingerprint(dictLen),
+// appendHdr appends the header frame naming vars.
+func appendHdr(dst []byte, vars []string) []byte {
+	start := len(dst)
+	dst = appendU32s(append(dst, frameHdr, 0, 0, 0, 0), len(vars))
+	for _, v := range vars {
+		dst = append(appendU32s(dst, len(v)), v...)
 	}
+	le.PutUint32(dst[start+1:], uint32(len(dst)-start-5))
+	return dst
+}
+
+// appendBatch appends a batch frame holding b's rows.
+func appendBatch(dst []byte, b *match.Bindings) []byte {
+	dst = appendU32s(appendFrameHead(dst, frameBatch, 4+4*len(b.Rows)), b.Len())
+	for _, id := range b.Rows {
+		dst = le.AppendUint32(dst, uint32(id))
+	}
+	return dst
+}
+
+// appendFrame appends a frame whose payload is msg: done (empty) or err.
+func appendFrame(dst []byte, kind byte, msg string) []byte {
+	return append(appendFrameHead(dst, kind, len(msg)), msg...)
+}
+
+// readers holds the buffered readers response frames are read through,
+// each big enough for a default batch of wide rows; a longer batch is
+// read through one in pieces.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+// errCut marks a stream that ended, or failed to read, before its
+// terminal frame.
+var errCut = errors.New("stream cut")
+
+func cut(err error) error { return fmt.Errorf("%w: %w", errCut, err) }
+
+// readFrames reads one response from br: a header that must name vars, the
+// batches, pushed to sink as tables over vars, and the terminal frame,
+// after which br must be at its end. progress is called after each frame.
+// An outcome's error does not name the site.
+func readFrames(br *bufio.Reader, vars []string, sink cluster.BatchSink, progress func()) outcome {
+	hdr := false
+	for {
+		h, err := br.Peek(5)
+		if err != nil {
+			return outcome{err: cut(err), torn: true}
+		}
+		kind, n := h[0], le.Uint32(h[1:])
+		br.Discard(5)
+		if n > maxFrameBytes {
+			return outcome{err: fmt.Errorf("a frame longer than %d bytes", maxFrameBytes)}
+		}
+		switch {
+		case kind == frameBatch && hdr:
+			b, err := readBatch(br, int(n), vars)
+			if err != nil {
+				return outcome{err: err, retryable: true, torn: errors.Is(err, errCut)}
+			}
+			progress()
+			if err := sink(b); err != nil {
+				return outcome{err: err, refused: true}
+			}
+		case kind == frameDone && n == 0:
+			// Read on to the end of the body: net/http pools a connection
+			// only once its response has been read whole. The answer is
+			// complete either way, so a read error here fails nothing.
+			if _, err := br.ReadByte(); err == nil {
+				return outcome{err: errors.New("data after the done frame")}
+			}
+			return outcome{}
+		case (kind == frameHdr && !hdr) || kind == frameErr:
+			// A header or a message is read whole from br's buffer; one
+			// longer than the buffer is no frame a site meant to send.
+			if int(n) > br.Size() {
+				return outcome{err: fmt.Errorf("a %q frame longer than %d bytes", kind, br.Size())}
+			}
+			p, err := br.Peek(int(n))
+			switch {
+			case err != nil:
+				return outcome{err: cut(err), torn: true}
+			case kind == frameErr:
+				return outcome{err: fmt.Errorf("remote: %s", p)}
+			case !sameVars(p, vars):
+				return outcome{err: fmt.Errorf("header names other variables than the subquery's %v", vars), retryable: true}
+			}
+			br.Discard(int(n))
+			hdr = true
+			progress()
+		default:
+			return outcome{err: fmt.Errorf("unexpected frame %q of %d bytes", kind, n), retryable: true}
+		}
+	}
+}
+
+// sameVars reports whether a header payload names exactly vars, in order.
+func sameVars(p []byte, vars []string) bool {
+	r := wireReader{b: p}
+	same := r.u32() == len(vars)
+	for i := 0; same && i < len(vars); i++ {
+		same = string(r.take(r.u32())) == vars[i]
+	}
+	return same && r.err == nil && len(r.b) == 0
+}
+
+// readBatch reads an n-byte batch payload as a table over vars: a row
+// count, then that many rows of len(vars) IDs, read from br's buffer
+// straight into one match.TakeRows array. A payload of another length is
+// no such table. The array grows with the IDs read, not with the count,
+// so a stream cut short allocates no more than it carried.
+func readBatch(br *bufio.Reader, n int, vars []string) (*match.Bindings, error) {
+	h, err := br.Peek(4)
+	if err != nil {
+		return nil, cut(err)
+	}
+	rows, w := int(le.Uint32(h)), len(vars)
+	br.Discard(4)
+	if n < 4 || uint64(n-4) != 4*uint64(rows)*uint64(w) {
+		return nil, fmt.Errorf("batch of %d bytes is no %d rows %d wide", n, rows, w)
+	}
+	if rows*w == 0 {
+		return match.Recyclable(vars, nil, rows), nil
+	}
+	ids := match.TakeRows(min(rows*w, br.Size()/4))
+	for have := 0; have < rows*w; have = len(ids) {
+		k := min(rows*w-have, br.Size()/4)
+		p, err := br.Peek(4 * k)
+		if err != nil {
+			match.GiveRows(ids)
+			return nil, cut(err)
+		}
+		ids = match.GrowRows(ids, k)[:have+k]
+		for j := range ids[have:] {
+			ids[have+j] = rdf.ID(le.Uint32(p[4*j:]))
+		}
+		br.Discard(4 * k)
+	}
+	return match.Recyclable(vars, ids, rows), nil
 }

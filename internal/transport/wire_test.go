@@ -1,11 +1,12 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -15,96 +16,168 @@ import (
 	"rdffrag/internal/rdf"
 )
 
-// wireRowsSeeds are the shapes the hand-written decoder must agree with
-// encoding/json on: everything json.Marshal of a [][]rdf.ID emits (null,
-// empty lists, nil and ragged rows, the largest ID), whitespace, and the
-// inputs it must refuse because encoding/json refuses them. New seeds go
-// at the end: the corpus names them by position.
-var wireRowsSeeds = []string{
-	`null`, `[]`, `[[]]`, `[[],[]]`, `[null]`, `[null,[1]]`, `[[1,2],[3]]`, `[[0]]`, `[[4294967295,0,7]]`,
-	" [ [ 1 , 2 ] ,\n\t[ ] , null ] \r\n",
-	`[[-1]]`, `[[-0]]`, `[[1.5]]`, `[[1.0]]`, `[[1e2]]`, `[[1E2]]`, `[[4294967296]]`, `[[99999999999999999999]]`,
-	`[[01]]`, `[[1]] x`, `[[1]]]`, `[[1],]`, `[[1], ]`, `[[1,]]`, `[[1, ]]`, `[ ,[1]]`, `[,[1]]`, `[[1] [2]]`, `[[1 2]]`, `[[`, `[[1]`, ``, ` `,
-	`[1]`, `[[[1]]]`, `[["1"]]`, `[[null]]`, `[[true]]`, `"rows"`, `{}`, `[{}]`, `7`, `nul`, `nulll`, `[nul]`,
-	// Ragged and over-wide against the two variables checkWireRows names.
-	`[[1,2],[3,4]]`, `[[1,2],[3,4,5]]`, `[[1,2,3],[4,5,6]]`, `[[1,2],[]]`, `[[1,2],null]`, `[[1],[2,3]]`, `[[],[1,2]]`, `[[1,2],[3,4],[5]]`,
+// wireBytes concatenates the wire forms of parts: an int as a uint32, a
+// uint64 as itself, a string or a []byte as its bytes.
+func wireBytes(parts ...any) []byte {
+	var b []byte
+	for _, p := range parts {
+		switch p := p.(type) {
+		case int:
+			b = le.AppendUint32(b, uint32(p))
+		case uint64:
+			b = le.AppendUint64(b, p)
+		case string:
+			b = append(b, p...)
+		case []byte:
+			b = append(b, p...)
+		default:
+			panic(fmt.Sprintf("wireBytes: %T", p))
+		}
+	}
+	return b
 }
 
-// checkWireRows compares wireRows with encoding/json into a [][]rdf.ID on
-// one input: it may refuse more, never accept more, and whatever it
-// accepts it must decode to the same IDs in the same order, the same
-// number of rows, and their common width or the mark that they have none
-// — both through json.Unmarshal and called directly, where no scanner has
-// vetted the bytes first. A frame holding the rows is then a table over
-// two variables only if every row is two wide.
-func checkWireRows(t *testing.T, data []byte) {
-	t.Helper()
-	var want [][]rdf.ID
-	wantErr := json.Unmarshal(data, &want)
-	wantW := 0
-	for i, row := range want {
-		if i == 0 {
-			wantW = len(row)
-		} else if len(row) != wantW {
-			wantW = -1
+// str is a wire string: its length and its bytes.
+func str(s string) []byte { return wireBytes(len(s), s) }
+
+// frameOf is a frame of kind holding the payload parts.
+func frameOf(kind byte, parts ...any) []byte {
+	p := wireBytes(parts...)
+	return append(appendFrameHead(nil, kind, len(p)), p...)
+}
+
+// hdrOf is the header frame naming vars; batchOf the batch frame of rows
+// whose count says n.
+func hdrOf(vars ...string) []byte {
+	parts := []any{len(vars)}
+	for _, v := range vars {
+		parts = append(parts, str(v))
+	}
+	return frameOf(frameHdr, parts...)
+}
+
+func batchOf(n int, ids ...int) []byte {
+	parts := []any{n}
+	for _, id := range ids {
+		parts = append(parts, id)
+	}
+	return frameOf(frameBatch, parts...)
+}
+
+var doneFrame = frameOf(frameDone)
+
+// frameSeeds are response streams to a subquery over ?x ?y: what a site
+// writes (batches empty, full, larger than the pooled reader, the largest
+// ID), and what the client must refuse — a header naming other variables,
+// a batch before it or of another shape, a stream cut at every few bytes,
+// a frame of an unknown kind, a length past maxFrameBytes or past the end
+// of the stream, and data after done. New seeds go at the end: the corpus
+// names them by position.
+var frameSeeds = func() [][]byte {
+	var big []int
+	for i := 0; i < 20000; i++ {
+		big = append(big, i, 1<<31+i)
+	}
+	full := wireBytes(hdrOf("x", "y"), batchOf(2, 1, 2, 3, 4), batchOf(1, 5, 6), doneFrame)
+	seeds := [][]byte{
+		wireBytes(hdrOf("x", "y"), doneFrame),
+		wireBytes(hdrOf("x", "y"), batchOf(0), doneFrame),
+		wireBytes(hdrOf("x", "y"), batchOf(1, 1, 2), doneFrame),
+		full,
+		wireBytes(hdrOf("x", "y"), batchOf(1, 1<<32-1, 0), doneFrame),
+		wireBytes(hdrOf("x", "y"), batchOf(20000, big...), doneFrame),
+		wireBytes(hdrOf("x", "y"), batchOf(1, 1, 2), frameOf(frameErr, "boom")),
+		wireBytes(hdrOf("x", "y"), frameOf(frameErr)),
+		frameOf(frameErr, "refused before the header"),
+		{},
+		hdrOf("x", "y"),
+		wireBytes(hdrOf("x", "y"), doneFrame, "x"),
+		wireBytes(hdrOf("x", "y"), doneFrame, "\n"),
+		wireBytes(hdrOf("x", "z"), doneFrame),
+		wireBytes(hdrOf("x"), doneFrame),
+		wireBytes(hdrOf("x", "y", "z"), doneFrame),
+		wireBytes(hdrOf(), doneFrame),
+		wireBytes(batchOf(1, 1, 2), hdrOf("x", "y"), doneFrame),
+		wireBytes(hdrOf("x", "y"), hdrOf("x", "y"), doneFrame),
+		wireBytes(hdrOf("x", "y"), batchOf(2, 1, 2, 3), doneFrame),
+		wireBytes(hdrOf("x", "y"), batchOf(2, 1, 2, 3, 4, 5, 6), doneFrame),
+		wireBytes(hdrOf("x", "y"), batchOf(2, 1, 2), doneFrame),
+		wireBytes(hdrOf("x", "y"), batchOf(1), doneFrame),
+		wireBytes(hdrOf("x", "y"), frameOf(frameBatch), doneFrame),
+		wireBytes(hdrOf("x", "y"), frameOf(frameBatch, "\x01\x00"), doneFrame),
+		wireBytes(hdrOf("x", "y"), appendFrameHead(nil, frameBatch, maxFrameBytes+1)),
+		wireBytes(hdrOf("x", "y"), appendFrameHead(nil, frameBatch, 1<<32-1), "\x00\x00\x00\x40"),
+		wireBytes(hdrOf("x", "y"), appendFrameHead(nil, frameBatch, 4+8*1000), wireBytes(1000, 1, 2)),
+		wireBytes(hdrOf("x", "y"), frameOf('z', "?"), doneFrame),
+		wireBytes(hdrOf("x", "y"), frameOf(frameDone, "!")),
+		frameOf(frameHdr, 3, str("x"), str("y")),
+		wireBytes(frameOf(frameHdr, 2, str("x"), str("y"), "!"), doneFrame),
+		wireBytes(frameOf(frameHdr, 2, str("x"), 9, "y"), doneFrame),
+		wireBytes(frameOf(frameHdr), doneFrame),
+		wireBytes(appendFrameHead(nil, frameHdr, maxFrameBytes), "\x02"),
+	}
+	for n := 1; n < len(full); n += 3 {
+		seeds = append(seeds, full[:n])
+	}
+	// A batch whose count backs its length of nearly maxFrameBytes, cut
+	// after its first row.
+	rows := (maxFrameBytes - 4) / 8
+	return append(seeds, wireBytes(hdrOf("x", "y"), appendFrameHead(nil, frameBatch, 4+8*rows), rows, 1, 2))
+}()
+
+// checkFrames reads data as a site's answer to a subquery over ?x ?y. It
+// must not panic, nor allocate from a length prefix more than the bytes
+// back; a batch it delivers is a table over the subquery's variables; and
+// what it accepts is exactly the stream a site writes of the batches it
+// delivered.
+func checkFrames(t *testing.T, data []byte) {
+	vars := []string{"x", "y"}
+	var batches []*match.Bindings
+	defer func() {
+		for _, b := range batches {
+			b.Release()
+		}
+	}()
+	body := bytes.NewReader(data)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(body)
+	o := readFrames(br, vars, func(b *match.Bindings) error {
+		batches = append(batches, b)
+		return nil
+	}, func() {})
+	br.Reset(nil)
+	readers.Put(br)
+	runtime.ReadMemStats(&after)
+	if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(256<<10+32*len(data)); grew > bound {
+		t.Fatalf("reading %d bytes allocated %d, more than %d", len(data), grew, bound)
+	}
+	for _, b := range batches {
+		if !slices.Equal(b.Vars, vars) || len(b.Rows) != b.Len()*len(vars) {
+			t.Fatalf("delivered %d IDs as %d rows over %v", len(b.Rows), b.Len(), b.Vars)
 		}
 	}
-	var viaJSON, direct wireRows
-	for name, got := range map[string]struct {
-		rows *wireRows
-		err  error
-	}{
-		"json.Unmarshal": {&viaJSON, json.Unmarshal(data, &viaJSON)},
-		"UnmarshalJSON":  {&direct, direct.UnmarshalJSON(data)},
-	} {
-		if got.err != nil {
-			continue
-		}
-		if wantErr != nil {
-			t.Fatalf("%s accepted %q, which encoding/json rejects: %v", name, data, wantErr)
-		}
-		if r := got.rows; !slices.Equal(r.ids, slices.Concat(want...)) || r.n != len(want) || r.w != wantW {
-			t.Fatalf("%s decoded %q to %d rows of width %d holding %v, encoding/json to %#v", name, data, r.n, r.w, r.ids, want)
-		}
-		vars := []string{"x", "y"}
-		f := frame{K: "b", Vars: vars, Rows: *got.rows}
-		b, err := f.bindings(vars)
-		if uniform := wantW == 2 || len(want) == 0; (err == nil) != uniform {
-			t.Fatalf("%s: a frame of %q over %v: err %v, want accepted = %v", name, data, vars, err, uniform)
-		}
-		if err == nil && (len(b.Rows) != b.Len()*len(vars) || b.Len() != len(want)) {
-			t.Fatalf("%s: a frame of %q was accepted as %d rows over %v holding %d IDs", name, data, b.Len(), vars, len(b.Rows))
-		}
+	if o.refused || o.torn != (o.err != nil && strings.HasPrefix(o.err.Error(), "stream cut")) {
+		t.Fatalf("outcome %+v", o)
 	}
-	if wantErr != nil {
+	if o.err != nil {
 		return
 	}
-	// What encoding/json accepted, json.Marshal can emit again: that
-	// form must decode, and to the same value — and where the rows are a
-	// table, wireRows must emit those very bytes.
-	canon, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
+	want := appendHdr(nil, vars)
+	for _, b := range batches {
+		want = appendBatch(want, b)
 	}
-	var again wireRows
-	if err := json.Unmarshal(canon, &again); err != nil {
-		t.Fatalf("rejected %s, the json.Marshal form of %q: %v", canon, data, err)
-	}
-	if !slices.Equal(again.ids, slices.Concat(want...)) || again.n != len(want) || again.w != wantW {
-		t.Fatalf("decoded %s to %d rows of width %d holding %v, encoding/json to %#v", canon, again.n, again.w, again.ids, want)
-	}
-	if wantW >= 0 && want != nil && !slices.ContainsFunc(want, func(r []rdf.ID) bool { return r == nil }) {
-		if out, err := json.Marshal(again); err != nil || !bytes.Equal(out, canon) {
-			t.Fatalf("encoded the rows of %s as %s, err %v", canon, out, err)
-		}
+	if want = appendFrame(want, frameDone, ""); !bytes.Equal(want, data) {
+		t.Fatalf("accepted %q, which a site writes as %q", data, want)
 	}
 }
 
 func FuzzWireRows(f *testing.F) {
-	for _, s := range wireRowsSeeds {
-		f.Add([]byte(s))
+	for _, s := range frameSeeds {
+		f.Add(s)
 	}
-	f.Fuzz(checkWireRows)
+	f.Fuzz(checkFrames)
 }
 
 func wireTable(vars []string, n int) *match.Bindings {
@@ -115,116 +188,99 @@ func wireTable(vars []string, n int) *match.Bindings {
 	return b
 }
 
-// TestWireRowsFrameRoundTrip: a batch frame written by the server's
-// encoder is byte for byte what encoding/json makes of the same rows as a
-// [][]rdf.ID, comes back through the client's json.Decoder as the same
-// table in one flat array, and the next frame on the stream still decodes
-// (the framing is untouched). A batch without rows omits the field; one
-// of empty tuples ships them.
+// readStream reads data as the answer to a subquery over vars, returning
+// the delivered batches.
+func readStream(t *testing.T, data []byte, vars []string) []*match.Bindings {
+	t.Helper()
+	var got []*match.Bindings
+	br := bufio.NewReader(bytes.NewReader(data))
+	if o := readFrames(br, vars, func(b *match.Bindings) error { got = append(got, b); return nil }, func() {}); o.err != nil {
+		t.Fatalf("reading %d bytes: %v", len(data), o.err)
+	}
+	return got
+}
+
+// TestWireRowsFrameRoundTrip: the frames a site writes — its header, two
+// batches of 256 rows, an empty batch, done — come back through the
+// client's reader as the same tables, each in one flat array, and so do
+// two empty tuples of a subquery without variables.
 func TestWireRowsFrameRoundTrip(t *testing.T) {
 	vars := []string{"x", "y", "z"}
 	b := wireTable(vars, 256)
-	nested := make([][]rdf.ID, b.Len())
-	for i := range nested {
-		nested[i] = b.Row(i)
+	stream := appendHdr(nil, vars)
+	stream = appendBatch(appendBatch(stream, b), b)
+	stream = appendBatch(stream, &match.Bindings{Vars: vars})
+	stream = appendFrame(stream, frameDone, "")
+	if want := len(hdrOf(vars...)) + 2*(9+256*3*4) + 9 + 5; len(stream) != want {
+		t.Fatalf("the stream is %d bytes, want %d", len(stream), want)
 	}
-	var buf, ref bytes.Buffer
-	enc, refEnc := json.NewEncoder(&buf), json.NewEncoder(&ref)
-	for i := 0; i < 2; i++ {
-		if err := enc.Encode(&frame{K: "b", Vars: vars, Rows: rowsOf(b)}); err != nil {
-			t.Fatal(err)
-		}
-		refEnc.Encode(map[string]any{"k": "b", "vars": vars, "rows": nested})
+	got := readStream(t, stream, vars)
+	if len(got) != 3 {
+		t.Fatalf("%d batches came back, want 3", len(got))
 	}
-	var had, want map[string]json.RawMessage
-	line, _, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
-	refLine, _, _ := bytes.Cut(ref.Bytes(), []byte("\n"))
-	if json.Unmarshal(line, &had) != nil || json.Unmarshal(refLine, &want) != nil || !bytes.Equal(had["rows"], want["rows"]) {
-		t.Fatalf("rows went out as %.60s..., encoding/json writes %.60s...", had["rows"], want["rows"])
-	}
-	if err := enc.Encode(&frame{K: "b", Vars: vars}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(&frame{K: "b", Rows: rowsOf(&match.Bindings{Nullary: 2})}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(&frame{K: "done"}); err != nil {
-		t.Fatal(err)
-	}
-	if tail := buf.String(); !strings.HasSuffix(tail, `{"k":"b","vars":["x","y","z"]}`+"\n"+`{"k":"b","rows":[[],[]]}`+"\n"+`{"k":"done"}`+"\n") {
-		t.Fatalf("the stream ends %q", tail[len(tail)-120:])
-	}
-	dec := json.NewDecoder(&buf)
-	for i := 0; i < 2; i++ {
-		var f frame
-		if err := dec.Decode(&f); err != nil {
-			t.Fatal(err)
-		}
-		got, err := f.bindings(vars)
-		if err != nil || f.K != "b" || got.Len() != 256 || !slices.Equal(got.Rows, b.Rows) {
-			t.Fatalf("frame %d came back as k=%q with %d rows, err %v", i, f.K, f.Rows.n, err)
+	for i, g := range got[:2] {
+		if g.Len() != 256 || !slices.Equal(g.Rows, b.Rows) || !slices.Equal(g.Vars, vars) {
+			t.Fatalf("batch %d came back as %d rows over %v", i, g.Len(), g.Vars)
 		}
 	}
-	var f frame
-	if err := dec.Decode(&f); err != nil {
-		t.Fatal(err)
+	if g := got[2]; g.Len() != 0 || g.Rows != nil {
+		t.Fatalf("the empty batch came back as %+v", g)
 	}
-	if got, err := f.bindings(vars); err != nil || got.Len() != 0 || got.Rows != nil {
-		t.Fatalf("the empty batch came back as %+v, err %v", got, err)
-	}
-	f = frame{}
-	if err := dec.Decode(&f); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := f.bindings(nil); err != nil || got.Len() != 2 || len(got.Rows) != 0 {
-		t.Fatalf("two empty tuples came back as %+v, err %v", got, err)
-	}
-	f = frame{}
-	if err := dec.Decode(&f); err != nil || f.K != "done" || f.Rows.n != 0 {
-		t.Fatalf("done frame came back as %+v, err %v", f, err)
+
+	nullary := appendBatch(appendHdr(nil, nil), &match.Bindings{Nullary: 2})
+	got = readStream(t, appendFrame(nullary, frameDone, ""), nil)
+	if len(got) != 1 || got[0].Len() != 2 || len(got[0].Rows) != 0 {
+		t.Fatalf("two empty tuples came back as %+v", got)
 	}
 }
 
-// TestWireRowsDecodeAllocs: decoding a batch's rows costs the ID array
-// and nothing else, whatever the row count (encoding/json grew each row
-// and the list by reflection, several allocations per row; a header
-// slice beside the array was the second).
+// TestWireRowsDecodeAllocs: reading a batch costs the table's header and
+// nothing else, whatever the row count: its IDs go straight from the
+// reader's buffer into an array of match's free list.
 func TestWireRowsDecodeAllocs(t *testing.T) {
-	data, err := json.Marshal(rowsOf(wireTable([]string{"x", "y", "z"}, 256)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vars := []string{"x", "y", "z"}
+	frame := appendBatch(nil, wireTable(vars, 256))
+	var body bytes.Reader
+	br := bufio.NewReader(&body)
 	allocs := testing.AllocsPerRun(100, func() {
-		var got wireRows
-		if err := got.UnmarshalJSON(data); err != nil || got.n != 256 || got.w != 3 {
-			t.Fatalf("decoded %d rows of width %d, err %v", got.n, got.w, err)
+		body.Reset(frame[5:])
+		br.Reset(&body)
+		b, err := readBatch(br, len(frame)-5, vars)
+		if err != nil || b.Len() != 256 {
+			t.Fatalf("read %v, err %v", b, err)
 		}
+		b.Release()
 	})
 	if allocs > 1 {
-		t.Errorf("decoding 256 rows allocates %.0f objects, want 1", allocs)
+		t.Errorf("reading 256 rows allocates %.0f objects, want 1", allocs)
 	}
 }
 
-// TestClientRejectsFramesThatAreNoTable: a batch frame is checked against
-// the request — its vars must be the subquery's and every row exactly
-// that wide. A site that answers otherwise fails the attempt the way a
-// torn stream does: retried, and with every attempt as bad the call ends
-// unavailable with nothing ragged handed to the sink.
+// TestClientRejectsFramesThatAreNoTable: a response is checked against the
+// request — its header must name the subquery's variables, and every batch
+// must hold its row count of rows exactly that wide. A site that answers
+// otherwise fails the attempt the way a torn stream does: retried, and
+// with every attempt as bad the call ends unavailable with nothing handed
+// to the sink.
 func TestClientRejectsFramesThatAreNoTable(t *testing.T) {
 	_, d, q := newTestCluster(t, 4)
-	for name, batch := range map[string]string{
-		"other vars": `{"k":"b","vars":["x","z"],"rows":[[1,2]]}`,
-		"no vars":    `{"k":"b","rows":[[1,2]]}`,
-		"ragged":     `{"k":"b","vars":["x","y"],"rows":[[1,2],[3]]}`,
-		"over-wide":  `{"k":"b","vars":["x","y"],"rows":[[1,2,3],[4,5,6]]}`,
-		"narrow":     `{"k":"b","vars":["x","y"],"rows":[[1],[2]]}`,
-		"null row":   `{"k":"b","vars":["x","y"],"rows":[[1,2],null]}`,
+	xy := hdrOf("x", "y")
+	for name, tc := range map[string]struct {
+		frames []byte
+		says   string
+	}{
+		"other vars":      {slices.Concat(hdrOf("x", "z"), batchOf(1, 1, 2)), "header names other variables than the subquery's [x y]"},
+		"no vars":         {batchOf(1, 1, 2), "unexpected frame 'b' of 12 bytes"},
+		"batch cut short": {slices.Concat(xy, batchOf(2, 1, 2, 3)), "batch of 16 bytes is no 2 rows 2 wide"},
+		"over-wide":       {slices.Concat(xy, batchOf(2, 1, 2, 3, 4, 5, 6)), "batch of 28 bytes is no 2 rows 2 wide"},
+		"narrow":          {slices.Concat(xy, batchOf(2, 1, 2)), "batch of 12 bytes is no 2 rows 2 wide"},
+		"null row":        {slices.Concat(xy, batchOf(1)), "batch of 4 bytes is no 1 rows 2 wide"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			attempts := 0
 			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				attempts++
-				fmt.Fprintf(w, "{\"k\":\"hdr\"}\n%s\n{\"k\":\"done\"}\n", batch)
+				w.Write(slices.Concat(tc.frames, doneFrame))
 			}))
 			defer hs.Close()
 			cl := NewSiteClient(ClientConfig{BaseURL: hs.URL, Dict: d, Retries: 2, Backoff: time.Microsecond})
@@ -232,59 +288,78 @@ func TestClientRejectsFramesThatAreNoTable(t *testing.T) {
 				t.Errorf("the sink received %d rows over %v", b.Len(), b.Vars)
 				return nil
 			})
-			if err == nil || !strings.Contains(err.Error(), "transport: site 0: batch ") || attempts != 3 {
-				t.Fatalf("after %d attempts: %v; want 3 attempts refused for the batch", attempts, err)
+			if err == nil || !strings.Contains(err.Error(), "transport: site 0: "+tc.says) || attempts != 3 {
+				t.Fatalf("after %d attempts: %v; want 3 attempts refused: %s", attempts, err, tc.says)
 			}
 		})
 	}
 }
 
+// evalBody is an /eval request to site 0 for fragments 1 and 2, stamped
+// with stamp (dictLen, dictFP), whose query is the parts after it.
+func evalBody(stamp []byte, query ...any) []byte {
+	return slices.Concat(wireBytes(0), stamp, wireBytes(append([]any{0, 0, 2, 1, 2}, query...)...))
+}
+
+// vs and ts are a variable's and a term ID's slots.
+func vs(name string) []byte { return wireBytes("v", str(name)) }
+func ts(id int) []byte      { return wireBytes("t", id) }
+
 // TestSiteRefusesQueriesItWouldMisread: edges name vertices by their
-// place in the wire list, so a site answers 400 to a list it cannot
-// rebuild place for place — a repeated vertex (the graph interns it, and
-// every later vertex would move down one place: edge 0→2 below would
-// become ?a→?c), a vertex or an edge label that is two things at once, a
-// kept vertex the list does not have — and to a term its dictionary
-// lacks, which it would have to add; it evaluates the same query written
+// place in the list, so a site answers 400 to a list it cannot rebuild
+// place for place — a repeated vertex (the graph interns it, and every
+// later vertex would move down one place: edge 0→2 below would become
+// ?a→?c), a slot that is neither a variable nor a term, an edge to a
+// vertex the list lacks, a kept vertex the list does not have, a list
+// longer than the request, a request cut short or trailing bytes — and
+// to a term ID at or past the client's stamped dictionary length, though
+// the site's own dictionary holds it; it evaluates the same query written
 // plainly. Rows are raw IDs, so it answers 409, before reading the query,
 // to a request whose dictionary stamp is missing or is no prefix of its
 // own dictionary: here, one term longer.
 func TestSiteRefusesQueriesItWouldMisread(t *testing.T) {
 	c, d, _ := newTestCluster(t, 4)
 	ss := NewSiteServer(ServerConfig{Cluster: c, Dict: d})
-	post := func(stamp, query string) *httptest.ResponseRecorder {
-		body := fmt.Sprintf(`{"site":0,"frags":[1,2],%s"query":%s}`, stamp, query)
-		rec := httptest.NewRecorder()
-		ss.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/eval", strings.NewReader(body)))
-		return rec
-	}
-	stampOf := func(d *rdf.Dict) string {
-		return fmt.Sprintf(`"dictLen":%d,"dictFp":%d,`, d.Len(), d.Fingerprint(d.Len()))
-	}
-	site := stampOf(d)
+	stampOf := func(d *rdf.Dict, n int) []byte { return wireBytes(n, d.Fingerprint(n)) }
+	site := stampOf(d, d.Len())
 	longer := prefixCopy(d, d.Len())
 	longer.Encode(rdf.NewIRI("later"))
-	const plain = `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`
+	p, ok := d.Lookup(rdf.NewIRI("p"))
+	a1, ok1 := d.Lookup(rdf.NewIRI("a1"))
+	if !ok || !ok1 {
+		t.Fatal("test setup: <p> or <a1> missing")
+	}
+	last := d.Len() - 1
+	pid, a1id := int(p), int(a1)
+	plain := []any{2, vs("a"), vs("b"), 1, 0, 1, ts(pid), 0}
 	n := d.Len()
 	for _, tc := range []struct {
-		name, stamp, query string
-		status             int
+		name   string
+		body   []byte
+		status int
 	}{
-		{"plain", site, plain, http.StatusOK},
-		{"repeated var", site, `{"verts":[{"var":"a"},{"var":"a"},{"var":"b"},{"var":"c"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"repeated term", site, `{"verts":[{"term":"<a1"},{"term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"var and term", site, `{"verts":[{"var":"a","term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"pred and predVar", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p","predVar":"p"}]}`, http.StatusBadRequest},
-		{"neither var nor term", site, `{"verts":[{},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"edge out of range", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`, http.StatusBadRequest},
-		{"keep", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1]}`, http.StatusOK},
-		{"keep beyond the vertices", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[5]}`, http.StatusBadRequest},
-		{"keep a word beyond the vertices", site, `{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1,1]}`, http.StatusBadRequest},
-		{"a term the site lacks", site, `{"verts":[{"term":"<a1"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<nowhere"}]}`, http.StatusBadRequest},
-		{"unstamped", "", plain, http.StatusConflict},
-		{"a client dictionary longer than the site's", stampOf(longer), plain, http.StatusConflict},
+		{"plain", evalBody(site, plain...), http.StatusOK},
+		{"plain, from a client a term behind", evalBody(stampOf(d, last), plain...), http.StatusOK},
+		{"repeated var", evalBody(site, 4, vs("a"), vs("a"), vs("b"), vs("c"), 1, 0, 2, ts(pid), 0), http.StatusBadRequest},
+		{"repeated term", evalBody(site, 3, ts(a1id), ts(a1id), vs("b"), 1, 0, 2, ts(pid), 0), http.StatusBadRequest},
+		{"a slot of no kind", evalBody(site, 2, "x", vs("b"), 1, 0, 1, ts(pid), 0), http.StatusBadRequest},
+		{"an empty variable name", evalBody(site, 2, vs(""), vs("b"), 1, 0, 1, ts(pid), 0), http.StatusBadRequest},
+		{"edge out of range", evalBody(site, 2, vs("a"), vs("b"), 1, 0, 2, ts(pid), 0), http.StatusBadRequest},
+		{"keep", evalBody(site, 2, vs("a"), vs("b"), 1, 0, 1, ts(pid), 1, uint64(2)), http.StatusOK},
+		{"keep beyond the vertices", evalBody(site, 2, vs("a"), vs("b"), 1, 0, 1, ts(pid), 1, uint64(1<<5)), http.StatusBadRequest},
+		{"keep a word beyond the vertices", evalBody(site, 2, vs("a"), vs("b"), 1, 0, 1, ts(pid), 2, uint64(2), uint64(1)), http.StatusBadRequest},
+		{"a term past the client's dictionary", evalBody(stampOf(d, last), 2, vs("a"), vs("b"), 1, 0, 1, ts(last), 0), http.StatusBadRequest},
+		{"a term past every dictionary", evalBody(site, 2, vs("a"), vs("b"), 1, 0, 1, ts(n), 0), http.StatusBadRequest},
+		{"a list longer than the request", evalBody(site, 1<<30, vs("a")), http.StatusBadRequest},
+		{"cut short", evalBody(site, plain...)[:40], http.StatusBadRequest},
+		{"a byte past the end", append(evalBody(site, plain...), 0), http.StatusBadRequest},
+		{"no stamp", wireBytes(0, 0), http.StatusBadRequest},
+		{"unstamped", evalBody(wireBytes(0, uint64(0)), plain...), http.StatusConflict},
+		{"a client dictionary longer than the site's", evalBody(stampOf(longer, longer.Len()), plain...), http.StatusConflict},
 	} {
-		if rec := post(tc.stamp, tc.query); rec.Code != tc.status {
+		rec := httptest.NewRecorder()
+		ss.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/eval", bytes.NewReader(tc.body)))
+		if rec.Code != tc.status {
 			t.Errorf("%s: /eval answered %d (%s), want %d", tc.name, rec.Code, strings.TrimSpace(rec.Body.String()), tc.status)
 		}
 	}
@@ -293,51 +368,59 @@ func TestSiteRefusesQueriesItWouldMisread(t *testing.T) {
 	}
 }
 
-// FuzzDecodeQuery: a site decodes whatever query an /eval body carries
-// without panicking or adding a term to its dictionary, and a query it
-// accepts is one the control site could have sent — encodeQuery writes it
-// back to the very wire form, its kept vertices included.
+// FuzzDecodeQuery: a site decodes whatever an /eval body carries without
+// panicking, adding a term to its dictionary, or allocating from a length
+// prefix more than the body backs, and a request it accepts is one the
+// control site could have sent — appendRequest writes it back to the very
+// bytes, its kept vertices included.
 func FuzzDecodeQuery(f *testing.F) {
-	for _, s := range []string{
-		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}]}`,
-		`{"verts":[{"var":"x"},{"term":"\"lit\\n"},{"term":"_b0"}],"edges":[{"from":0,"to":1,"predVar":"p"},{"from":2,"to":0,"pred":"<q"}]}`,
-		`{"verts":[{"term":"<"}],"edges":[{"from":0,"to":0,"pred":"<"}]}`,
-		`{"verts":[{"var":"a"},{"var":"a"},{"var":"b"},{"var":"c"}],"edges":[{"from":0,"to":2,"pred":"<p"}]}`,
-		`{"verts":[{"var":"a","term":"<a"}],"edges":[]}`,
-		`{"verts":[{"var":"a"}],"edges":[{"from":0,"to":0,"pred":"<p","predVar":"p"}]}`,
-		`{"verts":[{"term":"x"}],"edges":[{"from":-1,"to":0,"pred":"<p"}]}`,
-		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[1]}`,
-		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[4]}`,
-		`{"verts":[{"var":"a"},{"var":"b"}],"edges":[{"from":0,"to":1,"pred":"<p"}],"keep":[0,1]}`,
-		`{"verts":[{"var":"a"}],"edges":[{"from":0,"to":0,"pred":"<p"}],"keep":[]}`,
-		`{"verts":[{"var":"a"}],"edges":[{"from":0,"to":0,"pred":"<p"}],"keep":[-1]}`,
-		`{"verts":[],"edges":[]}`, `{}`, `null`,
-	} {
-		f.Add([]byte(s))
-	}
-	d := rdf.NewDict() // the seeds' terms, so that some decode
+	d := rdf.NewDict()
 	for _, t := range []rdf.Term{rdf.NewIRI("p"), rdf.NewIRI("q"), rdf.NewIRI(""), rdf.NewIRI("a"), rdf.NewLiteral("lit\n"), rdf.NewBlank("b0")} {
 		d.Encode(t)
 	}
+	stamp := wireBytes(d.Len(), d.Fingerprint(d.Len()))
+	for _, s := range [][]byte{
+		evalBody(stamp, 2, vs("a"), vs("b"), 1, 0, 1, ts(0), 0),
+		evalBody(stamp, 3, vs("x"), ts(4), ts(5), 2, 0, 1, vs("p"), 2, 0, ts(1), 0),
+		evalBody(stamp, 1, ts(2), 1, 0, 0, ts(2), 0),
+		evalBody(stamp, 4, vs("a"), vs("a"), vs("b"), vs("c"), 1, 0, 2, ts(0), 0),
+		evalBody(stamp, 1, "w", 0),
+		evalBody(stamp, 1, vs("a"), 1, 0, 0, ts(6), 0),
+		evalBody(stamp, 1, ts(3), 1, -1, 0, ts(0), 0),
+		evalBody(stamp, 2, vs("a"), vs("b"), 1, 0, 1, ts(0), 1, uint64(2)),
+		evalBody(stamp, 2, vs("a"), vs("b"), 1, 0, 1, ts(0), 1, uint64(16)),
+		evalBody(stamp, 2, vs("a"), vs("b"), 1, 0, 1, ts(0), 2, uint64(3), uint64(0)),
+		evalBody(stamp, 1, vs("a"), 1, 0, 0, ts(0), 0, "!"),
+		evalBody(stamp, 1, vs("a"), 1, 0, 0, ts(0), 1<<28),
+		evalBody(stamp, 0, 0, 0),
+		evalBody(stamp),
+		{},
+	} {
+		f.Add(s)
+	}
 	n := d.Len()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var wq wireQuery
-		if json.Unmarshal(data, &wq) != nil {
-			return
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rd := wireReader{b: data}
+		site, dictLen, dictFP := rd.u32(), rd.u32(), rd.u64()
+		req, batch, err := rd.eval(site, dictLen)
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(4<<10+128*len(data)); grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d, more than %d", len(data), grew, bound)
 		}
-		q, keep, err := decodeQuery(wq, d)
 		if d.Len() != n {
-			t.Fatalf("decoding %s added %d terms to the site's dictionary", data, d.Len()-n)
+			t.Fatalf("decoding %q added %d terms to the site's dictionary", data, d.Len()-n)
 		}
 		if err != nil {
 			return
 		}
-		if !keep.Within(len(q.Verts)) {
-			t.Fatalf("accepted keep %v over %d vertices", keep, len(q.Verts))
+		if !req.Keep.Within(len(req.Query.Verts)) {
+			t.Fatalf("accepted keep %v over %d vertices", req.Keep, len(req.Query.Verts))
 		}
-		back := encodeQuery(q, keep, d)
-		if !slices.Equal(back.Verts, wq.Verts) || !slices.Equal(back.Edges, wq.Edges) || !slices.Equal(back.Keep, wq.Keep) {
-			t.Fatalf("accepted %+v, which encodes back to %+v", wq, back)
+		back := appendRequest(nil, req, batch, dictLen, dictFP)
+		if !bytes.Equal(back, data) {
+			t.Fatalf("accepted %q, which encodes back to %q", data, back)
 		}
 	})
 }

@@ -169,6 +169,42 @@ func TestAbsentConstantAnswersNoRows(t *testing.T) {
 	}
 }
 
+// TestSelectStarHeadsSortedVars: a SELECT * answer is headed by the
+// query's variables in sorted order, the order q.Vars() lists them —
+// whatever order the plan joins its subqueries in, and also when an
+// absent constant leaves nothing to join — embedded, served and through
+// remote sites. The same patterns written in reverse answer the same
+// table, column for column.
+func TestSelectStarHeadsSortedVars(t *testing.T) {
+	f := newRemoteFixture(t)
+	ctx := context.Background()
+	want := []string{"i", "n", "x", "y"}
+	for name, answer := range map[string]func(string) (*Result, error){
+		"embedded": f.dep.Query,
+		"served":   func(q string) (*Result, error) { return f.local.Query(ctx, q) },
+		"remote":   func(q string) (*Result, error) { return f.remote.Query(ctx, q) },
+	} {
+		var tables []*Result
+		for _, q := range []string{
+			`SELECT * WHERE { ?x <name> ?n . ?x <knows> ?y . ?y <interest> ?i . }`,
+			`SELECT * WHERE { ?y <interest> ?i . ?x <knows> ?y . ?x <name> ?n . }`,
+			`SELECT * WHERE { ?x <name> ?n . ?x <knows> ?y . ?y <interest> ?i . ?y <knows> <Ghost> . }`,
+		} {
+			res, err := answer(q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, q, err)
+			}
+			if !slices.Equal(res.Vars, want) {
+				t.Errorf("%s %s: header %v, want %v", name, q, res.Vars, want)
+			}
+			tables = append(tables, res)
+		}
+		if len(tables[0].Rows) == 0 || !slices.Equal(sortedRows(tables[0]), sortedRows(tables[1])) {
+			t.Errorf("%s: the patterns and their reverse answer %d and %d rows, not one table", name, len(tables[0].Rows), len(tables[1].Rows))
+		}
+	}
+}
+
 // TestIDsFollowLogOrder: two writers apply insert and overwrite batches of
 // fresh terms to a durable server at once; recovering the directory they
 // leave, without a Close, rebuilds the live dictionary ID for ID, because
