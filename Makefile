@@ -173,7 +173,12 @@ crash-soak:
 # term to the site's dictionary, allocate from no length prefix more than
 # the body backs, and a request it accepts encodes back to the very bytes
 # it was given — a repeated vertex, which would shift every edge after
-# it, and a term ID past the stamped dictionary are refused.
+# it, and a term ID past the stamped dictionary are refused. The tree
+# reducer: on small graphs, compacted or under a delta, MatchedEdges and
+# Count of a tree pattern — with a constant vertex and a vertex filter or
+# without — equal the sequential search's, and the reducer takes every
+# tree and nothing else: one more edge or a predicate variable goes to
+# the search.
 # The seed corpora alone run inside `test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime=10s .
@@ -186,6 +191,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/sparql
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTurtle$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQuery$$' -fuzztime=10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeReducer$$' -fuzztime=10s ./internal/match
 
 # One iteration per benchmark: a compile-and-run smoke, not a measurement.
 bench:

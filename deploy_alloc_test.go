@@ -27,8 +27,6 @@ import (
 // patterns' matched edge sets and the embeddings mining and selection
 // enumerate over the distinct normalized queries.
 func TestDeployTotalAlloc(t *testing.T) {
-	// Each matcher worker has a bitmap of its own; fix how many there are.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for strategy, ceiling := range map[Strategy]uint64{
 		Vertical:   deployAllocVertical * 5 / 4,
 		Horizontal: deployAllocHorizontal * 5 / 4,

@@ -5,11 +5,17 @@
 // min{1/max|E(p)|, ½(1−1/e)} guarantee of Theorem 2.
 //
 // Selection needs each candidate's fragment size |E(⟦p⟧G)| and nothing
-// else of its matches, so a candidate is matched once, into an
+// else of its matches, so a candidate's edges are found once, into an
 // rdf.EdgeSet — one bit per triple of the hot graph — and sized by the
-// set's bit count. The sets of the patterns that end up selected stay on
-// the Selection: they are the fragments' contents, and the fragmenters
-// build from them instead of matching again.
+// set's bit count. match.MatchedEdges finds them without producing a
+// match when the candidate is a tree with constant predicates, as mined
+// patterns are: two semi-join passes over its vertices leave exactly what
+// each binds, and the set is the triples between those. A pattern with a
+// cycle or a predicate variable has its matches enumerated instead, as
+// has any pattern over a graph with pending updates; the hot graph is
+// built frozen, so none is. The sets of the patterns that end up selected
+// stay on the Selection: they are the fragments' contents, and the
+// fragmenters build from them instead of finding them again.
 package fap
 
 import (

@@ -305,11 +305,10 @@ func TestMatchAllocsIndependentOfFanout(t *testing.T) {
 		g := hubGraph(fanout, 8)
 		g.Freeze()
 		q := sparql.MustParse(g.Dict, `SELECT ?x WHERE { <hub> <p5> ?x . }`)
-		// Parallelism pinned to 1: this guards the sequential inner
-		// loop; the parallel steady state has its own guard in
-		// parallel_test.go.
+		// ForEach: this guards the sequential search's inner loop,
+		// which Count no longer runs for a tree pattern.
 		return testing.AllocsPerRun(50, func() {
-			Count(q, g.Snapshot(), Options{Parallelism: 1})
+			ForEach(q, g.Snapshot(), Options{}, func(*Match) bool { return true })
 		})
 	}
 	small, large := alloc(64), alloc(4096)

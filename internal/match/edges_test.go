@@ -1,10 +1,10 @@
 package match
 
 // MatchedEdges against what MatchedGraph did before edge sets existed:
-// every triple of every match appended to a per-morsel bucket and the
-// buckets replayed through Add. That body is kept here as the oracle;
-// the edge set must hold exactly its triples, whatever the snapshot
-// carries in its delta, the worker count or the vertex filter.
+// every triple of every match replayed through Add. That body is kept
+// here as the oracle; the edge set must hold exactly its triples,
+// whatever the snapshot carries in its delta or the vertex filter, and
+// whether the reducer or the search finds them.
 
 import (
 	"fmt"
@@ -22,23 +22,7 @@ func matchedGraphOracle(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Gra
 	if len(q.Edges) == 0 {
 		return sub
 	}
-	order := edgeOrder(q, g)
-	if r := planParallel(q, g, opts, order); r != nil {
-		buckets := make([][]rdf.Triple, r.numMorsels)
-		r.run(func(int) workerHooks {
-			return workerHooks{onMatch: func(morsel int, m *Match) bool {
-				buckets[morsel] = append(buckets[morsel], m.Triples...)
-				return true
-			}}
-		})
-		for _, b := range buckets {
-			for _, t := range b {
-				sub.Add(t)
-			}
-		}
-		return sub
-	}
-	forEachOrdered(q, g, opts, order, func(m *Match) bool {
+	forEachOrdered(q, g, opts, edgeOrder(q, g), func(m *Match) bool {
 		for _, t := range m.Triples {
 			sub.Add(t)
 		}
@@ -80,37 +64,37 @@ func storageModes(seed int64, triples int) map[string]*rdf.Graph {
 	return map[string]*rdf.Graph{"frozen": frozen, "inserts": inserts, "tombstones": tombs}
 }
 
-// checkEdgeSet compares MatchedEdges with the oracle on one snapshot
-// under every worker count, returning a description of the first
-// disagreement.
+// checkEdgeSet compares MatchedEdges with the oracle on one snapshot,
+// logging the disagreement if there is one.
 func checkEdgeSet(t *testing.T, q *sparql.Graph, sn *rdf.Snapshot, filter func(int, rdf.ID) bool) bool {
 	t.Helper()
-	want := slices.Clone(matchedGraphOracle(q, sn, Options{Parallelism: 1, VertexFilter: filter}).Triples())
+	opts := Options{VertexFilter: filter}
+	want := slices.Clone(matchedGraphOracle(q, sn, opts).Triples())
 	slices.SortFunc(want, rdf.CompareSPO)
-	for _, workers := range []int{1, 2, 8} {
-		opts := Options{Parallelism: workers, VertexFilter: filter}
-		set := MatchedEdges(q, sn, opts)
-		got := set.Triples()
-		if set.Len() != len(want) || !slices.Equal(got, want) {
-			t.Logf("workers=%d: edge set has %d triples (Len %d), the old MatchedGraph %d", workers, len(got), set.Len(), len(want))
-			return false
-		}
-		if sub := MatchedGraph(q, sn, opts); sub.DeltaLen() != 0 || !slices.Equal(sub.Triples(), want) {
-			t.Logf("workers=%d: MatchedGraph is not the edge set's triples in one generation", workers)
-			return false
-		}
+	set := MatchedEdges(q, sn, opts)
+	if got := set.Triples(); set.Len() != len(want) || !slices.Equal(got, want) {
+		t.Logf("edge set has %d triples (Len %d), the old MatchedGraph %d", len(got), set.Len(), len(want))
+		return false
+	}
+	if sub := MatchedGraph(q, sn, opts); sub.DeltaLen() != 0 || !slices.Equal(sub.Triples(), want) {
+		t.Logf("MatchedGraph is not the edge set's triples in one generation")
+		return false
 	}
 	return true
 }
 
 func TestMatchedEdgesEqualsOldMatchedGraphProperty(t *testing.T) {
 	evenRoot := func(qv int, id rdf.ID) bool { return qv != 0 || id%2 == 0 }
-	engaged := false
+	var reduced, searched bool
 	f := func(dataSeed, querySeed int64) bool {
 		q := randomQuery(querySeed, 3)
 		for name, g := range storageModes(dataSeed, 90) {
 			sn := g.Snapshot()
-			engaged = engaged || planParallel(q, sn, Options{Parallelism: 8}, edgeOrder(q, sn)) != nil
+			if reduces(q, sn, Options{}) {
+				reduced = true
+			} else {
+				searched = true
+			}
 			for _, filter := range []func(int, rdf.ID) bool{nil, evenRoot} {
 				if !checkEdgeSet(t, q, sn, filter) {
 					t.Logf("storage %s, filter %v, data seed %d, query seed %d", name, filter != nil, dataSeed, querySeed)
@@ -124,8 +108,8 @@ func TestMatchedEdgesEqualsOldMatchedGraphProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-	if !engaged {
-		t.Error("no case was large enough for the morsel fan-out")
+	if !reduced || !searched {
+		t.Errorf("the reducer took a case: %v; the search: %v", reduced, searched)
 	}
 }
 
@@ -164,28 +148,47 @@ func TestMatchedEdgesCornerCases(t *testing.T) {
 }
 
 // TestMatchedEdgesAllocsIndependentOfMatches: recording the edges of a
-// pattern costs one bitmap per enumerating goroutine and the search's
-// fixed set-up, not a cell per match or per matched triple — the count
-// stays put when the hub's degree doubles and the matches quadruple.
+// pattern, and counting its matches, cost one bitmap and a fixed set-up,
+// not a cell per match or per matched triple — the count stays put when
+// the hub's degree doubles and the matches quadruple. The star is a tree,
+// which the reducer takes; the triangle, whose closing edge is the
+// hub's self-loop, is searched. Under the race detector, whose sync.Pool
+// drops pooled values at random, only the triangle runs: the search
+// pools nothing.
 func TestMatchedEdgesAllocsIndependentOfMatches(t *testing.T) {
-	const ceiling = 80 // measured: 12 sequential, 69 with four workers
-	for _, workers := range []int{1, 4} {
+	const ceiling = 24 // measured: 3 reduced, 20 searched
+	for _, c := range []struct {
+		pattern string
+		reduced bool
+	}{
+		{`SELECT * WHERE { ?h <p0> ?a . ?h <p0> ?b . }`, true},
+		{`SELECT * WHERE { ?h <p0> ?a . ?h <p0> ?b . ?b <p0> ?a . }`, false},
+	} {
+		if raceOn && c.reduced {
+			continue
+		}
 		var perDegree []float64
 		for _, degree := range []int{400, 800} {
 			g := hubGraph(degree, 1)
+			hub, _ := g.Dict.Lookup(rdf.NewIRI("hub"))
+			g.Add(rdf.Triple{S: hub, P: g.Triples()[0].P, O: hub})
 			g.Freeze()
 			sn := g.Snapshot()
-			star := sparql.MustParse(g.Dict, `SELECT * WHERE { ?h <p0> ?a . ?h <p0> ?b . }`)
-			if n := MatchedEdges(star, sn, Options{Parallelism: workers}).Len(); n != degree {
-				t.Fatalf("degree %d: %d edges matched", degree, n)
+			q := sparql.MustParse(g.Dict, c.pattern)
+			if reduces(q, sn, Options{}) != c.reduced {
+				t.Fatalf("%s: reduced %v, want %v", c.pattern, !c.reduced, c.reduced)
+			}
+			if n := MatchedEdges(q, sn, Options{}).Len(); n != degree+1 {
+				t.Fatalf("%s, degree %d: %d edges matched, want the hub's %d", c.pattern, degree, n, degree+1)
 			}
 			perDegree = append(perDegree, testing.AllocsPerRun(3, func() {
-				MatchedEdges(star, sn, Options{Parallelism: workers})
+				MatchedEdges(q, sn, Options{})
+				Count(q, sn, Options{})
 			}))
 		}
-		t.Logf("workers=%d: %v allocs at 160 000 and 640 000 matches", workers, perDegree)
+		t.Logf("%s: %v allocs at degree 400 and 800", c.pattern, perDegree)
 		if perDegree[0] > ceiling || perDegree[1] > perDegree[0]+2 {
-			t.Errorf("workers=%d: %v allocs per call at degree 400 and 800; want ≤ %d and no growth", workers, perDegree, ceiling)
+			t.Errorf("%s: %v allocs per call at degree 400 and 800; want ≤ %d and no growth", c.pattern, perDegree, ceiling)
 		}
 	}
 }

@@ -1,7 +1,12 @@
 // Package match finds SPARQL matches: subgraph homomorphisms from a query
 // graph into an RDF data graph (Section 2.1 of the paper). It powers
-// fragment construction (all matches of an access pattern), per-site
-// subquery evaluation and cardinality statistics.
+// per-site subquery evaluation, fragment construction and cardinality
+// statistics. The last two need of an access pattern's matches only the
+// triples they use and how many there are: MatchedEdges and Count get
+// both for a tree pattern over a compacted snapshot by semi-joins over
+// its vertices, producing no match (reduce.go), and enumerate the matches
+// of any other pattern — one with a cycle, a predicate variable or a
+// self-loop — and of any pattern over a snapshot with a delta.
 package match
 
 import (
@@ -38,10 +43,11 @@ type Options struct {
 	// search may use: the root edge's candidate run is split into
 	// morsels and fanned out to a worker pool, each worker owning a
 	// private searcher. 0 means GOMAXPROCS; 1 (or a root run too small
-	// to split) forces the sequential path. Find, Count, MatchedEdges,
-	// FindBatches and FindBindings honour it; ForEach is always
-	// sequential because its callback contract (one reused Match) is
-	// inherently serial.
+	// to split) forces the sequential path. Find, FindBatches and
+	// FindBindings honour it. ForEach is always sequential because its
+	// callback contract (one reused Match) is inherently serial; so are
+	// Count and MatchedEdges, which reduce a tree pattern without
+	// enumerating it and enumerate any other on the caller's goroutine.
 	// Limit > 0 also forces the sequential path, preserving the exact
 	// "first Limit matches in enumeration order" semantics. A parallel
 	// FindBatches or FindBindings streams batches as workers fill them, in
@@ -268,20 +274,19 @@ func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, st
 	}
 }
 
-// Count returns the number of matches, stopping at opts.Limit if set.
-// Without a limit it runs through the parallel path: each worker counts
-// its morsels locally (no per-match allocation) and the tallies are
-// summed.
+// Count returns the number of matches, stopping at opts.Limit if set. A
+// tree pattern's matches over a compacted snapshot are counted over its
+// vertices (reduce.go), the others', and a limited count, one by one.
 func Count(q *sparql.Graph, g *rdf.Snapshot, opts Options) int {
 	if len(q.Edges) == 0 {
 		return 0
 	}
-	order := edgeOrder(q, g)
-	if r := planParallel(q, g, opts, order); r != nil {
+	if r := newReducer(q, g, opts); r != nil {
+		defer r.release()
 		return r.count()
 	}
 	n := 0
-	forEachOrdered(q, g, opts, order, func(*Match) bool {
+	forEachOrdered(q, g, opts, edgeOrder(q, g), func(*Match) bool {
 		n++
 		return true
 	})
@@ -290,33 +295,22 @@ func Count(q *sparql.Graph, g *rdf.Snapshot, opts Options) int {
 
 // MatchedEdges returns the set of triples of g that some match of q uses:
 // the edges of Definition 10's fragment for q, or with opts.VertexFilter
-// those of one minterm's (Definition 12). Nothing is kept per match — each
-// enumerating goroutine sets bits in a set of its own, and the sets are
-// ORed — so the cost beyond the search is |E(g)|/64 words per worker.
+// those of one minterm's (Definition 12). Over a compacted snapshot, a
+// tree pattern's set comes from two semi-join passes over its vertices
+// (reduce.go), without a match; any other's from enumerating its matches,
+// keeping nothing per match, so the cost beyond the search is |E(g)|/64
+// words.
 func MatchedEdges(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.EdgeSet {
 	set := g.NewEdgeSet()
 	if len(q.Edges) == 0 {
 		return set
 	}
-	order := edgeOrder(q, g)
-	r := planParallel(q, g, opts, order)
-	if r == nil {
-		forEachOrdered(q, g, opts, order, edgeMarker(set, len(q.Edges)))
+	if r := newReducer(q, g, opts); r != nil {
+		defer r.release()
+		r.matchedEdges(set)
 		return set
 	}
-	var mu sync.Mutex
-	r.run(func(int) workerHooks {
-		own := g.NewEdgeSet()
-		mark := edgeMarker(own, len(q.Edges))
-		return workerHooks{
-			onMatch: func(_ int, m *Match) bool { return mark(m) },
-			finish: func() {
-				mu.Lock()
-				set.Union(own)
-				mu.Unlock()
-			},
-		}
-	})
+	forEachOrdered(q, g, opts, edgeOrder(q, g), edgeMarker(set, len(q.Edges)))
 	return set
 }
 

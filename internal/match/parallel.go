@@ -18,8 +18,10 @@ package match
 // order, so per-morsel result buckets concatenated in morsel order
 // reproduce the sequential output byte for byte. Find merges that way;
 // FindBatches and FindBindings stream batches as workers fill them
-// (findBatched in matcher.go). Count and MatchedEdges produce a number and
-// a set, which have no order to keep.
+// (findBatched in matcher.go). Count and MatchedEdges never fan out: a
+// tree pattern, which is what the offline pipeline asks them about, is
+// reduced without a search (reduce.go), and any other is enumerated on the
+// caller's goroutine, into one count or one edge set.
 
 import (
 	"runtime"
@@ -209,18 +211,4 @@ func (r *parallelRun) find() []Match {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// count is the parallel Count body: worker-local tallies, summed at
-// worker exit — no per-match work at all.
-func (r *parallelRun) count() int {
-	var total atomic.Int64
-	r.run(func(int) workerHooks {
-		n := 0
-		return workerHooks{
-			onMatch: func(int, *Match) bool { n++; return true },
-			finish:  func() { total.Add(int64(n)) },
-		}
-	})
-	return int(total.Load())
 }

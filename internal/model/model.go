@@ -137,14 +137,24 @@ type Table struct {
 func (t *Table) Flat() []rdf.ID { return slices.Concat(t.Rows...) }
 
 // Answer answers q over the triples ts, joining the pattern edge by edge,
-// in the query's order, each against a scan of every triple.
+// in the query's order. An edge's candidates are the triples with its
+// predicate and its subject, or its object, where the partial match binds
+// that end; else those with its predicate; and every triple only where
+// the predicate is a variable. Each candidate is then checked whole, so
+// the lookup decides only how many triples are tried.
 func Answer(q *sparql.Graph, ts []rdf.Triple) *Table {
+	return answer(q, newIndex(ts).candidates)
+}
+
+// answer is Answer with candidates, given a partial match and an edge's
+// slots, returning a superset of the triples the edge can map to.
+func answer(q *sparql.Graph, candidates func(m map[string]rdf.ID, slots [3]sparql.Vertex) []rdf.Triple) *Table {
 	matches := []map[string]rdf.ID{{}}
 	for _, e := range q.Edges {
 		slots := [3]sparql.Vertex{q.Verts[e.From], {Var: e.PredVar, Term: e.Pred}, q.Verts[e.To]}
 		var next []map[string]rdf.ID
 		for _, m := range matches {
-			for _, t := range ts {
+			for _, t := range candidates(m, slots) {
 				if ext, ok := extend(m, slots, [3]rdf.ID{t.S, t.P, t.O}); ok {
 					next = append(next, ext)
 				}
@@ -164,6 +174,51 @@ func Answer(q *sparql.Graph, ts []rdf.Triple) *Table {
 	}
 	slices.SortFunc(rows, slices.Compare)
 	return &Table{Vars: vars, Rows: slices.CompactFunc(rows, slices.Equal)}
+}
+
+// index lists triples by predicate, by (predicate, subject) and by
+// (predicate, object).
+type index struct {
+	all  []rdf.Triple
+	byP  map[rdf.ID][]rdf.Triple
+	byPS map[[2]rdf.ID][]rdf.Triple
+	byPO map[[2]rdf.ID][]rdf.Triple
+}
+
+func newIndex(ts []rdf.Triple) *index {
+	ix := &index{all: ts, byP: map[rdf.ID][]rdf.Triple{}, byPS: map[[2]rdf.ID][]rdf.Triple{}, byPO: map[[2]rdf.ID][]rdf.Triple{}}
+	for _, t := range ts {
+		ix.byP[t.P] = append(ix.byP[t.P], t)
+		ix.byPS[[2]rdf.ID{t.P, t.S}] = append(ix.byPS[[2]rdf.ID{t.P, t.S}], t)
+		ix.byPO[[2]rdf.ID{t.P, t.O}] = append(ix.byPO[[2]rdf.ID{t.P, t.O}], t)
+	}
+	return ix
+}
+
+// candidates returns the triples an edge whose slots are subject,
+// predicate and object can map to under m, and perhaps others.
+func (ix *index) candidates(m map[string]rdf.ID, slots [3]sparql.Vertex) []rdf.Triple {
+	if slots[1].Var != "" {
+		return ix.all
+	}
+	p := slots[1].Term
+	if s, ok := value(m, slots[0]); ok {
+		return ix.byPS[[2]rdf.ID{p, s}]
+	}
+	if o, ok := value(m, slots[2]); ok {
+		return ix.byPO[[2]rdf.ID{p, o}]
+	}
+	return ix.byP[p]
+}
+
+// value returns what slot s stands for under m: its constant, or its
+// variable's binding.
+func value(m map[string]rdf.ID, s sparql.Vertex) (rdf.ID, bool) {
+	if s.Var == "" {
+		return s.Term, true
+	}
+	id, ok := m[s.Var]
+	return id, ok
 }
 
 // extend returns m extended so the slots — variables, or constants where

@@ -1,9 +1,14 @@
 package model
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 	"time"
+
+	"rdffrag/internal/rdf"
+	"rdffrag/internal/sparql"
 )
 
 // TestBatchSemantics: the delete side goes first, a duplicate adds
@@ -94,5 +99,50 @@ func TestAnswerSemantics(t *testing.T) {
 	}
 	if _, err := s.Answer(`SELECT ?x WHERE { ?x <knows> }`); err == nil {
 		t.Error("a malformed query answered")
+	}
+}
+
+// answerByScan is the definition Answer is held to: every triple is a
+// candidate of every edge under every partial match.
+func answerByScan(q *sparql.Graph, ts []rdf.Triple) *Table {
+	return answer(q, func(map[string]rdf.ID, [3]sparql.Vertex) []rdf.Triple { return ts })
+}
+
+// TestAnswerLooksUpWhatItScans: on small random graphs with self-loops,
+// and patterns with constants, predicate variables and repeated
+// variables, the indexed join answers what scanning every triple does.
+func TestAnswerLooksUpWhatItScans(t *testing.T) {
+	vertex := func(r *rand.Rand) sparql.Vertex {
+		if r.Intn(4) == 0 {
+			return sparql.Vertex{Term: rdf.ID(r.Intn(5))}
+		}
+		return sparql.Vertex{Var: string(rune('a' + r.Intn(4)))}
+	}
+	matched := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		ts := make([]rdf.Triple, 5+r.Intn(30))
+		for i := range ts {
+			ts[i] = rdf.Triple{S: rdf.ID(r.Intn(5)), P: rdf.ID(10 + r.Intn(3)), O: rdf.ID(r.Intn(5))}
+		}
+		q := sparql.NewGraph()
+		for i := 1 + r.Intn(4); i > 0; i-- {
+			e := sparql.Edge{Pred: rdf.ID(10 + r.Intn(3))}
+			if r.Intn(4) == 0 {
+				e.PredVar = string(rune('p' + r.Intn(2)))
+			}
+			q.AddTriplePattern(vertex(r), e, vertex(r))
+		}
+		want, got := answerByScan(q, ts), Answer(q, ts)
+		if len(want.Rows) > 0 {
+			matched++
+		}
+		return slices.Equal(got.Vars, want.Vars) && slices.Equal(got.Flat(), want.Flat()) && len(got.Rows) == len(want.Rows)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if matched < 100 {
+		t.Errorf("only %d of 500 patterns matched anything", matched)
 	}
 }

@@ -43,6 +43,25 @@ func (e *EdgeSet) Add(t Triple) {
 	}
 }
 
+// AddOut puts into the set the triples (sub, p, o) for which keep(o)
+// holds. It walks sub's run of triples labelled p once and sets each
+// triple kept by its position in the run, with no search of its own, so
+// it needs a set over a compacted snapshot (Snapshot.Compacted), whose
+// runs are the CSR generation's; over any other it panics.
+func (e *EdgeSet) AddOut(sub, p ID, keep func(o ID) bool) {
+	if !e.s.Compacted() {
+		panic("rdf: EdgeSet.AddOut over a snapshot with a delta")
+	}
+	csr := e.s.gen.csr
+	lo, hi := csr.outRuns.run(sub)
+	from, to := predBounds(csr.outArena[lo:hi], p)
+	for j := int(lo) + from; j < int(lo)+to; j++ {
+		if keep(csr.outArena[j].B) {
+			e.bits[j>>6] |= 1 << (j & 63)
+		}
+	}
+}
+
 func (e *EdgeSet) normalize() {
 	if e.clean == len(e.extra) {
 		return

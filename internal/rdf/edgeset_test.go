@@ -247,6 +247,55 @@ func TestEdgeSet(t *testing.T) {
 	}
 }
 
+// TestEdgeSetAddOut: over a compacted snapshot, AddOut of a subject, a
+// predicate and a test on objects adds what Add of each visible triple
+// with those three would — for a graph built frozen and for one whose
+// deletes and inserts a compaction folded in — and over a snapshot with a
+// delta it refuses.
+func TestEdgeSetAddOut(t *testing.T) {
+	const nv, np = 9, 3
+	base := distinct(randomTriples(5, 90, nv, np))
+	churned := NewFrozen(nil, slices.Clone(base))
+	churned.SetAutoCompact(-1)
+	for i, tr := range distinct(randomTriples(6, 30, nv, np)) {
+		if i%3 == 0 {
+			churned.Delete(tr)
+		} else {
+			churned.Add(tr)
+		}
+	}
+	churned.Add(Triple{S: 70, P: nv, O: 3}) // a subject only the delta had
+	churned.Compact()
+	// Objects 0, 2, 3, 5, 6 and 8.
+	objs := []uint64{0b101101101}
+	for name, g := range map[string]*Graph{"frozen": NewFrozen(nil, slices.Clone(base)), "compacted": churned} {
+		sn := g.Snapshot()
+		got, want := sn.NewEdgeSet(), sn.NewEdgeSet()
+		for s := ID(0); s <= 70; s++ {
+			for p := ID(nv); p < nv+np+1; p++ {
+				got.AddOut(s, p, func(o ID) bool { return o < 64 && objs[0]>>o&1 != 0 })
+			}
+		}
+		for tr := range sn.All() {
+			if tr.O < 64 && objs[0]>>tr.O&1 != 0 {
+				want.Add(tr)
+			}
+		}
+		if want.Len() == 0 || got.Len() != want.Len() || !slices.Equal(got.Triples(), want.Triples()) {
+			t.Errorf("%s: AddOut marked %d triples, Add of each %d", name, got.Len(), want.Len())
+		}
+		sn.Close()
+	}
+	sn := graphOf(base).Snapshot()
+	defer sn.Close()
+	defer func() {
+		if recover() == nil {
+			t.Error("AddOut over a snapshot with a delta did not panic")
+		}
+	}()
+	sn.NewEdgeSet().AddOut(base[0].S, base[0].P, func(ID) bool { return true })
+}
+
 // TestNewFrozenEqualsAddFreeze: NewFrozen is NewGraph + Add… + Freeze,
 // observably — duplicates dropped first-wins included — and stays so
 // under the writes a deployed graph takes afterwards.

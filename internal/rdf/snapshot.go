@@ -82,6 +82,10 @@ func (s *Snapshot) Graph() *Graph { return s.g }
 // Generation returns the pinned CSR generation's id.
 func (s *Snapshot) Generation() uint64 { return s.gen.id }
 
+// Compacted reports whether the snapshot sees no op of the delta, so that
+// the triples it shows are exactly its CSR generation's.
+func (s *Snapshot) Compacted() bool { return s.n == 0 }
+
 // dels returns how many of the ops the snapshot sees are deletes; the
 // others are inserts. The log is append-only, so whatever header is
 // published now holds the n ops that were there at the cut.

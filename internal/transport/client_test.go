@@ -160,8 +160,11 @@ func TestFrameReaderEdges(t *testing.T) {
 // site's handler on the far side of a pooled connection, and a 40-row
 // answer in batches of 16 rows — allocates under a ceiling of objects
 // and of bytes, both counted across the client and the httptest site,
-// which share the process. The ceilings are 135 objects and 9.8 KB, what
-// the binary framing measures, plus a tenth.
+// which share the process. The site reading the request into its frame
+// buffer and leaving the response's header map untouched took it from
+// 135 objects and 9.2–9.8 KB to 129 and 8.0–8.5 KB. The object count is
+// exact, so its ceiling is that plus two; the bytes' is 9.2 KB, the most
+// measured plus 8 %: either puts the previous handler over.
 func TestRemoteEvalAllocs(t *testing.T) {
 	if raceOn {
 		t.Skip("the race detector's sync.Pool drops buffers at random")
@@ -185,7 +188,7 @@ func TestRemoteEvalAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perCall := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	t.Logf("%.0f allocations, %.0f bytes per call", allocs, perCall)
-	const maxAllocs, maxBytes = 148, 10700
+	const maxAllocs, maxBytes = 131, 9200
 	if allocs > maxAllocs {
 		t.Errorf("a remote subquery allocates %.0f objects, want at most %d", allocs, maxAllocs)
 	}

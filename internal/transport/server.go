@@ -20,11 +20,11 @@
 package transport
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"sync"
@@ -165,7 +165,15 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	// The body is consumed before any fault rolls: net/http only watches
 	// for client disconnects once the request body has been read, so a
 	// straggler stall taken earlier would not notice the caller leaving.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// It is read into the buffer the response frames are then written
+	// from: the request is decoded, and nothing of it kept, before the
+	// first frame.
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
+	in := bytes.NewBuffer((*buf)[:0])
+	_, err := in.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body := in.Bytes()
+	*buf = body
 	// The head is the site and the client dictionary's stamp.
 	rd := wireReader{b: body}
 	site, dictLen, dictFP := rd.u32(), rd.u32(), rd.u64()
@@ -209,10 +217,11 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 
-	w.Header().Set("Content-Type", "application/octet-stream")
+	// The response's Content-Type is left to net/http, which sniffs it
+	// from the first frame: a header frame's length bytes include a zero,
+	// so that is application/octet-stream. Touching w.Header() here would
+	// cost a map entry and, at WriteHeader, a clone of the map.
 	flusher, _ := w.(http.Flusher)
-	buf := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(buf)
 	// write sends a frame appended to the emptied buffer, and keeps the
 	// buffer, grown to hold it, for the next.
 	write := func(frame []byte) error {
@@ -260,6 +269,7 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// frameBufs holds the buffers a site's response frames are written from,
-// one per stream, grown to its largest frame.
+// frameBufs holds the buffers a site reads an /eval request into and
+// writes its response frames from, one per stream, grown to the largest
+// of them.
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}

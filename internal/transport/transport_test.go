@@ -524,10 +524,14 @@ func TestCancelMidStreamDrainsServer(t *testing.T) {
 func TestCancelDuringBatchStallEndsTheStream(t *testing.T) {
 	c, d, q := newTestCluster(t, 600)
 	// The request's stall costs nothing; a batch of 256 two-column rows,
-	// 2 KB, stalls two hours.
+	// 2 KB, stalls two hours. One matcher worker, so that the first batch
+	// is a full one: a second worker's last batch, under 1 KB, would stall
+	// for nothing and could be written first.
 	chaos := cluster.NewChaos(cluster.ChaosConfig{DelayProb: 1, StragglerDelay: cluster.Delay{PerKB: time.Hour}})
 	ss := NewSiteServer(ServerConfig{Cluster: c, Dict: d, Chaos: chaos})
-	body := appendRequest(nil, testRequest(q), 256, d.Len(), d.Fingerprint(d.Len()))
+	req := testRequest(q)
+	req.Parallelism = 1
+	body := appendRequest(nil, req, 256, d.Len(), d.Fingerprint(d.Len()))
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})

@@ -362,6 +362,9 @@ func TestSiteRefusesQueriesItWouldMisread(t *testing.T) {
 		if rec.Code != tc.status {
 			t.Errorf("%s: /eval answered %d (%s), want %d", tc.name, rec.Code, strings.TrimSpace(rec.Body.String()), tc.status)
 		}
+		if ct := rec.Header().Get("Content-Type"); rec.Code == http.StatusOK && ct != "application/octet-stream" {
+			t.Errorf("%s: /eval answered as %q", tc.name, ct)
+		}
 	}
 	if d.Len() != n {
 		t.Errorf("the site's dictionary grew from %d to %d terms", n, d.Len())

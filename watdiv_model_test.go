@@ -1,9 +1,7 @@
 package rdffrag
 
 import (
-	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"rdffrag/internal/model"
@@ -18,37 +16,19 @@ import (
 // subquery: a merge of co-located subqueries that stopped happening would
 // still answer right, and only this count would tell.
 //
-// The model scans every triple it is given for every partial match, which
-// makes it the cost of this test: about a minute of CPU. It is given the
-// triples carrying the query's predicates, which are all a pattern without
-// predicate variables can match, and answers the templates in parallel
-// while the fixture deploys. Under the race detector the model's map work
-// takes five times as long, which would put this package near go test's
-// ten-minute limit, and the model runs on one goroutine per template,
-// sharing nothing: the test does not run there.
+// The model looks each edge's candidates up by predicate and bound end,
+// so it answers the templates in a fraction of the deployments' time, on
+// the whole fixture and under the race detector too.
 func TestWatDivTemplatesMatchModel(t *testing.T) {
-	if raceOn {
-		t.Skip("the model answers the analytic templates in minutes under the race detector")
-	}
 	vf, ds, workload := watdivDB(t, 50000, Config{Strategy: Vertical})
 	queries, names, err := ds.BenchmarkQueries(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := slices.Clone(ds.Graph.Triples())
+	all := ds.Graph.Triples()
 	want := make([]*model.Table, len(queries))
-	var wg sync.WaitGroup
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, q := range queries {
-		preds := q.Predicates()
-		ts := slices.DeleteFunc(slices.Clone(all), func(tr rdf.Triple) bool { return !slices.Contains(preds, tr.P) })
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			slots <- struct{}{}
-			want[i] = model.Answer(q, ts)
-			<-slots
-		}()
+		want[i] = model.Answer(q, all)
 	}
 
 	hf := &DB{cfg: Config{Strategy: Horizontal}.withDefaults(), graph: ds.Graph}
@@ -70,7 +50,6 @@ func TestWatDivTemplatesMatchModel(t *testing.T) {
 				t.Errorf("%s %s ran as %d subqueries, want its co-located subqueries merged into 1", strategy, names[i], stats.Subqueries)
 			}
 		}
-		wg.Wait()
 		for i := range queries {
 			if !slices.Equal(vars[i], want[i].Vars) || !slices.Equal(got[i], want[i].Flat()) {
 				t.Errorf("%s %s: %d rows over %v, the model %d over %v", strategy, names[i], len(got[i])/max(len(vars[i]), 1), vars[i], len(want[i].Rows), want[i].Vars)
