@@ -6,7 +6,10 @@ package rdffrag
 // or a networked deployment answers wrongly. Deploying several times in
 // one process catches what differs between calls, map iteration order
 // first; deploying once more in another catches what differs only between
-// processes.
+// processes. That other process runs on one thread (GOMAXPROCS=1), so
+// the offline pipeline's batches, which fan out over patterns, run there
+// one pattern after another: what the concurrent deploys build must not
+// depend on the order their patterns finish in.
 
 import (
 	"bytes"
@@ -62,7 +65,8 @@ const childOut = "RDFFRAG_TEST_CHILD_OUT"
 
 // TestDeployDeterministic: the 20 000-triple WatDiv input deploys to the
 // same deploymentShape, and saves to the same bytes, eight times in this
-// process and once in another — this test binary run again.
+// process and once in another — this test binary run again, on one
+// thread.
 func TestDeployDeterministic(t *testing.T) {
 	for _, strategy := range []Strategy{Vertical, Horizontal} {
 		t.Run(string(strategy), func(t *testing.T) {
@@ -100,7 +104,7 @@ func TestDeployDeterministic(t *testing.T) {
 			}
 			out := filepath.Join(t.TempDir(), "deployed")
 			cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
-			cmd.Env = append(os.Environ(), childOut+"="+out)
+			cmd.Env = append(os.Environ(), childOut+"="+out, "GOMAXPROCS=1")
 			if log, err := cmd.CombinedOutput(); err != nil {
 				t.Fatalf("another process: %v\n%s", err, log)
 			}

@@ -71,16 +71,21 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 	}
 	hsn := fr.Hot.Snapshot()
 	defer hsn.Close()
-	for _, f := range fr.Fragments {
-		var opts match.Options
+	// Every fragment's pattern is counted in one batch.
+	items := make([]match.Item, len(fr.Fragments))
+	for i, f := range fr.Fragments {
+		items[i].Q = f.Pattern.Graph
 		if f.Minterm != nil {
-			opts.VertexFilter = f.Minterm.VertexFilter()
+			items[i].Opts.VertexFilter = f.Minterm.VertexFilter()
 		}
+	}
+	cards := match.CountAll(items, hsn)
+	for i, f := range fr.Fragments {
 		e := &Entry{
 			Fragment:    f,
 			Site:        -1,
 			Size:        f.Size,
-			Cardinality: match.Count(f.Pattern.Graph, hsn, opts),
+			Cardinality: cards[i],
 			stored:      f.Graph.NumTriples(),
 		}
 		if s, ok := alloc.SiteOf[f.ID]; ok {

@@ -7,15 +7,18 @@
 // Selection needs each candidate's fragment size |E(⟦p⟧G)| and nothing
 // else of its matches, so a candidate's edges are found once, into an
 // rdf.EdgeSet — one bit per triple of the hot graph — and sized by the
-// set's bit count. match.MatchedEdges finds them without producing a
-// match when the candidate is a tree with constant predicates, as mined
-// patterns are: two semi-join passes over its vertices leave exactly what
-// each binds, and the set is the triples between those. A pattern with a
-// cycle or a predicate variable has its matches enumerated instead, as
-// has any pattern over a graph with pending updates; the hot graph is
-// built frozen, so none is. The sets of the patterns that end up selected
-// stay on the Selection: they are the fragments' contents, and the
-// fragmenters build from them instead of finding them again.
+// set's bit count. match.MatchedEdgesAll finds every candidate's set in
+// one batch before the greedy loop, several candidates at once, each
+// without producing a match when it is a tree with constant predicates,
+// as mined patterns are: two semi-join passes over its vertices leave
+// exactly what each binds, and the set is the triples between those. A
+// pattern with a cycle or a predicate variable has its matches enumerated
+// instead, as has any pattern over a graph with pending updates; the hot
+// graph is built frozen, so none is. The greedy loop itself is sequential
+// and reads only the sizes, so what it selects does not depend on the
+// order the sets were found in. The sets of the patterns that end up
+// selected stay on the Selection: they are the fragments' contents, and
+// the fragmenters build from them instead of finding them again.
 package fap
 
 import (
@@ -90,17 +93,7 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 	hsn := hot.Snapshot()
 	defer hsn.Close()
 
-	// A pattern is matched once, into an edge set; its size is the set's
-	// bit count.
 	sel := &Selection{FragSize: make(map[string]int)}
-	edges := make(map[string]*rdf.EdgeSet)
-	fragSize := func(p *mining.Pattern) int {
-		if _, ok := edges[p.Code]; !ok {
-			edges[p.Code] = match.MatchedEdges(p.Graph, hsn, match.Options{})
-			sel.FragSize[p.Code] = edges[p.Code].Len()
-		}
-		return sel.FragSize[p.Code]
-	}
 
 	// use(Q, p) matrix over unique queries, weighted by multiplicity.
 	contains := func(p *mining.Pattern) []bool {
@@ -114,7 +107,6 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 	// Lines 3–6: one-edge pattern per frequent property in the hot graph.
 	oneEdgeCodes := make(map[string]bool)
 	var oneEdgeRows [][]bool
-	totalSize := 0
 	for _, pred := range hsn.Predicates() {
 		g := sparql.NewGraph()
 		g.AddTriplePattern(sparql.Vertex{Var: "a"}, sparql.Edge{Pred: pred}, sparql.Vertex{Var: "b"})
@@ -129,7 +121,6 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 		sel.OneEdge = append(sel.OneEdge, p)
 		oneEdgeRows = append(oneEdgeRows, row)
 		oneEdgeCodes[code] = true
-		totalSize += fragSize(p)
 	}
 
 	// Candidate multi-edge patterns.
@@ -143,7 +134,36 @@ func (s *Selector) Select(patterns []*mining.Pattern, workload []*sparql.Graph, 
 		if p.Size() <= 1 || oneEdgeCodes[p.Code] {
 			continue
 		}
-		cands = append(cands, cand{p: p, row: contains(p), size: fragSize(p)})
+		cands = append(cands, cand{p: p, row: contains(p)})
+	}
+
+	// Each code's pattern is matched once, into an edge set, and sized by
+	// the set's bit count: all of them in one batch, before the loop.
+	var items []match.Item
+	var codes []string
+	queue := func(p *mining.Pattern) {
+		if _, ok := sel.FragSize[p.Code]; !ok {
+			sel.FragSize[p.Code] = 0
+			items = append(items, match.Item{Q: p.Graph})
+			codes = append(codes, p.Code)
+		}
+	}
+	for _, p := range sel.OneEdge {
+		queue(p)
+	}
+	for _, c := range cands {
+		queue(c.p)
+	}
+	edges := make(map[string]*rdf.EdgeSet, len(codes))
+	for i, es := range match.MatchedEdgesAll(items, hsn) {
+		edges[codes[i]], sel.FragSize[codes[i]] = es, es.Len()
+	}
+	totalSize := 0
+	for _, p := range sel.OneEdge {
+		totalSize += sel.FragSize[p.Code]
+	}
+	for i := range cands {
+		cands[i].size = sel.FragSize[cands[i].p.Code]
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].p.Code < cands[j].p.Code })
 

@@ -50,17 +50,27 @@ func Horizontal(sel *fap.Selection, workload []*sparql.Graph, hc *HotCold, opts 
 	hsn := hc.Hot.Snapshot()
 	defer hsn.Close()
 	defer sel.ReleaseEdges()
-	for _, p := range sel.Patterns {
-		preds := harvestSimplePreds(p, workload, maxPreds, minSupport)
-		minterms := enumerateMinterms(p, preds)
-		if len(minterms) == 0 {
+	// Every minterm of every pattern is matched in one batch; the
+	// fragments are then added pattern by pattern, minterms in turn.
+	minterms := make([][]*Minterm, len(sel.Patterns))
+	var items []match.Item
+	for i, p := range sel.Patterns {
+		minterms[i] = enumerateMinterms(p, harvestSimplePreds(p, workload, maxPreds, minSupport))
+		for _, mt := range minterms[i] {
+			items = append(items, match.Item{Q: p.Graph, Opts: match.Options{VertexFilter: mt.VertexFilter()}})
+		}
+	}
+	edges := match.MatchedEdgesAll(items, hsn)
+	for i, p := range sel.Patterns {
+		if len(minterms[i]) == 0 {
 			// No constants in the workload for this pattern: one fragment,
 			// of the edges selection matched it into.
 			fr.add(HorizontalKind, p, nil, sel.MatchedEdges(p, hsn))
 			continue
 		}
-		for _, mt := range minterms {
-			fr.add(HorizontalKind, p, mt, match.MatchedEdges(p.Graph, hsn, match.Options{VertexFilter: mt.VertexFilter()}))
+		for _, mt := range minterms[i] {
+			fr.add(HorizontalKind, p, mt, edges[0])
+			edges = edges[1:]
 		}
 	}
 	fr.Cold = coldFragment(hc, len(fr.Fragments))

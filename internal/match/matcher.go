@@ -47,7 +47,8 @@ type Options struct {
 	// FindBindings honour it. ForEach is always sequential because its
 	// callback contract (one reused Match) is inherently serial; so are
 	// Count and MatchedEdges, which reduce a tree pattern without
-	// enumerating it and enumerate any other on the caller's goroutine.
+	// enumerating it and enumerate any other on the caller's goroutine
+	// (CountAll and MatchedEdgesAll fan out over patterns instead).
 	// Limit > 0 also forces the sequential path, preserving the exact
 	// "first Limit matches in enumeration order" semantics. A parallel
 	// FindBatches or FindBindings streams batches as workers fill them, in
@@ -312,6 +313,30 @@ func MatchedEdges(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.EdgeSet {
 	}
 	forEachOrdered(q, g, opts, edgeOrder(q, g), edgeMarker(set, len(q.Edges)))
 	return set
+}
+
+// Item is one pattern of a batch and the options it is matched under.
+type Item struct {
+	Q    *sparql.Graph
+	Opts Options
+}
+
+// MatchedEdgesAll returns at i MatchedEdges(items[i].Q, g, items[i].Opts).
+// The items run concurrently, one per worker at a time (parallelFor), and
+// each result lands at its item's index, so what comes out does not
+// depend on how many workers there are. Every VertexFilter must be safe
+// for concurrent use.
+func MatchedEdgesAll(items []Item, g *rdf.Snapshot) []*rdf.EdgeSet {
+	out := make([]*rdf.EdgeSet, len(items))
+	parallelFor(len(items), func(i int) { out[i] = MatchedEdges(items[i].Q, g, items[i].Opts) })
+	return out
+}
+
+// CountAll is MatchedEdgesAll for Count.
+func CountAll(items []Item, g *rdf.Snapshot) []int {
+	out := make([]int, len(items))
+	parallelFor(len(items), func(i int) { out[i] = Count(items[i].Q, g, items[i].Opts) })
+	return out
 }
 
 // edgeMarker returns the per-match step of MatchedEdges. Consecutive

@@ -21,11 +21,13 @@ package match
 // triples, marked by subject through rdf.EdgeSet.AddOut. The number of
 // matches is a sum of products over the same tree, counted per member.
 //
-// The pass down marks triples by their place in the CSR runs, so the
+// The pass down marks triples by their place in the CSR runs, and both
+// passes read each edge's predicate run as the CSR's own slice, so the
 // reducer needs a compacted snapshot; the fragmenters read graphs built
 // frozen. A snapshot with a delta, a pattern with a cycle, a predicate
 // variable or a self-loop, and a search with a Limit or a Keep enumerate
-// instead.
+// instead. One reduction runs on one goroutine; the pipeline's many run
+// side by side through CountAll and MatchedEdgesAll (parallel.go).
 
 import (
 	"math/bits"
@@ -144,14 +146,13 @@ func (r *reducer) release() {
 	reducers.Put(r)
 }
 
-// pairs returns a cursor over the triples of the edge joining child c to
-// its parent, and whether the parent is their subject: a pair's A is the
-// subject and B the object.
-func (r *reducer) pairs(c int) (rdf.Cursor, bool) {
+// pairs returns the triples of the edge joining child c to its parent, the
+// predicate's CSR run read as a slice (the snapshot is compacted), and
+// whether the parent is their subject: a pair's A is the subject and B
+// the object.
+func (r *reducer) pairs(c int) ([]rdf.Pair, bool) {
 	e := r.q.Edges[r.up[c]]
-	var cur rdf.Cursor
-	cur.Pred(r.g, e.Pred)
-	return cur, e.From == r.parent[c]
+	return r.g.PredRun(e.Pred), e.From == r.parent[c]
 }
 
 // orient returns the parent's and the child's end of a pair.
@@ -175,9 +176,9 @@ func (r *reducer) reduceUp() bool {
 			if r.parent[c] != v {
 				continue
 			}
-			cur, down := r.pairs(c)
+			run, down := r.pairs(c)
 			below, out := r.sets[c], r.spare[:0]
-			for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+			for _, p := range run {
 				if x, y := orient(p, down); below.has(y) && (first || set.has(x)) {
 					out.add(x)
 				}
@@ -186,8 +187,8 @@ func (r *reducer) reduceUp() bool {
 			first = false
 		}
 		if first {
-			cur, down := r.pairs(v)
-			for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+			run, down := r.pairs(v)
+			for _, p := range run {
 				_, y := orient(p, down)
 				set.add(y)
 			}
@@ -292,8 +293,8 @@ func (r *reducer) count() int {
 			acc := r.acc[:len(own)]
 			clear(acc)
 			below, counts := r.sets[c], r.counts[offset[c]:offset[c+1]]
-			cur, down := r.pairs(c)
-			for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+			run, down := r.pairs(c)
+			for _, p := range run {
 				x, y := orient(p, down)
 				if !set.has(x) || !below.has(y) {
 					continue

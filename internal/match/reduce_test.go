@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -184,4 +185,77 @@ func FuzzTreeReducer(f *testing.F) {
 			t.Fatalf("Count = %d, the search's %d; pattern %+v %+v over %v", got, want, c.q.Verts, c.q.Edges, sn.Triples())
 		}
 	})
+}
+
+// TestBatchEqualsOneAtATime: MatchedEdgesAll and CountAll give, at each
+// index, what MatchedEdges and Count give for that item alone, whatever
+// the number of workers — over one compacted graph and patterns decoded
+// as FuzzTreeReducer decodes them: trees with vertex filters and
+// constants, which the reducer takes, and cycles and predicate variables,
+// which the search takes. The race detector sees the workers share the
+// snapshot and the reducer pool.
+func TestBatchEqualsOneAtATime(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	triples := make([]rdf.Triple, 60)
+	for i := range triples {
+		triples[i] = rdf.Triple{S: rdf.ID(r.Intn(6)), P: rdf.ID(16 + r.Intn(3)), O: rdf.ID(r.Intn(6))}
+	}
+	g := rdf.NewFrozen(nil, triples)
+	sn := g.Snapshot()
+	defer sn.Close()
+
+	var items []Item
+	var filtered, searched, cyclic int
+	for i := 0; i < 64; i++ {
+		seed := make([]byte, 48)
+		r.Read(seed)
+		seed[0] &= caseFilter | caseConstant | caseExtraEdge | casePredVar
+		if i%3 != 0 {
+			seed[0] &^= caseExtraEdge | casePredVar
+		}
+		seed[1] &= 0x2f
+		c := decodeTreeCase(seed)
+		items = append(items, Item{Q: c.q, Opts: Options{VertexFilter: c.filter}})
+		if c.filter != nil {
+			filtered++
+		}
+		if !reduces(c.q, sn, items[i].Opts) {
+			searched++
+		}
+		if seed[0]&(caseExtraEdge|casePredVar) == caseExtraEdge {
+			cyclic++
+		}
+	}
+	if filtered == 0 || cyclic == 0 || searched == 0 || searched == len(items) {
+		t.Fatalf("%d of %d items filtered, %d cyclic, %d searched: the fixture misses a path", filtered, len(items), cyclic, searched)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		sets, counts := MatchedEdgesAll(items, sn), CountAll(items, sn)
+		if len(sets) != len(items) || len(counts) != len(items) {
+			t.Fatalf("GOMAXPROCS %d: %d sets and %d counts for %d items", procs, len(sets), len(counts), len(items))
+		}
+		matched := 0
+		for i, it := range items {
+			want := MatchedEdges(it.Q, sn, it.Opts)
+			if got := sets[i]; !slices.Equal(got.Triples(), want.Triples()) {
+				t.Errorf("GOMAXPROCS %d, item %d: MatchedEdgesAll has %d edges, MatchedEdges %d", procs, i, got.Len(), want.Len())
+			}
+			if want := Count(it.Q, sn, it.Opts); counts[i] != want {
+				t.Errorf("GOMAXPROCS %d, item %d: CountAll = %d, Count %d", procs, i, counts[i], want)
+			}
+			if counts[i] > 0 {
+				matched++
+			}
+		}
+		if matched < len(items)/4 {
+			t.Fatalf("%d of %d items match: the fixture compares empty results mostly", matched, len(items))
+		}
+		t.Logf("GOMAXPROCS %d: %d of %d items filtered, %d cyclic, %d searched, %d match", procs, filtered, len(items), cyclic, searched, matched)
+	}
+	if len(MatchedEdgesAll(nil, sn)) != 0 || len(CountAll(nil, sn)) != 0 {
+		t.Error("an empty batch has results")
+	}
 }

@@ -190,3 +190,42 @@ func ExampleCursor() {
 	}
 	// Output: <p> <o2>
 }
+
+// TestSnapshotPredRun: over a compacted snapshot, PredRun hands out what a
+// Cursor walk of the predicate's run yields — for every predicate of a
+// graph built frozen and of one whose deletes and inserts a compaction
+// folded in, and for a predicate no triple has — and over a snapshot with
+// a delta it refuses.
+func TestSnapshotPredRun(t *testing.T) {
+	const nv, np = 9, 3
+	base := distinct(randomTriples(8, 90, nv, np))
+	churned := NewFrozen(nil, slices.Clone(base))
+	churned.SetAutoCompact(-1)
+	for i, tr := range distinct(randomTriples(9, 30, nv, np+1)) {
+		if i%3 == 0 {
+			churned.Delete(tr)
+		} else {
+			churned.Add(tr)
+		}
+	}
+	churned.Compact()
+	for name, g := range map[string]*Graph{"frozen": NewFrozen(nil, slices.Clone(base)), "compacted": churned} {
+		sn := g.Snapshot()
+		for _, p := range append(sn.Predicates(), nv+np+7) {
+			if got, want := sn.PredRun(p), collect(sn.Pred(p)); !slices.Equal(got, want) {
+				t.Errorf("%s: PredRun(%d) = %v, the cursor's %v", name, p, got, want)
+			}
+		}
+		sn.Close()
+	}
+	g := NewFrozen(nil, slices.Clone(base))
+	g.Add(Triple{S: 1, P: nv, O: 70})
+	sn := g.Snapshot()
+	defer sn.Close()
+	defer func() {
+		if recover() == nil {
+			t.Error("PredRun over a snapshot with a delta did not panic")
+		}
+	}()
+	sn.PredRun(base[0].P)
+}

@@ -159,6 +159,17 @@ func (r *Run) Pred(s *Snapshot, p ID) *Run {
 	return r.set(s.gen.csr.pred(p), &s.gen.delta.pred, p, s.n)
 }
 
+// PredRun returns the triples labelled p, (S, O) pairs in that order, as
+// the CSR generation's own run: a slice of its arena, which the caller
+// must not modify. It needs a compacted snapshot (Compacted), whose runs
+// are the CSR's; over any other it panics, as EdgeSet.AddOut does.
+func (s *Snapshot) PredRun(p ID) []Pair {
+	if !s.Compacted() {
+		panic("rdf: Snapshot.PredRun over a snapshot with a delta")
+	}
+	return s.gen.csr.pred(p)
+}
+
 // OutDegree returns the number of visible outgoing edges of v.
 func (s *Snapshot) OutDegree(v ID) int { return new(Run).Out(s, v).Len() }
 

@@ -89,6 +89,36 @@ func TestAdmissionWaitCancelled(t *testing.T) {
 	}
 }
 
+// TestEndedContextTakesFreeSlot: a query whose context ended before it
+// was submitted, to a server with a slot free, takes the slot at once and
+// gives it back with the context's error before planning — nothing
+// planned, no message sent, one failure — so the next query runs.
+func TestEndedContextTakesFreeSlot(t *testing.T) {
+	engine, env := newEngine(t, cluster.Delay{})
+	srv := serve.New(engine, serve.Config{Workers: 1})
+	defer srv.Close()
+	q := sparql.MustParse(env.G.Dict, testQueries[3])
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	msgs, _ := engine.Cluster.Net.Snapshot()
+	before := srv.Metrics()
+	if _, err := srv.Query(gone, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a query with an ended context: err %v, want context.Canceled", err)
+	}
+	after := srv.Metrics()
+	if got, _ := engine.Cluster.Net.Snapshot(); got != msgs || after.CacheHits+after.CacheMisses != before.CacheHits+before.CacheMisses {
+		t.Errorf("the query reached the engine: %d messages and %d plan lookups, want %d and %d",
+			got, after.CacheHits+after.CacheMisses, msgs, before.CacheHits+before.CacheMisses)
+	}
+	if after.Failed != before.Failed+1 || after.QueueDepth != 0 || after.InFlight != 0 {
+		t.Errorf("failed %d, queue depth %d, in flight %d; want %d, 0, 0", after.Failed, after.QueueDepth, after.InFlight, before.Failed+1)
+	}
+	if _, err := srv.Query(context.Background(), q); err != nil {
+		t.Fatalf("the next query: %v", err)
+	}
+}
+
 // TestOverloadStartsAtWorkersPlusQueueDepth: with Workers 2 and
 // QueueDepth 3, five queries are admitted — two executing, three waiting
 // — and the sixth is refused with ErrOverloaded at once.
