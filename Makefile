@@ -198,10 +198,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The end-to-end harness is a module of its own, so `./...` above never
-# reaches it — yet benchmark/layers compiles against internal packages,
-# and a signature it uses moving shows up only later, as a traced run
-# reporting layers.available 0 and a column of -1. Vet and test it here;
-# -short skips the run that launches servers.
+# reaches it. benchmark/layers compiles against internal packages; the
+# exports checker in `go test .` (exports_test.go) type-checks it, so a
+# signature it uses moving fails `test`, not a later traced run. Vet and
+# test the whole harness here; -short skips the run that launches servers.
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 

@@ -206,14 +206,6 @@ func (dep *Deployment) Explain(query string) (*Explanation, error) {
 	return dep.engine.Explain(q)
 }
 
-// NetworkStats returns cumulative simulated network traffic.
-func (dep *Deployment) NetworkStats() (messages, bytes int64) {
-	return dep.cluster.Net.Snapshot()
-}
-
-// ResetNetworkStats zeroes the traffic counters.
-func (dep *Deployment) ResetNetworkStats() { dep.cluster.Net.Reset() }
-
 // Describe renders a human-readable deployment summary.
 func (dep *Deployment) Describe() string {
 	s := dep.Stats()

@@ -38,13 +38,17 @@ func watdivDB(t testing.TB, triples int, cfg Config) (*DB, *watdiv.Dataset, []*s
 }
 
 // deploymentShape lists what a query can observe of the offline
-// pipeline's outcome: each fragment's key, size and site, each site's
-// stored triples, then the plan of every probe query.
+// pipeline's outcome: each fragment's kind, pattern, minterm, size and
+// site, each site's stored triples, then the plan of every probe query.
 func deploymentShape(t *testing.T, dep *Deployment, probes []*sparql.Graph) string {
 	t.Helper()
 	var b strings.Builder
 	for _, f := range dep.frag.All() {
-		fmt.Fprintf(&b, "%d %s %d @%d\n", f.ID, f.Key(), f.Size, dep.alloc.SiteOf[f.ID])
+		code := ""
+		if f.Pattern != nil {
+			code = f.Pattern.Code
+		}
+		fmt.Fprintf(&b, "%d %v %s %v %d @%d\n", f.ID, f.Kind, code, f.Minterm, f.Size, dep.alloc.SiteOf[f.ID])
 	}
 	for s, g := range dep.alloc.Graphs {
 		fmt.Fprintf(&b, "site %d stores %d\n", s, g.NumTriples())
@@ -94,7 +98,7 @@ func TestDeployDeterministic(t *testing.T) {
 				}
 				return
 			}
-			if strategy == Horizontal && !strings.Contains(want, "|v") {
+			if strategy == Horizontal && !strings.Contains(want, " p(v") {
 				t.Fatal("no minterm fragment: the fixture does not exercise the tie-break")
 			}
 			for i := 1; i < 8; i++ {

@@ -500,14 +500,8 @@ func (d *Durable) CleanStart() bool { return d.cleanStart }
 // ReplayedRecords is how many WAL records the last Recover applied.
 func (d *Durable) ReplayedRecords() uint64 { return d.replayed }
 
-// LastSeq is the newest WAL sequence number.
-func (d *Durable) LastSeq() uint64 { return d.log.LastSeq() }
-
 // CheckpointSeq is the WAL sequence the latest checkpoint covers.
 func (d *Durable) CheckpointSeq() uint64 { return d.checkpointSeq.Load() }
-
-// Checkpoints counts checkpoints written since this Durable opened.
-func (d *Durable) Checkpoints() uint64 { return d.checkpoints.Load() }
 
 // writeCleanMarker records "this directory was closed cleanly at WAL
 // sequence seq"; fsynced, since its whole point is surviving the power

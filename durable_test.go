@@ -144,8 +144,8 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if d.Checkpoints() == 0 || d.CheckpointSeq() == 0 {
-		t.Fatalf("no checkpoint recorded (checkpoints=%d seq=%d)", d.Checkpoints(), d.CheckpointSeq())
+	if srv.Metrics().WAL.Checkpoints == 0 || d.CheckpointSeq() == 0 {
+		t.Fatalf("no checkpoint recorded (checkpoints=%d seq=%d)", srv.Metrics().WAL.Checkpoints, d.CheckpointSeq())
 	}
 	oracle := queryRows(t, srv, durableProbe)
 	ckptSeq := d.CheckpointSeq()
@@ -304,7 +304,7 @@ func TestUpdateAtomicityOnMalformedBatch(t *testing.T) {
 	}
 	before := queryRows(t, srv, durableProbe)
 	beforeTriples := dep.hc.NumTriples()
-	beforeSeq := d.LastSeq()
+	beforeSeq := srv.Metrics().WAL.LastSeq
 
 	// Two valid lines, then garbage: nothing from this batch may land.
 	bad := durableUpdate(1) + "<U999> <name> not-a-term .\n"
@@ -317,8 +317,8 @@ func TestUpdateAtomicityOnMalformedBatch(t *testing.T) {
 	if after := queryRows(t, srv, durableProbe); strings.Join(after, "\n") != strings.Join(before, "\n") {
 		t.Fatal("malformed batch changed query answers")
 	}
-	if d.LastSeq() != beforeSeq {
-		t.Fatalf("malformed batch logged: WAL seq %d -> %d", beforeSeq, d.LastSeq())
+	if srv.Metrics().WAL.LastSeq != beforeSeq {
+		t.Fatalf("malformed batch logged: WAL seq %d -> %d", beforeSeq, srv.Metrics().WAL.LastSeq)
 	}
 	// The server keeps accepting valid batches afterwards.
 	res, err := srv.Update(context.Background(), durableUpdate(2))

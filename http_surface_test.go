@@ -214,7 +214,7 @@ func TestUpdateBodyTooLarge413(t *testing.T) {
 	srv := dep.StartServer(ServerConfig{Workers: 2, Durable: d})
 	defer srv.Close()
 
-	seqBefore := d.LastSeq()
+	seqBefore := srv.Metrics().WAL.LastSeq
 	body := io.LimitReader(&slopReader{line: []byte("<TooBig> <name> \"x\" .\n")}, 64<<20+64)
 	req := httptest.NewRequest(http.MethodPost, "/update", body)
 	rec := httptest.NewRecorder()
@@ -222,8 +222,8 @@ func TestUpdateBodyTooLarge413(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized update: status %d, want 413 (body %.200s)", rec.Code, rec.Body)
 	}
-	if d.LastSeq() != seqBefore {
-		t.Fatalf("oversized update logged: WAL seq %d -> %d", seqBefore, d.LastSeq())
+	if srv.Metrics().WAL.LastSeq != seqBefore {
+		t.Fatalf("oversized update logged: WAL seq %d -> %d", seqBefore, srv.Metrics().WAL.LastSeq)
 	}
 	res, err := srv.Query(context.Background(), `SELECT ?n WHERE { <TooBig> <name> ?n . }`)
 	if err != nil || len(res.Rows) != 0 {

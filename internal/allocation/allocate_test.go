@@ -112,7 +112,7 @@ func TestAllocateAffineFragmentsColocated(t *testing.T) {
 	postal, _ := g.Dict.Lookup(rdf.NewIRI("postalCode"))
 	siteOfPred := func(p rdf.ID) int {
 		for _, f := range fr.Fragments {
-			if f.Pattern.Size() == 1 && len(f.Pattern.Graph.Predicates()) == 1 && f.Pattern.Graph.Predicates()[0] == p {
+			if f.Pattern.Size() == 1 && f.Pattern.Graph.Edges[0].Pred == p {
 				return alloc.SiteOf[f.ID]
 			}
 		}

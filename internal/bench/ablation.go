@@ -73,11 +73,11 @@ func avgLatency(eng *exec.Engine, qs []*sparql.Graph) (time.Duration, float64, e
 // and an effectively unbounded greedy ("select-all"), reporting the
 // benefit/storage trade-off and query latency.
 func (s *Suite) AblationSelection() (*Table, error) {
-	ds, err := s.DBpedia()
+	ds, err := s.dbpedia()
 	if err != nil {
 		return nil, err
 	}
-	sample := Sample(ds.Log, s.Cfg.SampleFraction)
+	sample := sampleQueries(ds.Log, s.Cfg.SampleFraction)
 	t := &Table{
 		ID:     "ablation-selection",
 		Title:  "pattern selection: Algorithm 1 vs one-edge-only vs unbounded greedy",
@@ -107,7 +107,7 @@ func (s *Suite) AblationSelection() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(v.name,
+		t.addRow(v.name,
 			fmt.Sprintf("%d", len(p.sel.Patterns)),
 			fmt.Sprintf("%d", p.sel.Benefit),
 			fmt.Sprintf("%d", p.sel.TotalSize),
@@ -121,11 +121,11 @@ func (s *Suite) AblationSelection() (*Table, error) {
 // AblationDecomposition compares Algorithm 3's cost-driven decomposition
 // against the naive single-edge decomposition.
 func (s *Suite) AblationDecomposition() (*Table, error) {
-	ds, err := s.DBpedia()
+	ds, err := s.dbpedia()
 	if err != nil {
 		return nil, err
 	}
-	sample := Sample(ds.Log, s.Cfg.SampleFraction)
+	sample := sampleQueries(ds.Log, s.Cfg.SampleFraction)
 	t := &Table{
 		ID:     "ablation-decomposition",
 		Title:  "query decomposition: Algorithm 3 vs single-edge subqueries",
@@ -150,7 +150,7 @@ func (s *Suite) AblationDecomposition() (*Table, error) {
 		if naive {
 			name = "single-edge"
 		}
-		t.AddRow(name, ms(float64(lat.Microseconds())/1000), f2(sites))
+		t.addRow(name, ms(float64(lat.Microseconds())/1000), f2(sites))
 	}
 	return t, nil
 }
@@ -166,14 +166,14 @@ func (s *Suite) Validate() (*Table, error) {
 		Header: []string{"dataset", "strategy", "queries", "mismatches"},
 		Notes:  "every cell in the mismatches column must be 0",
 	}
-	for _, get := range []func() (*Dataset, error){s.DBpedia, s.WatDiv} {
+	for _, get := range []func() (*Dataset, error){s.dbpedia, s.watDiv} {
 		ds, err := get()
 		if err != nil {
 			return nil, err
 		}
-		sample := Sample(ds.Log, s.Cfg.SampleFraction*2)
+		sample := sampleQueries(ds.Log, s.Cfg.SampleFraction*2)
 		for _, name := range StrategyNames {
-			r, _, err := s.BuildStrategy(ds, name)
+			r, _, err := s.buildStrategy(ds, name)
 			if err != nil {
 				return nil, err
 			}
@@ -183,11 +183,11 @@ func (s *Suite) Validate() (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s: %w", name, ds.Name, err)
 				}
-				if !sameAnswer(got, CentralAnswer(q, ds.Graph)) {
+				if !sameAnswer(got, centralAnswer(q, ds.Graph)) {
 					mismatches++
 				}
 			}
-			t.AddRow(ds.Name, name, fmt.Sprintf("%d", len(sample)), fmt.Sprintf("%d", mismatches))
+			t.addRow(ds.Name, name, fmt.Sprintf("%d", len(sample)), fmt.Sprintf("%d", mismatches))
 		}
 	}
 	return t, nil
@@ -196,11 +196,11 @@ func (s *Suite) Validate() (*Table, error) {
 // AblationAllocation compares PNN affinity clustering against round-robin
 // placement.
 func (s *Suite) AblationAllocation() (*Table, error) {
-	ds, err := s.DBpedia()
+	ds, err := s.dbpedia()
 	if err != nil {
 		return nil, err
 	}
-	sample := Sample(ds.Log, s.Cfg.SampleFraction)
+	sample := sampleQueries(ds.Log, s.Cfg.SampleFraction)
 	t := &Table{
 		ID:     "ablation-allocation",
 		Title:  "allocation: PNN affinity clustering (Algorithm 2) vs round-robin",
@@ -230,7 +230,7 @@ func (s *Suite) AblationAllocation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, ms(float64(lat.Microseconds())/1000), f2(sites), f2(alloc.Balance()))
+		t.addRow(name, ms(float64(lat.Microseconds())/1000), f2(sites), f2(alloc.Balance()))
 	}
 	return t, nil
 }

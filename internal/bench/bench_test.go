@@ -67,17 +67,17 @@ func TestFig8b(t *testing.T) {
 
 func TestBuildStrategyAllCorrect(t *testing.T) {
 	s := NewSuite(smallCfg())
-	ds, err := s.DBpedia()
+	ds, err := s.dbpedia()
 	if err != nil {
 		t.Fatalf("DBpedia: %v", err)
 	}
-	sample := Sample(ds.Log, 0.03)
+	sample := sampleQueries(ds.Log, 0.03)
 	// Every strategy must give the centralized answer, row for row, on
 	// a sample of the log.
 	for _, name := range StrategyNames {
-		r, st, err := s.BuildStrategy(ds, name)
+		r, st, err := s.buildStrategy(ds, name)
 		if err != nil {
-			t.Fatalf("BuildStrategy(%s): %v", name, err)
+			t.Fatalf("buildStrategy(%s): %v", name, err)
 		}
 		if st.Redundancy < 1.0 {
 			t.Errorf("%s redundancy %f < 1", name, st.Redundancy)
@@ -87,7 +87,7 @@ func TestBuildStrategyAllCorrect(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s query %d: %v", name, qi, err)
 			}
-			if want := CentralAnswer(q, ds.Graph); !sameAnswer(got, want) {
+			if want := centralAnswer(q, ds.Graph); !sameAnswer(got, want) {
 				t.Errorf("%s query %d: got %v with %d rows, want %v with %d", name, qi, got.Vars, got.Len(), want.Vars, want.Len())
 			}
 		}
@@ -100,14 +100,14 @@ func TestBuildStrategyParallelism(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Parallelism = 1
 	s := NewSuite(cfg)
-	ds, err := s.DBpedia()
+	ds, err := s.dbpedia()
 	if err != nil {
 		t.Fatalf("DBpedia: %v", err)
 	}
 	for _, name := range StrategyNames {
-		r, _, err := s.BuildStrategy(ds, name)
+		r, _, err := s.buildStrategy(ds, name)
 		if err != nil {
-			t.Fatalf("BuildStrategy(%s): %v", name, err)
+			t.Fatalf("buildStrategy(%s): %v", name, err)
 		}
 		_, stats, err := r.Query(ds.Log[0])
 		if err != nil {
@@ -121,7 +121,7 @@ func TestBuildStrategyParallelism(t *testing.T) {
 
 func TestFig12QueriesCorrectAllStrategies(t *testing.T) {
 	s := NewSuite(smallCfg())
-	ds, err := s.WatDiv()
+	ds, err := s.watDiv()
 	if err != nil {
 		t.Fatalf("WatDiv: %v", err)
 	}
@@ -130,16 +130,16 @@ func TestFig12QueriesCorrectAllStrategies(t *testing.T) {
 		t.Fatalf("BenchmarkQueries: %v", err)
 	}
 	for _, name := range StrategyNames {
-		r, _, err := s.BuildStrategy(ds, name)
+		r, _, err := s.buildStrategy(ds, name)
 		if err != nil {
-			t.Fatalf("BuildStrategy(%s): %v", name, err)
+			t.Fatalf("buildStrategy(%s): %v", name, err)
 		}
 		for i, q := range qs {
 			got, _, err := r.Query(q)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, names[i], err)
 			}
-			if want := CentralAnswer(q, ds.Graph); !sameAnswer(got, want) {
+			if want := centralAnswer(q, ds.Graph); !sameAnswer(got, want) {
 				t.Errorf("%s %s: got %v with %d rows, want %v with %d", name, names[i], got.Vars, got.Len(), want.Vars, want.Len())
 			}
 		}
@@ -148,15 +148,15 @@ func TestFig12QueriesCorrectAllStrategies(t *testing.T) {
 
 func TestSample(t *testing.T) {
 	s := NewSuite(smallCfg())
-	ds, err := s.DBpedia()
+	ds, err := s.dbpedia()
 	if err != nil {
 		t.Fatalf("DBpedia: %v", err)
 	}
-	sm := Sample(ds.Log, 0.01)
+	sm := sampleQueries(ds.Log, 0.01)
 	if len(sm) < 10 || len(sm) > len(ds.Log) {
 		t.Errorf("sample size = %d", len(sm))
 	}
-	all := Sample(ds.Log, 1.0)
+	all := sampleQueries(ds.Log, 1.0)
 	if len(all) != len(ds.Log) {
 		t.Errorf("full sample = %d, want %d", len(all), len(ds.Log))
 	}
@@ -191,7 +191,7 @@ func TestTable1Shapes(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tab := &Table{ID: "x", Title: "demo", Header: []string{"a", "b"}}
-	tab.AddRow("1", "2")
+	tab.addRow("1", "2")
 	out := tab.String()
 	if !strings.Contains(out, "demo") || !strings.Contains(out, "1") {
 		t.Errorf("render = %q", out)

@@ -13,7 +13,7 @@ import (
 // (Figure 8(a): 0.1% → 163 FAPs, 1% → 44 for real DBpedia; shapes here,
 // not absolute counts).
 func (s *Suite) Fig8a() (*Table, error) {
-	ds, err := s.DBpedia()
+	ds, err := s.dbpedia()
 	if err != nil {
 		return nil, err
 	}
@@ -28,7 +28,7 @@ func (s *Suite) Fig8a() (*Table, error) {
 			minSup = 1
 		}
 		ps := (&mining.Miner{MinSup: minSup}).Mine(ds.Log)
-		t.AddRow(fmt.Sprintf("%.1f%%", frac*100), fmt.Sprintf("%d", len(ps)))
+		t.addRow(fmt.Sprintf("%.1f%%", frac*100), fmt.Sprintf("%d", len(ps)))
 	}
 	t.Notes = "paper: 0.1%→163, 1%→44 FAPs; count must fall as minSup rises"
 	return t, nil
@@ -37,7 +37,7 @@ func (s *Suite) Fig8a() (*Table, error) {
 // Fig8b reports workload coverage as a function of the number of FAPs
 // kept (Figure 8(b)): patterns sorted by support, prefix coverage.
 func (s *Suite) Fig8b() (*Table, error) {
-	ds, err := s.DBpedia()
+	ds, err := s.dbpedia()
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func (s *Suite) Fig8b() (*Table, error) {
 			n = len(ps)
 		}
 		cov := mining.Coverage(ps[:n], ds.Log)
-		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.1f%%", cov*100))
+		t.addRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.1f%%", cov*100))
 	}
 	t.Notes = "paper: coverage rises with FAP count, ~97% at full set"
 	return t, nil
@@ -130,15 +130,15 @@ func (s *Suite) Fig9() (*Table, error) {
 		Header: []string{"dataset", "SHAPE", "WARP", "VF", "HF"},
 		Notes:  "paper: VF > HF > WARP > SHAPE on both datasets",
 	}
-	for _, get := range []func() (*Dataset, error){s.DBpedia, s.WatDiv} {
+	for _, get := range []func() (*Dataset, error){s.dbpedia, s.watDiv} {
 		ds, err := get()
 		if err != nil {
 			return nil, err
 		}
-		sample := Sample(ds.Log, s.Cfg.SampleFraction)
+		sample := sampleQueries(ds.Log, s.Cfg.SampleFraction)
 		row := []string{ds.Name}
 		for _, name := range StrategyNames {
-			r, _, err := s.BuildStrategy(ds, name)
+			r, _, err := s.buildStrategy(ds, name)
 			if err != nil {
 				return nil, err
 			}
@@ -148,7 +148,7 @@ func (s *Suite) Fig9() (*Table, error) {
 			}
 			row = append(row, fmt.Sprintf("%.0f", qpm))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t, nil
 }
@@ -161,15 +161,15 @@ func (s *Suite) Fig10() (*Table, error) {
 		Header: []string{"dataset", "SHAPE", "WARP", "VF", "HF"},
 		Notes:  "paper: HF < VF < WARP < SHAPE on both datasets",
 	}
-	for _, get := range []func() (*Dataset, error){s.DBpedia, s.WatDiv} {
+	for _, get := range []func() (*Dataset, error){s.dbpedia, s.watDiv} {
 		ds, err := get()
 		if err != nil {
 			return nil, err
 		}
-		sample := Sample(ds.Log, s.Cfg.SampleFraction)
+		sample := sampleQueries(ds.Log, s.Cfg.SampleFraction)
 		row := []string{ds.Name}
 		for _, name := range StrategyNames {
-			r, _, err := s.BuildStrategy(ds, name)
+			r, _, err := s.buildStrategy(ds, name)
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +179,7 @@ func (s *Suite) Fig10() (*Table, error) {
 			}
 			row = append(row, ms(float64(avg.Microseconds())/1000))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t, nil
 }
@@ -200,12 +200,12 @@ func (s *Suite) Fig11() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sample := Sample(ds.Log, s.Cfg.SampleFraction)
+		sample := sampleQueries(ds.Log, s.Cfg.SampleFraction)
 		row := []string{fmt.Sprintf("%d", ds.Graph.NumTriples())}
 		var avgs []string
 		var qpms []string
 		for _, name := range []string{"VF", "HF"} {
-			r, _, err := s.BuildStrategy(ds, name)
+			r, _, err := s.buildStrategy(ds, name)
 			if err != nil {
 				return nil, err
 			}
@@ -222,14 +222,14 @@ func (s *Suite) Fig11() (*Table, error) {
 		}
 		row = append(row, avgs...)
 		row = append(row, qpms...)
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t, nil
 }
 
 // Fig12 runs the 20 WatDiv benchmark queries per strategy (Figure 12).
 func (s *Suite) Fig12() (*Table, error) {
-	ds, err := s.WatDiv()
+	ds, err := s.watDiv()
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +245,7 @@ func (s *Suite) Fig12() (*Table, error) {
 	}
 	runners := make([]Runner, len(StrategyNames))
 	for i, name := range StrategyNames {
-		r, _, err := s.BuildStrategy(ds, name)
+		r, _, err := s.buildStrategy(ds, name)
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +263,7 @@ func (s *Suite) Fig12() (*Table, error) {
 			}
 			row = append(row, ms(float64(time.Since(t0).Microseconds())/1000/reps))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t, nil
 }
@@ -276,24 +276,24 @@ func (s *Suite) Table1() (*Table, error) {
 		Header: []string{"strategy", "DBpedia", "WatDiv"},
 		Notes:  "paper: SHAPE 2.99/1.74, WARP 1.01/1.54, VF 1.38/1.04, HF 1.42/1.06",
 	}
-	dbp, err := s.DBpedia()
+	dbp, err := s.dbpedia()
 	if err != nil {
 		return nil, err
 	}
-	wat, err := s.WatDiv()
+	wat, err := s.watDiv()
 	if err != nil {
 		return nil, err
 	}
 	for _, name := range StrategyNames {
-		_, st1, err := s.BuildStrategy(dbp, name)
+		_, st1, err := s.buildStrategy(dbp, name)
 		if err != nil {
 			return nil, err
 		}
-		_, st2, err := s.BuildStrategy(wat, name)
+		_, st2, err := s.buildStrategy(wat, name)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, f2(st1.Redundancy), f2(st2.Redundancy))
+		t.addRow(name, f2(st1.Redundancy), f2(st2.Redundancy))
 	}
 	return t, nil
 }
@@ -306,24 +306,24 @@ func (s *Suite) Table2() (*Table, error) {
 		Header: []string{"strategy", "DBp part", "DBp load", "DBp total", "WD part", "WD load", "WD total"},
 		Notes:  "paper reports minutes at 10⁴× scale; shapes (VF/HF loading dominates on DBpedia) carry over",
 	}
-	dbp, err := s.DBpedia()
+	dbp, err := s.dbpedia()
 	if err != nil {
 		return nil, err
 	}
-	wat, err := s.WatDiv()
+	wat, err := s.watDiv()
 	if err != nil {
 		return nil, err
 	}
 	for _, name := range StrategyNames {
-		_, st1, err := s.BuildStrategy(dbp, name)
+		_, st1, err := s.buildStrategy(dbp, name)
 		if err != nil {
 			return nil, err
 		}
-		_, st2, err := s.BuildStrategy(wat, name)
+		_, st2, err := s.buildStrategy(wat, name)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name,
+		t.addRow(name,
 			ms(float64(st1.Partitioning.Microseconds())/1000),
 			ms(float64(st1.Loading.Microseconds())/1000),
 			ms(float64((st1.Partitioning+st1.Loading).Microseconds())/1000),
@@ -333,18 +333,4 @@ func (s *Suite) Table2() (*Table, error) {
 		)
 	}
 	return t, nil
-}
-
-// All runs every experiment in paper order.
-func (s *Suite) All() ([]*Table, error) {
-	type exp func() (*Table, error)
-	var out []*Table
-	for _, e := range []exp{s.Fig8a, s.Fig8b, s.Fig9, s.Fig10, s.Fig11, s.Fig12, s.Table1, s.Table2, s.ServerThroughput} {
-		t, err := e()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

@@ -19,11 +19,11 @@ import (
 // against a single-query engine" to a real serving stack with admission
 // control and a streaming join pipeline.
 func (s *Suite) ServerThroughput() (*Table, error) {
-	ds, err := s.DBpedia()
+	ds, err := s.dbpedia()
 	if err != nil {
 		return nil, err
 	}
-	sample := Sample(ds.Log, s.Cfg.SampleFraction)
+	sample := sampleQueries(ds.Log, s.Cfg.SampleFraction)
 
 	t := &Table{
 		ID:     "serve",
@@ -35,7 +35,7 @@ func (s *Suite) ServerThroughput() (*Table, error) {
 		maxClients = 4
 	}
 	for _, strategy := range []string{"VF", "HF"} {
-		runner, _, err := s.BuildStrategy(ds, strategy)
+		runner, _, err := s.buildStrategy(ds, strategy)
 		if err != nil {
 			return nil, err
 		}
@@ -48,7 +48,7 @@ func (s *Suite) ServerThroughput() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(strategy, fmt.Sprintf("%d", clients),
+			t.addRow(strategy, fmt.Sprintf("%d", clients),
 				fmt.Sprintf("%.0f", qps),
 				m.P50.Round(10*time.Microsecond).String(),
 				m.P95.Round(10*time.Microsecond).String(),

@@ -120,8 +120,8 @@ func NewSuite(cfg Config) *Suite {
 	return &Suite{Cfg: cfg.withDefaults()}
 }
 
-// DBpedia returns the synthetic DBpedia-like corpus.
-func (s *Suite) DBpedia() (*Dataset, error) {
+// dbpedia returns the synthetic DBpedia-like corpus.
+func (s *Suite) dbpedia() (*Dataset, error) {
 	if s.dbp != nil {
 		return s.dbp, nil
 	}
@@ -137,8 +137,8 @@ func (s *Suite) DBpedia() (*Dataset, error) {
 	return s.dbp, nil
 }
 
-// WatDiv returns the WatDiv-like corpus at the configured default size.
-func (s *Suite) WatDiv() (*Dataset, error) {
+// watDiv returns the WatDiv-like corpus at the configured default size.
+func (s *Suite) watDiv() (*Dataset, error) {
 	if s.wat != nil {
 		return s.wat, nil
 	}
@@ -177,9 +177,9 @@ type BuildStats struct {
 // StrategyName enumerates the four compared systems.
 var StrategyNames = []string{"SHAPE", "WARP", "VF", "HF"}
 
-// BuildStrategy deploys one strategy over a dataset, reporting offline
+// buildStrategy deploys one strategy over a dataset, reporting offline
 // stats. Strategy must be one of StrategyNames.
-func (s *Suite) BuildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats, error) {
+func (s *Suite) buildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats, error) {
 	cfg := s.Cfg
 	stats := &BuildStats{Strategy: strategy}
 	switch strategy {
@@ -272,8 +272,8 @@ func multiEdge(pats []*mining.Pattern) []*mining.Pattern {
 	return out
 }
 
-// Sample picks every k-th query for a fraction of the workload.
-func Sample(log []*sparql.Graph, fraction float64) []*sparql.Graph {
+// sampleQueries picks every k-th query for a fraction of the workload.
+func sampleQueries(log []*sparql.Graph, fraction float64) []*sparql.Graph {
 	if fraction >= 1 {
 		return log
 	}
@@ -295,11 +295,11 @@ func Sample(log []*sparql.Graph, fraction float64) []*sparql.Graph {
 	return out
 }
 
-// CentralAnswer answers q over the full graph with the same projection
+// centralAnswer answers q over the full graph with the same projection
 // semantics as the distributed engines: distinct projected rows, in Dedup
 // order. Tests and the validation mode of cmd/experiments compare every
 // strategy's answer with it.
-func CentralAnswer(q *sparql.Graph, g *rdf.Graph) *match.Bindings {
+func centralAnswer(q *sparql.Graph, g *rdf.Graph) *match.Bindings {
 	sn := g.Snapshot()
 	defer sn.Close()
 	ms := match.Find(q, sn, match.Options{})

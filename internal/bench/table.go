@@ -19,8 +19,8 @@ type Table struct {
 	Notes  string
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) {
+// addRow appends a formatted row.
+func (t *Table) addRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 

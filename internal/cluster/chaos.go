@@ -87,10 +87,6 @@ type ChaosCounts struct {
 	Drops, Errors, Cuts, Delays uint64
 }
 
-// Disruptions is the number of injected faults that failed a call
-// (drops, errors and cuts; straggler delays slow but do not fail).
-func (c ChaosCounts) Disruptions() uint64 { return c.Drops + c.Errors + c.Cuts }
-
 // Chaos injects seeded faults. Safe for concurrent use; the PRNG is
 // mutex-protected so concurrent rolls serialize (determinism of the
 // fault sequence then depends only on message arrival order).

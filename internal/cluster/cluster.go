@@ -116,12 +116,6 @@ func (n *NetStats) Snapshot() (messages, bytes int64) {
 	return n.Messages.Load(), n.Bytes.Load()
 }
 
-// Reset zeroes the counters.
-func (n *NetStats) Reset() {
-	n.Messages.Store(0)
-	n.Bytes.Store(0)
-}
-
 // Cluster is a set of sites plus the control site's view of the network.
 type Cluster struct {
 	Sites []*Site

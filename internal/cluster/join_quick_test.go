@@ -18,9 +18,10 @@ func table(vars []string, rows ...[]rdf.ID) *match.Bindings {
 
 // tableRows lists a table's rows; an empty tuple is an empty row.
 func tableRows(b *match.Bindings) [][]rdf.ID {
+	w := len(b.Vars)
 	rows := make([][]rdf.ID, b.Len())
 	for i := range rows {
-		rows[i] = b.Row(i)
+		rows[i] = b.Rows[i*w : (i+1)*w]
 	}
 	return rows
 }

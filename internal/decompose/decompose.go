@@ -122,12 +122,12 @@ type block struct {
 	card  dict.CardShape
 	// embeds[i] holds, for the fragment of card.Entries[i], every
 	// embedding of its pattern into the block as a map from pattern
-	// vertex to query vertex: what Fragment.RelevantTo enumerates, with
+	// vertex to query vertex: what Relevance.RelevantTo enumerates, with
 	// the positions of the constants a minterm is checked against.
 	embeds [][][]int
 }
 
-// relevant is Fragment.RelevantTo for entry i against q's constants.
+// relevant is Relevance.RelevantTo for entry i against q's constants.
 func (b *block) relevant(q *sparql.Graph, i int) bool {
 	return b.card.Entries[i].Fragment.CompatibleWithAny(q, b.embeds[i])
 }

@@ -146,7 +146,7 @@ func TestDecomposeCostMinimal(t *testing.T) {
 	singleProd := 1.0
 	for i := range q.Edges {
 		sub := q.EdgeSubgraph([]int{i})
-		c, ok := env.Dict.EstimateCard(sub)
+		c, ok := oracleCard(env.Dict, sub)
 		if !ok {
 			t.Fatalf("edge %d unmapped", i)
 		}

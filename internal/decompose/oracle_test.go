@@ -6,14 +6,27 @@ import (
 	"sort"
 
 	"rdffrag/internal/decompose"
+	"rdffrag/internal/dict"
+	"rdffrag/internal/fragment"
 	"rdffrag/internal/mining"
 	"rdffrag/internal/sparql"
 )
 
+// oracleCard is card(sub) from the subquery in hand: its CardShape, then
+// Estimate over the fragments a fresh Relevance finds relevant.
+func oracleCard(d *dict.Dictionary, sub *sparql.Graph) (int, bool) {
+	cs, ok := d.CardShape(sub)
+	if !ok {
+		return 0, false
+	}
+	var rel fragment.Relevance
+	return cs.Estimate(func(i int) bool { return rel.RelevantTo(cs.Entries[i].Fragment, sub) }), true
+}
+
 // oracleDecompose is Decompose as it stood before the shape/bind split —
 // one pass that re-derives everything from the query in hand, with
-// dict.EstimateCard and Fragment.RelevantTo running subgraph isomorphism
-// per candidate — kept as the reference the split is compared against. It
+// oracleCard and Relevance.RelevantTo running subgraph isomorphism per
+// candidate — kept as the reference the split is compared against. It
 // leaves Subquery.Relevant nil; oracleRoute supplies the routing.
 func oracleDecompose(d *decompose.Decomposer, q *sparql.Graph) (*decompose.Decomposition, error) {
 	if len(q.Edges) == 0 {
@@ -63,7 +76,7 @@ func oracleDecompose(d *decompose.Decomposer, q *sparql.Graph) (*decompose.Decom
 				continue
 			}
 			sub := q.EdgeSubgraph(es)
-			card, mapped := d.Dict.EstimateCard(sub)
+			card, mapped := oracleCard(d.Dict, sub)
 			if !mapped {
 				continue
 			}
@@ -212,7 +225,7 @@ func oracleNaive(d *decompose.Decomposer, q *sparql.Graph, hotIdx []int, fixed [
 	}
 	for _, ei := range hotIdx {
 		sub := q.EdgeSubgraph([]int{ei})
-		card, ok := d.Dict.EstimateCard(sub)
+		card, ok := oracleCard(d.Dict, sub)
 		if !ok {
 			return nil, fmt.Errorf("decompose: hot edge %d has no one-edge pattern", ei)
 		}

@@ -157,7 +157,7 @@ func TestShapeBoundToOtherInstanceMatchesOracle(t *testing.T) {
 						}
 						sameAsOracle(t, d, q, got)
 						for _, sq := range got.Subqueries {
-							if sq.Relevant != nil && len(sq.Relevant) < len(d.Dict.Lookup(sq.PatternCode)) {
+							if cs, _ := d.Dict.CardShape(sq.Graph); sq.Relevant != nil && len(sq.Relevant) < len(cs.Entries) {
 								pruned++
 							}
 						}

@@ -38,8 +38,7 @@ type Entry struct {
 // Dictionary indexes fragments by the canonical code of their generating
 // pattern. Several horizontal fragments share one pattern code.
 type Dictionary struct {
-	entries []*Entry
-	byCode  map[string][]*Entry
+	byCode map[string][]*Entry
 	// patterns holds the distinct selected patterns, sorted by code.
 	patterns []*mining.Pattern
 	// coldStats holds per-predicate triple counts of the cold graph for
@@ -51,7 +50,7 @@ type Dictionary struct {
 	coldGraph        *rdf.Graph
 	coldBuildTriples int
 	// selectivity divisor applied per constant vertex during cardinality
-	// estimation (see EstimateCard).
+	// estimation (see Estimate).
 	constSelectivity int
 	// hotStats provides per-predicate distinct counts for precise
 	// single-edge estimates.
@@ -91,7 +90,6 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 		if s, ok := alloc.SiteOf[f.ID]; ok {
 			e.Site = s
 		}
-		d.entries = append(d.entries, e)
 		if len(d.byCode[f.Pattern.Code]) == 0 {
 			d.patterns = append(d.patterns, f.Pattern)
 		}
@@ -127,21 +125,9 @@ func liveRatio(g *rdf.Graph, buildSize int) float64 {
 	return float64(g.NumTriples()) / float64(buildSize)
 }
 
-// Entries returns all dictionary entries.
-func (d *Dictionary) Entries() []*Entry { return d.entries }
-
 // Patterns returns the distinct selected patterns sorted by code. The
 // slice is the dictionary's own, built once in Build; do not modify it.
 func (d *Dictionary) Patterns() []*mining.Pattern { return d.patterns }
-
-// Lookup retrieves the entries for a pattern code (the DFS-code hash-table
-// probe of Section 7.1).
-func (d *Dictionary) Lookup(code string) []*Entry { return d.byCode[code] }
-
-// LookupGraph canonicalizes a query subgraph and retrieves its entries.
-func (d *Dictionary) LookupGraph(g *sparql.Graph) []*Entry {
-	return d.byCode[mining.CanonicalCode(g.Generalize())]
-}
 
 // RelevantEntries returns the entries for the subquery's pattern whose
 // fragments are relevant to the (constant-bearing) subquery — the
@@ -149,7 +135,7 @@ func (d *Dictionary) LookupGraph(g *sparql.Graph) []*Entry {
 func (d *Dictionary) RelevantEntries(sub *sparql.Graph) []*Entry {
 	var out []*Entry
 	var rel fragment.Relevance
-	for _, e := range d.LookupGraph(sub) {
+	for _, e := range d.byCode[mining.CanonicalCode(sub.Generalize())] {
 		if rel.RelevantTo(e.Fragment, sub) {
 			out = append(out, e)
 		}
@@ -157,25 +143,10 @@ func (d *Dictionary) RelevantEntries(sub *sparql.Graph) []*Entry {
 	return out
 }
 
-// EstimateCard estimates card(q) for a subquery that maps to a selected
-// pattern: the sum of pattern cardinalities over relevant fragments,
-// shrunk by a per-constant selectivity divisor (constants restrict matches
-// beyond what vertical fragments record). Returns at least 1 so the
-// multiplicative cost model of Algorithm 3 stays meaningful, and a false
-// flag if the subquery maps to no pattern.
-func (d *Dictionary) EstimateCard(sub *sparql.Graph) (int, bool) {
-	cs, ok := d.CardShape(sub)
-	if !ok {
-		return 0, false
-	}
-	var rel fragment.Relevance
-	return cs.Estimate(func(i int) bool { return rel.RelevantTo(cs.Entries[i].Fragment, sub) }), true
-}
-
-// CardShape is what EstimateCard takes from a subquery's structure —
-// everything but the values of its constants — so a planner that sees
-// many subqueries of one shape resolves it once and pays only Estimate
-// per query.
+// CardShape is what a cardinality estimate takes from a subquery's
+// structure — everything but the values of its constants — so a planner
+// that sees many subqueries of one shape resolves it once and pays only
+// Estimate per query.
 type CardShape struct {
 	// Code is the canonical code of the generalized subquery.
 	Code string
@@ -215,9 +186,13 @@ func (d *Dictionary) CardShape(sub *sparql.Graph) (CardShape, bool) {
 	return cs, true
 }
 
-// Estimate computes the estimate from the statistics as they stand now;
-// relevant reports whether fragment Entries[i] is relevant to the
-// subquery's constants (Fragment.RelevantTo).
+// Estimate estimates card(q) for a subquery of this shape from the
+// statistics as they stand now: the sum of pattern cardinalities over
+// relevant fragments, shrunk by a per-constant selectivity divisor
+// (constants restrict matches beyond what vertical fragments record).
+// It returns at least 1 so the multiplicative cost model of Algorithm 3
+// stays meaningful. relevant reports whether fragment Entries[i] is
+// relevant to the subquery's constants (Relevance.RelevantTo).
 func (cs *CardShape) Estimate(relevant func(i int) bool) int {
 	// Single triple pattern with a constant endpoint: use per-predicate
 	// distinct counts for a sharper estimate than the generic divisor.

@@ -6,11 +6,23 @@ import (
 	"testing"
 
 	"rdffrag/internal/dict"
+	"rdffrag/internal/fragment"
 	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 	"rdffrag/internal/testenv"
 )
+
+// estimateCard is card(sub) as decompose estimates it: the subquery's
+// CardShape, then Estimate over the fragments a Relevance finds relevant.
+func estimateCard(d *dict.Dictionary, sub *sparql.Graph) (int, bool) {
+	cs, ok := d.CardShape(sub)
+	if !ok {
+		return 0, false
+	}
+	var rel fragment.Relevance
+	return cs.Estimate(func(i int) bool { return rel.RelevantTo(cs.Entries[i].Fragment, sub) }), true
+}
 
 // TestBuildEntries: an entry's size is its fragment's, and its
 // cardinality — counted over the hot graph, under the minterm's filter for
@@ -22,12 +34,13 @@ func TestBuildEntries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		d := env.Dict
-		if len(d.Entries()) != len(env.Frag.Fragments) {
-			t.Fatalf("entries = %d, fragments = %d", len(d.Entries()), len(env.Frag.Fragments))
-		}
-		for i, e := range d.Entries() {
-			f := e.Fragment
+		for i, f := range env.Frag.Fragments {
+			cs, _ := env.Dict.CardShape(f.Pattern.Graph)
+			j := slices.IndexFunc(cs.Entries, func(e *dict.Entry) bool { return e.Fragment == f })
+			if j < 0 {
+				t.Fatalf("fragment %d has no dictionary entry", f.ID)
+			}
+			e := cs.Entries[j]
 			if e.Site < 0 {
 				t.Errorf("fragment %d unallocated in dictionary", f.ID)
 			}
@@ -51,12 +64,9 @@ func TestLookupByPatternCode(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	for _, p := range env.Dict.Patterns() {
-		if len(env.Dict.Lookup(p.Code)) == 0 {
-			t.Errorf("pattern %q has no dictionary entries", p.Code)
+		if cs, ok := env.Dict.CardShape(p.Graph); !ok || cs.Code != p.Code {
+			t.Errorf("pattern %q maps to code %q, found %v", p.Code, cs.Code, ok)
 		}
-	}
-	if len(env.Dict.Lookup("no-such-code")) != 0 {
-		t.Error("bogus code returned entries")
 	}
 }
 
@@ -70,12 +80,12 @@ func TestLookupGraphGeneralizes(t *testing.T) {
 		`SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Person0> . }`)
 	plain := sparql.MustParse(env.G.Dict,
 		`SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> ?y . }`)
-	want := env.Dict.LookupGraph(plain)
-	if len(want) == 0 {
+	want, _ := env.Dict.CardShape(plain)
+	if len(want.Entries) == 0 {
 		t.Skip("2-edge name+influencedBy pattern not selected in this configuration")
 	}
-	if got := env.Dict.LookupGraph(sub); !slices.Equal(got, want) {
-		t.Errorf("constant-bearing subquery found %d entries, its pattern %d", len(got), len(want))
+	if got, _ := env.Dict.CardShape(sub); !slices.Equal(got.Entries, want.Entries) {
+		t.Errorf("constant-bearing subquery found %d entries, its pattern %d", len(got.Entries), len(want.Entries))
 	}
 }
 
@@ -85,7 +95,7 @@ func TestEstimateCardPositive(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	sub := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <name> ?n . }`)
-	card, ok := env.Dict.EstimateCard(sub)
+	card, ok := estimateCard(env.Dict, sub)
 	if !ok {
 		t.Fatal("one-edge subquery not mapped")
 	}
@@ -94,12 +104,12 @@ func TestEstimateCardPositive(t *testing.T) {
 	}
 	// Constants shrink the estimate.
 	cSub := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <influencedBy> <Person3> . }`)
-	cCard, ok := env.Dict.EstimateCard(cSub)
+	cCard, ok := estimateCard(env.Dict, cSub)
 	if !ok {
 		t.Fatal("constant subquery not mapped")
 	}
 	plain := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <influencedBy> ?y . }`)
-	pCard, _ := env.Dict.EstimateCard(plain)
+	pCard, _ := estimateCard(env.Dict, plain)
 	if cCard >= pCard {
 		t.Errorf("constant did not shrink estimate: %d >= %d", cCard, pCard)
 	}
@@ -112,7 +122,7 @@ func TestEstimateCardUnknownPattern(t *testing.T) {
 	}
 	// viaf is cold: no pattern.
 	sub := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <viaf> ?v . }`)
-	if _, ok := env.Dict.EstimateCard(sub); ok {
+	if _, ok := estimateCard(env.Dict, sub); ok {
 		t.Error("cold subquery mapped to a pattern")
 	}
 	if env.Dict.EstimateColdCard(sub) < 1 {
@@ -129,7 +139,8 @@ func TestRelevantEntriesHorizontalPruning(t *testing.T) {
 	// influencedBy target in the fixture): relevant horizontal fragments
 	// must be a subset of all fragments for the pattern.
 	withConst := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Person1> . }`)
-	all := env.Dict.LookupGraph(withConst)
+	cs, _ := env.Dict.CardShape(withConst)
+	all := cs.Entries
 	if len(all) == 0 {
 		t.Skip("pattern not selected")
 	}
@@ -172,7 +183,7 @@ func TestEstimatesTrackLiveUpdates(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	sub := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <name> ?n . }`)
-	base, ok := env.Dict.EstimateCard(sub)
+	base, ok := estimateCard(env.Dict, sub)
 	if !ok {
 		t.Fatal("name subquery not mapped")
 	}
@@ -181,7 +192,8 @@ func TestEstimatesTrackLiveUpdates(t *testing.T) {
 	// holds, into the graph storing it, its site's.
 	name := env.G.Dict.Encode(rdf.NewIRI("name"))
 	var added []rdf.Triple
-	for _, e := range env.Dict.LookupGraph(sub) {
+	cs, _ := env.Dict.CardShape(sub)
+	for _, e := range cs.Entries {
 		for i := 0; i < e.Size; i++ {
 			tr := rdf.Triple{
 				S: env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Grown%d_%d", e.Fragment.ID, i))),
@@ -193,18 +205,18 @@ func TestEstimatesTrackLiveUpdates(t *testing.T) {
 			}
 		}
 	}
-	grown, _ := env.Dict.EstimateCard(sub)
+	grown, _ := estimateCard(env.Dict, sub)
 	if grown <= base {
 		t.Fatalf("estimate did not rise after doubling the fragments: %d -> %d", base, grown)
 	}
 
 	// Deleting the batch brings the estimate back down.
 	for _, tr := range added {
-		for _, e := range env.Dict.LookupGraph(sub) {
+		for _, e := range cs.Entries {
 			e.Fragment.Graph.Delete(tr)
 		}
 	}
-	shrunk, _ := env.Dict.EstimateCard(sub)
+	shrunk, _ := estimateCard(env.Dict, sub)
 	if shrunk >= grown {
 		t.Fatalf("estimate did not fall after deleting the batch: %d -> %d", grown, shrunk)
 	}

@@ -344,17 +344,11 @@ func markKept(q *sparql.Graph, dcp *decompose.Decomposition) {
 
 // Query evaluates q and returns the projected bindings.
 func (e *Engine) Query(q *sparql.Graph) (*match.Bindings, *QueryStats, error) {
-	return e.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx evaluates q under ctx: cancellation or deadline expiry aborts
-// the distributed evaluation and returns the context's error.
-func (e *Engine) QueryCtx(ctx context.Context, q *sparql.Graph) (*match.Bindings, *QueryStats, error) {
 	prep, err := e.Prepare(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.QueryPrepared(ctx, q, prep)
+	return e.QueryPrepared(context.Background(), q, prep)
 }
 
 // Explain reports how a query would execute without running it: the

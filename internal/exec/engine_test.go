@@ -83,13 +83,13 @@ func TestQueryTouchesOnlyRelevantSites(t *testing.T) {
 
 func TestQueryNetworkAccounting(t *testing.T) {
 	e, env := newEngine(t, false)
-	e.Cluster.Net.Reset()
+	msgs0, bytes0 := e.Cluster.Net.Snapshot()
 	q := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <name> ?n . }`)
 	if _, _, err := e.Query(q); err != nil {
 		t.Fatalf("Query: %v", err)
 	}
 	msgs, bytes := e.Cluster.Net.Snapshot()
-	if msgs < 2 || bytes <= 0 {
+	if msgs, bytes = msgs-msgs0, bytes-bytes0; msgs < 2 || bytes <= 0 {
 		t.Errorf("net stats = %d msgs %d bytes", msgs, bytes)
 	}
 }

@@ -36,10 +36,14 @@ func TestQueryCancellation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
+	prep, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	_, _, err = e.QueryCtx(ctx, q)
+	_, _, err = e.QueryPrepared(ctx, q, prep)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryCtx after cancel: err = %v, want context.Canceled", err)
+		t.Fatalf("QueryPrepared after cancel: err = %v, want context.Canceled", err)
 	}
 	if el := time.Since(start); el > time.Second {
 		t.Errorf("cancellation returned after %v; want prompt abort", el)
@@ -60,10 +64,14 @@ func TestQueryDeadline(t *testing.T) {
 		t.Fatalf("exec.New: %v", err)
 	}
 	q := sparql.MustParse(env.G.Dict, `SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`)
+	prep, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, _, err := e.QueryCtx(ctx, q); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("QueryCtx past deadline: err = %v, want DeadlineExceeded", err)
+	if _, _, err := e.QueryPrepared(ctx, q, prep); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("QueryPrepared past deadline: err = %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -82,8 +90,8 @@ func TestLimitPushdown(t *testing.T) {
 		t.Fatalf("need ≥5 base rows, got %d", fullRes.Len())
 	}
 	fullSet := map[string]bool{}
-	for i := 0; i < fullRes.Len(); i++ {
-		fullSet[rowString(fullRes.Row(i))] = true
+	for row := range slices.Chunk(fullRes.Rows, len(fullRes.Vars)) {
+		fullSet[rowString(row)] = true
 	}
 
 	limited := sparql.MustParse(env.G.Dict, `SELECT ?x ?n WHERE { ?x <name> ?n . }`)
@@ -96,8 +104,7 @@ func TestLimitPushdown(t *testing.T) {
 		t.Fatalf("limit 3 returned %d rows", got.Len())
 	}
 	seen := map[string]bool{}
-	for i := 0; i < got.Len(); i++ {
-		r := got.Row(i)
+	for r := range slices.Chunk(got.Rows, len(got.Vars)) {
 		k := rowString(r)
 		if seen[k] {
 			t.Errorf("duplicate row %v under LIMIT", r)

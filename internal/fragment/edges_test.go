@@ -1,8 +1,8 @@
 package fragment
 
 import (
+	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"rdffrag/internal/fap"
@@ -66,18 +66,19 @@ func checkFragments(t *testing.T, name string, fr *Fragmentation) {
 			t.Errorf("%s: fragment at %d has ID %d, a graph before placement, or an edge set of another cut", name, i, f.ID)
 		}
 		if want := matchUnion(f, hot); !slices.Equal(f.Edges.Triples(), want) || f.Size != len(want) {
-			t.Errorf("%s: fragment %d (%s) holds %d triples (size %d), its matches use %d", name, f.ID, f.Key(), f.Edges.Len(), f.Size, len(want))
+			t.Errorf("%s: fragment %d (%s) holds %d triples (size %d), its matches use %d", name, f.ID, f.Pattern.Code, f.Edges.Len(), f.Size, len(want))
 		}
 	}
-	if fr.Cold.ID != len(fr.Fragments) || fr.Cold.Key() != "cold" || fr.Cold.Size != fr.Cold.Graph.NumTriples() {
-		t.Errorf("%s: cold fragment has ID %d, key %s, size %d", name, fr.Cold.ID, fr.Cold.Key(), fr.Cold.Size)
+	if fr.Cold.ID != len(fr.Fragments) || fr.Cold.Kind != ColdKind || fr.Cold.Size != fr.Cold.Graph.NumTriples() {
+		t.Errorf("%s: cold fragment has ID %d, kind %v, size %d", name, fr.Cold.ID, fr.Cold.Kind, fr.Cold.Size)
 	}
 }
 
 // sameFragments compares two fragmentations fragment by fragment.
 func sameFragments(a, b *Fragmentation) bool {
 	return slices.EqualFunc(a.Fragments, b.Fragments, func(x, y *Fragment) bool {
-		return x.ID == y.ID && x.Key() == y.Key() && slices.Equal(x.Edges.Triples(), y.Edges.Triples())
+		return x.ID == y.ID && x.Pattern.Code == y.Pattern.Code && fmt.Sprint(x.Minterm) == fmt.Sprint(y.Minterm) &&
+			slices.Equal(x.Edges.Triples(), y.Edges.Triples())
 	}) && a.Cold.Graph == b.Cold.Graph
 }
 
@@ -177,29 +178,30 @@ func TestRelevanceAndNames(t *testing.T) {
 	aristotle := sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Aristotle> . ?x <mainInterest> <Ethics> . }`)
 	plato := sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Plato> . ?x <mainInterest> <Ethics> . }`)
 	unrelated := sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <wappen> ?y . }`)
+	var rel Relevance
 	var onlyAristotle, unsplit int
 	for _, f := range fr.Fragments {
-		if f.RelevantTo(unrelated) {
-			t.Errorf("fragment %s relevant to a query over a cold property", f.Key())
+		if rel.RelevantTo(f, unrelated) {
+			t.Errorf("fragment %d (%s) relevant to a query over a cold property", f.ID, f.Pattern.Code)
 		}
 		if f.Minterm == nil {
 			unsplit++
-			if !f.MintermCompatible(aristotle, nil) {
+			if !f.mintermCompatible(aristotle, nil) {
 				t.Error("a fragment without a minterm rejected an embedding")
 			}
 			continue
 		}
-		if !strings.Contains(f.Key(), "|") || f.Minterm.String() == "" {
-			t.Errorf("minterm fragment key %q, minterm %q", f.Key(), f.Minterm)
+		if f.Minterm.String() == "" {
+			t.Errorf("fragment %d has an empty minterm", f.ID)
 		}
-		if f.RelevantTo(aristotle) && !f.RelevantTo(plato) {
+		if rel.RelevantTo(f, aristotle) && !rel.RelevantTo(f, plato) {
 			onlyAristotle++
 		}
 	}
 	if onlyAristotle == 0 || unsplit == 0 {
 		t.Errorf("%d fragments prune by the query's constant, %d unsplit", onlyAristotle, unsplit)
 	}
-	if !fr.Cold.RelevantTo(unrelated) {
+	if !rel.RelevantTo(fr.Cold, unrelated) {
 		t.Error("the cold fragment must stay relevant to every query")
 	}
 	for k, want := range map[Kind]string{VerticalKind: "vertical", HorizontalKind: "horizontal", ColdKind: "cold", Kind(9): "Kind(9)"} {

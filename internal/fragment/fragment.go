@@ -13,7 +13,6 @@ package fragment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"rdffrag/internal/mining"
@@ -68,19 +67,6 @@ type Fragment struct {
 	Graph *rdf.Graph
 }
 
-// Key identifies the fragment's generating pattern (with constraints) in
-// the data dictionary.
-func (f *Fragment) Key() string {
-	switch {
-	case f.Kind == ColdKind:
-		return "cold"
-	case f.Minterm != nil:
-		return f.Minterm.Key()
-	default:
-		return f.Pattern.Code
-	}
-}
-
 // Fragmentation is a complete fragmentation F of the RDF graph.
 type Fragmentation struct {
 	Kind      Kind
@@ -132,21 +118,6 @@ type Constraint struct {
 type Minterm struct {
 	Pattern     *mining.Pattern
 	Constraints []Constraint
-}
-
-// Key renders a canonical dictionary key: pattern code plus sorted
-// constraint terms.
-func (m *Minterm) Key() string {
-	parts := make([]string, len(m.Constraints))
-	for i, c := range m.Constraints {
-		op := "!="
-		if c.Equal {
-			op = "="
-		}
-		parts[i] = fmt.Sprintf("v%d%s%d", c.Vertex, op, c.Value)
-	}
-	sort.Strings(parts)
-	return m.Pattern.Code + "|" + strings.Join(parts, "&")
 }
 
 // VertexFilter adapts the minterm to match.Options.VertexFilter.

@@ -140,10 +140,9 @@ func TestVerticalFragmentContents(t *testing.T) {
 	var target *Fragment
 	for _, f := range fr.Fragments {
 		if f.Pattern.Size() == 2 {
-			preds := f.Pattern.Graph.Predicates()
 			names := map[string]bool{}
-			for _, p := range preds {
-				names[g.Dict.Decode(p).Value] = true
+			for _, e := range f.Pattern.Graph.Edges {
+				names[g.Dict.Decode(e.Pred).Value] = true
 			}
 			if names["country"] && names["postalCode"] {
 				target = f
@@ -229,19 +228,6 @@ func TestMintermSatisfiesAndFilter(t *testing.T) {
 	}
 }
 
-func TestMintermKeyCanonical(t *testing.T) {
-	d := rdf.NewDict()
-	pg := sparql.MustParse(d, `SELECT * WHERE { ?x <p> ?y . }`)
-	p := &mining.Pattern{Graph: pg, Code: mining.CanonicalCode(pg)}
-	a := Constraint{Vertex: 0, Equal: true, Value: 1}
-	b := Constraint{Vertex: 1, Equal: false, Value: 2}
-	m1 := &Minterm{Pattern: p, Constraints: []Constraint{a, b}}
-	m2 := &Minterm{Pattern: p, Constraints: []Constraint{b, a}}
-	if m1.Key() != m2.Key() {
-		t.Errorf("keys differ for reordered constraints:\n%s\n%s", m1.Key(), m2.Key())
-	}
-}
-
 func TestEnumerateMintermsSkipsContradictions(t *testing.T) {
 	d := rdf.NewDict()
 	pg := sparql.MustParse(d, `SELECT * WHERE { ?x <p> ?y . }`)
@@ -296,5 +282,64 @@ func TestHotColdThetaSweep(t *testing.T) {
 			t.Errorf("hot graph grew as theta rose (theta=%d)", theta)
 		}
 		prevHot = hc.Hot.NumTriples()
+	}
+}
+
+// TestRelevanceSharesShapeNotConstants: two instances of one template
+// share their embeddings, found once, yet a minterm on the constant's
+// position is relevant to the instance whose constant it names and not
+// to the other.
+func TestRelevanceSharesShapeNotConstants(t *testing.T) {
+	d := rdf.NewDict()
+	pg := sparql.MustParse(d, `SELECT * WHERE { ?x <name> ?n . ?x <influencedBy> ?y . }`)
+	p := &mining.Pattern{Graph: pg, Code: mining.CanonicalCode(pg)}
+	y := pg.AddVertex(sparql.Vertex{Var: "y"})
+	f := &Fragment{Kind: HorizontalKind, Pattern: p, Minterm: &Minterm{
+		Pattern:     p,
+		Constraints: []Constraint{{Vertex: y, Equal: true, Value: d.Encode(rdf.NewIRI("Plato"))}},
+	}}
+	plato := sparql.MustParse(d, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Plato> . }`)
+	kant := sparql.MustParse(d, `SELECT ?n WHERE { ?a <name> ?n . ?a <influencedBy> <Kant> . }`)
+	if string(sparql.AppendShapeKey(nil, plato)) != string(sparql.AppendShapeKey(nil, kant)) {
+		t.Fatal("two instances of one template have different shape keys")
+	}
+
+	var rel Relevance
+	a, b := rel.embeddings(pg, plato), rel.embeddings(pg, kant)
+	if len(a) != 1 || len(b) != 1 || &a[0] != &b[0] {
+		t.Fatalf("embeddings %v and %v: want one map, found once for the shape", a, b)
+	}
+	if !rel.RelevantTo(f, plato) {
+		t.Error("the minterm's own constant: not relevant")
+	}
+	if rel.RelevantTo(f, kant) {
+		t.Error("a constant the minterm excludes: relevant")
+	}
+	f.Minterm.Constraints[0].Equal = false
+	if rel.RelevantTo(f, plato) || !rel.RelevantTo(f, kant) {
+		t.Error("negated minterm: relevance not inverted")
+	}
+}
+
+// TestRelevanceConstantPatternKey: a pattern with a constant vertex
+// embeds only where the query has that constant, so its embeddings are
+// kept per constant as well as per shape — in whichever order the
+// queries come.
+func TestRelevanceConstantPatternKey(t *testing.T) {
+	d := rdf.NewDict()
+	pg := sparql.MustParse(d, `SELECT * WHERE { ?x <influencedBy> <Plato> . }`)
+	plato := sparql.MustParse(d, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Plato> . }`)
+	kant := sparql.MustParse(d, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Kant> . }`)
+	for _, order := range [][]*sparql.Graph{{plato, kant}, {kant, plato}} {
+		var rel Relevance
+		for _, q := range order {
+			got := len(rel.embeddings(pg, q))
+			if want := len(sparql.FindEmbeddings(pg, q, 0)); got != want {
+				t.Errorf("%v: %d embeddings, want %d", q, got, want)
+			}
+		}
+	}
+	if len(sparql.FindEmbeddings(pg, plato, 0)) != 1 || len(sparql.FindEmbeddings(pg, kant, 0)) != 0 {
+		t.Fatal("the fixture does not tell the constants apart")
 	}
 }

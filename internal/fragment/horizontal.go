@@ -90,7 +90,7 @@ func harvestSimplePreds(p *mining.Pattern, workload []*sparql.Graph, maxPreds, m
 	var rel Relevance
 	for _, q := range workload {
 		seen := make(map[key]bool)
-		for _, m := range rel.Embeddings(p.Graph, q) {
+		for _, m := range rel.embeddings(p.Graph, q) {
 			for pv, qv := range m {
 				if p.Graph.Verts[pv].IsVar() && !q.Verts[qv].IsVar() {
 					k := key{vertex: pv, value: q.Verts[qv].Term}

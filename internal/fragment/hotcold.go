@@ -73,15 +73,15 @@ func (hc *HotCold) NumTriples() int {
 	hot, cold := hc.Hot.Snapshot(), hc.Cold.Snapshot()
 	defer hot.Close()
 	defer cold.Close()
-	return UnionLen(hot, cold, hc.FreqProps)
+	return unionLen(hot, cold, hc.FreqProps)
 }
 
-// UnionLen counts the union of a hot and a cold snapshot, freq naming
+// unionLen counts the union of a hot and a cold snapshot, freq naming
 // the frequent properties. A deployment's cold graph is also its cold
 // fragment, the catch-all that keeps a hot triple completing no pattern
 // match reachable, so it may hold such a triple beside the hot graph: a
 // cold triple labelled by a frequent property is counted as hot.
-func UnionLen(hot, cold *rdf.Snapshot, freq map[rdf.ID]bool) int {
+func unionLen(hot, cold *rdf.Snapshot, freq map[rdf.ID]bool) int {
 	n := hot.NumTriples() + cold.NumTriples()
 	for p := range freq {
 		n -= cold.PredicateCount(p)

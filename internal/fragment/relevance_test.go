@@ -6,8 +6,6 @@ import (
 
 	"rdffrag/internal/allocation"
 	"rdffrag/internal/fragment"
-	"rdffrag/internal/mining"
-	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 	"rdffrag/internal/testenv"
 )
@@ -19,12 +17,11 @@ func relevantUncached(f *fragment.Fragment, q *sparql.Graph) bool {
 	if f.Kind == fragment.ColdKind {
 		return true
 	}
+	var maps [][]int
 	for _, emb := range sparql.FindEmbeddings(f.Pattern.Graph, q, 0) {
-		if f.MintermCompatible(q, emb.VertexMap) {
-			return true
-		}
+		maps = append(maps, emb.VertexMap)
 	}
-	return false
+	return f.CompatibleWithAny(q, maps)
 }
 
 // TestRelevanceMatchesUncached: on the vertical and the horizontal test
@@ -43,9 +40,6 @@ func TestRelevanceMatchesUncached(t *testing.T) {
 				want := relevantUncached(f, q)
 				if got := rel.RelevantTo(f, q); got != want {
 					t.Errorf("horizontal=%v: fragment %d, query %d: Relevance says %v, want %v", horizontal, f.ID, qi, got, want)
-				}
-				if got := f.RelevantTo(q); got != want {
-					t.Errorf("horizontal=%v: fragment %d, query %d: RelevantTo says %v, want %v", horizontal, f.ID, qi, got, want)
 				}
 			}
 		}
@@ -77,64 +71,5 @@ func TestRelevanceMatchesUncached(t *testing.T) {
 		if !touchedAny {
 			t.Errorf("horizontal=%v: no workload query touches any fragment", horizontal)
 		}
-	}
-}
-
-// TestRelevanceSharesShapeNotConstants: two instances of one template
-// share their embeddings, found once, yet a minterm on the constant's
-// position is relevant to the instance whose constant it names and not
-// to the other.
-func TestRelevanceSharesShapeNotConstants(t *testing.T) {
-	d := rdf.NewDict()
-	pg := sparql.MustParse(d, `SELECT * WHERE { ?x <name> ?n . ?x <influencedBy> ?y . }`)
-	p := &mining.Pattern{Graph: pg, Code: mining.CanonicalCode(pg)}
-	y := pg.AddVertex(sparql.Vertex{Var: "y"})
-	f := &fragment.Fragment{Kind: fragment.HorizontalKind, Pattern: p, Minterm: &fragment.Minterm{
-		Pattern:     p,
-		Constraints: []fragment.Constraint{{Vertex: y, Equal: true, Value: d.Encode(rdf.NewIRI("Plato"))}},
-	}}
-	plato := sparql.MustParse(d, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Plato> . }`)
-	kant := sparql.MustParse(d, `SELECT ?n WHERE { ?a <name> ?n . ?a <influencedBy> <Kant> . }`)
-	if string(sparql.AppendShapeKey(nil, plato)) != string(sparql.AppendShapeKey(nil, kant)) {
-		t.Fatal("two instances of one template have different shape keys")
-	}
-
-	var rel fragment.Relevance
-	a, b := rel.Embeddings(pg, plato), rel.Embeddings(pg, kant)
-	if len(a) != 1 || len(b) != 1 || &a[0] != &b[0] {
-		t.Fatalf("embeddings %v and %v: want one map, found once for the shape", a, b)
-	}
-	if !rel.RelevantTo(f, plato) {
-		t.Error("the minterm's own constant: not relevant")
-	}
-	if rel.RelevantTo(f, kant) {
-		t.Error("a constant the minterm excludes: relevant")
-	}
-	f.Minterm.Constraints[0].Equal = false
-	if rel.RelevantTo(f, plato) || !rel.RelevantTo(f, kant) {
-		t.Error("negated minterm: relevance not inverted")
-	}
-}
-
-// TestRelevanceConstantPatternKey: a pattern with a constant vertex
-// embeds only where the query has that constant, so its embeddings are
-// kept per constant as well as per shape — in whichever order the
-// queries come.
-func TestRelevanceConstantPatternKey(t *testing.T) {
-	d := rdf.NewDict()
-	pg := sparql.MustParse(d, `SELECT * WHERE { ?x <influencedBy> <Plato> . }`)
-	plato := sparql.MustParse(d, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Plato> . }`)
-	kant := sparql.MustParse(d, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Kant> . }`)
-	for _, order := range [][]*sparql.Graph{{plato, kant}, {kant, plato}} {
-		var rel fragment.Relevance
-		for _, q := range order {
-			got := len(rel.Embeddings(pg, q))
-			if want := len(sparql.FindEmbeddings(pg, q, 0)); got != want {
-				t.Errorf("%v: %d embeddings, want %d", q, got, want)
-			}
-		}
-	}
-	if len(sparql.FindEmbeddings(pg, plato, 0)) != 1 || len(sparql.FindEmbeddings(pg, kant, 0)) != 0 {
-		t.Fatal("the fixture does not tell the constants apart")
 	}
 }

@@ -43,12 +43,6 @@ func (b *Bindings) Len() int {
 	return b.Nullary
 }
 
-// Row returns row i, capped so that appending to it cannot reach row i+1.
-func (b *Bindings) Row(i int) []rdf.ID {
-	w := len(b.Vars)
-	return b.Rows[i*w : (i+1)*w : (i+1)*w]
-}
-
 // Dedup sorts the rows lexicographically and removes duplicates (matches
 // can repeat a projection). Nothing is allocated: the rows are records
 // swapped and compacted in place.

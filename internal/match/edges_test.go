@@ -18,7 +18,7 @@ import (
 )
 
 func matchedGraphOracle(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Graph {
-	sub := rdf.NewGraph(g.Dict())
+	sub := rdf.NewGraph(nil) // IDs of g's dictionary
 	if len(q.Edges) == 0 {
 		return sub
 	}

@@ -2,6 +2,7 @@ package match
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rdffrag/internal/rdf"
@@ -132,9 +133,10 @@ func TestVertexFilter(t *testing.T) {
 }
 
 // MatchedGraph returns the subgraph of g induced by all matches of q, as
-// a frozen graph of its own: MatchedEdges' triples in (S, P, O) order.
+// a frozen graph of its own: MatchedEdges' triples in (S, P, O) order,
+// IDs of g's dictionary.
 func MatchedGraph(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Graph {
-	return rdf.NewFrozen(g.Dict(), MatchedEdges(q, g, opts).Triples())
+	return rdf.NewFrozen(nil, MatchedEdges(q, g, opts).Triples())
 }
 
 func TestMatchedGraph(t *testing.T) {
@@ -173,8 +175,8 @@ func TestToBindingsAndDedup(t *testing.T) {
 	}
 	// Project to ?i only and dedupe: Ethics, Social_theory, Religion.
 	proj := &Bindings{Vars: []string{"i"}}
-	for r := 0; r < b.Len(); r++ {
-		proj.Rows = append(proj.Rows, b.Row(r)[iPos])
+	for row := range slices.Chunk(b.Rows, len(b.Vars)) {
+		proj.Rows = append(proj.Rows, row[iPos])
 	}
 	proj.Dedup()
 	if proj.Len() != 3 {

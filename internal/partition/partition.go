@@ -55,9 +55,6 @@ func (g *Graph) addHalf(u, v, w int) {
 	g.Adj[u] = append(g.Adj[u], Neighbor{V: v, W: w})
 }
 
-// NumVertices returns |V|.
-func (g *Graph) NumVertices() int { return len(g.Adj) }
-
 // totalVWeight sums vertex weights.
 func (g *Graph) totalVWeight() int {
 	t := 0
@@ -83,7 +80,7 @@ type Options struct {
 
 // Partition splits the graph into k parts, returning part[v] ∈ [0,k).
 func (g *Graph) Partition(k int, opts Options) []int {
-	n := g.NumVertices()
+	n := len(g.Adj)
 	if k < 1 {
 		k = 1
 	}
@@ -107,9 +104,9 @@ func (g *Graph) Partition(k int, opts Options) []int {
 	// Multilevel descent.
 	levels := []*level{{g: g}}
 	cur := g
-	for cur.NumVertices() > opts.CoarsenTo {
+	for len(cur.Adj) > opts.CoarsenTo {
 		nxt, mapping := coarsen(cur, opts.Seed+uint64(len(levels)))
-		if nxt.NumVertices() >= cur.NumVertices() {
+		if len(nxt.Adj) >= len(cur.Adj) {
 			break // no further reduction possible
 		}
 		levels[len(levels)-1].mapping = mapping
@@ -126,7 +123,7 @@ func (g *Graph) Partition(k int, opts Options) []int {
 	for li := len(levels) - 2; li >= 0; li-- {
 		lvl := levels[li]
 		fine := lvl.g
-		fpart := make([]int, fine.NumVertices())
+		fpart := make([]int, len(fine.Adj))
 		for v := range fpart {
 			fpart[v] = cpart[lvl.mapping[v]]
 		}
@@ -144,7 +141,7 @@ type level struct {
 
 // coarsen contracts a heavy-edge matching.
 func coarsen(g *Graph, seed uint64) (*Graph, []int) {
-	n := g.NumVertices()
+	n := len(g.Adj)
 	matchOf := make([]int, n)
 	for i := range matchOf {
 		matchOf[i] = -1
@@ -202,7 +199,7 @@ func coarsen(g *Graph, seed uint64) (*Graph, []int) {
 // initialPartition grows k regions greedily from spread-out seeds,
 // balancing vertex weight.
 func initialPartition(g *Graph, k int, opts Options) []int {
-	n := g.NumVertices()
+	n := len(g.Adj)
 	part := make([]int, n)
 	for i := range part {
 		part[i] = -1
@@ -274,7 +271,7 @@ func initialPartition(g *Graph, k int, opts Options) []int {
 // refine runs boundary FM passes: move vertices to the neighboring part
 // with the largest cut gain while keeping balance.
 func refine(g *Graph, part []int, k int, opts Options) {
-	n := g.NumVertices()
+	n := len(g.Adj)
 	weights := make([]int, k)
 	for v := 0; v < n; v++ {
 		weights[part[v]] += g.VWeight[v]
@@ -322,19 +319,6 @@ func refine(g *Graph, part []int, k int, opts Options) {
 			break
 		}
 	}
-}
-
-// EdgeCut computes the total weight of edges crossing parts.
-func (g *Graph) EdgeCut(part []int) int {
-	cut := 0
-	for v := range g.Adj {
-		for _, nb := range g.Adj[v] {
-			if v < nb.V && part[v] != part[nb.V] {
-				cut += nb.W
-			}
-		}
-	}
-	return cut
 }
 
 // permute returns a deterministic pseudo-random permutation of [0,n)

@@ -8,10 +8,10 @@ import (
 	"testing/quick"
 )
 
-// TestAddAllEqualsAddLoopProperty: a batch handed to AddAll leaves what
+// TestAddAllEqualsAddLoopProperty: a batch handed to addAll leaves what
 // Add of each triple in turn leaves — every Snapshot accessor, Stats,
 // NumTriples and the count returned — for batches a few triples
-// either side of the threshold where AddAll stops appending to the delta
+// either side of the threshold where addAll stops appending to the delta
 // and builds a generation instead, holding triples the graph has and
 // repeats of their own, on an empty graph, a populated one, one carrying
 // a delta and one carrying tombstones. A snapshot pinned before the call
@@ -43,7 +43,7 @@ func TestAddAllEqualsAddLoopProperty(t *testing.T) {
 			return g
 		}
 		bulk, loop := build(), build()
-		if state >= 2 && bulk.DeltaLen() == 0 || state == 3 && bulk.DeltaTombstones() == 0 {
+		if state >= 2 && bulk.DeltaLen() == 0 || state == 3 && bulk.snapshotAt().dels() == 0 {
 			t.Logf("seed %d: setup left no %s", seed, states[state])
 			return false
 		}
@@ -57,9 +57,9 @@ func TestAddAllEqualsAddLoopProperty(t *testing.T) {
 			batch[(i+4)%len(batch)] = batch[r.Intn(len(batch))]
 		}
 		bulkStats, loopStats := NewStats(bulk), NewStats(loop)
-		for _, p := range want.predicates() { // folded up to here, so AddAll's part folds on top
-			bulkStats.Predicate(p)
-			loopStats.Predicate(p)
+		for _, p := range want.predicates() { // folded up to here, so addAll's part folds on top
+			bulkStats.predicate(p)
+			loopStats.predicate(p)
 		}
 		pinned, pinnedWant, deltaBefore := bulk.Snapshot(), want.clone(), bulk.DeltaLen()
 		defer pinned.Close()
@@ -77,12 +77,12 @@ func TestAddAllEqualsAddLoopProperty(t *testing.T) {
 				}
 				sn := bulk.Snapshot()
 				if n := sn.NumTriples(); n != len(sn.Triples()) || n < len(pinnedWant.live) {
-					t.Errorf("seed %d: a snapshot taken during AddAll has NumTriples %d, %d Triples", seed, n, len(sn.Triples()))
+					t.Errorf("seed %d: a snapshot taken during addAll has NumTriples %d, %d Triples", seed, n, len(sn.Triples()))
 				}
 				sn.Close()
 			}
 		}()
-		got := bulk.AddAll(slices.Clone(batch))
+		got := bulk.addAll(slices.Clone(batch))
 		close(stop)
 		reader.Wait()
 
@@ -101,7 +101,7 @@ func TestAddAllEqualsAddLoopProperty(t *testing.T) {
 			ok = ok && bulk.DeltaLen() == loop.DeltaLen() && (bulk.DeltaLen() == deltaBefore+added || bulk.DeltaLen() < threshold)
 		}
 		if !ok {
-			t.Logf("seed %d (%s, batch %d, threshold %d): AddAll = %d, %d triples, delta %d; the loop added %d, %d triples",
+			t.Logf("seed %d (%s, batch %d, threshold %d): addAll = %d, %d triples, delta %d; the loop added %d, %d triples",
 				seed, states[state], len(batch), threshold, got, bulk.NumTriples(), bulk.DeltaLen(), added, loop.NumTriples())
 			return false
 		}
@@ -113,8 +113,8 @@ func TestAddAllEqualsAddLoopProperty(t *testing.T) {
 			return false
 		}
 		for _, p := range append(want.predicates(), 999) {
-			if b, l, w := bulkStats.Predicate(p), loopStats.Predicate(p), want.stats(p); b != w || l != w {
-				t.Logf("seed %d (%s): Stats.Predicate(%d) = %+v after AddAll, %+v after the loop, want %+v", seed, states[state], p, b, l, w)
+			if b, l, w := bulkStats.predicate(p), loopStats.predicate(p), want.stats(p); b != w || l != w {
+				t.Logf("seed %d (%s): Stats.predicate(%d) = %+v after addAll, %+v after the loop, want %+v", seed, states[state], p, b, l, w)
 				return false
 			}
 		}

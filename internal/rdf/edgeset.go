@@ -31,7 +31,7 @@ func (e *EdgeSet) Of(s *Snapshot) bool {
 
 // Add puts t, a triple visible in the set's snapshot, into the set.
 func (e *EdgeSet) Add(t Triple) {
-	if i, ok := e.s.Ordinal(t); ok {
+	if i, ok := e.s.ordinal(t); ok {
 		e.bits[i>>6] |= 1 << (i & 63)
 		return
 	}

@@ -159,7 +159,7 @@ func TestSnapshotOrdinal(t *testing.T) {
 
 	clean := g.Snapshot()
 	for want, tr := range sorted {
-		if got, ok := clean.Ordinal(tr); !ok || got != want {
+		if got, ok := clean.ordinal(tr); !ok || got != want {
 			t.Fatalf("Ordinal(%v) = %d, %v; want %d", tr, got, ok, want)
 		}
 	}
@@ -168,7 +168,7 @@ func TestSnapshotOrdinal(t *testing.T) {
 		if g.Has(tr) {
 			continue
 		}
-		if i, ok := clean.Ordinal(tr); ok {
+		if i, ok := clean.ordinal(tr); ok {
 			t.Errorf("absent %v has ordinal %d", tr, i)
 		}
 	}
@@ -180,19 +180,19 @@ func TestSnapshotOrdinal(t *testing.T) {
 	g.Delete(reinserted)
 	g.Add(reinserted)
 	live := g.Snapshot()
-	if i, ok := live.Ordinal(deltaOnly); ok {
+	if i, ok := live.ordinal(deltaOnly); ok {
 		t.Errorf("delta-only triple has ordinal %d", i)
 	}
-	if i, ok := live.Ordinal(tombstoned); ok {
+	if i, ok := live.ordinal(tombstoned); ok {
 		t.Errorf("tombstoned triple has ordinal %d", i)
 	}
-	if i, ok := live.Ordinal(reinserted); !ok || i != 9 {
+	if i, ok := live.ordinal(reinserted); !ok || i != 9 {
 		t.Errorf("re-inserted base triple: Ordinal = %d, %v; want 9, true", i, ok)
 	}
-	if i, ok := clean.Ordinal(tombstoned); !ok || i != 4 {
+	if i, ok := clean.ordinal(tombstoned); !ok || i != 4 {
 		t.Errorf("the snapshot pinned before the delete lost the triple: %d, %v", i, ok)
 	}
-	if _, ok := NewGraph(nil).Snapshot().Ordinal(Triple{}); ok {
+	if _, ok := NewGraph(nil).Snapshot().ordinal(Triple{}); ok {
 		t.Error("an empty graph's snapshot gave an ordinal")
 	}
 }
@@ -316,7 +316,7 @@ func TestNewFrozenEqualsAddFreeze(t *testing.T) {
 				slices.Equal(gs.Vertices(), ws.Vertices()) && slices.Equal(gs.Predicates(), ws.Predicates())
 			gst, wst := NewStats(got), NewStats(want)
 			for _, p := range ws.Predicates() {
-				ok = ok && gst.Predicate(p) == wst.Predicate(p) && slices.Equal(gs.ByPredicate(p), ws.ByPredicate(p))
+				ok = ok && gst.predicate(p) == wst.predicate(p) && slices.Equal(gs.ByPredicate(p), ws.ByPredicate(p))
 			}
 			for _, v := range ws.Vertices() {
 				ok = ok && slices.Equal(gs.OutEdges(v), ws.OutEdges(v)) && slices.Equal(gs.InEdges(v), ws.InEdges(v))

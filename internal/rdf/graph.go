@@ -46,13 +46,13 @@ const maxCompactDelta = 1 << 16
 // (S, P, O) order, whatever order they arrived in. The graph is MVCC: Add
 // and Delete append to the current generation's delta (LSM-style), Compact
 // builds the next generation off to the side and swaps it in atomically,
-// and AddAll installs a bulk load as one generation without indexing it in
+// and addAll installs a bulk load as one generation without indexing it in
 // a delta first.
 //
 // All reads go through Snapshot, an immutable view pinning a
 // (generation, delta length) pair: a graph supports one writer concurrent
 // with any number of snapshot readers, with no lock on the read path.
-// Writer-side methods (Add, AddAll, Delete, Freeze, Compact) are
+// Writer-side methods (Add, addAll, Delete, Freeze, Compact) are
 // single-writer: they must not be called concurrently with each other,
 // but they never invalidate a live Snapshot.
 type Graph struct {
@@ -64,7 +64,7 @@ type Graph struct {
 	liveCount atomic.Int64
 
 	// gen is the current CSR generation, never nil. Swapped atomically
-	// by Compact and AddAll; snapshot readers load it lock-free.
+	// by Compact and addAll; snapshot readers load it lock-free.
 	gen atomic.Pointer[generation]
 
 	// genMu guards the retired-generation registry and generation
@@ -92,7 +92,7 @@ func NewGraph(d *Dict) *Graph {
 
 // NewFrozen returns a graph holding the given triples in one CSR
 // generation with an empty delta, however few they are and in whatever
-// order: NewGraph and AddAll's bulk path. The slice is the graph's to
+// order: NewGraph and addAll's bulk path. The slice is the graph's to
 // reorder; the graph does not keep it.
 func NewFrozen(d *Dict, triples []Triple) *Graph {
 	g := NewGraph(d)
@@ -100,7 +100,7 @@ func NewFrozen(d *Dict, triples []Triple) *Graph {
 	return g
 }
 
-// AddAll inserts a batch as Add of each triple in turn would — a triple
+// addAll inserts a batch as Add of each triple in turn would — a triple
 // the graph holds, or a repeat of an earlier one, is dropped — and
 // returns how many were new. A batch at least as large as the current
 // generation's auto-compaction threshold would leave a compaction behind
@@ -109,7 +109,7 @@ func NewFrozen(d *Dict, triples []Triple) *Graph {
 // batch is a run of delta appends. Snapshots already pinned see none of it
 // either way. Writer-side; the slice is the graph's to reorder, and the
 // graph does not keep it.
-func (g *Graph) AddAll(ts []Triple) int {
+func (g *Graph) addAll(ts []Triple) int {
 	if len(ts) >= g.compactThreshold(g.gen.Load()) {
 		return g.load(ts)
 	}
@@ -122,7 +122,7 @@ func (g *Graph) AddAll(ts []Triple) int {
 	return n
 }
 
-// load is AddAll's bulk path: one freshly built generation over what the
+// load is addAll's bulk path: one freshly built generation over what the
 // graph holds — whatever delta the old generation carried folded in — and
 // ts, sorted together so that a repeat, of a triple held or of an earlier
 // one of ts, lies next to the original and goes.
@@ -250,9 +250,9 @@ func (g *Graph) LiveGenerations() int {
 	return 1 + len(g.retired)
 }
 
-// PinnedSnapshots reports how many pinned (unclosed) snapshots exist
+// pinnedSnapshots reports how many pinned (unclosed) snapshots exist
 // across all generations of this graph.
-func (g *Graph) PinnedSnapshots() int {
+func (g *Graph) pinnedSnapshots() int {
 	n := g.gen.Load().pins.Load()
 	g.genMu.Lock()
 	for _, gen := range g.retired {
@@ -267,13 +267,9 @@ func (g *Graph) PinnedSnapshots() int {
 // compaction).
 func (g *Graph) DeltaLen() int { return int(g.gen.Load().delta.n.Load()) }
 
-// DeltaTombstones returns how many of the current generation's delta
-// mutations are tombstones.
-func (g *Graph) DeltaTombstones() int { return g.snapshotAt().dels() }
-
 // Compactions returns how many times a delta has been folded into a new
 // CSR generation: by Compact directly, by the auto-compaction threshold,
-// or by an AddAll that found one.
+// or by an addAll that found one.
 func (g *Graph) Compactions() uint64 { return g.compactions.Load() }
 
 // SetAutoCompact sets the delta/CSR ratio beyond which Add compacts
@@ -313,7 +309,7 @@ func (g *Graph) Compact() {
 // so it must not race Add; concurrent readers use Snapshot.Has.
 func (g *Graph) Has(t Triple) bool {
 	gen := g.gen.Load()
-	return new(Run).out(gen, t.S, uint32(gen.delta.n.Load())).Has(Pair{t.P, t.O})
+	return new(Run).out(gen, t.S, uint32(gen.delta.n.Load())).has(Pair{t.P, t.O})
 }
 
 // NumTriples returns |E(G)|: live triples only (adds included, deletes

@@ -132,7 +132,7 @@ func TestWriterMembershipEqualsMapOracle(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				if tr := randomTriple(); g.Has(tr) != member[tr] {
 					t.Fatalf("seed %d step %d: Has(%v) = %v, the oracle says %v (delta %d, tombstones %d)",
-						seed, step, tr, !member[tr], member[tr], g.DeltaLen(), g.DeltaTombstones())
+						seed, step, tr, !member[tr], member[tr], g.DeltaLen(), g.snapshotAt().dels())
 				}
 			}
 			if step%7 == 0 && !slices.Equal(g.Triples(), liveSPO()) {

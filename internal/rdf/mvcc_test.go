@@ -112,14 +112,14 @@ func TestSnapshotIsolationUnderConcurrentWriter(t *testing.T) {
 						t.Fatal("setup: graph and naive set disagree")
 					}
 				}
-				if g.DeltaTombstones() == 0 || g.Compactions() != loaded {
-					t.Fatalf("setup: %d tombstones pending, %d compactions since the load; want the tombstones still in the loaded generation's window", g.DeltaTombstones(), g.Compactions()-loaded)
+				if g.snapshotAt().dels() == 0 || g.Compactions() != loaded {
+					t.Fatalf("setup: %d tombstones pending, %d compactions since the load; want the tombstones still in the loaded generation's window", g.snapshotAt().dels(), g.Compactions()-loaded)
 				}
 			}
 
 			sn := g.Snapshot()
 			oracle := rebuiltSnapshot(slices.Clone(ref.live))
-			pinnedGen := sn.Generation()
+			pinnedGen := sn.gen.id
 			same := func() bool { return sameEnumeration(t, sn, oracle) && ref.readBy(t, sn) }
 
 			var done atomic.Bool
@@ -155,7 +155,7 @@ func TestSnapshotIsolationUnderConcurrentWriter(t *testing.T) {
 			if n := g.Compactions() - loaded; n < 2 {
 				t.Fatalf("writer triggered %d compactions, want >= 2 (tighten AutoCompact)", n)
 			}
-			if cur := g.Snapshot(); cur.Generation() == pinnedGen {
+			if cur := g.Snapshot(); cur.gen.id == pinnedGen {
 				t.Error("generation never advanced despite compactions")
 			} else {
 				cur.Close()
@@ -172,7 +172,7 @@ func TestSnapshotIsolationUnderConcurrentWriter(t *testing.T) {
 			if live := g.LiveGenerations(); live != 1 {
 				t.Errorf("LiveGenerations = %d after the last snapshot closed, want 1", live)
 			}
-			if pinned := g.PinnedSnapshots(); pinned != 0 {
+			if pinned := g.pinnedSnapshots(); pinned != 0 {
 				t.Errorf("PinnedSnapshots = %d after close, want 0", pinned)
 			}
 		})
@@ -227,7 +227,7 @@ func TestGenerationDrainSoak(t *testing.T) {
 	if live := g.LiveGenerations(); live != 1 {
 		t.Errorf("LiveGenerations = %d after soak drained, want 1 (retired generations leaked)", live)
 	}
-	if pinned := g.PinnedSnapshots(); pinned != 0 {
+	if pinned := g.pinnedSnapshots(); pinned != 0 {
 		t.Errorf("PinnedSnapshots = %d after soak drained, want 0", pinned)
 	}
 }

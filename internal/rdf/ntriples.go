@@ -14,7 +14,7 @@ func ReadNTriples(g *Graph, r io.Reader) (int, error) {
 }
 
 // readAll encodes each statement of a term-level scan against g's
-// dictionary and adds them in one AddAll once the whole document has
+// dictionary and adds them in one addAll once the whole document has
 // parsed: a document that fails adds no triple (the terms of the
 // statements before the error stay interned, which carries no graph
 // state).
@@ -28,7 +28,7 @@ func readAll(g *Graph, scan func(fn func(s, p, o Term) error) error) (int, error
 		return 0, err
 	}
 	n := len(ts)
-	g.AddAll(ts)
+	g.addAll(ts)
 	return n, nil
 }
 

@@ -155,8 +155,8 @@ func (r *Run) Only(key Pair) *Run {
 // cuts at.
 func (r *Run) BaseLen() int { return len(r.base) }
 
-// Has reports whether key is visible in r.
-func (r *Run) Has(key Pair) bool {
+// has reports whether key is visible in r.
+func (r *Run) has(key Pair) bool {
 	_, vis := searchPairs(r.base, key)
 	_, vis = settle(r.delta, searchDelta(r.delta, key), key, r.bound, vis)
 	return vis

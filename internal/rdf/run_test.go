@@ -90,10 +90,10 @@ func TestRunAgreesWithNaiveSetProperty(t *testing.T) {
 			}
 			for b := ID(0); b <= nv+np; b++ {
 				key, only := Pair{a, b}, *r
-				if r.Has(key) != slices.Contains(want, key) || narrowed(r, a).Has(key) != r.Has(key) {
-					return fail("Has(%v) = %v", key, r.Has(key))
+				if r.has(key) != slices.Contains(want, key) || narrowed(r, a).has(key) != r.has(key) {
+					return fail("has(%v) = %v", key, r.has(key))
 				}
-				if got := collect(only.Only(key)); len(got) != only.Len() || r.Has(key) != slices.Equal(got, []Pair{key}) {
+				if got := collect(only.Only(key)); len(got) != only.Len() || r.has(key) != slices.Equal(got, []Pair{key}) {
 					return fail("Only(%v) = %v (Len %d)", key, got, only.Len())
 				}
 			}

@@ -71,17 +71,6 @@ func (s *Snapshot) Close() {
 	s.g.pruneRetired()
 }
 
-// Dict returns the shared dictionary of the underlying graph.
-func (s *Snapshot) Dict() *Dict { return s.g.Dict }
-
-// Graph returns the graph this snapshot was taken from. The graph's
-// writer-side API (Add, Compact) is NOT safe to call from readers; this
-// exists for identity checks and dictionary access.
-func (s *Snapshot) Graph() *Graph { return s.g }
-
-// Generation returns the pinned CSR generation's id.
-func (s *Snapshot) Generation() uint64 { return s.gen.id }
-
 // Compacted reports whether the snapshot sees no op of the delta, so that
 // the triples it shows are exactly its CSR generation's.
 func (s *Snapshot) Compacted() bool { return s.n == 0 }
@@ -127,13 +116,13 @@ func (s *Snapshot) Triples() []Triple {
 }
 
 // Has reports whether the triple is visible in this snapshot.
-func (s *Snapshot) Has(t Triple) bool { return new(Run).Out(s, t.S).Has(Pair{t.P, t.O}) }
+func (s *Snapshot) Has(t Triple) bool { return new(Run).Out(s, t.S).has(Pair{t.P, t.O}) }
 
-// Ordinal returns t's position in the (S, P, O) order of the pinned CSR
+// ordinal returns t's position in the (S, P, O) order of the pinned CSR
 // generation, if t is one of its triples and visible in this snapshot.
 // A triple the snapshot sees only through its delta, or not at all, has
 // no ordinal.
-func (s *Snapshot) Ordinal(t Triple) (int, bool) {
+func (s *Snapshot) ordinal(t Triple) (int, bool) {
 	i, ok := s.gen.csr.ordinal(t)
 	if ok && s.dels() > 0 && !s.Has(t) {
 		return 0, false
@@ -175,9 +164,6 @@ func (s *Snapshot) OutDegree(v ID) int { return new(Run).Out(s, v).Len() }
 
 // InDegree is OutDegree for incoming edges.
 func (s *Snapshot) InDegree(v ID) int { return new(Run).In(s, v).Len() }
-
-// Degree returns the total (out + in) degree of v.
-func (s *Snapshot) Degree(v ID) int { return s.OutDegree(v) + s.InDegree(v) }
 
 // OutDegreeP returns the number of visible outgoing edges of v labelled
 // p: an exact (vertex, predicate) selectivity in O(log deg + delta).
@@ -250,6 +236,3 @@ func (s *Snapshot) runKeys(x, y runIndex, sides ...*sync.Map) iter.Seq[ID] {
 		}
 	}
 }
-
-// NumVertices returns the number of distinct visible vertices.
-func (s *Snapshot) NumVertices() int { return len(s.Vertices()) }

@@ -48,10 +48,10 @@ func NewStats(g *Graph) *Stats {
 	return &Stats{g: g, perPred: make(map[ID]*predAgg)}
 }
 
-// Predicate returns the statistics for property p (zero value if absent).
+// predicate returns the statistics for property p (zero value if absent).
 // New ops since the last call are folded in incrementally; fresh-cache
 // lookups contend only on a read lock.
-func (s *Stats) Predicate(p ID) PredStats {
+func (s *Stats) predicate(p ID) PredStats {
 	gen := s.g.gen.Load()
 	n := int(gen.delta.n.Load())
 	s.mu.RLock()
@@ -133,7 +133,7 @@ func (s *Stats) read(p ID) PredStats {
 // with optional bound endpoints: count scaled by 1/distinct per bound
 // side. Always at least 1 when the predicate exists.
 func (s *Stats) EstimateTriplePattern(p ID, subjectBound, objectBound bool) int {
-	ps := s.Predicate(p)
+	ps := s.predicate(p)
 	if ps.Count == 0 {
 		return 0
 	}

@@ -21,8 +21,8 @@ func TestDeleteNeverInserted(t *testing.T) {
 	if g.Delete(phantom) {
 		t.Fatal("no delta: Delete of a never-inserted triple reported present")
 	}
-	if g.DeltaLen() != 0 || g.DeltaTombstones() != 0 {
-		t.Fatalf("no-op delete left delta state behind: len=%d tombs=%d", g.DeltaLen(), g.DeltaTombstones())
+	if g.DeltaLen() != 0 || g.snapshotAt().dels() != 0 {
+		t.Fatalf("no-op delete left delta state behind: len=%d tombs=%d", g.DeltaLen(), g.snapshotAt().dels())
 	}
 	sn := g.Snapshot()
 	defer sn.Close()
@@ -100,12 +100,12 @@ func TestCompactFoldsTombstones(t *testing.T) {
 		}
 	}
 	g.Add(Triple{S: 700, P: 701, O: 702})
-	if g.DeltaTombstones() != 10 {
-		t.Fatalf("DeltaTombstones = %d, want 10", g.DeltaTombstones())
+	if g.snapshotAt().dels() != 10 {
+		t.Fatalf("tombstones = %d, want 10", g.snapshotAt().dels())
 	}
 	g.Compact()
-	if g.DeltaLen() != 0 || g.DeltaTombstones() != 0 {
-		t.Fatalf("compaction left delta state: len=%d tombs=%d", g.DeltaLen(), g.DeltaTombstones())
+	if g.DeltaLen() != 0 || g.snapshotAt().dels() != 0 {
+		t.Fatalf("compaction left delta state: len=%d tombs=%d", g.DeltaLen(), g.snapshotAt().dels())
 	}
 	want := rebuiltFrozen(g.Triples())
 	sn, wn := g.Snapshot(), want.Snapshot()
@@ -159,7 +159,7 @@ func TestDeleteHeavyDifferential(t *testing.T) {
 			}
 			if !checkEquivalent(t, overlay, oracle) {
 				t.Logf("seed %d diverged at step %d (delta=%d tombs=%d)",
-					seed, step, overlay.DeltaLen(), overlay.DeltaTombstones())
+					seed, step, overlay.DeltaLen(), overlay.snapshotAt().dels())
 				return false
 			}
 		}
@@ -185,7 +185,7 @@ func TestTombstoneReadZeroAllocs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g.Add(Triple{S: ID(i % 12), P: ID(12 + i%6), O: ID((i + 7) % 12)})
 	}
-	if g.DeltaTombstones() == 0 {
+	if g.snapshotAt().dels() == 0 {
 		t.Fatal("setup produced no tombstones")
 	}
 	sn := g.Snapshot()
@@ -200,7 +200,7 @@ func TestTombstoneReadZeroAllocs(t *testing.T) {
 		_ = walk(sn.Pred(p))
 		_ = sn.OutDegreeP(v, p)
 		_ = sn.PredicateCount(p)
-		_ = sn.Degree(v)
+		_ = sn.OutDegree(v) + sn.InDegree(v)
 	})
 	if allocs != 0 {
 		t.Fatalf("three-run accessors allocate %.1f per run with tombstones, want 0", allocs)

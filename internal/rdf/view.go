@@ -129,7 +129,7 @@ func (vs *ViewSource) PinnedSnapshots() int {
 	vs.mu.Unlock()
 	n := 0
 	for _, g := range graphs {
-		n += g.PinnedSnapshots()
+		n += g.pinnedSnapshots()
 	}
 	return n
 }

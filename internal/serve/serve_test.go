@@ -44,8 +44,9 @@ func newEngine(t *testing.T, latency cluster.Delay) (*exec.Engine, *testenv.Env)
 
 func rowSet(b *match.Bindings) map[string]int {
 	m := make(map[string]int)
+	w := len(b.Vars)
 	for i := 0; i < b.Len(); i++ {
-		m[fmt.Sprint(b.Row(i))]++
+		m[fmt.Sprint(b.Rows[i*w:(i+1)*w])]++
 	}
 	return m
 }

@@ -207,7 +207,7 @@ func TestOverwriteAtomicVisibilitySoak(t *testing.T) {
 					errCh <- fmt.Errorf("reader %d: %d rows, want exactly 1 (torn overwrite)", c, n)
 					return
 				}
-				row := resp.Bindings.Row(0)
+				row := resp.Bindings.Rows
 				ni, ii := varIdx(resp.Bindings.Vars, "n"), varIdx(resp.Bindings.Vars, "i")
 				if ni < 0 || ii < 0 {
 					errCh <- fmt.Errorf("reader %d: vars %v missing n/i", c, resp.Bindings.Vars)
@@ -239,7 +239,7 @@ func TestOverwriteAtomicVisibilitySoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ni := varIdx(resp.Bindings.Vars, "n")
-	if resp.Bindings.Len() != 1 || ni < 0 || nameOf[resp.Bindings.Row(0)[ni]] != versions {
+	if resp.Bindings.Len() != 1 || ni < 0 || nameOf[resp.Bindings.Rows[ni]] != versions {
 		t.Fatalf("final state: rows=%v, want single v%d row", resp.Bindings.Rows, versions)
 	}
 }

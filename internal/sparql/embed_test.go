@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"slices"
 	"testing"
 
 	"rdffrag/internal/rdf"
@@ -117,5 +118,48 @@ func TestEmbedsTriangleSelfLoopSafety(t *testing.T) {
 	}
 	if Embeds(tri, chain) {
 		t.Fatal("triangle embedded in chain")
+	}
+}
+
+// TestAppendShapeKey: two queries share a key exactly when they differ
+// only in their constants' values, their variables' names, projection
+// and LIMIT; a predicate variable is keyed by the first edge carrying it.
+func TestAppendShapeKey(t *testing.T) {
+	d := rdf.NewDict()
+	key := func(q string) string { return string(AppendShapeKey(nil, MustParse(d, q))) }
+	base := key(`SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Plato> . }`)
+	for _, same := range []string{
+		`SELECT ?a ?m WHERE { ?a <name> ?m . ?a <influencedBy> <Kant> . } LIMIT 5`,
+		`SELECT * WHERE { ?y <name> ?z . ?y <influencedBy> <Hume> . }`,
+	} {
+		if key(same) != base {
+			t.Errorf("%s: key differs from its template's", same)
+		}
+	}
+	for _, other := range []string{
+		`SELECT ?x WHERE { ?x <influencedBy> <Plato> . ?x <name> ?n . }`, // reordered
+		`SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> ?y . }`,      // a variable for the constant
+		`SELECT ?x WHERE { ?x <name> ?n . ?x <mainInterest> <Plato> . }`, // another predicate
+		`SELECT ?x WHERE { ?x <name> ?n . ?n <influencedBy> <Plato> . }`, // another join vertex
+	} {
+		if key(other) == base {
+			t.Errorf("%s: shares its key with another shape", other)
+		}
+	}
+	if key(`SELECT * WHERE { ?x ?p ?y . ?y ?p ?z . }`) == key(`SELECT * WHERE { ?x ?p ?y . ?y ?q ?z . }`) {
+		t.Error("a repeated predicate variable and two distinct ones share a key")
+	}
+	if key(`SELECT * WHERE { ?x ?p ?y . ?y ?p ?z . }`) != key(`SELECT * WHERE { ?a ?r ?b . ?b ?r ?c . }`) {
+		t.Error("renaming a repeated predicate variable changed the key")
+	}
+}
+
+// TestVars: the sorted distinct variable names of vertices and edge
+// labels, constants left out.
+func TestVars(t *testing.T) {
+	d := rdf.NewDict()
+	q := MustParse(d, `SELECT ?x WHERE { ?x ?p ?y . ?y ?p <c> . ?y <name> ?n . }`)
+	if got, want := q.Vars(), []string{"n", "p", "x", "y"}; !slices.Equal(got, want) {
+		t.Errorf("Vars() = %v, want %v", got, want)
 	}
 }

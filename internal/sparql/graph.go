@@ -137,19 +137,6 @@ func (g *Graph) Vars() []string {
 	return slices.Compact(vars)
 }
 
-// Predicates returns the distinct constant properties used by edges, in
-// ascending order.
-func (g *Graph) Predicates() []rdf.ID {
-	ps := make([]rdf.ID, 0, len(g.Edges))
-	for _, e := range g.Edges {
-		if !e.IsPredVar() {
-			ps = append(ps, e.Pred)
-		}
-	}
-	slices.Sort(ps)
-	return slices.Compact(ps)
-}
-
 // EdgeSubgraph returns the query graph induced by the given edge indices.
 // Vertex identity (variable names, constants) is preserved; isolated
 // vertices are dropped.
@@ -254,17 +241,6 @@ func (g *Graph) StringWithDict(d *rdf.Dict) string {
 		b.WriteString(vert(e.From) + " " + pred + " " + vert(e.To))
 	}
 	return b.String()
-}
-
-// Clone returns a deep copy.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		Verts:   append([]Vertex(nil), g.Verts...),
-		Edges:   append([]Edge(nil), g.Edges...),
-		Select:  append([]string(nil), g.Select...),
-		Limit:   g.Limit,
-		OrderBy: append([]OrderKey(nil), g.OrderBy...),
-	}
 }
 
 // Generalize returns a copy of the graph with every constant vertex

@@ -31,11 +31,3 @@ func TestParseLimitErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestCloneKeepsLimit(t *testing.T) {
-	d := rdf.NewDict()
-	q := MustParse(d, `SELECT ?x WHERE { ?x <p> ?y . } LIMIT 3`)
-	if got := q.Clone().Limit; got != 3 {
-		t.Errorf("cloned Limit = %d", got)
-	}
-}

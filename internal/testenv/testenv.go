@@ -101,7 +101,7 @@ func Build(o Options) (*Env, error) {
 		o.Persons = 40
 	}
 	g := Graph(o.Persons)
-	return BuildFrom(g, Workload(g.Dict), o)
+	return buildFrom(g, Workload(g.Dict), o)
 }
 
 // WatDiv assembles the pipeline over a generated WatDiv-like data set of
@@ -114,12 +114,12 @@ func WatDiv(triples int, horizontal bool) (*Env, *watdiv.Dataset, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	env, err := BuildFrom(ds.Graph, workload, Options{Theta: 4, MinSup: 4, StorageMul: 3, Horizontal: horizontal})
+	env, err := buildFrom(ds.Graph, workload, Options{Theta: 4, MinSup: 4, StorageMul: 3, Horizontal: horizontal})
 	return env, ds, err
 }
 
-// BuildFrom assembles the full pipeline over a given graph and workload.
-func BuildFrom(g *rdf.Graph, workload []*sparql.Graph, o Options) (*Env, error) {
+// buildFrom assembles the full pipeline over a given graph and workload.
+func buildFrom(g *rdf.Graph, workload []*sparql.Graph, o Options) (*Env, error) {
 	if o.Theta == 0 {
 		o.Theta = 3
 	}

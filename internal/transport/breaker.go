@@ -60,8 +60,8 @@ func (s breakerState) String() string {
 	return fmt.Sprintf("breakerState(%d)", int(s))
 }
 
-// Breaker is a three-state circuit breaker, safe for concurrent use.
-type Breaker struct {
+// breaker is a three-state circuit breaker, safe for concurrent use.
+type breaker struct {
 	cfg BreakerConfig
 	now func() time.Time // injectable clock for tests
 
@@ -73,17 +73,17 @@ type Breaker struct {
 	opens    uint64    // cumulative transitions to open
 }
 
-// NewBreaker builds a breaker from cfg.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), now: time.Now}
+// newBreaker builds a breaker from cfg.
+func newBreaker(cfg BreakerConfig) *breaker {
+	return &breaker{cfg: cfg.withDefaults(), now: time.Now}
 }
 
-// Allow reports whether a call may proceed. Open circuit: fails fast
+// allow reports whether a call may proceed. Open circuit: fails fast
 // with ErrBreakerOpen until the cooldown elapses, then admits exactly
 // one concurrent probe (half-open); further calls keep failing fast
 // until the probe reports. The caller must follow every successful
-// Allow with exactly one Success or Failure.
-func (b *Breaker) Allow() error {
+// allow with exactly one success or failure.
+func (b *breaker) allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -105,9 +105,9 @@ func (b *Breaker) Allow() error {
 	}
 }
 
-// Success reports a completed call: the circuit closes and the failure
+// success reports a completed call: the circuit closes and the failure
 // streak resets.
-func (b *Breaker) Success() {
+func (b *breaker) success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.state = breakerClosed
@@ -115,10 +115,10 @@ func (b *Breaker) Success() {
 	b.probing = false
 }
 
-// Failure reports a failed call: a half-open probe re-opens the
+// failure reports a failed call: a half-open probe re-opens the
 // circuit immediately; while closed, the streak advances and opens the
 // circuit at the threshold.
-func (b *Breaker) Failure() {
+func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -134,18 +134,18 @@ func (b *Breaker) Failure() {
 	// the trip changes nothing.
 }
 
-// Cancel reports that an admitted call ended without a verdict on the
+// cancel reports that an admitted call ended without a verdict on the
 // site's health (the caller cancelled, its sink failed, or the request
 // was rejected as malformed): the probe slot is released so a future
 // call can probe, but the circuit's state and streak are untouched.
-func (b *Breaker) Cancel() {
+func (b *breaker) cancel() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
 }
 
 // trip opens the circuit; callers hold b.mu.
-func (b *Breaker) trip() {
+func (b *breaker) trip() {
 	b.state = breakerOpen
 	b.openedAt = b.now()
 	b.fails = 0
@@ -153,8 +153,8 @@ func (b *Breaker) trip() {
 	b.opens++
 }
 
-// State returns the current state name and the cumulative open count.
-func (b *Breaker) State() (string, uint64) {
+// status returns the current state name and the cumulative open count.
+func (b *breaker) status() (string, uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state.String(), b.opens

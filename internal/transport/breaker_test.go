@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// fakeClock drives a Breaker's injectable clock deterministically.
+// fakeClock drives a breaker's injectable clock deterministically.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -25,16 +25,16 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestBreaker(cfg BreakerConfig) (*Breaker, *fakeClock) {
-	b := NewBreaker(cfg)
+func newTestBreaker(cfg BreakerConfig) (*breaker, *fakeClock) {
+	b := newBreaker(cfg)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	b.now = clk.now
 	return b, clk
 }
 
-func wantState(t *testing.T, b *Breaker, want string) {
+func wantState(t *testing.T, b *breaker, want string) {
 	t.Helper()
-	if got, _ := b.State(); got != want {
+	if got, _ := b.status(); got != want {
 		t.Fatalf("breaker state = %q, want %q", got, want)
 	}
 }
@@ -46,66 +46,66 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Closed: failures below the threshold keep admitting calls.
 	for i := 0; i < 2; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("closed Allow #%d: %v", i, err)
+		if err := b.allow(); err != nil {
+			t.Fatalf("closed allow #%d: %v", i, err)
 		}
-		b.Failure()
+		b.failure()
 	}
 	wantState(t, b, "closed")
 
 	// Third consecutive failure trips the circuit.
-	if err := b.Allow(); err != nil {
-		t.Fatalf("closed Allow #3: %v", err)
+	if err := b.allow(); err != nil {
+		t.Fatalf("closed allow #3: %v", err)
 	}
-	b.Failure()
+	b.failure()
 	wantState(t, b, "open")
-	if _, opens := b.State(); opens != 1 {
+	if _, opens := b.status(); opens != 1 {
 		t.Fatalf("opens = %d, want 1", opens)
 	}
 
 	// Open: fail fast until the cooldown elapses.
-	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open Allow = %v, want ErrBreakerOpen", err)
+	if err := b.allow(); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("open allow = %v, want ErrBreakerOpen", err)
 	}
 	clk.advance(999 * time.Millisecond)
-	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("Allow just before cooldown = %v, want ErrBreakerOpen", err)
+	if err := b.allow(); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("allow just before cooldown = %v, want ErrBreakerOpen", err)
 	}
 
 	// Cooldown elapsed: exactly one half-open probe gets through.
 	clk.advance(time.Millisecond)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("half-open probe Allow: %v", err)
+	if err := b.allow(); err != nil {
+		t.Fatalf("half-open probe allow: %v", err)
 	}
 	wantState(t, b, "half-open")
-	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
+	if err := b.allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("second concurrent probe = %v, want ErrBreakerOpen", err)
 	}
 
 	// Probe fails → re-open, and the cooldown restarts from now.
-	b.Failure()
+	b.failure()
 	wantState(t, b, "open")
-	if _, opens := b.State(); opens != 2 {
+	if _, opens := b.status(); opens != 2 {
 		t.Fatalf("opens = %d, want 2", opens)
 	}
-	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("Allow right after re-open = %v, want ErrBreakerOpen", err)
+	if err := b.allow(); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("allow right after re-open = %v, want ErrBreakerOpen", err)
 	}
 
 	// Next probe succeeds → closed, streak reset.
 	clk.advance(time.Second)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("second probe Allow: %v", err)
+	if err := b.allow(); err != nil {
+		t.Fatalf("second probe allow: %v", err)
 	}
-	b.Success()
+	b.success()
 	wantState(t, b, "closed")
 
 	// The reset streak needs a full threshold of new failures to trip.
 	for i := 0; i < 2; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("post-close Allow #%d: %v", i, err)
+		if err := b.allow(); err != nil {
+			t.Fatalf("post-close allow #%d: %v", i, err)
 		}
-		b.Failure()
+		b.failure()
 	}
 	wantState(t, b, "closed")
 }
@@ -114,15 +114,15 @@ func TestBreakerLifecycle(t *testing.T) {
 // must be consecutive to open the circuit.
 func TestBreakerSuccessResetsStreak(t *testing.T) {
 	b, _ := newTestBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Second})
-	b.Allow()
-	b.Failure()
-	b.Allow()
-	b.Success()
-	b.Allow()
-	b.Failure()
+	b.allow()
+	b.failure()
+	b.allow()
+	b.success()
+	b.allow()
+	b.failure()
 	wantState(t, b, "closed")
-	b.Allow()
-	b.Failure()
+	b.allow()
+	b.failure()
 	wantState(t, b, "open")
 }
 
@@ -130,21 +130,21 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 // the circuit stays half-open and the next call may probe again.
 func TestBreakerCancelReleasesProbe(t *testing.T) {
 	b, clk := newTestBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second})
-	b.Allow()
-	b.Failure()
+	b.allow()
+	b.failure()
 	wantState(t, b, "open")
 
 	clk.advance(time.Second)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("probe Allow: %v", err)
+	if err := b.allow(); err != nil {
+		t.Fatalf("probe allow: %v", err)
 	}
 	// The probing call was cancelled by its caller — no verdict.
-	b.Cancel()
+	b.cancel()
 	wantState(t, b, "half-open")
-	if err := b.Allow(); err != nil {
-		t.Fatalf("Allow after Cancel should admit a new probe: %v", err)
+	if err := b.allow(); err != nil {
+		t.Fatalf("allow after Cancel should admit a new probe: %v", err)
 	}
-	b.Success()
+	b.success()
 	wantState(t, b, "closed")
 }
 
@@ -152,8 +152,8 @@ func TestBreakerCancelReleasesProbe(t *testing.T) {
 // exactly one probe; everyone else fails fast. Run with -race.
 func TestBreakerConcurrentProbes(t *testing.T) {
 	b, clk := newTestBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Millisecond})
-	b.Allow()
-	b.Failure()
+	b.allow()
+	b.failure()
 	wantState(t, b, "open")
 	clk.advance(2 * time.Millisecond)
 
@@ -164,7 +164,7 @@ func TestBreakerConcurrentProbes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if b.Allow() == nil {
+			if b.allow() == nil {
 				admitted <- struct{}{}
 			}
 		}()
@@ -178,14 +178,14 @@ func TestBreakerConcurrentProbes(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("admitted %d concurrent probes, want exactly 1", n)
 	}
-	b.Success()
+	b.success()
 	wantState(t, b, "closed")
 }
 
 // Hammer the breaker from many goroutines with mixed verdicts; the test
 // is that -race stays quiet and the state stays one of the three names.
 func TestBreakerConcurrentHammer(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Microsecond})
+	b := newBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Microsecond})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		i := i
@@ -193,22 +193,22 @@ func TestBreakerConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				if err := b.Allow(); err != nil {
+				if err := b.allow(); err != nil {
 					continue
 				}
 				switch (i + j) % 3 {
 				case 0:
-					b.Success()
+					b.success()
 				case 1:
-					b.Failure()
+					b.failure()
 				default:
-					b.Cancel()
+					b.cancel()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	switch got, _ := b.State(); got {
+	switch got, _ := b.status(); got {
 	case "closed", "open", "half-open":
 	default:
 		t.Fatalf("breaker in unknown state %q", got)

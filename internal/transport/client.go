@@ -68,7 +68,7 @@ type ClientConfig struct {
 // cluster.SiteMetricsReporter.
 type SiteClient struct {
 	cfg     ClientConfig
-	breaker *Breaker
+	breaker *breaker
 	// eval is the request every /eval attempt is a copy of: its URL is
 	// parsed once, and its header map, empty, is shared by every attempt
 	// and never written to. evalErr is why there is none.
@@ -96,7 +96,7 @@ func NewSiteClient(cfg ClientConfig) *SiteClient {
 		cfg.FrameTimeout = 10 * time.Second
 	}
 	cfg.HTTP = cmp.Or(cfg.HTTP, http.DefaultClient)
-	c := &SiteClient{cfg: cfg, breaker: NewBreaker(cfg.Breaker), lats: metrics.NewWindow(512)}
+	c := &SiteClient{cfg: cfg, breaker: newBreaker(cfg.Breaker), lats: metrics.NewWindow(512)}
 	c.eval, c.evalErr = http.NewRequest(http.MethodPost, cfg.BaseURL+"/eval", nil)
 	return c
 }
@@ -134,7 +134,7 @@ func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, ba
 	// across every retry of this request, which sends these very bytes.
 	dictLen := c.cfg.Dict.Len()
 	body := appendRequest(make([]byte, 0, 64+32*len(req.Query.Edges)), req, batchSize, dictLen, c.cfg.Dict.Fingerprint(dictLen))
-	if err := c.breaker.Allow(); err != nil {
+	if err := c.breaker.allow(); err != nil {
 		c.fastFails.Add(1)
 		c.failures.Add(1)
 		return fmt.Errorf("%w: site %d: %v", cluster.ErrSiteUnavailable, c.cfg.Site, err)
@@ -150,34 +150,34 @@ func (c *SiteClient) EvalStream(ctx context.Context, req cluster.EvalRequest, ba
 		if attempt > 0 {
 			c.retriesC.Add(1)
 			if err := c.backoffWait(ctx, attempt); err != nil {
-				c.breaker.Cancel()
+				c.breaker.cancel()
 				c.failures.Add(1)
 				return err
 			}
 		}
 		o := c.runAttempt(ctx, body, vars, sink)
 		if o.err == nil {
-			c.breaker.Success()
+			c.breaker.success()
 			c.lats.Observe(time.Since(start))
 			return nil
 		}
 		// The sink had enough (a satisfied LIMIT), or the caller gave up:
 		// not the site's fault — release the breaker without a verdict.
 		if o.refused {
-			c.breaker.Cancel()
+			c.breaker.cancel()
 			return o.err
 		}
 		if ctx.Err() != nil {
-			c.breaker.Cancel()
+			c.breaker.cancel()
 			c.failures.Add(1)
 			return ctx.Err()
 		}
 		if !o.retryable {
-			c.breaker.Cancel()
+			c.breaker.cancel()
 			c.failures.Add(1)
 			return o.err
 		}
-		c.breaker.Failure()
+		c.breaker.failure()
 		last = o
 	}
 	c.failures.Add(1)
@@ -267,7 +267,7 @@ func (c *SiteClient) backoffWait(ctx context.Context, attempt int) error {
 // SiteMetrics implements cluster.SiteMetricsReporter. The counters
 // reconcile: Attempts + FastFails == Calls + Retries.
 func (c *SiteClient) SiteMetrics() cluster.SiteMetrics {
-	state, opens := c.breaker.State()
+	state, opens := c.breaker.status()
 	return cluster.SiteMetrics{
 		Site:         c.cfg.Site,
 		Calls:        c.calls.Load(),

@@ -68,8 +68,9 @@ func newCollector() *collector { return &collector{rows: map[string]int{}} }
 func (rc *collector) sink(b *match.Bindings) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	w := len(b.Vars)
 	for i := 0; i < b.Len(); i++ {
-		rc.rows[fmt.Sprint(b.Row(i))]++
+		rc.rows[fmt.Sprint(b.Rows[i*w:(i+1)*w])]++
 		rc.n++
 	}
 	return nil
@@ -588,7 +589,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	if !errors.Is(err, cluster.ErrSiteUnavailable) {
 		t.Fatalf("call against dead site = %v, want ErrSiteUnavailable", err)
 	}
-	if state, _ := cl.breaker.State(); state != "open" {
+	if state, _ := cl.breaker.status(); state != "open" {
 		t.Fatalf("breaker = %q after exhausted retries, want open", state)
 	}
 

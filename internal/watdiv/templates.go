@@ -48,9 +48,9 @@ func Templates() []Template {
 	}
 }
 
-// Instantiate replaces the template's placeholders with concrete dataset
+// instantiate replaces the template's placeholders with concrete dataset
 // terms chosen by the deterministic generator, returning the parsed query.
-func (ds *Dataset) Instantiate(t Template, d *rdf.Dict, r *rng) (*sparql.Graph, error) {
+func (ds *Dataset) instantiate(t Template, d *rdf.Dict, r *rng) (*sparql.Graph, error) {
 	text := t.Text
 	pick := func(pool []string) string {
 		if len(pool) == 0 {
@@ -76,7 +76,7 @@ func (ds *Dataset) GenerateWorkload(n int, seed uint64) ([]*sparql.Graph, error)
 	ts := Templates()
 	out := make([]*sparql.Graph, 0, n)
 	for i := 0; i < n; i++ {
-		q, err := ds.Instantiate(ts[i%len(ts)], ds.Graph.Dict, r)
+		q, err := ds.instantiate(ts[i%len(ts)], ds.Graph.Dict, r)
 		if err != nil {
 			return nil, fmt.Errorf("watdiv: template %s: %w", ts[i%len(ts)].Name, err)
 		}
@@ -94,7 +94,7 @@ func (ds *Dataset) BenchmarkQueries(seed uint64) ([]*sparql.Graph, []string, err
 	qs := make([]*sparql.Graph, 0, len(ts))
 	names := make([]string, 0, len(ts))
 	for _, t := range ts {
-		q, err := ds.Instantiate(t, ds.Graph.Dict, r)
+		q, err := ds.instantiate(t, ds.Graph.Dict, r)
 		if err != nil {
 			return nil, nil, fmt.Errorf("watdiv: template %s: %w", t.Name, err)
 		}

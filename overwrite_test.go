@@ -195,13 +195,13 @@ func TestServerTTLSweepDurable(t *testing.T) {
 	if _, err := srv.UpdateTTL(context.Background(), owDoc(1), time.Millisecond); err != nil {
 		t.Fatalf("UpdateTTL: %v", err)
 	}
-	seqBefore := d.LastSeq()
+	seqBefore := srv.Metrics().WAL.LastSeq
 	time.Sleep(5 * time.Millisecond)
 	if n := srv.Sweep(); n != 2 {
 		t.Fatalf("Sweep removed %d triples, want 2", n)
 	}
-	if d.LastSeq() != seqBefore+1 {
-		t.Fatalf("sweep did not log its delete batch: seq %d -> %d", seqBefore, d.LastSeq())
+	if srv.Metrics().WAL.LastSeq != seqBefore+1 {
+		t.Fatalf("sweep did not log its delete batch: seq %d -> %d", seqBefore, srv.Metrics().WAL.LastSeq)
 	}
 	m := srv.Metrics()
 	if m.SweepRuns != 1 || m.SweptTriples != 2 {

@@ -173,12 +173,11 @@ func TestAddTripleAPI(t *testing.T) {
 
 func TestNetworkStatsAccumulate(t *testing.T) {
 	dep := deployPhilosophers(t, Config{Sites: 2, MinSupport: 0.2}, phWorkload)
-	dep.ResetNetworkStats()
+	before, _ := dep.cluster.Net.Snapshot()
 	if _, err := dep.Query(`SELECT ?x WHERE { ?x <name> ?n . }`); err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	msgs, _ := dep.NetworkStats()
-	if msgs == 0 {
+	if msgs, _ := dep.cluster.Net.Snapshot(); msgs == before {
 		t.Error("no network traffic recorded")
 	}
 }

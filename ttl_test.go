@@ -203,7 +203,7 @@ func TestTTLSweeperBesideWritersAndCheckpoints(t *testing.T) {
 	wg.Wait()
 	// The appends kick checkpoints that run on their own goroutine: one
 	// may still be writing when the writers return.
-	for deadline := time.Now().Add(10 * time.Second); d.Checkpoints() == 0; time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); srv.Metrics().WAL.Checkpoints == 0; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint ran beside the writers")
 		}

@@ -309,7 +309,7 @@ var oracleRuns = []oracleRun{
 				cold := rdf.Triple{S: d.Encode(rdf.NewIRI("Zeno")), P: d.Encode(rdf.NewIRI("postalCode")), O: d.Encode(rdf.NewLiteral("55"))}
 				for _, f := range dep.frag.Fragments {
 					if f.Graph.Has(cold) {
-						t.Errorf("fragment %d (%s) holds a cold triple", f.ID, f.Key())
+						t.Errorf("fragment %d (%s) holds a cold triple", f.ID, f.Pattern.Code)
 					}
 				}
 			}},
