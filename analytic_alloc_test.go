@@ -28,8 +28,7 @@ type analyticQuery struct {
 }
 
 // prepareAnalytic deploys the 50 000-triple WatDiv fixture vertically and
-// prepares the analytic templates on it once each, with a fixed worker
-// budget: what is allocated must not depend on the host.
+// prepares the analytic templates on it once each.
 func prepareAnalytic(t *testing.T) (*exec.Engine, []analyticQuery) {
 	db, ds, workload := watdivDB(t, 50000, Config{Strategy: Vertical})
 	db.graph.Freeze()
@@ -50,7 +49,6 @@ func prepareAnalytic(t *testing.T) (*exec.Engine, []analyticQuery) {
 		if err != nil {
 			t.Fatalf("%s: %v", tpl.Name, err)
 		}
-		prep.Parallelism = 1
 		queries = append(queries, analyticQuery{tpl.Name, q, prep})
 	}
 	if len(queries) != len(analyticTemplates) {
@@ -213,9 +211,8 @@ func TestQueryHandlerAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker with a sequential matcher: what is allocated must not
-	// depend on the host's cores.
-	srv := dep.StartServer(ServerConfig{Workers: 1, Parallelism: -1})
+	// One worker: what is allocated must not depend on the host's cores.
+	srv := dep.StartServer(ServerConfig{Workers: 1})
 	defer srv.Close()
 	h := srv.Handler()
 	var queries []string
@@ -290,7 +287,7 @@ func TestSelectiveHandlerAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := dep.StartServer(ServerConfig{Workers: 1, Parallelism: -1})
+	srv := dep.StartServer(ServerConfig{Workers: 1})
 	defer srv.Close()
 	h := srv.Handler()
 	var queries []string

@@ -29,7 +29,6 @@ func main() {
 		wdQ      = flag.Int("wdq", 600, "WatDiv-like workload length")
 		sites    = flag.Int("sites", 10, "number of simulated sites")
 		workers  = flag.Int("workers", 4, "workers per site")
-		parallel = flag.Int("parallel", 0, "intra-query worker budget per site evaluation (0 = GOMAXPROCS, 1 = sequential matching)")
 		clients  = flag.Int("clients", 8, "concurrent clients for throughput runs")
 		sample   = flag.Float64("sample", 0.01, "workload fraction replayed by online experiments")
 		seed     = flag.Uint64("seed", 20160315, "generator seed")
@@ -44,7 +43,6 @@ func main() {
 		WatDivQueries:  *wdQ,
 		Sites:          *sites,
 		Workers:        *workers,
-		Parallelism:    *parallel,
 		Clients:        *clients,
 		SampleFraction: *sample,
 		Seed:           *seed,

@@ -37,7 +37,6 @@ func serveMain(args []string) {
 		workers  = fs.Int("workers", 8, "concurrent query executions")
 		queue    = fs.Int("queue", 128, "admission queue depth (full queue → 503)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-query execution deadline (0 disables)")
-		parallel = fs.Int("parallel", 0, "intra-query worker budget, divided among in-flight queries (0 = GOMAXPROCS, negative = sequential matching)")
 		ttl      = fs.Duration("ttl", 0, "default time-to-live for inserted triples: each is stamped with the deadline now+ttl, which the WAL and checkpoints keep across restarts, and the sweeper deletes it through the durable update path once that passes; the latest write of a triple sets or clears its deadline (0 = permanent; per-request X-TTL overrides)")
 		sweepInt = fs.Duration("sweep-interval", time.Second, "how often the TTL sweeper checks for expired triples (negative disables)")
 		profile  = fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
@@ -121,7 +120,6 @@ func serveMain(args []string) {
 		Workers:       *workers,
 		QueueDepth:    *queue,
 		Timeout:       *timeout,
-		Parallelism:   *parallel,
 		TTL:           *ttl,
 		SweepInterval: *sweepInt,
 		Durable:       durable,
@@ -152,8 +150,8 @@ func serveMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("serving on %s (workers=%d queue=%d timeout=%s parallel=%d remote-sites=%d partial=%v durable=%v ttl=%s pprof=%v)\n",
-		ln.Addr(), *workers, *queue, *timeout, *parallel, len(remoteSites), *partial, durable != nil, *ttl, *profile)
+	fmt.Printf("serving on %s (workers=%d queue=%d timeout=%s remote-sites=%d partial=%v durable=%v ttl=%s pprof=%v)\n",
+		ln.Addr(), *workers, *queue, *timeout, len(remoteSites), *partial, durable != nil, *ttl, *profile)
 
 	// Graceful shutdown closes the server once the listener has
 	// drained — which, when durable, checkpoints, marks the directory

@@ -80,7 +80,7 @@ func siteMain(args []string) {
 	// Graceful shutdown drains the in-flight evals (streams finish or
 	// their clients give up), so the control site sees clean stream
 	// ends instead of torn ones when a host is decommissioned politely.
-	host := dep.SiteHost(cfg)
+	host := dep.SiteHandler(cfg)
 	serveUntilSignal(host, ln, *drainTO, host.MarkDraining, nil)
 }
 

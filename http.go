@@ -251,10 +251,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"cache_hits":     m.CacheHits,
 		"cache_misses":   m.CacheMisses,
 		"cache_hit_rate": m.CacheHitRate,
-		// Intra-query parallelism: the configured machine-wide
-		// budget and the average share queries actually ran with.
-		"parallelism_budget":    m.ParallelismBudget,
-		"effective_parallelism": m.EffectiveParallelism,
 		// Live updates: applied batches, the new triples they
 		// contributed, the global graph's current delta overlay size,
 		// and how many times the delta compacted into the CSR.

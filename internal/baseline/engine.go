@@ -23,10 +23,6 @@ import (
 // sites: SHAPE and WARP both hash/partition data so any site may hold
 // matches, so every subquery is global and evaluated at all of them.
 type Engine struct {
-	// Parallelism is the intra-query worker budget each query runs with;
-	// 0 means GOMAXPROCS.
-	Parallelism int
-
 	engine *exec.Engine
 	// patterns drive WARP's pattern-first decomposition: its multi-edge
 	// patterns, largest first; empty for SHAPE.
@@ -76,7 +72,7 @@ func (e *Engine) Query(q *sparql.Graph) (*match.Bindings, *exec.QueryStats, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.engine.QueryPrepared(context.Background(), q, &exec.Prepared{Dcp: dcp, Plan: pl, Parallelism: e.Parallelism})
+	return e.engine.QueryPrepared(context.Background(), q, &exec.Prepared{Dcp: dcp, Plan: pl})
 }
 
 // decompose builds the baseline's subqueries, each global. WARP first

@@ -51,7 +51,6 @@ func (s *Suite) engineFor(p *vfPipeline, ds *Dataset, alloc *allocation.Allocati
 	if err != nil {
 		return nil, err
 	}
-	eng.Parallelism = s.Cfg.Parallelism
 	eng.SetNaiveDecomposition(naive)
 	return eng, nil
 }

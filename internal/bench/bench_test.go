@@ -94,31 +94,6 @@ func TestBuildStrategyAllCorrect(t *testing.T) {
 	}
 }
 
-// TestBuildStrategyParallelism: Config.Parallelism reaches every
-// strategy's executions, the baselines' included.
-func TestBuildStrategyParallelism(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Parallelism = 1
-	s := NewSuite(cfg)
-	ds, err := s.dbpedia()
-	if err != nil {
-		t.Fatalf("DBpedia: %v", err)
-	}
-	for _, name := range StrategyNames {
-		r, _, err := s.buildStrategy(ds, name)
-		if err != nil {
-			t.Fatalf("buildStrategy(%s): %v", name, err)
-		}
-		_, stats, err := r.Query(ds.Log[0])
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if stats.Parallelism != 1 {
-			t.Errorf("%s ran at parallelism %d, want 1", name, stats.Parallelism)
-		}
-	}
-}
-
 func TestFig12QueriesCorrectAllStrategies(t *testing.T) {
 	s := NewSuite(smallCfg())
 	ds, err := s.watDiv()

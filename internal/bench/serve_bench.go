@@ -64,10 +64,9 @@ func (s *Suite) ServerThroughput() (*Table, error) {
 // fresh server and returns overall QPS plus the server's metrics.
 func serveRun(engine *exec.Engine, sample []*sparql.Graph, clients int) (float64, serve.Metrics, error) {
 	srv := serve.New(engine, serve.Config{
-		Workers:     clients,
-		QueueDepth:  4*clients + len(sample),
-		Timeout:     time.Minute,
-		Parallelism: engine.Parallelism,
+		Workers:    clients,
+		QueueDepth: 4*clients + len(sample),
+		Timeout:    time.Minute,
 	})
 	defer srv.Close()
 

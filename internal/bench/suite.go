@@ -31,11 +31,6 @@ type Config struct {
 	Sites          int // default 10, matching the paper's cluster
 	Workers        int // default 4, the paper's cores per machine
 	Clients        int // concurrent clients for throughput, default 8
-	// Parallelism is the intra-query worker budget handed to each
-	// engine (fragment fan-out × matcher morsel workers). 0 means
-	// GOMAXPROCS; 1 forces sequential matching for apples-to-apples
-	// comparisons against single-core figures.
-	Parallelism    int
 	SampleFraction float64
 	Seed           uint64
 	// StorageFactor sets SC as a multiple of the hot graph size for
@@ -194,7 +189,6 @@ func (s *Suite) buildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats
 		if err != nil {
 			return nil, nil, err
 		}
-		eng.Parallelism = cfg.Parallelism
 		stats.Loading = time.Since(t1)
 		stats.Redundancy = p.Redundancy(ds.Graph)
 		return eng, stats, nil
@@ -212,7 +206,6 @@ func (s *Suite) buildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats
 		if err != nil {
 			return nil, nil, err
 		}
-		eng.Parallelism = cfg.Parallelism
 		stats.Loading = time.Since(t1)
 		stats.Redundancy = p.Redundancy(ds.Graph)
 		return eng, stats, nil
@@ -243,7 +236,6 @@ func (s *Suite) buildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats
 		if err != nil {
 			return nil, nil, err
 		}
-		eng.Parallelism = cfg.Parallelism
 		stats.Loading = time.Since(t1)
 		stats.Redundancy = fr.Redundancy(ds.Graph)
 		return eng, stats, nil

@@ -272,7 +272,7 @@ func TestEvalStreamAllocsPerBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := sparql.MustParse(wd.Graph.Dict, `SELECT ?u ?f ?p WHERE { ?u <wsdbm:follows> ?f . ?f <wsdbm:likes> ?p . }`)
-		req := EvalRequest{SiteID: 0, FragIDs: []int{0}, Query: q, Parallelism: 1}
+		req := EvalRequest{SiteID: 0, FragIDs: []int{0}, Query: q}
 		run := func() {
 			batches = 0
 			err := c.EvalStream(context.Background(), req, DefaultBatchSize, func(b *match.Bindings) error {

@@ -231,10 +231,6 @@ type EvalRequest struct {
 	// (match.Options.Keep), which the control site's projection makes
 	// the same answer.
 	Keep match.VertexMask
-	// Parallelism is the matcher's morsel-worker budget for each graph
-	// the site evaluates; the graphs evaluate one after the other. 0
-	// means GOMAXPROCS.
-	Parallelism int
 	// View is the query's pinned MVCC read view; fragments are read
 	// through it so one query sees a single batch-atomic cut across every
 	// site. A nil View reads each fragment's current state instead (a
@@ -271,7 +267,7 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 
 	var all []match.Match
 	err = s.each(ctx, graphs, func(g *rdf.Graph) error {
-		all = append(all, match.Find(req.Query, req.View.Snap(g), match.Options{Parallelism: req.Parallelism, Keep: req.Keep})...)
+		all = append(all, match.Find(req.Query, req.View.Snap(g), match.Options{Keep: req.Keep})...)
 		return nil
 	})
 	if err != nil {

@@ -132,7 +132,7 @@ func TestSiteEvaluatesEachGraphOnce(t *testing.T) {
 		rows  int
 	}{{[]int{1}, 5}, {[]int{3, 1, 2}, 5}, {[]int{2, 4, 1}, 6}, {[]int{4}, 1}} {
 		streamed := 0
-		req := EvalRequest{SiteID: 0, FragIDs: tc.frags, Query: q, Parallelism: 4}
+		req := EvalRequest{SiteID: 0, FragIDs: tc.frags, Query: q}
 		if err := c.EvalStream(context.Background(), req, 2, func(b *match.Bindings) error {
 			streamed += b.Len()
 			return nil

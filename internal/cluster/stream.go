@@ -46,8 +46,8 @@ type BatchSink func(*match.Bindings) error
 // themselves only; cross-batch duplicates (a match both the site's graph
 // and the cold graph hold) are the consumer's concern, exactly as
 // cross-site duplicates already were. The site's graphs evaluate one
-// after the other, each with the whole req.Parallelism budget of morsel
-// workers.
+// after the other, each by one sequential search on the caller's
+// goroutine.
 func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int, sink BatchSink) error {
 	if req.SiteID < 0 || req.SiteID >= len(c.Sites) {
 		return fmt.Errorf("cluster: site %d out of range", req.SiteID)
@@ -68,7 +68,7 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 		return err
 	}
 
-	opts := match.Options{Parallelism: req.Parallelism, Keep: req.Keep, Vars: req.Vars}
+	opts := match.Options{Keep: req.Keep, Vars: req.Vars}
 	return s.each(ctx, graphs, func(g *rdf.Graph) (err error) {
 		match.FindBindings(req.Query, req.View.Snap(g), opts, batchSize, func(b *match.Bindings) bool {
 			if err = ctx.Err(); err != nil {

@@ -45,14 +45,6 @@ type Engine struct {
 	// cluster.DefaultBatchSize).
 	BatchSize int
 
-	// Parallelism is the default intra-query worker budget, divided over
-	// the subqueries and their sites: a site's share is the matcher's
-	// morsel workers for each graph it evaluates. 0 means GOMAXPROCS.
-	// A Prepared with its own Parallelism overrides it per execution —
-	// the serving layer uses that to trade intra-query parallelism
-	// against inter-query worker count under load.
-	Parallelism int
-
 	// Remotes maps site IDs to remote evaluators (transport site
 	// clients). Subqueries routed to a mapped site go over the network;
 	// unmapped sites evaluate in-process over the cluster's channel
@@ -104,9 +96,6 @@ type QueryStats struct {
 	// IntermediateRows counts actual binding rows shipped to the control
 	// site before joining.
 	IntermediateRows int
-	// Parallelism is the effective intra-query worker budget the
-	// execution ran with (after resolving Prepared and engine defaults).
-	Parallelism int
 	// Partial is true when PartialResults mode skipped unreachable
 	// sites: the rows returned are correct but possibly incomplete.
 	// UnreachableSites lists the skipped sites, ascending.
@@ -153,11 +142,6 @@ func (e *Engine) Views() *rdf.ViewSource { return e.Cluster.Views() }
 type Prepared struct {
 	Dcp  *decompose.Decomposition
 	Plan *plan.Plan
-	// Parallelism, when non-zero, overrides the engine's intra-query
-	// worker budget for executions of this Prepared. Prepare leaves it
-	// 0; the server stamps it per execution so queries run at different
-	// budgets under different load.
-	Parallelism int
 	// View, when non-nil, is the pinned read view every site evaluation
 	// of this execution reads from — the MVCC replacement for the old
 	// per-query data lock. Prepare leaves it nil; the server stamps the

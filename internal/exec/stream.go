@@ -8,7 +8,7 @@ package exec
 // the optimizer's order, whose last stage hands its rows to the answer.
 // Join work thus runs on the producers' goroutines, overlapping
 // evaluation and shipping, and a query of one subquery at one site runs
-// on its caller's goroutine alone, besides the matcher's morsel workers.
+// on its caller's goroutine alone.
 // An unordered LIMIT stops every unit once enough distinct rows survive
 // projection.
 
@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,7 +35,6 @@ var errLimit = errors.New("exec: limit reached")
 type unit struct {
 	sq    int // the subquery's index in the decomposition
 	route siteFrags
-	par   int // the matcher's worker budget
 }
 
 // inlet is where a subquery's batches go: a join stage's input, or the
@@ -75,25 +73,11 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 		DecompositionCost: dcp.Cost,
 		PlanCost:          pl.Cost,
 	}
-	par := prep.Parallelism
-	if par == 0 {
-		par = e.Parallelism
-	}
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	stats.Parallelism = par
-
-	// The worker budget goes to the units, divided across the subqueries
-	// and across each subquery's sites, whose graphs evaluate one after
-	// the other, so total morsel-worker demand stays near the budget
-	// instead of multiplying with the fan-out.
 	x := &execution{e: e, subs: dcp.Subqueries, view: prep.View, inlets: make([]inlet, len(dcp.Subqueries))}
 	if len(x.subs) == 0 { // Prepare found a constant the data lacks
 		x.ans.init(q, q.Vars())
 		return x.ans.result(), stats, nil
 	}
-	sqPar := max(1, par/len(x.subs))
 	var units []unit
 	for i, sq := range x.subs {
 		route, err := e.routeSubquery(sq)
@@ -101,7 +85,7 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 			return nil, nil, err
 		}
 		for _, r := range route {
-			units = append(units, unit{sq: i, route: r, par: max(1, sqPar/len(route))})
+			units = append(units, unit{sq: i, route: r})
 		}
 		x.inlets[i].vars = sq.Graph.Vars()
 		x.inlets[i].running.Store(int32(len(route)))
@@ -178,13 +162,12 @@ func (x *execution) chain(q *sparql.Graph, order []int) {
 func (x *execution) run(u *unit) {
 	in, sq := &x.inlets[u.sq], x.subs[u.sq]
 	err := x.e.evaluatorFor(u.route.site).EvalStream(x.ctx, cluster.EvalRequest{
-		SiteID:      u.route.site,
-		FragIDs:     u.route.frags,
-		Query:       sq.Graph,
-		Keep:        sq.Keep,
-		View:        x.view,
-		Parallelism: u.par,
-		Vars:        in.vars,
+		SiteID:  u.route.site,
+		FragIDs: u.route.frags,
+		Query:   sq.Graph,
+		Keep:    sq.Keep,
+		View:    x.view,
+		Vars:    in.vars,
 	}, x.e.BatchSize, func(b *match.Bindings) error {
 		x.rows.Add(int64(b.Len()))
 		return in.stage.Push(b, in.left)

@@ -208,7 +208,6 @@ func TestSmallAnswerTotalAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	prep.Parallelism = 1 // the worker budget must not depend on the host
 	run := func() {
 		got, stats, err := e.QueryPrepared(context.Background(), q, prep)
 		if err != nil || got.Len() != 3 || stats.Subqueries != 2 {

@@ -228,10 +228,10 @@ func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
 }
 
 // FindBindings enumerates matches like FindBatches — same search, same
-// batch boundaries, same Parallelism semantics — but hands fn each batch
-// already projected onto the query's variables (what ToBindings would make
-// of it), without retaining a Match: rows are written straight from the
-// searcher's reused Match into the batch's flat array. The batch and its
+// batch boundaries — but hands fn each batch already projected onto the
+// query's variables (what ToBindings would make of it), without retaining
+// a Match: rows are written straight from the searcher's reused Match
+// into the batch's flat array. The batch and its
 // array belong to fn: the matcher keeps no reference and never writes to
 // them again, so fn may retain them — the control-site join reads the rows
 // of the batches it keeps, in place, until it ends, and its last reader

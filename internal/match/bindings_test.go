@@ -77,15 +77,6 @@ func tableRows(b *Bindings) [][]rdf.ID {
 	return rows
 }
 
-func flattenSorted(batches []*Bindings) [][]rdf.ID {
-	var all [][]rdf.ID
-	for _, b := range batches {
-		all = append(all, tableRows(b)...)
-	}
-	slices.SortFunc(all, RowCompare)
-	return all
-}
-
 func sameRows(a, b [][]rdf.ID) bool {
 	return slices.EqualFunc(a, b, func(x, y []rdf.ID) bool { return slices.Equal(x, y) })
 }
@@ -93,19 +84,9 @@ func sameRows(a, b [][]rdf.ID) bool {
 func sameBatch(a, b *Bindings) bool { return sameRows(tableRows(a), tableRows(b)) }
 
 // TestFindBindingsMatchesFindBatchesProperty: FindBindings emits what
-// ToBindings makes of FindBatches — the same row multiset in every mode,
-// and with one enumerating goroutine (Parallelism 1) the identical
-// sequence of batches. A sink that refuses stops it after exactly that
-// batch.
+// ToBindings makes of FindBatches, batch for batch. A sink that refuses
+// stops it after exactly that batch.
 func TestFindBindingsMatchesFindBatchesProperty(t *testing.T) {
-	modes := []struct {
-		name    string
-		opts    Options
-		ordered bool
-	}{
-		{"sequential", Options{Parallelism: 1}, true},
-		{"streaming", Options{Parallelism: 4}, false},
-	}
 	f := func(dataSeed, querySeed int64, freeze, filter bool) bool {
 		rng := rand.New(rand.NewSource(dataSeed ^ querySeed))
 		g := randomData(dataSeed, 40+rng.Intn(400))
@@ -121,44 +102,28 @@ func TestFindBindingsMatchesFindBatchesProperty(t *testing.T) {
 			t.Error("a query without edges emitted a batch")
 			return false
 		})
-		for _, mode := range modes {
-			opts := mode.opts
-			if filter {
-				opts.VertexFilter = func(qv int, id rdf.ID) bool { return (int(id)+qv)%3 != 0 }
-			}
-			want := referenceBatches(q, sn, opts, size)
-			got := emittedBatches(t, q, sn, opts, size, 0)
-			if !sameRows(flattenSorted(got), flattenSorted(want)) {
-				t.Logf("%s: seeds %d/%d: row multiset differs (%d batches vs %d)", mode.name, dataSeed, querySeed, len(got), len(want))
-				return false
-			}
-			if mode.ordered && !slices.EqualFunc(got, want, sameBatch) {
-				t.Logf("%s: seeds %d/%d: batch sequence differs", mode.name, dataSeed, querySeed)
-				return false
-			}
-			// How many batches an unordered run delivers depends on which
-			// worker claimed which morsel; rows/size is the fewest.
-			least := len(want)
-			if !mode.ordered {
-				full := size
-				if full == 0 {
-					full = 256
-				}
-				least = (len(flattenSorted(want)) + full - 1) / full
-			}
-			if least < 2 {
-				continue
-			}
-			stop := 1 + rng.Intn(least-1)
-			cut := emittedBatches(t, q, sn, opts, size, stop)
-			if len(cut) != stop {
-				t.Logf("%s: sink refused batch %d, was called %d times", mode.name, stop, len(cut))
-				return false
-			}
-			if mode.ordered && !slices.EqualFunc(cut, want[:stop], sameBatch) {
-				t.Logf("%s: the %d batches before the stop differ", mode.name, stop)
-				return false
-			}
+		var opts Options
+		if filter {
+			opts.VertexFilter = func(qv int, id rdf.ID) bool { return (int(id)+qv)%3 != 0 }
+		}
+		want := referenceBatches(q, sn, opts, size)
+		got := emittedBatches(t, q, sn, opts, size, 0)
+		if !slices.EqualFunc(got, want, sameBatch) {
+			t.Logf("seeds %d/%d: batch sequence differs (%d batches vs %d)", dataSeed, querySeed, len(got), len(want))
+			return false
+		}
+		if len(want) < 2 {
+			return true
+		}
+		stop := 1 + rng.Intn(len(want)-1)
+		cut := emittedBatches(t, q, sn, opts, size, stop)
+		if len(cut) != stop {
+			t.Logf("sink refused batch %d, was called %d times", stop, len(cut))
+			return false
+		}
+		if !slices.EqualFunc(cut, want[:stop], sameBatch) {
+			t.Logf("the %d batches before the stop differ", stop)
+			return false
 		}
 		return true
 	}
@@ -173,28 +138,26 @@ func TestFindBindingsMatchesFindBatchesProperty(t *testing.T) {
 func TestFindBindingsBatchesAreTheReceivers(t *testing.T) {
 	g := batchGraph(300)
 	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
-	for _, opts := range []Options{{Parallelism: 1}, {Parallelism: 4}} {
-		var kept, copies []*Bindings
-		FindBindings(q, g.Snapshot(), opts, 7, func(b *Bindings) bool {
-			copies = append(copies, &Bindings{Vars: b.Vars, Rows: slices.Clone(b.Rows)})
-			_ = append(b.Rows, rdf.NoID, rdf.NoID) // must not reach a neighbour
-			slices.Reverse(b.Rows)
-			kept = append(kept, b)
-			return true
-		})
-		seen := map[string]bool{}
-		for i, b := range kept {
-			slices.Reverse(b.Rows)
-			if !sameBatch(b, copies[i]) {
-				t.Fatalf("opts %+v: kept batch %d was overwritten: %v, was %v", opts, i, b.Rows, copies[i].Rows)
-			}
-			for _, r := range tableRows(b) {
-				seen[fmt.Sprint(r)] = true
-			}
+	var kept, copies []*Bindings
+	FindBindings(q, g.Snapshot(), Options{}, 7, func(b *Bindings) bool {
+		copies = append(copies, &Bindings{Vars: b.Vars, Rows: slices.Clone(b.Rows)})
+		_ = append(b.Rows, rdf.NoID, rdf.NoID) // must not reach a neighbour
+		slices.Reverse(b.Rows)
+		kept = append(kept, b)
+		return true
+	})
+	seen := map[string]bool{}
+	for i, b := range kept {
+		slices.Reverse(b.Rows)
+		if !sameBatch(b, copies[i]) {
+			t.Fatalf("kept batch %d was overwritten: %v, was %v", i, b.Rows, copies[i].Rows)
 		}
-		if len(seen) != 300 {
-			t.Errorf("opts %+v: %d distinct rows survived in the kept batches, want 300", opts, len(seen))
+		for _, r := range tableRows(b) {
+			seen[fmt.Sprint(r)] = true
 		}
+	}
+	if len(seen) != 300 {
+		t.Errorf("%d distinct rows survived in the kept batches, want 300", len(seen))
 	}
 }
 

@@ -6,8 +6,7 @@ package match
 // from scratch out of its triples — and the matcher must return
 // byte-identical results on overlay vs rebuild (the merge cursor
 // reproduces the rebuilt CSR's enumeration order exactly) and as many
-// matches as the model answers rows. The parallel morsel fan-out is
-// held to the same byte-identical standard over delta-carrying roots.
+// matches as the model answers rows.
 
 import (
 	"fmt"
@@ -23,7 +22,8 @@ import (
 
 // TestDeltaOverlayMatchDifferentialProperty: after every mutation step,
 // Find on the overlaid graph is byte-identical to Find on a freshly
-// rebuilt one, and counts what the model counts.
+// rebuilt one, counts what the model counts, and uses exactly
+// MatchedGraph's triples.
 func TestDeltaOverlayMatchDifferentialProperty(t *testing.T) {
 	f := func(dataSeed, querySeed int64) bool {
 		r := rand.New(rand.NewSource(dataSeed))
@@ -62,15 +62,19 @@ func TestDeltaOverlayMatchDifferentialProperty(t *testing.T) {
 			}
 			rebuilt := rdf.NewFrozen(overlay.Dict, slices.Clone(overlay.Triples()))
 
-			got := Find(q, overlay.Snapshot(), Options{Parallelism: 1})
-			want := Find(q, rebuilt.Snapshot(), Options{Parallelism: 1})
+			got := Find(q, overlay.Snapshot(), Options{})
+			want := Find(q, rebuilt.Snapshot(), Options{})
 			if !reflect.DeepEqual(got, want) {
 				t.Logf("step %d (delta=%d): overlay Find not byte-identical to rebuilt (%d vs %d matches)",
 					step, overlay.DeltaLen(), len(got), len(want))
 				return false
 			}
-			if Count(q, overlay.Snapshot(), Options{Parallelism: 1}) != modelCount(q, rebuilt) {
+			if Count(q, overlay.Snapshot(), Options{}) != modelCount(q, rebuilt) {
 				t.Logf("step %d: overlay diverged from the model", step)
+				return false
+			}
+			if !slices.Equal(MatchedGraph(q, overlay.Snapshot(), Options{}).Triples(), usedTriples(got)) {
+				t.Logf("step %d: overlay MatchedGraph is not the triples the matches use", step)
 				return false
 			}
 		}
@@ -126,83 +130,6 @@ func tombHubGraph(fanout, preds, deltaEdges int) *rdf.Graph {
 	// Never-inserted: a pure no-op, not a phantom the merge could trip on.
 	g.Delete(rdf.Triple{S: hub, P: g.Dict.Encode(rdf.NewIRI("p0")), O: g.Dict.Encode(rdf.NewIRI("never"))})
 	return g
-}
-
-// TestParallelDeltaByteIdentical: the morsel fan-out over a root run that
-// carries a delta overlay (base and delta partitioned along the same
-// boundary keys) returns exactly the sequential enumeration at several
-// worker counts, and Count and MatchedGraph agree with it.
-func TestParallelDeltaByteIdentical(t *testing.T) {
-	g := deltaHubGraph(2048, 8, 300)
-	if g.DeltaLen() == 0 {
-		t.Fatal("setup lost the delta")
-	}
-	queries := []string{
-		`SELECT ?x WHERE { <hub> <p5> ?x . }`,
-		`SELECT ?x ?p WHERE { <hub> ?p ?x . }`,
-		`SELECT ?s ?x WHERE { ?s <p3> ?x . }`,
-	}
-	for _, qs := range queries {
-		q := sparql.MustParse(g.Dict, qs)
-		seq := Find(q, g.Snapshot(), Options{Parallelism: 1})
-		for _, w := range []int{2, 4, 8} {
-			par := Find(q, g.Snapshot(), Options{Parallelism: w})
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("%s: parallel(%d) Find diverged from sequential (%d vs %d matches)",
-					qs, w, len(par), len(seq))
-			}
-		}
-		if c := Count(q, g.Snapshot(), Options{}); c != len(seq) {
-			t.Fatalf("%s: Count = %d, want %d", qs, c, len(seq))
-		}
-		if !slices.Equal(MatchedGraph(q, g.Snapshot(), Options{}).Triples(), usedTriples(seq)) {
-			t.Fatalf("%s: MatchedGraph is not the triples the matches use", qs)
-		}
-	}
-}
-
-// TestParallelTombstoneByteIdentical: the three-run morsel fan-out (base,
-// insert and tombstone runs all carved along the same boundary keys)
-// returns exactly the sequential enumeration when the visible window
-// carries deletes — byte-identical Find at several worker counts, and a
-// Count and a MatchedGraph that agree with it.
-func TestParallelTombstoneByteIdentical(t *testing.T) {
-	g := tombHubGraph(2048, 8, 300)
-	if g.DeltaLen() <= 300 { // the inserts alone
-		t.Fatal("setup lost the tombstones")
-	}
-	queries := []string{
-		`SELECT ?x WHERE { <hub> <p5> ?x . }`,
-		`SELECT ?x ?p WHERE { <hub> ?p ?x . }`,
-		`SELECT ?s ?x WHERE { ?s <p3> ?x . }`,
-	}
-	for _, qs := range queries {
-		q := sparql.MustParse(g.Dict, qs)
-		seq := Find(q, g.Snapshot(), Options{Parallelism: 1})
-		for _, w := range []int{2, 4, 8} {
-			par := Find(q, g.Snapshot(), Options{Parallelism: w})
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("%s: parallel(%d) Find diverged from sequential over tombstones (%d vs %d matches)",
-					qs, w, len(par), len(seq))
-			}
-		}
-		if c := Count(q, g.Snapshot(), Options{}); c != len(seq) {
-			t.Fatalf("%s: Count = %d over tombstones, want %d", qs, c, len(seq))
-		}
-		if !slices.Equal(MatchedGraph(q, g.Snapshot(), Options{}).Triples(), usedTriples(seq)) {
-			t.Fatalf("%s: MatchedGraph is not the triples the matches use over tombstones", qs)
-		}
-		// No deleted edge may leak into any match.
-		sn := g.Snapshot()
-		for _, m := range seq {
-			for _, tr := range m.Triples {
-				if !sn.Has(tr) {
-					t.Fatalf("%s: match carries tombstoned triple %v", qs, tr)
-				}
-			}
-		}
-		sn.Close()
-	}
 }
 
 // usedTriples lists the triples some match uses, in (S, P, O) order.
@@ -273,8 +200,8 @@ func TestEmptyDeltaFastPathUntouched(t *testing.T) {
 	sn := g.Snapshot()
 	defer sn.Close()
 	hub := sn.Vertices()[0]
-	if run := new(rdf.Run).Out(sn, hub); run.BaseLen() != 2048 || run.Len() != 2048 {
-		t.Fatalf("the hub's run has %d entries, %d of them in the CSR; want 2048, all of them", run.Len(), run.BaseLen())
+	if run := new(rdf.Run).Out(sn, hub); run.Len() != 2048 {
+		t.Fatalf("the hub's run has %d entries, want 2048", run.Len())
 	}
 	q := sparql.MustParse(g.Dict, `SELECT ?x WHERE { <hub> <p5> ?x . }`)
 	s := newTestSearcher(q, g)

@@ -19,10 +19,7 @@ import (
 
 func matchedGraphOracle(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Graph {
 	sub := rdf.NewGraph(nil) // IDs of g's dictionary
-	if len(q.Edges) == 0 {
-		return sub
-	}
-	forEachOrdered(q, g, opts, edgeOrder(q, g), func(m *Match) bool {
+	ForEach(q, g, opts, func(m *Match) bool {
 		for _, t := range m.Triples {
 			sub.Add(t)
 		}

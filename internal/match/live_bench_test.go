@@ -61,7 +61,7 @@ func BenchmarkLiveMixedAddDeleteQuery(b *testing.B) {
 				havePending = true
 			}
 		}
-		if n := searchCount(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
+		if n := searchCount(q, g.Snapshot()); n == 0 {
 			b.Fatal("point lookup matched nothing")
 		}
 	}
@@ -105,7 +105,7 @@ func BenchmarkLiveSlowlyChangingGraph(b *testing.B) {
 			g.Add(rdf.Triple{S: subj[e], P: pred, O: vers[next]})
 			cur[e] = next
 		}
-		if n := searchCount(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
+		if n := searchCount(q, g.Snapshot()); n == 0 {
 			b.Fatal("point lookup matched nothing")
 		}
 	}
@@ -126,7 +126,7 @@ func BenchmarkLiveMixedAddQuery(b *testing.B) {
 			serial++
 			g.Add(rdf.Triple{S: s, P: pred, O: obj})
 		}
-		if n := searchCount(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
+		if n := searchCount(q, g.Snapshot()); n == 0 {
 			b.Fatal("point lookup matched nothing")
 		}
 	}

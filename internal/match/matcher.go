@@ -10,9 +10,6 @@
 package match
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
 )
@@ -34,27 +31,11 @@ type Options struct {
 	Limit int
 	// VertexFilter, when non-nil, must approve every binding of query
 	// vertex qv to data vertex id. Horizontal fragmentation uses this to
-	// impose structural simple predicates. When the search runs in
-	// parallel the filter is called concurrently from several workers,
-	// so it must be safe for concurrent use (pure functions over
-	// immutable state, like the minterm filters, qualify).
+	// impose structural simple predicates. CountAll and MatchedEdgesAll
+	// call their items' filters concurrently, so a filter there must be
+	// safe for concurrent use (pure functions over immutable state, like
+	// the minterm filters, qualify).
 	VertexFilter func(qv int, id rdf.ID) bool
-	// Parallelism caps the number of workers the morsel-driven parallel
-	// search may use: the root edge's candidate run is split into
-	// morsels and fanned out to a worker pool, each worker owning a
-	// private searcher. 0 means GOMAXPROCS; 1 (or a root run too small
-	// to split) forces the sequential path. Find, FindBatches and
-	// FindBindings honour it. ForEach is always sequential because its
-	// callback contract (one reused Match) is inherently serial; so are
-	// Count and MatchedEdges, which reduce a tree pattern without
-	// enumerating it and enumerate any other on the caller's goroutine
-	// (CountAll and MatchedEdgesAll fan out over patterns instead).
-	// Limit > 0 also forces the sequential path, preserving the exact
-	// "first Limit matches in enumeration order" semantics. A parallel
-	// FindBatches or FindBindings streams batches as workers fill them, in
-	// no particular order; Find's parallel output is exactly the
-	// sequential output.
-	Parallelism int
 	// Keep, when non-nil, marks the query vertices whose bindings the
 	// caller reads; the others need one witness each. The search then
 	// stops at the first complete match below the cut depth — the first
@@ -103,13 +84,7 @@ func ForEach(q *sparql.Graph, g *rdf.Snapshot, opts Options, fn func(*Match) boo
 	if len(q.Edges) == 0 {
 		return
 	}
-	forEachOrdered(q, g, opts, edgeOrder(q, g), fn)
-}
-
-// forEachOrdered is ForEach with a precomputed edge order, so entry
-// points that already ran edgeOrder for the parallel planner don't pay
-// for it twice when the plan declines.
-func forEachOrdered(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int, fn func(*Match) bool) {
+	order := edgeOrder(q, g)
 	s := &searcher{
 		q:      q,
 		g:      g,
@@ -132,7 +107,7 @@ func forEachOrdered(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int,
 			s.bound[i] = true
 		}
 	}
-	s.search(0, nil)
+	s.search(0)
 }
 
 // clone deep-copies a reused Match for retention beyond the ForEach
@@ -151,20 +126,11 @@ func (m *Match) clone() Match {
 	return c
 }
 
-// Find collects up to opts.Limit matches (all if 0). Its output is
-// deterministic regardless of opts.Parallelism: the parallel path merges
-// per-morsel results in morsel order, reproducing the sequential
-// enumeration order exactly.
+// Find collects up to opts.Limit matches (all if 0), in enumeration
+// order.
 func Find(q *sparql.Graph, g *rdf.Snapshot, opts Options) []Match {
-	if len(q.Edges) == 0 {
-		return nil
-	}
-	order := edgeOrder(q, g)
-	if r := planParallel(q, g, opts, order); r != nil {
-		return r.find()
-	}
 	var out []Match
-	forEachOrdered(q, g, opts, order, func(m *Match) bool {
+	ForEach(q, g, opts, func(m *Match) bool {
 		out = append(out, m.clone())
 		return true
 	})
@@ -226,52 +192,18 @@ func (b *batcher[E]) take() []E {
 
 // findBatched is the search-and-batch skeleton behind FindBatches and
 // FindBindings: keep appends to a batch the stride elements that the
-// searcher's reused Match becomes (it must grow the array when it is full;
-// it is called from every enumerating goroutine), on arrays from alloc. A
-// parallel run delivers batches to fn one at a time, as each worker fills
-// its own, in claiming order.
+// searcher's reused Match becomes, on arrays from alloc, and fn gets each
+// batch as it fills, in enumeration order.
 func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, stride int, keep func([]E, *Match) []E, alloc func(int) []E, free func([]E), fn func([]E) bool) {
 	if size <= 0 {
 		size = 256
 	}
-	if len(q.Edges) == 0 {
-		return
-	}
-	order := edgeOrder(q, g)
-	r := planParallel(q, g, opts, order)
-	switch {
-	case r == nil:
-		b := newBatcher(keep, alloc, free, stride, size)
-		forEachOrdered(q, g, opts, order, func(m *Match) bool {
-			return !b.add(m) || fn(b.take())
-		})
-		if len(b.batch) > 0 {
-			fn(b.take())
-		}
-	default:
-		var (
-			mu      sync.Mutex
-			stopped bool
-		)
-		deliver := func(batch []E) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			stopped = stopped || !fn(batch)
-			return !stopped
-		}
-		r.run(func(int) workerHooks {
-			b := newBatcher(keep, alloc, free, stride, size)
-			return workerHooks{
-				onMatch: func(_ int, m *Match) bool {
-					return !b.add(m) || deliver(b.take())
-				},
-				finish: func() {
-					if len(b.batch) > 0 && !r.stop.Load() {
-						deliver(b.take())
-					}
-				},
-			}
-		})
+	b := newBatcher(keep, alloc, free, stride, size)
+	ForEach(q, g, opts, func(m *Match) bool {
+		return !b.add(m) || fn(b.take())
+	})
+	if len(b.batch) > 0 {
+		fn(b.take())
 	}
 }
 
@@ -287,7 +219,7 @@ func Count(q *sparql.Graph, g *rdf.Snapshot, opts Options) int {
 		return r.count()
 	}
 	n := 0
-	forEachOrdered(q, g, opts, edgeOrder(q, g), func(*Match) bool {
+	ForEach(q, g, opts, func(*Match) bool {
 		n++
 		return true
 	})
@@ -311,7 +243,7 @@ func MatchedEdges(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.EdgeSet {
 		r.matchedEdges(set)
 		return set
 	}
-	forEachOrdered(q, g, opts, edgeOrder(q, g), edgeMarker(set, len(q.Edges)))
+	ForEach(q, g, opts, edgeMarker(set, len(q.Edges)))
 	return set
 }
 
@@ -374,10 +306,6 @@ type searcher struct {
 	cut       int
 	done      bool
 	witnessed bool
-	// stop, when non-nil, is the parallel run's shared kill switch: any
-	// worker tripping it (callback returned false) halts every other
-	// worker at its next search step.
-	stop *atomic.Bool
 }
 
 // edgeOrder sorts query edges so that (a) the search stays connected and
@@ -445,22 +373,12 @@ func edgeOrder(q *sparql.Graph, g *rdf.Snapshot) []int {
 }
 
 // search extends the current partial match over the edge at depth of the
-// search order, by each of its candidates in turn. A parallel worker hands
-// in root, the cursor on its morsel's share of the root edge's candidates;
-// every other call starts the cursor itself.
-func (s *searcher) search(depth int, root *candCursor) {
-	if s.stop != nil && s.stop.Load() {
-		s.done = true
-		return
-	}
+// search order, by each of its candidates in turn.
+func (s *searcher) search(depth int) {
 	ei := s.order[depth]
 	e := s.q.Edges[ei]
-	var own candCursor
-	cur := root
-	if cur == nil {
-		cur = &own
-		s.initCursor(cur, e)
-	}
+	var cur candCursor
+	s.initCursor(&cur, e)
 	// The loop steps the cursor's run itself and expands the candidate
 	// inline: a call per candidate for either — a next method on the
 	// cursor, an expand method on the searcher — costs the candidate-scan
@@ -498,7 +416,7 @@ func (s *searcher) search(depth int, root *candCursor) {
 		undoP := s.bindPred(e, t.P)
 		s.m.Triples[ei] = t
 		if depth+1 < len(s.order) {
-			s.search(depth+1, nil)
+			s.search(depth + 1)
 		} else {
 			s.emit()
 		}
@@ -520,16 +438,15 @@ func (s *searcher) search(depth int, root *candCursor) {
 
 // cutDepth returns the number of leading edges of order that bind every
 // vertex keep marks and every variable predicate (Options.Keep), or
-// len(order) when keep is nil. It is at least 1: each candidate of the
-// root edge, which a parallel search deals out in morsels, has a witness
-// of its own, so that the parallel output is still the sequential one.
+// len(order) when keep is nil. A keep that marks nothing, over a pattern
+// without a variable predicate, cuts at 0: one match stands for them all.
 // Once every variable is bound, an edge has one candidate at most, so a
 // keep that marks every variable vertex still finds every match.
 func cutDepth(q *sparql.Graph, order []int, keep VertexMask) int {
 	if keep == nil {
 		return len(order)
 	}
-	cut := 1
+	cut := 0
 	for v, vert := range q.Verts {
 		if !vert.IsVar() || !keep.Has(v) {
 			continue
@@ -582,16 +499,21 @@ const (
 	curList        // no run: every triple of the snapshot
 )
 
-// pick puts c, a zero cursor, at the start of what serves the candidates
-// of edge e when its endpoints are bound to from and to (rdf.NoID where
-// not), cheapest first: a bound endpoint's run — of a fully-ground edge,
-// no more than the entry that is the edge; else the part labelled with
-// the edge's predicate when that is constant, so the graph serves a
-// contiguous sub-run — a constant predicate's run, the snapshot's triple
-// list (which already folds the delta in). The sequential search calls it
-// with the current bindings; the parallel search with the constants, to
-// deal the root's candidates out in morsels.
-func (c *candCursor) pick(g *rdf.Snapshot, e sparql.Edge, from, to rdf.ID) {
+// initCursor puts c, a zero cursor, at the start of what serves the
+// candidates of edge e under the current bindings, cheapest first: a bound
+// endpoint's run — of a fully-ground edge, no more than the entry that is
+// the edge; else the part labelled with the edge's predicate when that is
+// constant, so the graph serves a contiguous sub-run — a constant
+// predicate's run, the snapshot's triple list (which already folds the
+// delta in).
+func (s *searcher) initCursor(c *candCursor, e sparql.Edge) {
+	g, from, to := s.g, rdf.NoID, rdf.NoID
+	if s.bound[e.From] {
+		from = s.m.Vertex[e.From]
+	}
+	if s.bound[e.To] {
+		to = s.m.Vertex[e.To]
+	}
 	switch {
 	case from != rdf.NoID && to != rdf.NoID && !e.IsPredVar():
 		c.dir, c.fixed, c.other = curOut, from, rdf.NoID
@@ -614,19 +536,6 @@ func (c *candCursor) pick(g *rdf.Snapshot, e sparql.Edge, from, to rdf.ID) {
 	if !e.IsPredVar() {
 		c.run.Narrow(e.Pred)
 	}
-}
-
-// initCursor starts c, a zero cursor, on the candidates of edge e under
-// the current bindings.
-func (s *searcher) initCursor(c *candCursor, e sparql.Edge) {
-	from, to := rdf.NoID, rdf.NoID
-	if s.bound[e.From] {
-		from = s.m.Vertex[e.From]
-	}
-	if s.bound[e.To] {
-		to = s.m.Vertex[e.To]
-	}
-	c.pick(s.g, e, from, to)
 }
 
 // triple rebuilds the candidate from an entry of c's run and the ID the

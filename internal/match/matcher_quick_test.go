@@ -3,7 +3,6 @@ package match
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -124,12 +123,11 @@ func TestVertexFilterMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestKeepCutProperty: under a random Keep, at Parallelism 1 and 2, with
-// and without a VertexFilter, over a graph carrying a delta, every row
-// FindBindings emits is a row of the full enumeration, and the two have
-// the same distinct projection onto the kept vertices' variables and the
-// predicate variable, which the cut always keeps; and Find's parallel
-// output is still its sequential one.
+// TestKeepCutProperty: under a random Keep, with and without a
+// VertexFilter, over a graph carrying a delta, every row FindBindings
+// emits is a row of the full enumeration, and the two have the same
+// distinct projection onto the kept vertices' variables and the predicate
+// variable, which the cut always keeps.
 func TestKeepCutProperty(t *testing.T) {
 	f := func(dataSeed, querySeed int64, keepBits uint8, filtered bool) bool {
 		r := rand.New(rand.NewSource(dataSeed))
@@ -158,7 +156,7 @@ func TestKeepCutProperty(t *testing.T) {
 		if querySeed%3 == 0 {
 			kept = append(kept, "p")
 		}
-		opts := Options{Parallelism: 1}
+		var opts Options
 		if filtered {
 			m := 2 + int(dataSeed&1)
 			opts.VertexFilter = func(qv int, id rdf.ID) bool { return int(id)%m != qv%m }
@@ -172,26 +170,20 @@ func TestKeepCutProperty(t *testing.T) {
 			rows[fmt.Sprint(full.Rows[i*w:(i+1)*w])] = true
 		}
 		want := project(full, kept)
-		for _, par := range []int{1, 2} {
-			opts.Parallelism, opts.Keep = par, keep
-			got := &Bindings{Vars: full.Vars}
-			FindBindings(q, snap, opts, 4, func(b *Bindings) bool {
-				got.Rows = append(got.Rows, b.Rows...)
-				return true
-			})
-			for i := 0; i < got.Len(); i++ {
-				if row := got.Rows[i*w : (i+1)*w]; !rows[fmt.Sprint(row)] {
-					t.Logf("%s keep %v, Parallelism %d: row %v is no match", q, kept, par, row)
-					return false
-				}
-			}
-			if p := project(got, kept); !slices.Equal(p.Rows, want.Rows) || p.Len() != want.Len() {
-				t.Logf("%s keep %v, Parallelism %d: kept rows %v, the full enumeration's %v", q, kept, par, p.Rows, want.Rows)
+		opts.Keep = keep
+		got := &Bindings{Vars: full.Vars}
+		FindBindings(q, snap, opts, 4, func(b *Bindings) bool {
+			got.Rows = append(got.Rows, b.Rows...)
+			return true
+		})
+		for i := 0; i < got.Len(); i++ {
+			if row := got.Rows[i*w : (i+1)*w]; !rows[fmt.Sprint(row)] {
+				t.Logf("%s keep %v: row %v is no match", q, kept, row)
 				return false
 			}
 		}
-		if seq, par := Find(q, snap, opts), Find(q, snap, Options{Parallelism: 1, Keep: keep, VertexFilter: opts.VertexFilter}); !reflect.DeepEqual(seq, par) {
-			t.Logf("%s keep %v: Find finds %d matches at Parallelism 2, %d at 1", q, kept, len(par), len(seq))
+		if p := project(got, kept); !slices.Equal(p.Rows, want.Rows) || p.Len() != want.Len() {
+			t.Logf("%s keep %v: kept rows %v, the full enumeration's %v", q, kept, p.Rows, want.Rows)
 			return false
 		}
 		return true

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rdffrag/internal/rdf"
@@ -10,16 +11,18 @@ import (
 )
 
 // searchCount counts q's matches by the search, which Count no longer
-// runs for a tree pattern: through ForEach at Parallelism 1, as Count's
-// sequential path did, and otherwise through FindBindings, which fans out
-// as a site evaluating a subquery does.
-func searchCount(q *sparql.Graph, g *rdf.Snapshot, opts Options) int {
+// runs for a tree pattern.
+func searchCount(q *sparql.Graph, g *rdf.Snapshot) int {
 	n := 0
-	if opts.Parallelism == 1 {
-		ForEach(q, g, opts, func(*Match) bool { n++; return true })
-		return n
-	}
-	FindBindings(q, g, opts, 0, func(b *Bindings) bool {
+	ForEach(q, g, Options{}, func(*Match) bool { n++; return true })
+	return n
+}
+
+// bindingsCount counts q's matches through FindBindings, as a site
+// evaluating a subquery does: its batches are in what it allocates.
+func bindingsCount(q *sparql.Graph, g *rdf.Snapshot) int {
+	n := 0
+	FindBindings(q, g, Options{}, 0, func(b *Bindings) bool {
 		n += b.Len()
 		b.Release()
 		return true
@@ -47,8 +50,7 @@ func hubGraph(fanout, preds int) *rdf.Graph {
 
 // BenchmarkCandidateScan measures the matcher's candidate enumeration for
 // a constant-subject, constant-predicate edge on a high-fanout vertex:
-// the inner loop of every bound-endpoint expansion. Parallelism is pinned
-// to 1 so a multi-core host does not time the morsel fan-out instead.
+// the inner loop of every bound-endpoint expansion.
 func BenchmarkCandidateScan(b *testing.B) {
 	g := hubGraph(4096, 16)
 	g.Freeze() // measure the CSR run path, as production freeze sites do
@@ -57,7 +59,7 @@ func BenchmarkCandidateScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n := searchCount(q, g.Snapshot(), Options{Parallelism: 1}); n != want {
+		if n := searchCount(q, g.Snapshot()); n != want {
 			b.Fatalf("count = %d, want %d", n, want)
 		}
 	}
@@ -76,41 +78,41 @@ func watDivFixture(tb testing.TB) (*rdf.Graph, []*sparql.Graph) {
 }
 
 // TestMatchWatDivAllocs bounds the allocations of the whole WatDiv
-// workload, the host-independent half of BenchmarkMatchWatDiv. The count
-// is deterministic for a given Parallelism (Options{} would follow
-// GOMAXPROCS), so it is pinned at 1 and at 2; each ceiling is what the
-// workload measures plus 5%, which one allocation more per search exceeds
-// at Parallelism 1. At 2 the workload runs through FindBindings, whose
-// batches are in the figure: a parallel Count, which measured 1020, no
-// longer exists.
+// workload through FindBindings, the host-independent half of
+// BenchmarkMatchWatDiv. It counts mallocs itself, at two procs, where
+// testing.AllocsPerRun would run at one: a search that fanned out over
+// the procs it is given would show here. The ceiling is what the
+// workload measures plus 5%, which one allocation more per search
+// exceeds.
 func TestMatchWatDivAllocs(t *testing.T) {
 	g, log := watDivFixture(t)
-	for _, tc := range []struct {
-		parallelism int
-		measured    float64
-	}{{1, 400}, {2, 1479}} {
-		opts := Options{Parallelism: tc.parallelism}
-		allocs := testing.AllocsPerRun(5, func() {
-			total := 0
-			for _, q := range log {
-				total += searchCount(q, g.Snapshot(), opts)
-			}
-			if total == 0 {
-				t.Fatal("workload matched nothing")
-			}
-		})
-		if ceiling := tc.measured * 1.05; allocs > ceiling {
-			t.Errorf("Parallelism %d: the workload allocates %.0f times, want <= %.0f (%.0f measured)",
-				tc.parallelism, allocs, ceiling, tc.measured)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	run := func() {
+		total := 0
+		for _, q := range log {
+			total += bindingsCount(q, g.Snapshot())
 		}
+		if total == 0 {
+			t.Fatal("workload matched nothing")
+		}
+	}
+	run()
+	const runs, measured = 5, 797
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	if ceiling := measured * 1.05; allocs > ceiling {
+		t.Errorf("the workload allocates %.0f times, want <= %.0f (%d measured)", allocs, ceiling, measured)
 	}
 }
 
 // BenchmarkMatchWatDiv runs a fixed slice of WatDiv template queries over
 // a WatDiv-shaped graph — the end-to-end matcher cost a site pays per
-// subquery evaluation. Options{} means the morsel fan-out uses
-// GOMAXPROCS workers, so this measures whatever parallelism the host
-// grants (GOMAXPROCS=1 takes the sequential path).
+// subquery evaluation.
 func BenchmarkMatchWatDiv(b *testing.B) {
 	g, log := watDivFixture(b)
 	b.ReportAllocs()
@@ -118,33 +120,10 @@ func BenchmarkMatchWatDiv(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total := 0
 		for _, q := range log {
-			total += searchCount(q, g.Snapshot(), Options{})
+			total += bindingsCount(q, g.Snapshot())
 		}
 		if total == 0 {
 			b.Fatal("workload matched nothing")
 		}
-	}
-}
-
-// BenchmarkMatchWatDivParallel sweeps the morsel worker count over the
-// same workload — the scaling table of the parallel execution model.
-// Real speedup requires GOMAXPROCS ≥ the worker count; on a single
-// hardware thread the sweep instead measures the fan-out's overhead.
-func BenchmarkMatchWatDivParallel(b *testing.B) {
-	g, log := watDivFixture(b)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := Options{Parallelism: w}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				total := 0
-				for _, q := range log {
-					total += searchCount(q, g.Snapshot(), opts)
-				}
-				if total == 0 {
-					b.Fatal("workload matched nothing")
-				}
-			}
-		})
 	}
 }

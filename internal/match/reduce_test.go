@@ -14,17 +14,13 @@ import (
 // sequential search, whatever the pattern: the reducer's reference.
 func enumeratedEdges(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.EdgeSet {
 	set := g.NewEdgeSet()
-	if len(q.Edges) > 0 {
-		forEachOrdered(q, g, opts, edgeOrder(q, g), edgeMarker(set, len(q.Edges)))
-	}
+	ForEach(q, g, opts, edgeMarker(set, len(q.Edges)))
 	return set
 }
 
 func enumeratedCount(q *sparql.Graph, g *rdf.Snapshot, opts Options) int {
 	n := 0
-	if len(q.Edges) > 0 {
-		forEachOrdered(q, g, opts, edgeOrder(q, g), func(*Match) bool { n++; return true })
-	}
+	ForEach(q, g, opts, func(*Match) bool { n++; return true })
 	return n
 }
 

@@ -36,7 +36,7 @@ func BenchmarkSnapshotHas(b *testing.B) {
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		if sn.Has(probes[i&1023]) {
+		if sn.has(probes[i&1023]) {
 			n++
 		}
 	}

@@ -125,7 +125,7 @@ func TestDeltaOnAdd(t *testing.T) {
 		t.Fatalf("DeltaLen = %d, want 1", g.DeltaLen())
 	}
 	sn := g.Snapshot()
-	if !sn.Has(extra) || sn.NumTriples() != len(sn.Triples()) {
+	if !sn.has(extra) || sn.NumTriples() != len(sn.Triples()) {
 		t.Fatal("triple lost in the delta")
 	}
 	if len(sn.Vertices()) != nv+2 {

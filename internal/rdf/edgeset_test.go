@@ -322,7 +322,7 @@ func TestNewFrozenEqualsAddFreeze(t *testing.T) {
 				ok = ok && slices.Equal(gs.OutEdges(v), ws.OutEdges(v)) && slices.Equal(gs.InEdges(v), ws.InEdges(v))
 			}
 			for _, tr := range append(randomTriples(seed+1, 40, 7, 3), ts...) {
-				ok = ok && got.Has(tr) == want.Has(tr) && gs.Has(tr) == ws.Has(tr)
+				ok = ok && got.Has(tr) == want.Has(tr) && gs.has(tr) == ws.has(tr)
 			}
 			if !ok {
 				t.Logf("seed %d: NewFrozen differs from Add+Freeze %s", seed, stage)

@@ -306,7 +306,7 @@ func (g *Graph) Compact() {
 // Has reports whether the triple is present, as the writer sees it: it
 // asks the current generation — its CSR, then its delta up to the last
 // write — as a snapshot taken now would, without allocating. Writer-side,
-// so it must not race Add; concurrent readers use Snapshot.Has.
+// so it must not race Add; concurrent readers ask a Snapshot.
 func (g *Graph) Has(t Triple) bool {
 	gen := g.gen.Load()
 	return new(Run).out(gen, t.S, uint32(gen.delta.n.Load())).has(Pair{t.P, t.O})

@@ -65,7 +65,7 @@ func TestWriterMembershipEqualsMapOracle(t *testing.T) {
 				sn := g.Snapshot()
 				n := 0
 				for _, tr := range universe[rr.Intn(len(universe)/2):] {
-					if sn.Has(tr) {
+					if sn.has(tr) {
 						n++
 					}
 				}
@@ -148,7 +148,7 @@ func TestWriterMembershipEqualsMapOracle(t *testing.T) {
 			if g.Has(tr) != member[tr] {
 				t.Fatalf("seed %d: Has(%v) = %v at the end", seed, tr, !member[tr])
 			}
-			if pinned.Has(tr) != pinnedMember[tr] {
+			if pinned.has(tr) != pinnedMember[tr] {
 				t.Fatalf("seed %d: the snapshot pinned at step %d now says Has(%v) = %v", seed, steps/3, tr, !pinnedMember[tr])
 			}
 		}

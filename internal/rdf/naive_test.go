@@ -178,12 +178,12 @@ func (n *naiveSet) readBy(t *testing.T, sn *Snapshot) bool {
 	}
 	for _, tr := range n.live {
 		for _, x := range []Triple{tr, {S: tr.O, P: tr.P, O: tr.S}} {
-			if sn.Has(x) != n.Has(x) {
+			if sn.has(x) != n.Has(x) {
 				return fail("Has(%v) = %v", x, !n.Has(x))
 			}
 		}
 	}
-	if sn.Has(Triple{S: absent, P: absent, O: absent}) {
+	if sn.has(Triple{S: absent, P: absent, O: absent}) {
 		return fail("Has of a triple over absent IDs")
 	}
 	return true

@@ -151,10 +151,6 @@ func (r *Run) Only(key Pair) *Run {
 	return r
 }
 
-// BaseLen returns the length of r's CSR run, the positions Cursor.Cut
-// cuts at.
-func (r *Run) BaseLen() int { return len(r.base) }
-
 // has reports whether key is visible in r.
 func (r *Run) has(key Pair) bool {
 	_, vis := searchPairs(r.base, key)
@@ -188,25 +184,6 @@ func (r *Run) Len() int {
 type Cursor struct {
 	Run
 	i, j int // positions in base and delta
-}
-
-// Cut keeps of c's run, and puts c at the start of, the part between CSR
-// positions lo < hi (or, as Cut(0, 0), all of a run that has no CSR run):
-// those entries of the CSR run, and the delta entries that sort from the
-// one at lo up to the one at hi — from the start when lo is 0, to the end
-// when hi is BaseLen(). The parts between consecutive positions therefore
-// concatenate to the run, which is how a root run is dealt out in
-// morsels. The ops on one key compare equal and a cut is a binary search
-// for a CSR key, so they all fall on one side of it: every part settles
-// its own keys.
-func (c *Cursor) Cut(lo, hi int) {
-	if hi < len(c.base) {
-		c.delta = c.delta[:searchDelta(c.delta, c.base[hi])]
-	}
-	if lo > 0 {
-		c.delta = c.delta[searchDelta(c.delta, c.base[lo]):]
-	}
-	c.base, c.i, c.j = c.base[lo:hi], 0, 0
 }
 
 // Next returns the next visible entry, or false when the run is exhausted.

@@ -66,10 +66,7 @@ func CompareSO(a, b Triple) int { return comparePairs(Pair{a.S, a.O}, Pair{b.S, 
 // whole sequence is in the delta, so every run a snapshot loads also
 // carries what was written after it. For every run of every snapshot the
 // cursor's walk, Len and Has of every key must be the naive set's answer
-// at that bound; Narrow and Only must be the walk filtered; and the parts
-// Cut cuts must concatenate to the walk whatever the cuts: checked as
-// sub(lo, hi) = sub(lo, mid) ++ sub(mid, hi) for every lo < mid < hi
-// with sub(0, BaseLen()) the whole, from which any set of cuts follows.
+// at that bound; and Narrow and Only must be the walk filtered.
 func TestRunAgreesWithNaiveSetProperty(t *testing.T) {
 	const nv, np = 5, 3
 	checkRun := func(what string, id ID, sn *Snapshot, r *Run, want []Pair) bool {
@@ -95,25 +92,6 @@ func TestRunAgreesWithNaiveSetProperty(t *testing.T) {
 				}
 				if got := collect(only.Only(key)); len(got) != only.Len() || r.has(key) != slices.Equal(got, []Pair{key}) {
 					return fail("Only(%v) = %v (Len %d)", key, got, only.Len())
-				}
-			}
-		}
-		sub := func(lo, hi int) *Run {
-			c := Cursor{Run: *r}
-			c.Cut(lo, hi)
-			return &c.Run
-		}
-		m := r.BaseLen()
-		if got := collect(sub(0, m)); !equalRun(got, want) {
-			return fail("cut to [0, %d) = %v, want the whole run %v", m, got, want)
-		}
-		for lo := 0; lo < m; lo++ {
-			for hi := lo + 1; hi <= m; hi++ {
-				whole := sub(lo, hi)
-				for mid := lo + 1; mid < hi; mid++ {
-					if got := append(collect(sub(lo, mid)), collect(sub(mid, hi))...); !equalRun(got, collect(whole)) || sub(lo, mid).Len()+sub(mid, hi).Len() != whole.Len() {
-						return fail("cuts to [%d, %d) and [%d, %d) = %v, want that to [%d, %d) = %v", lo, mid, mid, hi, got, lo, hi, collect(whole))
-					}
 				}
 			}
 		}

@@ -115,8 +115,8 @@ func (s *Snapshot) Triples() []Triple {
 	return slices.AppendSeq(make([]Triple, 0, s.NumTriples()), s.All())
 }
 
-// Has reports whether the triple is visible in this snapshot.
-func (s *Snapshot) Has(t Triple) bool { return new(Run).Out(s, t.S).has(Pair{t.P, t.O}) }
+// has reports whether the triple is visible in this snapshot.
+func (s *Snapshot) has(t Triple) bool { return new(Run).Out(s, t.S).has(Pair{t.P, t.O}) }
 
 // ordinal returns t's position in the (S, P, O) order of the pinned CSR
 // generation, if t is one of its triples and visible in this snapshot.
@@ -124,7 +124,7 @@ func (s *Snapshot) Has(t Triple) bool { return new(Run).Out(s, t.S).has(Pair{t.P
 // no ordinal.
 func (s *Snapshot) ordinal(t Triple) (int, bool) {
 	i, ok := s.gen.csr.ordinal(t)
-	if ok && s.dels() > 0 && !s.Has(t) {
+	if ok && s.dels() > 0 && !s.has(t) {
 		return 0, false
 	}
 	return i, ok

@@ -26,8 +26,8 @@ func TestDeleteNeverInserted(t *testing.T) {
 	}
 	sn := g.Snapshot()
 	defer sn.Close()
-	if sn.NumTriples() != n || sn.Has(phantom) {
-		t.Fatalf("no-op delete changed visibility: NumTriples=%d (want %d), Has=%v", sn.NumTriples(), n, sn.Has(phantom))
+	if sn.NumTriples() != n || sn.has(phantom) {
+		t.Fatalf("no-op delete changed visibility: NumTriples=%d (want %d), Has=%v", sn.NumTriples(), n, sn.has(phantom))
 	}
 	// The phantom's terms must not have leaked into the vertex set.
 	for _, v := range sn.Vertices() {
@@ -61,13 +61,13 @@ func TestDeleteMVCCVisibility(t *testing.T) {
 	afterRe := g.Snapshot()
 	defer afterRe.Close()
 
-	if !before.Has(victim) {
+	if !before.has(victim) {
 		t.Fatal("pinned snapshot lost the triple to a later delete")
 	}
-	if afterDel.Has(victim) {
+	if afterDel.has(victim) {
 		t.Fatal("snapshot taken after the delete still sees the triple")
 	}
-	if !afterRe.Has(victim) {
+	if !afterRe.has(victim) {
 		t.Fatal("snapshot taken after the re-insert misses it")
 	}
 	if got, want := afterDel.NumTriples(), before.NumTriples()-1; got != want {

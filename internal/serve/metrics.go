@@ -36,12 +36,6 @@ type Metrics struct {
 	CacheHits    uint64
 	CacheMisses  uint64
 	CacheHitRate float64
-	// ParallelismBudget is the configured machine-wide intra-query
-	// worker budget; EffectiveParallelism is the average per-query
-	// parallelism actually granted (budget divided by concurrent load),
-	// zero until the first execution.
-	ParallelismBudget    int
-	EffectiveParallelism float64
 	// Updates counts applied live-update batches (inserts and deletes);
 	// TriplesAdded is the total of new triples insert batches contributed
 	// (duplicates excluded) and TriplesDeleted the total delete batches
@@ -121,8 +115,6 @@ type collector struct {
 	inflight     atomic.Int64
 	cacheHits    atomic.Uint64
 	cacheMisses  atomic.Uint64
-	parSum       atomic.Int64  // sum of granted per-query parallelism
-	parCount     atomic.Int64  // executions the sum covers
 	partials     atomic.Uint64 // completions flagged partial (sites skipped)
 	updates      atomic.Uint64 // applied live-update batches
 	triplesAdd   atomic.Uint64 // new triples insert batches contributed
@@ -137,13 +129,6 @@ type collector struct {
 
 func newCollector() *collector {
 	return &collector{start: time.Now(), lats: metrics.NewWindow(latencyWindow)}
-}
-
-// parallelism records the intra-query worker budget granted to one
-// execution.
-func (m *collector) parallelism(eff int) {
-	m.parSum.Add(int64(eff))
-	m.parCount.Add(1)
 }
 
 // update records one applied live-update batch.
@@ -185,9 +170,6 @@ func (m *collector) snapshot() Metrics {
 	}
 	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(lookups)
-	}
-	if n := m.parCount.Load(); n > 0 {
-		s.EffectiveParallelism = float64(m.parSum.Load()) / float64(n)
 	}
 	p := m.lats.Percentiles(0.50, 0.95, 0.99)
 	s.P50, s.P95, s.P99 = p[0], p[1], p[2]

@@ -20,7 +20,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,14 +54,6 @@ type Config struct {
 	// PlanCacheSize is the LRU plan cache capacity in query shapes
 	// (default 256; negative disables caching).
 	PlanCacheSize int
-	// Parallelism is the machine-wide intra-query worker budget (default
-	// GOMAXPROCS; negative forces sequential matching). Each query's
-	// effective parallelism is the budget divided by the number of
-	// queries in flight: a lone query fans its morsels across the whole
-	// budget, while under heavy concurrent traffic queries run near
-	// sequentially and throughput comes from running many at once —
-	// the intra- vs inter-query trade the budget exists to make.
-	Parallelism int
 	// Apply, when non-nil, is the live-update sink: Server.Apply routes
 	// batches through it under the server's writer mutex (updates are
 	// serialized with each other, never with queries) and publishes a new
@@ -137,11 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 256
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	} else if c.Parallelism < 0 {
-		c.Parallelism = 1
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = time.Second
@@ -300,11 +286,8 @@ func (s *Server) execute(ctx context.Context, q *sparql.Graph, start time.Time) 
 		return nil, err
 	}
 	// Stamp the Prepared (this query's own: only the shape behind it is
-	// cached and shared) with this query's slice of the parallelism
-	// budget.
-	prep.Parallelism = s.effectiveParallelism()
+	// cached and shared) with the view pinned at admission.
 	prep.View = view
-	s.met.parallelism(prep.Parallelism)
 	b, stats, err := s.engine.QueryPrepared(ctx, q, prep)
 	lat := time.Since(start)
 	if err != nil {
@@ -445,22 +428,6 @@ func (s *Server) Exclusive(fn func()) {
 	s.engine.Views().Publish()
 }
 
-// effectiveParallelism divides the machine-wide intra-query budget by
-// the number of queries currently executing (this one included), floored
-// at 1: alone on the server a query fans out fully, under load queries
-// degrade toward sequential and concurrency comes from running many.
-func (s *Server) effectiveParallelism() int {
-	inflight := int(s.met.inflight.Load())
-	if inflight < 1 {
-		inflight = 1
-	}
-	eff := s.cfg.Parallelism / inflight
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
-}
-
 // plan resolves a query's execution plan: the shape of its
 // decompositions through the LRU cache, then the choice among them and
 // the join order for this query's constants and today's statistics. The
@@ -493,7 +460,6 @@ func (s *Server) plan(q *sparql.Graph) (*exec.Prepared, bool, error) {
 // gauges.
 func (s *Server) Metrics() Metrics {
 	m := s.met.snapshot()
-	m.ParallelismBudget = s.cfg.Parallelism
 	m.Sites = s.engine.SiteMetrics()
 	views := s.engine.Views()
 	m.Generations = views.Generations()

@@ -386,37 +386,3 @@ func TestMetricsOrderedLatencies(t *testing.T) {
 		t.Errorf("percentiles not monotone: %v", lats)
 	}
 }
-
-// TestParallelismBudget: the server grants each query a slice of the
-// configured intra-query budget, answers stay correct when queries fan
-// out, and the grant shows up in the metrics snapshot.
-func TestParallelismBudget(t *testing.T) {
-	engine, env := newEngine(t, cluster.Delay{})
-	srv := serve.New(engine, serve.Config{Workers: 2, Parallelism: 8})
-	defer srv.Close()
-
-	for i, qs := range testQueries {
-		q := sparql.MustParse(env.G.Dict, qs)
-		resp, err := srv.Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("Query(%s): %v", qs, err)
-		}
-		want, _, err := engine.Query(q)
-		if err != nil {
-			t.Fatalf("engine.Query: %v", err)
-		}
-		if !sameBindings(resp.Bindings, want) {
-			t.Errorf("query %d: parallel server answer diverges from engine", i)
-		}
-		if resp.Stats.Parallelism < 1 || resp.Stats.Parallelism > 8 {
-			t.Errorf("query %d: effective parallelism %d outside [1, 8]", i, resp.Stats.Parallelism)
-		}
-	}
-	m := srv.Metrics()
-	if m.ParallelismBudget != 8 {
-		t.Errorf("ParallelismBudget = %d, want 8", m.ParallelismBudget)
-	}
-	if m.EffectiveParallelism < 1 || m.EffectiveParallelism > 8 {
-		t.Errorf("EffectiveParallelism = %f, want within [1, 8]", m.EffectiveParallelism)
-	}
-}

@@ -5,9 +5,8 @@ package serve_test
 // of the requests is cancelled mid-flight or given deadlines too tight to
 // meet. Every query spawns a producer per subquery and a goroutine per
 // join stage, so the invariants here are exactly the ones early
-// termination could break: no goroutine leaks once the server closes, the
-// admission queue and in-flight gauges return to zero, and the effective
-// parallelism grants never exceed the configured budget.
+// termination could break: no goroutine leaks once the server closes, and
+// the admission queue and in-flight gauges return to zero.
 
 import (
 	"context"
@@ -44,12 +43,10 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	const budget = 4
 	srv := serve.New(engine, serve.Config{
-		Workers:     8,
-		QueueDepth:  128,
-		Timeout:     250 * time.Millisecond,
-		Parallelism: budget,
+		Workers:    8,
+		QueueDepth: 128,
+		Timeout:    250 * time.Millisecond,
 	})
 
 	const clients = 12
@@ -82,12 +79,9 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 					if cancel != nil {
 						defer cancel()
 					}
-					resp, err := srv.Query(ctx, q)
+					_, err := srv.Query(ctx, q)
 					switch {
 					case err == nil:
-						if resp.Stats.Parallelism > budget {
-							return fmt.Errorf("client %d: granted parallelism %d exceeds budget %d", c, resp.Stats.Parallelism, budget)
-						}
 					case errors.Is(err, context.Canceled),
 						errors.Is(err, context.DeadlineExceeded),
 						errors.Is(err, serve.ErrOverloaded):
@@ -113,9 +107,6 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 	m := srv.Metrics()
 	if m.Completed == 0 {
 		t.Fatal("soak completed no queries")
-	}
-	if m.EffectiveParallelism > budget {
-		t.Errorf("effective parallelism %.2f exceeds budget %d", m.EffectiveParallelism, budget)
 	}
 
 	srv.Close()

@@ -36,10 +36,9 @@ func BenchmarkUpdateLatencyUnderLoad(b *testing.B) {
 	}
 	env.G.Freeze()
 	srv := serve.New(engine, serve.Config{
-		Workers:     4,
-		QueueDepth:  64,
-		Parallelism: 2,
-		Apply:       testApply(env),
+		Workers:    4,
+		QueueDepth: 64,
+		Apply:      testApply(env),
 	})
 	defer srv.Close()
 

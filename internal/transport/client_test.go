@@ -171,7 +171,6 @@ func TestRemoteEvalAllocs(t *testing.T) {
 	}
 	c, d, q := newTestCluster(t, 40)
 	req := testRequest(q)
-	req.Parallelism = 1
 	_, hs := newSite(t, c, d, nil)
 	client := NewSiteClient(ClientConfig{BaseURL: hs.URL, Dict: d, HTTP: NewHTTPClient(1)})
 	sink := func(b *match.Bindings) error { b.Release(); return nil }

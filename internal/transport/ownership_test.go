@@ -13,18 +13,17 @@ import (
 
 // TestDeliveredBatchesStayTheReceivers: a delivered batch belongs to its
 // receiver (cluster.BatchSink). No producer writes to a batch after
-// delivery: every batch an in-process Cluster.EvalStream and a
-// SiteClient.EvalStream against an httptest site deliver is kept, and
-// once the streams have ended each must still equal the copy taken when it
-// was delivered. A Joiner pushed to by one of each keeps its inputs only
-// while they are open: once both have closed, every input batch has been
-// handed back (Release leaves it empty), while every batch it emitted
-// still equals its copy — the output is the receiver's. Under -race a late
-// write also shows as a race.
+// delivery: an in-process Cluster.EvalStream and a SiteClient.EvalStream
+// against an httptest site run at once, as two units of a query do, every
+// batch they deliver is kept, and once the streams have ended each must
+// still equal the copy taken when it was delivered. A Joiner pushed to by
+// one of each keeps its inputs only while they are open: once both have
+// closed, every input batch has been handed back (Release leaves it
+// empty), while every batch it emitted still equals its copy — the output
+// is the receiver's. Under -race a late write also shows as a race.
 func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 	c, d, q := newTestCluster(t, 600)
 	req := testRequest(q)
-	req.Parallelism = 4 // matcher morsel workers fill batches concurrently
 	_, hs := newSite(t, c, d, nil)
 	cl := NewSiteClient(ClientConfig{BaseURL: hs.URL, Site: 0, Dict: d})
 	ctx := context.Background()
@@ -59,35 +58,36 @@ func TestDeliveredBatchesStayTheReceivers(t *testing.T) {
 		}
 	}
 
-	if err := c.EvalStream(ctx, req, 8, sinkTo("cluster", nil, false)); err != nil {
-		t.Fatalf("in-process EvalStream: %v", err)
-	}
-	if err := cl.EvalStream(ctx, req, 8, sinkTo("client", nil, false)); err != nil {
-		t.Fatalf("EvalStream over HTTP: %v", err)
-	}
-
-	// A join of the subquery with itself: every row meets its own copy.
-	j := cluster.NewJoiner(q.Vars(), q.Vars(), keeper{keep})
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for _, side := range []struct {
+	type unit struct {
 		from string
 		ev   cluster.SiteEval
 		left bool
-	}{{"join left", c, true}, {"join right", cl, false}} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- side.ev.EvalStream(ctx, req, 8, sinkTo(side.from, j, side.left))
-			j.Close(side.left)
-		}()
 	}
-	wg.Wait()
-	for range 2 {
-		if err := <-errs; err != nil {
-			t.Fatalf("join input: %v", err)
+	// run streams req from the units at once, each into the sink sinkTo
+	// makes of it, and closes j's side as each ends.
+	run := func(units []unit, j *cluster.Joiner) {
+		var wg sync.WaitGroup
+		errs := make(chan error, len(units))
+		for _, u := range units {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- u.ev.EvalStream(ctx, req, 8, sinkTo(u.from, j, u.left))
+				if j != nil {
+					j.Close(u.left)
+				}
+			}()
+		}
+		wg.Wait()
+		for range units {
+			if err := <-errs; err != nil {
+				t.Fatalf("EvalStream: %v", err)
+			}
 		}
 	}
+	run([]unit{{"cluster", c, false}, {"client", cl, false}}, nil)
+	// A join of the subquery with itself: every row meets its own copy.
+	run([]unit{{"join left", c, true}, {"join right", cl, false}}, cluster.NewJoiner(q.Vars(), q.Vars(), keeper{keep}))
 
 	for from, n := range rows {
 		if n != 600 {

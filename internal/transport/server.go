@@ -80,9 +80,11 @@ type ServerMetrics struct {
 
 // SiteServer serves a cluster's fragments over HTTP: POST /eval streams
 // binding batches in binary frames, GET /healthz is a liveness probe, GET
-// /metrics reports the counters above. Batches stream as the matcher's
-// workers fill them, in no fixed order: a retried stream restarts from
-// scratch, and the control site's dedup absorbs what it repeats.
+// /metrics reports the counters above. Batches stream as the matcher
+// fills them. A retried stream restarts from scratch: each attempt reads
+// the site's current state, which need not be what the torn attempt read,
+// so what that attempt sent is no prefix to resume from; the control
+// site's dedup absorbs what the retry repeats.
 type SiteServer struct {
 	cfg ServerConfig
 	mux *http.ServeMux

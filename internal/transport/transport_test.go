@@ -180,7 +180,7 @@ func TestMaskedEvalOverHTTPMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := sparql.MustParse(d, `SELECT ?x WHERE { ?x <p> ?y . ?y <q> ?z . }`)
-	req := cluster.EvalRequest{SiteID: 0, FragIDs: []int{1}, Query: q, Parallelism: 1}
+	req := cluster.EvalRequest{SiteID: 0, FragIDs: []int{1}, Query: q}
 	full := oracle(t, c, req, 4)
 	req.Keep = match.VertexMask{0}.Add(slices.IndexFunc(q.Verts, func(v sparql.Vertex) bool { return v.Var == "x" }))
 	want := oracle(t, c, req, 4)
@@ -525,13 +525,10 @@ func TestCancelMidStreamDrainsServer(t *testing.T) {
 func TestCancelDuringBatchStallEndsTheStream(t *testing.T) {
 	c, d, q := newTestCluster(t, 600)
 	// The request's stall costs nothing; a batch of 256 two-column rows,
-	// 2 KB, stalls two hours. One matcher worker, so that the first batch
-	// is a full one: a second worker's last batch, under 1 KB, would stall
-	// for nothing and could be written first.
+	// 2 KB, stalls two hours.
 	chaos := cluster.NewChaos(cluster.ChaosConfig{DelayProb: 1, StragglerDelay: cluster.Delay{PerKB: time.Hour}})
 	ss := NewSiteServer(ServerConfig{Cluster: c, Dict: d, Chaos: chaos})
 	req := testRequest(q)
-	req.Parallelism = 1
 	body := appendRequest(nil, req, 256, d.Len(), d.Fingerprint(d.Len()))
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := httptest.NewRecorder()

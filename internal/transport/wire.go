@@ -4,7 +4,7 @@ package transport
 // are little-endian uint32 but the dictionary fingerprint and keep words
 // (uint64), a string is its length and bytes. The request is
 //
-//	site dictLen dictFP parallelism batch nFrags frag... nVerts slot...
+//	site dictLen dictFP batch nFrags frag... nVerts slot...
 //	nEdges (from to slot)... nKeep word...
 //
 // where a slot is 'v' and a variable's name or 't' and a term's ID. IDs
@@ -54,7 +54,7 @@ var le = binary.LittleEndian
 func appendRequest(dst []byte, req cluster.EvalRequest, batch, dictLen int, dictFP uint64) []byte {
 	q := req.Query
 	dst = le.AppendUint64(appendU32s(dst, req.SiteID, dictLen), dictFP)
-	dst = appendU32s(dst, max(req.Parallelism, 0), max(batch, 0), len(req.FragIDs))
+	dst = appendU32s(dst, max(batch, 0), len(req.FragIDs))
 	dst = appendU32s(appendU32s(dst, req.FragIDs...), len(q.Verts))
 	for _, v := range q.Verts {
 		dst = appendSlot(dst, v.Var, v.Term)
@@ -163,7 +163,7 @@ func (r *wireReader) slot(dictLen int) (string, rdf.ID) {
 // down a place. So is a kept vertex the list does not have, and a byte
 // past the end.
 func (r *wireReader) eval(site, dictLen int) (cluster.EvalRequest, int, error) {
-	req := cluster.EvalRequest{SiteID: site, Parallelism: r.u32()}
+	req := cluster.EvalRequest{SiteID: site}
 	batch := r.u32()
 	req.FragIDs = make([]int, r.count(4))
 	for i := range req.FragIDs {

@@ -298,7 +298,7 @@ func TestClientRejectsFramesThatAreNoTable(t *testing.T) {
 // evalBody is an /eval request to site 0 for fragments 1 and 2, stamped
 // with stamp (dictLen, dictFP), whose query is the parts after it.
 func evalBody(stamp []byte, query ...any) []byte {
-	return slices.Concat(wireBytes(0), stamp, wireBytes(append([]any{0, 0, 2, 1, 2}, query...)...))
+	return slices.Concat(wireBytes(0), stamp, wireBytes(append([]any{0, 2, 1, 2}, query...)...))
 }
 
 // vs and ts are a variable's and a term ID's slots.

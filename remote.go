@@ -8,7 +8,6 @@ package rdffrag
 // robustness tests of the networked path.
 
 import (
-	"net/http"
 	"time"
 
 	"rdffrag/internal/cluster"
@@ -32,24 +31,19 @@ type SiteConfig struct {
 	Chaos *ChaosConfig
 }
 
-// SiteHandler exposes this deployment's fragments over HTTP: POST /eval
-// streams binding batches, GET /healthz and GET /metrics serve probes
-// and counters. It is what `rdffrag site` mounts; tests mount it on
-// httptest servers. The process must have built its deployment from the
-// same data and workload files as the control site (the deterministic
-// pipeline makes the dictionaries agree).
-func (dep *Deployment) SiteHandler(cfg SiteConfig) http.Handler {
-	return dep.SiteHost(cfg)
-}
-
 // SiteHost is a fragment-host HTTP handler with drain control: once
 // MarkDraining is called its /healthz answers 503 so load balancers
 // stop routing here, while /eval keeps draining in-flight streams.
 type SiteHost = transport.SiteServer
 
-// SiteHost is SiteHandler with the concrete type: `rdffrag site` uses
-// it to flip the health probe when SIGTERM starts the drain.
-func (dep *Deployment) SiteHost(cfg SiteConfig) *SiteHost {
+// SiteHandler exposes this deployment's fragments over HTTP: POST /eval
+// streams binding batches, GET /healthz and GET /metrics serve probes
+// and counters. It is what `rdffrag site` mounts, flipping the health
+// probe when SIGTERM starts the drain; tests mount it on httptest
+// servers. The process must have built its deployment from the same
+// data and workload files as the control site (the deterministic
+// pipeline makes the dictionaries agree).
+func (dep *Deployment) SiteHandler(cfg SiteConfig) *SiteHost {
 	dep.ensureColdFragment()
 	var chaos *cluster.Chaos
 	if cfg.Chaos != nil {

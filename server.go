@@ -26,10 +26,6 @@ type ServerConfig struct {
 	// PlanCacheSize is the LRU plan cache capacity in query shapes
 	// (0 = 256; negative disables).
 	PlanCacheSize int
-	// Parallelism is the machine-wide intra-query worker budget, divided
-	// among concurrently executing queries (0 = GOMAXPROCS, negative
-	// forces sequential matching).
-	Parallelism int
 	// Remote configures networked sites: which site IDs are served by
 	// external `rdffrag site` processes, and the retry / progress-deadline
 	// / circuit-breaker / degradation policy used to reach them. The zero
@@ -122,7 +118,6 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 			QueueDepth:    cfg.QueueDepth,
 			Timeout:       cfg.Timeout,
 			PlanCacheSize: cfg.PlanCacheSize,
-			Parallelism:   cfg.Parallelism,
 			SweepInterval: cfg.SweepInterval,
 			Apply:         apply,
 			Due:           due,
