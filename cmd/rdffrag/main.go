@@ -11,7 +11,7 @@
 //	        [-workers 8] [-queue 128] [-timeout 30s]
 //	        [-site 2=http://host:7402] [-partial-results]
 //	rdffrag site -data graph.nt -workload workload.rq [-addr :7400]
-//	        [-serve-sites 2,3] [-chaos-drop 0.05]
+//	        [-serve-sites 2,3] [-chaos-drop|-chaos-error|-chaos-cut 0.05]
 //
 // The workload file contains one SPARQL query per block, separated by
 // lines holding only "---". Without -query, queries are read from stdin

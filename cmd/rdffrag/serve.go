@@ -99,7 +99,7 @@ func serveMain(args []string) {
 			fatal(err)
 		}
 		if recovering {
-			dep, err = durable.Recover(rdffrag.Config{})
+			dep, err = durable.Recover()
 			if err != nil {
 				fatal(err)
 			}

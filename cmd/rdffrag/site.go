@@ -36,7 +36,6 @@ func siteMain(args []string) {
 		chaosDrop  = fs.Float64("chaos-drop", 0, "probability an /eval request is dropped (503)")
 		chaosError = fs.Float64("chaos-error", 0, "probability an /eval request errors (500)")
 		chaosCut   = fs.Float64("chaos-cut", 0, "probability a response stream is cut mid-flight")
-		chaosDelay = fs.Float64("chaos-delay", 0, "probability a message is stalled by the straggler delay")
 	)
 	fs.Parse(args)
 	if *dataPath == "" || *wlPath == "" {
@@ -59,13 +58,12 @@ func siteMain(args []string) {
 
 	dep := deploy(*dataPath, *wlPath, *strategy, *sites, *minsup)
 	cfg := rdffrag.SiteConfig{Sites: ids}
-	if *chaosDrop > 0 || *chaosError > 0 || *chaosCut > 0 || *chaosDelay > 0 {
+	if *chaosDrop > 0 || *chaosError > 0 || *chaosCut > 0 {
 		cfg.Chaos = &rdffrag.ChaosConfig{
-			Seed:      *chaosSeed,
-			Drop:      *chaosDrop,
-			Error:     *chaosError,
-			Cut:       *chaosCut,
-			DelayProb: *chaosDelay,
+			Seed:  *chaosSeed,
+			Drop:  *chaosDrop,
+			Error: *chaosError,
+			Cut:   *chaosCut,
 		}
 	}
 

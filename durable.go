@@ -141,10 +141,9 @@ func OpenDurable(cfg DurabilityConfig) (*Durable, error) {
 // Recover rebuilds the deployment from the data directory: it loads the
 // checkpoint snapshot, opens the WAL (truncating any torn tail), and
 // replays every record past the checkpoint's sequence stamp through
-// Deployment.applyBatch. Only cfg's runtime knobs apply — structure
-// comes from the snapshot. After a clean shutdown the replay is empty
-// and CleanStart reports true.
-func (d *Durable) Recover(cfg Config) (*Deployment, error) {
+// Deployment.applyBatch. After a clean shutdown the replay is empty and
+// CleanStart reports true.
+func (d *Durable) Recover() (*Deployment, error) {
 	if d.dep != nil {
 		return nil, fmt.Errorf("rdffrag: Durable already bound to a deployment")
 	}
@@ -157,7 +156,7 @@ func (d *Durable) Recover(cfg Config) (*Deployment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rdffrag: no checkpoint in %s (bootstrap the deployment first): %w", d.cfg.Dir, err)
 	}
-	dep, err := LoadDeployment(f, cfg)
+	dep, err := LoadDeployment(f)
 	f.Close()
 	if err != nil {
 		return nil, err // a checkpoint this build cannot read leaves the directory as it was

@@ -49,7 +49,7 @@ func recovered(t *testing.T, cfg DurabilityConfig) (*Durable, *Deployment) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	dep, err := d.Recover(Config{})
+	dep, err := d.Recover()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -397,7 +397,7 @@ func TestDurableRejectsForeignWAL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	if _, err := d.Recover(Config{}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := d.Recover(); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("Recover accepted a foreign WAL (err=%v)", err)
 	}
 }

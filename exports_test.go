@@ -2,7 +2,8 @@ package rdffrag
 
 // The exports checker: every exported function, and every method of an
 // exported type, declared under internal/ must have a caller that needs
-// it exported. It type-checks the module and benchmark/layers from
+// it exported, and every exported field of an exported struct type there
+// must have a writer. It type-checks the module and benchmark/layers from
 // source with go/types over the export data `go list -export` builds,
 // and resolves each reference to the object it names, so a method is
 // told apart from every other method of the same name.
@@ -12,9 +13,13 @@ package rdffrag
 // of its own package do and no file of any other package does, tests
 // included (unexport it). A method passes when its type implements an
 // interface the module declares that has the method, or when it is
-// named Error, String, Unwrap or ServeHTTP. A package that no non-test
-// file imports counts tests of other packages as its callers. What is
-// left is listed in exportAllowlist, each entry with its reason.
+// named Error, String, Unwrap or ServeHTTP. A field fails when no
+// non-test file writes it: assigns it, increments or decrements it, sets
+// it in a composite literal (keyed or not), takes its address or calls a
+// pointer method on it. A field nobody writes is a knob nobody turns:
+// delete it and inline its default. A package that no non-test file
+// imports counts tests of other packages as its callers and writers.
+// What is left is listed in exportAllowlist, each entry with its reason.
 
 import (
 	"bytes"
@@ -34,17 +39,22 @@ import (
 	"testing"
 )
 
-// exportAllowlist keeps exports that have no caller the rules accept,
-// keyed by the name the checker reports (package.Type.Method or
-// package.Func, the package named by its path under internal/). An entry
-// that names no export, or one that has gained a non-test caller, fails
-// the checker, so the list cannot go stale.
+// exportAllowlist keeps exports that have no caller (a field: no writer)
+// the rules accept, keyed by the name the checker reports
+// (package.Type.Method, package.Type.Field or package.Func, the package
+// named by its path under internal/). An entry that names no export, or
+// one that has gained a non-test caller or writer, fails the checker, so
+// the list cannot go stale.
 var exportAllowlist = map[string]string{
 	"rdf.Graph.SetAutoCompact": "test hook: holds compaction off so tests can read a graph with a delta",
 	"wal.ChaosFS.Crash":        "test hook: the crash soak tears the log's unsynced tail through it",
 	"wal.ChaosFS.SetKill":      "test hook: the crash soak arms the kill point through it",
 	"rdf.WriteNTriples":        "round-trip writer FuzzScanNTriples checks the N-Triples scanner against",
 	"rdf.WriteTurtle":          "round-trip writer FuzzReadTurtle checks the Turtle reader against",
+
+	"exec.Engine.BatchSize":              "test hook: the chaos soak needs cuts mid-stream on its 80-person fixture",
+	"cluster.ChaosConfig.DelayProb":      "test hook: the straggler tests stall a share of evaluations",
+	"cluster.ChaosConfig.StragglerDelay": "test hook: the straggler tests set how long a stall lasts",
 
 	// Reached only by benchmark/layers' replay (ROADMAP item 5): each
 	// goes when the replay does.
@@ -62,8 +72,8 @@ var exportAllowlist = map[string]string{
 type exportClass string
 
 const (
-	exportLive      exportClass = "live"            // another package needs it exported
-	exportDead      exportClass = "dead"            // no non-test file references it
+	exportLive      exportClass = "live"            // another package needs it exported; a field: a non-test file writes it
+	exportDead      exportClass = "dead"            // no non-test file references (a field: writes) it
 	exportPrivate   exportClass = "package-private" // only its own package's non-test files reference it
 	exportInterface exportClass = "interface"       // a method reached through a module interface
 	exportStdName   exportClass = "std name"        // Error, String, Unwrap or ServeHTTP
@@ -95,11 +105,13 @@ func TestExportsHaveCallers(t *testing.T) {
 }
 
 // TestExportsCheckerClasses runs the checker on testdata/exports, a
-// module of its own with one export of each class.
+// module of its own with one export of each class and one field for each
+// way of writing it.
 func TestExportsCheckerClasses(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "exports")
-	rep, err := checkExports(dir, nil, map[string]string{"lib.Hook": "test hook"})
+	hooks := map[string]string{"lib.Hook": "test hook", "lib.Config.Tuned": "test hook"}
+	rep, err := checkExports(dir, nil, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +119,25 @@ func TestExportsCheckerClasses(t *testing.T) {
 		"lib.Dead":         exportDead,
 		"lib.Private":      exportPrivate,
 		"lib.Used":         exportLive,
+		"lib.Sum":          exportLive,
 		"lib.Table.Used":   exportDead, // same name as a live function
 		"lib.Thing.Run":    exportInterface,
 		"lib.Thing.String": exportStdName,
 		"lib.Hook":         exportAllowed,
 		"testonly.Helper":  exportLive, // its package is imported by tests alone
 		"testonly.Unused":  exportDead,
+
+		"lib.Config.Assigned":  exportLive, // c.Assigned = 2
+		"lib.Config.Keyed":     exportLive, // &lib.Config{Keyed: 1}
+		"lib.Config.Counted":   exportLive, // c.Counted++
+		"lib.Config.Addressed": exportLive, // fmt.Sscan(…, &c.Addressed)
+		"lib.Config.Hits":      exportLive, // c.Hits.Add(5), a pointer method
+		"lib.Pair.Left":        exportLive, // Pair{…, …}, unkeyed
+		"lib.Pair.Right":       exportLive,
+		"lib.Config.Knob":      exportDead, // only a test writes it
+		"lib.Config.Unset":     exportDead, // only read
+		"lib.Config.Tuned":     exportAllowed,
+		"testonly.Opts.Level":  exportLive, // its package is imported by tests alone
 	}
 	for name, c := range want {
 		if got := rep.class[name]; got != c {
@@ -122,22 +147,23 @@ func TestExportsCheckerClasses(t *testing.T) {
 	if len(rep.class) != len(want) {
 		t.Errorf("classified %d exports, want %d: %v", len(rep.class), len(want), rep.class)
 	}
-	for _, n := range []string{"lib.Dead", "lib.Private", "lib.Table.Used", "testonly.Unused"} {
+	failing := []string{"lib.Dead", "lib.Private", "lib.Table.Used", "testonly.Unused", "lib.Config.Knob", "lib.Config.Unset"}
+	for _, n := range failing {
 		if !mentions(rep.problems, n+":") {
 			t.Errorf("no problem reported for %s: %q", n, rep.problems)
 		}
 	}
-	if len(rep.problems) != 4 {
-		t.Errorf("%d problems, want 4: %q", len(rep.problems), rep.problems)
+	if len(rep.problems) != len(failing) {
+		t.Errorf("%d problems, want %d: %q", len(rep.problems), len(failing), rep.problems)
 	}
 
 	// A stale allowlist fails: one entry names no export, one names an
 	// export production calls.
-	rep, err = checkExports(dir, nil, map[string]string{"lib.Gone": "deleted", "lib.Used": "hook", "lib.Hook": "test hook"})
+	rep, err = checkExports(dir, nil, map[string]string{"lib.Gone": "deleted", "lib.Used": "hook", "lib.Config.Keyed": "hook", "lib.Hook": "test hook"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []string{"lib.Gone", "lib.Used"} {
+	for _, n := range []string{"lib.Gone", "lib.Used", "lib.Config.Keyed"} {
 		if !mentions(rep.problems, "allowlist entry "+n+":") {
 			t.Errorf("stale allowlist entry %s not reported: %q", n, rep.problems)
 		}
@@ -205,8 +231,9 @@ func basePath(id string) string {
 type exportDecl struct {
 	pkg   string // import path of the declaring package
 	name  string // reported name
-	recv  string // receiver type name; "" for a function
-	fname string // function or method name
+	recv  string // receiver type name, or the struct type of a field; "" for a function
+	fname string // function, method or field name
+	field bool
 	pos   token.Position
 }
 
@@ -221,8 +248,9 @@ type exportChecker struct {
 	fset     *token.FileSet
 	internal string // module path + "/internal/"
 	decls    map[string]*exportDecl
-	refs     map[string]map[exportRef]bool
-	extra    map[string]bool // keys the extra module's packages reference
+	refs     map[string]map[exportRef]bool // a function's callers, a field's writers
+	extra    map[string]bool               // keys the extra module's packages reference
+	owners   map[*types.Package]map[*types.Var]string
 	errs     []string
 }
 
@@ -261,6 +289,7 @@ func checkExports(dir string, extra []string, allow map[string]string) (*exportR
 		decls:    map[string]*exportDecl{},
 		refs:     map[string]map[exportRef]bool{},
 		extra:    map[string]bool{},
+		owners:   map[*types.Package]map[*types.Var]string{},
 	}
 	c.checkAll(pkgs, false)
 	c.checkAll(xpkgs, true)
@@ -298,6 +327,8 @@ func checkExports(dir string, extra []string, allow map[string]string) (*exportR
 		called := ownProd || otherProd || (otherTest && !imported[d.pkg])
 		var cl exportClass
 		switch {
+		case d.field && called:
+			cl = exportLive // a field needs a writer, not one in another package
 		case d.recv != "" && (d.fname == "Error" || d.fname == "String" || d.fname == "Unwrap" || d.fname == "ServeHTTP"):
 			cl = exportStdName
 		case d.recv != "" && reached[key]:
@@ -315,6 +346,8 @@ func checkExports(dir string, extra []string, allow map[string]string) (*exportR
 			cl = exportAllowed
 		case allowed:
 			rep.problems = append(rep.problems, fmt.Sprintf("allowlist entry %s: %s is %s now; drop the entry", d.name, where, cl))
+		case cl == exportDead && d.field:
+			rep.problems = append(rep.problems, fmt.Sprintf("%s: %s: no non-test file writes it; delete it and inline its default", where, d.name))
 		case cl == exportDead:
 			rep.problems = append(rep.problems, fmt.Sprintf("%s: %s: no non-test file calls it; delete it and point its tests at what production runs", where, d.name))
 		case cl == exportPrivate:
@@ -386,7 +419,12 @@ func (c *exportChecker) check(p *listedPackage, byID map[string]*listedPackage, 
 		}
 		return os.Open(dep.Export)
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{
 		Importer: importer.ForCompiler(c.fset, "gc", lookup),
 		Error:    func(err error) { c.errs = append(c.errs, err.Error()) },
@@ -399,32 +437,94 @@ func (c *exportChecker) check(p *listedPackage, byID map[string]*listedPackage, 
 	}
 	for _, f := range files {
 		isTest := xtest || testFile[c.fset.Position(f.Pos()).Filename]
+		ref := func(key string) {
+			switch {
+			case key == "":
+			case extra:
+				c.extra[key] = true
+			default:
+				if c.refs[key] == nil {
+					c.refs[key] = map[exportRef]bool{}
+				}
+				c.refs[key][exportRef{pkg: refPkg, test: isTest}] = true
+			}
+		}
+		// write refers to each field expression e writes through.
+		var write func(e ast.Expr)
+		write = func(e ast.Expr) {
+			switch e := e.(type) {
+			case *ast.ParenExpr:
+				write(e.X)
+			case *ast.IndexExpr:
+				write(e.X)
+			case *ast.SelectorExpr:
+				sel := info.Selections[e]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				ref(c.fieldKey(sel.Obj().(*types.Var)))
+				if _, ptr := info.TypeOf(e.X).Underlying().(*types.Pointer); !ptr {
+					write(e.X) // a field of a struct value is a part of it
+				}
+			}
+		}
 		for _, decl := range f.Decls {
 			var self types.Object // a function's calls to itself are no callers
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				self = info.Defs[fd.Name]
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				self = info.Defs[d.Name]
 				if !extra && !isTest && strings.HasPrefix(path, c.internal) {
-					c.declare(path, fd, self)
+					c.declare(path, d, self)
+				}
+			case *ast.GenDecl:
+				if !extra && !isTest && strings.HasPrefix(path, c.internal) {
+					c.declareFields(path, d, info)
 				}
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				fn, ok := info.Uses[id].(*types.Func)
-				if !ok || fn.Origin() == self {
-					return true
-				}
-				switch key := c.key(fn); {
-				case key == "":
-				case extra:
-					c.extra[key] = true
-				default:
-					if c.refs[key] == nil {
-						c.refs[key] = map[exportRef]bool{}
+				switch n := n.(type) {
+				case *ast.Ident:
+					if fn, ok := info.Uses[n].(*types.Func); ok && fn.Origin() != self {
+						ref(c.key(fn))
 					}
-					c.refs[key][exportRef{pkg: refPkg, test: isTest}] = true
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						write(l)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				case *ast.SelectorExpr:
+					// A pointer method called on an addressable field
+					// takes the field's address.
+					if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+						_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+						_, ptrX := info.TypeOf(n.X).Underlying().(*types.Pointer)
+						if ptrRecv && !ptrX {
+							write(n.X)
+						}
+					}
+				case *ast.CompositeLit:
+					t := info.TypeOf(n).Underlying()
+					if ptr, ok := t.(*types.Pointer); ok {
+						t = ptr.Elem().Underlying() // an elided &T
+					}
+					st, ok := t.(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								ref(c.fieldKey(v))
+							}
+						} else if i < st.NumFields() {
+							ref(c.fieldKey(st.Field(i)))
+						}
+					}
 				}
 				return true
 			})
@@ -451,6 +551,71 @@ func (c *exportChecker) declare(path string, fd *ast.FuncDecl, obj types.Object)
 		fname: fn.Name(),
 		pos:   c.fset.Position(fd.Name.Pos()),
 	}
+}
+
+// declareFields records the exported fields of each exported struct type
+// gd declares. An embedded field is not covered: it is written through
+// the fields it promotes.
+func (c *exportChecker) declareFields(path string, gd *ast.GenDecl, info *types.Info) {
+	for _, spec := range gd.Specs {
+		ts, ok := spec.(*ast.TypeSpec)
+		if !ok || !ts.Name.IsExported() {
+			continue
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok {
+			continue
+		}
+		for _, fld := range st.Fields.List {
+			for _, name := range fld.Names {
+				v, ok := info.Defs[name].(*types.Var)
+				if !ok || !v.Exported() {
+					continue
+				}
+				key := c.fieldKey(v)
+				c.decls[key] = &exportDecl{
+					pkg:   path,
+					name:  strings.TrimPrefix(key, c.internal),
+					recv:  ts.Name.Name,
+					fname: v.Name(),
+					field: true,
+					pos:   c.fset.Position(name.Pos()),
+				}
+			}
+		}
+	}
+}
+
+// fieldKey names a field by package path, struct type and name; "" for
+// what no covered field under internal/ can be.
+func (c *exportChecker) fieldKey(v *types.Var) string {
+	v = v.Origin()
+	if !v.IsField() || v.Pkg() == nil || !strings.HasPrefix(v.Pkg().Path(), c.internal) {
+		return ""
+	}
+	owners := c.owners[v.Pkg()]
+	if owners == nil {
+		// Every checked package and every import is a types.Package of
+		// its own, so each is indexed once, named type by named type.
+		owners = map[*types.Var]string{}
+		for _, n := range v.Pkg().Scope().Names() {
+			tn, ok := v.Pkg().Scope().Lookup(n).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					owners[st.Field(i)] = tn.Name()
+				}
+			}
+		}
+		c.owners[v.Pkg()] = owners
+	}
+	owner, ok := owners[v]
+	if !ok {
+		return "" // a field of an anonymous struct
+	}
+	return v.Pkg().Path() + "." + owner + "." + v.Name()
 }
 
 // recvName is the name of fn's receiver type, or "" for a function.

@@ -83,9 +83,11 @@ type SiteMetricsReporter interface {
 
 // Delay models network cost: every message pays PerMessage, plus PerKB
 // per kilobyte shipped. Zero values mean an idealized free network (the
-// default, used by unit tests); the benchmark harness configures LAN-like
-// delays so that communication cost — the quantity the paper's
-// fragmentation strategies optimize — actually shows up in measurements.
+// default, used by unit tests); cmd/experiments' suites (internal/bench)
+// configure LAN-like delays so that communication cost — the quantity the
+// paper's fragmentation strategies optimize — shows up in the paper's
+// figures. The benchmark module sets none: its in-process sites pay no
+// modeled delay, and its site processes a real socket's.
 type Delay struct {
 	PerMessage time.Duration
 	PerKB      time.Duration

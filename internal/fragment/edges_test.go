@@ -138,7 +138,7 @@ func TestFragmentsAreTheirPatternsMatches(t *testing.T) {
 
 // TestSimplePredTieBreakIgnoresVertexNumbering: two copies of one pattern
 // that number their vertices differently, offered more tied constants
-// than MaxSimplePreds keeps, keep the same (variable, constant) pairs.
+// than the cap keeps, keep the same (variable, constant) pairs.
 func TestSimplePredTieBreakIgnoresVertexNumbering(t *testing.T) {
 	d := rdf.NewDict()
 	texts := []string{
@@ -159,7 +159,7 @@ func TestSimplePredTieBreakIgnoresVertexNumbering(t *testing.T) {
 		g := sparql.MustParse(d, text)
 		p := &mining.Pattern{Graph: g, Code: mining.CanonicalCode(g)}
 		var names []string
-		for _, sp := range harvestSimplePreds(p, w, 2, 1) {
+		for _, sp := range harvestSimplePreds(p, w, 2) {
 			names = append(names, g.Verts[sp.vertex].Var+"="+d.Decode(sp.value).Value)
 		}
 		kept = append(kept, names)
@@ -173,7 +173,7 @@ func TestRelevanceAndNames(t *testing.T) {
 	g := figure1Graph()
 	w := figure2Workload(g.Dict)
 	hc := SplitHotCold(g, w, 2)
-	fr := Horizontal(buildSelection(t, g, w, hc), w, hc, HorizontalOptions{MaxSimplePreds: 2})
+	fr := horizontal(buildSelection(t, g, w, hc), w, hc, 2)
 
 	aristotle := sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Aristotle> . ?x <mainInterest> <Ethics> . }`)
 	plato := sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <name> ?n . ?x <influencedBy> <Plato> . ?x <mainInterest> <Ethics> . }`)

@@ -176,7 +176,7 @@ func TestHorizontalSplitsByConstant(t *testing.T) {
 	w := figure2Workload(g.Dict)
 	hc := SplitHotCold(g, w, 2)
 	sel := buildSelection(t, g, w, hc)
-	fr := Horizontal(sel, w, hc, HorizontalOptions{MaxSimplePreds: 2})
+	fr := horizontal(sel, w, hc, 2)
 
 	// Some fragment must carry a minterm with an equality constraint on
 	// Aristotle or Karl_Marx (harvested from the workload constants).

@@ -10,19 +10,17 @@ import (
 	"rdffrag/internal/sparql"
 )
 
-// HorizontalOptions tunes minterm enumeration. Enumerating all minterm
-// predicates is exponential, so the paper prunes by access frequency; the
-// same idea appears here as a per-pattern cap on simple predicates plus a
-// minimum access frequency for a constant to spawn a simple predicate.
-type HorizontalOptions struct {
-	// MaxSimplePreds caps the simple predicates kept per pattern (the
-	// 2^y minterm blow-up). 0 means 3.
-	MaxSimplePreds int
-	// MinPredSupport is the minimum number of workload queries that must
-	// bind a pattern variable to a constant before the constant yields a
-	// simple predicate. 0 means 1.
-	MinPredSupport int
-}
+// HorizontalOptions has nothing to set: the pruning bound is
+// maxSimplePreds. It stays in Horizontal's signature for
+// benchmark/layers' replay and goes with it (ROADMAP item 5).
+type HorizontalOptions struct{}
+
+// maxSimplePreds caps the simple predicates kept per pattern, so a
+// pattern splits into at most 2^3 minterms. Enumerating all minterm
+// predicates is exponential, so the paper prunes by access frequency
+// (Section 5.2): the predicates kept are those the most workload queries
+// bind, and one query binding a constant suffices to offer it.
+const maxSimplePreds = 3
 
 type simplePred struct {
 	vertex int // pattern vertex index
@@ -36,16 +34,13 @@ type simplePred struct {
 // non-empty minterm selection over the hot graph becomes a fragment.
 // Patterns without any simple predicate yield a single unsplit fragment,
 // so the union of horizontal fragments still covers the hot graph.
-func Horizontal(sel *fap.Selection, workload []*sparql.Graph, hc *HotCold, opts HorizontalOptions) *Fragmentation {
-	maxPreds := opts.MaxSimplePreds
-	if maxPreds <= 0 {
-		maxPreds = 3
-	}
-	minSupport := opts.MinPredSupport
-	if minSupport <= 0 {
-		minSupport = 1
-	}
+func Horizontal(sel *fap.Selection, workload []*sparql.Graph, hc *HotCold, _ HorizontalOptions) *Fragmentation {
+	return horizontal(sel, workload, hc, maxSimplePreds)
+}
 
+// horizontal is Horizontal keeping at most maxPreds simple predicates
+// per pattern.
+func horizontal(sel *fap.Selection, workload []*sparql.Graph, hc *HotCold, maxPreds int) *Fragmentation {
 	fr := &Fragmentation{Kind: HorizontalKind, Hot: hc.Hot}
 	hsn := hc.Hot.Snapshot()
 	defer hsn.Close()
@@ -55,7 +50,7 @@ func Horizontal(sel *fap.Selection, workload []*sparql.Graph, hc *HotCold, opts 
 	minterms := make([][]*Minterm, len(sel.Patterns))
 	var items []match.Item
 	for i, p := range sel.Patterns {
-		minterms[i] = enumerateMinterms(p, harvestSimplePreds(p, workload, maxPreds, minSupport))
+		minterms[i] = enumerateMinterms(p, harvestSimplePreds(p, workload, maxPreds))
 		for _, mt := range minterms[i] {
 			items = append(items, match.Item{Q: p.Graph, Opts: match.Options{VertexFilter: mt.VertexFilter()}})
 		}
@@ -80,8 +75,8 @@ func Horizontal(sel *fap.Selection, workload []*sparql.Graph, hc *HotCold, opts 
 // harvestSimplePreds finds (pattern vertex, constant) pairs from workload
 // queries containing the pattern: each embedding that binds a pattern
 // variable to a query constant is evidence for a simple predicate
-// p(var) = constant (Example 2).
-func harvestSimplePreds(p *mining.Pattern, workload []*sparql.Graph, maxPreds, minSupport int) []simplePred {
+// p(var) = constant (Example 2). The maxPreds most frequent are kept.
+func harvestSimplePreds(p *mining.Pattern, workload []*sparql.Graph, maxPreds int) []simplePred {
 	type key struct {
 		vertex int
 		value  rdf.ID
@@ -104,9 +99,7 @@ func harvestSimplePreds(p *mining.Pattern, workload []*sparql.Graph, maxPreds, m
 	}
 	preds := make([]simplePred, 0, len(counts))
 	for k, c := range counts {
-		if c >= minSupport {
-			preds = append(preds, simplePred{vertex: k.vertex, value: k.value, count: c})
-		}
+		preds = append(preds, simplePred{vertex: k.vertex, value: k.value, count: c})
 	}
 	// Ties in count are broken by what every process agrees on whatever
 	// its copy of the pattern graph numbers its vertices: the constant,

@@ -22,7 +22,8 @@ func batchGraph(n int) *rdf.Graph {
 
 // TestFindBatchesCoversAllMatches checks the batching contract: full
 // batches of size, then the partial one, holding Find's matches in Find's
-// order — and under a Limit the first Limit of them.
+// order — and, when the callback stops the search once it holds a LIMIT's
+// worth, the batches up to that one.
 func TestFindBatchesCoversAllMatches(t *testing.T) {
 	g := batchGraph(25)
 	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
@@ -34,20 +35,20 @@ func TestFindBatchesCoversAllMatches(t *testing.T) {
 	const size = 7
 	cases := []struct {
 		name  string
-		opts  Options
+		limit int // the callback stops once it holds this many; 0: never
 		sizes []int
 	}{
-		{"sequential", Options{}, []int{7, 7, 7, 4}},
-		{"limit", Options{Limit: 10}, []int{7, 3}},
+		{"sequential", 0, []int{7, 7, 7, 4}},
+		{"limit", 10, []int{7, 7}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []Match
 			var sizes []int
-			FindBatches(q, g.Snapshot(), tc.opts, size, func(ms []Match) bool {
+			FindBatches(q, g.Snapshot(), Options{}, size, func(ms []Match) bool {
 				got = append(got, ms...)
 				sizes = append(sizes, len(ms))
-				return true
+				return tc.limit == 0 || len(got) < tc.limit
 			})
 			if fmt.Sprint(sizes) != fmt.Sprint(tc.sizes) {
 				t.Errorf("batch sizes = %v, want %v", sizes, tc.sizes)

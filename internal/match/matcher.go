@@ -27,8 +27,6 @@ type Match struct {
 
 // Options tunes a matching run.
 type Options struct {
-	// Limit stops the search after this many matches; 0 means unlimited.
-	Limit int
 	// VertexFilter, when non-nil, must approve every binding of query
 	// vertex qv to data vertex id. Horizontal fragmentation uses this to
 	// impose structural simple predicates. CountAll and MatchedEdgesAll
@@ -88,7 +86,6 @@ func ForEach(q *sparql.Graph, g *rdf.Snapshot, opts Options, fn func(*Match) boo
 	s := &searcher{
 		q:      q,
 		g:      g,
-		limit:  opts.Limit,
 		filter: opts.VertexFilter,
 		order:  order,
 		m: Match{
@@ -126,8 +123,7 @@ func (m *Match) clone() Match {
 	return c
 }
 
-// Find collects up to opts.Limit matches (all if 0), in enumeration
-// order.
+// Find collects every match, in enumeration order.
 func Find(q *sparql.Graph, g *rdf.Snapshot, opts Options) []Match {
 	var out []Match
 	ForEach(q, g, opts, func(m *Match) bool {
@@ -207,9 +203,9 @@ func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, st
 	}
 }
 
-// Count returns the number of matches, stopping at opts.Limit if set. A
-// tree pattern's matches over a compacted snapshot are counted over its
-// vertices (reduce.go), the others', and a limited count, one by one.
+// Count returns the number of matches. A tree pattern's matches over a
+// compacted snapshot are counted over its vertices (reduce.go), the
+// others' one by one.
 func Count(q *sparql.Graph, g *rdf.Snapshot, opts Options) int {
 	if len(q.Edges) == 0 {
 		return 0
@@ -293,13 +289,11 @@ func edgeMarker(set *rdf.EdgeSet, edges int) func(*Match) bool {
 type searcher struct {
 	q      *sparql.Graph
 	g      *rdf.Snapshot
-	limit  int                          // Options.Limit
 	filter func(qv int, id rdf.ID) bool // Options.VertexFilter
 	order  []int
 	m      Match
 	bound  []bool
 	fn     func(*Match) bool
-	found  int
 	// cut is the depth below which one match per binding of the edges
 	// above it suffices (Options.Keep); len(order) when there is none.
 	// witnessed records that the subtree under the cut has yielded it.
@@ -468,9 +462,8 @@ func cutDepth(q *sparql.Graph, order []int, keep VertexMask) int {
 
 // emit hands the match, complete, to the callback.
 func (s *searcher) emit() {
-	s.found++
 	s.witnessed = true
-	if !s.fn(&s.m) || s.limit > 0 && s.found >= s.limit {
+	if !s.fn(&s.m) {
 		s.done = true
 	}
 }

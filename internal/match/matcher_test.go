@@ -104,14 +104,21 @@ func TestVariablePredicateConsistent(t *testing.T) {
 	}
 }
 
+// TestCountLimit: Count counts every match; a caller that needs only a
+// LIMIT's worth stops ForEach from its callback.
 func TestCountLimit(t *testing.T) {
 	g := philosopherGraph()
 	q := sparql.MustParse(g.Dict, `SELECT ?x WHERE { ?x <name> ?n . }`)
 	if n := Count(q, g.Snapshot(), Options{}); n != 4 {
 		t.Fatalf("Count = %d, want 4", n)
 	}
-	if n := Count(q, g.Snapshot(), Options{Limit: 2}); n != 2 {
-		t.Fatalf("Count limited = %d, want 2", n)
+	n := 0
+	ForEach(q, g.Snapshot(), Options{}, func(*Match) bool {
+		n++
+		return n < 2
+	})
+	if n != 2 {
+		t.Fatalf("ForEach stopped after %d matches, want 2", n)
 	}
 }
 

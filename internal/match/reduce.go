@@ -25,9 +25,9 @@ package match
 // passes read each edge's predicate run as the CSR's own slice, so the
 // reducer needs a compacted snapshot; the fragmenters read graphs built
 // frozen. A snapshot with a delta, a pattern with a cycle, a predicate
-// variable or a self-loop, and a search with a Limit or a Keep enumerate
-// instead. One reduction runs on one goroutine; the pipeline's many run
-// side by side through CountAll and MatchedEdgesAll (parallel.go).
+// variable or a self-loop, and a search with a Keep enumerate instead.
+// One reduction runs on one goroutine; the pipeline's many run side by
+// side through CountAll and MatchedEdgesAll (parallel.go).
 
 import (
 	"math/bits"
@@ -92,7 +92,7 @@ var reducers = sync.Pool{New: func() any { return new(reducer) }}
 // asks for must enumerate.
 func newReducer(q *sparql.Graph, g *rdf.Snapshot, opts Options) *reducer {
 	n := len(q.Verts)
-	if opts.Limit > 0 || opts.Keep != nil || len(q.Edges) != n-1 || !g.Compacted() {
+	if opts.Keep != nil || len(q.Edges) != n-1 || !g.Compacted() {
 		return nil
 	}
 	for _, e := range q.Edges {

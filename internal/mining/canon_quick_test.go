@@ -103,7 +103,7 @@ func TestMineSupportsAreExactProperty(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			w = append(w, randomPattern(int64(r.Int31()), 3))
 		}
-		ps := (&Miner{MinSup: 3, MaxEdges: 3}).Mine(w)
+		ps := (&Miner{MinSup: 3}).Mine(w)
 		for _, p := range ps {
 			recount := 0
 			for _, q := range w {

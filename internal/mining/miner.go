@@ -24,10 +24,11 @@ type Miner struct {
 	// MinSup is the absolute support threshold minSup (Definition 7); a
 	// pattern is frequent if at least MinSup queries contain it.
 	MinSup int
-	// MaxEdges caps pattern growth; 0 defaults to 10, matching the
-	// paper's observation that real query graphs have ≤ 10 edges.
-	MaxEdges int
 }
+
+// maxEdges caps pattern growth at the paper's observation that real
+// query graphs have ≤ 10 edges (Section 4).
+const maxEdges = 10
 
 // uniqueQuery is a distinct normalized query graph and how many workload
 // queries normalize to it.
@@ -77,10 +78,6 @@ func Normalize(workload []*sparql.Graph) ([]*sparql.Graph, []int) {
 // acc(p) >= MinSup, using pattern growth with canonical-code deduplication.
 // Patterns are returned sorted by decreasing support, then decreasing size.
 func (m *Miner) Mine(workload []*sparql.Graph) []*Pattern {
-	maxEdges := m.MaxEdges
-	if maxEdges <= 0 {
-		maxEdges = 10
-	}
 	minSup := m.MinSup
 	if minSup < 1 {
 		minSup = 1

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rdffrag/internal/rdf"
@@ -115,18 +116,24 @@ func TestMineMinSupSweep(t *testing.T) {
 	}
 }
 
+// TestMineMaxEdges: a 12-edge chain, frequent as a whole, yields patterns
+// of up to maxEdges edges and none larger.
 func TestMineMaxEdges(t *testing.T) {
 	d := rdf.NewDict()
-	var w []*sparql.Graph
-	for i := 0; i < 5; i++ {
-		w = append(w, sparql.MustParse(d,
-			`SELECT * WHERE { ?a <p> ?b . ?b <q> ?c . ?c <r> ?e . }`))
+	var chain strings.Builder
+	for i := range 12 {
+		fmt.Fprintf(&chain, "?v%d <p%d> ?v%d . ", i, i, i+1)
 	}
-	ps := (&Miner{MinSup: 2, MaxEdges: 2}).Mine(w)
-	for _, p := range ps {
-		if p.Size() > 2 {
-			t.Errorf("pattern exceeds MaxEdges: %s", p.Code)
-		}
+	var w []*sparql.Graph
+	for range 5 {
+		w = append(w, sparql.MustParse(d, "SELECT * WHERE { "+chain.String()+"}"))
+	}
+	largest := 0
+	for _, p := range (&Miner{MinSup: 2}).Mine(w) {
+		largest = max(largest, p.Size())
+	}
+	if largest != maxEdges {
+		t.Errorf("largest pattern has %d edges, want maxEdges = %d", largest, maxEdges)
 	}
 }
 

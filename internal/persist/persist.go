@@ -49,7 +49,7 @@ import (
 // a header and ends in a CRC trailer; version 4 adds the TTL schedule to
 // the header; version 5 writes the hot graph and each site's graph where
 // version 4 wrote the global graph and each fragment's triples, and the
-// fragments' sizes in the manifest. Load reads versions 4 and 5.
+// fragments' sizes in the manifest. Load reads version 5 only.
 const Version = 5
 
 // Chunk sizes. A save holds one chunk of each at a time.
@@ -84,11 +84,9 @@ type header struct {
 	Terms     int
 	FreqProps []uint32
 	Patterns  []PatternDTO
-	Graph     int           // version 4: triples of the global graph, hot ∪ cold
 	Fragments []FragmentDTO // the manifest: the cold fragment, if any, last
 	// Graphs counts the triples of each graph the image lists: the hot
-	// graph, each site's, the cold graph. Version 4 counted its sections
-	// in Graph and FragmentDTO.Triples.
+	// graph, each site's, the cold graph.
 	Graphs []int
 	// Pending and Deadlines are the TTL schedule in (S, P, O) order:
 	// Pending holds each scheduled triple's IDs, flat, and Deadlines its
@@ -140,7 +138,6 @@ type FragmentDTO struct {
 	Constraints []ConstraintDTO
 	Site        int // -1: a cold fragment not placed yet
 	Size        int // fragment.Fragment.Size
-	Triples     int // version 4: how many triples of the stream are the fragment's
 }
 
 // State is what Load returns, and what Capture pins. HC.Cold is
@@ -378,18 +375,14 @@ func Load(r io.Reader) (*State, error) {
 	if err := dec.Decode(&v); err != nil {
 		return nil, fmt.Errorf("persist: decode: %w", err)
 	}
-	if v.Version != Version && v.Version != Version-1 {
-		return nil, fmt.Errorf("persist: checkpoint format v%d; this build reads v%d and v%d only", v.Version, Version-1, Version)
+	if v.Version != Version {
+		return nil, fmt.Errorf("persist: checkpoint format v%d; this build reads v%d only", v.Version, Version)
 	}
 	var hdr header
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("persist: decode header: %w", err)
 	}
-	v4 := v.Version == 4
-	if v4 {
-		hdr.fromV4()
-	}
-	patterns, err := hdr.check(v4)
+	patterns, err := hdr.check()
 	if err != nil {
 		return nil, err
 	}
@@ -421,9 +414,6 @@ func Load(r io.Reader) (*State, error) {
 	freq := make(map[rdf.ID]bool, len(hdr.FreqProps))
 	for _, p := range hdr.FreqProps {
 		freq[rdf.ID(p)] = true
-	}
-	if v4 {
-		graphs = hdr.graphsV4(graphs, freq)
 	}
 	hc := &fragment.HotCold{
 		Hot:       rdf.NewFrozen(dict, graphs[0]),
@@ -482,53 +472,13 @@ func Load(r io.Reader) (*State, error) {
 	return st, nil
 }
 
-// fromV4 reads a version 4 header as version 5's, but for its sections —
-// the global graph's, then each fragment's — which graphsV4 regroups: a
-// fragment's size is its count, and a cold fragment of no triples is one
-// not placed yet.
-func (h *header) fromV4() {
-	h.Graphs = []int{h.Graph}
-	for i := range h.Fragments {
-		fd := &h.Fragments[i]
-		fd.Size = fd.Triples
-		h.Graphs = append(h.Graphs, fd.Triples)
-		if fragment.Kind(fd.Kind) == fragment.ColdKind && fd.Triples == 0 {
-			fd.Site = -1
-		}
-	}
-}
-
-// graphsV4 lists a version 4 image's graphs as version 5 does: the global
-// graph's triples of frequent properties, each site's hot fragments'
-// triples together — building the graph drops the repeats — and the cold
-// fragment's, or, with none, the global graph's other triples.
-func (h *header) graphsV4(sections [][]rdf.Triple, freq map[rdf.ID]bool) [][]rdf.Triple {
-	graphs := make([][]rdf.Triple, h.Sites+2)
-	for _, t := range sections[0] {
-		if freq[t.P] {
-			graphs[0] = append(graphs[0], t)
-		} else {
-			graphs[h.Sites+1] = append(graphs[h.Sites+1], t)
-		}
-	}
-	for i, fd := range h.Fragments {
-		if fragment.Kind(fd.Kind) == fragment.ColdKind {
-			graphs[h.Sites+1] = sections[1+i]
-		} else {
-			graphs[1+fd.Site] = append(graphs[1+fd.Site], sections[1+i]...)
-		}
-	}
-	return graphs
-}
-
 // check refuses a header whose counts, indexes or IDs reach past what the
-// image holds, and rebuilds its patterns. A version 4 header comes to it
-// through fromV4.
-func (h *header) check(v4 bool) ([]*mining.Pattern, error) {
+// image holds, and rebuilds its patterns.
+func (h *header) check() ([]*mining.Pattern, error) {
 	if h.Sites < 1 || h.Sites > maxSites {
 		return nil, fmt.Errorf("persist: %d sites", h.Sites)
 	}
-	if !v4 && len(h.Graphs) != h.Sites+2 {
+	if len(h.Graphs) != h.Sites+2 {
 		return nil, fmt.Errorf("persist: %d graphs for %d sites", len(h.Graphs), h.Sites)
 	}
 	if h.Terms < 0 || slices.ContainsFunc(h.Graphs, func(n int) bool { return n < 0 }) {

@@ -2,10 +2,9 @@ package wal
 
 // Record-kind framing tests: records of the one kind round-trip through
 // append/reopen/replay and Append refuses any other; segments of the
-// formats that preceded this one are refused by name and left alone, but
-// for a log that is one header-only RDFWAL3 segment, which is rewritten in
-// this format; an unknown kind value truncates like corruption; and the
-// CRC genuinely covers the kind byte.
+// formats that preceded this one are refused by name and left alone, a
+// header-only one included; an unknown kind value truncates like
+// corruption; and the CRC genuinely covers the kind byte.
 
 import (
 	"bytes"
@@ -126,11 +125,9 @@ func TestForeignFormatSegments(t *testing.T) {
 		})
 	}
 
-	// A header-only RDFWAL3 segment is what a clean shutdown of the build
-	// before this format leaves: a checkpoint covers everything, and the
-	// segment waits for the next record. It is rewritten in this format
-	// at the same first sequence number, stamped with the dictionary state
-	// Open is given, and appends continue there.
+	// A header-only RDFWAL3 segment, what a clean shutdown of the build
+	// before this format left, holds no record, but it is that format's
+	// all the same: refused by name, and left as it is.
 	t.Run("v3-header-only", func(t *testing.T) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, segName(7))
@@ -139,31 +136,16 @@ func TestForeignFormatSegments(t *testing.T) {
 		if err := os.WriteFile(path, hdr, 0o644); err != nil {
 			t.Fatalf("write segment: %v", err)
 		}
-		opts := Options{Dir: dir, Sync: SyncAlways, DictState: func() (int, uint64) { return 12, 0xf00d }}
-		l := mustOpen(t, opts)
-		if l.LastSeq() != 6 {
-			t.Fatalf("LastSeq = %d, want 6: the sequence runs on from the segment's name", l.LastSeq())
+		_, err := Open(Options{Dir: dir, Sync: SyncAlways})
+		want := "wal: segment " + segName(7) + " is RDFWAL3; this build reads RDFWAL4 only"
+		if err == nil || err.Error() != want {
+			t.Fatalf("Open = %v, want the error %q", err, want)
 		}
-		if seq := mustAppend(t, l, "fresh"); seq != 7 {
-			t.Fatalf("first append seq = %d, want 7", seq)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, hdr) {
+			t.Errorf("the segment changed under a refused Open (read error %v)", err)
 		}
 		if names, _ := OS().List(dir); len(names) != 1 || names[0] != segName(7) {
-			t.Fatalf("directory holds %v, want only %s", names, segName(7))
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, fp, err := decodeSegHeader(data); err != nil || n != 12 || fp != 0xf00d {
-			t.Fatalf("rewritten header: dictionary stamp (%d, %#x), error %v; want (12, 0xf00d) in this format", n, fp, err)
-		}
-		l = mustOpen(t, opts)
-		defer l.Close()
-		if got := collect(t, l, 0); len(got) != 1 || got[7] != "fresh" {
-			t.Fatalf("replay = %v, want only seq 7 %q", got, "fresh")
+			t.Errorf("directory holds %v after a refused Open, want only %s", names, segName(7))
 		}
 	})
 }

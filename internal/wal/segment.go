@@ -26,15 +26,11 @@ import (
 // This is the one format the package writes and the one it reads, with
 // one record kind. "RDFWAL1\n" (no kind byte), "RDFWAL2\n" (no overwrite
 // kind) and "RDFWAL3\n" (three kinds: insert, delete and overwrite) only
-// ever existed in this repository's own history. A log that is a single
-// header-only RDFWAL3 segment — what a clean shutdown of the build before
-// this format leaves — holds no record, and Open rewrites it in this
-// format at the same first sequence number; any other segment of another
-// RDFWAL format, an RDFWAL3 one holding records included, is refused by
-// name rather than taken for a torn header and deleted.
+// ever existed in this repository's own history. A segment of another
+// RDFWAL format, a header-only one included, is refused by name rather
+// than taken for a torn header and deleted.
 const (
 	segMagic      = "RDFWAL4\n"
-	prevMagic     = "RDFWAL3\n"
 	segHeaderSize = len(segMagic) + 4 + 8
 	recHeaderSize = 4 + 4 + 8 + 1
 )

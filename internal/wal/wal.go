@@ -173,9 +173,7 @@ type Log struct {
 // after a corrupt one are discarded (nothing after a tear is
 // trustworthy — sequence numbers would have a hole anyway). A segment
 // in another RDFWAL format is not damage: Open fails, naming the format,
-// and leaves the directory as it found it — unless the log is a single
-// header-only RDFWAL3 segment, which holds nothing and is rewritten in
-// this format.
+// and leaves the directory as it found it.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
@@ -251,13 +249,6 @@ func (l *Log) recover() error {
 		data, err := l.fs.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("wal: read %s: %w", c.name, err)
-		}
-		if len(cands) == 1 && len(data) == segHeaderSize && string(data[:len(prevMagic)]) == prevMagic {
-			// The log is one header-only segment of the previous format:
-			// what a clean shutdown of the build before this one leaves.
-			// It holds no record, so Open writes this format's header over
-			// it, at the first sequence number its name gives.
-			return nil
 		}
 		_, _, err = decodeSegHeader(data)
 		if err != nil && !errors.Is(err, errTornHeader) {

@@ -40,15 +40,13 @@ func (dep *Deployment) capture(walSeq uint64) *persist.Image {
 }
 
 // LoadDeployment reconstructs a query-ready deployment from a snapshot
-// written by Save. Only runtime knobs of cfg apply (WorkersPerSite);
-// structural settings (Sites, Strategy) come from the snapshot.
-func LoadDeployment(r io.Reader, cfg Config) (*Deployment, error) {
-	cfg = cfg.withDefaults()
+// written by Save: its settings (Sites, Strategy) come from the snapshot.
+func LoadDeployment(r io.Reader) (*Deployment, error) {
 	st, err := persist.Load(r)
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{cfg: cfg, graph: rdf.NewGraph(st.HC.Hot.Dict)}
+	db := &DB{cfg: Config{}.withDefaults(), graph: rdf.NewGraph(st.HC.Hot.Dict)}
 	db.cfg.Sites = st.Sites
 	if st.Frag.Kind == fragment.HorizontalKind {
 		db.cfg.Strategy = Horizontal
@@ -57,7 +55,7 @@ func LoadDeployment(r io.Reader, cfg Config) (*Deployment, error) {
 	}
 
 	dd := dict.Build(st.Frag, st.Alloc, nil)
-	cl := cluster.New(st.Sites, cfg.WorkersPerSite)
+	cl := cluster.New(st.Sites, workersPerSite)
 	engine, err := exec.New(cl, dd, st.Frag, st.Alloc, st.HC)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 
-	restored, err := LoadDeployment(&buf, Config{WorkersPerSite: 2})
+	restored, err := LoadDeployment(&buf)
 	if err != nil {
 		t.Fatalf("LoadDeployment: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestSaveLoadHorizontal(t *testing.T) {
 	if err := dep.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	restored, err := LoadDeployment(&buf, Config{})
+	restored, err := LoadDeployment(&buf)
 	if err != nil {
 		t.Fatalf("LoadDeployment: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestSaveLoadHorizontal(t *testing.T) {
 }
 
 func TestLoadDeploymentGarbage(t *testing.T) {
-	if _, err := LoadDeployment(bytes.NewReader([]byte("not a snapshot")), Config{}); err == nil {
+	if _, err := LoadDeployment(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
 }
@@ -81,7 +81,7 @@ func TestSaveLoadColdQueries(t *testing.T) {
 	if err := dep.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	restored, err := LoadDeployment(&buf, Config{})
+	restored, err := LoadDeployment(&buf)
 	if err != nil {
 		t.Fatalf("LoadDeployment: %v", err)
 	}

@@ -46,15 +46,16 @@ const (
 	Horizontal Strategy = "horizontal"
 )
 
+// workersPerSite bounds each site's concurrent evaluations, mirroring the
+// paper's 4-core machines.
+const workersPerSite = 4
+
 // Config tunes the offline pipeline. The zero value is usable.
 type Config struct {
 	// Strategy picks vertical (default) or horizontal fragmentation.
 	Strategy Strategy
 	// Sites is the number of simulated sites (default 4).
 	Sites int
-	// WorkersPerSite bounds per-site evaluation concurrency (default 4,
-	// mirroring the paper's 4-core machines).
-	WorkersPerSite int
 	// MinSupport is the pattern-mining threshold as a fraction of the
 	// workload (default 0.01; the paper's DBpedia setting is 0.001). It is
 	// also the hot/cold property threshold.
@@ -70,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Sites <= 0 {
 		c.Sites = 4
-	}
-	if c.WorkersPerSite <= 0 {
-		c.WorkersPerSite = 4
 	}
 	if c.MinSupport <= 0 {
 		c.MinSupport = 0.01
@@ -180,7 +178,7 @@ func (db *DB) DeployParsed(workload []*sparql.Graph) (*Deployment, error) {
 	}
 	alloc := allocation.Allocate(fr, workload, cfg.Sites)
 	dd := dict.Build(fr, alloc, workload)
-	cl := cluster.New(cfg.Sites, cfg.WorkersPerSite)
+	cl := cluster.New(cfg.Sites, workersPerSite)
 	engine, err := exec.New(cl, dd, fr, alloc, hc)
 	if err != nil {
 		return nil, err

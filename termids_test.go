@@ -236,6 +236,11 @@ func TestIDsFollowLogOrder(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// The background checkpointer may still be writing, and a checkpoint
+	// that retires segments while the directory is read loses the records
+	// they hold: hold it off until the recovery has read them.
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
 	live := dep.db.graph.Dict.Rendered()
 	_, rec := recovered(t, cfg)
 	got := rec.db.graph.Dict.Rendered()

@@ -235,8 +235,8 @@ func TestRemoteSitesSweepNothing(t *testing.T) {
 	var img bytes.Buffer
 	err := srv.Save(&img)
 	srv.Close()
-	host, err2 := LoadDeployment(bytes.NewReader(img.Bytes()), Config{})
-	ctl, err3 := LoadDeployment(bytes.NewReader(img.Bytes()), Config{})
+	host, err2 := LoadDeployment(bytes.NewReader(img.Bytes()))
+	ctl, err3 := LoadDeployment(bytes.NewReader(img.Bytes()))
 	if err := errors.Join(err, err2, err3); err != nil {
 		t.Fatal(err)
 	}
