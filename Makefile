@@ -150,8 +150,11 @@ crash-soak:
 # not its row count times their number, and a byte after done are
 # refused. The scanner every load and every update batch goes through:
 # never panic, accept no line with an unclosed IRI, literal or datatype
-# or with anything after the third term, and scan what WriteNTriples
-# writes of an accepted document back to the same triples. The term
+# or with anything after the third term, scan what WriteNTriples writes
+# of an accepted document back to the same triples, and load it
+# (ReadNTriples, which interns from the line's bytes) to the dictionary,
+# ID for ID, and the triples that its statements encoded in order give;
+# a refused document the load refuses with the same error. The term
 # dictionary, which keeps a term as its rendering: for terms of any kind
 # and value, Encode, Decode, Lookup and Rendered agree, distinct terms get
 # distinct IDs, and the fingerprint is that of the decoded terms. The checkpoint

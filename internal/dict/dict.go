@@ -62,6 +62,27 @@ type Dictionary struct {
 // because benchmark/layers calls Build with three arguments, until ROADMAP
 // item 5 retires that replay.
 func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []*sparql.Graph) *Dictionary {
+	d := count(fr)
+	d.place(alloc)
+	return d
+}
+
+// BuildBeside is Build of the allocation that allocate returns, run on a
+// goroutine of its own beside the counting, which reads no allocation:
+// only the entries' sites and stored sizes do. It returns the dictionary
+// and the allocation.
+func BuildBeside(fr *fragment.Fragmentation, allocate func() *allocation.Allocation) (*Dictionary, *allocation.Allocation) {
+	allocated := make(chan *allocation.Allocation, 1)
+	go func() { allocated <- allocate() }()
+	d := count(fr)
+	alloc := <-allocated
+	d.place(alloc)
+	return d, alloc
+}
+
+// count builds the dictionary's statistics: the fragments' entries,
+// counted but not yet placed, and the cold graph's predicate counts.
+func count(fr *fragment.Fragmentation) *Dictionary {
 	d := &Dictionary{
 		byCode:           make(map[string][]*Entry),
 		coldPredCount:    make(map[rdf.ID]int),
@@ -80,16 +101,7 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 	}
 	cards := match.CountAll(items, hsn)
 	for i, f := range fr.Fragments {
-		e := &Entry{
-			Fragment:    f,
-			Site:        -1,
-			Size:        f.Size,
-			Cardinality: cards[i],
-			stored:      f.Graph.NumTriples(),
-		}
-		if s, ok := alloc.SiteOf[f.ID]; ok {
-			e.Site = s
-		}
+		e := &Entry{Fragment: f, Site: -1, Size: f.Size, Cardinality: cards[i]}
 		if len(d.byCode[f.Pattern.Code]) == 0 {
 			d.patterns = append(d.patterns, f.Pattern)
 		}
@@ -107,6 +119,19 @@ func Build(fr *fragment.Fragmentation, alloc *allocation.Allocation, workload []
 		d.coldBuildTriples = d.coldTriples
 	}
 	return d
+}
+
+// place gives each entry its fragment's site under alloc and the size of
+// the graph storing it there, the fragment's Graph once alloc placed it.
+func (d *Dictionary) place(alloc *allocation.Allocation) {
+	for _, es := range d.byCode {
+		for _, e := range es {
+			if s, ok := alloc.SiteOf[e.Fragment.ID]; ok {
+				e.Site = s
+			}
+			e.stored = e.Fragment.Graph.NumTriples()
+		}
+	}
 }
 
 // liveRatio rescales a Build-time statistic to a graph's current live

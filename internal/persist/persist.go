@@ -558,27 +558,35 @@ func (h *header) constant(variable string, id uint32) error {
 	return h.term(id)
 }
 
-// readTerms rebuilds the dictionary from the term chunks, ID for ID.
+// readTerms rebuilds the dictionary from the term chunks, ID for ID. The
+// terms are read whole before the dictionary interns them, in one pass
+// without a lock per term; the list grows with what the chunks hold, not
+// with n.
 func readTerms(dec *gob.Decoder, n int) (*rdf.Dict, error) {
-	dict := rdf.NewDict()
+	var terms []rdf.Term
 	var chunk termsDTO
-	for dict.Len() < n {
+	for len(terms) < n {
 		chunk.Kinds, chunk.Values = chunk.Kinds[:0], chunk.Values[:0]
 		if err := dec.Decode(&chunk); err != nil {
 			return nil, fmt.Errorf("persist: decode terms: %w", err)
 		}
-		if len(chunk.Kinds) == 0 || len(chunk.Kinds) != len(chunk.Values) || len(chunk.Kinds) > n-dict.Len() {
-			return nil, fmt.Errorf("persist: a chunk of %d kinds and %d values at term %d of %d", len(chunk.Kinds), len(chunk.Values), dict.Len(), n)
+		if len(chunk.Kinds) == 0 || len(chunk.Kinds) != len(chunk.Values) || len(chunk.Kinds) > n-len(terms) {
+			return nil, fmt.Errorf("persist: a chunk of %d kinds and %d values at term %d of %d", len(chunk.Kinds), len(chunk.Values), len(terms), n)
 		}
 		for i, k := range chunk.Kinds {
 			if rdf.TermKind(k) > rdf.Blank {
-				return nil, fmt.Errorf("persist: term %d has kind %d", dict.Len(), k)
+				return nil, fmt.Errorf("persist: term %d has kind %d", len(terms), k)
 			}
-			want := rdf.ID(dict.Len())
-			if id := dict.Encode(rdf.Term{Kind: rdf.TermKind(k), Value: chunk.Values[i]}); id != want {
-				return nil, fmt.Errorf("persist: dictionary IDs diverged at %d", want)
-			}
+			terms = append(terms, rdf.Term{Kind: rdf.TermKind(k), Value: chunk.Values[i]})
 		}
+	}
+	dict := rdf.NewDict(terms...)
+	if dict.Len() < n { // a term came twice: the dictionary parts from the list at the first repeat
+		at, text := 0, dict.Rendered()
+		for at < len(text) && text[at] == terms[at].String() {
+			at++
+		}
+		return nil, fmt.Errorf("persist: dictionary IDs diverged at %d", at)
 	}
 	return dict, nil
 }

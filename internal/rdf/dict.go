@@ -18,7 +18,11 @@ const NoID = ID(^uint32(0))
 // it — an IRI's between the brackets, a blank node's after the "_:", a
 // literal's between the quotes. Only a literal whose rendering escapes a
 // character keeps its value a second time, unescaped. It is safe for
-// concurrent use; lookups take a read lock, inserts a write lock.
+// concurrent use; lookups take a read lock, inserts a write lock. A load
+// (ReadNTriples, ReadTurtle) holds the write lock for its whole document
+// and interns every term under it, so a concurrent reader waits for the
+// load and sees the dictionary from before it or after it; Encode still
+// locks per term, for the writer's apply and the SPARQL parser.
 type Dict struct {
 	mu  sync.RWMutex
 	ids map[string]ID // rendering → ID
@@ -38,9 +42,19 @@ type Dict struct {
 	fpHash uint64
 }
 
-// NewDict returns an empty dictionary.
-func NewDict() *Dict {
-	return &Dict{ids: make(map[string]ID)}
+// NewDict returns a dictionary holding terms, in order: the i-th distinct
+// one gets ID i, and a repeat keeps its first ID, so a dictionary
+// shorter than terms says some term came twice. Nothing else can reach
+// the dictionary yet, so they are interned without a lock. Like Encode,
+// it panics on a term of no known kind.
+func NewDict(terms ...Term) *Dict {
+	d := &Dict{ids: make(map[string]ID, len(terms))}
+	var buf []byte
+	for _, t := range terms {
+		checkKind(t)
+		buf, _ = d.internTerm(buf, t)
+	}
+	return d
 }
 
 // stackTerm is the rendering length Encode and Lookup build on the stack;
@@ -51,9 +65,7 @@ const stackTerm = 128
 // term already interned costs a lookup and allocates nothing. It panics
 // on a term of no known kind, which has no rendering of its own.
 func (d *Dict) Encode(t Term) ID {
-	if t.Kind > Blank {
-		panic(fmt.Sprintf("rdf: Encode of a term of kind %d", t.Kind))
-	}
+	checkKind(t)
 	var buf [stackTerm]byte
 	r := appendTerm(buf[:0], t)
 	d.mu.RLock()
@@ -64,18 +76,47 @@ func (d *Dict) Encode(t Term) ID {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok = d.ids[string(r)]; ok {
+	_, id = d.internTerm(r, t)
+	return id
+}
+
+// checkKind panics on a term of no known kind, which has no rendering of
+// its own.
+func checkKind(t Term) {
+	if t.Kind > Blank {
+		panic(fmt.Sprintf("rdf: Encode of a term of kind %d", t.Kind))
+	}
+}
+
+// internTerm interns t, a term of known kind, rendering it into buf,
+// which it returns for the next term. The caller holds mu for writing, or
+// owns d alone.
+func (d *Dict) internTerm(buf []byte, t Term) ([]byte, ID) {
+	buf = appendTerm(buf[:0], t)
+	unescaped := ""
+	if t.Kind == Literal && len(buf) != len(t.Value)+2 { // the rendering escapes a character
+		unescaped = t.Value
+	}
+	return buf, d.intern(buf, unescaped)
+}
+
+// intern returns the ID of the term rendered r, giving it the next ID if
+// it has none; unescaped is its value when its rendering escapes a
+// character of it, and "" otherwise (such a value is never empty). A hit
+// allocates nothing. The caller holds mu for writing, or owns d alone.
+func (d *Dict) intern(r []byte, unescaped string) ID {
+	if id, ok := d.ids[string(r)]; ok {
 		return id
 	}
-	id = ID(len(d.text))
+	id := ID(len(d.text))
 	s := string(r)
 	d.ids[s] = id
 	d.text = append(d.text, s)
-	if t.Kind == Literal && len(s) != len(t.Value)+2 {
+	if unescaped != "" {
 		if d.unescaped == nil {
 			d.unescaped = make(map[ID]string)
 		}
-		d.unescaped[id] = strings.Clone(t.Value)
+		d.unescaped[id] = strings.Clone(unescaped)
 	}
 	return id
 }

@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -97,21 +99,37 @@ func FuzzDictEncode(f *testing.F) {
 }
 
 // TestDictRenderedSnapshotUnderWrites: a snapshot taken under one read
-// lock stays valid and unchanged while writers keep interning — the
-// property result decoding relies on (run under -race).
+// lock stays valid and unchanged while writers keep interning — one term
+// at a time through Encode, or a document at a time through a load — the
+// property result decoding relies on (run under -race). Each snapshot a
+// reader takes is a prefix of the final dictionary, and a term a reader
+// looks up is absent or has its final ID.
 func TestDictRenderedSnapshotUnderWrites(t *testing.T) {
 	d := NewDict()
 	for i := 0; i < 100; i++ {
 		d.Encode(NewIRI(fmt.Sprintf("http://ex/%d", i)))
 	}
+	var doc strings.Builder
+	for i := range 3000 {
+		fmt.Fprintf(&doc, "<http://ex/%d> <http://ex/p%d> \"loaded %d\" .\n", i%500, i%5, i)
+	}
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 100; i < 5000; i++ {
 			d.Encode(NewLiteral(fmt.Sprintf("late %d", i)))
 		}
 	}()
+	go func() {
+		defer wg.Done()
+		if _, err := ReadNTriples(NewGraph(d), strings.NewReader(doc.String())); err != nil {
+			t.Error(err)
+		}
+	}()
+	probes := []Term{NewLiteral("loaded 2999"), NewIRI("http://ex/p4"), NewLiteral("late 4999")}
+	var seen [][]string
+	var found [][]ID
 	for round := 0; round < 50; round++ {
 		text := d.Rendered()
 		for id := 0; id < 100; id++ {
@@ -119,9 +137,27 @@ func TestDictRenderedSnapshotUnderWrites(t *testing.T) {
 				t.Fatalf("round %d: Rendered()[%d] = %q, want %q", round, id, text[id], want)
 			}
 		}
+		ids := make([]ID, len(probes))
+		for i, p := range probes {
+			ids[i], _ = d.Lookup(p)
+		}
+		seen, found = append(seen, text), append(found, ids)
 	}
 	wg.Wait()
-	if got := d.Rendered(); len(got) != 5000 || got[4999] != `"late 4999"` {
-		t.Fatalf("after writers: %d entries, last %q", len(got), got[len(got)-1])
+	final := d.Rendered()
+	// 500 subjects, 100 of them interned before, 5 predicates, 3000 loaded
+	// literals and 4900 late ones.
+	if want := 500 + 5 + 3000 + 4900; len(final) != want || d.Len() != want {
+		t.Fatalf("after writers: %d entries (Len %d), want %d", len(final), d.Len(), want)
+	}
+	for round, text := range seen {
+		if !slices.Equal(text, final[:len(text)]) {
+			t.Fatalf("round %d: a snapshot of %d terms is not a prefix of the final dictionary", round, len(text))
+		}
+		for i, p := range probes {
+			if want, _ := d.Lookup(p); found[round][i] != NoID && found[round][i] != want {
+				t.Fatalf("round %d: %v looked up as %d, finally %d", round, p, found[round][i], want)
+			}
+		}
 	}
 }

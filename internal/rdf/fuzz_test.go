@@ -17,12 +17,21 @@ var ntStatement = regexp.MustCompile(`(?s)^(?:[ \t]*(?:<[^>]*>|_:[^ \t]*|"(?:[^"
 
 // FuzzScanNTriples: the scanner never panics; a document it accepts holds,
 // line for line, only closed terms and no trailing content, one statement
-// to a line; and loaded into a graph and written back by WriteNTriples it
-// scans to the graph's triple list again.
+// to a line; loaded by ReadNTriples it gives the dictionary, ID for ID,
+// and the triples that the scanned statements encoded in order give, and
+// written back by WriteNTriples it scans to the graph's triple list
+// again. A document the scanner refuses, ReadNTriples refuses with the
+// same error, its line included, and adds no triple.
 func FuzzScanNTriples(f *testing.F) {
 	f.Add("<http://ex/Aristotle> <http://ex/name> \"Aristotle\" .\n# a comment\n\n_:b1 <http://ex/p> \"line\\nbreak\" .\n" +
 		"<http://ex/x> <http://ex/age> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n<http://ex/x> <http://ex/label> \"hi\"@en .")
 	f.Add("<a><p><b>.\r\n_: <p> _:c.\n<a> <p> \"q\\\"uote\\\\\"  .\n<a> <p> \"\xff\\t\" .\n<a> <p> <b>")
+	// Terms whose rendering is not the line's bytes — a raw tab or CR, an
+	// escape, a datatype, a language tag, a blank node ending the line —
+	// beside the same values written as their renderings, and a predicate
+	// repeated across them.
+	f.Add("<a> <p> \"raw\ttab\" .\n<a> <p> \"raw\\ttab\" .\n<a> <p> \"c\rr\" .\n<a> <p> \"q\\\"\" .\n" +
+		"<a> <p> \"42\"^^<dt> .\n<a> <p> \"42\" .\n<a> <p> \"hi\"@en .\n<a> \"p\\n\" <b> .\n<a> \"p\\n\" _:end\n_:end <p> <a>")
 	for _, bad := range badNTriples {
 		f.Add(bad)
 		f.Add("<a> <p> <b> .\n" + bad + "\n")
@@ -36,7 +45,15 @@ func FuzzScanNTriples(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		stmts, err := scan(doc)
+		g := NewGraph(nil)
+		read, readErr := ReadNTriples(g, strings.NewReader(doc))
+		if (err == nil) != (readErr == nil) || err != nil && err.Error() != readErr.Error() {
+			t.Fatalf("ReadNTriples: %v; ScanNTriples: %v", readErr, err)
+		}
 		if err != nil {
+			if read != 0 || g.NumTriples() != 0 {
+				t.Fatalf("a refused document read %d statements, left %d triples", read, g.NumTriples())
+			}
 			return
 		}
 		n := 0
@@ -53,9 +70,24 @@ func FuzzScanNTriples(f *testing.F) {
 			t.Fatalf("%d statements scanned from %d lines", len(stmts), n)
 		}
 
-		g := NewGraph(nil)
-		if read, err := ReadNTriples(g, strings.NewReader(doc)); err != nil || read != n {
-			t.Fatalf("ReadNTriples of a document that scans: %d of %d, %v", read, n, err)
+		if read != n {
+			t.Fatalf("ReadNTriples read %d of %d statements", read, n)
+		}
+		d, want := NewDict(), make([]Triple, 0, n)
+		for _, st := range stmts {
+			want = append(want, Triple{S: d.Encode(st[0]), P: d.Encode(st[1]), O: d.Encode(st[2])})
+		}
+		if got := g.Dict.Rendered(); !slices.Equal(got, d.Rendered()) {
+			t.Fatalf("ReadNTriples interned %q; the scan encodes to %q", got, d.Rendered())
+		}
+		for id := range ID(d.Len()) {
+			if got := g.Dict.Decode(id); got != d.Decode(id) {
+				t.Fatalf("ReadNTriples decodes %d to %#v; the scan's dictionary to %#v", id, got, d.Decode(id))
+			}
+		}
+		slices.SortFunc(want, CompareSPO)
+		if got := g.Triples(); !slices.Equal(got, slices.Compact(want)) {
+			t.Fatalf("ReadNTriples holds %v; the scan encodes to %v", got, want)
 		}
 		var held [][3]Term
 		for _, tr := range g.Triples() {

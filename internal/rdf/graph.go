@@ -131,7 +131,7 @@ func (g *Graph) load(ts []Triple) int {
 	if have > 0 {
 		ts = append(g.Triples(), ts...)
 	}
-	if !slices.IsSortedFunc(ts, CompareSPO) { // a matched edge set's triples arrive sorted
+	if !slices.IsSortedFunc(ts, CompareSPO) { // a matched edge set's triples, and a load's, arrive sorted
 		slices.SortFunc(ts, CompareSPO)
 	}
 	ts = slices.Compact(ts)

@@ -17,12 +17,16 @@ import (
 // shorthand literals, and '#' comments. Collections and anonymous blank
 // nodes ([...]) are not supported.
 func ReadTurtle(g *Graph, r io.Reader) (int, error) {
-	return readAll(g, func(fn func(s, p, o Term) error) error {
+	return readAll(g, func(l *loader) error {
 		data, err := io.ReadAll(r)
 		if err != nil {
 			return fmt.Errorf("rdf: turtle: %w", err)
 		}
-		return (&turtleParser{src: string(data), emit: fn, prefixes: map[string]string{}}).run()
+		emit := func(s, p, o Term) error {
+			l.add(Triple{S: l.term(s), P: l.term(p), O: l.term(o)})
+			return nil
+		}
+		return (&turtleParser{src: string(data), emit: emit, prefixes: map[string]string{}}).run()
 	})
 }
 

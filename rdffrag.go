@@ -157,12 +157,15 @@ func (db *DB) DeployParsed(workload []*sparql.Graph) (*Deployment, error) {
 	}
 	minSup := atLeast1(cfg.MinSupport * float64(len(workload)))
 
+	// Mining reads only the workload, so it runs beside the split.
+	mined := make(chan []*mining.Pattern, 1)
+	go func() { mined <- (&mining.Miner{MinSup: minSup}).Mine(workload) }()
 	// The split builds both graphs frozen, whatever delta loading left
 	// (AddTriple calls, a small file); Add after deployment goes to their
 	// delta overlays (Server.Update).
 	hc := fragment.SplitHotCold(db.graph, workload, minSup)
 	db.graph = rdf.NewGraph(db.graph.Dict)
-	patterns := (&mining.Miner{MinSup: minSup}).Mine(workload)
+	patterns := <-mined
 	sel, err := (&fap.Selector{
 		StorageCapacity: int(cfg.StorageFactor * float64(hc.Hot.NumTriples())),
 	}).Select(patterns, workload, hc.Hot)
@@ -176,8 +179,7 @@ func (db *DB) DeployParsed(workload []*sparql.Graph) (*Deployment, error) {
 	} else {
 		fr = fragment.Vertical(sel, hc)
 	}
-	alloc := allocation.Allocate(fr, workload, cfg.Sites)
-	dd := dict.Build(fr, alloc, workload)
+	dd, alloc := dict.BuildBeside(fr, func() *allocation.Allocation { return allocation.Allocate(fr, workload, cfg.Sites) })
 	cl := cluster.New(cfg.Sites, workersPerSite)
 	engine, err := exec.New(cl, dd, fr, alloc, hc)
 	if err != nil {
