@@ -41,14 +41,11 @@ type Dictionary struct {
 	byCode map[string][]*Entry
 	// patterns holds the distinct selected patterns, sorted by code.
 	patterns []*mining.Pattern
-	// coldStats holds per-predicate triple counts of the cold graph for
-	// cold subquery estimation, frozen at Build time; coldGraph and
-	// coldBuildTriples let estimation rescale them to the graph's current
-	// live size (see liveRatio).
-	coldPredCount    map[rdf.ID]int
-	coldTriples      int
-	coldGraph        *rdf.Graph
-	coldBuildTriples int
+	// coldGraph and coldStats give cold subquery estimation the cold
+	// graph's live triple and per-predicate counts (nil without a cold
+	// graph).
+	coldGraph *rdf.Graph
+	coldStats *rdf.Stats
 	// selectivity divisor applied per constant vertex during cardinality
 	// estimation (see Estimate).
 	constSelectivity int
@@ -81,11 +78,11 @@ func BuildBeside(fr *fragment.Fragmentation, allocate func() *allocation.Allocat
 }
 
 // count builds the dictionary's statistics: the fragments' entries,
-// counted but not yet placed, and the cold graph's predicate counts.
+// counted but not yet placed, and the hot and cold graphs' predicate
+// statistics, which count themselves on first use.
 func count(fr *fragment.Fragmentation) *Dictionary {
 	d := &Dictionary{
 		byCode:           make(map[string][]*Entry),
-		coldPredCount:    make(map[rdf.ID]int),
 		constSelectivity: 10,
 		hotStats:         rdf.NewStats(fr.Hot),
 	}
@@ -109,14 +106,7 @@ func count(fr *fragment.Fragmentation) *Dictionary {
 	}
 	sort.Slice(d.patterns, func(i, j int) bool { return d.patterns[i].Code < d.patterns[j].Code })
 	if fr.Cold != nil {
-		csn := fr.Cold.Graph.Snapshot()
-		d.coldTriples = csn.NumTriples()
-		for _, p := range csn.Predicates() {
-			d.coldPredCount[p] = csn.PredicateCount(p)
-		}
-		csn.Close()
-		d.coldGraph = fr.Cold.Graph
-		d.coldBuildTriples = d.coldTriples
+		d.coldGraph, d.coldStats = fr.Cold.Graph, rdf.NewStats(fr.Cold.Graph)
 	}
 	return d
 }
@@ -256,23 +246,21 @@ func (cs *CardShape) Estimate(relevant func(i int) bool) int {
 }
 
 // EstimateColdCard estimates card(q) for an all-cold subquery from the
-// cold graph's per-predicate counts: the minimum predicate count bounds
-// the matches of a connected pattern from above far better than the
-// product, and stays monotone for the cost comparison.
+// cold graph's live per-predicate counts: the minimum predicate count
+// bounds the matches of a connected pattern from above far better than
+// the product, and stays monotone for the cost comparison. A variable
+// predicate counts every cold triple.
 func (d *Dictionary) EstimateColdCard(sub *sparql.Graph) int {
-	ratio := liveRatio(d.coldGraph, d.coldBuildTriples)
 	est := -1
 	for _, e := range sub.Edges {
-		var c int
-		if e.IsPredVar() {
-			c = d.coldTriples
-		} else {
-			c = d.coldPredCount[e.Pred]
+		c := 0
+		switch {
+		case d.coldGraph == nil:
+		case e.IsPredVar():
+			c = d.coldGraph.NumTriples()
+		default:
+			c = d.coldStats.EstimateTriplePattern(e.Pred, false, false)
 		}
-		// The per-predicate counts are Build-time; rescale to the cold
-		// graph's current live size so deltas and tombstones move the
-		// estimate.
-		c = int(float64(c) * ratio)
 		if est == -1 || c < est {
 			est = c
 		}

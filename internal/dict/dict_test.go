@@ -245,3 +245,43 @@ func TestEstimatesTrackLiveUpdates(t *testing.T) {
 			removed, coldBase, coldAfter)
 	}
 }
+
+// TestColdEstimatesPerPredicate: cold estimates count each cold
+// predicate's live triples, so inserts under one cold predicate move its
+// estimate by exactly what they add and leave another's where it was; a
+// variable predicate counts the whole cold graph, and one with no cold
+// triple the floor of 1.
+func TestColdEstimatesPerPredicate(t *testing.T) {
+	env, err := testenv.Build(testenv.Options{})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	viafSub := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <viaf> ?v . }`)
+	wappenSub := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <wappen> ?v . }`)
+	anySub := sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x ?p ?v . }`)
+	viafBase, wappenBase := env.Dict.EstimateColdCard(viafSub), env.Dict.EstimateColdCard(wappenSub)
+
+	cold := env.Frag.Cold.Graph
+	viaf := env.G.Dict.Encode(rdf.NewIRI("viaf"))
+	grown := cold.NumTriples()
+	for i := 0; i < grown; i++ {
+		cold.Add(rdf.Triple{
+			S: env.G.Dict.Encode(rdf.NewIRI(fmt.Sprintf("Viaf%d", i))),
+			P: viaf,
+			O: env.G.Dict.Encode(rdf.NewLiteral(fmt.Sprintf("v%d", i))),
+		})
+	}
+	if got := env.Dict.EstimateColdCard(viafSub); got != viafBase+grown {
+		t.Errorf("viaf estimate after %d viaf inserts = %d, want %d", grown, got, viafBase+grown)
+	}
+	if got := env.Dict.EstimateColdCard(wappenSub); got != wappenBase {
+		t.Errorf("wappen estimate moved with viaf inserts: %d -> %d", wappenBase, got)
+	}
+	if got := env.Dict.EstimateColdCard(anySub); got != cold.NumTriples() {
+		t.Errorf("variable-predicate estimate = %d, want the cold graph's %d triples", got, cold.NumTriples())
+	}
+	// A predicate the cold graph lacks still estimates 1.
+	if got := env.Dict.EstimateColdCard(sparql.MustParse(env.G.Dict, `SELECT ?x WHERE { ?x <name> ?n . }`)); got != 1 {
+		t.Errorf("estimate of a predicate with no cold triple = %d, want 1", got)
+	}
+}

@@ -140,7 +140,11 @@ func (r *Run) out(gen *generation, v ID, n uint32) *Run {
 
 // In sets r to vertex v's incoming edges as s sees them, (P, S) pairs,
 // and returns r.
-func (r *Run) In(s *Snapshot, v ID) *Run { return r.set(s.gen.csr.in(v), &s.gen.delta.in, v, s.n) }
+func (r *Run) In(s *Snapshot, v ID) *Run { return r.in(s.gen, v, s.n) }
+
+func (r *Run) in(gen *generation, v ID, n uint32) *Run {
+	return r.set(gen.csr.in(v), &gen.delta.in, v, n)
+}
 
 // Pred sets r to the triples labelled p as s sees them, (S, O) pairs, and
 // returns r.

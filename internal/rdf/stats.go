@@ -1,39 +1,33 @@
 package rdf
 
-import "sync"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Stats caches per-predicate statistics of a graph: triple counts and
 // distinct subject/object counts. The cost models use these to estimate
 // constant selectivities (a triple pattern with a bound object matches
 // count/distinctObjects triples on average).
 //
-// Refresh is incremental within a CSR generation: the cache keeps
-// persistent per-predicate aggregates (count plus refcounted
-// distinct-subject/object maps) keyed by the generation id, folds the
-// generation's predicate arena once, and then folds only the delta
-// op-log suffix on later lookups — O(new ops), not O(|E|). Delete ops
-// decrement the refcounts, so distinct counts shrink exactly when the
-// last triple carrying a subject/object under a predicate goes away. A
-// compaction starts a new generation, which resets the cache and refolds;
-// compactions are rare enough that the amortized cost stays negligible.
-// Safe for concurrent readers racing the single writer: every input is
-// read through the generation's published atomics.
+// It keeps a row per predicate and nothing per vertex. The first estimate
+// over a CSR generation counts the rows from its arenas; later ones fold
+// in only the delta ops logged since. Readers of a current view take no
+// lock: a refresh copies the rows under mu and publishes the copy.
 type Stats struct {
-	g *Graph
-
-	mu        sync.RWMutex
-	foldedGen uint64 // CSR generation the aggregates cover (0 = none)
-	foldedOps int    // delta ops of that generation folded in
-	perPred   map[ID]*predAgg
+	g    *Graph
+	mu   sync.Mutex // serializes refreshes
+	view atomic.Pointer[statsView]
 }
 
-// predAgg is the persistent aggregate for one predicate. The maps count
-// how many live triples of this predicate carry each subject/object, so
-// deletes can retire a distinct value exactly when its count reaches 0.
-type predAgg struct {
-	count int
-	subs  map[ID]int
-	objs  map[ID]int
+// statsView is the rows as of the first ops delta ops of generation gen.
+// It is immutable once published.
+type statsView struct {
+	gen   uint64
+	ops   int
+	preds []ID        // ascending
+	rows  []PredStats // rows[i] is preds[i]'s
 }
 
 // PredStats summarizes one property.
@@ -44,88 +38,92 @@ type PredStats struct {
 }
 
 // NewStats wraps a graph; computation happens lazily on first use.
-func NewStats(g *Graph) *Stats {
-	return &Stats{g: g, perPred: make(map[ID]*predAgg)}
-}
+func NewStats(g *Graph) *Stats { return &Stats{g: g} }
 
 // predicate returns the statistics for property p (zero value if absent).
-// New ops since the last call are folded in incrementally; fresh-cache
-// lookups contend only on a read lock.
 func (s *Stats) predicate(p ID) PredStats {
 	gen := s.g.gen.Load()
-	n := int(gen.delta.n.Load())
-	s.mu.RLock()
-	if s.foldedGen == gen.id && s.foldedOps >= n {
-		ps := s.read(p)
-		s.mu.RUnlock()
-		return ps
+	v := s.view.Load()
+	if v == nil || v.gen != gen.id || v.ops < int(gen.delta.n.Load()) {
+		v = s.refresh()
 	}
-	s.mu.RUnlock()
+	if i, ok := slices.BinarySearch(v.preds, p); ok {
+		return v.rows[i]
+	}
+	return PredStats{}
+}
 
+// refresh brings the view up to the graph's current cut and publishes it.
+func (s *Stats) refresh() *statsView {
 	s.mu.Lock()
-	if s.foldedGen != gen.id {
-		s.perPred = make(map[ID]*predAgg)
-		for _, p := range gen.csr.preds {
-			for _, so := range gen.csr.pred(p) {
-				s.foldAdd(Triple{S: so.A, P: p, O: so.B})
+	defer s.mu.Unlock()
+	gen := s.g.gen.Load()
+	n := int(gen.delta.n.Load())
+	v := s.view.Load()
+	switch {
+	case v == nil || v.gen != gen.id:
+		v = &statsView{gen: gen.id, preds: slices.Clone(gen.csr.preds), rows: baseCounts(gen.csr)}
+	case v.ops >= n:
+		return v
+	default:
+		v = &statsView{gen: gen.id, ops: v.ops, preds: slices.Clone(v.preds), rows: slices.Clone(v.rows)}
+	}
+	for ; v.ops < n; v.ops++ {
+		v.fold(gen, uint32(v.ops))
+	}
+	s.view.Store(v)
+	return v
+}
+
+// baseCounts counts the rows of a CSR with no map: a predicate's run is
+// sorted by subject and an object's in-run by predicate, so a distinct
+// subject or object is a change of A along a run.
+func baseCounts(c *csrIndex) []PredStats {
+	rows := make([]PredStats, len(c.preds))
+	for i, p := range c.preds {
+		run := c.pred(p)
+		rows[i].Count = len(run)
+		for j := range run {
+			if j == 0 || run[j].A != run[j-1].A {
+				rows[i].DistinctSubjects++
 			}
 		}
-		s.foldedGen = gen.id
-		s.foldedOps = 0
 	}
-	if n > s.foldedOps {
-		ops := (*gen.delta.opsHdr.Load())[:n]
-		for _, op := range ops[s.foldedOps:] {
-			if op.Del {
-				s.foldDel(op.T)
-			} else {
-				s.foldAdd(op.T)
+	for k := 0; k+1 < len(c.inRuns.off); k++ {
+		run := c.inArena[c.inRuns.off[k]:c.inRuns.off[k+1]]
+		for j := range run {
+			if j == 0 || run[j].A != run[j-1].A {
+				i, _ := slices.BinarySearch(c.preds, run[j].A)
+				rows[i].DistinctObjects++
 			}
 		}
-		s.foldedOps = n
 	}
-	ps := s.read(p)
-	s.mu.Unlock()
-	return ps
+	return rows
 }
 
-// foldAdd folds one live triple into the aggregates; caller holds mu.
-func (s *Stats) foldAdd(t Triple) {
-	agg := s.perPred[t.P]
-	if agg == nil {
-		agg = &predAgg{subs: make(map[ID]int), objs: make(map[ID]int)}
-		s.perPred[t.P] = agg
+// fold applies the op with sequence number seq. An endpoint is distinct
+// under p while its run narrowed to p is not empty: an add counts one
+// that is empty at its own cut, a delete retires one that is empty at the
+// cut after it.
+func (v *statsView) fold(gen *generation, seq uint32) {
+	op := (*gen.delta.opsHdr.Load())[seq]
+	t := op.T
+	i, ok := slices.BinarySearch(v.preds, t.P)
+	if !ok {
+		v.preds, v.rows = slices.Insert(v.preds, i, t.P), slices.Insert(v.rows, i, PredStats{})
 	}
-	agg.count++
-	agg.subs[t.S]++
-	agg.objs[t.O]++
-}
-
-// foldDel undoes foldAdd for one deleted triple; caller holds mu.
-func (s *Stats) foldDel(t Triple) {
-	agg := s.perPred[t.P]
-	if agg == nil {
-		return
+	row := &v.rows[i]
+	d, cut := 1, seq
+	if op.Del {
+		d, cut = -1, seq+1
 	}
-	agg.count--
-	if agg.subs[t.S]--; agg.subs[t.S] == 0 {
-		delete(agg.subs, t.S)
+	row.Count += d
+	var r Run
+	if r.out(gen, t.S, cut).Narrow(t.P).Len() == 0 {
+		row.DistinctSubjects += d
 	}
-	if agg.objs[t.O]--; agg.objs[t.O] == 0 {
-		delete(agg.objs, t.O)
-	}
-}
-
-// read assembles the exported numbers for p; caller holds a lock.
-func (s *Stats) read(p ID) PredStats {
-	agg := s.perPred[p]
-	if agg == nil {
-		return PredStats{}
-	}
-	return PredStats{
-		Count:            agg.count,
-		DistinctSubjects: len(agg.subs),
-		DistinctObjects:  len(agg.objs),
+	if r.in(gen, t.O, cut).Narrow(t.P).Len() == 0 {
+		row.DistinctObjects += d
 	}
 }
 

@@ -1,6 +1,12 @@
 package rdf
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+)
 
 func statsGraph() *Graph {
 	g := NewGraph(nil)
@@ -163,5 +169,146 @@ func TestEstimateTriplePattern(t *testing.T) {
 	}
 	if got := st.EstimateTriplePattern(9999, false, false); got != 0 {
 		t.Errorf("unknown predicate = %d, want 0", got)
+	}
+}
+
+// scanStats is the reference Stats is held to: the naive set of a walk
+// of the snapshot's triples, whose statistics are a scan.
+func scanStats(sn *Snapshot) *naiveSet { return newNaive(slices.Collect(sn.All())...) }
+
+// TestStatsMatchesScan is the differential test of the incremental
+// statistics: over seeded runs of Add, Delete and Compact on a small
+// frozen graph, every predicate's statistics equal a scan of the graph's
+// triples after each checked step. Each run starts with a predicate the
+// frozen graph lacks arriving through the delta, the deletes of one
+// subject's every carrier under a predicate, and a reinsert of one of
+// them; several steps fold between most checks.
+func TestStatsMatchesScan(t *testing.T) {
+	const nv, np = 12, 3
+	fresh := ID(nv + np) // a predicate randomTriples never draws
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		base := randomTriples(seed, 40, nv, np)
+		g := NewFrozen(nil, slices.Clone(base))
+		g.SetAutoCompact(-1)
+		st := NewStats(g)
+		check := func(step string) {
+			t.Helper()
+			want := scanStats(g.snapshotAt())
+			for p := ID(0); p <= fresh+1; p++ {
+				if got := st.predicate(p); got != want.stats(p) {
+					t.Fatalf("seed %d, %s: predicate %d = %+v, the scan counts %+v", seed, step, p, got, want.stats(p))
+				}
+			}
+		}
+		check("frozen")
+
+		g.Add(Triple{S: base[0].S, P: fresh, O: base[0].O})
+		check("a new predicate through the delta")
+		var carriers []Triple
+		for tr := range g.snapshotAt().All() {
+			if tr.S == base[1].S && tr.P == base[1].P {
+				carriers = append(carriers, tr)
+			}
+		}
+		for _, tr := range carriers {
+			g.Delete(tr)
+		}
+		check("a subject's last carrier deleted")
+		g.Add(carriers[0])
+		check("a reinsert")
+
+		for step := range 100 {
+			switch x := r.Intn(10); {
+			case x == 0:
+				g.Compact()
+			case x < 5:
+				if live := g.Triples(); len(live) > 0 {
+					g.Delete(live[r.Intn(len(live))])
+				}
+			default:
+				g.Add(Triple{S: ID(r.Intn(nv)), P: ID(nv + r.Intn(np+1)), O: ID(r.Intn(nv))})
+			}
+			if r.Intn(3) == 0 {
+				check(fmt.Sprintf("step %d", step))
+			}
+		}
+		check("the end")
+	}
+}
+
+// TestStatsRefreshAllocsIndependentOfSize: counting a generation's
+// statistics allocates the same on a graph fifty times larger with the
+// same predicates, so nothing the statistics keep grows with the vertices.
+func TestStatsRefreshAllocsIndependentOfSize(t *testing.T) {
+	const np = 5
+	allocs := func(n int) float64 {
+		r := rand.New(rand.NewSource(int64(n)))
+		ts := make([]Triple, n)
+		for i := range ts {
+			ts[i] = Triple{S: ID(np + r.Intn(n/4)), P: ID(r.Intn(np)), O: ID(np + r.Intn(n/4))}
+		}
+		g := NewFrozen(nil, ts)
+		return testing.AllocsPerRun(10, func() { NewStats(g).predicate(2) })
+	}
+	if small, large := allocs(1000), allocs(50000); small != large {
+		t.Errorf("the first estimate over a generation allocates %.0f times on 1 000 triples, %.0f on 50 000", small, large)
+	}
+}
+
+// TestStatsReadersRaceWriter: planners read the statistics while the
+// writer adds, deletes and compacts. Every read is one published view —
+// no distinct count above the count, and an absent predicate all zeros —
+// and once the writer stops the statistics equal the scan.
+func TestStatsReadersRaceWriter(t *testing.T) {
+	const nv, np = 30, 4
+	base := randomTriples(7, 300, nv, np)
+	g := NewFrozen(nil, slices.Clone(base))
+	st := NewStats(g)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for p := ID(nv); p < nv+np; p++ {
+					ps := st.predicate(p)
+					if ps.DistinctSubjects > ps.Count || ps.DistinctObjects > ps.Count ||
+						(ps.Count == 0) != (ps.DistinctSubjects == 0) || (ps.Count == 0) != (ps.DistinctObjects == 0) {
+						t.Errorf("predicate %d read as %+v, which no view holds", p, ps)
+						return
+					}
+					st.EstimateTriplePattern(p, true, false)
+				}
+			}
+		}()
+	}
+	r := rand.New(rand.NewSource(8))
+	seen := slices.Clone(base)
+	for i := range 3000 {
+		switch {
+		case i%400 == 399:
+			g.Compact()
+		case r.Intn(2) == 0:
+			g.Delete(seen[r.Intn(len(seen))])
+		default:
+			tr := Triple{S: ID(r.Intn(nv)), P: ID(nv + r.Intn(np)), O: ID(r.Intn(nv))}
+			g.Add(tr)
+			seen = append(seen, tr)
+		}
+	}
+	close(done)
+	wg.Wait()
+	want := scanStats(g.snapshotAt())
+	for p := ID(nv); p < nv+np; p++ {
+		if got := st.predicate(p); got != want.stats(p) {
+			t.Errorf("predicate %d = %+v after the writer stopped, the scan counts %+v", p, got, want.stats(p))
+		}
 	}
 }
