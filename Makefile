@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race cover cover-gate chaos-soak crash-soak fuzz-smoke bench benchmark-check pins fmt fmt-check vet loc ci
+.PHONY: build test race cover cover-gate allocs chaos-soak crash-soak fuzz-smoke bench benchmark-check pins fmt fmt-check vet loc ci
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,15 @@ cover-gate:
 			if (p+0 < floor+0) { printf "internal/%s coverage %.1f%% dropped below the baseline %.1f%%\n", pkg, p, floor; exit 1 } \
 			printf "internal/%s coverage %.1f%% (floor %.1f%%)\n", pkg, p, floor }' || status=1; \
 	done; exit $$status
+
+# The allocation guards at their real ceilings: every test named
+# ...Alloc, ...Allocs or ...LiveHeap (not allocation's TestAllocate...),
+# without the race detector. Under `cover`, which runs under it, each
+# guard falls back to the loose ceiling its race-detector runs need
+# (sync.Pool drops what is put back at random there), so a regression
+# that stays under that one would pass unseen.
+allocs:
+	$(GO) test -count=1 -run 'Alloc(s)?($$|[A-Z])|LiveHeap' ./...
 
 # The deterministic chaos soak, isolated: seeded fault injection
 # (drop/error/cut/delay) over networked sites under mixed query/update
@@ -250,4 +259,4 @@ loc:
 		while read pkg files; do printf '%6d %s\n' $$(cat $$files | wc -l) $$pkg; done | \
 		awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
-ci: fmt-check vet build cover cover-gate chaos-soak crash-soak fuzz-smoke bench benchmark-check pins
+ci: fmt-check vet build cover cover-gate allocs chaos-soak crash-soak fuzz-smoke bench benchmark-check pins

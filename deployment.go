@@ -2,6 +2,7 @@ package rdffrag
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -77,27 +78,27 @@ func (dep *Deployment) Query(query string) (*Result, error) {
 
 // QueryParsed executes an already-parsed query graph.
 func (dep *Deployment) QueryParsed(q *sparql.Graph) (*Result, error) {
-	b, stats, err := dep.engine.Query(q)
+	prep, err := dep.engine.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	return decoded(dep.newResult(q, b, stats), nil)
+	res := new(Result)
+	b, err := dep.engine.Execute(context.Background(), q, prep, &res.Stats)
+	if err != nil {
+		return nil, err
+	}
+	return decoded(dep.newResult(res, q, b), nil)
 }
 
-// newResult makes the engine's table, uncopied (the Result owns b.Rows),
-// the answer beside the renderings it indexes, fetched under one read
-// lock. ORDER BY sorts the rows stably in place in SPARQL 1.1 §15.1 order
-// — unbound, blank nodes, IRIs, literals, each kind by rendering, DESC
-// reversing both — and LIMIT then cuts the table.
-func (dep *Deployment) newResult(q *sparql.Graph, b *match.Bindings, stats *exec.QueryStats) *Result {
-	res := &Result{
-		Vars:  b.Vars,
-		Stats: *stats,
-		ids:   b.Rows,
-		n:     b.Len(),
-		text:  dep.db.graph.Dict.Rendered(),
-		table: b,
-	}
+// newResult fills res, whose Stats the execution wrote, with the engine's
+// table, uncopied (the Result owns b.Rows), the answer beside the
+// renderings it indexes, fetched under one read lock. ORDER BY sorts the
+// rows stably in place in SPARQL 1.1 §15.1 order — unbound, blank nodes,
+// IRIs, literals, each kind by rendering, DESC reversing both — and LIMIT
+// then cuts the table.
+func (dep *Deployment) newResult(res *Result, q *sparql.Graph, b *match.Bindings) *Result {
+	res.Vars, res.ids, res.n, res.table = b.Vars, b.Rows, b.Len(), b
+	res.text = dep.db.graph.Dict.Rendered()
 	if len(q.OrderBy) > 0 {
 		b.SortStable(func(i, j int) bool {
 			for _, k := range q.OrderBy {

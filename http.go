@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 	"unsafe"
@@ -40,12 +41,16 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	format, err := resultFormat(r)
+	var params url.Values // parsed once, and not at all when there are none
+	if r.URL.RawQuery != "" {
+		params = r.URL.Query()
+	}
+	format, err := resultFormat(params.Get("format"), r.Header.Values("Accept"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	query, err := readQuery(w, r)
+	query, err := readQuery(w, r, params.Get("q"))
 	if err != nil {
 		httpError(w, err, http.StatusBadRequest)
 		return
@@ -297,14 +302,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.countWriteErr(json.NewEncoder(w).Encode(out))
 }
 
-// readQuery pulls the SPARQL text from ?q= or the request body. Bodies
-// are capped at 1 MiB via MaxBytesReader: an oversized query fails
+// readQuery pulls the SPARQL text from q, the ?q= value, or the request
+// body. Bodies are capped at 1 MiB via MaxBytesReader: an oversized query fails
 // whole (the caller maps it to 413) instead of a truncated prefix
 // silently parsing as a different, valid query. A body whose length the
 // request states is read into one buffer of that length, which becomes
 // the query string without a copy.
-func readQuery(w http.ResponseWriter, r *http.Request) (string, error) {
-	if q := r.URL.Query().Get("q"); q != "" {
+func readQuery(w http.ResponseWriter, r *http.Request, q string) (string, error) {
+	if q != "" {
 		return q, nil
 	}
 	if r.Body == nil {
@@ -330,27 +335,32 @@ func readQuery(w http.ResponseWriter, r *http.Request) (string, error) {
 	return unsafe.String(unsafe.SliceData(buf), len(buf)), nil
 }
 
-// resultFormat picks the response format: ?format= (json, csv or tsv;
-// anything else is the client's mistake) wins, then the first media type
-// in the Accept list this server produces — parameters such as q-values
-// are ignored — and JSON when neither names one.
-func resultFormat(r *http.Request) (string, error) {
-	switch format := r.URL.Query().Get("format"); format {
+// resultFormat picks the response format from format, the ?format=
+// value, and accept, the Accept header's values: ?format= (json, csv or
+// tsv; anything else is the client's mistake) wins, then the first media
+// type in the Accept lists this server produces — parameters such as
+// q-values are ignored — and JSON when neither names one.
+func resultFormat(format string, accept []string) (string, error) {
+	switch format {
 	case "json", "csv", "tsv":
 		return format, nil
 	case "":
 	default:
 		return "", fmt.Errorf("unknown format %q (want json, csv or tsv)", format)
 	}
-	for _, part := range strings.Split(strings.Join(r.Header.Values("Accept"), ","), ",") {
-		media, _, _ := strings.Cut(part, ";")
-		switch strings.ToLower(strings.TrimSpace(media)) {
-		case "application/sparql-results+json", "application/json", "*/*":
-			return "json", nil
-		case "text/csv":
-			return "csv", nil
-		case "text/tab-separated-values":
-			return "tsv", nil
+	for _, list := range accept {
+		for more := true; more; {
+			var part string
+			part, list, more = strings.Cut(list, ",")
+			media, _, _ := strings.Cut(part, ";")
+			switch strings.ToLower(strings.TrimSpace(media)) {
+			case "application/sparql-results+json", "application/json", "*/*":
+				return "json", nil
+			case "text/csv":
+				return "csv", nil
+			case "text/tab-separated-values":
+				return "tsv", nil
+			}
 		}
 	}
 	return "json", nil

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // FaultKind classifies one injected fault.
@@ -164,7 +165,7 @@ func (c *Chaos) StragglerWait(ctx context.Context, bytes int) error {
 	if c == nil {
 		return nil
 	}
-	return c.cfg.StragglerDelay.wait(ctx, bytes)
+	return c.cfg.StragglerDelay.wait(ctx, time.Time{}, bytes)
 }
 
 // Counts snapshots the injected-fault counters.

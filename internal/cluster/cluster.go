@@ -93,15 +93,22 @@ type Delay struct {
 	PerKB      time.Duration
 }
 
-func (d Delay) wait(ctx context.Context, bytes int) error {
+// wait pays the transfer of bytes, cut short by ctx or, when non-zero,
+// by deadline, which fails it with context.DeadlineExceeded.
+func (d Delay) wait(ctx context.Context, deadline time.Time, bytes int) error {
 	if d.PerMessage == 0 && d.PerKB == 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d.PerMessage + time.Duration(bytes/1024)*d.PerKB)
+	dur := d.PerMessage + time.Duration(bytes/1024)*d.PerKB
+	var err error
+	if left := time.Until(deadline); !deadline.IsZero() && left < dur {
+		dur, err = left, context.DeadlineExceeded
+	}
+	t := time.NewTimer(dur)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return nil
+		return err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -144,10 +151,10 @@ type Cluster struct {
 // pin a consistent snapshot of every fragment at once.
 func (c *Cluster) Views() *rdf.ViewSource { return c.views }
 
-func (c *Cluster) sendRequest(ctx context.Context, bytes int) error {
+func (c *Cluster) sendRequest(ctx context.Context, deadline time.Time, bytes int) error {
 	if c.Latency.PerMessage != 0 || c.Latency.PerKB != 0 {
 		c.outLink.Lock()
-		err := c.Latency.wait(ctx, bytes)
+		err := c.Latency.wait(ctx, deadline, bytes)
 		c.outLink.Unlock()
 		if err != nil {
 			return err
@@ -156,10 +163,10 @@ func (c *Cluster) sendRequest(ctx context.Context, bytes int) error {
 	return ctx.Err()
 }
 
-func (c *Cluster) receiveResponse(ctx context.Context, bytes int) error {
+func (c *Cluster) receiveResponse(ctx context.Context, deadline time.Time, bytes int) error {
 	if c.Latency.PerMessage != 0 || c.Latency.PerKB != 0 {
 		c.inLink.Lock()
-		err := c.Latency.wait(ctx, bytes)
+		err := c.Latency.wait(ctx, deadline, bytes)
 		c.inLink.Unlock()
 		if err != nil {
 			return err
@@ -243,6 +250,12 @@ type EvalRequest struct {
 	// Vars is Query.Vars() where the caller has it at hand: the columns of
 	// the batches the site ships. nil has it computed.
 	Vars []string
+	// Deadline, when non-zero, fails the evaluation with
+	// context.DeadlineExceeded once it passes, wherever it waits: for a
+	// site worker, for a simulated transfer, or between the site's
+	// graphs. It spares an in-process caller a context of its own that
+	// carries the deadline; a remote evaluator reads only ctx.
+	Deadline time.Time
 }
 
 // Eval performs a synchronous request/response round trip to a site: one
@@ -258,7 +271,7 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 	reqBytes := estimateQueryBytes(req.Query)
 	c.Net.Messages.Add(1)
 	c.Net.Bytes.Add(int64(reqBytes))
-	if err := c.sendRequest(ctx, reqBytes); err != nil {
+	if err := c.sendRequest(ctx, req.Deadline, reqBytes); err != nil {
 		return nil, err
 	}
 
@@ -268,7 +281,7 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 	}
 
 	var all []match.Match
-	err = s.each(ctx, graphs, func(g *rdf.Graph) error {
+	err = s.each(ctx, req.Deadline, graphs, func(g *rdf.Graph) error {
 		all = append(all, match.Find(req.Query, req.View.Snap(g), match.Options{Keep: req.Keep})...)
 		return nil
 	})
@@ -280,7 +293,7 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 	respBytes := len(b.Rows) * 4
 	c.Net.Messages.Add(1)
 	c.Net.Bytes.Add(int64(respBytes))
-	if err := c.receiveResponse(ctx, respBytes); err != nil {
+	if err := c.receiveResponse(ctx, req.Deadline, respBytes); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -305,13 +318,12 @@ func (s *Site) resolve(req EvalRequest) ([]*rdf.Graph, error) {
 }
 
 // each runs eval over the graphs one after the other, each under one of
-// the site's workers, and stops at the first error, eval's or ctx's.
-func (s *Site) each(ctx context.Context, graphs []*rdf.Graph, eval func(*rdf.Graph) error) error {
+// the site's workers, and stops at the first error: eval's, ctx's, or
+// context.DeadlineExceeded once deadline, when non-zero, has passed.
+func (s *Site) each(ctx context.Context, deadline time.Time, graphs []*rdf.Graph, eval func(*rdf.Graph) error) error {
 	for _, g := range graphs {
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := s.acquire(ctx, deadline); err != nil {
+			return err
 		}
 		err := eval(g)
 		<-s.sem
@@ -321,8 +333,37 @@ func (s *Site) each(ctx context.Context, graphs []*rdf.Graph, eval func(*rdf.Gra
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return context.DeadlineExceeded
+		}
 	}
 	return nil
+}
+
+// acquire takes one of the site's workers. A free one is taken without a
+// wait on ctx, which would make a cancellable context allocate its Done
+// channel for every evaluation; only a wait for a busy site reads ctx,
+// and arms a timer for deadline.
+func (s *Site) acquire(ctx context.Context, deadline time.Time) error {
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	default:
+	}
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-expired:
+		return context.DeadlineExceeded
+	}
 }
 
 func estimateQueryBytes(q *sparql.Graph) int {

@@ -89,6 +89,49 @@ func TestLatencyDelaysEachMessage(t *testing.T) {
 	}
 }
 
+// TestEvalRequestDeadline: a request's Deadline cuts what the site waits
+// for under a context that has none — a simulated transfer, a worker
+// while the site is busy — and fails the call once its graph is done.
+func TestEvalRequestDeadline(t *testing.T) {
+	c, q, _ := chaosCluster(t)
+	sink := func(b *match.Bindings) error { b.Release(); return nil }
+	within := func(what string, limit time.Duration, call func() error) {
+		t.Helper()
+		start := time.Now()
+		if err := call(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v, want DeadlineExceeded", what, err)
+		}
+		if el := time.Since(start); el > limit {
+			t.Errorf("%s: returned after %v, want within %v", what, el, limit)
+		}
+	}
+	req := func(d time.Duration) EvalRequest {
+		return EvalRequest{SiteID: 0, FragIDs: []int{1}, Query: q, Deadline: time.Now().Add(d)}
+	}
+
+	c.Latency = Delay{PerMessage: time.Minute}
+	within("a transfer past the deadline", 5*time.Second, func() error {
+		return c.EvalStream(context.Background(), req(20*time.Millisecond), 1, sink)
+	})
+	c.Latency = Delay{}
+
+	s := c.Sites[0]
+	for range cap(s.sem) {
+		s.sem <- struct{}{}
+	}
+	within("a wait for a busy site's worker", 5*time.Second, func() error {
+		return c.EvalStream(context.Background(), req(20*time.Millisecond), 1, sink)
+	})
+	for range cap(s.sem) {
+		<-s.sem
+	}
+
+	within("an evaluation that ends past its deadline", 5*time.Second, func() error {
+		_, err := c.Eval(context.Background(), req(-time.Millisecond))
+		return err
+	})
+}
+
 func TestEvalDedupAcrossFragments(t *testing.T) {
 	c := New(1, 1)
 	d := rdf.NewDict()

@@ -32,7 +32,11 @@ const DefaultBatchSize = 256
 // BatchSink receives one shipped batch of bindings. The batch and its Rows
 // array belong to the receiver from then on: the sender keeps no
 // reference and never writes to them again, so the sink may reorder,
-// overwrite or retain it, and its last reader calls Release. A Joiner
+// overwrite or retain it, and its last reader calls Release exactly once
+// and touches neither the batch nor its rows afterwards: a released
+// batch's header and array go back to match's free lists, and the next
+// batch may be handed them, so a second Release would free that batch's
+// rows. A Joiner
 // reads every batch it keeps until both its inputs have closed; the
 // engine's answer releases each batch once it is copied in. A subquery's
 // sites stream concurrently, so the sink must be safe for concurrent use.
@@ -59,7 +63,7 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 	reqBytes := estimateQueryBytes(req.Query)
 	c.Net.Messages.Add(1)
 	c.Net.Bytes.Add(int64(reqBytes))
-	if err := c.sendRequest(ctx, reqBytes); err != nil {
+	if err := c.sendRequest(ctx, req.Deadline, reqBytes); err != nil {
 		return err
 	}
 
@@ -69,7 +73,7 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 	}
 
 	opts := match.Options{Keep: req.Keep, Vars: req.Vars}
-	return s.each(ctx, graphs, func(g *rdf.Graph) (err error) {
+	return s.each(ctx, req.Deadline, graphs, func(g *rdf.Graph) (err error) {
 		match.FindBindings(req.Query, req.View.Snap(g), opts, batchSize, func(b *match.Bindings) bool {
 			if err = ctx.Err(); err != nil {
 				return false
@@ -78,7 +82,7 @@ func (c *Cluster) EvalStream(ctx context.Context, req EvalRequest, batchSize int
 			respBytes := len(b.Rows) * 4
 			c.Net.Messages.Add(1)
 			c.Net.Bytes.Add(int64(respBytes))
-			if err = c.receiveResponse(ctx, respBytes); err == nil {
+			if err = c.receiveResponse(ctx, req.Deadline, respBytes); err == nil {
 				err = sink(b)
 			}
 			return err == nil
@@ -167,7 +171,8 @@ func (s *symJoiner) close(left bool) {
 // Stage takes pushed batch streams: a Joiner, or whatever receives the
 // output of a chain of them. Push hands over a batch of the input left
 // names, which belongs to the stage from then on (see BatchSink), even
-// when Push returns an error: that error tells the pusher to stop. Close
+// when Push returns an error: that error tells the pusher to stop. The
+// stage releases it exactly once and does not touch it after. Close
 // records that the input left names has ended; no batch of it is pushed
 // afterwards.
 type Stage interface {

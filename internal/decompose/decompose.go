@@ -14,7 +14,6 @@ package decompose
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"rdffrag/internal/dict"
@@ -309,47 +308,68 @@ func (s *Shape) matches(q *sparql.Graph) bool {
 // exact cover of the hot edges with the smallest Π card, and builds the
 // subqueries from q itself — so the variable names and constants are the
 // caller's and the estimates are today's, whenever the shape was built.
+//
+// A subquery that is all of q, its edges in order, shares q's vertex and
+// edge arrays (sparql.Graph.EdgeSubgraph). The search's scratch lies on
+// the stack for a query of a few blocks, and the subqueries' relevant
+// entries share one array.
 func (s *Shape) Bind(q *sparql.Graph) (*Decomposition, error) {
 	if !s.matches(q) {
 		return nil, fmt.Errorf("decompose: query %s does not have the shape it is bound to", q)
 	}
 	nb, nh := len(s.blocks), len(s.hot)
-	ints := make([]int, nb+2*nh)
+	var intBuf [32]int
+	var usedBuf [16]bool
+	ints, used := intBuf[:], usedBuf[:]
+	if len(ints) < nb+2*nh {
+		ints = make([]int, nb+2*nh)
+	}
+	if len(used) < len(s.edges) {
+		used = make([]bool, len(s.edges))
+	}
+	ints, used = ints[:nb+2*nh], used[:len(s.edges)]
 	se := search{
 		shape:  s,
 		cards:  ints[:nb],
-		chosen: ints[nb : nb : nb+nh],
-		best:   ints[nb+nh : nb+nh],
-		used:   make([]bool, len(s.edges)),
+		chosen: ints[nb : nb+nh],
+		best:   ints[nb+nh:],
+		used:   used,
 	}
 	for bi := range s.blocks {
 		b := &s.blocks[bi]
 		se.cards[bi] = b.card.Estimate(func(i int) bool { return b.relevant(q, i) })
 	}
 
-	subs := make([]Subquery, len(s.fixed))
+	var fixedBuf [4]Subquery
+	fixed := fixedBuf[:0]
 	cost := 1.0
-	for i, c := range s.fixed {
+	for _, c := range s.fixed {
 		sg := q.EdgeSubgraph(c.edges)
-		subs[i] = Subquery{Graph: sg, EdgeIdx: c.edges, Cold: !c.global, Global: c.global, Card: s.dict.EstimateColdCard(sg)}
-		cost *= float64(subs[i].Card)
+		fixed = append(fixed, Subquery{Graph: sg, EdgeIdx: c.edges, Cold: !c.global, Global: c.global, Card: s.dict.EstimateColdCard(sg)})
+		cost *= float64(fixed[len(fixed)-1].Card)
 	}
 
 	// Exact-cover search over hot edges minimizing Π card.
-	se.rec(cost)
+	se.rec(cost, 0)
 	if !se.found {
 		return nil, fmt.Errorf("decompose: no valid decomposition found")
 	}
 	if math.IsInf(se.bestCost, 1) {
 		return nil, fmt.Errorf("decompose: cost overflow")
 	}
-	subs = slices.Grow(subs, len(se.best)) // the cover's size, not the hot edges' count
-	for _, bi := range se.best {
+	best := se.best[:se.nbest]
+	subs := append(make([]Subquery, 0, len(fixed)+len(best)), fixed...)
+	nrel := 0
+	for _, bi := range best {
+		nrel += len(s.blocks[bi].card.Entries)
+	}
+	entries := make([]*dict.Entry, 0, nrel)
+	for _, bi := range best {
 		b := &s.blocks[bi]
-		rel := make([]*dict.Entry, 0, len(b.card.Entries))
+		from := len(entries)
 		for i, e := range b.card.Entries {
 			if b.relevant(q, i) {
-				rel = append(rel, e)
+				entries = append(entries, e)
 			}
 		}
 		subs = append(subs, Subquery{
@@ -357,7 +377,7 @@ func (s *Shape) Bind(q *sparql.Graph) (*Decomposition, error) {
 			EdgeIdx:     b.edges,
 			PatternCode: b.code,
 			Card:        se.cards[bi],
-			Relevant:    rel,
+			Relevant:    entries[from:len(entries):len(entries)],
 		})
 	}
 	dcp := &Decomposition{Cost: se.bestCost, Subqueries: make([]*Subquery, len(subs))}
@@ -372,14 +392,17 @@ type search struct {
 	shape *Shape
 	cards []int  // per block, this query's estimate
 	used  []bool // per query edge: covered by a chosen block
-	// chosen is the partial cover being extended, best the cheapest
-	// complete one so far, both as block indices.
+	// chosen[:depth] is the partial cover being extended, best[:nbest]
+	// the cheapest complete one so far, both as block indices; a cover
+	// has at most one block per hot edge. rec writes IDs into them, never
+	// a slice, so they can lie on Bind's stack.
 	chosen, best []int
+	nbest        int
 	bestCost     float64
 	found        bool
 }
 
-func (se *search) rec(costSoFar float64) {
+func (se *search) rec(costSoFar float64, depth int) {
 	if se.found && costSoFar >= se.bestCost {
 		return // branch and bound: cards are >= 1 so cost only grows
 	}
@@ -392,7 +415,7 @@ func (se *search) rec(costSoFar float64) {
 		}
 	}
 	if next == -1 {
-		se.best = append(se.best[:0], se.chosen...)
+		se.nbest = copy(se.best, se.chosen[:depth])
 		se.bestCost, se.found = costSoFar, true
 		return
 	}
@@ -413,9 +436,8 @@ func (se *search) rec(costSoFar float64) {
 		for _, e := range edges {
 			se.used[e] = true
 		}
-		se.chosen = append(se.chosen, bi)
-		se.rec(costSoFar * float64(se.cards[bi]))
-		se.chosen = se.chosen[:len(se.chosen)-1]
+		se.chosen[depth] = bi
+		se.rec(costSoFar*float64(se.cards[bi]), depth+1)
 		for _, e := range edges {
 			se.used[e] = false
 		}

@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"rdffrag/internal/allocation"
 	"rdffrag/internal/cluster"
@@ -150,6 +151,15 @@ type Prepared struct {
 	// per-graph-consistent snapshot of the current state (fine for
 	// offline callers with no concurrent writer).
 	View *rdf.ViewHandle
+	// Deadline, when non-zero, is when this execution fails with
+	// context.DeadlineExceeded. An in-process unit hands it to its site
+	// (cluster.EvalRequest.Deadline), which checks it while it waits for
+	// a worker; the unit checks it as each batch the site ships arrives,
+	// and once more when every unit has finished. A unit that runs beside
+	// others, or goes to a remote site, also reads a context that carries
+	// it, so a hung site is cut. The server stamps it at admission,
+	// beside View; a caller context with an earlier deadline still wins.
+	Deadline time.Time
 }
 
 // Prepare decomposes and optimizes q without executing it. A query with a

@@ -1,6 +1,6 @@
 package exec
 
-// Push-based query execution. QueryPrepared expands a plan into units,
+// Push-based query execution. Execute expands a plan into units,
 // one per subquery and site it is routed to, and runs every unit but the
 // last on a goroutine of its own, the last on the caller's. A unit pushes
 // each batch its site ships (cluster.SiteEval.EvalStream) into its
@@ -10,7 +10,7 @@ package exec
 // evaluation and shipping, and a query of one subquery at one site runs
 // on its caller's goroutine alone.
 // An unordered LIMIT stops every unit once enough distinct rows survive
-// projection.
+// projection, and a plan's deadline every unit once it passes.
 
 import (
 	"cmp"
@@ -20,6 +20,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rdffrag/internal/cluster"
 	"rdffrag/internal/decompose"
@@ -46,46 +47,69 @@ type inlet struct {
 	running atomic.Int32 // the subquery's units not yet finished
 }
 
-// execution is one run of a plan: its units' shared state.
+// execution is one run of a plan: its units' shared state. Executions
+// are pooled: a query takes one when it starts and puts it back once
+// every unit has joined, so what a run needs besides its answer is not
+// allocated again for each query.
 type execution struct {
-	e      *Engine
-	ctx    context.Context
-	cancel context.CancelFunc // a no-op when one unit runs
-	subs   []*decompose.Subquery
-	view   *rdf.ViewHandle
-	inlets []inlet
-	ans    answer
-	rows   atomic.Int64 // binding rows shipped
+	e        *Engine
+	ctx      context.Context
+	cancel   context.CancelFunc // nil when one in-process unit runs
+	deadline time.Time          // Prepared.Deadline
+	subs     []*decompose.Subquery
+	view     *rdf.ViewHandle
+	inlets   []inlet
+	units    []unit
+	ans      answer
+	rows     atomic.Int64 // binding rows shipped
 
 	mu          sync.Mutex
 	err         error // the first unit's error that fails the query
 	unreachable []int // sites skipped in PartialResults mode
 }
 
+var executions = sync.Pool{New: func() any { return new(execution) }}
+
 // QueryPrepared executes q with a previously prepared plan. The plan must
 // come from this engine and a structurally identical query graph — or,
 // for a baseline placement (internal/baseline), from the baseline's own
 // decomposition, whose subqueries are all global.
 func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepared) (*match.Bindings, *QueryStats, error) {
+	stats := new(QueryStats)
+	b, err := e.Execute(ctx, q, prep, stats)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, stats, nil
+}
+
+// Execute is QueryPrepared writing the query's statistics to stats, which
+// the caller owns: a server hands in the field of the result it answers
+// with, so one object carries them from here to the response writer.
+// stats is unspecified when an error is returned.
+func (e *Engine) Execute(ctx context.Context, q *sparql.Graph, prep *Prepared, stats *QueryStats) (*match.Bindings, error) {
 	dcp, pl := prep.Dcp, prep.Plan
-	stats := &QueryStats{
+	*stats = QueryStats{
 		Subqueries:        len(dcp.Subqueries),
 		DecompositionCost: dcp.Cost,
 		PlanCost:          pl.Cost,
 	}
-	x := &execution{e: e, subs: dcp.Subqueries, view: prep.View, inlets: make([]inlet, len(dcp.Subqueries))}
-	if len(x.subs) == 0 { // Prepare found a constant the data lacks
-		x.ans.init(q, q.Vars())
-		return x.ans.result(), stats, nil
+	if len(dcp.Subqueries) == 0 { // Prepare found a constant the data lacks
+		var a answer
+		a.init(q, q.Vars())
+		return a.result(), nil
 	}
-	var units []unit
+	x := executions.Get().(*execution)
+	defer x.release()
+	x.e, x.ctx, x.deadline, x.subs, x.view = e, ctx, prep.Deadline, dcp.Subqueries, prep.View
+	x.inlets = slices.Grow(x.inlets, len(x.subs))[:len(x.subs)]
 	for i, sq := range x.subs {
 		route, err := e.routeSubquery(sq)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, r := range route {
-			units = append(units, unit{sq: i, route: r})
+			x.units = append(x.units, unit{sq: i, route: r})
 		}
 		x.inlets[i].vars = sq.Graph.Vars()
 		x.inlets[i].running.Store(int32(len(route)))
@@ -97,12 +121,19 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 		}
 	}
 
-	x.ctx, x.cancel = ctx, func() {}
+	units := x.units
 	switch n := len(units); {
-	case n == 1:
-		x.run(&units[0])
-	case n > 1:
-		x.ctx, x.cancel = context.WithCancel(ctx)
+	case n == 1 && !e.isRemote(units[0].route.site):
+		x.run(&units[0]) // the site and the sink check the deadline
+	case n > 0:
+		// A unit beside others, or at a remote site, reads a context of
+		// the execution's own: the first failure or a satisfied LIMIT
+		// cancels the rest, and the deadline cuts a site that hangs.
+		if x.deadline.IsZero() {
+			x.ctx, x.cancel = context.WithCancel(ctx)
+		} else {
+			x.ctx, x.cancel = context.WithDeadline(ctx, x.deadline)
+		}
 		defer x.cancel()
 		x.ans.stop = x.cancel
 		var wg sync.WaitGroup
@@ -127,11 +158,36 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 	stats.UnreachableSites = x.unreachable
 	stats.Partial = len(x.unreachable) > 0
 
-	if err := cmp.Or(ctx.Err(), x.err); err != nil {
-		match.GiveRows(x.ans.rows)
-		return nil, nil, err
+	err := cmp.Or(ctx.Err(), x.err)
+	if err == nil && x.expired() {
+		err = context.DeadlineExceeded
 	}
-	return x.ans.result(), stats, nil
+	if err != nil {
+		match.GiveRows(x.ans.rows)
+		return nil, err
+	}
+	return x.ans.result(), nil
+}
+
+// isRemote reports whether a remote evaluator serves site.
+func (e *Engine) isRemote(site int) bool {
+	_, ok := e.Remotes[site]
+	return ok
+}
+
+// expired reports whether the execution's deadline has passed.
+func (x *execution) expired() bool {
+	return !x.deadline.IsZero() && !time.Now().Before(x.deadline)
+}
+
+// release empties x, keeping its arrays, and pools it again. Every unit
+// has joined: nothing refers to x any more — the answer's result owns
+// its own row array and variable list.
+func (x *execution) release() {
+	clear(x.inlets)
+	clear(x.units)
+	*x = execution{inlets: x.inlets[:0], units: x.units[:0]}
+	executions.Put(x)
 }
 
 // chain builds the pipelined joins in optimizer order — stage k joins the
@@ -161,17 +217,27 @@ func (x *execution) chain(q *sparql.Graph, order []int) {
 // handle cannot travel across processes.
 func (x *execution) run(u *unit) {
 	in, sq := &x.inlets[u.sq], x.subs[u.sq]
-	err := x.e.evaluatorFor(u.route.site).EvalStream(x.ctx, cluster.EvalRequest{
-		SiteID:  u.route.site,
-		FragIDs: u.route.frags,
-		Query:   sq.Graph,
-		Keep:    sq.Keep,
-		View:    x.view,
-		Vars:    in.vars,
-	}, x.e.BatchSize, func(b *match.Bindings) error {
-		x.rows.Add(int64(b.Len()))
-		return in.stage.Push(b, in.left)
-	})
+	var err error
+	if x.expired() {
+		err = context.DeadlineExceeded
+	} else {
+		err = x.e.evaluatorFor(u.route.site).EvalStream(x.ctx, cluster.EvalRequest{
+			SiteID:   u.route.site,
+			FragIDs:  u.route.frags,
+			Query:    sq.Graph,
+			Keep:     sq.Keep,
+			View:     x.view,
+			Vars:     in.vars,
+			Deadline: x.deadline,
+		}, x.e.BatchSize, func(b *match.Bindings) error {
+			if x.expired() {
+				b.Release()
+				return context.DeadlineExceeded
+			}
+			x.rows.Add(int64(b.Len()))
+			return in.stage.Push(b, in.left)
+		})
+	}
 	// A satisfied LIMIT and a cancel are not failures: the answer is
 	// complete, or the caller's context says why it is not. In
 	// PartialResults mode an unavailable site (retries exhausted or
@@ -189,7 +255,9 @@ func (x *execution) run(u *unit) {
 		x.mu.Lock()
 		x.err = cmp.Or(x.err, err)
 		x.mu.Unlock()
-		x.cancel()
+		if x.cancel != nil {
+			x.cancel()
+		}
 	}
 	if in.running.Add(-1) == 0 {
 		in.stage.Close(in.left)

@@ -75,6 +75,45 @@ func TestQueryDeadline(t *testing.T) {
 	}
 }
 
+// deadlineEval records the deadline of the context each evaluation reads
+// and ships nothing.
+type deadlineEval struct {
+	deadlines []time.Time
+}
+
+func (d *deadlineEval) EvalStream(ctx context.Context, _ cluster.EvalRequest, _ int, _ cluster.BatchSink) error {
+	dl, _ := ctx.Deadline()
+	d.deadlines = append(d.deadlines, dl)
+	return nil
+}
+
+// TestRemoteUnitContextCarriesDeadline: a plan's deadline reaches a
+// remote site through the context its one unit is evaluated under, so a
+// site that hangs is cut even when no batch ever arrives to be checked.
+func TestRemoteUnitContextCarriesDeadline(t *testing.T) {
+	e, env := newEngine(t, false)
+	remote := &deadlineEval{}
+	e.Remotes = map[int]cluster.SiteEval{}
+	for site := range e.Cluster.Sites {
+		e.Remotes[site] = remote
+	}
+	q := sparql.MustParse(env.G.Dict, `SELECT ?x ?c WHERE { ?x <placeOfDeath> ?c . }`)
+	prep, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex, err := e.Explain(q); err != nil || len(ex.Subqueries) != 1 || len(ex.Subqueries[0].Fragments) != 1 {
+		t.Fatalf("want one subquery at one site, got %v (err %v)", ex, err)
+	}
+	prep.Deadline = time.Now().Add(time.Hour)
+	if _, _, err := e.QueryPrepared(context.Background(), q, prep); err != nil {
+		t.Fatal(err)
+	}
+	if len(remote.deadlines) != 1 || !remote.deadlines[0].Equal(prep.Deadline) {
+		t.Errorf("the remote unit's contexts had deadlines %v, want one of %v", remote.deadlines, prep.Deadline)
+	}
+}
+
 // TestLimitPushdown verifies the streaming pipeline stops early for
 // unordered LIMIT queries and still returns correct (distinct, subset)
 // rows.

@@ -24,6 +24,7 @@ type Bindings struct {
 	// table has variables.
 	Nullary int
 	taken   bool // Rows is a whole array of the free list's (Recyclable)
+	pooled  bool // the header is batchHeaders', which Release puts back
 }
 
 // NewBindings returns the table of n rows over vars stored in rows.
@@ -181,12 +182,17 @@ type projector struct {
 	vert []int
 }
 
-func newProjector(q *sparql.Graph, vars []string) projector {
+// newProjector projects q's matches onto vars, q.Vars() when nil; vert
+// is where it keeps its columns when there is room, the caller's stack.
+func newProjector(q *sparql.Graph, vars []string, vert []int) projector {
 	if vars == nil {
 		vars = q.Vars()
 	}
-	p := projector{vars: vars}
-	p.vert = make([]int, len(p.vars))
+	p := projector{vars: vars, vert: vert[:0]}
+	if cap(p.vert) < len(vars) {
+		p.vert = make([]int, 0, len(vars))
+	}
+	p.vert = p.vert[:len(vars)]
 	for i, name := range p.vars {
 		p.vert[i] = -1
 		for vi, v := range q.Verts {
@@ -219,7 +225,7 @@ func (p *projector) appendRow(rows []rdf.ID, m *Match) []rdf.ID {
 // ToBindings projects matches onto the query's variables (vertex variables
 // plus variable predicates), in sorted variable order.
 func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
-	p := newProjector(q, nil)
+	p := newProjector(q, nil, nil)
 	rows := make([]rdf.ID, 0, len(ms)*len(p.vars))
 	for i := range ms {
 		rows = p.appendRow(rows, &ms[i])
@@ -239,18 +245,27 @@ func ToBindings(q *sparql.Graph, ms []Match) *Bindings {
 // streaming subquery evaluation: sites ship bindings to the control-site
 // join as they are found.
 func FindBindings(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn func(*Bindings) bool) {
-	p := newProjector(q, opts.Vars)
-	if len(p.vars) == 0 {
+	vars := opts.Vars
+	if vars == nil {
+		vars = q.Vars()
+	}
+	if len(vars) == 0 {
 		// An all-constant pattern: its rows are empty tuples, counted by
 		// zero-sized elements through the same batching.
 		findBatched(q, g, opts, size, 1, func(units []struct{}, _ *Match) []struct{} {
 			return append(units, struct{}{})
 		}, onHeap[struct{}], func([]struct{}) {}, func(units []struct{}) bool {
-			return fn(&Bindings{Vars: p.vars, Nullary: len(units)})
+			return fn(&Bindings{Vars: vars, Nullary: len(units)})
 		})
 		return
 	}
-	findBatched(q, g, opts, size, len(p.vars), p.appendRow, TakeRows, GiveRows, func(rows []rdf.ID) bool {
-		return fn(&Bindings{Vars: p.vars, Rows: rows, taken: true})
+	// The batches take vars, not p's: what reaches the heap from p would
+	// take p's column array, on this stack, with it.
+	var vert [8]int
+	p := newProjector(q, vars, vert[:])
+	findBatched(q, g, opts, size, len(vars), p.appendRow, TakeRows, GiveRows, func(rows []rdf.ID) bool {
+		b := batchHeaders.Get().(*Bindings)
+		*b = Bindings{Vars: vars, Rows: rows, taken: true, pooled: true}
+		return fn(b)
 	})
 }

@@ -169,12 +169,12 @@ func TestFindBindingsBatchesAreTheReceivers(t *testing.T) {
 func TestFindBindingsChunksGrowFromFourRows(t *testing.T) {
 	g := batchGraph(9)
 	q := sparql.MustParse(g.Dict, `SELECT ?x ?y WHERE { ?x <p> ?y . }`)
-	p := newProjector(q, nil)
+	p := newProjector(q, nil, nil)
 	m := Match{Vertex: make([]rdf.ID, len(q.Verts))}
 	allocs := testing.AllocsPerRun(100, func() {
-		b := newBatcher(p.appendRow, TakeRows, GiveRows, 2, 256)
+		b := batcher[rdf.ID]{stride: 2, size: 256 * 2}
 		for i := 0; i < 9; i++ {
-			b.add(&m)
+			b.add(&m, p.appendRow, TakeRows, GiveRows)
 		}
 		if got := b.take(); len(got) != 9*2 || cap(got) != 16*2 {
 			t.Fatalf("batch holds %d IDs in an array of %d, want 18 in 32", len(got), cap(got))

@@ -100,7 +100,7 @@ func newTestSearcher(q *sparql.Graph, g *rdf.Graph) *searcher {
 	return &searcher{
 		q: q,
 		g: g.Snapshot(),
-		m: Match{
+		m: &Match{
 			Vertex:  make([]rdf.ID, len(q.Verts)),
 			Pred:    make(map[string]rdf.ID),
 			Triples: make([]rdf.Triple, len(q.Edges)),

@@ -88,11 +88,22 @@ func Recyclable(vars []string, rows []rdf.ID, n int) *Bindings {
 	return b
 }
 
+// batchHeaders keeps the headers of the batches FindBindings hands out:
+// a batch's header dies with it, so the next batch can have it.
+var batchHeaders = sync.Pool{New: func() any { return new(Bindings) }}
+
 // Release is called by b's last reader: a Recyclable table hands its array
-// back and is left empty; any other is left as it is.
+// back and is left empty; any other is left as it is. A batch of
+// FindBindings' goes back whole, its header too: nobody may read b after,
+// nor release it again, which could free another batch that took the
+// header since.
 func (b *Bindings) Release() {
 	if b.taken {
 		GiveRows(b.Rows)
 		b.Rows, b.taken = nil, false
+	}
+	if b.pooled {
+		*b = Bindings{}
+		batchHeaders.Put(b)
 	}
 }

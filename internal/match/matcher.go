@@ -83,17 +83,16 @@ func ForEach(q *sparql.Graph, g *rdf.Snapshot, opts Options, fn func(*Match) boo
 		return
 	}
 	order := edgeOrder(q, g)
-	s := &searcher{
+	s := searcher{
 		q:      q,
 		g:      g,
 		filter: opts.VertexFilter,
 		order:  order,
-		m: Match{
+		m: &Match{
 			Vertex:  make([]rdf.ID, len(q.Verts)),
 			Triples: make([]rdf.Triple, len(q.Edges)),
 		},
 		bound: make([]bool, len(q.Verts)),
-		fn:    fn,
 		cut:   cutDepth(q, order, opts.Keep),
 	}
 	// Pre-bind constant vertices. A constant g lacks simply has no
@@ -104,7 +103,7 @@ func ForEach(q *sparql.Graph, g *rdf.Snapshot, opts Options, fn func(*Match) boo
 			s.bound[i] = true
 		}
 	}
-	s.search(0)
+	s.search(0, fn)
 }
 
 // clone deep-copies a reused Match for retention beyond the ForEach
@@ -153,29 +152,24 @@ func onHeap[E any](n int) []E { return make([]E, 0, n) }
 // evaluations fill a handful of slots, and a full-size array per
 // evaluation was once the largest single cost of a selective query; free
 // gets back each array a batch outgrew. A batch, once taken, belongs to
-// whoever receives it, and so does handing it back.
+// whoever receives it, and so does handing it back. The batcher holds
+// only the batch, not keep, alloc and free: what it hands out escapes, and
+// so would they, and with them the batcher itself.
 type batcher[E any] struct {
-	keep   func([]E, *Match) []E
-	alloc  func(n int) []E // an empty array with room for at least n elements
-	free   func([]E)
 	stride int
 	size   int // elements in a full batch
 	batch  []E
 	last   int // capacity the previous batch reached
 }
 
-func newBatcher[E any](keep func([]E, *Match) []E, alloc func(int) []E, free func([]E), stride, size int) batcher[E] {
-	return batcher[E]{keep: keep, alloc: alloc, free: free, stride: stride, size: size * stride}
-}
-
 // add keeps m in the batch and reports whether the batch is full.
-func (b *batcher[E]) add(m *Match) bool {
+func (b *batcher[E]) add(m *Match, keep func([]E, *Match) []E, alloc func(int) []E, free func([]E)) bool {
 	if len(b.batch)+b.stride > cap(b.batch) {
-		grown := append(b.alloc(min(max(4*b.stride, 2*cap(b.batch), b.last), b.size)), b.batch...)
-		b.free(b.batch)
+		grown := append(alloc(min(max(4*b.stride, 2*cap(b.batch), b.last), b.size)), b.batch...)
+		free(b.batch)
 		b.batch = grown
 	}
-	b.batch = b.keep(b.batch, m)
+	b.batch = keep(b.batch, m)
 	return len(b.batch) == b.size
 }
 
@@ -188,15 +182,16 @@ func (b *batcher[E]) take() []E {
 
 // findBatched is the search-and-batch skeleton behind FindBatches and
 // FindBindings: keep appends to a batch the stride elements that the
-// searcher's reused Match becomes, on arrays from alloc, and fn gets each
-// batch as it fills, in enumeration order.
+// searcher's reused Match becomes, on arrays from alloc (an empty array
+// with room for at least n elements), and fn gets each batch as it fills,
+// in enumeration order.
 func findBatched[E any](q *sparql.Graph, g *rdf.Snapshot, opts Options, size, stride int, keep func([]E, *Match) []E, alloc func(int) []E, free func([]E), fn func([]E) bool) {
 	if size <= 0 {
 		size = 256
 	}
-	b := newBatcher(keep, alloc, free, stride, size)
+	b := batcher[E]{stride: stride, size: size * stride}
 	ForEach(q, g, opts, func(m *Match) bool {
-		return !b.add(m) || fn(b.take())
+		return !b.add(m, keep, alloc, free) || fn(b.take())
 	})
 	if len(b.batch) > 0 {
 		fn(b.take())
@@ -291,9 +286,10 @@ type searcher struct {
 	g      *rdf.Snapshot
 	filter func(qv int, id rdf.ID) bool // Options.VertexFilter
 	order  []int
-	m      Match
-	bound  []bool
-	fn     func(*Match) bool
+	// m is what the callback is handed, apart from the searcher: handing
+	// it a field of the searcher would put the searcher on the heap.
+	m     *Match
+	bound []bool
 	// cut is the depth below which one match per binding of the edges
 	// above it suffices (Options.Keep); len(order) when there is none.
 	// witnessed records that the subtree under the cut has yielded it.
@@ -368,7 +364,7 @@ func edgeOrder(q *sparql.Graph, g *rdf.Snapshot) []int {
 
 // search extends the current partial match over the edge at depth of the
 // search order, by each of its candidates in turn.
-func (s *searcher) search(depth int) {
+func (s *searcher) search(depth int, fn func(*Match) bool) {
 	ei := s.order[depth]
 	e := s.q.Edges[ei]
 	var cur candCursor
@@ -410,9 +406,9 @@ func (s *searcher) search(depth int) {
 		undoP := s.bindPred(e, t.P)
 		s.m.Triples[ei] = t
 		if depth+1 < len(s.order) {
-			s.search(depth + 1)
+			s.search(depth+1, fn)
 		} else {
-			s.emit()
+			s.emit(fn)
 		}
 		if undoP {
 			delete(s.m.Pred, e.PredVar)
@@ -461,9 +457,9 @@ func cutDepth(q *sparql.Graph, order []int, keep VertexMask) int {
 }
 
 // emit hands the match, complete, to the callback.
-func (s *searcher) emit() {
+func (s *searcher) emit(fn func(*Match) bool) {
 	s.witnessed = true
-	if !s.fn(&s.m) {
+	if !fn(s.m) {
 		s.done = true
 	}
 }

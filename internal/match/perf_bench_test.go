@@ -83,7 +83,12 @@ func watDivFixture(tb testing.TB) (*rdf.Graph, []*sparql.Graph) {
 // testing.AllocsPerRun would run at one: a search that fanned out over
 // the procs it is given would show here. The ceiling is what the
 // workload measures plus 5%, which one allocation more per search
-// exceeds.
+// exceeds. It measured 797 while each search took its searcher, its
+// batcher and the closure over it, a projector and a header per batch
+// from the heap; it measures 360 with the searcher on the stack, the
+// batcher's functions passed to it, and batch headers handed back by
+// Release. Under the race detector, whose sync.Pool drops what is put
+// back at random, the ceiling is the highest measured there plus 5%.
 func TestMatchWatDivAllocs(t *testing.T) {
 	g, log := watDivFixture(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -97,7 +102,11 @@ func TestMatchWatDivAllocs(t *testing.T) {
 		}
 	}
 	run()
-	const runs, measured = 5, 797
+	const runs = 5
+	measured := 360.0
+	if raceOn {
+		measured = 395
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -105,8 +114,9 @@ func TestMatchWatDivAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("the workload allocates %.0f times", allocs)
 	if ceiling := measured * 1.05; allocs > ceiling {
-		t.Errorf("the workload allocates %.0f times, want <= %.0f (%d measured)", allocs, ceiling, measured)
+		t.Errorf("the workload allocates %.0f times, want <= %.0f (%.0f measured)", allocs, ceiling, measured)
 	}
 }
 

@@ -48,8 +48,14 @@ type Config struct {
 	// QueueDepth bounds the queries admitted to wait for a slot beyond
 	// Workers; any more fail fast with ErrOverloaded (default 64).
 	QueueDepth int
-	// Timeout is the per-query execution deadline; 0 disables it. A
-	// caller context with an earlier deadline still wins.
+	// Timeout is the per-query execution deadline, counted from when the
+	// query gets its slot; 0 disables it. It is stamped on the query's
+	// plan (exec.Prepared.Deadline), not wrapped around its context: an
+	// in-process site evaluation checks it while it waits for a site
+	// worker or a simulated transfer, between the site's graphs, and as
+	// each batch it ships arrives; a remote one or one of several reads
+	// it from a context exec derives. A caller context with an earlier
+	// deadline still wins.
 	Timeout time.Duration
 	// PlanCacheSize is the LRU plan cache capacity in query shapes
 	// (default 256; negative disables caching).
@@ -138,12 +144,10 @@ func (c Config) withDefaults() Config {
 // Response is one answered query.
 type Response struct {
 	Bindings *match.Bindings
-	Stats    *exec.QueryStats
+	Stats    exec.QueryStats
 	// CacheHit reports whether the query's shape came from the plan
 	// cache.
 	CacheHit bool
-	// Latency is the server-side execution time (slot wait included).
-	Latency time.Duration
 }
 
 // Server executes queries concurrently against one deployed engine.
@@ -212,23 +216,37 @@ func (s *Server) Close() {
 	s.dataMu.Unlock() //nolint:staticcheck // empty critical section is the point
 }
 
-// Query executes an already-parsed query graph on the caller's goroutine
-// once one of the Workers execution slots is free. Admission is
-// non-blocking: beyond Workers+QueueDepth admitted queries it fails fast
-// with ErrOverloaded, so overload surfaces as back-pressure instead of
-// unbounded latency. The caller's ctx covers the wait and the execution.
+// Query is Answer with the answer, its statistics and the cache flag in
+// one Response.
 func (s *Server) Query(ctx context.Context, q *sparql.Graph) (*Response, error) {
+	resp := new(Response)
+	b, hit, err := s.Answer(ctx, q, &resp.Stats)
+	if err != nil {
+		return nil, err
+	}
+	resp.Bindings, resp.CacheHit = b, hit
+	return resp, nil
+}
+
+// Answer executes an already-parsed query graph on the caller's goroutine
+// once one of the Workers execution slots is free, writing its statistics
+// to stats and reporting whether its shape came from the plan cache.
+// Admission is non-blocking: beyond Workers+QueueDepth admitted queries it
+// fails fast with ErrOverloaded, so overload surfaces as back-pressure
+// instead of unbounded latency. The caller's ctx covers the wait and the
+// execution.
+func (s *Server) Answer(ctx context.Context, q *sparql.Graph, stats *exec.QueryStats) (*match.Bindings, bool, error) {
 	start := time.Now()
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	if s.admitted.Add(1) > int64(s.cfg.Workers+s.cfg.QueueDepth) {
 		s.admitted.Add(-1)
 		s.mu.RUnlock()
 		s.met.rejected.Add(1)
-		return nil, ErrOverloaded
+		return nil, false, ErrOverloaded
 	}
 	s.wg.Add(1)
 	s.mu.RUnlock()
@@ -247,28 +265,27 @@ func (s *Server) Query(ctx context.Context, q *sparql.Graph) (*Response, error) 
 		case <-ctx.Done():
 			s.met.queued.Add(-1)
 			s.met.failed.Add(1)
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 	}
 	s.met.inflight.Add(1)
-	resp, err := s.execute(ctx, q, start)
+	b, hit, err := s.execute(ctx, q, start, stats)
 	s.met.inflight.Add(-1)
 	<-s.slots
-	return resp, err
+	return b, hit, err
 }
 
 // execute runs one admitted query that holds a slot; start is when it
 // was submitted.
-func (s *Server) execute(ctx context.Context, q *sparql.Graph, start time.Time) (*Response, error) {
+func (s *Server) execute(ctx context.Context, q *sparql.Graph, start time.Time, stats *exec.QueryStats) (*match.Bindings, bool, error) {
 	if err := ctx.Err(); err != nil {
 		// The client gave up before the query could start.
 		s.met.failed.Add(1)
-		return nil, err
+		return nil, false, err
 	}
+	var deadline time.Time
 	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
+		deadline = time.Now().Add(s.cfg.Timeout)
 	}
 
 	// Pin the latest published read view for the whole execution: every
@@ -283,25 +300,26 @@ func (s *Server) execute(ctx context.Context, q *sparql.Graph, start time.Time) 
 	prep, hit, err := s.plan(q)
 	if err != nil {
 		s.met.failed.Add(1)
-		return nil, err
+		return nil, false, err
 	}
 	// Stamp the Prepared (this query's own: only the shape behind it is
-	// cached and shared) with the view pinned at admission.
-	prep.View = view
-	b, stats, err := s.engine.QueryPrepared(ctx, q, prep)
+	// cached and shared) with the view pinned at admission and the
+	// query's deadline.
+	prep.View, prep.Deadline = view, deadline
+	b, err := s.engine.Execute(ctx, q, prep, stats)
 	lat := time.Since(start)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.met.timedOut.Add(1)
 		}
 		s.met.failed.Add(1)
-		return nil, err
+		return nil, false, err
 	}
 	if stats.Partial {
 		s.met.partials.Add(1)
 	}
 	s.met.complete(lat)
-	return &Response{Bindings: b, Stats: stats, CacheHit: hit, Latency: lat}, nil
+	return b, hit, nil
 }
 
 // Apply applies one batch to the deployment through the configured sink.

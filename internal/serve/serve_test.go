@@ -155,6 +155,107 @@ func TestTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeoutSingleInProcessUnit: a query of one subquery at one
+// in-process site runs under no context the server derives; its deadline
+// rides on the plan and is checked as each shipped batch arrives. Forty
+// one-row batches at 20ms a message would take 0.8s; the query must stop
+// at the first batch past its 30ms deadline, fail with DeadlineExceeded
+// and count as timed out.
+func TestTimeoutSingleInProcessUnit(t *testing.T) {
+	engine, env := newEngine(t, cluster.Delay{PerMessage: 20 * time.Millisecond})
+	engine.BatchSize = 1
+	srv := serve.New(engine, serve.Config{Workers: 1, Timeout: 30 * time.Millisecond})
+	defer srv.Close()
+
+	q := sparql.MustParse(env.G.Dict, `SELECT ?x ?c WHERE { ?x <placeOfDeath> ?c . }`)
+	if ex, err := engine.Explain(q); err != nil || len(ex.Subqueries) != 1 || len(ex.Subqueries[0].Fragments) != 1 {
+		t.Fatalf("want one subquery at one site, got %v (err %v)", ex, err)
+	}
+	start := time.Now()
+	_, err := srv.Query(context.Background(), q)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Query past its deadline: err = %v, want DeadlineExceeded", err)
+	}
+	if el := time.Since(start); el > 400*time.Millisecond {
+		t.Errorf("the query stopped after %v: its batches were not checked against the deadline as they arrived", el)
+	}
+	if m := srv.Metrics(); m.TimedOut != 1 || m.Failed != 1 {
+		t.Errorf("TimedOut = %d, Failed = %d after one deadline failure, want 1 and 1", m.TimedOut, m.Failed)
+	}
+}
+
+// TestTimeoutQueuedAtBusySite: a query of one subquery at one in-process
+// site whose only worker another evaluation holds waits for the worker
+// no longer than its deadline. The server admits more queries than the
+// site has workers, so the wait is the site's, and the held evaluation
+// ships nothing the queued query's sink could check the deadline at.
+func TestTimeoutQueuedAtBusySite(t *testing.T) {
+	env, err := testenv.Build(testenv.Options{})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	c := cluster.New(4, 1)
+	engine, err := exec.New(c, env.Dict, env.Frag, env.Alloc, env.HC)
+	if err != nil {
+		t.Fatalf("exec.New: %v", err)
+	}
+	srv := serve.New(engine, serve.Config{Workers: 4, Timeout: 50 * time.Millisecond})
+	defer srv.Close()
+
+	q := sparql.MustParse(env.G.Dict, `SELECT ?x ?c WHERE { ?x <placeOfDeath> ?c . }`)
+	ex, err := engine.Explain(q)
+	if err != nil || len(ex.Subqueries) != 1 || len(ex.Subqueries[0].Fragments) != 1 {
+		t.Fatalf("want one subquery at one site, got %v (err %v)", ex, err)
+	}
+	frag := ex.Subqueries[0].Fragments[0]
+
+	// Hold the site's one worker: the sink of an evaluation there blocks
+	// on its first batch.
+	entered, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	holder := make(chan error, 1)
+	go func() {
+		first := true
+		holder <- c.EvalStream(context.Background(), cluster.EvalRequest{SiteID: frag.Site, FragIDs: []int{frag.ID}, Query: q}, 1,
+			func(b *match.Bindings) error {
+				b.Release()
+				if first {
+					first = false
+					close(entered)
+					<-release
+				}
+				return nil
+			})
+	}()
+	<-entered
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.Query(context.Background(), q)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Query queued at a busy site: err = %v, want DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the query still waits for the site's worker 5s past its 50ms deadline")
+	}
+	if el := time.Since(start); el < 50*time.Millisecond {
+		t.Errorf("the query timed out after %v, before its 50ms deadline", el)
+	}
+	if m := srv.Metrics(); m.TimedOut != 1 {
+		t.Errorf("TimedOut = %d after one deadline failure, want 1", m.TimedOut)
+	}
+	releaseOnce()
+	if err := <-holder; err != nil {
+		t.Fatalf("held evaluation: %v", err)
+	}
+}
+
 // TestCancellation checks that cancelling the caller's context abandons
 // the query.
 func TestCancellation(t *testing.T) {

@@ -139,8 +139,15 @@ func (g *Graph) Vars() []string {
 
 // EdgeSubgraph returns the query graph induced by the given edge indices.
 // Vertex identity (variable names, constants) is preserved; isolated
-// vertices are dropped.
+// vertices are dropped. It takes neither g's projection nor its
+// modifiers. When the subgraph is all of g — every edge, in order, over
+// vertices g numbers by first use, as the parser does — it shares g's
+// vertex and edge arrays, capacity-capped, so an append copies them; no
+// caller writes a subgraph's arrays in place.
 func (g *Graph) EdgeSubgraph(edgeIdx []int) *Graph {
+	if g.numberedByFirstUse(edgeIdx) {
+		return &Graph{Verts: g.Verts[:len(g.Verts):len(g.Verts)], Edges: g.Edges[:len(g.Edges):len(g.Edges)]}
+	}
 	// g's vertices are already distinct, so numbering them by first use
 	// keeps their identity without interning each by key again; the key
 	// index is rebuilt on demand (AddVertex) for the few callers that
@@ -171,6 +178,30 @@ func (g *Graph) EdgeSubgraph(edgeIdx []int) *Graph {
 		sub.Edges[i] = Edge{From: from, To: vert(e.To), Pred: e.Pred, PredVar: e.PredVar}
 	}
 	return sub
+}
+
+// numberedByFirstUse reports whether edgeIdx is every edge of g in order
+// and g numbers its vertices by first use, subject before object, with
+// none isolated: whether EdgeSubgraph's copy would equal g's own arrays.
+func (g *Graph) numberedByFirstUse(edgeIdx []int) bool {
+	if len(edgeIdx) == 0 || len(edgeIdx) != len(g.Edges) {
+		return false
+	}
+	next := 0 // the vertex first use numbers next
+	for i, ei := range edgeIdx {
+		if ei != i {
+			return false
+		}
+		for _, v := range [2]int{g.Edges[i].From, g.Edges[i].To} {
+			switch {
+			case v == next:
+				next++
+			case v > next:
+				return false
+			}
+		}
+	}
+	return next == len(g.Verts)
 }
 
 // ConnectedComponents splits the edge set into connected components and

@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -186,6 +188,82 @@ func TestEdgeSubgraph(t *testing.T) {
 	}
 	if len(sub.ConnectedComponents()) != 1 {
 		t.Error("subgraph should be connected")
+	}
+}
+
+// copiedSubgraph is EdgeSubgraph without its shared whole-graph path:
+// vertices numbered by first use, subject before object, in fresh arrays.
+func copiedSubgraph(g *Graph, edgeIdx []int) *Graph {
+	sub := &Graph{}
+	remap := map[int]int{}
+	vert := func(v int) int {
+		if _, ok := remap[v]; !ok {
+			remap[v] = len(sub.Verts)
+			sub.Verts = append(sub.Verts, g.Verts[v])
+		}
+		return remap[v]
+	}
+	for _, ei := range edgeIdx {
+		e := g.Edges[ei]
+		from := vert(e.From)
+		sub.Edges = append(sub.Edges, Edge{From: from, To: vert(e.To), Pred: e.Pred, PredVar: e.PredVar})
+	}
+	return sub
+}
+
+// TestEdgeSubgraphSharesWholeGraph: for every subset of every query's
+// edges, in and out of order, EdgeSubgraph returns what a fresh copy
+// holds; for all of a query built as the parser builds one it shares the
+// query's arrays, capacity-capped, so an append leaves the query alone.
+// Hand-built graphs whose vertices are not numbered by first use, or
+// that have an isolated vertex, are copied.
+func TestEdgeSubgraphSharesWholeGraph(t *testing.T) {
+	d := rdf.NewDict()
+	parsed := []string{
+		`SELECT ?x WHERE { ?x <p> ?y . }`,
+		`SELECT * WHERE { ?x <p> ?y . ?y <q> ?z . ?z <r> ?x . }`,
+		`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <in> <C> . <C> <of> ?k . ?x ?p ?x . } LIMIT 3`,
+		`SELECT ?y WHERE { <A> <p> <B> . ?y <q> <A> . } ORDER BY ?y`,
+	}
+	var graphs []*Graph
+	for _, text := range parsed {
+		graphs = append(graphs, MustParse(d, text))
+	}
+	// Numbered otherwise than by first use, and with an isolated vertex.
+	reordered := &Graph{Verts: []Vertex{{Var: "b"}, {Var: "a"}}, Edges: []Edge{{From: 1, To: 0, Pred: 7}}}
+	isolated := &Graph{Verts: []Vertex{{Var: "a"}, {Var: "b"}, {Var: "c"}}, Edges: []Edge{{From: 0, To: 1, Pred: 7}}}
+	graphs = append(graphs, reordered, isolated)
+
+	for gi, g := range graphs {
+		n := len(g.Edges)
+		for mask := 1; mask < 1<<n; mask++ {
+			var idx []int
+			for i := range n {
+				if mask&(1<<i) != 0 {
+					idx = append(idx, i)
+				}
+			}
+			rev := slices.Clone(idx)
+			slices.Reverse(rev)
+			for _, order := range [][]int{idx, rev} {
+				got, want := g.EdgeSubgraph(order), copiedSubgraph(g, order)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("graph %d, edges %v: got %+v, want %+v", gi, order, got, want)
+				}
+			}
+		}
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		sub := g.EdgeSubgraph(all)
+		shared := &sub.Verts[0] == &g.Verts[0] && &sub.Edges[0] == &g.Edges[0]
+		if wantShared := gi < len(parsed); shared != wantShared {
+			t.Errorf("graph %d: all of its edges shared its arrays: %v, want %v", gi, shared, wantShared)
+		}
+		if shared && (cap(sub.Verts) != len(sub.Verts) || cap(sub.Edges) != len(sub.Edges)) {
+			t.Errorf("graph %d: the shared arrays are not capacity-capped", gi)
+		}
 	}
 }
 

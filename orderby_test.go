@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"rdffrag/internal/exec"
 	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
@@ -103,7 +102,7 @@ func TestOrderByTermKinds(t *testing.T) {
 			b.Rows = append(b.Rows, k, d.Encode(rdf.NewIRI(fmt.Sprintf("r%d", i))))
 		}
 		q := &sparql.Graph{OrderBy: []sparql.OrderKey{{Var: "k", Desc: tc.desc}}, Limit: tc.limit}
-		res := dep.newResult(q, b, &exec.QueryStats{})
+		res := dep.newResult(new(Result), q, b)
 		res.decodeRows()
 		var got []string
 		for _, row := range res.Rows {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"rdffrag/internal/exec"
 	"rdffrag/internal/match"
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
@@ -55,9 +54,9 @@ func TestDecodeResultAllocs(t *testing.T) {
 		b.Rows = append(b.Rows,
 			d.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/subject/%d", i))), d.Encode(rdf.NewLiteral(fmt.Sprintf("name %d", i%100))), rdf.NoID)
 	}
-	q, stats := &sparql.Graph{}, &exec.QueryStats{}
+	q := &sparql.Graph{}
 	var res *Result
-	if allocs := testing.AllocsPerRun(20, func() { res = dep.newResult(q, b, stats) }); allocs > 2 {
+	if allocs := testing.AllocsPerRun(20, func() { res = dep.newResult(new(Result), q, b) }); allocs > 2 {
 		t.Errorf("newResult allocates %.0f objects for 10000 rows, want <= 2", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, res.decodeRows); allocs > 2 {

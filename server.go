@@ -21,7 +21,11 @@ type ServerConfig struct {
 	// QueueDepth bounds the admission queue; beyond it Query fails fast
 	// with ErrOverloaded.
 	QueueDepth int
-	// Timeout is the per-query execution deadline (0 = none).
+	// Timeout is the per-query execution deadline (0 = none), counted
+	// from when the query gets its slot. It rides on the query's plan: an
+	// in-process site evaluation checks it while it waits for a site
+	// worker and as each batch it ships arrives; one beside others or at
+	// a remote site reads it from its context.
 	Timeout time.Duration
 	// PlanCacheSize is the LRU plan cache capacity in query shapes
 	// (0 = 256; negative disables).
@@ -150,12 +154,15 @@ func (s *Server) answer(ctx context.Context, query string) (*Result, error) {
 	return s.answerParsed(ctx, q)
 }
 
+// answerParsed runs q through the serving layer, which writes the
+// query's statistics straight into the Result it answers with.
 func (s *Server) answerParsed(ctx context.Context, q *sparql.Graph) (*Result, error) {
-	resp, err := s.inner.Query(ctx, q)
+	res := new(Result)
+	b, _, err := s.inner.Answer(ctx, q, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
-	return s.dep.newResult(q, resp.Bindings, resp.Stats), nil
+	return s.dep.newResult(res, q, b), nil
 }
 
 // Close stops accepting queries and waits for in-flight work to finish.
